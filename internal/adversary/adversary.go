@@ -44,9 +44,10 @@ const (
 	// client double-submits distinct ciphertexts. Receivers hold both
 	// signed statements — provable equivocation.
 	Equivocate Kind = "equivocate"
-	// BadCertSig corrupts the certificate signature carried inside
-	// MsgCertify (the envelope is re-signed, so only the inner
-	// certificate check fails).
+	// BadCertSig corrupts the server's contribution to the round
+	// certificate carried inside MsgCertify — its partial response to
+	// the collective signature (the envelope is re-signed, so only the
+	// inner certificate check fails).
 	BadCertSig Kind = "bad-cert-sig"
 	// Withhold drops outgoing round messages (optionally only to
 	// Targets), modeling selective silence.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"math/big"
 	"strings"
 	"testing"
 	"time"
 
+	"dissent/internal/crypto"
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
 )
@@ -228,10 +230,27 @@ func TestInterdictEquivocatingClientEscalatesToExpulsion(t *testing.T) {
 	}
 }
 
-// TestInterdictBadCertSigDetected: a server that corrupts the
-// certificate signature inside its MsgCertify (outer envelope
-// re-signed, so only payload validation can catch it) is attributed
-// "bad-certificate" by every peer, and rounds heal once the behavior's
+// honestAttributions returns the misbehavior events of the given kind
+// that honest servers (every server but byz) raised against anyone
+// other than byz — which must stay empty: a collective certificate
+// still has to pin a bad contribution on its one author.
+func (f *fixture) honestAttributions(kind string, byz int) []TimedEvent {
+	var out []TimedEvent
+	for _, ev := range f.h.EventsOf(EventMisbehavior) {
+		if obs := f.def.ServerIndex(ev.Node); obs < 0 || obs == byz {
+			continue
+		}
+		if ev.Culprit != f.def.Servers[byz].ID && strings.HasPrefix(ev.Detail, kind+":") {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestInterdictBadCertSigDetected: a server that corrupts its partial
+// response inside its MsgCertify (outer envelope re-signed, so only
+// payload validation can catch it) is attributed "bad-certificate" by
+// every peer — and only it is — and rounds heal once the behavior's
 // round range ends.
 func TestInterdictBadCertSigDetected(t *testing.T) {
 	bad := &Interdict{Outbound: func(env Envelope, resign func(*Message) *Message) []Envelope {
@@ -254,8 +273,67 @@ func TestInterdictBadCertSigDetected(t *testing.T) {
 	if n := f.misbehaviorCount("bad-certificate", f.def.Servers[1].ID); n == 0 {
 		t.Fatalf("bad certificate never attributed; violations: %v", f.violations())
 	}
+	if wrong := f.honestAttributions("bad-certificate", 1); len(wrong) > 0 {
+		t.Fatalf("bad certificate pinned on an honest server: %+v", wrong)
+	}
 	if got := f.servers[0].Round(); got <= 6 {
 		t.Fatalf("rounds did not heal after the behavior window: at %d", got)
+	}
+}
+
+// TestInterdictNonceSwapIsEquivocation: a server that reveals, in its
+// MsgShare, a certificate nonce other than the one its MsgCommit
+// committed to — the move an adaptive signer would need — is caught at
+// the commitment check, as "equivocation", by every peer, before
+// anyone answers a challenge that includes the swapped nonce.
+func TestInterdictNonceSwapIsEquivocation(t *testing.T) {
+	const attackRound = 2
+	swap := &Interdict{Outbound: func(env Envelope, resign func(*Message) *Message) []Envelope {
+		if env.Msg.Type != MsgShare || env.Msg.Round != attackRound {
+			return []Envelope{env}
+		}
+		p, err := DecodeShare(env.Msg.Body)
+		if err != nil {
+			t.Errorf("honest engine produced an undecodable share: %v", err)
+			return []Envelope{env}
+		}
+		g := crypto.P256()
+		p.Nonce = g.Encode(g.BaseMult(big.NewInt(7))) // a valid point, just not the committed one
+		return []Envelope{{To: env.To, Msg: resign(&Message{Type: MsgShare, Round: env.Msg.Round, Body: p.Encode()})}}
+	}}
+	f := newFixture(t, 3, 3, fixtureOpts{
+		serverOpts: func(idx int, o *Options) {
+			if idx == 1 {
+				o.Interdict = swap
+			}
+		},
+	})
+	tr := recordCerts(f)
+	// The round cannot complete — its commitments are broken for good —
+	// so run a bounded stretch past the attack instead of to a round.
+	f.h.StartAll()
+	f.stepUntilRound(attackRound-1, 2_000_000)
+	f.step(4000)
+
+	culprit := f.def.Servers[1].ID
+	for _, obs := range []int{0, 2} {
+		seen := false
+		for _, ev := range f.h.EventsOf(EventMisbehavior) {
+			if ev.Node == f.def.Servers[obs].ID && ev.Culprit == culprit && strings.HasPrefix(ev.Detail, "equivocation:") {
+				seen = true
+			}
+		}
+		if !seen {
+			t.Errorf("server %d never attributed the nonce swap; violations: %v", obs, f.violations())
+		}
+	}
+	if wrong := f.honestAttributions("equivocation", 1); len(wrong) > 0 {
+		t.Fatalf("nonce swap pinned on an honest server: %+v", wrong)
+	}
+	for k := range tr.responses {
+		if k.round == attackRound && k.server != 1 {
+			t.Errorf("server %d answered a challenge in the round with the swapped nonce", k.server)
+		}
 	}
 }
 

@@ -621,26 +621,16 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return c.violation(err), nil
 	}
-	if len(p.Sigs) != len(c.def.Servers) {
-		return c.violation(errors.New("round output lacks a signature per server")), nil
-	}
 	// Reconstruct the round's beacon entry from the carried shares: its
-	// chained value is covered by the certification signatures, so a
-	// bogus share set fails the certificate check below before it can
-	// touch our chain replica.
+	// chained value is covered by the round certificate, so a bogus
+	// share set fails the certificate check below before it can touch
+	// our chain replica.
 	var bEntry *beacon.Entry
 	if !p.Failed && c.beaconChain != nil {
 		bEntry = beacon.NewEntry(m.Round, c.beaconChain.Head(), p.Beacon)
 	}
-	signed := cleartextSignedBytes(c.grpID, m.Round, int(p.Count), p.Cleartext, beaconValueBytes(bEntry))
-	for j, srv := range c.def.Servers {
-		sig, err := crypto.DecodeSignature(c.keyGrp, p.Sigs[j])
-		if err != nil {
-			return c.violation(err), nil
-		}
-		if err := crypto.Verify(c.keyGrp, srv.PubKey, "dissent/cleartext", signed, sig); err != nil {
-			return c.violation(fmt.Errorf("round %d cert %d: %w", m.Round, j, err)), nil
-		}
+	if err := verifyRoundCert(c.def, c.cert.Key(), c.grpID, m.Round, p, beaconValueBytes(bEntry)); err != nil {
+		return c.violation(err), nil
 	}
 	// The oldest in-flight record is this round's, unless we were not
 	// submitting (expelled, or following outputs after a join).

@@ -220,6 +220,11 @@ type node struct {
 	prng    crypto.PRNGMaker
 	signing bool
 
+	// cert is the round certificate's signer set: the servers' aggregate
+	// key (what a RoundOutput verifies under) and per-server terms. The
+	// server set is fixed at genesis, so it is built once per engine.
+	cert *crypto.Multisig
+
 	// beaconChain is this node's replica of the anytrust randomness
 	// beacon (nil when Policy.BeaconEpochRounds is 0). Servers extend
 	// it through the round protocol's commit–reveal; clients extend it
@@ -273,8 +278,9 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
 	}
 	n.interdict = opts.Interdict
 	n.retrySeed = binary.BigEndian.Uint64(n.id[:8])
+	pubs := def.ServerPubKeys()
+	n.cert = crypto.NewMultisig(n.keyGrp, pubs)
 	if def.Policy.BeaconEpochRounds > 0 {
-		pubs := def.ServerPubKeys()
 		genesis := beacon.GenesisValue(n.grpID)
 		if opts.BeaconStore != nil {
 			n.beaconChain = beacon.NewChainWithStore(n.keyGrp, pubs, genesis, opts.BeaconStore)

@@ -28,13 +28,15 @@ const (
 	MsgClientSubmit
 	// MsgInventory: server → all servers; clients heard this round.
 	MsgInventory
-	// MsgCommit: server → all servers; hash commit of its ciphertext.
+	// MsgCommit: server → all servers; hash commit of its ciphertext
+	// and its round-certificate nonce.
 	MsgCommit
-	// MsgShare: server → all servers; its ciphertext.
+	// MsgShare: server → all servers; its ciphertext and nonce.
 	MsgShare
-	// MsgCertify: server → all servers; signature over the cleartext.
+	// MsgCertify: server → all servers; its partial response to the
+	// collective signature over the cleartext.
 	MsgCertify
-	// MsgOutput: server → its clients; signed round output.
+	// MsgOutput: server → its clients; certified round output.
 	MsgOutput
 	// MsgBlameStart: server → its clients; an accusation shuffle opens.
 	MsgBlameStart
@@ -442,7 +444,9 @@ func DecodeInventory(b []byte) (*Inventory, error) {
 
 // Commit is a server's hash commitment to its ciphertext (Algorithm 2
 // step 3), preventing dishonest servers from adapting their share to
-// others'. When the randomness beacon is enabled, the same message
+// others'. The same hash covers the server's round-certificate nonce
+// Rᵢ (see shareCommitment), so neither can be chosen after seeing a
+// peer's. When the randomness beacon is enabled, the same message
 // carries the server's binding commitment to its beacon share, so the
 // beacon's commit phase rides the round's existing commit exchange.
 type Commit struct {
@@ -484,11 +488,13 @@ func DecodeCommit(b []byte) (*Commit, error) {
 // Share is a server's ciphertext, revealed after all commits. It also
 // reveals the server's beacon share (a Schnorr signature over the
 // previous beacon value and round; see internal/beacon), completing
-// the beacon's commit–reveal exchange.
+// the beacon's commit–reveal exchange. Nonce reveals the committed
+// round-certificate nonce Rᵢ.
 type Share struct {
 	Attempt     int32
 	CT          []byte
 	BeaconShare []byte // empty when the beacon is off
+	Nonce       []byte // encoded group element
 }
 
 // Encode serializes the payload.
@@ -497,6 +503,7 @@ func (p *Share) Encode() []byte {
 	e.U32(uint32(p.Attempt))
 	e.Bytes(p.CT)
 	e.Bytes(p.BeaconShare)
+	e.Bytes(p.Nonce)
 	return e.B
 }
 
@@ -515,13 +522,26 @@ func DecodeShare(b []byte) (*Share, error) {
 	if err != nil {
 		return nil, err
 	}
+	nonce, err := d.Bytes()
+	if err != nil {
+		return nil, err
+	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return &Share{Attempt: int32(at), CT: ct, BeaconShare: bs}, nil
+	return &Share{Attempt: int32(at), CT: ct, BeaconShare: bs, Nonce: nonce}, nil
 }
 
-// Certify is a server's signature over the assembled cleartext.
+// shareCommitment is the hash a Commit carries: it binds the server's
+// ciphertext and its certificate nonce together.
+func shareCommitment(share, nonce []byte) []byte {
+	return crypto.Hash("dissent/share-commit", share, nonce)
+}
+
+// Certify is a server's contribution to the round certificate. Sig is
+// the server's partial response zᵢ (one scalar) to the collective
+// signature over the assembled cleartext; only for a failed round, and
+// for the schedule certificate, is it a full signature of its own.
 type Certify struct {
 	Attempt int32
 	Sig     []byte
@@ -552,7 +572,7 @@ func DecodeCertify(b []byte) (*Certify, error) {
 	return &Certify{Attempt: int32(at), Sig: sig}, nil
 }
 
-// cleartextSignedBytes is the byte string certifying signatures cover.
+// cleartextSignedBytes is the byte string the round certificate covers.
 // beaconValue is the round's chained beacon output (nil for failed
 // rounds or when the beacon is off), so certification also pins the
 // beacon chain: a server cannot certify the round yet equivocate about
@@ -567,15 +587,19 @@ func cleartextSignedBytes(groupID [32]byte, round uint64, count int, cleartext, 
 	return crypto.Hash("dissent/cleartext-cert", e.B)
 }
 
-// RoundOutput carries the certified round result to clients. Failed
+// RoundOutput carries the certified round result to clients. Sigs is
+// the round certificate: one collective signature under the servers'
+// aggregate key, which exists only if every server responded. Failed
 // indicates a hard-timeout round whose ciphertexts were discarded; its
-// Count resets the participation baseline (§3.7). Beacon holds every
-// server's beacon share for this round (in server-index order) so
-// clients extend and verify their beacon chain replica; it is empty
+// Count resets the participation baseline (§3.7). Such a round skips
+// the commit and share exchanges the collective signature rides, so
+// its Sigs hold one signature per server index instead. Beacon holds
+// every server's beacon share for this round (in server-index order)
+// so clients extend and verify their beacon chain replica; it is empty
 // for failed rounds and when the beacon is off.
 type RoundOutput struct {
 	Cleartext []byte
-	Sigs      [][]byte // per server index
+	Sigs      [][]byte
 	Count     int32
 	Failed    bool
 	Beacon    [][]byte // per server index
@@ -623,6 +647,34 @@ func DecodeRoundOutput(b []byte) (*RoundOutput, error) {
 		return nil, err
 	}
 	return &RoundOutput{Cleartext: ct, Sigs: sigs, Count: int32(count), Failed: failed != 0, Beacon: bc}, nil
+}
+
+// verifyRoundCert checks a round output's certificate: exactly one
+// signature under aggKey (the aggregate of all of def's server keys),
+// or for a failed round exactly one signature per server. beaconValue
+// is the round's chained beacon output as the verifier reconstructs it
+// (nil for failed rounds and when the beacon is off).
+func verifyRoundCert(def *group.Definition, aggKey crypto.Element, groupID [32]byte, round uint64, ro *RoundOutput, beaconValue []byte) error {
+	keys := []crypto.Element{aggKey}
+	if ro.Failed {
+		keys = def.ServerPubKeys()
+	}
+	if len(ro.Sigs) != len(keys) {
+		return fmt.Errorf("core: round %d output carries %d certificate signatures, want %d",
+			round, len(ro.Sigs), len(keys))
+	}
+	g := def.Group()
+	signed := cleartextSignedBytes(groupID, round, int(ro.Count), ro.Cleartext, beaconValue)
+	for j, key := range keys {
+		sig, err := crypto.DecodeSignature(g, ro.Sigs[j])
+		if err != nil {
+			return fmt.Errorf("core: round %d cert %d: %w", round, j, err)
+		}
+		if err := crypto.Verify(g, key, "dissent/cleartext", signed, sig); err != nil {
+			return fmt.Errorf("core: round %d cert %d: %w", round, j, err)
+		}
+	}
+	return nil
 }
 
 // BlameStart announces an accusation shuffle session to clients.

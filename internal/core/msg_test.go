@@ -165,11 +165,11 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 			return err
 		}},
 		{"Share", func() []byte {
-			return (&Share{Attempt: 1, CT: []byte("share"), BeaconShare: []byte("bs")}).Encode()
+			return (&Share{Attempt: 1, CT: []byte("share"), BeaconShare: []byte("bs"), Nonce: []byte("R")}).Encode()
 		}, func(b []byte) error {
 			p, err := DecodeShare(b)
-			if err == nil && string(p.BeaconShare) != "bs" {
-				t.Error("beacon share mismatch")
+			if err == nil && (string(p.BeaconShare) != "bs" || string(p.Nonce) != "R") {
+				t.Error("beacon share or nonce mismatch")
 			}
 			return err
 		}},
@@ -240,6 +240,30 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 			t.Errorf("%s: trailing garbage accepted", c.name)
 		}
 	}
+}
+
+// FuzzDecodeShare exercises the Share codec, whose nonce field peers
+// feed straight into a group-element decoder: it must never panic, and
+// whatever it accepts must re-encode to the same bytes.
+func FuzzDecodeShare(f *testing.F) {
+	full := (&Share{Attempt: 2, CT: []byte("ciphertext share"), BeaconShare: []byte("beacon share"),
+		Nonce: bytes.Repeat([]byte{2}, 33)}).Encode()
+	f.Add(full)
+	f.Add((&Share{CT: []byte("ct"), Nonce: []byte{3}}).Encode()) // beacon off, short nonce
+	f.Add((&Share{}).Encode())                                   // every field empty
+	f.Add(full[:len(full)-33-4])                                 // the nonce field missing altogether
+	f.Add(full[:len(full)-1])                                    // truncated nonce
+	f.Add(append(append([]byte(nil), full...), 0))               // trailing byte
+	f.Add([]byte{0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})            // absurd length prefix
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeShare(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(p.Encode(), data) {
+			t.Fatalf("accepted share re-encodes differently: %x vs %x", p.Encode(), data)
+		}
+	})
 }
 
 func TestInventoryCodecProperty(t *testing.T) {

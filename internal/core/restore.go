@@ -381,6 +381,9 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.directSets = nil
 	rs.failed = false
 	rs.casts = nil
+	rs.dropNonce()
+	rs.nonces = make(map[int]crypto.Element)
+	rs.certChal, rs.certDigest = nil, nil
 }
 
 // escalateAttempt abandons the attempt a round was wedged on and rejoins
@@ -412,8 +415,8 @@ func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si
 // onPeerOutput adopts a certified round output forwarded by a peer
 // (onInventory's retired-round reply): the peers certified this round
 // while we were down — our own pre-crash certify signature completed it
-// — so our reopened copy can never certify again. All m certification
-// signatures make the output self-authenticating; adopting it replays
+// — so our reopened copy can never certify again. The round
+// certificate makes the output self-authenticating; adopting it replays
 // exactly the retirement the crash interrupted, minus blame history
 // (adopted rounds cannot be traced — see the file comment).
 func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
@@ -433,22 +436,12 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return s.violation(m.Round, err), nil
 	}
-	if len(ro.Sigs) != len(s.def.Servers) {
-		return s.violation(m.Round, fmt.Errorf("adopted round %d carries %d certs", m.Round, len(ro.Sigs))), nil
-	}
 	var entry *beacon.Entry
 	if !ro.Failed && s.beaconChain != nil {
 		entry = beacon.NewEntry(m.Round, s.beaconChain.Head(), ro.Beacon)
 	}
-	signed := cleartextSignedBytes(s.grpID, m.Round, int(ro.Count), ro.Cleartext, beaconValueBytes(entry))
-	for j, srv := range s.def.Servers {
-		sig, err := crypto.DecodeSignature(s.keyGrp, ro.Sigs[j])
-		if err != nil {
-			return s.violation(m.Round, err), nil
-		}
-		if err := crypto.Verify(s.keyGrp, srv.PubKey, "dissent/cleartext", signed, sig); err != nil {
-			return s.violation(m.Round, fmt.Errorf("adopted round %d cert %d: %w", m.Round, j, err)), nil
-		}
+	if err := verifyRoundCert(s.def, s.cert.Key(), s.grpID, m.Round, ro, beaconValueBytes(entry)); err != nil {
+		return s.violation(m.Round, fmt.Errorf("adopted output: %w", err)), nil
 	}
 
 	out := &Output{}

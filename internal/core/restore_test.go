@@ -35,6 +35,83 @@ func (f *fixture) step(n int64) {
 	f.h.Errors = nil
 }
 
+// durableFixture is a 3-server, 4-client group whose servers persist
+// into per-server KV files, for kill/restart tests.
+type durableFixture struct {
+	*fixture
+	dir string
+	kvs []*store.KV
+}
+
+func (d *durableFixture) openKV(i int) *store.KV {
+	kv, err := store.Open(filepath.Join(d.dir, fmt.Sprintf("srv%d.kv", i)))
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	return kv
+}
+
+func (d *durableFixture) durableOpts(idx int, o *Options) {
+	o.StateStore = d.kvs[idx]
+	bs, err := beacon.NewKVStore(d.kvs[idx], "beacon")
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	o.BeaconStore = bs
+}
+
+func newDurableFixture(t *testing.T, epoch int) *durableFixture {
+	// The stores must exist before the engines that persist into them;
+	// until then a bare fixture carries t for the helpers' failures.
+	d := &durableFixture{fixture: &fixture{t: t}, dir: t.TempDir(), kvs: make([]*store.KV, 3)}
+	for i := range d.kvs {
+		d.kvs[i] = d.openKV(i)
+	}
+	d.fixture = newFixture(t, 3, 4, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) {
+			p.BeaconEpochRounds = epoch
+			p.Alpha = 0.25 // a victim's direct clients' submissions die with it
+		},
+		serverOpts: d.durableOpts,
+	})
+	return d
+}
+
+// kill crashes server idx: its traffic goes to a black hole and its
+// store file closes as the dead process's would.
+func (d *durableFixture) kill(idx int) {
+	d.h.SwapEngine(d.def.Servers[idx].ID, blackholeEngine{})
+	if err := d.kvs[idx].Close(); err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+// restart brings server idx back: a fresh engine over the genesis
+// definition and the same keys, restored from the reopened store.
+func (d *durableFixture) restart(idx int) *Server {
+	d.t.Helper()
+	id := d.def.Servers[idx].ID
+	d.kvs[idx] = d.openKV(idx)
+	opts := Options{MessageGroup: crypto.ModP512Test()}
+	d.durableOpts(idx, &opts)
+	restored, err := NewServer(d.def, d.kpByID[id], d.msgKPByIdx[idx], opts)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	now := d.h.Net.Now()
+	out, ok, err := restored.RestoreFromStore(now)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if !ok {
+		d.t.Fatal("no snapshot found in the victim's store")
+	}
+	d.servers[idx] = restored
+	d.h.SwapEngine(id, restored)
+	d.h.ProcessExternal(id, now, out, nil)
+	return restored
+}
+
 // TestServerSnapshotRoundTrip pins the snapshot codec.
 func TestServerSnapshotRoundTrip(t *testing.T) {
 	sn := &ServerSnapshot{
@@ -73,32 +150,8 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 // convergence again — including payloads sent after the restart.
 func TestServerRestartMidEpochResumes(t *testing.T) {
 	const epoch = 6
-	dir := t.TempDir()
-	openKV := func(i int) *store.KV {
-		kv, err := store.Open(filepath.Join(dir, fmt.Sprintf("srv%d.kv", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kv
-	}
-	kvs := make([]*store.KV, 3)
-	for i := range kvs {
-		kvs[i] = openKV(i)
-	}
-	f := newFixture(t, 3, 4, fixtureOpts{
-		mutatePolicy: func(p *group.Policy) {
-			p.BeaconEpochRounds = epoch
-			p.Alpha = 0.25 // the victim's direct clients' submissions die with it
-		},
-		serverOpts: func(idx int, o *Options) {
-			o.StateStore = kvs[idx]
-			bs, err := beacon.NewKVStore(kvs[idx], "beacon")
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.BeaconStore = bs
-		},
-	})
+	d := newDurableFixture(t, epoch)
+	f := d.fixture
 
 	// Run past the first epoch boundary into the middle of the second
 	// epoch, then kill server 0 with rounds in flight.
@@ -106,10 +159,7 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 	f.stepUntilRound(epoch+2, 2_000_000)
 	vid := f.def.Servers[0].ID
 	killRound := f.servers[0].Round()
-	f.h.SwapEngine(vid, blackholeEngine{})
-	if err := kvs[0].Close(); err != nil {
-		t.Fatal(err)
-	}
+	d.kill(0)
 	// Let the survivors run into the wedge: no round can certify while
 	// one server is down, so they re-broadcast and wait.
 	f.step(3000)
@@ -120,32 +170,10 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 		}
 	}
 
-	// Restart: a fresh engine over the genesis definition and the same
-	// keys, restored from the reopened store.
-	kv0 := openKV(0)
-	bs0, err := beacon.NewKVStore(kv0, "beacon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewServer(f.def, f.kpByID[vid], f.msgKPByIdx[0],
-		Options{MessageGroup: crypto.ModP512Test(), StateStore: kv0, BeaconStore: bs0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := f.h.Net.Now()
-	out, ok, err := restored.RestoreFromStore(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no snapshot found in the victim's store")
-	}
+	restored := d.restart(0)
 	if restored.Round() > killRound || restored.Round()+2 < killRound {
 		t.Fatalf("restored at round %d, killed at %d", restored.Round(), killRound)
 	}
-	f.servers[0] = restored
-	f.h.SwapEngine(vid, restored)
-	f.h.ProcessExternal(vid, now, out, nil)
 	if f.h.FirstEvent(vid, EventStateRestored) == nil {
 		t.Fatal("restore emitted no EventStateRestored")
 	}
@@ -198,32 +226,8 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 // bound recovery to well inside the epoch.
 func TestVictimClientsResumeAfterAdoption(t *testing.T) {
 	const epoch = 12
-	dir := t.TempDir()
-	openKV := func(i int) *store.KV {
-		kv, err := store.Open(filepath.Join(dir, fmt.Sprintf("srv%d.kv", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kv
-	}
-	kvs := make([]*store.KV, 3)
-	for i := range kvs {
-		kvs[i] = openKV(i)
-	}
-	f := newFixture(t, 3, 4, fixtureOpts{
-		mutatePolicy: func(p *group.Policy) {
-			p.BeaconEpochRounds = epoch
-			p.Alpha = 0.25
-		},
-		serverOpts: func(idx int, o *Options) {
-			o.StateStore = kvs[idx]
-			bs, err := beacon.NewKVStore(kvs[idx], "beacon")
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.BeaconStore = bs
-		},
-	})
+	d := newDurableFixture(t, epoch)
+	f := d.fixture
 
 	f.h.StartAll()
 	f.stepUntilRound(epoch+2, 2_000_000)
@@ -247,34 +251,10 @@ func TestVictimClientsResumeAfterAdoption(t *testing.T) {
 		t.Fatal("never caught a peer ahead of the victim (certify window)")
 	}
 	killRound := f.servers[0].Round()
-	f.h.SwapEngine(vid, blackholeEngine{})
-	if err := kvs[0].Close(); err != nil {
-		t.Fatal(err)
-	}
+	d.kill(0)
 	f.step(3000)
 
-	// Restart from the reopened store.
-	kv0 := openKV(0)
-	bs0, err := beacon.NewKVStore(kv0, "beacon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewServer(f.def, f.kpByID[vid], f.msgKPByIdx[0],
-		Options{MessageGroup: crypto.ModP512Test(), StateStore: kv0, BeaconStore: bs0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := f.h.Net.Now()
-	out, ok, err := restored.RestoreFromStore(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no snapshot found in the victim's store")
-	}
-	f.servers[0] = restored
-	f.h.SwapEngine(vid, restored)
-	f.h.ProcessExternal(vid, now, out, nil)
+	d.restart(0)
 
 	// The regression: clients homed on the victim must ladder back to
 	// the live round and carry traffic again within a few rounds — NOT

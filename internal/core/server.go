@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/big"
 	"sort"
 	"time"
 
@@ -177,12 +178,34 @@ type roundState struct {
 	cleartext  []byte
 	failed     bool
 
+	// Round-certificate signing session (ARCHITECTURE.md "Round
+	// certificate"). nonce is this server's secret kᵢ for the current
+	// attempt: drawn by sendCommit, destroyed by the one partial response
+	// it answers (sendCertify) or by an attempt reset, never persisted.
+	// nonces holds the public Rᵢ = kᵢ·G by server index: our own from
+	// commit time, each peer's once revealed. certDigest is what the
+	// certificate signs, hashed once per attempt; certChal is the
+	// challenge our response answered and peers' are checked against
+	// (a failed round checks peers' own signatures over certDigest).
+	nonce      *big.Int
+	nonces     map[int]crypto.Element
+	certDigest []byte
+	certChal   *big.Int
+
 	// Beacon commit–reveal state, riding the round's commit and share
 	// exchanges (nil maps stay empty when the beacon is off).
 	beaconCommits map[int][]byte // server index -> H(beacon share)
 	beaconShares  map[int][]byte // server index -> beacon share
 	myBeaconShare []byte
 	beaconEntry   *beacon.Entry // verified entry, set at combine time
+}
+
+// dropNonce destroys the round's secret certificate nonce.
+func (rs *roundState) dropNonce() {
+	if rs.nonce != nil {
+		clear(rs.nonce.Bits())
+		rs.nonce = nil
+	}
 }
 
 // roundHistory is the retained state needed for accusation tracing.
@@ -1026,6 +1049,7 @@ func (s *Server) openRound(now time.Time, out *Output) {
 		commits: make(map[int][]byte),
 		shares:  make(map[int][]byte),
 		certs:   make(map[int][]byte),
+		nonces:  make(map[int]crypto.Element),
 
 		beaconCommits: make(map[int][]byte),
 		beaconShares:  make(map[int][]byte),
@@ -1514,10 +1538,26 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 		s.interdict.Share(rs.r, share)
 	}
 	rs.myShare = share
+	return s.sendCommit(now, rs)
+}
+
+// sendCommit opens the round's commit phase: it commits this server to
+// its share and, in the same hash, to a fresh certificate nonce. Every
+// attempt of a round re-enters here (α-policy reopen, peer-recovery
+// escalation, restart), so no nonce outlives the attempt it was drawn
+// for.
+func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
+	k, err := s.keyGrp.RandomScalar(s.rand)
+	if err != nil {
+		return nil, err
+	}
+	rs.dropNonce()
+	rs.nonce = k
+	rs.nonces[s.idx] = s.keyGrp.BaseMult(k)
 	rs.phase = rpCommit
 
 	out := &Output{}
-	commit := &Commit{Attempt: rs.attempt, Hash: crypto.Hash("dissent/share-commit", share)}
+	commit := &Commit{Attempt: rs.attempt, Hash: shareCommitment(rs.myShare, s.keyGrp.Encode(rs.nonces[s.idx]))}
 	if s.beaconChain != nil && rs.myBeaconShare == nil {
 		// Beacon commit phase rides the round's commit broadcast: the
 		// share signs the chain head, and its hash commits us before we
@@ -1580,7 +1620,8 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	}
 	rs.phase = rpShare
 	out := &Output{}
-	body := (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare}).Encode()
+	body := (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
+		Nonce: s.keyGrp.Encode(rs.nonces[s.idx])}).Encode()
 	if err := s.castServers(now, rs, MsgShare, body, out); err != nil {
 		return nil, err
 	}
@@ -1611,15 +1652,20 @@ func (s *Server) onShare(now time.Time, m *Message) (*Output, error) {
 	if p.Attempt != rs.attempt {
 		return &Output{}, nil
 	}
+	nonce, err := s.keyGrp.Decode(p.Nonce)
+	if err != nil {
+		return s.misbehave(rs.r, m.From, "malformed", fmt.Errorf("share nonce: %w", err)), nil
+	}
 	si := s.def.ServerIndex(m.From)
 	if prev, dup := rs.shares[si]; dup {
-		if !bytes.Equal(prev, p.CT) {
+		if !bytes.Equal(prev, p.CT) || !s.keyGrp.Equal(rs.nonces[si], nonce) {
 			return s.misbehave(rs.r, m.From, "equivocation",
 				fmt.Errorf("server %d sent two distinct shares for round %d", si, rs.r)), nil
 		}
 		return &Output{}, nil
 	}
 	rs.shares[si] = p.CT
+	rs.nonces[si] = nonce
 	if len(p.BeaconShare) > 0 {
 		rs.beaconShares[si] = p.BeaconShare
 	}
@@ -1633,14 +1679,14 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 	}
 	for si := 0; si < len(s.def.Servers); si++ {
 		want := rs.commits[si]
-		got := crypto.Hash("dissent/share-commit", rs.shares[si])
+		got := shareCommitment(rs.shares[si], s.keyGrp.Encode(rs.nonces[si]))
 		if !bytes.Equal(want, got) {
-			// The share this server distributed is not the one it
-			// committed to: ciphertext equivocation (every honest peer
-			// compares against the same broadcast commitment, so all
-			// reach this verdict for the same sender).
+			// The share or nonce this server distributed is not the one
+			// it committed to: equivocation (every honest peer compares
+			// against the same broadcast commitment, so all reach this
+			// verdict for the same sender).
 			return s.misbehave(rs.r, s.def.Servers[si].ID, "equivocation",
-				fmt.Errorf("server %d share does not match its commitment", si)), nil
+				fmt.Errorf("server %d share or nonce does not match its commitment", si)), nil
 		}
 	}
 	if s.beaconChain != nil {
@@ -1674,21 +1720,42 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 	return s.sendCertify(now, rs)
 }
 
+// sendCertify contributes this server's part of the round certificate:
+// its partial response to the collective signature, answering the
+// challenge fixed by every server's revealed nonce and the assembled
+// cleartext. The nonce is consumed by that one response; without a
+// live one (a second call in an attempt, or a call after an attempt
+// reset) it fails closed rather than answer twice. A failed round ran
+// no commit/share exchange, so each server signs it on its own.
 func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
+	if !rs.failed && rs.nonce == nil {
+		return nil, fmt.Errorf("core: round %d attempt %d: certify without a live nonce", rs.r, rs.attempt)
+	}
 	rs.phase = rpCertify
 	rs.certifySent = now
-	sig, err := s.kp.Sign("dissent/cleartext",
-		cleartextSignedBytes(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry)), s.rand)
-	if err != nil {
-		return nil, err
+	rs.certDigest = cleartextSignedBytes(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry))
+	var cert []byte
+	if rs.failed {
+		sig, err := s.kp.Sign("dissent/cleartext", rs.certDigest, s.rand)
+		if err != nil {
+			return nil, err
+		}
+		cert = crypto.EncodeSignature(s.keyGrp, sig)
+	} else {
+		nonces := make([]crypto.Element, len(s.def.Servers))
+		for i := range nonces {
+			nonces[i] = rs.nonces[i]
+		}
+		rs.certChal = s.cert.Challenge("dissent/cleartext", nonces, rs.certDigest)
+		cert = crypto.EncodeScalar(s.keyGrp, s.cert.Respond(s.idx, s.kp.Private, rs.nonce, rs.certChal))
+		rs.dropNonce()
 	}
-	sigBytes := crypto.EncodeSignature(s.keyGrp, sig)
 	out := &Output{}
-	body := (&Certify{Attempt: rs.attempt, Sig: sigBytes}).Encode()
+	body := (&Certify{Attempt: rs.attempt, Sig: cert}).Encode()
 	if err := s.castServers(now, rs, MsgCertify, body, out); err != nil {
 		return nil, err
 	}
-	rs.certs[s.idx] = sigBytes
+	rs.certs[s.idx] = cert
 	more, err := s.maybeOutput(now, rs)
 	if err != nil {
 		return nil, err
@@ -1722,12 +1789,7 @@ func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
 		return &Output{}, nil
 	}
 	si := s.def.ServerIndex(m.From)
-	sig, err := crypto.DecodeSignature(s.keyGrp, p.Sig)
-	if err != nil {
-		return s.misbehave(rs.r, m.From, "bad-certificate", err), nil
-	}
-	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, "dissent/cleartext",
-		cleartextSignedBytes(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry)), sig); err != nil {
+	if err := s.checkCertify(rs, si, p.Sig); err != nil {
 		return s.misbehave(rs.r, m.From, "bad-certificate",
 			fmt.Errorf("server %d certify: %w", si, err)), nil
 	}
@@ -1736,6 +1798,25 @@ func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
 	}
 	rs.certs[si] = p.Sig
 	return s.maybeOutput(now, rs)
+}
+
+// checkCertify verifies server si's certificate contribution for a
+// round in its certify phase: its partial response against the nonce
+// it revealed, or for a failed round its own signature. Either way one
+// verification, attributable to si alone.
+func (s *Server) checkCertify(rs *roundState, si int, cert []byte) error {
+	if rs.failed {
+		sig, err := crypto.DecodeSignature(s.keyGrp, cert)
+		if err != nil {
+			return err
+		}
+		return crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, "dissent/cleartext", rs.certDigest, sig)
+	}
+	z, err := crypto.DecodeScalar(s.keyGrp, cert)
+	if err != nil {
+		return err
+	}
+	return s.cert.VerifyPartial(si, rs.nonces[si], rs.certChal, z)
 }
 
 // maybeOutput completes the round: distribute the certified output,
@@ -1748,9 +1829,19 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 	}
 	rs.phase = rpDone
 	out := &Output{}
+	// Every server's contribution is in and individually verified: the
+	// partial responses sum to one signature under the aggregate key. A
+	// failed round carries the servers' own signatures as they are.
 	sigs := make([][]byte, len(s.def.Servers))
 	for i := range sigs {
 		sigs[i] = rs.certs[i]
+	}
+	if !rs.failed {
+		partials := make([]*big.Int, len(sigs))
+		for i, z := range sigs {
+			partials[i] = new(big.Int).SetBytes(z)
+		}
+		sigs = [][]byte{crypto.EncodeSignature(s.keyGrp, s.cert.Combine(rs.certChal, partials))}
 	}
 	ro := &RoundOutput{
 		Cleartext: rs.cleartext,

@@ -63,6 +63,19 @@ func schnorrChallenge(g Group, domain string, r, pub Element, msg []byte) *big.I
 		[]byte(domain), g.Encode(r), g.Encode(pub), msg)
 }
 
+// EncodeScalar serializes k as one fixed-width scalar.
+func EncodeScalar(g Group, k *big.Int) []byte {
+	return k.FillBytes(make([]byte, scalarLen(g)))
+}
+
+// DecodeScalar parses a scalar serialized by EncodeScalar.
+func DecodeScalar(g Group, data []byte) (*big.Int, error) {
+	if len(data) != scalarLen(g) {
+		return nil, errors.New("crypto: bad scalar length")
+	}
+	return new(big.Int).SetBytes(data), nil
+}
+
 // EncodeSignature serializes sig as two fixed-width scalars.
 func EncodeSignature(g Group, sig Signature) []byte {
 	n := scalarLen(g)
