@@ -3,51 +3,10 @@ package dissent
 import (
 	"errors"
 	"fmt"
-	"os"
-	"time"
 
 	"dissent/internal/beacon"
 	"dissent/internal/core"
 )
-
-// OpenBeaconStore opens (creating if needed) a durable beacon chain
-// file for WithBeaconStore. A chain file spans one protocol session —
-// DC-net round numbers restart with every fresh setup and the genesis
-// is session-bound — so content from a previous session is archived
-// beside the file (returned as archivedTo) and a fresh chain begun;
-// mid-file corruption is archived the same way. The caller owns the
-// store: close it after the node's Run returns so the chain's final
-// entries are flushed to disk.
-func OpenBeaconStore(path string) (store *BeaconFileStore, archivedTo string, err error) {
-	store, err = beacon.OpenFileStore(path)
-	if errors.Is(err, beacon.ErrCorruptStore) {
-		// Mid-file corruption (a torn final line is already healed by
-		// OpenFileStore): preserve the damaged file for forensics and
-		// start fresh — the stored chain is only ever archived, never
-		// extended. I/O and permission errors abort instead: the file
-		// may be intact.
-		archivedTo = fmt.Sprintf("%s.corrupt-%d", path, time.Now().Unix())
-		if renameErr := os.Rename(path, archivedTo); renameErr != nil {
-			return nil, "", fmt.Errorf("archiving corrupt chain file: %v (%w)", renameErr, err)
-		}
-		store, err = beacon.OpenFileStore(path)
-	}
-	if err != nil {
-		return nil, "", err
-	}
-	if store.Len() > 0 {
-		latest, _ := store.Latest()
-		store.Close()
-		archivedTo = fmt.Sprintf("%s.prev-r%d-%d", path, latest.Round, time.Now().Unix())
-		if err := os.Rename(path, archivedTo); err != nil {
-			return nil, "", err
-		}
-		if store, err = beacon.OpenFileStore(path); err != nil {
-			return nil, "", err
-		}
-	}
-	return store, archivedTo, nil
-}
 
 // BeaconSync is the result of SyncBeacon: a fully verified chain
 // replica plus how its genesis was anchored.

@@ -68,25 +68,6 @@ func BenchmarkFig8Servers(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundPipelined measures certified-rounds-per-virtual-second
-// on a 3-server, 8-client SimNet deployment at pipeline depth 1
-// (serial) and 2 (round r+1's window overlapped with round r's
-// combine/certify). The depth2/depth1 ratio is the PR 8 tentpole
-// number: ≥1.5× when certification is comparable to the window.
-func BenchmarkRoundPipelined(b *testing.B) {
-	for _, depth := range []int{1, 2} {
-		b.Run(map[int]string{1: "depth1-serial", 2: "depth2-pipelined"}[depth], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.PipelineThroughput(depth, 30, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.RoundsPerSec, "vrounds/s")
-			}
-		})
-	}
-}
-
 // BenchmarkFig9FullProtocol regenerates the stage breakdown (Fig. 9).
 func BenchmarkFig9FullProtocol(b *testing.B) {
 	cfg := bench.DefaultFig9Config()

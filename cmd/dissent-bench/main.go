@@ -9,21 +9,6 @@
 // Experiments: window-policy (the §5.1 table), fig6, fig7, fig8, fig9,
 // fig10, fig11, all. Output is plain text: one series per block,
 // "x y ..." rows suitable for gnuplot.
-//
-// The additional "perf" experiment measures the DC-net data-plane hot
-// paths (parallel pad expansion, streaming combine critical path,
-// zero-allocation client submit, slot codec) and, with -json FILE,
-// writes a machine-readable report — the repository's BENCH_*.json
-// perf trajectory is recorded this way:
-//
-//	dissent-bench -exp perf -json BENCH_seed.json
-//
-// With -compare FILE the perf run is additionally gated against a
-// committed baseline report: any benchmark slower than
-// baseline*threshold (default 2x, see -threshold) exits non-zero. CI
-// runs this as the bench regression gate:
-//
-//	dissent-bench -exp perf -quick -compare BENCH_pr7.json
 package main
 
 import (
@@ -31,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -41,19 +27,11 @@ import (
 var clientsOverride []int
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: window-policy|fig6|fig7|fig8|fig9|fig10|fig11|perf|all")
+	exp := flag.String("exp", "all", "experiment: window-policy|fig6|fig7|fig8|fig9|fig10|fig11|all")
 	quick := flag.Bool("quick", false, "scaled-down configurations")
 	clients := flag.String("clients", "", "comma-separated client counts overriding fig7's sweep")
-	jsonOut := flag.String("json", "", "with -exp perf: write the JSON perf report to this file")
-	compare := flag.String("compare", "", "with -exp perf: gate against this baseline BENCH_*.json, exit 1 on regression")
-	threshold := flag.Float64("threshold", 2.0, "with -compare: regression ratio that fails the gate")
-	note := flag.String("note", "", "with -exp perf -json: environment caveat recorded in the report")
 	flag.Parse()
 	log.SetFlags(0)
-	if *exp == "perf" {
-		runPerf(*quick, *jsonOut, *compare, *threshold, *note)
-		return
-	}
 	if *clients != "" {
 		for _, part := range strings.Split(*clients, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -87,49 +65,6 @@ func main() {
 		os.Exit(2)
 	}
 	fn(*quick)
-}
-
-func runPerf(quick bool, jsonOut, compare string, threshold float64, note string) {
-	fmt.Println("# data-plane perf suite (pad expansion, streaming combine, submit path)")
-	rep := bench.PerfSuite(quick)
-	rep.Note = note
-	fmt.Printf("go %s %s/%s GOMAXPROCS=%d\n", rep.GoVersion, rep.GOOS, rep.GOARCH, rep.GOMAXPROCS)
-	fmt.Printf("%-44s %-14s %-12s %-10s %s\n", "benchmark", "ns/op", "MB/s", "allocs/op", "B/op")
-	for _, r := range rep.Results {
-		mbs := "-"
-		if r.MBPerSec > 0 {
-			mbs = fmt.Sprintf("%.1f", r.MBPerSec)
-		}
-		fmt.Printf("%-44s %-14.0f %-12s %-10d %d\n", r.Name, r.NsPerOp, mbs, r.AllocsPerOp, r.BytesPerOp)
-	}
-	if jsonOut != "" {
-		b, err := rep.WriteJSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", jsonOut)
-	}
-	if compare != "" {
-		baseline, err := bench.ReadPerfReport(compare)
-		if err != nil {
-			log.Fatal(err)
-		}
-		regs, skipped := bench.ComparePerf(baseline, rep, threshold)
-		for _, s := range skipped {
-			fmt.Printf("# gate: skipped %s\n", s)
-		}
-		if len(regs) > 0 {
-			fmt.Printf("# gate: %d regression(s) vs %s (threshold %.1fx):\n", len(regs), compare, threshold)
-			for _, r := range regs {
-				fmt.Printf("#   %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("# gate: ok vs %s (threshold %.1fx)\n", compare, threshold)
-	}
 }
 
 func fig6Config(quick bool) bench.Fig6Config {
@@ -251,7 +186,7 @@ func runFig10(quick, cdf bool) {
 		for _, r := range results {
 			fmt.Printf("\n## config %s (download-seconds cumulative-fraction)\n", r.Config)
 			times := append([]time.Duration(nil), r.Stats.Times...)
-			sortDurations(times)
+			slices.Sort(times)
 			for _, pt := range bench.CDF(times) {
 				fmt.Printf("%.2f %.4f\n", pt[0], pt[1])
 			}
@@ -263,14 +198,6 @@ func runFig10(quick, cdf bool) {
 		fmt.Printf("%-14s %-10s %-10s %-10s %d\n", r.Config,
 			fmtDur(r.Stats.Mean()), fmtDur(r.Stats.Percentile(50)),
 			fmtDur(r.Stats.Percentile(90)), len(r.Stats.Times))
-	}
-}
-
-func sortDurations(d []time.Duration) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
 	}
 }
 

@@ -5,13 +5,12 @@
 // Usage:
 //
 //	dissentd -group group.json -key server-0.key -roster roster.json -listen :7000 \
-//	         [-store state.kv] [-beacon :7080] [-beacon-store beacon.jsonl] [-metrics :7090]
+//	         [-store state.kv] [-beacon :7080] [-metrics :7090]
 //
-// Flags -group, -key, -roster, -store, -beacon, and -beacon-store are
-// repeatable and positional: each -group starts a new session block,
-// and the -key/-roster/-store/-beacon/-beacon-store flags that follow
-// apply to it. One invocation therefore shards many groups behind one
-// listener:
+// Flags -group, -key, -roster, -store, and -beacon are repeatable and
+// positional: each -group starts a new session block, and the
+// -key/-roster/-store/-beacon flags that follow apply to it. One
+// invocation therefore shards many groups behind one listener:
 //
 //	dissentd -listen :7000 \
 //	    -group g1/group.json -key g1/server-0.key -roster g1/roster.json \
@@ -30,29 +29,25 @@
 // flushed and closed).
 //
 // With -store the session persists its durable state — the certified
-// roster-update log, blame transcripts, the restart snapshot, and
-// (unless -beacon-store overrides it) the beacon chain — to a single
-// crash-safe embedded store file. A daemon killed mid-epoch and
-// restarted against the same -store file resumes its live session from
-// the snapshot: it re-announces itself to the group, reopens in-flight
-// rounds, and catches up on rounds certified without it, with no
-// manual rejoin. A store whose snapshot predates a different group or
-// an abandoned run is cleared at startup.
+// roster-update log, blame transcripts, the restart snapshot, and the
+// beacon chain — to a single crash-safe embedded store file. A daemon
+// killed mid-epoch and restarted against the same -store file resumes
+// its live session from the snapshot: it re-announces itself to the
+// group, reopens in-flight rounds, and catches up on rounds certified
+// without it, with no manual rejoin. A store whose snapshot predates a
+// different group or an abandoned run is cleared at startup.
 //
 // With -beacon a session additionally serves its randomness-beacon
 // chain over HTTP (GET /beacon/latest, /beacon/{round},
 // /beacon/from/{round}, /beacon/info, and /beacon/schedule — the
 // schedule certificate that anchors the chain's session-bound genesis)
 // so clients and external verifiers can fetch and verify per-round
-// randomness; -beacon-store persists that chain to an append-only
-// file. A chain left by a previous session is archived at startup
-// (DC-net round numbers and the session genesis restart with each
-// session) and a fresh file begun.
+// randomness; -store is what makes that chain durable.
 //
 // With -metrics the daemon serves the host's operator/debug endpoint:
 // Prometheus text exposition at /metrics (per-session round, traffic,
 // and churn counters plus the dissent_round_phase_seconds latency
-// histograms), the same snapshot as expvar-style JSON at
+// histograms), the same snapshot as JSON at
 // /metrics.json, recent per-round span records at /debug/rounds (the
 // input of `dissent trace`), the standard runtime profiles under
 // /debug/pprof/, and every session's certified membership roster at
@@ -90,10 +85,9 @@ func main() {
 // sessionSpec is one -group block's file set: a group definition plus
 // the key, roster, beacon, and store flags that followed it.
 type sessionSpec struct {
-	group, key, roster  string
-	beacon, beaconStore string
-	store               string
-	groupSet            bool
+	group, key, roster string
+	beacon, store      string
+	groupSet           bool
 }
 
 // parseSpecs wires the repeatable session-block flags onto fs. Each
@@ -129,10 +123,6 @@ func parseSpecs(fs *flag.FlagSet) *[]*sessionSpec {
 	})
 	fs.Func("beacon", "beacon HTTP listen address for the current -group block (empty = disabled)", func(v string) error {
 		cur().beacon = v
-		return nil
-	})
-	fs.Func("beacon-store", "beacon chain file for the current -group block (empty = in-memory)", func(v string) error {
-		cur().beaconStore = v
 		return nil
 	})
 	fs.Func("store", "durable state store file for the current -group block; a server restarted against it resumes its session (empty = in-memory)", func(v string) error {
@@ -174,7 +164,7 @@ func run(args []string) error {
 	// Teardown order matters: the host closes every session (which
 	// stops appending to the chains, roster logs, and snapshots) before
 	// the store closes flush the files.
-	var stores []interface{ Close() error }
+	var stores []*dissent.StateStore
 	defer func() {
 		host.Close()
 		for _, st := range stores {
@@ -209,9 +199,9 @@ func run(args []string) error {
 }
 
 // openSpec loads one session block's files and opens its membership on
-// the host. Any store it opens (beacon or state) is appended to
-// stores; the caller closes them after the host has shut down.
-func openSpec(host *dissent.Host, logger *slog.Logger, spec *sessionSpec, stores *[]interface{ Close() error }) error {
+// the host. A state store it opens is appended to stores; the caller
+// closes them after the host has shut down.
+func openSpec(host *dissent.Host, logger *slog.Logger, spec *sessionSpec, stores *[]*dissent.StateStore) error {
 	grp, err := dissentcfg.LoadGroup(spec.group)
 	if err != nil {
 		return err
@@ -237,20 +227,6 @@ func openSpec(host *dissent.Host, logger *slog.Logger, spec *sessionSpec, stores
 		*stores = append(*stores, kv)
 		opts = append(opts, dissent.WithStateStore(kv))
 		logger.Info("state store open", "path", kv.Path(), "records", kv.Len())
-	}
-	if spec.beaconStore != "" {
-		if grp.Policy.BeaconEpochRounds == 0 {
-			return errors.New("-beacon-store set but the group policy disables the beacon")
-		}
-		store, archived, err := dissent.OpenBeaconStore(spec.beaconStore)
-		if err != nil {
-			return err
-		}
-		*stores = append(*stores, store)
-		if archived != "" {
-			logger.Info("previous beacon chain content archived", "path", archived)
-		}
-		opts = append(opts, dissent.WithBeaconStore(store))
 	}
 	if spec.beacon != "" {
 		if grp.Policy.BeaconEpochRounds == 0 {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dissent/dissentcfg"
@@ -76,7 +77,7 @@ func TestParseSpecsBlocks(t *testing.T) {
 	// Two full blocks.
 	specs := parse(
 		"-group", "g1.json", "-key", "k1.key", "-roster", "r1.json", "-beacon", ":7080",
-		"-group", "g2.json", "-key", "k2.key", "-roster", "r2.json", "-beacon-store", "b2.jsonl",
+		"-group", "g2.json", "-key", "k2.key", "-roster", "r2.json", "-store", "s2.kv",
 	)
 	if len(specs) != 2 {
 		t.Fatalf("got %d blocks, want 2", len(specs))
@@ -84,8 +85,18 @@ func TestParseSpecsBlocks(t *testing.T) {
 	if specs[0].group != "g1.json" || specs[0].key != "k1.key" || specs[0].roster != "r1.json" || specs[0].beacon != ":7080" {
 		t.Errorf("block 0 = %+v", specs[0])
 	}
-	if specs[1].group != "g2.json" || specs[1].key != "k2.key" || specs[1].roster != "r2.json" || specs[1].beaconStore != "b2.jsonl" {
+	if specs[1].group != "g2.json" || specs[1].key != "k2.key" || specs[1].roster != "r2.json" || specs[1].store != "s2.kv" {
 		t.Errorf("block 1 = %+v", specs[1])
+	}
+
+	// These five are the whole block grammar: the beacon chain persists
+	// through -store, so a dedicated chain-file flag is unknown.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	parseSpecs(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if want := []string{"beacon", "group", "key", "roster", "store"}; !slices.Equal(names, want) {
+		t.Errorf("block flags = %v, want %v", names, want)
 	}
 
 	// Single-session compatibility: -key before -group applies to the

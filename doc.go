@@ -45,8 +45,8 @@
 // routes each message to the right engine and messages can never cross
 // groups (see ARCHITECTURE.md for the design). Per-session and
 // host-aggregated metrics — rounds/s, bytes in and out, submission
-// window timings — are snapshots from Metrics, or expvar-style vars
-// from MetricsVar.
+// window timings — are snapshots from Metrics; DebugHandler serves
+// them as Prometheus text and JSON.
 //
 // Randomness-beacon access hangs off the Node: BeaconChain returns the
 // verified replica, WithBeaconHTTP serves it (plus the schedule

@@ -86,7 +86,7 @@ func ExampleHost_OpenSession() {
 		}()
 	}
 
-	// Aggregated and per-session counters behind one expvar-style hook.
+	// Aggregated and per-session counters in one snapshot.
 	fmt.Printf("%d sessions on %s\n", host.Metrics().Sessions, host.Addr())
 
 	// Sessions tear down independently; Close stops the whole host.

@@ -97,8 +97,8 @@ func main() {
 		}
 	}
 
-	// Per-host and per-session metrics aggregate behind one hook
-	// (host.MetricsVar() plugs straight into expvar).
+	// Per-host and per-session metrics aggregate in one snapshot
+	// (host.DebugHandler() serves it as Prometheus text and JSON).
 	hm := host.Metrics()
 	fmt.Printf("host: %d sessions, %d rounds certified, %d KB in / %d KB out\n",
 		hm.Sessions, hm.RoundsCompleted, hm.BytesIn/1024, hm.BytesOut/1024)

@@ -2,7 +2,6 @@ package dissent
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -182,7 +181,7 @@ func (h *Host) OpenSession(def *Group, keys Keys, opts ...Option) (*Session, err
 	var dial dialFunc
 	if h.sim != nil {
 		dial = func(recv func(*Message), onError func(error)) (Link, error) {
-			return h.sim.dialSession(sid, s.id, recv, onError)
+			return h.sim.Dial(sid, s.id, recv, onError)
 		}
 	} else {
 		dial = func(recv func(*Message), onError func(error)) (Link, error) {
@@ -328,14 +327,6 @@ func (h *Host) Metrics() HostMetrics {
 		m.Transport = transportMetrics(h.mesh.Stats())
 	}
 	return m
-}
-
-// MetricsVar wraps the host's metrics as an expvar.Var for publication
-// under a caller-chosen name:
-//
-//	expvar.Publish("dissent.host", host.MetricsVar())
-func (h *Host) MetricsVar() expvar.Var {
-	return expvar.Func(func() any { return h.Metrics() })
 }
 
 // memberRole locates the identity key within the definition: a match

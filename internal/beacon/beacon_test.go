@@ -3,8 +3,6 @@ package beacon
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -259,47 +257,6 @@ func TestCommitRevealBinding(t *testing.T) {
 	}
 }
 
-func TestFileStorePersists(t *testing.T) {
-	kps, pubs := testServers(t, 2)
-	var gid [32]byte
-	copy(gid[:], "beacon-file-group---------------")
-	genesis := GenesisValue(gid)
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := NewChainWithStore(crypto.P256(), pubs, genesis, fs)
-	for r := uint64(0); r < 4; r++ {
-		runRound(t, kps, pubs, r, chain)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	fs2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs2.Close()
-	reloaded := NewChainWithStore(crypto.P256(), pubs, genesis, fs2)
-	if reloaded.Len() != 4 {
-		t.Fatalf("reloaded %d entries, want 4", reloaded.Len())
-	}
-	if err := reloaded.Verify(); err != nil {
-		t.Fatalf("reloaded chain fails verification: %v", err)
-	}
-	if reloaded.Head() != chain.Head() {
-		t.Fatal("reloaded head differs")
-	}
-	// The reloaded store keeps accepting appends.
-	runRound(t, kps, pubs, 4, reloaded)
-	if reloaded.Len() != 5 {
-		t.Fatal("append after reload failed")
-	}
-}
-
 func TestHTTPRoundTrip(t *testing.T) {
 	kps, pubs := testServers(t, 3)
 	var gid [32]byte
@@ -354,130 +311,5 @@ func TestHTTPRoundTrip(t *testing.T) {
 	// /beacon/latest plus one /beacon/range page suffices).
 	if n := requests.Load(); n > 3 {
 		t.Fatalf("sync of 6 entries used %d HTTP requests", n)
-	}
-}
-
-// TestFileStoreHealsTornFinalLine simulates a crash mid-append: a
-// partial JSON line at EOF is truncated away on reopen and the valid
-// prefix keeps working; garbage mid-file stays a hard error.
-func TestFileStoreHealsTornFinalLine(t *testing.T) {
-	kps, pubs := testServers(t, 2)
-	var gid [32]byte
-	copy(gid[:], "beacon-torn-group---------------")
-	genesis := GenesisValue(gid)
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := NewChainWithStore(crypto.P256(), pubs, genesis, fs)
-	for r := uint64(0); r < 3; r++ {
-		runRound(t, kps, pubs, r, chain)
-	}
-	fs.Close()
-
-	// Torn write: a partial line at EOF.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"round":3,"prev":"00`)
-	f.Close()
-
-	fs2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("torn final line not healed: %v", err)
-	}
-	healed := NewChainWithStore(crypto.P256(), pubs, genesis, fs2)
-	if healed.Len() != 3 {
-		t.Fatalf("healed chain has %d entries, want 3", healed.Len())
-	}
-	if err := healed.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// The file keeps accepting appends after the truncation.
-	runRound(t, kps, pubs, 3, healed)
-	fs2.Close()
-	fs3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs3.Close()
-	if fs3.Len() != 4 {
-		t.Fatalf("post-heal append not durable: %d entries", fs3.Len())
-	}
-
-	// Mid-file garbage is NOT healed.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := append([]byte("{garbage}\n"), data...)
-	bad := filepath.Join(filepath.Dir(path), "bad.jsonl")
-	if err := os.WriteFile(bad, corrupt, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileStore(bad); err == nil {
-		t.Fatal("mid-file garbage accepted")
-	}
-}
-
-// TestFileStoreHealsMissingFinalNewline covers the crash window
-// between an entry's JSON bytes and its newline: the valid entry is
-// kept, the newline restored, and the next append lands on its own
-// line instead of concatenating.
-func TestFileStoreHealsMissingFinalNewline(t *testing.T) {
-	kps, pubs := testServers(t, 2)
-	var gid [32]byte
-	copy(gid[:], "beacon-nonl-group---------------")
-	genesis := GenesisValue(gid)
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := NewChainWithStore(crypto.P256(), pubs, genesis, fs)
-	for r := uint64(0); r < 2; r++ {
-		runRound(t, kps, pubs, r, chain)
-	}
-	fs.Close()
-
-	// Chop the trailing newline.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[len(data)-1] != '\n' {
-		t.Fatal("fixture: no trailing newline to chop")
-	}
-	if err := os.WriteFile(path, data[:len(data)-1], 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	fs2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs2.Len() != 2 {
-		t.Fatalf("reopened with %d entries, want 2", fs2.Len())
-	}
-	healed := NewChainWithStore(crypto.P256(), pubs, genesis, fs2)
-	runRound(t, kps, pubs, 2, healed)
-	fs2.Close()
-
-	// All three entries must survive another reopen intact.
-	fs3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs3.Close()
-	final := NewChainWithStore(crypto.P256(), pubs, genesis, fs3)
-	if final.Len() != 3 {
-		t.Fatalf("final chain has %d entries, want 3", final.Len())
-	}
-	if err := final.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }

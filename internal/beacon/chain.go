@@ -15,7 +15,7 @@ var ErrNotFound = errors.New("beacon: entry not found")
 // Store is the persistence contract for chain entries. Implementations
 // must return entries in increasing round order from From and must not
 // mutate stored entries. The in-memory MemStore is the default; see
-// FileStore for durable persistence.
+// KVStore for durable persistence.
 type Store interface {
 	// Append stores a new entry. The chain guarantees entries arrive
 	// in strictly increasing round order.
@@ -127,7 +127,7 @@ func NewChain(g crypto.Group, serverPubs []crypto.Element, genesis Value) *Chain
 }
 
 // NewChainWithStore creates a chain over the given store. Entries
-// already present (e.g. loaded by a FileStore) are trusted as-is;
+// already present (e.g. loaded by a KVStore) are trusted as-is;
 // call Verify to re-check them.
 func NewChainWithStore(g crypto.Group, serverPubs []crypto.Element, genesis Value, store Store) *Chain {
 	c := &Chain{g: g, pubs: serverPubs, genesis: genesis, store: store}
@@ -167,10 +167,10 @@ func (c *Chain) Rebind(genesis Value) error {
 // It exists for the restart path: a server reopening its durable
 // store holds entries it verified before persisting them, and the
 // resumed session's genesis is recomputed from the restored snapshot's
-// certified schedule digest. Trusting one's own disk here matches the
-// FileStore contract ("entries already present are trusted as-is");
-// Verify still re-checks lineage from the new genesis, or from the
-// checkpoint anchor when the prefix was compacted away.
+// certified schedule digest. Trusting one's own disk here matches
+// NewChainWithStore's contract ("entries already present are trusted
+// as-is"); Verify still re-checks lineage from the new genesis, or
+// from the checkpoint anchor when the prefix was compacted away.
 func (c *Chain) RebindTrusted(genesis Value) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

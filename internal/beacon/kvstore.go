@@ -23,10 +23,9 @@ const anchorKey = "anchor"
 // sorted key listing is numeric round order.
 func roundKey(r uint64) string { return fmt.Sprintf("%020d", r) }
 
-// KVStore adapts one bucket of an embedded KV into a beacon Store,
-// with the same in-memory mirror pattern as FileStore: writes reach
-// the KV (which fsyncs) before the mirror accepts them, and reads are
-// served from the mirror. Unlike FileStore's append-only log it
+// KVStore adapts one bucket of an embedded KV into a beacon Store
+// mirrored in memory: writes reach the KV (which fsyncs) before the
+// mirror accepts them, and reads are served from the mirror. It
 // supports checkpoint compaction — DropBefore deletes a verified
 // prefix — and persists the resulting verification anchor in a sibling
 // meta bucket, so a reopened chain remembers where Verify roots.
@@ -38,9 +37,8 @@ type KVStore struct {
 }
 
 // NewKVStore loads the bucket's entries (sorted keys = round order)
-// into the mirror. Entries are trusted as loaded, exactly like a
-// reopened FileStore; wrap the store in a Chain and call Verify to
-// re-check them.
+// into the mirror. Entries are trusted as loaded; wrap the store in a
+// Chain and call Verify to re-check them.
 func NewKVStore(kv KV, bucket string) (*KVStore, error) {
 	s := &KVStore{kv: kv, bucket: bucket, meta: bucket + ".meta"}
 	for _, k := range kv.List(bucket) {

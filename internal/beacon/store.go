@@ -1,22 +1,11 @@
 package beacon
 
 import (
-	"bufio"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 )
 
-// ErrCorruptStore marks mid-file garbage in a chain file — content
-// damage, as opposed to I/O or permission errors opening it. Callers
-// (cmd/dissentd) archive corrupt files and start fresh but abort on
-// anything else.
-var ErrCorruptStore = errors.New("beacon: corrupt chain file")
-
-// entryJSON is the serialized form of an Entry, shared by the file
+// entryJSON is the serialized form of an Entry, shared by the KV
 // store and the HTTP API.
 type entryJSON struct {
 	Round  uint64   `json:"round"`
@@ -58,115 +47,3 @@ func decodeEntry(j entryJSON) (*Entry, error) {
 	}
 	return e, nil
 }
-
-// FileStore persists the chain as an append-only file of JSON lines,
-// one entry per line, kept mirrored in memory for reads. It implements
-// Store. Note that a chain file spans one protocol session: DC-net
-// round numbers restart with every fresh setup, so cmd/dissentd
-// archives a previous session's file at startup and begins a new one —
-// the file is a durable audit log, not a resumable head.
-type FileStore struct {
-	mem  MemStore
-	file *os.File
-}
-
-// OpenFileStore opens (creating if needed) the chain file at path and
-// loads any existing entries. A torn final line — the artifact of a
-// crash mid-append — is truncated away and loading continues; garbage
-// anywhere else is an error. The caller should run Chain.Verify after
-// wrapping it when the file is not trusted.
-func OpenFileStore(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, err
-	}
-	fs := &FileStore{file: f}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	line := 0
-	goodEnd := int64(0) // byte offset just past the last valid line
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		e, lineErr := parseEntryLine(raw)
-		if lineErr == nil {
-			lineErr = fs.mem.Append(e)
-		}
-		if lineErr != nil {
-			if !sc.Scan() && sc.Err() == nil {
-				// Final line: a torn write from a crash mid-append.
-				// Drop it and keep the valid prefix.
-				if err := f.Truncate(goodEnd); err != nil {
-					f.Close()
-					return nil, err
-				}
-				if _, err := f.Seek(goodEnd, io.SeekStart); err != nil {
-					f.Close()
-					return nil, err
-				}
-				return fs, nil
-			}
-			f.Close()
-			return nil, fmt.Errorf("%w: %s line %d: %v", ErrCorruptStore, path, line, lineErr)
-		}
-		goodEnd += int64(len(raw)) + 1
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	// A valid final line may have lost its newline to a crash between
-	// the JSON bytes and the '\n'. Complete it, or the next Append
-	// would concatenate onto it and turn a good entry into "garbage"
-	// a later reopen truncates away.
-	if info, err := f.Stat(); err == nil && info.Size() > 0 {
-		last := make([]byte, 1)
-		if _, err := f.ReadAt(last, info.Size()-1); err == nil && last[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	return fs, nil
-}
-
-// parseEntryLine decodes one JSON line of the chain file.
-func parseEntryLine(raw []byte) (*Entry, error) {
-	var j entryJSON
-	if err := json.Unmarshal(raw, &j); err != nil {
-		return nil, err
-	}
-	return decodeEntry(j)
-}
-
-// Close releases the underlying file.
-func (s *FileStore) Close() error { return s.file.Close() }
-
-// Append implements Store: the entry is written and fsynced before the
-// in-memory mirror accepts it, so certified entries survive a crash.
-func (s *FileStore) Append(e *Entry) error {
-	data, err := json.Marshal(encodeEntry(e))
-	if err != nil {
-		return err
-	}
-	if _, err := s.file.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if err := s.file.Sync(); err != nil {
-		return err
-	}
-	return s.mem.Append(e)
-}
-
-// Get implements Store.
-func (s *FileStore) Get(round uint64) (*Entry, bool) { return s.mem.Get(round) }
-
-// From implements Store.
-func (s *FileStore) From(round uint64) (*Entry, bool) { return s.mem.From(round) }
-
-// Latest implements Store.
-func (s *FileStore) Latest() (*Entry, bool) { return s.mem.Latest() }
-
-// Len implements Store.
-func (s *FileStore) Len() int { return s.mem.Len() }

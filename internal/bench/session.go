@@ -93,9 +93,6 @@ type SessionConfig struct {
 	HardTimeout     time.Duration
 	WindowMin       time.Duration
 	Seed            int64
-	// PipelineDepth is the engines' round pipeline depth (0 or 1 =
-	// serial; 2 overlaps round r+1's window with round r's certify).
-	PipelineDepth int
 }
 
 // Session is a bootstrapped simulated deployment ready to run rounds.
@@ -191,7 +188,6 @@ func BuildSession(cfg SessionConfig) (*Session, error) {
 		// virtual time; keep the simulator's cost accounting
 		// well-defined by expanding pads on-call.
 		NoPadPrefetch: true,
-		PipelineDepth: cfg.PipelineDepth,
 	}
 
 	s := &Session{

@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
-
-	"dissent/internal/bench"
 )
 
 // TestMain doubles as the tcp-mode worker entry point: the orchestrator
@@ -163,10 +163,10 @@ func TestValidateRejections(t *testing.T) {
 // --- report schema ---------------------------------------------------
 
 func TestValidateReport(t *testing.T) {
-	good := bench.PerfReport{
+	good := Report{
 		GoVersion: "go1.24.0",
 		Scenario:  "probe",
-		Results: []bench.PerfResult{
+		Results: []Row{
 			{Name: "rounds-per-sec", Value: 3.5, Unit: "rounds/s"},
 			{Name: "bytes-moved", Value: 1024, Unit: "bytes"},
 		},
@@ -182,13 +182,13 @@ func TestValidateReport(t *testing.T) {
 	}
 
 	bad = good
-	bad.Results = []bench.PerfResult{{Name: "rounds-per-sec", Value: 2}}
+	bad.Results = []Row{{Name: "rounds-per-sec", Value: 2}}
 	if err := ValidateReport(bad); err == nil {
-		t.Error("unitless row accepted (would leak into the microbench gate)")
+		t.Error("unitless row accepted")
 	}
 
 	bad = good
-	bad.Results = []bench.PerfResult{{Name: "bytes-moved", Value: 1, Unit: "bytes"}}
+	bad.Results = []Row{{Name: "bytes-moved", Value: 1, Unit: "bytes"}}
 	if err := ValidateReport(bad); err == nil {
 		t.Error("report without rounds-per-sec accepted")
 	}
@@ -197,6 +197,53 @@ func TestValidateReport(t *testing.T) {
 	bad.Results[0].Value = 0
 	if err := ValidateReport(bad); err == nil {
 		t.Error("zero rounds-per-sec accepted")
+	}
+}
+
+func readReport(t *testing.T, path string) Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	return rep
+}
+
+// TestReportRoundTrip pins the BENCH_<scenario>.json schema both ways:
+// a written report reads back valid and unchanged, and every report
+// committed at the repository root — recorded before the per-op
+// microbenchmark fields left the schema — still decodes and validates.
+func TestReportRoundTrip(t *testing.T) {
+	res := &Result{
+		Scenario:     Scenario{Name: "probe", Mode: ModeSim, Topology: Topology{Servers: 3, Clients: 4}},
+		Rounds:       10,
+		RoundsPerSec: 2.5,
+		WorkloadRows: []Row{{Name: "probe-row", Value: 7, Unit: "things"}},
+	}
+	path, err := res.WriteReport(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readReport(t, path), res.Report(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip changed the report:\n got %+v\nwant %+v", got, want)
+	}
+
+	committed, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed scenario reports found: %v", err)
+	}
+	for _, path := range committed {
+		rep := readReport(t, path)
+		if err := ValidateReport(rep); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		if want := "BENCH_" + rep.Scenario + ".json"; filepath.Base(path) != want {
+			t.Errorf("%s names scenario %q", path, rep.Scenario)
+		}
 	}
 }
 
@@ -242,7 +289,7 @@ func runScenario(t *testing.T, sc Scenario, opts Options) *Result {
 }
 
 // row finds a workload/report row by name.
-func row(t *testing.T, res *Result, name string) bench.PerfResult {
+func row(t *testing.T, res *Result, name string) Row {
 	t.Helper()
 	for _, r := range res.Report().Results {
 		if r.Name == name {
@@ -250,7 +297,7 @@ func row(t *testing.T, res *Result, name string) bench.PerfResult {
 		}
 	}
 	t.Fatalf("report lacks the %q row; have %+v", name, res.Report().Results)
-	return bench.PerfResult{}
+	return Row{}
 }
 
 func TestScenarioMicroblogSim(t *testing.T) {
@@ -276,7 +323,7 @@ func TestScenarioMicroblogSim(t *testing.T) {
 		t.Error("no wire bytes counted")
 	}
 
-	// The emitted report must round-trip through the perf schema.
+	// The emitted report must round-trip through the report schema.
 	dir := t.TempDir()
 	path, err := res.WriteReport(dir)
 	if err != nil {
@@ -285,11 +332,7 @@ func TestScenarioMicroblogSim(t *testing.T) {
 	if filepath.Base(path) != "BENCH_test-microblog.json" {
 		t.Errorf("unexpected report name %s", path)
 	}
-	rep, err := bench.ReadPerfReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateReport(rep); err != nil {
+	if err := ValidateReport(readReport(t, path)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"dissent/internal/bench"
 )
 
 // Options tunes a scenario run's mechanism without touching the
@@ -67,7 +65,7 @@ type Result struct {
 	// goodput under attack (nil without byzantine faults).
 	Byzantine *ByzantineOutcome
 	// WorkloadRows carries the traffic driver's own measurements.
-	WorkloadRows []bench.PerfResult
+	WorkloadRows []Row
 }
 
 // Run executes one scenario end to end: provision, deploy, wait for

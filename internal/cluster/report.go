@@ -1,20 +1,39 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-
-	"dissent/internal/bench"
 )
 
-// Report renders the result in the repository's BENCH_*.json perf
-// schema. Every row carries a Unit, so the bench regression gate
-// treats scenario reports as informational and never compares them
-// against microbenchmark trajectories.
-func (r *Result) Report() bench.PerfReport {
-	rep := bench.PerfReport{
+// Row is one named measurement of a scenario run.
+type Row struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value,omitempty"`
+	Unit  string  `json:"unit"`
+}
+
+// Report is the BENCH_<scenario>.json document: the scenario's rows
+// plus enough environment to compare runs across machines.
+type Report struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// NumCPU is the machine's visible CPU count — read alongside
+	// GOMAXPROCS to spot oversubscribed runs.
+	NumCPU   int    `json:"num_cpu"`
+	Scenario string `json:"scenario"`
+	// Note records the deployment mode and topology.
+	Note    string `json:"note"`
+	Results []Row  `json:"results"`
+}
+
+// Report renders the result as the scenario's report document.
+func (r *Result) Report() Report {
+	rep := Report{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -24,7 +43,7 @@ func (r *Result) Report() bench.PerfReport {
 		Note:       fmt.Sprintf("cluster scenario, mode=%s, %dx%d", r.Scenario.Mode, r.Scenario.Topology.Servers, r.Scenario.Topology.Clients),
 	}
 	add := func(name string, value float64, unit string) {
-		rep.Results = append(rep.Results, bench.PerfResult{Name: name, Value: value, Unit: unit})
+		rep.Results = append(rep.Results, Row{Name: name, Value: value, Unit: unit})
 	}
 	add("rounds-completed", float64(r.Rounds), "rounds")
 	add("rounds-per-sec", r.RoundsPerSec, "rounds/s")
@@ -89,10 +108,11 @@ func (r *Result) WriteReport(dir string) (string, error) {
 	if err := ValidateReport(rep); err != nil {
 		return "", err
 	}
-	data, err := rep.WriteJSON()
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return "", err
 	}
+	data = append(data, '\n')
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -105,21 +125,21 @@ func (r *Result) WriteReport(dir string) (string, error) {
 
 // ValidateReport checks a scenario report is schema-complete: CI's
 // scenario-smoke job gates on this, and the tests pin it.
-func ValidateReport(rep bench.PerfReport) error {
+func ValidateReport(rep Report) error {
 	if rep.Scenario == "" {
 		return fmt.Errorf("cluster: report lacks a scenario name")
 	}
 	if rep.GoVersion == "" {
 		return fmt.Errorf("cluster: report lacks the Go version")
 	}
-	var roundsPerSec *bench.PerfResult
+	var roundsPerSec *Row
 	for i := range rep.Results {
 		res := &rep.Results[i]
 		if res.Name == "" {
 			return fmt.Errorf("cluster: report row %d lacks a name", i)
 		}
 		if res.Unit == "" {
-			return fmt.Errorf("cluster: report row %q lacks a unit (scenario rows must not enter the microbench gate)", res.Name)
+			return fmt.Errorf("cluster: report row %q lacks a unit", res.Name)
 		}
 		if res.Name == "rounds-per-sec" {
 			roundsPerSec = res

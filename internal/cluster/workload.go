@@ -9,17 +9,16 @@ import (
 	"time"
 
 	"dissent"
-	"dissent/internal/bench"
 )
 
 // workloadStats collects a driver's own measurements; the orchestrator
 // merges them into the scenario report as informational rows.
 type workloadStats struct {
-	rows []bench.PerfResult
+	rows []Row
 }
 
 func (ws *workloadStats) add(name string, value float64, unit string) {
-	ws.rows = append(ws.rows, bench.PerfResult{Name: name, Value: value, Unit: unit})
+	ws.rows = append(ws.rows, Row{Name: name, Value: value, Unit: unit})
 }
 
 // runWorkload dispatches the scenario's traffic driver and, when

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dissent/internal/beacon"
@@ -130,21 +131,13 @@ func NewClient(def *group.Definition, kp *crypto.KeyPair, opts Options) (*Client
 		return nil, errors.New("core: key is not a client in this group")
 	}
 	c.upstream = def.Servers[def.UpstreamServer(c.idx)].ID
-	c.serverSeeds = make([][]byte, len(def.Servers))
-	for j, srv := range def.Servers {
-		if opts.PairSeed != nil {
-			c.serverSeeds[j] = opts.PairSeed(c.idx, j)
-		} else {
-			seed, err := c.pairSeed(srv.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d seed: %w", j, err)
-			}
-			c.serverSeeds[j] = seed
-		}
-	}
-	c.pad = dcnet.NewPad(c.prng)
-	c.mySlot = -1
 	c.pairSeedFn = opts.PairSeed
+	var err error
+	if c.serverSeeds, err = c.deriveServerSeeds(def, c.idx); err != nil {
+		return nil, err
+	}
+	c.pad = dcnet.NewPad(crypto.NewAESPRNG)
+	c.mySlot = -1
 	c.depth = opts.PipelineDepth
 	if c.depth < 1 {
 		c.depth = 1
@@ -155,6 +148,24 @@ func NewClient(def *group.Definition, kp *crypto.KeyPair, opts Options) (*Client
 	}
 	c.retry = retry.withDefaults(submitResendInterval)
 	return c, nil
+}
+
+// deriveServerSeeds returns the pairwise DC-net seed this client, at
+// client index idx, shares with each server of def.
+func (c *Client) deriveServerSeeds(def *group.Definition, idx int) ([][]byte, error) {
+	seeds := make([][]byte, len(def.Servers))
+	for j, srv := range def.Servers {
+		if c.pairSeedFn != nil {
+			seeds[j] = c.pairSeedFn(idx, j)
+			continue
+		}
+		seed, err := c.pairSeed(srv.PubKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: server %d seed: %w", j, err)
+		}
+		seeds[j] = seed
+	}
+	return seeds, nil
 }
 
 // takeRound returns a reset round record, reusing a retired one.
@@ -174,6 +185,18 @@ func (c *Client) retireRound(cr *clientRound) {
 	c.bufs.put(cr.vec)
 	cr.vec, cr.sentSlot, cr.sub = nil, nil, nil
 	c.spare = append(c.spare, cr)
+}
+
+// reclaimRound retires a round whose vector can no longer be submitted,
+// returning the payload its slot carried to the head of the outbox so
+// the data still rides a later round.
+func (c *Client) reclaimRound(cr *clientRound) {
+	if cr.sentSlot != nil {
+		if payload, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(payload.Data) > 0 {
+			c.outbox = slices.Insert(c.outbox, 0, bytes.Clone(payload.Data))
+		}
+	}
+	c.retireRound(cr)
 }
 
 // ID returns the client's node ID.
@@ -699,15 +722,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		// (younger rounds composed assuming this stage existed), so
 		// recover the payload bytes and requeue them at the head of the
 		// outbox for the next composition instead.
-		if cr.sentSlot != nil {
-			if pl, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(pl.Data) > 0 {
-				data := append([]byte(nil), pl.Data...)
-				c.outbox = append(c.outbox, nil)
-				copy(c.outbox[1:], c.outbox)
-				c.outbox[0] = data
-			}
-		}
-		c.retireRound(cr)
+		c.reclaimRound(cr)
 		if c.awaitingRoster {
 			return out, nil
 		}

@@ -217,7 +217,6 @@ type node struct {
 	kp      *crypto.KeyPair
 	id      group.NodeID
 	rand    io.Reader
-	prng    crypto.PRNGMaker
 	signing bool
 
 	// cert is the round certificate's signer set: the servers' aggregate
@@ -254,10 +253,6 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
 	if msgGrp == nil {
 		msgGrp = crypto.ModP2048()
 	}
-	prng := opts.PRNG
-	if prng == nil {
-		prng = crypto.NewAESPRNG
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -270,7 +265,6 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
 		kp:      kp,
 		id:      group.IDFromKey(def.Group(), kp.Public),
 		rand:    opts.Rand,
-		prng:    prng,
 		signing: def.Policy.SignMessages,
 		store:   opts.StateStore,
 		trace:   opts.OnRoundTrace,
@@ -326,6 +320,30 @@ func (n *node) installRotation(sched *dcnet.Schedule) {
 	})
 }
 
+// restoreSchedule rebuilds a schedule replica from snapshotted state:
+// the layout at the schedule's own round counter, the epoch-rotation
+// hook, the engine's pipeline lag (depth−1) and — after SetLag, which
+// flushes the queue — the donor's queued deltas. It only builds the
+// schedule; the caller installs it once everything else checks out.
+func (n *node) restoreSchedule(depth int, round uint64, lens, idle, perm, pendingOps, pendingNs []int32) (*dcnet.Schedule, error) {
+	cfg := dcnet.Config{
+		NumSlots:        len(lens),
+		DefaultOpenLen:  n.def.Policy.DefaultOpenLen,
+		MaxSlotLen:      n.def.Policy.MaxSlotLen,
+		IdleCloseRounds: n.def.Policy.IdleCloseRounds,
+	}
+	sched, err := dcnet.RestoreSchedule(cfg, round, toInt(lens), toInt(idle), toInt(perm))
+	if err != nil {
+		return nil, err
+	}
+	n.installRotation(sched)
+	sched.SetLag(depth - 1)
+	if err := sched.RestorePending(toInt(pendingOps), toInt(pendingNs)); err != nil {
+		return nil, err
+	}
+	return sched, nil
+}
+
 // beaconValueBytes renders an entry's value for certification (nil
 // entry -> nil, for failed rounds and beacon-off groups).
 func beaconValueBytes(e *beacon.Entry) []byte {
@@ -339,9 +357,6 @@ func beaconValueBytes(e *beacon.Entry) []byte {
 type Options struct {
 	// Rand is the randomness source (nil = crypto/rand).
 	Rand io.Reader
-	// PRNG builds DC-net streams (nil = crypto.NewAESPRNG; benchmarks
-	// may pass crypto.NewFastPRNG, see internal/bench).
-	PRNG crypto.PRNGMaker
 	// MessageGroup is the accusation-shuffle group (nil = modp-2048).
 	// Tests substitute a small Schnorr group for speed.
 	MessageGroup crypto.Group
@@ -352,8 +367,8 @@ type Options struct {
 	// same function. Production deployments leave it nil.
 	PairSeed func(clientIdx, serverIdx int) []byte
 	// BeaconStore backs the node's beacon chain (nil = in-memory).
-	// cmd/dissentd passes a beacon.KVStore over the node's embedded
-	// state store for durable, checkpointable chains.
+	// The SDK passes a beacon.KVStore over the session's state store
+	// for durable, checkpointable chains.
 	BeaconStore beacon.Store
 	// StateStore backs the engine's durable protocol state: the
 	// certified roster-update log (with post-apply schedule digests),
@@ -361,10 +376,6 @@ type Options struct {
 	// everything in memory — catch-up is then limited to the bounded
 	// in-memory roster log and crash recovery is unavailable.
 	StateStore StateStore
-	// PadWorkers bounds the DC-net pad expansion worker pool at servers
-	// (0 = GOMAXPROCS). Each worker expands a shard of the per-client
-	// streams into a private lane; see dcnet.ParallelPad.
-	PadWorkers int
 	// NoPadPrefetch disables the servers' background pad expansion
 	// during the submission window. The benchmark harness sets it so
 	// its calibrated per-call compute accounting stays well-defined;

@@ -7,7 +7,6 @@ import (
 
 	"dissent/internal/beacon"
 	"dissent/internal/crypto"
-	"dissent/internal/dcnet"
 	"dissent/internal/group"
 )
 
@@ -260,20 +259,9 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		s.beaconChain.RebindTrusted(beacon.SessionGenesis(s.grpID, scheduleCertDigest(s.grpID, sn.CertKeys, sn.CertSigs)))
 	}
 
-	cfg := dcnet.Config{
-		NumSlots:        len(sn.Lens),
-		DefaultOpenLen:  s.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      s.def.Policy.MaxSlotLen,
-		IdleCloseRounds: s.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.RestoreSchedule(cfg, sn.SchedRound, toInt(sn.Lens), toInt(sn.Idle), toInt(sn.Perm))
+	sched, err := s.restoreSchedule(s.depth, sn.SchedRound, sn.Lens, sn.Idle, sn.Perm, sn.PendingOps, sn.PendingNs)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: snapshot schedule: %w", err)
-	}
-	s.installRotation(sched)
-	sched.SetLag(s.depth - 1)
-	if err := sched.RestorePending(toInt(sn.PendingOps), toInt(sn.PendingNs)); err != nil {
-		return nil, false, fmt.Errorf("core: snapshot pipeline queue: %w", err)
 	}
 	s.sched = sched
 	if dig, have := s.rosterDigestFor(sn.Version); have {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -1430,155 +1431,22 @@ func (c *Client) resubmitAfterRoster(now time.Time, reshaped bool) (*Output, err
 		c.round++
 		return sub, nil
 	}
-	if cr.sentSlot != nil {
-		if payload, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(payload.Data) > 0 {
-			c.outbox = append([][]byte{append([]byte(nil), payload.Data...)}, c.outbox...)
-		}
-	}
-	c.retireRound(cr)
+	c.reclaimRound(cr)
 	return c.submitRound(now)
 }
 
 // onJoinWelcome bootstraps a joining client from the admission
 // snapshot.
 func (c *Client) onJoinWelcome(now time.Time, m *Message) (*Output, error) {
-	if !c.joining || c.ready {
+	if !c.joining || c.ready || c.pseudonym == nil {
 		return &Output{}, nil
 	}
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
+	w, out, err := c.installSnapshot(m, true)
+	if w == nil {
+		return out, err
 	}
-	w, err := DecodeJoinWelcome(m.Body)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	if len(w.RosterKeys) != len(w.Expelled) {
-		return c.violation(errors.New("join welcome roster shape mismatch")), nil
-	}
-	expelled := make([]bool, len(w.Expelled))
-	for i, b := range w.Expelled {
-		expelled[i] = b != 0
-	}
-	newDef, err := group.RebuildDefinition(c.def, w.Version, w.Digest, w.RosterKeys, expelled)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	// The welcome snapshot is trusted-on-join from the upstream server,
-	// but the admitting transition itself is independently verifiable:
-	// the embedded update must be certified by every server and must
-	// admit us.
-	u, err := group.DecodeRosterUpdate(w.Update)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	// A re-sent welcome (original lost) snapshots a later version than
-	// the admitting update it embeds; the update's version can only lag.
-	if u.Version > w.Version {
-		return c.violation(errors.New("join welcome update version ahead of its snapshot")), nil
-	}
-	if err := c.def.VerifyRosterUpdateSigs(u); err != nil {
-		return c.violation(err), nil
-	}
-	// When the welcome snapshots the admitting version itself, its
-	// digest is fully derivable from the certified update — never trust
-	// the welcome's copy there, or a wrong digest would wedge us out of
-	// every subsequent update's chain check. For later-version re-sends
-	// the digest is trust-on-join like the rest of the snapshot.
-	if u.Version == w.Version && u.Digest(c.grpID) != w.Digest {
-		return c.violation(errors.New("join welcome digest does not match the certified update")), nil
-	}
-	idx := newDef.ClientIndex(c.id)
-	if idx < 0 {
-		return c.violation(errors.New("join welcome roster does not include us")), nil
-	}
-	admitted := false
-	myKey := c.keyGrp.Encode(c.kp.Public)
-	for _, am := range u.Admit {
-		if bytes.Equal(am.PubKey, myKey) {
-			admitted = true
-		}
-	}
-	if !admitted {
-		return c.violation(errors.New("join welcome update does not admit us")), nil
-	}
-	slot := int(w.MySlot)
-	if slot < 0 || slot >= len(w.SlotKeys) ||
-		!bytes.Equal(w.SlotKeys[slot], c.keyGrp.Encode(c.pseudonym.Public)) {
-		return c.violation(errors.New("join welcome slot does not carry our pseudonym key")), nil
-	}
-
-	cfg := dcnet.Config{
-		NumSlots:        len(w.Lens),
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
-	}
-	if w.SchedRound > w.Round {
-		return c.violation(errors.New("join welcome schedule round ahead of engine round")), nil
-	}
-	sched, err := dcnet.RestoreSchedule(cfg, w.SchedRound, toInt(w.Lens), toInt(w.Idle), toInt(w.Perm))
-	if err != nil {
-		return c.violation(err), nil
-	}
-	if w.DrainRound > w.Round {
-		return c.violation(errors.New("join welcome drain round ahead of engine round")), nil
-	}
-
-	c.def = newDef
-	c.idx = idx
-	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
-	c.serverSeeds = make([][]byte, len(newDef.Servers))
-	for j, srv := range newDef.Servers {
-		if c.pairSeedFn != nil {
-			c.serverSeeds[j] = c.pairSeedFn(idx, j)
-		} else {
-			seed, err := c.pairSeed(srv.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d seed: %w", j, err)
-			}
-			c.serverSeeds[j] = seed
-		}
-	}
-	if c.beaconChain != nil {
-		if len(w.BeaconHead) != len(beacon.Value{}) {
-			return c.violation(errors.New("join welcome beacon head malformed")), nil
-		}
-		var head beacon.Value
-		copy(head[:], w.BeaconHead)
-		if err := c.beaconChain.Rebind(head); err != nil {
-			return nil, err
-		}
-	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
-	// Restore after SetLag (which flushes the queue): a re-sent welcome
-	// can capture the donor mid-pipeline, and the restored queue plus the
-	// donor's drain point make our replica pop each delta at the same
-	// round as every established one.
-	if err := sched.RestorePending(toInt(w.PendingOps), toInt(w.PendingNs)); err != nil {
-		return c.violation(err), nil
-	}
-	c.sched = sched
-	c.mySlot = slot
-	c.round = w.Round
-	c.nextOut = w.Round
-	c.rosterDone = w.Round
-	c.drain = w.DrainRound
-	c.ready = true
-	c.expelled = false
-	if u.Version == w.Version {
-		// Apply-time welcome: the donor snapshotted its schedule at the
-		// admitting version's apply point, so the restored digest IS that
-		// version's post-apply digest. A later re-sent welcome snapshots
-		// mid-stream and leaves no apply-point digest (probes omit it).
-		dig := sched.Digest()
-		c.applyDigest = dig[:]
-	} else {
-		c.applyDigest = nil
-	}
-
-	out := &Output{Events: []Event{
-		{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", slot, len(w.Lens))},
+	out = &Output{Events: []Event{
+		{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", c.mySlot, len(w.Lens))},
 		{Kind: EventMemberJoined, Round: w.Round, Culprit: c.id},
 		{Kind: EventRosterChanged, Round: w.Round, Detail: fmt.Sprintf("version %d (joined)", w.Version)},
 	}}
@@ -1593,151 +1461,17 @@ func (c *Client) onJoinWelcome(now time.Time, m *Message) (*Output, error) {
 // onSnapshotSync replaces an established client's schedule replica
 // with a certified snapshot from a server — the forced re-sync after a
 // post-apply digest mismatch or a catch-up past the retained roster
-// history. Verification mirrors onJoinWelcome: the embedded update
-// carries every server's signature and (at equal versions) fully
-// determines the snapshot's roster digest; only current membership is
-// required, not admission by the update, and the anonymous slot is
-// located by our own pseudonym key because the server cannot link an
-// established member to its slot.
+// history.
 func (c *Client) onSnapshotSync(now time.Time, m *Message) (*Output, error) {
 	if !c.ready || c.joining || c.pseudonym == nil {
 		return &Output{}, nil
 	}
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
+	w, out, err := c.installSnapshot(m, false)
+	if w == nil {
+		return out, err
 	}
-	w, err := DecodeJoinWelcome(m.Body)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	if w.Version < c.def.Version {
-		return &Output{}, nil // stale snapshot racing updates we already applied
-	}
-	if len(w.RosterKeys) != len(w.Expelled) {
-		return c.violation(errors.New("snapshot sync roster shape mismatch")), nil
-	}
-	expelled := make([]bool, len(w.Expelled))
-	for i, b := range w.Expelled {
-		expelled[i] = b != 0
-	}
-	newDef, err := group.RebuildDefinition(c.def, w.Version, w.Digest, w.RosterKeys, expelled)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	u, err := group.DecodeRosterUpdate(w.Update)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	if u.Version > w.Version {
-		return c.violation(errors.New("snapshot sync update version ahead of its snapshot")), nil
-	}
-	if err := c.def.VerifyRosterUpdateSigs(u); err != nil {
-		return c.violation(err), nil
-	}
-	if u.Version == w.Version && u.Digest(c.grpID) != w.Digest {
-		return c.violation(errors.New("snapshot sync digest does not match the certified update")), nil
-	}
-	idx := newDef.ClientIndex(c.id)
-	if idx < 0 {
-		return c.violation(errors.New("snapshot sync roster does not include us")), nil
-	}
-	slot := -1
-	myPseu := c.keyGrp.Encode(c.pseudonym.Public)
-	for i, sk := range w.SlotKeys {
-		if bytes.Equal(sk, myPseu) {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
-		return c.violation(errors.New("snapshot sync slot keys do not carry our pseudonym key")), nil
-	}
-	cfg := dcnet.Config{
-		NumSlots:        len(w.Lens),
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
-	}
-	if w.SchedRound > w.Round {
-		return c.violation(errors.New("snapshot sync schedule round ahead of engine round")), nil
-	}
-	sched, err := dcnet.RestoreSchedule(cfg, w.SchedRound, toInt(w.Lens), toInt(w.Idle), toInt(w.Perm))
-	if err != nil {
-		return c.violation(err), nil
-	}
-	if w.DrainRound > w.Round {
-		return c.violation(errors.New("snapshot sync drain round ahead of engine round")), nil
-	}
-
-	// Recover queued payload bytes from in-flight (and parked) rounds
-	// before dropping them: their vectors were composed under the
-	// replaced layout and can never match a certified output now.
-	reclaim := func(cr *clientRound) {
-		if cr.sentSlot != nil {
-			if pl, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(pl.Data) > 0 {
-				c.outbox = append([][]byte{append([]byte(nil), pl.Data...)}, c.outbox...)
-			}
-		}
-		c.retireRound(cr)
-	}
-	for i := len(c.inflight) - 1; i >= 0; i-- { // newest first, so reclaimed bytes land oldest-first
-		reclaim(c.inflight[i])
-	}
-	c.inflight = c.inflight[:0]
-	if c.parked != nil {
-		reclaim(c.parked)
-		c.parked = nil
-	}
-	c.resubmitPending = false
-	c.reqPending = false
-
-	c.def = newDef
-	c.idx = idx
-	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
-	c.serverSeeds = make([][]byte, len(newDef.Servers))
-	for j, srv := range newDef.Servers {
-		if c.pairSeedFn != nil {
-			c.serverSeeds[j] = c.pairSeedFn(idx, j)
-		} else {
-			seed, err := c.pairSeed(srv.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d seed: %w", j, err)
-			}
-			c.serverSeeds[j] = seed
-		}
-	}
-	if c.beaconChain != nil {
-		if len(w.BeaconHead) != len(beacon.Value{}) {
-			return c.violation(errors.New("snapshot sync beacon head malformed")), nil
-		}
-		var head beacon.Value
-		copy(head[:], w.BeaconHead)
-		// Our chain replica may have diverged with the schedule: discard
-		// it and resume from the snapshot's head, trusted like the rest
-		// of the server-signed snapshot (the certified update anchors the
-		// roster; round outputs re-verify every appended entry).
-		if err := c.beaconChain.ResetTrusted(head); err != nil {
-			return nil, err
-		}
-	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
-	if err := sched.RestorePending(toInt(w.PendingOps), toInt(w.PendingNs)); err != nil {
-		return c.violation(err), nil
-	}
-	c.sched = sched
-	c.mySlot = slot
-	c.round = w.Round
-	c.nextOut = w.Round
-	c.rosterDone = w.Round
-	c.drain = w.DrainRound
-	c.awaitingRoster = false
-	c.applyDigest = nil // mid-stream snapshot: no apply-point digest until the next boundary
-	c.expelled = expelled[idx]
-	c.nextStreams = nil
-
-	out := &Output{Events: []Event{{Kind: EventReplicaResynced, Round: w.Round,
-		Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, slot, len(w.Lens))}}}
+	out = &Output{Events: []Event{{Kind: EventReplicaResynced, Round: w.Round,
+		Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, c.mySlot, len(w.Lens))}}}
 	if c.awaitingBlame || c.expelled {
 		return out, nil
 	}
@@ -1747,6 +1481,174 @@ func (c *Client) onSnapshotSync(now time.Time, m *Message) (*Output, error) {
 	}
 	out.merge(sub)
 	return out, nil
+}
+
+// installSnapshot verifies a server-signed session snapshot (a
+// JoinWelcome body) and replaces the client's roster, schedule and
+// beacon replicas with it. Every check runs before the first
+// assignment, so a rejected snapshot leaves the client exactly as it
+// was. It returns the installed welcome, or nil with what the handler
+// should return instead: a violation, an empty output for a snapshot
+// dropped as stale, or a fatal error.
+//
+// The snapshot is trusted from the upstream server, but the roster
+// transition it embeds is independently verifiable: the update must
+// carry every server's signature. A joiner must additionally be
+// admitted by that update and is told its slot, which must hold its
+// pseudonym key; an established member only needs current membership,
+// and finds its slot by its pseudonym key because the server cannot
+// link an established member to a slot.
+func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output, error) {
+	what := "snapshot sync"
+	if joiner {
+		what = "join welcome"
+	}
+	reject := func(why string) (*JoinWelcome, *Output, error) {
+		return nil, c.violation(errors.New(what + " " + why)), nil
+	}
+	if err := c.verify(m, true); err != nil {
+		return nil, c.violation(err), nil
+	}
+	w, err := DecodeJoinWelcome(m.Body)
+	if err != nil {
+		return nil, c.violation(err), nil
+	}
+	if !joiner && w.Version < c.def.Version {
+		return nil, &Output{}, nil // stale snapshot racing updates we already applied
+	}
+	if len(w.RosterKeys) != len(w.Expelled) {
+		return reject("roster shape mismatch")
+	}
+	expelled := make([]bool, len(w.Expelled))
+	for i, b := range w.Expelled {
+		expelled[i] = b != 0
+	}
+	newDef, err := group.RebuildDefinition(c.def, w.Version, w.Digest, w.RosterKeys, expelled)
+	if err != nil {
+		return nil, c.violation(err), nil
+	}
+	u, err := group.DecodeRosterUpdate(w.Update)
+	if err != nil {
+		return nil, c.violation(err), nil
+	}
+	// A re-sent snapshot captures a later version than the update it
+	// embeds; the update's version can only lag.
+	if u.Version > w.Version {
+		return reject("update version ahead of its snapshot")
+	}
+	if err := c.def.VerifyRosterUpdateSigs(u); err != nil {
+		return nil, c.violation(err), nil
+	}
+	// When the snapshot captures the update's own version, its digest is
+	// fully derivable from the certified update — never trust the
+	// snapshot's copy there, or a wrong digest would wedge us out of
+	// every subsequent update's chain check. For later versions the
+	// digest is trusted like the rest of the snapshot.
+	if u.Version == w.Version && u.Digest(c.grpID) != w.Digest {
+		return reject("digest does not match the certified update")
+	}
+	idx := newDef.ClientIndex(c.id)
+	if idx < 0 {
+		return reject("roster does not include us")
+	}
+	myPseu := c.keyGrp.Encode(c.pseudonym.Public)
+	var slot int
+	if joiner {
+		myKey := c.keyGrp.Encode(c.kp.Public)
+		if !slices.ContainsFunc(u.Admit, func(am group.RosterMember) bool { return bytes.Equal(am.PubKey, myKey) }) {
+			return reject("update does not admit us")
+		}
+		slot = int(w.MySlot)
+		if slot < 0 || slot >= len(w.SlotKeys) || !bytes.Equal(w.SlotKeys[slot], myPseu) {
+			return reject("slot does not carry our pseudonym key")
+		}
+	} else {
+		slot = slices.IndexFunc(w.SlotKeys, func(sk []byte) bool { return bytes.Equal(sk, myPseu) })
+		if slot < 0 {
+			return reject("slot keys do not carry our pseudonym key")
+		}
+	}
+	if w.SchedRound > w.Round {
+		return reject("schedule round ahead of engine round")
+	}
+	if w.DrainRound > w.Round {
+		return reject("drain round ahead of engine round")
+	}
+	// A re-sent welcome can capture the donor mid-pipeline: the restored
+	// queue plus the donor's drain point make our replica pop each delta
+	// at the same round as every established one.
+	sched, err := c.restoreSchedule(c.depth, w.SchedRound, w.Lens, w.Idle, w.Perm, w.PendingOps, w.PendingNs)
+	if err != nil {
+		return nil, c.violation(err), nil
+	}
+	var head beacon.Value
+	if c.beaconChain != nil {
+		if len(w.BeaconHead) != len(head) {
+			return reject("beacon head malformed")
+		}
+		copy(head[:], w.BeaconHead)
+	}
+	serverSeeds, err := c.deriveServerSeeds(newDef, idx)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Every check has passed: commit. The beacon chain goes first — its
+	// store is the one step that can still fail.
+	if c.beaconChain != nil {
+		if joiner {
+			err = c.beaconChain.Rebind(head)
+		} else {
+			// Our chain replica may have diverged with the schedule:
+			// discard it and resume from the snapshot's head, trusted like
+			// the rest of the server-signed snapshot (round outputs
+			// re-verify every appended entry).
+			err = c.beaconChain.ResetTrusted(head)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if !joiner {
+		// Recover queued payload bytes from in-flight (and parked) rounds
+		// before dropping them: their vectors were composed under the
+		// replaced layout and can never match a certified output now.
+		for i := len(c.inflight) - 1; i >= 0; i-- { // newest first, so reclaimed bytes land oldest-first
+			c.reclaimRound(c.inflight[i])
+		}
+		c.inflight = c.inflight[:0]
+		if c.parked != nil {
+			c.reclaimRound(c.parked)
+			c.parked = nil
+		}
+		c.resubmitPending = false
+		c.reqPending = false
+		c.awaitingRoster = false
+		c.nextStreams = nil
+	}
+	c.def = newDef
+	c.idx = idx
+	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
+	c.serverSeeds = serverSeeds
+	c.sched = sched
+	c.mySlot = slot
+	c.round = w.Round
+	c.nextOut = w.Round
+	c.rosterDone = w.Round
+	c.drain = w.DrainRound
+	c.ready = true
+	c.expelled = !joiner && expelled[idx]
+	c.applyDigest = nil
+	if joiner && u.Version == w.Version {
+		// Apply-time welcome: the donor snapshotted its schedule at the
+		// admitting version's apply point, so the restored digest IS that
+		// version's post-apply digest. Any other snapshot is mid-stream
+		// and leaves no apply-point digest until the next boundary
+		// (probes omit it).
+		dig := sched.Digest()
+		c.applyDigest = dig[:]
+	}
+	return w, nil, nil
 }
 
 // NewJoinerClient builds a client engine for a prospective member whose
@@ -1768,7 +1670,7 @@ func NewJoinerClient(def *group.Definition, kp *crypto.KeyPair, advertiseAddr st
 	c.joining = true
 	c.joinAddr = advertiseAddr
 	c.upstream = def.Servers[0].ID // contact point until admission assigns one
-	c.pad = dcnet.NewPad(c.prng)
+	c.pad = dcnet.NewPad(crypto.NewAESPRNG)
 	c.mySlot = -1
 	c.pairSeedFn = opts.PairSeed
 	c.depth = opts.PipelineDepth

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -646,5 +647,207 @@ func TestEmptyBoundariesStillAdvanceVersion(t *testing.T) {
 		if e.Round%epoch != 0 {
 			t.Fatalf("roster change at round %d, not a boundary", e.Round)
 		}
+	}
+}
+
+// snapshotVictim is what a snapshot-install row needs to know about the
+// client the forged snapshot targets.
+type snapshotVictim struct {
+	idx, slot int                 // its roster index and slot in the genuine snapshot
+	other     *group.RosterUpdate // a fully certified update that does not admit it
+}
+
+// mutateUpdate re-encodes the snapshot's embedded update after fn
+// edited it.
+func mutateUpdate(t *testing.T, w *JoinWelcome, fn func(u *group.RosterUpdate)) {
+	t.Helper()
+	u, err := group.DecodeRosterUpdate(w.Update)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn(u)
+	w.Update = u.Encode()
+}
+
+// TestSnapshotInstallRejects runs one table of malformed session
+// snapshots through both consumers of the JoinWelcome body — a joining
+// client (MsgJoinWelcome) and an established client with a round in
+// flight (MsgSnapshotSync). Every snapshot is signed by a real server,
+// so only the installer's own checks stand between it and the client's
+// state: each row must yield a protocol violation and change nothing,
+// and the genuine snapshot must still install afterwards.
+func TestSnapshotInstallRejects(t *testing.T) {
+	const epoch = 4
+	rows := []struct {
+		name       string
+		joinerOnly bool
+		mutate     func(t *testing.T, w *JoinWelcome, v snapshotVictim)
+	}{
+		{name: "roster and expelled lengths differ", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.Expelled = w.Expelled[:len(w.Expelled)-1]
+		}},
+		{name: "update version ahead of snapshot", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			mutateUpdate(t, w, func(u *group.RosterUpdate) { u.Version = w.Version + 1 })
+		}},
+		{name: "update not signed by every server", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			mutateUpdate(t, w, func(u *group.RosterUpdate) { u.Sigs = u.Sigs[:len(u.Sigs)-1] })
+		}},
+		{name: "digest differs from the certified update", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.Digest[0] ^= 1
+		}},
+		{name: "roster without us", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.RosterKeys = slices.Delete(slices.Clone(w.RosterKeys), v.idx, v.idx+1)
+			w.Expelled = slices.Delete(slices.Clone(w.Expelled), v.idx, v.idx+1)
+		}},
+		{name: "update does not admit us", joinerOnly: true, mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.Update = v.other.Encode()
+		}},
+		{name: "slot does not carry our pseudonym", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			next := (v.slot + 1) % len(w.SlotKeys)
+			w.MySlot = int32(next)
+			w.SlotKeys[v.slot] = w.SlotKeys[next]
+		}},
+		{name: "schedule round ahead of engine round", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.SchedRound = w.Round + 1
+		}},
+		{name: "drain round ahead of engine round", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.DrainRound = w.Round + 1
+		}},
+		{name: "short beacon head", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.BeaconHead = w.BeaconHead[:len(w.BeaconHead)-1]
+		}},
+		{name: "bad pending op", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.PendingOps = make([]int32, len(w.Lens))
+			w.PendingNs = make([]int32, len(w.Lens))
+			w.PendingOps[0] = 99
+		}},
+	}
+
+	f := newFixture(t, 2, 3, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) {
+			p.BeaconEpochRounds = epoch
+			p.Alpha = 0.5
+			p.OpenAdmission = true
+		},
+	})
+	f.h.StartAll()
+	// The first boundary certifies an empty update: fully signed, and it
+	// admits nobody.
+	f.stepUntilRound(epoch+1, 2_000_000)
+	srv := f.servers[0]
+	other := srv.lastRosterUpdate
+	if other == nil || len(other.Admit) != 0 {
+		t.Fatalf("first boundary update = %+v, want a certified empty update", other)
+	}
+
+	// The joiner enters after that boundary; every welcome addressed to
+	// it is captured instead of delivered, so it stays un-bootstrapped.
+	joinKP, _ := crypto.GenerateKeyPair(crypto.P256(), nil)
+	joiner, err := NewJoinerClient(f.def, joinKP, "", Options{MessageGroup: crypto.ModP512Test()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.h.AddNode(joiner.ID(), joiner, 0)
+	var welcome *Message
+	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+		if m.Type != MsgJoinWelcome {
+			return 0, false
+		}
+		if welcome == nil {
+			welcome = m
+		}
+		return 0, true
+	}
+	now := f.h.Net.Now()
+	out, err := joiner.Start(now)
+	f.h.ProcessExternal(joiner.ID(), now, out, err)
+	f.stepUntilRound(2*epoch+2, 2_000_000) // past the admitting boundary, mid-epoch
+	if welcome == nil {
+		t.Fatalf("the joiner was never welcomed; violations: %v", f.violations())
+	}
+	established := f.clients[0]
+	established.Send([]byte("queued behind the round in flight"))
+	if !established.Ready() || len(established.inflight) == 0 {
+		t.Fatalf("established client not mid-round: ready=%v inflight=%d", established.Ready(), len(established.inflight))
+	}
+	now = f.h.Net.Now()
+
+	type clientState struct {
+		version        uint64
+		index, slot    int
+		round          uint64
+		inflight, pend int
+		ready          bool
+	}
+	stateOf := func(c *Client) clientState {
+		return clientState{c.RosterVersion(), c.Index(), c.Slot(), c.Round(), len(c.inflight), c.Pending(), c.Ready()}
+	}
+	has := func(out *Output, kind EventKind) bool {
+		return slices.ContainsFunc(out.Events, func(e Event) bool { return e.Kind == kind })
+	}
+
+	genuineWelcome, err := DecodeJoinWelcome(welcome.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name      string
+		typ       MsgType
+		c         *Client
+		genuine   *JoinWelcome
+		victim    snapshotVictim
+		installed EventKind
+	}{
+		{"join-welcome", MsgJoinWelcome, joiner, genuineWelcome,
+			snapshotVictim{idx: len(genuineWelcome.RosterKeys) - 1, slot: int(genuineWelcome.MySlot), other: other},
+			EventScheduleReady},
+		{"snapshot-sync", MsgSnapshotSync, established, srv.buildSnapshot(srv.lastRosterUpdate, -1),
+			snapshotVictim{idx: established.Index(), slot: established.Slot(), other: other},
+			EventReplicaResynced},
+	}
+	for _, mode := range modes {
+		deliver := func(t *testing.T, w *JoinWelcome) *Output {
+			t.Helper()
+			m, err := srv.sign(mode.typ, w.Round, w.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := mode.c.Handle(now, m)
+			if err != nil {
+				t.Fatalf("engine error: %v", err)
+			}
+			return out
+		}
+		before := stateOf(mode.c)
+		for _, row := range rows {
+			if row.joinerOnly && mode.typ != MsgJoinWelcome {
+				continue
+			}
+			t.Run(mode.name+"/"+row.name, func(t *testing.T) {
+				w, err := DecodeJoinWelcome(mode.genuine.Encode()) // private copy
+				if err != nil {
+					t.Fatal(err)
+				}
+				row.mutate(t, w, mode.victim)
+				if out := deliver(t, w); !has(out, EventProtocolViolation) {
+					t.Errorf("accepted: %+v", out.Events)
+				}
+				if after := stateOf(mode.c); after != before {
+					t.Errorf("rejected snapshot changed the client:\n before %+v\n after  %+v", before, after)
+				}
+			})
+		}
+		t.Run(mode.name+"/genuine still installs", func(t *testing.T) {
+			out := deliver(t, mode.genuine)
+			if has(out, EventProtocolViolation) || !has(out, mode.installed) {
+				t.Fatalf("genuine snapshot not installed: %+v", out.Events)
+			}
+			after := stateOf(mode.c)
+			if !after.ready || after.version != mode.genuine.Version || after.index != mode.victim.idx ||
+				after.slot != mode.victim.slot || after.round <= mode.genuine.Round {
+				t.Fatalf("installed state %+v does not match snapshot (version %d, round %d, victim %+v)",
+					after, mode.genuine.Version, mode.genuine.Round, mode.victim)
+			}
+		})
 	}
 }

@@ -407,15 +407,15 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 			s.myClients = append(s.myClients, i)
 		}
 	}
-	s.pad = dcnet.NewPad(s.prng)
-	s.ppad = dcnet.NewParallelPad(s.prng, opts.PadWorkers)
+	s.pad = dcnet.NewPad(crypto.NewAESPRNG)
+	s.ppad = dcnet.NewParallelPad(crypto.NewAESPRNG, 0)
 	s.depth = opts.PipelineDepth
 	if s.depth < 1 {
 		s.depth = 1
 	}
 	s.prefetchPads = make([]*dcnet.ParallelPad, s.depth)
 	for i := range s.prefetchPads {
-		s.prefetchPads[i] = dcnet.NewParallelPad(s.prng, opts.PadWorkers)
+		s.prefetchPads[i] = dcnet.NewParallelPad(crypto.NewAESPRNG, 0)
 	}
 	s.noPrefetch = opts.NoPadPrefetch
 	s.rounds = make(map[uint64]*roundState)

@@ -18,9 +18,8 @@ type Pad struct {
 	maker crypto.PRNGMaker
 }
 
-// NewPad returns a Pad using maker for stream expansion. Production
-// code passes crypto.NewAESPRNG; the large-scale benchmark harness
-// passes crypto.NewFastPRNG and accounts AES cost analytically.
+// NewPad returns a Pad using maker for stream expansion. The engines
+// pass crypto.NewAESPRNG; tests and probes may pass a cheaper stream.
 func NewPad(maker crypto.PRNGMaker) *Pad {
 	if maker == nil {
 		maker = crypto.NewAESPRNG

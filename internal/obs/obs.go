@@ -9,7 +9,7 @@
 // Registry's collect functions walk that state when a scrape arrives,
 // rendering one consistent exposition. Counter and gauge families that
 // already exist as SDK snapshot structs are emitted straight from the
-// snapshot, so the Prometheus and expvar endpoints can never disagree.
+// snapshot, so the Prometheus and JSON endpoints can never disagree.
 package obs
 
 import (

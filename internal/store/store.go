@@ -4,8 +4,7 @@
 //
 // The design is deliberately minimal: a single append-only file of
 // JSON lines (one record per mutation), fsynced before the in-memory
-// index accepts the mutation, with the same torn-write healing rules
-// proven in beacon.FileStore — a torn final line is the artifact of a
+// index accepts the mutation. A torn final line is the artifact of a
 // crash mid-append and is truncated away; garbage anywhere else is
 // content damage and refuses to open. Reads are served from the
 // in-memory index, so the file is only touched on writes and at open.

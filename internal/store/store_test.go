@@ -62,10 +62,9 @@ func TestPutGetDeleteAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestHealsTornFinalLine mirrors beacon's TestFileStoreHealsTornFinalLine:
-// a crash mid-append leaves a torn final line; reopening truncates it
-// away, keeps the valid prefix, and the store accepts new writes that
-// a further reopen sees intact.
+// TestHealsTornFinalLine: a crash mid-append leaves a torn final line;
+// reopening truncates it away, keeps the valid prefix, and the store
+// accepts new writes that a further reopen sees intact.
 func TestHealsTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.kv")
 	kv, err := Open(path)

@@ -8,11 +8,12 @@ import (
 	"dissent/internal/core"
 )
 
-// fuzzSeedFrames builds the seed corpus for FuzzReadFrame: well-formed
-// frames in both wire formats plus the interesting malformed shapes
-// (truncations, size-bound violations, tag/size mismatches). go test
-// runs the target over these seeds on every CI run, so the decoder's
-// error paths stay exercised even outside fuzzing sessions.
+// fuzzSeedFrames builds the seed corpus for FuzzReadFrame: a
+// well-formed frame, the same message without its session tag, plus
+// the interesting malformed shapes (truncations, size-bound
+// violations, tag/size mismatches). go test runs the target over these
+// seeds on every CI run, so the decoder's error paths stay exercised
+// even outside fuzzing sessions.
 func fuzzSeedFrames() [][]byte {
 	var from [8]byte
 	copy(from[:], "fuzznode")
@@ -21,8 +22,7 @@ func fuzzSeedFrames() [][]byte {
 	var sid SessionID
 	copy(sid[:], "fuzz-session-fuzz-session-fuzz-s")
 
-	var legacy, tagged bytes.Buffer
-	WriteFrame(&legacy, msg)
+	var tagged bytes.Buffer
 	WriteFrameSession(&tagged, sid, msg)
 
 	oversize := []byte{0x7F, 0xFF, 0xFF, 0xFF}
@@ -30,14 +30,14 @@ func fuzzSeedFrames() [][]byte {
 	// Tagged bit set but size too small to hold the 32-byte tag.
 	shortTag := []byte{0x80, 0, 0, 0x10, 1, 2, 3, 4}
 	// Valid header, truncated body.
-	truncated := append([]byte{0, 0, 0, 0x40}, []byte("only a few bytes")...)
+	truncated := append([]byte{0x80, 0, 0, 0x40}, []byte("only a few bytes")...)
 	// Tagged frame whose inner message is garbage.
 	garbageBody := make([]byte, 4+32+5)
 	binary.BigEndian.PutUint32(garbageBody[:4], uint32(32+5)|frameTagged)
 	copy(garbageBody[36:], "junk!")
 
 	return [][]byte{
-		legacy.Bytes(),
+		untaggedFrame(msg),
 		tagged.Bytes(),
 		oversize,
 		zero,
@@ -49,9 +49,10 @@ func fuzzSeedFrames() [][]byte {
 	}
 }
 
-// FuzzReadFrame exercises the frame decoder: it must never panic, and
-// every frame it accepts must re-encode and re-decode to the same
-// message and session tag.
+// FuzzReadFrame exercises the frame decoder: it must never panic, must
+// refuse every input whose length word lacks the tag bit, and every
+// frame it accepts must re-encode and re-decode to the same message
+// and session tag.
 func FuzzReadFrame(f *testing.F) {
 	for _, seed := range fuzzSeedFrames() {
 		f.Add(seed)
@@ -61,8 +62,8 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !tagged && sid != NoSession {
-			t.Fatalf("untagged frame returned session %x", sid[:8])
+		if !tagged || data[0]&0x80 == 0 {
+			t.Fatalf("untagged frame accepted (tagged=%v, first byte %#x)", tagged, data[0])
 		}
 		var buf bytes.Buffer
 		if err := WriteFrameSession(&buf, sid, msg); err != nil {

@@ -1,20 +1,17 @@
 // Package transport moves signed protocol messages over real TCP
 // connections: the deployment path under the public dissent SDK.
-// Frames are length-prefixed encoded Messages, optionally tagged with
-// a 32-byte session ID so one listener can carry many concurrent
-// Dissent groups; identity and integrity come from the protocol-level
+// Frames are length-prefixed encoded Messages, each tagged with a
+// 32-byte session ID so one listener can carry many concurrent Dissent
+// groups; identity and integrity come from the protocol-level
 // signatures, so connections need no additional handshake. The package
 // knows nothing about engines — it hands every inbound message to a
 // per-session callback and exposes SendSession for outbound envelopes;
 // the SDK's Session owns the engine loop and timers.
 //
-// Wire compatibility: the original single-session format is a 4-byte
-// big-endian length followed by the encoded message. Tagged frames set
-// the top bit of the length word and insert the session ID between the
-// length and the body. Because maxFrame is far below 1<<31, a legacy
-// reader confronted with a tagged frame fails immediately with a clear
-// "frame size out of range" error instead of desynchronizing, and a
-// new reader accepts both formats.
+// Wire format: a 4-byte big-endian length word with its top bit set,
+// the session ID, then the encoded message; the length counts the ID
+// and the message. A length word without the top bit is not a frame of
+// this protocol and fails the read.
 package transport
 
 import (
@@ -37,18 +34,13 @@ import (
 const maxFrame = 64 << 20
 
 // frameTagged marks a session-tagged frame: the top bit of the length
-// word. maxFrame < 1<<31, so the bit is never part of a legacy length.
+// word. maxFrame < 1<<31, so the bit is never part of a length.
 const frameTagged = 1 << 31
 
 // SessionID tags frames with the group session they belong to. The SDK
 // uses the group definition's self-certifying ID, so the tag needs no
-// allocation protocol. The zero value (NoSession) selects the legacy
-// untagged wire format.
+// allocation protocol.
 type SessionID = [32]byte
-
-// NoSession is the zero session: frames are written untagged and
-// inbound untagged frames route to it.
-var NoSession SessionID
 
 // Roster maps node IDs to dialable addresses.
 type Roster map[group.NodeID]string
@@ -191,26 +183,9 @@ func NewMesh(addr string, onError func(error)) (*Mesh, error) {
 	return m, nil
 }
 
-// ListenMesh binds addr and routes inbound messages to recv — the
-// single-session form, kept for callers that predate session routing.
-// It is NewMesh plus a NoSession bind: frames go out untagged, exactly
-// as before the session tag existed.
-func ListenMesh(addr string, roster Roster, recv func(*core.Message), onError func(error)) (*Mesh, error) {
-	m, err := NewMesh(addr, onError)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Bind(NoSession, roster, recv); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
-}
-
 // Bind attaches a session to the mesh: outbound SendSession(sid, ...)
 // resolves addresses through roster, and inbound frames tagged sid are
-// handed to recv. Binding NoSession additionally captures legacy
-// untagged traffic. The roster is copied, so the caller's map is not
+// handed to recv. The roster is copied, so the caller's map is not
 // read afterwards; AddPeer extends the bound copy for members admitted
 // mid-session.
 func (m *Mesh) Bind(sid SessionID, roster Roster, recv func(*core.Message)) error {
@@ -303,30 +278,22 @@ func (m *Mesh) acceptLoop() {
 func (m *Mesh) readLoop(conn net.Conn) {
 	defer conn.Close()
 	for {
-		sid, tagged, msg, err := ReadFrameSession(conn)
+		sid, _, msg, err := ReadFrameSession(conn)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !m.isClosed() {
 				m.reportError(fmt.Errorf("transport: read: %w", err))
 			}
 			return
 		}
-		m.route(sid, tagged, msg)
+		m.route(sid, msg)
 	}
 }
 
-// route hands one inbound message to its session. Tagged frames match
-// exactly — a message can never leak into another session. Untagged
-// (legacy) frames go to the NoSession bind or, when exactly one
-// session is bound, to it, so an old single-session peer still reaches
-// a new single-session process.
-func (m *Mesh) route(sid SessionID, tagged bool, msg *core.Message) {
+// route hands one inbound message to its session. Tags match exactly —
+// a message can never leak into another session.
+func (m *Mesh) route(sid SessionID, msg *core.Message) {
 	m.mu.Lock()
 	ms := m.sessions[sid]
-	if ms == nil && !tagged && len(m.sessions) == 1 {
-		for _, only := range m.sessions {
-			ms = only
-		}
-	}
 	m.mu.Unlock()
 	if ms == nil {
 		m.reportError(fmt.Errorf("transport: dropping %s frame for unbound session %x", msg.Type, sid[:4]))
@@ -341,16 +308,9 @@ func (m *Mesh) isClosed() bool {
 	return m.closed
 }
 
-// Send transmits one message on the NoSession (legacy single-session)
-// bind.
-func (m *Mesh) Send(to group.NodeID, msg *core.Message) error {
-	return m.SendSession(NoSession, to, msg)
-}
-
 // SendSession transmits one message within a bound session, dialing
 // (with retry) as needed; a stale cached connection is dropped and
-// redialed once. The frame carries the session tag unless sid is
-// NoSession.
+// redialed once.
 func (m *Mesh) SendSession(sid SessionID, to group.NodeID, msg *core.Message) error {
 	m.mu.Lock()
 	ms := m.sessions[sid]
@@ -555,16 +515,9 @@ func (lc *lockedConn) close() {
 	}
 }
 
-// encodeFrame serializes one message into its on-the-wire frame:
-// legacy untagged for NoSession, session-tagged otherwise.
+// encodeFrame serializes one message into its on-the-wire frame.
 func encodeFrame(sid SessionID, msg *core.Message) []byte {
 	body := core.EncodeMessage(msg)
-	if sid == NoSession {
-		frame := make([]byte, 4+len(body))
-		binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-		copy(frame[4:], body)
-		return frame
-	}
 	frame := make([]byte, 4+32+len(body))
 	binary.BigEndian.PutUint32(frame[:4], uint32(32+len(body))|frameTagged)
 	copy(frame[4:36], sid[:])
@@ -572,54 +525,39 @@ func encodeFrame(sid SessionID, msg *core.Message) []byte {
 	return frame
 }
 
-// WriteFrame writes one length-prefixed message in the legacy untagged
-// format.
-func WriteFrame(w io.Writer, msg *core.Message) error {
-	return WriteFrameSession(w, NoSession, msg)
-}
-
-// WriteFrameSession writes one length-prefixed message tagged with
-// sid; NoSession degrades to the untagged legacy format.
+// WriteFrameSession writes one length-prefixed message tagged with sid.
 func WriteFrameSession(w io.Writer, sid SessionID, msg *core.Message) error {
 	_, err := w.Write(encodeFrame(sid, msg))
 	return err
 }
 
-// ReadFrame reads one message in either frame format, discarding any
-// session tag.
-func ReadFrame(r io.Reader) (*core.Message, error) {
-	_, _, msg, err := ReadFrameSession(r)
-	return msg, err
-}
-
-// ReadFrameSession reads one frame in either format. For tagged frames
-// it returns the session ID and tagged=true; legacy frames return
-// NoSession and tagged=false.
+// ReadFrameSession reads one frame and returns its session ID and
+// message; tagged is true whenever err is nil. A length word without
+// the tag bit, or one too small or too large for a frame, is an error.
 func ReadFrameSession(r io.Reader) (sid SessionID, tagged bool, msg *core.Message, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return NoSession, false, nil, err
+		return sid, false, nil, err
 	}
 	word := binary.BigEndian.Uint32(hdr[:])
-	tagged = word&frameTagged != 0
-	size := word &^ frameTagged
-	if tagged && size <= 32 {
-		return NoSession, false, nil, fmt.Errorf("transport: tagged frame size %d too short for its session tag", size)
+	if word&frameTagged == 0 {
+		return sid, false, nil, fmt.Errorf("transport: untagged frame (length word %#08x): every frame carries a session tag", word)
 	}
-	if size == 0 || size > maxFrame {
-		return NoSession, false, nil, fmt.Errorf("transport: frame size %d out of range", size)
+	size := word &^ frameTagged
+	if size <= 32 {
+		return sid, false, nil, fmt.Errorf("transport: frame size %d too short for its session tag", size)
+	}
+	if size > maxFrame {
+		return sid, false, nil, fmt.Errorf("transport: frame size %d out of range", size)
 	}
 	body := make([]byte, size)
 	if _, err = io.ReadFull(r, body); err != nil {
-		return NoSession, false, nil, err
+		return sid, false, nil, err
 	}
-	if tagged {
-		copy(sid[:], body[:32])
-		body = body[32:]
-	}
-	msg, err = core.DecodeMessage(body)
+	msg, err = core.DecodeMessage(body[32:])
 	if err != nil {
-		return NoSession, false, nil, err
+		return sid, false, nil, err
 	}
-	return sid, tagged, msg, nil
+	copy(sid[:], body[:32])
+	return sid, true, msg, nil
 }

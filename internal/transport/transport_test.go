@@ -3,7 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -15,57 +15,77 @@ import (
 	"dissent/internal/group"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var from group.NodeID
-	copy(from[:], "nodeid00")
-	msg := &core.Message{From: from, Type: core.MsgClientSubmit, Round: 7,
-		Body: []byte("payload"), Sig: []byte("signature")}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, msg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
+// testSID is the session every single-session test runs in.
+var testSID = SessionID{0: 0x5E, 31: 0x1D}
+
+// listenMesh opens a mesh with testSID bound to recv.
+func listenMesh(t *testing.T, recv func(*core.Message), onError func(error)) *Mesh {
+	t.Helper()
+	m, err := NewMesh("127.0.0.1:0", onError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Round != 7 || !bytes.Equal(got.Body, msg.Body) || got.From != from {
-		t.Fatalf("round trip mismatch: %+v", got)
+	t.Cleanup(func() { m.Close() })
+	if err := m.Bind(testSID, Roster{}, recv); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// untaggedFrame renders msg as a bare length-prefixed message — no tag
+// bit, no session ID: what a peer outside the protocol would send.
+func untaggedFrame(msg *core.Message) []byte {
+	body := core.EncodeMessage(msg)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// TestFrameRoundTrip checks framing on a stream: two frames written
+// back to back read out as exactly those two messages, every field
+// intact, and then a clean EOF.
+func TestFrameRoundTrip(t *testing.T) {
+	var from group.NodeID
+	copy(from[:], "nodeid00")
+	msgs := []*core.Message{
+		{From: from, Type: core.MsgClientSubmit, Round: 7, Body: []byte("payload"), Sig: []byte("signature")},
+		{From: from, Type: core.MsgOutput, Round: 8, Body: []byte("second")},
+	}
+	var buf bytes.Buffer
+	for _, msg := range msgs {
+		if err := WriteFrameSession(&buf, testSID, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range msgs {
+		_, _, got, err := ReadFrameSession(&buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Type != want.Type || got.Round != want.Round || got.From != from ||
+			!bytes.Equal(got.Body, want.Body) || !bytes.Equal(got.Sig, want.Sig) {
+			t.Fatalf("frame %d round trip mismatch: %+v", i, got)
+		}
+	}
+	if _, _, _, err := ReadFrameSession(&buf); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Error("oversized frame accepted")
-	}
-	var zero bytes.Buffer
-	zero.Write([]byte{0, 0, 0, 0})
-	if _, err := ReadFrame(&zero); err == nil {
-		t.Error("zero-length frame accepted")
+	for name, hdr := range map[string][]byte{
+		"oversized":   {0xFF, 0xFF, 0xFF, 0xFF},
+		"zero-length": {0x80, 0, 0, 0},
+		// Too short to hold the session tag, let alone a message.
+		"undersized": {0x80, 0, 0, 16, 1, 2, 3},
+		"tag only":   append([]byte{0x80, 0, 0, 32}, make([]byte, 32)...),
+	} {
+		if _, _, _, err := ReadFrameSession(bytes.NewReader(hdr)); err == nil {
+			t.Errorf("%s frame accepted", name)
+		}
 	}
 }
 
-// legacyReadFrame is the pre-session reader, reproduced verbatim so
-// compatibility tests can pin how an OLD peer reacts to new frames.
-func legacyReadFrame(r io.Reader) (*core.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size == 0 || size > maxFrame {
-		return nil, fmt.Errorf("transport: frame size %d out of range", size)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return core.DecodeMessage(body)
-}
-
-// TestFrameSessionRoundTrip checks the tagged format carries the
-// session ID and that NoSession degrades to the legacy wire format.
+// TestFrameSessionRoundTrip checks the frame carries the session ID
+// and pins its layout: tag bit, length over ID plus message, ID first.
 func TestFrameSessionRoundTrip(t *testing.T) {
 	var from group.NodeID
 	copy(from[:], "nodeid00")
@@ -78,6 +98,7 @@ func TestFrameSessionRoundTrip(t *testing.T) {
 	if err := WriteFrameSession(&buf, sid, msg); err != nil {
 		t.Fatal(err)
 	}
+	frame := bytes.Clone(buf.Bytes())
 	gotSID, tagged, got, err := ReadFrameSession(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -89,63 +110,28 @@ func TestFrameSessionRoundTrip(t *testing.T) {
 		t.Fatalf("message round trip mismatch: %+v", got)
 	}
 
-	// NoSession writes the legacy untagged format byte for byte.
-	var legacy, viaSession bytes.Buffer
-	if err := WriteFrame(&legacy, msg); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrameSession(&viaSession, NoSession, msg); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy.Bytes(), viaSession.Bytes()) {
-		t.Fatal("NoSession frame differs from the legacy format")
+	body := core.EncodeMessage(msg)
+	want := binary.BigEndian.AppendUint32(nil, uint32(32+len(body))|frameTagged)
+	want = append(append(want, sid[:]...), body...)
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("frame layout changed:\n got %x\nwant %x", frame, want)
 	}
 }
 
-// TestFrameCompat pins both directions of wire compatibility: a legacy
-// frame decodes in the new reader as untagged, and a tagged frame
-// fails in the OLD reader with a clear frame-size error instead of
-// desynchronizing or yielding garbage.
-func TestFrameCompat(t *testing.T) {
+// TestFrameRejectsUntagged checks a bare length-prefixed message — a
+// well-formed one, so only the missing tag can be the reason — fails
+// the read with an error that says so.
+func TestFrameRejectsUntagged(t *testing.T) {
 	var from group.NodeID
 	copy(from[:], "nodeid00")
 	msg := &core.Message{From: from, Type: core.MsgClientSubmit, Round: 7,
 		Body: []byte("payload"), Sig: []byte("signature")}
-
-	// Old frame → new reader: untagged, NoSession.
-	var old bytes.Buffer
-	if err := WriteFrame(&old, msg); err != nil {
-		t.Fatal(err)
+	_, tagged, got, err := ReadFrameSession(bytes.NewReader(untaggedFrame(msg)))
+	if err == nil || got != nil || tagged {
+		t.Fatalf("untagged frame read as tagged=%v msg=%+v err=%v", tagged, got, err)
 	}
-	sid, tagged, got, err := ReadFrameSession(&old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tagged || sid != NoSession {
-		t.Fatalf("legacy frame read as tagged=%v sid=%x", tagged, sid[:8])
-	}
-	if got.Round != 7 || !bytes.Equal(got.Body, msg.Body) {
-		t.Fatalf("legacy frame mismatch: %+v", got)
-	}
-
-	// New tagged frame → old reader: a clear, immediate error.
-	var sid2 SessionID
-	sid2[0] = 0xAB
-	var tb bytes.Buffer
-	if err := WriteFrameSession(&tb, sid2, msg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacyReadFrame(&tb); err == nil {
-		t.Fatal("old reader accepted a tagged frame")
-	} else if !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("old reader failed with %v, want a frame-size error", err)
-	}
-
-	// Truncated tagged frame: size word says tagged but too short to
-	// hold the tag.
-	short := []byte{0x80, 0, 0, 16, 1, 2, 3}
-	if _, _, _, err := ReadFrameSession(bytes.NewReader(short)); err == nil {
-		t.Fatal("undersized tagged frame accepted")
+	if !strings.Contains(err.Error(), "untagged") {
+		t.Fatalf("untagged frame failed with %v, want an error naming the missing tag", err)
 	}
 }
 
@@ -259,20 +245,13 @@ func TestMeshSessionRouting(t *testing.T) {
 	}
 }
 
-// TestMeshLegacyFallback checks an untagged (old-peer) frame reaches a
-// mesh's sole bound session even when that session has a real ID.
-func TestMeshLegacyFallback(t *testing.T) {
-	var sid SessionID
-	sid[0] = 9
+// TestMeshRejectsUntagged checks a live mesh reports an untagged frame
+// through onError and hands it to no session — not even a sole bound
+// one — then drops the connection it can no longer frame.
+func TestMeshRejectsUntagged(t *testing.T) {
 	got := make(chan *core.Message, 1)
-	m, err := NewMesh("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.Bind(sid, Roster{}, func(msg *core.Message) { got <- msg }); err != nil {
-		t.Fatal(err)
-	}
+	errs := make(chan error, 1)
+	m := listenMesh(t, func(msg *core.Message) { got <- msg }, func(err error) { errs <- err })
 
 	conn, err := net.Dial("tcp", m.Addr())
 	if err != nil {
@@ -280,17 +259,31 @@ func TestMeshLegacyFallback(t *testing.T) {
 	}
 	defer conn.Close()
 	var from group.NodeID
-	copy(from[:], "old-peer")
-	if err := WriteFrame(conn, &core.Message{From: from, Type: core.MsgOutput, Body: []byte("legacy")}); err != nil {
+	copy(from[:], "outsider")
+	if _, err := conn.Write(untaggedFrame(&core.Message{From: from, Type: core.MsgOutput, Body: []byte("bare")})); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case msg := <-got:
-		if string(msg.Body) != "legacy" {
-			t.Fatalf("got %q", msg.Body)
+	case err := <-errs:
+		if !strings.Contains(err.Error(), "untagged") {
+			t.Fatalf("reported %v, want the untagged-frame error", err)
 		}
+	case msg := <-got:
+		t.Fatalf("untagged frame reached the bound session: %+v", msg)
 	case <-time.After(5 * time.Second):
-		t.Fatal("legacy frame not routed to the sole session")
+		t.Fatal("untagged frame neither reported nor routed")
+	}
+	// The reader gave up on the stream: the mesh closes its end (EOF,
+	// or a reset when the rest of the bad frame was still unread).
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after the bad frame: %v", err)
+	}
+	select {
+	case msg := <-got:
+		t.Fatalf("untagged frame reached the bound session: %+v", msg)
+	default:
 	}
 }
 
@@ -303,49 +296,29 @@ func TestMeshExchange(t *testing.T) {
 	copy(idA[:], "node-AAA")
 	copy(idB[:], "node-BBB")
 
-	roster := Roster{}
-	type recvd struct {
-		mu   sync.Mutex
-		msgs []*core.Message
-	}
-	var atA, atB recvd
-	record := func(r *recvd) func(*core.Message) {
-		return func(m *core.Message) {
-			r.mu.Lock()
-			r.msgs = append(r.msgs, m)
-			r.mu.Unlock()
-		}
-	}
-	a, err := ListenMesh("127.0.0.1:0", roster, record(&atA), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenMesh("127.0.0.1:0", roster, record(&atB), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	var atA, atB recvd2
+	a := listenMesh(t, atA.record(), nil)
+	b := listenMesh(t, atB.record(), nil)
 	// Bind copies the roster, so late addresses (only known once the
 	// listeners are up) register through AddPeer — the same path members
 	// admitted mid-session by a roster update use.
 	for _, m := range []*Mesh{a, b} {
-		if err := m.AddPeer(NoSession, idA, a.Addr()); err != nil {
+		if err := m.AddPeer(testSID, idA, a.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.AddPeer(NoSession, idB, b.Addr()); err != nil {
+		if err := m.AddPeer(testSID, idB, b.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := a.Send(idB, &core.Message{From: idA, Type: core.MsgClientSubmit,
+		if err := a.SendSession(testSID, idB, &core.Message{From: idA, Type: core.MsgClientSubmit,
 			Round: uint64(i), Body: []byte("a->b")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Send(idA, &core.Message{From: idB, Type: core.MsgOutput, Body: []byte("b->a")}); err != nil {
+	if err := b.SendSession(testSID, idA, &core.Message{From: idB, Type: core.MsgOutput, Body: []byte("b->a")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -386,16 +359,8 @@ func TestMeshStats(t *testing.T) {
 	copy(idDead[:], "node-DED")
 
 	var atB recvd2
-	a, err := ListenMesh("127.0.0.1:0", Roster{}, func(*core.Message) {}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenMesh("127.0.0.1:0", Roster{}, atB.record(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := listenMesh(t, func(*core.Message) {}, nil)
+	b := listenMesh(t, atB.record(), nil)
 
 	// A dead address: reserve a port, then close the listener so dials
 	// are refused immediately.
@@ -406,16 +371,16 @@ func TestMeshStats(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
-	if err := a.AddPeer(NoSession, idB, b.Addr()); err != nil {
+	if err := a.AddPeer(testSID, idB, b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddPeer(NoSession, idDead, deadAddr); err != nil {
+	if err := a.AddPeer(testSID, idDead, deadAddr); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(idB, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("hi")}); err != nil {
+	if err := a.SendSession(testSID, idB, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(idDead, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("void")}); err != nil {
+	if err := a.SendSession(testSID, idDead, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("void")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -470,14 +435,10 @@ func (r *recvd2) record() func(*core.Message) {
 
 // TestMeshSendUnknownNode checks the roster miss path.
 func TestMeshSendUnknownNode(t *testing.T) {
-	m, err := ListenMesh("127.0.0.1:0", Roster{}, func(*core.Message) {}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := listenMesh(t, func(*core.Message) {}, nil)
 	var unknown group.NodeID
 	copy(unknown[:], "ghost-id")
-	if err := m.Send(unknown, &core.Message{From: unknown, Type: core.MsgOutput}); err == nil {
+	if err := m.SendSession(testSID, unknown, &core.Message{From: unknown, Type: core.MsgOutput}); err == nil {
 		t.Error("send to unknown node succeeded")
 	}
 }

@@ -1,7 +1,6 @@
 package dissent
 
 import (
-	"expvar"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -299,12 +298,4 @@ func (s *Session) TransportMetrics() *TransportMetrics {
 		return transportMetrics(ms.meshStats())
 	}
 	return nil
-}
-
-// MetricsVar wraps the session's metrics as an expvar.Var for
-// publication under a caller-chosen name:
-//
-//	expvar.Publish("dissent.session", sess.MetricsVar())
-func (s *Session) MetricsVar() expvar.Var {
-	return expvar.Func(func() any { return s.Metrics() })
 }

@@ -126,13 +126,8 @@ func (n *Node) Run(ctx context.Context) error {
 		}
 		tr = TCP(s.cfg.listenAddr, s.cfg.roster)
 	}
-	// The built-in transports understand session tags; a custom
-	// Transport falls back to the untagged single-session dial.
 	dial := func(recv func(*Message), onError func(error)) (Link, error) {
-		if sd, ok := tr.(sessionDialer); ok {
-			return sd.dialSession(s.sid, s.id, recv, onError)
-		}
-		return tr.Dial(s.id, recv, onError)
+		return tr.Dial(s.sid, s.id, recv, onError)
 	}
 	if err := s.open(dial); err != nil {
 		return err

@@ -20,7 +20,7 @@ type RoundTrace = obs.RoundTrace
 // sessionHists is the per-session phase-latency state behind the
 // dissent_round_phase_seconds histogram family. It exists only for the
 // Prometheus exposition: scalar counters come from the same
-// SessionMetrics snapshot the expvar endpoint serves, but histograms
+// SessionMetrics snapshot /metrics.json serves, but histograms
 // need per-observation bucketing no snapshot can reconstruct.
 type sessionHists struct {
 	window, pad, combine, certify, blame, total *obs.Histogram
@@ -133,8 +133,8 @@ func sessionLabels(sm SessionMetrics) obs.Labels {
 // Prometheus text exposition format (0.0.4): host totals, one series
 // per open session for the counter/gauge families, and the per-phase
 // round-latency histograms. Scalar families render from the same
-// Host.Metrics snapshot the expvar endpoint serves, so the two
-// expositions can never disagree.
+// Host.Metrics snapshot /metrics.json serves, so the two expositions
+// can never disagree.
 func (h *Host) MetricsHandler() http.Handler {
 	reg := obs.NewRegistry()
 	reg.Collect(h.collectMetrics)
@@ -144,7 +144,7 @@ func (h *Host) MetricsHandler() http.Handler {
 // collectMetrics renders one scrape. It runs on the scrape goroutine;
 // everything it touches is either a point-in-time snapshot or atomic.
 func (h *Host) collectMetrics(w *obs.Writer) {
-	hm := h.Metrics() // one snapshot: the same state expvar serves
+	hm := h.Metrics() // one snapshot: the same state /metrics.json serves
 
 	w.Family("dissent_host_uptime_seconds", "gauge", "Seconds since the host was created.")
 	w.Sample(nil, hm.Uptime.Seconds())
@@ -278,7 +278,7 @@ type sessionTraces struct {
 // DebugHandler returns the host's operator/debug mux:
 //
 //	/metrics       Prometheus text exposition (see MetricsHandler)
-//	/metrics.json  the same snapshot as JSON, expvar style
+//	/metrics.json  the same snapshot as JSON
 //	/debug/rounds  recent per-round span records, JSON (?n= limit)
 //	/debug/pprof/  the standard runtime profiles
 //	/roster        every session's certified roster snapshot

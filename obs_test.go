@@ -196,9 +196,9 @@ func TestObservabilityDuringChurn(t *testing.T) {
 		t.Fatalf("background scrape: %v", err)
 	}
 
-	// The expvar-style JSON and the Prometheus text render the same
-	// snapshot path; the JSON read first, counters can only have grown
-	// by the time the text scrape lands.
+	// The JSON and the Prometheus text render the same snapshot path;
+	// the JSON read first, counters can only have grown by the time the
+	// text scrape lands.
 	var hm dissent.HostMetrics
 	jsonText, err := httpGet(ts.URL + "/metrics.json")
 	if err != nil {

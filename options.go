@@ -14,7 +14,6 @@ type nodeConfig struct {
 	listenAddr    string
 	listenAddrSet bool // distinguishes an explicit WithListenAddr from the ":0" default
 	roster        Roster
-	store         BeaconStore
 	stateStore    *StateStore
 	beaconAddr    string
 	advertiseAddr string
@@ -61,21 +60,13 @@ func WithRoster(r Roster) Option {
 	return func(c *nodeConfig) { c.roster = r }
 }
 
-// WithBeaconStore backs the node's beacon chain replica with a durable
-// store (see OpenBeaconStore); omitted, the chain lives in memory. The
-// caller retains ownership: close the store after Run returns.
-func WithBeaconStore(s BeaconStore) Option {
-	return func(c *nodeConfig) { c.store = s }
-}
-
 // WithStateStore backs the node's session state — the certified
-// roster-update log, blame transcripts, the restart snapshot, and
-// (unless WithBeaconStore overrides it) the beacon chain — with a
-// durable embedded store (see OpenStateStore). A server restarted
-// against a store holding a live session snapshot resumes that
-// session instead of waiting out a fresh setup; a client gains a
-// durable roster log it can replay to stragglers. The caller retains
-// ownership: close the store after Run returns.
+// roster-update log, blame transcripts, the restart snapshot, and the
+// beacon chain — with a durable embedded store (see OpenStateStore).
+// A server restarted against a store holding a live session snapshot
+// resumes that session instead of waiting out a fresh setup; a client
+// gains a durable roster log it can replay to stragglers. The caller
+// retains ownership: close the store after Run returns.
 func WithStateStore(s *StateStore) Option {
 	return func(c *nodeConfig) { c.stateStore = s }
 }

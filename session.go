@@ -109,7 +109,6 @@ func newSessionShell(role Role, def *Group, cfg nodeConfig) (*Session, core.Opti
 	}
 	coreOpts := core.Options{
 		MessageGroup:  def.MsgGroup(),
-		BeaconStore:   cfg.store,
 		Logger:        logger,
 		OnRoundTrace:  s.onRoundTrace,
 		PipelineDepth: cfg.pipelineDepth,
@@ -120,17 +119,14 @@ func newSessionShell(role Role, def *Group, cfg nodeConfig) (*Session, core.Opti
 		// Guard the typed-nil: a nil *StateStore inside the interface
 		// would pass the engine's == nil checks and panic on first use.
 		coreOpts.StateStore = cfg.stateStore
-		if cfg.store == nil {
-			// The beacon chain rides the same store file unless the
-			// caller supplied a dedicated beacon store. A state store
-			// fresh from OpenStateStore always yields a readable (if
-			// empty) beacon bucket; treat failure as content damage.
-			bs, err := beacon.NewKVStore(cfg.stateStore, "beacon")
-			if err != nil {
-				logger.Warn("state store beacon bucket unreadable; beacon chain stays in-memory", "err", err)
-			} else {
-				coreOpts.BeaconStore = bs
-			}
+		// The beacon chain rides the same store file. A state store
+		// fresh from OpenStateStore always yields a readable (if
+		// empty) beacon bucket; treat failure as content damage.
+		bs, err := beacon.NewKVStore(cfg.stateStore, "beacon")
+		if err != nil {
+			logger.Warn("state store beacon bucket unreadable; beacon chain stays in-memory", "err", err)
+		} else {
+			coreOpts.BeaconStore = bs
 		}
 	}
 	return s, coreOpts

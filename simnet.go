@@ -67,13 +67,8 @@ func (s *SimNet) SetFaultSeed(seed int64) { s.hub.SetFaultSeed(seed) }
 // Close tears the network down, detaching every node of every session.
 func (s *SimNet) Close() { s.hub.Close() }
 
-// Dial implements Transport (the untagged single-session form; the
-// SDK's Node actually attaches through the session-aware dial).
-func (s *SimNet) Dial(self NodeID, recv func(*Message), onError func(error)) (Link, error) {
-	return s.dialSession(SessionID{}, self, recv, onError)
-}
-
-func (s *SimNet) dialSession(sid SessionID, self NodeID, recv func(*Message), onError func(error)) (Link, error) {
+// Dial implements Transport.
+func (s *SimNet) Dial(sid SessionID, self NodeID, recv func(*Message), onError func(error)) (Link, error) {
 	if err := s.hub.AttachSession([32]byte(sid), self, func(p any) { recv(p.(*Message)) }); err != nil {
 		return nil, err
 	}

@@ -17,14 +17,14 @@ type StateStore = store.KV
 // path and prepares it for a session:
 //
 //   - A torn final record — the artifact of a crash mid-append — is
-//     healed by truncation, exactly like the beacon file store.
-//     Mid-file garbage is content damage and refuses to open.
-//   - Unlike OpenBeaconStore, prior content is NOT archived away: the
-//     whole point of the store is that a restarted server resumes the
-//     session recorded in it. A file with no session snapshot holds
-//     nothing a fresh session can resume, so it is cleared instead —
-//     stale roster or beacon buckets from an abandoned run would
-//     otherwise poison the new session's replica.
+//     healed by truncation. Mid-file garbage is content damage and
+//     refuses to open.
+//   - Prior content is NOT archived away: the whole point of the
+//     store is that a restarted server resumes the session recorded
+//     in it. A file with no session snapshot holds nothing a fresh
+//     session can resume, so it is cleared instead — stale roster or
+//     beacon buckets from an abandoned run would otherwise poison the
+//     new session's replica.
 //   - When shadowed log records outnumber the live set the log is
 //     compacted down to the live set before use, bounding file growth
 //     across repeated restarts.

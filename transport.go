@@ -10,23 +10,17 @@ import (
 // implementations (QUIC, TLS tunnels, test interceptors) plug in the
 // same way.
 //
-// The built-in transports additionally tag every frame with the
-// group's session ID, so a peer serving several groups behind one
-// listener (a Host) routes traffic to the right session; custom
-// Transports carry whole Messages and remain single-session.
+// A transport is always session-scoped: every attachment names the
+// group session it belongs to, and the fabric carries that ID with
+// each message, so a peer serving several groups behind one listener
+// (a Host) routes traffic to the right session.
 type Transport interface {
-	// Dial attaches a node: inbound messages are handed to recv (the
-	// transport may call it from multiple goroutines; the Node
-	// serializes), soft I/O errors to onError (may be nil). The
-	// returned Link carries outbound traffic until closed.
-	Dial(self NodeID, recv func(*Message), onError func(error)) (Link, error)
-}
-
-// sessionDialer is the session-aware dial the built-in transports
-// implement: frames are tagged with sid so multi-session peers can
-// route them. Node.Run prefers it over Dial when available.
-type sessionDialer interface {
-	dialSession(sid SessionID, self NodeID, recv func(*Message), onError func(error)) (Link, error)
+	// Dial attaches a node to session sid: inbound messages of that
+	// session are handed to recv (the transport may call it from
+	// multiple goroutines; the Node serializes), soft I/O errors to
+	// onError (may be nil). The returned Link carries the session's
+	// outbound traffic until closed.
+	Dial(sid SessionID, self NodeID, recv func(*Message), onError func(error)) (Link, error)
 }
 
 // peerAdder is an optional Link extension for address-based fabrics:
@@ -63,15 +57,7 @@ type tcpTransport struct {
 	roster Roster
 }
 
-func (t *tcpTransport) Dial(self NodeID, recv func(*Message), onError func(error)) (Link, error) {
-	mesh, err := transport.ListenMesh(t.listen, t.roster, recv, onError)
-	if err != nil {
-		return nil, err
-	}
-	return tcpLink{mesh: mesh, sid: transport.NoSession}, nil
-}
-
-func (t *tcpTransport) dialSession(sid SessionID, self NodeID, recv func(*Message), onError func(error)) (Link, error) {
+func (t *tcpTransport) Dial(sid SessionID, self NodeID, recv func(*Message), onError func(error)) (Link, error) {
 	mesh, err := transport.NewMesh(t.listen, onError)
 	if err != nil {
 		return nil, err

@@ -45,10 +45,6 @@ type (
 	BeaconChain = beacon.Chain
 	// BeaconEntry is one verified link of the beacon chain.
 	BeaconEntry = beacon.Entry
-	// BeaconStore is the persistence contract for beacon chains.
-	BeaconStore = beacon.Store
-	// BeaconFileStore is the append-only durable beacon store.
-	BeaconFileStore = beacon.FileStore
 	// RosterUpdate is one certified membership transition: admissions
 	// and removals hash-chained to the previous roster version and
 	// signed by every server.
