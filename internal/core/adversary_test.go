@@ -287,8 +287,29 @@ func TestInterdictBadCertSigDetected(t *testing.T) {
 // the commitment check, as "equivocation", by every peer, before
 // anyone answers a challenge that includes the swapped nonce.
 func TestInterdictNonceSwapIsEquivocation(t *testing.T) {
+	testRevealSwapIsEquivocation(t, func(p *Share) {
+		g := crypto.P256()
+		p.Nonce = g.Encode(g.BaseMult(big.NewInt(7))) // a valid point, just not the committed one
+	})
+}
+
+// TestInterdictShareSwapIsEquivocation: the same for the other half of
+// the commitment — a server that reveals a DC-net share other than the
+// one it committed to (adapting it to its peers' would let it steer the
+// cleartext) is caught at the commitment check, before combining.
+func TestInterdictShareSwapIsEquivocation(t *testing.T) {
+	testRevealSwapIsEquivocation(t, func(p *Share) {
+		p.CT = bytes.Clone(p.CT)
+		p.CT[len(p.CT)/2] ^= 0x10
+	})
+}
+
+// testRevealSwapIsEquivocation has server 1 reveal, in the attack
+// round, a correctly signed MsgShare that swap altered after the commit
+// went out, and asserts every honest peer's verdict.
+func testRevealSwapIsEquivocation(t *testing.T, swap func(*Share)) {
 	const attackRound = 2
-	swap := &Interdict{Outbound: func(env Envelope, resign func(*Message) *Message) []Envelope {
+	reveal := &Interdict{Outbound: func(env Envelope, resign func(*Message) *Message) []Envelope {
 		if env.Msg.Type != MsgShare || env.Msg.Round != attackRound {
 			return []Envelope{env}
 		}
@@ -297,14 +318,13 @@ func TestInterdictNonceSwapIsEquivocation(t *testing.T) {
 			t.Errorf("honest engine produced an undecodable share: %v", err)
 			return []Envelope{env}
 		}
-		g := crypto.P256()
-		p.Nonce = g.Encode(g.BaseMult(big.NewInt(7))) // a valid point, just not the committed one
+		swap(p)
 		return []Envelope{{To: env.To, Msg: resign(&Message{Type: MsgShare, Round: env.Msg.Round, Body: p.Encode()})}}
 	}}
 	f := newFixture(t, 3, 3, fixtureOpts{
 		serverOpts: func(idx int, o *Options) {
 			if idx == 1 {
-				o.Interdict = swap
+				o.Interdict = reveal
 			}
 		},
 	})
@@ -324,15 +344,15 @@ func TestInterdictNonceSwapIsEquivocation(t *testing.T) {
 			}
 		}
 		if !seen {
-			t.Errorf("server %d never attributed the nonce swap; violations: %v", obs, f.violations())
+			t.Errorf("server %d never attributed the swapped reveal; violations: %v", obs, f.violations())
 		}
 	}
 	if wrong := f.honestAttributions("equivocation", 1); len(wrong) > 0 {
-		t.Fatalf("nonce swap pinned on an honest server: %+v", wrong)
+		t.Fatalf("swapped reveal pinned on an honest server: %+v", wrong)
 	}
 	for k := range tr.responses {
 		if k.round == attackRound && k.server != 1 {
-			t.Errorf("server %d answered a challenge in the round with the swapped nonce", k.server)
+			t.Errorf("server %d answered a challenge in the round with the swapped reveal", k.server)
 		}
 	}
 }

@@ -419,40 +419,59 @@ type Options struct {
 func (n *node) sign(t MsgType, round uint64, body []byte) (*Message, error) {
 	m := &Message{From: n.id, Type: t, Round: round, Body: body}
 	if n.signing {
-		sig, err := n.kp.Sign("dissent/msg", signedBytes(n.grpID, m), n.rand)
-		if err != nil {
+		if err := n.signDigest(m, m.digest(n.grpID)); err != nil {
 			return nil, err
 		}
-		m.Sig = crypto.EncodeSignature(n.keyGrp, sig)
 	}
 	return m, nil
+}
+
+// signDigest signs m, whose digest the caller already holds.
+func (n *node) signDigest(m *Message, digest []byte) error {
+	sig, err := n.kp.Sign("dissent/msg", digest, n.rand)
+	if err != nil {
+		return err
+	}
+	m.Sig = crypto.EncodeSignature(n.keyGrp, sig)
+	return nil
 }
 
 // verify checks a message's signature against the sender's registered
 // key and confirms the sender holds the expected role.
 func (n *node) verify(m *Message, wantServer bool) error {
-	var pub crypto.Element
+	pub, err := n.senderKey(m, wantServer)
+	if err != nil || !n.signing {
+		return err
+	}
+	return n.verifyDigest(m, pub, m.digest(n.grpID))
+}
+
+// senderKey returns the registered key of m's sender, which must hold
+// the expected role.
+func (n *node) senderKey(m *Message, wantServer bool) (crypto.Element, error) {
 	if si := n.def.ServerIndex(m.From); si >= 0 {
 		if !wantServer {
-			return fmt.Errorf("core: %s from server %s not allowed", m.Type, m.From)
+			return nil, fmt.Errorf("core: %s from server %s not allowed", m.Type, m.From)
 		}
-		pub = n.def.Servers[si].PubKey
-	} else if ci := n.def.ClientIndex(m.From); ci >= 0 {
+		return n.def.Servers[si].PubKey, nil
+	}
+	if ci := n.def.ClientIndex(m.From); ci >= 0 {
 		if wantServer {
-			return fmt.Errorf("core: %s from client %s not allowed", m.Type, m.From)
+			return nil, fmt.Errorf("core: %s from client %s not allowed", m.Type, m.From)
 		}
-		pub = n.def.Clients[ci].PubKey
-	} else {
-		return fmt.Errorf("core: message from unknown node %s", m.From)
+		return n.def.Clients[ci].PubKey, nil
 	}
-	if !n.signing {
-		return nil
-	}
+	return nil, fmt.Errorf("core: message from unknown node %s", m.From)
+}
+
+// verifyDigest checks m's signature under pub over digest, which the
+// caller computed with m.digest.
+func (n *node) verifyDigest(m *Message, pub crypto.Element, digest []byte) error {
 	sig, err := crypto.DecodeSignature(n.keyGrp, m.Sig)
 	if err != nil {
 		return fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
-	if err := crypto.Verify(n.keyGrp, pub, "dissent/msg", signedBytes(n.grpID, m), sig); err != nil {
+	if err := crypto.Verify(n.keyGrp, pub, "dissent/msg", digest, sig); err != nil {
 		return fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
 	return nil

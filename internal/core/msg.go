@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dissent/internal/crypto"
@@ -131,15 +132,26 @@ type Message struct {
 	Sig   []byte
 }
 
-// signedBytes is the byte string a message signature covers.
-func signedBytes(groupID [32]byte, m *Message) []byte {
-	var e encBuf
-	e.B = append(e.B, groupID[:]...)
-	e.U8(byte(m.Type))
-	e.U64(m.Round)
-	e.B = append(e.B, m.From[:]...)
-	e.Bytes(m.Body)
-	return e.B
+// msgHeaderLen is the fixed envelope header: type, round, sender.
+const msgHeaderLen = 1 + 8 + len(group.NodeID{})
+
+// putHeader writes m's envelope header into b[:msgHeaderLen].
+func (m *Message) putHeader(b []byte) {
+	b[0] = byte(m.Type)
+	binary.BigEndian.PutUint64(b[1:9], m.Round)
+	copy(b[9:msgHeaderLen], m.From[:])
+}
+
+// digest is what a message's signature covers: the group ID, the
+// envelope header and the body, each length-prefixed by crypto.Hash (so
+// the encoding stays injective) and fed to SHA-256 as parts. Signing a
+// digest rather than the concatenation means no signing or verifying
+// path copies the body, and a node that needs the same value twice —
+// a share's digest is also its sender's commitment — hashes once.
+func (m *Message) digest(groupID [32]byte) []byte {
+	var hdr [msgHeaderLen]byte
+	m.putHeader(hdr[:])
+	return crypto.Hash("dissent/msg", groupID[:], hdr[:], m.Body)
 }
 
 // WireSize returns the message's approximate on-the-wire size in
@@ -155,16 +167,27 @@ func (m *Message) WireSize() int {
 	return n
 }
 
-// EncodeMessage serializes a complete message for transport framing or
-// for inclusion as evidence in tracing.
-func EncodeMessage(m *Message) []byte {
-	var e encBuf
-	e.U8(byte(m.Type))
-	e.U64(m.Round)
-	e.B = append(e.B, m.From[:]...)
+// EncodedLen is the exact length of m's encoding.
+func (m *Message) EncodedLen() int {
+	return msgHeaderLen + 4 + len(m.Body) + 4 + len(m.Sig)
+}
+
+// AppendMessage appends m's encoding to dst. With EncodedLen bytes of
+// spare capacity it does not allocate — how the transport writes a
+// frame's length word, session tag and message into one buffer.
+func AppendMessage(dst []byte, m *Message) []byte {
+	var hdr [msgHeaderLen]byte
+	m.putHeader(hdr[:])
+	e := encBuf{B: append(dst, hdr[:]...)}
 	e.Bytes(m.Body)
 	e.Bytes(m.Sig)
 	return e.B
+}
+
+// EncodeMessage serializes a complete message for transport framing or
+// for inclusion as evidence in tracing.
+func EncodeMessage(m *Message) []byte {
+	return AppendMessage(make([]byte, 0, m.EncodedLen()), m)
 }
 
 // DecodeMessage parses a message serialized by EncodeMessage.
@@ -393,6 +416,7 @@ type ClientSubmit struct {
 // Encode serializes the payload.
 func (p *ClientSubmit) Encode() []byte {
 	var e encBuf
+	e.Grow(4 + len(p.CT))
 	e.Bytes(p.CT)
 	return e.B
 }
@@ -444,8 +468,9 @@ func DecodeInventory(b []byte) (*Inventory, error) {
 
 // Commit is a server's hash commitment to its ciphertext (Algorithm 2
 // step 3), preventing dishonest servers from adapting their share to
-// others'. The same hash covers the server's round-certificate nonce
-// Rᵢ (see shareCommitment), so neither can be chosen after seeing a
+// others'. Hash is the message digest (Message.digest) of the exact
+// MsgShare the server will reveal, so it also covers the server's
+// round-certificate nonce Rᵢ and neither can be chosen after seeing a
 // peer's. When the randomness beacon is enabled, the same message
 // carries the server's binding commitment to its beacon share, so the
 // beacon's commit phase rides the round's existing commit exchange.
@@ -500,6 +525,7 @@ type Share struct {
 // Encode serializes the payload.
 func (p *Share) Encode() []byte {
 	var e encBuf
+	e.Grow(4 + 4 + len(p.CT) + 4 + len(p.BeaconShare) + 4 + len(p.Nonce))
 	e.U32(uint32(p.Attempt))
 	e.Bytes(p.CT)
 	e.Bytes(p.BeaconShare)
@@ -530,12 +556,6 @@ func DecodeShare(b []byte) (*Share, error) {
 		return nil, err
 	}
 	return &Share{Attempt: int32(at), CT: ct, BeaconShare: bs, Nonce: nonce}, nil
-}
-
-// shareCommitment is the hash a Commit carries: it binds the server's
-// ciphertext and its certificate nonce together.
-func shareCommitment(share, nonce []byte) []byte {
-	return crypto.Hash("dissent/share-commit", share, nonce)
 }
 
 // Certify is a server's contribution to the round certificate. Sig is
@@ -572,19 +592,17 @@ func DecodeCertify(b []byte) (*Certify, error) {
 	return &Certify{Attempt: int32(at), Sig: sig}, nil
 }
 
-// cleartextSignedBytes is the byte string the round certificate covers.
+// cleartextSignedBytes is the digest the round certificate covers, its
+// parts streamed into the hash (no copy of the cleartext is made).
 // beaconValue is the round's chained beacon output (nil for failed
 // rounds or when the beacon is off), so certification also pins the
 // beacon chain: a server cannot certify the round yet equivocate about
 // its randomness.
 func cleartextSignedBytes(groupID [32]byte, round uint64, count int, cleartext, beaconValue []byte) []byte {
-	var e encBuf
-	e.B = append(e.B, groupID[:]...)
-	e.U64(round)
-	e.U32(uint32(count))
-	e.Bytes(cleartext)
-	e.Bytes(beaconValue)
-	return crypto.Hash("dissent/cleartext-cert", e.B)
+	var hdr [8 + 4]byte
+	binary.BigEndian.PutUint64(hdr[:8], round)
+	binary.BigEndian.PutUint32(hdr[8:], uint32(count))
+	return crypto.Hash("dissent/cleartext-cert", groupID[:], hdr[:], cleartext, beaconValue)
 }
 
 // RoundOutput carries the certified round result to clients. Sigs is
@@ -608,6 +626,7 @@ type RoundOutput struct {
 // Encode serializes the payload.
 func (p *RoundOutput) Encode() []byte {
 	var e encBuf
+	e.Grow(4 + len(p.Cleartext) + byteSlicesLen(p.Sigs) + 4 + 1 + byteSlicesLen(p.Beacon))
 	e.Bytes(p.Cleartext)
 	e.ByteSlices(p.Sigs)
 	e.U32(uint32(p.Count))
@@ -618,6 +637,15 @@ func (p *RoundOutput) Encode() []byte {
 	}
 	e.ByteSlices(p.Beacon)
 	return e.B
+}
+
+// byteSlicesLen is the encoded size of a ByteSlices field.
+func byteSlicesLen(v [][]byte) int {
+	n := 4
+	for _, b := range v {
+		n += 4 + len(b)
+	}
+	return n
 }
 
 // DecodeRoundOutput parses a RoundOutput payload.

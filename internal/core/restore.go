@@ -358,12 +358,14 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.invs = make(map[int]*Inventory)
 	rs.commits = make(map[int][]byte)
 	rs.shares = make(map[int][]byte)
+	rs.shareDigests = make(map[int][]byte)
 	rs.certs = make(map[int][]byte)
 	rs.beaconCommits = make(map[int][]byte)
 	rs.beaconShares = make(map[int][]byte)
 	rs.myBeaconShare = nil
 	rs.beaconEntry = nil
 	rs.myShare = nil
+	rs.shareMsg = nil
 	rs.cleartext = nil
 	rs.included = nil
 	rs.directSets = nil

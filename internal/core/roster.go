@@ -633,11 +633,7 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		return s.violation(m.Round, fmt.Errorf("join request ID %s does not match its key", m.From)), nil
 	}
 	if s.signing {
-		sig, err := crypto.DecodeSignature(s.keyGrp, m.Sig)
-		if err != nil {
-			return s.violation(m.Round, err), nil
-		}
-		if err := crypto.Verify(s.keyGrp, pub, "dissent/msg", signedBytes(s.grpID, m), sig); err != nil {
+		if err := s.verifyDigest(m, pub, m.digest(s.grpID)); err != nil {
 			return s.violation(m.Round, fmt.Errorf("join request signature: %w", err)), nil
 		}
 	}

@@ -171,12 +171,20 @@ type roundState struct {
 	commits map[int][]byte
 	shares  map[int][]byte
 	certs   map[int][]byte
+	// shareDigests holds each revealed MsgShare's message digest, hashed
+	// once on arrival: the envelope signature was verified over it and
+	// maybeCombine compares it with the sender's commitment.
+	shareDigests map[int][]byte
 
 	included   []int   // union l, sorted
 	directSets [][]int // l'_j per server after dedup
 	myShare    []byte
-	cleartext  []byte
-	failed     bool
+	// shareMsg is this server's MsgShare for the attempt, built (unsigned)
+	// at commit time because its digest is the commitment; maybeShare
+	// signs that same digest and reveals it.
+	shareMsg  *Message
+	cleartext []byte
+	failed    bool
 
 	// Round-certificate signing session (ARCHITECTURE.md "Round
 	// certificate"). nonce is this server's secret kᵢ for the current
@@ -623,24 +631,35 @@ func (s *Server) broadcastServers(t MsgType, round uint64, body []byte, out *Out
 	if err != nil {
 		return err
 	}
+	s.sendServers(m, out)
+	return nil
+}
+
+// sendServers addresses one message to every other server.
+func (s *Server) sendServers(m *Message, out *Output) {
 	for i, srv := range s.def.Servers {
 		if i == s.idx {
 			continue
 		}
 		out.Send = append(out.Send, Envelope{To: srv.ID, Msg: m})
 	}
-	return nil
 }
 
 // castServers broadcasts a round-phase message to the peer servers and
 // records it for retransmission (roundTick) while the round waits on
 // them.
 func (s *Server) castServers(now time.Time, rs *roundState, t MsgType, body []byte, out *Output) error {
+	s.recordCast(now, rs, t, body, out)
+	return s.broadcastServers(t, rs.r, body, out)
+}
+
+// recordCast notes a round-phase message for retransmission and restarts
+// the round's retransmission backoff.
+func (s *Server) recordCast(now time.Time, rs *roundState, t MsgType, body []byte, out *Output) {
 	rs.casts = append(rs.casts, castMsg{t: t, body: body})
 	rs.resendN = 0
 	rs.resendAt = now.Add(s.retry.delay(0, s.retrySeed^rs.r))
 	out.merge(&Output{Timer: rs.resendAt})
-	return s.broadcastServers(t, rs.r, body, out)
 }
 
 // broadcastClients sends a signed message to every attached client.
@@ -1050,6 +1069,8 @@ func (s *Server) openRound(now time.Time, out *Output) {
 		shares:  make(map[int][]byte),
 		certs:   make(map[int][]byte),
 		nonces:  make(map[int]crypto.Element),
+
+		shareDigests: make(map[int][]byte),
 
 		beaconCommits: make(map[int][]byte),
 		beaconShares:  make(map[int][]byte),
@@ -1542,10 +1563,14 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 }
 
 // sendCommit opens the round's commit phase: it commits this server to
-// its share and, in the same hash, to a fresh certificate nonce. Every
-// attempt of a round re-enters here (α-policy reopen, peer-recovery
-// escalation, restart), so no nonce outlives the attempt it was drawn
-// for.
+// the exact MsgShare it will reveal — attempt, share, beacon share and a
+// fresh certificate nonce, all fixed here — by broadcasting that
+// message's digest. The share is pseudorandom (it carries this server's
+// pads), so the digest hides it; and it is the value the share's
+// envelope signature covers, so sender and receivers each hash the
+// share once for both purposes. Every attempt of a round re-enters here
+// (α-policy reopen, peer-recovery escalation, restart), so no nonce
+// outlives the attempt it was drawn for.
 func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
 	k, err := s.keyGrp.RandomScalar(s.rand)
 	if err != nil {
@@ -1557,7 +1582,6 @@ func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
 	rs.phase = rpCommit
 
 	out := &Output{}
-	commit := &Commit{Attempt: rs.attempt, Hash: shareCommitment(rs.myShare, s.keyGrp.Encode(rs.nonces[s.idx]))}
 	if s.beaconChain != nil && rs.myBeaconShare == nil {
 		// Beacon commit phase rides the round's commit broadcast: the
 		// share signs the chain head, and its hash commits us before we
@@ -1568,6 +1592,11 @@ func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
 		}
 		rs.myBeaconShare = bshare
 	}
+	rs.shareMsg = &Message{From: s.id, Type: MsgShare, Round: rs.r,
+		Body: (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
+			Nonce: s.keyGrp.Encode(rs.nonces[s.idx])}).Encode()}
+	rs.shareDigests[s.idx] = rs.shareMsg.digest(s.grpID)
+	commit := &Commit{Attempt: rs.attempt, Hash: rs.shareDigests[s.idx]}
 	if rs.myBeaconShare != nil {
 		commit.BeaconCommit = beacon.CommitShare(rs.myBeaconShare)
 		rs.beaconCommits[s.idx] = commit.BeaconCommit
@@ -1620,11 +1649,15 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	}
 	rs.phase = rpShare
 	out := &Output{}
-	body := (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
-		Nonce: s.keyGrp.Encode(rs.nonces[s.idx])}).Encode()
-	if err := s.castServers(now, rs, MsgShare, body, out); err != nil {
-		return nil, err
+	// Reveal the message sendCommit committed to, signed over the digest
+	// computed there.
+	if s.signing {
+		if err := s.signDigest(rs.shareMsg, rs.shareDigests[s.idx]); err != nil {
+			return nil, err
+		}
 	}
+	s.recordCast(now, rs, MsgShare, rs.shareMsg.Body, out)
+	s.sendServers(rs.shareMsg, out)
 	rs.shares[s.idx] = rs.myShare
 	if rs.myBeaconShare != nil {
 		rs.beaconShares[s.idx] = rs.myBeaconShare
@@ -1642,8 +1675,17 @@ func (s *Server) onShare(now time.Time, m *Message) (*Output, error) {
 	if rs == nil {
 		return &Output{}, nil
 	}
-	if err := s.verify(m, true); err != nil {
+	// One hash of the share serves twice: its envelope signature covers
+	// the digest, and the sender's commitment is the same value.
+	pub, err := s.senderKey(m, true)
+	if err != nil {
 		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
+	}
+	digest := m.digest(s.grpID)
+	if s.signing {
+		if err := s.verifyDigest(m, pub, digest); err != nil {
+			return s.misbehave(rs.r, m.From, "bad-signature", err), nil
+		}
 	}
 	p, err := DecodeShare(m.Body)
 	if err != nil {
@@ -1657,14 +1699,15 @@ func (s *Server) onShare(now time.Time, m *Message) (*Output, error) {
 		return s.misbehave(rs.r, m.From, "malformed", fmt.Errorf("share nonce: %w", err)), nil
 	}
 	si := s.def.ServerIndex(m.From)
-	if prev, dup := rs.shares[si]; dup {
-		if !bytes.Equal(prev, p.CT) || !s.keyGrp.Equal(rs.nonces[si], nonce) {
+	if prev, dup := rs.shareDigests[si]; dup {
+		if !bytes.Equal(prev, digest) {
 			return s.misbehave(rs.r, m.From, "equivocation",
 				fmt.Errorf("server %d sent two distinct shares for round %d", si, rs.r)), nil
 		}
 		return &Output{}, nil
 	}
 	rs.shares[si] = p.CT
+	rs.shareDigests[si] = digest
 	rs.nonces[si] = nonce
 	if len(p.BeaconShare) > 0 {
 		rs.beaconShares[si] = p.BeaconShare
@@ -1678,9 +1721,7 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 		return &Output{}, nil
 	}
 	for si := 0; si < len(s.def.Servers); si++ {
-		want := rs.commits[si]
-		got := shareCommitment(rs.shares[si], s.keyGrp.Encode(rs.nonces[si]))
-		if !bytes.Equal(want, got) {
+		if !bytes.Equal(rs.commits[si], rs.shareDigests[si]) {
 			// The share or nonce this server distributed is not the one
 			// it committed to: equivocation (every honest peer compares
 			// against the same broadcast commitment, so all reach this

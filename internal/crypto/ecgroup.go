@@ -25,8 +25,18 @@ func (p *ecPoint) String() string {
 // and the stdlib carries constant-time assembly for it.
 type ECGroup struct {
 	curve elliptic.Curve
-	name  string
-	gen   *ecPoint
+	// combined is the curve's one-call a·G + b·P, which elliptic.Curve
+	// itself does not include.
+	combined combinedMult
+	name     string
+	gen      *ecPoint
+}
+
+// combinedMult is the optional interface the standard library's NIST
+// curves implement beside elliptic.Curve (the one crypto/ecdsa
+// verified with): x, y = baseScalar·G + scalar·(bigX, bigY).
+type combinedMult interface {
+	CombinedMult(bigX, bigY *big.Int, baseScalar, scalar []byte) (x, y *big.Int)
 }
 
 // P256 returns the NIST P-256 group used for pseudonym-key shuffles,
@@ -34,9 +44,10 @@ type ECGroup struct {
 func P256() *ECGroup {
 	c := elliptic.P256()
 	return &ECGroup{
-		curve: c,
-		name:  "P-256",
-		gen:   &ecPoint{x: c.Params().Gx, y: c.Params().Gy},
+		curve:    c,
+		combined: c.(combinedMult), // a curve without it fails here, not on a slower path
+		name:     "P-256",
+		gen:      &ecPoint{x: c.Params().Gx, y: c.Params().Gy},
 	}
 }
 
@@ -61,7 +72,12 @@ func (g *ECGroup) Add(a, b Element) Element {
 	if pb.x == nil {
 		return pa
 	}
-	x, y := g.curve.Add(pa.x, pa.y, pb.x, pb.y)
+	return affinePoint(g.curve.Add(pa.x, pa.y, pb.x, pb.y))
+}
+
+// affinePoint wraps a crypto/elliptic result, which reports the point
+// at infinity as (0, 0).
+func affinePoint(x, y *big.Int) *ecPoint {
 	if x.Sign() == 0 && y.Sign() == 0 {
 		return &ecPoint{}
 	}
@@ -86,11 +102,7 @@ func (g *ECGroup) ScalarMult(a Element, k *big.Int) Element {
 	if pa.x == nil || kk.Sign() == 0 {
 		return &ecPoint{}
 	}
-	x, y := g.curve.ScalarMult(pa.x, pa.y, kk.Bytes())
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return &ecPoint{}
-	}
-	return &ecPoint{x: x, y: y}
+	return affinePoint(g.curve.ScalarMult(pa.x, pa.y, kk.Bytes()))
 }
 
 // BaseMult implements Group.
@@ -101,6 +113,19 @@ func (g *ECGroup) BaseMult(k *big.Int) Element {
 	}
 	x, y := g.curve.ScalarBaseMult(kk.Bytes())
 	return &ecPoint{x: x, y: y}
+}
+
+// BaseMultAdd returns k·G + l·a in one combined multiplication: one
+// conversion out of the curve's internal coordinates instead of the
+// three that BaseMult, ScalarMult and Add pay separately.
+func (g *ECGroup) BaseMultAdd(k *big.Int, a Element, l *big.Int) Element {
+	pa := a.(*ecPoint)
+	n := g.curve.Params().N
+	kk, ll := new(big.Int).Mod(k, n), new(big.Int).Mod(l, n)
+	if pa.x == nil || ll.Sign() == 0 {
+		return g.BaseMult(kk)
+	}
+	return affinePoint(g.combined.CombinedMult(pa.x, pa.y, kk.Bytes(), ll.Bytes()))
 }
 
 // Equal implements Group.

@@ -292,3 +292,59 @@ func TestRandomScalarNonZeroInRange(t *testing.T) {
 		})
 	}
 }
+
+// TestBaseMultSubMatchesGenericFormula is the differential test behind
+// the combined multiplication: on P-256, z·G − c·X computed in one call
+// must equal the three-operation formula every other group uses, on
+// random inputs and on the edges a verifier can be handed.
+func TestBaseMultSubMatchesGenericFormula(t *testing.T) {
+	g := P256()
+	generic := func(z *big.Int, x Element, c *big.Int) Element {
+		return g.Add(g.BaseMult(z), g.Neg(g.ScalarMult(x, c)))
+	}
+	check := func(name string, z *big.Int, x Element, c *big.Int) {
+		t.Helper()
+		if got, want := baseMultSub(g, z, x, c), generic(z, x, c); !g.Equal(got, want) {
+			t.Errorf("%s: combined %v, generic %v", name, got, want)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		z, _ := g.RandomScalar(nil)
+		c, _ := g.RandomScalar(nil)
+		x, _ := g.RandomElement(nil)
+		check("random", z, x, c)
+	}
+	z, _ := g.RandomScalar(nil)
+	c, _ := g.RandomScalar(nil)
+	xk, _ := g.RandomScalar(nil)
+	x := g.BaseMult(xk)
+	zero := new(big.Int)
+	qm1 := new(big.Int).Sub(g.Order(), big.NewInt(1))
+	check("c = 0", z, x, zero)
+	check("z = 0", zero, x, c)
+	check("c = z = 0", zero, x, zero)
+	check("c = q-1", z, x, qm1)
+	check("pub = G", z, g.Generator(), c)
+	check("pub = G, c = z", z, g.Generator(), z) // r = identity
+	check("pub = identity", z, g.Identity(), c)
+	// r = identity with an arbitrary key: z = c·x.
+	zr := new(big.Int).Mul(c, xk)
+	zr.Mod(zr, g.Order())
+	check("r = identity", zr, x, c)
+	if !g.IsIdentity(baseMultSub(g, zr, x, c)) {
+		t.Error("z = c·x did not yield the identity")
+	}
+}
+
+func BenchmarkVerify(b *testing.B) {
+	g := P256()
+	kp, _ := GenerateKeyPair(g, nil)
+	msg := Hash("bench", []byte("digest"))
+	sig, _ := kp.Sign("bench", msg, nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(g, kp.Public, "bench", msg, sig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -70,14 +70,13 @@ func (m *Multisig) Respond(i int, priv, k, c *big.Int) *big.Int {
 }
 
 // VerifyPartial checks signer i's response against its revealed nonce:
-// z·G = Rᵢ + c·(aᵢ·Xᵢ). It costs what Verify costs, and a failure is
+// z·G − c·(aᵢ·Xᵢ) = Rᵢ. It costs what Verify costs, and a failure is
 // attributable to signer i alone.
 func (m *Multisig) VerifyPartial(i int, nonce Element, c, z *big.Int) error {
 	if z == nil || z.Sign() < 0 || z.Cmp(m.g.Order()) >= 0 {
 		return errors.New("crypto: partial response out of range")
 	}
-	want := m.g.Add(nonce, m.g.ScalarMult(m.terms[i], c))
-	if !m.g.Equal(m.g.BaseMult(z), want) {
+	if !m.g.Equal(baseMultSub(m.g, z, m.terms[i], c), nonce) {
 		return errors.New("crypto: partial response verification failed")
 	}
 	return nil

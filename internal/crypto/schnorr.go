@@ -49,13 +49,23 @@ func Verify(g Group, pub Element, domain string, msg []byte, sig Signature) erro
 	if sig.C.Sign() < 0 || sig.C.Cmp(q) >= 0 || sig.Z.Sign() < 0 || sig.Z.Cmp(q) >= 0 {
 		return errors.New("crypto: signature values out of range")
 	}
-	// r = zG - c*pub
-	r := g.Add(g.BaseMult(sig.Z), g.Neg(g.ScalarMult(pub, sig.C)))
+	r := baseMultSub(g, sig.Z, pub, sig.C)
 	c := schnorrChallenge(g, domain, r, pub, msg)
 	if c.Cmp(sig.C) != 0 {
 		return errors.New("crypto: signature verification failed")
 	}
 	return nil
+}
+
+// baseMultSub returns z·G − c·x, the point every Schnorr check
+// recomputes: R from a signature, a signer's nonce from its partial
+// response. P-256 does it in one combined multiplication; other groups
+// compose it from the Group interface.
+func baseMultSub(g Group, z *big.Int, x Element, c *big.Int) Element {
+	if ec, ok := g.(*ECGroup); ok {
+		return ec.BaseMultAdd(z, x, new(big.Int).Neg(c))
+	}
+	return g.Add(g.BaseMult(z), g.Neg(g.ScalarMult(x, c)))
 }
 
 func schnorrChallenge(g Group, domain string, r, pub Element, msg []byte) *big.Int {

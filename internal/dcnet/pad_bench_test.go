@@ -34,7 +34,7 @@ func BenchmarkServerPadParallel(b *testing.B) {
 
 // BenchmarkClientSubmitSteadyState measures the steady-state client
 // submit path — slot encode plus ciphertext build over prefetched
-// streams — and asserts it allocation-free. Stream preparation happens
+// streams. Stream preparation happens
 // off-timer, exactly as the engine does it during the idle window.
 func BenchmarkClientSubmitSteadyState(b *testing.B) {
 	const servers, slotLen, vecLen = 16, 1024, 4096
@@ -58,33 +58,32 @@ func BenchmarkClientSubmitSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkSlotCodec isolates the OAEP-like slot mask.
+// BenchmarkSlotCodec isolates the OAEP-like slot mask at the two shapes
+// the benchmark workloads run: a microblog post and a 128 KiB bulk slot.
 func BenchmarkSlotCodec(b *testing.B) {
-	const slotLen = 1024
-	buf := make([]byte, slotLen)
-	payload := SlotPayload{NextLen: slotLen, Data: make([]byte, slotLen-MinSlotLen)}
 	rnd := crypto.NewFastPRNG(crypto.Hash("bench-rnd", nil))
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(slotLen)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := EncodeSlot(buf, payload, rnd); err != nil {
-				b.Fatal(err)
+	for _, slotLen := range []int{128, 128 << 10} {
+		buf := make([]byte, slotLen)
+		payload := SlotPayload{NextLen: slotLen, Data: make([]byte, SlotCapacity(slotLen))}
+		b.Run(fmt.Sprintf("encode/%d", slotLen), func(b *testing.B) {
+			b.SetBytes(int64(slotLen))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := EncodeSlot(buf, payload, rnd); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	if err := EncodeSlot(buf, payload, rnd); err != nil {
-		b.Fatal(err)
+		})
+		b.Run(fmt.Sprintf("decode/%d", slotLen), func(b *testing.B) {
+			b.SetBytes(int64(slotLen))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := DecodeSlot(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(slotLen)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := DecodeSlot(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkRoundCriticalPath compares the server's submit→cleartext
@@ -155,8 +154,12 @@ func BenchmarkRoundCriticalPath(b *testing.B) {
 }
 
 // TestClientSubmitPathZeroAlloc is the allocation guard behind the
-// benchmark: slot encode + prefetched-stream ciphertext build must not
-// allocate on the steady-state path.
+// benchmark: slot encode + prefetched-stream ciphertext build allocate
+// nothing that scales with the vector — only the slot mask's AES key
+// schedule and CTR state. The bound was 0 while the mask was a SHA-256
+// counter-mode stream that needed no key setup; that zero cost the
+// data-sharing shape (bulk-4) 4.5 ms of every 20.9 ms round, because
+// every member unmasks every open 128 KiB slot at 248 MB/s.
 func TestClientSubmitPathZeroAlloc(t *testing.T) {
 	const servers, slotLen, vecLen = 8, 256, 1024
 	seeds := paritySeeds(5, servers)
@@ -179,8 +182,8 @@ func TestClientSubmitPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps.CiphertextInto(ct, vec)
-	}); avg != 0 {
-		t.Fatalf("client submit path allocates %.1f times per op, want 0", avg)
+	}); avg > 2 {
+		t.Fatalf("client submit path allocates %.1f times per op, want <= 2", avg)
 	}
 }
 

@@ -1,19 +1,19 @@
 package dcnet
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-
-	"dissent/internal/crypto"
 )
 
 // Slot wire layout (within one open message slot of length L):
 //
 //	[ 0:16)  seed   — random per-round mask seed, in the clear
-//	[16: L)  body   — plaintext XOR PRNG(seed)
+//	[16: L)  body   — plaintext XOR AES-128-CTR(key = seed, IV = 0)
 //
 // body layout:
 //
@@ -94,15 +94,28 @@ func EncodeSlot(buf []byte, p SlotPayload, rnd io.Reader) error {
 	// Only the padding tail needs zeroing — the header and data regions
 	// were just written in full.
 	clear(body[slotHeaderLen+n:])
-	crypto.XORHashStream(slotMaskDomain, buf[:SeedLen], 0, body)
+	slotMask(buf[:SeedLen]).XORKeyStream(body, body)
 	return nil
 }
 
-// slotMaskDomain keys the OAEP-like slot body mask. The mask stream is
-// the allocation-free SHA-256 PRF (crypto.XORHashStream): every encode
-// draws a fresh seed, so a rekeyable-without-allocating stream is what
-// keeps the client submit path at 0 allocs/op.
-const slotMaskDomain = "dissent/slot-mask"
+// slotMask returns the OAEP-like slot body mask: the AES-128-CTR
+// keystream keyed directly by the slot's seed, from a zero IV. The seed
+// is fresh, uniform and keys nothing else, so it needs no derivation
+// step and no nonce, and every member unmasks every open slot of every
+// round at hardware AES speed. The price is the key schedule and the
+// counter state: two small allocations per slot.
+func slotMask(seed []byte) cipher.Stream {
+	blk, err := aes.NewCipher(seed)
+	if err != nil {
+		panic(err) // len(seed) != SeedLen: a bug in this file
+	}
+	return cipher.NewCTR(blk, slotMaskIV[:])
+}
+
+// slotMaskIV is the all-zero counter every slot mask starts from (a
+// local array would escape through cipher.NewCTR and cost a third
+// allocation per slot). Never written.
+var slotMaskIV [aes.BlockSize]byte
 
 // DecodeSlot parses a slot region from a round's cleartext output.
 // idle is true when the region is all zero — the owner transmitted
@@ -116,17 +129,17 @@ func DecodeSlot(buf []byte) (p *SlotPayload, idle bool, err error) {
 	if allZero(buf) {
 		return nil, true, nil
 	}
-	seed := buf[:SeedLen]
+	// One stream unmasks the header, then — once the length it declares
+	// is known to fit — continues into the data.
+	mask := slotMask(buf[:SeedLen])
 	var hdr [slotHeaderLen]byte
-	copy(hdr[:], buf[SeedLen:])
-	crypto.XORHashStream(slotMaskDomain, seed, 0, hdr[:])
+	mask.XORKeyStream(hdr[:], buf[SeedLen:MinSlotLen])
 	dataLen := int(binary.BigEndian.Uint32(hdr[5:9]))
 	if dataLen < 0 || dataLen > len(buf)-MinSlotLen {
 		return nil, false, fmt.Errorf("dcnet: slot data length %d exceeds body", dataLen)
 	}
 	data := make([]byte, dataLen)
-	copy(data, buf[SeedLen+slotHeaderLen:])
-	crypto.XORHashStream(slotMaskDomain, seed, slotHeaderLen, data)
+	mask.XORKeyStream(data, buf[MinSlotLen:MinSlotLen+dataLen])
 	return &SlotPayload{
 		NextLen:    int(binary.BigEndian.Uint32(hdr[0:4])),
 		ShuffleReq: hdr[4],

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"dissent/internal/core"
@@ -35,6 +36,9 @@ func fuzzSeedFrames() [][]byte {
 	garbageBody := make([]byte, 4+32+5)
 	binary.BigEndian.PutUint32(garbageBody[:4], uint32(32+5)|frameTagged)
 	copy(garbageBody[36:], "junk!")
+	// Claims the largest frame allowed, delivers ten bytes: the reader
+	// must not reserve what the length word merely promises.
+	hugeClaim := append(binary.BigEndian.AppendUint32(nil, maxFrame|frameTagged), "ten bytes!"...)
 
 	return [][]byte{
 		untaggedFrame(msg),
@@ -44,21 +48,31 @@ func fuzzSeedFrames() [][]byte {
 		shortTag,
 		truncated,
 		garbageBody,
+		hugeClaim,
 		{},
 		{0, 0},
 	}
 }
 
 // FuzzReadFrame exercises the frame decoder: it must never panic, must
-// refuse every input whose length word lacks the tag bit, and every
-// frame it accepts must re-encode and re-decode to the same message
-// and session tag.
+// refuse every input whose length word lacks the tag bit, must not
+// allocate much more than the bytes it was actually given (whatever the
+// length word claims), and every frame it accepts must re-encode and
+// re-decode to the same message and session tag.
 func FuzzReadFrame(f *testing.F) {
 	for _, seed := range fuzzSeedFrames() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		sid, tagged, msg, err := ReadFrameSession(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// Background allocation in the test process is noise far below
+		// the 64 MiB a trusted length word would cost.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(frameReadAhead+4*len(data)+1<<20); got > limit {
+			t.Fatalf("reading a %d-byte input allocated %d bytes, want <= %d", len(data), got, limit)
+		}
 		if err != nil {
 			return
 		}

@@ -5,7 +5,7 @@
 // groups; identity and integrity come from the protocol-level
 // signatures, so connections need no additional handshake. The package
 // knows nothing about engines — it hands every inbound message to a
-// per-session callback and exposes SendSession for outbound envelopes;
+// per-session callback and exposes Broadcast for outbound envelopes;
 // the SDK's Session owns the engine loop and timers.
 //
 // Wire format: a 4-byte big-endian length word with its top bit set,
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,9 +30,16 @@ import (
 	"dissent/internal/group"
 )
 
-// maxFrame bounds a single message frame (a 128 KiB bulk slot plus
-// generous protocol overhead).
+// maxFrame bounds a single message frame. The largest frames are round
+// vectors (every open slot of a round, up to Policy.MaxSlotLen each)
+// and the setup shuffle's proof transcripts; 64 MiB leaves both room.
 const maxFrame = 64 << 20
+
+// frameReadAhead is the most ReadFrameSession allocates on the strength
+// of a length word alone — enough that every frame this protocol sends
+// in practice (a bulk round vector is ~0.6 MiB) is read into a single
+// exact-size buffer. A longer frame's buffer grows as its bytes arrive.
+const frameReadAhead = 1 << 20
 
 // frameTagged marks a session-tagged frame: the top bit of the length
 // word. maxFrame < 1<<31, so the bit is never part of a length.
@@ -183,7 +191,7 @@ func NewMesh(addr string, onError func(error)) (*Mesh, error) {
 	return m, nil
 }
 
-// Bind attaches a session to the mesh: outbound SendSession(sid, ...)
+// Bind attaches a session to the mesh: outbound Broadcast(sid, ...)
 // resolves addresses through roster, and inbound frames tagged sid are
 // handed to recv. The roster is copied, so the caller's map is not
 // read afterwards; AddPeer extends the bound copy for members admitted
@@ -308,17 +316,21 @@ func (m *Mesh) isClosed() bool {
 	return m.closed
 }
 
-// SendSession transmits one message within a bound session, dialing
-// (with retry) as needed; a stale cached connection is dropped and
-// redialed once.
-func (m *Mesh) SendSession(sid SessionID, to group.NodeID, msg *core.Message) error {
+// Broadcast transmits one message to each listed member of a bound
+// session, dialing (with retry) as needed; a stale cached connection is
+// dropped and redialed once. The message is framed once and every
+// recipient's connection queue shares that one immutable buffer, so a
+// fan-out costs one encoding, not one per recipient. A recipient that
+// cannot be reached does not hold up the rest; the errors are joined.
+func (m *Mesh) Broadcast(sid SessionID, to []group.NodeID, msg *core.Message) error {
 	m.mu.Lock()
 	ms := m.sessions[sid]
 	closed := m.closed
-	var addr string
-	var ok bool
+	addrs := make([]string, len(to))
 	if ms != nil {
-		addr, ok = ms.roster[to] // under mu: AddPeer may extend the roster
+		for i, id := range to {
+			addrs[i] = ms.roster[id] // under mu: AddPeer may extend the roster
+		}
 	}
 	m.mu.Unlock()
 	if closed {
@@ -327,10 +339,23 @@ func (m *Mesh) SendSession(sid SessionID, to group.NodeID, msg *core.Message) er
 	if ms == nil {
 		return fmt.Errorf("transport: session %x not bound", sid[:4])
 	}
-	if !ok {
-		return fmt.Errorf("transport: no address for node %s", to)
-	}
 	frame := encodeFrame(sid, msg)
+	var errs []error
+	for i, addr := range addrs {
+		if addr == "" {
+			errs = append(errs, fmt.Errorf("transport: no address for node %s", to[i]))
+			continue
+		}
+		if err := m.enqueue(addr, frame); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// enqueue queues one frame on the connection to addr, redialing once if
+// the cached connection has failed.
+func (m *Mesh) enqueue(addr string, frame []byte) error {
 	conn, err := m.conn(addr)
 	if err != nil {
 		return err
@@ -515,14 +540,16 @@ func (lc *lockedConn) close() {
 	}
 }
 
-// encodeFrame serializes one message into its on-the-wire frame.
+// encodeFrame serializes one message into its on-the-wire frame: one
+// buffer of exactly the frame's size, the message encoded straight into
+// it after the length word and session tag.
 func encodeFrame(sid SessionID, msg *core.Message) []byte {
-	body := core.EncodeMessage(msg)
-	frame := make([]byte, 4+32+len(body))
-	binary.BigEndian.PutUint32(frame[:4], uint32(32+len(body))|frameTagged)
-	copy(frame[4:36], sid[:])
-	copy(frame[36:], body)
-	return frame
+	const header = 4 + 32 // length word, session tag
+	n := msg.EncodedLen()
+	frame := make([]byte, header, header+n)
+	binary.BigEndian.PutUint32(frame[:4], uint32(32+n)|frameTagged)
+	copy(frame[4:], sid[:])
+	return core.AppendMessage(frame, msg)
 }
 
 // WriteFrameSession writes one length-prefixed message tagged with sid.
@@ -550,9 +577,21 @@ func ReadFrameSession(r io.Reader) (sid SessionID, tagged bool, msg *core.Messag
 	if size > maxFrame {
 		return sid, false, nil, fmt.Errorf("transport: frame size %d out of range", size)
 	}
-	body := make([]byte, size)
+	// The length word is unauthenticated (the session tag and signature
+	// come after it), so it buys at most frameReadAhead of memory; past
+	// that the buffer at most doubles per read, and what a peer can make
+	// this node hold stays proportional to what it actually sent.
+	body := make([]byte, min(int(size), frameReadAhead))
 	if _, err = io.ReadFull(r, body); err != nil {
 		return sid, false, nil, err
+	}
+	for len(body) < int(size) {
+		have := len(body)
+		more := min(int(size)-have, have)
+		body = slices.Grow(body, more)[:have+more]
+		if _, err = io.ReadFull(r, body[have:]); err != nil {
+			return sid, false, nil, err
+		}
 	}
 	msg, err = core.DecodeMessage(body[32:])
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"dissent/internal/core"
@@ -67,6 +68,35 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := ReadFrameSession(&buf); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestFrameBeyondReadAhead drives the reader's grow-as-bytes-arrive
+// path: a frame several times frameReadAhead round-trips intact, fed in
+// small chunks, and the same frame cut short is an error, not a message.
+func TestFrameBeyondReadAhead(t *testing.T) {
+	var from group.NodeID
+	copy(from[:], "nodeid00")
+	body := make([]byte, 3*frameReadAhead+12345)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	msg := &core.Message{From: from, Type: core.MsgShare, Round: 9, Body: body, Sig: []byte("signature")}
+	var buf bytes.Buffer
+	if err := WriteFrameSession(&buf, testSID, msg); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	sid, _, got, err := ReadFrameSession(iotest.OneByteReader(bytes.NewReader(frame[:64])))
+	if err == nil {
+		t.Fatalf("frame cut to 64 bytes read as %+v in session %x", got.Type, sid[:4])
+	}
+	sid, _, got, err = ReadFrameSession(iotest.HalfReader(bytes.NewReader(frame)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sid != testSID || got.Round != 9 || !bytes.Equal(got.Body, body) || !bytes.Equal(got.Sig, msg.Sig) {
+		t.Fatal("large frame round trip mismatch")
 	}
 }
 
@@ -191,21 +221,21 @@ func TestMeshSessionRouting(t *testing.T) {
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := b.SendSession(s1, idA, &core.Message{From: idA, Type: core.MsgCommit,
+		if err := b.Broadcast(s1, []group.NodeID{idA}, &core.Message{From: idA, Type: core.MsgCommit,
 			Round: uint64(i), Body: []byte("s1")}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SendSession(s2, idA, &core.Message{From: idA, Type: core.MsgShare,
+		if err := b.Broadcast(s2, []group.NodeID{idA}, &core.Message{From: idA, Type: core.MsgShare,
 			Round: uint64(i), Body: []byte("s2")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// s3 is bound at the sender but not the receiver: dropped there.
-	if err := b.SendSession(s3, idA, &core.Message{From: idA, Type: core.MsgOutput,
+	if err := b.Broadcast(s3, []group.NodeID{idA}, &core.Message{From: idA, Type: core.MsgOutput,
 		Body: []byte("s3")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SendSession(SessionID{0xEE}, idA, &core.Message{From: idA}); err == nil {
+	if err := b.Broadcast(SessionID{0xEE}, []group.NodeID{idA}, &core.Message{From: idA}); err == nil {
 		t.Fatal("send on an unbound session accepted")
 	}
 
@@ -313,12 +343,12 @@ func TestMeshExchange(t *testing.T) {
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := a.SendSession(testSID, idB, &core.Message{From: idA, Type: core.MsgClientSubmit,
+		if err := a.Broadcast(testSID, []group.NodeID{idB}, &core.Message{From: idA, Type: core.MsgClientSubmit,
 			Round: uint64(i), Body: []byte("a->b")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.SendSession(testSID, idA, &core.Message{From: idB, Type: core.MsgOutput, Body: []byte("b->a")}); err != nil {
+	if err := b.Broadcast(testSID, []group.NodeID{idA}, &core.Message{From: idB, Type: core.MsgOutput, Body: []byte("b->a")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -377,10 +407,10 @@ func TestMeshStats(t *testing.T) {
 	if err := a.AddPeer(testSID, idDead, deadAddr); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SendSession(testSID, idB, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("hi")}); err != nil {
+	if err := a.Broadcast(testSID, []group.NodeID{idB}, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SendSession(testSID, idDead, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("void")}); err != nil {
+	if err := a.Broadcast(testSID, []group.NodeID{idDead}, &core.Message{From: idA, Type: core.MsgOutput, Body: []byte("void")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -438,7 +468,7 @@ func TestMeshSendUnknownNode(t *testing.T) {
 	m := listenMesh(t, func(*core.Message) {}, nil)
 	var unknown group.NodeID
 	copy(unknown[:], "ghost-id")
-	if err := m.SendSession(testSID, unknown, &core.Message{From: unknown, Type: core.MsgOutput}); err == nil {
+	if err := m.Broadcast(testSID, []group.NodeID{unknown}, &core.Message{From: unknown, Type: core.MsgOutput}); err == nil {
 		t.Error("send to unknown node succeeded")
 	}
 }

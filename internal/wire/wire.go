@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrTruncated reports an input that ended before a declared field.
@@ -147,6 +148,12 @@ func (r *Reader) Done() error {
 type Writer struct {
 	B []byte
 }
+
+// Grow reserves room for n more bytes, so an encoder that knows its
+// output size allocates once, at exactly that size, instead of
+// append-and-regrow (which for a vector-sized field allocates and
+// copies the body more than once).
+func (w *Writer) Grow(n int) { w.B = slices.Grow(w.B, n) }
 
 // U8 appends one byte.
 func (w *Writer) U8(v byte) { w.B = append(w.B, v) }

@@ -471,10 +471,17 @@ func (s *Session) dispatch(out *core.Output) {
 		link, closed := s.link, s.closed
 		s.mu.Unlock()
 		if link != nil && !closed {
-			for _, env := range out.Send {
-				s.stats.msgsOut.Add(1)
-				s.stats.bytesOut.Add(uint64(env.Msg.WireSize()))
-				if err := link.Send(env.To, env.Msg); err != nil {
+			// A broadcast is a run of envelopes carrying one *Message; it
+			// goes to the link as one send so the fabric frames it once.
+			for i := 0; i < len(out.Send); {
+				m := out.Send[i].Msg
+				var to []NodeID
+				for ; i < len(out.Send) && out.Send[i].Msg == m; i++ {
+					to = append(to, out.Send[i].To)
+				}
+				s.stats.msgsOut.Add(uint64(len(to)))
+				s.stats.bytesOut.Add(uint64(len(to) * m.WireSize()))
+				if err := link.Send(to, m); err != nil {
 					s.cfg.onError(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package dissent
 
 import (
+	"errors"
 	"time"
 
 	"dissent/internal/simnet"
@@ -81,8 +82,14 @@ type simLink struct {
 	sid  SessionID
 }
 
-func (l *simLink) Send(to NodeID, m *Message) error {
-	return l.net.hub.SendSession([32]byte(l.sid), l.self, to, m)
+func (l *simLink) Send(to []NodeID, m *Message) error {
+	var errs []error
+	for _, id := range to {
+		if err := l.net.hub.SendSession([32]byte(l.sid), l.self, id, m); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func (l *simLink) Addr() string { return "sim:" + l.self.String() }

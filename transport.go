@@ -33,8 +33,12 @@ type peerAdder interface {
 
 // Link is one attached node's handle on the transport.
 type Link interface {
-	// Send transmits one protocol message to a group member.
-	Send(to NodeID, m *Message) error
+	// Send transmits one protocol message to each listed group member.
+	// A broadcast arrives as one call, so a fabric that serializes
+	// messages encodes m once for all recipients; m is shared and must
+	// not be modified. An unreachable recipient does not hold up the
+	// others.
+	Send(to []NodeID, m *Message) error
 	// Addr returns the transport-level local address ("" when the
 	// medium has none).
 	Addr() string
@@ -82,9 +86,9 @@ type tcpLink struct {
 	sid  transport.SessionID
 }
 
-func (l tcpLink) Send(to NodeID, m *Message) error { return l.mesh.SendSession(l.sid, to, m) }
-func (l tcpLink) Addr() string                     { return l.mesh.Addr() }
-func (l tcpLink) Close() error                     { return l.mesh.Close() }
+func (l tcpLink) Send(to []NodeID, m *Message) error { return l.mesh.Broadcast(l.sid, to, m) }
+func (l tcpLink) Addr() string                       { return l.mesh.Addr() }
+func (l tcpLink) Close() error                       { return l.mesh.Close() }
 func (l tcpLink) AddPeer(id NodeID, addr string) error {
 	return l.mesh.AddPeer(l.sid, id, addr)
 }
@@ -98,9 +102,11 @@ type meshSessionLink struct {
 	sid  transport.SessionID
 }
 
-func (l meshSessionLink) Send(to NodeID, m *Message) error { return l.mesh.SendSession(l.sid, to, m) }
-func (l meshSessionLink) Addr() string                     { return l.mesh.Addr() }
-func (l meshSessionLink) Close() error                     { l.mesh.Unbind(l.sid); return nil }
+func (l meshSessionLink) Send(to []NodeID, m *Message) error {
+	return l.mesh.Broadcast(l.sid, to, m)
+}
+func (l meshSessionLink) Addr() string { return l.mesh.Addr() }
+func (l meshSessionLink) Close() error { l.mesh.Unbind(l.sid); return nil }
 func (l meshSessionLink) AddPeer(id NodeID, addr string) error {
 	return l.mesh.AddPeer(l.sid, id, addr)
 }
