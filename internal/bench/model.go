@@ -161,7 +161,7 @@ type DCNetParams struct {
 
 // DCNetRoundTime prices one exchange: client pad generation and
 // upload, server pad generation (parallel across servers), the
-// inventory/commit/share/certify exchanges, and output distribution.
+// inventory+commit/share/certify exchanges, and output distribution.
 func DCNetRoundTime(m CostModel, p DCNetParams) time.Duration {
 	b := float64(p.RoundBytes)
 	client := time.Duration(float64(p.Servers) * b / m.AESBps * float64(time.Second))
@@ -176,9 +176,10 @@ func DCNetRoundTime(m CostModel, p DCNetParams) time.Duration {
 		// output distribution to its clients is a comparable volume.
 		serverTx = time.Duration(2 * b * float64(p.Servers-1) / p.ServerBandwidth * float64(time.Second))
 	}
-	// 4 server-to-server phases (inventory, commit, share, certify).
+	// 3 server-to-server phases in steady state (the commit rides the
+	// inventory; then share, certify).
 	return client + clientTx + p.ClientLatency + server + serverTx +
-		4*p.ServerLatency + p.ClientLatency
+		3*p.ServerLatency + p.ClientLatency
 }
 
 // BlameEvalTime prices accusation tracing (§3.9): every server

@@ -357,49 +357,62 @@ func testRevealSwapIsEquivocation(t *testing.T, swap func(*Share)) {
 	}
 }
 
-// TestInterdictWithholdingSuspected: a server that silently drops its
-// MsgShare broadcasts wedges the round — in an anytrust group no round
-// completes without every server's share, so a forever-silent server
-// halts the group by design. The test drops the first several share
-// transmissions of round 1: after the retransmission backoff runs out
-// of patience the waiting peers must attribute "withholding" to
-// exactly the silent server, and the round must heal once the
-// server's own backoff rebroadcast finally passes the interdict.
+// TestInterdictWithholdingSuspected: a server that silently drops one
+// of its round broadcasts wedges the round — in an anytrust group no
+// round completes without every server's contribution, so a
+// forever-silent server halts the group by design. The test drops the
+// first several transmissions of round 1's MsgShare, or of its
+// MsgInventory (which in steady state is the commit too, so the peers
+// sit in the inventory phase holding no commitment from it): after the
+// retransmission backoff runs out of patience the waiting peers must
+// attribute "withholding" to exactly the silent server, and the round
+// must heal once the server's own backoff rebroadcast — the whole cast
+// sequence, merged inventory first — finally passes the interdict.
 func TestInterdictWithholdingSuspected(t *testing.T) {
-	dropped := 0
-	withhold := &Interdict{Outbound: func(env Envelope, resign func(*Message) *Message) []Envelope {
-		if env.Msg.Type == MsgShare && env.Msg.Round == 1 && dropped < 8 {
-			dropped++
-			return nil
-		}
-		return []Envelope{env}
-	}}
-	f := newFixture(t, 3, 3, fixtureOpts{
-		serverOpts: func(idx int, o *Options) {
-			if idx == 2 {
-				o.Interdict = withhold
-			}
-		},
-	})
-	f.runUntilRound(6, 3_000_000)
+	for _, withheld := range []MsgType{MsgShare, MsgInventory} {
+		t.Run(withheld.String(), func(t *testing.T) {
+			dropped := 0
+			withhold := &Interdict{Outbound: func(env Envelope, resign func(*Message) *Message) []Envelope {
+				if env.Msg.Type == withheld && env.Msg.Round == 1 && dropped < 8 {
+					dropped++
+					return nil
+				}
+				return []Envelope{env}
+			}}
+			f := newFixture(t, 3, 3, fixtureOpts{
+				serverOpts: func(idx int, o *Options) {
+					if idx == 2 {
+						o.Interdict = withhold
+					}
+				},
+			})
+			tap := tapWire(f)
+			f.runUntilRound(6, 3_000_000)
 
-	silent := f.def.Servers[2].ID
-	if n := f.misbehaviorCount("withholding", silent); n == 0 {
-		t.Fatalf("withholding never attributed; violations: %v", f.violations())
-	}
-	// No HONEST server may accuse another honest server. (The byzantine
-	// server itself is free to emit bogus accusations — it is wedged
-	// waiting on peers its own withholding wedged — which is exactly why
-	// consumers must weigh accusations by observer.)
-	for _, ev := range f.h.EventsOf(EventMisbehavior) {
-		obs := f.def.ServerIndex(ev.Node)
-		acc := f.def.ServerIndex(ev.Culprit)
-		if obs >= 0 && obs != 2 && acc >= 0 && acc != 2 && strings.HasPrefix(ev.Detail, "withholding:") {
-			t.Errorf("honest server %d attributed withholding to honest server %d", obs, acc)
-		}
-	}
-	if got := f.servers[0].Round(); got <= 6 {
-		t.Fatalf("rounds did not heal after the withholding window: at %d", got)
+			silent := f.def.Servers[2].ID
+			if n := f.misbehaviorCount("withholding", silent); n == 0 {
+				t.Fatalf("withholding never attributed; violations: %v", f.violations())
+			}
+			// No HONEST server may accuse another honest server. (The byzantine
+			// server itself is free to emit bogus accusations — it is wedged
+			// waiting on peers its own withholding wedged — which is exactly why
+			// consumers must weigh accusations by observer.)
+			for _, ev := range f.h.EventsOf(EventMisbehavior) {
+				obs := f.def.ServerIndex(ev.Node)
+				acc := f.def.ServerIndex(ev.Culprit)
+				if obs >= 0 && obs != 2 && acc >= 0 && acc != 2 && strings.HasPrefix(ev.Detail, "withholding:") {
+					t.Errorf("honest server %d attributed withholding to honest server %d", obs, acc)
+				}
+			}
+			if got := f.servers[0].Round(); got <= 6 {
+				t.Fatalf("rounds did not heal after the withholding window: at %d", got)
+			}
+			// The resent inventory still carries the round's one commitment:
+			// the wedge heals on the speculative path, not by falling back.
+			if tap.explicit(1) {
+				t.Errorf("round 1 ran the explicit commit exchange after the resend")
+			}
+		})
 	}
 }
 

@@ -308,9 +308,43 @@ func (tr *certTranscript) attemptsRevealed() map[[2]uint64][]int32 {
 	return out
 }
 
+// nonceSpy records, after every engine call, each certificate nonce the
+// server holds for an in-flight round — including ones it later discards
+// without revealing, which the wire never shows — and the round's
+// challenge once fixed.
+type nonceSpy struct {
+	*Server
+	drawn map[certKey][][]byte
+	chals map[certKey]*big.Int
+}
+
+func (sp *nonceSpy) observe() {
+	for _, rs := range sp.rounds {
+		k := certKey{sp.idx, rs.r, rs.attempt}
+		if R, ok := rs.nonces[sp.idx]; ok {
+			sp.drawn[k] = addDistinct(sp.drawn[k], sp.keyGrp.Encode(R))
+		}
+		if rs.certChal != nil {
+			sp.chals[k] = rs.certChal
+		}
+	}
+}
+
+func (sp *nonceSpy) Handle(now time.Time, m *Message) (*Output, error) {
+	out, err := sp.Server.Handle(now, m)
+	sp.observe()
+	return out, err
+}
+
+func (sp *nonceSpy) Tick(now time.Time) (*Output, error) {
+	out, err := sp.Server.Tick(now)
+	sp.observe()
+	return out, err
+}
+
 // TestCertNonceHygiene drives every path that re-runs a round attempt
-// — the α-policy reopen, a peer's recovery escalation, and a restart
-// from the durable store — and checks from the wire transcript that no
+// — the α-policy reopen, a speculative commitment that missed, a peer's
+// recovery escalation, and a restart from the durable store — and checks from the wire transcript that no
 // nonce is revealed twice or answered twice, and from the stores that
 // none reaches a snapshot.
 func TestCertNonceHygiene(t *testing.T) {
@@ -342,6 +376,84 @@ func TestCertNonceHygiene(t *testing.T) {
 			if len(got) != 1 || got[0] < 1 || got[0] > maxAttempts {
 				t.Errorf("server %d revealed nonces in attempts %v of the reopened round, want one reopen attempt", si, got)
 			}
+		}
+	})
+
+	t.Run("speculation-miss", func(t *testing.T) {
+		// A straggler makes the servers that speculated at window close
+		// discard that commitment and run the explicit exchange: two nonces
+		// drawn in one attempt. Only the second may ever be revealed, and
+		// the response on the wire must not answer the first.
+		const straggleRound = 3
+		spies := make(map[int]*nonceSpy)
+		f := newFixture(t, 3, 4, fixtureOpts{
+			mutatePolicy: func(p *group.Policy) {
+				p.Alpha = 0.5
+				p.WindowThreshold = 0.5
+			},
+			wrapServer: func(idx int, s *Server) Engine {
+				spies[idx] = &nonceSpy{Server: s, drawn: make(map[certKey][][]byte), chals: make(map[certKey]*big.Int)}
+				return spies[idx]
+			},
+		})
+		late := f.clients[f.clientOfBusiestServer()].ID()
+		f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+			if from == late && m.Type == MsgClientSubmit && m.Round == straggleRound {
+				return 15 * time.Millisecond, false
+			}
+			return 0, false
+		}
+		tr := recordCerts(f)
+		f.runUntilRound(straggleRound+3, 2_000_000)
+		tr.check(t)
+		if v := f.violations(); len(v) > 0 {
+			t.Fatalf("violations: %v", v)
+		}
+		revealed := make(map[string]bool)
+		for _, ns := range tr.nonces {
+			for _, n := range ns {
+				revealed[string(n)] = true
+			}
+		}
+		discards := 0
+		for si, spy := range spies {
+			for k, drawn := range spy.drawn {
+				last := drawn[len(drawn)-1]
+				if got := tr.nonces[k]; len(got) != 1 || !bytes.Equal(got[0], last) {
+					t.Errorf("server %d round %d: revealed %x, want the last nonce drawn %x", si, k.round, got, last)
+				}
+				chal := spies[0].chals[certKey{0, k.round, k.attempt}]
+				z, err := crypto.DecodeScalar(f.servers[si].keyGrp, tr.responses[k][0])
+				if chal == nil || err != nil {
+					t.Fatalf("server %d round %d: no challenge or response recorded (err %v)", si, k.round, err)
+				}
+				answers := func(enc []byte) bool {
+					R, err := f.servers[si].keyGrp.Decode(enc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return f.servers[si].cert.VerifyPartial(si, R, chal, z) == nil
+				}
+				if !answers(last) {
+					t.Errorf("server %d round %d: the response does not answer the revealed nonce", si, k.round)
+				}
+				for _, dead := range drawn[:len(drawn)-1] {
+					discards++
+					// The round the client leaves and the round it returns both miss.
+					if k.round != straggleRound && k.round != straggleRound+1 {
+						t.Errorf("server %d discarded a nonce in round %d, where the prediction held", si, k.round)
+					}
+					if revealed[string(dead)] {
+						t.Errorf("server %d round %d: a discarded speculative nonce was revealed", si, k.round)
+					}
+					if answers(dead) {
+						t.Errorf("server %d round %d: the response answers a discarded speculative nonce", si, k.round)
+					}
+				}
+			}
+		}
+		if discards == 0 {
+			t.Fatal("no server discarded a speculative commitment; the scenario exercised nothing")
 		}
 	})
 

@@ -88,11 +88,14 @@ func (d *dispatchFuzzer) Handle(now time.Time, m *Message) (*Output, error) {
 	return out, nil
 }
 
-// fuzzFixture builds the 2-server, 2-client pipelined group every
-// dispatch-fuzz run (and the trace seed) uses: depth 2 so injected
-// cross-round traffic lands while two rounds are genuinely in flight,
-// and an epoch boundary mid-run so the drain path is exercised too.
-func fuzzFixture(tb testing.TB, wrap func(Engine) Engine) *fixture {
+// fuzzFixture builds the 2-server, 2-client group every dispatch-fuzz
+// run (and the trace seeds) uses: at depth 2 injected cross-round
+// traffic lands while two rounds are genuinely in flight and most rounds
+// reach window close behind the head, so they run the explicit commit
+// exchange; at depth 1 every round is the head and its commit rides the
+// inventory. Either way an epoch boundary mid-run exercises the drain
+// path too.
+func fuzzFixture(tb testing.TB, depth int, wrap func(Engine) Engine) *fixture {
 	return newFixture(tb, 2, 2, fixtureOpts{
 		mutatePolicy: func(p *group.Policy) {
 			p.Alpha = 1.0
@@ -100,7 +103,7 @@ func fuzzFixture(tb testing.TB, wrap func(Engine) Engine) *fixture {
 			p.DefaultOpenLen = 32
 			p.MaxSlotLen = 256
 		},
-		mutateOpts: func(o *Options) { o.PipelineDepth = 2 },
+		mutateOpts: func(o *Options) { o.PipelineDepth = depth },
 		wrapServer: func(_ int, s *Server) Engine { return wrap(s) },
 		wrapClient: func(_ int, c *Client) Engine { return wrap(c) },
 	})
@@ -117,6 +120,14 @@ func driveFuzzWorkload(f *fixture) {
 		f.stepUntilRound(r, 400_000)
 	}
 	f.stepUntilRound(7, 600_000)
+}
+
+// fuzzDepth maps the fuzz input's depth flag to a pipeline depth.
+func fuzzDepth(deep bool) int {
+	if deep {
+		return 2
+	}
+	return 1
 }
 
 // traceRecorder taps each node's inbound dispatch to record one byte
@@ -142,23 +153,26 @@ func (r *traceRecorder) Handle(now time.Time, m *Message) (*Output, error) {
 // keep all servers' delivered cleartext byte-identical per (round,
 // slot) — the observable form of cross-round state bleed.
 func FuzzRoundDispatch(f *testing.F) {
-	f.Add([]byte{})                                        // clean run
-	f.Add(bytes.Repeat([]byte{3}, 48))                     // duplicate storms
-	f.Add(bytes.Repeat([]byte{4, 9}, 24))                  // stale replays
-	f.Add(bytes.Repeat([]byte{5, 6}, 24))                  // round-shifted forgeries
-	f.Add(bytes.Repeat([]byte{3, 4, 1, 5, 0, 6, 7, 2}, 8)) // mixed
+	for _, deep := range []bool{false, true} {
+		f.Add([]byte{}, deep)                                        // clean run
+		f.Add(bytes.Repeat([]byte{3}, 48), deep)                     // duplicate storms
+		f.Add(bytes.Repeat([]byte{4, 9}, 24), deep)                  // stale replays
+		f.Add(bytes.Repeat([]byte{5, 6}, 24), deep)                  // round-shifted forgeries
+		f.Add(bytes.Repeat([]byte{3, 4, 1, 5, 0, 6, 7, 2}, 8), deep) // mixed
 
-	// Seed drawn from an actual SimNet trace: the message-type sequence
-	// of a clean run, so the fuzzer starts from op streams whose length
-	// and rhythm match real protocol traffic.
-	var trace []byte
-	tf := fuzzFixture(f, func(e Engine) Engine { return &traceRecorder{inner: e, trace: &trace} })
-	driveFuzzWorkload(tf)
-	f.Add(trace)
+		// Seed drawn from an actual SimNet trace: the message-type sequence
+		// of a clean run, so the fuzzer starts from op streams whose length
+		// and rhythm match real protocol traffic — with the commit merged
+		// into the inventory wherever the run speculated.
+		var trace []byte
+		tf := fuzzFixture(f, fuzzDepth(deep), func(e Engine) Engine { return &traceRecorder{inner: e, trace: &trace} })
+		driveFuzzWorkload(tf)
+		f.Add(trace, deep)
+	}
 
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	f.Fuzz(func(t *testing.T, ops []byte, deep bool) {
 		st := &fuzzState{ops: ops}
-		fx := fuzzFixture(t, func(e Engine) Engine { return &dispatchFuzzer{inner: e, st: st} })
+		fx := fuzzFixture(t, fuzzDepth(deep), func(e Engine) Engine { return &dispatchFuzzer{inner: e, st: st} })
 		driveFuzzWorkload(fx)
 
 		// Liveness floor: adversarial redelivery must not wedge the

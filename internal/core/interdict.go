@@ -24,7 +24,9 @@ type Interdict struct {
 	// before it is committed, so commit and share stay mutually
 	// consistent and the corruption surfaces downstream as a garbled
 	// cleartext — the byzantine-server disruption the accusation
-	// trace (§3.9 check (b)) pins on the corrupting server.
+	// trace (§3.9 check (b)) pins on the corrupting server. It runs
+	// once per commitment: twice in a round whose speculative
+	// commitment missed and was replaced by an explicit one.
 	Share func(round uint64, share []byte)
 	// Outbound intercepts every outgoing envelope after the engine
 	// signed it and returns the envelopes to transmit instead:

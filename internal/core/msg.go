@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
@@ -27,7 +28,8 @@ const (
 	MsgSchedule
 	// MsgClientSubmit: client → upstream server; round ciphertext.
 	MsgClientSubmit
-	// MsgInventory: server → all servers; clients heard this round.
+	// MsgInventory: server → all servers; clients heard this round and,
+	// in steady state, the server's commitment riding along.
 	MsgInventory
 	// MsgCommit: server → all servers; hash commit of its ciphertext
 	// and its round-certificate nonce.
@@ -436,20 +438,36 @@ func DecodeClientSubmit(b []byte) (*ClientSubmit, error) {
 
 // Inventory is a server's list of client indices heard this round, per
 // α-threshold attempt (§3.7: servers may re-open the window and retry).
+// Hash and BeaconCommit, when present, are the fields of the Commit the
+// server would send one hop later, computed at window close on the
+// prediction that the round's included set repeats the previous
+// certified round's (server.go: closeWindow, speculationHolds); an
+// inventory without them simply announces the explicit commit exchange.
 type Inventory struct {
-	Attempt int32
-	Clients []int32
+	Attempt      int32
+	Clients      []int32
+	Hash         []byte // speculative commitment; empty when not speculating
+	BeaconCommit []byte // H(beacon share); only beside Hash, and only with the beacon on
 }
+
+// commitmentLen is the length of both commitments an Inventory may
+// carry: each is a crypto.Hash output.
+const commitmentLen = sha256.Size
 
 // Encode serializes the payload.
 func (p *Inventory) Encode() []byte {
 	var e encBuf
 	e.U32(uint32(p.Attempt))
 	e.Int32s(p.Clients)
+	e.Bytes(p.Hash)
+	e.Bytes(p.BeaconCommit)
 	return e.B
 }
 
-// DecodeInventory parses an Inventory payload.
+// DecodeInventory parses an Inventory payload. Each commitment field is
+// either absent (zero length) or exactly one digest, and a beacon
+// commitment never stands alone; the fields alias the input, so a
+// hostile length word cannot drive an allocation.
 func DecodeInventory(b []byte) (*Inventory, error) {
 	d := decBuf{B: b}
 	at, err := d.U32()
@@ -460,10 +478,22 @@ func DecodeInventory(b []byte) (*Inventory, error) {
 	if err != nil {
 		return nil, err
 	}
+	h, err := d.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	bc, err := d.Bytes()
+	if err != nil {
+		return nil, err
+	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return &Inventory{Attempt: int32(at), Clients: cs}, nil
+	if (len(h) != 0 && len(h) != commitmentLen) || (len(bc) != 0 && (len(bc) != commitmentLen || len(h) == 0)) {
+		return nil, fmt.Errorf("core: inventory commitment lengths %d/%d, want 0 or %d each and no beacon commitment alone",
+			len(h), len(bc), commitmentLen)
+	}
+	return &Inventory{Attempt: int32(at), Clients: cs, Hash: h, BeaconCommit: bc}, nil
 }
 
 // Commit is a server's hash commitment to its ciphertext (Algorithm 2

@@ -150,11 +150,21 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		{"Inventory", func() []byte { return (&Inventory{Attempt: 3, Clients: []int32{0, 2}}).Encode() },
 			func(b []byte) error {
 				p, err := DecodeInventory(b)
-				if err == nil && p.Attempt != 3 {
-					t.Error("attempt mismatch")
+				if err == nil && (p.Attempt != 3 || len(p.Hash) != 0 || len(p.BeaconCommit) != 0) {
+					t.Error("fields mismatch")
 				}
 				return err
 			}},
+		{"Inventory+commitment", func() []byte {
+			return (&Inventory{Clients: []int32{1}, Hash: bytes.Repeat([]byte{7}, commitmentLen),
+				BeaconCommit: bytes.Repeat([]byte{8}, commitmentLen)}).Encode()
+		}, func(b []byte) error {
+			p, err := DecodeInventory(b)
+			if err == nil && (len(p.Hash) != commitmentLen || p.Hash[0] != 7 || len(p.BeaconCommit) != commitmentLen || p.BeaconCommit[0] != 8) {
+				t.Error("commitment mismatch")
+			}
+			return err
+		}},
 		{"Commit", func() []byte {
 			return (&Commit{Attempt: 1, Hash: []byte("h"), BeaconCommit: []byte("bc")}).Encode()
 		}, func(b []byte) error {
@@ -266,14 +276,54 @@ func FuzzDecodeShare(f *testing.F) {
 	})
 }
 
+// FuzzDecodeInventory exercises the Inventory codec and its commitment
+// bound: it must never panic, whatever it accepts must re-encode to the
+// same bytes, and it accepts a commitment only at exactly digest length
+// and a beacon commitment only beside one.
+func FuzzDecodeInventory(f *testing.F) {
+	h, bc := bytes.Repeat([]byte{0xA1}, commitmentLen), bytes.Repeat([]byte{0xB2}, commitmentLen)
+	full := (&Inventory{Attempt: 0, Clients: []int32{0, 2, 5}, Hash: h, BeaconCommit: bc}).Encode()
+	f.Add(full)
+	f.Add((&Inventory{Attempt: 1, Clients: []int32{4}}).Encode())                // explicit path: no commitment
+	f.Add((&Inventory{Clients: []int32{4}, Hash: h}).Encode())                   // beacon off
+	f.Add((&Inventory{Hash: h[:commitmentLen-1]}).Encode())                      // short commitment
+	f.Add((&Inventory{Hash: append(h, 0)}).Encode())                             // long commitment
+	f.Add((&Inventory{BeaconCommit: bc}).Encode())                               // beacon commitment alone
+	f.Add((&Inventory{Hash: h, BeaconCommit: bc[:1]}).Encode())                  // short beacon commitment
+	f.Add(full[:len(full)-commitmentLen-4])                                      // pre-merge body: fields missing
+	f.Add(append(append([]byte(nil), full...), 0))                               // trailing byte
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})                // absurd commitment length
+	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // absurd client count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeInventory(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(p.Encode(), data) {
+			t.Fatalf("accepted inventory re-encodes differently: %x vs %x", p.Encode(), data)
+		}
+		if (len(p.Hash) != 0 && len(p.Hash) != commitmentLen) ||
+			(len(p.BeaconCommit) != 0 && (len(p.BeaconCommit) != commitmentLen || len(p.Hash) == 0)) {
+			t.Fatalf("accepted commitment lengths %d/%d", len(p.Hash), len(p.BeaconCommit))
+		}
+	})
+}
+
 func TestInventoryCodecProperty(t *testing.T) {
-	f := func(attempt int32, clients []int32) bool {
+	f := func(attempt int32, clients []int32, commit, beacon bool, fill byte) bool {
 		p := &Inventory{Attempt: attempt, Clients: clients}
+		if commit {
+			p.Hash = bytes.Repeat([]byte{fill}, commitmentLen)
+			if beacon {
+				p.BeaconCommit = bytes.Repeat([]byte{^fill}, commitmentLen)
+			}
+		}
 		got, err := DecodeInventory(p.Encode())
 		if err != nil {
 			return false
 		}
-		if got.Attempt != attempt || len(got.Clients) != len(clients) {
+		if got.Attempt != attempt || len(got.Clients) != len(clients) ||
+			!bytes.Equal(got.Hash, p.Hash) || !bytes.Equal(got.BeaconCommit, p.BeaconCommit) {
 			return false
 		}
 		for i := range clients {

@@ -59,8 +59,9 @@ func genPipelineScript(seed int64, clients int) *pipelineScript {
 
 // runPipelineScript replays the script over a fresh group at the given
 // pipeline depth and returns each client's concatenated delivered byte
-// stream as observed by server 0.
-func runPipelineScript(t *testing.T, script *pipelineScript, depth int) map[int][]byte {
+// stream as observed by server 0, and how many certified rounds took the
+// speculative (commit rides the inventory) and the explicit commit path.
+func runPipelineScript(t *testing.T, script *pipelineScript, depth int) (streams map[int]string, speculated, explicit int) {
 	t.Helper()
 	const clients = 4
 	f := newFixture(t, 2, clients, fixtureOpts{
@@ -92,6 +93,8 @@ func runPipelineScript(t *testing.T, script *pipelineScript, depth int) map[int]
 		return 0, false
 	}
 
+	tap := tapWire(f)
+
 	f.h.StartAll()
 	for r := uint64(0); r <= script.lastRound; r++ {
 		f.stepUntilRound(r, 400_000)
@@ -106,36 +109,39 @@ func runPipelineScript(t *testing.T, script *pipelineScript, depth int) map[int]
 	if v := f.violations(); len(v) > 0 {
 		t.Fatalf("depth %d: protocol violations: %v", depth, v)
 	}
-	streams := make(map[int][]byte, clients)
-	bySlot := make(map[int]int, clients)
-	for i, c := range f.clients {
-		bySlot[c.Slot()] = i
-	}
-	srv0 := f.servers[0].ID()
-	for _, d := range f.h.Deliveries {
-		if d.Node != srv0 {
-			continue
-		}
-		if ci, ok := bySlot[d.Slot]; ok {
-			streams[ci] = append(streams[ci], d.Data...)
+	for r := uint64(0); r < f.servers[0].Round(); r++ {
+		if tap.explicit(r) {
+			explicit++
+		} else {
+			speculated++
 		}
 	}
-	return streams
+	return f.senderStreams(), speculated, explicit
 }
 
 // TestPipelineParityDifferential is the correctness proof for the
 // two-deep round pipeline: for randomized workloads — bursty variable
 // size submissions, idle slot closures and request-bit reopenings,
-// straggler-induced α-reopens, epoch rotations — the depth-2 engine
-// must deliver byte-identical per-sender streams to the serial engine.
+// straggler-induced α-reopens, epoch rotations, rounds whose commit
+// rode the inventory next to rounds that ran the explicit exchange — the
+// depth-2 engine must deliver byte-identical per-sender streams to the
+// serial engine.
 func TestPipelineParityDifferential(t *testing.T) {
 	prop := func(seed int64) bool {
 		script := genPipelineScript(seed, 4)
-		serial := runPipelineScript(t, script, 1)
-		pipelined := runPipelineScript(t, script, 2)
+		serial, _, _ := runPipelineScript(t, script, 1)
+		pipelined, speculated, explicit := runPipelineScript(t, script, 2)
 		ok := true
+		// Both commit paths must run inside the one pipelined script: the
+		// steady rounds speculate, the straggler reopens and epoch drains
+		// do not.
+		if speculated == 0 || explicit == 0 {
+			t.Errorf("seed %d: depth 2 took the speculative path in %d rounds and the explicit one in %d; want both exercised",
+				seed, speculated, explicit)
+			ok = false
+		}
 		for ci, want := range serial {
-			if got := string(pipelined[ci]); got != string(want) {
+			if got := pipelined[ci]; got != want {
 				t.Errorf("seed %d client %d: depth-2 stream diverged\n serial:    %q\n pipelined: %q",
 					seed, ci, want, got)
 				ok = false

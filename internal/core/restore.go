@@ -350,8 +350,8 @@ func (s *Server) replayRosterUpdate(u *group.RosterUpdate) error {
 // client submissions (subs/cts and the streaming accumulator) are kept:
 // they re-enter through our new inventory, so surviving clients' data
 // rides the recovery attempt instead of being dropped. The pooled
-// share/cleartext buffers are deliberately released to GC rather than
-// the pool — the shares map may alias them and recovery is rare.
+// cleartext buffer is deliberately released to GC rather than the pool —
+// recovery is rare.
 func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.attempt = attempt
 	rs.phase = rpCollect
@@ -364,7 +364,8 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.beaconShares = make(map[int][]byte)
 	rs.myBeaconShare = nil
 	rs.beaconEntry = nil
-	rs.myShare = nil
+	s.bufs.put(rs.myShare)
+	rs.myShare, rs.shareIncluded, rs.shareDirect = nil, nil, nil
 	rs.shareMsg = nil
 	rs.cleartext = nil
 	rs.included = nil
@@ -438,6 +439,8 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	if rs := s.rounds[m.Round]; rs != nil {
 		s.bufs.put(rs.ctAcc)
 		rs.ctAcc = nil
+		s.bufs.put(rs.myShare)
+		rs.myShare = nil
 		s.reapPrefetch(rs)
 		delete(s.rounds, m.Round)
 		s.perf.setRoundsInFlight(len(s.rounds))

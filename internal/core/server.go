@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"time"
 
@@ -178,7 +179,15 @@ type roundState struct {
 
 	included   []int   // union l, sorted
 	directSets [][]int // l'_j per server after dedup
-	myShare    []byte
+	// myShare is this server's honest share s_j (pooled), computed over
+	// shareIncluded's pads and shareDirect's ciphertexts. Those are
+	// included and directSets[idx] as they stood at the computation: a
+	// speculation that missed leaves a share over the predicted sets,
+	// which computeShare then adjusts by the difference instead of
+	// starting over.
+	myShare       []byte
+	shareIncluded []int
+	shareDirect   []int
 	// shareMsg is this server's MsgShare for the attempt, built (unsigned)
 	// at commit time because its digest is the commitment; maybeShare
 	// signs that same digest and reveals it.
@@ -188,8 +197,9 @@ type roundState struct {
 
 	// Round-certificate signing session (ARCHITECTURE.md "Round
 	// certificate"). nonce is this server's secret kᵢ for the current
-	// attempt: drawn by sendCommit, destroyed by the one partial response
-	// it answers (sendCertify) or by an attempt reset, never persisted.
+	// commitment: drawn by commitShare, destroyed by the one partial
+	// response it answers (sendCertify), by a speculation that missed or
+	// by an attempt reset, never persisted.
 	// nonces holds the public Rᵢ = kᵢ·G by server index: our own from
 	// commit time, each peer's once revealed. certDigest is what the
 	// certificate signs, hashed once per attempt; certChal is the
@@ -225,11 +235,11 @@ type roundHistory struct {
 	subs       map[int]*Message
 	slotOff    []int // slot byte offsets in the round's layout
 	slotLen    []int
-	// ownShare/ownCleartext mark pooled buffers this server created
-	// (its share and the assembled cleartext); they return to the pool
-	// when the history entry is evicted. Peer shares alias received
-	// message bodies and are left to the GC.
-	ownShare, ownCleartext []byte
+	// ownCleartext marks the pooled buffer this server assembled the
+	// cleartext in; it returns to the pool when the history entry is
+	// evicted. Shares — ours included — alias message bodies and are left
+	// to the GC.
+	ownCleartext []byte
 }
 
 // blamePhase tracks the accusation sub-protocol (§3.9).
@@ -1152,22 +1162,8 @@ func (s *Server) reapPrefetch(rs *roundState) {
 // multicore expansion over exactly the included seeds.
 func (s *Server) takeServerPad(rs *roundState, length int) []byte {
 	if pf := rs.prefetch; pf != nil && pf.round == rs.r && pf.version == s.def.Version && len(pf.buf) == length {
-		// Both pf.clients and rs.included are ascending: merge-diff.
-		var missing, extra []int
-		i, j := 0, 0
-		for i < len(pf.clients) || j < len(rs.included) {
-			switch {
-			case j == len(rs.included) || (i < len(pf.clients) && pf.clients[i] < rs.included[j]):
-				missing = append(missing, pf.clients[i])
-				i++
-			case i == len(pf.clients) || rs.included[j] < pf.clients[i]:
-				extra = append(extra, rs.included[j])
-				j++
-			default:
-				i, j = i+1, j+1
-			}
-		}
-		if len(missing)+len(extra) < len(rs.included) {
+		diff := symmetricDiff(pf.clients, rs.included)
+		if len(diff) < len(rs.included) {
 			rs.prefetch = nil
 			<-pf.done
 			s.perf.prefetchHits.Add(1)
@@ -1176,11 +1172,8 @@ func (s *Server) takeServerPad(rs *roundState, length int) []byte {
 			// absentees out and latecomers in alike); run it through the
 			// worker pool so a large absentee set costs no more per core
 			// than the recompute path it displaced.
-			adjSeeds := make([][]byte, 0, len(missing)+len(extra))
-			for _, ci := range missing {
-				adjSeeds = append(adjSeeds, s.clientSeeds[ci])
-			}
-			for _, ci := range extra {
+			adjSeeds := make([][]byte, 0, len(diff))
+			for _, ci := range diff {
 				adjSeeds = append(adjSeeds, s.clientSeeds[ci])
 			}
 			s.ppad.ServerPadInto(pf.buf, adjSeeds, rs.r)
@@ -1382,6 +1375,19 @@ func sortedRounds(m map[uint64]*roundState) []uint64 {
 // closeWindow ends the collection phase and broadcasts the inventory.
 // This is also the pipeline trigger: the moment one round stops
 // collecting, the next round's window may open.
+//
+// In steady state the inventory tells nobody anything new — every
+// server heard from exactly its direct share of the previous certified
+// round's included set — so the commitment rides along and the round
+// costs three server hops instead of four. The server speculates when
+// this is the round's first attempt, the round is the pipeline head (so
+// the previous round has certified here and the beacon share signs a
+// settled chain head) and its own submissions match that prediction;
+// maybeCommit decides, from all M inventories, whether the speculation
+// holds. α-reopens, recovery attempts, rounds that were not yet the
+// head at window close and rounds whose predecessor left no history
+// here (round 0; after a failed or adopted round, or a restore) run the
+// explicit MsgCommit exchange.
 func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	if rs.phase != rpCollect {
 		return &Output{}, nil
@@ -1389,11 +1395,22 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	rs.phase = rpInventory
 	rs.windowClosed = now
 	inv := &Inventory{Attempt: rs.attempt}
-	for _, ci := range sortedKeys(rs.subs) {
+	own := sortedKeys(rs.subs)
+	for _, ci := range own {
 		inv.Clients = append(inv.Clients, int32(ci))
 	}
+	if prev := s.history[rs.r-1]; rs.attempt == 0 && rs.r == s.roundNum &&
+		prev != nil && slices.Equal(own, prev.directSets[s.idx]) {
+		rs.included, rs.directSets = prev.included, prev.directSets
+		s.computeShare(rs)
+		commit, err := s.commitShare(rs)
+		if err != nil {
+			return nil, err
+		}
+		inv.Hash, inv.BeaconCommit = commit.Hash, commit.BeaconCommit
+	}
 	s.log.Debug("window closed", "round", rs.r, "submissions", len(rs.subs),
-		"attempt", rs.attempt, "window", now.Sub(rs.start))
+		"attempt", rs.attempt, "window", now.Sub(rs.start), "speculating", inv.Hash != nil)
 	out := &Output{Events: []Event{{Kind: EventWindowClosed, Round: rs.r,
 		Detail: fmt.Sprintf("%d submissions", len(rs.subs))}}}
 	if err := s.castServers(now, rs, MsgInventory, inv.Encode(), out); err != nil {
@@ -1457,8 +1474,9 @@ func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
 	return s.maybeCommit(now, rs)
 }
 
-// maybeCommit runs once all inventories for the attempt are in: apply
-// the α-policy, then compute and commit this server's ciphertext.
+// maybeCommit runs once all inventories for the attempt are in: adopt
+// the speculative commitments they carry if the speculation holds, else
+// apply the α-policy, then compute and commit this server's ciphertext.
 // Gate B: only the head round (the oldest in flight) proceeds — its
 // commit/share/certify sequence consumes the schedule and the beacon
 // chain head, so those must run in round order. A younger round that
@@ -1483,12 +1501,34 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 			}
 		}
 	}
-	rs.included = sortedKeys(claimed)
-	rs.directSets = make([][]int, len(s.def.Servers))
-	for _, ci := range rs.included {
+	included := sortedKeys(claimed)
+	directSets := make([][]int, len(s.def.Servers))
+	for _, ci := range included {
 		si := claimed[ci]
-		rs.directSets[si] = append(rs.directSets[si], ci)
+		directSets[si] = append(directSets[si], ci)
 	}
+
+	if speculated := len(rs.invs[s.idx].Hash) > 0; speculated {
+		if s.speculationHolds(rs, included, directSets) {
+			// Every server committed, at window close, to the share over
+			// exactly these sets: the M inventories are the commit phase.
+			for si, inv := range rs.invs {
+				rs.commits[si] = inv.Hash
+				if len(inv.BeaconCommit) > 0 {
+					rs.beaconCommits[si] = inv.BeaconCommit
+				}
+			}
+			rs.phase = rpCommit
+			return s.maybeShare(now, rs)
+		}
+		// Miss: the speculative commitment is void at every server (they
+		// apply the same rule to the same M inventories). Its nonce dies
+		// unanswered and unrevealed; the share is kept for computeShare to
+		// adjust to the sets the inventories actually produced.
+		rs.dropNonce()
+		rs.shareMsg = nil
+	}
+	rs.included, rs.directSets = included, directSets
 
 	// α-policy (§3.7): too few participants → reopen the window, a
 	// bounded number of times.
@@ -1513,65 +1553,112 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 		rs.cleartext = nil
 		return s.sendCertify(now, rs)
 	}
+	s.computeShare(rs)
+	return s.sendCommit(now, rs)
+}
 
-	// Compute s_j = (⊕_{i∈l} PRNG(K_ij)) ⊕ (⊕_{i∈l'_j} c_i). The pad
-	// comes from the window-long background prefetch (or multicore
-	// expansion over the included seeds); the ciphertext term is the
-	// streaming accumulator, corrected by the — normally empty — diff
-	// between what we accumulated and the deduped direct set.
-	length := rs.vecLen
+// speculationHolds is the rule that turns M inventories into a commit
+// phase. It is a deterministic function of those M signed messages, the
+// exclusion set and the previous certified round — state every honest
+// server holds identically — so all of them adopt or all fall back:
+// every inventory carries a commitment, the deduplicated union is the
+// set this server predicted (hence the set every server's pads cover —
+// a server whose prediction differed sees the same union fail its own
+// test), and dedup took nothing from anyone, so each committed share
+// covers exactly the ciphertexts its sender listed.
+func (s *Server) speculationHolds(rs *roundState, included []int, directSets [][]int) bool {
+	if !slices.Equal(included, rs.shareIncluded) {
+		return false
+	}
+	for si, inv := range rs.invs {
+		if len(inv.Hash) == 0 || !slices.EqualFunc(inv.Clients, directSets[si],
+			func(listed int32, kept int) bool { return int(listed) == kept }) {
+			return false
+		}
+	}
+	return true
+}
+
+// computeShare brings rs.myShare to s_j = (⊕_{i∈l} PRNG(K_ij)) ⊕
+// (⊕_{i∈l'_j} c_i) over rs.included and rs.directSets. Starting fresh,
+// the pad comes from the window-long background prefetch (or multicore
+// expansion over the included seeds) and the ciphertext term is the
+// streaming accumulator, corrected by the — normally empty — diff
+// between what we accumulated and the deduped direct set. Starting from
+// the share of a speculation that missed, both terms are corrected by
+// the symmetric difference between the sets it covers and the target:
+// a straggler costs two streams' work, not a second full expansion.
+func (s *Server) computeShare(rs *roundState) {
+	direct := rs.directSets[s.idx]
+	fresh := rs.myShare == nil
 	t0 := time.Now()
-	share := s.takeServerPad(rs, length)
+	if fresh {
+		rs.myShare = s.takeServerPad(rs, rs.vecLen)
+	} else {
+		diff := symmetricDiff(rs.shareIncluded, rs.included)
+		seeds := make([][]byte, 0, len(diff))
+		for _, ci := range diff {
+			seeds = append(seeds, s.clientSeeds[ci])
+		}
+		s.ppad.ServerPadInto(rs.myShare, seeds, rs.r)
+	}
 	d := time.Since(t0)
 	s.perf.addPad(d)
 	rs.padDur += d
 
 	t0 = time.Now()
-	inDirect := make(map[int]bool, len(rs.directSets[s.idx]))
-	for _, ci := range rs.directSets[s.idx] {
-		inDirect[ci] = true
-	}
-	if rs.ctAcc != nil {
-		crypto.XORBytes(share, rs.ctAcc)
-	}
-	for ci := range rs.accSet {
-		if !inDirect[ci] {
-			// Accumulated but not ours after dedup (late submission past
-			// our inventory, a duplicate claimed by a lower-index server,
-			// or a mid-round exclusion): XOR it back out.
-			crypto.XORBytes(share, rs.cts[ci])
-			s.perf.accAdjusts.Add(1)
+	have := rs.shareDirect
+	if fresh {
+		if rs.ctAcc != nil {
+			crypto.XORBytes(rs.myShare, rs.ctAcc)
 		}
+		have = sortedKeys(rs.accSet)
 	}
-	for _, ci := range rs.directSets[s.idx] {
-		if !rs.accSet[ci] {
-			crypto.XORBytes(share, rs.cts[ci])
-			s.perf.accAdjusts.Add(1)
-		}
+	// Fresh, the difference is what was accumulated but is not ours after
+	// dedup (a late submission past our inventory, a duplicate claimed by
+	// a lower-index server, a mid-round exclusion) or ours but not
+	// accumulated.
+	for _, ci := range symmetricDiff(have, direct) {
+		crypto.XORBytes(rs.myShare, rs.cts[ci])
+		s.perf.accAdjusts.Add(1)
 	}
 	d = time.Since(t0)
 	s.perf.addCombine(d)
 	rs.combineDur += d
-	if s.testCorruptShare != nil {
-		s.testCorruptShare(rs.r, share)
-	}
-	if s.interdict != nil && s.interdict.Share != nil {
-		s.interdict.Share(rs.r, share)
-	}
-	rs.myShare = share
-	return s.sendCommit(now, rs)
+	rs.shareIncluded, rs.shareDirect = rs.included, direct
 }
 
-// sendCommit opens the round's commit phase: it commits this server to
-// the exact MsgShare it will reveal — attempt, share, beacon share and a
-// fresh certificate nonce, all fixed here — by broadcasting that
-// message's digest. The share is pseudorandom (it carries this server's
-// pads), so the digest hides it; and it is the value the share's
-// envelope signature covers, so sender and receivers each hash the
-// share once for both purposes. Every attempt of a round re-enters here
-// (α-policy reopen, peer-recovery escalation, restart), so no nonce
-// outlives the attempt it was drawn for.
-func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
+// symmetricDiff returns the elements in exactly one of two ascending
+// int slices, ascending.
+func symmetricDiff(a, b []int) []int {
+	var out []int
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return append(append(out, a[i:]...), b[j:]...)
+}
+
+// commitShare commits this server to the exact MsgShare it will reveal —
+// attempt, share, beacon share and a fresh certificate nonce, all fixed
+// here — and returns the commitment: that message's digest. The share is
+// pseudorandom (it carries this server's pads), so the digest hides it;
+// and it is the value the share's envelope signature covers, so sender
+// and receivers each hash the share once for both purposes. Every
+// attempt of a round re-enters here (speculation at window close, the
+// explicit commit after a miss, α-policy reopen, peer-recovery
+// escalation, restart), each time replacing the nonce, so none outlives
+// the commitment it was drawn for.
+func (s *Server) commitShare(rs *roundState) (*Commit, error) {
 	k, err := s.keyGrp.RandomScalar(s.rand)
 	if err != nil {
 		return nil, err
@@ -1579,28 +1666,53 @@ func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
 	rs.dropNonce()
 	rs.nonce = k
 	rs.nonces[s.idx] = s.keyGrp.BaseMult(k)
-	rs.phase = rpCommit
 
-	out := &Output{}
 	if s.beaconChain != nil && rs.myBeaconShare == nil {
-		// Beacon commit phase rides the round's commit broadcast: the
-		// share signs the chain head, and its hash commits us before we
-		// see any peer's reveal (unbiasable with one honest server).
+		// Beacon commit phase rides the round's commit: the share signs
+		// the chain head, and its hash commits us before we see any
+		// peer's reveal (unbiasable with one honest server).
 		bshare, err := beacon.MakeShare(s.kp, rs.r, s.beaconChain.Head(), s.rand)
 		if err != nil {
 			return nil, err
 		}
 		rs.myBeaconShare = bshare
 	}
-	rs.shareMsg = &Message{From: s.id, Type: MsgShare, Round: rs.r,
-		Body: (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
-			Nonce: s.keyGrp.Encode(rs.nonces[s.idx])}).Encode()}
+	body := (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
+		Nonce: s.keyGrp.Encode(rs.nonces[s.idx])}).Encode()
+	if s.testCorruptShare != nil || (s.interdict != nil && s.interdict.Share != nil) {
+		// A byzantine server's tampering lands on the encoded copy it
+		// commits to and reveals; rs.myShare stays the honest share that a
+		// missed speculation is adjusted from.
+		p, err := DecodeShare(body)
+		if err != nil {
+			return nil, err
+		}
+		if s.testCorruptShare != nil {
+			s.testCorruptShare(rs.r, p.CT)
+		}
+		if s.interdict != nil && s.interdict.Share != nil {
+			s.interdict.Share(rs.r, p.CT)
+		}
+	}
+	rs.shareMsg = &Message{From: s.id, Type: MsgShare, Round: rs.r, Body: body}
 	rs.shareDigests[s.idx] = rs.shareMsg.digest(s.grpID)
 	commit := &Commit{Attempt: rs.attempt, Hash: rs.shareDigests[s.idx]}
 	if rs.myBeaconShare != nil {
 		commit.BeaconCommit = beacon.CommitShare(rs.myBeaconShare)
 		rs.beaconCommits[s.idx] = commit.BeaconCommit
 	}
+	return commit, nil
+}
+
+// sendCommit opens the explicit commit phase: commitShare's commitment
+// goes out as a MsgCommit of its own.
+func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
+	commit, err := s.commitShare(rs)
+	if err != nil {
+		return nil, err
+	}
+	rs.phase = rpCommit
+	out := &Output{}
 	if err := s.castServers(now, rs, MsgCommit, commit.Encode(), out); err != nil {
 		return nil, err
 	}
@@ -1649,7 +1761,7 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	}
 	rs.phase = rpShare
 	out := &Output{}
-	// Reveal the message sendCommit committed to, signed over the digest
+	// Reveal the message commitShare committed to, signed over the digest
 	// computed there.
 	if s.signing {
 		if err := s.signDigest(rs.shareMsg, rs.shareDigests[s.idx]); err != nil {
@@ -1658,7 +1770,13 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	}
 	s.recordCast(now, rs, MsgShare, rs.shareMsg.Body, out)
 	s.sendServers(rs.shareMsg, out)
-	rs.shares[s.idx] = rs.myShare
+	// Combine what was revealed: our entry aliases our own message body,
+	// as the peers' entries alias theirs.
+	own, err := DecodeShare(rs.shareMsg.Body)
+	if err != nil {
+		return nil, err
+	}
+	rs.shares[s.idx] = own.CT
 	if rs.myBeaconShare != nil {
 		rs.beaconShares[s.idx] = rs.myBeaconShare
 	}
@@ -1906,12 +2024,16 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 		delete(s.outMsgs, rs.r-uint64(s.def.Policy.RetainRounds))
 	}
 
-	// The accumulator's job ends with the round; recycle it. (Raw
-	// ciphertexts stay in rs.subs/cts for blame evidence.) Retire the
-	// round from the pipeline; an unconsumed prefetch (failed round, or
-	// participation below the adjustment break-even) is reaped here.
+	// The accumulator's job ends with the round, and so does the honest
+	// share's (what was revealed lives on in the share message's body);
+	// recycle both. (Raw ciphertexts stay in rs.subs/cts for blame
+	// evidence.) Retire the round from the pipeline; an unconsumed
+	// prefetch (failed round, or participation below the adjustment
+	// break-even) is reaped here.
 	s.bufs.put(rs.ctAcc)
 	rs.ctAcc = nil
+	s.bufs.put(rs.myShare)
+	rs.myShare = nil
 	s.reapPrefetch(rs)
 	delete(s.rounds, rs.r)
 	s.perf.setRoundsInFlight(len(s.rounds))
@@ -1963,10 +2085,9 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 	for i := range hist.shares {
 		hist.shares[i] = rs.shares[i]
 	}
-	// Our own share and the assembled cleartext are pooled buffers; the
-	// history entry owns them until eviction (blame tracing may read
-	// them for RetainRounds rounds). Peer shares alias message bodies.
-	hist.ownShare = rs.myShare
+	// The assembled cleartext is a pooled buffer; the history entry owns
+	// it until eviction (blame tracing may read it for RetainRounds
+	// rounds). Shares alias message bodies.
 	hist.ownCleartext = rs.cleartext
 	for i := 0; i < s.sched.NumSlots(); i++ {
 		hist.slotOff[i], hist.slotLen[i] = s.sched.SlotRange(i)
@@ -1984,7 +2105,6 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 		floor := rs.r - uint64(s.def.Policy.RetainRounds)
 		for rnd, h := range s.history {
 			if rnd <= floor {
-				s.bufs.put(h.ownShare)
 				s.bufs.put(h.ownCleartext)
 				delete(s.history, rnd)
 			}

@@ -338,57 +338,81 @@ func (q *deliveryHeap) Pop() (popped any) {
 }
 
 // hubMember is one attached node: a due-time-ordered inbound queue
-// drained by a dispatcher goroutine.
+// drained by a dispatcher goroutine. wake holds at most one pending
+// signal that the head of the queue changed or the member closed: the
+// dispatcher waits on it beside the head-of-queue timer, so a delivery
+// due sooner than the one it is sleeping on (a 10 ms server link behind
+// a 50 ms client link) and a close both reach it at once.
 type hubMember struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  deliveryHeap
 	closed bool
+	wake   chan struct{}
 }
 
 func newHubMember() *hubMember {
-	m := &hubMember{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	return &hubMember{wake: make(chan struct{}, 1)}
+}
+
+// signal wakes the dispatcher; a signal already pending covers this one
+// too, because the dispatcher re-reads the queue after every wake.
+func (m *hubMember) signal() {
+	select {
+	case m.wake <- struct{}{}:
+	default:
+	}
 }
 
 func (m *hubMember) enqueue(d hubDelivery) {
 	m.mu.Lock()
+	newHead := false
 	if !m.closed {
 		heap.Push(&m.queue, d)
-		m.cond.Signal()
+		newHead = m.queue[0].seq == d.seq
 	}
 	m.mu.Unlock()
+	if newHead {
+		m.signal() // behind the head, the dispatcher's timer is still right
+	}
 }
 
 func (m *hubMember) close() {
 	m.mu.Lock()
 	m.closed = true
-	m.cond.Broadcast()
 	m.mu.Unlock()
+	m.signal()
 }
 
-// run drains the queue in due-time order, sleeping until each entry's
-// deadline. Latencies are small (milliseconds), so the bounded sleep
-// between close and exit is negligible.
+// run drains the queue in due-time order. It hands over the head once
+// it is due and otherwise waits for the head's due time or a wake,
+// re-evaluating the head on either, so no delivery is held behind a
+// later-due one and close stops the dispatcher immediately.
 func (m *hubMember) run(recv func(any)) {
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	for {
 		m.mu.Lock()
-		for len(m.queue) == 0 && !m.closed {
-			m.cond.Wait()
-		}
 		if m.closed {
 			m.mu.Unlock()
 			return
 		}
-		next := m.queue[0]
-		if wait := time.Until(next.at); wait > 0 {
-			m.mu.Unlock()
-			time.Sleep(wait)
-			continue // re-check: an earlier delivery may have arrived
+		var due <-chan time.Time // nil (blocks) while the queue is empty
+		if len(m.queue) > 0 {
+			next := m.queue[0]
+			wait := time.Until(next.at)
+			if wait <= 0 {
+				heap.Pop(&m.queue)
+				m.mu.Unlock()
+				recv(next.payload)
+				continue
+			}
+			timer.Reset(wait)
+			due = timer.C
 		}
-		heap.Pop(&m.queue)
 		m.mu.Unlock()
-		recv(next.payload)
+		select {
+		case <-m.wake:
+		case <-due:
+		}
 	}
 }

@@ -207,3 +207,83 @@ func TestHubDuplicateAttach(t *testing.T) {
 		t.Error("duplicate attach succeeded")
 	}
 }
+
+// TestHubEarlierDueOvertakesSleeper pins on-time delivery across links
+// of different latency: with a 50 ms delivery already pending for B (its
+// dispatcher asleep until that is due), a 10 ms delivery sent 5 ms later
+// from another peer must reach B when it is due — not when the sleeper
+// wakes — and two messages on one directed pair still arrive in send
+// order. The lateness bound is wall-clock, so a loaded machine gets a
+// few tries; a dispatcher that cannot be woken misses it by ~35 ms on
+// every one.
+func TestHubEarlierDueOvertakesSleeper(t *testing.T) {
+	far, near, b := hubID("far-client"), hubID("near-server"), hubID("member-B")
+	const tries = 5
+	var late time.Duration
+	for try := 0; try < tries; try++ {
+		h := NewHub()
+		h.Latency = func(from, to group.NodeID) time.Duration {
+			if from == far {
+				return 50 * time.Millisecond
+			}
+			return 10 * time.Millisecond
+		}
+		type arrival struct {
+			v  int
+			at time.Time
+		}
+		got := make(chan arrival, 3)
+		if err := h.Attach(b, func(p any) { got <- arrival{p.(int), time.Now()} }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Send(far, b, 1); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+		sent := time.Now()
+		for _, v := range []int{2, 3} {
+			if err := h.Send(near, b, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var order []int
+		for len(order) < 3 {
+			select {
+			case a := <-got:
+				if a.v == 2 {
+					late = a.at.Sub(sent.Add(10 * time.Millisecond))
+				}
+				order = append(order, a.v)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("only %v delivered", order)
+			}
+		}
+		h.Close()
+		if order[0] != 2 || order[1] != 3 || order[2] != 1 {
+			t.Fatalf("delivery order %v, want [2 3 1]", order)
+		}
+		if late <= 3*time.Millisecond {
+			return
+		}
+	}
+	t.Fatalf("the 10 ms delivery arrived %v after it was due on each of %d tries", late, tries)
+}
+
+// TestHubCloseStopsSleepingDispatcher: close reaches a dispatcher that
+// is asleep on a far-off head delivery, instead of waiting it out.
+func TestHubCloseStopsSleepingDispatcher(t *testing.T) {
+	m := newHubMember()
+	m.enqueue(hubDelivery{at: time.Now().Add(time.Hour), seq: 1})
+	exited := make(chan struct{})
+	go func() {
+		m.run(func(any) { t.Error("delivered after close") })
+		close(exited)
+	}()
+	time.Sleep(5 * time.Millisecond) // let the dispatcher reach its wait
+	m.close()
+	select {
+	case <-exited:
+	case <-time.After(2 * time.Second):
+		t.Fatal("dispatcher still asleep 2 s after close")
+	}
+}
