@@ -164,8 +164,10 @@ func runFig9(quick bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("key shuffle: real %-12s model %-12s\n", fmtDur(v.KeyShuffleReal), fmtDur(v.KeyShuffleModel))
-	fmt.Printf("msg shuffle: real %-12s model %-12s\n", fmtDur(v.MsgShuffleReal), fmtDur(v.MsgShuffleModel))
+	fmt.Printf("key shuffle: real %-12s model %s (calibrated before) / %s (after)\n",
+		fmtDur(v.KeyShuffleReal), fmtDur(v.KeyShuffleModel[0]), fmtDur(v.KeyShuffleModel[1]))
+	fmt.Printf("msg shuffle: real %-12s model %s (calibrated before) / %s (after)\n",
+		fmtDur(v.MsgShuffleReal), fmtDur(v.MsgShuffleModel[0]), fmtDur(v.MsgShuffleModel[1]))
 }
 
 func runFig10(quick, cdf bool) {

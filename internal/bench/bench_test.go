@@ -73,11 +73,13 @@ func TestFig9ValidationAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, real, model time.Duration) {
-		ratio := float64(real) / float64(model)
-		if ratio < 0.25 || ratio > 4 {
-			t.Errorf("%s: real %v vs model %v (ratio %.2f) outside 4x band",
-				name, real, model, ratio)
+	// The real time must lie within 4x of the span between the model as
+	// calibrated just before the shuffles and just after them: contention
+	// from whatever shares the host moves both sides.
+	check := func(name string, real time.Duration, model [2]time.Duration) {
+		lo, hi := min(model[0], model[1]), max(model[0], model[1])
+		if real < lo/4 || real > hi*4 {
+			t.Errorf("%s: real %v vs model %v..%v outside 4x band", name, real, lo, hi)
 		}
 	}
 	check("key shuffle", v.KeyShuffleReal, v.KeyShuffleModel)

@@ -82,14 +82,17 @@ func Fig9(cfg Fig9Config) []Fig9Row {
 }
 
 // Fig9Validation compares the analytic model against a real execution
-// of the same shuffle at small scale.
+// of the same shuffle at small scale. Each model time is given twice,
+// from a calibration taken just before the real runs and one taken just
+// after: the real time is wall-clock on a possibly shared host, and
+// whatever slowed it slowed the calibration beside it too.
 type Fig9Validation struct {
 	Servers, Clients int
 	Shadows          int
 	KeyShuffleReal   time.Duration
-	KeyShuffleModel  time.Duration
+	KeyShuffleModel  [2]time.Duration // calibrated before, after
 	MsgShuffleReal   time.Duration
-	MsgShuffleModel  time.Duration
+	MsgShuffleModel  [2]time.Duration
 }
 
 // Fig9Validate runs a real key shuffle (P-256) and a real message
@@ -97,7 +100,7 @@ type Fig9Validation struct {
 // and reports model agreement. The real runs execute the actual
 // shuffle.Run pipeline, including every proof and verification.
 func Fig9Validate(servers, clients, shadows int) (Fig9Validation, error) {
-	m := Calibrate()
+	before := calibrate() // fresh, not Calibrate's cached model: see Fig9Validation
 	v := Fig9Validation{Servers: servers, Clients: clients, Shadows: shadows}
 
 	// Real key shuffle on P-256.
@@ -116,10 +119,6 @@ func Fig9Validate(servers, clients, shadows int) (Fig9Validation, error) {
 		return v, err
 	}
 	v.KeyShuffleReal = time.Since(t0)
-	// The model charges only compute when bandwidth/latency are zero.
-	v.KeyShuffleModel = ShuffleTime(ecCosts(m), ShuffleParams{
-		Servers: servers, Inputs: clients, Width: 1, Shadows: shadows,
-	})
 
 	// Real message shuffle on the 2048-bit production group, kept small.
 	mg := crypto.ModP2048()
@@ -140,9 +139,12 @@ func Fig9Validate(servers, clients, shadows int) (Fig9Validation, error) {
 		return v, err
 	}
 	v.MsgShuffleReal = time.Since(t0)
-	v.MsgShuffleModel = ShuffleTime(modpCosts(m), ShuffleParams{
-		Servers: servers, Inputs: clients, Width: 1, Shadows: shadows,
-	})
+	// The model charges only compute when bandwidth/latency are zero.
+	params := ShuffleParams{Servers: servers, Inputs: clients, Width: 1, Shadows: shadows}
+	for i, m := range []CostModel{before, calibrate()} {
+		v.KeyShuffleModel[i] = ShuffleTime(ecCosts(m), params)
+		v.MsgShuffleModel[i] = ShuffleTime(modpCosts(m), params)
+	}
 	return v, nil
 }
 

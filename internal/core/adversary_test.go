@@ -70,6 +70,65 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	if d := f.servers[0].retry.delay(5, 9); d != 14*time.Millisecond {
 		t.Fatalf("disabled jitter: delay %v, want exact cap", d)
 	}
+
+	// Join requests and roster catch-up probes run on the same cast log:
+	// a fixed joinProbeDelay before the first retry (whatever the policy's
+	// base), the policy's backoff from the second on, the same bytes every
+	// time.
+	t0 := time.Unix(50, 0)
+	joinable := f.def.Policy
+	joinable.BeaconEpochRounds = 4
+	def, err := group.NewDefinition("joinable", f.def.ServerPubKeys(), f.def.ServerMsgPubKeys(),
+		[]crypto.Element{f.def.Clients[0].PubKey}, joinable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp, _ := crypto.GenerateKeyPair(def.Group(), nil)
+	joiner, err := NewJoinerClient(def, kp, "", Options{Retry: custom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinOut, err := joiner.Start(t0)
+	if err != nil || len(joinOut.Send) != 1 || joinOut.Send[0].Msg.Type != MsgJoinRequest {
+		t.Fatalf("joiner Start: %+v, %v", joinOut, err)
+	}
+	held, probeOut := f.clients[1], &Output{}
+	held.ready = true // as after setup; the probe needs no schedule
+	held.awaitRoster(t0, probeOut)
+	if len(probeOut.Send) != 0 {
+		t.Fatal("a held client probed before the update had a chance to arrive")
+	}
+	for _, tc := range []struct {
+		name  string
+		c     *Client
+		armed *Output
+	}{{"join request", joiner, joinOut}, {"roster probe", held, probeOut}} {
+		if !tc.armed.Timer.Equal(t0.Add(joinProbeDelay)) {
+			t.Fatalf("%s: first retry at %v, want %v", tc.name, tc.armed.Timer.Sub(t0), joinProbeDelay)
+		}
+		early, err := tc.c.Tick(t0.Add(joinProbeDelay - time.Millisecond))
+		if err != nil || len(early.Send) != 0 || !early.Timer.Equal(t0.Add(joinProbeDelay)) {
+			t.Fatalf("%s: tick before the delay: %+v, %v", tc.name, early, err)
+		}
+		// custom: base 7 ms, cap 14 ms, no jitter — retransmissions 1 and 2
+		// are both rescheduled at the cap.
+		now := t0.Add(joinProbeDelay)
+		var body []byte
+		for n := 1; n <= 2; n++ {
+			out, err := tc.c.Tick(now)
+			if err != nil || len(out.Send) != 1 || out.Send[0].Msg.Type != MsgJoinRequest {
+				t.Fatalf("%s: retry %d: %+v, %v", tc.name, n, out, err)
+			}
+			if body != nil && !bytes.Equal(body, out.Send[0].Msg.Body) {
+				t.Fatalf("%s: retry %d changed the request", tc.name, n)
+			}
+			body = out.Send[0].Msg.Body
+			if !out.Timer.Equal(now.Add(custom.Cap)) {
+				t.Fatalf("%s: retry %d rescheduled after %v, want the policy's %v", tc.name, n, out.Timer.Sub(now), custom.Cap)
+			}
+			now = out.Timer
+		}
+	}
 }
 
 // TestInterdictSlotJamTracedAndExpelled drives the catalog's slot-jam

@@ -52,37 +52,39 @@ func parseAccusation(keyGrp crypto.Group, msg []byte) (round uint64, slot, bit i
 	return r, int(sl), int(b), d.B, true
 }
 
-// serverMsgKeys returns the servers' message-shuffle public keys.
-func (s *Server) serverMsgKeys() []crypto.Element {
-	pubs := make([]crypto.Element, len(s.def.Servers))
-	for i, srv := range s.def.Servers {
-		pubs[i] = srv.MsgPubKey
-	}
-	return pubs
-}
-
 // blameWidth is the ciphertext vector width of accusations in the
 // message group.
 func (s *Server) blameWidth() int {
 	return shuffle.VecWidth(s.msgGrp, accusationLen(s.keyGrp))
 }
 
-// startBlame opens an accusation shuffle session.
+// startBlame opens an accusation shuffle session: a message shuffle in
+// the mod-p group, collecting for a bounded window that also closes the
+// moment a peer's does.
 func (s *Server) startBlame(now time.Time) (*Output, error) {
 	s.phase = phaseBlame
 	s.blameSession++
 	s.blame = &blameState{
 		session: s.blameSession,
-		phase:   bpCollect,
-		closeAt: now.Add(blameWindowFactor * s.def.Policy.WindowMin),
-		subs:    make(map[int][]byte),
-		lists:   make(map[int]*BlameList),
+		phase:   bpShuffle,
 		traces:  make(map[int]*TraceBits),
 		flagged: -1,
 	}
+	s.blame.shuf = s.openShuffle(shuffleSession{
+		grp: s.msgGrp, kp: s.msgKP, pubs: s.def.ServerMsgPubKeys(), width: s.blameWidth(),
+		id:      s.blameSession,
+		submitT: MsgBlameSubmit, listT: MsgBlameList, stepT: MsgBlameStep,
+		round:       s.roundNum,
+		closeAt:     now.Add(blameWindowFactor * s.def.Policy.WindowMin),
+		followPeers: true,
+		finished:    s.finishBlameShuffle,
+		// Nobody submitted, or nothing submitted decodes: close the
+		// session with no verdict.
+		empty: func(now time.Time) (*Output, error) { return s.blameVerdict(now, group.NodeID{}, 0) },
+	})
 	s.log.Debug("blame session opened", "round", s.roundNum, "blame_session", s.blameSession)
 	out := &Output{
-		Timer:  s.blame.closeAt,
+		Timer:  s.blame.shuf.closeAt,
 		Events: []Event{{Kind: EventBlameStarted, Round: s.roundNum, Detail: fmt.Sprintf("session %d", s.blameSession)}},
 	}
 	body := (&BlameStart{Session: s.blameSession}).Encode()
@@ -98,11 +100,8 @@ func (s *Server) blameTick(now time.Time) (*Output, error) {
 		return &Output{}, nil
 	}
 	switch b.phase {
-	case bpCollect:
-		if !now.Before(b.closeAt) {
-			return s.sendBlameList(now)
-		}
-		return &Output{Timer: b.closeAt}, nil
+	case bpShuffle:
+		return b.shuf.tick(now)
 	case bpRebuttal:
 		if !now.Before(b.rebutAt) {
 			// No rebuttal: the flagged client is the disruptor.
@@ -114,224 +113,11 @@ func (s *Server) blameTick(now time.Time) (*Output, error) {
 	}
 }
 
-func (s *Server) onBlameSubmit(now time.Time, m *Message) (*Output, error) {
-	b := s.blame
-	if b == nil || b.phase != bpCollect {
-		return &Output{}, nil
-	}
-	if err := s.verify(m, false); err != nil {
-		return s.violation(s.roundNum, err), nil
-	}
-	p, err := DecodeBlameSubmit(m.Body)
-	if err != nil || p.Session != b.session {
-		return &Output{}, nil
-	}
-	ci := s.def.ClientIndex(m.From)
-	if s.excluded[ci] {
-		return &Output{}, nil
-	}
-	if _, dup := b.subs[ci]; dup {
-		return &Output{}, nil
-	}
-	b.subs[ci] = p.CT
-	// Early close once all attached, non-excluded clients answered.
-	for _, mine := range s.myClients {
-		if s.excluded[mine] {
-			continue
-		}
-		if _, ok := b.subs[mine]; !ok {
-			return &Output{}, nil
-		}
-	}
-	return s.sendBlameList(now)
-}
-
-func (s *Server) sendBlameList(now time.Time) (*Output, error) {
-	b := s.blame
-	if b.phase != bpCollect {
-		return &Output{}, nil
-	}
-	b.phase = bpShuffle
-	list := &BlameList{Session: b.session}
-	for _, ci := range sortedKeys(b.subs) {
-		list.Clients = append(list.Clients, int32(ci))
-		list.CTs = append(list.CTs, b.subs[ci])
-	}
-	out := &Output{}
-	if err := s.broadcastServers(MsgBlameList, s.roundNum, list.Encode(), out); err != nil {
-		return nil, err
-	}
-	b.lists[s.idx] = list
-	more, err := s.maybeStartBlameShuffle(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
-}
-
-func (s *Server) onBlameList(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
-	}
-	p, err := DecodeBlameList(m.Body)
-	if err != nil {
-		return s.violation(s.roundNum, err), nil
-	}
-	b := s.blame
-	if b == nil || p.Session > b.session {
-		if p.Session > s.blameSession {
-			return s.stashMsg(m), nil
-		}
-		return &Output{}, nil
-	}
-	if p.Session != b.session {
-		return &Output{}, nil
-	}
-	si := s.def.ServerIndex(m.From)
-	if _, dup := b.lists[si]; dup {
-		return &Output{}, nil
-	}
-	b.lists[si] = p
-	// Another server closed its window; close ours too if still open.
-	out := &Output{}
-	if b.phase == bpCollect {
-		o, err := s.sendBlameList(now)
-		if err != nil {
-			return nil, err
-		}
-		out.merge(o)
-		return out, nil
-	}
-	o, err := s.maybeStartBlameShuffle(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(o)
-	return out, nil
-}
-
-func (s *Server) maybeStartBlameShuffle(now time.Time) (*Output, error) {
-	b := s.blame
-	if len(b.lists) < len(s.def.Servers) || b.order != nil {
-		return &Output{}, nil
-	}
-	byClient := make(map[int][]byte)
-	for _, si := range sortedKeys(b.lists) {
-		list := b.lists[si]
-		for k, ci := range list.Clients {
-			if _, ok := byClient[int(ci)]; !ok {
-				byClient[int(ci)] = list.CTs[k]
-			}
-		}
-	}
-	b.order = sortedKeys(byClient)
-	if len(b.order) == 0 {
-		// Nobody submitted: close the session with no verdict.
-		return s.blameVerdict(now, group.NodeID{}, 0)
-	}
-	width := s.blameWidth()
-	ctLen := 2 * s.msgGrp.ElementLen()
-	b.cur = make([]shuffle.Vec, 0, len(b.order))
-	for _, ci := range b.order {
-		raw := byClient[ci]
-		if len(raw) != width*ctLen {
-			// Malformed submission: drop the client's entry.
-			continue
-		}
-		v := make(shuffle.Vec, width)
-		bad := false
-		for c := 0; c < width; c++ {
-			ct, err := crypto.DecodeCiphertext(s.msgGrp, raw[c*ctLen:(c+1)*ctLen])
-			if err != nil {
-				bad = true
-				break
-			}
-			v[c] = ct
-		}
-		if !bad {
-			b.cur = append(b.cur, v)
-		}
-	}
-	if len(b.cur) == 0 {
-		return s.blameVerdict(now, group.NodeID{}, 0)
-	}
-	b.stage = 0
-	return s.maybeRunBlameStage(now)
-}
-
-func (s *Server) maybeRunBlameStage(now time.Time) (*Output, error) {
-	b := s.blame
-	out := &Output{}
-	if b.stage == len(s.def.Servers) {
-		return s.finishBlameShuffle(now)
-	}
-	if b.stage != s.idx {
-		return out, nil
-	}
-	remaining := crypto.AggregateKeys(s.msgGrp, s.serverMsgKeys()[s.idx:])
-	step, err := shuffle.Step(s.msgGrp, s.msgKP, remaining, b.cur, s.def.Policy.Shadows, s.rand)
-	if err != nil {
-		return nil, fmt.Errorf("core: blame shuffle step: %w", err)
-	}
-	body := (&ShuffleStep{Session: b.session, Stage: int32(s.idx), Data: shuffle.EncodeStepOutput(s.msgGrp, step)}).Encode()
-	if err := s.broadcastServers(MsgBlameStep, s.roundNum, body, out); err != nil {
-		return nil, err
-	}
-	b.cur = step.Stripped
-	b.stage++
-	more, err := s.maybeRunBlameStage(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
-}
-
-func (s *Server) onBlameStep(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
-	}
-	p, err := DecodeShuffleStep(m.Body)
-	if err != nil {
-		return s.violation(s.roundNum, err), nil
-	}
-	b := s.blame
-	if b == nil || b.order == nil || p.Session > b.session ||
-		(p.Session == b.session && int(p.Stage) > b.stage) {
-		if p.Session >= s.blameSession {
-			return s.stashMsg(m), nil
-		}
-		return &Output{}, nil
-	}
-	if p.Session != b.session {
-		return &Output{}, nil
-	}
-	si := s.def.ServerIndex(m.From)
-	if int(p.Stage) != si || int(p.Stage) != b.stage {
-		return &Output{}, nil
-	}
-	step, err := shuffle.DecodeStepOutput(s.msgGrp, p.Data)
-	if err != nil {
-		return s.violation(s.roundNum, err), nil
-	}
-	remaining := crypto.AggregateKeys(s.msgGrp, s.serverMsgKeys()[si:])
-	if err := shuffle.VerifyStep(s.msgGrp, s.def.Servers[si].MsgPubKey, remaining, b.cur, step); err != nil {
-		return s.violation(s.roundNum, fmt.Errorf("server %d blame shuffle step invalid: %w", si, err)), nil
-	}
-	b.cur = step.Stripped
-	b.stage++
-	return s.maybeRunBlameStage(now)
-}
-
 // finishBlameShuffle extracts accusations from the shuffled output and
 // starts tracing the first valid one.
-func (s *Server) finishBlameShuffle(now time.Time) (*Output, error) {
+func (s *Server) finishBlameShuffle(now time.Time, outputs []shuffle.Vec) (*Output, error) {
 	b := s.blame
-	if b.phase != bpShuffle {
-		return &Output{}, nil
-	}
-	for _, v := range b.cur {
+	for _, v := range outputs {
 		elems := make([]crypto.Element, len(v))
 		for c, ct := range v {
 			elems[c] = ct.C2

@@ -116,14 +116,11 @@ func TestDisruptorClientTracedAndExpelled(t *testing.T) {
 }
 
 func TestDisruptingServerExposedByRebuttal(t *testing.T) {
-	f := newFixture(t, 3, 4, fixtureOpts{})
-	victim := f.clients[0]
-	scapegoat := 1 // client index the lying server blames
-	mal := f.servers[2]
-
+	var f *fixture
 	corrupted := false
 	var corruptedRound uint64
-	mal.testCorruptShare = func(round uint64, share []byte) {
+	corrupt := &Interdict{Share: func(round uint64, share []byte) {
+		victim, mal := f.clients[0], f.servers[2]
 		if corrupted || victim.Slot() < 0 {
 			return
 		}
@@ -134,7 +131,15 @@ func TestDisruptingServerExposedByRebuttal(t *testing.T) {
 		share[off+dcnet.SeedLen+12] ^= 0xFF
 		corrupted = true
 		corruptedRound = round
-	}
+	}}
+	f = newFixture(t, 3, 4, fixtureOpts{serverOpts: func(idx int, o *Options) {
+		if idx == 2 {
+			o.Interdict = corrupt
+		}
+	}})
+	victim := f.clients[0]
+	scapegoat := 1 // client index the lying server blames
+	mal := f.servers[2]
 	mal.testTraceBit = func(round uint64, clientIdx int, trueBit byte) byte {
 		// Shift the unmatched bit onto the scapegoat so check (b)
 		// passes and suspicion lands on an honest client.

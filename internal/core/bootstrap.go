@@ -20,7 +20,7 @@ import (
 // InstallSchedule (server) installs slot pseudonym keys directly and
 // begins round 0. It must be called instead of Start.
 func (s *Server) InstallSchedule(now time.Time, slotKeys []crypto.Element) (*Output, error) {
-	if s.phase != phaseSetupCollect && s.sched != nil {
+	if s.phase != phaseSetup && s.sched != nil {
 		return nil, errors.New("core: schedule already established")
 	}
 	if len(slotKeys) == 0 {
@@ -42,6 +42,7 @@ func (s *Server) InstallSchedule(now time.Time, slotKeys []crypto.Element) (*Out
 	s.sched = sched
 	s.prevCount = len(slotKeys)
 	s.phase = phaseRunning
+	s.setup.retire()
 	s.rosterDigests[s.def.Version] = sched.Digest()
 	s.persistSnapshot()
 	out := &Output{Events: []Event{{Kind: EventScheduleReady,

@@ -35,15 +35,12 @@ type clientRound struct {
 	vec      []byte // message vector submitted (resend on failure); pooled
 	sentSlot []byte // our encoded slot region (nil if closed); aliases sentBuf
 	sentBuf  []byte // reusable backing for sentSlot
-	// sub retains the signed submission so Tick can resend it while the
-	// round stays uncertified. A resend is idempotent at the server
-	// (duplicate submissions drop), and for a round that retired while we
-	// were unreachable it elicits the retained certified output — the
-	// catch-up ladder a client behind the group climbs back up on.
-	// resendAt/resendN drive the resend backoff.
-	sub      *Message
-	resendAt time.Time
-	resendN  int
+	// casts retains the submission so Tick can resend it while the round
+	// stays uncertified. A resend is idempotent at the server (duplicate
+	// submissions drop), and for a round that retired while we were
+	// unreachable it elicits the retained certified output — the catch-up
+	// ladder a client behind the group climbs back up on.
+	casts castLog
 }
 
 // Client is the Dissent client engine (Algorithm 1). Applications
@@ -88,7 +85,7 @@ type Client struct {
 	// has observed (session start, applied roster update, completed blame
 	// session, or the welcome's exported drain point). Rounds ramp their
 	// schedule delta-queue depth up from here, mirroring the servers'
-	// drainRound — see pendingAhead and dcnet.Schedule.SyncPipeline.
+	// drainRound — see dcnet.Schedule.Horizon and SyncPipeline.
 	drain uint64
 
 	// Data-plane hot path: nextStreams holds the (pair, round) streams
@@ -119,8 +116,11 @@ type Client struct {
 	witness          *witnessInfo
 	accusedInSession int32
 
-	// retry is the resolved stale-submission resend backoff.
+	// retry is the resolved resend backoff. ctl is the cast log of the
+	// one control message the client may be repeating outside a round: a
+	// joiner's join request, or a held client's roster catch-up probe.
 	retry RetryPolicy
+	ctl   castLog
 }
 
 // NewClient builds a client engine for the given identity key.
@@ -173,7 +173,7 @@ func (c *Client) takeRound() *clientRound {
 	if n := len(c.spare); n > 0 {
 		cr := c.spare[n-1]
 		c.spare = c.spare[:n-1]
-		*cr = clientRound{sentBuf: cr.sentBuf}
+		*cr = clientRound{sentBuf: cr.sentBuf, casts: cr.casts}
 		return cr
 	}
 	return &clientRound{}
@@ -183,7 +183,8 @@ func (c *Client) takeRound() *clientRound {
 // record to the spare list.
 func (c *Client) retireRound(cr *clientRound) {
 	c.bufs.put(cr.vec)
-	cr.vec, cr.sentSlot, cr.sub = nil, nil, nil
+	cr.vec, cr.sentSlot = nil, nil
+	cr.casts.clear()
 	c.spare = append(c.spare, cr)
 }
 
@@ -253,11 +254,11 @@ func (c *Client) Start(now time.Time) (*Output, error) {
 		return nil, err
 	}
 	c.pseudonym = pseu
-	in, err := shuffle.PrepareInput(c.keyGrp, c.serverIdentityKeys(), []crypto.Element{pseu.Public}, c.rand)
+	in, err := shuffle.PrepareInput(c.keyGrp, c.def.ServerPubKeys(), []crypto.Element{pseu.Public}, c.rand)
 	if err != nil {
 		return nil, err
 	}
-	body := (&PseudonymSubmit{CT: crypto.EncodeCiphertext(c.keyGrp, in[0])}).Encode()
+	body := (&ShuffleSubmit{CT: crypto.EncodeCiphertext(c.keyGrp, in[0])}).Encode()
 	m, err := c.sign(MsgPseudonymSubmit, 0, body)
 	if err != nil {
 		return nil, err
@@ -265,10 +266,6 @@ func (c *Client) Start(now time.Time) (*Output, error) {
 	out := &Output{Send: []Envelope{{To: c.upstream, Msg: m}}}
 	c.applyInterdict(out)
 	return out, nil
-}
-
-func (c *Client) serverIdentityKeys() []crypto.Element {
-	return c.def.ServerPubKeys()
 }
 
 // Handle processes one incoming message.
@@ -313,48 +310,69 @@ func (c *Client) dispatch(now time.Time, m *Message) (*Output, error) {
 // ladder back up to the live round instead of wedging.
 const submitResendInterval = 2 * time.Second
 
-// Tick re-sends a joiner's pending join request; for a client stuck
-// waiting on a roster update past the sync interval it asks its
-// upstream server to replay missed certified updates (the catch-up for
-// a lost MsgRosterUpdate frame); and for a submitted round uncertified
-// past submitResendInterval it re-sends the submission (lost frame, or
-// a round certified while our upstream server was down).
+// joinProbeDelay is how long a join request or a roster catch-up probe
+// waits before its first retransmission; later ones follow the
+// RetryPolicy. The single join frame may be lost, or the operator may
+// Admit the key only after the joiner started; a held client probes when
+// the certified update it waits for does not arrive.
+const joinProbeDelay = time.Second
+
+// Tick re-sends whatever the client is waiting on an answer to, once its
+// cast log is due: a joiner's join request; for a client held at an
+// epoch boundary the probe asking its upstream server to replay missed
+// certified updates (the catch-up for a lost MsgRosterUpdate frame);
+// otherwise the oldest uncertified round's submission (lost frame, or a
+// round certified while our upstream server was down).
 func (c *Client) Tick(now time.Time) (*Output, error) {
-	if c.joining && !c.ready && c.pseudonym != nil {
-		return c.sendJoinRequest(now)
+	var l *castLog
+	seed := c.retrySeed
+	switch {
+	case c.joining && !c.ready && c.pseudonym != nil, c.ready && c.awaitingRoster:
+		l = &c.ctl
+	case c.ready && !c.awaitingBlame && !c.expelled && len(c.inflight) > 0:
+		l = &c.inflight[0].casts
+		seed ^= c.inflight[0].r
+	default:
+		return &Output{}, nil
 	}
-	if c.ready && c.awaitingRoster {
-		body := (&JoinRequest{Version: c.def.Version, SchedDigest: c.applyDigest}).Encode()
-		m, err := c.sign(MsgJoinRequest, c.round, body)
+	due, next := l.recast(now, c.retry, seed)
+	out := &Output{Timer: next}
+	if err := c.sendUpstream(due, out); err != nil {
+		return nil, err
+	}
+	c.applyInterdict(out)
+	return out, nil
+}
+
+// sendUpstream signs recorded messages and addresses them to the
+// upstream server.
+func (c *Client) sendUpstream(msgs []castMsg, out *Output) error {
+	for _, cm := range msgs {
+		m, err := c.sign(cm.t, cm.round, cm.body)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return &Output{
-			Send:  []Envelope{{To: c.upstream, Msg: m}},
-			Timer: now.Add(rosterSyncInterval),
-		}, nil
+		out.Send = append(out.Send, Envelope{To: c.upstream, Msg: m})
 	}
-	if c.ready && !c.awaitingBlame && !c.expelled && len(c.inflight) > 0 {
-		cr := c.inflight[0]
-		if cr.resendAt.IsZero() {
-			cr.resendAt = cr.start.Add(c.retry.delay(0, c.retrySeed^cr.r))
-		}
-		out := &Output{Timer: cr.resendAt}
-		if !now.Before(cr.resendAt) {
-			// Reschedule past due timers even when there is nothing to
-			// resend yet (a round inflight before its submission is
-			// built), so the returned timer is always in the future.
-			if cr.sub != nil {
-				out.Send = append(out.Send, Envelope{To: c.upstream, Msg: cr.sub})
-			}
-			cr.resendN++
-			cr.resendAt = now.Add(c.retry.delay(cr.resendN, c.retrySeed^cr.r))
-			out.Timer = cr.resendAt
-		}
-		c.applyInterdict(out)
-		return out, nil
-	}
-	return &Output{}, nil
+	return nil
+}
+
+// castCtl makes one message the client's repeating control message.
+func (c *Client) castCtl(now time.Time, t MsgType, round uint64, body []byte) {
+	c.ctl.clear()
+	c.ctl.cast(now, joinProbeDelay, t, round, body)
+}
+
+// awaitRoster holds submission at an epoch boundary until the certified
+// MsgRosterUpdate arrives, and arms the catch-up probe: not sent now —
+// the update normally arrives unasked — but due after joinProbeDelay if
+// it does not. The probe carries our roster version and post-apply
+// schedule digest, neither of which can change while we wait.
+func (c *Client) awaitRoster(now time.Time, out *Output) {
+	c.awaitingRoster = true
+	c.castCtl(now, MsgJoinRequest, c.round,
+		(&JoinRequest{Version: c.def.Version, SchedDigest: c.applyDigest}).Encode())
+	out.merge(&Output{Timer: c.ctl.dueAt})
 }
 
 func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
@@ -412,33 +430,6 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 	return out, nil
 }
 
-// pendingAhead returns how many of the schedule's queued deltas fall
-// within the layout horizon of round r: round r is composed (and later
-// decoded) against the deltas of rounds ≤ max(drain−1, r−depth). With p
-// deltas queued for the rounds (nextOut−1−p, nextOut−1], the oldest
-// p − ((nextOut−1) − horizon) are within the horizon. The bound matters
-// after a drain ramp and for a freshly welcomed joiner, whose restored
-// queue holds deltas beyond its first round's horizon.
-func (c *Client) pendingAhead(r uint64) int {
-	p := c.sched.PendingDeltas()
-	if p == 0 {
-		return 0
-	}
-	a := int64(c.nextOut) - 1 // every round ≤ this has queued its delta
-	h := int64(r) - int64(c.depth)
-	if d := int64(c.drain) - 1; d > h {
-		h = d
-	}
-	k := p - int(a-h)
-	if k < 0 {
-		k = 0
-	}
-	if k > p {
-		k = p
-	}
-	return k
-}
-
 // composeVector lays out one round's message vector (Algorithm 1
 // step 2) into cr and records what we transmitted for disruption
 // detection. The layout comes from the schedule's ahead view bounded to
@@ -447,7 +438,7 @@ func (c *Client) pendingAhead(r uint64) int {
 // exactly the layout the servers will decode this round at. The vector
 // comes from the buffer pool.
 func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
-	ahead := c.pendingAhead(cr.r)
+	ahead := c.sched.Horizon(cr.r, c.nextOut, c.drain)
 	vec := c.bufs.get(c.sched.AheadLenUpTo(ahead))
 	slotLen := c.sched.AheadSlotLenUpTo(c.mySlot, ahead)
 	cr.sentSlot = nil
@@ -527,8 +518,7 @@ func (c *Client) submitRound(now time.Time) (*Output, error) {
 			// the earlier rounds have drained on our side too, so their
 			// outputs are processed under the pre-rotation schedule.
 			if len(c.inflight) == 0 {
-				c.awaitingRoster = true
-				out.Timer = now.Add(rosterSyncInterval)
+				c.awaitRoster(now, out)
 			}
 			break
 		}
@@ -556,7 +546,7 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	// before the pads go on and the submission is signed, so the
 	// tampering rides a perfectly well-formed, authentic submission.
 	if c.interdict != nil && c.interdict.Vector != nil {
-		ahead := c.pendingAhead(cr.r)
+		ahead := c.sched.Horizon(cr.r, c.nextOut, c.drain)
 		c.interdict.Vector(VectorInfo{
 			Round:    cr.r,
 			OwnSlot:  c.mySlot,
@@ -592,9 +582,8 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	if err != nil {
 		return nil, err
 	}
-	cr.sub = m
-	cr.resendN = 0
-	cr.resendAt = now.Add(c.retry.delay(0, c.retrySeed^cr.r))
+	cr.casts.clear()
+	cr.casts.cast(now, c.retry.delay(0, c.retrySeed^cr.r), MsgClientSubmit, cr.r, body)
 	// Idle-window prefetch: build the next round's streams while the
 	// network is the bottleneck.
 	c.nextStreams = c.pad.Prepare(c.serverSeeds, cr.r+1)
@@ -605,7 +594,7 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	// output.
 	return &Output{
 		Send:  []Envelope{{To: c.upstream, Msg: m}},
-		Timer: cr.resendAt,
+		Timer: cr.casts.dueAt,
 	}, nil
 }
 
@@ -672,13 +661,8 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		c.round = c.nextOut
 	}
 	// Catch the applied layout up to the one round m.Round was composed
-	// at before decoding: keep exactly q deltas queued, where q ramps up
-	// from the last pipeline drain (see pendingAhead).
-	q := c.depth - 1
-	if d := m.Round - c.drain; d < uint64(q) {
-		q = int(d)
-	}
-	c.sched.SyncPipeline(q)
+	// at before decoding.
+	c.sched.SyncPipeline(m.Round, c.drain)
 
 	if p.Failed {
 		c.emitRoundTrace(now, m.Round, int(p.Count), true, cr)
@@ -689,8 +673,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		// (no-op at depth 1).
 		c.sched.AdvanceFailed()
 		if c.epochBoundary(c.round) && c.round > c.rosterDone && len(c.inflight) == 0 {
-			c.awaitingRoster = true
-			out.Timer = now.Add(rosterSyncInterval) // catch-up probe if the update is lost
+			c.awaitRoster(now, out)
 		}
 		if cr == nil || c.expelled {
 			if cr != nil {
@@ -804,11 +787,8 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		c.retireRound(cr)
 	}
 	if c.epochBoundary(c.round) && c.round > c.rosterDone && len(c.inflight) == 0 {
-		// Epoch boundary: servers run the roster phase before this round;
-		// hold our submission until the certified MsgRosterUpdate. The
-		// timer probes for a lost update via the catch-up path.
-		c.awaitingRoster = true
-		out.Timer = now.Add(rosterSyncInterval)
+		// Epoch boundary: servers run the roster phase before this round.
+		c.awaitRoster(now, out)
 	}
 	if res.ShuffleRequested {
 		// Servers will open an accusation shuffle before the next
@@ -851,7 +831,7 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	vec, err := shuffle.PrepareInput(c.msgGrp, c.serverMsgKeys(), elems, c.rand)
+	vec, err := shuffle.PrepareInput(c.msgGrp, c.def.ServerMsgPubKeys(), elems, c.rand)
 	if err != nil {
 		return nil, err
 	}
@@ -859,20 +839,12 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 	for _, ct := range vec {
 		ctBytes = append(ctBytes, crypto.EncodeCiphertext(c.msgGrp, ct)...)
 	}
-	body := (&BlameSubmit{Session: p.Session, CT: ctBytes}).Encode()
+	body := (&ShuffleSubmit{Session: p.Session, CT: ctBytes}).Encode()
 	sm, err := c.sign(MsgBlameSubmit, m.Round, body)
 	if err != nil {
 		return nil, err
 	}
 	return &Output{Send: []Envelope{{To: c.upstream, Msg: sm}}}, nil
-}
-
-func (c *Client) serverMsgKeys() []crypto.Element {
-	pubs := make([]crypto.Element, len(c.def.Servers))
-	for j, srv := range c.def.Servers {
-		pubs[j] = srv.MsgPubKey
-	}
-	return pubs
 }
 
 func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {

@@ -393,7 +393,8 @@ type Options struct {
 	PipelineDepth int
 	// Retry tunes the unified retransmission backoff applied to the
 	// servers' round-phase and roster-phase rebroadcasts and the
-	// clients' stale-submission resend. nil (or the zero value) keeps
+	// clients' stale-submission resend, join-request retries and roster
+	// catch-up probes (see RetryPolicy). nil (or the zero value) keeps
 	// the engines' legacy first-retry delays — 8×Policy.WindowMin at
 	// servers, 2 s at clients — and adds capped exponential backoff
 	// with deterministic jitter on top, so sustained loss or a wedged

@@ -17,9 +17,10 @@ type MsgType byte
 // the accusation protocol of §3.9.
 const (
 	// MsgPseudonymSubmit: client → upstream server; onion-encrypted
-	// pseudonym key for the scheduling shuffle.
+	// pseudonym key for the scheduling shuffle (a ShuffleSubmit).
 	MsgPseudonymSubmit MsgType = iota + 1
-	// MsgPseudonymList: server → all servers; collected submissions.
+	// MsgPseudonymList: server → all servers; collected submissions (a
+	// ShuffleList).
 	MsgPseudonymList
 	// MsgShuffleStep: server j → all servers; its shuffle step output.
 	MsgShuffleStep
@@ -44,9 +45,10 @@ const (
 	// MsgBlameStart: server → its clients; an accusation shuffle opens.
 	MsgBlameStart
 	// MsgBlameSubmit: client → upstream server; encrypted accusation
-	// (or null message) for the accusation shuffle.
+	// (or null message) for the accusation shuffle (a ShuffleSubmit).
 	MsgBlameSubmit
-	// MsgBlameList: server → all servers; collected blame submissions.
+	// MsgBlameList: server → all servers; collected blame submissions
+	// (a ShuffleList).
 	MsgBlameList
 	// MsgBlameStep: server j → all servers; blame shuffle step output.
 	MsgBlameStep
@@ -229,21 +231,30 @@ func DecodeMessage(data []byte) (*Message, error) {
 
 // --- Payload codecs -------------------------------------------------
 
-// PseudonymSubmit carries a client's onion-encrypted pseudonym key.
-type PseudonymSubmit struct {
-	CT []byte // encoded ElGamal ciphertext (width-1 vector)
+// ShuffleSubmit carries a client's onion-encrypted input to a shuffle
+// session: its pseudonym key for the scheduling shuffle, its accusation
+// (or a null message) for an accusation shuffle. Session is 0 for
+// scheduling, as in ShuffleStep.
+type ShuffleSubmit struct {
+	Session int32
+	CT      []byte // encoded ElGamal ciphertext vector, session width
 }
 
 // Encode serializes the payload.
-func (p *PseudonymSubmit) Encode() []byte {
+func (p *ShuffleSubmit) Encode() []byte {
 	var e encBuf
+	e.U32(uint32(p.Session))
 	e.Bytes(p.CT)
 	return e.B
 }
 
-// DecodePseudonymSubmit parses a PseudonymSubmit payload.
-func DecodePseudonymSubmit(b []byte) (*PseudonymSubmit, error) {
+// DecodeShuffleSubmit parses a ShuffleSubmit payload.
+func DecodeShuffleSubmit(b []byte) (*ShuffleSubmit, error) {
 	d := decBuf{B: b}
+	s, err := d.U32()
+	if err != nil {
+		return nil, err
+	}
 	ct, err := d.Bytes()
 	if err != nil {
 		return nil, err
@@ -251,27 +262,33 @@ func DecodePseudonymSubmit(b []byte) (*PseudonymSubmit, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return &PseudonymSubmit{CT: ct}, nil
+	return &ShuffleSubmit{Session: int32(s), CT: ct}, nil
 }
 
-// PseudonymList carries the submissions a server collected, keyed by
-// client index in the group definition.
-type PseudonymList struct {
+// ShuffleList carries the submissions a server collected for a shuffle
+// session, keyed by client index in the group definition.
+type ShuffleList struct {
+	Session int32
 	Clients []int32
 	CTs     [][]byte
 }
 
 // Encode serializes the payload.
-func (p *PseudonymList) Encode() []byte {
+func (p *ShuffleList) Encode() []byte {
 	var e encBuf
+	e.U32(uint32(p.Session))
 	e.Int32s(p.Clients)
 	e.ByteSlices(p.CTs)
 	return e.B
 }
 
-// DecodePseudonymList parses a PseudonymList payload.
-func DecodePseudonymList(b []byte) (*PseudonymList, error) {
+// DecodeShuffleList parses a ShuffleList payload.
+func DecodeShuffleList(b []byte) (*ShuffleList, error) {
 	d := decBuf{B: b}
+	s, err := d.U32()
+	if err != nil {
+		return nil, err
+	}
 	cs, err := d.Int32s()
 	if err != nil {
 		return nil, err
@@ -281,17 +298,16 @@ func DecodePseudonymList(b []byte) (*PseudonymList, error) {
 		return nil, err
 	}
 	if len(cs) != len(cts) {
-		return nil, fmt.Errorf("core: pseudonym list shape mismatch")
+		return nil, fmt.Errorf("core: shuffle list shape mismatch")
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return &PseudonymList{Clients: cs, CTs: cts}, nil
+	return &ShuffleList{Session: int32(s), Clients: cs, CTs: cts}, nil
 }
 
 // ShuffleStep carries one server's shuffle step for stage (its server
-// index) of a shuffle session. Blame and scheduling shuffles share
-// this format; Session is 0 for scheduling.
+// index) of a shuffle session; Session is 0 for scheduling.
 type ShuffleStep struct {
 	Session int32
 	Stage   int32
@@ -758,78 +774,6 @@ func DecodeBlameStart(b []byte) (*BlameStart, error) {
 		return nil, err
 	}
 	return &BlameStart{Session: int32(s)}, nil
-}
-
-// BlameSubmit carries a client's encrypted accusation vector (or an
-// encrypted null message) for an accusation shuffle.
-type BlameSubmit struct {
-	Session int32
-	CT      []byte // encoded modp ciphertext vector
-}
-
-// Encode serializes the payload.
-func (p *BlameSubmit) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.Bytes(p.CT)
-	return e.B
-}
-
-// DecodeBlameSubmit parses a BlameSubmit payload.
-func DecodeBlameSubmit(b []byte) (*BlameSubmit, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	ct, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &BlameSubmit{Session: int32(s), CT: ct}, nil
-}
-
-// BlameList carries a server's collected blame submissions.
-type BlameList struct {
-	Session int32
-	Clients []int32
-	CTs     [][]byte
-}
-
-// Encode serializes the payload.
-func (p *BlameList) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.Int32s(p.Clients)
-	e.ByteSlices(p.CTs)
-	return e.B
-}
-
-// DecodeBlameList parses a BlameList payload.
-func DecodeBlameList(b []byte) (*BlameList, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	cs, err := d.Int32s()
-	if err != nil {
-		return nil, err
-	}
-	cts, err := d.ByteSlices()
-	if err != nil {
-		return nil, err
-	}
-	if len(cs) != len(cts) {
-		return nil, fmt.Errorf("core: blame list shape mismatch")
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &BlameList{Session: int32(s), Clients: cs, CTs: cts}, nil
 }
 
 // TraceBits carries one server's contribution to disruptor tracing

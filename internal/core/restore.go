@@ -199,7 +199,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if !have {
 		return nil, false, nil
 	}
-	if s.sched != nil || s.phase != phaseSetupCollect || s.roundNum != 0 {
+	if s.sched != nil || s.phase != phaseSetup || s.roundNum != 0 {
 		return nil, false, errors.New("core: restore on an already-started engine")
 	}
 	sn, err := DecodeServerSnapshot(raw)
@@ -227,8 +227,10 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		if err := s.def.VerifyRosterUpdateSigs(u); err != nil {
 			return nil, false, fmt.Errorf("core: stored roster update %d: %w", v, err)
 		}
-		if err := s.replayRosterUpdate(u); err != nil {
-			return nil, false, err
+		// The admission core alone: the snapshot carries the final schedule
+		// and slot keys, and a replay welcomes, broadcasts and emits nothing.
+		if err := s.admitRoster(u); err != nil {
+			return nil, false, fmt.Errorf("core: stored roster update %d rejected: %w", v, err)
 		}
 		if v+rosterLogCap > sn.Version {
 			s.rosterLog[v] = u
@@ -289,6 +291,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	s.roundNum = sn.Round
 	s.nextOpen = sn.Round
 	s.phase = phaseRunning
+	s.setup.retire()
 	// Every round that could have been in flight at the crash reopens as
 	// a recovery round (see the file comment and openRound). Peers may
 	// have certified our snapshot head without us — our own pre-crash
@@ -304,45 +307,6 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		return nil, false, err
 	}
 	return out, true, nil
-}
-
-// replayRosterUpdate applies one stored certified update during
-// restore: the quiet subset of applyCertifiedRoster — definition swap,
-// seeds, attachments, and admit bookkeeping — without welcomes,
-// broadcasts, schedule growth (the snapshot carries the final
-// schedule), or events.
-func (s *Server) replayRosterUpdate(u *group.RosterUpdate) error {
-	newDef, err := s.def.ApplyRosterUpdate(u)
-	if err != nil {
-		return fmt.Errorf("core: stored roster update %d rejected: %w", u.Version, err)
-	}
-	oldN := len(s.def.Clients)
-	s.def = newDef
-	for _, m := range u.Admit {
-		pub, err := s.keyGrp.Decode(m.PubKey)
-		if err != nil {
-			return fmt.Errorf("core: stored admitted key: %w", err)
-		}
-		id := group.IDFromKey(s.keyGrp, pub)
-		ci := newDef.ClientIndex(id)
-		if ci >= oldN {
-			var seed []byte
-			if s.pairSeedFn != nil {
-				seed = s.pairSeedFn(ci, s.idx)
-			} else {
-				seed, err = s.pairSeed(pub)
-				if err != nil {
-					return fmt.Errorf("core: stored joiner %s seed: %w", id, err)
-				}
-			}
-			s.clientSeeds = append(s.clientSeeds, seed)
-			if newDef.UpstreamServer(ci) == s.idx {
-				s.myClients = append(s.myClients, ci)
-			}
-			s.joinedAt[id] = u.Version
-		}
-	}
-	return nil
 }
 
 // resetRoundAttempt rewinds a round to the collection state of a fresh
@@ -371,7 +335,7 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.included = nil
 	rs.directSets = nil
 	rs.failed = false
-	rs.casts = nil
+	rs.casts.clear()
 	rs.dropNonce()
 	rs.nonces = make(map[int]crypto.Element)
 	rs.certChal, rs.certDigest = nil, nil
@@ -452,11 +416,7 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	}
 	// Same delta-queue catch-up as maybeOutput: the adopted round was
 	// composed at the same layout horizon ours would have been.
-	q := s.depth - 1
-	if d := m.Round - s.drainRound; d < uint64(q) {
-		q = int(d)
-	}
-	s.sched.SyncPipeline(q)
+	s.sched.SyncPipeline(m.Round, s.drainRound)
 	s.outMsgs[m.Round] = m.Body
 	if m.Round >= uint64(s.def.Policy.RetainRounds) {
 		delete(s.outMsgs, m.Round-uint64(s.def.Policy.RetainRounds))

@@ -391,12 +391,11 @@ func (n *node) RosterDigest() [32]byte { return n.def.RosterDigest() }
 
 // rosterState is one in-flight roster transition at a server.
 type rosterState struct {
-	version  uint64
-	props    map[int]*RosterPropose
-	update   *group.RosterUpdate
-	sigs     map[int][]byte
-	resendAt time.Time // next propose/cert rebroadcast while stuck
-	resendN  int       // rebroadcasts so far (drives the backoff)
+	version uint64
+	props   map[int]*RosterPropose
+	update  *group.RosterUpdate
+	sigs    map[int][]byte
+	casts   castLog // our proposal and certificate, rebroadcast while stuck
 }
 
 // Admit pre-approves an identity key (its canonical encoding) for
@@ -434,6 +433,11 @@ func (s *Server) Expel(id group.NodeID) error {
 // LatestRosterUpdate returns the most recently applied certified
 // update, or nil before the first boundary.
 func (s *Server) LatestRosterUpdate() *group.RosterUpdate { return s.lastRosterUpdate }
+
+// snapshotMinInterval is the least time between two session snapshots
+// (re-welcome or re-sync) a server sends one member. It equals the
+// clients' first retry delay (joinProbeDelay), so honest retries pass.
+const snapshotMinInterval = time.Second
 
 // rosterLogCap bounds the in-memory certified-update mirror (one entry
 // per epoch boundary). With a durable StateStore configured the full
@@ -660,9 +664,10 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 // needs.
 func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
 	// Rate-limit per member: legitimate retries pace themselves at
-	// joinRetryInterval, while a replayed join request would otherwise
-	// amplify a tiny frame into a full session snapshot every time.
-	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < joinRetryInterval {
+	// joinProbeDelay or slower, while a replayed join request would
+	// otherwise amplify a tiny frame into a full session snapshot every
+	// time.
+	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < snapshotMinInterval {
 		return &Output{}, nil
 	}
 	v, ok := s.joinedAt[id]
@@ -757,14 +762,13 @@ func (s *Server) startRoster(now time.Time) (*Output, error) {
 	s.rosterDue = false
 	s.phase = phaseRoster
 	s.roster = &rosterState{
-		version:  s.def.Version + 1,
-		props:    make(map[int]*RosterPropose),
-		sigs:     make(map[int][]byte),
-		resendAt: now.Add(s.retry.delay(0, s.retrySeed^(s.def.Version+1))),
+		version: s.def.Version + 1,
+		props:   make(map[int]*RosterPropose),
+		sigs:    make(map[int][]byte),
 	}
 	prop := s.buildProposal()
-	out := &Output{Timer: s.roster.resendAt}
-	if err := s.broadcastServers(MsgRosterPropose, s.roundNum, prop.Encode(), out); err != nil {
+	out := &Output{}
+	if err := s.castRoster(now, MsgRosterPropose, prop.Encode(), out); err != nil {
 		return nil, err
 	}
 	s.roster.props[s.idx] = prop
@@ -787,24 +791,16 @@ func (s *Server) rosterTick(now time.Time) (*Output, error) {
 	if s.phase != phaseRoster || r == nil {
 		return &Output{}, nil
 	}
-	if now.Before(r.resendAt) {
-		return &Output{Timer: r.resendAt}, nil
-	}
-	r.resendN++
-	r.resendAt = now.Add(s.retry.delay(r.resendN, s.retrySeed^r.version))
-	out := &Output{Timer: r.resendAt}
-	if prop := r.props[s.idx]; prop != nil {
-		if err := s.broadcastServers(MsgRosterPropose, s.roundNum, prop.Encode(), out); err != nil {
-			return nil, err
-		}
-	}
-	if r.update != nil {
-		body := (&RosterCert{Version: r.version, Sig: r.sigs[s.idx]}).Encode()
-		if err := s.broadcastServers(MsgRosterCert, s.roundNum, body, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	out := &Output{}
+	_, err := s.recastServers(now, &r.casts, s.retrySeed^r.version, out)
+	return out, err
+}
+
+// castRoster broadcasts a roster-phase message to the peer servers and
+// records it for rosterTick.
+func (s *Server) castRoster(now time.Time, t MsgType, body []byte, out *Output) error {
+	s.recordCast(now, &s.roster.casts, s.retrySeed^s.roster.version, t, s.roundNum, body, out)
+	return s.broadcastServers(t, s.roundNum, body, out)
 }
 
 func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
@@ -912,7 +908,7 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 	r.sigs[s.idx] = sigBytes
 	out := &Output{}
 	body := (&RosterCert{Version: r.version, Sig: sigBytes}).Encode()
-	if err := s.broadcastServers(MsgRosterCert, s.roundNum, body, out); err != nil {
+	if err := s.castRoster(now, MsgRosterCert, body, out); err != nil {
 		return nil, err
 	}
 	more, err := s.maybeApplyRoster(now)
@@ -1019,17 +1015,59 @@ func (s *Server) maybeApplyRoster(now time.Time) (*Output, error) {
 	return out, nil
 }
 
+// attachClients extends this server's per-client state — pairwise DC-net
+// seed and upstream attachment — to def.Clients[from:].
+func (s *Server) attachClients(def *group.Definition, from int) error {
+	for ci := from; ci < len(def.Clients); ci++ {
+		var seed []byte
+		if s.pairSeedFn != nil {
+			seed = s.pairSeedFn(ci, s.idx)
+		} else {
+			var err error
+			if seed, err = s.pairSeed(def.Clients[ci].PubKey); err != nil {
+				return fmt.Errorf("core: client %d seed: %w", ci, err)
+			}
+		}
+		s.clientSeeds = append(s.clientSeeds, seed)
+		if def.UpstreamServer(ci) == s.idx {
+			s.myClients = append(s.myClients, ci)
+		}
+	}
+	return nil
+}
+
+// admitRoster is the admission core every path that takes a certified
+// roster update goes through — live apply and restore replay alike, so
+// a restarted server can never have admitted differently from its peers:
+// the definition swap, and for each member the update appends its
+// pairwise seed, its upstream attachment and the version that admitted
+// it (what a lost welcome is re-sent from).
+func (s *Server) admitRoster(u *group.RosterUpdate) error {
+	newDef, err := s.def.ApplyRosterUpdate(u)
+	if err != nil {
+		return err
+	}
+	oldN := len(s.def.Clients)
+	if err := s.attachClients(newDef, oldN); err != nil {
+		return err
+	}
+	for _, c := range newDef.Clients[oldN:] {
+		s.joinedAt[c.ID] = u.Version
+	}
+	s.def = newDef
+	return nil
+}
+
 // applyCertifiedRoster applies one certified update to this server's
-// replica: definition swap, seeds and slot keys for new members,
+// replica: admission (admitRoster), slot keys for new members,
 // exclusion bookkeeping, schedule growth, permutation reseed, welcomes
 // for joiners, and the client broadcast.
 func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out *Output) error {
-	newDef, err := s.def.ApplyRosterUpdate(u)
-	if err != nil {
+	oldN := len(s.def.Clients)
+	if err := s.admitRoster(u); err != nil {
 		return fmt.Errorf("core: certified roster update rejected locally: %w", err)
 	}
-	oldN := len(s.def.Clients)
-	s.def = newDef
+	newDef := s.def
 
 	for _, id := range u.Remove {
 		ci := newDef.ClientIndex(id)
@@ -1062,26 +1100,12 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 			delete(s.expelRound, ci)
 			delete(s.pendingRejoin, ci)
 		} else {
-			// New member: pairwise seed, attachment, slot key.
-			var seed []byte
-			if s.pairSeedFn != nil {
-				seed = s.pairSeedFn(ci, s.idx)
-			} else {
-				seed, err = s.pairSeed(pub)
-				if err != nil {
-					return fmt.Errorf("core: joiner %s seed: %w", id, err)
-				}
-			}
-			s.clientSeeds = append(s.clientSeeds, seed)
-			if newDef.UpstreamServer(ci) == s.idx {
-				s.myClients = append(s.myClients, ci)
-			}
+			// New member (admitted by admitRoster): its slot key.
 			pseu, err := s.keyGrp.Decode(m.PseuKey)
 			if err != nil {
 				return fmt.Errorf("core: joiner %s pseudonym key: %w", id, err)
 			}
 			s.slotKeys = append(s.slotKeys, pseu)
-			s.joinedAt[id] = u.Version
 			delete(s.pendingJoin, id)
 			if m.Addr != "" {
 				out.NewPeers = append(out.NewPeers, PeerInfo{ID: id, Addr: m.Addr})
@@ -1208,10 +1232,9 @@ func (s *Server) sendSnapshotSync(now time.Time, id group.NodeID, out *Output) e
 			Detail: fmt.Sprintf("cannot snapshot-sync %s before the first certified roster update", id)})
 		return nil
 	}
-	// Rate-limit per member like rewelcome: re-sync probes pace at
-	// rosterSyncInterval, and a replayed probe must not amplify into a
-	// full session snapshot every time.
-	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < joinRetryInterval {
+	// Rate-limit per member like rewelcome: a replayed probe must not
+	// amplify into a full session snapshot every time.
+	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < snapshotMinInterval {
 		return nil
 	}
 	s.welcomeSent[id] = now
@@ -1362,6 +1385,7 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		Detail: fmt.Sprintf("version %d (%d admitted, %d removed)", newDef.Version, len(u.Admit), len(u.Remove))})
 
 	c.awaitingRoster = false
+	c.ctl.clear()
 	if c.round > c.rosterDone {
 		c.rosterDone = c.round
 	}
@@ -1373,15 +1397,15 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		c.drain = c.nextOut
 	}
 	if diverged {
-		c.awaitingRoster = true
 		c.resubmitPending = false
 		out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: c.round,
 			Detail: fmt.Sprintf("schedule replica diverged at roster version %d (post-apply digest mismatch); requesting snapshot re-sync", newDef.Version)})
-		probe, err := c.Tick(now) // the catch-up probe carries our digest; the server answers with MsgSnapshotSync
-		if err != nil {
+		// The catch-up probe carries our digest; sent at once, the server
+		// answers it with MsgSnapshotSync.
+		c.awaitRoster(now, out)
+		if err := c.sendUpstream(c.ctl.msgs, out); err != nil {
 			return nil, err
 		}
-		out.merge(probe)
 		return out, nil
 	}
 	if !c.ready || c.awaitingBlame || c.expelled {
@@ -1622,6 +1646,7 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 		c.awaitingRoster = false
 		c.nextStreams = nil
 	}
+	c.ctl.clear()
 	c.def = newDef
 	c.idx = idx
 	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
@@ -1681,42 +1706,23 @@ func NewJoinerClient(def *group.Definition, kp *crypto.KeyPair, advertiseAddr st
 	return c, nil
 }
 
-// joinRetryInterval paces join-request retries: the single frame may
-// be lost, or the operator may Admit the key only after the joiner
-// started. Duplicate requests just overwrite the pending entry.
-const joinRetryInterval = time.Second
-
-// rosterSyncInterval paces a held client's catch-up probes: when the
-// certified update it is waiting for does not arrive (lost frame), it
-// asks its upstream server to replay the missed chain.
-const rosterSyncInterval = time.Second
-
-// startJoin generates the pseudonym key and sends the join request.
+// startJoin generates the pseudonym key, sends the join request and arms
+// its retransmission.
 func (c *Client) startJoin(now time.Time) (*Output, error) {
 	pseu, err := crypto.GenerateKeyPair(c.keyGrp, c.rand)
 	if err != nil {
 		return nil, err
 	}
 	c.pseudonym = pseu
-	return c.sendJoinRequest(now)
-}
-
-// sendJoinRequest (re-)sends the join request with the same pseudonym
-// key — the admitting slot must match the key generated at Start — and
-// arms the retry timer.
-func (c *Client) sendJoinRequest(now time.Time) (*Output, error) {
+	// Every retry (Tick) carries the same pseudonym key: the admitting
+	// slot must match the key generated here.
 	body := (&JoinRequest{
 		Version: c.def.Version,
 		PubKey:  c.keyGrp.Encode(c.kp.Public),
 		PseuKey: c.keyGrp.Encode(c.pseudonym.Public),
 		Addr:    c.joinAddr,
 	}).Encode()
-	m, err := c.sign(MsgJoinRequest, 0, body)
-	if err != nil {
-		return nil, err
-	}
-	return &Output{
-		Send:  []Envelope{{To: c.upstream, Msg: m}},
-		Timer: now.Add(joinRetryInterval),
-	}, nil
+	c.castCtl(now, MsgJoinRequest, 0, body)
+	out := &Output{Timer: c.ctl.dueAt}
+	return out, c.sendUpstream(c.ctl.msgs, out)
 }

@@ -70,8 +70,7 @@ type peerRecord struct {
 type serverPhase int
 
 const (
-	phaseSetupCollect serverPhase = iota
-	phaseSetupShuffle
+	phaseSetup serverPhase = iota
 	phaseRunning
 	phaseBlame
 	phaseRoster
@@ -89,12 +88,6 @@ const (
 	rpCertify
 	rpDone
 )
-
-// castMsg is one recorded server-broadcast of an in-flight round.
-type castMsg struct {
-	t    MsgType
-	body []byte
-}
 
 // roundState is one in-flight round at a server. With pipelining
 // several coexist, keyed by round number in Server.rounds; only the
@@ -133,9 +126,7 @@ type roundState struct {
 	// (round, attempt, server), so the re-send is idempotent; it
 	// restores liveness after a partition heals without waiting out the
 	// hard timeout.
-	resendAt time.Time
-	resendN  int // retransmissions so far (drives the backoff)
-	casts    []castMsg
+	casts castLog
 
 	// dups counts identical duplicate submissions per client this
 	// round; past dupFloodAllowance the excess is attributed as a
@@ -246,8 +237,7 @@ type roundHistory struct {
 type blamePhase int
 
 const (
-	bpCollect blamePhase = iota
-	bpShuffle
+	bpShuffle blamePhase = iota
 	bpTrace
 	bpRebuttal
 )
@@ -257,12 +247,7 @@ type blameState struct {
 	session int32
 	phase   blamePhase
 
-	closeAt time.Time
-	subs    map[int][]byte     // client index -> encoded ct vector
-	lists   map[int]*BlameList // server index -> list
-	stage   int                // next shuffle stage
-	cur     []shuffle.Vec      // current ciphertext list
-	order   []int              // input client order (for bookkeeping)
+	shuf    *shuffleSession    // the accusation shuffle (bpShuffle)
 	traces  map[int]*TraceBits // server index -> trace bits
 	acc     *accusation        // the accusation being traced
 	flagged int                // client index awaiting rebuttal, -1 none
@@ -295,16 +280,12 @@ type Server struct {
 
 	phase serverPhase
 
-	// Setup state.
-	setupDeadline time.Time
-	pseuSubs      map[int][]byte
-	pseuSent      bool
-	pseuLists     map[int]*PseudonymList
-	shufOrder     []int // client index per shuffle input position
-	shufCur       []shuffle.Vec
-	shufStage     int
-	slotKeys      []crypto.Element
-	schedCerts    map[int][]byte
+	// Setup state: the scheduling shuffle (retired once it has run, or
+	// when the schedule comes from a trusted bootstrap or a restore), the
+	// slot keys it produced and the servers' certificates over them.
+	setup      *shuffleSession
+	slotKeys   []crypto.Element
+	schedCerts map[int][]byte
 	// certKeys/certSigs retain the certified schedule (encoded slot
 	// keys + per-server signatures) for ScheduleCertificate.
 	certKeys [][]byte
@@ -328,7 +309,7 @@ type Server struct {
 	// drainRound is the first round after the latest pipeline drain
 	// (session start, epoch boundary, post-blame resume). Rounds ramp
 	// their schedule delta-queue depth up from this point — see
-	// pendingAhead and dcnet.Schedule.SyncPipeline.
+	// dcnet.Schedule.Horizon and SyncPipeline.
 	drainRound uint64
 	rounds     map[uint64]*roundState
 	history    map[uint64]*roundHistory
@@ -388,11 +369,9 @@ type Server struct {
 	retry       RetryPolicy
 	misbehavior map[group.NodeID]*peerRecord
 
-	// Test hooks, nil in production: testCorruptShare lets a test
-	// server disrupt the channel by mutating its ciphertext before
-	// committing; testTraceBit lets it lie during accusation tracing.
-	testCorruptShare func(round uint64, share []byte)
-	testTraceBit     func(round uint64, clientIdx int, trueBit byte) byte
+	// testTraceBit is a test hook, nil in production: it lets a test
+	// server lie during accusation tracing.
+	testTraceBit func(round uint64, clientIdx int, trueBit byte) byte
 }
 
 // NewServer builds a server engine. kp is the P-256 identity key
@@ -410,20 +389,9 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	if !s.msgGrp.Equal(msgKP.Public, def.Servers[s.idx].MsgPubKey) {
 		return nil, errors.New("core: message-shuffle key mismatch with definition")
 	}
-	s.clientSeeds = make([][]byte, len(def.Clients))
-	for i, c := range def.Clients {
-		if opts.PairSeed != nil {
-			s.clientSeeds[i] = opts.PairSeed(i, s.idx)
-		} else {
-			seed, err := s.pairSeed(c.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: client %d seed: %w", i, err)
-			}
-			s.clientSeeds[i] = seed
-		}
-		if def.UpstreamServer(i) == s.idx {
-			s.myClients = append(s.myClients, i)
-		}
+	s.pairSeedFn = opts.PairSeed
+	if err := s.attachClients(def, 0); err != nil {
+		return nil, err
 	}
 	s.pad = dcnet.NewPad(crypto.NewAESPRNG)
 	s.ppad = dcnet.NewParallelPad(crypto.NewAESPRNG, 0)
@@ -440,8 +408,14 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	s.history = make(map[uint64]*roundHistory)
 	s.outMsgs = make(map[uint64][]byte)
 	s.excluded = make(map[int]bool)
-	s.pseuSubs = make(map[int][]byte)
-	s.pseuLists = make(map[int]*PseudonymList)
+	s.setup = s.openShuffle(shuffleSession{
+		grp: s.keyGrp, kp: s.kp, pubs: def.ServerPubKeys(), width: 1,
+		submitT: MsgPseudonymSubmit, listT: MsgPseudonymList, stepT: MsgShuffleStep,
+		finished: s.finishScheduleShuffle,
+		empty: func(time.Time) (*Output, error) {
+			return nil, errors.New("core: no valid pseudonym submission at the setup deadline")
+		},
+	})
 	s.schedCerts = make(map[int][]byte)
 	s.pendingJoin = make(map[group.NodeID]*JoinRequest)
 	s.pendingRejoin = make(map[int]bool)
@@ -451,7 +425,6 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	s.rosterDigests = make(map[uint64][32]byte)
 	s.joinedAt = make(map[group.NodeID]uint64)
 	s.welcomeSent = make(map[group.NodeID]time.Time)
-	s.pairSeedFn = opts.PairSeed
 	s.misbehavior = make(map[group.NodeID]*peerRecord)
 	var retry RetryPolicy
 	if opts.Retry != nil {
@@ -503,9 +476,9 @@ func (s *Server) SchedulePermutation() []int {
 
 // Start begins the setup phase: waiting for pseudonym submissions.
 func (s *Server) Start(now time.Time) (*Output, error) {
-	s.phase = phaseSetupCollect
-	s.setupDeadline = now.Add(s.def.Policy.HardTimeout)
-	return &Output{Timer: s.setupDeadline}, nil
+	s.phase = phaseSetup
+	s.setup.closeAt = now.Add(s.def.Policy.HardTimeout)
+	return &Output{Timer: s.setup.closeAt}, nil
 }
 
 // Handle processes one incoming message, then replays any stashed
@@ -559,11 +532,11 @@ func (s *Server) stashMsg(m *Message) *Output {
 
 func (s *Server) dispatch(now time.Time, m *Message) (*Output, error) {
 	switch m.Type {
-	case MsgPseudonymSubmit:
-		return s.onPseudonymSubmit(now, m)
-	case MsgPseudonymList:
-		return s.onPseudonymList(now, m)
-	case MsgShuffleStep:
+	case MsgPseudonymSubmit, MsgBlameSubmit:
+		return s.onShuffleSubmit(now, m)
+	case MsgPseudonymList, MsgBlameList:
+		return s.onShuffleList(now, m)
+	case MsgShuffleStep, MsgBlameStep:
 		return s.onShuffleStep(now, m)
 	case MsgScheduleCert:
 		return s.onScheduleCert(now, m)
@@ -577,12 +550,6 @@ func (s *Server) dispatch(now time.Time, m *Message) (*Output, error) {
 		return s.onShare(now, m)
 	case MsgCertify:
 		return s.onCertify(now, m)
-	case MsgBlameSubmit:
-		return s.onBlameSubmit(now, m)
-	case MsgBlameList:
-		return s.onBlameList(now, m)
-	case MsgBlameStep:
-		return s.onBlameStep(now, m)
 	case MsgTraceBits:
 		return s.onTraceBits(now, m)
 	case MsgRebuttal:
@@ -609,12 +576,8 @@ func (s *Server) Tick(now time.Time) (*Output, error) {
 	var out *Output
 	var err error
 	switch s.phase {
-	case phaseSetupCollect:
-		if !now.Before(s.setupDeadline) {
-			out, err = s.sendPseudonymList(now)
-		} else {
-			out, err = &Output{Timer: s.setupDeadline}, nil
-		}
+	case phaseSetup:
+		out, err = s.setup.tick(now)
 	case phaseRunning:
 		out, err = s.roundTick(now)
 	case phaseBlame:
@@ -659,17 +622,29 @@ func (s *Server) sendServers(m *Message, out *Output) {
 // records it for retransmission (roundTick) while the round waits on
 // them.
 func (s *Server) castServers(now time.Time, rs *roundState, t MsgType, body []byte, out *Output) error {
-	s.recordCast(now, rs, t, body, out)
+	s.recordCast(now, &rs.casts, s.retrySeed^rs.r, t, rs.r, body, out)
 	return s.broadcastServers(t, rs.r, body, out)
 }
 
-// recordCast notes a round-phase message for retransmission and restarts
-// the round's retransmission backoff.
-func (s *Server) recordCast(now time.Time, rs *roundState, t MsgType, body []byte, out *Output) {
-	rs.casts = append(rs.casts, castMsg{t: t, body: body})
-	rs.resendN = 0
-	rs.resendAt = now.Add(s.retry.delay(0, s.retrySeed^rs.r))
-	out.merge(&Output{Timer: rs.resendAt})
+// recordCast notes a message in a cast log for retransmission, restarts
+// the log's backoff and arms its timer.
+func (s *Server) recordCast(now time.Time, l *castLog, seed uint64, t MsgType, round uint64, body []byte, out *Output) {
+	l.cast(now, s.retry.delay(0, seed), t, round, body)
+	out.merge(&Output{Timer: l.dueAt})
+}
+
+// recastServers re-broadcasts a cast log to the peer servers once it is
+// due, each message signed afresh, and merges the log's timer into out.
+// It reports whether anything was re-sent.
+func (s *Server) recastServers(now time.Time, l *castLog, seed uint64, out *Output) (bool, error) {
+	due, next := l.recast(now, s.retry, seed)
+	out.merge(&Output{Timer: next})
+	for _, c := range due {
+		if err := s.broadcastServers(c.t, c.round, c.body, out); err != nil {
+			return false, err
+		}
+	}
+	return len(due) > 0, nil
 }
 
 // broadcastClients sends a signed message to every attached client.
@@ -686,180 +661,10 @@ func (s *Server) broadcastClients(t MsgType, round uint64, body []byte, out *Out
 
 // --- Setup: pseudonym collection and scheduling shuffle ---------------
 
-func (s *Server) onPseudonymSubmit(now time.Time, m *Message) (*Output, error) {
-	if s.phase != phaseSetupCollect {
-		return &Output{}, nil
-	}
-	if err := s.verify(m, false); err != nil {
-		return s.violation(0, err), nil
-	}
-	ci := s.def.ClientIndex(m.From)
-	p, err := DecodePseudonymSubmit(m.Body)
-	if err != nil {
-		return s.violation(0, err), nil
-	}
-	if _, dup := s.pseuSubs[ci]; dup {
-		return &Output{}, nil
-	}
-	s.pseuSubs[ci] = p.CT
-	// Early close: all our attached clients have submitted.
-	done := true
-	for _, mine := range s.myClients {
-		if _, ok := s.pseuSubs[mine]; !ok {
-			done = false
-			break
-		}
-	}
-	if done {
-		return s.sendPseudonymList(now)
-	}
-	return &Output{Timer: s.setupDeadline}, nil
-}
-
-func (s *Server) sendPseudonymList(now time.Time) (*Output, error) {
-	if s.pseuSent {
-		return &Output{}, nil
-	}
-	s.pseuSent = true
-	s.phase = phaseSetupShuffle
-	list := &PseudonymList{}
-	for _, ci := range sortedKeys(s.pseuSubs) {
-		list.Clients = append(list.Clients, int32(ci))
-		list.CTs = append(list.CTs, s.pseuSubs[ci])
-	}
-	out := &Output{}
-	if err := s.broadcastServers(MsgPseudonymList, 0, list.Encode(), out); err != nil {
-		return nil, err
-	}
-	s.pseuLists[s.idx] = list
-	more, err := s.maybeStartShuffle(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
-}
-
-func (s *Server) onPseudonymList(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(0, err), nil
-	}
-	si := s.def.ServerIndex(m.From)
-	list, err := DecodePseudonymList(m.Body)
-	if err != nil {
-		return s.violation(0, err), nil
-	}
-	if _, dup := s.pseuLists[si]; dup {
-		return &Output{}, nil
-	}
-	s.pseuLists[si] = list
-	// Keep collecting our own clients' submissions until they all
-	// arrive or our deadline passes; the shuffle starts only once our
-	// own list is in (maybeStartShuffle requires all M lists).
-	return s.maybeStartShuffle(now)
-}
-
-// maybeStartShuffle assembles the canonical shuffle input once all
-// server lists are present and runs stage 0 if this server is first.
-func (s *Server) maybeStartShuffle(now time.Time) (*Output, error) {
-	if len(s.pseuLists) < len(s.def.Servers) || s.shufOrder != nil {
-		return &Output{}, nil
-	}
-	// Union with lowest-server-index-wins dedup, then canonical client
-	// index order.
-	byClient := make(map[int][]byte)
-	for _, si := range sortedKeys(s.pseuLists) {
-		list := s.pseuLists[si]
-		for k, ci := range list.Clients {
-			if _, ok := byClient[int(ci)]; !ok {
-				byClient[int(ci)] = list.CTs[k]
-			}
-		}
-	}
-	s.shufOrder = sortedKeys(byClient)
-	if len(s.shufOrder) == 0 {
-		return nil, errors.New("core: no pseudonym submissions at setup deadline")
-	}
-	s.shufCur = make([]shuffle.Vec, 0, len(s.shufOrder))
-	for _, ci := range s.shufOrder {
-		ct, err := crypto.DecodeCiphertext(s.keyGrp, byClient[ci])
-		if err != nil {
-			return nil, fmt.Errorf("core: client %d pseudonym ciphertext: %w", ci, err)
-		}
-		s.shufCur = append(s.shufCur, shuffle.Vec{ct})
-	}
-	s.shufStage = 0
-	return s.maybeRunShuffleStage(now)
-}
-
-// serverIdentityKeys returns the server identity public keys.
-func (s *Server) serverIdentityKeys() []crypto.Element {
-	return s.def.ServerPubKeys()
-}
-
-// maybeRunShuffleStage runs this server's shuffle step if it is next.
-func (s *Server) maybeRunShuffleStage(now time.Time) (*Output, error) {
-	out := &Output{}
-	if s.shufStage == len(s.def.Servers) {
-		return s.finishScheduleShuffle(now)
-	}
-	if s.shufStage != s.idx {
-		return out, nil
-	}
-	remaining := crypto.AggregateKeys(s.keyGrp, s.serverIdentityKeys()[s.idx:])
-	step, err := shuffle.Step(s.keyGrp, s.kp, remaining, s.shufCur, s.def.Policy.Shadows, s.rand)
-	if err != nil {
-		return nil, fmt.Errorf("core: scheduling shuffle step: %w", err)
-	}
-	body := (&ShuffleStep{Stage: int32(s.idx), Data: shuffle.EncodeStepOutput(s.keyGrp, step)}).Encode()
-	if err := s.broadcastServers(MsgShuffleStep, 0, body, out); err != nil {
-		return nil, err
-	}
-	s.shufCur = step.Stripped
-	s.shufStage++
-	more, err := s.maybeRunShuffleStage(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
-}
-
-func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(0, err), nil
-	}
-	p, err := DecodeShuffleStep(m.Body)
-	if err != nil {
-		return s.violation(0, err), nil
-	}
-	si := s.def.ServerIndex(m.From)
-	if s.shufOrder == nil || int(p.Stage) > s.shufStage {
-		return s.stashMsg(m), nil
-	}
-	if int(p.Stage) != si || int(p.Stage) != s.shufStage {
-		return &Output{}, nil
-	}
-	step, err := shuffle.DecodeStepOutput(s.keyGrp, p.Data)
-	if err != nil {
-		return s.violation(0, err), nil
-	}
-	remaining := crypto.AggregateKeys(s.keyGrp, s.serverIdentityKeys()[si:])
-	if err := shuffle.VerifyStep(s.keyGrp, s.def.Servers[si].PubKey, remaining, s.shufCur, step); err != nil {
-		return s.violation(0, fmt.Errorf("server %d shuffle step invalid: %w", si, err)), nil
-	}
-	s.shufCur = step.Stripped
-	s.shufStage++
-	return s.maybeRunShuffleStage(now)
-}
-
 // finishScheduleShuffle extracts the slot keys and certifies them.
-func (s *Server) finishScheduleShuffle(now time.Time) (*Output, error) {
-	if s.slotKeys != nil {
-		return &Output{}, nil
-	}
-	s.slotKeys = make([]crypto.Element, len(s.shufCur))
-	for i, v := range s.shufCur {
+func (s *Server) finishScheduleShuffle(now time.Time, outputs []shuffle.Vec) (*Output, error) {
+	s.slotKeys = make([]crypto.Element, len(outputs))
+	for i, v := range outputs {
 		s.slotKeys[i] = v[0].C2
 	}
 	sig, err := s.kp.Sign("dissent/schedule", scheduleSignedBytes(s.grpID, s.encodedSlotKeys()), s.rand)
@@ -918,7 +723,7 @@ func (s *Server) onScheduleCert(now time.Time, m *Message) (*Output, error) {
 // maybeFinishSetup distributes the schedule and starts round 0 once
 // every server has certified.
 func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
-	if s.phase != phaseSetupShuffle || len(s.schedCerts) < len(s.def.Servers) {
+	if s.phase != phaseSetup || len(s.schedCerts) < len(s.def.Servers) {
 		return &Output{}, nil
 	}
 	// Bind the beacon chain to the certified schedule before any state
@@ -1031,34 +836,6 @@ func (s *Server) maybeOpenRounds(now time.Time, out *Output) {
 	}
 }
 
-// pendingAhead returns how many of the schedule's queued deltas fall
-// within the layout horizon of round r: round r is composed (and later
-// decoded) against the deltas of rounds ≤ max(drainRound−1, r−depth).
-// With p deltas queued for the rounds (roundNum−1−p, roundNum−1], the
-// oldest p − ((roundNum−1) − horizon) of them are within the horizon.
-// Bounding compose views this way (rather than consuming the whole
-// queue) keeps compose and decode layouts equal through post-drain
-// ramps, independent of how retirements interleave with window opens.
-func (s *Server) pendingAhead(r uint64) int {
-	p := s.sched.PendingDeltas()
-	if p == 0 {
-		return 0
-	}
-	a := int64(s.roundNum) - 1 // every round ≤ this has queued its delta
-	h := int64(r) - int64(s.depth)
-	if d := int64(s.drainRound) - 1; d > h {
-		h = d
-	}
-	k := p - int(a-h)
-	if k < 0 {
-		k = 0
-	}
-	if k > p {
-		k = p
-	}
-	return k
-}
-
 // openRound initializes round state and opens its submission window.
 // The vector length is pinned from the schedule's ahead view bounded to
 // the round's layout horizon: every delta up to that horizon has been
@@ -1068,7 +845,7 @@ func (s *Server) openRound(now time.Time, out *Output) {
 	rs := &roundState{
 		r:       s.nextOpen,
 		phase:   rpCollect,
-		vecLen:  s.sched.AheadLenUpTo(s.pendingAhead(s.nextOpen)),
+		vecLen:  s.sched.AheadLenUpTo(s.sched.Horizon(s.nextOpen, s.roundNum, s.drainRound)),
 		start:   now,
 		hardAt:  now.Add(s.def.Policy.HardTimeout),
 		subs:    make(map[int]*Message),
@@ -1338,23 +1115,15 @@ func (s *Server) roundTick(now time.Time) (*Output, error) {
 		// wedge until the operator intervened. The whole cast sequence goes
 		// out, not just the newest message: a peer can be a full phase
 		// behind and needs the earlier ones first.
-		if rs.phase > rpCollect && rs.phase < rpDone && len(rs.casts) > 0 {
-			if now.Before(rs.resendAt) {
-				out.merge(&Output{Timer: rs.resendAt})
-				continue
-			}
-			rs.resendN++
-			rs.resendAt = now.Add(s.retry.delay(rs.resendN, s.retrySeed^rs.r))
-			out.merge(&Output{Timer: rs.resendAt})
-			for _, c := range rs.casts {
-				if err := s.broadcastServers(c.t, rs.r, c.body, out); err != nil {
-					return nil, err
-				}
+		if rs.phase > rpCollect && rs.phase < rpDone {
+			resent, err := s.recastServers(now, &rs.casts, s.retrySeed^rs.r, out)
+			if err != nil {
+				return nil, err
 			}
 			// A round still wedged after several retries is being
 			// withheld from: attribute the silence to the peers whose
 			// phase contribution is missing (once per peer per round).
-			if rs.resendN >= withholdSuspectAfter {
+			if resent && rs.casts.n >= withholdSuspectAfter {
 				out.merge(s.suspectWithholding(rs))
 			}
 		}
@@ -1543,7 +1312,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 		rs.invs = make(map[int]*Inventory)
 		// The recorded casts are now a stale attempt; peers would drop
 		// them on the attempt check anyway.
-		rs.casts = nil
+		rs.casts.clear()
 		return &Output{Timer: rs.closeAt}, nil
 	}
 	if len(rs.included) < floor || len(rs.included) == 0 {
@@ -1679,7 +1448,7 @@ func (s *Server) commitShare(rs *roundState) (*Commit, error) {
 	}
 	body := (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
 		Nonce: s.keyGrp.Encode(rs.nonces[s.idx])}).Encode()
-	if s.testCorruptShare != nil || (s.interdict != nil && s.interdict.Share != nil) {
+	if s.interdict != nil && s.interdict.Share != nil {
 		// A byzantine server's tampering lands on the encoded copy it
 		// commits to and reveals; rs.myShare stays the honest share that a
 		// missed speculation is adjusted from.
@@ -1687,12 +1456,7 @@ func (s *Server) commitShare(rs *roundState) (*Commit, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.testCorruptShare != nil {
-			s.testCorruptShare(rs.r, p.CT)
-		}
-		if s.interdict != nil && s.interdict.Share != nil {
-			s.interdict.Share(rs.r, p.CT)
-		}
+		s.interdict.Share(rs.r, p.CT)
 	}
 	rs.shareMsg = &Message{From: s.id, Type: MsgShare, Round: rs.r, Body: body}
 	rs.shareDigests[s.idx] = rs.shareMsg.digest(s.grpID)
@@ -1768,7 +1532,7 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 			return nil, err
 		}
 	}
-	s.recordCast(now, rs, MsgShare, rs.shareMsg.Body, out)
+	s.recordCast(now, &rs.casts, s.retrySeed^rs.r, MsgShare, rs.r, rs.shareMsg.Body, out)
 	s.sendServers(rs.shareMsg, out)
 	// Combine what was revealed: our entry aliases our own message body,
 	// as the peers' entries alias theirs.
@@ -1852,7 +1616,7 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 		// Replay the beacon commit–reveal through a beacon.Round, which
 		// checks every share against its commitment and signature and
 		// assembles the round's chain entry.
-		br := beacon.NewRound(s.keyGrp, s.serverIdentityKeys(), rs.r, s.beaconChain.Head())
+		br := beacon.NewRound(s.keyGrp, s.def.ServerPubKeys(), rs.r, s.beaconChain.Head())
 		for si := 0; si < len(s.def.Servers); si++ {
 			if err := br.Commit(si, rs.beaconCommits[si]); err != nil {
 				return s.violation(rs.r, err), nil
@@ -2050,15 +1814,8 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 		s.rosterDue = true
 	}
 	// Catch the applied layout up to the one round rs.r was composed at
-	// before decoding: keep exactly q deltas queued, where q ramps up
-	// from the last pipeline drain (the first post-drain round was
-	// composed with every delta applied, the next with one withheld, and
-	// so on up to the steady-state depth−1).
-	q := s.depth - 1
-	if d := rs.r - s.drainRound; d < uint64(q) {
-		q = int(d)
-	}
-	s.sched.SyncPipeline(q)
+	// before decoding.
+	s.sched.SyncPipeline(rs.r, s.drainRound)
 	if rs.failed {
 		out.Events = append(out.Events, Event{Kind: EventRoundFailed, Round: rs.r,
 			Detail: fmt.Sprintf("participation %d", len(rs.included))})
@@ -2286,7 +2043,7 @@ func (s *Server) suspectWithholding(rs *roundState) *Output {
 		}
 		rs.suspected[si] = true
 		out.merge(s.misbehave(rs.r, s.def.Servers[si].ID, "withholding",
-			fmt.Errorf("server %d silent in round %d phase %d after %d retries", si, rs.r, rs.phase, rs.resendN)))
+			fmt.Errorf("server %d silent in round %d phase %d after %d retries", si, rs.r, rs.phase, rs.casts.n)))
 	}
 	return out
 }

@@ -429,23 +429,46 @@ func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundR
 	}
 }
 
-// SyncPipeline applies queued deltas, oldest first, until at most q
-// remain. The engines call it immediately before decoding round r with
-// q = min(λ, r − D), where D is the protocol's latest drain point (the
+// SyncPipeline applies queued deltas, oldest first, until at most
+// min(λ, r − drain) remain. The engines call it immediately before
+// decoding round r; drain is the protocol's latest drain point (the
 // session's first round, an epoch-boundary round, the resume round
 // after an accusation shuffle): a drained pipeline restarts with one
-// round in flight, so the first post-drain rounds were composed against
-// a layout with fewer deltas withheld than the steady-state λ. Syncing
-// to the per-round queue depth keeps the decode layout equal to the
-// compose layout across drains; with a full pipeline (q = λ) and at
-// λ = 0 it is a no-op.
-func (s *Schedule) SyncPipeline(q int) {
-	if q < 0 {
-		q = 0
+// round in flight, so the first post-drain round was composed with
+// every delta applied, the next with one withheld, and so on up to the
+// steady-state λ. Syncing to the per-round queue depth keeps the decode
+// layout equal to the compose layout across drains; with a full
+// pipeline and at λ = 0 it is a no-op.
+func (s *Schedule) SyncPipeline(r, drain uint64) {
+	q := s.lag
+	if d := r - drain; d < uint64(q) {
+		q = int(d)
 	}
 	for len(s.pending) > q {
 		s.popDelta(nil)
 	}
+}
+
+// Horizon returns how many of the queued deltas fall within the layout
+// horizon of round r — the k to compose (and size) round r's vector
+// with through the Ahead…UpTo views. Round r is composed, and later
+// decoded, against the deltas of rounds ≤ max(drain−1, r−λ−1), where
+// drain is the latest drain point as for SyncPipeline. head is the
+// oldest round that has not retired: every round below it has queued
+// its delta, so the p queued deltas belong to the rounds
+// (head−1−p, head−1] and the oldest p − ((head−1) − horizon) of them
+// are within the horizon. Bounding compose views this way, rather than
+// consuming the whole queue, keeps compose and decode layouts equal
+// through post-drain ramps however retirements interleave with window
+// opens, and for a freshly welcomed joiner, whose restored queue holds
+// deltas beyond its first round's horizon.
+func (s *Schedule) Horizon(r, head, drain uint64) int {
+	p := len(s.pending)
+	h := int64(r) - int64(s.lag) - 1
+	if d := int64(drain) - 1; d > h {
+		h = d
+	}
+	return min(max(p-int(int64(head)-1-h), 0), p)
 }
 
 // SetLag sets the pipeline lag λ: the layout used to compose round k
@@ -461,13 +484,6 @@ func (s *Schedule) SetLag(lag int) {
 	s.lag = lag
 }
 
-// Lag returns the pipeline lag.
-func (s *Schedule) Lag() int { return s.lag }
-
-// PendingDeltas returns the number of queued, not-yet-applied round
-// deltas.
-func (s *Schedule) PendingDeltas() int { return len(s.pending) }
-
 // FlushPipeline applies every queued delta immediately, bringing the
 // applied layout up to the ahead view. The engines call it (via Grow)
 // when the pipeline has drained at an epoch boundary, so roster and
@@ -477,12 +493,6 @@ func (s *Schedule) FlushPipeline() {
 		s.applyDeltaTo(s.lens, s.idle, d, nil)
 	}
 	s.pending = s.pending[:0]
-}
-
-// simulatePending returns copies of lens/idle with every queued delta
-// applied — the layout of the next round to be composed.
-func (s *Schedule) simulatePending() (lens, idle []int) {
-	return s.simulatePendingUpTo(len(s.pending))
 }
 
 // simulatePendingUpTo applies only the oldest k queued deltas: the
@@ -502,15 +512,10 @@ func (s *Schedule) simulatePendingUpTo(k int) (lens, idle []int) {
 	return lens, idle
 }
 
-// AheadLen returns the total cleartext vector length for the next
-// round to be composed: the applied layout plus every queued delta.
-// With an empty queue (always true at λ = 0) it equals Len.
-func (s *Schedule) AheadLen() int {
-	return s.AheadLenUpTo(len(s.pending))
-}
-
-// AheadLenUpTo is AheadLen at a bounded horizon: only the oldest k
-// queued deltas are included.
+// AheadLenUpTo returns the total cleartext vector length of a round
+// composed at a bounded horizon: the applied layout plus the oldest k
+// queued deltas. With an empty queue (always true at λ = 0) it equals
+// Len.
 func (s *Schedule) AheadLenUpTo(k int) int {
 	if len(s.pending) == 0 || k <= 0 {
 		return s.Len()
@@ -537,12 +542,8 @@ func (s *Schedule) AheadSlotLenUpTo(i, k int) int {
 	return lens[i]
 }
 
-// AheadSlotRange is SlotRange on the compose-side (ahead) view.
-func (s *Schedule) AheadSlotRange(i int) (off, n int) {
-	return s.AheadSlotRangeUpTo(i, len(s.pending))
-}
-
-// AheadSlotRangeUpTo is AheadSlotRange at a bounded horizon.
+// AheadSlotRangeUpTo is SlotRange on the compose-side view at a bounded
+// horizon.
 func (s *Schedule) AheadSlotRangeUpTo(i, k int) (off, n int) {
 	if len(s.pending) == 0 || k <= 0 {
 		return s.SlotRange(i)

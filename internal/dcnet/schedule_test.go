@@ -546,3 +546,173 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal("invalid permutation accepted")
 	}
 }
+
+// pendingAheadReference is the arithmetic core.Server.pendingAhead and
+// core.Client.pendingAhead each carried before it moved into
+// Schedule.Horizon, kept here verbatim as the reference: p queued deltas,
+// head the oldest unretired round, depth = λ+1.
+func pendingAheadReference(p int, r, head uint64, depth int, drain uint64) int {
+	if p == 0 {
+		return 0
+	}
+	a := int64(head) - 1
+	h := int64(r) - int64(depth)
+	if d := int64(drain) - 1; d > h {
+		h = d
+	}
+	k := p - int(a-h)
+	if k < 0 {
+		k = 0
+	}
+	if k > p {
+		k = p
+	}
+	return k
+}
+
+// TestHorizonTable pins Schedule.Horizon on hand-derived rows — steady
+// state, the ramp after a drain, a joiner's restored queue, and the
+// clamps — and on each against the arithmetic it replaced.
+func TestHorizonTable(t *testing.T) {
+	rows := []struct {
+		name           string
+		depth, queued  int
+		r, head, drain uint64
+		want           int
+	}{
+		{"depth 1 never queues", 1, 0, 10, 10, 0, 0},
+		{"depth 2, only round in flight", 2, 1, 10, 10, 0, 0},
+		{"depth 2, pipeline full", 2, 1, 11, 10, 0, 1},
+		{"depth 2, first round after a drain", 2, 1, 10, 10, 10, 1},
+		{"depth 3, only round in flight", 3, 2, 10, 10, 0, 0},
+		{"depth 3, two in flight", 3, 2, 11, 10, 0, 1},
+		{"depth 3, pipeline full", 3, 2, 12, 10, 0, 2},
+		{"depth 3, first round after a drain", 3, 2, 10, 10, 10, 2},
+		{"depth 3, ramp: drain round retired, next opens alone", 3, 1, 11, 11, 10, 0},
+		{"depth 3, ramp: second round opens beside the first", 3, 2, 11, 10, 10, 2},
+		{"depth 3, ramp: third round, the drain round's delta withheld", 3, 1, 12, 11, 10, 0},
+		{"depth 3, ramp over: pipeline full again", 3, 2, 13, 12, 10, 1},
+		{"depth 3, joiner's first round", 3, 2, 20, 20, 4, 0},
+		{"depth 3, joiner's second round", 3, 2, 21, 20, 4, 1},
+		{"depth 3, joiner welcomed on the ramp", 3, 1, 11, 11, 10, 0},
+		{"clamped above", 3, 2, 30, 20, 0, 2},
+		{"clamped below", 3, 2, 10, 20, 0, 0},
+	}
+	for _, row := range rows {
+		s := mustSchedule(t, testConfig(4))
+		s.SetLag(row.depth - 1)
+		for i := 0; i < row.queued; i++ {
+			s.AdvanceFailed()
+		}
+		if len(s.pending) != row.queued {
+			t.Fatalf("%s: %d deltas queued, want %d", row.name, len(s.pending), row.queued)
+		}
+		if got := s.Horizon(row.r, row.head, row.drain); got != row.want {
+			t.Errorf("%s: Horizon(%d, %d, %d) = %d, want %d", row.name, row.r, row.head, row.drain, got, row.want)
+		}
+		if ref := pendingAheadReference(row.queued, row.r, row.head, row.depth, row.drain); ref != row.want {
+			t.Errorf("%s: reference arithmetic gives %d, want %d", row.name, ref, row.want)
+		}
+	}
+}
+
+// pipelineSim drives a Schedule the way the engines do: rounds open in
+// order with at most depth in flight, each pinning its vector length
+// from the Horizon-bounded ahead view; rounds retire in order through
+// SyncPipeline + Advance. Every retired round opens one more slot, so
+// the layout changes each round and a wrong horizon shows as a compose
+// length that differs from the decode length.
+type pipelineSim struct {
+	t      *testing.T
+	s      *Schedule
+	depth  int
+	drain  uint64
+	head   uint64         // oldest unretired round
+	next   uint64         // next round to open
+	pinned map[uint64]int // round -> vector length pinned at open
+}
+
+// run executes a script: 'o' opens a window if the pipeline has room,
+// 'r' retires the head if a round is in flight, 'D' records a drain
+// point (the pipeline must be empty).
+func (p *pipelineSim) run(script string) {
+	p.t.Helper()
+	for _, op := range script {
+		switch {
+		case op == 'o' && p.next-p.head < uint64(p.depth):
+			k := p.s.Horizon(p.next, p.head, p.drain)
+			if want := pendingAheadReference(len(p.s.pending), p.next, p.head, p.depth, p.drain); k != want {
+				p.t.Fatalf("depth %d round %d (head %d, drain %d, %d queued): Horizon %d, reference %d",
+					p.depth, p.next, p.head, p.drain, len(p.s.pending), k, want)
+			}
+			if n, seen := p.pinned[p.next]; seen && n != p.s.AheadLenUpTo(k) {
+				p.t.Fatalf("depth %d round %d: replica composes at length %d, donor at %d",
+					p.depth, p.next, p.s.AheadLenUpTo(k), n)
+			}
+			p.pinned[p.next] = p.s.AheadLenUpTo(k)
+			p.next++
+		case op == 'r' && p.head < p.next:
+			p.s.SyncPipeline(p.head, p.drain)
+			if p.s.Len() != p.pinned[p.head] {
+				p.t.Fatalf("depth %d round %d: composed at length %d, decoded at %d",
+					p.depth, p.head, p.pinned[p.head], p.s.Len())
+			}
+			buf := make([]byte, p.s.Len())
+			p.s.SetReqBit(buf, int(p.head)%p.s.NumSlots(), true)
+			if _, err := p.s.Advance(buf); err != nil {
+				p.t.Fatal(err)
+			}
+			p.head++
+		case op == 'D':
+			if p.head != p.next {
+				p.t.Fatalf("drain point with rounds %d..%d in flight", p.head, p.next)
+			}
+			p.drain = p.next
+		}
+	}
+}
+
+// TestHorizonThroughDrainRampAndWelcome runs Schedule.Horizon through
+// what the engines put it through, at depths 1 to 3: the pipeline
+// fills, runs full, runs with retirements outpacing window opens (the
+// case a whole-queue view composes wrongly), drains, and ramps back up
+// from the new drain point; then a joiner restores the donor's replica
+// mid-pipeline and keeps pace. At every window open the horizon equals
+// the arithmetic it replaced, and every round is decoded at the length
+// it was composed at — on the joiner too, including the rounds the donor
+// already had in flight.
+func TestHorizonThroughDrainRampAndWelcome(t *testing.T) {
+	for depth := 1; depth <= 3; depth++ {
+		s := mustSchedule(t, testConfig(40))
+		s.SetLag(depth - 1)
+		p := &pipelineSim{t: t, s: s, depth: depth, pinned: map[uint64]int{}}
+		p.run("ooo" + "rororo" + "rroo" + "rrroo" + "rrr" + "D" + "o" + "ro" + "oo" + "rroo" + "ro")
+		if p.drain == 0 || p.head == p.next && depth > 1 {
+			t.Fatalf("depth %d: script ended at head %d, next %d, drain %d", depth, p.head, p.next, p.drain)
+		}
+
+		round, lens, idle, perm := s.Snapshot()
+		j, err := RestoreSchedule(s.Config(), round, lens, idle, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.SetLag(depth - 1)
+		if err := j.RestorePending(s.PendingSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		// The joiner starts at the donor's head with nothing in flight, and
+		// composes the donor's in-flight rounds itself: run checks each
+		// against the length the donor pinned.
+		jp := &pipelineSim{t: t, s: j, depth: depth, drain: p.drain, head: p.head, next: p.head, pinned: p.pinned}
+		for jp.next < p.next {
+			jp.run("o")
+		}
+		for _, step := range []string{"r", "o", "r", "r", "o", "o", "r", "o"} {
+			p.run(step)
+			jp.run(step)
+			if s.Digest() != j.Digest() {
+				t.Fatalf("depth %d: joiner's replica diverged from the donor's at head %d", depth, p.head)
+			}
+		}
+	}
+}

@@ -244,6 +244,16 @@ func (d *Definition) ServerPubKeys() []crypto.Element {
 	return pubs
 }
 
+// ServerMsgPubKeys returns the servers' message-shuffle public keys in
+// server index order (what accusation-shuffle inputs are encrypted to).
+func (d *Definition) ServerMsgPubKeys() []crypto.Element {
+	pubs := make([]crypto.Element, len(d.Servers))
+	for i, m := range d.Servers {
+		pubs[i] = m.MsgPubKey
+	}
+	return pubs
+}
+
 // ServerIndex returns the index of server id, or -1.
 func (d *Definition) ServerIndex(id NodeID) int {
 	for i, m := range d.Servers {

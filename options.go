@@ -122,8 +122,9 @@ func WithPipelineDepth(d int) Option {
 
 // WithRetryPolicy overrides the engine's retransmission backoff — the
 // capped exponential-with-jitter discipline behind server round-phase
-// rebroadcasts, roster-phase rebroadcasts, and client stale-submission
-// resends. Zero fields keep their defaults (first retry at the
+// rebroadcasts, roster-phase rebroadcasts, client stale-submission
+// resends, join-request retries and roster catch-up probes (the last
+// two after a fixed 1 s first delay). Zero fields keep their defaults (first retry at the
 // engine's legacy period, cap 8× that, factor 2, jitter 0.2). All
 // members may run different policies; only liveness, not correctness,
 // depends on them.
