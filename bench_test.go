@@ -132,7 +132,7 @@ func BenchmarkAblationClientPads(b *testing.B) {
 // embedded messages) at identical small scale — the §3.10 asymmetry
 // that shapes Figure 9.
 func BenchmarkAblationShuffleKinds(b *testing.B) {
-	const servers, clients, shadows = 2, 6, 4
+	const servers, clients = 2, 6
 	b.Run("key-shuffle-p256", func(b *testing.B) {
 		g := crypto.P256()
 		srv := make([]*crypto.KeyPair, servers)
@@ -146,7 +146,7 @@ func BenchmarkAblationShuffleKinds(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := shuffle.KeyShuffle(g, srv, keys, shadows, nil); err != nil {
+			if _, err := shuffle.KeyShuffle(g, srv, keys, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -163,7 +163,7 @@ func BenchmarkAblationShuffleKinds(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := shuffle.MessageShuffle(g, srv, msgs, 1, shadows, nil); err != nil {
+			if _, err := shuffle.MessageShuffle(g, srv, msgs, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -154,13 +154,13 @@ func runFig9(quick bool) {
 		fmt.Printf("%-8d %-14s %-14s %-16s %-14s\n", r.Clients,
 			fmtDur(r.KeyShuffle), fmtDur(r.DCNetRound), fmtDur(r.BlameShuffle), fmtDur(r.BlameEval))
 	}
-	vServers, vClients, vShadows := 3, 12, 6
+	vServers, vClients := 3, 12
 	if !quick {
 		vServers, vClients = 4, 24
 	}
-	fmt.Printf("\n# model validation against real shuffle execution (%d servers, %d clients, k=%d)\n",
-		vServers, vClients, vShadows)
-	v, err := bench.Fig9Validate(vServers, vClients, vShadows)
+	fmt.Printf("\n# model validation against real shuffle execution (%d servers, %d clients)\n",
+		vServers, vClients)
+	v, err := bench.Fig9Validate(vServers, vClients)
 	if err != nil {
 		log.Fatal(err)
 	}

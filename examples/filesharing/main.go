@@ -25,7 +25,6 @@ func main() {
 	const chunkSize = 128 << 10
 	policy := dissent.DefaultPolicy()
 	policy.MessageGroup = "modp-512-test"
-	policy.Shadows = 4
 	policy.WindowMin = 20 * time.Millisecond
 	policy.DefaultOpenLen = 1024
 	policy.MaxSlotLen = chunkSize + 4096

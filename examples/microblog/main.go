@@ -28,7 +28,6 @@ func main() {
 
 	policy := dissent.DefaultPolicy()
 	policy.MessageGroup = "modp-512-test"
-	policy.Shadows = 4
 	policy.WindowMin = 50 * time.Millisecond
 	policy.DefaultOpenLen = 192
 	policy.BeaconEpochRounds = 0

@@ -27,7 +27,6 @@ const (
 func main() {
 	policy := dissent.DefaultPolicy()
 	policy.MessageGroup = "modp-512-test" // small accusation group for the demo
-	policy.Shadows = 4
 	policy.WindowMin = 10 * time.Millisecond
 	policy.DefaultOpenLen = 128
 

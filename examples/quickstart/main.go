@@ -19,7 +19,6 @@ func main() {
 	// 1. Keys and the group definition, whose hash is the group ID.
 	policy := dissent.DefaultPolicy()
 	policy.MessageGroup = "modp-512-test" // small accusation group for the demo
-	policy.Shadows = 4
 	policy.WindowMin = 10 * time.Millisecond
 	policy.DefaultOpenLen = 128
 	var serverKeys, clientKeys []dissent.Keys

@@ -21,7 +21,7 @@ func TestCalibrateSane(t *testing.T) {
 
 func TestShuffleTimeScalesLinearly(t *testing.T) {
 	m := Calibrate()
-	p := ShuffleParams{Servers: 4, Inputs: 100, Width: 1, Shadows: 8}
+	p := ShuffleParams{Servers: 4, Inputs: 100, Width: 1}
 	t100 := ShuffleTime(ecCosts(m), p)
 	p.Inputs = 200
 	t200 := ShuffleTime(ecCosts(m), p)
@@ -35,8 +35,8 @@ func TestModPShuffleDwarfsKeyShuffle(t *testing.T) {
 	// The Fig. 9 asymmetry: accusation shuffles (mod-p, wide vectors)
 	// must cost far more than key shuffles (P-256, width 1).
 	m := Calibrate()
-	key := ShuffleTime(ecCosts(m), ShuffleParams{Servers: 24, Inputs: 500, Width: 1, Shadows: 16})
-	blame := ShuffleTime(modpCosts(m), ShuffleParams{Servers: 24, Inputs: 500, Width: AccusationWidth(), Shadows: 16})
+	key := ShuffleTime(ecCosts(m), ShuffleParams{Servers: 24, Inputs: 500, Width: 1})
+	blame := ShuffleTime(modpCosts(m), ShuffleParams{Servers: 24, Inputs: 500, Width: AccusationWidth()})
 	if blame < 5*key {
 		t.Errorf("blame shuffle (%v) not ≫ key shuffle (%v)", blame, key)
 	}
@@ -69,7 +69,7 @@ func TestFig9ValidationAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real shuffle validation is slow")
 	}
-	v, err := Fig9Validate(3, 12, 6)
+	v, err := Fig9Validate(3, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

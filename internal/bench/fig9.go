@@ -15,11 +15,11 @@ import (
 // messages.
 //
 // The shuffle stages are priced by the analytic operation-count model
-// (see package comment): the real cut-and-choose mix at 1000 clients
-// in the 2048-bit message group would run for hours of serial
-// big-integer arithmetic, exactly the regime the paper reports (>1 h
-// for its 1000-client accusation shuffle). Fig9Validate cross-checks
-// the model against real executions at small N.
+// (see package comment): a real mix of 1000 accusations in the
+// 2048-bit message group over 24 servers is most of an hour of serial
+// big-integer arithmetic, the regime the paper reports (>1 h for its
+// 1000-client accusation shuffle). Fig9Validate cross-checks the model
+// against real executions at small N.
 
 // Fig9Row is one client-count's stage breakdown.
 type Fig9Row struct {
@@ -34,7 +34,6 @@ type Fig9Row struct {
 type Fig9Config struct {
 	Servers     int
 	ClientSizes []int
-	Shadows     int
 	MsgBytes    int
 }
 
@@ -43,7 +42,6 @@ func DefaultFig9Config() Fig9Config {
 	return Fig9Config{
 		Servers:     24,
 		ClientSizes: []int{24, 100, 500, 1000},
-		Shadows:     16,
 		MsgBytes:    128,
 	}
 }
@@ -67,12 +65,12 @@ func Fig9(cfg Fig9Config) []Fig9Row {
 		rows = append(rows, Fig9Row{
 			Clients: n,
 			KeyShuffle: ShuffleTime(ecCosts(m), ShuffleParams{
-				Servers: cfg.Servers, Inputs: n, Width: 1, Shadows: cfg.Shadows,
+				Servers: cfg.Servers, Inputs: n, Width: 1,
 				ServerBandwidth: prof.ServerBandwidth, ServerLatency: prof.ServerLatency,
 			}),
 			DCNetRound: DCNetRoundTime(m, dc),
 			BlameShuffle: ShuffleTime(modpCosts(m), ShuffleParams{
-				Servers: cfg.Servers, Inputs: n, Width: AccusationWidth(), Shadows: cfg.Shadows,
+				Servers: cfg.Servers, Inputs: n, Width: AccusationWidth(),
 				ServerBandwidth: prof.ServerBandwidth, ServerLatency: prof.ServerLatency,
 			}),
 			BlameEval: BlameEvalTime(m, dc),
@@ -88,7 +86,6 @@ func Fig9(cfg Fig9Config) []Fig9Row {
 // whatever slowed it slowed the calibration beside it too.
 type Fig9Validation struct {
 	Servers, Clients int
-	Shadows          int
 	KeyShuffleReal   time.Duration
 	KeyShuffleModel  [2]time.Duration // calibrated before, after
 	MsgShuffleReal   time.Duration
@@ -99,9 +96,9 @@ type Fig9Validation struct {
 // shuffle (modp-512 scaled to modp-2048 cost by the calibration ratio)
 // and reports model agreement. The real runs execute the actual
 // shuffle.Run pipeline, including every proof and verification.
-func Fig9Validate(servers, clients, shadows int) (Fig9Validation, error) {
+func Fig9Validate(servers, clients int) (Fig9Validation, error) {
 	before := calibrate() // fresh, not Calibrate's cached model: see Fig9Validation
-	v := Fig9Validation{Servers: servers, Clients: clients, Shadows: shadows}
+	v := Fig9Validation{Servers: servers, Clients: clients}
 
 	// Real key shuffle on P-256.
 	g := crypto.P256()
@@ -115,7 +112,7 @@ func Fig9Validate(servers, clients, shadows int) (Fig9Validation, error) {
 		keys[i] = kp.Public
 	}
 	t0 := time.Now()
-	if _, err := shuffle.KeyShuffle(g, srvKPs, keys, shadows, nil); err != nil {
+	if _, err := shuffle.KeyShuffle(g, srvKPs, keys, nil); err != nil {
 		return v, err
 	}
 	v.KeyShuffleReal = time.Since(t0)
@@ -135,12 +132,12 @@ func Fig9Validate(servers, clients, shadows int) (Fig9Validation, error) {
 		msgs[i] = []byte(fmt.Sprintf("validation message %d", i))
 	}
 	t0 = time.Now()
-	if _, err := shuffle.MessageShuffle(mg, msrvKPs, msgs, 1, shadows, nil); err != nil {
+	if _, err := shuffle.MessageShuffle(mg, msrvKPs, msgs, 1, nil); err != nil {
 		return v, err
 	}
 	v.MsgShuffleReal = time.Since(t0)
 	// The model charges only compute when bandwidth/latency are zero.
-	params := ShuffleParams{Servers: servers, Inputs: clients, Width: 1, Shadows: shadows}
+	params := ShuffleParams{Servers: servers, Inputs: clients, Width: 1}
 	for i, m := range []CostModel{before, calibrate()} {
 		v.KeyShuffleModel[i] = ShuffleTime(ecCosts(m), params)
 		v.MsgShuffleModel[i] = ShuffleTime(modpCosts(m), params)

@@ -83,20 +83,34 @@ func calibrate() CostModel {
 
 // --- Analytic shuffle model (Fig. 9) ----------------------------------
 
-// GroupCosts prices the three group operations a shuffle performs.
+// GroupCosts prices the group operations a shuffle performs.
 type GroupCosts struct {
-	Mul        time.Duration // scalar multiplication / exponentiation
+	Mul        time.Duration // scalar multiplication / exponentiation by a full-width scalar
 	BaseMul    time.Duration
 	ElementLen int
+	ScalarLen  int
+	// OrderBits is the scalar width when a multiplication's cost grows
+	// with the scalar's length (square-and-multiply in the mod-p group);
+	// 0 when every multiplication costs Mul whatever the scalar
+	// (P-256's constant-time ladder).
+	OrderBits int
+}
+
+// mul prices a multiplication by a scalar of the given bit length.
+func (g GroupCosts) mul(bits int) time.Duration {
+	if g.OrderBits == 0 || bits >= g.OrderBits {
+		return g.Mul
+	}
+	return g.Mul * time.Duration(bits) / time.Duration(g.OrderBits)
 }
 
 // ecCosts and modpCosts derive group costs from the calibration.
 func ecCosts(m CostModel) GroupCosts {
-	return GroupCosts{Mul: m.ECScalarMul, BaseMul: m.ECBaseMul, ElementLen: 33}
+	return GroupCosts{Mul: m.ECScalarMul, BaseMul: m.ECBaseMul, ElementLen: 33, ScalarLen: 32}
 }
 
 func modpCosts(m CostModel) GroupCosts {
-	return GroupCosts{Mul: m.ModExp, BaseMul: m.ModExp, ElementLen: 256}
+	return GroupCosts{Mul: m.ModExp, BaseMul: m.ModExp, ElementLen: 256, ScalarLen: 256, OrderBits: 2047}
 }
 
 // ShuffleParams describe one verifiable-shuffle execution.
@@ -104,41 +118,43 @@ type ShuffleParams struct {
 	Servers int
 	Inputs  int // N
 	Width   int // ciphertexts per input vector
-	Shadows int // k
 	// ServerBandwidth and ServerLatency model the inter-server links.
 	ServerBandwidth float64
 	ServerLatency   time.Duration
 }
 
-// reencCost is one ElGamal re-encryption: one base mult (rG) plus one
-// scalar mult (rY) and two group additions (additions are negligible
-// next to multiplications).
-func reencCost(g GroupCosts) time.Duration { return g.BaseMul + g.Mul }
-
 // ShuffleTime prices a complete serial mix (the §3.10 pipeline): every
-// server re-encrypts and permutes (with k shadow shuffles for the
-// proof), strips its decryption layer with a batch DLEQ proof, and
-// every other server verifies each step before the next proceeds.
+// server re-encrypts and permutes, proves the shuffle with the
+// permutation-commitment argument of internal/shuffle, publishes its
+// decryption shares with a batch DLEQ proof, and every other server
+// verifies each step before the next proceeds.
 //
-// Per step:
+// Per step, counting group multiplications (additions, hashing and
+// element decoding are small next to them), with u the 128-bit and χ
+// the 256-bit Fiat–Shamir challenges:
 //
-//	prove  = (k+1)·N·W re-encryptions + N·W decrypt-share mults
-//	         + 2·N·W batch-DLEQ mults
-//	verify = k·N·W re-encryption checks + 2·N·W batch-DLEQ mults
+//	prove  = N·W re-encryptions (base + mul)
+//	         + N commitments (base) + 2·N chain links and their
+//	           announcements (base + mul each)
+//	         + N + 2·N·W announcement mults (Σω'·H, Σω'·out)
+//	         + N·W decrypt-share mults + 2·N·W batch-DLEQ mults by u-sized weights
+//	verify = N + 2·N·W mults by u (Σu·c, Σu·in) + N + 2·N·W full mults
+//	         (Σs'·H, Σs'·out) + N chain links (base + mul + one mult by χ)
+//	         + 2·N·W batch-DLEQ mults by u-sized weights
 //	         (verifiers run in parallel on distinct servers)
-//	wire   = step output ≈ (3 + k)·N·W ciphertexts + k·N·W scalars
+//	wire   = 3·N·W + 3·N + 2·W + 3 elements and 2·N + W + 5 scalars
 //
 // total = Σ_steps (prove + verify + transfer + latency).
 func ShuffleTime(g GroupCosts, p ShuffleParams) time.Duration {
-	nw := float64(p.Inputs * p.Width)
-	prove := time.Duration(nw * float64(p.Shadows+1) * float64(reencCost(g)))
-	prove += time.Duration(nw * float64(g.Mul)) // decrypt shares
-	prove += time.Duration(2 * nw * float64(g.Mul))
-	verify := time.Duration(nw * float64(p.Shadows) * float64(reencCost(g)))
-	verify += time.Duration(2 * nw * float64(g.Mul))
+	n, nw := time.Duration(p.Inputs), time.Duration(p.Inputs*p.Width)
+	short, chi := g.mul(128), g.mul(256)
 
-	ctBytes := 2 * g.ElementLen
-	stepBytes := float64((3+p.Shadows)*p.Inputs*p.Width*ctBytes + p.Shadows*p.Inputs*p.Width*32)
+	prove := nw*(g.BaseMul+g.Mul) + n*g.BaseMul + 2*n*(g.BaseMul+g.Mul) +
+		(n+2*nw)*g.Mul + nw*g.Mul + 2*nw*short
+	verify := (n+2*nw)*short + (n+2*nw)*g.Mul + n*(g.BaseMul+g.Mul+chi) + 2*nw*short
+
+	w := p.Width
+	stepBytes := float64((3*p.Inputs*w+3*p.Inputs+2*w+3)*g.ElementLen + (2*p.Inputs+w+5)*g.ScalarLen)
 	var transfer time.Duration
 	if p.ServerBandwidth > 0 {
 		// The prover broadcasts its step to the other servers over its

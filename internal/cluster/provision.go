@@ -21,7 +21,6 @@ func (t Topology) policy() dissent.Policy {
 	if t.MessageGroup != "" {
 		p.MessageGroup = t.MessageGroup
 	}
-	p.Shadows = 4
 	p.WindowMin = 15 * time.Millisecond
 	if t.WindowMin > 0 {
 		p.WindowMin = t.WindowMin

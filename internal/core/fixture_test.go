@@ -65,7 +65,6 @@ func newFixture(t testing.TB, m, n int, fo fixtureOpts) *fixture {
 
 	policy := group.DefaultPolicy()
 	policy.MessageGroup = "modp-512-test"
-	policy.Shadows = 4
 	policy.WindowMin = 10 * time.Millisecond
 	policy.HardTimeout = 30 * time.Second
 	policy.DefaultOpenLen = 64

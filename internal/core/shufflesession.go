@@ -279,7 +279,7 @@ func (ss *shuffleSession) advance(now time.Time) (*Output, error) {
 	out := &Output{}
 	if ss.stage == s.idx {
 		remaining := crypto.AggregateKeys(ss.grp, ss.pubs[s.idx:])
-		step, err := shuffle.Step(ss.grp, ss.kp, remaining, ss.cur, s.def.Policy.Shadows, s.rand)
+		step, err := shuffle.Step(ss.grp, ss.kp, remaining, ss.cur, s.rand)
 		if err != nil {
 			return nil, fmt.Errorf("core: shuffle session %d step: %w", ss.id, err)
 		}
@@ -287,7 +287,7 @@ func (ss *shuffleSession) advance(now time.Time) (*Output, error) {
 		if err := s.broadcastServers(ss.stepT, ss.round, body, out); err != nil {
 			return nil, err
 		}
-		ss.cur = step.Stripped
+		ss.cur = step.Stripped(ss.grp)
 		ss.stage++
 	}
 	if ss.stage < len(ss.pubs) {
@@ -324,7 +324,7 @@ func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
 	if p.Session != ss.id || int(p.Stage) != si || int(p.Stage) != ss.stage {
 		return &Output{}, nil
 	}
-	step, err := shuffle.DecodeStepOutput(ss.grp, p.Data)
+	step, err := shuffle.DecodeStepOutput(ss.grp, p.Data, len(ss.cur), ss.width)
 	if err != nil {
 		return s.violation(s.roundNum, err), nil
 	}
@@ -332,7 +332,7 @@ func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
 	if err := shuffle.VerifyStep(ss.grp, ss.pubs[si], remaining, ss.cur, step); err != nil {
 		return s.violation(s.roundNum, fmt.Errorf("server %d shuffle step invalid (session %d): %w", si, ss.id, err)), nil
 	}
-	ss.cur = step.Stripped
+	ss.cur = step.Stripped(ss.grp)
 	ss.stage++
 	return ss.advance(now)
 }

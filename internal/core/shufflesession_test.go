@@ -152,7 +152,7 @@ func TestShuffleSessionMatchesReferenceShuffle(t *testing.T) {
 			r.submit(i, g, r.f.def.ServerPubKeys(), []crypto.Element{keys[i]})
 		}
 		r.flush()
-		ref, err := shuffle.KeyShuffle(g, r.serverKPs(false), keys, r.f.def.Policy.Shadows, nil)
+		ref, err := shuffle.KeyShuffle(g, r.serverKPs(false), keys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestShuffleSessionMatchesReferenceShuffle(t *testing.T) {
 			r.submit(i, g, r.f.def.ServerMsgPubKeys(), elems)
 		}
 		r.flush()
-		ref, err := shuffle.MessageShuffle(g, r.serverKPs(true), msgs, width, r.f.def.Policy.Shadows, nil)
+		ref, err := shuffle.MessageShuffle(g, r.serverKPs(true), msgs, width, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

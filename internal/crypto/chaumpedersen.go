@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"crypto/sha256"
 	"errors"
 	"io"
 	"math/big"
@@ -62,14 +63,14 @@ func dleqChallenge(g Group, b, y, d, a1, a2 Element, ctx []byte) *big.Int {
 // ProveDLEQBatch proves log_G(y) == log_{b_i}(d_i) for every i with a
 // single proof, by taking a Fiat–Shamir random linear combination of
 // the statement pairs. Shuffle servers use this to prove an entire
-// batch of decryption shares at once, keeping verification cost at two
-// scalar multiplications plus one multi-combination regardless of N.
+// batch of decryption shares at once. The prover, whose d_i = x·b_i,
+// gets the combined share as x·(Σρ_i b_i) rather than a second sum.
 func ProveDLEQBatch(g Group, x *big.Int, bs, ds []Element, y Element, ctx []byte, rand io.Reader) (DLEQProof, error) {
 	if len(bs) != len(ds) {
 		return DLEQProof{}, errors.New("crypto: batch length mismatch")
 	}
-	bc, dc := dleqBatchCombine(g, bs, ds, y, ctx)
-	return ProveDLEQ(g, x, bc, y, dc, ctx, rand)
+	bc := MultiScalarMult(g, bs, dleqBatchWeights(g, bs, ds, y, ctx))
+	return ProveDLEQ(g, x, bc, y, g.ScalarMult(bc, x), ctx, rand)
 }
 
 // VerifyDLEQBatch verifies a batch proof from ProveDLEQBatch.
@@ -77,24 +78,33 @@ func VerifyDLEQBatch(g Group, bs, ds []Element, y Element, proof DLEQProof, ctx 
 	if len(bs) != len(ds) {
 		return errors.New("crypto: batch length mismatch")
 	}
-	bc, dc := dleqBatchCombine(g, bs, ds, y, ctx)
-	return VerifyDLEQ(g, bc, y, dc, proof, ctx)
+	rhos := dleqBatchWeights(g, bs, ds, y, ctx)
+	return VerifyDLEQ(g, MultiScalarMult(g, bs, rhos), y, MultiScalarMult(g, ds, rhos), proof, ctx)
 }
 
-// dleqBatchCombine derives deterministic weights ρ_i from the full
-// statement and returns (Σρ_i b_i, Σρ_i d_i).
-func dleqBatchCombine(g Group, bs, ds []Element, y Element, ctx []byte) (Element, Element) {
-	parts := make([][]byte, 0, 2*len(bs)+2)
-	parts = append(parts, g.Encode(y), ctx)
+// dleqBatchWeights derives the deterministic 128-bit weights ρ_i of the
+// combination (Σρ_i b_i, Σρ_i d_i) from the full statement, hashing
+// each element once. Short weights are the small-exponent batch test:
+// in a prime-order group a false pair survives the combination with
+// probability 2⁻¹²⁸, the same bound full-width weights give, at a
+// fraction of the exponent length.
+func dleqBatchWeights(g Group, bs, ds []Element, y Element, ctx []byte) []*big.Int {
+	h := sha256.New()
+	h.Write(g.Encode(y))
 	for i := range bs {
-		parts = append(parts, g.Encode(bs[i]), g.Encode(ds[i]))
+		h.Write(g.Encode(bs[i]))
+		h.Write(g.Encode(ds[i]))
 	}
-	seed := Hash("dissent/dleq-batch", parts...)
-	bc, dc := g.Identity(), g.Identity()
-	for i := range bs {
-		rho := HashToScalar(g, "dissent/dleq-batch-rho", seed, HashUint64(uint64(i)))
-		bc = g.Add(bc, g.ScalarMult(bs[i], rho))
-		dc = g.Add(dc, g.ScalarMult(ds[i], rho))
+	seed := Hash("dissent/dleq-batch", ctx, h.Sum(nil))
+	return ChallengeVector("dissent/dleq-batch-rho", seed, len(bs))
+}
+
+// ChallengeVector expands seed into n independent 128-bit scalars, the
+// short Fiat–Shamir weights of a batch test.
+func ChallengeVector(domain string, seed []byte, n int) []*big.Int {
+	out := make([]*big.Int, n)
+	for i := range out {
+		out[i] = new(big.Int).SetBytes(Hash(domain, seed, HashUint64(uint64(i)))[:16])
 	}
-	return bc, dc
+	return out
 }

@@ -188,6 +188,26 @@ func (g *ECGroup) RandomElement(r io.Reader) (Element, error) {
 	return g.BaseMult(k), nil
 }
 
+// HashToElement implements Group by try-and-increment: a hashed
+// x-coordinate is bumped through a counter until it is on the curve
+// (~2 attempts expected; the cofactor is 1, so every curve point is in
+// the group), and the even y is taken so the result does not depend on
+// which root ModSqrt happens to return.
+func (g *ECGroup) HashToElement(seed []byte) Element {
+	p := g.curve.Params().P
+	fieldLen := (g.curve.Params().BitSize + 7) / 8
+	for ctr := uint64(0); ; ctr++ {
+		h := Hash("dissent/hash-to-element", []byte(g.name), seed, HashUint64(ctr))
+		x := new(big.Int).SetBytes(expandHash(h, fieldLen)[:fieldLen])
+		if y := ecSolveY(g.curve, x); y != nil {
+			if y.Bit(0) == 1 {
+				y.Sub(p, y)
+			}
+			return &ecPoint{x: x, y: y}
+		}
+	}
+}
+
 // EmbedLimit implements Group. The x-coordinate layout is
 // [1-byte counter][1-byte length][payload][zero padding], so the field
 // width minus two bytes of header minus one byte of headroom (so the

@@ -63,6 +63,13 @@ type Group interface {
 	// RandomElement returns a uniform non-identity element.
 	RandomElement(r io.Reader) (Element, error)
 
+	// HashToElement maps seed to a non-identity element by hashing it
+	// with a counter until the digest lands in the group. Unlike k·g for
+	// a hashed k, nobody learns a discrete-log relation between the
+	// result and the generator or any other element, which is what a
+	// Pedersen-style commitment base needs.
+	HashToElement(seed []byte) Element
+
 	// Embed maps a message of at most EmbedLimit bytes into an element
 	// such that Extract recovers it. Embedding is randomized
 	// (try-and-increment) and may consult r for padding.

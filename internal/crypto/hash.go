@@ -33,17 +33,19 @@ func HashToScalar(g Group, domain string, parts ...[]byte) *big.Int {
 	// from a single block is irrelevant to soundness, but we extend to
 	// cover the order's width anyway.
 	need := (q.BitLen() + 7) / 8
-	buf := make([]byte, 0, need+32)
-	var ctr uint64
-	seed := Hash(domain, parts...)
-	for len(buf) < need+16 {
-		var ctrBuf [8]byte
-		binary.BigEndian.PutUint64(ctrBuf[:], ctr)
-		buf = append(buf, Hash("dissent/hts-expand", seed, ctrBuf[:])...)
-		ctr++
-	}
+	buf := expandHash(Hash(domain, parts...), need+16)
 	v := new(big.Int).SetBytes(buf)
 	return v.Mod(v, q)
+}
+
+// expandHash stretches seed into at least min bytes (whole SHA-256
+// blocks) by hashing it with a counter.
+func expandHash(seed []byte, min int) []byte {
+	buf := make([]byte, 0, min+sha256.Size)
+	for ctr := uint64(0); len(buf) < min; ctr++ {
+		buf = append(buf, Hash("dissent/hts-expand", seed, HashUint64(ctr))...)
+	}
+	return buf
 }
 
 // HashUint64 renders n big-endian for inclusion in a Hash call.

@@ -148,8 +148,8 @@ func (g *ModPGroup) Encode(a Element) []byte {
 	return buf
 }
 
-// Decode implements Group. Membership in the QR subgroup is verified,
-// costing one exponentiation; shuffle verifiers rely on this check.
+// Decode implements Group. Membership in the QR subgroup is verified
+// (one Jacobi symbol); shuffle verifiers rely on this check.
 func (g *ModPGroup) Decode(data []byte) (Element, error) {
 	if len(data) != g.ElementLen() {
 		return nil, ErrBadElement
@@ -164,8 +164,12 @@ func (g *ModPGroup) Decode(data []byte) (Element, error) {
 	return &modpElement{v: v}, nil
 }
 
+// isResidue reports whether v is a nonzero quadratic residue mod p.
+// For a prime modulus the Jacobi symbol is the Legendre symbol, i.e.
+// Euler's criterion v^q mod p == 1, at a small fraction of the cost of
+// that exponentiation.
 func (g *ModPGroup) isResidue(v *big.Int) bool {
-	return new(big.Int).Exp(v, g.q, g.p).Cmp(big.NewInt(1)) == 0
+	return big.Jacobi(v, g.p) == 1
 }
 
 // RandomScalar implements Group.
@@ -182,14 +186,29 @@ func (g *ModPGroup) RandomElement(r io.Reader) (Element, error) {
 	return g.BaseMult(k), nil
 }
 
+// HashToElement implements Group: the expanded hash is reduced mod p
+// and squared, which lands in the residue subgroup with no known
+// logarithm; the counter only steps past 0 and the identity.
+func (g *ModPGroup) HashToElement(seed []byte) Element {
+	for ctr := uint64(0); ; ctr++ {
+		h := Hash("dissent/hash-to-element", []byte(g.name), seed, HashUint64(ctr))
+		v := new(big.Int).SetBytes(expandHash(h, g.ElementLen()+16))
+		v.Mod(v, g.p)
+		v.Mul(v, v).Mod(v, g.p)
+		if v.Cmp(big.NewInt(1)) > 0 {
+			return &modpElement{v: v}
+		}
+	}
+}
+
 // EmbedLimit implements Group: two header bytes (counter, length) and
 // one zero byte of headroom are reserved, and we keep the value well
 // under p by leaving the top 16 bytes clear.
 func (g *ModPGroup) EmbedLimit() int { return g.ElementLen() - 19 }
 
 // Embed implements Group. Candidates are tested for quadratic
-// residuosity (one exponentiation each, two attempts expected), bumping
-// a counter until one lands in the subgroup.
+// residuosity (two attempts expected), bumping a counter until one
+// lands in the subgroup.
 func (g *ModPGroup) Embed(msg []byte, r io.Reader) (Element, error) {
 	if len(msg) > g.EmbedLimit() {
 		return nil, ErrEmbedTooLong

@@ -17,9 +17,10 @@ type Signature struct {
 }
 
 // SignatureLen returns the encoded signature size for group g.
-func SignatureLen(g Group) int { return 2 * scalarLen(g) }
+func SignatureLen(g Group) int { return 2 * ScalarLen(g) }
 
-func scalarLen(g Group) int { return (g.Order().BitLen() + 7) / 8 }
+// ScalarLen returns the size of a fixed-width encoded scalar of g.
+func ScalarLen(g Group) int { return (g.Order().BitLen() + 7) / 8 }
 
 // Sign produces a Schnorr signature on msg with the keypair, bound to
 // domain for cross-protocol separation.
@@ -59,13 +60,9 @@ func Verify(g Group, pub Element, domain string, msg []byte, sig Signature) erro
 
 // baseMultSub returns z·G − c·x, the point every Schnorr check
 // recomputes: R from a signature, a signer's nonce from its partial
-// response. P-256 does it in one combined multiplication; other groups
-// compose it from the Group interface.
+// response.
 func baseMultSub(g Group, z *big.Int, x Element, c *big.Int) Element {
-	if ec, ok := g.(*ECGroup); ok {
-		return ec.BaseMultAdd(z, x, new(big.Int).Neg(c))
-	}
-	return g.Add(g.BaseMult(z), g.Neg(g.ScalarMult(x, c)))
+	return BaseMultAdd(g, z, x, new(big.Int).Neg(c))
 }
 
 func schnorrChallenge(g Group, domain string, r, pub Element, msg []byte) *big.Int {
@@ -75,12 +72,12 @@ func schnorrChallenge(g Group, domain string, r, pub Element, msg []byte) *big.I
 
 // EncodeScalar serializes k as one fixed-width scalar.
 func EncodeScalar(g Group, k *big.Int) []byte {
-	return k.FillBytes(make([]byte, scalarLen(g)))
+	return k.FillBytes(make([]byte, ScalarLen(g)))
 }
 
 // DecodeScalar parses a scalar serialized by EncodeScalar.
 func DecodeScalar(g Group, data []byte) (*big.Int, error) {
-	if len(data) != scalarLen(g) {
+	if len(data) != ScalarLen(g) {
 		return nil, errors.New("crypto: bad scalar length")
 	}
 	return new(big.Int).SetBytes(data), nil
@@ -88,7 +85,7 @@ func DecodeScalar(g Group, data []byte) (*big.Int, error) {
 
 // EncodeSignature serializes sig as two fixed-width scalars.
 func EncodeSignature(g Group, sig Signature) []byte {
-	n := scalarLen(g)
+	n := ScalarLen(g)
 	buf := make([]byte, 2*n)
 	sig.C.FillBytes(buf[:n])
 	sig.Z.FillBytes(buf[n:])
@@ -97,7 +94,7 @@ func EncodeSignature(g Group, sig Signature) []byte {
 
 // DecodeSignature parses a signature serialized by EncodeSignature.
 func DecodeSignature(g Group, data []byte) (Signature, error) {
-	n := scalarLen(g)
+	n := ScalarLen(g)
 	if len(data) != 2*n {
 		return Signature{}, errors.New("crypto: bad signature length")
 	}

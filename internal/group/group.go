@@ -60,8 +60,6 @@ type Policy struct {
 	WindowMin time.Duration
 	// HardTimeout fails the round outright (the paper's 120 s).
 	HardTimeout time.Duration
-	// Shadows is the shuffle proof's cut-and-choose parameter.
-	Shadows int
 	// DefaultOpenLen, MaxSlotLen, IdleCloseRounds configure the DC-net
 	// slot schedule (see internal/dcnet).
 	DefaultOpenLen  int
@@ -103,7 +101,6 @@ func DefaultPolicy() Policy {
 		WindowMultiplier:      1.1,
 		WindowMin:             50 * time.Millisecond,
 		HardTimeout:           120 * time.Second,
-		Shadows:               16,
 		DefaultOpenLen:        1024,
 		MaxSlotLen:            256 << 10,
 		IdleCloseRounds:       4,
@@ -127,8 +124,6 @@ func (p Policy) Validate() error {
 		return errors.New("group: WindowMultiplier below 1")
 	case p.HardTimeout <= 0:
 		return errors.New("group: HardTimeout must be positive")
-	case p.Shadows <= 0:
-		return errors.New("group: Shadows must be positive")
 	case p.RetainRounds <= 0:
 		return errors.New("group: RetainRounds must be positive")
 	case p.BeaconEpochRounds < 0:

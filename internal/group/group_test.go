@@ -83,7 +83,6 @@ func TestPolicyValidate(t *testing.T) {
 		func(p *Policy) { p.WindowThreshold = 0 },
 		func(p *Policy) { p.WindowMultiplier = 0.9 },
 		func(p *Policy) { p.HardTimeout = 0 },
-		func(p *Policy) { p.Shadows = 0 },
 		func(p *Policy) { p.RetainRounds = 0 },
 		func(p *Policy) { p.MessageGroup = "bogus" },
 	}

@@ -1,201 +1,163 @@
 package shuffle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/big"
+	"sync"
 
 	"dissent/internal/crypto"
 )
 
 // Wire encoding for StepOutput, used when shuffle steps travel between
-// servers (internal/core MsgShuffleStep / MsgBlameStep).
+// servers (internal/core MsgShuffleStep / MsgBlameStep): the two counts
+// n and w, then every group element and then every scalar at its fixed
+// width, in the order slots lists them. The size is a function of
+// (group, n, w) alone, and the receiver knows all three from the list it
+// holds, so any other length is rejected before anything is parsed.
 
-var errTruncated = errors.New("shuffle: truncated encoding")
+var errStepEncoding = errors.New("shuffle: malformed step encoding")
 
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wbuf) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
+// newStepOutput allocates every slice of an n x w step.
+func newStepOutput(n, w int) *StepOutput {
+	s := &StepOutput{
+		Shuffled: make([]Vec, n),
+		Shares:   make([][]crypto.Element, n),
+		Proof: &Proof{
+			C: make([]crypto.Element, n), Chain: make([]crypto.Element, n),
+			T4: make(Vec, w), THat: make([]crypto.Element, n),
+			S4: make([]*big.Int, w), SHat: make([]*big.Int, n), SPrime: make([]*big.Int, n),
+		},
+	}
+	for i := range s.Shuffled {
+		s.Shuffled[i] = make(Vec, w)
+		s.Shares[i] = make([]crypto.Element, w)
+	}
+	return s
 }
 
-type rbuf struct{ b []byte }
-
-func (r *rbuf) u32() (uint32, error) {
-	if len(r.b) < 4 {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v, nil
-}
-
-func (r *rbuf) bytes() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(r.b)) < n {
-		return nil, errTruncated
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func encodeVecList(w *wbuf, g crypto.Group, vs []Vec) {
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.u32(uint32(len(v)))
-		for _, ct := range v {
-			w.b = append(w.b, crypto.EncodeCiphertext(g, ct)...)
+// slots lists every element and every scalar of a fully allocated step
+// in wire order; the encoder reads through the pointers and the decoder
+// writes through them, so the two cannot disagree about the layout.
+func (s *StepOutput) slots() (elems []*crypto.Element, scalars []**big.Int) {
+	for i := range s.Shuffled {
+		for k := range s.Shuffled[i] {
+			elems = append(elems, &s.Shuffled[i][k].C1, &s.Shuffled[i][k].C2)
 		}
 	}
+	for i := range s.Shares {
+		for k := range s.Shares[i] {
+			elems = append(elems, &s.Shares[i][k])
+		}
+	}
+	proofElems, scalars := s.Proof.slots()
+	elems = append(elems, proofElems...)
+	scalars = append(scalars, &s.DLEQ.C, &s.DLEQ.Z)
+	return elems, scalars
 }
 
-func decodeVecList(r *rbuf, g crypto.Group) ([]Vec, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	ctLen := 2 * g.ElementLen()
-	if uint64(n)*4 > uint64(len(r.b))+4 {
-		return nil, errTruncated
-	}
-	out := make([]Vec, n)
-	for i := range out {
-		w, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(w)*uint64(ctLen) > uint64(len(r.b)) {
-			return nil, errTruncated
-		}
-		out[i] = make(Vec, w)
-		for c := range out[i] {
-			ct, err := crypto.DecodeCiphertext(g, r.b[:ctLen])
-			if err != nil {
-				return nil, err
-			}
-			r.b = r.b[ctLen:]
-			out[i][c] = ct
+// slots is the proof's part of StepOutput.slots: every element, then
+// every scalar, of a proof whose slices are allocated.
+func (p *Proof) slots() (elems []*crypto.Element, scalars []**big.Int) {
+	for _, list := range [][]crypto.Element{p.C, p.Chain} {
+		for i := range list {
+			elems = append(elems, &list[i])
 		}
 	}
-	return out, nil
+	elems = append(elems, &p.T1, &p.T2, &p.T3)
+	for k := range p.T4 {
+		elems = append(elems, &p.T4[k].C1, &p.T4[k].C2)
+	}
+	for i := range p.THat {
+		elems = append(elems, &p.THat[i])
+	}
+	scalars = append(scalars, &p.S1, &p.S2, &p.S3)
+	for _, list := range [][]*big.Int{p.S4, p.SHat, p.SPrime} {
+		for i := range list {
+			scalars = append(scalars, &list[i])
+		}
+	}
+	return elems, scalars
 }
 
-// EncodeStepOutput serializes a StepOutput for transmission.
+// stepCounts returns how many elements and scalars an n x w step holds.
+func stepCounts(n, w int) (elems, scalars int) {
+	return 3*n*w + 3*n + 3 + 2*w, 2*n + w + 5
+}
+
+// EncodeStepOutput serializes a StepOutput produced by Step.
 func EncodeStepOutput(g crypto.Group, s *StepOutput) []byte {
-	var w wbuf
-	encodeVecList(&w, g, s.Shuffled)
-	encodeVecList(&w, g, s.Stripped)
-	encodeVecList(&w, g, s.Shares)
-	// Proof.
-	w.u32(uint32(len(s.Proof.Shadows)))
-	for t := range s.Proof.Shadows {
-		encodeVecList(&w, g, s.Proof.Shadows[t])
-		perm := s.Proof.Perms[t]
-		w.u32(uint32(len(perm)))
-		for _, p := range perm {
-			w.u32(uint32(p))
-		}
-		rnd := s.Proof.Rands[t]
-		w.u32(uint32(len(rnd)))
-		for _, row := range rnd {
-			w.u32(uint32(len(row)))
-			for _, k := range row {
-				w.bytes(k.Bytes())
-			}
-		}
+	n, w := len(s.Shuffled), len(s.Shuffled[0])
+	elems, scalars := s.slots()
+	buf := make([]byte, 0, 8+len(elems)*g.ElementLen()+len(scalars)*crypto.ScalarLen(g))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(w))
+	for _, e := range elems {
+		buf = append(buf, g.Encode(*e)...)
 	}
-	// DLEQ.
-	w.bytes(s.DLEQ.C.Bytes())
-	w.bytes(s.DLEQ.Z.Bytes())
-	return w.b
+	for _, k := range scalars {
+		buf = append(buf, crypto.EncodeScalar(g, *k)...)
+	}
+	return buf
 }
 
-// DecodeStepOutput parses an encoded StepOutput.
-func DecodeStepOutput(g crypto.Group, data []byte) (*StepOutput, error) {
-	r := rbuf{data}
-	out := &StepOutput{Proof: &Proof{}}
-	var err error
-	if out.Shuffled, err = decodeVecList(&r, g); err != nil {
-		return nil, err
+// DecodeStepOutput parses the encoding of an n x w step: the shape the
+// receiver expects from the list it is about to verify against. A
+// different count, a length other than the one (g, n, w) implies —
+// truncated or trailing bytes alike — or a scalar that is not below the
+// group order is refused before any per-item state is allocated; every
+// element is then decoded (and so checked for group membership) across
+// the available processors.
+func DecodeStepOutput(g crypto.Group, data []byte, n, w int) (*StepOutput, error) {
+	if n <= 0 || w <= 0 {
+		return nil, ErrShape
 	}
-	if out.Stripped, err = decodeVecList(&r, g); err != nil {
-		return nil, err
+	nElems, nScalars := stepCounts(n, w)
+	eLen, sLen := g.ElementLen(), crypto.ScalarLen(g)
+	if len(data) < 8 {
+		return nil, errStepEncoding
 	}
-	if out.Shares, err = decodeVecList(&r, g); err != nil {
-		return nil, err
+	if gotN, gotW := binary.BigEndian.Uint32(data), binary.BigEndian.Uint32(data[4:]); uint64(gotN) != uint64(n) || uint64(gotW) != uint64(w) {
+		return nil, fmt.Errorf("%w: shape %dx%d, want %dx%d", errStepEncoding, gotN, gotW, n, w)
 	}
-	nShadows, err := r.u32()
-	if err != nil {
-		return nil, err
+	if len(data) != 8+nElems*eLen+nScalars*sLen {
+		return nil, fmt.Errorf("%w: %d bytes, want %d", errStepEncoding, len(data), 8+nElems*eLen+nScalars*sLen)
 	}
-	if uint64(nShadows) > uint64(len(r.b)) {
-		return nil, errTruncated
-	}
-	out.Proof.Shadows = make([][]Vec, nShadows)
-	out.Proof.Perms = make([][]int, nShadows)
-	out.Proof.Rands = make([][][]*big.Int, nShadows)
-	for t := range out.Proof.Shadows {
-		if out.Proof.Shadows[t], err = decodeVecList(&r, g); err != nil {
-			return nil, err
+	elemData, scalarData := data[8:8+nElems*eLen], data[8+nElems*eLen:]
+	order := crypto.EncodeScalar(g, g.Order())
+	for i := 0; i < nScalars; i++ {
+		if bytes.Compare(scalarData[i*sLen:(i+1)*sLen], order) >= 0 {
+			return nil, fmt.Errorf("%w: scalar %d not below the group order", errStepEncoding, i)
 		}
-		np, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(np)*4 > uint64(len(r.b)) {
-			return nil, errTruncated
-		}
-		out.Proof.Perms[t] = make([]int, np)
-		for i := range out.Proof.Perms[t] {
-			v, err := r.u32()
+	}
+
+	out := newStepOutput(n, w)
+	elems, scalars := out.slots()
+	var (
+		mu       sync.Mutex
+		firstErr error
+	)
+	crypto.ForChunks(nElems, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e, err := g.Decode(elemData[i*eLen : (i+1)*eLen])
 			if err != nil {
-				return nil, err
-			}
-			out.Proof.Perms[t][i] = int(v)
-		}
-		nr, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(nr)*4 > uint64(len(r.b))+4 {
-			return nil, errTruncated
-		}
-		out.Proof.Rands[t] = make([][]*big.Int, nr)
-		for i := range out.Proof.Rands[t] {
-			nc, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			if uint64(nc)*4 > uint64(len(r.b))+4 {
-				return nil, errTruncated
-			}
-			out.Proof.Rands[t][i] = make([]*big.Int, nc)
-			for c := range out.Proof.Rands[t][i] {
-				kb, err := r.bytes()
-				if err != nil {
-					return nil, err
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("shuffle: step element %d: %w", i, err)
 				}
-				out.Proof.Rands[t][i][c] = new(big.Int).SetBytes(kb)
+				mu.Unlock()
+				return
 			}
+			*elems[i] = e
 		}
+	})
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	cb, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	zb, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	out.DLEQ = crypto.DLEQProof{C: new(big.Int).SetBytes(cb), Z: new(big.Int).SetBytes(zb)}
-	if len(r.b) != 0 {
-		return nil, errors.New("shuffle: trailing bytes in step encoding")
+	for i, k := range scalars {
+		*k = new(big.Int).SetBytes(scalarData[i*sLen : (i+1)*sLen])
 	}
 	return out, nil
 }

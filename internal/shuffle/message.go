@@ -73,7 +73,7 @@ func ExtractMessage(g crypto.Group, elems []crypto.Element) ([]byte, error) {
 // KeyShuffle runs a width-1 shuffle of bare public-key elements (no
 // embedding needed): the scheduling shuffle of §3.10. It returns the
 // permuted pseudonym keys.
-func KeyShuffle(g crypto.Group, servers []*crypto.KeyPair, pseudonymKeys []crypto.Element, shadows int, r io.Reader) ([]crypto.Element, error) {
+func KeyShuffle(g crypto.Group, servers []*crypto.KeyPair, pseudonymKeys []crypto.Element, r io.Reader) ([]crypto.Element, error) {
 	pubs := make([]crypto.Element, len(servers))
 	for i, s := range servers {
 		pubs[i] = s.Public
@@ -86,7 +86,7 @@ func KeyShuffle(g crypto.Group, servers []*crypto.KeyPair, pseudonymKeys []crypt
 		}
 		in[i] = v
 	}
-	plain, _, err := Run(g, servers, in, shadows, r)
+	plain, _, err := Run(g, servers, in, r)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +101,7 @@ func KeyShuffle(g crypto.Group, servers []*crypto.KeyPair, pseudonymKeys []crypt
 // is embedded into a fixed-width vector, onion-encrypted, and mixed.
 // Every message must fit in width elements. Used for accusations
 // (§3.9) and any anonymous bootstrap message.
-func MessageShuffle(g crypto.Group, servers []*crypto.KeyPair, msgs [][]byte, width, shadows int, r io.Reader) ([][]byte, error) {
+func MessageShuffle(g crypto.Group, servers []*crypto.KeyPair, msgs [][]byte, width int, r io.Reader) ([][]byte, error) {
 	pubs := make([]crypto.Element, len(servers))
 	for i, s := range servers {
 		pubs[i] = s.Public
@@ -118,7 +118,7 @@ func MessageShuffle(g crypto.Group, servers []*crypto.KeyPair, msgs [][]byte, wi
 		}
 		in[i] = v
 	}
-	plain, _, err := Run(g, servers, in, shadows, r)
+	plain, _, err := Run(g, servers, in, r)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func TestKeyShuffle(t *testing.T) {
 		kp, _ := crypto.GenerateKeyPair(g, nil)
 		keys[i] = kp.Public
 	}
-	out, err := KeyShuffle(g, servers, keys, testShadows, nil)
+	out, err := KeyShuffle(g, servers, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMessageShuffle(t *testing.T) {
 			width = w
 		}
 	}
-	out, err := MessageShuffle(g, servers, msgs, width, testShadows, nil)
+	out, err := MessageShuffle(g, servers, msgs, width, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMessageShuffleModP(t *testing.T) {
 		servers = append(servers, kp)
 	}
 	msgs := [][]byte{[]byte("modp message one"), []byte("modp message two")}
-	out, err := MessageShuffle(g, servers, msgs, 1, 4, nil)
+	out, err := MessageShuffle(g, servers, msgs, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

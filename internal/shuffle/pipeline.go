@@ -9,23 +9,27 @@ import (
 )
 
 // StepOutput is everything server j publishes for its turn in the mix:
-// the re-encrypted permuted list, the permutation proof, the stripped
-// list (its decryption layer removed), the decryption shares, and a
-// batch Chaum–Pedersen proof that the shares match its public key.
+// the re-encrypted permuted list, the proof of shuffle, its decryption
+// share of every C1 and a batch Chaum–Pedersen proof that the shares
+// carry its key. The stripped list the next stage mixes is derived by
+// each receiver (Stripped), not sent.
 type StepOutput struct {
 	Shuffled []Vec
 	Proof    *Proof
-	Stripped []Vec
-	Shares   []Vec // share vectors: Shares[i][c].C1 unused; kept as Ciphertext for shape symmetry
+	Shares   [][]crypto.Element // Shares[i][k] = x·Shuffled[i][k].C1
 	DLEQ     crypto.DLEQProof
 }
 
-// shareElements flattens C1 bases and share values for batch DLEQ.
-func flattenForDLEQ(g crypto.Group, cts []Vec, shares []Vec) (bs, ds []crypto.Element) {
+// stripContext domain-separates the share proof; the batch combination
+// itself binds the server key, every C1 and every share.
+var stripContext = []byte("dissent/shuffle-strip")
+
+// flattenForDLEQ lists the C1 bases and share values row by row.
+func flattenForDLEQ(cts []Vec, shares [][]crypto.Element) (bs, ds []crypto.Element) {
 	for i := range cts {
-		for c := range cts[i] {
-			bs = append(bs, cts[i][c].C1)
-			ds = append(ds, shares[i][c].C2)
+		for k := range cts[i] {
+			bs = append(bs, cts[i][k].C1)
+			ds = append(ds, shares[i][k])
 		}
 	}
 	return bs, ds
@@ -33,35 +37,30 @@ func flattenForDLEQ(g crypto.Group, cts []Vec, shares []Vec) (bs, ds []crypto.El
 
 // Step runs one server's turn: re-encrypt+permute under remainingKey
 // (the aggregate of this and all later servers' public keys), prove the
-// permutation with the given shadow count, then verifiably strip this
-// server's layer.
-func Step(g crypto.Group, key *crypto.KeyPair, remainingKey crypto.Element, in []Vec, shadows int, r io.Reader) (*StepOutput, error) {
+// shuffle, then publish this server's decryption shares with their
+// proof.
+func Step(g crypto.Group, key *crypto.KeyPair, remainingKey crypto.Element, in []Vec, r io.Reader) (*StepOutput, error) {
 	if key.Private == nil {
 		return nil, errors.New("shuffle: server step requires a private key")
 	}
-	shuffled, _, proof, err := Prove(g, remainingKey, in, shadows, r)
+	shuffled, _, proof, err := Prove(g, remainingKey, in, r)
 	if err != nil {
 		return nil, err
 	}
-	out := &StepOutput{Shuffled: shuffled, Proof: proof}
-	out.Stripped = make([]Vec, len(shuffled))
-	out.Shares = make([]Vec, len(shuffled))
-	for i, v := range shuffled {
-		out.Stripped[i] = make(Vec, len(v))
-		out.Shares[i] = make(Vec, len(v))
-		for c, ct := range v {
-			share := crypto.DecryptShare(g, key.Private, ct)
-			out.Shares[i][c] = crypto.Ciphertext{C1: ct.C1, C2: share}
-			out.Stripped[i][c] = crypto.StripLayer(g, ct, share)
+	out := &StepOutput{Shuffled: shuffled, Proof: proof, Shares: make([][]crypto.Element, len(shuffled))}
+	crypto.ForChunks(len(shuffled), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out.Shares[i] = make([]crypto.Element, len(shuffled[i]))
+			for k, ct := range shuffled[i] {
+				out.Shares[i][k] = crypto.DecryptShare(g, key.Private, ct)
+			}
 		}
-	}
-	bs, ds := flattenForDLEQ(g, shuffled, out.Shares)
-	ctx := crypto.Hash("dissent/shuffle-strip", g.Encode(key.Public), encodeVecs(g, shuffled))
-	dleq, err := crypto.ProveDLEQBatch(g, key.Private, bs, ds, key.Public, ctx, r)
+	})
+	bs, ds := flattenForDLEQ(shuffled, out.Shares)
+	out.DLEQ, err = crypto.ProveDLEQBatch(g, key.Private, bs, ds, key.Public, stripContext, r)
 	if err != nil {
 		return nil, err
 	}
-	out.DLEQ = dleq
 	return out, nil
 }
 
@@ -74,39 +73,50 @@ func VerifyStep(g crypto.Group, serverPub, remainingKey crypto.Element, in []Vec
 	if err := Verify(g, remainingKey, in, out.Shuffled, out.Proof); err != nil {
 		return err
 	}
-	n := len(out.Shuffled)
-	if len(out.Stripped) != n || len(out.Shares) != n {
+	if len(out.Shares) != len(out.Shuffled) {
 		return ErrShape
 	}
-	// Check the stripped list is consistent with the published shares
-	// and that the shares carry the server's key exponent.
-	for i := 0; i < n; i++ {
-		if len(out.Stripped[i]) != len(out.Shuffled[i]) || len(out.Shares[i]) != len(out.Shuffled[i]) {
+	for i, row := range out.Shares {
+		if len(row) != len(out.Shuffled[i]) {
 			return ErrShape
 		}
-		for c := range out.Shuffled[i] {
-			want := crypto.StripLayer(g, out.Shuffled[i][c], out.Shares[i][c].C2)
-			got := out.Stripped[i][c]
-			if !g.Equal(want.C1, got.C1) || !g.Equal(want.C2, got.C2) {
-				return fmt.Errorf("%w: stripped list inconsistent at %d/%d", ErrBadShares, i, c)
+		for _, share := range row {
+			if share == nil {
+				return ErrShape
 			}
 		}
 	}
-	bs, ds := flattenForDLEQ(g, out.Shuffled, out.Shares)
-	ctx := crypto.Hash("dissent/shuffle-strip", g.Encode(serverPub), encodeVecs(g, out.Shuffled))
-	if err := crypto.VerifyDLEQBatch(g, bs, ds, serverPub, out.DLEQ, ctx); err != nil {
+	bs, ds := flattenForDLEQ(out.Shuffled, out.Shares)
+	if err := crypto.VerifyDLEQBatch(g, bs, ds, serverPub, out.DLEQ, stripContext); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadShares, err)
 	}
 	return nil
 }
 
+// Stripped removes the publishing server's layer from the shuffled
+// list (C2 −= share; C1 is unchanged, so the result is a list under the
+// remaining aggregate key): the next stage's input.
+func (s *StepOutput) Stripped(g crypto.Group) []Vec {
+	out := make([]Vec, len(s.Shuffled))
+	crypto.ForChunks(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = make(Vec, len(s.Shuffled[i]))
+			for k, ct := range s.Shuffled[i] {
+				out[i][k] = crypto.StripLayer(g, ct, s.Shares[i][k])
+			}
+		}
+	})
+	return out
+}
+
 // Run executes a complete mix locally: every server shuffles and strips
-// in order, each step verified by the caller on behalf of all other
-// servers. It returns the final plaintext vectors (as elements) plus
-// each step's output for auditing. Run is used by tests and by the
-// in-process session bootstrap; the networked protocol in internal/core
+// in order, and each step crosses the wire codec and is verified by the
+// caller on behalf of all other servers, as it would be between
+// machines. It returns the final plaintext vectors (as elements) plus
+// each step's output for auditing. Run is used by tests, benchmarks and
+// the Fig. 9 validation; the networked protocol in internal/core
 // performs the same steps across transports.
-func Run(g crypto.Group, servers []*crypto.KeyPair, inputs []Vec, shadows int, r io.Reader) ([][]crypto.Element, []*StepOutput, error) {
+func Run(g crypto.Group, servers []*crypto.KeyPair, inputs []Vec, r io.Reader) ([][]crypto.Element, []*StepOutput, error) {
 	if len(servers) == 0 {
 		return nil, nil, errors.New("shuffle: no servers")
 	}
@@ -118,7 +128,11 @@ func Run(g crypto.Group, servers []*crypto.KeyPair, inputs []Vec, shadows int, r
 	steps := make([]*StepOutput, 0, len(servers))
 	for j, srv := range servers {
 		remaining := crypto.AggregateKeys(g, pubs[j:])
-		out, err := Step(g, srv, remaining, cur, shadows, r)
+		sent, err := Step(g, srv, remaining, cur, r)
+		if err != nil {
+			return nil, nil, fmt.Errorf("shuffle: server %d: %w", j, err)
+		}
+		out, err := DecodeStepOutput(g, EncodeStepOutput(g, sent), len(cur), len(cur[0]))
 		if err != nil {
 			return nil, nil, fmt.Errorf("shuffle: server %d: %w", j, err)
 		}
@@ -126,7 +140,7 @@ func Run(g crypto.Group, servers []*crypto.KeyPair, inputs []Vec, shadows int, r
 			return nil, nil, fmt.Errorf("shuffle: server %d: %w", j, err)
 		}
 		steps = append(steps, out)
-		cur = out.Stripped
+		cur = out.Stripped(g)
 	}
 	plain := make([][]crypto.Element, len(cur))
 	for i, v := range cur {

@@ -1,11 +1,18 @@
 // Package shuffle implements Dissent's verifiable shuffle (§3.10): a
 // serial ElGamal re-encryption/decryption mix over an anytrust server
 // set. Each server in turn re-randomizes and permutes the ciphertext
-// list, proves the permutation with a shadow-mix (cut-and-choose)
-// proof, and verifiably strips its own decryption layer with a batch
-// Chaum–Pedersen proof. If at least one server is honest, no coalition
-// of the others learns the permutation; if any server cheats, every
-// honest server detects it.
+// list, proves in zero knowledge that its output is a re-encrypted
+// permutation of its input (a Terelius–Wikström permutation-commitment
+// argument, proof.go), and verifiably strips its own decryption layer
+// with a batch Chaum–Pedersen proof.
+//
+// The guarantee: if at least one server is honest, no coalition of the
+// others learns the permutation; and a server whose published step is
+// not a permutation of its input, re-encrypted under the remaining key
+// and stripped with its own key, is rejected by every honest server
+// except with probability about 2⁻¹²⁸ over the Fiat–Shamir hashes —
+// there is no parameter to set and no cheaper offline search than
+// inverting the hash or a discrete logarithm.
 //
 // The shuffle operates on fixed-width vectors of ciphertexts so that
 // multi-element messages (general message shuffles, e.g. accusations)
@@ -15,7 +22,6 @@ package shuffle
 import (
 	"crypto/rand"
 	"errors"
-	"fmt"
 	"io"
 	"math/big"
 
@@ -32,11 +38,6 @@ var (
 	ErrBadShares = errors.New("shuffle: decryption share proof failed")
 	ErrShape     = errors.New("shuffle: inconsistent input shape")
 )
-
-// DefaultShadows is the default shadow count k for the cut-and-choose
-// permutation proof: a cheating server escapes detection with
-// probability 2^-k.
-const DefaultShadows = 16
 
 // Permutation returns a uniform permutation of [0,n) using randomness
 // from r (crypto/rand if nil).
@@ -69,217 +70,67 @@ func invertPerm(p []int) []int {
 	return inv
 }
 
-// isPerm reports whether p is a permutation of [0,len(p)).
-func isPerm(p []int) bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			return false
+// shape returns the common vector width of a non-empty list.
+func shape(vs []Vec) (width int, err error) {
+	if len(vs) == 0 || len(vs[0]) == 0 {
+		return 0, ErrShape
+	}
+	width = len(vs[0])
+	for _, v := range vs {
+		if len(v) != width {
+			return 0, ErrShape
 		}
-		seen[v] = true
 	}
-	return true
+	return width, nil
 }
 
-// reencVec re-encrypts every component of v under key y with explicit
-// randomness ks (one scalar per component).
-func reencVec(g crypto.Group, y crypto.Element, v Vec, ks []*big.Int) Vec {
-	out := make(Vec, len(v))
-	for i, ct := range v {
-		out[i] = crypto.ReencryptWith(g, y, ct, ks[i])
+// randScalars draws n scalars from r on the calling goroutine.
+func randScalars(g crypto.Group, n int, r io.Reader) ([]*big.Int, error) {
+	ks := make([]*big.Int, n)
+	for i := range ks {
+		k, err := g.RandomScalar(r)
+		if err != nil {
+			return nil, err
+		}
+		ks[i] = k
 	}
-	return out
+	return ks, nil
 }
 
-// shuffleOnce applies output[i] = reenc(input[perm[i]], rnd[i]) across
-// a whole list of vectors.
-func shuffleOnce(g crypto.Group, y crypto.Element, in []Vec, perm []int, rnd [][]*big.Int) []Vec {
-	out := make([]Vec, len(in))
-	for i := range out {
-		out[i] = reencVec(g, y, in[perm[i]], rnd[i])
-	}
-	return out
-}
-
-// randMatrix draws a len(in) x width matrix of scalars.
+// randMatrix draws an n x width matrix of scalars, row by row.
 func randMatrix(g crypto.Group, n, width int, r io.Reader) ([][]*big.Int, error) {
 	m := make([][]*big.Int, n)
 	for i := range m {
-		m[i] = make([]*big.Int, width)
-		for j := range m[i] {
-			k, err := g.RandomScalar(r)
-			if err != nil {
-				return nil, err
-			}
-			m[i][j] = k
+		row, err := randScalars(g, width, r)
+		if err != nil {
+			return nil, err
 		}
+		m[i] = row
 	}
 	return m, nil
 }
 
-// Proof is a shadow-mix proof that an output list is a re-encrypted
-// permutation of an input list under a known public key. For each of k
-// independent "shadow" shuffles the Fiat–Shamir challenge bit selects
-// which side to open: the shadow's own permutation (left), or the
-// composition taking the shadow to the real output (right). A prover
-// who does not know a valid permutation fails each challenge with
-// probability 1/2.
-type Proof struct {
-	Shadows [][]Vec        // k shadow shuffles of the input
-	Perms   [][]int        // revealed permutation per shadow (σ or ρ)
-	Rands   [][][]*big.Int // revealed randomness per shadow (s or u)
-}
-
-// Prove shuffles in under key y and returns the output list, the
-// permutation and randomness used (needed later for decryption
-// bookkeeping by callers that are also the prover), and the proof.
-func Prove(g crypto.Group, y crypto.Element, in []Vec, shadows int, r io.Reader) (out []Vec, perm []int, proof *Proof, err error) {
-	n := len(in)
-	if n == 0 {
-		return nil, nil, nil, errors.New("shuffle: empty input")
-	}
-	width := len(in[0])
-	for _, v := range in {
-		if len(v) != width {
-			return nil, nil, nil, ErrShape
-		}
-	}
-	perm, err = Permutation(n, r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rnd, err := randMatrix(g, n, width, r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out = shuffleOnce(g, y, in, perm, rnd)
-
-	proof = &Proof{
-		Shadows: make([][]Vec, shadows),
-		Perms:   make([][]int, shadows),
-		Rands:   make([][][]*big.Int, shadows),
-	}
-	sigma := make([][]int, shadows)
-	srnd := make([][][]*big.Int, shadows)
-	for t := 0; t < shadows; t++ {
-		sigma[t], err = Permutation(n, r)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		srnd[t], err = randMatrix(g, n, width, r)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		proof.Shadows[t] = shuffleOnce(g, y, in, sigma[t], srnd[t])
-	}
-
-	challenge := challengeBits(g, y, in, out, proof.Shadows)
-	q := g.Order()
-	for t := 0; t < shadows; t++ {
-		if challenge[t] == 0 {
-			// Open the shadow itself.
-			proof.Perms[t] = sigma[t]
-			proof.Rands[t] = srnd[t]
-			continue
-		}
-		// Open the composition shadow→output:
-		// out[i] = reenc(in[perm[i]]); shadow[m] = reenc(in[sigma[m]]).
-		// Choose m with sigma[m] = perm[i], i.e. m = sigmaInv[perm[i]].
-		// Then out[i] = reenc(shadow[rho[i]], u[i]) with
-		// u[i][c] = rnd[i][c] - srnd[rho[i]][c].
-		sigmaInv := invertPerm(sigma[t])
-		rho := make([]int, n)
-		u := make([][]*big.Int, n)
-		for i := 0; i < n; i++ {
-			rho[i] = sigmaInv[perm[i]]
-			u[i] = make([]*big.Int, width)
-			for c := 0; c < width; c++ {
-				d := new(big.Int).Sub(rnd[i][c], srnd[t][rho[i]][c])
-				u[i][c] = d.Mod(d, q)
+// shuffleOnce applies out[i][k] = in[perm[i]][k] + Enc_y(0; rnd[i][k]).
+func shuffleOnce(g crypto.Group, y crypto.Element, in []Vec, perm []int, rnd [][]*big.Int) []Vec {
+	out := make([]Vec, len(in))
+	crypto.ForChunks(len(in), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			src := in[perm[i]]
+			out[i] = make(Vec, len(src))
+			for k, ct := range src {
+				out[i][k] = crypto.ReencryptWith(g, y, ct, rnd[i][k])
 			}
 		}
-		proof.Perms[t] = rho
-		proof.Rands[t] = u
-	}
-	return out, perm, proof, nil
+	})
+	return out
 }
 
-// Verify checks that out is a valid re-encrypted permutation of in
-// under key y according to proof.
-func Verify(g crypto.Group, y crypto.Element, in, out []Vec, proof *Proof) error {
-	n := len(in)
-	if n == 0 || len(out) != n || proof == nil {
-		return ErrShape
+// column returns component k of every vector's C1s and C2s.
+func column(vs []Vec, k int) (c1s, c2s []crypto.Element) {
+	c1s = make([]crypto.Element, len(vs))
+	c2s = make([]crypto.Element, len(vs))
+	for i, v := range vs {
+		c1s[i], c2s[i] = v[k].C1, v[k].C2
 	}
-	width := len(in[0])
-	for _, v := range in {
-		if len(v) != width {
-			return ErrShape
-		}
-	}
-	for _, v := range out {
-		if len(v) != width {
-			return ErrShape
-		}
-	}
-	k := len(proof.Shadows)
-	if len(proof.Perms) != k || len(proof.Rands) != k || k == 0 {
-		return ErrBadProof
-	}
-	challenge := challengeBits(g, y, in, out, proof.Shadows)
-	for t := 0; t < k; t++ {
-		shadow := proof.Shadows[t]
-		p := proof.Perms[t]
-		rnd := proof.Rands[t]
-		if len(shadow) != n || len(p) != n || len(rnd) != n || !isPerm(p) {
-			return ErrBadProof
-		}
-		var src, dst []Vec
-		if challenge[t] == 0 {
-			src, dst = in, shadow // shadow[i] = reenc(in[p[i]], rnd[i])
-		} else {
-			src, dst = shadow, out // out[i] = reenc(shadow[p[i]], rnd[i])
-		}
-		for i := 0; i < n; i++ {
-			if len(rnd[i]) != width || len(dst[i]) != width {
-				return ErrBadProof
-			}
-			want := reencVec(g, y, src[p[i]], rnd[i])
-			for c := 0; c < width; c++ {
-				if !g.Equal(want[c].C1, dst[i][c].C1) || !g.Equal(want[c].C2, dst[i][c].C2) {
-					return fmt.Errorf("%w: shadow %d item %d", ErrBadProof, t, i)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// challengeBits derives one Fiat–Shamir bit per shadow from the full
-// transcript (key, input, output, all shadow lists).
-func challengeBits(g crypto.Group, y crypto.Element, in, out []Vec, shadows [][]Vec) []byte {
-	parts := [][]byte{g.Encode(y), encodeVecs(g, in), encodeVecs(g, out)}
-	for _, s := range shadows {
-		parts = append(parts, encodeVecs(g, s))
-	}
-	seed := crypto.Hash("dissent/shuffle-challenge", parts...)
-	bits := make([]byte, len(shadows))
-	for t := range bits {
-		if t/8 >= len(seed) {
-			// Extend the digest for k > 256 shadows.
-			seed = append(seed, crypto.Hash("dissent/shuffle-challenge-ext", seed)...)
-		}
-		bits[t] = (seed[t/8] >> (uint(t) % 8)) & 1
-	}
-	return bits
-}
-
-func encodeVecs(g crypto.Group, vs []Vec) []byte {
-	var buf []byte
-	for _, v := range vs {
-		for _, ct := range v {
-			buf = append(buf, crypto.EncodeCiphertext(g, ct)...)
-		}
-	}
-	return buf
+	return c1s, c2s
 }

@@ -18,7 +18,6 @@ import (
 func testPolicy(mutate func(*dissent.Policy)) dissent.Policy {
 	p := dissent.DefaultPolicy()
 	p.MessageGroup = "modp-512-test"
-	p.Shadows = 4
 	p.WindowMin = 10 * time.Millisecond
 	p.HardTimeout = 30 * time.Second
 	p.DefaultOpenLen = 64
