@@ -108,13 +108,13 @@ func BenchmarkAblationClientPads(b *testing.B) {
 		}
 		return seeds
 	}
-	msg := make([]byte, roundLen)
+	msg, ct := make([]byte, roundLen), make([]byte, roundLen)
 	b.Run("anytrust-16-servers", func(b *testing.B) {
 		pad := dcnet.NewPad(crypto.NewAESPRNG)
 		seeds := mkSeeds(16)
 		b.SetBytes(roundLen)
 		for i := 0; i < b.N; i++ {
-			pad.ClientCiphertext(seeds, uint64(i), msg)
+			pad.ClientCiphertextInto(ct, seeds, uint64(i), msg)
 		}
 	})
 	b.Run("allpairs-1024-peers", func(b *testing.B) {
@@ -122,7 +122,7 @@ func BenchmarkAblationClientPads(b *testing.B) {
 		seeds := mkSeeds(1023)
 		b.SetBytes(roundLen)
 		for i := 0; i < b.N; i++ {
-			pad.ClientCiphertext(seeds, uint64(i), msg)
+			pad.ClientCiphertextInto(ct, seeds, uint64(i), msg)
 		}
 	})
 }
@@ -199,9 +199,10 @@ func BenchmarkAblationServerCombine(b *testing.B) {
 		}
 		b.Run(itoa(n)+"-clients", func(b *testing.B) {
 			pad := dcnet.NewPad(crypto.NewAESPRNG)
+			share := make([]byte, roundLen)
 			b.SetBytes(int64(n) * roundLen)
 			for i := 0; i < b.N; i++ {
-				pad.ServerPad(seeds, uint64(i), roundLen)
+				pad.ServerPadInto(share, seeds, uint64(i))
 			}
 		})
 	}

@@ -74,7 +74,7 @@ func (s *Server) startBlame(now time.Time) (*Output, error) {
 		grp: s.msgGrp, kp: s.msgKP, pubs: s.def.ServerMsgPubKeys(), width: s.blameWidth(),
 		id:      s.blameSession,
 		submitT: MsgBlameSubmit, listT: MsgBlameList, stepT: MsgBlameStep,
-		round:       s.roundNum,
+		round:       s.head,
 		closeAt:     now.Add(blameWindowFactor * s.def.Policy.WindowMin),
 		followPeers: true,
 		finished:    s.finishBlameShuffle,
@@ -82,13 +82,13 @@ func (s *Server) startBlame(now time.Time) (*Output, error) {
 		// session with no verdict.
 		empty: func(now time.Time) (*Output, error) { return s.blameVerdict(now, group.NodeID{}, 0) },
 	})
-	s.log.Debug("blame session opened", "round", s.roundNum, "blame_session", s.blameSession)
+	s.log.Debug("blame session opened", "round", s.head, "blame_session", s.blameSession)
 	out := &Output{
 		Timer:  s.blame.shuf.closeAt,
-		Events: []Event{{Kind: EventBlameStarted, Round: s.roundNum, Detail: fmt.Sprintf("session %d", s.blameSession)}},
+		Events: []Event{{Kind: EventBlameStarted, Round: s.head, Detail: fmt.Sprintf("session %d", s.blameSession)}},
 	}
 	body := (&BlameStart{Session: s.blameSession}).Encode()
-	if err := s.broadcastClients(MsgBlameStart, s.roundNum, body, out); err != nil {
+	if err := s.broadcastClients(MsgBlameStart, s.head, body, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -141,13 +141,13 @@ func (s *Server) finishBlameShuffle(now time.Time, outputs []shuffle.Vec) (*Outp
 		// No valid accusation survived (victim squashed or none sent):
 		// resume rounds; the victim will re-request (§3.9).
 		s.log.Info("blame shuffle carried no valid accusation",
-			"round", s.roundNum, "blame_session", b.session)
+			"round", s.head, "blame_session", b.session)
 		return s.blameVerdict(now, group.NodeID{}, 0)
 	}
 	b.phase = bpTrace
 	out := &Output{}
 	tb := s.buildTraceBits(b.acc)
-	if err := s.broadcastServers(MsgTraceBits, s.roundNum, tb.Encode(), out); err != nil {
+	if err := s.broadcastServers(MsgTraceBits, s.head, tb.Encode(), out); err != nil {
 		return nil, err
 	}
 	b.traces[s.idx] = tb
@@ -211,11 +211,11 @@ func (s *Server) buildTraceBits(acc *accusation) *TraceBits {
 
 func (s *Server) onTraceBits(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	p, err := DecodeTraceBits(m.Body)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	b := s.blame
 	if b == nil || b.phase < bpTrace || p.Session > b.session {
@@ -254,7 +254,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 		// accusation cannot be traced. Close inconclusively; the victim
 		// re-accuses on a traceable round.
 		s.log.Info("blame trace lacks round history",
-			"round", s.roundNum, "accused_round", b.acc.round, "blame_session", b.session)
+			"round", s.head, "accused_round", b.acc.round, "blame_session", b.session)
 		return s.blameVerdict(now, group.NodeID{}, 0)
 	}
 	k := b.acc.bit
@@ -342,7 +342,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 					AccBit:     uint32(k),
 					ServerBits: bits,
 				}
-				msg, err := s.sign(MsgRebuttalRequest, s.roundNum, req.Encode())
+				msg, err := s.sign(MsgRebuttalRequest, s.head, req.Encode())
 				if err != nil {
 					return nil, err
 				}
@@ -365,7 +365,7 @@ func (s *Server) onRebuttal(now time.Time, m *Message) (*Output, error) {
 		return &Output{}, nil
 	}
 	if err := s.verify(m, false); err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	ci := s.def.ClientIndex(m.From)
 	if ci != b.flagged {
@@ -447,7 +447,7 @@ func (s *Server) persistBlameTranscript(b *blameState, culprit group.NodeID, ver
 	if s.store == nil {
 		return
 	}
-	t := &BlameTranscript{Round: s.roundNum, Verdict: verdict, Culprit: culprit}
+	t := &BlameTranscript{Round: s.head, Verdict: verdict, Culprit: culprit}
 	if b.acc != nil {
 		t.HasAccusation = true
 		t.AccRound = b.acc.round
@@ -466,7 +466,7 @@ func (s *Server) persistBlameTranscript(b *blameState, culprit group.NodeID, ver
 func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte) (*Output, error) {
 	b := s.blame
 	out := &Output{}
-	s.log.Info("blame verdict", "round", s.roundNum, "blame_session", b.session,
+	s.log.Info("blame verdict", "round", s.head, "blame_session", b.session,
 		"verdict", verdict, "culprit", culprit)
 	switch verdict {
 	case 1:
@@ -480,20 +480,20 @@ func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte)
 			s.excluded[ci] = true
 			s.pendingRemove[ci] = true
 			if _, ok := s.expelRound[ci]; !ok {
-				s.expelRound[ci] = s.roundNum
+				s.expelRound[ci] = s.head
 			}
 		}
-		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.roundNum,
+		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
 			Culprit: culprit, Detail: "client expelled"})
 	case 2:
-		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.roundNum,
+		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
 			Culprit: culprit, Detail: "server exposed"})
 	default:
-		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.roundNum,
+		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
 			Detail: "inconclusive"})
 	}
 	body := (&BlameDone{Session: b.session, Verdict: verdict, Culprit: culprit}).Encode()
-	if err := s.broadcastClients(MsgBlameDone, s.roundNum, body, out); err != nil {
+	if err := s.broadcastClients(MsgBlameDone, s.head, body, out); err != nil {
 		return nil, err
 	}
 	s.persistBlameTranscript(b, culprit, verdict)

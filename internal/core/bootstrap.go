@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dissent/internal/crypto"
-	"dissent/internal/dcnet"
 )
 
 // Trusted-bootstrap entry points. Benchmark harnesses reproducing the
@@ -26,24 +25,14 @@ func (s *Server) InstallSchedule(now time.Time, slotKeys []crypto.Element) (*Out
 	if len(slotKeys) == 0 {
 		return nil, errors.New("core: empty slot key list")
 	}
-	s.slotKeys = slotKeys
-	cfg := dcnet.Config{
-		NumSlots:        len(slotKeys),
-		DefaultOpenLen:  s.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      s.def.Policy.MaxSlotLen,
-		IdleCloseRounds: s.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
-	if err != nil {
+	if err := s.newSchedule(len(slotKeys), nil, nil); err != nil {
 		return nil, err
 	}
-	s.installRotation(sched)
-	sched.SetLag(s.depth - 1)
-	s.sched = sched
+	s.slotKeys = slotKeys
 	s.prevCount = len(slotKeys)
 	s.phase = phaseRunning
 	s.setup.retire()
-	s.rosterDigests[s.def.Version] = sched.Digest()
+	s.rosterDigests[s.def.Version] = s.sched.Digest()
 	s.persistSnapshot()
 	out := &Output{Events: []Event{{Kind: EventScheduleReady,
 		Detail: fmt.Sprintf("%d slots (trusted bootstrap)", len(slotKeys))}}}
@@ -67,23 +56,13 @@ func (c *Client) InstallSchedule(now time.Time, numSlots, mySlot int, pseudonym 
 		}
 		pseudonym = kp
 	}
-	c.pseudonym = pseudonym
-	c.mySlot = mySlot
-	cfg := dcnet.Config{
-		NumSlots:        numSlots,
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
-	if err != nil {
+	if err := c.newSchedule(numSlots, nil, nil); err != nil {
 		return nil, err
 	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
-	c.sched = sched
+	c.pseudonym = pseudonym
+	c.mySlot = mySlot
 	c.ready = true
-	dig := sched.Digest()
+	dig := c.sched.Digest()
 	c.applyDigest = dig[:]
 	out := &Output{Events: []Event{{Kind: EventScheduleReady,
 		Detail: fmt.Sprintf("slot %d of %d (trusted bootstrap)", mySlot, numSlots)}}}

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"time"
 
-	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
@@ -52,24 +51,18 @@ type Client struct {
 	upstream group.NodeID
 
 	serverSeeds [][]byte // pairwise DC-net seeds, by server index
-	pad         *dcnet.Pad
 
 	pseudonym *crypto.KeyPair
 	mySlot    int
-	sched     *dcnet.Schedule
 	ready     bool
-	// certKeys/certSigs retain the verified schedule certificate for
-	// ScheduleCertificate (beacon verifiers fetch it from any node).
-	certKeys [][]byte
-	certSigs [][]byte
 
-	round   uint64 // next round to submit
-	nextOut uint64 // next round output to process
-	depth   int    // pipeline depth: rounds submitted before an output returns
+	// round is the next round to submit; the replica's head, the next
+	// round output to process, trails it by the rounds in flight.
+	round uint64
 	// inflight holds the submitted-but-uncertified rounds, oldest first
-	// (at most depth); spare recycles retired records so the steady-state
-	// submit path stays allocation-free. parked holds a failed round's
-	// vector across an epoch boundary (resubmitAfterRoster).
+	// (at most the replica's depth); spare recycles retired records so the
+	// steady-state submit path stays allocation-free. parked holds a
+	// failed round's vector across an epoch boundary (resubmitAfterRoster).
 	inflight      []*clientRound
 	spare         []*clientRound
 	parked        *clientRound
@@ -81,12 +74,6 @@ type Client struct {
 	// boundary wait is edge-triggered off this watermark (the server
 	// analogue is rosterDue).
 	rosterDone uint64
-	// drain is the first round after the latest pipeline drain the client
-	// has observed (session start, applied roster update, completed blame
-	// session, or the welcome's exported drain point). Rounds ramp their
-	// schedule delta-queue depth up from here, mirroring the servers'
-	// drainRound — see dcnet.Schedule.Horizon and SyncPipeline.
-	drain uint64
 
 	// Data-plane hot path: nextStreams holds the (pair, round) streams
 	// prepared during the previous round's idle window — pairwise seeds
@@ -104,7 +91,6 @@ type Client struct {
 	joinAddr        string // advertised transport address for the join request
 	awaitingRoster  bool   // epoch boundary: hold submission for MsgRosterUpdate
 	resubmitPending bool   // a failed round's vector awaits the roster update
-	pairSeedFn      func(clientIdx, serverIdx int) []byte
 	// applyDigest is the schedule digest captured when the current
 	// roster version was applied (or at schedule install for the initial
 	// version); nil when no apply-point digest is known (mid-stream
@@ -116,37 +102,24 @@ type Client struct {
 	witness          *witnessInfo
 	accusedInSession int32
 
-	// retry is the resolved resend backoff. ctl is the cast log of the
-	// one control message the client may be repeating outside a round: a
-	// joiner's join request, or a held client's roster catch-up probe.
-	retry RetryPolicy
-	ctl   castLog
+	// ctl is the cast log of the one control message the client may be
+	// repeating outside a round: a joiner's join request, or a held
+	// client's roster catch-up probe.
+	ctl castLog
 }
 
 // NewClient builds a client engine for the given identity key.
 func NewClient(def *group.Definition, kp *crypto.KeyPair, opts Options) (*Client, error) {
-	c := &Client{node: newNode(def, kp, opts)}
+	c := &Client{node: newNode(def, kp, opts, submitResendInterval), mySlot: -1}
 	c.idx = def.ClientIndex(c.id)
 	if c.idx < 0 {
 		return nil, errors.New("core: key is not a client in this group")
 	}
 	c.upstream = def.Servers[def.UpstreamServer(c.idx)].ID
-	c.pairSeedFn = opts.PairSeed
 	var err error
 	if c.serverSeeds, err = c.deriveServerSeeds(def, c.idx); err != nil {
 		return nil, err
 	}
-	c.pad = dcnet.NewPad(crypto.NewAESPRNG)
-	c.mySlot = -1
-	c.depth = opts.PipelineDepth
-	if c.depth < 1 {
-		c.depth = 1
-	}
-	var retry RetryPolicy
-	if opts.Retry != nil {
-		retry = *opts.Retry
-	}
-	c.retry = retry.withDefaults(submitResendInterval)
 	return c, nil
 }
 
@@ -200,9 +173,6 @@ func (c *Client) reclaimRound(cr *clientRound) {
 	c.retireRound(cr)
 }
 
-// ID returns the client's node ID.
-func (c *Client) ID() group.NodeID { return c.id }
-
 // Index returns the client's index in the group definition.
 func (c *Client) Index() int { return c.idx }
 
@@ -214,24 +184,6 @@ func (c *Client) Ready() bool { return c.ready }
 
 // Round returns the next round the client will submit for.
 func (c *Client) Round() uint64 { return c.round }
-
-// ScheduleCertificate returns the verified schedule certificate — the
-// slot-key list and every server's signature over it — or nils before
-// the schedule arrives (including under trusted bootstrap). The
-// dissent SDK serves it beside the beacon chain so external verifiers
-// can derive the session's beacon genesis from any node.
-func (c *Client) ScheduleCertificate() (keys, sigs [][]byte) {
-	return c.certKeys, c.certSigs
-}
-
-// SchedulePermutation returns the current slot-layout permutation, or
-// nil before the schedule is established.
-func (c *Client) SchedulePermutation() []int {
-	if c.sched == nil {
-		return nil
-	}
-	return c.sched.Permutation()
-}
 
 // Send queues an application payload for anonymous transmission. Large
 // payloads are fragmented across rounds up to the slot-length cap;
@@ -386,8 +338,7 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return c.violation(err), nil
 	}
-	certDigest, err := VerifyScheduleCert(c.def, p.Keys, p.Sigs)
-	if err != nil {
+	if _, err := VerifyScheduleCert(c.def, p.Keys, p.Sigs); err != nil {
 		return c.violation(err), nil
 	}
 	myKey := c.keyGrp.Encode(c.pseudonym.Public)
@@ -401,25 +352,11 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 	if c.mySlot < 0 {
 		return nil, errors.New("core: our pseudonym key is missing from the schedule")
 	}
-	cfg := dcnet.Config{
-		NumSlots:        len(p.Keys),
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
-	if err != nil {
+	if err := c.newSchedule(len(p.Keys), p.Keys, p.Sigs); err != nil {
 		return nil, err
 	}
-	if err := c.bindBeaconSession(certDigest); err != nil {
-		return nil, err
-	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
-	c.sched = sched
 	c.ready = true
-	c.certKeys, c.certSigs = p.Keys, p.Sigs
-	dig := sched.Digest()
+	dig := c.sched.Digest()
 	c.applyDigest = dig[:]
 	out := &Output{Events: []Event{{Kind: EventScheduleReady, Detail: fmt.Sprintf("slot %d of %d", c.mySlot, len(p.Keys))}}}
 	sub, err := c.submitRound(now)
@@ -438,7 +375,7 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 // exactly the layout the servers will decode this round at. The vector
 // comes from the buffer pool.
 func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
-	ahead := c.sched.Horizon(cr.r, c.nextOut, c.drain)
+	ahead := c.sched.Horizon(cr.r, c.head, c.drain)
 	vec := c.bufs.get(c.sched.AheadLenUpTo(ahead))
 	slotLen := c.sched.AheadSlotLenUpTo(c.mySlot, ahead)
 	cr.sentSlot = nil
@@ -546,7 +483,7 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	// before the pads go on and the submission is signed, so the
 	// tampering rides a perfectly well-formed, authentic submission.
 	if c.interdict != nil && c.interdict.Vector != nil {
-		ahead := c.sched.Horizon(cr.r, c.nextOut, c.drain)
+		ahead := c.sched.Horizon(cr.r, c.head, c.drain)
 		c.interdict.Vector(VectorInfo{
 			Round:    cr.r,
 			OwnSlot:  c.mySlot,
@@ -626,22 +563,27 @@ func (c *Client) emitRoundTrace(now time.Time, round uint64, participation int, 
 }
 
 func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
-	if !c.ready || m.Round != c.nextOut {
+	if !c.ready || m.Round != c.head {
 		return &Output{}, nil
 	}
-	p, err := DecodeRoundOutput(m.Body)
+	p, bEntry, err := c.verifyOutput(m.Round, m.Body)
 	if err != nil {
 		return c.violation(err), nil
 	}
-	// Reconstruct the round's beacon entry from the carried shares: its
-	// chained value is covered by the round certificate, so a bogus
-	// share set fails the certificate check below before it can touch
-	// our chain replica.
-	var bEntry *beacon.Entry
-	if !p.Failed && c.beaconChain != nil {
-		bEntry = beacon.NewEntry(m.Round, c.beaconChain.Head(), p.Beacon)
+	// Read what retirement moves past: our slot's region in this round's
+	// layout (for disruption detection), and whether the slot is closed on
+	// the ahead view (applied plus queued directives) — the request-bit
+	// state concerns rounds we have yet to compose.
+	off, n := c.sched.AheadSlotRangeUpTo(c.mySlot, c.headHorizon())
+	wasClosed := c.sched.AheadSlotLen(c.mySlot) == 0
+	res, err := c.retire(m.Round, p, bEntry)
+	if errors.Is(err, errLayout) {
+		return nil, err
 	}
-	if err := verifyRoundCert(c.def, c.cert.Key(), c.grpID, m.Round, p, beaconValueBytes(bEntry)); err != nil {
+	if err != nil {
+		// The beacon store refused the entry and nothing moved: the round
+		// is still in flight, and its resend (Tick) draws this output
+		// again from the servers' retained set.
 		return c.violation(err), nil
 	}
 	// The oldest in-flight record is this round's, unless we were not
@@ -654,27 +596,21 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		c.inflight = c.inflight[:len(c.inflight)-1]
 		c.perf.setRoundsInFlight(len(c.inflight))
 	}
-	c.nextOut = m.Round + 1
-	if c.round < c.nextOut {
+	if c.round < c.head {
 		// Non-submitting clients track the round counter from outputs so
 		// a later re-admission resumes at the right round.
-		c.round = c.nextOut
+		c.round = c.head
 	}
-	// Catch the applied layout up to the one round m.Round was composed
-	// at before decoding.
-	c.sched.SyncPipeline(m.Round, c.drain)
+	c.emitRoundTrace(now, m.Round, int(p.Count), p.Failed, cr)
 
+	out := &Output{}
+	if c.epochBoundary(c.round) && c.round > c.rosterDone && len(c.inflight) == 0 {
+		// Epoch boundary: servers run the roster phase before this round.
+		c.awaitRoster(now, out)
+	}
 	if p.Failed {
-		c.emitRoundTrace(now, m.Round, int(p.Count), true, cr)
-		out := &Output{Events: []Event{{Kind: EventRoundFailed, Round: m.Round,
-			Detail: fmt.Sprintf("participation %d", p.Count)}}}
-		// Keep the layout queue aligned with the servers: a failed round
-		// contributes no directives but still consumes a pipeline stage
-		// (no-op at depth 1).
-		c.sched.AdvanceFailed()
-		if c.epochBoundary(c.round) && c.round > c.rosterDone && len(c.inflight) == 0 {
-			c.awaitRoster(now, out)
-		}
+		out.Events = append(out.Events, Event{Kind: EventRoundFailed, Round: m.Round,
+			Detail: fmt.Sprintf("participation %d", p.Count)})
 		if cr == nil || c.expelled {
 			if cr != nil {
 				c.retireRound(cr)
@@ -717,12 +653,9 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		return out, nil
 	}
 
-	out := &Output{}
-	// Disruption detection (§3.9): compare our slot region against the
-	// certified output. The applied (pre-Advance) layout is exactly the
-	// layout this round was composed and decoded at, pipelined or not.
+	// Disruption detection (§3.9): compare our slot region, at the layout
+	// this round was composed and decoded at, against the certified output.
 	if cr != nil && cr.sentSlot != nil {
-		off, n := c.sched.SlotRange(c.mySlot)
 		got := p.Cleartext[off : off+n]
 		if !bytes.Equal(got, cr.sentSlot) {
 			if bit := findWitnessBit(cr.sentSlot, got); bit >= 0 {
@@ -752,43 +685,12 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 			}
 		}
 	}
-
-	// Extend the beacon chain before advancing the schedule, so an
-	// epoch boundary rotates from this round's certified output on
-	// client and server replicas alike. All m certification signatures
-	// verified above cover the entry's chained value, so the per-share
-	// signatures need no re-verification here.
-	if bEntry != nil {
-		if err := c.beaconChain.AppendTrusted(bEntry); err != nil {
-			return c.violation(fmt.Errorf("round %d beacon: %w", m.Round, err)), nil
-		}
-	}
-	// The request-bit state concerns rounds we have yet to compose, so
-	// it reads the ahead view (applied plus queued directives).
-	wasClosed := c.sched.AheadSlotLen(c.mySlot) == 0
-	res, err := c.sched.Advance(p.Cleartext)
-	if err != nil {
-		return nil, fmt.Errorf("core: schedule advance: %w", err)
-	}
 	if wasClosed && c.sched.AheadSlotLen(c.mySlot) > 0 {
 		c.reqPending = false
 	}
-	for slot, pl := range res.Payloads {
-		if pl != nil && len(pl.Data) > 0 {
-			out.Deliveries = append(out.Deliveries, Delivery{Round: m.Round, Slot: slot, Data: pl.Data})
-		}
-	}
-	if res.Rotated {
-		out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: m.Round,
-			Detail: fmt.Sprintf("epoch at round %d", c.sched.Round())})
-	}
-	c.emitRoundTrace(now, m.Round, int(p.Count), false, cr)
+	c.reportRetired(m.Round, res, out)
 	if cr != nil {
 		c.retireRound(cr)
-	}
-	if c.epochBoundary(c.round) && c.round > c.rosterDone && len(c.inflight) == 0 {
-		// Epoch boundary: servers run the roster phase before this round.
-		c.awaitRoster(now, out)
 	}
 	if res.ShuffleRequested {
 		// Servers will open an accusation shuffle before the next
@@ -876,8 +778,8 @@ func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
 	// rounds ramp their delta-queue depth from here. Recorded even by
 	// expelled or non-submitting observers, whose decode layouts must
 	// track the group's.
-	if c.ready && c.nextOut > c.drain {
-		c.drain = c.nextOut
+	if c.ready && c.head > c.drain {
+		c.drain = c.head
 	}
 	if !c.awaitingBlame {
 		return out, nil

@@ -242,13 +242,39 @@ type node struct {
 	log   *slog.Logger
 
 	// interdict is the adversary-injection hook (nil on honest nodes);
-	// retrySeed feeds the retransmission policy's deterministic jitter,
-	// derived from the node identity so peers decorrelate.
+	// retry is the resolved retransmission backoff and retrySeed feeds its
+	// deterministic jitter, derived from the node identity so peers
+	// decorrelate.
 	interdict *Interdict
+	retry     RetryPolicy
 	retrySeed uint64
+
+	// pad expands pairwise DC-net streams; pairSeedFn, when non-nil,
+	// replaces the Diffie–Hellman derivation of their seeds
+	// (Options.PairSeed).
+	pad        *dcnet.Pad
+	pairSeedFn func(clientIdx, serverIdx int) []byte
+
+	// The replica (replica.go). sched is the slot schedule (nil before
+	// setup); head the output head — the oldest round whose certified
+	// output has not been applied; drain the first round after the latest
+	// pipeline drain (session start, applied roster update, completed
+	// blame session), from which rounds ramp their delta-queue depth back
+	// up — see dcnet.Schedule.Horizon and SyncPipeline; depth how many
+	// rounds may be in flight (≥ 1; the schedule's lag is depth−1).
+	// certKeys/certSigs retain the certified schedule (encoded slot keys,
+	// every server's signature) for ScheduleCertificate.
+	sched    *dcnet.Schedule
+	head     uint64
+	drain    uint64
+	depth    int
+	certKeys [][]byte
+	certSigs [][]byte
 }
 
-func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
+// newNode resolves the options both roles share. firstRetry is the
+// role's first-retry delay, the base of its retransmission backoff.
+func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry time.Duration) node {
 	msgGrp := opts.MessageGroup
 	if msgGrp == nil {
 		msgGrp = crypto.ModP2048()
@@ -269,8 +295,16 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
 		store:   opts.StateStore,
 		trace:   opts.OnRoundTrace,
 		log:     logger,
+
+		interdict:  opts.Interdict,
+		pad:        dcnet.NewPad(crypto.NewAESPRNG),
+		pairSeedFn: opts.PairSeed,
+		depth:      max(opts.PipelineDepth, 1),
 	}
-	n.interdict = opts.Interdict
+	if opts.Retry != nil {
+		n.retry = *opts.Retry
+	}
+	n.retry = n.retry.withDefaults(firstRetry)
 	n.retrySeed = binary.BigEndian.Uint64(n.id[:8])
 	pubs := def.ServerPubKeys()
 	n.cert = crypto.NewMultisig(n.keyGrp, pubs)
@@ -289,60 +323,6 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
 // beacon is disabled by policy. The chain is safe for concurrent
 // reads, so servers can expose it over HTTP while rounds progress.
 func (n *node) BeaconChain() *beacon.Chain { return n.beaconChain }
-
-// bindBeaconSession rebinds the node's (still empty) beacon chain to
-// the session genesis derived from the freshly certified schedule's
-// digest. Every node runs this with identical inputs — servers from
-// their collected certificates, clients from the verified Schedule
-// message — so all replicas agree on the new genesis before the first
-// entry. Trusted-bootstrap paths (InstallSchedule) certify nothing and
-// keep the group-wide genesis.
-func (n *node) bindBeaconSession(certDigest [32]byte) error {
-	if n.beaconChain == nil {
-		return nil
-	}
-	return n.beaconChain.Rebind(beacon.SessionGenesis(n.grpID, certDigest))
-}
-
-// installRotation wires the beacon-driven epoch rotation into a fresh
-// schedule: every BeaconEpochRounds rounds the slot permutation is
-// re-derived from the latest beacon value. All replicas install the
-// same hook over identical chains, so layouts stay in lockstep.
-func (n *node) installRotation(sched *dcnet.Schedule) {
-	if n.beaconChain == nil {
-		return
-	}
-	sched.SetEpochRotation(uint64(n.def.Policy.BeaconEpochRounds), func(round uint64) []byte {
-		if e := n.beaconChain.Latest(); e != nil {
-			return e.Value[:]
-		}
-		return nil // no beacon output yet: keep the current permutation
-	})
-}
-
-// restoreSchedule rebuilds a schedule replica from snapshotted state:
-// the layout at the schedule's own round counter, the epoch-rotation
-// hook, the engine's pipeline lag (depth−1) and — after SetLag, which
-// flushes the queue — the donor's queued deltas. It only builds the
-// schedule; the caller installs it once everything else checks out.
-func (n *node) restoreSchedule(depth int, round uint64, lens, idle, perm, pendingOps, pendingNs []int32) (*dcnet.Schedule, error) {
-	cfg := dcnet.Config{
-		NumSlots:        len(lens),
-		DefaultOpenLen:  n.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      n.def.Policy.MaxSlotLen,
-		IdleCloseRounds: n.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.RestoreSchedule(cfg, round, toInt(lens), toInt(idle), toInt(perm))
-	if err != nil {
-		return nil, err
-	}
-	n.installRotation(sched)
-	sched.SetLag(depth - 1)
-	if err := sched.RestorePending(toInt(pendingOps), toInt(pendingNs)); err != nil {
-		return nil, err
-	}
-	return sched, nil
-}
 
 // beaconValueBytes renders an entry's value for certification (nil
 // entry -> nil, for failed rounds and beacon-off groups).

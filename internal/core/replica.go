@@ -1,0 +1,229 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"dissent/internal/beacon"
+	"dissent/internal/dcnet"
+	"dissent/internal/group"
+)
+
+// The replica (ARCHITECTURE.md "The replica"). Every member — client and
+// server alike — derives round r+1's slot layout from round r's certified
+// output, so (schedule, beacon head, output head, drain point) is one
+// replicated state machine, held in node. Its transitions are written
+// here once: built (newSchedule), moved by a certified output (retire) or
+// a certified roster update (applyRoster), captured and reinstalled
+// (snapshot, restore). Each performs every step that can fail before its
+// first assignment, so a failure leaves the replica exactly as it was.
+// What a role does about a transition — events, forwarding, blame
+// history, resubmission — stays with the handler that called it.
+
+// errLayout marks a certified cleartext that does not fit the layout its
+// round decodes at: the replica has diverged from the group's.
+var errLayout = errors.New("core: certified cleartext does not fit the replica's layout")
+
+// schedConfig is the schedule configuration the group policy fixes, over
+// numSlots slots (0 when restoring: the snapshot names the count).
+func (n *node) schedConfig(numSlots int) dcnet.Config {
+	return dcnet.Config{
+		NumSlots:        numSlots,
+		DefaultOpenLen:  n.def.Policy.DefaultOpenLen,
+		MaxSlotLen:      n.def.Policy.MaxSlotLen,
+		IdleCloseRounds: n.def.Policy.IdleCloseRounds,
+	}
+}
+
+// wireSchedule gives a fresh or restored schedule what the engine adds to
+// it: the pipeline lag, and the beacon-driven epoch rotation — every
+// BeaconEpochRounds rounds the slot permutation is re-derived from the
+// latest beacon value. All replicas install the same hook over identical
+// chains, so layouts stay in lockstep.
+func (n *node) wireSchedule(sched *dcnet.Schedule) {
+	if n.beaconChain != nil {
+		sched.SetEpochRotation(uint64(n.def.Policy.BeaconEpochRounds), func(uint64) []byte {
+			if e := n.beaconChain.Latest(); e != nil {
+				return e.Value[:]
+			}
+			return nil // no beacon output yet: keep the current permutation
+		})
+	}
+	sched.SetLag(n.depth - 1)
+}
+
+// newSchedule installs the round-0 replica over numSlots slots. certKeys
+// and certSigs are the schedule certificate setup produced (nil under
+// trusted bootstrap, which certifies nothing): the still-empty beacon
+// chain is rebound to the session genesis derived from it — every node
+// from identical inputs, servers from their collected certificates and
+// clients from the verified Schedule message — before anything is
+// assigned, so a rebind failure leaves no half-started session.
+func (n *node) newSchedule(numSlots int, certKeys, certSigs [][]byte) error {
+	sched, err := dcnet.NewSchedule(n.schedConfig(numSlots))
+	if err != nil {
+		return err
+	}
+	n.wireSchedule(sched)
+	if n.beaconChain != nil && len(certKeys) > 0 {
+		genesis := beacon.SessionGenesis(n.grpID, scheduleCertDigest(n.grpID, certKeys, certSigs))
+		if err := n.beaconChain.Rebind(genesis); err != nil {
+			return err
+		}
+	}
+	n.sched, n.certKeys, n.certSigs = sched, certKeys, certSigs
+	return nil
+}
+
+// verifyOutput decodes a round output and checks its round certificate
+// against the replica. The round's beacon entry is rebuilt from the
+// carried shares on top of our chain head; the certificate covers its
+// chained value, so a bogus share set fails here before it can touch the
+// chain. The entry (nil for a failed round or a beacon-off group) is what
+// retire appends.
+func (n *node) verifyOutput(round uint64, body []byte) (*RoundOutput, *beacon.Entry, error) {
+	ro, err := DecodeRoundOutput(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	var entry *beacon.Entry
+	if !ro.Failed && n.beaconChain != nil {
+		entry = beacon.NewEntry(round, n.beaconChain.Head(), ro.Beacon)
+	}
+	if err := verifyRoundCert(n.def, n.cert.Key(), n.grpID, round, ro, beaconValueBytes(entry)); err != nil {
+		return nil, nil, err
+	}
+	return ro, entry, nil
+}
+
+// headHorizon is how many of the queued deltas the head round's layout
+// includes: the k at which the schedule's Ahead…UpTo views show the
+// layout the head round was composed at, and retire is about to decode it
+// at — the applied layout plus the deltas SyncPipeline will apply first.
+func (n *node) headHorizon() int { return n.sched.Horizon(n.head, n.head, n.drain) }
+
+// retire applies round's certified output — the head round's, whose
+// certificate the caller has checked — and moves the head past it. A
+// certified round extends the beacon chain with entry (every share was
+// verified at combine time, or is covered by the certificate) before the
+// schedule advances, so an epoch boundary crossed by this advance rotates
+// on this round's output; it returns what the schedule decoded. A failed
+// round contributes no directives but still takes its place in the delta
+// queue, and returns nil. The cleartext is sized and the beacon store
+// written before the head, the queue or the schedule move: on error
+// nothing has.
+func (n *node) retire(round uint64, ro *RoundOutput, entry *beacon.Entry) (*dcnet.RoundResult, error) {
+	if round != n.head {
+		return nil, fmt.Errorf("core: retiring round %d at head %d", round, n.head)
+	}
+	if !ro.Failed {
+		if want := n.sched.AheadLenUpTo(n.headHorizon()); len(ro.Cleartext) != want {
+			return nil, fmt.Errorf("%w: round %d carries %d bytes, want %d", errLayout, round, len(ro.Cleartext), want)
+		}
+		if entry != nil {
+			if err := n.beaconChain.AppendTrusted(entry); err != nil {
+				return nil, fmt.Errorf("core: round %d beacon append: %w", round, err)
+			}
+		}
+	}
+	n.head++
+	n.sched.SyncPipeline(round, n.drain)
+	if ro.Failed {
+		n.sched.AdvanceFailed() // exact no-op at depth 1
+		return nil, nil
+	}
+	res, err := n.sched.Advance(ro.Cleartext)
+	if err != nil { // unreachable: the cleartext was sized for this layout above
+		return nil, fmt.Errorf("core: schedule advance: %w", err)
+	}
+	return res, nil
+}
+
+// reportRetired appends what every role surfaces for a certified round:
+// the decoded slot payloads, and the epoch rotation if the advance
+// crossed one.
+func (n *node) reportRetired(round uint64, res *dcnet.RoundResult, out *Output) {
+	for slot, pl := range res.Payloads {
+		if pl != nil && len(pl.Data) > 0 {
+			out.Deliveries = append(out.Deliveries, Delivery{Round: round, Slot: slot, Data: pl.Data})
+		}
+	}
+	if res.Rotated {
+		out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: round,
+			Detail: fmt.Sprintf("epoch at round %d", n.sched.Round())})
+	}
+}
+
+// applyRoster moves the replica to the definition a certified roster
+// update produced. The caller derived newDef (ApplyRosterUpdate; a server
+// also the joiners' pairwise seeds) — the fallible part — so this only
+// commits: the definition swap, one closed slot per appended member with
+// the layout permutation re-derived over the new slot set from the
+// beacon head and roster digest (any non-empty update reseeds, identically
+// on every replica), and the post-apply schedule digest — the replication
+// point divergence detection compares (zero on a client that has no
+// schedule yet).
+func (n *node) applyRoster(u *group.RosterUpdate, newDef *group.Definition) (dig [32]byte) {
+	grown := len(newDef.Clients) - len(n.def.Clients)
+	n.def = newDef
+	if n.sched == nil {
+		return dig
+	}
+	if len(u.Admit)+len(u.Remove) > 0 {
+		n.sched.Grow(grown, n.rosterPermSeed(newDef))
+	}
+	return n.sched.Digest()
+}
+
+// snapshot captures the replica image at a round boundary: the output
+// head, the drain point, and the schedule as dcnet.Schedule.AppendState
+// writes it — the very bytes the schedule digest hashes. ServerSnapshot
+// and JoinWelcome carry these three beside what each adds.
+func (n *node) snapshot() (head, drain uint64, sched []byte) {
+	return n.head, n.drain, n.sched.AppendState(nil)
+}
+
+// restore installs a snapshot's replica image. The image comes from disk
+// or from a peer: the schedule state is validated as it is rebuilt, and
+// neither its round counter (failed rounds move the head but never the
+// schedule) nor the drain point may lie past the head. rebind, when
+// non-nil, is the caller's beacon-chain repositioning — the one commit
+// step that can still fail, so it runs after every check and before the
+// first assignment.
+func (n *node) restore(head, drain uint64, state []byte, rebind func() error) error {
+	sched, err := dcnet.RestoreSchedule(n.schedConfig(0), state)
+	if err != nil {
+		return err
+	}
+	n.wireSchedule(sched)
+	if sched.Round() > head {
+		return errors.New("core: snapshot schedule round ahead of engine round")
+	}
+	if drain > head {
+		return errors.New("core: snapshot drain round ahead of engine round")
+	}
+	if rebind != nil {
+		if err := rebind(); err != nil {
+			return err
+		}
+	}
+	n.sched, n.head, n.drain = sched, head, drain
+	return nil
+}
+
+// ScheduleCertificate returns the certified schedule — the slot-key list
+// and every server's signature over it — or nils before setup completes,
+// under trusted bootstrap (which certifies nothing) and on a member that
+// joined mid-session. The dissent SDK serves it beside the beacon chain
+// so external verifiers can derive the session's beacon genesis from any
+// node.
+func (n *node) ScheduleCertificate() (keys, sigs [][]byte) { return n.certKeys, n.certSigs }
+
+// SchedulePermutation returns the current slot-layout permutation, or
+// nil before the schedule is established.
+func (n *node) SchedulePermutation() []int {
+	if n.sched == nil {
+		return nil
+	}
+	return n.sched.Permutation()
+}

@@ -37,7 +37,11 @@ import (
 // ServerSnapshot is the durable image of a server's session state at a
 // round boundary — everything needed to resume that is not already
 // derivable from the group definition, the stored roster-update chain,
-// or the beacon chain's own store.
+// or the beacon chain's own store. Round, DrainRound and Sched are the
+// replica image (node.snapshot); the rest is what a server adds to it:
+// the roster version to replay the update log to, the slot keys, the
+// α baseline, the roster-phase gate, the schedule certificate and the
+// exclusions.
 type ServerSnapshot struct {
 	Version    uint64 // roster version the snapshot was taken at
 	Round      uint64 // first unretired round: resume point
@@ -47,12 +51,7 @@ type ServerSnapshot struct {
 	CertKeys   [][]byte
 	CertSigs   [][]byte // certified schedule; empty under trusted bootstrap
 	SlotKeys   [][]byte // current slot pseudonym keys, slot order
-	SchedRound uint64   // schedule's internal round counter
-	Lens       []int32
-	Idle       []int32
-	Perm       []int32
-	PendingOps []int32 // queued, not-yet-applied round deltas
-	PendingNs  []int32
+	Sched      []byte   // schedule state (dcnet.Schedule.AppendState)
 	ExpelIdx   []int32  // excluded client indices…
 	ExpelAt    []uint64 // …and the round each was excluded at
 }
@@ -68,12 +67,7 @@ func (p *ServerSnapshot) Encode() []byte {
 	e.ByteSlices(p.CertKeys)
 	e.ByteSlices(p.CertSigs)
 	e.ByteSlices(p.SlotKeys)
-	e.U64(p.SchedRound)
-	e.Int32s(p.Lens)
-	e.Int32s(p.Idle)
-	e.Int32s(p.Perm)
-	e.Int32s(p.PendingOps)
-	e.Int32s(p.PendingNs)
+	e.Bytes(p.Sched)
 	e.Int32s(p.ExpelIdx)
 	e.U32(uint32(len(p.ExpelAt)))
 	for _, r := range p.ExpelAt {
@@ -111,22 +105,7 @@ func DecodeServerSnapshot(b []byte) (*ServerSnapshot, error) {
 	if p.SlotKeys, err = d.ByteSlices(); err != nil {
 		return nil, err
 	}
-	if p.SchedRound, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.Lens, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Idle, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Perm, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.PendingOps, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.PendingNs, err = d.Int32s(); err != nil {
+	if p.Sched, err = d.Bytes(); err != nil {
 		return nil, err
 	}
 	if p.ExpelIdx, err = d.Int32s(); err != nil {
@@ -157,31 +136,22 @@ func (s *Server) persistSnapshot() {
 		return
 	}
 	sn := &ServerSnapshot{
-		Version:    s.def.Version,
-		Round:      s.roundNum,
-		PrevCount:  uint32(s.prevCount),
-		DrainRound: s.drainRound,
-		CertKeys:   s.certKeys,
-		CertSigs:   s.certSigs,
-		SlotKeys:   s.encodedSlotKeys(),
+		Version:   s.def.Version,
+		PrevCount: uint32(s.prevCount),
+		CertKeys:  s.certKeys,
+		CertSigs:  s.certSigs,
+		SlotKeys:  s.encodedSlotKeys(),
 	}
+	sn.Round, sn.DrainRound, sn.Sched = s.snapshot()
 	if s.rosterDue {
 		sn.RosterDue = 1
 	}
-	schedRound, lens, idle, perm := s.sched.Snapshot()
-	sn.SchedRound = schedRound
-	sn.Lens = toInt32(lens)
-	sn.Idle = toInt32(idle)
-	sn.Perm = toInt32(perm)
-	ops, ns := s.sched.PendingSnapshot()
-	sn.PendingOps = toInt32(ops)
-	sn.PendingNs = toInt32(ns)
 	for _, ci := range sortedKeys(s.expelRound) {
 		sn.ExpelIdx = append(sn.ExpelIdx, int32(ci))
 		sn.ExpelAt = append(sn.ExpelAt, s.expelRound[ci])
 	}
 	if err := s.store.Put(bucketSnapshot, snapshotKey, sn.Encode()); err != nil {
-		s.log.Error("session snapshot persist failed", "round", s.roundNum, "err", err)
+		s.log.Error("session snapshot persist failed", "round", s.head, "err", err)
 	}
 }
 
@@ -199,7 +169,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if !have {
 		return nil, false, nil
 	}
-	if s.sched != nil || s.phase != phaseSetup || s.roundNum != 0 {
+	if s.sched != nil || s.phase != phaseSetup || s.head != 0 {
 		return nil, false, errors.New("core: restore on an already-started engine")
 	}
 	sn, err := DecodeServerSnapshot(raw)
@@ -229,16 +199,18 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		}
 		// The admission core alone: the snapshot carries the final schedule
 		// and slot keys, and a replay welcomes, broadcasts and emits nothing.
-		if err := s.admitRoster(u); err != nil {
+		newDef, err := s.admitRoster(u)
+		if err != nil {
 			return nil, false, fmt.Errorf("core: stored roster update %d rejected: %w", v, err)
 		}
+		s.def = newDef
 		if v+rosterLogCap > sn.Version {
 			s.rosterLog[v] = u
 		}
 		s.lastRosterUpdate = u
 	}
 
-	if len(sn.SlotKeys) != len(sn.Lens) || len(sn.ExpelIdx) != len(sn.ExpelAt) {
+	if len(sn.ExpelIdx) != len(sn.ExpelAt) {
 		return nil, false, errors.New("core: session snapshot shape mismatch")
 	}
 	slotKeys := make([]crypto.Element, len(sn.SlotKeys))
@@ -261,11 +233,12 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		s.beaconChain.RebindTrusted(beacon.SessionGenesis(s.grpID, scheduleCertDigest(s.grpID, sn.CertKeys, sn.CertSigs)))
 	}
 
-	sched, err := s.restoreSchedule(s.depth, sn.SchedRound, sn.Lens, sn.Idle, sn.Perm, sn.PendingOps, sn.PendingNs)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: snapshot schedule: %w", err)
+	if err := s.restore(sn.Round, sn.DrainRound, sn.Sched, nil); err != nil {
+		return nil, false, fmt.Errorf("core: session snapshot: %w", err)
 	}
-	s.sched = sched
+	if s.sched.NumSlots() != len(slotKeys) {
+		return nil, false, errors.New("core: session snapshot shape mismatch")
+	}
 	if dig, have := s.rosterDigestFor(sn.Version); have {
 		s.rosterDigests[sn.Version] = dig
 	}
@@ -286,9 +259,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	}
 
 	s.prevCount = int(sn.PrevCount)
-	s.drainRound = sn.DrainRound
 	s.rosterDue = sn.RosterDue != 0
-	s.roundNum = sn.Round
 	s.nextOpen = sn.Round
 	s.phase = phaseRunning
 	s.setup.retire()
@@ -300,9 +271,9 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	s.recoverUntil = sn.Round + uint64(s.depth) + 1
 
 	out = &Output{Events: []Event{{Kind: EventStateRestored, Round: sn.Round,
-		Detail: fmt.Sprintf("version %d, round %d, %d slots", sn.Version, sn.Round, len(sn.Lens))}}}
+		Detail: fmt.Sprintf("version %d, round %d, %d slots", sn.Version, sn.Round, len(slotKeys))}}}
 	s.log.Info("session state restored", "round", sn.Round, "version", sn.Version,
-		"slots", len(sn.Lens), "rosterDue", s.rosterDue)
+		"slots", len(slotKeys), "rosterDue", s.rosterDue)
 	if err := s.resumeRounds(now, out); err != nil {
 		return nil, false, err
 	}
@@ -381,89 +352,21 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
 		return s.violation(m.Round, err), nil
 	}
-	if s.phase != phaseRunning || m.Round < s.roundNum {
+	if s.phase != phaseRunning || m.Round < s.head {
 		return &Output{}, nil // already retired, or not in the round loop
 	}
-	if m.Round > s.roundNum {
+	if m.Round > s.head {
 		return s.stashMsg(m), nil // adoption must run in round order
 	}
-	ro, err := DecodeRoundOutput(m.Body)
+	ro, entry, err := s.verifyOutput(m.Round, m.Body)
 	if err != nil {
-		return s.violation(m.Round, err), nil
-	}
-	var entry *beacon.Entry
-	if !ro.Failed && s.beaconChain != nil {
-		entry = beacon.NewEntry(m.Round, s.beaconChain.Head(), ro.Beacon)
-	}
-	if err := verifyRoundCert(s.def, s.cert.Key(), s.grpID, m.Round, ro, beaconValueBytes(entry)); err != nil {
 		return s.violation(m.Round, fmt.Errorf("adopted output: %w", err)), nil
 	}
-
-	out := &Output{}
-	if rs := s.rounds[m.Round]; rs != nil {
-		s.bufs.put(rs.ctAcc)
-		rs.ctAcc = nil
-		s.bufs.put(rs.myShare)
-		rs.myShare = nil
-		s.reapPrefetch(rs)
-		delete(s.rounds, m.Round)
-		s.perf.setRoundsInFlight(len(s.rounds))
-	}
-	s.prevCount = int(ro.Count)
-	s.roundNum++
-	if s.epochBoundary(s.roundNum) {
-		s.rosterDue = true
-	}
-	// Same delta-queue catch-up as maybeOutput: the adopted round was
-	// composed at the same layout horizon ours would have been.
-	s.sched.SyncPipeline(m.Round, s.drainRound)
-	s.outMsgs[m.Round] = m.Body
-	if m.Round >= uint64(s.def.Policy.RetainRounds) {
-		delete(s.outMsgs, m.Round-uint64(s.def.Policy.RetainRounds))
-	}
-	// Our downstream clients never saw this output — the peers certified
-	// it while we were down, and clients consume outputs strictly in
-	// round order. Forward it so they re-sequence past the round instead
-	// of wedging on it (the output is self-authenticating either way).
-	if err := s.broadcastClients(MsgOutput, m.Round, m.Body, out); err != nil {
+	res, err := s.retire(m.Round, ro, entry)
+	if err != nil {
 		return nil, err
 	}
 	s.log.Info("adopted certified output", "round", m.Round, "from", m.From,
 		"failed", ro.Failed, "participation", ro.Count)
-	if ro.Failed {
-		out.Events = append(out.Events, Event{Kind: EventRoundFailed, Round: m.Round,
-			Detail: fmt.Sprintf("adopted, participation %d", ro.Count)})
-		s.sched.AdvanceFailed()
-		if err := s.retireResume(now, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if entry != nil {
-		if err := s.beaconChain.AppendTrusted(entry); err != nil {
-			return nil, fmt.Errorf("core: beacon append: %w", err)
-		}
-	}
-	res, err := s.sched.Advance(ro.Cleartext)
-	if err != nil {
-		return nil, fmt.Errorf("core: schedule advance: %w", err)
-	}
-	for slot, pl := range res.Payloads {
-		if pl != nil && len(pl.Data) > 0 {
-			out.Deliveries = append(out.Deliveries, Delivery{Round: m.Round, Slot: slot, Data: pl.Data})
-		}
-	}
-	out.Events = append(out.Events, Event{Kind: EventRoundComplete, Round: m.Round,
-		Detail: fmt.Sprintf("adopted, participation %d", ro.Count)})
-	if res.Rotated {
-		out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: m.Round,
-			Detail: fmt.Sprintf("epoch at round %d", s.sched.Round())})
-	}
-	if res.ShuffleRequested {
-		s.blameDue = true
-	}
-	if err := s.retireResume(now, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.finishRound(now, m.Round, ro, m.Body, res, "adopted, ")
 }

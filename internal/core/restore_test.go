@@ -123,12 +123,7 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 		CertKeys:   [][]byte{{1, 2}, {3}},
 		CertSigs:   [][]byte{{4}, {5, 6}},
 		SlotKeys:   [][]byte{{7}, {8}, {9}},
-		SchedRound: 122,
-		Lens:       []int32{64, 0, 64},
-		Idle:       []int32{0, 3, 1},
-		Perm:       []int32{2, 0, 1},
-		PendingOps: []int32{1},
-		PendingNs:  []int32{64},
+		Sched:      []byte{0, 0, 0, 0, 0, 0, 0, 122, 0, 0, 0, 0},
 		ExpelIdx:   []int32{4},
 		ExpelAt:    []uint64{100},
 	}

@@ -10,7 +10,6 @@ import (
 
 	"dissent/internal/beacon"
 	"dissent/internal/crypto"
-	"dissent/internal/dcnet"
 	"dissent/internal/group"
 )
 
@@ -226,14 +225,18 @@ func DecodeRosterUpdateMsg(b []byte) (*RosterUpdateMsg, error) {
 }
 
 // JoinWelcome hands a newly admitted member the replicated session
-// state it missed: the full current client roster (so its definition
-// replica catches up from genesis in one step), the slot key list, the
-// schedule snapshot, and the beacon chain head. It is signed by one
-// server — the upstream at admission time, or whichever server a
-// retry reaches when the original was lost — a trust-on-join
-// simplification relative to the fully certified RosterUpdate chain;
-// the joiner independently verifies the embedded update that admits
-// it.
+// state it missed. Round, DrainRound and Sched are the replica image
+// (node.snapshot) — a welcome captured mid-pipeline carries the donor's
+// queued deltas inside Sched, so the joiner pops each at the same round
+// as every established replica. The rest is what a welcome adds to it:
+// the full current client roster (so the joiner's definition replica
+// catches up from genesis in one step) with the certified update that
+// admits the joiner as proof, the slot key list with the joiner's slot,
+// and the beacon chain head. It is signed by one server — the upstream
+// at admission time, or whichever server a retry reaches when the
+// original was lost — a trust-on-join simplification relative to the
+// fully certified RosterUpdate chain; the joiner independently verifies
+// the embedded update that admits it.
 type JoinWelcome struct {
 	Version    uint64
 	Digest     [32]byte // roster digest at Version
@@ -243,24 +246,8 @@ type JoinWelcome struct {
 	SlotKeys   [][]byte // pseudonym slot keys, slot order
 	MySlot     int32
 	Round      uint64 // next engine round to submit
-	// SchedRound is the schedule's internal round counter, which lags
-	// Round by the number of hard-timeout rounds (failed rounds advance
-	// the engine round but never the schedule). The joiner must restore
-	// its schedule replica at this counter or its epoch rotations would
-	// fire at different real rounds than every established replica's.
-	SchedRound uint64
-	Lens       []int32
-	Idle       []int32
-	Perm       []int32
-	// PendingOps/PendingNs carry the donor schedule's queued, not-yet-
-	// applied round deltas (rows of len(Lens) entries, oldest first) and
-	// DrainRound its latest pipeline drain point. A welcome captured
-	// mid-pipeline needs both so the joiner's replica pops each delta at
-	// the same round as every established replica; at depth 1 and at
-	// epoch-boundary welcomes the queue is empty.
-	DrainRound uint64
-	PendingOps []int32
-	PendingNs  []int32
+	DrainRound uint64 // the donor's latest pipeline drain point
+	Sched      []byte // schedule state (dcnet.Schedule.AppendState)
 	BeaconHead []byte // 32-byte chain head the joiner's replica resumes from
 }
 
@@ -275,13 +262,8 @@ func (p *JoinWelcome) Encode() []byte {
 	e.ByteSlices(p.SlotKeys)
 	e.U32(uint32(p.MySlot))
 	e.U64(p.Round)
-	e.U64(p.SchedRound)
-	e.Int32s(p.Lens)
-	e.Int32s(p.Idle)
-	e.Int32s(p.Perm)
 	e.U64(p.DrainRound)
-	e.Int32s(p.PendingOps)
-	e.Int32s(p.PendingNs)
+	e.Bytes(p.Sched)
 	e.Bytes(p.BeaconHead)
 	return e.B
 }
@@ -319,25 +301,10 @@ func DecodeJoinWelcome(b []byte) (*JoinWelcome, error) {
 	if p.Round, err = d.U64(); err != nil {
 		return nil, err
 	}
-	if p.SchedRound, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.Lens, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Idle, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Perm, err = d.Int32s(); err != nil {
-		return nil, err
-	}
 	if p.DrainRound, err = d.U64(); err != nil {
 		return nil, err
 	}
-	if p.PendingOps, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.PendingNs, err = d.Int32s(); err != nil {
+	if p.Sched, err = d.Bytes(); err != nil {
 		return nil, err
 	}
 	if p.BeaconHead, err = d.Bytes(); err != nil {
@@ -376,6 +343,9 @@ func (n *node) rosterPermSeed(def *group.Definition) []byte {
 	}
 	return crypto.Hash("dissent/roster-perm", beaconVal, dig[:])
 }
+
+// ID returns the node's ID.
+func (n *node) ID() group.NodeID { return n.id }
 
 // Definition returns the node's current (roster-versioned) group
 // definition. Callers must treat it as read-only.
@@ -531,7 +501,7 @@ func (s *Server) resendRosterChain(now time.Time, to group.NodeID, fromVersion u
 			if s.def.ClientIndex(to) >= 0 {
 				return s.sendSnapshotSync(now, to, out)
 			}
-			out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: s.roundNum,
+			out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: s.head,
 				Detail: fmt.Sprintf("member %s behind retained roster history (asked from %d, log starts past it)", to, fromVersion)})
 			return nil
 		}
@@ -540,7 +510,7 @@ func (s *Server) resendRosterChain(now time.Time, to group.NodeID, fromVersion u
 			digBytes = dig[:]
 		}
 		body := (&RosterUpdateMsg{Update: u.Encode(), SchedDigest: digBytes}).Encode()
-		m, err := s.sign(MsgRosterUpdate, s.roundNum, body)
+		m, err := s.sign(MsgRosterUpdate, s.head, body)
 		if err != nil {
 			return err
 		}
@@ -672,7 +642,7 @@ func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
 	}
 	v, ok := s.joinedAt[id]
 	if !ok {
-		return s.violation(s.roundNum, fmt.Errorf("full join request from established member %s", id)), nil
+		return s.violation(s.head, fmt.Errorf("full join request from established member %s", id)), nil
 	}
 	u := s.lookupRosterUpdate(v)
 	if u == nil {
@@ -680,7 +650,7 @@ func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
 		// in-memory mirror; a joiner needs exactly that update (its
 		// admission proof), so this stays a hard error there. With a
 		// store the chain never truncates and this is unreachable.
-		return &Output{Events: []Event{{Kind: EventProtocolViolation, Round: s.roundNum,
+		return &Output{Events: []Event{{Kind: EventProtocolViolation, Round: s.head,
 			Detail: fmt.Sprintf("cannot re-welcome %s: admitting update %d evicted from the roster log", id, v)}}}, nil
 	}
 	// Recover the member's slot: its pseudonym key from the admitting
@@ -699,7 +669,7 @@ func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
 		}
 	}
 	if slot < 0 {
-		return s.violation(s.roundNum, fmt.Errorf("no slot found for admitted member %s", id)), nil
+		return s.violation(s.head, fmt.Errorf("no slot found for admitted member %s", id)), nil
 	}
 	s.welcomeSent[id] = now
 	out := &Output{}
@@ -739,7 +709,7 @@ func (s *Server) buildProposal() *RosterPropose {
 		if s.pendingRemove[ci] {
 			continue
 		}
-		if at, ok := s.expelRound[ci]; ok && s.roundNum < at+cooldown {
+		if at, ok := s.expelRound[ci]; ok && s.head < at+cooldown {
 			continue // not yet eligible; stays pending for a later boundary
 		}
 		p.Admit = append(p.Admit, group.RosterMember{
@@ -799,20 +769,20 @@ func (s *Server) rosterTick(now time.Time) (*Output, error) {
 // castRoster broadcasts a roster-phase message to the peer servers and
 // records it for rosterTick.
 func (s *Server) castRoster(now time.Time, t MsgType, body []byte, out *Output) error {
-	s.recordCast(now, &s.roster.casts, s.retrySeed^s.roster.version, t, s.roundNum, body, out)
-	return s.broadcastServers(t, s.roundNum, body, out)
+	s.recordCast(now, &s.roster.casts, s.retrySeed^s.roster.version, t, s.head, body, out)
+	return s.broadcastServers(t, s.head, body, out)
 }
 
 func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	p, err := DecodeRosterPropose(m.Body)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	if p.Version == 0 {
-		return s.violation(s.roundNum, errors.New("roster proposal for version 0")), nil
+		return s.violation(s.head, errors.New("roster proposal for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
 		// The peer is rebroadcasting a transition we already completed —
@@ -877,7 +847,7 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 				// server), so each server enforces it on the union — a
 				// single server cannot short-circuit the cooldown for
 				// the group.
-				if at, ok := s.expelRound[ci]; ok && s.roundNum < at+cooldown {
+				if at, ok := s.expelRound[ci]; ok && s.head < at+cooldown {
 					continue
 				}
 			} else if len(m.PseuKey) == 0 {
@@ -921,14 +891,14 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 
 func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	p, err := DecodeRosterCert(m.Body)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	if p.Version == 0 {
-		return s.violation(s.roundNum, errors.New("roster certificate for version 0")), nil
+		return s.violation(s.head, errors.New("roster certificate for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
 		// Stuck peer rebroadcasting a completed transition: replay the
@@ -946,11 +916,11 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 	si := s.def.ServerIndex(m.From)
 	sig, err := crypto.DecodeSignature(s.keyGrp, p.Sig)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, group.RosterSignContext,
 		r.update.SignedBytes(s.grpID), sig); err != nil {
-		return s.violation(s.roundNum, fmt.Errorf("server %d roster cert: %w", si, err)), nil
+		return s.violation(s.head, fmt.Errorf("server %d roster cert: %w", si, err)), nil
 	}
 	if _, dup := r.sigs[si]; dup {
 		return &Output{}, nil
@@ -965,15 +935,15 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 // signature, so it can be verified and applied directly.
 func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	p, err := DecodeRosterUpdateMsg(m.Body)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	u, err := group.DecodeRosterUpdate(p.Update)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	if u.Version <= s.def.Version {
 		return &Output{}, nil // already applied
@@ -985,7 +955,7 @@ func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error
 	if err := s.applyCertifiedRoster(now, u, out); err != nil {
 		// A replayed update that fails verification is a peer fault,
 		// not a local fatal: stay in the phase (retries continue).
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	s.roster = nil
 	s.phase = phaseRunning
@@ -1039,47 +1009,50 @@ func (s *Server) attachClients(def *group.Definition, from int) error {
 // admitRoster is the admission core every path that takes a certified
 // roster update goes through — live apply and restore replay alike, so
 // a restarted server can never have admitted differently from its peers:
-// the definition swap, and for each member the update appends its
+// the definition the update produces, and for each member it appends its
 // pairwise seed, its upstream attachment and the version that admitted
-// it (what a lost welcome is re-sent from).
-func (s *Server) admitRoster(u *group.RosterUpdate) error {
+// it (what a lost welcome is re-sent from). The caller installs the
+// returned definition: applyRoster live, a bare assignment on replay.
+func (s *Server) admitRoster(u *group.RosterUpdate) (*group.Definition, error) {
 	newDef, err := s.def.ApplyRosterUpdate(u)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	oldN := len(s.def.Clients)
 	if err := s.attachClients(newDef, oldN); err != nil {
-		return err
+		return nil, err
 	}
 	for _, c := range newDef.Clients[oldN:] {
 		s.joinedAt[c.ID] = u.Version
 	}
-	s.def = newDef
-	return nil
+	return newDef, nil
 }
 
-// applyCertifiedRoster applies one certified update to this server's
-// replica: admission (admitRoster), slot keys for new members,
-// exclusion bookkeeping, schedule growth, permutation reseed, welcomes
-// for joiners, and the client broadcast.
+// applyCertifiedRoster applies one certified update at this server:
+// admission (admitRoster) and the replica's move to the new roster
+// (applyRoster), then slot keys for new members, exclusion bookkeeping,
+// welcomes for joiners, and the client broadcast.
 func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out *Output) error {
 	oldN := len(s.def.Clients)
-	if err := s.admitRoster(u); err != nil {
+	newDef, err := s.admitRoster(u)
+	if err != nil {
 		return fmt.Errorf("core: certified roster update rejected locally: %w", err)
 	}
-	newDef := s.def
+	// The post-apply schedule digest anchors divergence detection
+	// (schedDigestDiverged) and rides every MsgRosterUpdate.
+	dig := s.applyRoster(u, newDef)
 
 	for _, id := range u.Remove {
 		ci := newDef.ClientIndex(id)
 		s.excluded[ci] = true
 		if _, ok := s.expelRound[ci]; !ok {
-			s.expelRound[ci] = s.roundNum
+			s.expelRound[ci] = s.head
 		}
 		delete(s.pendingRemove, ci)
 		// A pending rejoin survives: for a blame-expelled client the
 		// removal here merely formalizes the earlier verdict, and its
 		// rejoin request stays queued behind the cooldown.
-		out.Events = append(out.Events, Event{Kind: EventMemberExpelled, Round: s.roundNum, Culprit: id})
+		out.Events = append(out.Events, Event{Kind: EventMemberExpelled, Round: s.head, Culprit: id})
 	}
 
 	type welcomeTarget struct {
@@ -1114,12 +1087,9 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 				welcomes = append(welcomes, welcomeTarget{id: id, slot: len(s.slotKeys) - 1})
 			}
 		}
-		out.Events = append(out.Events, Event{Kind: EventMemberJoined, Round: s.roundNum, Culprit: id})
+		out.Events = append(out.Events, Event{Kind: EventMemberJoined, Round: s.head, Culprit: id})
 	}
 
-	if len(u.Admit)+len(u.Remove) > 0 {
-		s.sched.Grow(len(newDef.Clients)-oldN, s.rosterPermSeed(newDef))
-	}
 	// Certified removals shrink the α-policy baseline (§3.7) with the
 	// roster: a formally removed member must not count toward the
 	// participation floor of the next round. Identical on every server,
@@ -1133,24 +1103,19 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 		delete(s.rosterLog, u.Version-rosterLogCap)
 		delete(s.rosterDigests, u.Version-rosterLogCap)
 	}
-	// The post-apply schedule digest: captured after Grow and before any
-	// further round advances, so every replica applying this update at
-	// its boundary computes the identical value. It anchors divergence
-	// detection (schedDigestDiverged) and rides every MsgRosterUpdate.
-	dig := s.sched.Digest()
 	s.rosterDigests[u.Version] = dig
 	s.persistRosterUpdate(u, dig)
 	s.persistSnapshot()
-	s.log.Info("roster update applied", "round", s.roundNum, "version", newDef.Version,
+	s.log.Info("roster update applied", "round", s.head, "version", newDef.Version,
 		"admitted", len(u.Admit), "removed", len(u.Remove))
-	out.Events = append(out.Events, Event{Kind: EventRosterChanged, Round: s.roundNum,
+	out.Events = append(out.Events, Event{Kind: EventRosterChanged, Round: s.head,
 		Detail: fmt.Sprintf("version %d (%d admitted, %d removed)", newDef.Version, len(u.Admit), len(u.Remove))})
 
 	// Broadcast the certified update to attached clients (including the
 	// joiners just added to myClients — they ignore it and wait for
 	// their welcome, which follows on the same FIFO link).
 	body := (&RosterUpdateMsg{Update: u.Encode(), SchedDigest: dig[:]}).Encode()
-	if err := s.broadcastClients(MsgRosterUpdate, s.roundNum, body, out); err != nil {
+	if err := s.broadcastClients(MsgRosterUpdate, s.head, body, out); err != nil {
 		return err
 	}
 	for _, w := range welcomes {
@@ -1163,7 +1128,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 
 // buildSnapshot assembles the JoinWelcome-shaped session snapshot: the
 // certified update u as the verifiable anchor, the full roster, slot
-// keys, schedule replica, pipeline queue, and beacon head. slot is the
+// keys, replica image, and beacon head. slot is the
 // recipient's slot when the server knows it (a joiner, whose admitting
 // update links key to slot) or -1 for an established member re-sync —
 // the server cannot link an established member to its anonymous slot,
@@ -1175,8 +1140,11 @@ func (s *Server) buildSnapshot(u *group.RosterUpdate, slot int) *JoinWelcome {
 		Update:   u.Encode(),
 		SlotKeys: s.encodedSlotKeys(),
 		MySlot:   int32(slot),
-		Round:    s.roundNum,
 	}
+	// Under pipelining a re-welcome can capture the schedule mid-stream;
+	// boundary welcomes always export an empty delta queue — a welcome
+	// implies an admission, so Grow just flushed it.
+	w.Round, w.DrainRound, w.Sched = s.snapshot()
 	for _, c := range s.def.Clients {
 		w.RosterKeys = append(w.RosterKeys, s.keyGrp.Encode(c.PubKey))
 		if c.Expelled {
@@ -1185,20 +1153,6 @@ func (s *Server) buildSnapshot(u *group.RosterUpdate, slot int) *JoinWelcome {
 			w.Expelled = append(w.Expelled, 0)
 		}
 	}
-	schedRound, lens, idle, perm := s.sched.Snapshot()
-	w.SchedRound = schedRound
-	w.Lens = toInt32(lens)
-	w.Idle = toInt32(idle)
-	w.Perm = toInt32(perm)
-	// Under pipelining a re-welcome can capture the schedule mid-stream;
-	// the queued deltas and drain point complete the snapshot so the
-	// joiner pops each delta at the same round as every established
-	// replica. Boundary welcomes always export an empty queue: a welcome
-	// implies an admission, so Grow just flushed it.
-	w.DrainRound = s.drainRound
-	pendOps, pendNs := s.sched.PendingSnapshot()
-	w.PendingOps = toInt32(pendOps)
-	w.PendingNs = toInt32(pendNs)
 	if s.beaconChain != nil {
 		head := s.beaconChain.Head()
 		w.BeaconHead = append([]byte(nil), head[:]...)
@@ -1208,7 +1162,7 @@ func (s *Server) buildSnapshot(u *group.RosterUpdate, slot int) *JoinWelcome {
 
 // sendWelcome snapshots the session state for one admitted joiner.
 func (s *Server) sendWelcome(u *group.RosterUpdate, id group.NodeID, slot int, out *Output) error {
-	m, err := s.sign(MsgJoinWelcome, s.roundNum, s.buildSnapshot(u, slot).Encode())
+	m, err := s.sign(MsgJoinWelcome, s.head, s.buildSnapshot(u, slot).Encode())
 	if err != nil {
 		return err
 	}
@@ -1228,7 +1182,7 @@ func (s *Server) sendSnapshotSync(now time.Time, id group.NodeID, out *Output) e
 		// Pre-churn session: no certified update exists to anchor a
 		// snapshot. Nothing diverged either — the schedule is still the
 		// certified setup one — so there is nothing to re-sync.
-		out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: s.roundNum,
+		out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: s.head,
 			Detail: fmt.Sprintf("cannot snapshot-sync %s before the first certified roster update", id)})
 		return nil
 	}
@@ -1238,29 +1192,13 @@ func (s *Server) sendSnapshotSync(now time.Time, id group.NodeID, out *Output) e
 		return nil
 	}
 	s.welcomeSent[id] = now
-	m, err := s.sign(MsgSnapshotSync, s.roundNum, s.buildSnapshot(u, -1).Encode())
+	m, err := s.sign(MsgSnapshotSync, s.head, s.buildSnapshot(u, -1).Encode())
 	if err != nil {
 		return err
 	}
 	out.Send = append(out.Send, Envelope{To: id, Msg: m})
-	s.log.Info("snapshot re-sync sent", "member", id.String(), "version", s.def.Version, "round", s.roundNum)
+	s.log.Info("snapshot re-sync sent", "member", id.String(), "version", s.def.Version, "round", s.head)
 	return nil
-}
-
-func toInt32(v []int) []int32 {
-	out := make([]int32, len(v))
-	for i, x := range v {
-		out[i] = int32(x)
-	}
-	return out
-}
-
-func toInt(v []int32) []int {
-	out := make([]int, len(v))
-	for i, x := range v {
-		out[i] = int(x)
-	}
-	return out
 }
 
 // sortedIDKeys returns a NodeID-keyed map's keys in canonical order.
@@ -1336,9 +1274,8 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return c.violation(err), nil
 	}
-	grown := len(newDef.Clients) - len(c.def.Clients)
 	reshaped := len(u.Admit)+len(u.Remove) > 0
-	c.def = newDef
+	dig := c.applyRoster(u, newDef)
 	out := &Output{}
 	for _, id := range u.Remove {
 		if id == c.id {
@@ -1365,19 +1302,15 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		}
 		out.Events = append(out.Events, Event{Kind: EventMemberJoined, Round: c.round, Culprit: id})
 	}
-	if c.ready && len(u.Admit)+len(u.Remove) > 0 {
-		c.sched.Grow(grown, c.rosterPermSeed(newDef))
-	}
 	diverged := false
 	if c.ready {
-		// Capture the post-apply schedule digest — the replication point
+		// Keep the post-apply schedule digest — the replication point
 		// every replica reaches with identical state — and compare it to
 		// the server's copy riding the update. A mismatch means our
 		// replica silently diverged before this boundary (e.g. we applied
 		// a caught-up update before draining the rounds it presupposed);
 		// submitting under the wrong layout would disrupt rounds, so we
 		// hold and probe for a certified snapshot re-sync instead.
-		dig := c.sched.Digest()
 		c.applyDigest = dig[:]
 		diverged = len(p.SchedDigest) == 32 && !bytes.Equal(p.SchedDigest, dig[:])
 	}
@@ -1393,8 +1326,8 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	// drained before running the roster phase); later rounds ramp their
 	// delta-queue depth from here. Recorded before the not-ready/expelled
 	// early returns so observer replicas track the group's layout too.
-	if c.ready && c.nextOut > c.drain {
-		c.drain = c.nextOut
+	if c.ready && c.head > c.drain {
+		c.drain = c.head
 	}
 	if diverged {
 		c.resubmitPending = false
@@ -1466,7 +1399,7 @@ func (c *Client) onJoinWelcome(now time.Time, m *Message) (*Output, error) {
 		return out, err
 	}
 	out = &Output{Events: []Event{
-		{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", c.mySlot, len(w.Lens))},
+		{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", c.mySlot, len(w.SlotKeys))},
 		{Kind: EventMemberJoined, Round: w.Round, Culprit: c.id},
 		{Kind: EventRosterChanged, Round: w.Round, Detail: fmt.Sprintf("version %d (joined)", w.Version)},
 	}}
@@ -1491,7 +1424,7 @@ func (c *Client) onSnapshotSync(now time.Time, m *Message) (*Output, error) {
 		return out, err
 	}
 	out = &Output{Events: []Event{{Kind: EventReplicaResynced, Round: w.Round,
-		Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, c.mySlot, len(w.Lens))}}}
+		Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, c.mySlot, len(w.SlotKeys))}}}
 	if c.awaitingBlame || c.expelled {
 		return out, nil
 	}
@@ -1505,11 +1438,12 @@ func (c *Client) onSnapshotSync(now time.Time, m *Message) (*Output, error) {
 
 // installSnapshot verifies a server-signed session snapshot (a
 // JoinWelcome body) and replaces the client's roster, schedule and
-// beacon replicas with it. Every check runs before the first
-// assignment, so a rejected snapshot leaves the client exactly as it
-// was. It returns the installed welcome, or nil with what the handler
-// should return instead: a violation, an empty output for a snapshot
-// dropped as stale, or a fatal error.
+// beacon replicas with it. Every check — the replica image's own
+// (node.restore) last — runs before the first assignment, so a rejected
+// snapshot leaves the client exactly as it was. It returns the installed
+// welcome, or nil with what the handler should return instead: a
+// violation, an empty output for a snapshot dropped as stale, or a fatal
+// error.
 //
 // The snapshot is trusted from the upstream server, but the roster
 // transition it embeds is independently verifiable: the update must
@@ -1588,19 +1522,6 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 			return reject("slot keys do not carry our pseudonym key")
 		}
 	}
-	if w.SchedRound > w.Round {
-		return reject("schedule round ahead of engine round")
-	}
-	if w.DrainRound > w.Round {
-		return reject("drain round ahead of engine round")
-	}
-	// A re-sent welcome can capture the donor mid-pipeline: the restored
-	// queue plus the donor's drain point make our replica pop each delta
-	// at the same round as every established one.
-	sched, err := c.restoreSchedule(c.depth, w.SchedRound, w.Lens, w.Idle, w.Perm, w.PendingOps, w.PendingNs)
-	if err != nil {
-		return nil, c.violation(err), nil
-	}
 	var head beacon.Value
 	if c.beaconChain != nil {
 		if len(w.BeaconHead) != len(head) {
@@ -1613,21 +1534,25 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 		return nil, nil, err
 	}
 
-	// Every check has passed: commit. The beacon chain goes first — its
-	// store is the one step that can still fail.
-	if c.beaconChain != nil {
-		if joiner {
-			err = c.beaconChain.Rebind(head)
-		} else {
+	// Every check of ours has passed; the replica image runs its own and
+	// commits. The beacon chain goes first — its store is the one commit
+	// step that can still fail.
+	err = c.restore(w.Round, w.DrainRound, w.Sched, func() error {
+		switch {
+		case c.beaconChain == nil:
+			return nil
+		case joiner:
+			return c.beaconChain.Rebind(head)
+		default:
 			// Our chain replica may have diverged with the schedule:
 			// discard it and resume from the snapshot's head, trusted like
 			// the rest of the server-signed snapshot (round outputs
 			// re-verify every appended entry).
-			err = c.beaconChain.ResetTrusted(head)
+			return c.beaconChain.ResetTrusted(head)
 		}
-		if err != nil {
-			return nil, nil, err
-		}
+	})
+	if err != nil {
+		return nil, c.violation(fmt.Errorf("%s: %w", what, err)), nil
 	}
 	if !joiner {
 		// Recover queued payload bytes from in-flight (and parked) rounds
@@ -1651,12 +1576,9 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	c.idx = idx
 	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
 	c.serverSeeds = serverSeeds
-	c.sched = sched
 	c.mySlot = slot
 	c.round = w.Round
-	c.nextOut = w.Round
 	c.rosterDone = w.Round
-	c.drain = w.DrainRound
 	c.ready = true
 	c.expelled = !joiner && expelled[idx]
 	c.applyDigest = nil
@@ -1666,7 +1588,7 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 		// version's post-apply digest. Any other snapshot is mid-stream
 		// and leaves no apply-point digest until the next boundary
 		// (probes omit it).
-		dig := sched.Digest()
+		dig := c.sched.Digest()
 		c.applyDigest = dig[:]
 	}
 	return w, nil, nil
@@ -1683,26 +1605,13 @@ func NewJoinerClient(def *group.Definition, kp *crypto.KeyPair, advertiseAddr st
 	if def.Policy.BeaconEpochRounds == 0 {
 		return nil, errors.New("core: joining requires a group with membership churn (BeaconEpochRounds > 0)")
 	}
-	c := &Client{node: newNode(def, kp, opts)}
+	c := &Client{node: newNode(def, kp, opts, submitResendInterval), idx: -1, mySlot: -1}
 	if def.ClientIndex(c.id) >= 0 || def.ServerIndex(c.id) >= 0 {
 		return nil, errors.New("core: key already belongs to this group (use NewClient)")
 	}
-	c.idx = -1
 	c.joining = true
 	c.joinAddr = advertiseAddr
 	c.upstream = def.Servers[0].ID // contact point until admission assigns one
-	c.pad = dcnet.NewPad(crypto.NewAESPRNG)
-	c.mySlot = -1
-	c.pairSeedFn = opts.PairSeed
-	c.depth = opts.PipelineDepth
-	if c.depth < 1 {
-		c.depth = 1
-	}
-	var retry RetryPolicy
-	if opts.Retry != nil {
-		retry = *opts.Retry
-	}
-	c.retry = retry.withDefaults(submitResendInterval)
 	return c, nil
 }
 

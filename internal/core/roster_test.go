@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 	"time"
@@ -708,7 +709,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 			w.SlotKeys[v.slot] = w.SlotKeys[next]
 		}},
 		{name: "schedule round ahead of engine round", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
-			w.SchedRound = w.Round + 1
+			binary.BigEndian.PutUint64(w.Sched, w.Round+1) // the state opens with the schedule's round counter
 		}},
 		{name: "drain round ahead of engine round", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
 			w.DrainRound = w.Round + 1
@@ -717,9 +718,12 @@ func TestSnapshotInstallRejects(t *testing.T) {
 			w.BeaconHead = w.BeaconHead[:len(w.BeaconHead)-1]
 		}},
 		{name: "bad pending op", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
-			w.PendingOps = make([]int32, len(w.Lens))
-			w.PendingNs = make([]int32, len(w.Lens))
-			w.PendingOps[0] = 99
+			// Queue one delta row whose first op is out of range (the state
+			// ends with the row count; a row is (op, length) per slot).
+			row := make([]byte, 5*len(w.SlotKeys))
+			row[0] = 99
+			binary.BigEndian.PutUint32(w.Sched[len(w.Sched)-4:], 1)
+			w.Sched = append(w.Sched, row...)
 		}},
 	}
 

@@ -91,7 +91,7 @@ const (
 
 // roundState is one in-flight round at a server. With pipelining
 // several coexist, keyed by round number in Server.rounds; only the
-// oldest (the head, Server.roundNum) may run the commit→certify
+// oldest (the replica's head) may run the commit→certify
 // sequence, so server-server phases stay strictly ordered while
 // younger rounds collect submissions concurrently.
 type roundState struct {
@@ -286,34 +286,21 @@ type Server struct {
 	setup      *shuffleSession
 	slotKeys   []crypto.Element
 	schedCerts map[int][]byte
-	// certKeys/certSigs retain the certified schedule (encoded slot
-	// keys + per-server signatures) for ScheduleCertificate.
-	certKeys [][]byte
-	certSigs [][]byte
 
 	// DC-net state. rounds holds every in-flight round keyed by round
-	// number; the keys are always the contiguous range
-	// [roundNum, nextOpen). roundNum is the head — the oldest in-flight
-	// round, the only one allowed past inventory collection — and
-	// nextOpen is the next window to open. depth caps len(rounds):
-	// depth 1 is the serial engine, depth 2 overlaps round r+1's
-	// submission window with round r's combine/certify. blameDue defers
-	// a requested accusation shuffle until the pipeline drains.
-	sched     *dcnet.Schedule
-	pad       *dcnet.Pad
-	roundNum  uint64
+	// number; the keys are always the contiguous range [head, nextOpen).
+	// The replica's head is the oldest in-flight round, the only one
+	// allowed past inventory collection, and nextOpen is the next window
+	// to open. The replica's depth caps len(rounds): depth 1 is the
+	// serial engine, depth 2 overlaps round r+1's submission window with
+	// round r's combine/certify. blameDue defers a requested accusation
+	// shuffle until the pipeline drains.
 	nextOpen  uint64
-	depth     int
 	blameDue  bool
 	prevCount int
-	// drainRound is the first round after the latest pipeline drain
-	// (session start, epoch boundary, post-blame resume). Rounds ramp
-	// their schedule delta-queue depth up from this point — see
-	// dcnet.Schedule.Horizon and SyncPipeline.
-	drainRound uint64
-	rounds     map[uint64]*roundState
-	history    map[uint64]*roundHistory
-	excluded   map[int]bool
+	rounds    map[uint64]*roundState
+	history   map[uint64]*roundHistory
+	excluded  map[int]bool
 	// Crash-recovery state (see restore.go): rounds below recoverUntil
 	// reopen at a fresh, strictly-higher attempt so surviving peers
 	// abandon the pre-crash attempt they are wedged on; outMsgs retains
@@ -354,7 +341,6 @@ type Server struct {
 	rosterDigests    map[uint64][32]byte            // version → post-apply schedule digest
 	joinedAt         map[group.NodeID]uint64        // new members → admitting version (welcome re-send)
 	welcomeSent      map[group.NodeID]time.Time     // re-welcome rate limiting
-	pairSeedFn       func(clientIdx, serverIdx int) []byte
 
 	// stash buffers messages that arrived ahead of our local phase
 	// (e.g. a peer's inventory for round r+1 while we still certify r);
@@ -363,10 +349,8 @@ type Server struct {
 	stash      []*Message
 	stashBytes int
 
-	// retry is the resolved retransmission backoff policy;
 	// misbehavior is the per-member violation ledger (bounded by the
 	// roster: only verified members are attributable).
-	retry       RetryPolicy
 	misbehavior map[group.NodeID]*peerRecord
 
 	// testTraceBit is a test hook, nil in production: it lets a test
@@ -379,7 +363,7 @@ type Server struct {
 // key.
 func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (*Server, error) {
 	s := &Server{
-		node:  newNode(def, kp, opts),
+		node:  newNode(def, kp, opts, serverRetryBase*def.Policy.WindowMin),
 		msgKP: msgKP,
 	}
 	s.idx = def.ServerIndex(s.id)
@@ -389,16 +373,10 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	if !s.msgGrp.Equal(msgKP.Public, def.Servers[s.idx].MsgPubKey) {
 		return nil, errors.New("core: message-shuffle key mismatch with definition")
 	}
-	s.pairSeedFn = opts.PairSeed
 	if err := s.attachClients(def, 0); err != nil {
 		return nil, err
 	}
-	s.pad = dcnet.NewPad(crypto.NewAESPRNG)
 	s.ppad = dcnet.NewParallelPad(crypto.NewAESPRNG, 0)
-	s.depth = opts.PipelineDepth
-	if s.depth < 1 {
-		s.depth = 1
-	}
 	s.prefetchPads = make([]*dcnet.ParallelPad, s.depth)
 	for i := range s.prefetchPads {
 		s.prefetchPads[i] = dcnet.NewParallelPad(crypto.NewAESPRNG, 0)
@@ -426,11 +404,6 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	s.joinedAt = make(map[group.NodeID]uint64)
 	s.welcomeSent = make(map[group.NodeID]time.Time)
 	s.misbehavior = make(map[group.NodeID]*peerRecord)
-	var retry RetryPolicy
-	if opts.Retry != nil {
-		retry = *opts.Retry
-	}
-	s.retry = retry.withDefaults(serverRetryBase * def.Policy.WindowMin)
 	return s, nil
 }
 
@@ -446,14 +419,11 @@ func (s *Server) MisbehaviorCounts() map[string]int {
 	return out
 }
 
-// ID returns the server's node ID.
-func (s *Server) ID() group.NodeID { return s.id }
-
 // Index returns the server's index in the group definition.
 func (s *Server) Index() int { return s.idx }
 
 // Round returns the current DC-net round number.
-func (s *Server) Round() uint64 { return s.roundNum }
+func (s *Server) Round() uint64 { return s.head }
 
 // Participation returns the previous round's participation count.
 func (s *Server) Participation() int { return s.prevCount }
@@ -464,15 +434,6 @@ func (s *Server) Excluded(clientIdx int) bool { return s.excluded[clientIdx] }
 // PerfStats returns the server's data-plane timing counters. Safe to
 // call concurrently with engine progress.
 func (s *Server) PerfStats() PerfStats { return s.perf.snapshot() }
-
-// SchedulePermutation returns the current slot-layout permutation, or
-// nil before the schedule is established.
-func (s *Server) SchedulePermutation() []int {
-	if s.sched == nil {
-		return nil
-	}
-	return s.sched.Permutation()
-}
 
 // Start begins the setup phase: waiting for pseudonym submissions.
 func (s *Server) Start(now time.Time) (*Output, error) {
@@ -726,38 +687,23 @@ func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
 	if s.phase != phaseSetup || len(s.schedCerts) < len(s.def.Servers) {
 		return &Output{}, nil
 	}
-	// Bind the beacon chain to the certified schedule before any state
-	// commits: a rebind failure (e.g. a non-empty store smuggled past
-	// the SDK's archiving) must not leave the server half-running with
-	// the schedule never broadcast.
+	// The replica — and with it the beacon chain's session binding — goes
+	// first: a rebind failure (e.g. a non-empty store smuggled past the
+	// SDK's archiving) must not leave the server half-running with the
+	// schedule never broadcast.
 	sigs := make([][]byte, len(s.def.Servers))
 	for i := range sigs {
 		sigs[i] = s.schedCerts[i]
 	}
-	certKeys := s.encodedSlotKeys()
-	if err := s.bindBeaconSession(scheduleCertDigest(s.grpID, certKeys, sigs)); err != nil {
+	if err := s.newSchedule(len(s.slotKeys), s.encodedSlotKeys(), sigs); err != nil {
 		return nil, err
 	}
-	cfg := dcnet.Config{
-		NumSlots:        len(s.slotKeys),
-		DefaultOpenLen:  s.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      s.def.Policy.MaxSlotLen,
-		IdleCloseRounds: s.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.installRotation(sched)
-	sched.SetLag(s.depth - 1)
-	s.sched = sched
 	s.prevCount = len(s.slotKeys)
 	s.phase = phaseRunning
-	s.certKeys, s.certSigs = certKeys, sigs
 	// Record the base version's post-apply digest (the freshly built
 	// schedule) so divergence checks work before any churn, and persist
 	// the first restartable snapshot.
-	s.rosterDigests[s.def.Version] = sched.Digest()
+	s.rosterDigests[s.def.Version] = s.sched.Digest()
 	s.persistSnapshot()
 
 	out := &Output{Events: []Event{{Kind: EventScheduleReady, Detail: fmt.Sprintf("%d slots", len(s.slotKeys))}}}
@@ -767,15 +713,6 @@ func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
 	}
 	s.startRound(now, out)
 	return out, nil
-}
-
-// ScheduleCertificate returns the certified schedule — the slot-key
-// list and every server's signature over it — or nils before setup
-// completes (including under trusted bootstrap, which certifies
-// nothing). The dissent SDK serves it beside the beacon chain so
-// external verifiers can derive the session's beacon genesis.
-func (s *Server) ScheduleCertificate() (keys, sigs [][]byte) {
-	return s.certKeys, s.certSigs
 }
 
 // --- DC-net rounds (Algorithm 2) --------------------------------------
@@ -845,7 +782,7 @@ func (s *Server) openRound(now time.Time, out *Output) {
 	rs := &roundState{
 		r:       s.nextOpen,
 		phase:   rpCollect,
-		vecLen:  s.sched.AheadLenUpTo(s.sched.Horizon(s.nextOpen, s.roundNum, s.drainRound)),
+		vecLen:  s.sched.AheadLenUpTo(s.sched.Horizon(s.nextOpen, s.head, s.drain)),
 		start:   now,
 		hardAt:  now.Add(s.def.Policy.HardTimeout),
 		subs:    make(map[int]*Message),
@@ -1168,7 +1105,7 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	for _, ci := range own {
 		inv.Clients = append(inv.Clients, int32(ci))
 	}
-	if prev := s.history[rs.r-1]; rs.attempt == 0 && rs.r == s.roundNum &&
+	if prev := s.history[rs.r-1]; rs.attempt == 0 && rs.r == s.head &&
 		prev != nil && slices.Equal(own, prev.directSets[s.idx]) {
 		rs.included, rs.directSets = prev.included, prev.directSets
 		s.computeShare(rs)
@@ -1254,7 +1191,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 	if rs.phase != rpInventory || len(rs.invs) < len(s.def.Servers) {
 		return &Output{}, nil
 	}
-	if rs.r != s.roundNum {
+	if rs.r != s.head {
 		return &Output{}, nil
 	}
 	// Union and dedup (lowest server index keeps a duplicate client).
@@ -1742,16 +1679,14 @@ func (s *Server) checkCertify(rs *roundState, si int, cert []byte) error {
 	return s.cert.VerifyPartial(si, rs.nonces[si], rs.certChal, z)
 }
 
-// maybeOutput completes the round: distribute the certified output,
-// retire the round from the pipeline, advance the schedule, and let
-// the next head proceed (or start a deferred blame/roster phase once
-// the pipeline drains).
+// maybeOutput completes the round once every server's certificate
+// contribution is in: assemble the certified output, retire the round on
+// the replica, keep what accusation tracing needs, and finish as for any
+// retired round.
 func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 	if rs.phase != rpCertify || len(rs.certs) < len(s.def.Servers) {
 		return &Output{}, nil
 	}
-	rs.phase = rpDone
-	out := &Output{}
 	// Every server's contribution is in and individually verified: the
 	// partial responses sum to one signature under the aggregate key. A
 	// failed round carries the servers' own signatures as they are.
@@ -1775,130 +1710,111 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 	if rs.beaconEntry != nil && !rs.failed {
 		ro.Beacon = rs.beaconEntry.Shares
 	}
-	roBody := ro.Encode()
-	if err := s.broadcastClients(MsgOutput, rs.r, roBody, out); err != nil {
+	// History for accusation tracing records the round's layout, which
+	// retirement moves past. The assembled cleartext is a pooled buffer;
+	// the history entry owns it until eviction (blame tracing may read it
+	// for RetainRounds rounds). Shares alias message bodies.
+	var hist *roundHistory
+	if !rs.failed {
+		hist = &roundHistory{
+			included:     rs.included,
+			directSets:   rs.directSets,
+			cleartext:    rs.cleartext,
+			ownCleartext: rs.cleartext,
+			subs:         rs.subs,
+			shares:       make([][]byte, len(s.def.Servers)),
+		}
+		hist.slotOff, hist.slotLen = s.sched.AheadSlotRangesUpTo(s.headHorizon())
+		for i := range hist.shares {
+			hist.shares[i] = rs.shares[i]
+		}
+	}
+	res, err := s.retire(rs.r, ro, rs.beaconEntry)
+	if err != nil {
+		return nil, err
+	}
+	rs.phase = rpDone
+	s.emitRoundTrace(now, rs)
+	if hist != nil {
+		s.history[rs.r] = hist
+		// Evict everything older than the retention window — but never
+		// while an accusation shuffle is open: the accusation names its
+		// round only when the shuffle finishes, and evicting it mid-session
+		// squashes the accusation into an inconclusive verdict (and, under
+		// a continuous disruptor, a re-accuse livelock). Rounds mostly hold
+		// during blame, so the map outgrows RetainRounds by at most the
+		// in-flight pipeline depth; the first post-verdict completion
+		// sweeps the backlog.
+		if s.blame == nil && rs.r >= uint64(s.def.Policy.RetainRounds) {
+			floor := rs.r - uint64(s.def.Policy.RetainRounds)
+			for rnd, h := range s.history {
+				if rnd <= floor {
+					s.bufs.put(h.ownCleartext)
+					delete(s.history, rnd)
+				}
+			}
+		}
+	}
+	return s.finishRound(now, rs.r, ro, ro.Encode(), res, "")
+}
+
+// finishRound is what follows a retirement at a server, however the
+// round's certified output was come by — certified here (maybeOutput) or
+// adopted from a peer (onPeerOutput; how = "adopted, " marks its events):
+// the output goes to the attached clients and into the retained set, the
+// round's state leaves the pipeline, the α baseline and the boundary and
+// blame gates update, and the next head proceeds (retireResume).
+func (s *Server) finishRound(now time.Time, r uint64, ro *RoundOutput, body []byte, res *dcnet.RoundResult, how string) (*Output, error) {
+	out := &Output{}
+	// For an adopted round the forward is what unwedges our clients: the
+	// peers certified it while we were down, and clients consume outputs
+	// strictly in round order (the output is self-authenticating).
+	if err := s.broadcastClients(MsgOutput, r, body, out); err != nil {
 		return nil, err
 	}
 	// Retain the certified output so a peer that was down when the certs
-	// flew can request it via a stale inventory and adopt (onPeerOutput).
-	// Unlike history this covers failed rounds, which a recovering peer
-	// must also sequence through.
-	s.outMsgs[rs.r] = roBody
-	if rs.r >= uint64(s.def.Policy.RetainRounds) {
-		delete(s.outMsgs, rs.r-uint64(s.def.Policy.RetainRounds))
+	// flew can request it via a stale inventory and adopt (onPeerOutput),
+	// and a client behind the group can ladder back up (onClientSubmit).
+	// Unlike history this covers failed rounds, which both must also
+	// sequence through.
+	s.outMsgs[r] = body
+	if retain := uint64(s.def.Policy.RetainRounds); r >= retain {
+		delete(s.outMsgs, r-retain)
 	}
-
 	// The accumulator's job ends with the round, and so does the honest
 	// share's (what was revealed lives on in the share message's body);
 	// recycle both. (Raw ciphertexts stay in rs.subs/cts for blame
-	// evidence.) Retire the round from the pipeline; an unconsumed
-	// prefetch (failed round, or participation below the adjustment
-	// break-even) is reaped here.
-	s.bufs.put(rs.ctAcc)
-	rs.ctAcc = nil
-	s.bufs.put(rs.myShare)
-	rs.myShare = nil
-	s.reapPrefetch(rs)
-	delete(s.rounds, rs.r)
-	s.perf.setRoundsInFlight(len(s.rounds))
-
-	s.emitRoundTrace(now, rs)
-	s.prevCount = len(rs.included)
-	s.roundNum++
+	// evidence.) An unconsumed prefetch (failed or adopted round, or
+	// participation below the adjustment break-even) is reaped here.
+	if rs := s.rounds[r]; rs != nil {
+		s.bufs.put(rs.ctAcc)
+		rs.ctAcc = nil
+		s.bufs.put(rs.myShare)
+		rs.myShare = nil
+		s.reapPrefetch(rs)
+		delete(s.rounds, r)
+		s.perf.setRoundsInFlight(len(s.rounds))
+	}
+	s.prevCount = int(ro.Count)
 	// Epoch boundary: the roster phase runs before the boundary round
 	// starts (after any pending blame session), applying this epoch's
 	// membership churn through a certified roster update. Gate A stops
 	// opening rounds the moment rosterDue is set, so the pipeline
 	// drains; the roster phase itself starts when it has.
-	if s.epochBoundary(s.roundNum) {
+	if s.epochBoundary(s.head) {
 		s.rosterDue = true
 	}
-	// Catch the applied layout up to the one round rs.r was composed at
-	// before decoding.
-	s.sched.SyncPipeline(rs.r, s.drainRound)
-	if rs.failed {
-		out.Events = append(out.Events, Event{Kind: EventRoundFailed, Round: rs.r,
-			Detail: fmt.Sprintf("participation %d", len(rs.included))})
-		// A failed round contributes no schedule deltas, but the delta
-		// queue must stay aligned with round numbers (exact no-op at
-		// depth 1).
-		s.sched.AdvanceFailed()
-		if err := s.retireResume(now, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// Record history for accusation tracing before advancing layout.
-	hist := &roundHistory{
-		included:   rs.included,
-		directSets: rs.directSets,
-		cleartext:  rs.cleartext,
-		subs:       rs.subs,
-		slotOff:    make([]int, s.sched.NumSlots()),
-		slotLen:    make([]int, s.sched.NumSlots()),
-	}
-	hist.shares = make([][]byte, len(s.def.Servers))
-	for i := range hist.shares {
-		hist.shares[i] = rs.shares[i]
-	}
-	// The assembled cleartext is a pooled buffer; the history entry owns
-	// it until eviction (blame tracing may read it for RetainRounds
-	// rounds). Shares alias message bodies.
-	hist.ownCleartext = rs.cleartext
-	for i := 0; i < s.sched.NumSlots(); i++ {
-		hist.slotOff[i], hist.slotLen[i] = s.sched.SlotRange(i)
-	}
-	s.history[rs.r] = hist
-	// Evict everything older than the retention window — but never
-	// while an accusation shuffle is open: the accusation names its
-	// round only when the shuffle finishes, and evicting it mid-session
-	// squashes the accusation into an inconclusive verdict (and, under
-	// a continuous disruptor, a re-accuse livelock). Rounds mostly hold
-	// during blame, so the map outgrows RetainRounds by at most the
-	// in-flight pipeline depth; the first post-verdict completion
-	// sweeps the backlog.
-	if s.blame == nil && rs.r >= uint64(s.def.Policy.RetainRounds) {
-		floor := rs.r - uint64(s.def.Policy.RetainRounds)
-		for rnd, h := range s.history {
-			if rnd <= floor {
-				s.bufs.put(h.ownCleartext)
-				delete(s.history, rnd)
-			}
-		}
-	}
-
-	// Extend the beacon chain before advancing the schedule so an epoch
-	// boundary crossed by this advance rotates on this round's output.
-	// Every share was verified at combine time (beacon.Round.Reveal),
-	// so only the linkage needs checking here.
-	if rs.beaconEntry != nil {
-		if err := s.beaconChain.AppendTrusted(rs.beaconEntry); err != nil {
-			return nil, fmt.Errorf("core: beacon append: %w", err)
-		}
-	}
-	res, err := s.sched.Advance(rs.cleartext)
-	if err != nil {
-		return nil, fmt.Errorf("core: schedule advance: %w", err)
-	}
-	for slot, p := range res.Payloads {
-		if p != nil && len(p.Data) > 0 {
-			out.Deliveries = append(out.Deliveries, Delivery{Round: rs.r, Slot: slot, Data: p.Data})
-		}
-	}
-	out.Events = append(out.Events, Event{Kind: EventRoundComplete, Round: rs.r,
-		Detail: fmt.Sprintf("participation %d", len(rs.included))})
-	if res.Rotated {
-		out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: rs.r,
-			Detail: fmt.Sprintf("epoch at round %d", s.sched.Round())})
-	}
-
-	if res.ShuffleRequested {
+	detail := fmt.Sprintf("%sparticipation %d", how, ro.Count)
+	if ro.Failed {
+		out.Events = append(out.Events, Event{Kind: EventRoundFailed, Round: r, Detail: detail})
+	} else {
+		out.Events = append(out.Events, Event{Kind: EventRoundComplete, Round: r, Detail: detail})
+		s.reportRetired(r, res, out)
 		// Accusations run before any due roster phase: a verdict reached
 		// now still makes this boundary's roster update. The shuffle
 		// itself waits for the pipeline to drain — younger rounds were
 		// composed before anyone saw the request and complete normally.
-		s.blameDue = true
+		s.blameDue = s.blameDue || res.ShuffleRequested
 	}
 	if err := s.retireResume(now, out); err != nil {
 		return nil, err
@@ -1918,7 +1834,7 @@ func (s *Server) retireResume(now time.Time, out *Output) error {
 		// restart with one in flight and ramp back up. Record the drain
 		// point — it drives the per-round delta-queue depth, and
 		// welcomes export it so joiners ramp identically.
-		s.drainRound = s.nextOpen
+		s.drain = s.nextOpen
 		s.persistSnapshot()
 		if s.blameDue {
 			s.blameDue = false
@@ -1932,7 +1848,7 @@ func (s *Server) retireResume(now time.Time, out *Output) error {
 		return s.resumeRounds(now, out)
 	}
 	s.persistSnapshot()
-	if rs := s.rounds[s.roundNum]; rs != nil {
+	if rs := s.rounds[s.head]; rs != nil {
 		more, err := s.maybeCommit(now, rs)
 		if err != nil {
 			return err

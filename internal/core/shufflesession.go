@@ -189,11 +189,11 @@ func (ss *shuffleSession) close(now time.Time) (*Output, error) {
 
 func (s *Server) onShuffleList(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	p, err := DecodeShuffleList(m.Body)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	ss, newest := s.shuffleFor(m.Type)
 	if ss == nil || p.Session > ss.id {
@@ -305,11 +305,11 @@ func (ss *shuffleSession) advance(now time.Time) (*Output, error) {
 
 func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	p, err := DecodeShuffleStep(m.Body)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	ss, newest := s.shuffleFor(m.Type)
 	if ss == nil || !ss.started || p.Session > ss.id || (p.Session == ss.id && int(p.Stage) > ss.stage) {
@@ -326,11 +326,11 @@ func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
 	}
 	step, err := shuffle.DecodeStepOutput(ss.grp, p.Data, len(ss.cur), ss.width)
 	if err != nil {
-		return s.violation(s.roundNum, err), nil
+		return s.violation(s.head, err), nil
 	}
 	remaining := crypto.AggregateKeys(ss.grp, ss.pubs[si:])
 	if err := shuffle.VerifyStep(ss.grp, ss.pubs[si], remaining, ss.cur, step); err != nil {
-		return s.violation(s.roundNum, fmt.Errorf("server %d shuffle step invalid (session %d): %w", si, ss.id, err)), nil
+		return s.violation(s.head, fmt.Errorf("server %d shuffle step invalid (session %d): %w", si, ss.id, err)), nil
 	}
 	ss.cur = step.Stripped(ss.grp)
 	ss.stage++

@@ -182,7 +182,7 @@ type amnesiac struct {
 }
 
 func (a *amnesiac) forget() {
-	if r := a.roundNum; r > a.from && r <= a.to {
+	if r := a.head; r > a.from && r <= a.to {
 		delete(a.history, r-1)
 	}
 }

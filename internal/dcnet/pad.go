@@ -10,10 +10,9 @@ import (
 // per client (N seeds) but normally expands only the subset that
 // submitted in a given round (§3.4, §3.6).
 //
-// Buffer ownership: the *Into variants XOR into caller-owned buffers
-// and never retain them, so engines can recycle round vectors through
-// a sync.Pool. The allocating variants remain as the reference
-// implementations the differential tests compare against.
+// Buffer ownership: the *Into methods XOR into caller-owned buffers and
+// never retain them, so engines can recycle round vectors through a
+// sync.Pool.
 type Pad struct {
 	maker crypto.PRNGMaker
 }
@@ -40,21 +39,13 @@ func (p *Pad) XORStream(dst []byte, pairSeed []byte, round uint64, length int) {
 	s.XORKeyStream(dst[:length], dst[:length])
 }
 
-// ClientCiphertext builds client ciphertext c_i = m ⊕ ⊕_j PRNG(K_ij)
-// for a round: the message vector XORed with one stream per server
-// (Algorithm 1 step 2). msg must already be laid out as a full
-// cleartext-length vector (zeros outside the client's own slots); it is
-// not modified.
-func (p *Pad) ClientCiphertext(serverSeeds [][]byte, round uint64, msg []byte) []byte {
-	ct := make([]byte, len(msg))
-	p.ClientCiphertextInto(ct, serverSeeds, round, msg)
-	return ct
-}
-
-// ClientCiphertextInto computes the client ciphertext into dst, which
-// must be len(msg) bytes and may not alias msg. No allocation beyond
-// the per-seed stream setup; pair with Prepare/PadStreams to move even
-// that off the submit path.
+// ClientCiphertextInto computes client ciphertext c_i = m ⊕ ⊕_j
+// PRNG(K_ij) for a round into dst: the message vector XORed with one
+// stream per server (Algorithm 1 step 2). msg must already be laid out
+// as a full cleartext-length vector (zeros outside the client's own
+// slots) and is not modified; dst must be len(msg) bytes and may not
+// alias msg. No allocation beyond the per-seed stream setup; pair with
+// Prepare/PadStreams to move even that off the submit path.
 func (p *Pad) ClientCiphertextInto(dst []byte, serverSeeds [][]byte, round uint64, msg []byte) {
 	copy(dst, msg)
 	for _, seed := range serverSeeds {
@@ -62,18 +53,10 @@ func (p *Pad) ClientCiphertextInto(dst []byte, serverSeeds [][]byte, round uint6
 	}
 }
 
-// ServerPad computes ⊕_i PRNG(K_ij) over the given client seeds — the
-// server's contribution for exactly the clients included in the round
-// (Algorithm 2 step 3). The result has the given length.
-func (p *Pad) ServerPad(clientSeeds [][]byte, round uint64, length int) []byte {
-	pad := make([]byte, length)
-	p.ServerPadInto(pad, clientSeeds, round)
-	return pad
-}
-
-// ServerPadInto XOR-accumulates one stream per client seed into dst
-// (XOR semantics: dst need not start zeroed; the streams fold into
-// whatever it already holds). dst is caller-owned and may come from a
+// ServerPadInto XOR-accumulates ⊕_i PRNG(K_ij) over the given client
+// seeds — the server's contribution for exactly the clients included in
+// the round (Algorithm 2 step 3) — into dst (XOR semantics: dst need not
+// start zeroed; the streams fold into whatever it already holds). dst is caller-owned and may come from a
 // pool. For multicore expansion see ParallelPad.
 func (p *Pad) ServerPadInto(dst []byte, clientSeeds [][]byte, round uint64) {
 	for _, seed := range clientSeeds {

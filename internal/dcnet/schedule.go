@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dissent/internal/crypto"
 )
@@ -473,15 +474,15 @@ func (s *Schedule) Horizon(r, head, drain uint64) int {
 
 // SetLag sets the pipeline lag λ: the layout used to compose round k
 // excludes the directives of the λ most recent certified rounds, which
-// is what lets λ+1 rounds be in flight at once. Any queued deltas are
-// flushed first, so SetLag is only safe when no round is in flight.
-// Every replica in a group must use the same lag.
+// is what lets λ+1 rounds be in flight at once. A queue is never longer
+// than the lag, so deltas queued beyond the new λ are applied first,
+// oldest first: nothing on a fresh schedule, and a restored one keeps
+// the donor's queue. Every replica in a group must use the same lag.
 func (s *Schedule) SetLag(lag int) {
-	if lag < 0 {
-		lag = 0
+	s.lag = max(lag, 0)
+	for len(s.pending) > s.lag {
+		s.popDelta(nil)
 	}
-	s.FlushPipeline()
-	s.lag = lag
 }
 
 // FlushPipeline applies every queued delta immediately, bringing the
@@ -556,69 +557,32 @@ func (s *Schedule) AheadSlotRangeUpTo(i, k int) (off, n int) {
 	return off, lens[i]
 }
 
-// PendingSnapshot flattens the queued round deltas, oldest first, into
-// parallel op and length rows of NumSlots entries each, completing the
-// Snapshot state for a welcome captured mid-pipeline. A queued failed
-// round (nil delta) becomes an all-zero row, which applies as the same
-// no-op.
-func (s *Schedule) PendingSnapshot() (ops, ns []int) {
-	for _, row := range s.pending {
-		o := make([]int, s.cfg.NumSlots)
-		n := make([]int, s.cfg.NumSlots)
-		for i, d := range row {
-			o[i], n[i] = int(d.op), d.n
-		}
-		ops = append(ops, o...)
-		ns = append(ns, n...)
+// AheadSlotRangesUpTo is AheadSlotRangeUpTo for every slot at once: each
+// slot's message region offset and length, indexed by slot.
+func (s *Schedule) AheadSlotRangesUpTo(k int) (off, n []int) {
+	lens := s.lens
+	if len(s.pending) > 0 && k > 0 {
+		lens, _ = s.simulatePendingUpTo(k)
 	}
-	return ops, ns
+	off, n = make([]int, len(lens)), make([]int, len(lens))
+	at := s.reqBytes()
+	for _, slot := range s.perm {
+		off[slot], n[slot] = at, lens[slot]
+		at += lens[slot]
+	}
+	return off, n
 }
 
-// RestorePending replaces the delta queue from a PendingSnapshot, the
-// joiner-side inverse. Must be called before the restored schedule's
-// first Advance.
-func (s *Schedule) RestorePending(ops, ns []int) error {
-	if len(ops) != len(ns) || len(ops)%s.cfg.NumSlots != 0 {
-		return fmt.Errorf("dcnet: pending snapshot shape mismatch (%d ops, %d ns, %d slots)",
-			len(ops), len(ns), s.cfg.NumSlots)
-	}
-	s.pending = s.pending[:0]
-	for off := 0; off < len(ops); off += s.cfg.NumSlots {
-		row := make([]slotDelta, s.cfg.NumSlots)
-		for i := range row {
-			op := ops[off+i]
-			if op < int(dNone) || op > int(dSet) {
-				return fmt.Errorf("dcnet: pending snapshot op %d invalid", op)
-			}
-			n := ns[off+i]
-			if n < 0 || n > s.cfg.MaxSlotLen {
-				return fmt.Errorf("dcnet: pending snapshot length %d invalid", n)
-			}
-			row[i] = slotDelta{op: deltaOp(op), n: n}
-		}
-		s.pending = append(s.pending, row)
-	}
-	return nil
-}
-
-// Snapshot returns the schedule's replicated state — round counter,
-// slot lengths, idle counters, layout permutation — so an admitting
-// server can hand a mid-session joiner an exact replica to resume from.
-func (s *Schedule) Snapshot() (round uint64, lens, idle, perm []int) {
-	return s.round,
-		append([]int(nil), s.lens...),
-		append([]int(nil), s.idle...),
-		append([]int(nil), s.perm...)
-}
-
-// Digest hashes the schedule's full replicated state — round counter,
-// slot lengths, idle counters, permutation, and the queued pipeline
-// deltas. Replicas that processed the same certified outputs hold
-// identical schedules and therefore equal digests; a client whose
-// digest differs from its server's at the same replication point has
-// silently diverged and must re-sync from a certified snapshot.
-func (s *Schedule) Digest() [32]byte {
-	buf := make([]byte, 0, 16+12*len(s.lens))
+// AppendState appends the schedule's full replicated state to buf:
+// round counter, slot count, (length, idle count, layout position
+// occupant) per slot, then the queued pipeline deltas oldest first as
+// (op, length) per slot. A queued failed round (nil delta) is written as
+// an all-none row, which applies as the same no-op. These bytes are both
+// the schedule part of every session snapshot (RestoreSchedule is the
+// inverse) and the preimage of Digest, so a snapshot and a digest can
+// never describe different schedules.
+func (s *Schedule) AppendState(buf []byte) []byte {
+	buf = slices.Grow(buf, 16+len(s.lens)*(slotStateLen+deltaStateLen*len(s.pending)))
 	buf = binary.BigEndian.AppendUint64(buf, s.round)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.lens)))
 	for i := range s.lens {
@@ -628,57 +592,90 @@ func (s *Schedule) Digest() [32]byte {
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.pending)))
 	for _, row := range s.pending {
-		for _, d := range row {
+		for i := range s.lens {
+			var d slotDelta
+			if row != nil {
+				d = row[i]
+			}
 			buf = append(buf, byte(d.op))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(d.n))
 		}
 	}
+	return buf
+}
+
+// Encoded sizes of AppendState's per-slot parts.
+const (
+	slotStateLen  = 12 // length, idle count, layout occupant
+	deltaStateLen = 5  // op, length
+)
+
+// Digest hashes the schedule's full replicated state (AppendState).
+// Replicas that processed the same certified outputs hold identical
+// schedules and therefore equal digests; a client whose digest differs
+// from its server's at the same replication point has silently diverged
+// and must re-sync from a certified snapshot.
+func (s *Schedule) Digest() [32]byte {
 	var d [32]byte
-	copy(d[:], crypto.Hash("dissent/sched-digest", buf))
+	copy(d[:], crypto.Hash("dissent/sched-digest", s.AppendState(nil)))
 	return d
 }
 
-// RestoreSchedule rebuilds a schedule from a Snapshot, the joiner-side
-// inverse. The config's NumSlots is overridden by the snapshot length.
-func RestoreSchedule(cfg Config, round uint64, lens, idle, perm []int) (*Schedule, error) {
-	cfg.NumSlots = len(lens)
+// RestoreSchedule rebuilds a schedule from AppendState's bytes — the
+// joiner- and restart-side inverse. The slot count comes from the state,
+// not cfg. The state arrives from a peer or from disk: its shape is
+// checked against its own length before anything is allocated, and every
+// slot length, permutation entry and queued directive is validated. The
+// restored schedule has lag 0 and no epoch hook; the caller installs
+// both (SetLag keeps a queue no longer than the lag).
+func RestoreSchedule(cfg Config, state []byte) (*Schedule, error) {
+	if len(state) < 16 {
+		return nil, errors.New("dcnet: schedule state truncated")
+	}
+	round := binary.BigEndian.Uint64(state)
+	n := uint64(binary.BigEndian.Uint32(state[8:]))
+	body := uint64(len(state) - 16)
+	if n == 0 || n*slotStateLen > body {
+		return nil, fmt.Errorf("dcnet: schedule state names %d slots in %d bytes", n, len(state))
+	}
+	queue := state[12+n*slotStateLen:]
+	rows := uint64(binary.BigEndian.Uint32(queue))
+	if rows*n*deltaStateLen != uint64(len(queue)-4) {
+		return nil, fmt.Errorf("dcnet: schedule state queues %d rows of %d slots in %d bytes", rows, n, len(queue)-4)
+	}
+	cfg.NumSlots = int(n)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(idle) != len(lens) || len(perm) != len(lens) {
-		return nil, fmt.Errorf("dcnet: snapshot shape mismatch (%d lens, %d idle, %d perm)",
-			len(lens), len(idle), len(perm))
-	}
-	seen := make([]bool, len(perm))
-	for _, v := range perm {
-		if v < 0 || v >= len(perm) || seen[v] {
-			return nil, errors.New("dcnet: snapshot permutation invalid")
+	s := &Schedule{cfg: cfg, round: round,
+		lens: make([]int, n), idle: make([]int, n), perm: make([]int, n), pos: make([]int, n)}
+	seen := make([]bool, n)
+	for i, b := 0, state[12:]; i < int(n); i, b = i+1, b[slotStateLen:] {
+		s.lens[i] = int(binary.BigEndian.Uint32(b))
+		s.idle[i] = int(binary.BigEndian.Uint32(b[4:]))
+		slot := binary.BigEndian.Uint32(b[8:])
+		if s.lens[i] > cfg.MaxSlotLen {
+			return nil, fmt.Errorf("dcnet: schedule state slot length %d invalid", s.lens[i])
 		}
-		seen[v] = true
+		if uint64(slot) >= n || seen[slot] {
+			return nil, errors.New("dcnet: schedule state permutation invalid")
+		}
+		seen[slot] = true
+		s.perm[i], s.pos[slot] = int(slot), i
 	}
-	s := &Schedule{
-		cfg:   cfg,
-		round: round,
-		lens:  append([]int(nil), lens...),
-		idle:  append([]int(nil), idle...),
+	for b := queue[4:]; len(b) > 0; {
+		row := make([]slotDelta, n)
+		for i := range row {
+			op, dn := deltaOp(b[0]), int(binary.BigEndian.Uint32(b[1:]))
+			if op > dSet {
+				return nil, fmt.Errorf("dcnet: schedule state op %d invalid", op)
+			}
+			if dn > cfg.MaxSlotLen {
+				return nil, fmt.Errorf("dcnet: schedule state directive length %d invalid", dn)
+			}
+			row[i], b = slotDelta{op: op, n: dn}, b[deltaStateLen:]
+		}
+		s.pending = append(s.pending, row)
 	}
-	s.setPerm(append([]int(nil), perm...))
 	return s, nil
-}
-
-// Clone returns an independent copy of the schedule, used by clients
-// probing "what would the layout be if this round's output were X".
-func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{cfg: s.cfg, round: s.round, lag: s.lag,
-		epochEvery: s.epochEvery, epochSeed: s.epochSeed}
-	c.lens = append([]int(nil), s.lens...)
-	c.idle = append([]int(nil), s.idle...)
-	if len(s.pending) > 0 {
-		c.pending = make([][]slotDelta, len(s.pending))
-		for i, d := range s.pending {
-			c.pending[i] = append([]slotDelta(nil), d...)
-		}
-	}
-	c.setPerm(append([]int(nil), s.perm...))
-	return c
 }

@@ -1,10 +1,15 @@
 package dcnet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
+
+	"dissent/internal/crypto"
 )
 
-func mustSchedule(t *testing.T, cfg Config) *Schedule {
+func mustSchedule(t testing.TB, cfg Config) *Schedule {
 	t.Helper()
 	s, err := NewSchedule(cfg)
 	if err != nil {
@@ -246,19 +251,6 @@ func TestScheduleDeterministicReplicas(t *testing.T) {
 	}
 }
 
-func TestScheduleClone(t *testing.T) {
-	s := mustSchedule(t, testConfig(2))
-	buf := make([]byte, s.Len())
-	s.SetReqBit(buf, 0, true)
-	s.Advance(buf)
-	c := s.Clone()
-	// Mutating the clone must not affect the original.
-	c.Advance(make([]byte, c.Len()))
-	if s.Round() == c.Round() {
-		t.Error("clone shares state with original")
-	}
-}
-
 func TestScheduleGarbledSlotHoldsLength(t *testing.T) {
 	s := mustSchedule(t, testConfig(1))
 	buf := make([]byte, s.Len())
@@ -336,7 +328,7 @@ func TestPermFromSeedDeterministicAndValid(t *testing.T) {
 }
 
 // openAll opens every slot and returns the post-open schedule.
-func openAll(t *testing.T, s *Schedule) {
+func openAll(t testing.TB, s *Schedule) {
 	t.Helper()
 	buf := make([]byte, s.Len())
 	for i := 0; i < s.NumSlots(); i++ {
@@ -453,26 +445,6 @@ func TestPermutedLayoutRoundTripsPayloads(t *testing.T) {
 	}
 }
 
-func TestCloneCarriesPermutation(t *testing.T) {
-	s := mustSchedule(t, testConfig(5))
-	s.SetEpochRotation(1, func(round uint64) []byte { return []byte("x") })
-	openAll(t, s) // round 1: rotates
-	c := s.Clone()
-	cp, sp := c.Permutation(), s.Permutation()
-	for i := range sp {
-		if cp[i] != sp[i] {
-			t.Fatal("clone lost permutation")
-		}
-	}
-	for i := 0; i < 5; i++ {
-		so, sn := s.SlotRange(i)
-		co, cn := c.SlotRange(i)
-		if so != co || sn != cn {
-			t.Fatalf("clone layout differs at slot %d", i)
-		}
-	}
-}
-
 func TestGrowAppendsSlotsAndReseeds(t *testing.T) {
 	s := mustSchedule(t, testConfig(4))
 	openAll(t, s)
@@ -521,8 +493,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := mustSchedule(t, testConfig(5))
 	s.SetEpochRotation(1, func(round uint64) []byte { return []byte("x") })
 	openAll(t, s) // round 1, rotated permutation
-	round, lens, idle, perm := s.Snapshot()
-	r, err := RestoreSchedule(s.Config(), round, lens, idle, perm)
+	state := s.AppendState(nil)
+	r, err := RestoreSchedule(s.Config(), state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,14 +509,131 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	// Malformed snapshots are rejected.
-	if _, err := RestoreSchedule(s.Config(), round, lens, idle[:2], perm); err == nil {
+	if _, err := RestoreSchedule(s.Config(), state[:len(state)-slotStateLen]); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	badPerm := append([]int(nil), perm...)
-	badPerm[0] = badPerm[1]
-	if _, err := RestoreSchedule(s.Config(), round, lens, idle, badPerm); err == nil {
+	badPerm := bytes.Clone(state)
+	copy(badPerm[12+8:12+12], badPerm[12+slotStateLen+8:]) // slot 0's layout occupant := slot 1's
+	if _, err := RestoreSchedule(s.Config(), badPerm); err == nil {
 		t.Fatal("invalid permutation accepted")
 	}
+}
+
+// queuedSchedule returns a lag-2 schedule mid-pipeline: open slots, a
+// rotated permutation, and a queue holding a directive row and a failed
+// round's nil row.
+func queuedSchedule(t testing.TB) *Schedule {
+	s := mustSchedule(t, testConfig(4))
+	s.SetEpochRotation(1, func(round uint64) []byte { return []byte("x") })
+	openAll(t, s)
+	s.SetLag(2)
+	if _, err := s.Advance(make([]byte, s.Len())); err != nil {
+		t.Fatal(err)
+	}
+	s.AdvanceFailed()
+	return s
+}
+
+// TestAheadSlotRangesMatchPerSlot checks the bulk layout view against
+// the per-slot one at every horizon of a queued schedule.
+func TestAheadSlotRangesMatchPerSlot(t *testing.T) {
+	s := queuedSchedule(t)
+	for k := 0; k <= len(s.pending)+1; k++ {
+		offs, lens := s.AheadSlotRangesUpTo(k)
+		for i := 0; i < s.NumSlots(); i++ {
+			if off, n := s.AheadSlotRangeUpTo(i, k); offs[i] != off || lens[i] != n {
+				t.Errorf("horizon %d slot %d: bulk (%d, %d), per-slot (%d, %d)", k, i, offs[i], lens[i], off, n)
+			}
+		}
+	}
+}
+
+// TestAppendStateIsDigestPreimage pins the one serialisation: the digest
+// is the hash of exactly the bytes a snapshot carries, and a restored
+// schedule reproduces both.
+func TestAppendStateIsDigestPreimage(t *testing.T) {
+	s := queuedSchedule(t)
+	if len(s.pending) != 2 || s.pending[1] != nil {
+		t.Fatalf("fixture queue = %v, want a directive row and a nil row", s.pending)
+	}
+	state := s.AppendState(nil)
+	var want [32]byte
+	copy(want[:], crypto.Hash("dissent/sched-digest", state))
+	if s.Digest() != want {
+		t.Fatal("Digest is not the hash of AppendState")
+	}
+	if got := s.AppendState([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), state...)) {
+		t.Fatal("AppendState does not append")
+	}
+	r, err := RestoreSchedule(s.Config(), state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetLag(2)
+	if !bytes.Equal(r.AppendState(nil), state) || r.Digest() != want {
+		t.Fatal("restored schedule re-encodes differently")
+	}
+	// The restored queue applies exactly as the donor's does.
+	for i := 0; i < 3; i++ {
+		s.AdvanceFailed()
+		r.AdvanceFailed()
+		if s.Digest() != r.Digest() {
+			t.Fatalf("restored replica diverged %d pops in", i+1)
+		}
+	}
+}
+
+// FuzzRestoreSchedule feeds RestoreSchedule arbitrary state. What it
+// accepts must re-encode byte for byte (so snapshot and digest agree on
+// the restored replica too), and it must refuse a state whose declared
+// shape its length cannot back before allocating for it.
+func FuzzRestoreSchedule(f *testing.F) {
+	cfg := testConfig(1)
+	good := queuedSchedule(f).AppendState(nil)
+	n := 4
+	queue := 12 + n*slotStateLen
+	mutate := func(fn func(b []byte) []byte) { f.Add(fn(bytes.Clone(good))) }
+	f.Add(good)
+	f.Add(mustSchedule(f, testConfig(1)).AppendState(nil))
+	mutate(func(b []byte) []byte { return b[:len(b)-deltaStateLen] })                           // shape mismatch
+	mutate(func(b []byte) []byte { copy(b[12+8:12+12], b[12+slotStateLen+8:]); return b })      // duplicate permutation entry
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[12+8:], uint32(n)); return b }) // out-of-range entry
+	mutate(func(b []byte) []byte { b[queue+4] = byte(dSet) + 1; return b })                     // op outside dNone…dSet
+	mutate(func(b []byte) []byte {
+		binary.BigEndian.PutUint32(b[queue+4+1:], uint32(cfg.MaxSlotLen)+1) // n > MaxSlotLen
+		return b
+	})
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[8:], 1<<31); return b })     // absurd slot count
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[queue:], 1<<31); return b }) // absurd row count
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[8:], 0); return b[:16] })    // no slots
+	mutate(func(b []byte) []byte { return b[:queue+2] })                                     // truncation
+	mutate(func(b []byte) []byte { return b[:7] })                                           // truncation inside the header
+	mutate(func(b []byte) []byte { return append(b, 0) })                                    // one trailing byte
+	f.Fuzz(func(t *testing.T, state []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := RestoreSchedule(cfg, state)
+		runtime.ReadMemStats(&after)
+		// Restored state costs ~3 bytes per input byte; the slack absorbs
+		// whatever else the process allocated meanwhile.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(state))+1<<20 {
+			t.Fatalf("RestoreSchedule allocated %d bytes for a %d-byte state", grew, len(state))
+		}
+		if err != nil {
+			return
+		}
+		if slots, rows := s.NumSlots(), len(s.pending); 16+slots*(slotStateLen+rows*deltaStateLen) != len(state) {
+			t.Fatalf("accepted %d slots and %d rows from %d bytes", slots, rows, len(state))
+		}
+		if !bytes.Equal(s.AppendState(nil), state) {
+			t.Fatal("accepted state re-encodes differently")
+		}
+		var want [32]byte
+		copy(want[:], crypto.Hash("dissent/sched-digest", state))
+		if s.Digest() != want {
+			t.Fatal("accepted state's digest is not its hash")
+		}
+	})
 }
 
 // pendingAheadReference is the arithmetic core.Server.pendingAhead and
@@ -691,15 +780,11 @@ func TestHorizonThroughDrainRampAndWelcome(t *testing.T) {
 			t.Fatalf("depth %d: script ended at head %d, next %d, drain %d", depth, p.head, p.next, p.drain)
 		}
 
-		round, lens, idle, perm := s.Snapshot()
-		j, err := RestoreSchedule(s.Config(), round, lens, idle, perm)
+		j, err := RestoreSchedule(s.Config(), s.AppendState(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		j.SetLag(depth - 1)
-		if err := j.RestorePending(s.PendingSnapshot()); err != nil {
-			t.Fatal(err)
-		}
 		// The joiner starts at the donor's head with nothing in flight, and
 		// composes the donor's in-flight rounds itself: run checks each
 		// against the length the donor pinned.
