@@ -191,15 +191,25 @@ func TestInterdictCorruptShareExposesServer(t *testing.T) {
 		serverOpts: func(idx int, o *Options) {
 			if idx == 2 {
 				o.Interdict = &Interdict{Share: func(round uint64, share []byte) {
-					if corrupted || victim == nil || victim.Slot() < 0 {
+					if corrupted || victim == nil || victim.Slot() < 0 || len(victim.inflight) == 0 {
 						return
 					}
 					off, n := f.servers[2].sched.SlotRange(victim.Slot())
-					if n == 0 {
+					sent := victim.inflight[0].sentSlot
+					if n == 0 || victim.inflight[0].r != round || len(sent) != n {
 						return
 					}
-					share[off+dcnet.SeedLen+12] ^= 0xFF
-					corrupted = true
+					// Set one bit the victim sent as 0: the certified output shows
+					// it a 0→1 flip, the witness its accusation needs. (Flipping
+					// a whole byte finds none when the victim sent 0xFF there.)
+					for k := range n {
+						i := (dcnet.SeedLen + 12 + k) % n
+						if zeros := ^sent[i]; zeros != 0 {
+							share[off+i] ^= zeros & -zeros
+							corrupted = true
+							return
+						}
+					}
 				}}
 			}
 		},

@@ -342,11 +342,9 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 					AccBit:     uint32(k),
 					ServerBits: bits,
 				}
-				msg, err := s.sign(MsgRebuttalRequest, s.head, req.Encode())
-				if err != nil {
+				if err := s.sendTo(s.def.Clients[ci].ID, MsgRebuttalRequest, s.head, req.Encode(), out); err != nil {
 					return nil, err
 				}
-				out.Send = append(out.Send, Envelope{To: s.def.Clients[ci].ID, Msg: msg})
 			}
 			return out, nil
 		}

@@ -36,7 +36,7 @@ func (s *Server) InstallSchedule(now time.Time, slotKeys []crypto.Element) (*Out
 	s.persistSnapshot()
 	out := &Output{Events: []Event{{Kind: EventScheduleReady,
 		Detail: fmt.Sprintf("%d slots (trusted bootstrap)", len(slotKeys))}}}
-	s.startRound(now, out)
+	s.maybeOpenRounds(now, out)
 	return out, nil
 }
 

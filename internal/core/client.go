@@ -37,8 +37,8 @@ type clientRound struct {
 	// casts retains the submission so Tick can resend it while the round
 	// stays uncertified. A resend is idempotent at the server (duplicate
 	// submissions drop), and for a round that retired while we were
-	// unreachable it elicits the retained certified output — the catch-up
-	// ladder a client behind the group climbs back up on.
+	// unreachable it states our position, which the server answers with
+	// what we lack (Server.catchUp).
 	casts castLog
 }
 
@@ -162,15 +162,20 @@ func (c *Client) retireRound(cr *clientRound) {
 }
 
 // reclaimRound retires a round whose vector can no longer be submitted,
-// returning the payload its slot carried to the head of the outbox so
-// the data still rides a later round.
+// requeueing the payload its slot carried.
 func (c *Client) reclaimRound(cr *clientRound) {
+	c.requeue(cr)
+	c.retireRound(cr)
+}
+
+// requeue returns the payload a round's slot carried to the head of the
+// outbox, so the data still rides a later round.
+func (c *Client) requeue(cr *clientRound) {
 	if cr.sentSlot != nil {
 		if payload, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(payload.Data) > 0 {
 			c.outbox = slices.Insert(c.outbox, 0, bytes.Clone(payload.Data))
 		}
 	}
-	c.retireRound(cr)
 }
 
 // Index returns the client's index in the group definition.
@@ -244,10 +249,8 @@ func (c *Client) dispatch(now time.Time, m *Message) (*Output, error) {
 		return c.onRebuttalRequest(now, m)
 	case MsgRosterUpdate:
 		return c.onRosterUpdate(now, m)
-	case MsgJoinWelcome:
-		return c.onJoinWelcome(now, m)
-	case MsgSnapshotSync:
-		return c.onSnapshotSync(now, m)
+	case MsgSnapshot:
+		return c.onSnapshot(now, m)
 	default:
 		return nil, fmt.Errorf("core: client got unexpected %s", m.Type)
 	}
@@ -256,10 +259,10 @@ func (c *Client) dispatch(now time.Time, m *Message) (*Output, error) {
 // submitResendInterval bounds how long a submitted round may sit
 // uncertified before the client re-sends it. Healthy rounds certify
 // well inside the interval, so the steady-state cost is one no-op
-// timer per interval; a round the group retired while the client was
-// unreachable answers the resend with the retained certified output
-// (onClientSubmit's stale path), which is what lets a behind client
-// ladder back up to the live round instead of wedging.
+// timer per interval; for a round the group retired while the client
+// was unreachable the resend states the client's position, and the
+// server's catch-up answer brings it back to the live round instead of
+// leaving it wedged.
 const submitResendInterval = 2 * time.Second
 
 // joinProbeDelay is how long a join request or a roster catch-up probe
@@ -675,14 +678,8 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 			// Whatever the cause — a disruptor's flips, or a round that
 			// certified on an attempt excluding us (our upstream server
 			// crashed with our ciphertext) — our payload did not reach the
-			// group intact. Requeue it at the head of the outbox instead
-			// of silently losing it.
-			if pl, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(pl.Data) > 0 {
-				data := append([]byte(nil), pl.Data...)
-				c.outbox = append(c.outbox, nil)
-				copy(c.outbox[1:], c.outbox)
-				c.outbox[0] = data
-			}
+			// group intact. Requeue it instead of silently losing it.
+			c.requeue(cr)
 		}
 	}
 	if wasClosed && c.sched.AheadSlotLen(c.mySlot) > 0 {

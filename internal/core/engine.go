@@ -60,10 +60,10 @@ const (
 	// EventStateRestored fires when a restarted server resumes a live
 	// session from its durable state store instead of running setup.
 	EventStateRestored
-	// EventReplicaResynced fires when a client replaces its diverged
-	// schedule replica with a certified snapshot from its upstream
-	// server (the forced re-sync after a schedule-digest mismatch or a
-	// catch-up past the retained roster history).
+	// EventReplicaResynced fires when a client replaces its schedule
+	// replica with a certified snapshot from a server: the catch-up
+	// answer to a schedule-digest mismatch or to a position past the
+	// retained roster history or round outputs.
 	EventReplicaResynced
 	// EventMisbehavior fires when a server attributes a protocol
 	// violation to a specific roster member: Culprit names the peer

@@ -80,15 +80,13 @@ const (
 	// MsgRosterUpdate: server → its clients; the fully certified roster
 	// update to apply before the next round.
 	MsgRosterUpdate
-	// MsgJoinWelcome: upstream server → newly admitted member; the
-	// certified update plus the session state snapshot (current roster,
-	// slot keys, schedule, beacon head) a mid-session joiner needs.
-	MsgJoinWelcome
-	// MsgSnapshotSync: upstream server → an established member whose
-	// replica diverged or fell behind the retained roster history; a
-	// JoinWelcome-shaped certified snapshot the member re-syncs its
-	// schedule replica from instead of wedging.
-	MsgSnapshotSync
+	// MsgSnapshot: server → one member; a JoinWelcome body — a certified
+	// roster update as anchor plus the session state (roster, slot keys,
+	// replica image, beacon head). Its two uses are one catch-up answer
+	// (Server.catchUp): the welcome that bootstraps a newly admitted
+	// member, and the re-sync of an established member whose replica
+	// diverged or fell behind what the server can replay.
+	MsgSnapshot
 )
 
 var msgTypeNames = map[MsgType]string{
@@ -115,8 +113,7 @@ var msgTypeNames = map[MsgType]string{
 	MsgRosterPropose:   "roster-propose",
 	MsgRosterCert:      "roster-cert",
 	MsgRosterUpdate:    "roster-update",
-	MsgJoinWelcome:     "join-welcome",
-	MsgSnapshotSync:    "snapshot-sync",
+	MsgSnapshot:        "snapshot",
 }
 
 func (t MsgType) String() string {

@@ -256,7 +256,7 @@ var lockstepScript = []lockstepStep{
 // client follows its upstream's MsgOutput through onOutput. Roster and
 // blame phases run for real between the two servers over a synchronous
 // router. Forks are restored copies of server 1 (RestoreFromStore) and
-// twins re-synced copies of client 0 (MsgSnapshotSync), one per step,
+// twins re-synced copies of client 0 (MsgSnapshot), one per step,
 // each fed what its original receives from then on.
 type lockstepWorld struct {
 	t       *testing.T
@@ -520,10 +520,6 @@ func (w *lockstepWorld) fork(step string) (queued uint32) {
 	if _, ok, err := fk.RestoreFromStore(w.now); err != nil || !ok {
 		w.t.Fatalf("%s: restore: ok=%v err=%v", step, ok, err)
 	}
-	// The blame session counter is not in the snapshot (restore.go: blame
-	// state does not survive a restart); carried over so the fork can take
-	// part in sessions opened after it.
-	fk.blameSession = w.s1.blameSession
 	w.forks = append(w.forks, fk)
 
 	if u := w.s0.lastRosterUpdate; u != nil {
@@ -535,7 +531,7 @@ func (w *lockstepWorld) fork(step string) (queued uint32) {
 		if _, err := tw.InstallSchedule(w.now, len(w.f.clients), 0, w.pseu0); err != nil {
 			w.t.Fatal(err)
 		}
-		m, err := w.s0.sign(MsgSnapshotSync, w.s0.head, w.s0.buildSnapshot(u, -1).Encode())
+		m, err := w.s0.sign(MsgSnapshot, w.s0.head, w.s0.buildSnapshot(u).Encode())
 		if err != nil {
 			w.t.Fatal(err)
 		}

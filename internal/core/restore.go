@@ -40,8 +40,9 @@ import (
 // or the beacon chain's own store. Round, DrainRound and Sched are the
 // replica image (node.snapshot); the rest is what a server adds to it:
 // the roster version to replay the update log to, the slot keys, the
-// α baseline, the roster-phase gate, the schedule certificate and the
-// exclusions.
+// α baseline, the roster-phase gate, the schedule certificate, the
+// exclusions, and the two counters a restart must continue rather than
+// reset: the blame session number and the restart count.
 type ServerSnapshot struct {
 	Version    uint64 // roster version the snapshot was taken at
 	Round      uint64 // first unretired round: resume point
@@ -54,6 +55,10 @@ type ServerSnapshot struct {
 	Sched      []byte   // schedule state (dcnet.Schedule.AppendState)
 	ExpelIdx   []int32  // excluded client indices…
 	ExpelAt    []uint64 // …and the round each was excluded at
+	// BlameSession is the last blame session opened (peers match sessions
+	// by number); Restarts counts this server's restores (openRound).
+	BlameSession int32
+	Restarts     uint32
 }
 
 // Encode serializes the snapshot.
@@ -73,6 +78,8 @@ func (p *ServerSnapshot) Encode() []byte {
 	for _, r := range p.ExpelAt {
 		e.U64(r)
 	}
+	e.U32(uint32(p.BlameSession))
+	e.U32(p.Restarts)
 	return e.B
 }
 
@@ -121,6 +128,14 @@ func DecodeServerSnapshot(b []byte) (*ServerSnapshot, error) {
 			return nil, err
 		}
 	}
+	session, err := d.U32()
+	if err != nil {
+		return nil, err
+	}
+	p.BlameSession = int32(session)
+	if p.Restarts, err = d.U32(); err != nil {
+		return nil, err
+	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
@@ -136,11 +151,13 @@ func (s *Server) persistSnapshot() {
 		return
 	}
 	sn := &ServerSnapshot{
-		Version:   s.def.Version,
-		PrevCount: uint32(s.prevCount),
-		CertKeys:  s.certKeys,
-		CertSigs:  s.certSigs,
-		SlotKeys:  s.encodedSlotKeys(),
+		Version:      s.def.Version,
+		PrevCount:    uint32(s.prevCount),
+		CertKeys:     s.certKeys,
+		CertSigs:     s.certSigs,
+		SlotKeys:     s.encodedSlotKeys(),
+		BlameSession: s.blameSession,
+		Restarts:     s.restarts,
 	}
 	sn.Round, sn.DrainRound, sn.Sched = s.snapshot()
 	if s.rosterDue {
@@ -204,9 +221,6 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 			return nil, false, fmt.Errorf("core: stored roster update %d rejected: %w", v, err)
 		}
 		s.def = newDef
-		if v+rosterLogCap > sn.Version {
-			s.rosterLog[v] = u
-		}
 		s.lastRosterUpdate = u
 	}
 
@@ -239,9 +253,6 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if s.sched.NumSlots() != len(slotKeys) {
 		return nil, false, errors.New("core: session snapshot shape mismatch")
 	}
-	if dig, have := s.rosterDigestFor(sn.Version); have {
-		s.rosterDigests[sn.Version] = dig
-	}
 
 	for i, ci := range sn.ExpelIdx {
 		idx := int(ci)
@@ -260,6 +271,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 
 	s.prevCount = int(sn.PrevCount)
 	s.rosterDue = sn.RosterDue != 0
+	s.blameSession = sn.BlameSession
 	s.nextOpen = sn.Round
 	s.phase = phaseRunning
 	s.setup.retire()
@@ -267,8 +279,12 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	// a recovery round (see the file comment and openRound). Peers may
 	// have certified our snapshot head without us — our own pre-crash
 	// certify completed it — putting their heads one past ours, with in
-	// flight rounds up to snapshot+depth; cover all of them.
+	// flight rounds up to snapshot+depth; cover all of them. The restart
+	// count is durable before any of them opens, so a crash during
+	// recovery reopens above the attempt this restart reaches.
 	s.recoverUntil = sn.Round + uint64(s.depth) + 1
+	s.restarts = sn.Restarts + 1
+	s.persistSnapshot()
 
 	out = &Output{Events: []Event{{Kind: EventStateRestored, Round: sn.Round,
 		Detail: fmt.Sprintf("version %d, round %d, %d slots", sn.Version, sn.Round, len(slotKeys))}}}
@@ -339,7 +355,7 @@ func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si
 }
 
 // onPeerOutput adopts a certified round output forwarded by a peer
-// (onInventory's retired-round reply): the peers certified this round
+// (the catch-up answer to a stale inventory): the peers certified this round
 // while we were down — our own pre-crash certify signature completed it
 // — so our reopened copy can never certify again. The round
 // certificate makes the output self-authenticating; adopting it replays

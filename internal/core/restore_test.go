@@ -126,6 +126,9 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 		Sched:      []byte{0, 0, 0, 0, 0, 0, 0, 122, 0, 0, 0, 0},
 		ExpelIdx:   []int32{4},
 		ExpelAt:    []uint64{100},
+
+		BlameSession: 5,
+		Restarts:     2,
 	}
 	got, err := DecodeServerSnapshot(sn.Encode())
 	if err != nil {
@@ -204,6 +207,49 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("post-restart payload never delivered; violations: %v", f.violations())
+	}
+}
+
+// TestServerDoubleCrashInOneRound kills a server, restarts it, and kills
+// it again inside the recovery round it reopened — the moment a peer
+// holds its commitment for that round's recovery attempt, which its peers
+// can no longer certify without it. The second restart must reopen the
+// round above that attempt, so the peers abandon the commitment it can
+// no longer honour and the round certifies within a bounded number of
+// steps.
+func TestServerDoubleCrashInOneRound(t *testing.T) {
+	const epoch = 12
+	d := newDurableFixture(t, epoch)
+	f := d.fixture
+	f.h.StartAll()
+	f.stepUntilRound(3, 2_000_000)
+	d.kill(0)
+	f.step(3000)
+	d.restart(0)
+
+	peer := f.servers[1]
+	var round uint64
+	caught := false
+	for i := 0; i < 200_000 && !caught && f.h.Net.Step(); i++ {
+		for _, rs := range peer.rounds {
+			if rs.attempt > maxAttempts && rs.commits[0] != nil {
+				round, caught = rs.r, true
+			}
+		}
+	}
+	if !caught {
+		t.Fatal("no peer ever held the restored server's recovery commitment")
+	}
+	d.kill(0)
+	f.step(3000)
+	d.restart(0)
+
+	f.stepUntilRound(round, 2_000)
+	for _, s := range f.servers {
+		if s.Round() <= round {
+			t.Fatalf("server %d stuck at round %d after the second restart; violations: %v",
+				s.Index(), s.Round(), f.violations())
+		}
 	}
 }
 

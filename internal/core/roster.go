@@ -224,31 +224,30 @@ func DecodeRosterUpdateMsg(b []byte) (*RosterUpdateMsg, error) {
 	return &RosterUpdateMsg{Update: u, SchedDigest: dig}, nil
 }
 
-// JoinWelcome hands a newly admitted member the replicated session
-// state it missed. Round, DrainRound and Sched are the replica image
-// (node.snapshot) — a welcome captured mid-pipeline carries the donor's
-// queued deltas inside Sched, so the joiner pops each at the same round
-// as every established replica. The rest is what a welcome adds to it:
-// the full current client roster (so the joiner's definition replica
-// catches up from genesis in one step) with the certified update that
-// admits the joiner as proof, the slot key list with the joiner's slot,
-// and the beacon chain head. It is signed by one server — the upstream
-// at admission time, or whichever server a retry reaches when the
-// original was lost — a trust-on-join simplification relative to the
-// fully certified RosterUpdate chain; the joiner independently verifies
-// the embedded update that admits it.
+// JoinWelcome is the MsgSnapshot body: the replicated session state a
+// member that is behind needs (Server.catchUp). Round, DrainRound and
+// Sched are the replica image (node.snapshot) — a snapshot captured
+// mid-pipeline carries the donor's queued deltas inside Sched, so the
+// member pops each at the same round as every established replica. The
+// rest is what a snapshot adds to it: the full current client roster (so
+// the member's definition replica catches up from genesis in one step)
+// with a certified update as anchor — for a joiner the one that admits
+// it — the slot key list, in which a member finds its slot by its
+// pseudonym key, and the beacon chain head. It is signed by one server,
+// a trust-on-join simplification relative to the fully certified
+// RosterUpdate chain; the member independently verifies the embedded
+// update.
 type JoinWelcome struct {
 	Version    uint64
 	Digest     [32]byte // roster digest at Version
-	Update     []byte   // encoded certified RosterUpdate admitting the joiner
+	Update     []byte   // encoded certified RosterUpdate; empty when none anchors the snapshot
 	RosterKeys [][]byte // all client identity keys, definition order
 	Expelled   []byte   // 0/1 per client, parallel to RosterKeys
 	SlotKeys   [][]byte // pseudonym slot keys, slot order
-	MySlot     int32
-	Round      uint64 // next engine round to submit
-	DrainRound uint64 // the donor's latest pipeline drain point
-	Sched      []byte // schedule state (dcnet.Schedule.AppendState)
-	BeaconHead []byte // 32-byte chain head the joiner's replica resumes from
+	Round      uint64   // next engine round to submit
+	DrainRound uint64   // the donor's latest pipeline drain point
+	Sched      []byte   // schedule state (dcnet.Schedule.AppendState)
+	BeaconHead []byte   // 32-byte chain head the joiner's replica resumes from
 }
 
 // Encode serializes the payload.
@@ -260,7 +259,6 @@ func (p *JoinWelcome) Encode() []byte {
 	e.ByteSlices(p.RosterKeys)
 	e.Bytes(p.Expelled)
 	e.ByteSlices(p.SlotKeys)
-	e.U32(uint32(p.MySlot))
 	e.U64(p.Round)
 	e.U64(p.DrainRound)
 	e.Bytes(p.Sched)
@@ -293,11 +291,6 @@ func DecodeJoinWelcome(b []byte) (*JoinWelcome, error) {
 	if p.SlotKeys, err = d.ByteSlices(); err != nil {
 		return nil, err
 	}
-	slot, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	p.MySlot = int32(slot)
 	if p.Round, err = d.U64(); err != nil {
 		return nil, err
 	}
@@ -405,8 +398,8 @@ func (s *Server) Expel(id group.NodeID) error {
 func (s *Server) LatestRosterUpdate() *group.RosterUpdate { return s.lastRosterUpdate }
 
 // snapshotMinInterval is the least time between two session snapshots
-// (re-welcome or re-sync) a server sends one member. It equals the
-// clients' first retry delay (joinProbeDelay), so honest retries pass.
+// (welcome or re-sync) a server sends one member. It equals the clients'
+// first retry delay (joinProbeDelay), so honest retries pass.
 const snapshotMinInterval = time.Second
 
 // rosterLogCap bounds the in-memory certified-update mirror (one entry
@@ -472,58 +465,11 @@ func (s *Server) rosterDigestFor(v uint64) ([32]byte, bool) {
 	return [32]byte{}, false
 }
 
-// schedDigestDiverged reports whether a member's claimed post-apply
-// schedule digest for one version provably disagrees with ours. Either
-// side lacking a digest (fresh joiner, pre-churn session, unrecorded
-// version) is inconclusive, not divergence.
-func (s *Server) schedDigestDiverged(version uint64, memberDigest []byte) bool {
-	if len(memberDigest) != 32 {
-		return false
-	}
-	dig, ok := s.rosterDigestFor(version)
-	if !ok {
-		return false
-	}
-	return !bytes.Equal(memberDigest, dig[:])
-}
-
-// resendRosterChain replays the certified updates a version-behind
-// member missed, in order, so it can re-apply the chain and unwedge.
-// The member applies each sequentially (onRosterUpdate requires exact
-// version succession), so envelopes go out oldest-first on one FIFO
-// link. When the history is genuinely truncated (no durable store and
-// the mirror evicted the version), a client falls back to a certified
-// snapshot re-sync at the current version instead of staying wedged.
-func (s *Server) resendRosterChain(now time.Time, to group.NodeID, fromVersion uint64, out *Output) error {
-	for v := fromVersion + 1; v <= s.def.Version; v++ {
-		u := s.lookupRosterUpdate(v)
-		if u == nil {
-			if s.def.ClientIndex(to) >= 0 {
-				return s.sendSnapshotSync(now, to, out)
-			}
-			out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: s.head,
-				Detail: fmt.Sprintf("member %s behind retained roster history (asked from %d, log starts past it)", to, fromVersion)})
-			return nil
-		}
-		var digBytes []byte // empty when unrecorded; receivers skip the self-check
-		if dig, ok := s.rosterDigestFor(v); ok {
-			digBytes = dig[:]
-		}
-		body := (&RosterUpdateMsg{Update: u.Encode(), SchedDigest: digBytes}).Encode()
-		m, err := s.sign(MsgRosterUpdate, s.head, body)
-		if err != nil {
-			return err
-		}
-		out.Send = append(out.Send, Envelope{To: to, Msg: m})
-	}
-	return nil
-}
-
-// onJoinRequest validates and queues a join/rejoin request. Known
-// members whose request carries an old roster version are replayed the
-// missed certified updates first (the catch-up path for a client that
-// lost a MsgRosterUpdate frame); their rejoin intent, if any, is
-// re-asserted by the next retry once they are current.
+// onJoinRequest validates and queues a join/rejoin request. A known
+// member's request states its position — roster version, post-apply
+// schedule digest, whether it still awaits its welcome — and is answered
+// by catchUp first; a rejoin intent is queued only once the member is
+// current (a retry re-asserts it after the catch-up).
 func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 	if !s.churnEnabled() {
 		return s.violation(m.Round, errors.New("join request but churn is disabled by policy")), nil
@@ -532,9 +478,6 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		return s.violation(m.Round, fmt.Errorf("join request from server %s", m.From)), nil
 	}
 	if ci := s.def.ClientIndex(m.From); ci >= 0 {
-		// Known member: rejoin (expelled), roster-sync (version-behind),
-		// or an admitted joiner whose welcome was lost — verified like
-		// any client message.
 		if err := s.verify(m, false); err != nil {
 			return s.violation(m.Round, err), nil
 		}
@@ -542,55 +485,12 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		if err != nil {
 			return s.violation(m.Round, err), nil
 		}
-		if len(p.PubKey) > 0 {
-			// Full join requests from a member already in the roster mean
-			// its JoinWelcome never arrived: it keeps retrying because it
-			// is not bootstrapped. Its upstream re-sends a fresh welcome.
-			return s.rewelcome(now, m.From)
+		out := &Output{}
+		at := position{round: m.Round, version: p.Version, digest: p.SchedDigest, welcome: len(p.PubKey) > 0}
+		if p.Rejoin && p.Version == s.def.Version && (s.excluded[ci] || s.def.Clients[ci].Expelled) {
+			s.pendingRejoin[ci] = true
 		}
-		if p.Version > s.def.Version {
-			return s.violation(m.Round, fmt.Errorf("join request from the future roster version %d (current %d)",
-				p.Version, s.def.Version)), nil
-		}
-		if p.Version < s.def.Version {
-			// Expected recovery, not a violation: the member lost roster
-			// updates; replay the chain so it catches up (its rejoin
-			// intent, if any, lands on a retry once current). But first
-			// validate the member's post-apply schedule digest for its
-			// version: replaying onto a silently diverged base would Grow
-			// a wrong layout and cement the divergence — a diverged
-			// member gets a certified snapshot re-sync instead.
-			out := &Output{}
-			if s.schedDigestDiverged(p.Version, p.SchedDigest) {
-				if err := s.sendSnapshotSync(now, m.From, out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-			if err := s.resendRosterChain(now, m.From, p.Version, out); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		if !p.Rejoin {
-			// Sync probe from a current member: nothing to replay — unless
-			// its post-apply schedule digest disagrees with ours for this
-			// version, which means its replica diverged and only a
-			// certified snapshot re-sync converges it.
-			if s.schedDigestDiverged(p.Version, p.SchedDigest) {
-				out := &Output{}
-				if err := s.sendSnapshotSync(now, m.From, out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-			return &Output{}, nil
-		}
-		if !s.excluded[ci] && !s.def.Clients[ci].Expelled {
-			return &Output{}, nil // already active
-		}
-		s.pendingRejoin[ci] = true
-		return &Output{}, nil
+		return out, s.catchUp(now, m.From, at, out)
 	}
 	// New-member path: the request is self-certifying — the sender signs
 	// with the key embedded in the body, and its NodeID must hash from
@@ -622,63 +522,6 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 	return &Output{}, nil
 }
 
-// rewelcome rebuilds and re-sends the session snapshot to an admitted
-// member whose original JoinWelcome was lost. The snapshot is current
-// (the member bootstraps at the in-flight round); the embedded update
-// is the one that admitted it, so the member can still verify its own
-// admission was certified. Unlike the initial welcome — sent by the
-// member's upstream at apply time — the recovery is served by
-// whichever server the retry reaches (the joiner keeps contacting its
-// original contact point, which may not be its assigned upstream);
-// every server holds the identical replicated state the snapshot
-// needs.
-func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
-	// Rate-limit per member: legitimate retries pace themselves at
-	// joinProbeDelay or slower, while a replayed join request would
-	// otherwise amplify a tiny frame into a full session snapshot every
-	// time.
-	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < snapshotMinInterval {
-		return &Output{}, nil
-	}
-	v, ok := s.joinedAt[id]
-	if !ok {
-		return s.violation(s.head, fmt.Errorf("full join request from established member %s", id)), nil
-	}
-	u := s.lookupRosterUpdate(v)
-	if u == nil {
-		// Without a durable store the admitting update can age out of the
-		// in-memory mirror; a joiner needs exactly that update (its
-		// admission proof), so this stays a hard error there. With a
-		// store the chain never truncates and this is unreachable.
-		return &Output{Events: []Event{{Kind: EventProtocolViolation, Round: s.head,
-			Detail: fmt.Sprintf("cannot re-welcome %s: admitting update %d evicted from the roster log", id, v)}}}, nil
-	}
-	// Recover the member's slot: its pseudonym key from the admitting
-	// update locates the slot appended for it.
-	slot := -1
-	for _, am := range u.Admit {
-		pub, err := s.keyGrp.Decode(am.PubKey)
-		if err != nil || group.IDFromKey(s.keyGrp, pub) != id {
-			continue
-		}
-		for i, sk := range s.slotKeys {
-			if bytes.Equal(s.keyGrp.Encode(sk), am.PseuKey) {
-				slot = i
-				break
-			}
-		}
-	}
-	if slot < 0 {
-		return s.violation(s.head, fmt.Errorf("no slot found for admitted member %s", id)), nil
-	}
-	s.welcomeSent[id] = now
-	out := &Output{}
-	if err := s.sendWelcome(u, id, slot, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // resumeRounds restarts normal operation after a round completes (or a
 // blame session closes): the roster phase first when an epoch boundary
 // is due, then the next round. Accusation shuffles are dispatched
@@ -693,7 +536,7 @@ func (s *Server) resumeRounds(now time.Time, out *Output) error {
 		out.merge(more)
 		return nil
 	}
-	s.startRound(now, out)
+	s.maybeOpenRounds(now, out)
 	return nil
 }
 
@@ -785,15 +628,10 @@ func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
 		return s.violation(s.head, errors.New("roster proposal for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
-		// The peer is rebroadcasting a transition we already completed —
-		// its copy of some cert was lost. Replay the certified chain so
-		// it can apply and resume (the server-to-server analogue of the
-		// client catch-up path).
+		// The peer is rebroadcasting a transition we already completed — its
+		// copy of some cert was lost, so it still holds the version before.
 		out := &Output{}
-		if err := s.resendRosterChain(now, m.From, p.Version-1, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return out, s.catchUp(now, m.From, position{round: m.Round, version: p.Version - 1}, out)
 	}
 	if s.phase != phaseRoster || s.roster == nil || p.Version > s.roster.version {
 		// A peer reached the boundary before us; replay once we open our
@@ -901,13 +739,10 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 		return s.violation(s.head, errors.New("roster certificate for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
-		// Stuck peer rebroadcasting a completed transition: replay the
-		// certified chain (see onRosterPropose).
+		// Stuck peer rebroadcasting a completed transition (see
+		// onRosterPropose).
 		out := &Output{}
-		if err := s.resendRosterChain(now, m.From, p.Version-1, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return out, s.catchUp(now, m.From, position{round: m.Round, version: p.Version - 1}, out)
 	}
 	r := s.roster
 	if s.phase != phaseRoster || r == nil || r.update == nil || p.Version > r.version {
@@ -957,9 +792,6 @@ func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error
 		// not a local fatal: stay in the phase (retries continue).
 		return s.violation(s.head, err), nil
 	}
-	s.roster = nil
-	s.phase = phaseRunning
-	s.startRound(now, out)
 	return out, nil
 }
 
@@ -979,9 +811,6 @@ func (s *Server) maybeApplyRoster(now time.Time) (*Output, error) {
 	if err := s.applyCertifiedRoster(now, update, out); err != nil {
 		return nil, err
 	}
-	s.roster = nil
-	s.phase = phaseRunning
-	s.startRound(now, out)
 	return out, nil
 }
 
@@ -1031,7 +860,8 @@ func (s *Server) admitRoster(u *group.RosterUpdate) (*group.Definition, error) {
 // applyCertifiedRoster applies one certified update at this server:
 // admission (admitRoster) and the replica's move to the new roster
 // (applyRoster), then slot keys for new members, exclusion bookkeeping,
-// welcomes for joiners, and the client broadcast.
+// the client broadcast and welcomes for joiners; then the roster phase
+// ends and rounds resume.
 func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out *Output) error {
 	oldN := len(s.def.Clients)
 	newDef, err := s.admitRoster(u)
@@ -1039,7 +869,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 		return fmt.Errorf("core: certified roster update rejected locally: %w", err)
 	}
 	// The post-apply schedule digest anchors divergence detection
-	// (schedDigestDiverged) and rides every MsgRosterUpdate.
+	// (catchUp) and rides every MsgRosterUpdate.
 	dig := s.applyRoster(u, newDef)
 
 	for _, id := range u.Remove {
@@ -1055,11 +885,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 		out.Events = append(out.Events, Event{Kind: EventMemberExpelled, Round: s.head, Culprit: id})
 	}
 
-	type welcomeTarget struct {
-		id   group.NodeID
-		slot int
-	}
-	var welcomes []welcomeTarget
+	var welcomes []group.NodeID
 	for _, m := range u.Admit {
 		pub, err := s.keyGrp.Decode(m.PubKey)
 		if err != nil {
@@ -1084,7 +910,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 				out.NewPeers = append(out.NewPeers, PeerInfo{ID: id, Addr: m.Addr})
 			}
 			if newDef.UpstreamServer(ci) == s.idx {
-				welcomes = append(welcomes, welcomeTarget{id: id, slot: len(s.slotKeys) - 1})
+				welcomes = append(welcomes, id)
 			}
 		}
 		out.Events = append(out.Events, Event{Kind: EventMemberJoined, Round: s.head, Culprit: id})
@@ -1118,32 +944,32 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 	if err := s.broadcastClients(MsgRosterUpdate, s.head, body, out); err != nil {
 		return err
 	}
-	for _, w := range welcomes {
-		if err := s.sendWelcome(u, w.id, w.slot, out); err != nil {
+	for _, id := range welcomes {
+		if err := s.catchUp(now, id, position{round: s.head, version: s.def.Version, welcome: true}, out); err != nil {
 			return err
 		}
 	}
+	s.roster = nil
+	s.phase = phaseRunning
+	s.maybeOpenRounds(now, out)
 	return nil
 }
 
-// buildSnapshot assembles the JoinWelcome-shaped session snapshot: the
-// certified update u as the verifiable anchor, the full roster, slot
-// keys, replica image, and beacon head. slot is the
-// recipient's slot when the server knows it (a joiner, whose admitting
-// update links key to slot) or -1 for an established member re-sync —
-// the server cannot link an established member to its anonymous slot,
-// so the member locates it by its own pseudonym key.
-func (s *Server) buildSnapshot(u *group.RosterUpdate, slot int) *JoinWelcome {
+// buildSnapshot assembles the session snapshot catchUp sends: the
+// certified update u as the verifiable anchor (nil: none), the full
+// roster, slot keys, replica image and beacon head.
+func (s *Server) buildSnapshot(u *group.RosterUpdate) *JoinWelcome {
 	w := &JoinWelcome{
 		Version:  s.def.Version,
 		Digest:   s.def.RosterDigest(),
-		Update:   u.Encode(),
 		SlotKeys: s.encodedSlotKeys(),
-		MySlot:   int32(slot),
 	}
-	// Under pipelining a re-welcome can capture the schedule mid-stream;
-	// boundary welcomes always export an empty delta queue — a welcome
-	// implies an admission, so Grow just flushed it.
+	if u != nil {
+		w.Update = u.Encode()
+	}
+	// Under pipelining a snapshot can capture the schedule mid-stream;
+	// welcomes at admission always export an empty delta queue — Grow just
+	// flushed it.
 	w.Round, w.DrainRound, w.Sched = s.snapshot()
 	for _, c := range s.def.Clients {
 		w.RosterKeys = append(w.RosterKeys, s.keyGrp.Encode(c.PubKey))
@@ -1158,47 +984,6 @@ func (s *Server) buildSnapshot(u *group.RosterUpdate, slot int) *JoinWelcome {
 		w.BeaconHead = append([]byte(nil), head[:]...)
 	}
 	return w
-}
-
-// sendWelcome snapshots the session state for one admitted joiner.
-func (s *Server) sendWelcome(u *group.RosterUpdate, id group.NodeID, slot int, out *Output) error {
-	m, err := s.sign(MsgJoinWelcome, s.head, s.buildSnapshot(u, slot).Encode())
-	if err != nil {
-		return err
-	}
-	out.Send = append(out.Send, Envelope{To: id, Msg: m})
-	return nil
-}
-
-// sendSnapshotSync ships an established member the certified session
-// snapshot (the JoinWelcome shape under MsgSnapshotSync) so it can
-// replace a diverged or behind-retained-history schedule replica
-// instead of wedging. The anchor is the latest certified update: the
-// member verifies all m signatures over it and checks the snapshot's
-// roster digest against the update's before adopting anything.
-func (s *Server) sendSnapshotSync(now time.Time, id group.NodeID, out *Output) error {
-	u := s.lastRosterUpdate
-	if u == nil {
-		// Pre-churn session: no certified update exists to anchor a
-		// snapshot. Nothing diverged either — the schedule is still the
-		// certified setup one — so there is nothing to re-sync.
-		out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: s.head,
-			Detail: fmt.Sprintf("cannot snapshot-sync %s before the first certified roster update", id)})
-		return nil
-	}
-	// Rate-limit per member like rewelcome: a replayed probe must not
-	// amplify into a full session snapshot every time.
-	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < snapshotMinInterval {
-		return nil
-	}
-	s.welcomeSent[id] = now
-	m, err := s.sign(MsgSnapshotSync, s.head, s.buildSnapshot(u, -1).Encode())
-	if err != nil {
-		return err
-	}
-	out.Send = append(out.Send, Envelope{To: id, Msg: m})
-	s.log.Info("snapshot re-sync sent", "member", id.String(), "version", s.def.Version, "round", s.head)
-	return nil
 }
 
 // sortedIDKeys returns a NodeID-keyed map's keys in canonical order.
@@ -1244,8 +1029,8 @@ func (c *Client) RequestRejoin(now time.Time) (*Output, error) {
 // onRosterUpdate applies a certified roster transition at the client.
 func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if c.joining && !c.ready {
-		// A joiner's own admission arrives as a JoinWelcome carrying the
-		// same update plus the state snapshot; the broadcast copy is
+		// A joiner's own admission arrives as a MsgSnapshot carrying the
+		// same update plus the session state; the broadcast copy is
 		// redundant for it.
 		return &Output{}, nil
 	}
@@ -1334,7 +1119,7 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: c.round,
 			Detail: fmt.Sprintf("schedule replica diverged at roster version %d (post-apply digest mismatch); requesting snapshot re-sync", newDef.Version)})
 		// The catch-up probe carries our digest; sent at once, the server
-		// answers it with MsgSnapshotSync.
+		// answers it with a MsgSnapshot.
 		c.awaitRoster(now, out)
 		if err := c.sendUpstream(c.ctl.msgs, out); err != nil {
 			return nil, err
@@ -1388,43 +1173,29 @@ func (c *Client) resubmitAfterRoster(now time.Time, reshaped bool) (*Output, err
 	return c.submitRound(now)
 }
 
-// onJoinWelcome bootstraps a joining client from the admission
-// snapshot.
-func (c *Client) onJoinWelcome(now time.Time, m *Message) (*Output, error) {
-	if !c.joining || c.ready || c.pseudonym == nil {
+// onSnapshot installs a session snapshot a server sent: the welcome
+// that bootstraps a joiner once its admission applies, or the re-sync of
+// an established replica that diverged or fell behind what the server
+// can replay (catchUp).
+func (c *Client) onSnapshot(now time.Time, m *Message) (*Output, error) {
+	joiner := c.joining && !c.ready
+	if c.pseudonym == nil || !joiner && !c.ready {
 		return &Output{}, nil
 	}
-	w, out, err := c.installSnapshot(m, true)
+	w, out, err := c.installSnapshot(m, joiner)
 	if w == nil {
 		return out, err
 	}
-	out = &Output{Events: []Event{
-		{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", c.mySlot, len(w.SlotKeys))},
-		{Kind: EventMemberJoined, Round: w.Round, Culprit: c.id},
-		{Kind: EventRosterChanged, Round: w.Round, Detail: fmt.Sprintf("version %d (joined)", w.Version)},
-	}}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
+	if joiner {
+		out = &Output{Events: []Event{
+			{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", c.mySlot, len(w.SlotKeys))},
+			{Kind: EventMemberJoined, Round: w.Round, Culprit: c.id},
+			{Kind: EventRosterChanged, Round: w.Round, Detail: fmt.Sprintf("version %d (joined)", w.Version)},
+		}}
+	} else {
+		out = &Output{Events: []Event{{Kind: EventReplicaResynced, Round: w.Round,
+			Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, c.mySlot, len(w.SlotKeys))}}}
 	}
-	out.merge(sub)
-	return out, nil
-}
-
-// onSnapshotSync replaces an established client's schedule replica
-// with a certified snapshot from a server — the forced re-sync after a
-// post-apply digest mismatch or a catch-up past the retained roster
-// history.
-func (c *Client) onSnapshotSync(now time.Time, m *Message) (*Output, error) {
-	if !c.ready || c.joining || c.pseudonym == nil {
-		return &Output{}, nil
-	}
-	w, out, err := c.installSnapshot(m, false)
-	if w == nil {
-		return out, err
-	}
-	out = &Output{Events: []Event{{Kind: EventReplicaResynced, Round: w.Round,
-		Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, c.mySlot, len(w.SlotKeys))}}}
 	if c.awaitingBlame || c.expelled {
 		return out, nil
 	}
@@ -1441,24 +1212,20 @@ func (c *Client) onSnapshotSync(now time.Time, m *Message) (*Output, error) {
 // beacon replicas with it. Every check — the replica image's own
 // (node.restore) last — runs before the first assignment, so a rejected
 // snapshot leaves the client exactly as it was. It returns the installed
-// welcome, or nil with what the handler should return instead: a
+// snapshot, or nil with what the handler should return instead: a
 // violation, an empty output for a snapshot dropped as stale, or a fatal
 // error.
 //
-// The snapshot is trusted from the upstream server, but the roster
-// transition it embeds is independently verifiable: the update must
-// carry every server's signature. A joiner must additionally be
-// admitted by that update and is told its slot, which must hold its
-// pseudonym key; an established member only needs current membership,
-// and finds its slot by its pseudonym key because the server cannot
-// link an established member to a slot.
+// The snapshot is trusted from the server, but the roster transition it
+// embeds is independently verifiable: the update must carry every
+// server's signature. A snapshot without one — sent before the first
+// certified update exists — may only restate our own roster version and
+// digest. A joiner must additionally be admitted by the update. Every
+// member finds its slot by its pseudonym key, which must sit in exactly
+// one slot.
 func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output, error) {
-	what := "snapshot sync"
-	if joiner {
-		what = "join welcome"
-	}
 	reject := func(why string) (*JoinWelcome, *Output, error) {
-		return nil, c.violation(errors.New(what + " " + why)), nil
+		return nil, c.violation(errors.New("snapshot " + why)), nil
 	}
 	if err := c.verify(m, true); err != nil {
 		return nil, c.violation(err), nil
@@ -1467,8 +1234,8 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	if err != nil {
 		return nil, c.violation(err), nil
 	}
-	if !joiner && w.Version < c.def.Version {
-		return nil, &Output{}, nil // stale snapshot racing updates we already applied
+	if !joiner && (w.Version < c.def.Version || w.Round < c.head) {
+		return nil, &Output{}, nil // stale snapshot racing updates or outputs we already applied
 	}
 	if len(w.RosterKeys) != len(w.Expelled) {
 		return reject("roster shape mismatch")
@@ -1481,46 +1248,45 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	if err != nil {
 		return nil, c.violation(err), nil
 	}
-	u, err := group.DecodeRosterUpdate(w.Update)
-	if err != nil {
-		return nil, c.violation(err), nil
-	}
-	// A re-sent snapshot captures a later version than the update it
-	// embeds; the update's version can only lag.
-	if u.Version > w.Version {
-		return reject("update version ahead of its snapshot")
-	}
-	if err := c.def.VerifyRosterUpdateSigs(u); err != nil {
-		return nil, c.violation(err), nil
-	}
-	// When the snapshot captures the update's own version, its digest is
-	// fully derivable from the certified update — never trust the
-	// snapshot's copy there, or a wrong digest would wedge us out of
-	// every subsequent update's chain check. For later versions the
-	// digest is trusted like the rest of the snapshot.
-	if u.Version == w.Version && u.Digest(c.grpID) != w.Digest {
-		return reject("digest does not match the certified update")
+	var u *group.RosterUpdate
+	if len(w.Update) > 0 {
+		if u, err = group.DecodeRosterUpdate(w.Update); err != nil {
+			return nil, c.violation(err), nil
+		}
+		// A re-sent snapshot captures a later version than the update it
+		// embeds; the update's version can only lag.
+		if u.Version > w.Version {
+			return reject("update version ahead of its snapshot")
+		}
+		if err := c.def.VerifyRosterUpdateSigs(u); err != nil {
+			return nil, c.violation(err), nil
+		}
+		// When the snapshot captures the update's own version, its digest is
+		// fully derivable from the certified update — never trust the
+		// snapshot's copy there, or a wrong digest would wedge us out of
+		// every subsequent update's chain check. For later versions the
+		// digest is trusted like the rest of the snapshot.
+		if u.Version == w.Version && u.Digest(c.grpID) != w.Digest {
+			return reject("digest does not match the certified update")
+		}
+	} else if w.Version != c.def.Version || w.Digest != c.def.RosterDigest() {
+		return reject("without an update at another roster version or digest")
 	}
 	idx := newDef.ClientIndex(c.id)
 	if idx < 0 {
 		return reject("roster does not include us")
 	}
-	myPseu := c.keyGrp.Encode(c.pseudonym.Public)
-	var slot int
 	if joiner {
 		myKey := c.keyGrp.Encode(c.kp.Public)
-		if !slices.ContainsFunc(u.Admit, func(am group.RosterMember) bool { return bytes.Equal(am.PubKey, myKey) }) {
+		if u == nil || !slices.ContainsFunc(u.Admit, func(am group.RosterMember) bool { return bytes.Equal(am.PubKey, myKey) }) {
 			return reject("update does not admit us")
 		}
-		slot = int(w.MySlot)
-		if slot < 0 || slot >= len(w.SlotKeys) || !bytes.Equal(w.SlotKeys[slot], myPseu) {
-			return reject("slot does not carry our pseudonym key")
-		}
-	} else {
-		slot = slices.IndexFunc(w.SlotKeys, func(sk []byte) bool { return bytes.Equal(sk, myPseu) })
-		if slot < 0 {
-			return reject("slot keys do not carry our pseudonym key")
-		}
+	}
+	myPseu := c.keyGrp.Encode(c.pseudonym.Public)
+	mine := func(sk []byte) bool { return bytes.Equal(sk, myPseu) }
+	slot := slices.IndexFunc(w.SlotKeys, mine)
+	if slot < 0 || slices.ContainsFunc(w.SlotKeys[slot+1:], mine) {
+		return reject("slot keys do not carry our pseudonym key exactly once")
 	}
 	var head beacon.Value
 	if c.beaconChain != nil {
@@ -1538,39 +1304,34 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	// commits. The beacon chain goes first — its store is the one commit
 	// step that can still fail.
 	err = c.restore(w.Round, w.DrainRound, w.Sched, func() error {
-		switch {
-		case c.beaconChain == nil:
+		if c.beaconChain == nil {
 			return nil
-		case joiner:
-			return c.beaconChain.Rebind(head)
-		default:
-			// Our chain replica may have diverged with the schedule:
-			// discard it and resume from the snapshot's head, trusted like
-			// the rest of the server-signed snapshot (round outputs
-			// re-verify every appended entry).
-			return c.beaconChain.ResetTrusted(head)
 		}
+		// Our chain replica (a joiner's is empty) may have diverged with
+		// the schedule: discard it and resume from the snapshot's head,
+		// trusted like the rest of the server-signed snapshot (round
+		// outputs re-verify every appended entry).
+		return c.beaconChain.ResetTrusted(head)
 	})
 	if err != nil {
-		return nil, c.violation(fmt.Errorf("%s: %w", what, err)), nil
+		return nil, c.violation(fmt.Errorf("snapshot: %w", err)), nil
 	}
-	if !joiner {
-		// Recover queued payload bytes from in-flight (and parked) rounds
-		// before dropping them: their vectors were composed under the
-		// replaced layout and can never match a certified output now.
-		for i := len(c.inflight) - 1; i >= 0; i-- { // newest first, so reclaimed bytes land oldest-first
-			c.reclaimRound(c.inflight[i])
-		}
-		c.inflight = c.inflight[:0]
-		if c.parked != nil {
-			c.reclaimRound(c.parked)
-			c.parked = nil
-		}
-		c.resubmitPending = false
-		c.reqPending = false
-		c.awaitingRoster = false
-		c.nextStreams = nil
+	// Recover queued payload bytes from in-flight (and parked) rounds
+	// before dropping them: their vectors were composed under the replaced
+	// layout and can never match a certified output now. (A joiner has
+	// none.)
+	for i := len(c.inflight) - 1; i >= 0; i-- { // newest first, so reclaimed bytes land oldest-first
+		c.reclaimRound(c.inflight[i])
 	}
+	c.inflight = c.inflight[:0]
+	if c.parked != nil {
+		c.reclaimRound(c.parked)
+		c.parked = nil
+	}
+	c.resubmitPending = false
+	c.reqPending = false
+	c.awaitingRoster = false
+	c.nextStreams = nil
 	c.ctl.clear()
 	c.def = newDef
 	c.idx = idx
@@ -1580,7 +1341,7 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	c.round = w.Round
 	c.rosterDone = w.Round
 	c.ready = true
-	c.expelled = !joiner && expelled[idx]
+	c.expelled = expelled[idx]
 	c.applyDigest = nil
 	if joiner && u.Version == w.Version {
 		// Apply-time welcome: the donor snapshotted its schedule at the
@@ -1597,7 +1358,7 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 // NewJoinerClient builds a client engine for a prospective member whose
 // key is not (yet) in the group definition. Start sends a JoinRequest
 // instead of a pseudonym submission; once a certified roster update
-// admits the key, the upstream server's JoinWelcome bootstraps the
+// admits the key, the upstream server's MsgSnapshot bootstraps the
 // engine mid-session and it begins submitting like any client.
 // advertiseAddr is the dialable address servers should attach for this
 // node (empty on address-less fabrics like SimNet).

@@ -326,7 +326,7 @@ func TestJoinerAdmittedMidSession(t *testing.T) {
 }
 
 // TestJoinerRecoversFromLostWelcome drops the joiner's first
-// JoinWelcome frame: the joiner's retry loop must obtain a fresh
+// welcome frame: the joiner's retry loop must obtain a fresh
 // welcome (served by whichever server the retry reaches — here the
 // contact server, which is NOT the joiner's assigned upstream, since
 // the new member's index is 3 and 3 mod 2 = server 1) and bootstrap
@@ -350,7 +350,7 @@ func TestJoinerRecoversFromLostWelcome(t *testing.T) {
 
 	dropped := 0
 	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
-		if m.Type == MsgJoinWelcome && dropped == 0 {
+		if m.Type == MsgSnapshot && dropped == 0 {
 			dropped++
 			return 0, true
 		}
@@ -671,12 +671,14 @@ func mutateUpdate(t *testing.T, w *JoinWelcome, fn func(u *group.RosterUpdate)) 
 }
 
 // TestSnapshotInstallRejects runs one table of malformed session
-// snapshots through both consumers of the JoinWelcome body — a joining
-// client (MsgJoinWelcome) and an established client with a round in
-// flight (MsgSnapshotSync). Every snapshot is signed by a real server,
-// so only the installer's own checks stand between it and the client's
-// state: each row must yield a protocol violation and change nothing,
-// and the genuine snapshot must still install afterwards.
+// snapshots through both roles of the MsgSnapshot handler — a joining
+// client's welcome and an established client's re-sync, with a round in
+// flight. Every snapshot is signed by a real server, so only the
+// installer's own checks stand between it and the client's state: each
+// row must yield a protocol violation and change nothing, and the
+// genuine snapshot must still install afterwards — as must, for the
+// established client, the same snapshot without an update, which restates
+// its own roster version and digest.
 func TestSnapshotInstallRejects(t *testing.T) {
 	const epoch = 4
 	rows := []struct {
@@ -704,9 +706,17 @@ func TestSnapshotInstallRejects(t *testing.T) {
 			w.Update = v.other.Encode()
 		}},
 		{name: "slot does not carry our pseudonym", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
-			next := (v.slot + 1) % len(w.SlotKeys)
-			w.MySlot = int32(next)
-			w.SlotKeys[v.slot] = w.SlotKeys[next]
+			w.SlotKeys[v.slot] = w.SlotKeys[(v.slot+1)%len(w.SlotKeys)]
+		}},
+		{name: "our pseudonym key in two slots", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.SlotKeys[(v.slot+1)%len(w.SlotKeys)] = w.SlotKeys[v.slot]
+		}},
+		{name: "empty update at another version", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.Update, w.Version = nil, w.Version+1
+		}},
+		{name: "empty update at another roster digest", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			w.Update = nil
+			w.Digest[0] ^= 1
 		}},
 		{name: "schedule round ahead of engine round", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
 			binary.BigEndian.PutUint64(w.Sched, w.Round+1) // the state opens with the schedule's round counter
@@ -754,7 +764,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 	f.h.AddNode(joiner.ID(), joiner, 0)
 	var welcome *Message
 	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
-		if m.Type != MsgJoinWelcome {
+		if m.Type != MsgSnapshot {
 			return 0, false
 		}
 		if welcome == nil {
@@ -794,25 +804,26 @@ func TestSnapshotInstallRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	joinerPseu := crypto.P256().Encode(joiner.pseudonym.Public)
 	modes := []struct {
 		name      string
-		typ       MsgType
 		c         *Client
 		genuine   *JoinWelcome
 		victim    snapshotVictim
 		installed EventKind
 	}{
-		{"join-welcome", MsgJoinWelcome, joiner, genuineWelcome,
-			snapshotVictim{idx: len(genuineWelcome.RosterKeys) - 1, slot: int(genuineWelcome.MySlot), other: other},
+		{"join-welcome", joiner, genuineWelcome,
+			snapshotVictim{idx: len(genuineWelcome.RosterKeys) - 1, other: other,
+				slot: slices.IndexFunc(genuineWelcome.SlotKeys, func(k []byte) bool { return bytes.Equal(k, joinerPseu) })},
 			EventScheduleReady},
-		{"snapshot-sync", MsgSnapshotSync, established, srv.buildSnapshot(srv.lastRosterUpdate, -1),
+		{"snapshot-sync", established, srv.buildSnapshot(srv.lastRosterUpdate),
 			snapshotVictim{idx: established.Index(), slot: established.Slot(), other: other},
 			EventReplicaResynced},
 	}
 	for _, mode := range modes {
 		deliver := func(t *testing.T, w *JoinWelcome) *Output {
 			t.Helper()
-			m, err := srv.sign(mode.typ, w.Round, w.Encode())
+			m, err := srv.sign(MsgSnapshot, w.Round, w.Encode())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -824,7 +835,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 		}
 		before := stateOf(mode.c)
 		for _, row := range rows {
-			if row.joinerOnly && mode.typ != MsgJoinWelcome {
+			if row.joinerOnly && mode.c != joiner {
 				continue
 			}
 			t.Run(mode.name+"/"+row.name, func(t *testing.T) {
@@ -854,4 +865,21 @@ func TestSnapshotInstallRejects(t *testing.T) {
 			}
 		})
 	}
+	t.Run("snapshot-sync/empty update at our own version installs", func(t *testing.T) {
+		w, err := DecodeJoinWelcome(srv.buildSnapshot(nil).Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Version != established.RosterVersion() {
+			t.Fatalf("server at version %d, client at %d", w.Version, established.RosterVersion())
+		}
+		m, err := srv.sign(MsgSnapshot, w.Round, w.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := established.Handle(now, m)
+		if err != nil || has(out, EventProtocolViolation) || !has(out, EventReplicaResynced) {
+			t.Fatalf("snapshot without an update at our own version not installed: %+v, %v", out.Events, err)
+		}
+	})
 }

@@ -302,11 +302,12 @@ type Server struct {
 	history   map[uint64]*roundHistory
 	excluded  map[int]bool
 	// Crash-recovery state (see restore.go): rounds below recoverUntil
-	// reopen at a fresh, strictly-higher attempt so surviving peers
-	// abandon the pre-crash attempt they are wedged on; outMsgs retains
-	// recent certified round outputs so a restarted peer that missed a
-	// certification can adopt it.
+	// reopen at attempt maxAttempts + restarts — restarts counts this
+	// server's restores, persisted, so each reopening is strictly higher
+	// than any attempt the surviving peers can be wedged on; outMsgs
+	// retains recent certified round outputs for catchUp.
 	recoverUntil uint64
+	restarts     uint32
 	outMsgs      map[uint64][]byte
 
 	// Data-plane hot path (see ARCHITECTURE.md "Data-plane hot path"):
@@ -339,8 +340,8 @@ type Server struct {
 	lastRosterUpdate *group.RosterUpdate            // latest applied certified update
 	rosterLog        map[uint64]*group.RosterUpdate // recent updates by version, for catch-up
 	rosterDigests    map[uint64][32]byte            // version → post-apply schedule digest
-	joinedAt         map[group.NodeID]uint64        // new members → admitting version (welcome re-send)
-	welcomeSent      map[group.NodeID]time.Time     // re-welcome rate limiting
+	joinedAt         map[group.NodeID]uint64        // new members → admitting version (welcome anchor)
+	snapshotSent     map[group.NodeID]time.Time     // snapshot rate limiting (catchUp)
 
 	// stash buffers messages that arrived ahead of our local phase
 	// (e.g. a peer's inventory for round r+1 while we still certify r);
@@ -402,7 +403,7 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	s.rosterLog = make(map[uint64]*group.RosterUpdate)
 	s.rosterDigests = make(map[uint64][32]byte)
 	s.joinedAt = make(map[group.NodeID]uint64)
-	s.welcomeSent = make(map[group.NodeID]time.Time)
+	s.snapshotSent = make(map[group.NodeID]time.Time)
 	s.misbehavior = make(map[group.NodeID]*peerRecord)
 	return s, nil
 }
@@ -711,7 +712,7 @@ func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
 	if err := s.broadcastClients(MsgSchedule, 0, body, out); err != nil {
 		return nil, err
 	}
-	s.startRound(now, out)
+	s.maybeOpenRounds(now, out)
 	return out, nil
 }
 
@@ -737,14 +738,6 @@ func (s *Server) myExpected() int {
 		}
 	}
 	return n
-}
-
-// startRound (re)fills the round pipeline: it opens submission windows
-// until depth rounds are in flight or a gate blocks. Kept under its
-// historical name — bootstrap and roster code call it wherever the
-// serial engine opened its single round.
-func (s *Server) startRound(now time.Time, out *Output) {
-	s.maybeOpenRounds(now, out)
 }
 
 // maybeOpenRounds opens submission windows until the pipeline is full.
@@ -801,11 +794,12 @@ func (s *Server) openRound(now time.Time, out *Output) {
 	}
 	if rs.r < s.recoverUntil {
 		// Crash recovery (restore.go): surviving peers may hold this round
-		// wedged at some pre-crash attempt we cannot know. Reopen strictly
-		// above any attempt the α-policy can reach, so the moment our
-		// inventory arrives their escalation reset (onInventory) abandons
-		// the wedged attempt and rejoins ours.
-		rs.attempt = maxAttempts + 1
+		// wedged at some pre-crash attempt we cannot know — one the
+		// α-policy reached, or the recovery attempt of an earlier restart.
+		// Reopen strictly above both, so the moment our inventory arrives
+		// their escalation reset (onInventory) abandons the wedged attempt
+		// and rejoins ours.
+		rs.attempt = maxAttempts + int32(s.restarts)
 		rs.closeAt = now.Add(s.def.Policy.WindowMin)
 		out.merge(&Output{Timer: rs.closeAt})
 	}
@@ -913,33 +907,24 @@ func (s *Server) onClientSubmit(now time.Time, m *Message) (*Output, error) {
 	}
 	rs := s.rounds[m.Round]
 	if rs == nil {
-		// A pipelined client submits round r+1 the moment it has sent
-		// round r; that can land here before round r's window closes and
-		// opens r+1. Stash within one pipeline horizon, drop the rest
-		// (retired rounds, or a client claiming an impossible future).
-		if m.Round >= s.nextOpen && m.Round < s.nextOpen+uint64(s.depth) && s.phase == phaseRunning {
-			return s.stashMsg(m), nil
-		}
-		// A submission for an already-retired round means the client
-		// missed that round's output (its upstream crashed mid-epoch, or
-		// it is laddering back after one did) — clients consume outputs
-		// strictly in round order, so without help it would wedge here
-		// forever. Replay the retained certified output; the client's
-		// next submission lands one round later, repeating until it
-		// reaches an open window.
-		if body, ok := s.outMsgs[m.Round]; ok && m.Round < s.nextOpen {
-			if ci := s.def.ClientIndex(m.From); ci >= 0 && !s.excluded[ci] {
-				if err := s.verify(m, false); err != nil {
-					return s.violation(m.Round, err), nil
-				}
-				reply, err := s.sign(MsgOutput, m.Round, body)
-				if err != nil {
-					return nil, err
-				}
-				return &Output{Send: []Envelope{{To: m.From, Msg: reply}}}, nil
+		if m.Round >= s.nextOpen {
+			// A pipelined client submits round r+1 the moment it has sent
+			// round r; that can land here before round r's window closes and
+			// opens r+1. Stash within one pipeline horizon, drop a client
+			// claiming an impossible future.
+			if m.Round < s.nextOpen+uint64(s.depth) && s.phase == phaseRunning {
+				return s.stashMsg(m), nil
 			}
+			return &Output{}, nil
 		}
-		return &Output{}, nil // stale or too late for this round
+		// A submission for a retired round states where the client is: it
+		// missed that round's output (its links dropped, or its upstream
+		// crashed), and clients consume outputs strictly in round order.
+		if err := s.verify(m, false); err != nil {
+			return s.violation(m.Round, err), nil
+		}
+		out := &Output{}
+		return out, s.catchUp(now, m.From, position{round: m.Round, version: s.def.Version}, out)
 	}
 	if rs.phase > rpInventory {
 		return &Output{}, nil // too late for this round
@@ -1139,19 +1124,13 @@ func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
 			return s.stashMsg(m), nil // a round we haven't opened yet
 		}
 		// Retired round. A server still inventorying it missed the
-		// certification (it was down when the certs flew): hand it the
-		// retained certified output so it adopts instead of wedging.
-		if body, ok := s.outMsgs[m.Round]; ok && s.def.ServerIndex(m.From) >= 0 {
-			if err := s.verify(m, true); err != nil {
-				return s.violation(m.Round, err), nil
-			}
-			reply, err := s.sign(MsgOutput, m.Round, body)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Send: []Envelope{{To: m.From, Msg: reply}}}, nil
+		// certification (it was down when the certs flew); it adopts the
+		// certified outputs catchUp sends instead of wedging.
+		if err := s.verify(m, true); err != nil {
+			return s.violation(m.Round, err), nil
 		}
-		return &Output{}, nil
+		out := &Output{}
+		return out, s.catchUp(now, m.From, position{round: m.Round, version: s.def.Version}, out)
 	}
 	if err := s.verify(m, true); err != nil {
 		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
@@ -1772,11 +1751,10 @@ func (s *Server) finishRound(now time.Time, r uint64, ro *RoundOutput, body []by
 	if err := s.broadcastClients(MsgOutput, r, body, out); err != nil {
 		return nil, err
 	}
-	// Retain the certified output so a peer that was down when the certs
-	// flew can request it via a stale inventory and adopt (onPeerOutput),
-	// and a client behind the group can ladder back up (onClientSubmit).
-	// Unlike history this covers failed rounds, which both must also
-	// sequence through.
+	// Retain the certified output for catchUp: a peer that was down when
+	// the certs flew adopts it (onPeerOutput), a client behind the group
+	// follows it. Unlike history this covers failed rounds, which both
+	// must also sequence through.
 	s.outMsgs[r] = body
 	if retain := uint64(s.def.Policy.RetainRounds); r >= retain {
 		delete(s.outMsgs, r-retain)

@@ -128,8 +128,9 @@ const (
 	// EventStateRestored fires when a restarted server resumes a live
 	// session from its durable state store.
 	EventStateRestored = core.EventStateRestored
-	// EventReplicaResynced fires when a client replaces its diverged
-	// schedule replica with a certified snapshot from a server.
+	// EventReplicaResynced fires when a client replaces its diverged or
+	// too-far-behind schedule replica with a certified snapshot from a
+	// server.
 	EventReplicaResynced = core.EventReplicaResynced
 	// EventMisbehavior fires when ingress validation attributes a
 	// protocol offense to a verified sender; Event.Culprit carries the
