@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -135,47 +136,98 @@ func TestRetryPolicyBackoff(t *testing.T) {
 // shape — a Vector interdict flipping a bit inside the victim's slot
 // range before padding/signing — and asserts the full §3.9 pipeline:
 // victim detection, accusation, trace, and a client-expelled verdict
-// against the jammer at every server.
+// against the jammer at every server, with no honest member blamed. In
+// the "silent" row the victim's record fits its slot, so the slot stays
+// open with nothing in it, and the jammer flips bits only in rounds where
+// the victim's region is silent: the all-zero region the victim recorded
+// as sent is what exposes the flip.
 func TestInterdictSlotJamTracedAndExpelled(t *testing.T) {
-	var victim *Client
-	jam := &Interdict{Vector: func(info VectorInfo, vec []byte) {
-		if victim == nil || victim.Slot() < 0 {
-			return
-		}
-		off, n := info.SlotRange(victim.Slot())
-		if n <= dcnet.SeedLen+13 {
-			return
-		}
-		vec[off+dcnet.SeedLen+12] ^= 0xFF
-	}}
-	f := newFixture(t, 3, 5, fixtureOpts{
-		clientOpts: func(idx int, o *Options) {
-			if idx == 4 {
-				o.Interdict = jam
+	for _, tc := range []struct {
+		name   string
+		record []byte
+		silent bool // jam only rounds in which the victim's open slot is silent
+	}{
+		{name: "data", record: bytes.Repeat([]byte("censored speech "), 20)},
+		{name: "silent", record: []byte("one short post"), silent: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var victim *Client
+			var silentSent []byte // a silent region the victim recorded as sent
+			jams := 0
+			jam := &Interdict{Vector: func(info VectorInfo, vec []byte) {
+				if victim == nil || victim.Slot() < 0 {
+					return
+				}
+				off, n := info.SlotRange(victim.Slot())
+				if n <= dcnet.SeedLen+13 {
+					return
+				}
+				if tc.silent {
+					// The jammer's links are slower, so the victim has composed
+					// this round already: jam it only if it went out silent.
+					i := slices.IndexFunc(victim.inflight, func(cr *clientRound) bool { return cr.r == info.Round })
+					if i < 0 || !bytes.Equal(victim.inflight[i].sentSlot, make([]byte, n)) {
+						return
+					}
+					silentSent = bytes.Clone(victim.inflight[i].sentSlot)
+				}
+				vec[off+dcnet.SeedLen+12] ^= 0xFF
+				jams++
+			}}
+			f := newFixture(t, 3, 5, fixtureOpts{
+				clientOpts: func(idx int, o *Options) {
+					if idx == 4 {
+						o.Interdict = jam
+					}
+				},
+			})
+			jammer := f.clients[4].ID()
+			f.h.Latency = func(from, to group.NodeID) time.Duration {
+				if from == jammer || to == jammer {
+					return 2 * time.Millisecond
+				}
+				return time.Millisecond
 			}
-		},
-	})
-	victim = f.clients[0]
-	victim.Send(bytes.Repeat([]byte("censored speech "), 20))
+			victim = f.clients[0]
+			victim.Send(tc.record)
 
-	f.runUntilRound(14, 3_000_000)
+			f.runUntilRound(14, 3_000_000)
 
-	if len(f.h.EventsOf(EventDisruptionDetected)) == 0 {
-		t.Error("victim never detected the jam")
-	}
-	expelled := 0
-	for _, v := range f.h.EventsOf(EventBlameVerdict) {
-		if v.Culprit == f.clients[4].ID() && f.def.ServerIndex(v.Node) >= 0 {
-			expelled++
-		}
-	}
-	if expelled < 3 {
-		t.Fatalf("jammer expelled at %d/3 servers; violations: %v", expelled, f.violations())
-	}
-	for _, s := range f.servers {
-		if !s.Excluded(4) {
-			t.Errorf("server %d did not exclude the jammer", s.Index())
-		}
+			if jams == 0 {
+				t.Fatal("the jammer never found a round to jam")
+			}
+			if len(f.h.EventsOf(EventDisruptionDetected)) == 0 {
+				t.Error("victim never detected the jam")
+			}
+			expelled := 0
+			for _, v := range f.h.EventsOf(EventBlameVerdict) {
+				if v.Culprit != jammer {
+					t.Errorf("verdict at %s against honest member %s", v.Node, v.Culprit)
+				}
+				if f.def.ServerIndex(v.Node) >= 0 {
+					expelled++
+				}
+			}
+			if expelled < 3 {
+				t.Fatalf("jammer expelled at %d/3 servers; violations: %v", expelled, f.violations())
+			}
+			for _, s := range f.servers {
+				for i := range f.clients {
+					if s.Excluded(i) != (i == 4) {
+						t.Errorf("server %d: client %d excluded = %v", s.Index(), i, s.Excluded(i))
+					}
+				}
+			}
+			if tc.silent {
+				// A failed round hands its slot's payload back to the outbox;
+				// a silent one carried none.
+				pending := victim.Pending()
+				victim.requeue(&clientRound{sentSlot: silentSent})
+				if victim.Pending() != pending {
+					t.Errorf("requeueing a silent round queued %d payloads", victim.Pending()-pending)
+				}
+			}
+		})
 	}
 }
 

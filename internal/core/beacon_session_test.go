@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,9 +72,10 @@ func TestBeaconDrivesScheduleRotation(t *testing.T) {
 		t.Fatalf("no epoch rotations observed; violations: %v", f.violations())
 	}
 	for _, e := range rotated {
-		// The event's Round is the last round of the finished epoch.
-		if (e.Round+1)%epoch != 0 {
-			t.Fatalf("rotation after round %d, not an epoch boundary", e.Round)
+		// The event's Round is the boundary round: the first of the new
+		// epoch, laid out under the rotated permutation.
+		if e.Round%epoch != 0 {
+			t.Fatalf("rotation at round %d, not an epoch boundary", e.Round)
 		}
 	}
 
@@ -194,6 +197,89 @@ func TestBeaconDisabledByPolicy(t *testing.T) {
 		if s.Round() < 3 {
 			t.Fatalf("rounds stalled with beacon off; violations: %v", f.violations())
 		}
+	}
+}
+
+// TestRotationAfterFailedRoundDepth2: at pipeline depth 2 a round fails
+// inside an epoch, and the group then crosses two epoch boundaries with
+// every client sending each round. The failed round moves the head but
+// not the schedule's own round counter; the rotation must still land on
+// the boundary — between the same two rounds on every replica — so no
+// client sees its slot garbled or requests a shuffle, and every member
+// decodes byte-identical outputs.
+func TestRotationAfterFailedRoundDepth2(t *testing.T) {
+	const (
+		epoch  = 5
+		failed = 2
+		last   = 2*epoch + 3
+	)
+	f := newFixture(t, 2, 4, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) {
+			p.BeaconEpochRounds = epoch
+			p.HardTimeout = 2 * time.Second
+		},
+		mutateOpts: func(o *Options) { o.PipelineDepth = 2 },
+	})
+	// Every submission for the failed round is lost, resends included.
+	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+		return 0, m.Type == MsgClientSubmit && m.Round == failed
+	}
+	f.h.StartAll()
+	for r := uint64(0); r <= last; r++ {
+		f.stepUntilRound(r, 400_000)
+		for i, c := range f.clients {
+			c.Send([]byte(fmt.Sprintf("client %d after round %d", i, r)))
+		}
+	}
+	f.stepUntilRound(last+2, 400_000)
+
+	if len(f.h.EventsOf(EventRoundFailed)) == 0 {
+		t.Fatalf("round %d did not fail", failed)
+	}
+	if len(f.h.EventsOf(EventEpochRotated)) == 0 {
+		t.Fatal("no epoch rotation")
+	}
+	for _, kind := range []EventKind{EventDisruptionDetected, EventBlameStarted, EventProtocolViolation} {
+		if evs := f.h.EventsOf(kind); len(evs) > 0 {
+			t.Errorf("%d %s events, want none; first: %+v", len(evs), kind, evs[0])
+		}
+	}
+	for _, c := range f.clients {
+		if c.witness != nil {
+			t.Errorf("client %d holds a witness for round %d", c.Index(), c.witness.round)
+		}
+	}
+
+	// Byte-identical decoding: every member delivers the same payloads for
+	// every round all of them have retired.
+	heads := []uint64{}
+	for _, s := range f.servers {
+		heads = append(heads, s.head)
+	}
+	for _, c := range f.clients {
+		heads = append(heads, c.head)
+	}
+	upTo := slices.Min(heads)
+	if upTo <= 2*epoch+1 {
+		t.Fatalf("members retired only up to round %d", upTo)
+	}
+	decoded := map[group.NodeID][]string{}
+	for _, d := range f.h.Deliveries {
+		if d.Round < upTo {
+			decoded[d.Node] = append(decoded[d.Node], fmt.Sprintf("%d/%d/%q", d.Round, d.Slot, d.Data))
+		}
+	}
+	want := decoded[f.servers[0].ID()]
+	if len(want) < int(upTo)-epoch {
+		t.Fatalf("server 0 decoded only %d payloads below round %d", len(want), upTo)
+	}
+	for id, got := range decoded {
+		if !slices.Equal(got, want) {
+			t.Errorf("member %s decoded\n %q\nserver 0\n %q", id, got, want)
+		}
+	}
+	if len(decoded) != len(f.servers)+len(f.clients) {
+		t.Errorf("%d members decoded anything, want all %d", len(decoded), len(f.servers)+len(f.clients))
 	}
 }
 

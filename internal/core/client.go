@@ -32,7 +32,7 @@ type clientRound struct {
 	padDur time.Duration
 
 	vec      []byte // message vector submitted (resend on failure); pooled
-	sentSlot []byte // our encoded slot region (nil if closed); aliases sentBuf
+	sentSlot []byte // our slot region as sent (all-zero if silent, nil if closed); aliases sentBuf
 	sentBuf  []byte // reusable backing for sentSlot
 	// casts retains the submission so Tick can resend it while the round
 	// stays uncertified. A resend is idempotent at the server (duplicate
@@ -61,11 +61,9 @@ type Client struct {
 	round uint64
 	// inflight holds the submitted-but-uncertified rounds, oldest first
 	// (at most the replica's depth); spare recycles retired records so the
-	// steady-state submit path stays allocation-free. parked holds a
-	// failed round's vector across an epoch boundary (resubmitAfterRoster).
+	// steady-state submit path stays allocation-free.
 	inflight      []*clientRound
 	spare         []*clientRound
-	parked        *clientRound
 	outbox        [][]byte
 	reqPending    bool // we have an unserved slot request in flight
 	awaitingBlame bool
@@ -86,11 +84,10 @@ type Client struct {
 	perf        perfCounters
 
 	// Membership churn state (see roster.go).
-	expelled        bool   // expelled by verdict or certified removal; not submitting
-	joining         bool   // prospective member awaiting admission
-	joinAddr        string // advertised transport address for the join request
-	awaitingRoster  bool   // epoch boundary: hold submission for MsgRosterUpdate
-	resubmitPending bool   // a failed round's vector awaits the roster update
+	expelled       bool   // expelled by verdict or certified removal; not submitting
+	joining        bool   // prospective member awaiting admission
+	joinAddr       string // advertised transport address for the join request
+	awaitingRoster bool   // epoch boundary: hold submission for MsgRosterUpdate
 	// applyDigest is the schedule digest captured when the current
 	// roster version was applied (or at schedule install for the initial
 	// version); nil when no apply-point digest is known (mid-stream
@@ -377,6 +374,15 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 // still queued when this round composes, and the bounded view is
 // exactly the layout the servers will decode this round at. The vector
 // comes from the buffer pool.
+//
+// A slot no longer than Policy.DefaultOpenLen stays open when the outbox
+// empties: the draining round announces its own length again, and later
+// rounds with nothing to send leave the region all-zero — silent — until
+// the next record rides the next composed round without a request round
+// first. The schedule closes a slot after its silent-slot horizon
+// (dcnet.Config.IdleCloseRounds); a slot grown past DefaultOpenLen for a
+// backlog closes as soon as the backlog drains. Either way the region we
+// record for disruption detection is exactly the one we sent.
 func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
 	ahead := c.sched.Horizon(cr.r, c.head, c.drain)
 	vec := c.bufs.get(c.sched.AheadLenUpTo(ahead))
@@ -395,6 +401,24 @@ func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
 		}
 		return vec, nil
 	}
+	off, n := c.sched.AheadSlotRangeUpTo(c.mySlot, ahead)
+	region := vec[off : off+n]
+	// With nothing to send the region stays as the pool zeroed it: silent.
+	if len(c.outbox) > 0 || c.witness != nil {
+		if err := c.encodeSlot(region); err != nil {
+			return nil, err
+		}
+	}
+	cr.sentBuf = append(cr.sentBuf[:0], region...)
+	cr.sentSlot = cr.sentBuf
+	return vec, nil
+}
+
+// encodeSlot fills our open slot's region with as much of the outbox as
+// fits, the length to announce for the next round, and — while we hold
+// a witness — a shuffle request.
+func (c *Client) encodeSlot(region []byte) error {
+	slotLen := len(region)
 	payload := dcnet.SlotPayload{}
 	capacity := dcnet.SlotCapacity(slotLen)
 	// Drain as many queued payloads as fit: the slot is a byte stream,
@@ -424,21 +448,17 @@ func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
 			next = c.def.Policy.MaxSlotLen
 		}
 		payload.NextLen = next
-	case c.witness != nil:
-		payload.NextLen = slotLen // keep the slot open to carry requests
+	case c.witness != nil || slotLen <= c.def.Policy.DefaultOpenLen:
+		// Keep the slot open: to carry shuffle requests, or to stay
+		// silent until the next record.
+		payload.NextLen = slotLen
 	default:
 		payload.NextLen = 0
 	}
 	if c.witness != nil {
 		payload.ShuffleReq = randNonzeroByte(c.rand)
 	}
-	off, n := c.sched.AheadSlotRangeUpTo(c.mySlot, ahead)
-	if err := dcnet.EncodeSlot(vec[off:off+n], payload, c.rand); err != nil {
-		return nil, err
-	}
-	cr.sentBuf = append(cr.sentBuf[:0], vec[off:off+n]...)
-	cr.sentSlot = cr.sentBuf
-	return vec, nil
+	return dcnet.EncodeSlot(region, payload, c.rand)
 }
 
 // submitRound fills the pipeline: it submits rounds until depth are in
@@ -620,14 +640,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 			}
 			return out, nil
 		}
-		if c.depth == 1 {
-			if c.awaitingRoster {
-				// The roster update may reshape the schedule; the
-				// resubmission waits for it (resubmitAfterRoster).
-				c.parked = cr
-				c.resubmitPending = true
-				return out, nil
-			}
+		if c.depth == 1 && !c.awaitingRoster {
 			// Hard-timeout round: ciphertexts discarded; resubmit the same
 			// vector under the next round number (§3.7).
 			cr.r = c.round
@@ -640,10 +653,11 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 			out.merge(sub)
 			return out, nil
 		}
-		// Depth ≥ 2: the identical vector may not match a later layout
-		// (younger rounds composed assuming this stage existed), so
-		// recover the payload bytes and requeue them at the head of the
-		// outbox for the next composition instead.
+		// Depth ≥ 2, or an epoch boundary ahead: the identical vector may
+		// not match a later layout (younger rounds composed assuming this
+		// stage existed; the boundary's roster update re-derives the
+		// permutation), so recover the payload bytes and requeue them at
+		// the head of the outbox for the next composition instead.
 		c.reclaimRound(cr)
 		if c.awaitingRoster {
 			return out, nil

@@ -44,8 +44,12 @@ const (
 	// submission window — the boundary between "client submission" and
 	// "server processing" time in the paper's Figures 7–8.
 	EventWindowClosed
-	// EventEpochRotated fires when a node crosses an epoch boundary and
-	// re-derives the slot permutation from the randomness beacon.
+	// EventEpochRotated fires when a node applies an epoch boundary's
+	// certified roster update, which re-derives the slot permutation from
+	// the randomness beacon and the new roster digest. Round is the
+	// boundary round — the first of the new epoch, laid out under the new
+	// permutation — and a member that applies several updates at once
+	// (catching up) emits one event per update, all with the same Round.
 	EventEpochRotated
 	// EventMemberJoined fires when a certified roster update admits a
 	// member (new joiner or re-admitted expellee); Culprit carries the

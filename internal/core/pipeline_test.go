@@ -11,8 +11,8 @@ import (
 )
 
 // pipelineScript is a deterministic workload for the differential
-// pipeline test: the same script replayed at depth 1 and depth 2 must
-// produce byte-identical per-sender delivery streams.
+// pipeline test: the same script replayed at depth 1 and at depths 2–4
+// must produce byte-identical per-sender delivery streams.
 type pipelineScript struct {
 	// sends[r] lists (client construction index, payload) pairs injected
 	// once every server has passed round r.
@@ -119,40 +119,18 @@ func runPipelineScript(t *testing.T, script *pipelineScript, depth int) (streams
 	return f.senderStreams(), speculated, explicit
 }
 
-// TestPipelineParityDifferential is the correctness proof for the
-// two-deep round pipeline: for randomized workloads — bursty variable
-// size submissions, idle slot closures and request-bit reopenings,
-// straggler-induced α-reopens, epoch rotations, rounds whose commit
-// rode the inventory next to rounds that ran the explicit exchange — the
-// depth-2 engine must deliver byte-identical per-sender streams to the
-// serial engine.
+// TestPipelineParityDifferential is the correctness proof for the round
+// pipeline: for randomized workloads — bursty variable size submissions,
+// idle slot closures and request-bit reopenings, straggler-induced
+// α-reopens, epoch rotations, rounds whose commit rode the inventory next
+// to rounds that ran the explicit exchange — the engine at depths 2, 3
+// and 4 must deliver byte-identical per-sender streams to the serial
+// engine.
 func TestPipelineParityDifferential(t *testing.T) {
 	prop := func(seed int64) bool {
 		script := genPipelineScript(seed, 4)
 		serial, _, _ := runPipelineScript(t, script, 1)
-		pipelined, speculated, explicit := runPipelineScript(t, script, 2)
 		ok := true
-		// Both commit paths must run inside the one pipelined script: the
-		// steady rounds speculate, the straggler reopens and epoch drains
-		// do not.
-		if speculated == 0 || explicit == 0 {
-			t.Errorf("seed %d: depth 2 took the speculative path in %d rounds and the explicit one in %d; want both exercised",
-				seed, speculated, explicit)
-			ok = false
-		}
-		for ci, want := range serial {
-			if got := pipelined[ci]; got != want {
-				t.Errorf("seed %d client %d: depth-2 stream diverged\n serial:    %q\n pipelined: %q",
-					seed, ci, want, got)
-				ok = false
-			}
-		}
-		for ci := range pipelined {
-			if _, dual := serial[ci]; !dual && len(pipelined[ci]) > 0 {
-				t.Errorf("seed %d client %d: depth-2 delivered data the serial run did not", seed, ci)
-				ok = false
-			}
-		}
 		// The workload must actually exercise the data plane.
 		total := 0
 		for _, s := range serial {
@@ -161,6 +139,30 @@ func TestPipelineParityDifferential(t *testing.T) {
 		if total == 0 {
 			t.Errorf("seed %d: serial run delivered nothing", seed)
 			ok = false
+		}
+		for depth := 2; depth <= 4; depth++ {
+			pipelined, speculated, explicit := runPipelineScript(t, script, depth)
+			// Both commit paths must run inside the one pipelined script: the
+			// steady rounds speculate, the straggler reopens and epoch drains
+			// do not.
+			if speculated == 0 || explicit == 0 {
+				t.Errorf("seed %d: depth %d took the speculative path in %d rounds and the explicit one in %d; want both exercised",
+					seed, depth, speculated, explicit)
+				ok = false
+			}
+			for ci, want := range serial {
+				if got := pipelined[ci]; got != want {
+					t.Errorf("seed %d client %d: depth-%d stream diverged\n serial:    %q\n pipelined: %q",
+						seed, ci, depth, want, got)
+					ok = false
+				}
+			}
+			for ci := range pipelined {
+				if _, dual := serial[ci]; !dual && len(pipelined[ci]) > 0 {
+					t.Errorf("seed %d client %d: depth %d delivered data the serial run did not", seed, ci, depth)
+					ok = false
+				}
+			}
 		}
 		return ok
 	}

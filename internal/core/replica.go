@@ -35,23 +35,6 @@ func (n *node) schedConfig(numSlots int) dcnet.Config {
 	}
 }
 
-// wireSchedule gives a fresh or restored schedule what the engine adds to
-// it: the pipeline lag, and the beacon-driven epoch rotation — every
-// BeaconEpochRounds rounds the slot permutation is re-derived from the
-// latest beacon value. All replicas install the same hook over identical
-// chains, so layouts stay in lockstep.
-func (n *node) wireSchedule(sched *dcnet.Schedule) {
-	if n.beaconChain != nil {
-		sched.SetEpochRotation(uint64(n.def.Policy.BeaconEpochRounds), func(uint64) []byte {
-			if e := n.beaconChain.Latest(); e != nil {
-				return e.Value[:]
-			}
-			return nil // no beacon output yet: keep the current permutation
-		})
-	}
-	sched.SetLag(n.depth - 1)
-}
-
 // newSchedule installs the round-0 replica over numSlots slots. certKeys
 // and certSigs are the schedule certificate setup produced (nil under
 // trusted bootstrap, which certifies nothing): the still-empty beacon
@@ -64,7 +47,7 @@ func (n *node) newSchedule(numSlots int, certKeys, certSigs [][]byte) error {
 	if err != nil {
 		return err
 	}
-	n.wireSchedule(sched)
+	sched.SetLag(n.depth - 1)
 	if n.beaconChain != nil && len(certKeys) > 0 {
 		genesis := beacon.SessionGenesis(n.grpID, scheduleCertDigest(n.grpID, certKeys, certSigs))
 		if err := n.beaconChain.Rebind(genesis); err != nil {
@@ -106,8 +89,7 @@ func (n *node) headHorizon() int { return n.sched.Horizon(n.head, n.head, n.drai
 // certificate the caller has checked — and moves the head past it. A
 // certified round extends the beacon chain with entry (every share was
 // verified at combine time, or is covered by the certificate) before the
-// schedule advances, so an epoch boundary crossed by this advance rotates
-// on this round's output; it returns what the schedule decoded. A failed
+// schedule advances; it returns what the schedule decoded. A failed
 // round contributes no directives but still takes its place in the delta
 // queue, and returns nil. The cleartext is sized and the beacon store
 // written before the head, the queue or the schedule move: on error
@@ -140,38 +122,35 @@ func (n *node) retire(round uint64, ro *RoundOutput, entry *beacon.Entry) (*dcne
 }
 
 // reportRetired appends what every role surfaces for a certified round:
-// the decoded slot payloads, and the epoch rotation if the advance
-// crossed one.
+// the decoded slot payloads.
 func (n *node) reportRetired(round uint64, res *dcnet.RoundResult, out *Output) {
 	for slot, pl := range res.Payloads {
 		if pl != nil && len(pl.Data) > 0 {
 			out.Deliveries = append(out.Deliveries, Delivery{Round: round, Slot: slot, Data: pl.Data})
 		}
 	}
-	if res.Rotated {
-		out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: round,
-			Detail: fmt.Sprintf("epoch at round %d", n.sched.Round())})
-	}
 }
 
 // applyRoster moves the replica to the definition a certified roster
 // update produced. The caller derived newDef (ApplyRosterUpdate; a server
 // also the joiners' pairwise seeds) — the fallible part — so this only
-// commits: the definition swap, one closed slot per appended member with
-// the layout permutation re-derived over the new slot set from the
-// beacon head and roster digest (any non-empty update reseeds, identically
-// on every replica), and the post-apply schedule digest — the replication
-// point divergence detection compares (zero on a client that has no
-// schedule yet).
-func (n *node) applyRoster(u *group.RosterUpdate, newDef *group.Definition) (dig [32]byte) {
+// commits: the definition swap; one closed slot per appended member; the
+// epoch rotation — the layout permutation re-derived over the slot set
+// from the beacon head and the new roster digest; and the post-apply
+// schedule digest, the replication point divergence detection compares
+// (zero on a client that has no schedule yet). Every epoch boundary
+// applies exactly one update, an empty one included, after the pipeline
+// has drained on every replica — so the rotation lands between the same
+// two rounds everywhere, however many rounds failed before it.
+func (n *node) applyRoster(u *group.RosterUpdate, newDef *group.Definition, out *Output) (dig [32]byte) {
 	grown := len(newDef.Clients) - len(n.def.Clients)
 	n.def = newDef
 	if n.sched == nil {
 		return dig
 	}
-	if len(u.Admit)+len(u.Remove) > 0 {
-		n.sched.Grow(grown, n.rosterPermSeed(newDef))
-	}
+	n.sched.Grow(grown, n.rosterPermSeed(newDef))
+	out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: n.head,
+		Detail: fmt.Sprintf("roster version %d", u.Version)})
 	return n.sched.Digest()
 }
 
@@ -195,7 +174,7 @@ func (n *node) restore(head, drain uint64, state []byte, rebind func() error) er
 	if err != nil {
 		return err
 	}
-	n.wireSchedule(sched)
+	sched.SetLag(n.depth - 1)
 	if sched.Round() > head {
 		return errors.New("core: snapshot schedule round ahead of engine round")
 	}

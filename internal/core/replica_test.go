@@ -208,7 +208,7 @@ type lockstepStep struct {
 	send   [3]int // payload bytes clients 0–2 queue before the round retires
 	joiner int    // … and the joiner, once admitted
 	fail   bool   // the head round certifies as failed
-	arm    bool   // client 0 witnesses a disruption: it will request a shuffle
+	arm    bool   // client 0 witnesses a disruption: it requests shuffles from then on
 	join   bool   // a prospective member asks to join
 	expel  bool   // the operator expels client 2 at server 0
 }
@@ -216,7 +216,8 @@ type lockstepStep struct {
 // lockstepScript walks the replica through every kind of transition,
 // with traffic throughout so the delta queue is never trivially empty.
 // Epochs are five rounds; the failed round in the first epoch leaves the
-// schedule's round counter behind the head from then on.
+// schedule's round counter behind the head from then on, and every
+// rotation must still land on its boundary.
 var lockstepScript = []lockstepStep{
 	{name: "request bits", send: [3]int{200, 0, 30}},
 	{name: "slots open", send: [3]int{0, 90, 0}},
@@ -592,7 +593,7 @@ func TestReplicaLockstep(t *testing.T) {
 			}
 			w.assertLockstep("bootstrap")
 
-			maxQueued := uint32(0)
+			maxQueued, dueForks := uint32(0), 0
 			for i, step := range lockstepScript {
 				name := fmt.Sprintf("step %d (%s)", i, step.name)
 				for ci, n := range step.send {
@@ -605,17 +606,6 @@ func TestReplicaLockstep(t *testing.T) {
 						t.Fatalf("%s: the joiner was never admitted", name)
 					}
 					w.joiner.Send(bytes.Repeat([]byte{'j'}, step.joiner))
-				}
-				// One round composed with a witness set is one shuffle request.
-				// Every client's is cleared, not only the armed one's: past a
-				// failed round the schedule's own round counter — which times
-				// rotations — trails the engines', so at depth ≥ 2 a rotation
-				// lands on rounds already composed and garbles them for
-				// everyone; the replicas stay in lockstep through it, which is
-				// what this test is about, but the accusations would multiply
-				// blame sessions.
-				for _, c := range w.clients {
-					c.witness = nil
 				}
 				if c0 := w.clients[0]; step.arm {
 					c0.witness = &witnessInfo{round: c0.head}
@@ -645,6 +635,12 @@ func TestReplicaLockstep(t *testing.T) {
 					w.tick()
 				}
 				w.assertLockstep(name)
+				// Client 0's witness keeps requesting shuffles once armed —
+				// nobody carries its accusation here — so past a pipelined
+				// drain the restore happens with a shuffle due but not open.
+				if w.s1.blameDue {
+					dueForks++
+				}
 				maxQueued = max(maxQueued, w.fork(name))
 				w.assertLockstep(name + ", restored")
 			}
@@ -657,8 +653,19 @@ func TestReplicaLockstep(t *testing.T) {
 					t.Errorf("the table produced %d %s events, want at least %d", w.events[kind], kind, want)
 				}
 			}
+			// Every round decoded at the layout it was composed at: no
+			// client saw its slot come out other than it sent it.
+			if n := w.events[EventDisruptionDetected]; n != 0 {
+				t.Errorf("the table produced %d disruption events, want none", n)
+			}
 			if want := uint32(depth - 1); maxQueued != want {
 				t.Errorf("deepest delta queue restored from: %d rows, want %d", maxQueued, want)
+			}
+			if len(w.forks) != len(lockstepScript) {
+				t.Errorf("restored %d forks, want one per step (%d)", len(w.forks), len(lockstepScript))
+			}
+			if depth > 1 && dueForks == 0 {
+				t.Errorf("no fork was restored with an accusation shuffle due")
 			}
 		})
 	}

@@ -32,6 +32,11 @@ import (
 //   - Round history and any in-flight blame session: accusations
 //     against pre-restart rounds cannot be traced afterwards. A
 //     disrupted slot owner simply re-accuses on a post-restart round.
+//     What is kept is that a shuffle is due (BlameDue): the peers hold
+//     back every round from BlameHold on until it has run, so the
+//     restored server reopens only the rounds before that, and opens the
+//     shuffle — the peers' session number, BlameSession+1 — once they
+//     are in or straight away if none are.
 //   - Pending join requests: joiners re-send on their retry timer.
 
 // ServerSnapshot is the durable image of a server's session state at a
@@ -40,15 +45,18 @@ import (
 // or the beacon chain's own store. Round, DrainRound and Sched are the
 // replica image (node.snapshot); the rest is what a server adds to it:
 // the roster version to replay the update log to, the slot keys, the
-// α baseline, the roster-phase gate, the schedule certificate, the
-// exclusions, and the two counters a restart must continue rather than
-// reset: the blame session number and the restart count.
+// α baseline, the roster-phase and accusation-shuffle gates, the
+// schedule certificate, the exclusions, and the two counters a restart
+// must continue rather than reset: the blame session number and the
+// restart count.
 type ServerSnapshot struct {
 	Version    uint64 // roster version the snapshot was taken at
 	Round      uint64 // first unretired round: resume point
 	PrevCount  uint32 // previous round's participation (α baseline)
 	DrainRound uint64 // latest pipeline drain point (delta-queue ramp)
 	RosterDue  byte   // boundary crossed; roster phase pending
+	BlameDue   byte   // shuffle requested; accusation shuffle pending…
+	BlameHold  uint64 // …and the first round it holds back
 	CertKeys   [][]byte
 	CertSigs   [][]byte // certified schedule; empty under trusted bootstrap
 	SlotKeys   [][]byte // current slot pseudonym keys, slot order
@@ -69,6 +77,8 @@ func (p *ServerSnapshot) Encode() []byte {
 	e.U32(p.PrevCount)
 	e.U64(p.DrainRound)
 	e.U8(p.RosterDue)
+	e.U8(p.BlameDue)
+	e.U64(p.BlameHold)
 	e.ByteSlices(p.CertKeys)
 	e.ByteSlices(p.CertSigs)
 	e.ByteSlices(p.SlotKeys)
@@ -101,6 +111,12 @@ func DecodeServerSnapshot(b []byte) (*ServerSnapshot, error) {
 		return nil, err
 	}
 	if p.RosterDue, err = d.U8(); err != nil {
+		return nil, err
+	}
+	if p.BlameDue, err = d.U8(); err != nil {
+		return nil, err
+	}
+	if p.BlameHold, err = d.U64(); err != nil {
 		return nil, err
 	}
 	if p.CertKeys, err = d.ByteSlices(); err != nil {
@@ -162,6 +178,9 @@ func (s *Server) persistSnapshot() {
 	sn.Round, sn.DrainRound, sn.Sched = s.snapshot()
 	if s.rosterDue {
 		sn.RosterDue = 1
+	}
+	if s.blameDue {
+		sn.BlameDue, sn.BlameHold = 1, s.blameHold
 	}
 	for _, ci := range sortedKeys(s.expelRound) {
 		sn.ExpelIdx = append(sn.ExpelIdx, int32(ci))
@@ -271,6 +290,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 
 	s.prevCount = int(sn.PrevCount)
 	s.rosterDue = sn.RosterDue != 0
+	s.blameDue, s.blameHold = sn.BlameDue != 0, sn.BlameHold
 	s.blameSession = sn.BlameSession
 	s.nextOpen = sn.Round
 	s.phase = phaseRunning

@@ -120,6 +120,8 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 		PrevCount:  9,
 		DrainRound: 120,
 		RosterDue:  1,
+		BlameDue:   1,
+		BlameHold:  124,
 		CertKeys:   [][]byte{{1, 2}, {3}},
 		CertSigs:   [][]byte{{4}, {5, 6}},
 		SlotKeys:   [][]byte{{7}, {8}, {9}},

@@ -522,12 +522,22 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 	return &Output{}, nil
 }
 
-// resumeRounds restarts normal operation after a round completes (or a
-// blame session closes): the roster phase first when an epoch boundary
-// is due, then the next round. Accusation shuffles are dispatched
-// before this runs (maybeOutput starts them directly on a shuffle
-// request), so by the boundary any blame session has already closed.
+// resumeRounds restarts normal operation once the pipeline has drained
+// (or a blame session closes, or a restore): a deferred accusation
+// shuffle first — once every round it holds back behind is in, which a
+// restore must first reopen — so a verdict still makes the boundary's
+// roster update; then the roster phase when an epoch boundary is due;
+// then the next round.
 func (s *Server) resumeRounds(now time.Time, out *Output) error {
+	if s.blameDue && s.nextOpen >= s.blameHold {
+		s.blameDue = false
+		more, err := s.startBlame(now)
+		if err != nil {
+			return err
+		}
+		out.merge(more)
+		return nil
+	}
 	if s.rosterDue {
 		more, err := s.startRoster(now)
 		if err != nil {
@@ -870,7 +880,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 	}
 	// The post-apply schedule digest anchors divergence detection
 	// (catchUp) and rides every MsgRosterUpdate.
-	dig := s.applyRoster(u, newDef)
+	dig := s.applyRoster(u, newDef, out)
 
 	for _, id := range u.Remove {
 		ci := newDef.ClientIndex(id)
@@ -1059,9 +1069,8 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return c.violation(err), nil
 	}
-	reshaped := len(u.Admit)+len(u.Remove) > 0
-	dig := c.applyRoster(u, newDef)
 	out := &Output{}
+	dig := c.applyRoster(u, newDef, out)
 	for _, id := range u.Remove {
 		if id == c.id {
 			// Emit only on the actual transition: a blame verdict may
@@ -1115,7 +1124,6 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		c.drain = c.head
 	}
 	if diverged {
-		c.resubmitPending = false
 		out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: c.round,
 			Detail: fmt.Sprintf("schedule replica diverged at roster version %d (post-apply digest mismatch); requesting snapshot re-sync", newDef.Version)})
 		// The catch-up probe carries our digest; sent at once, the server
@@ -1127,16 +1135,6 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		return out, nil
 	}
 	if !c.ready || c.awaitingBlame || c.expelled {
-		c.resubmitPending = false
-		return out, nil
-	}
-	if c.resubmitPending {
-		c.resubmitPending = false
-		sub, err := c.resubmitAfterRoster(now, reshaped)
-		if err != nil {
-			return nil, err
-		}
-		out.merge(sub)
 		return out, nil
 	}
 	sub, err := c.submitRound(now)
@@ -1145,32 +1143,6 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	}
 	out.merge(sub)
 	return out, nil
-}
-
-// resubmitAfterRoster re-sends the vector a failed round discarded
-// (parked across the epoch boundary). If the roster update reshaped
-// the schedule — any non-empty update reseeds the layout permutation,
-// and admissions grow it — the saved vector was composed under the old
-// layout; the slot payload is recovered and re-queued so the data
-// still rides the next round.
-func (c *Client) resubmitAfterRoster(now time.Time, reshaped bool) (*Output, error) {
-	cr := c.parked
-	c.parked = nil
-	if cr == nil {
-		return c.submitRound(now)
-	}
-	if !reshaped && cr.vec != nil && len(cr.vec) == c.sched.Len() {
-		cr.r = c.round
-		sub, err := c.submitVector(now, cr, cr.vec)
-		if err != nil {
-			return nil, err
-		}
-		c.inflight = append(c.inflight, cr)
-		c.round++
-		return sub, nil
-	}
-	c.reclaimRound(cr)
-	return c.submitRound(now)
 }
 
 // onSnapshot installs a session snapshot a server sent: the welcome
@@ -1316,19 +1288,13 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	if err != nil {
 		return nil, c.violation(fmt.Errorf("snapshot: %w", err)), nil
 	}
-	// Recover queued payload bytes from in-flight (and parked) rounds
-	// before dropping them: their vectors were composed under the replaced
-	// layout and can never match a certified output now. (A joiner has
-	// none.)
+	// Recover queued payload bytes from in-flight rounds before dropping
+	// them: their vectors were composed under the replaced layout and can
+	// never match a certified output now. (A joiner has none.)
 	for i := len(c.inflight) - 1; i >= 0; i-- { // newest first, so reclaimed bytes land oldest-first
 		c.reclaimRound(c.inflight[i])
 	}
 	c.inflight = c.inflight[:0]
-	if c.parked != nil {
-		c.reclaimRound(c.parked)
-		c.parked = nil
-	}
-	c.resubmitPending = false
 	c.reqPending = false
 	c.awaitingRoster = false
 	c.nextStreams = nil

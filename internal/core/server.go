@@ -294,9 +294,12 @@ type Server struct {
 	// to open. The replica's depth caps len(rounds): depth 1 is the
 	// serial engine, depth 2 overlaps round r+1's submission window with
 	// round r's combine/certify. blameDue defers a requested accusation
-	// shuffle until the pipeline drains.
+	// shuffle until the pipeline drains; blameHold is the first round it
+	// holds back — nextOpen when the request certified, which a restore
+	// reopens up to and no further.
 	nextOpen  uint64
 	blameDue  bool
+	blameHold uint64
 	prevCount int
 	rounds    map[uint64]*roundState
 	history   map[uint64]*roundHistory
@@ -742,18 +745,18 @@ func (s *Server) myExpected() int {
 
 // maybeOpenRounds opens submission windows until the pipeline is full.
 // The gates, in order: capacity (at most depth rounds in flight); a due
-// accusation shuffle or roster phase drains the pipeline first; an
-// epoch-boundary round only opens once every earlier round has retired
-// (so the roster phase and permutation rotation build on a settled
-// schedule); and only one submission window collects at a time — round
-// r+1 opens the moment round r's collection closes, which is exactly
-// the overlap that pipelining buys.
+// accusation shuffle (from blameHold on) or roster phase drains the
+// pipeline first; an epoch-boundary round only opens once every earlier
+// round has retired (so the roster phase and permutation rotation build
+// on a settled schedule); and only one submission window collects at a
+// time — round r+1 opens the moment round r's collection closes, which
+// is exactly the overlap that pipelining buys.
 func (s *Server) maybeOpenRounds(now time.Time, out *Output) {
 	if s.phase != phaseRunning || s.sched == nil {
 		return
 	}
 	for len(s.rounds) < s.depth {
-		if s.blameDue || s.rosterDue {
+		if s.blameDue && s.nextOpen >= s.blameHold || s.rosterDue {
 			return
 		}
 		if s.epochBoundary(s.nextOpen) && len(s.rounds) > 0 {
@@ -1792,7 +1795,9 @@ func (s *Server) finishRound(now time.Time, r uint64, ro *RoundOutput, body []by
 		// now still makes this boundary's roster update. The shuffle
 		// itself waits for the pipeline to drain — younger rounds were
 		// composed before anyone saw the request and complete normally.
-		s.blameDue = s.blameDue || res.ShuffleRequested
+		if res.ShuffleRequested && !s.blameDue {
+			s.blameDue, s.blameHold = true, s.nextOpen
+		}
 	}
 	if err := s.retireResume(now, out); err != nil {
 		return nil, err
@@ -1803,8 +1808,8 @@ func (s *Server) finishRound(now time.Time, r uint64, ro *RoundOutput, body []by
 // retireResume decides what runs after a round retires. While younger
 // rounds remain in flight, the new head (which may already hold every
 // inventory, blocked only by Gate B) gets to proceed and the pipeline
-// refills. Once drained, a deferred accusation shuffle runs first,
-// then resumeRounds handles any due roster phase or reopens windows.
+// refills. Once drained, resumeRounds runs a deferred accusation
+// shuffle or a due roster phase, or reopens windows.
 func (s *Server) retireResume(now time.Time, out *Output) error {
 	if len(s.rounds) == 0 {
 		// The pipeline has drained: whatever runs next (accusation
@@ -1814,15 +1819,6 @@ func (s *Server) retireResume(now time.Time, out *Output) error {
 		// welcomes export it so joiners ramp identically.
 		s.drain = s.nextOpen
 		s.persistSnapshot()
-		if s.blameDue {
-			s.blameDue = false
-			more, err := s.startBlame(now)
-			if err != nil {
-				return err
-			}
-			out.merge(more)
-			return nil
-		}
 		return s.resumeRounds(now, out)
 	}
 	s.persistSnapshot()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -81,38 +82,71 @@ func (f *fixture) clientOfBusiestServer() int {
 	return -1
 }
 
+// latencyFloorFixture is the paper's topology (10 ms server–server, 50 ms
+// client–server) with zero compute and unlimited uplinks, at the given
+// pipeline depth, with no epoch drain inside the measured stretch.
+func latencyFloorFixture(t *testing.T, depth int) *fixture {
+	f := newFixture(t, 3, 4, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) {
+			p.Alpha = 0.5           // a withheld client does not reopen the window…
+			p.WindowThreshold = 0.5 // …and its server's window still closes
+			p.BeaconEpochRounds = 0 // no drain inside the measured stretch
+		},
+		mutateOpts: func(o *Options) { o.PipelineDepth = depth },
+	})
+	isServer := func(id group.NodeID) bool { return f.def.ServerIndex(id) >= 0 }
+	f.h.Latency = func(from, to group.NodeID) time.Duration {
+		if isServer(from) && isServer(to) {
+			return serverHop
+		}
+		return clientHop
+	}
+	return f
+}
+
+// The latency-floor topology's link delays, and the chain of one round
+// with h sequential server hops: submit, h hops, output.
+const (
+	serverHop = 10 * time.Millisecond
+	clientHop = 50 * time.Millisecond
+)
+
+func linkChain(hops int) time.Duration { return 2*clientHop + time.Duration(hops)*serverHop }
+
+// hops is how many server hops round r took: three when its commit rode
+// the inventory, four when it ran the explicit exchange.
+func (tap *wireTap) hops(r uint64) int {
+	if tap.explicit(r) {
+		return 4
+	}
+	return 3
+}
+
 // TestRoundPeriodIsLatencyFloor pins the round's link-delay chain in
-// virtual time on the paper's topology (10 ms server–server, 50 ms
-// client–server), with zero compute and unlimited uplinks: a client
-// cycle is submit + server hops + output, and a depth-d pipeline runs d
-// of them interleaved, so round r certifies exactly 2·50 + h·10 ms after
-// round r−d, with h = 3 when the commit rode the inventory and h = 4
-// when it did not. A fourth hop, or any new sequential message, in the
-// steady-state round fails this by count — no wall-clock tolerance.
+// virtual time on the paper's topology (latencyFloorFixture) at depths 1
+// to 4: a client cycle is submit + server hops + output, and a depth-d
+// pipeline runs d of them interleaved, so round r certifies exactly
+// 2·50 + h·10 ms after round r−d, with h = 3 when the commit rode the
+// inventory and h = 4 when it did not. A fourth hop, or any new
+// sequential message, in the steady-state round fails this by count — no
+// wall-clock tolerance.
+//
+// At depths 1 to 3 the steady state speculates. At depth 4 this topology
+// is bistable: rounds spaced (2·50 + 3·10)/4 = 32.5 ms apart keep
+// speculating (the previous round certifies 3·10 ms after a window
+// closes), but once a round misses they are spaced (2·50 + 4·10)/4 =
+// 35 ms apart, less than the 4·10 ms the previous round now needs, so no
+// round is the pipeline head when its window closes and the explicit
+// exchange sustains itself. The fixture fills its pipeline with rounds
+// composed together, which misses, so depth 4 runs the four-hop chain;
+// the per-round formula holds all the same.
 func TestRoundPeriodIsLatencyFloor(t *testing.T) {
 	const (
-		serverHop = 10 * time.Millisecond
-		clientHop = 50 * time.Millisecond
-		steadyLo  = 6  // first round asserted steady
-		withhold  = 14 // first withheld round
-		last      = 30
+		withhold = 14 // first withheld round
+		last     = 30
 	)
-	for _, depth := range []int{1, 2} {
-		f := newFixture(t, 3, 4, fixtureOpts{
-			mutatePolicy: func(p *group.Policy) {
-				p.Alpha = 0.5           // a withheld client does not reopen the window…
-				p.WindowThreshold = 0.5 // …and its server's window still closes
-				p.BeaconEpochRounds = 0 // no drain inside the measured stretch
-			},
-			mutateOpts: func(o *Options) { o.PipelineDepth = depth },
-		})
-		isServer := func(id group.NodeID) bool { return f.def.ServerIndex(id) >= 0 }
-		f.h.Latency = func(from, to group.NodeID) time.Duration {
-			if isServer(from) && isServer(to) {
-				return serverHop
-			}
-			return clientHop
-		}
+	for depth := 1; depth <= 4; depth++ {
+		f := latencyFloorFixture(t, depth)
 		// One client goes missing for one client-side cycle (depth
 		// consecutive rounds), then returns.
 		victim := f.clients[f.clientOfBusiestServer()].ID()
@@ -128,45 +162,123 @@ func TestRoundPeriodIsLatencyFloor(t *testing.T) {
 		}
 		at := f.completedAt(0)
 		period := func(r uint64) time.Duration { return at[r].Sub(at[r-uint64(depth)]) }
-		floor := func(hops int) time.Duration { return 2*clientHop + time.Duration(hops)*serverHop }
+		d := uint64(depth)
+		// exact asserts round r's period is its own chain, and that it
+		// speculated where this depth's steady state does.
+		exact := func(stretch string, r uint64) {
+			if depth <= 3 && tap.explicit(r) {
+				t.Errorf("depth %d round %d (%s): ran the explicit commit exchange", depth, r, stretch)
+			}
+			if got, want := period(r), linkChain(tap.hops(r)); got != want {
+				t.Errorf("depth %d round %d (%s): period %v, want (2·50 + %d·10) ms = %v per %d rounds",
+					depth, r, stretch, got, tap.hops(r), want, depth)
+			}
+		}
 
-		// Steady state: every round speculates and costs three hops.
-		for r := uint64(steadyLo); r < withhold; r++ {
-			if tap.explicit(r) {
-				t.Errorf("depth %d round %d: steady-state round ran the explicit commit exchange", depth, r)
+		// Steady state, once the pipeline fill has settled.
+		for r := max(6, 3*d); r < withhold; r++ {
+			exact("steady", r)
+		}
+		// The withheld cycle and the return. The withheld rounds also wait
+		// out the victim's server's window (policy, not link delay); every
+		// return window closes on time, so a return round costs exactly its
+		// chain. At depths 1 and 2 every one of these rounds misses at every
+		// server — a withheld round's included set differs from the last,
+		// and so does a return round's, whose client was absent from it —
+		// and so runs the explicit exchange's four hops. Deeper, only the
+		// first withheld round and the first round back surely miss; the
+		// rounds between may speculate, and at depth 4 the policy wait
+		// spills into the return rounds through the one-collecting-window
+		// gate.
+		for r := uint64(withhold); r < withhold+2*d; r++ {
+			if depth <= 2 || r == withhold || r == withhold+d {
+				if n := tap.senders(MsgCommit, r); n != len(f.servers) {
+					t.Errorf("depth %d round %d: %d servers sent MsgCommit, want all %d", depth, r, n, len(f.servers))
+				}
 			}
-			if got := period(r); got != floor(3) {
-				t.Errorf("depth %d round %d: period %v, want (2·50 + 3·10) ms = %v per %d rounds", depth, r, got, floor(3), depth)
+			hops := tap.hops(r)
+			if depth <= 2 {
+				hops = 4
+			}
+			if got, floor := period(r), linkChain(hops); got < floor {
+				t.Errorf("depth %d round %d: period %v below its %d-hop chain %v", depth, r, got, hops, floor)
+			} else if r >= withhold+d && depth <= 3 && got != floor {
+				t.Errorf("depth %d round %d: period %v on the client's return, want exactly (2·50 + %d·10) ms = %v per %d rounds",
+					depth, r, got, hops, floor, depth)
 			}
 		}
-		// The withheld rounds miss at every server (and also wait out the
-		// victim's server's window, which is policy, not link delay).
-		for r := uint64(withhold); r < withhold+uint64(depth); r++ {
-			if n := tap.senders(MsgCommit, r); n != len(f.servers) {
-				t.Errorf("depth %d round %d: %d servers sent MsgCommit with a client withheld, want all %d", depth, r, n, len(f.servers))
-			}
-			if got := period(r); got < floor(4) {
-				t.Errorf("depth %d round %d: period %v below the four-hop floor %v", depth, r, got, floor(4))
-			}
-		}
-		// The rounds the client returns in miss too — it is absent from the
-		// previous included set — but every window closes on time, so they
-		// cost exactly the explicit exchange's four hops.
-		for r := uint64(withhold + depth); r < withhold+2*uint64(depth); r++ {
-			if n := tap.senders(MsgCommit, r); n != len(f.servers) {
-				t.Errorf("depth %d round %d: %d servers sent MsgCommit on the client's return, want all %d", depth, r, n, len(f.servers))
-			}
-			if got := period(r); got != floor(4) {
-				t.Errorf("depth %d round %d: period %v, want (2·50 + 4·10) ms = %v per %d rounds", depth, r, got, floor(4), depth)
-			}
-		}
-		// And the chain shrinks back: the last rounds speculate again.
+		// And the chain shrinks back.
 		for r := uint64(last - 4); r < last; r++ {
-			if tap.explicit(r) {
-				t.Errorf("depth %d round %d: did not return to speculating", depth, r)
+			exact("recovered", r)
+		}
+	}
+}
+
+// TestRecordLatencyOpenVsClosedSlot asserts the record-latency formula in
+// virtual time on the latency-floor topology at depths 1 to 4. Let
+// chain(r) = 2·50 + h·10 ms be round r's link chain, h its server hops. A
+// record composed into an open slot in round r reaches its sender in
+// round r's output, exactly chain(r) after that composition. A record
+// whose slot is closed sets the request bit in round q instead; the
+// opening applies from round q+d, which is composed the moment q's output
+// arrives, so the record is delivered exactly chain(q) + chain(q+d) after
+// the first composition. At depths 1–3 every chain here is 130 ms: one
+// chain on an open slot, two on a closed one (TestRoundPeriodIsLatencyFloor
+// explains depth 4's four-hop chains).
+func TestRecordLatencyOpenVsClosedSlot(t *testing.T) {
+	for depth := 1; depth <= 4; depth++ {
+		f := latencyFloorFixture(t, depth)
+		subject := f.clients[0]
+		composed := map[uint64]time.Time{} // the subject's first submission of each round
+		f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+			if _, seen := composed[m.Round]; from == subject.ID() && m.Type == MsgClientSubmit && !seen {
+				composed[m.Round] = f.h.Net.Now()
 			}
-			if got := period(r); got != floor(3) {
-				t.Errorf("depth %d round %d: period %v after recovery, want %v", depth, r, got, floor(3))
+			return 0, false
+		}
+		tap := tapWire(f)
+		f.h.StartAll()
+		f.stepUntilRound(uint64(3*depth+6), 1_000_000)
+
+		// send queues a record and returns the round the subject composes
+		// next, and the round in whose output — and the time at which — the
+		// subject decodes the record.
+		send := func(data []byte) (next, round uint64, at time.Time) {
+			t.Helper()
+			next = subject.Round()
+			subject.Send(data)
+			for f.h.Net.Step() {
+				for _, d := range f.h.Deliveries {
+					if d.Node == subject.ID() && bytes.Equal(d.Data, data) {
+						return next, d.Round, d.At
+					}
+				}
+			}
+			t.Fatalf("depth %d: %q never delivered; violations: %v", depth, data, f.violations())
+			return
+		}
+		d := uint64(depth)
+
+		q, got, at := send([]byte("a record on a closed slot"))
+		if got != q+d {
+			t.Errorf("depth %d: request bit in round %d, record delivered in round %d, want %d", depth, q, got, q+d)
+		}
+		if lat, want := at.Sub(composed[q]), linkChain(tap.hops(q))+linkChain(tap.hops(q+d)); lat != want {
+			t.Errorf("depth %d: closed-slot record delivered %v after its first composition, want two chains = %v", depth, lat, want)
+		}
+
+		// Inside the silent-slot horizon the slot is still open.
+		f.stepUntilRound(f.servers[0].Round(), 1_000_000)
+		r, got, at := send([]byte("a record on an open slot"))
+		if got != r {
+			t.Errorf("depth %d: open-slot record composed into round %d, delivered in round %d", depth, r, got)
+		}
+		if lat, want := at.Sub(composed[r]), linkChain(tap.hops(r)); lat != want {
+			t.Errorf("depth %d: open-slot record delivered %v after its composition, want one chain = %v", depth, lat, want)
+		}
+		for _, round := range []uint64{q, q + d, r} {
+			if depth <= 3 && tap.explicit(round) {
+				t.Errorf("depth %d round %d: ran the explicit commit exchange", depth, round)
 			}
 		}
 	}

@@ -30,8 +30,11 @@ type Config struct {
 	// damage a malicious owner (or a disrupted length field) can do to
 	// the round size.
 	MaxSlotLen int
-	// IdleCloseRounds closes a slot whose owner has produced all-zero
-	// output for this many consecutive rounds (owner likely offline).
+	// IdleCloseRounds is the silent-slot horizon: an open slot whose
+	// region comes out all-zero — an owner keeping its slot open with
+	// nothing to send, or one gone offline — closes after IdleCloseRounds
+	// × (λ+1) consecutive such rounds at pipeline lag λ, the same span of
+	// wall time at every depth.
 	IdleCloseRounds int
 }
 
@@ -67,9 +70,9 @@ func (c Config) Validate() error {
 // cleartext layout. All nodes advance identical Schedule replicas from
 // identical round outputs, so the layout never needs negotiation.
 //
-// The layout orders slot message regions by a permutation that an
-// epoch-rotation hook can re-derive every N rounds from shared
-// randomness (the internal/beacon chain in production), so a slot's
+// The layout orders slot message regions by a permutation that Grow
+// re-derives from shared randomness (the engines do so at every epoch
+// boundary, from the beacon chain and the roster digest), so a slot's
 // byte position in the round vector shifts unpredictably across epochs
 // instead of being fixed for the session's lifetime.
 type Schedule struct {
@@ -90,9 +93,6 @@ type Schedule struct {
 	// λ = 0 (the default) reproduces the serial semantics exactly.
 	lag     int
 	pending [][]slotDelta
-
-	epochEvery uint64
-	epochSeed  func(round uint64) []byte
 }
 
 // deltaOp classifies one slot's observational directive extracted from
@@ -130,17 +130,6 @@ func NewSchedule(cfg Config) (*Schedule, error) {
 	}
 	s.setPerm(identityPerm(cfg.NumSlots))
 	return s, nil
-}
-
-// SetEpochRotation installs the epoch hook: starting at each round
-// that is a positive multiple of every, the slot permutation is
-// re-derived from seed(round). All replicas must install equivalent
-// hooks (same epoch length, same seed values) to stay in lockstep; a
-// nil seed return (e.g. no beacon output available yet) keeps the
-// current permutation, deterministically on every replica.
-func (s *Schedule) SetEpochRotation(every uint64, seed func(round uint64) []byte) {
-	s.epochEvery = every
-	s.epochSeed = seed
 }
 
 // Permutation returns a copy of the current layout permutation:
@@ -195,28 +184,25 @@ func PermFromSeed(seed []byte, n int) []int {
 }
 
 // Grow appends extra closed slots (membership churn: one per newly
-// admitted member) and re-derives the layout permutation over the
-// enlarged slot set from seed (nil keeps existing slots in place and
-// appends the new ones at the end of the layout). Every replica must
-// call Grow with identical arguments at the same round boundary — the
-// engines do so when applying a certified roster update, seeding from
-// the beacon output and the roster digest.
+// admitted member; zero at a boundary that admits nobody) and re-derives
+// the layout permutation over the slot set from seed (nil keeps existing
+// slots in place and appends the new ones at the end of the layout).
+// Every replica must call Grow with identical arguments at the same
+// round boundary — the engines do so when applying each certified roster
+// update, seeding from the beacon chain head and the roster digest, which
+// makes it the epoch rotation too.
 func (s *Schedule) Grow(extra int, seed []byte) {
 	// Roster changes build on a settled layout: the engines drain the
 	// round pipeline before applying a certified roster update, so any
 	// still-queued deltas belong to rounds that have already certified
 	// and are due — apply them now.
 	s.FlushPipeline()
-	if extra <= 0 {
-		if seed != nil {
-			s.setPerm(PermFromSeed(seed, s.cfg.NumSlots))
-		}
-		return
-	}
 	old := s.cfg.NumSlots
-	s.cfg.NumSlots += extra
-	s.lens = append(s.lens, make([]int, extra)...)
-	s.idle = append(s.idle, make([]int, extra)...)
+	if extra > 0 {
+		s.cfg.NumSlots += extra
+		s.lens = append(s.lens, make([]int, extra)...)
+		s.idle = append(s.idle, make([]int, extra)...)
+	}
 	if seed != nil {
 		s.setPerm(PermFromSeed(seed, s.cfg.NumSlots))
 		return
@@ -286,9 +272,6 @@ type RoundResult struct {
 	// field was nonzero: the servers must run an accusation shuffle
 	// before the next DC-net round (§3.9).
 	ShuffleRequested bool
-	// Rotated is true when this advance crossed an epoch boundary and
-	// re-derived the slot permutation.
-	Rotated bool
 	// Payloads holds each open slot's decoded payload (nil entry for
 	// closed or idle slots).
 	Payloads []*SlotPayload
@@ -349,12 +332,6 @@ func (s *Schedule) Advance(cleartext []byte) (*RoundResult, error) {
 		s.popDelta(res)
 	}
 	s.round++
-	if s.epochEvery > 0 && s.round%s.epochEvery == 0 && s.epochSeed != nil {
-		if seed := s.epochSeed(s.round); seed != nil {
-			s.setPerm(PermFromSeed(seed, s.cfg.NumSlots))
-			res.Rotated = true
-		}
-	}
 	return res, nil
 }
 
@@ -405,7 +382,7 @@ func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundR
 				continue
 			}
 			idle[i]++
-			if idle[i] >= s.cfg.IdleCloseRounds {
+			if idle[i] >= s.idleHorizon() {
 				lens[i] = 0
 				idle[i] = 0
 				if res != nil {
@@ -429,6 +406,14 @@ func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundR
 		}
 	}
 }
+
+// idleHorizon is how many consecutive silent rounds close an open slot:
+// IdleCloseRounds scaled by the pipeline depth λ+1. A depth-d pipeline
+// certifies d rounds per link round trip, so the scaled count keeps the
+// horizon's wall time what it is at depth 1. Both factors are shared by
+// every replica (the lag is a group-wide setting), so the threshold needs
+// no state of its own.
+func (s *Schedule) idleHorizon() int { return s.cfg.IdleCloseRounds * (s.lag + 1) }
 
 // SyncPipeline applies queued deltas, oldest first, until at most
 // min(λ, r − drain) remain. The engines call it immediately before
@@ -626,8 +611,8 @@ func (s *Schedule) Digest() [32]byte {
 // not cfg. The state arrives from a peer or from disk: its shape is
 // checked against its own length before anything is allocated, and every
 // slot length, permutation entry and queued directive is validated. The
-// restored schedule has lag 0 and no epoch hook; the caller installs
-// both (SetLag keeps a queue no longer than the lag).
+// restored schedule has lag 0; the caller sets the group's (SetLag keeps
+// a queue no longer than the lag).
 func RestoreSchedule(cfg Config, state []byte) (*Schedule, error) {
 	if len(state) < 16 {
 		return nil, errors.New("dcnet: schedule state truncated")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dissent/internal/crypto"
@@ -198,6 +199,119 @@ func TestScheduleIdleResetOnActivity(t *testing.T) {
 	}
 }
 
+// advanceSlot0 advances s one round, writing slot 0's region with fill
+// (nil leaves it all-zero: a silent owner), and reports whether this
+// advance closed slot 0.
+func advanceSlot0(t *testing.T, s *Schedule, fill func(region []byte)) bool {
+	t.Helper()
+	buf := make([]byte, s.Len())
+	if off, n := s.SlotRange(0); n > 0 && fill != nil {
+		fill(buf[off : off+n])
+	}
+	res, err := s.Advance(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Contains(res.Closed, 0)
+}
+
+// TestSilentSlotCloseHorizon pins the silent-slot horizon at pipeline
+// lags 0–3: an open slot closes after exactly IdleCloseRounds·(λ+1)
+// applied idle deltas; a dSet (a payload) or a dHold (a garbled region)
+// in between restarts the count; and a replica restored mid-count
+// through AppendState → RestoreSchedule → SetLag closes the slot on the
+// same round as its donor, with an equal digest at every step.
+func TestSilentSlotCloseHorizon(t *testing.T) {
+	payload := func(region []byte) {
+		if err := EncodeSlot(region, SlotPayload{NextLen: len(region), Data: []byte("x")}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	garble := func(region []byte) {
+		region[0] = 1 // a nonzero seed; the masked DataLen's top byte is searched
+		for v := 0; v < 256; v++ {
+			region[SeedLen+5] = byte(v)
+			if _, idle, err := DecodeSlot(region); err != nil && !idle {
+				return
+			}
+		}
+		t.Fatal("could not garble the region")
+	}
+	for lag := 0; lag <= 3; lag++ {
+		cfg := testConfig(2)
+		horizon := cfg.IdleCloseRounds * (lag + 1)
+		// opened returns a lag-λ schedule whose slot 0 is open in the
+		// applied layout, with an empty delta queue.
+		opened := func() *Schedule {
+			s := mustSchedule(t, cfg)
+			s.SetLag(lag)
+			buf := make([]byte, s.Len())
+			s.SetReqBit(buf, 0, true)
+			if _, err := s.Advance(buf); err != nil {
+				t.Fatal(err)
+			}
+			s.FlushPipeline()
+			if s.SlotLen(0) == 0 {
+				t.Fatalf("lag %d: the request bit did not open slot 0", lag)
+			}
+			return s
+		}
+		// silentThen feeds n silent rounds, then fill (if any), and applies
+		// every queued delta; it reports whether slot 0 is still open.
+		silentThen := func(s *Schedule, n int, fill func([]byte)) bool {
+			for i := 0; i < n; i++ {
+				advanceSlot0(t, s, nil)
+			}
+			if fill != nil {
+				advanceSlot0(t, s, fill)
+			}
+			s.FlushPipeline()
+			return s.SlotLen(0) > 0
+		}
+
+		s := opened()
+		if !silentThen(s, horizon-1, nil) || silentThen(s, 1, nil) {
+			t.Errorf("lag %d: slot 0 did not close on exactly its %d-th idle delta", lag, horizon)
+		}
+		for name, fill := range map[string]func([]byte){"dSet": payload, "dHold": garble} {
+			s := opened()
+			if !silentThen(s, horizon-1, fill) || !silentThen(s, horizon-1, nil) {
+				t.Errorf("lag %d: a %s did not restart the idle count", lag, name)
+			}
+			if silentThen(s, 1, nil) {
+				t.Errorf("lag %d: slot 0 still open %d idle deltas after a %s", lag, horizon, name)
+			}
+		}
+
+		// Without flushes: the k-th silent advance applies the (k−λ)-th idle
+		// delta, so the close shows on advance horizon+λ — on the donor and
+		// on a replica restored from the donor's state mid-count alike.
+		s = opened()
+		var r *Schedule
+		for k := 1; k <= horizon+lag; k++ {
+			if k == horizon/2+1 {
+				var err error
+				if r, err = RestoreSchedule(s.Config(), s.AppendState(nil)); err != nil {
+					t.Fatal(err)
+				}
+				r.SetLag(lag)
+			}
+			closed := advanceSlot0(t, s, nil)
+			if r != nil {
+				if got := advanceSlot0(t, r, nil); got != closed {
+					t.Fatalf("lag %d advance %d: restored replica closed = %v, donor %v", lag, k, got, closed)
+				}
+				if r.Digest() != s.Digest() {
+					t.Fatalf("lag %d advance %d: restored replica's digest differs", lag, k)
+				}
+			}
+			if closed != (k == horizon+lag) {
+				t.Fatalf("lag %d: advance %d closed = %v, want the close on advance %d", lag, k, closed, horizon+lag)
+			}
+		}
+	}
+}
+
 func TestScheduleShuffleRequestDetected(t *testing.T) {
 	s := mustSchedule(t, testConfig(1))
 	buf := make([]byte, s.Len())
@@ -339,39 +453,31 @@ func openAll(t testing.TB, s *Schedule) {
 	}
 }
 
+// TestEpochRotationChangesLayout: advancing never moves the permutation;
+// an epoch boundary's Grow with a seed and no new slots re-derives it,
+// keeping every slot's length and moving its offset.
 func TestEpochRotationChangesLayout(t *testing.T) {
 	const slots = 12 // 1/12! identity chance: assertions are stable
 	cfg := testConfig(slots)
 	s := mustSchedule(t, cfg)
-	var seeds []uint64
-	s.SetEpochRotation(3, func(round uint64) []byte {
-		seeds = append(seeds, round)
-		return []byte{byte(round)}
-	})
-	openAll(t, s) // round 0 -> 1: no boundary
-	if len(seeds) != 0 {
-		t.Fatal("rotated off-boundary")
-	}
+	openAll(t, s)
 	before := s.Permutation()
 	offBefore := make([]int, slots)
 	for i := range offBefore {
 		offBefore[i], _ = s.SlotRange(i)
 	}
-
-	// Advance across the round-3 boundary with idle (undecodable) slot
-	// contents: lengths hold, only the permutation may change.
-	for r := uint64(1); r < 3; r++ {
-		res, err := s.Advance(make([]byte, s.Len()))
-		if err != nil {
+	for r := 0; r < 2; r++ {
+		if _, err := s.Advance(make([]byte, s.Len())); err != nil {
 			t.Fatal(err)
 		}
-		wantRot := s.Round() == 3
-		if res.Rotated != wantRot {
-			t.Fatalf("round %d: Rotated = %v", s.Round(), res.Rotated)
-		}
 	}
-	if len(seeds) != 1 || seeds[0] != 3 {
-		t.Fatalf("seed hook calls %v, want [3]", seeds)
+	if !slices.Equal(s.Permutation(), before) {
+		t.Fatal("an advance moved the permutation")
+	}
+	lens := s.Len()
+	s.Grow(0, []byte{3})
+	if s.Len() != lens || s.NumSlots() != slots {
+		t.Fatalf("rotation resized the layout: %d bytes over %d slots, want %d over %d", s.Len(), s.NumSlots(), lens, slots)
 	}
 	after := s.Permutation()
 	changed := false
@@ -397,15 +503,8 @@ func TestEpochRotationChangesLayout(t *testing.T) {
 
 func TestEpochRotationNilSeedKeepsPerm(t *testing.T) {
 	s := mustSchedule(t, testConfig(5))
-	s.SetEpochRotation(1, func(round uint64) []byte { return nil })
 	openAll(t, s)
-	res, err := s.Advance(make([]byte, s.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rotated {
-		t.Fatal("rotated despite nil seed")
-	}
+	s.Grow(0, nil)
 	perm := s.Permutation()
 	for i, v := range perm {
 		if v != i {
@@ -417,11 +516,8 @@ func TestEpochRotationNilSeedKeepsPerm(t *testing.T) {
 func TestPermutedLayoutRoundTripsPayloads(t *testing.T) {
 	cfg := testConfig(4)
 	s := mustSchedule(t, cfg)
-	s.SetEpochRotation(2, func(round uint64) []byte { return []byte("rot") })
 	openAll(t, s)
-	if _, err := s.Advance(make([]byte, s.Len())); err != nil { // crosses boundary
-		t.Fatal(err)
-	}
+	s.Grow(0, []byte("rot"))
 
 	// Write a payload into slot 2's permuted range and advance: the
 	// decoded payload must come back attributed to slot 2.
@@ -491,8 +587,8 @@ func TestGrowAppendsSlotsAndReseeds(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := mustSchedule(t, testConfig(5))
-	s.SetEpochRotation(1, func(round uint64) []byte { return []byte("x") })
-	openAll(t, s) // round 1, rotated permutation
+	openAll(t, s)
+	s.Grow(0, []byte("x")) // rotated permutation
 	state := s.AppendState(nil)
 	r, err := RestoreSchedule(s.Config(), state)
 	if err != nil {
@@ -524,8 +620,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // round's nil row.
 func queuedSchedule(t testing.TB) *Schedule {
 	s := mustSchedule(t, testConfig(4))
-	s.SetEpochRotation(1, func(round uint64) []byte { return []byte("x") })
 	openAll(t, s)
+	s.Grow(0, []byte("x"))
 	s.SetLag(2)
 	if _, err := s.Advance(make([]byte, s.Len())); err != nil {
 		t.Fatal(err)

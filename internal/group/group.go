@@ -60,10 +60,17 @@ type Policy struct {
 	WindowMin time.Duration
 	// HardTimeout fails the round outright (the paper's 120 s).
 	HardTimeout time.Duration
-	// DefaultOpenLen, MaxSlotLen, IdleCloseRounds configure the DC-net
-	// slot schedule (see internal/dcnet).
-	DefaultOpenLen  int
-	MaxSlotLen      int
+	// DefaultOpenLen and MaxSlotLen bound the DC-net slot lengths (see
+	// internal/dcnet): a request bit opens a slot at DefaultOpenLen, and a
+	// client keeps a slot no longer than that open while it has nothing to
+	// send.
+	DefaultOpenLen int
+	MaxSlotLen     int
+	// IdleCloseRounds is the silent-slot horizon: an open slot that comes
+	// out all-zero — its owner keeping it open with nothing to send, or
+	// gone offline — for IdleCloseRounds × PipelineDepth consecutive rounds
+	// closes. Scaling by depth keeps the horizon's wall time the same at
+	// every depth.
 	IdleCloseRounds int
 	// RetainRounds bounds per-round state kept for accusation tracing.
 	RetainRounds int

@@ -113,7 +113,12 @@ const (
 	// submission window.
 	EventWindowClosed = core.EventWindowClosed
 	// EventEpochRotated fires when a node re-derives the slot
-	// permutation from the randomness beacon at an epoch boundary.
+	// permutation from the randomness beacon at an epoch boundary, as it
+	// applies that boundary's certified roster update. Event.Round is the
+	// first round of the new epoch, not the last round of the finished
+	// one. It fires once per
+	// applied update: a member catching up through several updates at
+	// once emits one event for each, all with the same Round.
 	EventEpochRotated = core.EventEpochRotated
 	// EventMemberJoined fires when a certified roster update admits a
 	// member (new joiner or re-admitted expellee); Event.Culprit carries
