@@ -379,10 +379,12 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 // empties: the draining round announces its own length again, and later
 // rounds with nothing to send leave the region all-zero — silent — until
 // the next record rides the next composed round without a request round
-// first. The schedule closes a slot after its silent-slot horizon
-// (dcnet.Config.IdleCloseRounds); a slot grown past DefaultOpenLen for a
-// backlog closes as soon as the backlog drains. Either way the region we
-// record for disruption detection is exactly the one we sent.
+// first. The schedule closes a slot after Policy.IdleCloseRounds silent
+// chains (IdleCloseRounds × PipelineDepth rounds), so only a record
+// arriving later than that after our last one pays the request round; a
+// slot grown past DefaultOpenLen for a backlog closes as soon as the
+// backlog drains. Either way the region we record for disruption
+// detection is exactly the one we sent.
 func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
 	ahead := c.sched.Horizon(cr.r, c.head, c.drain)
 	vec := c.bufs.get(c.sched.AheadLenUpTo(ahead))

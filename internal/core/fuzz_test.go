@@ -89,12 +89,12 @@ func (d *dispatchFuzzer) Handle(now time.Time, m *Message) (*Output, error) {
 }
 
 // fuzzFixture builds the 2-server, 2-client group every dispatch-fuzz
-// run (and the trace seeds) uses: at depth 2 injected cross-round
-// traffic lands while two rounds are genuinely in flight and most rounds
-// reach window close behind the head, so they run the explicit commit
-// exchange; at depth 1 every round is the head and its commit rides the
-// inventory. Either way an epoch boundary mid-run exercises the drain
-// path too.
+// run (and the trace seeds) uses: at depths 2 to 4 injected cross-round
+// traffic lands while that many rounds are genuinely in flight and most
+// rounds reach window close behind the head, so they run the explicit
+// commit exchange; at depth 1 every round is the head and its commit
+// rides the inventory. At every depth epoch boundaries mid-run exercise
+// the drain path too.
 func fuzzFixture(tb testing.TB, depth int, wrap func(Engine) Engine) *fixture {
 	return newFixture(tb, 2, 2, fixtureOpts{
 		mutatePolicy: func(p *group.Policy) {
@@ -110,25 +110,22 @@ func fuzzFixture(tb testing.TB, depth int, wrap func(Engine) Engine) *fixture {
 }
 
 // driveFuzzWorkload runs the standard workload against an
-// already-wrapped fixture: payloads trickle in across several rounds
-// (spanning an epoch boundary at round 4), then the run drains.
-func driveFuzzWorkload(f *fixture) {
+// already-wrapped fixture built at the given depth: payloads trickle in
+// across several rounds (spanning an epoch boundary at round 4), then the
+// run drains for two depths' worth of rounds — the last payload's request
+// round and its data round — so every depth delivers the whole workload.
+func driveFuzzWorkload(f *fixture, depth int) {
 	f.h.StartAll()
 	f.stepUntilRound(0, 400_000)
 	for r := uint64(1); r <= 5; r++ {
 		f.clients[int(r)%len(f.clients)].Send([]byte(fmt.Sprintf("fuzz-r%d-payload", r)))
 		f.stepUntilRound(r, 400_000)
 	}
-	f.stepUntilRound(7, 600_000)
+	f.stepUntilRound(5+2*uint64(depth), 600_000)
 }
 
-// fuzzDepth maps the fuzz input's depth flag to a pipeline depth.
-func fuzzDepth(deep bool) int {
-	if deep {
-		return 2
-	}
-	return 1
-}
+// fuzzDepth maps the fuzz input's depth byte to a pipeline depth, 1 to 4.
+func fuzzDepth(b uint8) int { return 1 + int(b%4) }
 
 // traceRecorder taps each node's inbound dispatch to record one byte
 // per delivered message (its type), turning a clean SimNet run into a
@@ -153,27 +150,29 @@ func (r *traceRecorder) Handle(now time.Time, m *Message) (*Output, error) {
 // keep all servers' delivered cleartext byte-identical per (round,
 // slot) — the observable form of cross-round state bleed.
 func FuzzRoundDispatch(f *testing.F) {
-	for _, deep := range []bool{false, true} {
-		f.Add([]byte{}, deep)                                        // clean run
-		f.Add(bytes.Repeat([]byte{3}, 48), deep)                     // duplicate storms
-		f.Add(bytes.Repeat([]byte{4, 9}, 24), deep)                  // stale replays
-		f.Add(bytes.Repeat([]byte{5, 6}, 24), deep)                  // round-shifted forgeries
-		f.Add(bytes.Repeat([]byte{3, 4, 1, 5, 0, 6, 7, 2}, 8), deep) // mixed
+	for depth := range uint8(4) {
+		f.Add([]byte{}, depth)                                        // clean run
+		f.Add(bytes.Repeat([]byte{3}, 48), depth)                     // duplicate storms
+		f.Add(bytes.Repeat([]byte{4, 9}, 24), depth)                  // stale replays
+		f.Add(bytes.Repeat([]byte{5, 6}, 24), depth)                  // round-shifted forgeries
+		f.Add(bytes.Repeat([]byte{3, 4, 1, 5, 0, 6, 7, 2}, 8), depth) // mixed
 
 		// Seed drawn from an actual SimNet trace: the message-type sequence
 		// of a clean run, so the fuzzer starts from op streams whose length
 		// and rhythm match real protocol traffic — with the commit merged
 		// into the inventory wherever the run speculated.
 		var trace []byte
-		tf := fuzzFixture(f, fuzzDepth(deep), func(e Engine) Engine { return &traceRecorder{inner: e, trace: &trace} })
-		driveFuzzWorkload(tf)
-		f.Add(trace, deep)
+		d := fuzzDepth(depth)
+		tf := fuzzFixture(f, d, func(e Engine) Engine { return &traceRecorder{inner: e, trace: &trace} })
+		driveFuzzWorkload(tf, d)
+		f.Add(trace, depth)
 	}
 
-	f.Fuzz(func(t *testing.T, ops []byte, deep bool) {
+	f.Fuzz(func(t *testing.T, ops []byte, depth uint8) {
 		st := &fuzzState{ops: ops}
-		fx := fuzzFixture(t, fuzzDepth(deep), func(e Engine) Engine { return &dispatchFuzzer{inner: e, st: st} })
-		driveFuzzWorkload(fx)
+		d := fuzzDepth(depth)
+		fx := fuzzFixture(t, d, func(e Engine) Engine { return &dispatchFuzzer{inner: e, st: st} })
+		driveFuzzWorkload(fx, d)
 
 		// Liveness floor: adversarial redelivery must not wedge the
 		// group (hard timeouts and resends bound every phase).

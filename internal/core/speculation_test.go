@@ -224,7 +224,9 @@ func TestRoundPeriodIsLatencyFloor(t *testing.T) {
 // arrives, so the record is delivered exactly chain(q) + chain(q+d) after
 // the first composition. At depths 1–3 every chain here is 130 ms: one
 // chain on an open slot, two on a closed one (TestRoundPeriodIsLatencyFloor
-// explains depth 4's four-hop chains).
+// explains depth 4's four-hop chains). The slot stays open for exactly
+// the policy's IdleCloseRounds·d silent rounds: a record one round inside
+// that edge pays one chain, a record at it two.
 func TestRecordLatencyOpenVsClosedSlot(t *testing.T) {
 	for depth := 1; depth <= 4; depth++ {
 		f := latencyFloorFixture(t, depth)
@@ -242,12 +244,15 @@ func TestRecordLatencyOpenVsClosedSlot(t *testing.T) {
 
 		// send queues a record and returns the round the subject composes
 		// next, and the round in whose output — and the time at which — the
-		// subject decodes the record.
+		// subject decodes the record. The record must fit one open slot.
 		send := func(data []byte) (next, round uint64, at time.Time) {
 			t.Helper()
 			next = subject.Round()
 			subject.Send(data)
-			for f.h.Net.Step() {
+			for range 1_000_000 {
+				if !f.h.Net.Step() {
+					break
+				}
 				for _, d := range f.h.Deliveries {
 					if d.Node == subject.ID() && bytes.Equal(d.Data, data) {
 						return next, d.Round, d.At
@@ -276,7 +281,42 @@ func TestRecordLatencyOpenVsClosedSlot(t *testing.T) {
 		if lat, want := at.Sub(composed[r]), linkChain(tap.hops(r)); lat != want {
 			t.Errorf("depth %d: open-slot record delivered %v after its composition, want one chain = %v", depth, lat, want)
 		}
-		for _, round := range []uint64{q, q + d, r} {
+
+		// The horizon's edge. Round k is composed against the directives of
+		// rounds ≤ k−d, so after a record in round r its layout has seen the
+		// silent rounds r+1 … k−d. With H = IdleCloseRounds·d, a record
+		// queued after H−1 of them still finds the slot open; one queued
+		// after H finds it closed and pays the request round.
+		horizon := uint64(f.def.Policy.IdleCloseRounds) * d
+		queueAt := func(k uint64) {
+			t.Helper()
+			for range 1_000_000 {
+				if subject.Round() >= k || !f.h.Net.Step() {
+					break
+				}
+			}
+			if subject.Round() != k {
+				t.Fatalf("depth %d: the subject never came to compose round %d", depth, k)
+			}
+		}
+		queueAt(r + d + horizon - 1)
+		e, got, at := send([]byte("a record inside the horizon"))
+		if got != e {
+			t.Errorf("depth %d: record after %d silent rounds composed into round %d, delivered in round %d", depth, horizon-1, e, got)
+		}
+		if lat, want := at.Sub(composed[e]), linkChain(tap.hops(e)); lat != want {
+			t.Errorf("depth %d: record after %d silent rounds delivered %v after its composition, want one chain = %v", depth, horizon-1, lat, want)
+		}
+		queueAt(e + d + horizon)
+		x, got, at := send([]byte("a record at the horizon"))
+		if got != x+d {
+			t.Errorf("depth %d: record after %d silent rounds: request bit in round %d, delivered in round %d, want %d", depth, horizon, x, got, x+d)
+		}
+		if lat, want := at.Sub(composed[x]), linkChain(tap.hops(x))+linkChain(tap.hops(x+d)); lat != want {
+			t.Errorf("depth %d: record after %d silent rounds delivered %v after its first composition, want two chains = %v", depth, horizon, lat, want)
+		}
+
+		for _, round := range []uint64{q, q + d, r, e, x, x + d} {
 			if depth <= 3 && tap.explicit(round) {
 				t.Errorf("depth %d round %d: ran the explicit commit exchange", depth, round)
 			}

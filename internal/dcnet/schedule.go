@@ -30,25 +30,13 @@ type Config struct {
 	// damage a malicious owner (or a disrupted length field) can do to
 	// the round size.
 	MaxSlotLen int
-	// IdleCloseRounds is the silent-slot horizon: an open slot whose
+	// IdleCloseRounds is the silent-slot horizon in chains, a chain being
+	// one round's submit, server hops and output: an open slot whose
 	// region comes out all-zero — an owner keeping its slot open with
 	// nothing to send, or one gone offline — closes after IdleCloseRounds
-	// × (λ+1) consecutive such rounds at pipeline lag λ, the same span of
-	// wall time at every depth.
+	// chains, which at pipeline lag λ are IdleCloseRounds × (λ+1)
+	// consecutive such rounds (idleHorizon). The group policy sets it.
 	IdleCloseRounds int
-}
-
-// DefaultConfig returns the configuration used throughout the paper's
-// evaluation: 1 KiB initial slots, 256 KiB cap (large enough for the
-// 128 KB data-sharing scenario plus overhead), close after 4 idle
-// rounds.
-func DefaultConfig(numSlots int) Config {
-	return Config{
-		NumSlots:        numSlots,
-		DefaultOpenLen:  1024,
-		MaxSlotLen:      256 << 10,
-		IdleCloseRounds: 4,
-	}
 }
 
 // Validate checks the configuration.
@@ -408,11 +396,11 @@ func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundR
 }
 
 // idleHorizon is how many consecutive silent rounds close an open slot:
-// IdleCloseRounds scaled by the pipeline depth λ+1. A depth-d pipeline
-// certifies d rounds per link round trip, so the scaled count keeps the
-// horizon's wall time what it is at depth 1. Both factors are shared by
-// every replica (the lag is a group-wide setting), so the threshold needs
-// no state of its own.
+// IdleCloseRounds chains at the pipeline depth λ+1. A depth-d pipeline
+// certifies d rounds per chain, so the scaled count keeps the horizon's
+// wall time what it is at depth 1. Both factors are shared by every
+// replica (the lag is a group-wide setting), so the threshold needs no
+// state of its own.
 func (s *Schedule) idleHorizon() int { return s.cfg.IdleCloseRounds * (s.lag + 1) }
 
 // SyncPipeline applies queued deltas, oldest first, until at most

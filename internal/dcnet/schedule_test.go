@@ -37,8 +37,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigValid(t *testing.T) {
-	if err := DefaultConfig(100).Validate(); err != nil {
+func TestConfigValidateAcceptsMinimums(t *testing.T) {
+	c := Config{NumSlots: 1, DefaultOpenLen: MinSlotLen, MaxSlotLen: MinSlotLen, IdleCloseRounds: 1}
+	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dissent/internal/crypto"
+	"dissent/internal/dcnet"
 )
 
 // NodeID identifies a member: the first 8 bytes of the SHA-256 of its
@@ -66,11 +67,14 @@ type Policy struct {
 	// send.
 	DefaultOpenLen int
 	MaxSlotLen     int
-	// IdleCloseRounds is the silent-slot horizon: an open slot that comes
-	// out all-zero — its owner keeping it open with nothing to send, or
-	// gone offline — for IdleCloseRounds × PipelineDepth consecutive rounds
-	// closes. Scaling by depth keeps the horizon's wall time the same at
-	// every depth.
+	// IdleCloseRounds is the silent-slot horizon in chains — one chain
+	// being a round's submit, server hops and output, the span in which a
+	// depth-d pipeline certifies d rounds. An open slot that comes out
+	// all-zero — its owner keeping it open with nothing to send, or gone
+	// offline — for IdleCloseRounds chains (IdleCloseRounds × PipelineDepth
+	// consecutive rounds) closes. A record arriving within the horizon of
+	// its sender's last one rides the next round instead of paying a
+	// request round first; ARCHITECTURE "Record latency" sizes the default.
 	IdleCloseRounds int
 	// RetainRounds bounds per-round state kept for accusation tracing.
 	RetainRounds int
@@ -110,7 +114,7 @@ func DefaultPolicy() Policy {
 		HardTimeout:           120 * time.Second,
 		DefaultOpenLen:        1024,
 		MaxSlotLen:            256 << 10,
-		IdleCloseRounds:       4,
+		IdleCloseRounds:       12,
 		RetainRounds:          8,
 		BeaconEpochRounds:     16,
 		ReadmitCooldownRounds: 32,
@@ -137,6 +141,12 @@ func (p Policy) Validate() error {
 		return errors.New("group: BeaconEpochRounds must be non-negative")
 	case p.ReadmitCooldownRounds < 0:
 		return errors.New("group: ReadmitCooldownRounds must be non-negative")
+	}
+	// The slot parameters are checked by the schedule's own rule, here
+	// rather than when the schedule is built after the setup shuffle.
+	slots := dcnet.Config{NumSlots: 1, DefaultOpenLen: p.DefaultOpenLen, MaxSlotLen: p.MaxSlotLen, IdleCloseRounds: p.IdleCloseRounds}
+	if err := slots.Validate(); err != nil {
+		return fmt.Errorf("group: %w", err)
 	}
 	if _, err := crypto.GroupByName(p.MessageGroup); err != nil {
 		return fmt.Errorf("group: %w", err)

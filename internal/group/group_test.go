@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dissent/internal/crypto"
+	"dissent/internal/dcnet"
 )
 
 func testKeys(t *testing.T, n int) []crypto.Element {
@@ -91,6 +92,29 @@ func TestPolicyValidate(t *testing.T) {
 		mut(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad policy %d accepted", i)
+		}
+	}
+}
+
+// TestPolicyValidateSlotParameters: the slot parameters are rejected when
+// the group definition is validated, by the schedule's own rule, not
+// first when every member builds its schedule at the end of setup.
+func TestPolicyValidateSlotParameters(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Policy)
+	}{
+		{"DefaultOpenLen below the slot minimum", func(p *Policy) { p.DefaultOpenLen = dcnet.MinSlotLen - 1 }},
+		{"MaxSlotLen below DefaultOpenLen", func(p *Policy) { p.MaxSlotLen = p.DefaultOpenLen - 1 }},
+		{"IdleCloseRounds zero", func(p *Policy) { p.IdleCloseRounds = 0 }},
+	} {
+		p := testPolicy()
+		tc.mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if _, err := NewDefinition("x", testKeys(t, 1), testMsgKeys(t, 1), testKeys(t, 1), p); err == nil {
+			t.Errorf("%s: definition accepted", tc.name)
 		}
 	}
 }
