@@ -68,15 +68,7 @@ func TestByzantineJoinerExpelledAndRateRecovers(t *testing.T) {
 			inner.Vector(info, vec)
 		}
 	}}
-	joiner, err := dissent.NewJoiner(grp, jKeys,
-		dissent.WithTransport(net), dissent.WithInterdict(jam))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	g := startGroup(t, grp, sKeys, cKeys, func(dissent.Role, int) []dissent.Option {
-		return []dissent.Option{dissent.WithTransport(net)}
-	})
+	g := startGroup(t, grp, sKeys, cKeys, onSimNet(net))
 	defer g.stop(t)
 
 	server := g.servers[0]
@@ -104,31 +96,18 @@ func TestByzantineJoinerExpelledAndRateRecovers(t *testing.T) {
 		}
 	}()
 
-	// Admit and run the (still honest) joiner. Closed admission: the
-	// pre-approval must land on the joiner's contact server, definition
-	// server 0 (startGroup may order nodes differently).
-	var contact *dissent.Node
-	for _, s := range g.servers {
-		if s.ID() == grp.Servers[0].ID {
-			contact = s
-		}
-	}
-	if contact == nil {
-		t.Fatal("contact server not running")
-	}
-	if err := contact.Admit(dissent.EncodePublicKey(grp, jKeys)); err != nil {
+	// Admit and open the (still honest) joiner on its own Host. Closed
+	// admission: the pre-approval must land on the joiner's contact
+	// server, definition server 0.
+	if err := contactServer(t, g, grp).Admit(dissent.EncodePublicKey(grp, jKeys)); err != nil {
 		t.Fatal(err)
 	}
-	joinCtx, cancelJoin := context.WithCancel(context.Background())
-	defer cancelJoin()
-	joinErr := make(chan error, 1)
-	go func() { joinErr <- joiner.Run(joinCtx) }()
-	defer func() {
-		cancelJoin()
-		if err := <-joinErr; err != nil {
-			t.Errorf("joiner Run returned %v", err)
-		}
-	}()
+	joinHost := newHost(t, dissent.WithHostSimNet(net))
+	defer joinHost.Close()
+	joiner, err := joinHost.OpenJoiner(grp, jKeys, dissent.WithInterdict(jam))
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitEvent(t, "byzantine joiner admission", joined, func(e dissent.Event) bool {
 		return e.Culprit == joiner.ID()
 	}, 120*time.Second)

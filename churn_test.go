@@ -47,13 +47,12 @@ func waitEvent(t *testing.T, what string, ch <-chan dissent.Event, match func(di
 }
 
 // driveChurnScenario runs the acceptance scenario over an arbitrary
-// per-node transport wiring: kill a client mid-window, expel another by
-// policy, rejoin it at an epoch boundary, and verify it resumes
-// sending and receiving with the roster version strictly increasing.
-func driveChurnScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys,
-	extraOpts func(role dissent.Role, i int) []dissent.Option) {
+// member placement: kill a client mid-window, expel another by policy,
+// rejoin it at an epoch boundary, and verify it resumes sending and
+// receiving with the roster version strictly increasing.
+func driveChurnScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys, place placement) {
 	t.Helper()
-	g := startGroup(t, grp, sKeys, cKeys, extraOpts)
+	g := startGroup(t, grp, sKeys, cKeys, place)
 	defer g.stop(t)
 
 	// Pick scenario members by definition index so the killed client and
@@ -62,7 +61,7 @@ func driveChurnScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent
 	// to hard-timeout rounds, which is paper-faithful but would slow
 	// this test to a crawl. Definition indices 0/2 attach to server 0,
 	// index 1 to server 1 (UpstreamServer = idx mod numServers).
-	byDefIdx := func(idx int) *dissent.Node {
+	byDefIdx := func(idx int) *dissent.Session {
 		for _, n := range g.clients {
 			if n.Index() == idx {
 				return n
@@ -85,20 +84,20 @@ func driveChurnScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent
 
 	// Kill a client mid-window: close its session abruptly. Rounds must
 	// keep certifying — the servers cover the silent client (§3.5).
-	killed.Session().Close()
+	killed.Close()
 	waitEvent(t, "round after client death", rounds, func(dissent.Event) bool { return true }, 60*time.Second)
 	waitEvent(t, "second round after client death", rounds, func(dissent.Event) bool { return true }, 60*time.Second)
 
 	// Expel client 2 by server policy; the removal lands at the next
 	// epoch boundary as a certified roster update.
-	v0 := server.Session().RosterVersion()
-	if err := server.Session().Expel(expellee.ID()); err != nil {
+	v0 := server.RosterVersion()
+	if err := server.Expel(expellee.ID()); err != nil {
 		t.Fatal(err)
 	}
 	waitEvent(t, "expulsion", roster, func(e dissent.Event) bool {
 		return e.Kind == dissent.EventMemberExpelled && e.Culprit == expellee.ID()
 	}, 60*time.Second)
-	v1 := server.Session().RosterVersion()
+	v1 := server.RosterVersion()
 	if v1 <= v0 {
 		t.Fatalf("roster version %d did not advance past %d with the expulsion", v1, v0)
 	}
@@ -123,7 +122,7 @@ func driveChurnScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent
 	waitEvent(t, "re-admission at an observer client", obsRoster, func(e dissent.Event) bool {
 		return e.Culprit == expellee.ID()
 	}, 60*time.Second)
-	v2 := server.Session().RosterVersion()
+	v2 := server.RosterVersion()
 	if v2 <= v1 {
 		t.Fatalf("roster version %d did not advance past %d with the re-admission", v2, v1)
 	}
@@ -134,7 +133,7 @@ func driveChurnScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent
 		t.Fatal(err)
 	}
 	deadline := time.After(60 * time.Second)
-	for _, node := range []*dissent.Node{expellee, observer} {
+	for _, node := range []*dissent.Session{expellee, observer} {
 		for {
 			var got dissent.RoundOutput
 			var ok bool
@@ -157,7 +156,7 @@ func driveChurnScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent
 	if sv, cv := server.RosterVersion(), observer.RosterVersion(); cv > sv {
 		t.Fatalf("client version %d ahead of server %d", cv, sv)
 	}
-	if m := server.Session().Metrics(); m.RoundsInFlight > m.PipelineDepth {
+	if m := server.Metrics(); m.RoundsInFlight > m.PipelineDepth {
 		t.Fatalf("rounds in flight %d exceed pipeline depth %d", m.RoundsInFlight, m.PipelineDepth)
 	}
 }
@@ -181,9 +180,7 @@ func TestChurnExpelRejoinOverSimNet(t *testing.T) {
 			})
 		}
 	}
-	driveChurnScenario(t, grp, sKeys, cKeys, func(dissent.Role, int) []dissent.Option {
-		return []dissent.Option{dissent.WithTransport(net)}
-	})
+	driveChurnScenario(t, grp, sKeys, cKeys, onSimNet(net))
 }
 
 // TestChurnExpelRejoinPipelinedSimNet reruns the churn acceptance
@@ -207,9 +204,7 @@ func TestChurnExpelRejoinPipelinedSimNet(t *testing.T) {
 			})
 		}
 	}
-	driveChurnScenario(t, grp, sKeys, cKeys, func(dissent.Role, int) []dissent.Option {
-		return []dissent.Option{dissent.WithTransport(net), dissent.WithPipelineDepth(2)}
-	})
+	driveChurnScenario(t, grp, sKeys, cKeys, onSimNet(net, dissent.WithPipelineDepth(2)))
 }
 
 // TestChurnExpelRejoinOverTCP runs the same scenario over loopback TCP.
@@ -220,35 +215,19 @@ func TestChurnExpelRejoinOverTCP(t *testing.T) {
 	policy := churnPolicy()
 	policy.WindowMin = 20 * time.Millisecond
 	sKeys, cKeys, grp := buildGroup(t, 2, 5, policy)
-	roster := dissent.Roster{}
-	ports := reservePorts(t, len(sKeys)+len(cKeys))
-	sAddrs := ports[:len(sKeys)]
-	cAddrs := ports[len(sKeys):]
-	for i, k := range sKeys {
-		roster[memberID(grp, k)] = sAddrs[i]
-	}
-	for i, k := range cKeys {
-		roster[memberID(grp, k)] = cAddrs[i]
-	}
-	driveChurnScenario(t, grp, sKeys, cKeys, func(role dissent.Role, i int) []dissent.Option {
-		addr := sAddrs
-		if role == dissent.RoleClient {
-			addr = cAddrs
-		}
-		return []dissent.Option{dissent.WithListenAddr(addr[i]), dissent.WithRoster(roster)}
-	})
+	place, _ := onTCP(t, grp, sKeys, cKeys)
+	driveChurnScenario(t, grp, sKeys, cKeys, place)
 }
 
 // driveJoinerScenario admits a brand-new member mid-session and checks
-// it becomes a full participant. encodedKey is the joiner's identity
-// key in canonical encoding, pre-approved through Session.Admit on the
-// contact server (definition server 0) — exercising the closed
-// admission policy path.
-func driveJoinerScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys,
-	joiner *dissent.Node, encodedKey []byte,
-	extraOpts func(role dissent.Role, i int) []dissent.Option) {
+// it becomes a full participant. The joiner's key is pre-approved
+// through Session.Admit on the contact server (definition server 0) —
+// exercising the closed admission policy path — and then the joiner
+// opens on its own Host with joinOpts.
+func driveJoinerScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys, place placement,
+	jKeys dissent.Keys, joinHost *dissent.Host, joinOpts ...dissent.Option) {
 	t.Helper()
-	g := startGroup(t, grp, sKeys, cKeys, extraOpts)
+	g := startGroup(t, grp, sKeys, cKeys, place)
 	defer g.stop(t)
 
 	server := g.servers[0]
@@ -256,32 +235,14 @@ func driveJoinerScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissen
 	joined := server.Subscribe(dissent.EventMemberJoined)
 	waitEvent(t, "first certified round", rounds, func(dissent.Event) bool { return true }, 60*time.Second)
 
-	// Closed admission: pre-approve the joiner's key on the contact
-	// server (definition server 0), then run the joiner.
-	contactID := grp.Servers[0].ID
-	var contact *dissent.Node
-	for _, s := range g.servers {
-		if s.ID() == contactID {
-			contact = s
-		}
-	}
-	if contact == nil {
-		t.Fatal("contact server not running")
-	}
-	if err := contact.Admit(encodedKey); err != nil {
+	if err := contactServer(t, g, grp).Admit(dissent.EncodePublicKey(grp, jKeys)); err != nil {
 		t.Fatal(err)
 	}
-
-	joinCtx, cancelJoin := context.WithCancel(context.Background())
-	defer cancelJoin()
-	joinErr := make(chan error, 1)
-	go func() { joinErr <- joiner.Run(joinCtx) }()
-	defer func() {
-		cancelJoin()
-		if err := <-joinErr; err != nil {
-			t.Errorf("joiner Run returned %v", err)
-		}
-	}()
+	defer joinHost.Close()
+	joiner, err := joinHost.OpenJoiner(grp, jKeys, joinOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	waitEvent(t, "joiner admission", joined, func(e dissent.Event) bool {
 		return e.Culprit == joiner.ID()
@@ -293,7 +254,7 @@ func driveJoinerScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissen
 		t.Fatal(err)
 	}
 	deadline := time.After(60 * time.Second)
-	for _, node := range []*dissent.Node{g.clients[0], joiner} {
+	for _, node := range []*dissent.Session{g.clients[0], joiner} {
 		for {
 			var got dissent.RoundOutput
 			var ok bool
@@ -315,6 +276,20 @@ func driveJoinerScenario(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissen
 	}
 }
 
+// contactServer returns the running session of definition server 0, the
+// server a joiner contacts (startGroup orders sessions by key, not by
+// definition index).
+func contactServer(t *testing.T, g *sdkGroup, grp *dissent.Group) *dissent.Session {
+	t.Helper()
+	for _, s := range g.servers {
+		if s.ID() == grp.Servers[0].ID {
+			return s
+		}
+	}
+	t.Fatal("contact server not running")
+	return nil
+}
+
 // TestJoinerOverSimNet admits a new member over the in-process fabric.
 func TestJoinerOverSimNet(t *testing.T) {
 	policy := churnPolicy()
@@ -325,18 +300,13 @@ func TestJoinerOverSimNet(t *testing.T) {
 	}
 	net := dissent.NewSimNet()
 	defer net.Close()
-	joiner, err := dissent.NewJoiner(grp, jKeys, dissent.WithTransport(net))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveJoinerScenario(t, grp, sKeys, cKeys, joiner, dissent.EncodePublicKey(grp, jKeys),
-		func(dissent.Role, int) []dissent.Option {
-			return []dissent.Option{dissent.WithTransport(net)}
-		})
+	driveJoinerScenario(t, grp, sKeys, cKeys, onSimNet(net),
+		jKeys, newHost(t, dissent.WithHostSimNet(net)))
 }
 
 // TestJoinerOverTCP admits a new member over loopback TCP: the joiner
-// advertises its listen address and servers attach it mid-session.
+// runs on a Host of its own, advertises that Host's address, and
+// servers attach it to their fabric mid-session.
 func TestJoinerOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
@@ -348,33 +318,14 @@ func TestJoinerOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roster := dissent.Roster{}
-	ports := reservePorts(t, len(sKeys)+len(cKeys)+1)
-	sAddrs := ports[:len(sKeys)]
-	cAddrs := ports[len(sKeys) : len(sKeys)+len(cKeys)]
-	jAddr := ports[len(sKeys)+len(cKeys)]
-	for i, k := range sKeys {
-		roster[memberID(grp, k)] = sAddrs[i]
-	}
-	for i, k := range cKeys {
-		roster[memberID(grp, k)] = cAddrs[i]
-	}
+	// Bound before the members' ports are reserved, so none of them can
+	// be handed the joiner's port.
+	joinHost := newHost(t, dissent.WithHostListenAddr("127.0.0.1:0"))
+	place, roster := onTCP(t, grp, sKeys, cKeys)
 	// The joiner's roster needs only the servers it contacts; its own
 	// address travels in the join request (WithAdvertiseAddr) and is
 	// attached to the server fabric by the roster update.
-	joiner, err := dissent.NewJoiner(grp, jKeys,
-		dissent.WithListenAddr(jAddr),
-		dissent.WithAdvertiseAddr(jAddr),
+	driveJoinerScenario(t, grp, sKeys, cKeys, place, jKeys, joinHost,
+		dissent.WithAdvertiseAddr(joinHost.Addr()),
 		dissent.WithRoster(roster))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveJoinerScenario(t, grp, sKeys, cKeys, joiner, dissent.EncodePublicKey(grp, jKeys),
-		func(role dissent.Role, i int) []dissent.Option {
-			addr := sAddrs
-			if role == dissent.RoleClient {
-				addr = cAddrs
-			}
-			return []dissent.Option{dissent.WithListenAddr(addr[i]), dissent.WithRoster(roster)}
-		})
 }

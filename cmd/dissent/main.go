@@ -139,12 +139,20 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Only server key files carry a message-shuffle key. Refuse one
+	// before anything binds, or this process would briefly run as that
+	// server.
+	if keys.MsgShuffle != nil {
+		return errors.New("key file belongs to a server, not a client (run servers with dissentd)")
+	}
 
-	node, err := dissent.NewClient(grp, keys,
-		dissent.WithListenAddr(*listen),
-		dissent.WithRoster(roster),
-		dissent.WithErrorHandler(func(err error) { log.Printf("error: %v", err) }),
-	)
+	host, err := dissent.NewHost(dissent.WithHostListenAddr(*listen),
+		dissent.WithHostErrorHandler(func(err error) { log.Printf("error: %v", err) }))
+	if err != nil {
+		return err
+	}
+	defer host.Close()
+	node, err := host.OpenSession(grp, keys, dissent.WithRoster(roster))
 	if err != nil {
 		return err
 	}
@@ -216,9 +224,10 @@ func run(args []string) error {
 	gid := grp.GroupID()
 	log.Printf("client %s (index %d) in group %x, upstream server %d",
 		node.ID(), node.Index(), gid[:8], grp.UpstreamServer(node.Index()))
-	err = node.Run(ctx)
-	if err == nil {
-		log.Print("shutting down")
+	select {
+	case <-ctx.Done():
+	case <-node.Done():
 	}
-	return err
+	log.Print("shutting down")
+	return nil
 }

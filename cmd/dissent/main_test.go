@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dissent/dissentcfg"
 )
 
 // TestRunRejectsBadInputs checks that every pre-serve failure path
@@ -21,18 +24,37 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A server's key file is refused before the client binds anything:
+	// the test holds the -listen address, so a client that got as far
+	// as its Host would fail with a different error.
+	if _, err := dissentcfg.Generate(dir, dissentcfg.GenerateConfig{
+		Servers: 1, Clients: 1, MessageGroup: "modp-512-test", BeaconEpochRounds: 0,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
 	cases := []struct {
 		name string
 		args []string
+		want string // substring of the error ("" = any error)
 	}{
-		{"unknown flag", []string{"-definitely-not-a-flag"}},
-		{"missing group file", []string{"-group", missing}},
-		{"missing key file", []string{"-group", missing, "-key", missing}},
+		{"unknown flag", []string{"-definitely-not-a-flag"}, ""},
+		{"missing group file", []string{"-group", missing}, ""},
+		{"missing key file", []string{"-group", missing, "-key", missing}, ""},
+		{"server key file", []string{"-group", filepath.Join(dir, "group.json"),
+			"-key", filepath.Join(dir, "server-0.key"), "-roster", filepath.Join(dir, "roster.json"),
+			"-listen", held.Addr().String()}, "belongs to a server"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := run(tc.args); err == nil {
-				t.Errorf("run(%v) succeeded, want error", tc.args)
+			err := run(tc.args)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
 			}
 		})
 	}

@@ -4,41 +4,42 @@
 // (Wolinsky, Corrigan-Gibbs, Ford, Johnson — OSDI 2012), exposed as an
 // embeddable SDK.
 //
-// Applications interact with one type: Node. A Node is a group member
-// — anytrust server or anonymity-set client — bound to a Transport,
-// with a context-based lifecycle:
+// Every member — anytrust server or anonymity-set client — is one
+// Session on a Host. A deployment runs one TCP Host per member process:
 //
 //	grp, _ := dissentcfg.LoadGroup("group.json")
 //	keys, _ := dissentcfg.LoadKeys("client-0.key", grp)
-//	node, _ := dissent.NewClient(grp, keys,
-//		dissent.WithListenAddr(":7100"), dissent.WithRoster(roster))
-//	go node.Run(ctx)                       // owns transport, timers, shutdown
-//	node.Send(ctx, []byte("anonymous"))    // queue into our pseudonym slot
-//	for m := range node.Messages() { ... } // the channel's cleartext
-//	for e := range node.Subscribe(dissent.EventRoundComplete) { ... }
+//	host, _ := dissent.NewHost(dissent.WithHostListenAddr(":7100"))
+//	defer host.Close()                     // owns transport, timers, shutdown
+//	sess, _ := host.OpenSession(grp, keys, dissent.WithRoster(roster))
+//	sess.Send(ctx, []byte("anonymous"))    // queue into our pseudonym slot
+//	for m := range sess.Messages() { ... } // the channel's cleartext
+//	for e := range sess.Subscribe(dissent.EventRoundComplete) { ... }
 //
 // Rounds, slots, ciphertexts, shuffles, and certification stay behind
 // the API: Send fragments payloads across certified DC-net rounds and
 // Messages surfaces every slot's decoded output, attributed only to an
-// unlinkable pseudonym slot. Two Transport implementations ship —
-// TCP for deployment and SimNet for in-process groups (tests, the
-// quickstart example, embedded simulations) — and custom ones plug in
-// through the same interface.
+// unlinkable pseudonym slot. A Host runs over one of two fabrics — a
+// TCP listener for deployment (WithHostListenAddr), or a SimNet for
+// in-process groups (WithHostSimNet: tests, the quickstart example,
+// embedded simulations).
 //
 // # Hosts and Sessions
 //
-// Processes that serve many groups at once use Host instead of
-// individual Nodes. A Session is the per-group engine unit — its own
-// protocol engine, timers, beacon chain, schedule certificate, and
-// Send/Messages/Subscribe channels — and a Node is exactly one Session
-// bound to a Run(ctx) lifecycle. A Host multiplexes many Sessions over
-// one shared fabric (a single TCP listener, or one SimNet hub):
+// A Session is the per-group engine unit — its own protocol engine,
+// timers, beacon chain, schedule certificate, and
+// Send/Messages/Subscribe channels. Processes that serve many groups
+// at once open several Sessions on one Host, which multiplexes them
+// over its one fabric (a single TCP listener, or one SimNet hub):
 //
 //	host, _ := dissent.NewHost(dissent.WithHostListenAddr(":7000"))
 //	a, _ := host.OpenSession(groupA, keysA, dissent.WithRoster(rosterA))
 //	b, _ := host.OpenSession(groupB, keysB, dissent.WithRoster(rosterB))
 //	for m := range a.Messages() { ... }     // sessions never share messages
 //	host.CloseSession(a.SessionID())        // b keeps running
+//
+// A member whose key is not yet in the group enters mid-session with
+// Host.OpenJoiner.
 //
 // Sessions are identified by their group's self-certifying ID; on the
 // wire every frame carries that session tag, so the shared listener
@@ -48,7 +49,7 @@
 // window timings — are snapshots from Metrics; DebugHandler serves
 // them as Prometheus text and JSON.
 //
-// Randomness-beacon access hangs off the Node: BeaconChain returns the
+// Randomness-beacon access hangs off the Session: BeaconChain returns the
 // verified replica, WithBeaconHTTP serves it (plus the schedule
 // certificate anchoring the chain's session-bound genesis), and
 // SyncBeacon is the external verifier's fetch-and-verify path.

@@ -16,9 +16,10 @@ import (
 	"dissent/dissentcfg"
 )
 
-// ExampleNewServer runs one anytrust-server membership over TCP from
-// the files keygen produces: the standard single-group deployment.
-func ExampleNewServer() {
+// ExampleNewHost runs one anytrust-server membership over TCP from the
+// files keygen produces: the standard single-group deployment, a Host
+// with one session.
+func ExampleNewHost() {
 	grp, err := dissentcfg.LoadGroup("group.json")
 	if err != nil {
 		log.Fatal(err)
@@ -32,20 +33,19 @@ func ExampleNewServer() {
 		log.Fatal(err)
 	}
 
-	node, err := dissent.NewServer(grp, keys,
-		dissent.WithListenAddr(":7000"),
-		dissent.WithRoster(roster))
+	// The host owns the listener, the session's timers, and graceful
+	// shutdown; serve until SIGINT/SIGTERM, then Close.
+	host, err := dissent.NewHost(dissent.WithHostListenAddr(":7000"))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Run owns the transport, timers, and graceful shutdown; cancel
-	// the context (here: SIGINT/SIGTERM) to stop serving.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if err := node.Run(ctx); err != nil {
+	defer host.Close()
+	if _, err := host.OpenSession(grp, keys, dissent.WithRoster(roster)); err != nil {
 		log.Fatal(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	<-ctx.Done()
 }
 
 // ExampleHost_OpenSession shards two independent groups behind one
@@ -95,15 +95,15 @@ func ExampleHost_OpenSession() {
 	}
 }
 
-// ExampleNode_Subscribe watches protocol events — here round
+// ExampleSession_Subscribe watches protocol events — here round
 // certifications and blame verdicts — without touching the message
 // stream.
-func ExampleNode_Subscribe() {
-	var node *dissent.Node // built with NewServer or NewClient
+func ExampleSession_Subscribe() {
+	var sess *dissent.Session // from Host.OpenSession
 
-	events := node.Subscribe(dissent.EventRoundComplete, dissent.EventBlameVerdict)
+	events := sess.Subscribe(dissent.EventRoundComplete, dissent.EventBlameVerdict)
 	go func() {
-		for e := range events { // channel closes when the node shuts down
+		for e := range events { // channel closes when the session shuts down
 			switch e.Kind {
 			case dissent.EventRoundComplete:
 				fmt.Printf("round %d certified\n", e.Round)

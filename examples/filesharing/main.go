@@ -44,30 +44,24 @@ func main() {
 	grp, err := dissent.NewGroup("filesharing", serverKeys, clientKeys, policy)
 	must(err)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx := context.Background()
 	net := dissent.NewSimNet()
-	var watch *dissent.Node
-	var clientNodes []*dissent.Node
+	var watch *dissent.Session
+	var clientSessions []*dissent.Session
 	for _, k := range serverKeys {
-		n, err := dissent.NewServer(grp, k, dissent.WithTransport(net))
-		must(err)
+		s := member(net, grp, k)
 		if watch == nil {
-			watch = n
+			watch = s
 		}
-		go n.Run(ctx)
 	}
 	for _, k := range clientKeys {
-		n, err := dissent.NewClient(grp, k, dissent.WithTransport(net))
-		must(err)
-		clientNodes = append(clientNodes, n)
-		go n.Run(ctx)
+		clientSessions = append(clientSessions, member(net, grp, k))
 	}
 
 	// One sender, many cover-traffic peers. The sender's payload is
 	// fragmented across rounds by the SDK; the application only sees
 	// whole Send calls and per-round slot output.
-	sender := clientNodes[0]
+	sender := clientSessions[0]
 	payload := make([]byte, chunkSize)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -84,7 +78,7 @@ func main() {
 	for received < want {
 		m, ok := <-watch.Messages()
 		if !ok {
-			log.Fatal("node stopped early")
+			log.Fatal("session stopped early")
 		}
 		if len(m.Data) == 0 {
 			continue
@@ -106,4 +100,15 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// member runs one group member as the only session of a Host of its
+// own on the shared in-process fabric; in a deployment each member is
+// its own process on a TCP Host (dissent.WithHostListenAddr).
+func member(net *dissent.SimNet, grp *dissent.Group, k dissent.Keys) *dissent.Session {
+	host, err := dissent.NewHost(dissent.WithHostSimNet(net))
+	must(err)
+	sess, err := host.OpenSession(grp, k)
+	must(err)
+	return sess
 }

@@ -59,23 +59,17 @@ func main() {
 		return 50 * time.Millisecond
 	})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var watch *dissent.Node
-	var clientNodes []*dissent.Node
+	ctx := context.Background()
+	var watch *dissent.Session
+	var clientSessions []*dissent.Session
 	for _, k := range serverKeys {
-		n, err := dissent.NewServer(grp, k, dissent.WithTransport(net))
-		must(err)
+		s := member(net, grp, k)
 		if watch == nil {
-			watch = n
+			watch = s
 		}
-		go n.Run(ctx)
 	}
 	for _, k := range clientKeys {
-		n, err := dissent.NewClient(grp, k, dissent.WithTransport(net))
-		must(err)
-		clientNodes = append(clientNodes, n)
-		go n.Run(ctx)
+		clientSessions = append(clientSessions, member(net, grp, k))
 	}
 
 	// ~2 posters (the paper's ~2% at scale) carry a backlog of
@@ -85,7 +79,7 @@ func main() {
 		posters = 1
 	}
 	for i := 0; i < posters; i++ {
-		c := clientNodes[i*(*clients)/posters]
+		c := clientSessions[i*(*clients)/posters]
 		for k := 0; k < *rounds+2; k++ {
 			must(c.Send(ctx, []byte(fmt.Sprintf("post %d from an anonymous source, round-sized padding......", k))))
 		}
@@ -110,7 +104,7 @@ func main() {
 	for done := 0; done < *rounds; {
 		e, ok := <-completions
 		if !ok {
-			log.Fatal("node stopped early")
+			log.Fatal("session stopped early")
 		}
 		now := time.Now()
 		postsMu.Lock()
@@ -128,4 +122,15 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// member runs one group member as the only session of a Host of its
+// own on the shared in-process fabric; in a deployment each member is
+// its own process on a TCP Host (dissent.WithHostListenAddr).
+func member(net *dissent.SimNet, grp *dissent.Group, k dissent.Keys) *dissent.Session {
+	host, err := dissent.NewHost(dissent.WithHostSimNet(net))
+	must(err)
+	sess, err := host.OpenSession(grp, k)
+	must(err)
+	return sess
 }

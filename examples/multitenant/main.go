@@ -30,8 +30,7 @@ func main() {
 	policy.WindowMin = 10 * time.Millisecond
 	policy.DefaultOpenLen = 128
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx := context.Background()
 
 	// One fabric, one host, many groups.
 	net := dissent.NewSimNet()
@@ -41,7 +40,7 @@ func main() {
 	defer host.Close()
 
 	sessions := make([]*dissent.Session, tenants)
-	clients := make([][]*dissent.Node, tenants)
+	clients := make([][]*dissent.Session, tenants)
 	for tenant := 0; tenant < tenants; tenant++ {
 		// Each tenant is a complete independent group.
 		var serverKeys, clientKeys []dissent.Keys
@@ -64,18 +63,13 @@ func main() {
 		must(err)
 		sessions[tenant] = sess
 
-		// The remaining members run as standalone Nodes on the same
+		// The remaining members run on Hosts of their own on the same
 		// fabric — in a deployment these are other machines.
 		for _, k := range serverKeys[1:] {
-			n, err := dissent.NewServer(grp, k, dissent.WithTransport(net))
-			must(err)
-			go n.Run(ctx)
+			member(net, grp, k)
 		}
 		for _, k := range clientKeys {
-			n, err := dissent.NewClient(grp, k, dissent.WithTransport(net))
-			must(err)
-			clients[tenant] = append(clients[tenant], n)
-			go n.Run(ctx)
+			clients[tenant] = append(clients[tenant], member(net, grp, k))
 		}
 		gid := grp.GroupID()
 		fmt.Printf("session %x open: %d servers, %d clients\n",
@@ -115,4 +109,15 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// member runs one group member as the only session of a Host of its
+// own on the shared in-process fabric; in a deployment each member is
+// its own process on a TCP Host (dissent.WithHostListenAddr).
+func member(net *dissent.SimNet, grp *dissent.Group, k dissent.Keys) *dissent.Session {
+	host, err := dissent.NewHost(dissent.WithHostSimNet(net))
+	must(err)
+	sess, err := host.OpenSession(grp, k)
+	must(err)
+	return sess
 }

@@ -1,9 +1,10 @@
 // Quickstart: a complete Dissent group — 3 anytrust servers and 8
 // clients — on the public SDK, running the full production path:
 // pseudonym-key submission, the verifiable scheduling shuffle,
-// certified DC-net rounds, and anonymous delivery. The group runs over
-// the in-process SimNet transport; swap in dissent.TCP (or just a
-// listen address and roster) and the same code is a deployment.
+// certified DC-net rounds, and anonymous delivery. Every member is a
+// session on a Host of its own over the in-process SimNet; give each
+// Host a listen address (and each session a roster) instead and the
+// same code is a deployment.
 package main
 
 import (
@@ -37,25 +38,19 @@ func main() {
 	gid := grp.GroupID()
 	fmt.Printf("group %x: %d servers, %d clients\n", gid[:8], len(grp.Servers), len(grp.Clients))
 
-	// 2. One Node per member, all sharing an in-process transport.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// 2. One Host per member, all sharing an in-process fabric.
+	ctx := context.Background()
 	net := dissent.NewSimNet()
-	var watch *dissent.Node // one server's view of the anonymous channel
-	var clients []*dissent.Node
+	var watch *dissent.Session // one server's view of the anonymous channel
+	var clients []*dissent.Session
 	for _, k := range serverKeys {
-		n, err := dissent.NewServer(grp, k, dissent.WithTransport(net))
-		must(err)
+		s := member(net, grp, k)
 		if watch == nil {
-			watch = n
+			watch = s
 		}
-		go n.Run(ctx)
 	}
 	for _, k := range clientKeys {
-		n, err := dissent.NewClient(grp, k, dissent.WithTransport(net))
-		must(err)
-		clients = append(clients, n)
-		go n.Run(ctx)
+		clients = append(clients, member(net, grp, k))
 	}
 	rounds := watch.Subscribe(dissent.EventRoundComplete)
 
@@ -77,4 +72,15 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// member runs one group member as the only session of a Host of its
+// own on the shared in-process fabric; in a deployment each member is
+// its own process on a TCP Host (dissent.WithHostListenAddr).
+func member(net *dissent.SimNet, grp *dissent.Group, k dissent.Keys) *dissent.Session {
+	host, err := dissent.NewHost(dissent.WithHostSimNet(net))
+	must(err)
+	sess, err := host.OpenSession(grp, k)
+	must(err)
+	return sess
 }

@@ -10,14 +10,16 @@ import (
 	"dissent/internal/transport"
 )
 
-// Host runs many concurrent Dissent sessions — one per group — in a
-// single process over one shared message fabric. The fabric (a TCP
-// listener carrying session-tagged frames, or an in-process SimNet
-// hub) is mechanism shared by every session; each session keeps its
-// own policy: engine, timers, beacon chain, schedule certificate, and
-// application channels. Sessions are opened and torn down
-// independently with OpenSession and CloseSession; Close shuts the
-// whole host down. All methods are safe for concurrent use.
+// Host runs Dissent sessions — one per group — in a single process
+// over one shared message fabric. It is the only way to run a member:
+// a lone server or client is a Host with one session, a multi-group
+// daemon a Host with many. The fabric (a TCP listener carrying
+// session-tagged frames, or an in-process SimNet hub) is mechanism
+// shared by every session; each session keeps its own policy: engine,
+// timers, beacon chain, schedule certificate, and application
+// channels. Sessions are opened and torn down independently with
+// OpenSession (or OpenJoiner) and CloseSession; Close shuts the whole
+// host down. All methods are safe for concurrent use.
 type Host struct {
 	cfg  hostConfig
 	log  *slog.Logger    // host logger, host-addr attr attached
@@ -130,16 +132,28 @@ func (h *Host) Addr() string {
 // OpenSession starts one group membership on the host's shared fabric
 // and returns its Session handle, already attached and running. The
 // member's role is located by its identity key within the definition
-// (servers need the message-shuffle key too, exactly as NewServer).
-// Over TCP, the session requires WithRoster — remote peers of this
-// group dial the host's shared address; WithTransport and
-// WithListenAddr do not apply to host sessions. One host runs at most
-// one membership per group.
+// (servers need the message-shuffle key too). Over TCP, the session
+// requires WithRoster — remote peers of this group dial the host's
+// shared address. One host runs at most one membership per group.
 func (h *Host) OpenSession(def *Group, keys Keys, opts ...Option) (*Session, error) {
-	role, err := memberRole(def, keys)
-	if err != nil {
-		return nil, err
-	}
+	return h.openSession(false, def, keys, opts)
+}
+
+// OpenJoiner starts a client session for a key that is not (yet) in the
+// group definition. The session sends a join request to a server; once
+// an epoch boundary's certified roster update admits the key
+// (Session.Admit on a server, or Policy.OpenAdmission), it bootstraps
+// from its upstream server's state snapshot and behaves like any
+// client. On a TCP host, pass WithAdvertiseAddr (the host's address)
+// so servers can dial the joiner mid-session, and a WithRoster that
+// covers the group's servers.
+func (h *Host) OpenJoiner(def *Group, keys Keys, opts ...Option) (*Session, error) {
+	return h.openSession(true, def, keys, opts)
+}
+
+// openSession builds a session, registers it, and attaches it to the
+// host's fabric.
+func (h *Host) openSession(joiner bool, def *Group, keys Keys, opts []Option) (*Session, error) {
 	// Sessions inherit the host's logger (host-addr attr included) and,
 	// when the embedder installed one, its error handler. Prepended, so
 	// per-session WithLogger/WithErrorHandler options still win; with no
@@ -149,22 +163,16 @@ func (h *Host) OpenSession(def *Group, keys Keys, opts ...Option) (*Session, err
 		inherited = append(inherited, WithErrorHandler(h.cfg.onError))
 	}
 	opts = append(inherited, opts...)
-	s, err := newMemberSession(role, def, keys, opts)
+	s, err := newMemberSession(joiner, def, keys, opts)
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.transport != nil {
-		return nil, errors.New("dissent: WithTransport does not apply to host sessions (the host supplies the fabric)")
-	}
-	if s.cfg.listenAddrSet {
-		return nil, errors.New("dissent: WithListenAddr does not apply to host sessions (they share the host's listener)")
-	}
 	if h.mesh != nil && s.cfg.roster == nil {
-		return nil, errors.New("dissent: OpenSession over TCP requires WithRoster")
+		return nil, errors.New("dissent: a session on a TCP host requires WithRoster")
 	}
 
 	sid := s.sid
-	s.onClose = h.sessionClosed
+	s.host = h
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -178,26 +186,24 @@ func (h *Host) OpenSession(def *Group, keys Keys, opts ...Option) (*Session, err
 	h.opened++
 	h.mu.Unlock()
 
-	var dial dialFunc
-	if h.sim != nil {
-		dial = func(recv func(*Message), onError func(error)) (Link, error) {
-			return h.sim.Dial(sid, s.id, recv, onError)
-		}
-	} else {
-		dial = func(recv func(*Message), onError func(error)) (Link, error) {
-			tsid := transport.SessionID(sid)
-			if err := h.mesh.Bind(tsid, s.cfg.roster, recv); err != nil {
-				return nil, err
-			}
-			return meshSessionLink{mesh: h.mesh, sid: tsid}, nil
-		}
-	}
-	if err := s.open(dial); err != nil {
+	if err := s.open(h.dial); err != nil {
 		// open shut the session down; sessionClosed already
 		// unregistered it.
 		return nil, err
 	}
 	return s, nil
+}
+
+// dial attaches one session to the host's fabric.
+func (h *Host) dial(s *Session) (link, error) {
+	if h.sim != nil {
+		return h.sim.dial(s.sid, s.id, s.inject)
+	}
+	tsid := transport.SessionID(s.sid)
+	if err := h.mesh.Bind(tsid, s.cfg.roster, s.inject); err != nil {
+		return nil, err
+	}
+	return meshSessionLink{mesh: h.mesh, sid: tsid}, nil
 }
 
 // CloseSession tears down the session running the given group,
@@ -250,8 +256,8 @@ func (h *Host) Expel(sid SessionID, id NodeID) error {
 	return s.Expel(id)
 }
 
-// sessionClosed is the Session.onClose hook: unregister and fold the
-// session's final counters into the host's cumulative totals.
+// sessionClosed runs once a session has shut down: unregister it and
+// fold its final counters into the host's cumulative totals.
 func (h *Host) sessionClosed(s *Session) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -333,9 +339,6 @@ func (h *Host) Metrics() HostMetrics {
 // in the server list makes the session a server, in the client list a
 // client.
 func memberRole(def *Group, keys Keys) (Role, error) {
-	if keys.Identity == nil {
-		return 0, errors.New("dissent: keys lack an identity keypair")
-	}
 	g := def.Group()
 	want := string(g.Encode(keys.Identity.Public))
 	for _, m := range def.Servers {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,23 +37,21 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// hostGroup is one group's worth of members: the host runs server 0,
-// the rest are standalone Nodes.
+// hostGroup is one group's worth of members: the shared host runs
+// server 0, every other member runs on a Host of its own.
 type hostGroup struct {
 	sKeys, cKeys []dissent.Keys
 	grp          *dissent.Group
 	sess         *dissent.Session // host-side membership (server 0)
-	peers        *sdkGroup        // standalone members
+	peers        *sdkGroup        // every other member
 	payload      string
 }
 
-// startHostGroup opens the group's server-0 membership on the host and
-// runs every other member as a standalone Node.
-func startHostGroup(t *testing.T, host *dissent.Host, g *hostGroup,
-	sessOpts func() []dissent.Option,
-	peerOpts func(role dissent.Role, i int) []dissent.Option) {
+// startHostGroup opens the group's server-0 membership on the shared
+// host and every other member on a Host of its own.
+func startHostGroup(t *testing.T, host *dissent.Host, g *hostGroup, sessOpts []dissent.Option, place placement) {
 	t.Helper()
-	sess, err := host.OpenSession(g.grp, g.sKeys[0], sessOpts()...)
+	sess, err := host.OpenSession(g.grp, g.sKeys[0], sessOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +62,11 @@ func startHostGroup(t *testing.T, host *dissent.Host, g *hostGroup,
 	if sess.SessionID() != dissent.GroupSessionID(g.grp) {
 		t.Fatal("session ID does not match the group ID")
 	}
-	g.peers = startGroup(t, g.grp, g.sKeys[1:], g.cKeys, func(role dissent.Role, i int) []dissent.Option {
+	g.peers = startGroup(t, g.grp, g.sKeys[1:], g.cKeys, func(role dissent.Role, i int) ([]dissent.HostOption, []dissent.Option) {
 		if role == dissent.RoleServer {
-			i++ // server 0 lives on the host
+			i++ // server 0 lives on the shared host
 		}
-		return peerOpts(role, i)
+		return place(role, i)
 	})
 }
 
@@ -156,11 +155,7 @@ func TestHostTwoSessionsSimNet(t *testing.T) {
 		g := &hostGroup{payload: fmt.Sprintf("tenant %d secret", i)}
 		g.sKeys, g.cKeys, g.grp = buildGroup(t, 2, 3, policy)
 		groups[i] = g
-		startHostGroup(t, host, g,
-			func() []dissent.Option { return nil },
-			func(dissent.Role, int) []dissent.Option {
-				return []dissent.Option{dissent.WithTransport(net)}
-			})
+		startHostGroup(t, host, g, nil, onSimNet(net))
 		defer g.peers.stop(t)
 	}
 	if got := len(host.Sessions()); got != 2 {
@@ -237,47 +232,17 @@ func TestHostTwoSessionsTCP(t *testing.T) {
 	defer host.Close()
 	hostAddr := host.Addr()
 
-	// Reserve every standalone member's port in one batch — the
-	// listeners stay open until all are allocated, so no two members
-	// can be handed the same port.
-	const perGroup = 1 + 3 // servers beyond the host's + clients
-	ports := reservePorts(t, 2*perGroup)
-
 	groups := make([]*hostGroup, 2)
 	for i := range groups {
 		g := &hostGroup{payload: fmt.Sprintf("tcp tenant %d secret", i)}
 		g.sKeys, g.cKeys, g.grp = buildGroup(t, 2, 3, policy)
 		groups[i] = g
 
-		// One roster per group: server 0 is the host's shared listener,
+		// One roster per group: server 0 is the shared host's listener,
 		// everyone else gets a loopback port of their own.
-		roster := dissent.Roster{}
-		batch := ports[i*perGroup : (i+1)*perGroup]
-		sAddrs := make([]string, len(g.sKeys))
-		cAddrs := make([]string, len(g.cKeys))
-		sAddrs[0] = hostAddr
-		for j := 1; j < len(g.sKeys); j++ {
-			sAddrs[j] = batch[j-1]
-		}
-		for j := range g.cKeys {
-			cAddrs[j] = batch[len(g.sKeys)-1+j]
-		}
-		for j, k := range g.sKeys {
-			roster[memberID(g.grp, k)] = sAddrs[j]
-		}
-		for j, k := range g.cKeys {
-			roster[memberID(g.grp, k)] = cAddrs[j]
-		}
-
-		startHostGroup(t, host, g,
-			func() []dissent.Option { return []dissent.Option{dissent.WithRoster(roster)} },
-			func(role dissent.Role, j int) []dissent.Option {
-				addr := sAddrs
-				if role == dissent.RoleClient {
-					addr = cAddrs
-				}
-				return []dissent.Option{dissent.WithListenAddr(addr[j]), dissent.WithRoster(roster)}
-			})
+		place, roster := onTCP(t, g.grp, g.sKeys, g.cKeys)
+		roster[memberID(g.grp, g.sKeys[0])] = hostAddr
+		startHostGroup(t, host, g, []dissent.Option{dissent.WithRoster(roster)}, place)
 		defer g.peers.stop(t)
 	}
 
@@ -294,8 +259,8 @@ func TestHostTwoSessionsTCP(t *testing.T) {
 }
 
 // TestHostOpenSessionErrors pins the host's validation paths: foreign
-// keys, duplicate sessions, missing roster over TCP, and use after
-// Close.
+// keys, duplicate sessions, joiner keys and groups the joiner path
+// refuses, missing roster over TCP, and use after Close.
 func TestHostOpenSessionErrors(t *testing.T) {
 	policy := testPolicy(nil)
 	sKeys, cKeys, grp := buildGroup(t, 2, 2, policy)
@@ -307,13 +272,21 @@ func TestHostOpenSessionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simHost, err := dissent.NewHost(dissent.WithHostSimNet(net))
-	if err != nil {
-		t.Fatal(err)
-	}
+	simHost := newHost(t, dissent.WithHostSimNet(net))
 	defer simHost.Close()
 	if _, err := simHost.OpenSession(grp, stranger); err == nil {
 		t.Error("OpenSession accepted keys outside the group")
+	}
+
+	// The joiner path passes the engine's refusals through: a key
+	// already in the group, and a group without membership churn
+	// (BeaconEpochRounds == 0) to join.
+	churnSKeys, churnCKeys, churnGrp := buildGroup(t, 2, 2, testPolicy(func(p *dissent.Policy) { p.BeaconEpochRounds = 4 }))
+	if _, err := simHost.OpenJoiner(churnGrp, churnCKeys[0]); err == nil || !strings.Contains(err.Error(), "already belongs") {
+		t.Errorf("OpenJoiner with a key already in the group: err = %v", err)
+	}
+	if _, err := simHost.OpenJoiner(grp, stranger); err == nil || !strings.Contains(err.Error(), "BeaconEpochRounds") {
+		t.Errorf("OpenJoiner on a group with BeaconEpochRounds == 0: err = %v", err)
 	}
 
 	// Role inference: client keys open a client session.
@@ -325,27 +298,24 @@ func TestHostOpenSessionErrors(t *testing.T) {
 		t.Errorf("role = %v, want client", sess.Role())
 	}
 
-	// One membership per group per host.
+	// One membership per group per host, joiners included.
 	if _, err := simHost.OpenSession(grp, cKeys[1]); err == nil {
 		t.Error("second membership of the same group accepted")
 	}
-
-	// Options that pick a private fabric are rejected loudly: host
-	// sessions share the host's listener.
-	if _, err := simHost.OpenSession(grp, sKeys[0], dissent.WithListenAddr(":7001")); err == nil {
-		t.Error("WithListenAddr on a host session accepted")
+	if _, err := simHost.OpenJoiner(churnGrp, stranger); err != nil {
+		t.Fatalf("OpenJoiner on a churn-enabled group: %v", err)
 	}
-	if _, err := simHost.OpenSession(grp, sKeys[0], dissent.WithTransport(net)); err == nil {
-		t.Error("WithTransport on a host session accepted")
+	if _, err := simHost.OpenSession(churnGrp, churnSKeys[0]); err == nil {
+		t.Error("a member session beside a joiner of the same group accepted")
 	}
 
 	// TCP hosts require a per-session roster.
-	tcpHost, err := dissent.NewHost(dissent.WithHostListenAddr("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tcpHost := newHost(t, dissent.WithHostListenAddr("127.0.0.1:0"))
 	if _, err := tcpHost.OpenSession(grp, sKeys[0]); err == nil {
 		t.Error("TCP OpenSession without a roster accepted")
+	}
+	if _, err := tcpHost.OpenJoiner(churnGrp, stranger); err == nil {
+		t.Error("TCP OpenJoiner without a roster accepted")
 	}
 	tcpHost.Close()
 	if _, err := tcpHost.OpenSession(grp, sKeys[0], dissent.WithRoster(dissent.Roster{})); err == nil {

@@ -160,16 +160,16 @@ func serveOrigin(ln net.Listener) {
 	}
 }
 
-// slotPeer adapts one client node to the socks package's byte-stream
+// slotPeer adapts one client session to the socks package's byte-stream
 // world: send queues into the anonymous channel, pump reassembles
 // frames from every *other* slot (payloads may split frames across
 // rounds, so each slot keeps its own remainder buffer).
 type slotPeer struct {
 	ctx  context.Context
-	node *dissent.Node
+	node *dissent.Session
 }
 
-func newSlotPeer(ctx context.Context, node *dissent.Node) *slotPeer {
+func newSlotPeer(ctx context.Context, node *dissent.Session) *slotPeer {
 	return &slotPeer{ctx: ctx, node: node}
 }
 
@@ -177,7 +177,7 @@ func (p *slotPeer) send(data []byte) {
 	p.node.Send(p.ctx, data)
 }
 
-// pump drains the node's anonymous channel, decoding frames from every
+// pump drains the session's anonymous channel, decoding frames from every
 // slot but its own and handing them to deliver.
 func (p *slotPeer) pump(deliver func([]socks.Frame)) {
 	rests := make(map[int][]byte)
@@ -218,7 +218,7 @@ type clusterBrowser struct {
 	flows map[uint32]chan socks.Frame
 }
 
-func newBrowser(ctx context.Context, node *dissent.Node, idRange uint32, origin string) *clusterBrowser {
+func newBrowser(ctx context.Context, node *dissent.Session, idRange uint32, origin string) *clusterBrowser {
 	br := &clusterBrowser{
 		peer:   newSlotPeer(ctx, node),
 		origin: origin,

@@ -184,7 +184,7 @@ func startByzantine(dep *deployment, plan *byzPlan, scr *scraper) (*byzRun, erro
 	for idx := range plan.serverGates {
 		r.targets[dep.grp.Servers[idx].ID] = "server"
 	}
-	var observer *dissent.Node
+	var observer *dissent.Session
 	for i, c := range dep.clients {
 		if _, byzantine := plan.clientGates[i]; byzantine {
 			r.targets[c.ID()] = "client"

@@ -29,9 +29,10 @@ type deployment struct {
 	grp     *dissent.Group
 	sid     dissent.SessionID
 	servers []serverHandle
-	// clients holds the in-process client nodes in definition order
-	// (both modes run clients in the driver process).
-	clients []*dissent.Node
+	// clients holds the in-process client sessions in definition order
+	// (both modes run clients in the driver process, each on a Host of
+	// its own).
+	clients []*dissent.Session
 	// sim is the hub for link-fault injection; nil in tcp mode.
 	sim  *dissent.SimNet
 	stop func()
@@ -108,8 +109,8 @@ func serveDebug(h http.Handler) (string, func(), error) {
 // deploySim stands the topology up in-process: one Host per server
 // over a shared SimNet hub (each host still serves its debug mux on a
 // real loopback listener, so scraping is uniform with tcp mode), and
-// one client Node per client key.
-func deploySim(ctx context.Context, m *material) (*deployment, error) {
+// one Host per client key.
+func deploySim(m *material) (*deployment, error) {
 	sim := dissent.NewSimNet()
 	sid := dissent.GroupSessionID(m.grp)
 	dep := &deployment{grp: m.grp, sid: sid, sim: sim}
@@ -159,31 +160,46 @@ func deploySim(ctx context.Context, m *material) (*deployment, error) {
 		})
 	}
 
-	cctx, cancelClients := context.WithCancel(ctx)
-	closers = append(closers, cancelClients)
+	clients, err := openClients(m, func(int) dissent.HostOption { return dissent.WithHostSimNet(sim) },
+		func(stop func()) { closers = append(closers, stop) })
+	if err != nil {
+		return fail(err)
+	}
+	dep.clients = clients
+	return dep, nil
+}
+
+// openClients runs every client key as the one session of a Host of its
+// own, in definition order: hostOpt places client i's Host on the
+// deployment's fabric, extra adds session options, and track receives
+// each Host's closer for the deployment's stop.
+func openClients(m *material, hostOpt func(i int) dissent.HostOption, track func(func()), extra ...dissent.Option) ([]*dissent.Session, error) {
+	var clients []*dissent.Session
 	for i, keys := range m.clientKeys {
-		cliOpts := []dissent.Option{
-			dissent.WithTransport(sim),
-			dissent.WithMessageBuffer(4096),
-			dissent.WithLogger(quietLogger()),
-			dissent.WithErrorHandler(func(error) {}),
+		host, err := dissent.NewHost(hostOpt(i),
+			dissent.WithHostLogger(quietLogger()),
+			dissent.WithHostErrorHandler(func(error) {}),
+		)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: client %d: %w", i, err)
 		}
+		track(func() { host.Close() })
+		opts := append([]dissent.Option{dissent.WithMessageBuffer(4096)}, extra...)
 		if m.pipelineDepth > 1 {
-			cliOpts = append(cliOpts, dissent.WithPipelineDepth(m.pipelineDepth))
+			opts = append(opts, dissent.WithPipelineDepth(m.pipelineDepth))
 		}
 		if m.byz != nil {
 			if g, ok := m.byz.clientGates[i]; ok {
-				cliOpts = append(cliOpts, dissent.WithInterdict(g.interdict()))
+				opts = append(opts, dissent.WithInterdict(g.interdict()))
 			}
 		}
-		node, err := dissent.NewClient(m.grp, keys, cliOpts...)
+		sess, err := host.OpenSession(m.grp, keys, opts...)
 		if err != nil {
-			return fail(fmt.Errorf("cluster: client %d: %w", i, err))
+			return nil, fmt.Errorf("cluster: client %d: %w", i, err)
 		}
-		go node.Run(cctx)
-		dep.clients = append(dep.clients, node)
+		clients = append(clients, sess)
 	}
-	return dep, nil
+	return clients, nil
 }
 
 // waitReady polls until every client's slot schedule is established or

@@ -118,8 +118,8 @@ func (w *workerProc) release() {
 // deployTCP stands the topology up multi-process: every server is a
 // spawned OS process (the orchestrator re-executes workerExe with
 // WorkerEnv pointing at a per-server config) listening on real
-// loopback TCP; clients run in the driver process, each with its own
-// listener, all wired through a rewritten roster.
+// loopback TCP; clients run in the driver process, each on a Host with
+// its own listener, all wired through a rewritten roster.
 func deployTCP(ctx context.Context, m *material, workerExe string) (*deployment, error) {
 	if workerExe == "" {
 		exe, err := os.Executable()
@@ -210,26 +210,16 @@ func deployTCP(ctx context.Context, m *material, workerExe string) (*deployment,
 		}
 	}
 
-	cctx, cancelClients := context.WithCancel(ctx)
-	closers = append(closers, cancelClients)
-	for i, keys := range m.clientKeys {
-		cliOpts := []dissent.Option{
-			dissent.WithListenAddr(fmt.Sprintf("127.0.0.1:%d", clientPorts[i])),
-			dissent.WithRoster(roster),
-			dissent.WithMessageBuffer(4096),
-			dissent.WithLogger(quietLogger()),
-			dissent.WithErrorHandler(func(error) {}),
-		}
-		if m.pipelineDepth > 1 {
-			cliOpts = append(cliOpts, dissent.WithPipelineDepth(m.pipelineDepth))
-		}
-		node, err := dissent.NewClient(m.grp, keys, cliOpts...)
-		if err != nil {
-			return fail(fmt.Errorf("cluster: client %d: %w", i, err))
-		}
-		go node.Run(cctx)
-		dep.clients = append(dep.clients, node)
+	clients, err := openClients(m,
+		func(i int) dissent.HostOption {
+			return dissent.WithHostListenAddr(fmt.Sprintf("127.0.0.1:%d", clientPorts[i]))
+		},
+		func(stop func()) { closers = append(closers, stop) },
+		dissent.WithRoster(roster))
+	if err != nil {
+		return fail(err)
 	}
+	dep.clients = clients
 	return dep, nil
 }
 

@@ -106,7 +106,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
 	if sc.Mode == ModeTCP {
 		dep, err = deployTCP(ctx, m, opts.WorkerExe)
 	} else {
-		dep, err = deploySim(ctx, m)
+		dep, err = deploySim(m)
 	}
 	if err != nil {
 		return nil, err

@@ -241,7 +241,7 @@ func driveChurnStorm(ctx context.Context, dep *deployment, w Workload, ws *workl
 // observe its own expulsion, then rejoins them all concurrently. It
 // repeats until `storms` cycles complete (0 = until ctx closes) and
 // returns the completed cycle count.
-func churnClients(ctx context.Context, dep *deployment, victims []*dissent.Node, storms int) (int, error) {
+func churnClients(ctx context.Context, dep *deployment, victims []*dissent.Session, storms int) (int, error) {
 	// Subscribe before the first expel so no event is missed.
 	expelled := make([]<-chan dissent.Event, len(victims))
 	for i, v := range victims {

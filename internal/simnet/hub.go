@@ -12,10 +12,10 @@ import (
 
 // Hub is the real-time sibling of the discrete-event Network: an
 // in-process message fabric connecting a set of nodes by ID, with an
-// optional latency model, running on the wall clock. It exists so the
-// public dissent SDK can offer the same Transport contract over an
-// in-memory medium as over TCP — tests and the quickstart example run
-// the production Node lifecycle without sockets.
+// optional latency model, running on the wall clock. It exists so a
+// dissent Host can run its sessions over an in-memory medium under the
+// same contract as over TCP — tests and the examples run the
+// production Host/Session lifecycle without sockets.
 //
 // Like the TCP mesh, the hub routes by (session, member): many
 // concurrent Dissent groups share one hub, each under its own session

@@ -286,16 +286,13 @@ func (s *Session) Metrics() SessionMetrics {
 	return m
 }
 
-// TransportMetrics returns the session's transport-health snapshot
-// when it is attached to the built-in TCP fabric, or nil (SimNet and
-// custom transports report nothing). Sessions hosted on one Host share
-// its mesh and therefore report the same snapshot.
+// TransportMetrics returns the transport-health snapshot of the
+// session's TCP fabric, or nil on a SimNet host (SimNet reports
+// nothing). Sessions on one Host share its mesh and therefore report
+// the same snapshot.
 func (s *Session) TransportMetrics() *TransportMetrics {
-	s.mu.Lock()
-	link := s.link
-	s.mu.Unlock()
-	if ms, ok := link.(meshStatser); ok {
-		return transportMetrics(ms.meshStats())
+	if s.host.mesh == nil {
+		return nil
 	}
-	return nil
+	return transportMetrics(s.host.mesh.Stats())
 }

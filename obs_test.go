@@ -125,9 +125,7 @@ func TestObservabilityDuringChurn(t *testing.T) {
 	rounds := sess.Subscribe(dissent.EventRoundComplete)
 	roster := sess.Subscribe(dissent.EventMemberExpelled, dissent.EventMemberJoined)
 
-	peers := startGroup(t, grp, sKeys[1:], cKeys, func(dissent.Role, int) []dissent.Option {
-		return []dissent.Option{dissent.WithTransport(net)}
-	})
+	peers := startGroup(t, grp, sKeys[1:], cKeys, onSimNet(net))
 	defer peers.stop(t)
 
 	ts := httptest.NewServer(host.DebugHandler())
@@ -161,7 +159,7 @@ func TestObservabilityDuringChurn(t *testing.T) {
 
 	// Expel a client (definition index 2: upstream server 0) and rejoin
 	// it, so the churn counters and roster version move.
-	var expellee *dissent.Node
+	var expellee *dissent.Session
 	for _, n := range peers.clients {
 		if n.Index() == 2 {
 			expellee = n

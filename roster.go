@@ -17,7 +17,7 @@ import (
 // observe churn through EventMemberJoined / EventMemberExpelled /
 // EventRosterChanged subscriptions, expelled clients re-enter with
 // Session.Rejoin, and brand-new members attach mid-session with
-// NewJoiner.
+// Host.OpenJoiner.
 
 // RosterMemberInfo describes one member in a roster snapshot.
 type RosterMemberInfo struct {
@@ -211,35 +211,3 @@ func (s *Session) unsubscribe(ch <-chan Event) {
 func EncodePublicKey(grp *Group, keys Keys) []byte {
 	return grp.Group().Encode(keys.Identity.Public)
 }
-
-// NewJoiner builds a client node for a key that is not (yet) in the
-// group definition. Run attaches it to the fabric and sends a join
-// request to a server; once an epoch boundary's certified roster update
-// admits the key (Session.Admit on a server, or Policy.OpenAdmission),
-// the node bootstraps from its upstream server's state snapshot and
-// behaves like any client. On TCP fabrics, pass WithAdvertiseAddr so
-// servers can dial the joiner mid-session.
-func NewJoiner(def *Group, keys Keys, opts ...Option) (*Node, error) {
-	if keys.Identity == nil {
-		return nil, errors.New("dissent: joiner keys lack an identity keypair")
-	}
-	s, coreOpts := newSessionShell(RoleClient, def, buildConfig(opts))
-	cl, err := core.NewJoinerClient(def, keys.Identity, s.cfg.advertiseAddr, coreOpts)
-	if err != nil {
-		return nil, err
-	}
-	s.client, s.engine, s.id = cl, cl, cl.ID()
-	return &Node{s: s}, nil
-}
-
-// Rejoin re-enters the group after expulsion; see Session.Rejoin.
-func (n *Node) Rejoin(ctx context.Context) error { return n.s.Rejoin(ctx) }
-
-// RosterVersion returns the node's current roster version.
-func (n *Node) RosterVersion() uint64 { return n.s.RosterVersion() }
-
-// Admit pre-approves a key for admission; see Session.Admit.
-func (n *Node) Admit(encodedPub []byte) error { return n.s.Admit(encodedPub) }
-
-// Expel queues a client's removal; see Session.Expel.
-func (n *Node) Expel(id NodeID) error { return n.s.Expel(id) }

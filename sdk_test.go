@@ -1,9 +1,10 @@
 package dissent_test
 
 // SDK integration tests: complete groups running to certified DC-net
-// rounds through the public dissent.Node API alone — over the
-// in-process SimNet transport and over real loopback TCP — plus the
-// beacon session-binding verifier path and lifecycle semantics.
+// rounds through the public API alone — every member a session on a
+// Host of its own, over the in-process SimNet and over real loopback
+// TCP — plus the beacon session-binding verifier path and lifecycle
+// semantics.
 
 import (
 	"context"
@@ -51,31 +52,78 @@ func buildGroup(t *testing.T, servers, clients int, policy dissent.Policy) ([]di
 	return sKeys, cKeys, grp
 }
 
-// sdkGroup is a running set of Nodes plus lifecycle bookkeeping.
+// placement puts one member (its role and key index i) on a Host of
+// its own: it returns that Host's options and the member's session
+// options.
+type placement func(role dissent.Role, i int) ([]dissent.HostOption, []dissent.Option)
+
+// onSimNet places every member on one shared SimNet.
+func onSimNet(net *dissent.SimNet, opts ...dissent.Option) placement {
+	return func(dissent.Role, int) ([]dissent.HostOption, []dissent.Option) {
+		return []dissent.HostOption{dissent.WithHostSimNet(net)}, opts
+	}
+}
+
+// onTCP places every member on a loopback listener of its own, wired
+// through one roster. The roster is returned so a test can re-point an
+// entry before the group starts (the mesh reads it at send time).
+func onTCP(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys, opts ...dissent.Option) (placement, dissent.Roster) {
+	t.Helper()
+	// One batch, so no two members are handed the same port.
+	ports := reservePorts(t, len(sKeys)+len(cKeys))
+	sAddrs, cAddrs := ports[:len(sKeys)], ports[len(sKeys):]
+	roster := dissent.Roster{}
+	for i, k := range sKeys {
+		roster[memberID(grp, k)] = sAddrs[i]
+	}
+	for i, k := range cKeys {
+		roster[memberID(grp, k)] = cAddrs[i]
+	}
+	opts = append(opts, dissent.WithRoster(roster))
+	return func(role dissent.Role, i int) ([]dissent.HostOption, []dissent.Option) {
+		addrs := sAddrs
+		if role == dissent.RoleClient {
+			addrs = cAddrs
+		}
+		return []dissent.HostOption{dissent.WithHostListenAddr(addrs[i])}, opts
+	}, roster
+}
+
+// newHost builds a Host or fails the test.
+func newHost(t *testing.T, opts ...dissent.HostOption) *dissent.Host {
+	t.Helper()
+	h, err := dissent.NewHost(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// sdkGroup is a running group, every member the one session of its own
+// Host.
 type sdkGroup struct {
-	servers []*dissent.Node
-	clients []*dissent.Node
-	cancel  context.CancelFunc
-	runErr  chan error
-	n       int
+	servers []*dissent.Session
+	clients []*dissent.Session
+	hosts   []*dissent.Host
 }
 
-func (g *sdkGroup) all() []*dissent.Node {
-	return append(append([]*dissent.Node(nil), g.servers...), g.clients...)
+func (g *sdkGroup) all() []*dissent.Session {
+	return append(append([]*dissent.Session(nil), g.servers...), g.clients...)
 }
 
-// stop cancels the group and waits for every Run to return.
+// stop closes every member's Host and checks each session shut down.
 func (g *sdkGroup) stop(t *testing.T) {
 	t.Helper()
-	g.cancel()
-	for i := 0; i < g.n; i++ {
+	for _, h := range g.hosts {
+		if err := h.Close(); err != nil {
+			t.Errorf("Host.Close returned %v", err)
+		}
+	}
+	for _, s := range g.all() {
 		select {
-		case err := <-g.runErr:
-			if err != nil {
-				t.Errorf("Run returned %v", err)
-			}
+		case <-s.Done():
 		case <-time.After(20 * time.Second):
-			t.Fatal("Run did not return after cancel")
+			t.Fatal("session did not shut down after its Host closed")
 		}
 	}
 }
@@ -92,32 +140,26 @@ func reservePort(t *testing.T) string {
 	return addr
 }
 
-// startGroup constructs and runs every node. extraOpts returns
-// per-node options: the transport wiring for this run, plus anything
-// the test adds for specific nodes.
-func startGroup(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys,
-	extraOpts func(role dissent.Role, i int) []dissent.Option) *sdkGroup {
+// startGroup opens every member, each on a Host of its own placed by
+// place.
+func startGroup(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys, place placement) *sdkGroup {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	g := &sdkGroup{cancel: cancel, n: len(sKeys) + len(cKeys)}
-	g.runErr = make(chan error, g.n)
-	for i, k := range sKeys {
-		node, err := dissent.NewServer(grp, k, extraOpts(dissent.RoleServer, i)...)
+	g := &sdkGroup{}
+	open := func(role dissent.Role, i int, k dissent.Keys) *dissent.Session {
+		hostOpts, opts := place(role, i)
+		h := newHost(t, hostOpts...)
+		g.hosts = append(g.hosts, h)
+		s, err := h.OpenSession(grp, k, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.servers = append(g.servers, node)
+		return s
+	}
+	for i, k := range sKeys {
+		g.servers = append(g.servers, open(dissent.RoleServer, i, k))
 	}
 	for i, k := range cKeys {
-		node, err := dissent.NewClient(grp, k, extraOpts(dissent.RoleClient, i)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.clients = append(g.clients, node)
-	}
-	for _, node := range g.all() {
-		node := node
-		go func() { g.runErr <- node.Run(ctx) }()
+		g.clients = append(g.clients, open(dissent.RoleClient, i, k))
 	}
 	return g
 }
@@ -125,10 +167,9 @@ func startGroup(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys,
 // driveGroupToCertifiedRound is the acceptance scenario: a 3-server,
 // 8-client group reaches a certified round and delivers an anonymous
 // message end to end, through the public API alone.
-func driveGroupToCertifiedRound(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys,
-	extraOpts func(role dissent.Role, i int) []dissent.Option) {
+func driveGroupToCertifiedRound(t *testing.T, grp *dissent.Group, sKeys, cKeys []dissent.Keys, place placement) {
 	t.Helper()
-	g := startGroup(t, grp, sKeys, cKeys, extraOpts)
+	g := startGroup(t, grp, sKeys, cKeys, place)
 	defer g.stop(t)
 
 	rounds := g.servers[0].Subscribe(dissent.EventRoundComplete)
@@ -162,7 +203,7 @@ func driveGroupToCertifiedRound(t *testing.T, grp *dissent.Group, sKeys, cKeys [
 
 	// The anonymous payload surfaces at a server and at a client that
 	// did not send it — everyone observes the channel's cleartext.
-	for _, node := range []*dissent.Node{g.servers[1], g.clients[5]} {
+	for _, node := range []*dissent.Session{g.servers[1], g.clients[5]} {
 		found := false
 		for !found {
 			select {
@@ -180,7 +221,7 @@ func driveGroupToCertifiedRound(t *testing.T, grp *dissent.Group, sKeys, cKeys [
 	}
 
 	if err := g.servers[0].Send(context.Background(), []byte("x")); err == nil {
-		t.Error("Send on a server node succeeded")
+		t.Error("Send on a server session succeeded")
 	}
 }
 
@@ -192,13 +233,11 @@ func TestSDKGroupOverSimNet(t *testing.T) {
 	net := dissent.NewSimNet()
 	defer net.Close()
 	net.SetLatency(func(from, to dissent.NodeID) time.Duration { return time.Millisecond })
-	driveGroupToCertifiedRound(t, grp, sKeys, cKeys, func(dissent.Role, int) []dissent.Option {
-		return []dissent.Option{dissent.WithTransport(net)}
-	})
+	driveGroupToCertifiedRound(t, grp, sKeys, cKeys, onSimNet(net))
 }
 
 // TestSDKGroupOverTCP runs the same acceptance group over real
-// loopback TCP via the default transport (listen addr + roster).
+// loopback TCP: one Host per member on its own listener, one roster.
 func TestSDKGroupOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
@@ -206,29 +245,8 @@ func TestSDKGroupOverTCP(t *testing.T) {
 	policy := testPolicy(func(p *dissent.Policy) { p.WindowMin = 20 * time.Millisecond })
 	sKeys, cKeys, grp := buildGroup(t, 3, 8, policy)
 
-	// Reserve an address per member (in one batch, so no duplicates);
-	// the shared roster is completed before any node runs (nodes dial
-	// lazily at first send).
-	roster := dissent.Roster{}
-	ports := reservePorts(t, len(sKeys)+len(cKeys))
-	sAddrs := ports[:len(sKeys)]
-	cAddrs := ports[len(sKeys):]
-	opts := func(role dissent.Role, i int) []dissent.Option {
-		addr := sAddrs
-		if role == dissent.RoleClient {
-			addr = cAddrs
-		}
-		return []dissent.Option{dissent.WithListenAddr(addr[i]), dissent.WithRoster(roster)}
-	}
-	for i, k := range sKeys {
-		id := memberID(grp, k)
-		roster[id] = sAddrs[i]
-	}
-	for i, k := range cKeys {
-		id := memberID(grp, k)
-		roster[id] = cAddrs[i]
-	}
-	driveGroupToCertifiedRound(t, grp, sKeys, cKeys, opts)
+	place, _ := onTCP(t, grp, sKeys, cKeys)
+	driveGroupToCertifiedRound(t, grp, sKeys, cKeys, place)
 }
 
 // memberID finds the definition ID for a keyset by public key.
@@ -249,41 +267,22 @@ func memberID(grp *dissent.Group, k dissent.Keys) dissent.NodeID {
 }
 
 // TestSDKClientsStartFirst pins the startup-order regression: clients
-// run (and fire their pseudonym submissions) well before any server
+// open (and fire their pseudonym submissions) well before any server
 // attaches. Early messages must buffer — at the transport for unborn
-// peers and at the Node until engine.Start runs — rather than racing
-// the engine into a clobbered state.
+// peers and at the Session until engine.Start runs — rather than
+// racing the engine into a clobbered state.
 func TestSDKClientsStartFirst(t *testing.T) {
 	policy := testPolicy(nil)
 	sKeys, cKeys, grp := buildGroup(t, 2, 3, policy)
 	net := dissent.NewSimNet()
 	defer net.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	runErr := make(chan error, len(sKeys)+len(cKeys))
-	var clients []*dissent.Node
-	for _, k := range cKeys {
-		n, err := dissent.NewClient(grp, k, dissent.WithTransport(net))
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, n)
-		go func() { runErr <- n.Run(ctx) }()
-	}
+	clients := startGroup(t, grp, nil, cKeys, onSimNet(net))
+	defer clients.stop(t)
 	time.Sleep(200 * time.Millisecond) // client submissions are in flight
-	var server0 *dissent.Node
-	for _, k := range sKeys {
-		n, err := dissent.NewServer(grp, k, dissent.WithTransport(net))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if server0 == nil {
-			server0 = n
-		}
-		go func() { runErr <- n.Run(ctx) }()
-	}
-	rounds := server0.Subscribe(dissent.EventRoundComplete)
+	servers := startGroup(t, grp, sKeys, nil, onSimNet(net))
+	defer servers.stop(t)
+	rounds := servers.servers[0].Subscribe(dissent.EventRoundComplete)
 	select {
 	case _, ok := <-rounds:
 		if !ok {
@@ -292,16 +291,10 @@ func TestSDKClientsStartFirst(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("no certified round: early client messages were lost or clobbered Start")
 	}
-	cancel()
-	for i := 0; i < len(sKeys)+len(cKeys); i++ {
-		if err := <-runErr; err != nil {
-			t.Errorf("Run returned %v", err)
-		}
-	}
 }
 
 // TestSDKBeaconSessionBinding runs a beacon-enabled group, serves the
-// chain over the node's beacon HTTP endpoint, and checks the external
+// chain over the session's beacon HTTP endpoint, and checks the external
 // verifier path: SyncBeacon authenticates the schedule certificate,
 // anchors at the session genesis, and a pre-session-anchored replica
 // rejects the live chain.
@@ -311,12 +304,13 @@ func TestSDKBeaconSessionBinding(t *testing.T) {
 	net := dissent.NewSimNet()
 	defer net.Close()
 	beaconAddr := reservePort(t)
-	g := startGroup(t, grp, sKeys, cKeys, func(role dissent.Role, i int) []dissent.Option {
-		opts := []dissent.Option{dissent.WithTransport(net)}
+	sim := onSimNet(net)
+	g := startGroup(t, grp, sKeys, cKeys, func(role dissent.Role, i int) ([]dissent.HostOption, []dissent.Option) {
+		hostOpts, opts := sim(role, i)
 		if role == dissent.RoleServer && i == 0 {
 			opts = append(opts, dissent.WithBeaconHTTP(beaconAddr))
 		}
-		return opts
+		return hostOpts, opts
 	})
 	defer g.stop(t)
 
@@ -359,16 +353,15 @@ func TestSDKBeaconSessionBinding(t *testing.T) {
 	}
 }
 
-// TestSDKShutdownClosesChannels checks the Run(ctx) lifecycle: cancel
-// closes Messages and subscription channels and Run returns nil.
+// TestSDKShutdownClosesChannels checks the Host lifecycle: Close
+// returns nil and closes the session's Messages and subscription
+// channels.
 func TestSDKShutdownClosesChannels(t *testing.T) {
 	policy := testPolicy(nil)
 	sKeys, cKeys, grp := buildGroup(t, 2, 2, policy)
 	net := dissent.NewSimNet()
 	defer net.Close()
-	g := startGroup(t, grp, sKeys, cKeys, func(dissent.Role, int) []dissent.Option {
-		return []dissent.Option{dissent.WithTransport(net)}
-	})
+	g := startGroup(t, grp, sKeys, cKeys, onSimNet(net))
 	node := g.clients[0]
 	events := node.Subscribe()
 	g.stop(t)

@@ -16,17 +16,39 @@ import (
 	"dissent/internal/obs"
 )
 
+// Role distinguishes the two kinds of group members.
+type Role int
+
+// Roles.
+const (
+	// RoleServer is one of the group's anytrust servers.
+	RoleServer Role = iota + 1
+	// RoleClient is an anonymity-set member.
+	RoleClient
+)
+
+func (r Role) String() string {
+	switch r {
+	case RoleServer:
+		return "server"
+	case RoleClient:
+		return "client"
+	default:
+		return "unknown"
+	}
+}
+
 // Session is one group membership running inside a process: a protocol
 // engine bound to a message fabric, with its own timers, beacon chain,
 // schedule certificate, and application channels. A Session is the
-// per-group unit of the SDK — a standalone Node wraps exactly one, and
-// a Host runs many concurrently over one shared listener, each
-// isolated from the others. Obtain one from Host.OpenSession (or
-// Node.Session); all methods are safe for concurrent use.
+// per-group unit of the SDK: a Host runs one or many concurrently over
+// one shared fabric, each isolated from the others. Obtain one from
+// Host.OpenSession or Host.OpenJoiner; all methods are safe for
+// concurrent use.
 type Session struct {
 	role Role
 	def  *Group
-	cfg  nodeConfig
+	cfg  sessionConfig
 	sid  SessionID
 
 	engine core.Engine
@@ -35,7 +57,7 @@ type Session struct {
 	id     NodeID
 
 	mu        sync.Mutex // engine lock; guards link/timer/lifecycle below
-	link      Link
+	link      link
 	beaconSrv *http.Server
 	timer     *time.Timer
 	timerAt   time.Time
@@ -52,11 +74,15 @@ type Session struct {
 	subs      []*subscription
 	msgs      chan RoundOutput
 	chansDone bool
+	// openEvents are the events the session's own open produced (a
+	// restored server's EventStateRestored). They precede any possible
+	// Subscribe call, so every subscription receives them first.
+	openEvents []Event
 
-	// onClose lets a supervising Host unregister the session once it
-	// has fully shut down; nil for standalone Nodes.
-	onClose func(*Session)
-	done    chan struct{}
+	// host is the supervising Host: shutdown unregisters the session
+	// from it, and TransportMetrics reads its fabric.
+	host *Host
+	done chan struct{}
 
 	stats counters
 
@@ -80,13 +106,34 @@ type subscription struct {
 	ch    chan Event
 }
 
-// dialFunc attaches a session to its message fabric.
-type dialFunc func(recv func(*Message), onError func(error)) (Link, error)
+// offer hands e to the subscription if its filter admits it, dropping
+// it rather than blocking when the subscriber lags.
+func (sub *subscription) offer(e Event) {
+	if sub.kinds != nil && !sub.kinds[e.Kind] {
+		return
+	}
+	select {
+	case sub.ch <- e:
+	default: // lagging subscriber: drop
+	}
+}
 
-// newSessionShell builds the Session scaffolding (channels, IDs,
-// config) shared by member sessions and joiner sessions, plus the core
-// engine options derived from the config.
-func newSessionShell(role Role, def *Group, cfg nodeConfig) (*Session, core.Options) {
+// newMemberSession builds the engine and channels for one membership:
+// a server or client named in the definition (its role located by its
+// identity key), or — joiner set — a client whose key is not (yet) in
+// it.
+func newMemberSession(joiner bool, def *Group, keys Keys, opts []Option) (*Session, error) {
+	if keys.Identity == nil {
+		return nil, errors.New("dissent: keys lack an identity keypair")
+	}
+	role := RoleClient
+	if !joiner {
+		var err error
+		if role, err = memberRole(def, keys); err != nil {
+			return nil, err
+		}
+	}
+	cfg := buildConfig(opts)
 	sid := GroupSessionID(def)
 	base := cfg.logger
 	if base == nil {
@@ -112,7 +159,6 @@ func newSessionShell(role Role, def *Group, cfg nodeConfig) (*Session, core.Opti
 		Logger:        logger,
 		OnRoundTrace:  s.onRoundTrace,
 		PipelineDepth: cfg.pipelineDepth,
-		Retry:         cfg.retry,
 		Interdict:     cfg.interdict,
 	}
 	if cfg.stateStore != nil {
@@ -129,7 +175,30 @@ func newSessionShell(role Role, def *Group, cfg nodeConfig) (*Session, core.Opti
 			coreOpts.BeaconStore = bs
 		}
 	}
-	return s, coreOpts
+
+	if role == RoleServer {
+		if keys.MsgShuffle == nil {
+			return nil, errors.New("dissent: server keys lack a message-shuffle keypair")
+		}
+		srv, err := core.NewServer(def, keys.Identity, keys.MsgShuffle, coreOpts)
+		if err != nil {
+			return nil, err
+		}
+		s.server, s.engine, s.id = srv, srv, srv.ID()
+		return s, nil
+	}
+	var cl *core.Client
+	var err error
+	if joiner {
+		cl, err = core.NewJoinerClient(def, keys.Identity, cfg.advertiseAddr, coreOpts)
+	} else {
+		cl, err = core.NewClient(def, keys.Identity, coreOpts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.client, s.engine, s.id = cl, cl, cl.ID()
+	return s, nil
 }
 
 // onRoundTrace receives one span record per completed round from the
@@ -173,34 +242,6 @@ func (s *Session) observeSpan(e Event) {
 // holds the last 128 rounds.
 func (s *Session) RecentTraces(n int) []RoundTrace {
 	return s.traces.Snapshot(n)
-}
-
-// newMemberSession builds the engine and channels for one membership.
-func newMemberSession(role Role, def *Group, keys Keys, opts []Option) (*Session, error) {
-	if keys.Identity == nil {
-		return nil, errors.New("dissent: keys lack an identity keypair")
-	}
-	s, coreOpts := newSessionShell(role, def, buildConfig(opts))
-	switch role {
-	case RoleServer:
-		if keys.MsgShuffle == nil {
-			return nil, errors.New("dissent: server keys lack a message-shuffle keypair")
-		}
-		srv, err := core.NewServer(def, keys.Identity, keys.MsgShuffle, coreOpts)
-		if err != nil {
-			return nil, err
-		}
-		s.server, s.engine, s.id = srv, srv, srv.ID()
-	case RoleClient:
-		cl, err := core.NewClient(def, keys.Identity, coreOpts)
-		if err != nil {
-			return nil, err
-		}
-		s.client, s.engine, s.id = cl, cl, cl.ID()
-	default:
-		return nil, errors.New("dissent: unknown role")
-	}
-	return s, nil
 }
 
 // ID returns the member's self-certifying node ID.
@@ -270,10 +311,10 @@ func (s *Session) BeaconChain() *BeaconChain {
 	return s.client.BeaconChain()
 }
 
-// open attaches the session to its fabric, starts the beacon HTTP
-// server when configured, and runs the engine's Start. It may be
-// called once; errors shut the session down (channels closed).
-func (s *Session) open(dial dialFunc) error {
+// open attaches the session to its fabric through dial, starts the
+// beacon HTTP server when configured, and runs the engine's Start. It
+// may be called once; errors shut the session down (channels closed).
+func (s *Session) open(dial func(*Session) (link, error)) error {
 	s.mu.Lock()
 	if s.started || s.closed {
 		s.mu.Unlock()
@@ -283,7 +324,7 @@ func (s *Session) open(dial dialFunc) error {
 	s.mu.Unlock()
 	s.stats.openedAt.Store(time.Now().UnixNano())
 
-	link, err := dial(s.inject, s.cfg.onError)
+	l, err := dial(s)
 	if err != nil {
 		s.shutdown()
 		return err
@@ -291,10 +332,10 @@ func (s *Session) open(dial dialFunc) error {
 	s.mu.Lock()
 	if s.closed { // closed between dial and here
 		s.mu.Unlock()
-		link.Close()
+		l.Close()
 		return errors.New("dissent: session closed during open")
 	}
-	s.link = link
+	s.link = l
 	s.mu.Unlock()
 
 	if s.cfg.beaconAddr != "" {
@@ -352,6 +393,10 @@ func (s *Session) open(dial dialFunc) error {
 	buffered := s.preStart
 	s.preStart = nil
 	s.mu.Unlock()
+	// The open's events are published and retained in one step, so every
+	// subscription sees them exactly once.
+	s.publish(out.Events, true)
+	out.Events = nil
 	s.dispatch(out)
 	// Replay messages that raced ahead of Start, in arrival order.
 	for _, m := range buffered {
@@ -389,9 +434,12 @@ func (s *Session) Send(ctx context.Context, data []byte) error {
 func (s *Session) Messages() <-chan RoundOutput { return s.msgs }
 
 // Subscribe returns a channel of protocol events, filtered to the
-// given kinds (none = every kind). Events are dropped rather than
-// blocking the protocol if the subscriber lags behind its 64-event
-// buffer. The channel closes when the session shuts down.
+// given kinds (none = every kind). The channel first carries the
+// events the session's open produced — EventStateRestored when a
+// server resumed from its state store — then live events. Events are
+// dropped rather than blocking the protocol if the subscriber lags
+// behind its 64-event buffer. The channel closes when the session
+// shuts down.
 func (s *Session) Subscribe(kinds ...EventKind) <-chan Event {
 	sub := &subscription{ch: make(chan Event, 64)}
 	if len(kinds) > 0 {
@@ -405,6 +453,9 @@ func (s *Session) Subscribe(kinds ...EventKind) <-chan Event {
 	if s.chansDone {
 		close(sub.ch)
 		return sub.ch
+	}
+	for _, e := range s.openEvents {
+		sub.offer(e)
 	}
 	s.subs = append(s.subs, sub)
 	return sub.ch
@@ -444,33 +495,27 @@ func (s *Session) dispatch(out *core.Output) {
 	for _, d := range out.Deliveries {
 		s.pushMessage(d)
 	}
-	for _, e := range out.Events {
-		s.stats.observe(e)
-		s.observeSpan(e)
-		s.pushEvent(e)
-	}
+	s.publish(out.Events, false)
 	if len(out.NewPeers) > 0 {
 		// Register members admitted mid-session with the fabric before
 		// transmitting: the welcome envelope below needs them routable.
 		s.mu.Lock()
-		link := s.link
+		l := s.link
 		s.mu.Unlock()
-		if pa, ok := link.(peerAdder); ok {
-			for _, p := range out.NewPeers {
-				if p.Addr == "" {
-					continue
-				}
-				if err := pa.AddPeer(p.ID, p.Addr); err != nil {
-					s.cfg.onError(err)
-				}
+		for _, p := range out.NewPeers {
+			if l == nil || p.Addr == "" {
+				continue
+			}
+			if err := l.AddPeer(p.ID, p.Addr); err != nil {
+				s.cfg.onError(err)
 			}
 		}
 	}
 	if len(out.Send) > 0 {
 		s.mu.Lock()
-		link, closed := s.link, s.closed
+		l, closed := s.link, s.closed
 		s.mu.Unlock()
-		if link != nil && !closed {
+		if l != nil && !closed {
 			// A broadcast is a run of envelopes carrying one *Message; it
 			// goes to the link as one send so the fabric frames it once.
 			for i := 0; i < len(out.Send); {
@@ -481,7 +526,7 @@ func (s *Session) dispatch(out *core.Output) {
 				}
 				s.stats.msgsOut.Add(uint64(len(to)))
 				s.stats.bytesOut.Add(uint64(len(to) * m.WireSize()))
-				if err := link.Send(to, m); err != nil {
+				if err := l.Send(to, m); err != nil {
 					s.cfg.onError(err)
 				}
 			}
@@ -512,19 +557,27 @@ func (s *Session) pushMessage(d RoundOutput) {
 	}
 }
 
-func (s *Session) pushEvent(e Event) {
+// publish feeds events to the session's counters and spans and to its
+// subscribers; retain also keeps them for subscriptions made later.
+func (s *Session) publish(events []Event, retain bool) {
+	if len(events) == 0 {
+		return
+	}
+	for _, e := range events {
+		s.stats.observe(e)
+		s.observeSpan(e)
+	}
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
+	if retain {
+		s.openEvents = events
+	}
 	if s.chansDone {
 		return
 	}
-	for _, sub := range s.subs {
-		if sub.kinds != nil && !sub.kinds[e.Kind] {
-			continue
-		}
-		select {
-		case sub.ch <- e:
-		default: // lagging subscriber: drop
+	for _, e := range events {
+		for _, sub := range s.subs {
+			sub.offer(e)
 		}
 	}
 }
@@ -588,9 +641,9 @@ func (s *Session) scheduleCert() *beacon.ScheduleCert {
 }
 
 // Close tears the session down: transport detached, timers stopped,
-// beacon HTTP server closed, application channels closed, and — when
-// the session runs under a Host — the host's registry updated. Close
-// is idempotent and returns nil once shutdown completes.
+// beacon HTTP server closed, application channels closed, and the
+// host's registry updated. Close is idempotent and returns nil once
+// shutdown completes.
 func (s *Session) Close() error {
 	s.shutdown()
 	return nil
@@ -607,7 +660,7 @@ func (s *Session) shutdown() {
 	if s.timer != nil {
 		s.timer.Stop()
 	}
-	link := s.link
+	l := s.link
 	s.link = nil
 	hs := s.beaconSrv
 	s.beaconSrv = nil
@@ -616,8 +669,8 @@ func (s *Session) shutdown() {
 	if hs != nil {
 		hs.Close()
 	}
-	if link != nil {
-		link.Close() // joins transport readers; late injects see closed
+	if l != nil {
+		l.Close() // joins transport readers; late injects see closed
 	}
 
 	s.subMu.Lock()
@@ -629,7 +682,5 @@ func (s *Session) shutdown() {
 	s.subMu.Unlock()
 
 	close(s.done)
-	if s.onClose != nil {
-		s.onClose(s)
-	}
+	s.host.sessionClosed(s)
 }

@@ -9,15 +9,16 @@ import (
 
 // SimNet is the in-process transport: a real-time message fabric with
 // an optional latency model, built on the same hub the discrete-event
-// simulator package provides. A group of Nodes sharing one SimNet runs
-// the full production protocol — signed messages, verifiable shuffle,
-// certified rounds — without sockets, making it the medium for tests,
-// examples, and embedded single-process deployments.
+// simulator package provides. A group whose members each run on a Host
+// over one SimNet (WithHostSimNet) runs the full production protocol —
+// signed messages, verifiable shuffle, certified rounds — without
+// sockets, making it the medium for tests, examples, and embedded
+// single-process deployments.
 //
 // Like the TCP fabric, one SimNet carries many concurrent groups: the
-// hub routes by (session, member), so a Host's sessions and standalone
-// Nodes of different groups share one SimNet without their messages
-// ever crossing sessions.
+// hub routes by (session, member), so the sessions of many Hosts and
+// many groups share one SimNet without their messages ever crossing
+// sessions.
 type SimNet struct {
 	hub *simnet.Hub
 }
@@ -29,7 +30,7 @@ func NewSimNet() *SimNet {
 
 // SetLatency installs a one-way propagation delay model (for example,
 // 10 ms server–server and 50 ms client–server to mimic the paper's
-// DeterLab topology). Call before any node runs; fn must be a pure
+// DeterLab topology). Call before any session opens; fn must be a pure
 // function of the endpoint pair so per-pair delivery order is
 // preserved.
 func (s *SimNet) SetLatency(fn func(from, to NodeID) time.Duration) {
@@ -65,11 +66,11 @@ func (s *SimNet) ScheduleLinkFault(a, b NodeID, spec FaultSpec, after, duration 
 // SetFaultSeed seeds the fault-injection RNG (default 1).
 func (s *SimNet) SetFaultSeed(seed int64) { s.hub.SetFaultSeed(seed) }
 
-// Close tears the network down, detaching every node of every session.
+// Close tears the network down, detaching every member of every session.
 func (s *SimNet) Close() { s.hub.Close() }
 
-// Dial implements Transport.
-func (s *SimNet) Dial(sid SessionID, self NodeID, recv func(*Message), onError func(error)) (Link, error) {
+// dial attaches member self of session sid to the hub.
+func (s *SimNet) dial(sid SessionID, self NodeID, recv func(*Message)) (link, error) {
 	if err := s.hub.AttachSession([32]byte(sid), self, func(p any) { recv(p.(*Message)) }); err != nil {
 		return nil, err
 	}
@@ -93,6 +94,8 @@ func (l *simLink) Send(to []NodeID, m *Message) error {
 }
 
 func (l *simLink) Addr() string { return "sim:" + l.self.String() }
+
+func (l *simLink) AddPeer(NodeID, string) error { return nil }
 
 func (l *simLink) Close() error {
 	l.net.hub.DetachSession([32]byte(l.sid), l.self)

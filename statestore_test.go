@@ -1,12 +1,14 @@
 package dissent_test
 
-// SDK-level durability tests: a server node backed by WithStateStore
-// is killed mid-session and a fresh process (a new Node over the same
-// store file) resumes the live session — through the public API alone.
+// SDK-level durability tests: a server session backed by
+// WithStateStore is killed mid-session and a fresh process (a new Host
+// and session over the same store file) resumes the live session —
+// through the public API alone.
 
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,10 +17,11 @@ import (
 
 // TestSDKServerRestartResumesFromStateStore kills a state-store-backed
 // server after the group has certified rounds, then restarts it as a
-// brand-new Node against the same store file. The restarted node must
-// fire EventStateRestored, rejoin the round pipeline without a fresh
-// setup, and observe new certified rounds — including a payload sent
-// only after the restart.
+// brand-new session on a fresh Host against the same store file. The
+// restarted session must resume from the store (EventStateRestored,
+// StateRestores 1), rejoin the round pipeline without a fresh setup,
+// and observe new certified rounds — including a payload sent only
+// after the restart.
 func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 	policy := testPolicy(func(p *dissent.Policy) { p.BeaconEpochRounds = 4 })
 	sKeys, cKeys, grp := buildGroup(t, 3, 4, policy)
@@ -32,48 +35,22 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Server 0 runs under its own context so it can be killed alone;
-	// the rest of the group shares one.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ctx0, kill0 := context.WithCancel(ctx)
-	defer kill0()
-
-	simOpts := func(dissent.Role, int) []dissent.Option {
-		return []dissent.Option{dissent.WithTransport(net)}
-	}
-	srv0, err := dissent.NewServer(grp, sKeys[0], dissent.WithTransport(net), dissent.WithStateStore(kv))
+	// Server 0 runs on a Host of its own so it can be killed alone; the
+	// rest of the group runs beside it.
+	host0 := newHost(t, dissent.WithHostSimNet(net))
+	defer host0.Close()
+	srv0, err := host0.OpenSession(grp, sKeys[0], dissent.WithStateStore(kv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run0 := make(chan error, 1)
-	go func() { run0 <- srv0.Run(ctx0) }()
-	var rest []*dissent.Node
-	for i, k := range sKeys[1:] {
-		n, err := dissent.NewServer(grp, k, simOpts(dissent.RoleServer, i+1)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest = append(rest, n)
-	}
-	for i, k := range cKeys {
-		n, err := dissent.NewClient(grp, k, simOpts(dissent.RoleClient, i)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest = append(rest, n)
-	}
-	runRest := make(chan error, len(rest))
-	for _, n := range rest {
-		n := n
-		go func() { runRest <- n.Run(ctx) }()
-	}
+	rest := startGroup(t, grp, sKeys[1:], cKeys, onSimNet(net))
+	defer rest.stop(t)
 
 	// Let the session establish its schedule and certify a few rounds
 	// so the store holds a mid-session snapshot worth resuming.
-	waitRounds := func(node *dissent.Node, n int, what string) {
+	waitRounds := func(sess *dissent.Session, n int, what string) {
 		t.Helper()
-		ch := node.Subscribe(dissent.EventRoundComplete)
+		ch := sess.Subscribe(dissent.EventRoundComplete)
 		deadline := time.After(60 * time.Second)
 		for i := 0; i < n; i++ {
 			select {
@@ -88,14 +65,13 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 	}
 	waitRounds(srv0, 3, "pre-kill rounds")
 
-	// Kill server 0 the way a crash looks to everyone else: its Run
-	// returns, its link detaches, its store file stays behind.
-	kill0()
+	// Kill server 0 the way a crash looks to everyone else: its Host
+	// closes, its link detaches, its store file stays behind.
+	if err := host0.Close(); err != nil {
+		t.Fatalf("killed server's Host.Close returned %v", err)
+	}
 	select {
-	case err := <-run0:
-		if err != nil {
-			t.Fatalf("killed server Run returned %v", err)
-		}
+	case <-srv0.Done():
 	case <-time.After(20 * time.Second):
 		t.Fatal("killed server did not stop")
 	}
@@ -103,9 +79,9 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: a brand-new Node (fresh process in real life) over the
-	// same store file. OpenStateStore must keep the snapshot — a wiped
-	// store here would silently fall back to a fresh setup and hang.
+	// Restart: a brand-new Host and session (fresh process in real life)
+	// over the same store file. OpenStateStore must keep the snapshot — a
+	// wiped store here would silently fall back to a fresh setup and hang.
 	kv2, err := dissent.OpenStateStore(storePath)
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +90,37 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 	if kv2.Len() == 0 {
 		t.Fatal("state store was cleared on reopen despite holding a session snapshot")
 	}
-	srv0b, err := dissent.NewServer(grp, sKeys[0], dissent.WithTransport(net), dissent.WithStateStore(kv2))
+	host0b := newHost(t, dissent.WithHostSimNet(net))
+	defer host0b.Close()
+
+	// The restore runs inside OpenSession. Subscriptions that race it
+	// (reaching the session through the Host while it opens) and one
+	// made afterwards must each carry EventStateRestored exactly once.
+	sid := dissent.GroupSessionID(grp)
+	racers := make(chan (<-chan dissent.Event), 4)
+	stopRacers := make(chan struct{})
+	defer close(stopRacers)
+	for i := 0; i < cap(racers); i++ {
+		go func() {
+			for {
+				if s := host0b.Session(sid); s != nil {
+					racers <- s.Subscribe(dissent.EventStateRestored)
+					return
+				}
+				select {
+				case <-stopRacers:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	srv0b, err := host0b.OpenSession(grp, sKeys[0], dissent.WithStateStore(kv2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := srv0b.Subscribe(dissent.EventStateRestored)
-	run0b := make(chan error, 1)
-	go func() { run0b <- srv0b.Run(ctx) }()
-
 	select {
 	case e, ok := <-restored:
 		if !ok {
@@ -131,6 +130,9 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("restarted server never fired EventStateRestored")
 	}
+	if n := srv0b.Metrics().StateRestores; n != 1 {
+		t.Fatalf("restarted server StateRestores = %d, want 1", n)
+	}
 
 	// The restarted server certifies new rounds with the group...
 	waitRounds(srv0b, 3, "post-restart rounds")
@@ -138,24 +140,30 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 	// ...and a payload sent only after the restart flows end to end,
 	// surfacing at the restarted server itself.
 	const payload = "sent after the restart"
-	if err := rest[len(rest)-1].Send(context.Background(), []byte(payload)); err != nil {
+	if err := rest.clients[len(rest.clients)-1].Send(context.Background(), []byte(payload)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(60 * time.Second)
-	for {
+	for surfaced := false; !surfaced; {
 		select {
 		case m, ok := <-srv0b.Messages():
 			if !ok {
 				t.Fatal("message channel closed early")
 			}
-			if string(m.Data) == payload {
-				if srv0b.Metrics().StateRestores != 1 {
-					t.Errorf("StateRestores = %d, want 1", srv0b.Metrics().StateRestores)
-				}
-				return
-			}
+			surfaced = string(m.Data) == payload
 		case <-deadline:
 			t.Fatal("post-restart payload never surfaced at the restarted server")
+		}
+	}
+
+	// Events reach a subscription synchronously, so by now every
+	// restore event any subscription will get sits in its buffer.
+	if n := len(restored); n != 0 {
+		t.Errorf("subscription made after the open got %d more EventStateRestored, want none", n)
+	}
+	for i := 0; i < cap(racers); i++ {
+		if n := len(<-racers); n != 1 {
+			t.Errorf("racing subscription %d got %d EventStateRestored, want 1", i, n)
 		}
 	}
 }

@@ -30,10 +30,10 @@ type (
 	// Roster maps node IDs to dialable TCP addresses.
 	Roster = transport.Roster
 	// Message is an opaque signed protocol message in transit between
-	// members; Transport implementations carry it whole.
+	// members, as an Interdict's Outbound hook sees it.
 	Message = core.Message
 	// Event is a notable protocol state transition surfaced through
-	// Node.Subscribe.
+	// Session.Subscribe.
 	Event = core.Event
 	// EventKind classifies events.
 	EventKind = core.EventKind
@@ -51,9 +51,6 @@ type (
 	RosterUpdate = group.RosterUpdate
 	// RosterMember is one admitted member inside a RosterUpdate.
 	RosterMember = group.RosterMember
-	// RetryPolicy tunes the engine's retransmission backoff (see
-	// WithRetryPolicy).
-	RetryPolicy = core.RetryPolicy
 	// Interdict is the scripted-byzantine-behavior hook robustness
 	// harnesses install via WithInterdict; production nodes leave it
 	// unset.
@@ -61,9 +58,6 @@ type (
 	// VectorInfo hands an Interdict.Vector hook the round's slot
 	// geometry.
 	VectorInfo = core.VectorInfo
-	// BlameTranscript is the durable record of one closed blame
-	// session, persisted per session in the state store.
-	BlameTranscript = core.BlameTranscript
 )
 
 // SessionID identifies one session — one group running on a process.
