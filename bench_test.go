@@ -3,8 +3,10 @@ package dissent
 // One benchmark per table/figure of the paper's evaluation (§5), each
 // running a scaled-down configuration of the exact harness behind
 // cmd/dissent-bench (the full-scale sweeps take minutes to hours; run
-// those via `go run ./cmd/dissent-bench -exp all`). Ablation
-// benchmarks quantify the design choices DESIGN.md calls out.
+// those via `go run ./cmd/dissent-bench -exp all`). The ablation
+// benchmarks quantify the design choices ARCHITECTURE.md describes:
+// M server-shared pads instead of all-pairs, key versus accusation
+// shuffles, the pad PRNG, and the servers' ciphertext combine.
 
 import (
 	"testing"

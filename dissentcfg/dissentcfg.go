@@ -17,22 +17,13 @@ import (
 	"dissent/internal/group"
 )
 
-// KeyFile is the on-disk form of a participant's private keys.
-type KeyFile struct {
+// keyFile is the on-disk form of a participant's private keys.
+type keyFile struct {
 	Role       string `json:"role"` // "server" or "client"
 	Private    string `json:"private"`
 	Public     string `json:"public"`
 	MsgPrivate string `json:"msgprivate,omitempty"`
 	MsgPublic  string `json:"msgpublic,omitempty"`
-}
-
-// WriteKeyFile stores a key file with private-key permissions.
-func WriteKeyFile(path string, kf KeyFile) error {
-	data, err := json.MarshalIndent(kf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o600)
 }
 
 // SaveKeys writes a member's keys as a key file: servers carry both
@@ -42,7 +33,7 @@ func SaveKeys(path string, keys dissent.Keys) error {
 		return fmt.Errorf("dissentcfg: keys lack an identity keypair")
 	}
 	keyGrp := crypto.P256()
-	kf := KeyFile{
+	kf := keyFile{
 		Role:    "client",
 		Private: keys.Identity.Private.Text(16),
 		Public:  hex.EncodeToString(keyGrp.Encode(keys.Identity.Public)),
@@ -52,7 +43,11 @@ func SaveKeys(path string, keys dissent.Keys) error {
 		kf.MsgPrivate = keys.MsgShuffle.Private.Text(16)
 		kf.MsgPublic = hex.EncodeToString(keys.MsgShuffle.Group.Encode(keys.MsgShuffle.Public))
 	}
-	return WriteKeyFile(path, kf)
+	data, err := json.MarshalIndent(kf, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o600) // private-key permissions
 }
 
 // LoadKeys parses a key file. The group definition supplies the
@@ -63,7 +58,7 @@ func LoadKeys(path string, grp *dissent.Group) (dissent.Keys, error) {
 	if err != nil {
 		return dissent.Keys{}, err
 	}
-	var kf KeyFile
+	var kf keyFile
 	if err := json.Unmarshal(data, &kf); err != nil {
 		return dissent.Keys{}, fmt.Errorf("parse %s: %w", path, err)
 	}

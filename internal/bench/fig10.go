@@ -7,7 +7,6 @@ import (
 
 	"dissent/internal/browse"
 	"dissent/internal/core"
-	"dissent/internal/group"
 	"dissent/internal/relay"
 	"dissent/internal/simnet"
 )
@@ -162,7 +161,6 @@ func runDissentBrowse(cfg Fig10Config, corpus []browse.Page, mkOrigin func(net *
 		Profile:        EmulabWiFi(),
 		SlotLen:        1024,
 		MaxSlotLen:     64 << 10,
-		Sign:           true,
 		MeasureCompute: 1.0,
 		Alpha:          0.9,
 		AlphaSet:       true,
@@ -245,5 +243,3 @@ func runDissentBrowse(cfg Fig10Config, corpus []browse.Page, mkOrigin func(net *
 	}
 	return stats, nil
 }
-
-var _ = group.NodeID{} // reserved for future per-node instrumentation

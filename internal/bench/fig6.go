@@ -73,7 +73,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Result, error) {
 			Clients:         cfg.Clients,
 			Profile:         profile,
 			SlotLen:         192, // small chat slots
-			Sign:            false,
+			MeasureCompute:  1.0,
 			Alpha:           0, // isolate the window policy (§5.1)
 			AlphaSet:        true,
 			WindowThreshold: pol.Threshold,

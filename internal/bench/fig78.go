@@ -59,7 +59,6 @@ func RunScalePoint(servers, clients int, sc Scenario, profile Profile, rounds in
 		Profile:        profile,
 		SlotLen:        slotLen,
 		MaxSlotLen:     maxSlot,
-		Sign:           false,
 		MeasureCompute: 1.0,
 		Alpha:          0.9,
 		AlphaSet:       true,

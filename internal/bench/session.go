@@ -79,9 +79,6 @@ type SessionConfig struct {
 	SlotLen int
 	// MaxSlotLen caps slot growth (0 = policy default).
 	MaxSlotLen int
-	// Sign enables per-message signatures (off for very large runs;
-	// their cost is charged analytically via the Compute hook).
-	Sign bool
 	// MeasureCompute charges real crypto execution time as virtual
 	// time (scale 1.0). Zero disables.
 	MeasureCompute float64
@@ -133,10 +130,8 @@ func BuildSession(cfg SessionConfig) (*Session, error) {
 
 	policy := group.DefaultPolicy()
 	policy.MessageGroup = "modp-512-test"
-	policy.SignMessages = cfg.Sign
 	policy.RetainRounds = 2 // bound memory at 5,000-client scale
-	// The beacon is not part of the paper's measured protocol, and its
-	// per-round Schnorr work would dominate unsigned 5,000-client runs.
+	// The beacon is not part of the paper's measured protocol.
 	policy.BeaconEpochRounds = 0
 	if cfg.SlotLen > 0 {
 		policy.DefaultOpenLen = cfg.SlotLen
@@ -179,10 +174,6 @@ func BuildSession(cfg SessionConfig) (*Session, error) {
 
 	opts := core.Options{
 		MessageGroup: msgGrp,
-		PairSeed: func(ci, si int) []byte {
-			return crypto.Hash("bench-pair", crypto.HashUint64(uint64(cfg.Seed)),
-				crypto.HashUint64(uint64(ci)), crypto.HashUint64(uint64(si)))
-		},
 		// Background prefetch would move pad work outside the engine
 		// calls whose real execution time MeasureCompute charges as
 		// virtual time; keep the simulator's cost accounting
@@ -252,17 +243,6 @@ func BuildSession(cfg SessionConfig) (*Session, error) {
 				return 0, true
 			}
 			return d, false
-		}
-	}
-
-	if !cfg.Sign {
-		// Charge signature work analytically: every protocol message
-		// would carry a signature the receiver verifies, and the sender
-		// would have signed it.
-		cm := Calibrate()
-		per := cm.SchnorrVrfy + cm.SchnorrSign
-		s.H.Compute = func(node group.NodeID, m *core.Message) time.Duration {
-			return per
 		}
 	}
 	return s, nil

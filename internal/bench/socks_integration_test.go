@@ -41,8 +41,7 @@ func TestSocksThroughDissent(t *testing.T) {
 	}()
 
 	s, err := BuildSession(SessionConfig{
-		Servers: 2, Clients: 4, Profile: EmulabWiFi(),
-		SlotLen: 512, Sign: true,
+		Servers: 2, Clients: 4, Profile: EmulabWiFi(), SlotLen: 512,
 		Alpha: 0.9, AlphaSet: true,
 		WindowMin: 10 * time.Millisecond, Seed: 99,
 	})

@@ -31,51 +31,42 @@ func (f *fixture) misbehaviorCount(kind string, culprit group.NodeID) int {
 	return n
 }
 
-// TestRetryPolicyBackoff pins the unified retransmission backoff:
-// exponential growth, cap, deterministic jitter within bounds, and the
-// Options override reaching both engine roles.
+// TestRetryPolicyBackoff pins the one retransmission backoff: each
+// role's base (serverRetryBase × WindowMin at servers,
+// submitResendInterval at clients), doubling per retry up to
+// backoffCap × base, a deterministic ±10 % jitter that decorrelates
+// seeds, and join requests and roster probes riding it after a fixed
+// joinProbeDelay.
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{}.withDefaults(100 * time.Millisecond)
-	if p.Base != 100*time.Millisecond || p.Cap != 800*time.Millisecond {
-		t.Fatalf("defaults: %+v", p)
-	}
-	prev := time.Duration(0)
-	for a := 0; a < 6; a++ {
-		d := p.delay(a, 42)
-		lo := time.Duration(float64(p.Base) * 0.9)
-		hi := time.Duration(float64(p.Cap) * 1.1)
-		if d < lo || d > hi {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v]", a, d, lo, hi)
+	f := newFixture(t, 2, 2, fixtureOpts{})
+	for _, tc := range []struct {
+		role string
+		b    backoff
+		base time.Duration
+	}{
+		{"server", f.servers[0].retry, 8 * f.def.Policy.WindowMin},
+		{"client", f.clients[0].retry, 2 * time.Second},
+	} {
+		if time.Duration(tc.b) != tc.base {
+			t.Fatalf("%s: base %v, want %v", tc.role, time.Duration(tc.b), tc.base)
 		}
-		if d != p.delay(a, 42) {
-			t.Fatalf("attempt %d: delay not deterministic", a)
+		for a, mult := range []time.Duration{1, 2, 4, 8, 8, 8} {
+			d, nominal := tc.b.delay(a, 42), mult*tc.base
+			if r := float64(d) / float64(nominal); r < 0.9 || r > 1.1 {
+				t.Fatalf("%s: retry %d: delay %v outside %v ± 10 %%", tc.role, a, d, nominal)
+			}
+			if d != tc.b.delay(a, 42) {
+				t.Fatalf("%s: retry %d: delay not deterministic", tc.role, a)
+			}
 		}
-		if a > 0 && a < 3 && d <= prev {
-			t.Fatalf("attempt %d: delay %v did not grow from %v", a, d, prev)
+		if tc.b.delay(1, 1) == tc.b.delay(1, 2) && tc.b.delay(2, 1) == tc.b.delay(2, 2) {
+			t.Fatalf("%s: jitter ignores the seed", tc.role)
 		}
-		prev = d
-	}
-	// Jitter decorrelates seeds.
-	if p.delay(1, 1) == p.delay(1, 2) && p.delay(2, 1) == p.delay(2, 2) {
-		t.Fatal("jitter ignores the seed")
-	}
-
-	custom := &RetryPolicy{Base: 7 * time.Millisecond, Cap: 14 * time.Millisecond, Jitter: -1}
-	f := newFixture(t, 2, 2, fixtureOpts{mutateOpts: func(o *Options) { o.Retry = custom }})
-	if got := f.servers[0].retry.Base; got != 7*time.Millisecond {
-		t.Fatalf("server retry base %v, want 7ms", got)
-	}
-	if got := f.clients[0].retry.Cap; got != 14*time.Millisecond {
-		t.Fatalf("client retry cap %v, want 14ms", got)
-	}
-	if d := f.servers[0].retry.delay(5, 9); d != 14*time.Millisecond {
-		t.Fatalf("disabled jitter: delay %v, want exact cap", d)
 	}
 
 	// Join requests and roster catch-up probes run on the same cast log:
-	// a fixed joinProbeDelay before the first retry (whatever the policy's
-	// base), the policy's backoff from the second on, the same bytes every
-	// time.
+	// a fixed joinProbeDelay before the first retry, the client's backoff
+	// from the second on, the same bytes every time.
 	t0 := time.Unix(50, 0)
 	joinable := f.def.Policy
 	joinable.BeaconEpochRounds = 4
@@ -85,7 +76,7 @@ func TestRetryPolicyBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	kp, _ := crypto.GenerateKeyPair(def.Group(), nil)
-	joiner, err := NewJoinerClient(def, kp, "", Options{Retry: custom})
+	joiner, err := NewJoinerClient(def, kp, "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +102,6 @@ func TestRetryPolicyBackoff(t *testing.T) {
 		if err != nil || len(early.Send) != 0 || !early.Timer.Equal(t0.Add(joinProbeDelay)) {
 			t.Fatalf("%s: tick before the delay: %+v, %v", tc.name, early, err)
 		}
-		// custom: base 7 ms, cap 14 ms, no jitter — retransmissions 1 and 2
-		// are both rescheduled at the cap.
 		now := t0.Add(joinProbeDelay)
 		var body []byte
 		for n := 1; n <= 2; n++ {
@@ -124,8 +113,8 @@ func TestRetryPolicyBackoff(t *testing.T) {
 				t.Fatalf("%s: retry %d changed the request", tc.name, n)
 			}
 			body = out.Send[0].Msg.Body
-			if !out.Timer.Equal(now.Add(custom.Cap)) {
-				t.Fatalf("%s: retry %d rescheduled after %v, want the policy's %v", tc.name, n, out.Timer.Sub(now), custom.Cap)
+			if want := tc.c.retry.delay(n, tc.c.retrySeed); !out.Timer.Equal(now.Add(want)) {
+				t.Fatalf("%s: retry %d rescheduled after %v, want the backoff's %v", tc.name, n, out.Timer.Sub(now), want)
 			}
 			now = out.Timer
 		}
@@ -231,6 +220,30 @@ func TestInterdictSlotJamTracedAndExpelled(t *testing.T) {
 	}
 }
 
+// flipSentZero sets, in srv's share for round, one bit of victim's slot
+// that victim sent as 0: the certified output shows it a 0→1 flip, the
+// witness its accusation needs. (Flipping a whole byte finds none when
+// the victim sent 0xFF there.) It reports whether it flipped one, which
+// it does only while victim's submission for round is in flight.
+func flipSentZero(srv *Server, victim *Client, round uint64, share []byte) bool {
+	if victim.Slot() < 0 || len(victim.inflight) == 0 {
+		return false
+	}
+	off, n := srv.sched.SlotRange(victim.Slot())
+	sent := victim.inflight[0].sentSlot
+	if n == 0 || victim.inflight[0].r != round || len(sent) != n {
+		return false
+	}
+	for k := range n {
+		i := (dcnet.SeedLen + 12 + k) % n
+		if zeros := ^sent[i]; zeros != 0 {
+			share[off+i] ^= zeros & -zeros
+			return true
+		}
+	}
+	return false
+}
+
 // TestInterdictCorruptShareExposesServer installs the corrupt-share
 // behavior on one server: its commit and share stay consistent, so
 // only the blame trace's bit check can pin the garble — and it must
@@ -243,24 +256,8 @@ func TestInterdictCorruptShareExposesServer(t *testing.T) {
 		serverOpts: func(idx int, o *Options) {
 			if idx == 2 {
 				o.Interdict = &Interdict{Share: func(round uint64, share []byte) {
-					if corrupted || victim == nil || victim.Slot() < 0 || len(victim.inflight) == 0 {
-						return
-					}
-					off, n := f.servers[2].sched.SlotRange(victim.Slot())
-					sent := victim.inflight[0].sentSlot
-					if n == 0 || victim.inflight[0].r != round || len(sent) != n {
-						return
-					}
-					// Set one bit the victim sent as 0: the certified output shows
-					// it a 0→1 flip, the witness its accusation needs. (Flipping
-					// a whole byte finds none when the victim sent 0xFF there.)
-					for k := range n {
-						i := (dcnet.SeedLen + 12 + k) % n
-						if zeros := ^sent[i]; zeros != 0 {
-							share[off+i] ^= zeros & -zeros
-							corrupted = true
-							return
-						}
+					if !corrupted && victim != nil {
+						corrupted = flipSentZero(f.servers[2], victim, round, share)
 					}
 				}}
 			}

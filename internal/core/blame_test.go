@@ -120,17 +120,10 @@ func TestDisruptingServerExposedByRebuttal(t *testing.T) {
 	corrupted := false
 	var corruptedRound uint64
 	corrupt := &Interdict{Share: func(round uint64, share []byte) {
-		victim, mal := f.clients[0], f.servers[2]
-		if corrupted || victim.Slot() < 0 {
-			return
+		if !corrupted && flipSentZero(f.servers[2], f.clients[0], round, share) {
+			corrupted = true
+			corruptedRound = round
 		}
-		off, n := mal.sched.SlotRange(victim.Slot())
-		if n == 0 {
-			return
-		}
-		share[off+dcnet.SeedLen+12] ^= 0xFF
-		corrupted = true
-		corruptedRound = round
 	}}
 	f = newFixture(t, 3, 4, fixtureOpts{serverOpts: func(idx int, o *Options) {
 		if idx == 2 {

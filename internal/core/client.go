@@ -107,28 +107,27 @@ type Client struct {
 
 // NewClient builds a client engine for the given identity key.
 func NewClient(def *group.Definition, kp *crypto.KeyPair, opts Options) (*Client, error) {
-	c := &Client{node: newNode(def, kp, opts, submitResendInterval), mySlot: -1}
+	n, err := newNode(def, kp, opts, submitResendInterval)
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{node: n, mySlot: -1}
 	c.idx = def.ClientIndex(c.id)
 	if c.idx < 0 {
 		return nil, errors.New("core: key is not a client in this group")
 	}
 	c.upstream = def.Servers[def.UpstreamServer(c.idx)].ID
-	var err error
-	if c.serverSeeds, err = c.deriveServerSeeds(def, c.idx); err != nil {
+	if c.serverSeeds, err = c.deriveServerSeeds(def); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// deriveServerSeeds returns the pairwise DC-net seed this client, at
-// client index idx, shares with each server of def.
-func (c *Client) deriveServerSeeds(def *group.Definition, idx int) ([][]byte, error) {
+// deriveServerSeeds returns the pairwise DC-net seed this client shares
+// with each server of def.
+func (c *Client) deriveServerSeeds(def *group.Definition) ([][]byte, error) {
 	seeds := make([][]byte, len(def.Servers))
 	for j, srv := range def.Servers {
-		if c.pairSeedFn != nil {
-			seeds[j] = c.pairSeedFn(idx, j)
-			continue
-		}
 		seed, err := c.pairSeed(srv.PubKey)
 		if err != nil {
 			return nil, fmt.Errorf("core: server %d seed: %w", j, err)
@@ -264,9 +263,9 @@ const submitResendInterval = 2 * time.Second
 
 // joinProbeDelay is how long a join request or a roster catch-up probe
 // waits before its first retransmission; later ones follow the
-// RetryPolicy. The single join frame may be lost, or the operator may
-// Admit the key only after the joiner started; a held client probes when
-// the certified update it waits for does not arrive.
+// client's backoff. The single join frame may be lost, or the operator
+// may Admit the key only after the joiner started; a held client probes
+// when the certified update it waits for does not arrive.
 const joinProbeDelay = time.Second
 
 // Tick re-sends whatever the client is waiting on an answer to, once its

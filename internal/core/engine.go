@@ -214,14 +214,13 @@ func versionKey(v uint64) string { return fmt.Sprintf("%020d", v) }
 
 // node is state common to client and server engines.
 type node struct {
-	def     *group.Definition
-	grpID   [32]byte
-	keyGrp  crypto.Group // identity/pseudonym key group (P-256)
-	msgGrp  crypto.Group // message shuffle group (modp-2048 by default)
-	kp      *crypto.KeyPair
-	id      group.NodeID
-	rand    io.Reader
-	signing bool
+	def    *group.Definition
+	grpID  [32]byte
+	keyGrp crypto.Group // identity/pseudonym key group (P-256)
+	msgGrp crypto.Group // message shuffle group (Policy.MessageGroup)
+	kp     *crypto.KeyPair
+	id     group.NodeID
+	rand   io.Reader
 
 	// cert is the round certificate's signer set: the servers' aggregate
 	// key (what a RoundOutput verifies under) and per-server terms. The
@@ -246,18 +245,16 @@ type node struct {
 	log   *slog.Logger
 
 	// interdict is the adversary-injection hook (nil on honest nodes);
-	// retry is the resolved retransmission backoff and retrySeed feeds its
+	// retry is the role's retransmission backoff and retrySeed feeds its
 	// deterministic jitter, derived from the node identity so peers
 	// decorrelate.
 	interdict *Interdict
-	retry     RetryPolicy
+	retry     backoff
 	retrySeed uint64
 
-	// pad expands pairwise DC-net streams; pairSeedFn, when non-nil,
-	// replaces the Diffie–Hellman derivation of their seeds
-	// (Options.PairSeed).
-	pad        *dcnet.Pad
-	pairSeedFn func(clientIdx, serverIdx int) []byte
+	// pad expands pairwise DC-net streams from the Diffie–Hellman seeds
+	// pairSeed derives.
+	pad *dcnet.Pad
 
 	// The replica (replica.go). sched is the slot schedule (nil before
 	// setup); head the output head — the oldest round whose certified
@@ -278,37 +275,33 @@ type node struct {
 
 // newNode resolves the options both roles share. firstRetry is the
 // role's first-retry delay, the base of its retransmission backoff.
-func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry time.Duration) node {
-	msgGrp := opts.MessageGroup
-	if msgGrp == nil {
-		msgGrp = crypto.ModP2048()
+func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry time.Duration) (node, error) {
+	msgGrp := def.MsgGroup()
+	if opts.MessageGroup != nil && opts.MessageGroup.Name() != msgGrp.Name() {
+		return node{}, fmt.Errorf("core: message group %s, but the policy names %s",
+			opts.MessageGroup.Name(), msgGrp.Name())
 	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	n := node{
-		def:     def,
-		grpID:   def.GroupID(),
-		keyGrp:  def.Group(),
-		msgGrp:  msgGrp,
-		kp:      kp,
-		id:      group.IDFromKey(def.Group(), kp.Public),
-		rand:    opts.Rand,
-		signing: def.Policy.SignMessages,
-		store:   opts.StateStore,
-		trace:   opts.OnRoundTrace,
-		log:     logger,
+		def:    def,
+		grpID:  def.GroupID(),
+		keyGrp: def.Group(),
+		msgGrp: msgGrp,
+		kp:     kp,
+		id:     group.IDFromKey(def.Group(), kp.Public),
+		rand:   opts.Rand,
+		store:  opts.StateStore,
+		trace:  opts.OnRoundTrace,
+		log:    logger,
 
-		interdict:  opts.Interdict,
-		pad:        dcnet.NewPad(crypto.NewAESPRNG),
-		pairSeedFn: opts.PairSeed,
-		depth:      max(opts.PipelineDepth, 1),
+		interdict: opts.Interdict,
+		retry:     backoff(firstRetry),
+		pad:       dcnet.NewPad(crypto.NewAESPRNG),
+		depth:     max(opts.PipelineDepth, 1),
 	}
-	if opts.Retry != nil {
-		n.retry = *opts.Retry
-	}
-	n.retry = n.retry.withDefaults(firstRetry)
 	n.retrySeed = binary.BigEndian.Uint64(n.id[:8])
 	pubs := def.ServerPubKeys()
 	n.cert = crypto.NewMultisig(n.keyGrp, pubs)
@@ -320,7 +313,7 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry
 			n.beaconChain = beacon.NewChain(n.keyGrp, pubs, genesis)
 		}
 	}
-	return n
+	return n, nil
 }
 
 // BeaconChain returns the node's beacon chain replica, or nil when the
@@ -341,15 +334,10 @@ func beaconValueBytes(e *beacon.Entry) []byte {
 type Options struct {
 	// Rand is the randomness source (nil = crypto/rand).
 	Rand io.Reader
-	// MessageGroup is the accusation-shuffle group (nil = modp-2048).
-	// Tests substitute a small Schnorr group for speed.
+	// MessageGroup is the accusation-shuffle group (nil =
+	// def.MsgGroup(), the group Policy.MessageGroup names). A non-nil
+	// group must carry that name; the constructors refuse any other.
 	MessageGroup crypto.Group
-	// PairSeed, when non-nil, supplies the (clientIdx, serverIdx)
-	// pairwise DC-net seed directly instead of deriving it from a
-	// Diffie–Hellman exchange. Benchmark harnesses use this to skip
-	// O(N·M) scalar multiplications at setup; both sides must use the
-	// same function. Production deployments leave it nil.
-	PairSeed func(clientIdx, serverIdx int) []byte
 	// BeaconStore backs the node's beacon chain (nil = in-memory).
 	// The SDK passes a beacon.KVStore over the session's state store
 	// for durable, checkpointable chains.
@@ -361,9 +349,9 @@ type Options struct {
 	// in-memory roster log and crash recovery is unavailable.
 	StateStore StateStore
 	// NoPadPrefetch disables the servers' background pad expansion
-	// during the submission window. The benchmark harness sets it so
-	// its calibrated per-call compute accounting stays well-defined;
-	// production deployments leave it off.
+	// during the submission window. internal/bench sets it so the
+	// harness's measured per-call compute accounting stays
+	// well-defined; production deployments leave it off.
 	NoPadPrefetch bool
 	// PipelineDepth is how many DC-net rounds may be in flight at once
 	// (0 or 1 = serial). At depth d, round r+1's submission window opens
@@ -375,16 +363,6 @@ type Options struct {
 	// is part of the replicated state. The pipeline drains to empty at
 	// epoch boundaries and before accusation shuffles.
 	PipelineDepth int
-	// Retry tunes the unified retransmission backoff applied to the
-	// servers' round-phase and roster-phase rebroadcasts and the
-	// clients' stale-submission resend, join-request retries and roster
-	// catch-up probes (see RetryPolicy). nil (or the zero value) keeps
-	// the engines' legacy first-retry delays — 8×Policy.WindowMin at
-	// servers, 2 s at clients — and adds capped exponential backoff
-	// with deterministic jitter on top, so sustained loss or a wedged
-	// peer triggers a decaying retransmit stream instead of a fixed-
-	// period storm.
-	Retry *RetryPolicy
 	// Interdict installs the adversary-injection hook (see Interdict).
 	// Robustness tests and the internal/adversary catalog use it to
 	// script byzantine members; production nodes leave it nil.
@@ -400,13 +378,11 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// sign builds a Message, signing it when the policy requires.
+// sign builds a Message and signs it.
 func (n *node) sign(t MsgType, round uint64, body []byte) (*Message, error) {
 	m := &Message{From: n.id, Type: t, Round: round, Body: body}
-	if n.signing {
-		if err := n.signDigest(m, m.digest(n.grpID)); err != nil {
-			return nil, err
-		}
+	if err := n.signDigest(m, m.digest(n.grpID)); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -425,7 +401,7 @@ func (n *node) signDigest(m *Message, digest []byte) error {
 // key and confirms the sender holds the expected role.
 func (n *node) verify(m *Message, wantServer bool) error {
 	pub, err := n.senderKey(m, wantServer)
-	if err != nil || !n.signing {
+	if err != nil {
 		return err
 	}
 	return n.verifyDigest(m, pub, m.digest(n.grpID))

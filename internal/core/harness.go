@@ -30,7 +30,7 @@ type TimedDelivery struct {
 }
 
 // Harness runs a set of engines over a simnet.Network, applying a
-// latency/bandwidth topology, optional per-message compute costs, and
+// latency/bandwidth topology, optional measured compute time, and
 // optional outbound delay/drop injection (used to replay client
 // straggler traces). The same engines run unchanged over TCP via
 // internal/transport.
@@ -39,9 +39,6 @@ type Harness struct {
 
 	// Latency returns one-way propagation delay between two nodes.
 	Latency func(from, to group.NodeID) time.Duration
-	// Compute returns the modeled processing cost a node pays upon
-	// receiving a message (applied before its responses transmit).
-	Compute func(node group.NodeID, m *Message) time.Duration
 	// Outbound may delay or drop an outgoing message (delay is added on
 	// top of link delays; drop loses it entirely).
 	Outbound func(from group.NodeID, m *Message) (delay time.Duration, drop bool)
@@ -49,9 +46,8 @@ type Harness struct {
 	// execution time (scaled by this factor) as virtual compute time:
 	// the node's responses leave only after the work it actually did
 	// (pads, XORs, proofs) would have finished on a machine
-	// MeasureCompute times slower than this one. Combine with the
-	// Compute hook for costs the engine skips (e.g. signatures in
-	// unsigned simulation mode).
+	// MeasureCompute times slower than this one. A node handles its
+	// messages one at a time, in arrival order.
 	MeasureCompute float64
 
 	// OnDelivery, when set, observes every delivery as it happens —
@@ -194,25 +190,26 @@ func (h *Harness) transmit(now time.Time, from *harnessNode, env Envelope) {
 		lat = h.Latency(from.id, env.To)
 	}
 	arrival := txDone.Add(lat)
-	h.Net.Schedule(arrival, func(anow time.Time) {
-		// Receive-side compute is serialized on the node's CPU so that
-		// per-pair message ordering (FIFO) is preserved even when
-		// different message types have different modeled costs.
-		handleAt := anow
-		if to.cpuFree.After(handleAt) {
-			handleAt = to.cpuFree
+	h.Net.Schedule(arrival, func(anow time.Time) { h.handle(to, anow, env.Msg) })
+}
+
+// handle runs to's Handle on m once to's CPU is free at or after now.
+// Receive-side compute is serialized on the node's CPU, in arrival
+// order: a message whose turn comes while measured work is still running
+// waits for it, so per-pair message ordering (FIFO) is preserved.
+func (h *Harness) handle(to *harnessNode, now time.Time, m *Message) {
+	at := now
+	if to.cpuFree.After(at) {
+		at = to.cpuFree
+	}
+	h.Net.Schedule(at, func(hnow time.Time) {
+		if to.cpuFree.After(hnow) {
+			h.handle(to, hnow, m)
+			return
 		}
-		if h.Compute != nil {
-			handleAt = handleAt.Add(h.Compute(env.To, env.Msg))
-		}
-		to.cpuFree = handleAt
-		h.Net.Schedule(handleAt, func(hnow time.Time) {
-			out, err, dt := h.call(to, func() (*Output, error) { return to.engine.Handle(hnow, env.Msg) })
-			if dt > 0 {
-				to.cpuFree = hnow.Add(dt)
-			}
-			h.process(hnow.Add(dt), to, out, err)
-		})
+		out, err, dt := h.call(to, func() (*Output, error) { return to.engine.Handle(hnow, m) })
+		to.cpuFree = hnow.Add(dt)
+		h.process(to.cpuFree, to, out, err)
 	})
 }
 

@@ -125,28 +125,40 @@ func TestHarnessOutboundDropAndDelay(t *testing.T) {
 	}
 }
 
-func TestHarnessComputeSerializesCPU(t *testing.T) {
+// slowEngine is an echoEngine whose Handle spends a known wall time.
+type slowEngine struct {
+	echoEngine
+	spend time.Duration
+}
+
+func (e *slowEngine) Handle(now time.Time, m *Message) (*Output, error) {
+	time.Sleep(e.spend)
+	return e.echoEngine.Handle(now, m)
+}
+
+func TestHarnessMeasureComputeSerializesCPU(t *testing.T) {
 	h := NewHarness()
+	h.MeasureCompute = 1
 	a, b := hid(1), hid(2)
-	ea := &echoEngine{peer: b}
-	eb := &echoEngine{peer: a}
-	h.AddNode(a, ea, 0)
+	const spend = 20 * time.Millisecond
+	eb := &slowEngine{echoEngine: echoEngine{peer: a}, spend: spend}
+	h.AddNode(a, &echoEngine{peer: b}, 0)
 	h.AddNode(b, eb, 0)
-	h.Compute = func(node group.NodeID, m *Message) time.Duration { return time.Second }
 
 	out := &Output{}
 	for i := 0; i < 3; i++ {
 		out.Send = append(out.Send, Envelope{To: b,
-			Msg: &Message{From: a, Type: MsgInventory, Round: uint64(i)}})
+			Msg: &Message{From: a, Type: MsgClientSubmit, Round: uint64(i)}})
 	}
 	h.ProcessExternal(a, h.Net.Now(), out, nil)
 	h.Run(0)
 	if len(eb.got) != 3 {
 		t.Fatalf("b received %d messages", len(eb.got))
 	}
-	// 3 messages x 1s serialized compute.
-	if got := h.Net.Now().Sub(time.Unix(0, 0)); got < 3*time.Second {
-		t.Errorf("CPU serialization: finished after %v, want >= 3s", got)
+	// Three messages arriving together, each handled in ≥ spend, are
+	// echoed no sooner than 3 × spend on b's one CPU.
+	if got := h.Net.Now().Sub(time.Unix(0, 0)); got < 3*spend {
+		t.Errorf("CPU serialization: finished after %v, want >= %v", got, 3*spend)
 	}
 }
 

@@ -163,7 +163,7 @@ func (m *Message) WireSize() int {
 	if m.Sig != nil {
 		n += len(m.Sig)
 	} else {
-		n += 64 // unsigned simulation mode still accounts a signature
+		n += 64 // a hand-built unsigned message is accounted as if signed
 	}
 	return n
 }

@@ -370,7 +370,7 @@ func TestWireSizeAccountsSignature(t *testing.T) {
 	m.Sig = make([]byte, 64)
 	signed := m.WireSize()
 	if unsigned != signed {
-		t.Errorf("unsigned %d vs signed %d: simulation mode should account the same", unsigned, signed)
+		t.Errorf("unsigned %d vs signed %d: an unsigned message should account as signed", unsigned, signed)
 	}
 	if signed < 100+64 {
 		t.Error("wire size below payload+sig")

@@ -506,10 +506,8 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 	if group.IDFromKey(s.keyGrp, pub) != m.From {
 		return s.violation(m.Round, fmt.Errorf("join request ID %s does not match its key", m.From)), nil
 	}
-	if s.signing {
-		if err := s.verifyDigest(m, pub, m.digest(s.grpID)); err != nil {
-			return s.violation(m.Round, fmt.Errorf("join request signature: %w", err)), nil
-		}
+	if err := s.verifyDigest(m, pub, m.digest(s.grpID)); err != nil {
+		return s.violation(m.Round, fmt.Errorf("join request signature: %w", err)), nil
 	}
 	if _, err := s.keyGrp.Decode(p.PseuKey); err != nil {
 		return s.violation(m.Round, fmt.Errorf("join request pseudonym key: %w", err)), nil
@@ -828,14 +826,9 @@ func (s *Server) maybeApplyRoster(now time.Time) (*Output, error) {
 // seed and upstream attachment — to def.Clients[from:].
 func (s *Server) attachClients(def *group.Definition, from int) error {
 	for ci := from; ci < len(def.Clients); ci++ {
-		var seed []byte
-		if s.pairSeedFn != nil {
-			seed = s.pairSeedFn(ci, s.idx)
-		} else {
-			var err error
-			if seed, err = s.pairSeed(def.Clients[ci].PubKey); err != nil {
-				return fmt.Errorf("core: client %d seed: %w", ci, err)
-			}
+		seed, err := s.pairSeed(def.Clients[ci].PubKey)
+		if err != nil {
+			return fmt.Errorf("core: client %d seed: %w", ci, err)
 		}
 		s.clientSeeds = append(s.clientSeeds, seed)
 		if def.UpstreamServer(ci) == s.idx {
@@ -1267,7 +1260,7 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 		}
 		copy(head[:], w.BeaconHead)
 	}
-	serverSeeds, err := c.deriveServerSeeds(newDef, idx)
+	serverSeeds, err := c.deriveServerSeeds(newDef)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1332,7 +1325,11 @@ func NewJoinerClient(def *group.Definition, kp *crypto.KeyPair, advertiseAddr st
 	if def.Policy.BeaconEpochRounds == 0 {
 		return nil, errors.New("core: joining requires a group with membership churn (BeaconEpochRounds > 0)")
 	}
-	c := &Client{node: newNode(def, kp, opts, submitResendInterval), idx: -1, mySlot: -1}
+	n, err := newNode(def, kp, opts, submitResendInterval)
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{node: n, idx: -1, mySlot: -1}
 	if def.ClientIndex(c.id) >= 0 || def.ServerIndex(c.id) >= 0 {
 		return nil, errors.New("core: key already belongs to this group (use NewClient)")
 	}

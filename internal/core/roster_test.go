@@ -424,24 +424,32 @@ func TestRosterPhaseRecoversFromLostCert(t *testing.T) {
 
 // TestStaleRosterVersionMessagesRejected feeds stale-version roster
 // traffic to live engines and asserts each is rejected as a protocol
-// violation without corrupting state. Signatures are disabled so the
-// test can forge sender identities; version checks run either way.
+// violation without corrupting state. Each forged message is signed
+// with its claimed sender's key, so every row runs the signed path.
 func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 	const epoch = 3
 	f := newFixture(t, 2, 3, fixtureOpts{
-		mutatePolicy: func(p *group.Policy) {
-			p.BeaconEpochRounds = epoch
-			p.SignMessages = false
-		},
+		mutatePolicy: func(p *group.Policy) { p.BeaconEpochRounds = epoch },
 	})
 	f.h.StartAll()
 	f.stepUntilRound(2*epoch, 2_000_000) // at least two boundaries: version >= 2
 	now := f.h.Net.Now()
 	srv := f.servers[0]
 	cl := f.clients[0]
-	peer := f.servers[1].ID()
+	peer := &f.servers[1].node
+	upstream := &f.servers[cl.def.UpstreamServer(cl.Index())].node
 	if srv.RosterVersion() < 2 {
 		t.Fatalf("roster version %d after two boundaries", srv.RosterVersion())
+	}
+
+	// forge builds a message from the engine n, signed with its key.
+	forge := func(n *node, typ MsgType, round uint64, body []byte) *Message {
+		t.Helper()
+		m, err := n.sign(typ, round, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 
 	countViolations := func(out *Output) int {
@@ -470,8 +478,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		// chain replayed so it can recover.
 		before := srv.RosterVersion()
 		stale := &RosterPropose{Version: before} // must be current+1
-		out, err := srv.Handle(now, &Message{From: peer, Type: MsgRosterPropose,
-			Round: srv.Round(), Body: stale.Encode()})
+		out, err := srv.Handle(now, forge(peer, MsgRosterPropose, srv.Round(), stale.Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,8 +493,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 	t.Run("stale cert at server", func(t *testing.T) {
 		before := srv.RosterVersion()
 		stale := &RosterCert{Version: before - 1, Sig: []byte("sig")}
-		out, err := srv.Handle(now, &Message{From: peer, Type: MsgRosterCert,
-			Round: srv.Round(), Body: stale.Encode()})
+		out, err := srv.Handle(now, forge(peer, MsgRosterCert, srv.Round(), stale.Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,8 +511,8 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		if staleUpdate == nil {
 			t.Fatal("no logged update to replay")
 		}
-		out, err := srv.Handle(now, &Message{From: peer, Type: MsgRosterUpdate,
-			Round: srv.Round(), Body: (&RosterUpdateMsg{Update: staleUpdate.Encode()}).Encode()})
+		out, err := srv.Handle(now, forge(peer, MsgRosterUpdate, srv.Round(),
+			(&RosterUpdateMsg{Update: staleUpdate.Encode()}).Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,8 +529,8 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		// original on the catch-up path); only the version is pinned.
 		beforeVer := cl.RosterVersion()
 		stale := &group.RosterUpdate{Version: beforeVer}
-		_, err := cl.Handle(now, &Message{From: cl.def.Servers[cl.def.UpstreamServer(cl.Index())].ID,
-			Type: MsgRosterUpdate, Round: cl.Round(), Body: (&RosterUpdateMsg{Update: stale.Encode()}).Encode()})
+		_, err := cl.Handle(now, forge(upstream, MsgRosterUpdate, cl.Round(),
+			(&RosterUpdateMsg{Update: stale.Encode()}).Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,8 +544,8 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		// rejection the application should see.
 		beforeVer := cl.RosterVersion()
 		gap := &group.RosterUpdate{Version: beforeVer + 3}
-		out, err := cl.Handle(now, &Message{From: cl.def.Servers[cl.def.UpstreamServer(cl.Index())].ID,
-			Type: MsgRosterUpdate, Round: cl.Round(), Body: (&RosterUpdateMsg{Update: gap.Encode()}).Encode()})
+		out, err := cl.Handle(now, forge(upstream, MsgRosterUpdate, cl.Round(),
+			(&RosterUpdateMsg{Update: gap.Encode()}).Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,8 +562,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		// version; besides the stale-version violation, the server must
 		// replay the missed certified updates so the member can unwedge.
 		stale := &JoinRequest{Version: srv.RosterVersion() - 2}
-		out, err := srv.Handle(now, &Message{From: f.clients[1].ID(), Type: MsgJoinRequest,
-			Round: srv.Round(), Body: stale.Encode()})
+		out, err := srv.Handle(now, forge(&f.clients[1].node, MsgJoinRequest, srv.Round(), stale.Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,8 +596,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		srv.excluded[ci] = true
 		defer delete(srv.excluded, ci)
 		stale := &JoinRequest{Version: srv.RosterVersion() - 1, Rejoin: true}
-		out, err := srv.Handle(now, &Message{From: f.clients[ci].ID(), Type: MsgJoinRequest,
-			Round: srv.Round(), Body: stale.Encode()})
+		out, err := srv.Handle(now, forge(&f.clients[ci].node, MsgJoinRequest, srv.Round(), stale.Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -612,8 +616,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 
 	t.Run("future-version join request at server", func(t *testing.T) {
 		future := &JoinRequest{Version: srv.RosterVersion() + 3, Rejoin: true}
-		out, err := srv.Handle(now, &Message{From: f.clients[1].ID(), Type: MsgJoinRequest,
-			Round: srv.Round(), Body: future.Encode()})
+		out, err := srv.Handle(now, forge(&f.clients[1].node, MsgJoinRequest, srv.Round(), future.Encode()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,8 @@ const maxAttempts = 3
 // serverRetryBase scales Policy.WindowMin into the first retry delay
 // of the server's retransmission backoff (rounds and roster phases
 // alike): on the healthy fast path rounds certify well inside one
-// period, so the timer never fires. Subsequent retries back off per
-// the resolved RetryPolicy.
+// period, so the timer never fires. Subsequent retries follow the
+// fixed backoff.
 const serverRetryBase = 8
 
 // misbehaviorEscalateThreshold is how many attributed violations a
@@ -366,10 +366,11 @@ type Server struct {
 // (matching the group definition); msgKP is the mod-p message-shuffle
 // key.
 func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (*Server, error) {
-	s := &Server{
-		node:  newNode(def, kp, opts, serverRetryBase*def.Policy.WindowMin),
-		msgKP: msgKP,
+	n, err := newNode(def, kp, opts, serverRetryBase*def.Policy.WindowMin)
+	if err != nil {
+		return nil, err
 	}
+	s := &Server{node: n, msgKP: msgKP}
 	s.idx = def.ServerIndex(s.id)
 	if s.idx < 0 {
 		return nil, errors.New("core: key is not a server in this group")
@@ -1446,10 +1447,8 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	out := &Output{}
 	// Reveal the message commitShare committed to, signed over the digest
 	// computed there.
-	if s.signing {
-		if err := s.signDigest(rs.shareMsg, rs.shareDigests[s.idx]); err != nil {
-			return nil, err
-		}
+	if err := s.signDigest(rs.shareMsg, rs.shareDigests[s.idx]); err != nil {
+		return nil, err
 	}
 	s.recordCast(now, &rs.casts, s.retrySeed^rs.r, MsgShare, rs.r, rs.shareMsg.Body, out)
 	s.sendServers(rs.shareMsg, out)
@@ -1483,10 +1482,8 @@ func (s *Server) onShare(now time.Time, m *Message) (*Output, error) {
 		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
 	}
 	digest := m.digest(s.grpID)
-	if s.signing {
-		if err := s.verifyDigest(m, pub, digest); err != nil {
-			return s.misbehave(rs.r, m.From, "bad-signature", err), nil
-		}
+	if err := s.verifyDigest(m, pub, digest); err != nil {
+		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
 	}
 	p, err := DecodeShare(m.Body)
 	if err != nil {

@@ -4,8 +4,57 @@ import (
 	"bytes"
 	"testing"
 
+	"dissent/internal/crypto"
 	"dissent/internal/group"
 )
+
+// TestMessageGroupFollowsPolicy pins every engine's accusation-shuffle
+// group to the one Policy.MessageGroup names: zero Options take it, and
+// each constructor refuses a group of another name.
+func TestMessageGroupFollowsPolicy(t *testing.T) {
+	f := newFixture(t, 2, 2, fixtureOpts{})
+	joinKP, err := crypto.GenerateKeyPair(f.def.Group(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		role  string
+		build func(Options) (*node, error)
+	}{
+		{"server", func(o Options) (*node, error) {
+			s, err := NewServer(f.def, f.kpByID[f.def.Servers[0].ID], f.msgKPByIdx[0], o)
+			if err != nil {
+				return nil, err
+			}
+			return &s.node, nil
+		}},
+		{"client", func(o Options) (*node, error) {
+			c, err := NewClient(f.def, f.kpByID[f.def.Clients[0].ID], o)
+			if err != nil {
+				return nil, err
+			}
+			return &c.node, nil
+		}},
+		{"joiner", func(o Options) (*node, error) {
+			c, err := NewJoinerClient(f.def, joinKP, "", o)
+			if err != nil {
+				return nil, err
+			}
+			return &c.node, nil
+		}},
+	} {
+		n, err := tc.build(Options{})
+		if err != nil {
+			t.Fatalf("%s with zero Options: %v", tc.role, err)
+		}
+		if got, want := n.msgGrp.Name(), f.def.Policy.MessageGroup; got != want {
+			t.Errorf("%s with zero Options uses %s, want the policy's %s", tc.role, got, want)
+		}
+		if _, err := tc.build(Options{MessageGroup: crypto.ModP2048()}); err == nil {
+			t.Errorf("%s accepted modp-2048 in a %s group", tc.role, f.def.Policy.MessageGroup)
+		}
+	}
+}
 
 func TestBootstrapEstablishesSchedule(t *testing.T) {
 	f := newFixture(t, 3, 5, fixtureOpts{})

@@ -82,7 +82,8 @@ type Policy struct {
 	// (internal/beacon): servers contribute commit–reveal shares every
 	// round and the slot schedule's layout permutation is re-derived
 	// from the beacon output every BeaconEpochRounds rounds. 0 disables
-	// the beacon entirely (large unsigned simulations).
+	// the beacon entirely (internal/bench's figure runs: the paper's
+	// measured protocol has no beacon).
 	BeaconEpochRounds int
 	// ReadmitCooldownRounds is the number of DC-net rounds an expelled
 	// client must wait after its expulsion before a rejoin request is
@@ -98,10 +99,6 @@ type Policy struct {
 	// (accusations): "modp-2048" in production, "modp-512-test" in
 	// tests. See crypto.GroupByName.
 	MessageGroup string
-	// SignMessages controls per-message Schnorr signatures. Production
-	// deployments leave this on; very large single-process simulations
-	// may disable it and account signature cost analytically.
-	SignMessages bool
 }
 
 // DefaultPolicy returns the policy used in the paper's evaluation.
@@ -120,7 +117,6 @@ func DefaultPolicy() Policy {
 		ReadmitCooldownRounds: 32,
 		OpenAdmission:         false,
 		MessageGroup:          "modp-2048",
-		SignMessages:          true,
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // Like the TCP mesh, the hub routes by (session, member): many
 // concurrent Dissent groups share one hub, each under its own session
 // ID, and a payload sent within one session can never surface in
-// another. The session-less Attach/Detach/Send forms address the zero
-// session and remain equivalent to the pre-session behavior.
+// another.
 //
 // Payloads are opaque to the hub. Delivery preserves per-(from,to)
 // FIFO order as long as Latency is a pure function of the endpoint
@@ -201,17 +200,11 @@ func NewHub() *Hub {
 	}
 }
 
-// Attach registers a member of the zero session (the single-group
-// form): inbound payloads — including any buffered while the member
-// was not yet attached — are handed to recv, one at a time, from a
-// dedicated dispatcher goroutine.
-func (h *Hub) Attach(id group.NodeID, recv func(payload any)) error {
-	return h.AttachSession([32]byte{}, id, recv)
-}
-
-// AttachSession registers a member of one session. The same node ID
-// may attach under several sessions; each attachment has its own
-// inbound queue and dispatcher.
+// AttachSession registers a member of one session: inbound payloads —
+// including any buffered while the member was not yet attached — are
+// handed to recv, one at a time, from a dedicated dispatcher goroutine.
+// The same node ID may attach under several sessions; each attachment
+// has its own inbound queue and dispatcher.
 func (h *Hub) AttachSession(sid [32]byte, id group.NodeID, recv func(payload any)) error {
 	k := hubKey{sid: sid, id: id}
 	h.mu.Lock()
@@ -232,13 +225,8 @@ func (h *Hub) AttachSession(sid [32]byte, id group.NodeID, recv func(payload any
 	return nil
 }
 
-// Detach removes a zero-session member and stops its dispatcher;
+// DetachSession removes one session's member and stops its dispatcher;
 // payloads still in flight to it are dropped.
-func (h *Hub) Detach(id group.NodeID) {
-	h.DetachSession([32]byte{}, id)
-}
-
-// DetachSession removes one session's member.
 func (h *Hub) DetachSession(sid [32]byte, id group.NodeID) {
 	k := hubKey{sid: sid, id: id}
 	h.mu.Lock()
@@ -266,11 +254,6 @@ func (h *Hub) Close() {
 	for _, m := range members {
 		m.close()
 	}
-}
-
-// Send queues one payload within the zero session.
-func (h *Hub) Send(from, to group.NodeID, payload any) error {
-	return h.SendSession([32]byte{}, from, to, payload)
 }
 
 // SendSession queues one payload for delivery to `to` within a session

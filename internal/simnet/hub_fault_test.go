@@ -66,12 +66,12 @@ func TestFaultJitterPreservesOrder(t *testing.T) {
 		Jitter:  20 * time.Millisecond,
 	})
 	c := newCollector()
-	if err := h.Attach(ids[1], c.recv); err != nil {
+	if err := h.AttachSession(testSID, ids[1], c.recv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := h.Send(ids[0], ids[1], i); err != nil {
+		if err := h.SendSession(testSID, ids[0], ids[1], i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,11 +93,11 @@ func TestFaultDropRateDeterministic(t *testing.T) {
 		h.SetFaultSeed(seed)
 		h.SetLinkFault(ids[0], ids[1], FaultSpec{DropRate: 0.5})
 		c := newCollector()
-		if err := h.Attach(ids[1], c.recv); err != nil {
+		if err := h.AttachSession(testSID, ids[1], c.recv); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			if err := h.Send(ids[0], ids[1], i); err != nil {
+			if err := h.SendSession(testSID, ids[0], ids[1], i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -143,11 +143,11 @@ func TestFaultPartitionUntil(t *testing.T) {
 	until := time.Now().Add(100 * time.Millisecond)
 	h.SetLinkFault(ids[0], ids[1], FaultSpec{PartitionUntil: until})
 	c := newCollector()
-	if err := h.Attach(ids[1], c.recv); err != nil {
+	if err := h.AttachSession(testSID, ids[1], c.recv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := h.Send(ids[0], ids[1], i); err != nil {
+		if err := h.SendSession(testSID, ids[0], ids[1], i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestFaultPartitionUntil(t *testing.T) {
 	if lost != 0 {
 		t.Fatalf("%d payloads crossed the partition", lost)
 	}
-	if err := h.Send(ids[0], ids[1], 99); err != nil {
+	if err := h.SendSession(testSID, ids[0], ids[1], 99); err != nil {
 		t.Fatal(err)
 	}
 	got := c.waitLen(t, 1, 5*time.Second)
@@ -177,11 +177,11 @@ func TestScheduleLinkFault(t *testing.T) {
 	h.ScheduleLinkFault(ids[0], ids[1], FaultSpec{DropRate: 1.0},
 		60*time.Millisecond, 100*time.Millisecond)
 	c := newCollector()
-	if err := h.Attach(ids[1], c.recv); err != nil {
+	if err := h.AttachSession(testSID, ids[1], c.recv); err != nil {
 		t.Fatal(err)
 	}
 	// Before the window: delivered.
-	if err := h.Send(ids[0], ids[1], 1); err != nil {
+	if err := h.SendSession(testSID, ids[0], ids[1], 1); err != nil {
 		t.Fatal(err)
 	}
 	got := c.waitLen(t, 1, 5*time.Second)
@@ -190,7 +190,7 @@ func TestScheduleLinkFault(t *testing.T) {
 	}
 	// Inside the window: dropped.
 	time.Sleep(90 * time.Millisecond)
-	if err := h.Send(ids[0], ids[1], 2); err != nil {
+	if err := h.SendSession(testSID, ids[0], ids[1], 2); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
@@ -202,7 +202,7 @@ func TestScheduleLinkFault(t *testing.T) {
 	}
 	// After the window clears itself: delivered again.
 	time.Sleep(60 * time.Millisecond)
-	if err := h.Send(ids[0], ids[1], 3); err != nil {
+	if err := h.SendSession(testSID, ids[0], ids[1], 3); err != nil {
 		t.Fatal(err)
 	}
 	got = c.waitLen(t, 2, 5*time.Second)
@@ -233,13 +233,13 @@ func TestFaultOtherLinksUnaffected(t *testing.T) {
 	defer h.Close()
 	h.SetLinkFault(ids[0], ids[1], FaultSpec{DropRate: 1.0})
 	c := newCollector()
-	if err := h.Attach(ids[1], c.recv); err != nil {
+	if err := h.AttachSession(testSID, ids[1], c.recv); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Send(ids[0], ids[1], 1); err != nil {
+	if err := h.SendSession(testSID, ids[0], ids[1], 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Send(ids[2], ids[1], 2); err != nil {
+	if err := h.SendSession(testSID, ids[2], ids[1], 2); err != nil {
 		t.Fatal(err)
 	}
 	got := c.waitLen(t, 1, 5*time.Second)
@@ -247,7 +247,7 @@ func TestFaultOtherLinksUnaffected(t *testing.T) {
 		t.Fatalf("got payload %d, want only the unfaulted link's 2", got[0])
 	}
 	h.ClearLinkFault(ids[0], ids[1])
-	if err := h.Send(ids[0], ids[1], 3); err != nil {
+	if err := h.SendSession(testSID, ids[0], ids[1], 3); err != nil {
 		t.Fatal(err)
 	}
 	got = c.waitLen(t, 2, 5*time.Second)

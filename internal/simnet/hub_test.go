@@ -8,6 +8,9 @@ import (
 	"dissent/internal/group"
 )
 
+// testSID is the session the single-group hub tests run under.
+var testSID = [32]byte{0xd1}
+
 func hubID(s string) group.NodeID {
 	var id group.NodeID
 	copy(id[:], s)
@@ -25,7 +28,7 @@ func TestHubDeliversInOrder(t *testing.T) {
 	var mu sync.Mutex
 	var got []int
 	done := make(chan struct{})
-	if err := h.Attach(b, func(p any) {
+	if err := h.AttachSession(testSID, b, func(p any) {
 		mu.Lock()
 		got = append(got, p.(int))
 		if len(got) == 100 {
@@ -35,12 +38,12 @@ func TestHubDeliversInOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Attach(a, func(any) {}); err != nil {
+	if err := h.AttachSession(testSID, a, func(any) {}); err != nil {
 		t.Fatal(err)
 	}
 
 	for i := 0; i < 100; i++ {
-		if err := h.Send(a, b, i); err != nil {
+		if err := h.SendSession(testSID, a, b, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,14 +70,14 @@ func TestHubBuffersUntilAttach(t *testing.T) {
 	defer h.Close()
 	a, b := hubID("early-A"), hubID("late-B")
 	for i := 0; i < 3; i++ {
-		if err := h.Send(a, b, i); err != nil {
+		if err := h.SendSession(testSID, a, b, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var mu sync.Mutex
 	var got []int
 	done := make(chan struct{})
-	if err := h.Attach(b, func(p any) {
+	if err := h.AttachSession(testSID, b, func(p any) {
 		mu.Lock()
 		got = append(got, p.(int))
 		if len(got) == 3 {
@@ -180,11 +183,11 @@ func TestHubDetachStopsDelivery(t *testing.T) {
 	a, b := hubID("detach-A"), hubID("detach-B")
 	var mu sync.Mutex
 	n := 0
-	if err := h.Attach(b, func(any) { mu.Lock(); n++; mu.Unlock() }); err != nil {
+	if err := h.AttachSession(testSID, b, func(any) { mu.Lock(); n++; mu.Unlock() }); err != nil {
 		t.Fatal(err)
 	}
-	h.Detach(b)
-	if err := h.Send(a, b, 1); err != nil {
+	h.DetachSession(testSID, b)
+	if err := h.SendSession(testSID, a, b, 1); err != nil {
 		t.Fatal(err) // buffered against a possible re-attach
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -200,10 +203,10 @@ func TestHubDuplicateAttach(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	id := hubID("dup")
-	if err := h.Attach(id, func(any) {}); err != nil {
+	if err := h.AttachSession(testSID, id, func(any) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Attach(id, func(any) {}); err == nil {
+	if err := h.AttachSession(testSID, id, func(any) {}); err == nil {
 		t.Error("duplicate attach succeeded")
 	}
 }
@@ -233,16 +236,16 @@ func TestHubEarlierDueOvertakesSleeper(t *testing.T) {
 			at time.Time
 		}
 		got := make(chan arrival, 3)
-		if err := h.Attach(b, func(p any) { got <- arrival{p.(int), time.Now()} }); err != nil {
+		if err := h.AttachSession(testSID, b, func(p any) { got <- arrival{p.(int), time.Now()} }); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Send(far, b, 1); err != nil {
+		if err := h.SendSession(testSID, far, b, 1); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)
 		sent := time.Now()
 		for _, v := range []int{2, 3} {
-			if err := h.Send(near, b, v); err != nil {
+			if err := h.SendSession(testSID, near, b, v); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -155,7 +155,6 @@ func newMemberSession(joiner bool, def *Group, keys Keys, opts []Option) (*Sessi
 		done:   make(chan struct{}),
 	}
 	coreOpts := core.Options{
-		MessageGroup:  def.MsgGroup(),
 		Logger:        logger,
 		OnRoundTrace:  s.onRoundTrace,
 		PipelineDepth: cfg.pipelineDepth,
