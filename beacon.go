@@ -53,7 +53,7 @@ func SyncBeacon(url string, def *Group) (*BeaconSync, error) {
 	default:
 		return nil, err
 	}
-	res.Chain = beacon.NewChain(def.Group(), def.ServerPubKeys(), genesis)
+	res.Chain = beacon.NewChain(def.Group(), def.ServerPubKeys(), genesis, nil)
 	// Sync verifies every fetched entry (share signatures and chain
 	// links) as it appends; a completed sync IS a verified chain.
 	if res.Added, err = res.Chain.Sync(src); err != nil {

@@ -39,10 +39,11 @@
 //
 // With -beacon a session additionally serves its randomness-beacon
 // chain over HTTP (GET /beacon/latest, /beacon/{round},
-// /beacon/from/{round}, /beacon/info, and /beacon/schedule — the
-// schedule certificate that anchors the chain's session-bound genesis)
-// so clients and external verifiers can fetch and verify per-round
-// randomness; -store is what makes that chain durable.
+// /beacon/from/{round}, /beacon/range/{from}, /beacon/info, and
+// /beacon/schedule — the schedule certificate that anchors the chain's
+// session-bound genesis) so clients and external verifiers can fetch
+// and verify per-round randomness; -store is what makes that chain
+// durable.
 //
 // With -metrics the daemon serves the host's operator/debug endpoint:
 // Prometheus text exposition at /metrics (per-session round, traffic,
@@ -234,7 +235,7 @@ func openSpec(host *dissent.Host, logger *slog.Logger, spec *sessionSpec, stores
 		}
 		opts = append(opts, dissent.WithBeaconHTTP(spec.beacon))
 		logger.Info("beacon HTTP up", "addr", spec.beacon,
-			"endpoints", "/beacon/latest /beacon/{round} /beacon/schedule")
+			"endpoints", "/beacon/latest /beacon/{round} /beacon/from/{round} /beacon/range/{from} /beacon/info /beacon/schedule")
 	}
 
 	sess, err := host.OpenSession(grp, keys, opts...)

@@ -20,9 +20,10 @@
 // its genesis value with public keys alone.
 //
 // The package is transport-agnostic: Round drives one commit–reveal
-// exchange, Chain stores and verifies the resulting entries (with
-// pluggable persistence), Sync catches a node up over any Source, and
-// httpapi.go provides the HTTP surface cmd/dissentd mounts.
+// exchange, Chain stores and verifies the resulting entries (in
+// memory, optionally written through a KVStore bucket), Sync catches a
+// node up over any Source, and httpapi.go provides the HTTP surface
+// cmd/dissentd mounts.
 package beacon
 
 import (

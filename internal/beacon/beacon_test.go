@@ -1,6 +1,7 @@
 package beacon
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -65,7 +66,7 @@ func TestThreeServerChainVerifies(t *testing.T) {
 	kps, pubs := testServers(t, 3)
 	var gid [32]byte
 	copy(gid[:], "beacon-test-group-id------------")
-	chain := NewChain(crypto.P256(), pubs, GenesisValue(gid))
+	chain := NewChain(crypto.P256(), pubs, GenesisValue(gid), nil)
 
 	for r := uint64(0); r < 10; r++ {
 		runRound(t, kps, pubs, r, chain)
@@ -101,8 +102,8 @@ func TestLaggingNodeCatchesUp(t *testing.T) {
 	var gid [32]byte
 	copy(gid[:], "beacon-catchup-group------------")
 	genesis := GenesisValue(gid)
-	full := NewChain(crypto.P256(), pubs, genesis)
-	lagging := NewChain(crypto.P256(), pubs, genesis)
+	full := NewChain(crypto.P256(), pubs, genesis, nil)
+	lagging := NewChain(crypto.P256(), pubs, genesis, nil)
 
 	// Both nodes see rounds 0-2; the lagging node then misses 5 rounds.
 	for r := uint64(0); r < 3; r++ {
@@ -139,8 +140,8 @@ func TestCatchupSkipsFailedRounds(t *testing.T) {
 	var gid [32]byte
 	copy(gid[:], "beacon-gap-group----------------")
 	genesis := GenesisValue(gid)
-	full := NewChain(crypto.P256(), pubs, genesis)
-	lagging := NewChain(crypto.P256(), pubs, genesis)
+	full := NewChain(crypto.P256(), pubs, genesis, nil)
+	lagging := NewChain(crypto.P256(), pubs, genesis, nil)
 
 	for _, r := range []uint64{0, 1, 4, 7, 9} { // rounds 2,3,5,6,8 failed
 		runRound(t, kps, pubs, r, full)
@@ -163,11 +164,8 @@ func (s chainSource) Latest() (*Entry, error) {
 	return nil, ErrNotFound
 }
 
-func (s chainSource) From(round uint64) (*Entry, error) {
-	if e := s.c.From(round); e != nil {
-		return e, nil
-	}
-	return nil, ErrNotFound
+func (s chainSource) Range(from uint64, max int) ([]*Entry, error) {
+	return s.c.RangeFrom(from, max), nil
 }
 
 func TestTamperingDetected(t *testing.T) {
@@ -176,7 +174,7 @@ func TestTamperingDetected(t *testing.T) {
 	copy(gid[:], "beacon-tamper-group-------------")
 
 	build := func() *Chain {
-		chain := NewChain(crypto.P256(), pubs, GenesisValue(gid))
+		chain := NewChain(crypto.P256(), pubs, GenesisValue(gid), nil)
 		for r := uint64(0); r < 5; r++ {
 			runRound(t, kps, pubs, r, chain)
 		}
@@ -262,15 +260,16 @@ func TestHTTPRoundTrip(t *testing.T) {
 	var gid [32]byte
 	copy(gid[:], "beacon-http-group---------------")
 	genesis := GenesisValue(gid)
-	serving := NewChain(crypto.P256(), pubs, genesis)
+	serving := NewChain(crypto.P256(), pubs, genesis, nil)
 	for r := uint64(0); r < 6; r++ {
 		runRound(t, kps, pubs, r, serving)
 	}
 
 	var requests atomic.Int64
+	handler := Handler(serving, func() *ScheduleCert { return nil })
 	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)
-		Handler(serving).ServeHTTP(w, r)
+		handler.ServeHTTP(w, r)
 	})
 	ts := httptest.NewServer(counted)
 	defer ts.Close()
@@ -283,19 +282,27 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if latest.Round != 5 || latest.Value != serving.Head() {
 		t.Fatalf("latest = round %d, want 5", latest.Round)
 	}
-	e3, err := src.Entry(3)
-	if err != nil {
-		t.Fatal(err)
+	var e3 entryJSON
+	if status := getStatus(t, ts, "/beacon/3", &e3); status != http.StatusOK {
+		t.Fatalf("GET /beacon/3: status %d", status)
 	}
-	if e3.Round != 3 || e3.Value != serving.Get(3).Value {
+	if want := encodeEntry(serving.Get(3)); e3.Round != 3 || e3.Value != want.Value {
 		t.Fatal("exact-round fetch mismatch")
 	}
-	if _, err := src.Entry(99); err != ErrNotFound {
-		t.Fatalf("missing round: got %v, want ErrNotFound", err)
+	if status := getStatus(t, ts, "/beacon/99", nil); status != http.StatusNotFound {
+		t.Fatalf("GET /beacon/99: status %d, want 404", status)
+	}
+	// Before setup certifies a schedule the route answers 404 (not the
+	// {round} route's 400), which HTTPSource reads as "not yet".
+	if status := getStatus(t, ts, "/beacon/schedule", nil); status != http.StatusNotFound {
+		t.Fatalf("GET /beacon/schedule: status %d, want 404", status)
+	}
+	if _, err := src.Schedule(); err != ErrNotFound {
+		t.Fatalf("uncertified schedule: got %v, want ErrNotFound", err)
 	}
 
 	// A fresh client verifies the whole chain over HTTP.
-	client := NewChain(crypto.P256(), pubs, genesis)
+	client := NewChain(crypto.P256(), pubs, genesis, nil)
 	requests.Store(0)
 	added, err := client.Sync(src)
 	if err != nil {
@@ -312,4 +319,21 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if n := requests.Load(); n > 3 {
 		t.Fatalf("sync of 6 entries used %d HTTP requests", n)
 	}
+}
+
+// getStatus GETs path from ts and, on 200 with v non-nil, decodes the
+// JSON body into v.
+func getStatus(t *testing.T, ts *httptest.Server, path string, v any) int {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK && v != nil {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	return resp.StatusCode
 }

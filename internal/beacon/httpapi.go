@@ -11,21 +11,6 @@ import (
 	"time"
 )
 
-// Handler serves a chain over HTTP. Routes (all GET, JSON responses):
-//
-//	/beacon/latest        newest entry (404 on an empty chain)
-//	/beacon/{round}       entry for an exact round (404 when missing)
-//	/beacon/from/{round}  earliest entry with Round >= round
-//	/beacon/range/{from}  JSON array of entries with Round >= from
-//	                      (paged; ?max= caps the page, server limit 1024)
-//	/beacon/info          chain summary: length, head round, genesis
-//
-// The dissent SDK mounts this next to the protocol transport;
-// HTTPSource is the matching client side.
-func Handler(c *Chain) http.Handler {
-	return HandlerWithSchedule(c, nil)
-}
-
 // ScheduleCert is the session artifact a beacon chain's genesis binds
 // to: the certified slot-key list and every server's Schnorr signature
 // over it (verifiable with the group definition alone). Serving it
@@ -41,22 +26,33 @@ type scheduleCertJSON struct {
 	Sigs []string `json:"sigs"`
 }
 
-// HandlerWithSchedule serves a chain plus, when cert is non-nil,
+// Handler serves a chain over HTTP. Routes (all GET, JSON responses):
 //
+//	/beacon/latest        newest entry (404 on an empty chain)
+//	/beacon/{round}       entry for an exact round (404 when missing)
+//	/beacon/from/{round}  earliest entry with Round >= round
+//	/beacon/range/{from}  JSON array of entries with Round >= from
+//	                      (paged; ?max= caps the page, server limit 1024)
+//	/beacon/info          chain summary: length, head round, genesis
 //	/beacon/schedule      the session's schedule certificate (404
 //	                      until the schedule certifies)
 //
-// cert is a callback because the certificate only exists once setup
-// completes; it must return nil until then.
-func HandlerWithSchedule(c *Chain, cert func() *ScheduleCert) http.Handler {
+// cert, which must be non-nil, is a callback because the certificate
+// only exists once setup completes; it returns nil until then. The
+// dissent SDK mounts this next to the protocol transport; HTTPSource
+// is the matching client side.
+func Handler(c *Chain, cert func() *ScheduleCert) http.Handler {
 	mux := http.NewServeMux()
+	writeJSON := func(w http.ResponseWriter, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(v)
+	}
 	writeEntry := func(w http.ResponseWriter, e *Entry) {
 		if e == nil {
 			http.Error(w, "no such beacon entry", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(encodeEntry(e))
+		writeJSON(w, encodeEntry(e))
 	}
 	mux.HandleFunc("GET /beacon/latest", func(w http.ResponseWriter, r *http.Request) {
 		writeEntry(w, c.Latest())
@@ -75,8 +71,7 @@ func HandlerWithSchedule(c *Chain, cert func() *ScheduleCert) http.Handler {
 		if latest := c.Latest(); latest != nil {
 			info.HeadRound = latest.Round
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(info)
+		writeJSON(w, info)
 	})
 	mux.HandleFunc("GET /beacon/range/{from}", func(w http.ResponseWriter, r *http.Request) {
 		from, err := strconv.ParseUint(r.PathValue("from"), 10, 64)
@@ -98,8 +93,7 @@ func HandlerWithSchedule(c *Chain, cert func() *ScheduleCert) http.Handler {
 		for i, e := range page {
 			out[i] = encodeEntry(e)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		writeJSON(w, out)
 	})
 	mux.HandleFunc("GET /beacon/from/{round}", func(w http.ResponseWriter, r *http.Request) {
 		round, err := strconv.ParseUint(r.PathValue("round"), 10, 64)
@@ -117,18 +111,14 @@ func HandlerWithSchedule(c *Chain, cert func() *ScheduleCert) http.Handler {
 		}
 		writeEntry(w, c.Get(round))
 	})
-	if cert != nil {
-		mux.HandleFunc("GET /beacon/schedule", func(w http.ResponseWriter, r *http.Request) {
-			sc := cert()
-			if sc == nil {
-				http.Error(w, "schedule not yet certified", http.StatusNotFound)
-				return
-			}
-			j := scheduleCertJSON{Keys: hexSlice(sc.Keys), Sigs: hexSlice(sc.Sigs)}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(j)
-		})
-	}
+	mux.HandleFunc("GET /beacon/schedule", func(w http.ResponseWriter, r *http.Request) {
+		sc := cert()
+		if sc == nil {
+			http.Error(w, "schedule not yet certified", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, scheduleCertJSON{Keys: hexSlice(sc.Keys), Sigs: hexSlice(sc.Sigs)})
+	})
 	return mux
 }
 
@@ -154,64 +144,60 @@ type HTTPSource struct {
 	Client *http.Client
 }
 
-func (s *HTTPSource) get(path string) (*Entry, error) {
+// maxResponse bounds one beacon response body (a full range page at
+// the server's 1024-entry limit fits with room to spare).
+const maxResponse = 64 << 20
+
+// getJSON fetches path and decodes its JSON body into v. A 404 is
+// ErrNotFound; any other non-200 status is an error.
+func (s *HTTPSource) getJSON(path string, v any) error {
 	client := s.Client
 	if client == nil {
 		client = defaultHTTPClient
 	}
 	resp, err := client.Get(strings.TrimSuffix(s.URL, "/") + path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("beacon: GET %s: %s", path, resp.Status)
+		return fmt.Errorf("beacon: GET %s: %s", path, resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
 	if err != nil {
-		return nil, err
+		return err
 	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("beacon: GET %s: %w", path, err)
+	}
+	return nil
+}
+
+// Latest implements Source.
+func (s *HTTPSource) Latest() (*Entry, error) {
 	var j entryJSON
-	if err := json.Unmarshal(body, &j); err != nil {
-		return nil, fmt.Errorf("beacon: GET %s: %w", path, err)
+	if err := s.getJSON("/beacon/latest", &j); err != nil {
+		return nil, err
 	}
 	return decodeEntry(j)
 }
 
-// Latest implements Source.
-func (s *HTTPSource) Latest() (*Entry, error) { return s.get("/beacon/latest") }
-
-// Range implements BatchSource: one request fetches a page of entries.
+// Range implements Source: one request fetches a page of entries.
 func (s *HTTPSource) Range(from uint64, max int) ([]*Entry, error) {
-	client := s.Client
-	if client == nil {
-		client = defaultHTTPClient
-	}
-	path := fmt.Sprintf("/beacon/range/%d?max=%d", from, max)
-	resp, err := client.Get(strings.TrimSuffix(s.URL, "/") + path)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("beacon: GET %s: %s", path, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
 	var js []entryJSON
-	if err := json.Unmarshal(body, &js); err != nil {
-		return nil, fmt.Errorf("beacon: GET %s: %w", path, err)
+	if err := s.getJSON(fmt.Sprintf("/beacon/range/%d?max=%d", from, max), &js); err != nil {
+		return nil, err
 	}
 	entries := make([]*Entry, len(js))
 	for i, j := range js {
-		if entries[i], err = decodeEntry(j); err != nil {
+		e, err := decodeEntry(j)
+		if err != nil {
 			return nil, err
 		}
+		entries[i] = e
 	}
 	return entries, nil
 }
@@ -221,37 +207,19 @@ func (s *HTTPSource) Range(from uint64, max int) ([]*Entry, error) {
 // Callers must verify the certificate's signatures themselves before
 // deriving a SessionGenesis from it.
 func (s *HTTPSource) Schedule() (*ScheduleCert, error) {
-	client := s.Client
-	if client == nil {
-		client = defaultHTTPClient
-	}
-	resp, err := client.Get(strings.TrimSuffix(s.URL, "/") + "/beacon/schedule")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, ErrNotFound
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("beacon: GET /beacon/schedule: %s", resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
 	var j scheduleCertJSON
-	if err := json.Unmarshal(body, &j); err != nil {
-		return nil, fmt.Errorf("beacon: GET /beacon/schedule: %w", err)
+	if err := s.getJSON("/beacon/schedule", &j); err != nil {
+		return nil, err
 	}
-	sc := &ScheduleCert{}
-	if sc.Keys, err = unhexSlice(j.Keys); err != nil {
+	keys, err := unhexSlice(j.Keys)
+	if err != nil {
 		return nil, fmt.Errorf("beacon: schedule keys: %w", err)
 	}
-	if sc.Sigs, err = unhexSlice(j.Sigs); err != nil {
+	sigs, err := unhexSlice(j.Sigs)
+	if err != nil {
 		return nil, fmt.Errorf("beacon: schedule sigs: %w", err)
 	}
-	return sc, nil
+	return &ScheduleCert{Keys: keys, Sigs: sigs}, nil
 }
 
 func unhexSlice(ss []string) ([][]byte, error) {
@@ -264,14 +232,4 @@ func unhexSlice(ss []string) ([][]byte, error) {
 		out[i] = b
 	}
 	return out, nil
-}
-
-// Entry fetches the entry for an exact round.
-func (s *HTTPSource) Entry(round uint64) (*Entry, error) {
-	return s.get("/beacon/" + strconv.FormatUint(round, 10))
-}
-
-// From implements Source.
-func (s *HTTPSource) From(round uint64) (*Entry, error) {
-	return s.get("/beacon/from/" + strconv.FormatUint(round, 10))
 }

@@ -167,7 +167,7 @@ func TestBeaconGenesisBoundToSession(t *testing.T) {
 	// A verifier anchored at the pre-session genesis — the situation of
 	// someone replaying an archived chain's context — must reject the
 	// live chain's first entry.
-	stale := beacon.NewChain(f.def.Group(), f.def.ServerPubKeys(), beacon.GenesisValue(f.def.GroupID()))
+	stale := beacon.NewChain(f.def.Group(), f.def.ServerPubKeys(), beacon.GenesisValue(f.def.GroupID()), nil)
 	if err := stale.Append(srv.BeaconChain().Get(0)); err == nil {
 		t.Fatal("live entry accepted under the pre-session genesis")
 	}

@@ -306,12 +306,7 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry
 	pubs := def.ServerPubKeys()
 	n.cert = crypto.NewMultisig(n.keyGrp, pubs)
 	if def.Policy.BeaconEpochRounds > 0 {
-		genesis := beacon.GenesisValue(n.grpID)
-		if opts.BeaconStore != nil {
-			n.beaconChain = beacon.NewChainWithStore(n.keyGrp, pubs, genesis, opts.BeaconStore)
-		} else {
-			n.beaconChain = beacon.NewChain(n.keyGrp, pubs, genesis)
-		}
+		n.beaconChain = beacon.NewChain(n.keyGrp, pubs, beacon.GenesisValue(n.grpID), opts.BeaconStore)
 	}
 	return n, nil
 }
@@ -338,10 +333,12 @@ type Options struct {
 	// def.MsgGroup(), the group Policy.MessageGroup names). A non-nil
 	// group must carry that name; the constructors refuse any other.
 	MessageGroup crypto.Group
-	// BeaconStore backs the node's beacon chain (nil = in-memory).
-	// The SDK passes a beacon.KVStore over the session's state store
-	// for durable, checkpointable chains.
-	BeaconStore beacon.Store
+	// BeaconStore, when non-nil, is the KV bucket the node's beacon
+	// chain writes each certified entry to (one fsynced Put) before
+	// accepting it; nil keeps the chain in memory. The SDK opens it as
+	// the "beacon" bucket of the session's state store. The chain keeps
+	// every entry for the session's lifetime either way.
+	BeaconStore *beacon.KVStore
 	// StateStore backs the engine's durable protocol state: the
 	// certified roster-update log (with post-apply schedule digests),
 	// blame transcripts, and the server restart snapshot. nil keeps

@@ -17,20 +17,31 @@ import (
 	"dissent/internal/group"
 )
 
-// flakyBeaconStore fails its failAt-th Append (1-based) once; every other
-// call goes to the wrapped store.
-type flakyBeaconStore struct {
-	beacon.Store
-	failAt, appends, failures int
+// flakyBeaconKV is a beacon KV whose failAt-th Put (1-based) fails
+// once; every other call reaches the map.
+type flakyBeaconKV struct {
+	mapStore
+	failAt, puts, failures int
 }
 
-func (s *flakyBeaconStore) Append(e *beacon.Entry) error {
-	s.appends++
-	if s.appends == s.failAt {
+func (s *flakyBeaconKV) Put(bucket, key string, value []byte) error {
+	s.puts++
+	if s.puts == s.failAt {
 		s.failures++
 		return errors.New("injected beacon store failure")
 	}
-	return s.Store.Append(e)
+	return s.mapStore.Put(bucket, key, value)
+}
+
+// newFlakyBeaconStore opens a beacon bucket over a flakyBeaconKV.
+func newFlakyBeaconStore(t *testing.T, failAt int) (*flakyBeaconKV, *beacon.KVStore) {
+	t.Helper()
+	kv := &flakyBeaconKV{mapStore: mapStore{}, failAt: failAt}
+	bs, err := beacon.NewKVStore(kv, "beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kv, bs
 }
 
 // replicaState is what a retirement moves.
@@ -53,7 +64,7 @@ func stateOf(n *node) replicaState {
 type retireProbe struct {
 	*Client
 	t     *testing.T
-	store *flakyBeaconStore
+	store *flakyBeaconKV
 	hit   bool
 }
 
@@ -99,13 +110,13 @@ func TestClientRetireIsAtomic(t *testing.T) {
 	}
 
 	t.Run("client", func(t *testing.T) {
-		store := &flakyBeaconStore{Store: beacon.NewMemStore(), failAt: failAt}
+		store, bs := newFlakyBeaconStore(t, failAt)
 		var probe *retireProbe
 		f := newFixture(t, 3, 4, fixtureOpts{
 			mutatePolicy: policy,
 			clientOpts: func(idx int, o *Options) {
 				if idx == 0 {
-					o.BeaconStore = store
+					o.BeaconStore = bs
 				}
 			},
 			wrapClient: func(idx int, c *Client) Engine {
@@ -118,7 +129,7 @@ func TestClientRetireIsAtomic(t *testing.T) {
 		})
 		f.runUntilRound(failAt+6, 3_000_000)
 		if !probe.hit {
-			t.Fatalf("the injected failure never fired (%d appends)", store.appends)
+			t.Fatalf("the injected failure never fired (%d puts)", store.puts)
 		}
 		c, srv := f.clients[0], f.servers[0]
 		if c.head+uint64(c.depth) < srv.head {
@@ -141,12 +152,12 @@ func TestClientRetireIsAtomic(t *testing.T) {
 	})
 
 	t.Run("server", func(t *testing.T) {
-		store := &flakyBeaconStore{Store: beacon.NewMemStore(), failAt: failAt}
+		_, bs := newFlakyBeaconStore(t, failAt)
 		f := newFixture(t, 3, 4, fixtureOpts{
 			mutatePolicy: policy,
 			serverOpts: func(idx int, o *Options) {
 				if idx == 0 {
-					o.BeaconStore = store
+					o.BeaconStore = bs
 				}
 			},
 		})
@@ -506,14 +517,24 @@ func queuedRows(state []byte) uint32 {
 // re-syncs a new client 0 from server 0's snapshot.
 func (w *lockstepWorld) fork(step string) (queued uint32) {
 	w.t.Helper()
-	bs := beacon.NewMemStore()
+	// Server 1's chain is in memory: write it into the clone's beacon
+	// bucket, as a durable server would have, and reopen it from there.
+	st := w.s1store.clone()
+	bs, err := beacon.NewKVStore(st, "beacon")
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	disk := beacon.NewChain(w.f.def.Group(), w.f.def.ServerPubKeys(), w.s1.beaconChain.Genesis(), bs)
 	for _, e := range w.s1.beaconChain.RangeFrom(0, 1<<20) {
-		if err := bs.Append(e); err != nil {
+		if err := disk.AppendTrusted(e); err != nil {
 			w.t.Fatal(err)
 		}
 	}
+	if bs, err = beacon.NewKVStore(st, "beacon"); err != nil {
+		w.t.Fatal(err)
+	}
 	o := w.opts()
-	o.StateStore, o.BeaconStore = w.s1store.clone(), bs
+	o.StateStore, o.BeaconStore = st, bs
 	fk, err := NewServer(w.f.def, w.f.kpByID[w.s1.ID()], w.f.msgKPByIdx[w.s1.idx], o)
 	if err != nil {
 		w.t.Fatal(err)

@@ -210,6 +210,25 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 	if !found {
 		t.Fatalf("post-restart payload never delivered; violations: %v", f.violations())
 	}
+
+	// The restarted server's chain — reloaded from its store, rebound
+	// to the restored session genesis, extended since — is the group's:
+	// it verifies, and at an equal round it matches a peer's.
+	peer := f.servers[1]
+	for i := 0; i < 100_000 && peer.Round() != restored.Round(); i++ {
+		f.h.Net.Step()
+	}
+	if peer.Round() != restored.Round() {
+		t.Fatalf("restarted server at round %d never met its peer at %d", restored.Round(), peer.Round())
+	}
+	chain, peerChain := restored.BeaconChain(), peer.BeaconChain()
+	if err := chain.Verify(); err != nil {
+		t.Fatalf("restarted server's beacon chain fails verification: %v", err)
+	}
+	if chain.Len() == 0 || chain.Head() != peerChain.Head() || chain.Len() != peerChain.Len() {
+		t.Fatalf("restarted server's beacon chain (%d entries, head %x) differs from its peer's (%d entries, head %x)",
+			chain.Len(), chain.Head(), peerChain.Len(), peerChain.Head())
+	}
 }
 
 // TestServerDoubleCrashInOneRound kills a server, restarts it, and kills

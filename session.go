@@ -164,15 +164,15 @@ func newMemberSession(joiner bool, def *Group, keys Keys, opts []Option) (*Sessi
 		// Guard the typed-nil: a nil *StateStore inside the interface
 		// would pass the engine's == nil checks and panic on first use.
 		coreOpts.StateStore = cfg.stateStore
-		// The beacon chain rides the same store file. A state store
-		// fresh from OpenStateStore always yields a readable (if
-		// empty) beacon bucket; treat failure as content damage.
+		// The beacon chain rides the same store file. A damaged beacon
+		// bucket refuses the open, as mid-file damage does in
+		// OpenStateStore: a restored server running an empty chain
+		// would sign its beacon shares over the wrong head.
 		bs, err := beacon.NewKVStore(cfg.stateStore, "beacon")
 		if err != nil {
-			logger.Warn("state store beacon bucket unreadable; beacon chain stays in-memory", "err", err)
-		} else {
-			coreOpts.BeaconStore = bs
+			return nil, fmt.Errorf("dissent: state store beacon bucket: %w", err)
 		}
+		coreOpts.BeaconStore = bs
 	}
 
 	if role == RoleServer {
@@ -348,7 +348,7 @@ func (s *Session) open(dial func(*Session) (link, error)) error {
 			s.shutdown()
 			return err
 		}
-		hs := &http.Server{Handler: beacon.HandlerWithSchedule(chain, s.scheduleCert)}
+		hs := &http.Server{Handler: beacon.Handler(chain, s.scheduleCert)}
 		s.mu.Lock()
 		if s.closed { // closed while the listener came up: nothing will close hs for us
 			s.mu.Unlock()

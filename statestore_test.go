@@ -9,6 +9,7 @@ import (
 	"context"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,5 +192,35 @@ func TestOpenStateStoreClearsStaleContent(t *testing.T) {
 	defer kv2.Close()
 	if n := kv2.Len(); n != 0 {
 		t.Fatalf("stale snapshot-less store reopened with %d records, want 0", n)
+	}
+}
+
+// TestOpenSessionRefusesDamagedBeaconBucket: a state store whose beacon
+// bucket holds a record that does not decode refuses the session open.
+// Falling back to an in-memory chain would leave a restored server with
+// an empty chain whose head is the session genesis, so its next beacon
+// share would sign over the wrong head and no round could combine.
+func TestOpenSessionRefusesDamagedBeaconBucket(t *testing.T) {
+	policy := testPolicy(func(p *dissent.Policy) { p.BeaconEpochRounds = 4 })
+	sKeys, _, grp := buildGroup(t, 3, 4, policy)
+	kv, err := dissent.OpenStateStore(filepath.Join(t.TempDir(), "srv0.kv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	if err := kv.Put("beacon", "00000000000000000000", []byte("not a beacon entry")); err != nil {
+		t.Fatal(err)
+	}
+	net := dissent.NewSimNet()
+	defer net.Close()
+	host := newHost(t, dissent.WithHostSimNet(net))
+	defer host.Close()
+	sess, err := host.OpenSession(grp, sKeys[0], dissent.WithStateStore(kv))
+	if err == nil {
+		sess.Close()
+		t.Fatal("session opened over a damaged beacon bucket")
+	}
+	if !strings.Contains(err.Error(), "beacon bucket") {
+		t.Fatalf("open error %q does not name the beacon bucket", err)
 	}
 }
