@@ -29,13 +29,13 @@
 // flushed and closed).
 //
 // With -store the session persists its durable state — the certified
-// roster-update log, blame transcripts, the restart snapshot, and the
-// beacon chain — to a single crash-safe embedded store file. A daemon
-// killed mid-epoch and restarted against the same -store file resumes
-// its live session from the snapshot: it re-announces itself to the
-// group, reopens in-flight rounds, and catches up on rounds certified
-// without it, with no manual rejoin. A store whose snapshot predates a
-// different group or an abandoned run is cleared at startup.
+// roster-update log, the restart snapshot, and the beacon chain — to a
+// single crash-safe embedded store file. A daemon killed mid-epoch and
+// restarted against the same -store file resumes its live session from
+// the snapshot: it re-announces itself to the group, reopens in-flight
+// rounds, and catches up on rounds certified without it, with no manual
+// rejoin. A store whose snapshot predates a different group or an
+// abandoned run is cleared at startup.
 //
 // With -beacon a session additionally serves its randomness-beacon
 // chain over HTTP (GET /beacon/latest, /beacon/{round},

@@ -95,9 +95,6 @@ func (c *Chain) ResetTrusted(genesis Value) error {
 	return nil
 }
 
-// NumServers returns the number of share contributors per entry.
-func (c *Chain) NumServers() int { return len(c.pubs) }
-
 // Head returns the value the next entry must chain from: the latest
 // entry's value, or the genesis value for an empty chain.
 func (c *Chain) Head() Value {

@@ -67,6 +67,7 @@ func (s *Server) startBlame(now time.Time) (*Output, error) {
 	s.blame = &blameState{
 		session: s.blameSession,
 		phase:   bpShuffle,
+		start:   now,
 		traces:  make(map[int]*TraceBits),
 		flagged: -1,
 	}
@@ -433,32 +434,6 @@ func (s *Server) judgeRebuttal(now time.Time, ci int, p *Rebuttal) (*Output, err
 	return s.blameVerdict(now, s.def.Clients[ci].ID, 1)
 }
 
-// persistBlameTranscript records the closed session's verdict and the
-// traced accusation in the durable store so an operator (or a restarted
-// node) can audit why a member is excluded. The per-round evidence
-// itself (histories, traces) is deliberately not persisted — it is
-// pooled hot-path memory, and the verdict is what outlives the session.
-// Also refreshes the session snapshot: a verdict can change the
-// excluded set between round retirements, and a crash in that gap must
-// not resurrect the culprit.
-func (s *Server) persistBlameTranscript(b *blameState, culprit group.NodeID, verdict byte) {
-	if s.store == nil {
-		return
-	}
-	t := &BlameTranscript{Round: s.head, Verdict: verdict, Culprit: culprit}
-	if b.acc != nil {
-		t.HasAccusation = true
-		t.AccRound = b.acc.round
-		t.AccSlot = uint32(b.acc.slot)
-		t.AccBit = uint32(b.acc.bit)
-	}
-	key := fmt.Sprintf("%010d", b.session)
-	if err := s.store.Put(bucketBlame, key, t.Encode()); err != nil {
-		s.log.Error("blame transcript persist failed", "blame_session", b.session, "err", err)
-	}
-	s.persistSnapshot()
-}
-
 // blameVerdict closes the blame session, applies expulsion, notifies
 // clients, and resumes DC-net rounds.
 func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte) (*Output, error) {
@@ -466,35 +441,29 @@ func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte)
 	out := &Output{}
 	s.log.Info("blame verdict", "round", s.head, "blame_session", b.session,
 		"verdict", verdict, "culprit", culprit)
-	switch verdict {
-	case 1:
-		ci := s.def.ClientIndex(culprit)
-		if ci >= 0 {
-			// Every server reaches this verdict deterministically from
-			// the same trace data, so immediate exclusion stays
-			// consistent; the removal is additionally recorded in the
-			// next epoch boundary's certified roster update (and the
-			// expulsion round starts the re-admission cooldown).
-			s.excluded[ci] = true
-			s.pendingRemove[ci] = true
-			if _, ok := s.expelRound[ci]; !ok {
-				s.expelRound[ci] = s.head
-			}
+	if ci := s.def.ClientIndex(culprit); verdict == 1 && ci >= 0 {
+		// Every server reaches this verdict deterministically from the
+		// same trace data, so immediate exclusion stays consistent; the
+		// removal is additionally recorded in the next epoch boundary's
+		// certified roster update (and the expulsion round starts the
+		// re-admission cooldown).
+		s.excluded[ci] = true
+		s.pendingRemove[ci] = true
+		if _, ok := s.expelRound[ci]; !ok {
+			s.expelRound[ci] = s.head
 		}
-		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
-			Culprit: culprit, Detail: "client expelled"})
-	case 2:
-		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
-			Culprit: culprit, Detail: "server exposed"})
-	default:
-		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
-			Detail: "inconclusive"})
 	}
+	detail := verdictDetail(verdict)
+	out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
+		Culprit: culprit, Detail: detail})
+	s.concludeBlame(b.start, now, detail, culprit)
 	body := (&BlameDone{Session: b.session, Verdict: verdict, Culprit: culprit}).Encode()
 	if err := s.broadcastClients(MsgBlameDone, s.head, body, out); err != nil {
 		return nil, err
 	}
-	s.persistBlameTranscript(b, culprit, verdict)
+	// A verdict can change the excluded set between round retirements;
+	// a crash in that gap must not resurrect the culprit.
+	s.persistSnapshot()
 	s.blame = nil
 	s.phase = phaseRunning
 	if err := s.resumeRounds(now, out); err != nil {

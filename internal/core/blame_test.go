@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
+	"dissent/internal/store"
 )
 
 // disruptorClient wraps an honest Client engine and flips bits inside
@@ -63,6 +67,67 @@ func (d *disruptorClient) mangle(out *Output) *Output {
 		out.Send[i] = Envelope{To: env.To, Msg: msg}
 	}
 	return out
+}
+
+// TestVerdictPersistsExpulsion pins the snapshot a verdict writes: each
+// server's stored restart snapshot must list the culprit as excluded
+// the moment its EventBlameVerdict fires, before its next round
+// retirement would persist one anyway — a crash in that gap must not
+// bring the culprit back.
+func TestVerdictPersistsExpulsion(t *testing.T) {
+	dir := t.TempDir()
+	kvs := make([]*store.KV, 3)
+	for i := range kvs {
+		kv, err := store.Open(filepath.Join(dir, fmt.Sprintf("srv%d.kv", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { kv.Close() })
+		kvs[i] = kv
+	}
+	f := newFixture(t, 3, 5, fixtureOpts{
+		serverOpts: func(idx int, o *Options) { o.StateStore = kvs[idx] },
+	})
+	disruptor := &disruptorClient{Client: f.clients[4], victim: f.clients[0]}
+	f.h.AddNode(f.clients[4].ID(), disruptor, 0)
+	f.clients[0].Send(bytes.Repeat([]byte("censored speech "), 20))
+	f.h.StartAll()
+
+	checked := make(map[group.NodeID]bool)
+	seen := 0
+	for steps := 0; len(checked) < len(f.servers) && steps < 3_000_000; steps++ {
+		if !f.h.Net.Step() {
+			break
+		}
+		// A step is one engine call, so a verdict is checked before the
+		// server's next retirement.
+		for ; seen < len(f.h.Events); seen++ {
+			e := f.h.Events[seen]
+			si := f.def.ServerIndex(e.Node)
+			if e.Kind != EventBlameVerdict || si < 0 || checked[e.Node] {
+				continue
+			}
+			checked[e.Node] = true
+			ci := f.def.ClientIndex(e.Culprit)
+			if ci < 0 {
+				t.Fatalf("server %d verdict %q names no client", si, e.Detail)
+			}
+			raw, ok := kvs[si].Get(bucketSnapshot, snapshotKey)
+			if !ok {
+				t.Fatalf("server %d: no stored snapshot at the verdict", si)
+			}
+			sn, err := DecodeServerSnapshot(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(sn.ExpelIdx, int32(ci)) {
+				t.Errorf("server %d: snapshot at the verdict excludes %v, want culprit %d", si, sn.ExpelIdx, ci)
+			}
+		}
+	}
+	if len(checked) < len(f.servers) {
+		t.Fatalf("verdicts at %d/%d servers; violations: %v", len(checked), len(f.servers), f.violations())
+	}
 }
 
 func TestDisruptorClientTracedAndExpelled(t *testing.T) {

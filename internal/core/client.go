@@ -30,6 +30,9 @@ type clientRound struct {
 	r      uint64
 	start  time.Time // submit time (trace span origin)
 	padDur time.Duration
+	// prefetchHit reports whether the ciphertext used the streams
+	// prepared in the previous idle window (nextStreams).
+	prefetchHit bool
 
 	vec      []byte // message vector submitted (resend on failure); pooled
 	sentSlot []byte // our slot region as sent (all-zero if silent, nil if closed); aliases sentBuf
@@ -78,10 +81,9 @@ type Client struct {
 	// are round-independent, so round r+1's AES key schedules can be
 	// built the moment round r is submitted, leaving the submit path
 	// itself allocation-free. bufs recycles message vectors and
-	// ciphertext buffers; perf records pad timings for Metrics.
+	// ciphertext buffers.
 	nextStreams *dcnet.PadStreams
 	bufs        bufPool
-	perf        perfCounters
 
 	// Membership churn state (see roster.go).
 	expelled       bool   // expelled by verdict or certified removal; not submitting
@@ -98,6 +100,9 @@ type Client struct {
 
 	witness          *witnessInfo
 	accusedInSession int32
+	// blameAt is when the open accusation shuffle's MsgBlameStart
+	// arrived (zero when none is open), for the next round span.
+	blameAt time.Time
 
 	// ctl is the cast log of the one control message the client may be
 	// repeating outside a round: a joiner's join request, or a held
@@ -498,7 +503,6 @@ func (c *Client) submitRound(now time.Time) (*Output, error) {
 		c.round++
 		out.merge(sub)
 	}
-	c.perf.setRoundsInFlight(len(c.inflight))
 	return out, nil
 }
 
@@ -526,16 +530,13 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	ps := c.nextStreams
 	c.nextStreams = nil
 	t0 := time.Now()
-	if ps != nil && ps.Round() == cr.r {
+	cr.prefetchHit = ps != nil && ps.Round() == cr.r
+	if cr.prefetchHit {
 		ps.CiphertextInto(ct, vec)
-		c.perf.prefetchHits.Add(1)
 	} else {
 		c.pad.ClientCiphertextInto(ct, c.serverSeeds, cr.r, vec)
-		c.perf.prefetchMisses.Add(1)
 	}
-	d := time.Since(t0)
-	c.perf.addPad(d)
-	cr.padDur = d
+	cr.padDur = time.Since(t0)
 	cr.start = now
 	body := (&ClientSubmit{CT: ct}).Encode()
 	c.bufs.put(ct)
@@ -559,18 +560,15 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	}, nil
 }
 
-// PerfStats returns the client's data-plane timing counters. Safe to
-// call concurrently with engine progress.
-func (c *Client) PerfStats() PerfStats { return c.perf.snapshot() }
+// RoundsInFlight returns the client's submitted-but-uncertified round
+// count (at most the pipeline depth).
+func (c *Client) RoundsInFlight() int { return len(c.inflight) }
 
-// emitRoundTrace renders the client's view of a certified round as a
-// span record: submit-to-output latency plus the ciphertext-build time.
-// cr may be nil when the output matched no in-flight record (e.g. an
-// expelled client following outputs without submitting).
-func (c *Client) emitRoundTrace(now time.Time, round uint64, participation int, failed bool, cr *clientRound) {
-	if c.trace == nil {
-		return
-	}
+// emitRoundTrace puts the client's view of a certified round into out
+// as a span record: submit-to-output latency plus the ciphertext-build
+// time. cr may be nil when the output matched no in-flight record (e.g.
+// an expelled client following outputs without submitting).
+func (c *Client) emitRoundTrace(now time.Time, round uint64, participation int, failed bool, cr *clientRound, out *Output) {
 	t := obs.RoundTrace{
 		Round:         round,
 		Participation: participation,
@@ -579,11 +577,12 @@ func (c *Client) emitRoundTrace(now time.Time, round uint64, participation int, 
 	if cr != nil {
 		t.Start = cr.start
 		t.Pad = cr.padDur
+		t.PrefetchHit = cr.prefetchHit
 		if !cr.start.IsZero() {
 			t.Total = now.Sub(cr.start)
 		}
 	}
-	c.trace(t)
+	c.emitSpan(t, out)
 }
 
 func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
@@ -618,16 +617,14 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		copy(c.inflight, c.inflight[1:])
 		c.inflight[len(c.inflight)-1] = nil
 		c.inflight = c.inflight[:len(c.inflight)-1]
-		c.perf.setRoundsInFlight(len(c.inflight))
 	}
 	if c.round < c.head {
 		// Non-submitting clients track the round counter from outputs so
 		// a later re-admission resumes at the right round.
 		c.round = c.head
 	}
-	c.emitRoundTrace(now, m.Round, int(p.Count), p.Failed, cr)
-
 	out := &Output{}
+	c.emitRoundTrace(now, m.Round, int(p.Count), p.Failed, cr, out)
 	if c.epochBoundary(c.round) && c.round > c.rosterDone && len(c.inflight) == 0 {
 		// Epoch boundary: servers run the roster phase before this round.
 		c.awaitRoster(now, out)
@@ -728,6 +725,9 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return c.violation(err), nil
 	}
+	if c.blameAt.IsZero() {
+		c.blameAt = now
+	}
 	var msg []byte
 	if c.witness != nil {
 		// The witness bit travels slot-relative; servers translate.
@@ -771,8 +771,11 @@ func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
 	}
 	out := &Output{}
 	if p.Verdict != 0 {
-		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: m.Round, Culprit: p.Culprit})
+		out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: m.Round,
+			Culprit: p.Culprit, Detail: verdictDetail(p.Verdict)})
 	}
+	c.concludeBlame(c.blameAt, now, verdictDetail(p.Verdict), p.Culprit)
+	c.blameAt = time.Time{}
 	if c.witness != nil && c.accusedInSession == p.Session && p.Verdict != 0 {
 		// Our accusation was carried and judged; stop re-requesting.
 		c.witness = nil

@@ -158,6 +158,9 @@ type Output struct {
 	// with the fabric before transmitting Send (the welcome message to
 	// a joiner needs its address already routable).
 	NewPeers []PeerInfo
+	// Traces are the span records of the rounds this call completed,
+	// timed on the engine's clock — the one per-round timing record.
+	Traces []obs.RoundTrace
 }
 
 func (o *Output) merge(other *Output) {
@@ -168,6 +171,7 @@ func (o *Output) merge(other *Output) {
 	o.Deliveries = append(o.Deliveries, other.Deliveries...)
 	o.Events = append(o.Events, other.Events...)
 	o.NewPeers = append(o.NewPeers, other.NewPeers...)
+	o.Traces = append(o.Traces, other.Traces...)
 	if o.Timer.IsZero() || (!other.Timer.IsZero() && other.Timer.Before(o.Timer)) {
 		o.Timer = other.Timer
 	}
@@ -177,9 +181,8 @@ func (o *Output) merge(other *Output) {
 // protocol state through — satisfied by *store.KV. Mutations must be
 // durable before they return. The engines use fixed buckets: "roster"
 // for certified roster updates keyed by version, "roster-digest" for
-// the post-apply schedule digests beside them, "blame" for completed
-// blame-session transcripts, and "snapshot" for the server's restart
-// snapshot.
+// the post-apply schedule digests beside them, and "snapshot" for the
+// server's restart snapshot.
 type StateStore interface {
 	Put(bucket, key string, value []byte) error
 	Get(bucket, key string) ([]byte, bool)
@@ -191,7 +194,6 @@ type StateStore interface {
 const (
 	bucketRoster       = "roster"
 	bucketRosterDigest = "roster-digest"
-	bucketBlame        = "blame"
 	bucketSnapshot     = "snapshot"
 )
 
@@ -238,11 +240,14 @@ type node struct {
 	// recovery is unavailable).
 	store StateStore
 
-	// trace receives one span record per completed round (nil = off);
 	// log carries the engine's structured logger (never nil — a discard
 	// handler when the embedder injects none).
-	trace func(obs.RoundTrace)
-	log   *slog.Logger
+	log *slog.Logger
+
+	// blameSpan holds a concluded accusation shuffle's outcome (Blame,
+	// BlameVerdict, BlameAccused) until emitSpan attaches it to the next
+	// round span.
+	blameSpan obs.RoundTrace
 
 	// interdict is the adversary-injection hook (nil on honest nodes);
 	// retry is the role's retransmission backoff and retrySeed feeds its
@@ -294,7 +299,6 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry
 		id:     group.IDFromKey(def.Group(), kp.Public),
 		rand:   opts.Rand,
 		store:  opts.StateStore,
-		trace:  opts.OnRoundTrace,
 		log:    logger,
 
 		interdict: opts.Interdict,
@@ -315,6 +319,40 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry
 // beacon is disabled by policy. The chain is safe for concurrent
 // reads, so servers can expose it over HTTP while rounds progress.
 func (n *node) BeaconChain() *beacon.Chain { return n.beaconChain }
+
+// concludeBlame records the outcome of an accusation shuffle that ran
+// from start to now for the next round span. A zero start (the engine
+// did not see the shuffle open) records nothing.
+func (n *node) concludeBlame(start, now time.Time, verdict string, culprit group.NodeID) {
+	if start.IsZero() {
+		return
+	}
+	n.blameSpan = obs.RoundTrace{Blame: now.Sub(start), BlameVerdict: verdict}
+	if culprit != (group.NodeID{}) {
+		n.blameSpan.BlameAccused = culprit.String()
+	}
+}
+
+// emitSpan puts a round's span into out, carrying the outcome of the
+// accusation shuffle concluded since the previous span, if any.
+func (n *node) emitSpan(t obs.RoundTrace, out *Output) {
+	t.Blame, t.BlameVerdict, t.BlameAccused = n.blameSpan.Blame, n.blameSpan.BlameVerdict, n.blameSpan.BlameAccused
+	n.blameSpan = obs.RoundTrace{}
+	out.Traces = append(out.Traces, t)
+}
+
+// verdictDetail names a blame verdict code in its EventBlameVerdict
+// detail and span record.
+func verdictDetail(verdict byte) string {
+	switch verdict {
+	case 1:
+		return "client expelled"
+	case 2:
+		return "server exposed"
+	default:
+		return "inconclusive"
+	}
+}
 
 // beaconValueBytes renders an entry's value for certification (nil
 // entry -> nil, for failed rounds and beacon-off groups).
@@ -340,10 +378,10 @@ type Options struct {
 	// every entry for the session's lifetime either way.
 	BeaconStore *beacon.KVStore
 	// StateStore backs the engine's durable protocol state: the
-	// certified roster-update log (with post-apply schedule digests),
-	// blame transcripts, and the server restart snapshot. nil keeps
-	// everything in memory — catch-up is then limited to the bounded
-	// in-memory roster log and crash recovery is unavailable.
+	// certified roster-update log (with post-apply schedule digests) and
+	// the server restart snapshot. nil keeps everything in memory —
+	// catch-up is then limited to the bounded in-memory roster log and
+	// crash recovery is unavailable.
 	StateStore StateStore
 	// NoPadPrefetch disables the servers' background pad expansion
 	// during the submission window. internal/bench sets it so the
@@ -364,12 +402,6 @@ type Options struct {
 	// Robustness tests and the internal/adversary catalog use it to
 	// script byzantine members; production nodes leave it nil.
 	Interdict *Interdict
-	// OnRoundTrace, when non-nil, receives one obs.RoundTrace per
-	// completed round — the engine's phase timestamps as a span record.
-	// It runs on the engine's calling goroutine and must be fast and
-	// non-blocking; the SDK wires it to a bounded per-session ring and
-	// the phase-latency histograms.
-	OnRoundTrace func(obs.RoundTrace)
 	// Logger receives the engine's structured logs (round milestones at
 	// Debug, blame verdicts at Info). nil discards them.
 	Logger *slog.Logger

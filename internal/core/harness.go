@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dissent/internal/group"
+	"dissent/internal/obs"
 	"dissent/internal/simnet"
 )
 
@@ -57,8 +58,9 @@ type Harness struct {
 
 	nodes map[group.NodeID]*harnessNode
 
-	// Logs.
+	// Logs. Traces holds each node's round spans in emission order.
 	Events     []TimedEvent
+	Traces     map[group.NodeID][]obs.RoundTrace
 	Deliveries []TimedDelivery
 	Errors     []error
 
@@ -80,6 +82,7 @@ func NewHarness() *Harness {
 	return &Harness{
 		Net:       simnet.New(time.Unix(0, 0)),
 		nodes:     make(map[group.NodeID]*harnessNode),
+		Traces:    make(map[group.NodeID][]obs.RoundTrace),
 		BytesSent: make(map[group.NodeID]int64),
 		MsgCount:  make(map[MsgType]int64),
 	}
@@ -144,6 +147,9 @@ func (h *Harness) process(now time.Time, n *harnessNode, out *Output, err error)
 	}
 	for _, ev := range out.Events {
 		h.Events = append(h.Events, TimedEvent{At: now, Node: n.id, Event: ev})
+	}
+	if len(out.Traces) > 0 {
+		h.Traces[n.id] = append(h.Traces[n.id], out.Traces...)
 	}
 	for _, d := range out.Deliveries {
 		td := TimedDelivery{At: now, Node: n.id, Delivery: d}

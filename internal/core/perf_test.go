@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dissent/internal/group"
+	"dissent/internal/obs"
 )
 
 // TestLateSubmissionReconciledByAccumulatorDiff drives the streaming
@@ -59,9 +60,9 @@ func TestLateSubmissionReconciledByAccumulatorDiff(t *testing.T) {
 	if p := f.servers[0].Participation(); p != 3 {
 		t.Fatalf("participation %d, want 3 (late client reconciled out)", p)
 	}
-	var adjusts uint64
+	adjusts := 0
 	for _, s := range f.servers {
-		adjusts += s.perf.accAdjusts.Load()
+		adjusts += s.accAdjusts
 	}
 	if adjusts == 0 {
 		t.Fatal("reconcile path never ran — the late ciphertext missed the accumulator entirely")
@@ -113,37 +114,57 @@ func TestPadPrefetchSurvivesEpochChurn(t *testing.T) {
 		t.Fatal("delivery lost across the epoch boundary")
 	}
 	// Prefetches must have been consumed on the steady rounds.
-	ps := f.servers[0].PerfStats()
-	if ps.PrefetchHits == 0 {
-		t.Fatalf("no prefetch hits recorded: %+v", ps)
+	if !anyPrefetchHit(f.h.Traces[f.servers[0].ID()]) {
+		t.Fatalf("no prefetch hits recorded: %+v", f.h.Traces[f.servers[0].ID()])
 	}
 }
 
-// TestPerfStatsAccumulate checks that the data-plane timing counters
-// surface through both engines' PerfStats.
+// anyPrefetchHit reports whether any span's pad came from the prefetch.
+func anyPrefetchHit(spans []obs.RoundTrace) bool {
+	for _, sp := range spans {
+		if sp.PrefetchHit {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPerfStatsAccumulate checks that the data-plane timings surface
+// in both engines' round spans — the figures the SDK sums into
+// SessionMetrics.
 func TestPerfStatsAccumulate(t *testing.T) {
 	f := newFixture(t, 2, 3, fixtureOpts{})
 	f.clients[0].Send([]byte("time me"))
 	f.runUntilRound(3, 500_000)
 
-	sps := f.servers[0].PerfStats()
-	if sps.PadCompute <= 0 {
-		t.Errorf("server pad-compute time not recorded: %+v", sps)
+	sspans := f.h.Traces[f.servers[0].ID()]
+	var pad, combine time.Duration
+	for _, sp := range sspans {
+		pad += sp.Pad
+		combine += sp.Combine
 	}
-	if sps.Combine <= 0 {
-		t.Errorf("server combine time not recorded: %+v", sps)
+	if pad <= 0 {
+		t.Errorf("server pad-compute time not recorded: %+v", sspans)
 	}
-	if sps.PrefetchHits+sps.PrefetchMisses == 0 {
-		t.Errorf("server prefetch counters empty: %+v", sps)
+	if combine <= 0 {
+		t.Errorf("server combine time not recorded: %+v", sspans)
 	}
-	cps := f.clients[0].PerfStats()
-	if cps.PadCompute <= 0 {
-		t.Errorf("client pad-compute time not recorded: %+v", cps)
+	if !anyPrefetchHit(sspans) {
+		t.Errorf("server pad prefetch never hit: %+v", sspans)
 	}
-	if cps.PrefetchHits == 0 {
-		t.Errorf("client stream prefetch never hit: %+v", cps)
+	cspans := f.h.Traces[f.clients[0].ID()]
+	pad, combine = 0, 0
+	for _, sp := range cspans {
+		pad += sp.Pad
+		combine += sp.Combine
 	}
-	if cps.Combine != 0 {
-		t.Errorf("client combine time should be zero, got %+v", cps)
+	if pad <= 0 {
+		t.Errorf("client pad-compute time not recorded: %+v", cspans)
+	}
+	if !anyPrefetchHit(cspans) {
+		t.Errorf("client stream prefetch never hit: %+v", cspans)
+	}
+	if combine != 0 {
+		t.Errorf("client combine time should be zero, got %+v", cspans)
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync"
 
 // bufPool recycles round-vector-sized byte buffers (client message
 // vectors and ciphertexts, server pad accumulators, shares, and
@@ -50,58 +46,4 @@ type padPrefetch struct {
 	clients []int  // client indices covered, ascending
 	buf     []byte // ⊕_i PRNG(K_i, round) over clients, pooled
 	done    chan struct{}
-}
-
-// perfCounters is the lock-free timing record behind PerfStats.
-// Engines run single-threaded, but metrics snapshots come from other
-// goroutines, hence atomics.
-type perfCounters struct {
-	padNanos       atomic.Int64
-	combineNanos   atomic.Int64
-	prefetchHits   atomic.Uint64
-	prefetchMisses atomic.Uint64
-	// accAdjusts counts ciphertexts XORed out of (or into) the share to
-	// reconcile the streaming accumulator with the deduped direct set —
-	// normally zero; nonzero means stragglers or duplicates were
-	// reconciled.
-	accAdjusts atomic.Uint64
-	// roundsInFlight gauges the pipeline occupancy: how many rounds are
-	// currently between window open and retirement.
-	roundsInFlight atomic.Int64
-}
-
-func (p *perfCounters) addPad(d time.Duration)     { p.padNanos.Add(int64(d)) }
-func (p *perfCounters) addCombine(d time.Duration) { p.combineNanos.Add(int64(d)) }
-func (p *perfCounters) setRoundsInFlight(n int)    { p.roundsInFlight.Store(int64(n)) }
-
-// PerfStats is a point-in-time snapshot of an engine's data-plane
-// timings, surfaced per session by the SDK's Metrics.
-type PerfStats struct {
-	// PadCompute is cumulative time spent expanding DC-net pad streams
-	// on the critical path: for servers, the residual pad work at
-	// window close (waiting out an unfinished prefetch included); for
-	// clients, ciphertext construction at submit.
-	PadCompute time.Duration
-	// Combine is cumulative server combine latency: folding client
-	// ciphertexts into the share and assembling the cleartext from the
-	// M shares. Zero for clients.
-	Combine time.Duration
-	// PrefetchHits counts rounds served from a prefetched pad (servers)
-	// or prefetched streams (clients); PrefetchMisses counts rounds
-	// that had to expand on the critical path instead.
-	PrefetchHits, PrefetchMisses uint64
-	// RoundsInFlight is the current pipeline occupancy: rounds between
-	// window open and retirement. At PipelineDepth 1 it is 0 or 1.
-	RoundsInFlight int
-}
-
-// snapshot renders the counters as a PerfStats.
-func (p *perfCounters) snapshot() PerfStats {
-	return PerfStats{
-		PadCompute:     time.Duration(p.padNanos.Load()),
-		Combine:        time.Duration(p.combineNanos.Load()),
-		PrefetchHits:   p.prefetchHits.Load(),
-		PrefetchMisses: p.prefetchMisses.Load(),
-		RoundsInFlight: int(p.roundsInFlight.Load()),
-	}
 }

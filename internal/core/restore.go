@@ -404,5 +404,5 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	}
 	s.log.Info("adopted certified output", "round", m.Round, "from", m.From,
 		"failed", ro.Failed, "participation", ro.Count)
-	return s.finishRound(now, m.Round, ro, m.Body, res, "adopted, ")
+	return s.finishRound(now, &Output{}, m.Round, ro, m.Body, res, "adopted, ")
 }

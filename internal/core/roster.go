@@ -1007,10 +1007,6 @@ func sortedIDKeys[V any](m map[group.NodeID]V) []group.NodeID {
 // verdict or certified removal) and therefore not submitting.
 func (c *Client) Expelled() bool { return c.expelled }
 
-// Joining reports whether this engine is a prospective member still
-// awaiting admission.
-func (c *Client) Joining() bool { return c.joining && !c.ready }
-
 // RequestRejoin asks the client's upstream server to propose it for
 // re-admission at the next eligible epoch boundary. The caller
 // transmits the returned envelopes like any engine output.

@@ -246,6 +246,7 @@ const (
 type blameState struct {
 	session int32
 	phase   blamePhase
+	start   time.Time // when the shuffle opened, for the next round span
 
 	shuf    *shuffleSession    // the accusation shuffle (bpShuffle)
 	traces  map[int]*TraceBits // server index -> trace bits
@@ -320,12 +321,15 @@ type Server struct {
 	// ParallelPad reuses lane buffers and is single-caller — round r
 	// uses lane r mod depth, which is quiescent because round r−depth
 	// retired (and reaped its prefetch) before r opened. bufs recycles
-	// round-sized vectors; perf records hot-path timings for Metrics.
+	// round-sized vectors. accAdjusts counts ciphertexts XORed out of (or
+	// into) the share to reconcile the streaming accumulator with the
+	// deduped direct set — normally zero; nonzero means stragglers or
+	// duplicates were reconciled.
 	ppad         *dcnet.ParallelPad
 	prefetchPads []*dcnet.ParallelPad
 	noPrefetch   bool
 	bufs         bufPool
-	perf         perfCounters
+	accAdjusts   int
 
 	blame        *blameState
 	blameSession int32
@@ -436,9 +440,9 @@ func (s *Server) Participation() int { return s.prevCount }
 // Excluded reports whether a client index has been expelled.
 func (s *Server) Excluded(clientIdx int) bool { return s.excluded[clientIdx] }
 
-// PerfStats returns the server's data-plane timing counters. Safe to
-// call concurrently with engine progress.
-func (s *Server) PerfStats() PerfStats { return s.perf.snapshot() }
+// RoundsInFlight returns the pipeline occupancy: rounds between window
+// open and retirement. At PipelineDepth 1 it is 0 or 1.
+func (s *Server) RoundsInFlight() int { return len(s.rounds) }
 
 // Start begins the setup phase: waiting for pseudonym submissions.
 func (s *Server) Start(now time.Time) (*Output, error) {
@@ -810,7 +814,6 @@ func (s *Server) openRound(now time.Time, out *Output) {
 	s.rounds[rs.r] = rs
 	s.nextOpen++
 	rs.depthAtStart = len(s.rounds)
-	s.perf.setRoundsInFlight(len(s.rounds))
 	s.launchPadPrefetch(rs)
 	out.merge(&Output{Timer: rs.hardAt})
 }
@@ -878,7 +881,6 @@ func (s *Server) takeServerPad(rs *roundState, length int) []byte {
 		if len(diff) < len(rs.included) {
 			rs.prefetch = nil
 			<-pf.done
-			s.perf.prefetchHits.Add(1)
 			rs.prefetchHit = true
 			// The adjustment is just more streams to fold in (XOR toggles
 			// absentees out and latecomers in alike); run it through the
@@ -895,7 +897,6 @@ func (s *Server) takeServerPad(rs *roundState, length int) []byte {
 		// recompute over the included set; the stale prefetch is reaped
 		// when the round retires.
 	}
-	s.perf.prefetchMisses.Add(1)
 	share := s.bufs.get(length)
 	seeds := make([][]byte, 0, len(rs.included))
 	for _, ci := range rs.included {
@@ -1291,9 +1292,7 @@ func (s *Server) computeShare(rs *roundState) {
 		}
 		s.ppad.ServerPadInto(rs.myShare, seeds, rs.r)
 	}
-	d := time.Since(t0)
-	s.perf.addPad(d)
-	rs.padDur += d
+	rs.padDur += time.Since(t0)
 
 	t0 = time.Now()
 	have := rs.shareDirect
@@ -1309,11 +1308,9 @@ func (s *Server) computeShare(rs *roundState) {
 	// accumulated.
 	for _, ci := range symmetricDiff(have, direct) {
 		crypto.XORBytes(rs.myShare, rs.cts[ci])
-		s.perf.accAdjusts.Add(1)
+		s.accAdjusts++
 	}
-	d = time.Since(t0)
-	s.perf.addCombine(d)
-	rs.combineDur += d
+	rs.combineDur += time.Since(t0)
 	rs.shareIncluded, rs.shareDirect = rs.included, direct
 }
 
@@ -1553,9 +1550,7 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 		crypto.XORBytes(cleartext, rs.shares[si])
 	}
 	rs.cleartext = cleartext
-	d := time.Since(t0)
-	s.perf.addCombine(d)
-	rs.combineDur += d
+	rs.combineDur += time.Since(t0)
 	return s.sendCertify(now, rs)
 }
 
@@ -1713,7 +1708,8 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 		return nil, err
 	}
 	rs.phase = rpDone
-	s.emitRoundTrace(now, rs)
+	out := &Output{}
+	s.emitSpan(s.roundSpan(now, rs), out)
 	if hist != nil {
 		s.history[rs.r] = hist
 		// Evict everything older than the retention window — but never
@@ -1734,17 +1730,18 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 			}
 		}
 	}
-	return s.finishRound(now, rs.r, ro, ro.Encode(), res, "")
+	return s.finishRound(now, out, rs.r, ro, ro.Encode(), res, "")
 }
 
 // finishRound is what follows a retirement at a server, however the
 // round's certified output was come by — certified here (maybeOutput) or
-// adopted from a peer (onPeerOutput; how = "adopted, " marks its events):
-// the output goes to the attached clients and into the retained set, the
-// round's state leaves the pipeline, the α baseline and the boundary and
-// blame gates update, and the next head proceeds (retireResume).
-func (s *Server) finishRound(now time.Time, r uint64, ro *RoundOutput, body []byte, res *dcnet.RoundResult, how string) (*Output, error) {
-	out := &Output{}
+// adopted from a peer (onPeerOutput; how = "adopted, " marks its events),
+// appending to out (which holds a certified round's span, so it precedes
+// any younger round's): the output goes to the attached clients and into
+// the retained set, the round's state leaves the pipeline, the α
+// baseline and the boundary and blame gates update, and the next head
+// proceeds (retireResume).
+func (s *Server) finishRound(now time.Time, out *Output, r uint64, ro *RoundOutput, body []byte, res *dcnet.RoundResult, how string) (*Output, error) {
 	// For an adopted round the forward is what unwedges our clients: the
 	// peers certified it while we were down, and clients consume outputs
 	// strictly in round order (the output is self-authenticating).
@@ -1771,7 +1768,6 @@ func (s *Server) finishRound(now time.Time, r uint64, ro *RoundOutput, body []by
 		rs.myShare = nil
 		s.reapPrefetch(rs)
 		delete(s.rounds, r)
-		s.perf.setRoundsInFlight(len(s.rounds))
 	}
 	s.prevCount = int(ro.Count)
 	// Epoch boundary: the roster phase runs before the boundary round
@@ -1830,15 +1826,12 @@ func (s *Server) retireResume(now time.Time, out *Output) error {
 	return nil
 }
 
-// emitRoundTrace renders the round's phase timestamps as a span record
-// for the trace hook, and logs the certification at Debug.
-func (s *Server) emitRoundTrace(now time.Time, rs *roundState) {
+// roundSpan renders the round's phase timestamps as its span record,
+// and logs the certification at Debug.
+func (s *Server) roundSpan(now time.Time, rs *roundState) obs.RoundTrace {
 	total := now.Sub(rs.start)
 	s.log.Debug("round certified", "round", rs.r, "participation", len(rs.included),
 		"failed", rs.failed, "total", total)
-	if s.trace == nil {
-		return
-	}
 	t := obs.RoundTrace{
 		Round:         rs.r,
 		Attempts:      int(rs.attempt),
@@ -1860,7 +1853,7 @@ func (s *Server) emitRoundTrace(now time.Time, rs *roundState) {
 	if n := s.expectedClients() - len(rs.included); n > 0 {
 		t.Stragglers = n
 	}
-	s.trace(t)
+	return t
 }
 
 // violation wraps a protocol violation into an event output.

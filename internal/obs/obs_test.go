@@ -179,13 +179,4 @@ func TestTraceRing(t *testing.T) {
 	if got := r.Snapshot(2); len(got) != 2 || got[0].Round != 4 {
 		t.Fatalf("snapshot(2) = %+v, want rounds 4..5", got)
 	}
-	if !r.Annotate(4, func(t *RoundTrace) { t.BlameVerdict = "x" }) {
-		t.Fatal("Annotate(4) found nothing")
-	}
-	if got := r.Snapshot(0)[1]; got.BlameVerdict != "x" {
-		t.Fatalf("annotation lost: %+v", got)
-	}
-	if r.Annotate(99, func(*RoundTrace) {}) {
-		t.Fatal("Annotate(99) matched a missing round")
-	}
 }

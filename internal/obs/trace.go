@@ -8,8 +8,11 @@ import (
 // RoundTrace is one DC-net round's span record: where the round's
 // latency went, phase by phase. Servers fill every phase; clients see
 // only the round end-to-end (submit to certified output). Durations
-// are zero for phases a role does not run. The JSON field names are
-// the /debug/rounds wire format and the `dissent trace` input.
+// are zero for phases a role does not run. The engine builds the span
+// when the round completes, timing its phase boundaries on the clock
+// it is driven with, and never changes it once emitted. The JSON field
+// names are the /debug/rounds wire format and the `dissent trace`
+// input.
 type RoundTrace struct {
 	// Session is the owning session's ID (hex), stamped by the SDK; the
 	// engine leaves it empty.
@@ -28,10 +31,14 @@ type RoundTrace struct {
 	Pad     time.Duration `json:"pad_ns"`
 	Combine time.Duration `json:"combine_ns"`
 	Certify time.Duration `json:"certify_ns"`
-	// Blame is the accusation-shuffle duration when one followed this
-	// round, annotated after the verdict; BlameVerdict carries the
-	// outcome ("client expelled", "server exposed", "inconclusive") and
-	// BlameAccused the culprit's node ID (hex; empty when inconclusive).
+	// Blame is the duration of the accusation shuffle that concluded
+	// since the member's previous span: it rides the first span the
+	// member emits after the shuffle — the round the EventBlameVerdict
+	// names, unless the member adopted that round's output from a peer
+	// — not the disrupted round. BlameVerdict
+	// carries the outcome ("client expelled", "server exposed",
+	// "inconclusive") and BlameAccused the culprit's node ID (hex; empty
+	// when inconclusive).
 	Blame        time.Duration `json:"blame_ns,omitempty"`
 	BlameVerdict string        `json:"blame_verdict,omitempty"`
 	BlameAccused string        `json:"blame_accused,omitempty"`
@@ -41,8 +48,10 @@ type RoundTrace struct {
 	// expected members the window closed without.
 	Participation int `json:"participation"`
 	Stragglers    int `json:"stragglers,omitempty"`
-	// PrefetchHit reports whether the server pad came from the
-	// window-long background prefetch (vs critical-path expansion).
+	// PrefetchHit reports whether the pad came from the idle-time
+	// prefetch: at a server, the window-long background pad expansion;
+	// at a client, the streams prepared after its previous submission
+	// (vs critical-path expansion).
 	PrefetchHit bool `json:"prefetch_hit,omitempty"`
 	// Failed marks a hard-timeout round (participation below α·prev).
 	Failed bool `json:"failed,omitempty"`
@@ -78,23 +87,6 @@ func (r *TraceRing) Push(t RoundTrace) {
 	if r.next == len(r.buf) {
 		r.next, r.full = 0, true
 	}
-}
-
-// Annotate applies fn to the newest trace for the given round and
-// reports whether one was found. Blame verdicts land here: the
-// accusation shuffle concludes after its round's trace was pushed.
-func (r *TraceRing) Annotate(round uint64, fn func(*RoundTrace)) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.len()
-	for i := n - 1; i >= 0; i-- {
-		t := &r.buf[r.index(i)]
-		if t.Round == round {
-			fn(t)
-			return true
-		}
-	}
-	return false
 }
 
 // len reports the number of stored traces; callers hold r.mu.

@@ -45,7 +45,6 @@ type Network struct {
 	now    time.Time
 	seq    int64
 	events eventHeap
-	steps  int64
 }
 
 // New creates a network whose clock starts at start.
@@ -55,9 +54,6 @@ func New(start time.Time) *Network {
 
 // Now returns the current virtual time.
 func (n *Network) Now() time.Time { return n.now }
-
-// Steps returns the number of events executed.
-func (n *Network) Steps() int64 { return n.steps }
 
 // Schedule queues fn at the given virtual time (clamped to now).
 func (n *Network) Schedule(at time.Time, fn func(now time.Time)) {
@@ -80,7 +76,6 @@ func (n *Network) Step() bool {
 	}
 	e := heap.Pop(&n.events).(*event)
 	n.now = e.at
-	n.steps++
 	e.fn(n.now)
 	return true
 }
@@ -103,12 +98,6 @@ func (n *Network) RunUntil(t time.Time) {
 	}
 	if n.now.Before(t) {
 		n.now = t
-	}
-}
-
-// RunWhile executes events while cond holds and events remain.
-func (n *Network) RunWhile(cond func() bool) {
-	for cond() && n.Step() {
 	}
 }
 
@@ -153,9 +142,6 @@ func (u *Uplink) Reserve(now time.Time, size int) time.Time {
 	u.free = done
 	return done
 }
-
-// Free returns when the uplink next becomes idle.
-func (u *Uplink) Free() time.Time { return u.free }
 
 // Mbps converts megabits per second to bytes per second.
 func Mbps(m float64) float64 { return m * 1e6 / 8 }

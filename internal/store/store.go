@@ -1,6 +1,6 @@
 // Package store implements the embedded durable key-value store
-// shared by the beacon chain, the certified roster-update log, blame
-// transcripts, and server restart snapshots.
+// shared by the beacon chain, the certified roster-update log, and
+// server restart snapshots.
 //
 // The design is deliberately minimal: a single append-only file of
 // JSON lines (one record per mutation), fsynced before the in-memory
@@ -10,10 +10,10 @@
 // in-memory index, so the file is only touched on writes and at open.
 //
 // Records are namespaced by bucket so one file can back several
-// subsystems (the beacon chain, the roster log, blame transcripts, the
-// restart snapshot) without their key spaces colliding. The log grows
-// with every overwrite and delete; Compact rewrites it down to the
-// live set through a temp-file rename, preserving crash safety.
+// subsystems (the beacon chain, the roster log, the restart snapshot)
+// without their key spaces colliding. The log grows with every
+// overwrite and delete; Compact rewrites it down to the live set
+// through a temp-file rename, preserving crash safety.
 package store
 
 import (

@@ -186,10 +186,3 @@ func (w *Writer) Int32s(v []int32) {
 		w.U32(uint32(s))
 	}
 }
-
-// AppendBytes appends a u32-length-prefixed byte string to b — the
-// free-function form used by codecs that thread a plain []byte.
-func AppendBytes(b, v []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
-	return append(b, v...)
-}

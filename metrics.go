@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dissent/internal/core"
+	"dissent/internal/obs"
 	"dissent/internal/transport"
 )
 
@@ -37,27 +38,30 @@ type SessionMetrics struct {
 	LastRound uint64 `json:"last_round"`
 	// RoundsPerSec is RoundsCompleted over the session's uptime.
 	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// WindowsClosed counts submission-window closures at servers, and
-	// WindowTime their cumulative duration (from each round's start —
-	// the previous certification — to its window close): the paper's
-	// "client submission" share of round time.
+	// WindowsClosed counts the server rounds traced with a closed
+	// submission window (one per round, however many α-policy attempts
+	// it took), and WindowTime sums those spans' Window — window open to
+	// final close, on the engine's clock: the paper's "client
+	// submission" share of round time. Both are zero at clients.
 	WindowsClosed uint64        `json:"windows_closed"`
 	WindowTime    time.Duration `json:"window_time_ns"`
 	// PadComputeTime is cumulative critical-path DC-net pad expansion
 	// time (server: residual pad work at window close; client:
 	// ciphertext build at submit). CombineTime is the server's
 	// cumulative combine latency (ciphertext fold + share assembly).
-	// PadPrefetchHits/Misses count rounds served from (resp. without) a
-	// prefetched pad. Together they make the PR 5 data-plane speedups
-	// observable from `dissentd -metrics`.
+	// PadPrefetchHits counts traced rounds whose pad came from the
+	// prefetch, PadPrefetchMisses those that expanded it on the critical
+	// path instead (a failed round, or a round a client only followed,
+	// is no miss). All four are sums over the session's round spans (see
+	// RecentTraces).
 	PadComputeTime    time.Duration `json:"pad_compute_ns"`
 	CombineTime       time.Duration `json:"combine_ns"`
 	PadPrefetchHits   uint64        `json:"pad_prefetch_hits"`
 	PadPrefetchMisses uint64        `json:"pad_prefetch_misses"`
 	// PipelineDepth is the configured round pipeline depth (see
-	// WithPipelineDepth); RoundsInFlight is the current occupancy —
-	// rounds between window open and retirement (servers; clients report
-	// their submitted-but-uncertified count).
+	// WithPipelineDepth); RoundsInFlight is the engine's occupancy at
+	// the snapshot — rounds between window open and retirement
+	// (servers; clients report their submitted-but-uncertified count).
 	PipelineDepth  int `json:"pipeline_depth"`
 	RoundsInFlight int `json:"rounds_in_flight"`
 	// ChurnJoins/ChurnExpels count members admitted and removed by
@@ -159,9 +163,12 @@ type counters struct {
 	rounds, failed atomic.Uint64
 	lastRound      atomic.Uint64
 
-	windows     atomic.Uint64
-	windowNanos atomic.Int64
-	phaseStart  atomic.Int64 // unix-nanos of the current round's start
+	// Round-span sums (addSpan): every timing figure comes from the
+	// engine's spans, none from a clock of the SDK's own.
+	windows                      atomic.Uint64
+	windowNanos                  atomic.Int64
+	padNanos, combineNanos       atomic.Int64
+	prefetchHits, prefetchMisses atomic.Uint64
 
 	joins, expels atomic.Uint64
 
@@ -209,24 +216,33 @@ func (c *counters) misbehaviorSnapshot() map[string]uint64 {
 	return out
 }
 
+// addSpan folds one round span into the timing sums. A span counts as
+// a prefetch miss when its member built the round's pad without the
+// prefetch: not a failed round, and one it submitted in (clients leave
+// Start zero on rounds they only followed).
+func (c *counters) addSpan(t obs.RoundTrace) {
+	c.padNanos.Add(int64(t.Pad))
+	c.combineNanos.Add(int64(t.Combine))
+	switch {
+	case t.PrefetchHit:
+		c.prefetchHits.Add(1)
+	case !t.Failed && !t.Start.IsZero():
+		c.prefetchMisses.Add(1)
+	}
+	if t.Window > 0 {
+		c.windows.Add(1)
+		c.windowNanos.Add(int64(t.Window))
+	}
+}
+
 // observe folds one engine event into the counters.
 func (c *counters) observe(e Event) {
-	now := time.Now().UnixNano()
 	switch e.Kind {
-	case core.EventScheduleReady:
-		c.phaseStart.Store(now)
-	case core.EventWindowClosed:
-		c.windows.Add(1)
-		if start := c.phaseStart.Load(); start != 0 {
-			c.windowNanos.Add(now - start)
-		}
 	case core.EventRoundComplete:
 		c.rounds.Add(1)
 		c.lastRound.Store(e.Round)
-		c.phaseStart.Store(now)
 	case core.EventRoundFailed:
 		c.failed.Add(1)
-		c.phaseStart.Store(now)
 	case core.EventMemberJoined:
 		c.joins.Add(1)
 	case core.EventMemberExpelled:
@@ -245,37 +261,34 @@ func (c *counters) observe(e Event) {
 // Metrics returns a point-in-time snapshot of the session's counters.
 func (s *Session) Metrics() SessionMetrics {
 	m := SessionMetrics{
-		Session:         s.sid,
-		Group:           s.def.Name,
-		Role:            s.role.String(),
-		MessagesIn:      s.stats.msgsIn.Load(),
-		MessagesOut:     s.stats.msgsOut.Load(),
-		BytesIn:         s.stats.bytesIn.Load(),
-		BytesOut:        s.stats.bytesOut.Load(),
-		RoundsCompleted: s.stats.rounds.Load(),
-		RoundsFailed:    s.stats.failed.Load(),
-		LastRound:       s.stats.lastRound.Load(),
-		WindowsClosed:   s.stats.windows.Load(),
-		WindowTime:      time.Duration(s.stats.windowNanos.Load()),
-		ChurnJoins:      s.stats.joins.Load(),
-		ChurnExpels:     s.stats.expels.Load(),
-		RosterVersion:   s.RosterVersion(),
-		StateRestores:   s.stats.restores.Load(),
-		ReplicaResyncs:  s.stats.resyncs.Load(),
-		BlameRounds:     s.stats.blameRounds.Load(),
-		Misbehavior:     s.stats.misbehaviorSnapshot(),
+		Session:           s.sid,
+		Group:             s.def.Name,
+		Role:              s.role.String(),
+		MessagesIn:        s.stats.msgsIn.Load(),
+		MessagesOut:       s.stats.msgsOut.Load(),
+		BytesIn:           s.stats.bytesIn.Load(),
+		BytesOut:          s.stats.bytesOut.Load(),
+		RoundsCompleted:   s.stats.rounds.Load(),
+		RoundsFailed:      s.stats.failed.Load(),
+		LastRound:         s.stats.lastRound.Load(),
+		WindowsClosed:     s.stats.windows.Load(),
+		WindowTime:        time.Duration(s.stats.windowNanos.Load()),
+		PadComputeTime:    time.Duration(s.stats.padNanos.Load()),
+		CombineTime:       time.Duration(s.stats.combineNanos.Load()),
+		PadPrefetchHits:   s.stats.prefetchHits.Load(),
+		PadPrefetchMisses: s.stats.prefetchMisses.Load(),
+		RoundsInFlight:    s.roundsInFlight(),
+		ChurnJoins:        s.stats.joins.Load(),
+		ChurnExpels:       s.stats.expels.Load(),
+		RosterVersion:     s.RosterVersion(),
+		StateRestores:     s.stats.restores.Load(),
+		ReplicaResyncs:    s.stats.resyncs.Load(),
+		BlameRounds:       s.stats.blameRounds.Load(),
+		Misbehavior:       s.stats.misbehaviorSnapshot(),
 	}
 	m.PipelineDepth = s.cfg.pipelineDepth
 	if m.PipelineDepth < 1 {
 		m.PipelineDepth = 1
-	}
-	if pr, ok := s.engine.(interface{ PerfStats() core.PerfStats }); ok {
-		ps := pr.PerfStats()
-		m.PadComputeTime = ps.PadCompute
-		m.CombineTime = ps.Combine
-		m.PadPrefetchHits = ps.PrefetchHits
-		m.PadPrefetchMisses = ps.PrefetchMisses
-		m.RoundsInFlight = ps.RoundsInFlight
 	}
 	if opened := s.stats.openedAt.Load(); opened != 0 {
 		m.Uptime = time.Since(time.Unix(0, opened))
@@ -284,6 +297,16 @@ func (s *Session) Metrics() SessionMetrics {
 		}
 	}
 	return m
+}
+
+// roundsInFlight reads the engine's pipeline occupancy.
+func (s *Session) roundsInFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.server != nil {
+		return s.server.RoundsInFlight()
+	}
+	return s.client.RoundsInFlight()
 }
 
 // TransportMetrics returns the transport-health snapshot of the

@@ -94,6 +94,9 @@ func (sh *sessionHists) observe(t obs.RoundTrace) {
 	if t.Certify > 0 {
 		sh.certify.ObserveDuration(t.Certify)
 	}
+	if t.Blame > 0 {
+		sh.blame.ObserveDuration(t.Blame)
+	}
 	if t.Total > 0 {
 		sh.total.ObserveDuration(t.Total)
 		if t.Depth > 0 {
@@ -204,9 +207,9 @@ func (h *Host) collectMetrics(w *obs.Writer) {
 		func(sm SessionMetrics) float64 { return float64(sm.RoundsFailed) })
 	perSession("dissent_last_round", "gauge", "Most recently certified round number.",
 		func(sm SessionMetrics) float64 { return float64(sm.LastRound) })
-	perSession("dissent_windows_closed_total", "counter", "Submission-window closures at this server.",
+	perSession("dissent_windows_closed_total", "counter", "Server rounds traced with a closed submission window.",
 		func(sm SessionMetrics) float64 { return float64(sm.WindowsClosed) })
-	perSession("dissent_window_seconds_total", "counter", "Cumulative submission-window time (round start to window close).",
+	perSession("dissent_window_seconds_total", "counter", "Cumulative submission-window time (window open to final close).",
 		func(sm SessionMetrics) float64 { return sm.WindowTime.Seconds() })
 	perSession("dissent_pad_compute_seconds_total", "counter", "Cumulative critical-path DC-net pad expansion time.",
 		func(sm SessionMetrics) float64 { return sm.PadComputeTime.Seconds() })

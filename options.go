@@ -42,8 +42,7 @@ func WithRoster(r Roster) Option {
 }
 
 // WithStateStore backs the session's state — the certified
-// roster-update log, blame transcripts, the restart snapshot, and the
-// beacon chain — with a durable embedded store (see OpenStateStore).
+// roster-update log, the restart snapshot, and the beacon chain — with a durable embedded store (see OpenStateStore).
 // A server restarted against a store holding a live session snapshot
 // resumes that session instead of waiting out a fresh setup; a client
 // gains a durable roster log it can replay to stragglers. The caller

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dissent/internal/beacon"
@@ -88,13 +87,11 @@ type Session struct {
 
 	// Observability state (see obs.go): the session's structured
 	// logger (session/group/role attrs attached), the phase-latency
-	// histograms fed by engine round traces, the bounded ring of recent
-	// round spans, and the wall-clock origin of an in-flight accusation
-	// shuffle (unix-nanos; 0 when no blame is running).
-	log        *slog.Logger
-	hists      *sessionHists
-	traces     *obs.TraceRing
-	blameNanos atomic.Int64
+	// histograms fed by engine round spans, and the bounded ring of
+	// recent round spans.
+	log    *slog.Logger
+	hists  *sessionHists
+	traces *obs.TraceRing
 }
 
 // traceRingCap bounds the per-session ring of recent round spans
@@ -156,7 +153,6 @@ func newMemberSession(joiner bool, def *Group, keys Keys, opts []Option) (*Sessi
 	}
 	coreOpts := core.Options{
 		Logger:        logger,
-		OnRoundTrace:  s.onRoundTrace,
 		PipelineDepth: cfg.pipelineDepth,
 		Interdict:     cfg.interdict,
 	}
@@ -200,39 +196,19 @@ func newMemberSession(joiner bool, def *Group, keys Keys, opts []Option) (*Sessi
 	return s, nil
 }
 
-// onRoundTrace receives one span record per completed round from the
-// engine (on the engine's goroutine, under the session lock): stamp the
-// session, feed the phase-latency histograms, and retain it in the
-// ring. Histograms are atomics and the ring has its own lock, so this
-// never blocks the engine.
-func (s *Session) onRoundTrace(t obs.RoundTrace) {
-	t.Session = s.sid.String()
-	s.hists.observe(t)
-	s.traces.Push(t)
-}
-
-// observeSpan folds span-relevant events into the observability state:
-// accusation-shuffle wall-clock (blame starts and concludes outside
-// the round state machine, so the engine cannot time it) and the blame
-// histogram plus ring annotation at the verdict.
-func (s *Session) observeSpan(e Event) {
-	switch e.Kind {
-	case core.EventBlameStarted:
-		s.blameNanos.Store(time.Now().UnixNano())
-	case core.EventBlameVerdict:
-		t0 := s.blameNanos.Swap(0)
-		if t0 == 0 {
-			return
-		}
-		d := time.Duration(time.Now().UnixNano() - t0)
-		s.hists.blame.ObserveDuration(d)
-		s.traces.Annotate(e.Round, func(t *obs.RoundTrace) {
-			t.Blame = d
-			t.BlameVerdict = e.Detail
-			if e.Culprit != (NodeID{}) {
-				t.BlameAccused = e.Culprit.String()
-			}
-		})
+// recordSpans folds the round spans of one engine output into the
+// session's timing record: stamp the session, feed the phase-latency
+// histograms and the metric sums, and retain each span in the ring. The
+// caller holds s.mu, so spans enter the ring in round order.
+func (s *Session) recordSpans(out *core.Output) {
+	if out == nil {
+		return
+	}
+	for _, t := range out.Traces {
+		t.Session = s.sid.String()
+		s.hists.observe(t)
+		s.stats.addSpan(t)
+		s.traces.Push(t)
 	}
 }
 
@@ -388,6 +364,7 @@ func (s *Session) open(dial func(*Session) (link, error)) error {
 			return err
 		}
 	}
+	s.recordSpans(out)
 	s.startDone = true
 	buffered := s.preStart
 	s.preStart = nil
@@ -475,6 +452,7 @@ func (s *Session) inject(m *Message) {
 		return
 	}
 	out, err := s.engine.Handle(time.Now(), m)
+	s.recordSpans(out)
 	s.mu.Unlock()
 	if err != nil {
 		// Engine rejections are soft: a malformed or mistimed message
@@ -556,7 +534,7 @@ func (s *Session) pushMessage(d RoundOutput) {
 	}
 }
 
-// publish feeds events to the session's counters and spans and to its
+// publish feeds events to the session's counters and to its
 // subscribers; retain also keeps them for subscriptions made later.
 func (s *Session) publish(events []Event, retain bool) {
 	if len(events) == 0 {
@@ -564,7 +542,6 @@ func (s *Session) publish(events []Event, retain bool) {
 	}
 	for _, e := range events {
 		s.stats.observe(e)
-		s.observeSpan(e)
 	}
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
@@ -612,6 +589,7 @@ func (s *Session) tick() {
 	}
 	s.timerAt = time.Time{}
 	out, err := s.engine.Tick(time.Now())
+	s.recordSpans(out)
 	s.mu.Unlock()
 	if err != nil {
 		s.cfg.onError(err)

@@ -8,9 +8,9 @@ import (
 )
 
 // StateStore is the embedded durable key-value store backing a
-// server's session state: the certified roster-update log, blame
-// transcripts, the beacon chain, and the restart snapshot. One store
-// file serves one session; give each session its own path.
+// server's session state: the certified roster-update log, the beacon
+// chain, and the restart snapshot. One store file serves one session;
+// give each session its own path.
 type StateStore = store.KV
 
 // OpenStateStore opens (creating if needed) the durable state store at
