@@ -92,31 +92,29 @@ func Fig6(cfg Fig6Config) ([]Fig6Result, error) {
 			return nil, fmt.Errorf("fig6 %s: %v", pol.Name, s.H.Errors[0])
 		}
 
-		ms := RoundMetrics(s.H, s.Servers[0].ID())
 		res := Fig6Result{Policy: pol}
 		deadline := 0
 		var missedSum float64
 		counted := 0
-		for i, m := range ms {
+		for i, t := range s.spans() {
 			if i < 2 || i >= 2+cfg.Rounds { // warmup / tail trim
 				continue
 			}
-			res.Times = append(res.Times, m.Total)
-			if m.Total >= cfg.HardTimeout {
+			res.Times = append(res.Times, t.Total)
+			if t.Total >= cfg.HardTimeout {
 				deadline++
 			}
 			// Online clients this round: those the trace lets submit.
 			online := 0
 			for ci := 0; ci < cfg.Clients; ci++ {
-				if _, ok := profile.Delays.Delay(m.Round, ci); ok {
+				if _, ok := profile.Delays.Delay(t.Round, ci); ok {
 					online++
 				}
 			}
 			counted++
 			// Missed = online minus counted participation.
-			part := participationAt(s, m.Round)
-			if online > 0 && part >= 0 && part < online {
-				missedSum += float64(online-part) / float64(online)
+			if online > 0 && t.Participation < online {
+				missedSum += float64(online-t.Participation) / float64(online)
 			}
 		}
 		if counted > 0 {
@@ -127,21 +125,6 @@ func Fig6(cfg Fig6Config) ([]Fig6Result, error) {
 		results = append(results, res)
 	}
 	return results, nil
-}
-
-// participationAt extracts round r's participation count from server
-// events (the Detail of round-complete events), or -1.
-func participationAt(s *Session, r uint64) int {
-	for _, e := range s.H.Events {
-		if e.Node != s.Servers[0].ID() || e.Round != r {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(e.Detail, "participation %d", &n); err == nil {
-			return n
-		}
-	}
-	return -1
 }
 
 // CDF returns (x, F(x)) pairs for plotting from sorted samples.

@@ -100,12 +100,23 @@ func RunScalePoint(servers, clients int, sc Scenario, profile Profile, rounds in
 	if len(s.H.Errors) > 0 {
 		return ScaleRow{}, fmt.Errorf("scale point %d/%d: %v", servers, clients, s.H.Errors[0])
 	}
-	ms := RoundMetrics(s.H, s.Servers[0].ID())
-	submit, process, totalT, n := MeanSplit(ms, warmup)
+	// Server 0's spans give the paper's split: the submission window,
+	// then server processing to the certified output.
+	spans := s.spans()
+	spans = spans[min(warmup, len(spans)):]
+	var submit, process, totalT time.Duration
+	for _, t := range spans {
+		submit += t.Window
+		process += t.Total - t.Window
+		totalT += t.Total
+	}
+	if n := time.Duration(len(spans)); n > 0 {
+		submit, process, totalT = submit/n, process/n, totalT/n
+	}
 	return ScaleRow{
 		Clients: clients, Servers: servers,
 		Scenario: sc.Name, Profile: profile.Name,
-		Submit: submit, Process: process, Total: totalT, Rounds: n,
+		Submit: submit, Process: process, Total: totalT, Rounds: len(spans),
 	}, nil
 }
 

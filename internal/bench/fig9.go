@@ -6,7 +6,6 @@ import (
 
 	"dissent/internal/crypto"
 	"dissent/internal/shuffle"
-	"dissent/internal/simnet"
 )
 
 // Figure 9: time for each stage of a whole protocol run — key shuffle,
@@ -144,5 +143,3 @@ func Fig9Validate(servers, clients int) (Fig9Validation, error) {
 	}
 	return v, nil
 }
-
-var _ = simnet.Mbps // keep import if formulas change

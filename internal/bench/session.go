@@ -8,6 +8,7 @@ import (
 	"dissent/internal/core"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/obs"
 	"dissent/internal/simnet"
 )
 
@@ -292,92 +293,6 @@ func (s *Session) RunRounds(round uint64, maxEvents int64) {
 	}
 }
 
-// RoundMetric is one round's timing split at a server, matching the
-// paper's "client submission" vs "server processing" decomposition.
-type RoundMetric struct {
-	Round   uint64
-	Submit  time.Duration // prior output -> window close
-	Process time.Duration // window close -> certified output
-	Total   time.Duration
-	Failed  bool
-	Count   int
-}
-
-// RoundMetrics extracts per-round splits at the given server.
-func RoundMetrics(h *core.Harness, server group.NodeID) []RoundMetric {
-	type marks struct {
-		start, closed, done time.Time
-		failed              bool
-		haveStart           bool
-	}
-	byRound := map[uint64]*marks{}
-	get := func(r uint64) *marks {
-		if m, ok := byRound[r]; ok {
-			return m
-		}
-		m := &marks{}
-		byRound[r] = m
-		return m
-	}
-	var maxRound uint64
-	for _, e := range h.Events {
-		if e.Node != server {
-			continue
-		}
-		switch e.Kind {
-		case core.EventScheduleReady:
-			m := get(0)
-			m.start, m.haveStart = e.At, true
-		case core.EventWindowClosed:
-			// Only the first close (attempt 0) marks the boundary.
-			m := get(e.Round)
-			if m.closed.IsZero() {
-				m.closed = e.At
-			}
-		case core.EventRoundComplete, core.EventRoundFailed:
-			m := get(e.Round)
-			m.done = e.At
-			m.failed = e.Kind == core.EventRoundFailed
-			n := get(e.Round + 1)
-			n.start, n.haveStart = e.At, true
-			if e.Round > maxRound {
-				maxRound = e.Round
-			}
-		}
-	}
-	var out []RoundMetric
-	for r := uint64(0); r <= maxRound; r++ {
-		m, ok := byRound[r]
-		if !ok || !m.haveStart || m.done.IsZero() {
-			continue
-		}
-		rm := RoundMetric{Round: r, Total: m.done.Sub(m.start), Failed: m.failed}
-		if !m.closed.IsZero() {
-			rm.Submit = m.closed.Sub(m.start)
-			rm.Process = m.done.Sub(m.closed)
-		} else {
-			rm.Process = rm.Total
-		}
-		out = append(out, rm)
-	}
-	return out
-}
-
-// MeanSplit averages metrics, skipping the first warmup rounds.
-func MeanSplit(ms []RoundMetric, warmup int) (submit, process, total time.Duration, n int) {
-	for i, m := range ms {
-		if i < warmup {
-			continue
-		}
-		submit += m.Submit
-		process += m.Process
-		total += m.Total
-		n++
-	}
-	if n > 0 {
-		submit /= time.Duration(n)
-		process /= time.Duration(n)
-		total /= time.Duration(n)
-	}
-	return submit, process, total, n
-}
+// spans returns server 0's round spans, in round order: the engine's
+// one per-round timing record, timed on its clock.
+func (s *Session) spans() []obs.RoundTrace { return s.H.Traces[s.Servers[0].ID()] }

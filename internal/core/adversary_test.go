@@ -229,7 +229,7 @@ func flipSentZero(srv *Server, victim *Client, round uint64, share []byte) bool 
 	if victim.Slot() < 0 || len(victim.inflight) == 0 {
 		return false
 	}
-	off, n := srv.sched.SlotRange(victim.Slot())
+	off, n := headLayout(&srv.node).SlotRange(victim.Slot())
 	sent := victim.inflight[0].sentSlot
 	if n == 0 || victim.inflight[0].r != round || len(sent) != n {
 		return false

@@ -254,10 +254,10 @@ func TestRotationAfterFailedRoundDepth2(t *testing.T) {
 	// every round all of them have retired.
 	heads := []uint64{}
 	for _, s := range f.servers {
-		heads = append(heads, s.head)
+		heads = append(heads, s.head())
 	}
 	for _, c := range f.clients {
-		heads = append(heads, c.head)
+		heads = append(heads, c.head())
 	}
 	upTo := slices.Min(heads)
 	if upTo <= 2*epoch+1 {

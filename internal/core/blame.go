@@ -75,7 +75,7 @@ func (s *Server) startBlame(now time.Time) (*Output, error) {
 		grp: s.msgGrp, kp: s.msgKP, pubs: s.def.ServerMsgPubKeys(), width: s.blameWidth(),
 		id:      s.blameSession,
 		submitT: MsgBlameSubmit, listT: MsgBlameList, stepT: MsgBlameStep,
-		round:       s.head,
+		round:       s.head(),
 		closeAt:     now.Add(blameWindowFactor * s.def.Policy.WindowMin),
 		followPeers: true,
 		finished:    s.finishBlameShuffle,
@@ -83,13 +83,13 @@ func (s *Server) startBlame(now time.Time) (*Output, error) {
 		// session with no verdict.
 		empty: func(now time.Time) (*Output, error) { return s.blameVerdict(now, group.NodeID{}, 0) },
 	})
-	s.log.Debug("blame session opened", "round", s.head, "blame_session", s.blameSession)
+	s.log.Debug("blame session opened", "round", s.head(), "blame_session", s.blameSession)
 	out := &Output{
 		Timer:  s.blame.shuf.closeAt,
-		Events: []Event{{Kind: EventBlameStarted, Round: s.head, Detail: fmt.Sprintf("session %d", s.blameSession)}},
+		Events: []Event{{Kind: EventBlameStarted, Round: s.head(), Detail: fmt.Sprintf("session %d", s.blameSession)}},
 	}
 	body := (&BlameStart{Session: s.blameSession}).Encode()
-	if err := s.broadcastClients(MsgBlameStart, s.head, body, out); err != nil {
+	if err := s.broadcastClients(MsgBlameStart, s.head(), body, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -142,13 +142,13 @@ func (s *Server) finishBlameShuffle(now time.Time, outputs []shuffle.Vec) (*Outp
 		// No valid accusation survived (victim squashed or none sent):
 		// resume rounds; the victim will re-request (§3.9).
 		s.log.Info("blame shuffle carried no valid accusation",
-			"round", s.head, "blame_session", b.session)
+			"round", s.head(), "blame_session", b.session)
 		return s.blameVerdict(now, group.NodeID{}, 0)
 	}
 	b.phase = bpTrace
 	out := &Output{}
 	tb := s.buildTraceBits(b.acc)
-	if err := s.broadcastServers(MsgTraceBits, s.head, tb.Encode(), out); err != nil {
+	if err := s.broadcastServers(MsgTraceBits, s.head(), tb.Encode(), out); err != nil {
 		return nil, err
 	}
 	b.traces[s.idx] = tb
@@ -167,7 +167,7 @@ func (s *Server) validateAccusation(round uint64, slot, bitInSlot int, sigBytes 
 	if hist == nil || slot < 0 || slot >= len(s.slotKeys) {
 		return nil
 	}
-	if bitInSlot < 0 || bitInSlot >= hist.slotLen[slot]*8 {
+	if bitInSlot < 0 || bitInSlot >= hist.layout.Lens[slot]*8 {
 		return nil
 	}
 	sig, err := crypto.DecodeSignature(s.keyGrp, sigBytes)
@@ -178,7 +178,7 @@ func (s *Server) validateAccusation(round uint64, slot, bitInSlot int, sigBytes 
 		accusationDigest(s.grpID, round, slot, bitInSlot), sig); err != nil {
 		return nil
 	}
-	globalBit := hist.slotOff[slot]*8 + bitInSlot
+	globalBit := hist.layout.Off[slot]*8 + bitInSlot
 	if dcnet.Bit(hist.cleartext, globalBit) != 1 {
 		return nil // the claimed witness bit was not 1
 	}
@@ -212,11 +212,11 @@ func (s *Server) buildTraceBits(acc *accusation) *TraceBits {
 
 func (s *Server) onTraceBits(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	p, err := DecodeTraceBits(m.Body)
 	if err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	b := s.blame
 	if b == nil || b.phase < bpTrace || p.Session > b.session {
@@ -255,7 +255,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 		// accusation cannot be traced. Close inconclusively; the victim
 		// re-accuses on a traceable round.
 		s.log.Info("blame trace lacks round history",
-			"round", s.head, "accused_round", b.acc.round, "blame_session", b.session)
+			"round", s.head(), "accused_round", b.acc.round, "blame_session", b.session)
 		return s.blameVerdict(now, group.NodeID{}, 0)
 	}
 	k := b.acc.bit
@@ -343,7 +343,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 					AccBit:     uint32(k),
 					ServerBits: bits,
 				}
-				if err := s.sendTo(s.def.Clients[ci].ID, MsgRebuttalRequest, s.head, req.Encode(), out); err != nil {
+				if err := s.sendTo(s.def.Clients[ci].ID, MsgRebuttalRequest, s.head(), req.Encode(), out); err != nil {
 					return nil, err
 				}
 			}
@@ -364,7 +364,7 @@ func (s *Server) onRebuttal(now time.Time, m *Message) (*Output, error) {
 		return &Output{}, nil
 	}
 	if err := s.verify(m, false); err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	ci := s.def.ClientIndex(m.From)
 	if ci != b.flagged {
@@ -439,7 +439,7 @@ func (s *Server) judgeRebuttal(now time.Time, ci int, p *Rebuttal) (*Output, err
 func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte) (*Output, error) {
 	b := s.blame
 	out := &Output{}
-	s.log.Info("blame verdict", "round", s.head, "blame_session", b.session,
+	s.log.Info("blame verdict", "round", s.head(), "blame_session", b.session,
 		"verdict", verdict, "culprit", culprit)
 	if ci := s.def.ClientIndex(culprit); verdict == 1 && ci >= 0 {
 		// Every server reaches this verdict deterministically from the
@@ -450,15 +450,15 @@ func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte)
 		s.excluded[ci] = true
 		s.pendingRemove[ci] = true
 		if _, ok := s.expelRound[ci]; !ok {
-			s.expelRound[ci] = s.head
+			s.expelRound[ci] = s.head()
 		}
 	}
 	detail := verdictDetail(verdict)
-	out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head,
+	out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head(),
 		Culprit: culprit, Detail: detail})
 	s.concludeBlame(b.start, now, detail, culprit)
 	body := (&BlameDone{Session: b.session, Verdict: verdict, Culprit: culprit}).Encode()
-	if err := s.broadcastClients(MsgBlameDone, s.head, body, out); err != nil {
+	if err := s.broadcastClients(MsgBlameDone, s.head(), body, out); err != nil {
 		return nil, err
 	}
 	// A verdict can change the excluded set between round retirements;

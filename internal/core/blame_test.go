@@ -37,8 +37,7 @@ func (d *disruptorClient) mangle(out *Output) *Output {
 		return out
 	}
 	vslot := d.victim.Slot()
-	sched := d.Client.sched
-	off, n := sched.SlotRange(vslot)
+	off, n := headLayout(&d.Client.node).SlotRange(vslot)
 	if n == 0 {
 		return out
 	}

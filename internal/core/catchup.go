@@ -46,7 +46,7 @@ type position struct {
 //  5. anything else is current and gets nothing.
 func (s *Server) catchUp(now time.Time, to group.NodeID, at position, out *Output) error {
 	if at.version > s.def.Version {
-		out.merge(s.violation(s.head, fmt.Errorf("%s states the future roster version %d (current %d)",
+		out.merge(s.violation(s.head(), fmt.Errorf("%s states the future roster version %d (current %d)",
 			to, at.version, s.def.Version)))
 		return nil
 	}
@@ -63,9 +63,9 @@ func (s *Server) catchUp(now time.Time, to group.NodeID, at position, out *Outpu
 	}
 	_, retained := s.outMsgs[at.round]
 	switch {
-	case at.welcome || diverged || uint64(len(chain)) < s.def.Version-at.version || at.round < s.head && !retained:
+	case at.welcome || diverged || uint64(len(chain)) < s.def.Version-at.version || at.round < s.head() && !retained:
 		if s.def.ServerIndex(to) >= 0 {
-			out.merge(s.violation(s.head, fmt.Errorf("server %s is behind what catch-up can replay (round %d, version %d)",
+			out.merge(s.violation(s.head(), fmt.Errorf("server %s is behind what catch-up can replay (round %d, version %d)",
 				to, at.round, at.version)))
 			return nil
 		}
@@ -77,12 +77,12 @@ func (s *Server) catchUp(now time.Time, to group.NodeID, at position, out *Outpu
 				dig = d[:]
 			}
 			body := (&RosterUpdateMsg{Update: u.Encode(), SchedDigest: dig}).Encode()
-			if err := s.sendTo(to, MsgRosterUpdate, s.head, body, out); err != nil {
+			if err := s.sendTo(to, MsgRosterUpdate, s.head(), body, out); err != nil {
 				return err
 			}
 		}
-	case at.round < s.head:
-		for r := at.round; r < min(s.head, at.round+uint64(s.depth)); r++ {
+	case at.round < s.head():
+		for r := at.round; r < min(s.head(), at.round+uint64(s.depth)); r++ {
 			if err := s.sendTo(to, MsgOutput, r, s.outMsgs[r], out); err != nil {
 				return err
 			}
@@ -108,14 +108,14 @@ func (s *Server) sendSnapshot(now time.Time, to group.NodeID, welcome bool, out 
 			anchor = s.lookupRosterUpdate(v)
 		}
 		if anchor == nil {
-			out.merge(s.violation(s.head, fmt.Errorf("cannot welcome %s: no admitting update in the roster log", to)))
+			out.merge(s.violation(s.head(), fmt.Errorf("cannot welcome %s: no admitting update in the roster log", to)))
 			return nil
 		}
 	}
 	s.snapshotSent[to] = now
 	s.log.Info("session snapshot sent", "member", to.String(), "welcome", welcome,
-		"version", s.def.Version, "round", s.head)
-	return s.sendTo(to, MsgSnapshot, s.head, s.buildSnapshot(anchor).Encode(), out)
+		"version", s.def.Version, "round", s.head())
+	return s.sendTo(to, MsgSnapshot, s.head(), s.buildSnapshot(anchor).Encode(), out)
 }
 
 // sendTo signs one message to one member.

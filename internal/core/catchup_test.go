@@ -46,7 +46,7 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 	srv, peer := f.servers[0], f.servers[1]
 	for i := 0; srv.phase != phaseRunning && i < 100_000 && f.h.Net.Step(); i++ {
 	}
-	head, v := srv.head, srv.def.Version
+	head, v := srv.head(), srv.def.Version
 	if srv.phase != phaseRunning || v < 3 || head < 2*retain {
 		t.Fatalf("server at phase %d, round %d, version %d", srv.phase, head, v)
 	}
@@ -162,8 +162,8 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w.Version != v || w.Round != head {
-					t.Errorf("%s: snapshot at version %d round %d, server at %d and %d", row.name, w.Version, w.Round, v, head)
+				if w.Version != v || schedHead(w.Sched) != head {
+					t.Errorf("%s: snapshot at version %d round %d, server at %d and %d", row.name, w.Version, schedHead(w.Sched), v, head)
 				}
 				u, err := group.DecodeRosterUpdate(w.Update)
 				if err != nil {
@@ -241,7 +241,7 @@ func TestClientBehindRetentionCatchesUp(t *testing.T) {
 
 	cut = true
 	f.stepUntilRound(srv.Round()+3*retain, 2_000_000)
-	if lag := srv.Round() - c0.head; lag <= retain {
+	if lag := srv.Round() - c0.head(); lag <= retain {
 		t.Fatalf("client only %d rounds behind after the cut", lag)
 	}
 	cut = false
@@ -249,10 +249,10 @@ func TestClientBehindRetentionCatchesUp(t *testing.T) {
 	// The cut lasts a fraction of the client's first resend delay: the
 	// resend states its position, and the snapshot answers it.
 	healed := f.h.Net.Now()
-	for f.h.Net.Now().Sub(healed) < 2*submitResendInterval && c0.head+1 < srv.Round() && f.h.Net.Step() {
+	for f.h.Net.Now().Sub(healed) < 2*submitResendInterval && c0.head()+1 < srv.Round() && f.h.Net.Step() {
 	}
-	if c0.head+1 < srv.Round() {
-		t.Fatalf("client stuck at round %d, servers at %d; violations: %v", c0.head, srv.Round(), f.violations())
+	if c0.head()+1 < srv.Round() {
+		t.Fatalf("client stuck at round %d, servers at %d; violations: %v", c0.head(), srv.Round(), f.violations())
 	}
 	if f.h.FirstEvent(c0.ID(), EventReplicaResynced) == nil {
 		t.Fatal("client caught up without a snapshot")
@@ -287,22 +287,22 @@ func TestClientLadderAtDepth2(t *testing.T) {
 	cut = true
 	f.stepUntilRound(srv.Round()+8, 2_000_000)
 	cut = false
-	behind := c0.head
+	behind := c0.head()
 	if lag := srv.Round() - behind; lag < 6 {
 		t.Fatalf("client only %d rounds behind after the cut", lag)
 	}
 
 	var first time.Time // when the first answer moved the client
 	for i := 0; i < 2_000_000 && f.h.Net.Step(); i++ {
-		if first.IsZero() && c0.head > behind {
+		if first.IsZero() && c0.head() > behind {
 			first = f.h.Net.Now()
 		}
-		if !first.IsZero() && c0.head+depth >= srv.Round() {
+		if !first.IsZero() && c0.head()+depth >= srv.Round() {
 			break
 		}
 	}
-	if first.IsZero() || c0.head+depth < srv.Round() {
-		t.Fatalf("client at round %d never reached the servers' %d", c0.head, srv.Round())
+	if first.IsZero() || c0.head()+depth < srv.Round() {
+		t.Fatalf("client at round %d never reached the servers' %d", c0.head(), srv.Round())
 	}
 	if f.h.FirstEvent(c0.ID(), EventReplicaResynced) != nil {
 		t.Fatal("the client was re-synced from a snapshot, not answered with outputs")

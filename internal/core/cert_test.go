@@ -128,8 +128,8 @@ func TestClientRejectsUncollectiveOutput(t *testing.T) {
 	})
 	f.runUntilRound(2, 2_000_000)
 	c := f.clients[0]
-	next := c.head
-	vecLen := f.servers[0].sched.AheadLenUpTo(0)
+	next := c.head()
+	vecLen := f.servers[0].sched.Layout(next).Len
 	clear := make([]byte, vecLen)
 	digest := cleartextSignedBytes(f.def.GroupID(), next, 3, clear, nil)
 
@@ -143,7 +143,7 @@ func TestClientRejectsUncollectiveOutput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: hard error: %v", name, err)
 		}
-		if c.head != next {
+		if c.head() != next {
 			t.Fatalf("%s: client consumed the output", name)
 		}
 		if len(out.Events) != 1 || out.Events[0].Kind != EventProtocolViolation {
@@ -156,7 +156,7 @@ func TestClientRejectsUncollectiveOutput(t *testing.T) {
 	if _, err := c.Handle(f.h.Net.Now(), &Message{From: f.def.Servers[0].ID, Type: MsgOutput, Round: next, Body: body}); err != nil {
 		t.Fatal(err)
 	}
-	if c.head != next+1 {
+	if c.head() != next+1 {
 		t.Fatal("client refused a collectively certified output")
 	}
 }
@@ -169,7 +169,7 @@ func TestSendCertifyFailsClosedWithoutNonce(t *testing.T) {
 	f.runUntilRound(1, 1_000_000)
 	s := f.servers[0]
 	now := f.h.Net.Now()
-	rs := s.rounds[s.head]
+	rs := s.rounds[s.head()]
 	if rs == nil || rs.phase > rpInventory {
 		t.Fatalf("no collecting head round to hijack: %+v", rs)
 	}

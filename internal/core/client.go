@@ -373,11 +373,10 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 
 // composeVector lays out one round's message vector (Algorithm 1
 // step 2) into cr and records what we transmitted for disruption
-// detection. The layout comes from the schedule's ahead view bounded to
-// round cr.r's horizon: under pipelining older rounds' directives are
-// still queued when this round composes, and the bounded view is
-// exactly the layout the servers will decode this round at. The vector
-// comes from the buffer pool.
+// detection. The layout is the schedule's for round cr.r: under
+// pipelining older rounds' directives are still queued when this round
+// composes, and Layout bounds its view to exactly the layout the servers
+// will decode this round at. The vector comes from the buffer pool.
 //
 // A slot no longer than Policy.DefaultOpenLen stays open when the outbox
 // empties: the draining round announces its own length again, and later
@@ -390,11 +389,11 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 // backlog drains. Either way the region we record for disruption
 // detection is exactly the one we sent.
 func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
-	ahead := c.sched.Horizon(cr.r, c.head, c.drain)
-	vec := c.bufs.get(c.sched.AheadLenUpTo(ahead))
-	slotLen := c.sched.AheadSlotLenUpTo(c.mySlot, ahead)
+	l := c.sched.Layout(cr.r)
+	vec := c.bufs.get(l.Len)
+	off, n := l.SlotRange(c.mySlot)
 	cr.sentSlot = nil
-	if slotLen == 0 {
+	if n == 0 {
 		if len(c.outbox) > 0 || c.witness != nil {
 			bit := true
 			if c.reqPending {
@@ -407,7 +406,6 @@ func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
 		}
 		return vec, nil
 	}
-	off, n := c.sched.AheadSlotRangeUpTo(c.mySlot, ahead)
 	region := vec[off : off+n]
 	// With nothing to send the region stays as the pool zeroed it: silent.
 	if len(c.outbox) > 0 || c.witness != nil {
@@ -511,14 +509,11 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	// before the pads go on and the submission is signed, so the
 	// tampering rides a perfectly well-formed, authentic submission.
 	if c.interdict != nil && c.interdict.Vector != nil {
-		ahead := c.sched.Horizon(cr.r, c.head, c.drain)
 		c.interdict.Vector(VectorInfo{
-			Round:    cr.r,
-			OwnSlot:  c.mySlot,
-			NumSlots: c.sched.NumSlots(),
-			SlotRange: func(slot int) (int, int) {
-				return c.sched.AheadSlotRangeUpTo(slot, ahead)
-			},
+			Round:     cr.r,
+			OwnSlot:   c.mySlot,
+			NumSlots:  c.sched.NumSlots(),
+			SlotRange: c.sched.Layout(cr.r).SlotRange,
 		}, vec)
 	}
 	// Build the ciphertext into a pooled buffer, using the streams
@@ -585,8 +580,14 @@ func (c *Client) emitRoundTrace(now time.Time, round uint64, participation int, 
 	c.emitSpan(t, out)
 }
 
+// slotClosedAhead reports whether our slot is closed in round head+λ's
+// layout, the first that holds every queued directive.
+func (c *Client) slotClosedAhead() bool {
+	return c.sched.Layout(c.head() + uint64(c.depth-1)).Lens[c.mySlot] == 0
+}
+
 func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
-	if !c.ready || m.Round != c.head {
+	if !c.ready || m.Round != c.head() {
 		return &Output{}, nil
 	}
 	p, bEntry, err := c.verifyOutput(m.Round, m.Body)
@@ -594,11 +595,11 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		return c.violation(err), nil
 	}
 	// Read what retirement moves past: our slot's region in this round's
-	// layout (for disruption detection), and whether the slot is closed on
-	// the ahead view (applied plus queued directives) — the request-bit
-	// state concerns rounds we have yet to compose.
-	off, n := c.sched.AheadSlotRangeUpTo(c.mySlot, c.headHorizon())
-	wasClosed := c.sched.AheadSlotLen(c.mySlot) == 0
+	// layout (for disruption detection), and whether the slot is closed in
+	// the first round's layout that holds every queued directive, head+λ —
+	// the request-bit state concerns rounds we have yet to compose.
+	off, n := c.sched.Layout(m.Round).SlotRange(c.mySlot)
+	wasClosed := c.slotClosedAhead()
 	res, err := c.retire(m.Round, p, bEntry)
 	if errors.Is(err, errLayout) {
 		return nil, err
@@ -618,10 +619,10 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		c.inflight[len(c.inflight)-1] = nil
 		c.inflight = c.inflight[:len(c.inflight)-1]
 	}
-	if c.round < c.head {
+	if c.round < c.head() {
 		// Non-submitting clients track the round counter from outputs so
 		// a later re-admission resumes at the right round.
-		c.round = c.head
+		c.round = c.head()
 	}
 	out := &Output{}
 	c.emitRoundTrace(now, m.Round, int(p.Count), p.Failed, cr, out)
@@ -694,7 +695,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 			c.requeue(cr)
 		}
 	}
-	if wasClosed && c.sched.AheadSlotLen(c.mySlot) > 0 {
+	if wasClosed && !c.slotClosedAhead() {
 		c.reqPending = false
 	}
 	c.reportRetired(m.Round, res, out)
@@ -793,8 +794,8 @@ func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
 	// rounds ramp their delta-queue depth from here. Recorded even by
 	// expelled or non-submitting observers, whose decode layouts must
 	// track the group's.
-	if c.ready && c.head > c.drain {
-		c.drain = c.head
+	if c.ready {
+		c.sched.Drained()
 	}
 	if !c.awaitingBlame {
 		return out, nil

@@ -121,7 +121,7 @@ func TestClientKeepsSmallSlotOpen(t *testing.T) {
 			c.Send(backlog)
 			for range 4 * horizon {
 				nextRound()
-				if c.Pending() == 0 && c.sched.SlotLen(c.Slot()) == 0 {
+				if c.Pending() == 0 && headLayout(&c.node).Lens[c.Slot()] == 0 {
 					break
 				}
 			}
@@ -140,7 +140,7 @@ func TestClientKeepsSmallSlotOpen(t *testing.T) {
 				t.Errorf("backlog's last round %d: slot length %d, NextLen %d; want a grown slot closing (NextLen 0)",
 					last, len(sent[last].region), p.NextLen)
 			}
-			if n := c.sched.SlotLen(c.Slot()); n != 0 {
+			if n := headLayout(&c.node).Lens[c.Slot()]; n != 0 {
 				t.Errorf("slot still open at %d bytes after the backlog drained", n)
 			}
 

@@ -262,17 +262,12 @@ type node struct {
 	pad *dcnet.Pad
 
 	// The replica (replica.go). sched is the slot schedule (nil before
-	// setup); head the output head — the oldest round whose certified
-	// output has not been applied; drain the first round after the latest
-	// pipeline drain (session start, applied roster update, completed
-	// blame session), from which rounds ramp their delta-queue depth back
-	// up — see dcnet.Schedule.Horizon and SyncPipeline; depth how many
-	// rounds may be in flight (≥ 1; the schedule's lag is depth−1).
-	// certKeys/certSigs retain the certified schedule (encoded slot keys,
-	// every server's signature) for ScheduleCertificate.
+	// setup), which holds the output head (node.head) and the latest
+	// pipeline drain point with the slot state; depth how many rounds may
+	// be in flight (≥ 1; the schedule's lag is depth−1). certKeys/certSigs
+	// retain the certified schedule (encoded slot keys, every server's
+	// signature) for ScheduleCertificate.
 	sched    *dcnet.Schedule
-	head     uint64
-	drain    uint64
 	depth    int
 	certKeys [][]byte
 	certSigs [][]byte

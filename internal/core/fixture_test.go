@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dissent/internal/crypto"
+	"dissent/internal/dcnet"
 	"dissent/internal/group"
 )
 
@@ -179,3 +180,6 @@ func (f *fixture) runUntilRound(round uint64, maxEvents int64) {
 func (f *fixture) violations() []TimedEvent {
 	return f.h.EventsOf(EventProtocolViolation)
 }
+
+// headLayout is the layout n's head round decodes at.
+func headLayout(n *node) dcnet.Layout { return n.sched.Layout(n.head()) }

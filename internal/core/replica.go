@@ -11,9 +11,9 @@ import (
 
 // The replica (ARCHITECTURE.md "The replica"). Every member — client and
 // server alike — derives round r+1's slot layout from round r's certified
-// output, so (schedule, beacon head, output head, drain point) is one
-// replicated state machine, held in node. Its transitions are written
-// here once: built (newSchedule), moved by a certified output (retire) or
+// output, so the schedule (which holds the output head and the drain
+// point beside the slot state) and the beacon chain are one replicated
+// state machine, held in node. Its transitions are written here once: built (newSchedule), moved by a certified output (retire) or
 // a certified roster update (applyRoster), captured and reinstalled
 // (snapshot, restore). Each performs every step that can fail before its
 // first assignment, so a failure leaves the replica exactly as it was.
@@ -32,6 +32,7 @@ func (n *node) schedConfig(numSlots int) dcnet.Config {
 		DefaultOpenLen:  n.def.Policy.DefaultOpenLen,
 		MaxSlotLen:      n.def.Policy.MaxSlotLen,
 		IdleCloseRounds: n.def.Policy.IdleCloseRounds,
+		Lag:             n.depth - 1,
 	}
 }
 
@@ -47,7 +48,6 @@ func (n *node) newSchedule(numSlots int, certKeys, certSigs [][]byte) error {
 	if err != nil {
 		return err
 	}
-	sched.SetLag(n.depth - 1)
 	if n.beaconChain != nil && len(certKeys) > 0 {
 		genesis := beacon.SessionGenesis(n.grpID, scheduleCertDigest(n.grpID, certKeys, certSigs))
 		if err := n.beaconChain.Rebind(genesis); err != nil {
@@ -79,11 +79,15 @@ func (n *node) verifyOutput(round uint64, body []byte) (*RoundOutput, *beacon.En
 	return ro, entry, nil
 }
 
-// headHorizon is how many of the queued deltas the head round's layout
-// includes: the k at which the schedule's Ahead…UpTo views show the
-// layout the head round was composed at, and retire is about to decode it
-// at — the applied layout plus the deltas SyncPipeline will apply first.
-func (n *node) headHorizon() int { return n.sched.Horizon(n.head, n.head, n.drain) }
+// head is the output head: the oldest round whose output, certified or
+// failed, has not been applied — the schedule's round, or 0 before one
+// is installed.
+func (n *node) head() uint64 {
+	if n.sched == nil {
+		return 0
+	}
+	return n.sched.Round()
+}
 
 // retire applies round's certified output — the head round's, whose
 // certificate the caller has checked — and moves the head past it. A
@@ -92,27 +96,22 @@ func (n *node) headHorizon() int { return n.sched.Horizon(n.head, n.head, n.drai
 // schedule advances; it returns what the schedule decoded. A failed
 // round contributes no directives but still takes its place in the delta
 // queue, and returns nil. The cleartext is sized and the beacon store
-// written before the head, the queue or the schedule move: on error
-// nothing has.
+// written before the schedule moves: on error nothing has.
 func (n *node) retire(round uint64, ro *RoundOutput, entry *beacon.Entry) (*dcnet.RoundResult, error) {
-	if round != n.head {
-		return nil, fmt.Errorf("core: retiring round %d at head %d", round, n.head)
+	if head := n.head(); round != head {
+		return nil, fmt.Errorf("core: retiring round %d at head %d", round, head)
 	}
-	if !ro.Failed {
-		if want := n.sched.AheadLenUpTo(n.headHorizon()); len(ro.Cleartext) != want {
-			return nil, fmt.Errorf("%w: round %d carries %d bytes, want %d", errLayout, round, len(ro.Cleartext), want)
-		}
-		if entry != nil {
-			if err := n.beaconChain.AppendTrusted(entry); err != nil {
-				return nil, fmt.Errorf("core: round %d beacon append: %w", round, err)
-			}
-		}
-	}
-	n.head++
-	n.sched.SyncPipeline(round, n.drain)
 	if ro.Failed {
-		n.sched.AdvanceFailed() // exact no-op at depth 1
+		n.sched.AdvanceFailed()
 		return nil, nil
+	}
+	if want := n.sched.Layout(round).Len; len(ro.Cleartext) != want {
+		return nil, fmt.Errorf("%w: round %d carries %d bytes, want %d", errLayout, round, len(ro.Cleartext), want)
+	}
+	if entry != nil {
+		if err := n.beaconChain.AppendTrusted(entry); err != nil {
+			return nil, fmt.Errorf("core: round %d beacon append: %w", round, err)
+		}
 	}
 	res, err := n.sched.Advance(ro.Cleartext)
 	if err != nil { // unreachable: the cleartext was sized for this layout above
@@ -141,52 +140,44 @@ func (n *node) reportRetired(round uint64, res *dcnet.RoundResult, out *Output) 
 // (zero on a client that has no schedule yet). Every epoch boundary
 // applies exactly one update, an empty one included, after the pipeline
 // has drained on every replica — so the rotation lands between the same
-// two rounds everywhere, however many rounds failed before it.
+// two rounds everywhere, however many rounds failed before it, and the
+// update is a drain point, recorded before the digest covers it.
 func (n *node) applyRoster(u *group.RosterUpdate, newDef *group.Definition, out *Output) (dig [32]byte) {
 	grown := len(newDef.Clients) - len(n.def.Clients)
 	n.def = newDef
 	if n.sched == nil {
 		return dig
 	}
+	n.sched.Drained()
 	n.sched.Grow(grown, n.rosterPermSeed(newDef))
-	out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: n.head,
+	out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: n.head(),
 		Detail: fmt.Sprintf("roster version %d", u.Version)})
 	return n.sched.Digest()
 }
 
-// snapshot captures the replica image at a round boundary: the output
-// head, the drain point, and the schedule as dcnet.Schedule.AppendState
-// writes it — the very bytes the schedule digest hashes. ServerSnapshot
-// and JoinWelcome carry these three beside what each adds.
-func (n *node) snapshot() (head, drain uint64, sched []byte) {
-	return n.head, n.drain, n.sched.AppendState(nil)
-}
+// snapshot captures the replica image at a round boundary: the schedule
+// as dcnet.Schedule.AppendState writes it, output head and drain point
+// included — the very bytes the schedule digest hashes. ServerSnapshot
+// and JoinWelcome carry it beside what each adds.
+func (n *node) snapshot() []byte { return n.sched.AppendState(nil) }
 
 // restore installs a snapshot's replica image. The image comes from disk
-// or from a peer: the schedule state is validated as it is rebuilt, and
-// neither its round counter (failed rounds move the head but never the
-// schedule) nor the drain point may lie past the head. rebind, when
-// non-nil, is the caller's beacon-chain repositioning — the one commit
-// step that can still fail, so it runs after every check and before the
-// first assignment.
-func (n *node) restore(head, drain uint64, state []byte, rebind func() error) error {
+// or from a peer: dcnet.RestoreSchedule validates it as it rebuilds it,
+// the pipeline position included. rebind, when non-nil, is the caller's
+// last word given the restored head — its beacon-chain repositioning, the
+// one commit step that can still fail, so it runs after every check and
+// before the first assignment.
+func (n *node) restore(state []byte, rebind func(head uint64) error) error {
 	sched, err := dcnet.RestoreSchedule(n.schedConfig(0), state)
 	if err != nil {
 		return err
 	}
-	sched.SetLag(n.depth - 1)
-	if sched.Round() > head {
-		return errors.New("core: snapshot schedule round ahead of engine round")
-	}
-	if drain > head {
-		return errors.New("core: snapshot drain round ahead of engine round")
-	}
 	if rebind != nil {
-		if err := rebind(); err != nil {
+		if err := rebind(sched.Round()); err != nil {
 			return err
 		}
 	}
-	n.sched, n.head, n.drain = sched, head, drain
+	n.sched = sched
 	return nil
 }
 

@@ -46,13 +46,13 @@ func newFlakyBeaconStore(t *testing.T, failAt int) (*flakyBeaconKV, *beacon.KVSt
 
 // replicaState is what a retirement moves.
 type replicaState struct {
-	head, drain, schedRound uint64
-	digest                  [32]byte
-	beaconHead              beacon.Value
+	head, drain uint64
+	digest      [32]byte
+	beaconHead  beacon.Value
 }
 
 func stateOf(n *node) replicaState {
-	st := replicaState{head: n.head, drain: n.drain, schedRound: n.sched.Round(), digest: n.sched.Digest()}
+	st := replicaState{head: n.head(), drain: schedDrain(n.snapshot()), digest: n.sched.Digest()}
 	if n.beaconChain != nil {
 		st.beaconHead = n.beaconChain.Head()
 	}
@@ -132,8 +132,8 @@ func TestClientRetireIsAtomic(t *testing.T) {
 			t.Fatalf("the injected failure never fired (%d puts)", store.puts)
 		}
 		c, srv := f.clients[0], f.servers[0]
-		if c.head+uint64(c.depth) < srv.head {
-			t.Fatalf("client stuck at round %d, servers at %d", c.head, srv.head)
+		if c.head()+uint64(c.depth) < srv.head() {
+			t.Fatalf("client stuck at round %d, servers at %d", c.head(), srv.head())
 		}
 		if v := f.violations(); len(v) != 1 || v[0].Node != c.ID() {
 			t.Errorf("violations = %+v, want only the client's injected one", v)
@@ -143,7 +143,7 @@ func TestClientRetireIsAtomic(t *testing.T) {
 		}
 		// Caught up, the client's replica is the group's: step until a
 		// peer client stands at the same head and compare.
-		for i := 0; i < 100_000 && f.clients[1].head != c.head; i++ {
+		for i := 0; i < 100_000 && f.clients[1].head() != c.head(); i++ {
 			f.h.Net.Step()
 		}
 		if got, want := stateOf(&c.node), stateOf(&f.clients[1].node); got != want {
@@ -169,11 +169,11 @@ func TestClientRetireIsAtomic(t *testing.T) {
 			t.Fatalf("engine errors = %v, want the fatal beacon append", f.h.Errors)
 		}
 		s := f.servers[0]
-		if s.head != failAt-1 || s.sched.Round() != s.head || s.beaconChain.Len() != failAt-1 {
+		if s.head() != failAt-1 || s.sched.Round() != s.head() || s.beaconChain.Len() != failAt-1 {
 			t.Errorf("failed retirement moved the server: head %d, schedule round %d, %d beacon entries; want %d, %d, %d",
-				s.head, s.sched.Round(), s.beaconChain.Len(), failAt-1, failAt-1, failAt-1)
+				s.head(), s.sched.Round(), s.beaconChain.Len(), failAt-1, failAt-1, failAt-1)
 		}
-		if rs := s.rounds[s.head]; rs == nil || rs.phase != rpCertify {
+		if rs := s.rounds[s.head()]; rs == nil || rs.phase != rpCertify {
 			t.Errorf("the unretired round left the pipeline: %+v", rs)
 		}
 	})
@@ -383,9 +383,9 @@ func (w *lockstepWorld) tick() {
 func (w *lockstepWorld) produce(failed bool) *Message {
 	w.t.Helper()
 	s, g := w.s0, w.f.def.Group()
-	rs := s.rounds[s.head]
+	rs := s.rounds[s.head()]
 	if rs == nil {
-		w.t.Fatalf("server 0 has no round %d in flight (phase %d, rounds %d)", s.head, s.phase, len(s.rounds))
+		w.t.Fatalf("server 0 has no round %d in flight (phase %d, rounds %d)", s.head(), s.phase, len(s.rounds))
 	}
 	var cleartext []byte
 	var included []int
@@ -507,10 +507,14 @@ func (w *lockstepWorld) assertLockstep(step string) {
 	}
 }
 
-// queuedRows reads the delta-queue length out of a schedule's state.
+// schedHead, schedDrain and queuedRows read the output head, the drain
+// point and the delta-queue length out of a schedule's state
+// (dcnet.Schedule.AppendState).
+func schedHead(state []byte) uint64  { return binary.BigEndian.Uint64(state) }
+func schedDrain(state []byte) uint64 { return binary.BigEndian.Uint64(state[8:]) }
 func queuedRows(state []byte) uint32 {
-	slots := binary.BigEndian.Uint32(state[8:])
-	return binary.BigEndian.Uint32(state[12+12*slots:])
+	slots := binary.BigEndian.Uint32(state[16:])
+	return binary.BigEndian.Uint32(state[20+12*slots:])
 }
 
 // fork restores a new server 1 from server 1's store as it stands, and
@@ -553,7 +557,7 @@ func (w *lockstepWorld) fork(step string) (queued uint32) {
 		if _, err := tw.InstallSchedule(w.now, len(w.f.clients), 0, w.pseu0); err != nil {
 			w.t.Fatal(err)
 		}
-		m, err := w.s0.sign(MsgSnapshot, w.s0.head, w.s0.buildSnapshot(u).Encode())
+		m, err := w.s0.sign(MsgSnapshot, w.s0.head(), w.s0.buildSnapshot(u).Encode())
 		if err != nil {
 			w.t.Fatal(err)
 		}
@@ -563,8 +567,7 @@ func (w *lockstepWorld) fork(step string) (queued uint32) {
 		}
 		w.twins = append(w.twins, tw)
 	}
-	_, _, state := w.s1.snapshot()
-	return queuedRows(state)
+	return queuedRows(w.s1.snapshot())
 }
 
 // TestReplicaLockstep drives one table of transitions — certified and
@@ -629,7 +632,7 @@ func TestReplicaLockstep(t *testing.T) {
 					w.joiner.Send(bytes.Repeat([]byte{'j'}, step.joiner))
 				}
 				if c0 := w.clients[0]; step.arm {
-					c0.witness = &witnessInfo{round: c0.head}
+					c0.witness = &witnessInfo{round: c0.head()}
 				}
 				if step.join {
 					kp, _ := crypto.GenerateKeyPair(crypto.P256(), nil)

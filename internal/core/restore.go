@@ -42,27 +42,25 @@ import (
 // ServerSnapshot is the durable image of a server's session state at a
 // round boundary — everything needed to resume that is not already
 // derivable from the group definition, the stored roster-update chain,
-// or the beacon chain's own store. Round, DrainRound and Sched are the
-// replica image (node.snapshot); the rest is what a server adds to it:
-// the roster version to replay the update log to, the slot keys, the
-// α baseline, the roster-phase and accusation-shuffle gates, the
-// schedule certificate, the exclusions, and the two counters a restart
-// must continue rather than reset: the blame session number and the
-// restart count.
+// or the beacon chain's own store. Sched is the replica image
+// (node.snapshot) — the schedule with its output head, the resume point,
+// and its drain point; the rest is what a server adds to it: the roster
+// version to replay the update log to, the slot keys, the α baseline, the
+// roster-phase and accusation-shuffle gates, the schedule certificate,
+// the exclusions, and the two counters a restart must continue rather
+// than reset: the blame session number and the restart count.
 type ServerSnapshot struct {
-	Version    uint64 // roster version the snapshot was taken at
-	Round      uint64 // first unretired round: resume point
-	PrevCount  uint32 // previous round's participation (α baseline)
-	DrainRound uint64 // latest pipeline drain point (delta-queue ramp)
-	RosterDue  byte   // boundary crossed; roster phase pending
-	BlameDue   byte   // shuffle requested; accusation shuffle pending…
-	BlameHold  uint64 // …and the first round it holds back
-	CertKeys   [][]byte
-	CertSigs   [][]byte // certified schedule; empty under trusted bootstrap
-	SlotKeys   [][]byte // current slot pseudonym keys, slot order
-	Sched      []byte   // schedule state (dcnet.Schedule.AppendState)
-	ExpelIdx   []int32  // excluded client indices…
-	ExpelAt    []uint64 // …and the round each was excluded at
+	Version   uint64 // roster version the snapshot was taken at
+	PrevCount uint32 // previous round's participation (α baseline)
+	RosterDue byte   // boundary crossed; roster phase pending
+	BlameDue  byte   // shuffle requested; accusation shuffle pending…
+	BlameHold uint64 // …and the first round it holds back
+	CertKeys  [][]byte
+	CertSigs  [][]byte // certified schedule; empty under trusted bootstrap
+	SlotKeys  [][]byte // current slot pseudonym keys, slot order
+	Sched     []byte   // schedule state (dcnet.Schedule.AppendState)
+	ExpelIdx  []int32  // excluded client indices…
+	ExpelAt   []uint64 // …and the round each was excluded at
 	// BlameSession is the last blame session opened (peers match sessions
 	// by number); Restarts counts this server's restores (openRound).
 	BlameSession int32
@@ -73,9 +71,7 @@ type ServerSnapshot struct {
 func (p *ServerSnapshot) Encode() []byte {
 	var e encBuf
 	e.U64(p.Version)
-	e.U64(p.Round)
 	e.U32(p.PrevCount)
-	e.U64(p.DrainRound)
 	e.U8(p.RosterDue)
 	e.U8(p.BlameDue)
 	e.U64(p.BlameHold)
@@ -101,13 +97,7 @@ func DecodeServerSnapshot(b []byte) (*ServerSnapshot, error) {
 	if p.Version, err = d.U64(); err != nil {
 		return nil, err
 	}
-	if p.Round, err = d.U64(); err != nil {
-		return nil, err
-	}
 	if p.PrevCount, err = d.U32(); err != nil {
-		return nil, err
-	}
-	if p.DrainRound, err = d.U64(); err != nil {
 		return nil, err
 	}
 	if p.RosterDue, err = d.U8(); err != nil {
@@ -175,7 +165,7 @@ func (s *Server) persistSnapshot() {
 		BlameSession: s.blameSession,
 		Restarts:     s.restarts,
 	}
-	sn.Round, sn.DrainRound, sn.Sched = s.snapshot()
+	sn.Sched = s.snapshot()
 	if s.rosterDue {
 		sn.RosterDue = 1
 	}
@@ -187,7 +177,7 @@ func (s *Server) persistSnapshot() {
 		sn.ExpelAt = append(sn.ExpelAt, s.expelRound[ci])
 	}
 	if err := s.store.Put(bucketSnapshot, snapshotKey, sn.Encode()); err != nil {
-		s.log.Error("session snapshot persist failed", "round", s.head, "err", err)
+		s.log.Error("session snapshot persist failed", "round", s.head(), "err", err)
 	}
 }
 
@@ -205,7 +195,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if !have {
 		return nil, false, nil
 	}
-	if s.sched != nil || s.phase != phaseSetup || s.head != 0 {
+	if s.sched != nil || s.phase != phaseSetup || s.head() != 0 {
 		return nil, false, errors.New("core: restore on an already-started engine")
 	}
 	sn, err := DecodeServerSnapshot(raw)
@@ -266,7 +256,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		s.beaconChain.RebindTrusted(beacon.SessionGenesis(s.grpID, scheduleCertDigest(s.grpID, sn.CertKeys, sn.CertSigs)))
 	}
 
-	if err := s.restore(sn.Round, sn.DrainRound, sn.Sched, nil); err != nil {
+	if err := s.restore(sn.Sched, nil); err != nil {
 		return nil, false, fmt.Errorf("core: session snapshot: %w", err)
 	}
 	if s.sched.NumSlots() != len(slotKeys) {
@@ -292,7 +282,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	s.rosterDue = sn.RosterDue != 0
 	s.blameDue, s.blameHold = sn.BlameDue != 0, sn.BlameHold
 	s.blameSession = sn.BlameSession
-	s.nextOpen = sn.Round
+	s.nextOpen = s.head()
 	s.phase = phaseRunning
 	s.setup.retire()
 	// Every round that could have been in flight at the crash reopens as
@@ -302,13 +292,14 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	// flight rounds up to snapshot+depth; cover all of them. The restart
 	// count is durable before any of them opens, so a crash during
 	// recovery reopens above the attempt this restart reaches.
-	s.recoverUntil = sn.Round + uint64(s.depth) + 1
+	head := s.head()
+	s.recoverUntil = head + uint64(s.depth) + 1
 	s.restarts = sn.Restarts + 1
 	s.persistSnapshot()
 
-	out = &Output{Events: []Event{{Kind: EventStateRestored, Round: sn.Round,
-		Detail: fmt.Sprintf("version %d, round %d, %d slots", sn.Version, sn.Round, len(slotKeys))}}}
-	s.log.Info("session state restored", "round", sn.Round, "version", sn.Version,
+	out = &Output{Events: []Event{{Kind: EventStateRestored, Round: head,
+		Detail: fmt.Sprintf("version %d, round %d, %d slots", sn.Version, head, len(slotKeys))}}}
+	s.log.Info("session state restored", "round", head, "version", sn.Version,
 		"slots", len(slotKeys), "rosterDue", s.rosterDue)
 	if err := s.resumeRounds(now, out); err != nil {
 		return nil, false, err
@@ -388,10 +379,10 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
 		return s.violation(m.Round, err), nil
 	}
-	if s.phase != phaseRunning || m.Round < s.head {
+	if s.phase != phaseRunning || m.Round < s.head() {
 		return &Output{}, nil // already retired, or not in the round loop
 	}
-	if m.Round > s.head {
+	if m.Round > s.head() {
 		return s.stashMsg(m), nil // adoption must run in round order
 	}
 	ro, entry, err := s.verifyOutput(m.Round, m.Body)

@@ -115,19 +115,17 @@ func (d *durableFixture) restart(idx int) *Server {
 // TestServerSnapshotRoundTrip pins the snapshot codec.
 func TestServerSnapshotRoundTrip(t *testing.T) {
 	sn := &ServerSnapshot{
-		Version:    7,
-		Round:      123,
-		PrevCount:  9,
-		DrainRound: 120,
-		RosterDue:  1,
-		BlameDue:   1,
-		BlameHold:  124,
-		CertKeys:   [][]byte{{1, 2}, {3}},
-		CertSigs:   [][]byte{{4}, {5, 6}},
-		SlotKeys:   [][]byte{{7}, {8}, {9}},
-		Sched:      []byte{0, 0, 0, 0, 0, 0, 0, 122, 0, 0, 0, 0},
-		ExpelIdx:   []int32{4},
-		ExpelAt:    []uint64{100},
+		Version:   7,
+		PrevCount: 9,
+		RosterDue: 1,
+		BlameDue:  1,
+		BlameHold: 124,
+		CertKeys:  [][]byte{{1, 2}, {3}},
+		CertSigs:  [][]byte{{4}, {5, 6}},
+		SlotKeys:  [][]byte{{7}, {8}, {9}},
+		Sched:     []byte{0, 0, 0, 0, 0, 0, 0, 122, 0, 0, 0, 0},
+		ExpelIdx:  []int32{4},
+		ExpelAt:   []uint64{100},
 
 		BlameSession: 5,
 		Restarts:     2,

@@ -225,18 +225,18 @@ func DecodeRosterUpdateMsg(b []byte) (*RosterUpdateMsg, error) {
 }
 
 // JoinWelcome is the MsgSnapshot body: the replicated session state a
-// member that is behind needs (Server.catchUp). Round, DrainRound and
-// Sched are the replica image (node.snapshot) — a snapshot captured
-// mid-pipeline carries the donor's queued deltas inside Sched, so the
-// member pops each at the same round as every established replica. The
-// rest is what a snapshot adds to it: the full current client roster (so
-// the member's definition replica catches up from genesis in one step)
-// with a certified update as anchor — for a joiner the one that admits
-// it — the slot key list, in which a member finds its slot by its
-// pseudonym key, and the beacon chain head. It is signed by one server,
-// a trust-on-join simplification relative to the fully certified
-// RosterUpdate chain; the member independently verifies the embedded
-// update.
+// member that is behind needs (Server.catchUp). Sched is the replica
+// image (node.snapshot): the schedule with its output head and drain
+// point — a snapshot captured mid-pipeline carries the donor's queued
+// deltas inside it, so the member pops each at the same round as every
+// established replica. The rest is what a snapshot adds to it: the full
+// current client roster (so the member's definition replica catches up
+// from genesis in one step) with a certified update as anchor — for a
+// joiner the one that admits it — the slot key list, in which a member
+// finds its slot by its pseudonym key, and the beacon chain head. It is
+// signed by one server, a trust-on-join simplification relative to the
+// fully certified RosterUpdate chain; the member independently verifies
+// the embedded update.
 type JoinWelcome struct {
 	Version    uint64
 	Digest     [32]byte // roster digest at Version
@@ -244,8 +244,6 @@ type JoinWelcome struct {
 	RosterKeys [][]byte // all client identity keys, definition order
 	Expelled   []byte   // 0/1 per client, parallel to RosterKeys
 	SlotKeys   [][]byte // pseudonym slot keys, slot order
-	Round      uint64   // next engine round to submit
-	DrainRound uint64   // the donor's latest pipeline drain point
 	Sched      []byte   // schedule state (dcnet.Schedule.AppendState)
 	BeaconHead []byte   // 32-byte chain head the joiner's replica resumes from
 }
@@ -259,8 +257,6 @@ func (p *JoinWelcome) Encode() []byte {
 	e.ByteSlices(p.RosterKeys)
 	e.Bytes(p.Expelled)
 	e.ByteSlices(p.SlotKeys)
-	e.U64(p.Round)
-	e.U64(p.DrainRound)
 	e.Bytes(p.Sched)
 	e.Bytes(p.BeaconHead)
 	return e.B
@@ -289,12 +285,6 @@ func DecodeJoinWelcome(b []byte) (*JoinWelcome, error) {
 		return nil, err
 	}
 	if p.SlotKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.Round, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.DrainRound, err = d.U64(); err != nil {
 		return nil, err
 	}
 	if p.Sched, err = d.Bytes(); err != nil {
@@ -560,7 +550,7 @@ func (s *Server) buildProposal() *RosterPropose {
 		if s.pendingRemove[ci] {
 			continue
 		}
-		if at, ok := s.expelRound[ci]; ok && s.head < at+cooldown {
+		if at, ok := s.expelRound[ci]; ok && s.head() < at+cooldown {
 			continue // not yet eligible; stays pending for a later boundary
 		}
 		p.Admit = append(p.Admit, group.RosterMember{
@@ -620,20 +610,20 @@ func (s *Server) rosterTick(now time.Time) (*Output, error) {
 // castRoster broadcasts a roster-phase message to the peer servers and
 // records it for rosterTick.
 func (s *Server) castRoster(now time.Time, t MsgType, body []byte, out *Output) error {
-	s.recordCast(now, &s.roster.casts, s.retrySeed^s.roster.version, t, s.head, body, out)
-	return s.broadcastServers(t, s.head, body, out)
+	s.recordCast(now, &s.roster.casts, s.retrySeed^s.roster.version, t, s.head(), body, out)
+	return s.broadcastServers(t, s.head(), body, out)
 }
 
 func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	p, err := DecodeRosterPropose(m.Body)
 	if err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	if p.Version == 0 {
-		return s.violation(s.head, errors.New("roster proposal for version 0")), nil
+		return s.violation(s.head(), errors.New("roster proposal for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
 		// The peer is rebroadcasting a transition we already completed — its
@@ -693,7 +683,7 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 				// server), so each server enforces it on the union — a
 				// single server cannot short-circuit the cooldown for
 				// the group.
-				if at, ok := s.expelRound[ci]; ok && s.head < at+cooldown {
+				if at, ok := s.expelRound[ci]; ok && s.head() < at+cooldown {
 					continue
 				}
 			} else if len(m.PseuKey) == 0 {
@@ -737,14 +727,14 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 
 func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	p, err := DecodeRosterCert(m.Body)
 	if err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	if p.Version == 0 {
-		return s.violation(s.head, errors.New("roster certificate for version 0")), nil
+		return s.violation(s.head(), errors.New("roster certificate for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
 		// Stuck peer rebroadcasting a completed transition (see
@@ -759,11 +749,11 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 	si := s.def.ServerIndex(m.From)
 	sig, err := crypto.DecodeSignature(s.keyGrp, p.Sig)
 	if err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, group.RosterSignContext,
 		r.update.SignedBytes(s.grpID), sig); err != nil {
-		return s.violation(s.head, fmt.Errorf("server %d roster cert: %w", si, err)), nil
+		return s.violation(s.head(), fmt.Errorf("server %d roster cert: %w", si, err)), nil
 	}
 	if _, dup := r.sigs[si]; dup {
 		return &Output{}, nil
@@ -778,15 +768,15 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 // signature, so it can be verified and applied directly.
 func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	p, err := DecodeRosterUpdateMsg(m.Body)
 	if err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	u, err := group.DecodeRosterUpdate(p.Update)
 	if err != nil {
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	if u.Version <= s.def.Version {
 		return &Output{}, nil // already applied
@@ -798,7 +788,7 @@ func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error
 	if err := s.applyCertifiedRoster(now, u, out); err != nil {
 		// A replayed update that fails verification is a peer fault,
 		// not a local fatal: stay in the phase (retries continue).
-		return s.violation(s.head, err), nil
+		return s.violation(s.head(), err), nil
 	}
 	return out, nil
 }
@@ -879,13 +869,13 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 		ci := newDef.ClientIndex(id)
 		s.excluded[ci] = true
 		if _, ok := s.expelRound[ci]; !ok {
-			s.expelRound[ci] = s.head
+			s.expelRound[ci] = s.head()
 		}
 		delete(s.pendingRemove, ci)
 		// A pending rejoin survives: for a blame-expelled client the
 		// removal here merely formalizes the earlier verdict, and its
 		// rejoin request stays queued behind the cooldown.
-		out.Events = append(out.Events, Event{Kind: EventMemberExpelled, Round: s.head, Culprit: id})
+		out.Events = append(out.Events, Event{Kind: EventMemberExpelled, Round: s.head(), Culprit: id})
 	}
 
 	var welcomes []group.NodeID
@@ -916,7 +906,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 				welcomes = append(welcomes, id)
 			}
 		}
-		out.Events = append(out.Events, Event{Kind: EventMemberJoined, Round: s.head, Culprit: id})
+		out.Events = append(out.Events, Event{Kind: EventMemberJoined, Round: s.head(), Culprit: id})
 	}
 
 	// Certified removals shrink the α-policy baseline (§3.7) with the
@@ -935,20 +925,20 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 	s.rosterDigests[u.Version] = dig
 	s.persistRosterUpdate(u, dig)
 	s.persistSnapshot()
-	s.log.Info("roster update applied", "round", s.head, "version", newDef.Version,
+	s.log.Info("roster update applied", "round", s.head(), "version", newDef.Version,
 		"admitted", len(u.Admit), "removed", len(u.Remove))
-	out.Events = append(out.Events, Event{Kind: EventRosterChanged, Round: s.head,
+	out.Events = append(out.Events, Event{Kind: EventRosterChanged, Round: s.head(),
 		Detail: fmt.Sprintf("version %d (%d admitted, %d removed)", newDef.Version, len(u.Admit), len(u.Remove))})
 
 	// Broadcast the certified update to attached clients (including the
 	// joiners just added to myClients — they ignore it and wait for
 	// their welcome, which follows on the same FIFO link).
 	body := (&RosterUpdateMsg{Update: u.Encode(), SchedDigest: dig[:]}).Encode()
-	if err := s.broadcastClients(MsgRosterUpdate, s.head, body, out); err != nil {
+	if err := s.broadcastClients(MsgRosterUpdate, s.head(), body, out); err != nil {
 		return err
 	}
 	for _, id := range welcomes {
-		if err := s.catchUp(now, id, position{round: s.head, version: s.def.Version, welcome: true}, out); err != nil {
+		if err := s.catchUp(now, id, position{round: s.head(), version: s.def.Version, welcome: true}, out); err != nil {
 			return err
 		}
 	}
@@ -973,7 +963,7 @@ func (s *Server) buildSnapshot(u *group.RosterUpdate) *JoinWelcome {
 	// Under pipelining a snapshot can capture the schedule mid-stream;
 	// welcomes at admission always export an empty delta queue — Grow just
 	// flushed it.
-	w.Round, w.DrainRound, w.Sched = s.snapshot()
+	w.Sched = s.snapshot()
 	for _, c := range s.def.Clients {
 		w.RosterKeys = append(w.RosterKeys, s.keyGrp.Encode(c.PubKey))
 		if c.Expelled {
@@ -1105,13 +1095,6 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if c.round > c.rosterDone {
 		c.rosterDone = c.round
 	}
-	// An applied roster update marks a pipeline drain point (the servers
-	// drained before running the roster phase); later rounds ramp their
-	// delta-queue depth from here. Recorded before the not-ready/expelled
-	// early returns so observer replicas track the group's layout too.
-	if c.ready && c.head > c.drain {
-		c.drain = c.head
-	}
 	if diverged {
 		out.Events = append(out.Events, Event{Kind: EventProtocolViolation, Round: c.round,
 			Detail: fmt.Sprintf("schedule replica diverged at roster version %d (post-apply digest mismatch); requesting snapshot re-sync", newDef.Version)})
@@ -1147,14 +1130,15 @@ func (c *Client) onSnapshot(now time.Time, m *Message) (*Output, error) {
 	if w == nil {
 		return out, err
 	}
+	head := c.head()
 	if joiner {
 		out = &Output{Events: []Event{
-			{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", c.mySlot, len(w.SlotKeys))},
-			{Kind: EventMemberJoined, Round: w.Round, Culprit: c.id},
-			{Kind: EventRosterChanged, Round: w.Round, Detail: fmt.Sprintf("version %d (joined)", w.Version)},
+			{Kind: EventScheduleReady, Round: head, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", c.mySlot, len(w.SlotKeys))},
+			{Kind: EventMemberJoined, Round: head, Culprit: c.id},
+			{Kind: EventRosterChanged, Round: head, Detail: fmt.Sprintf("version %d (joined)", w.Version)},
 		}}
 	} else {
-		out = &Output{Events: []Event{{Kind: EventReplicaResynced, Round: w.Round,
+		out = &Output{Events: []Event{{Kind: EventReplicaResynced, Round: head,
 			Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, c.mySlot, len(w.SlotKeys))}}}
 	}
 	if c.awaitingBlame || c.expelled {
@@ -1167,6 +1151,10 @@ func (c *Client) onSnapshot(now time.Time, m *Message) (*Output, error) {
 	out.merge(sub)
 	return out, nil
 }
+
+// errStaleSnapshot marks a re-sync snapshot whose head is behind the
+// outputs we already applied.
+var errStaleSnapshot = errors.New("core: snapshot behind the applied outputs")
 
 // installSnapshot verifies a server-signed session snapshot (a
 // JoinWelcome body) and replaces the client's roster, schedule and
@@ -1195,8 +1183,8 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	if err != nil {
 		return nil, c.violation(err), nil
 	}
-	if !joiner && (w.Version < c.def.Version || w.Round < c.head) {
-		return nil, &Output{}, nil // stale snapshot racing updates or outputs we already applied
+	if !joiner && w.Version < c.def.Version {
+		return nil, &Output{}, nil // stale snapshot racing updates we already applied
 	}
 	if len(w.RosterKeys) != len(w.Expelled) {
 		return reject("roster shape mismatch")
@@ -1249,12 +1237,12 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	if slot < 0 || slices.ContainsFunc(w.SlotKeys[slot+1:], mine) {
 		return reject("slot keys do not carry our pseudonym key exactly once")
 	}
-	var head beacon.Value
+	var beaconHead beacon.Value
 	if c.beaconChain != nil {
-		if len(w.BeaconHead) != len(head) {
+		if len(w.BeaconHead) != len(beaconHead) {
 			return reject("beacon head malformed")
 		}
-		copy(head[:], w.BeaconHead)
+		copy(beaconHead[:], w.BeaconHead)
 	}
 	serverSeeds, err := c.deriveServerSeeds(newDef)
 	if err != nil {
@@ -1262,9 +1250,13 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	}
 
 	// Every check of ours has passed; the replica image runs its own and
-	// commits. The beacon chain goes first — its store is the one commit
+	// commits. A snapshot behind the outputs we already applied is stale;
+	// otherwise the beacon chain goes first — its store is the one commit
 	// step that can still fail.
-	err = c.restore(w.Round, w.DrainRound, w.Sched, func() error {
+	err = c.restore(w.Sched, func(head uint64) error {
+		if !joiner && head < c.head() {
+			return errStaleSnapshot
+		}
 		if c.beaconChain == nil {
 			return nil
 		}
@@ -1272,8 +1264,11 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 		// the schedule: discard it and resume from the snapshot's head,
 		// trusted like the rest of the server-signed snapshot (round
 		// outputs re-verify every appended entry).
-		return c.beaconChain.ResetTrusted(head)
+		return c.beaconChain.ResetTrusted(beaconHead)
 	})
+	if errors.Is(err, errStaleSnapshot) {
+		return nil, &Output{}, nil // racing outputs we already applied
+	}
 	if err != nil {
 		return nil, c.violation(fmt.Errorf("snapshot: %w", err)), nil
 	}
@@ -1293,8 +1288,8 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
 	c.serverSeeds = serverSeeds
 	c.mySlot = slot
-	c.round = w.Round
-	c.rosterDone = w.Round
+	c.round = c.head()
+	c.rosterDone = c.head()
 	c.ready = true
 	c.expelled = expelled[idx]
 	c.applyDigest = nil

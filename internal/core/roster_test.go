@@ -70,7 +70,7 @@ func (d *stoppableDisruptor) mangle(out *Output) *Output {
 	if out == nil || d.victim.Slot() < 0 || !d.Client.ready || d.Client.expelled {
 		return out
 	}
-	off, n := d.Client.sched.SlotRange(d.victim.Slot())
+	off, n := headLayout(&d.Client.node).SlotRange(d.victim.Slot())
 	if n == 0 {
 		return out
 	}
@@ -721,11 +721,14 @@ func TestSnapshotInstallRejects(t *testing.T) {
 			w.Update = nil
 			w.Digest[0] ^= 1
 		}},
-		{name: "schedule round ahead of engine round", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
-			binary.BigEndian.PutUint64(w.Sched, w.Round+1) // the state opens with the schedule's round counter
+		{name: "queue longer than the lag", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
+			// Queue one well-formed delta row at depth 1, whose lag is 0 (the
+			// state ends with the row count; a row is (op, length) per slot).
+			binary.BigEndian.PutUint32(w.Sched[len(w.Sched)-4:], 1)
+			w.Sched = append(w.Sched, make([]byte, 5*len(w.SlotKeys))...)
 		}},
 		{name: "drain round ahead of engine round", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
-			w.DrainRound = w.Round + 1
+			binary.BigEndian.PutUint64(w.Sched[8:], schedHead(w.Sched)+1) // the state opens with the head, then the drain point
 		}},
 		{name: "short beacon head", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
 			w.BeaconHead = w.BeaconHead[:len(w.BeaconHead)-1]
@@ -826,7 +829,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 	for _, mode := range modes {
 		deliver := func(t *testing.T, w *JoinWelcome) *Output {
 			t.Helper()
-			m, err := srv.sign(MsgSnapshot, w.Round, w.Encode())
+			m, err := srv.sign(MsgSnapshot, schedHead(w.Sched), w.Encode())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -862,9 +865,9 @@ func TestSnapshotInstallRejects(t *testing.T) {
 			}
 			after := stateOf(mode.c)
 			if !after.ready || after.version != mode.genuine.Version || after.index != mode.victim.idx ||
-				after.slot != mode.victim.slot || after.round <= mode.genuine.Round {
+				after.slot != mode.victim.slot || after.round <= schedHead(mode.genuine.Sched) {
 				t.Fatalf("installed state %+v does not match snapshot (version %d, round %d, victim %+v)",
-					after, mode.genuine.Version, mode.genuine.Round, mode.victim)
+					after, mode.genuine.Version, schedHead(mode.genuine.Sched), mode.victim)
 			}
 		})
 	}
@@ -876,7 +879,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 		if w.Version != established.RosterVersion() {
 			t.Fatalf("server at version %d, client at %d", w.Version, established.RosterVersion())
 		}
-		m, err := srv.sign(MsgSnapshot, w.Round, w.Encode())
+		m, err := srv.sign(MsgSnapshot, schedHead(w.Sched), w.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

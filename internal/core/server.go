@@ -224,8 +224,7 @@ type roundHistory struct {
 	shares     [][]byte
 	cleartext  []byte
 	subs       map[int]*Message
-	slotOff    []int // slot byte offsets in the round's layout
-	slotLen    []int
+	layout     dcnet.Layout
 	// ownCleartext marks the pooled buffer this server assembled the
 	// cleartext in; it returns to the pool when the history entry is
 	// evicted. Shares — ours included — alias message bodies and are left
@@ -432,7 +431,7 @@ func (s *Server) MisbehaviorCounts() map[string]int {
 func (s *Server) Index() int { return s.idx }
 
 // Round returns the current DC-net round number.
-func (s *Server) Round() uint64 { return s.head }
+func (s *Server) Round() uint64 { return s.head() }
 
 // Participation returns the previous round's participation count.
 func (s *Server) Participation() int { return s.prevCount }
@@ -775,15 +774,14 @@ func (s *Server) maybeOpenRounds(now time.Time, out *Output) {
 }
 
 // openRound initializes round state and opens its submission window.
-// The vector length is pinned from the schedule's ahead view bounded to
-// the round's layout horizon: every delta up to that horizon has been
-// queued (capacity gate), so the bounded view is exactly the layout this
-// round's clients compose against.
+// The vector length is pinned from the round's layout: every directive
+// it includes has been queued (capacity gate), so it is exactly the
+// layout this round's clients compose against.
 func (s *Server) openRound(now time.Time, out *Output) {
 	rs := &roundState{
 		r:       s.nextOpen,
 		phase:   rpCollect,
-		vecLen:  s.sched.AheadLenUpTo(s.sched.Horizon(s.nextOpen, s.head, s.drain)),
+		vecLen:  s.sched.Layout(s.nextOpen).Len,
 		start:   now,
 		hardAt:  now.Add(s.def.Policy.HardTimeout),
 		subs:    make(map[int]*Message),
@@ -1095,7 +1093,7 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	for _, ci := range own {
 		inv.Clients = append(inv.Clients, int32(ci))
 	}
-	if prev := s.history[rs.r-1]; rs.attempt == 0 && rs.r == s.head &&
+	if prev := s.history[rs.r-1]; rs.attempt == 0 && rs.r == s.head() &&
 		prev != nil && slices.Equal(own, prev.directSets[s.idx]) {
 		rs.included, rs.directSets = prev.included, prev.directSets
 		s.computeShare(rs)
@@ -1175,7 +1173,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 	if rs.phase != rpInventory || len(rs.invs) < len(s.def.Servers) {
 		return &Output{}, nil
 	}
-	if rs.r != s.head {
+	if rs.r != s.head() {
 		return &Output{}, nil
 	}
 	// Union and dedup (lowest server index keeps a duplicate client).
@@ -1696,9 +1694,9 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 			cleartext:    rs.cleartext,
 			ownCleartext: rs.cleartext,
 			subs:         rs.subs,
+			layout:       s.sched.Layout(s.head()),
 			shares:       make([][]byte, len(s.def.Servers)),
 		}
-		hist.slotOff, hist.slotLen = s.sched.AheadSlotRangesUpTo(s.headHorizon())
 		for i := range hist.shares {
 			hist.shares[i] = rs.shares[i]
 		}
@@ -1775,7 +1773,7 @@ func (s *Server) finishRound(now time.Time, out *Output, r uint64, ro *RoundOutp
 	// membership churn through a certified roster update. Gate A stops
 	// opening rounds the moment rosterDue is set, so the pipeline
 	// drains; the roster phase itself starts when it has.
-	if s.epochBoundary(s.head) {
+	if s.epochBoundary(s.head()) {
 		s.rosterDue = true
 	}
 	detail := fmt.Sprintf("%sparticipation %d", how, ro.Count)
@@ -1810,12 +1808,12 @@ func (s *Server) retireResume(now time.Time, out *Output) error {
 		// restart with one in flight and ramp back up. Record the drain
 		// point — it drives the per-round delta-queue depth, and
 		// welcomes export it so joiners ramp identically.
-		s.drain = s.nextOpen
+		s.sched.Drained()
 		s.persistSnapshot()
 		return s.resumeRounds(now, out)
 	}
 	s.persistSnapshot()
-	if rs := s.rounds[s.head]; rs != nil {
+	if rs := s.rounds[s.head()]; rs != nil {
 		more, err := s.maybeCommit(now, rs)
 		if err != nil {
 			return err

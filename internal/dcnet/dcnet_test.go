@@ -291,23 +291,22 @@ func TestScheduleLayoutContiguous(t *testing.T) {
 	// Property: slot ranges tile the vector exactly once after the
 	// request-bit region, in slot order, for random open/close states.
 	s := mustSchedule(t, testConfig(6))
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	for i := 0; i < 6; i += 2 {
 		s.SetReqBit(buf, i, true)
 	}
 	if _, err := s.Advance(buf); err != nil {
 		t.Fatal(err)
 	}
-	_, reqLen := s.ReqBitRange()
-	off := reqLen
+	off := s.reqBytes()
 	for i := 0; i < 6; i++ {
-		gotOff, gotLen := s.SlotRange(i)
+		gotOff, gotLen := headLayout(s).SlotRange(i)
 		if gotOff != off {
 			t.Fatalf("slot %d offset %d, want %d", i, gotOff, off)
 		}
 		off += gotLen
 	}
-	if off != s.Len() {
-		t.Fatalf("slots cover %d bytes, vector is %d", off, s.Len())
+	if off != headLayout(s).Len {
+		t.Fatalf("slots cover %d bytes, vector is %d", off, headLayout(s).Len)
 	}
 }

@@ -206,3 +206,50 @@ func TestServerPadParallelAllocSteadyState(t *testing.T) {
 		t.Fatalf("parallel pad allocates %.0f/op, want <= %.0f (stream setup only)", perOp, limit)
 	}
 }
+
+// BenchmarkScheduleAdvance measures one round's decode at Fig. 7's slot
+// counts, with every slot closed and with every slot open at
+// DefaultOpenLen carrying a payload that holds its length. Decode work
+// is linear in the slot count, so 5,120 slots should cost well under
+// 16× what 640 do (a per-slot walk of the layout made it about 50×).
+func BenchmarkScheduleAdvance(b *testing.B) {
+	for _, slots := range []int{64, 640, 5120} {
+		for _, open := range []bool{false, true} {
+			state := "closed"
+			if open {
+				state = "open"
+			}
+			b.Run(fmt.Sprintf("%dslots/%s", slots, state), func(b *testing.B) {
+				s, err := NewSchedule(testConfig(slots))
+				if err != nil {
+					b.Fatal(err)
+				}
+				ct := make([]byte, s.Layout(s.Round()).Len)
+				if open {
+					for i := 0; i < slots; i++ {
+						s.SetReqBit(ct, i, true)
+					}
+					if _, err := s.Advance(ct); err != nil {
+						b.Fatal(err)
+					}
+					l := s.Layout(s.Round())
+					ct = make([]byte, l.Len)
+					for i := 0; i < slots; i++ {
+						off, n := l.SlotRange(i)
+						if err := EncodeSlot(ct[off:off+n], SlotPayload{NextLen: n}, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.SetBytes(int64(len(ct)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Advance(ct); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

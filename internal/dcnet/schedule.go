@@ -6,7 +6,10 @@
 // the accusation protocol (§3.9).
 //
 // The package is purely computational — no I/O. internal/core drives it
-// with the round protocol.
+// with the round protocol. A Schedule owns its pipeline position — the
+// head round, the latest drain point and the queued directives of the
+// rounds still in flight — so every member asks it one question per
+// round, Layout(r), and composes and decodes round r at the same layout.
 package dcnet
 
 import (
@@ -37,6 +40,11 @@ type Config struct {
 	// chains, which at pipeline lag λ are IdleCloseRounds × (λ+1)
 	// consecutive such rounds (idleHorizon). The group policy sets it.
 	IdleCloseRounds int
+	// Lag is the pipeline lag λ: the layout of round k excludes the
+	// directives of the λ rounds before it, which is what lets λ+1 rounds
+	// be in flight at once. The group policy's pipeline depth minus one;
+	// every replica in a group uses the same lag.
+	Lag int
 }
 
 // Validate checks the configuration.
@@ -50,6 +58,8 @@ func (c Config) Validate() error {
 		return errors.New("dcnet: MaxSlotLen below DefaultOpenLen")
 	case c.IdleCloseRounds <= 0:
 		return errors.New("dcnet: IdleCloseRounds must be positive")
+	case c.Lag < 0:
+		return errors.New("dcnet: Lag must not be negative")
 	}
 	return nil
 }
@@ -64,23 +74,34 @@ func (c Config) Validate() error {
 // byte position in the round vector shifts unpredictably across epochs
 // instead of being fixed for the session's lifetime.
 type Schedule struct {
-	cfg   Config
-	round uint64
-	lens  []int // current message-slot lengths, 0 = closed
-	idle  []int // consecutive all-zero rounds per open slot
+	cfg Config
+	// round is the head: the oldest round whose output — certified or
+	// failed — has not been applied. drain is the first round after the
+	// latest pipeline drain point (Drained), or head−λ once the ramp
+	// from it is over, so replicas that drained at different rounds
+	// longer ago than that hold equal state.
+	round, drain uint64
+	lens         []int // applied message-slot lengths, 0 = closed
+	idle         []int // consecutive all-zero rounds per open slot
 
 	perm []int // perm[position] = slot occupying that layout position
-	pos  []int // pos[slot] = its layout position (inverse of perm)
 
-	// Pipelined rounds: with lag λ > 0, the layout used for round k
-	// incorporates only the deltas extracted from rounds ≤ k−1−λ, so a
-	// participant can compose round k's vector before round k−1's
-	// output is known. Advance still decodes each round's cleartext the
-	// moment it certifies, but the per-slot directives it extracts are
-	// queued in pending (FIFO, ≤ λ entries) and applied λ rounds later.
-	// λ = 0 (the default) reproduces the serial semantics exactly.
-	lag     int
+	// Pipelined rounds: with lag λ > 0, round k's layout incorporates
+	// only the directives of rounds ≤ k−1−λ (all of them right after a
+	// drain, see Layout), so a participant can compose round k's vector
+	// before round k−1's output is known. Advance decodes
+	// each round the moment it is applied, but the per-slot directives it
+	// extracts are queued in pending (FIFO, ≤ λ rows, one per retired
+	// round: a failed round's row is nil) and applied λ rounds later.
+	// λ = 0 reproduces the serial semantics exactly.
 	pending [][]slotDelta
+
+	// memo is the last layout built (none while memo.Off is nil) and
+	// memoRound the round it is for; every state change clears it. The
+	// engines ask for the same round several times between two changes
+	// (compose, decode, blame history).
+	memo      Layout
+	memoRound uint64
 }
 
 // deltaOp classifies one slot's observational directive extracted from
@@ -106,7 +127,7 @@ type slotDelta struct {
 }
 
 // NewSchedule creates the round-0 schedule: all slots closed, identity
-// slot order.
+// slot order, an empty pipeline.
 func NewSchedule(cfg Config) (*Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -116,7 +137,7 @@ func NewSchedule(cfg Config) (*Schedule, error) {
 		lens: make([]int, cfg.NumSlots),
 		idle: make([]int, cfg.NumSlots),
 	}
-	s.setPerm(identityPerm(cfg.NumSlots))
+	s.perm = identityPerm(cfg.NumSlots)
 	return s, nil
 }
 
@@ -124,17 +145,6 @@ func NewSchedule(cfg Config) (*Schedule, error) {
 // element p is the slot whose message region is laid out p-th.
 func (s *Schedule) Permutation() []int {
 	return append([]int(nil), s.perm...)
-}
-
-// setPerm installs a permutation and its inverse.
-func (s *Schedule) setPerm(perm []int) {
-	s.perm = perm
-	if len(s.pos) != len(perm) {
-		s.pos = make([]int, len(perm))
-	}
-	for p, slot := range perm {
-		s.pos[slot] = p
-	}
 }
 
 // identityPerm returns [0, 1, ..., n-1].
@@ -180,11 +190,15 @@ func PermFromSeed(seed []byte, n int) []int {
 // update, seeding from the beacon chain head and the roster digest, which
 // makes it the epoch rotation too.
 func (s *Schedule) Grow(extra int, seed []byte) {
+	s.memo = Layout{}
 	// Roster changes build on a settled layout: the engines drain the
 	// round pipeline before applying a certified roster update, so any
 	// still-queued deltas belong to rounds that have already certified
 	// and are due — apply them now.
-	s.FlushPipeline()
+	for _, d := range s.pending {
+		s.applyDeltaTo(s.lens, s.idle, d, nil)
+	}
+	s.pending = s.pending[:0]
 	old := s.cfg.NumSlots
 	if extra > 0 {
 		s.cfg.NumSlots += extra
@@ -192,50 +206,92 @@ func (s *Schedule) Grow(extra int, seed []byte) {
 		s.idle = append(s.idle, make([]int, extra)...)
 	}
 	if seed != nil {
-		s.setPerm(PermFromSeed(seed, s.cfg.NumSlots))
+		s.perm = PermFromSeed(seed, s.cfg.NumSlots)
 		return
 	}
-	perm := append(append([]int(nil), s.perm...), identityPerm(s.cfg.NumSlots)[old:]...)
-	s.setPerm(perm)
+	s.perm = append(s.perm, identityPerm(s.cfg.NumSlots)[old:]...)
 }
 
 // Config returns the schedule's configuration.
 func (s *Schedule) Config() Config { return s.cfg }
 
-// Round returns the current round number.
+// Round returns the head: the oldest round whose output has not been
+// applied. Failed rounds count, so it is the engines' output head.
 func (s *Schedule) Round() uint64 { return s.round }
 
 // NumSlots returns the slot count.
 func (s *Schedule) NumSlots() int { return s.cfg.NumSlots }
 
-// SlotLen returns slot i's current message length (0 when closed).
-func (s *Schedule) SlotLen(i int) int { return s.lens[i] }
-
-// reqBytes returns the size of the request-bit region.
+// reqBytes returns the size of the request-bit region, which opens
+// every round's vector.
 func (s *Schedule) reqBytes() int { return (s.cfg.NumSlots + 7) / 8 }
 
-// Len returns the total cleartext vector length for the current round.
-func (s *Schedule) Len() int {
-	n := s.reqBytes()
-	for _, l := range s.lens {
-		n += l
-	}
-	return n
+// Drained records a pipeline drain point at the head: every earlier
+// round has been applied and none is in flight, so the head round is
+// composed with every queued directive applied, the next with one
+// withheld, and so on back up to λ. The engines call it when whatever
+// drained the pipeline — the session start, a roster update, an
+// accusation shuffle — lets rounds resume.
+func (s *Schedule) Drained() { s.drain, s.memo = s.round, Layout{} }
+
+// Layout is one round's cleartext vector layout: the request-bit region
+// (one bit per slot, indexed by slot), then every open slot's message
+// region in permutation order.
+type Layout struct {
+	Len  int   // total vector length in bytes
+	Off  []int // Off[slot]: byte offset of the slot's message region
+	Lens []int // Lens[slot]: its length, 0 when the slot is closed
 }
 
-// ReqBitRange returns the byte range holding the request bits.
-func (s *Schedule) ReqBitRange() (off, n int) { return 0, s.reqBytes() }
+// SlotRange returns slot i's message region (n is zero for a closed
+// slot).
+func (l Layout) SlotRange(i int) (off, n int) { return l.Off[i], l.Lens[i] }
 
-// SlotRange returns the byte range of slot i's message region in the
-// current round's cleartext vector. n is zero for closed slots.
-// Message regions are laid out in permutation order; request bits stay
-// indexed by slot.
-func (s *Schedule) SlotRange(i int) (off, n int) {
-	off = s.reqBytes()
-	for p := 0; p < s.pos[i]; p++ {
-		off += s.lens[s.perm[p]]
+// Layout returns the layout round r is composed and decoded at, for r
+// from the head to head+λ: the applied slot lengths plus the queued
+// directives of the rounds at or below max(r−λ−1, drain−1). Layout(head)
+// is what Advance decodes; Layout(head+λ) holds every queued directive.
+// Bounding the view this way, rather than consuming the whole queue,
+// keeps compose and decode layouts equal through post-drain ramps
+// however retirements interleave with window opens, and for a freshly
+// welcomed joiner, whose restored queue holds directives beyond its
+// first round's. The offsets come from one pass over the permutation.
+// The returned slices are shared and must not be modified.
+func (s *Schedule) Layout(r uint64) Layout {
+	if s.memo.Off != nil && s.memoRound == r {
+		return s.memo
 	}
-	return off, s.lens[i]
+	n := s.cfg.NumSlots
+	buf := make([]int, 2*n)
+	l := Layout{Len: s.reqBytes(), Off: buf[:n:n], Lens: buf[n:]}
+	copy(l.Lens, s.lens)
+	if k := s.horizon(r); k > 0 {
+		idle := slices.Clone(s.idle)
+		for _, d := range s.pending[:k] {
+			s.applyDeltaTo(l.Lens, idle, d, nil)
+		}
+	}
+	for _, slot := range s.perm {
+		l.Off[slot] = l.Len
+		l.Len += l.Lens[slot]
+	}
+	s.memo, s.memoRound = l, r
+	return l
+}
+
+// horizon returns how many of the queued directives round r's layout
+// includes. The p queued rows belong to the rounds (head−1−p, head−1];
+// those at or below max(r−λ−1, drain−1) are in: a drained pipeline
+// restarts with one round in flight, so the first round after the drain
+// point is composed with every directive applied, the next with one
+// withheld, and so on up to the steady-state λ.
+func (s *Schedule) horizon(r uint64) int {
+	p := len(s.pending)
+	h := int64(r) - int64(s.cfg.Lag) - 1
+	if d := int64(s.drain) - 1; d > h {
+		h = d
+	}
+	return min(max(p-int(int64(s.round)-1-h), 0), p)
 }
 
 // SetReqBit sets slot i's request bit in a cleartext-sized message
@@ -254,7 +310,8 @@ func (s *Schedule) ReqBit(cleartext []byte, slot int) bool {
 // RoundResult summarizes schedule transitions caused by one round's
 // output.
 type RoundResult struct {
-	// Opened and Closed list slots that changed state for next round.
+	// Opened and Closed list slots that changed state in the applied
+	// layout.
 	Opened, Closed []int
 	// ShuffleRequested is true when any open slot's shuffle-request
 	// field was nonzero: the servers must run an accusation shuffle
@@ -265,35 +322,29 @@ type RoundResult struct {
 	Payloads []*SlotPayload
 }
 
-// Advance consumes round r's cleartext output, decodes every open
-// slot, and moves the schedule to round r+1. Undecodable slots (owner
-// disrupted or garbled) keep their length and count as idle; this is
-// deliberate: a disruptor must not be able to collapse the schedule.
-//
-// The cleartext is always decoded against the applied layout (Len,
-// SlotRange), which under pipelining is exactly the layout the round
-// was composed at: the engines guarantee round r's vector is composed
-// from the layout that excludes the deltas of the λ rounds still in
-// flight, and those same λ deltas sit queued here when r certifies.
-// The extracted directives are queued; the oldest queued delta is
-// applied, moving the compose-side layout forward by one round.
+// Advance consumes the head round's certified cleartext, decodes every
+// open slot at Layout(head) — exactly the layout the round was composed
+// at — and moves the head past it. Undecodable slots (owner disrupted or
+// garbled) keep their length and count as idle; this is deliberate: a
+// disruptor must not be able to collapse the schedule. The extracted
+// directives are queued behind those of the rounds before it. A
+// cleartext of the wrong length moves nothing.
 func (s *Schedule) Advance(cleartext []byte) (*RoundResult, error) {
-	if len(cleartext) != s.Len() {
-		return nil, fmt.Errorf("dcnet: cleartext length %d, want %d", len(cleartext), s.Len())
+	l := s.Layout(s.round)
+	if len(cleartext) != l.Len {
+		return nil, fmt.Errorf("dcnet: cleartext length %d, want %d", len(cleartext), l.Len)
 	}
 	res := &RoundResult{Payloads: make([]*SlotPayload, s.cfg.NumSlots)}
 	delta := make([]slotDelta, s.cfg.NumSlots)
-	for i := 0; i < s.cfg.NumSlots; i++ {
-		off, n := s.SlotRange(i)
+	for i, n := range l.Lens {
 		if n == 0 {
-			// Closed slot: a set request bit opens it next round.
+			// Closed slot: a set request bit opens it.
 			if s.ReqBit(cleartext, i) {
 				delta[i] = slotDelta{op: dOpen}
 			}
 			continue
 		}
-		region := cleartext[off : off+n]
-		payload, idle, err := DecodeSlot(region)
+		payload, idle, err := DecodeSlot(cleartext[l.Off[i] : l.Off[i]+n])
 		switch {
 		case idle:
 			delta[i] = slotDelta{op: dIdle}
@@ -315,26 +366,31 @@ func (s *Schedule) Advance(cleartext []byte) (*RoundResult, error) {
 			delta[i] = slotDelta{op: dSet, n: nl}
 		}
 	}
-	s.pending = append(s.pending, delta)
-	if len(s.pending) > s.lag {
-		s.popDelta(res)
-	}
-	s.round++
+	s.retire(delta, res)
 	return res, nil
 }
 
-// AdvanceFailed records a failed (uncertified) round: it contributes no
-// directives, but the delta queue must stay aligned with round numbers
-// so the decode layout for each later certified round is still the one
-// it was composed at. A nil delta is queued and the oldest delta
-// applied; the round counter does not move (failed rounds never reach
-// Advance, so the counter only tracks certified outputs, exactly as in
-// serial operation). With λ = 0 this is an exact no-op, so engines call
-// it unconditionally on failed rounds.
-func (s *Schedule) AdvanceFailed() {
-	s.pending = append(s.pending, nil)
-	if len(s.pending) > s.lag {
-		s.popDelta(nil)
+// AdvanceFailed moves the head past a failed (uncertified) round: it
+// contributes no directives, but takes its place in the delta queue so
+// each later round still decodes at the layout it was composed at. With
+// λ = 0 only the head moves.
+func (s *Schedule) AdvanceFailed() { s.retire(nil, nil) }
+
+// retire moves the head past one round whose directives are delta (nil
+// for a failed round): it queues delta, applies the oldest row if the
+// queue is then longer than λ, and advances the head. Rows a drain lets
+// the head's layout include may stay queued meanwhile: Layout folds in
+// whatever its horizon covers, so how far the applied state has caught
+// up changes no layout.
+func (s *Schedule) retire(delta []slotDelta, res *RoundResult) {
+	s.memo = Layout{}
+	s.pending = append(s.pending, delta)
+	if len(s.pending) > s.cfg.Lag {
+		s.popDelta(res)
+	}
+	s.round++
+	if lag := uint64(s.cfg.Lag); s.round-s.drain > lag {
+		s.drain = s.round - lag
 	}
 }
 
@@ -350,9 +406,9 @@ func (s *Schedule) popDelta(res *RoundResult) {
 // applyDeltaTo applies one round's directives to a lens/idle pair in
 // place. Guards make directives observational: a directive that no
 // longer matches the slot's state (opened or closed in the lag gap) is
-// dropped, identically on every replica. res may be nil (ahead-view
-// simulation, queue flush); when non-nil, Opened/Closed transitions are
-// reported on it.
+// dropped, identically on every replica. res may be nil (a layout view,
+// a flush, a failed round's pop); when non-nil, Opened/Closed
+// transitions are reported on it.
 func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundResult) {
 	for i, d := range delta {
 		switch d.op {
@@ -401,153 +457,10 @@ func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundR
 // wall time what it is at depth 1. Both factors are shared by every
 // replica (the lag is a group-wide setting), so the threshold needs no
 // state of its own.
-func (s *Schedule) idleHorizon() int { return s.cfg.IdleCloseRounds * (s.lag + 1) }
+func (s *Schedule) idleHorizon() int { return s.cfg.IdleCloseRounds * (s.cfg.Lag + 1) }
 
-// SyncPipeline applies queued deltas, oldest first, until at most
-// min(λ, r − drain) remain. The engines call it immediately before
-// decoding round r; drain is the protocol's latest drain point (the
-// session's first round, an epoch-boundary round, the resume round
-// after an accusation shuffle): a drained pipeline restarts with one
-// round in flight, so the first post-drain round was composed with
-// every delta applied, the next with one withheld, and so on up to the
-// steady-state λ. Syncing to the per-round queue depth keeps the decode
-// layout equal to the compose layout across drains; with a full
-// pipeline and at λ = 0 it is a no-op.
-func (s *Schedule) SyncPipeline(r, drain uint64) {
-	q := s.lag
-	if d := r - drain; d < uint64(q) {
-		q = int(d)
-	}
-	for len(s.pending) > q {
-		s.popDelta(nil)
-	}
-}
-
-// Horizon returns how many of the queued deltas fall within the layout
-// horizon of round r — the k to compose (and size) round r's vector
-// with through the Ahead…UpTo views. Round r is composed, and later
-// decoded, against the deltas of rounds ≤ max(drain−1, r−λ−1), where
-// drain is the latest drain point as for SyncPipeline. head is the
-// oldest round that has not retired: every round below it has queued
-// its delta, so the p queued deltas belong to the rounds
-// (head−1−p, head−1] and the oldest p − ((head−1) − horizon) of them
-// are within the horizon. Bounding compose views this way, rather than
-// consuming the whole queue, keeps compose and decode layouts equal
-// through post-drain ramps however retirements interleave with window
-// opens, and for a freshly welcomed joiner, whose restored queue holds
-// deltas beyond its first round's horizon.
-func (s *Schedule) Horizon(r, head, drain uint64) int {
-	p := len(s.pending)
-	h := int64(r) - int64(s.lag) - 1
-	if d := int64(drain) - 1; d > h {
-		h = d
-	}
-	return min(max(p-int(int64(head)-1-h), 0), p)
-}
-
-// SetLag sets the pipeline lag λ: the layout used to compose round k
-// excludes the directives of the λ most recent certified rounds, which
-// is what lets λ+1 rounds be in flight at once. A queue is never longer
-// than the lag, so deltas queued beyond the new λ are applied first,
-// oldest first: nothing on a fresh schedule, and a restored one keeps
-// the donor's queue. Every replica in a group must use the same lag.
-func (s *Schedule) SetLag(lag int) {
-	s.lag = max(lag, 0)
-	for len(s.pending) > s.lag {
-		s.popDelta(nil)
-	}
-}
-
-// FlushPipeline applies every queued delta immediately, bringing the
-// applied layout up to the ahead view. The engines call it (via Grow)
-// when the pipeline has drained at an epoch boundary, so roster and
-// permutation changes always build on a fully settled layout.
-func (s *Schedule) FlushPipeline() {
-	for _, d := range s.pending {
-		s.applyDeltaTo(s.lens, s.idle, d, nil)
-	}
-	s.pending = s.pending[:0]
-}
-
-// simulatePendingUpTo applies only the oldest k queued deltas: the
-// compose-side layout at a bounded horizon. A freshly welcomed joiner
-// composes its first round against fewer queued deltas than it holds
-// (the donor captured them mid-pipeline), so compose views take an
-// explicit horizon rather than always consuming the whole queue.
-func (s *Schedule) simulatePendingUpTo(k int) (lens, idle []int) {
-	lens = append([]int(nil), s.lens...)
-	idle = append([]int(nil), s.idle...)
-	if k > len(s.pending) {
-		k = len(s.pending)
-	}
-	for _, d := range s.pending[:k] {
-		s.applyDeltaTo(lens, idle, d, nil)
-	}
-	return lens, idle
-}
-
-// AheadLenUpTo returns the total cleartext vector length of a round
-// composed at a bounded horizon: the applied layout plus the oldest k
-// queued deltas. With an empty queue (always true at λ = 0) it equals
-// Len.
-func (s *Schedule) AheadLenUpTo(k int) int {
-	if len(s.pending) == 0 || k <= 0 {
-		return s.Len()
-	}
-	lens, _ := s.simulatePendingUpTo(k)
-	n := s.reqBytes()
-	for _, l := range lens {
-		n += l
-	}
-	return n
-}
-
-// AheadSlotLen is SlotLen on the compose-side (ahead) view.
-func (s *Schedule) AheadSlotLen(i int) int {
-	return s.AheadSlotLenUpTo(i, len(s.pending))
-}
-
-// AheadSlotLenUpTo is AheadSlotLen at a bounded horizon.
-func (s *Schedule) AheadSlotLenUpTo(i, k int) int {
-	if len(s.pending) == 0 || k <= 0 {
-		return s.lens[i]
-	}
-	lens, _ := s.simulatePendingUpTo(k)
-	return lens[i]
-}
-
-// AheadSlotRangeUpTo is SlotRange on the compose-side view at a bounded
-// horizon.
-func (s *Schedule) AheadSlotRangeUpTo(i, k int) (off, n int) {
-	if len(s.pending) == 0 || k <= 0 {
-		return s.SlotRange(i)
-	}
-	lens, _ := s.simulatePendingUpTo(k)
-	off = s.reqBytes()
-	for p := 0; p < s.pos[i]; p++ {
-		off += lens[s.perm[p]]
-	}
-	return off, lens[i]
-}
-
-// AheadSlotRangesUpTo is AheadSlotRangeUpTo for every slot at once: each
-// slot's message region offset and length, indexed by slot.
-func (s *Schedule) AheadSlotRangesUpTo(k int) (off, n []int) {
-	lens := s.lens
-	if len(s.pending) > 0 && k > 0 {
-		lens, _ = s.simulatePendingUpTo(k)
-	}
-	off, n = make([]int, len(lens)), make([]int, len(lens))
-	at := s.reqBytes()
-	for _, slot := range s.perm {
-		off[slot], n[slot] = at, lens[slot]
-		at += lens[slot]
-	}
-	return off, n
-}
-
-// AppendState appends the schedule's full replicated state to buf:
-// round counter, slot count, (length, idle count, layout position
+// AppendState appends the schedule's full replicated state to buf: the
+// head and drain point, slot count, (length, idle count, layout position
 // occupant) per slot, then the queued pipeline deltas oldest first as
 // (op, length) per slot. A queued failed round (nil delta) is written as
 // an all-none row, which applies as the same no-op. These bytes are both
@@ -555,8 +468,9 @@ func (s *Schedule) AheadSlotRangesUpTo(k int) (off, n []int) {
 // inverse) and the preimage of Digest, so a snapshot and a digest can
 // never describe different schedules.
 func (s *Schedule) AppendState(buf []byte) []byte {
-	buf = slices.Grow(buf, 16+len(s.lens)*(slotStateLen+deltaStateLen*len(s.pending)))
+	buf = slices.Grow(buf, stateHeaderLen+4+len(s.lens)*(slotStateLen+deltaStateLen*len(s.pending)))
 	buf = binary.BigEndian.AppendUint64(buf, s.round)
+	buf = binary.BigEndian.AppendUint64(buf, s.drain)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.lens)))
 	for i := range s.lens {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(s.lens[i]))
@@ -577,10 +491,11 @@ func (s *Schedule) AppendState(buf []byte) []byte {
 	return buf
 }
 
-// Encoded sizes of AppendState's per-slot parts.
+// Encoded sizes of AppendState's parts.
 const (
-	slotStateLen  = 12 // length, idle count, layout occupant
-	deltaStateLen = 5  // op, length
+	stateHeaderLen = 20 // head, drain point, slot count
+	slotStateLen   = 12 // length, idle count, layout occupant
+	deltaStateLen  = 5  // op, length
 )
 
 // Digest hashes the schedule's full replicated state (AppendState).
@@ -595,23 +510,25 @@ func (s *Schedule) Digest() [32]byte {
 }
 
 // RestoreSchedule rebuilds a schedule from AppendState's bytes — the
-// joiner- and restart-side inverse. The slot count comes from the state,
-// not cfg. The state arrives from a peer or from disk: its shape is
-// checked against its own length before anything is allocated, and every
-// slot length, permutation entry and queued directive is validated. The
-// restored schedule has lag 0; the caller sets the group's (SetLag keeps
-// a queue no longer than the lag).
+// joiner- and restart-side inverse — under cfg's lag; the slot count
+// comes from the state, not cfg. The state arrives from a peer or from
+// disk: its shape is checked against its own length before anything is
+// allocated, and every slot length, permutation entry and queued
+// directive is validated. A drain point past the head, or a queue longer
+// than cfg.Lag (more rounds withheld than the group's pipeline holds),
+// is refused.
 func RestoreSchedule(cfg Config, state []byte) (*Schedule, error) {
-	if len(state) < 16 {
+	if len(state) < stateHeaderLen+4 {
 		return nil, errors.New("dcnet: schedule state truncated")
 	}
 	round := binary.BigEndian.Uint64(state)
-	n := uint64(binary.BigEndian.Uint32(state[8:]))
-	body := uint64(len(state) - 16)
+	drain := binary.BigEndian.Uint64(state[8:])
+	n := uint64(binary.BigEndian.Uint32(state[16:]))
+	body := uint64(len(state) - stateHeaderLen - 4)
 	if n == 0 || n*slotStateLen > body {
 		return nil, fmt.Errorf("dcnet: schedule state names %d slots in %d bytes", n, len(state))
 	}
-	queue := state[12+n*slotStateLen:]
+	queue := state[stateHeaderLen+n*slotStateLen:]
 	rows := uint64(binary.BigEndian.Uint32(queue))
 	if rows*n*deltaStateLen != uint64(len(queue)-4) {
 		return nil, fmt.Errorf("dcnet: schedule state queues %d rows of %d slots in %d bytes", rows, n, len(queue)-4)
@@ -620,10 +537,13 @@ func RestoreSchedule(cfg Config, state []byte) (*Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Schedule{cfg: cfg, round: round,
-		lens: make([]int, n), idle: make([]int, n), perm: make([]int, n), pos: make([]int, n)}
+	if drain > round {
+		return nil, fmt.Errorf("dcnet: schedule state drain point %d past its head %d", drain, round)
+	}
+	s := &Schedule{cfg: cfg, round: round, drain: drain,
+		lens: make([]int, n), idle: make([]int, n), perm: make([]int, n)}
 	seen := make([]bool, n)
-	for i, b := 0, state[12:]; i < int(n); i, b = i+1, b[slotStateLen:] {
+	for i, b := 0, state[stateHeaderLen:]; i < int(n); i, b = i+1, b[slotStateLen:] {
 		s.lens[i] = int(binary.BigEndian.Uint32(b))
 		s.idle[i] = int(binary.BigEndian.Uint32(b[4:]))
 		slot := binary.BigEndian.Uint32(b[8:])
@@ -634,7 +554,7 @@ func RestoreSchedule(cfg Config, state []byte) (*Schedule, error) {
 			return nil, errors.New("dcnet: schedule state permutation invalid")
 		}
 		seen[slot] = true
-		s.perm[i], s.pos[slot] = int(slot), i
+		s.perm[i] = int(slot)
 	}
 	for b := queue[4:]; len(b) > 0; {
 		row := make([]slotDelta, n)
@@ -649,6 +569,9 @@ func RestoreSchedule(cfg Config, state []byte) (*Schedule, error) {
 			row[i], b = slotDelta{op: op, n: dn}, b[deltaStateLen:]
 		}
 		s.pending = append(s.pending, row)
+	}
+	if rows > uint64(cfg.Lag) {
+		return nil, fmt.Errorf("dcnet: schedule state queues %d rows at lag %d", rows, cfg.Lag)
 	}
 	return s, nil
 }

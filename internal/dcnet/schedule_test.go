@@ -3,6 +3,7 @@ package dcnet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -19,6 +20,17 @@ func mustSchedule(t testing.TB, cfg Config) *Schedule {
 	return s
 }
 
+// headLayout returns the layout the head round decodes at: with an empty
+// delta queue, the applied layout.
+func headLayout(s *Schedule) Layout { return s.Layout(s.Round()) }
+
+// lagConfig is testConfig at pipeline lag λ.
+func lagConfig(slots, lag int) Config {
+	cfg := testConfig(slots)
+	cfg.Lag = lag
+	return cfg
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(4)
 	if err := good.Validate(); err != nil {
@@ -29,6 +41,7 @@ func TestConfigValidate(t *testing.T) {
 		{NumSlots: 4, DefaultOpenLen: 3, MaxSlotLen: 128, IdleCloseRounds: 1},
 		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 32, IdleCloseRounds: 1},
 		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 128, IdleCloseRounds: 0},
+		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 128, IdleCloseRounds: 1, Lag: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -46,23 +59,19 @@ func TestConfigValidateAcceptsMinimums(t *testing.T) {
 
 func TestScheduleInitialLayout(t *testing.T) {
 	s := mustSchedule(t, testConfig(10))
-	if s.Len() != 2 { // ceil(10/8) request bytes, all slots closed
-		t.Errorf("initial length %d, want 2", s.Len())
-	}
-	off, n := s.ReqBitRange()
-	if off != 0 || n != 2 {
-		t.Errorf("req bit range (%d,%d)", off, n)
+	if headLayout(s).Len != 2 { // ceil(10/8) request bytes, all slots closed
+		t.Errorf("initial length %d, want 2", headLayout(s).Len)
 	}
 	for i := 0; i < 10; i++ {
-		if _, n := s.SlotRange(i); n != 0 {
-			t.Errorf("slot %d open at start", i)
+		if off, n := headLayout(s).SlotRange(i); off != 2 || n != 0 {
+			t.Errorf("slot %d region (%d,%d) at start, want closed after the request bits", i, off, n)
 		}
 	}
 }
 
 func TestScheduleOpenViaRequestBit(t *testing.T) {
 	s := mustSchedule(t, testConfig(4))
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 2, true)
 	res, err := s.Advance(buf)
 	if err != nil {
@@ -71,17 +80,17 @@ func TestScheduleOpenViaRequestBit(t *testing.T) {
 	if len(res.Opened) != 1 || res.Opened[0] != 2 {
 		t.Fatalf("Opened = %v, want [2]", res.Opened)
 	}
-	if s.SlotLen(2) != 64 {
-		t.Errorf("slot 2 length %d, want 64", s.SlotLen(2))
+	if headLayout(s).Lens[2] != 64 {
+		t.Errorf("slot 2 length %d, want 64", headLayout(s).Lens[2])
 	}
 	if s.Round() != 1 {
 		t.Errorf("round %d, want 1", s.Round())
 	}
 	// Layout: reqBits(1) + slot2(64).
-	if s.Len() != 1+64 {
-		t.Errorf("round-1 length %d, want 65", s.Len())
+	if headLayout(s).Len != 1+64 {
+		t.Errorf("round-1 length %d, want 65", headLayout(s).Len)
 	}
-	off, n := s.SlotRange(2)
+	off, n := headLayout(s).SlotRange(2)
 	if off != 1 || n != 64 {
 		t.Errorf("slot 2 range (%d,%d), want (1,64)", off, n)
 	}
@@ -90,14 +99,14 @@ func TestScheduleOpenViaRequestBit(t *testing.T) {
 func TestScheduleResizeAndClose(t *testing.T) {
 	s := mustSchedule(t, testConfig(2))
 	// Open slot 0.
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 0, true)
 	if _, err := s.Advance(buf); err != nil {
 		t.Fatal(err)
 	}
 	// Send a payload asking for a bigger slot next round.
-	buf = make([]byte, s.Len())
-	off, n := s.SlotRange(0)
+	buf = make([]byte, headLayout(s).Len)
+	off, n := headLayout(s).SlotRange(0)
 	if err := EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 200, Data: []byte("x")}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +117,12 @@ func TestScheduleResizeAndClose(t *testing.T) {
 	if res.Payloads[0] == nil || string(res.Payloads[0].Data) != "x" {
 		t.Fatal("payload not decoded")
 	}
-	if s.SlotLen(0) != 200 {
-		t.Errorf("slot resized to %d, want 200", s.SlotLen(0))
+	if headLayout(s).Lens[0] != 200 {
+		t.Errorf("slot resized to %d, want 200", headLayout(s).Lens[0])
 	}
 	// Now close it with NextLen 0.
-	buf = make([]byte, s.Len())
-	off, n = s.SlotRange(0)
+	buf = make([]byte, headLayout(s).Len)
+	off, n = headLayout(s).SlotRange(0)
 	if err := EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestScheduleResizeAndClose(t *testing.T) {
 	if len(res.Closed) != 1 || res.Closed[0] != 0 {
 		t.Errorf("Closed = %v, want [0]", res.Closed)
 	}
-	if s.SlotLen(0) != 0 {
+	if headLayout(s).Lens[0] != 0 {
 		t.Error("slot still open after close request")
 	}
 }
@@ -132,38 +141,38 @@ func TestScheduleResizeAndClose(t *testing.T) {
 func TestScheduleClampsNextLen(t *testing.T) {
 	cfg := testConfig(1)
 	s := mustSchedule(t, cfg)
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 0, true)
 	s.Advance(buf)
 
 	// Ask for far more than MaxSlotLen.
-	buf = make([]byte, s.Len())
-	off, n := s.SlotRange(0)
+	buf = make([]byte, headLayout(s).Len)
+	off, n := headLayout(s).SlotRange(0)
 	EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 1 << 20}, nil)
 	s.Advance(buf)
-	if s.SlotLen(0) != cfg.MaxSlotLen {
-		t.Errorf("slot length %d, want clamped to %d", s.SlotLen(0), cfg.MaxSlotLen)
+	if headLayout(s).Lens[0] != cfg.MaxSlotLen {
+		t.Errorf("slot length %d, want clamped to %d", headLayout(s).Lens[0], cfg.MaxSlotLen)
 	}
 
 	// Ask for a tiny nonzero length: clamped up to MinSlotLen.
-	buf = make([]byte, s.Len())
-	off, n = s.SlotRange(0)
+	buf = make([]byte, headLayout(s).Len)
+	off, n = headLayout(s).SlotRange(0)
 	EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 3}, nil)
 	s.Advance(buf)
-	if s.SlotLen(0) != MinSlotLen {
-		t.Errorf("slot length %d, want %d", s.SlotLen(0), MinSlotLen)
+	if headLayout(s).Lens[0] != MinSlotLen {
+		t.Errorf("slot length %d, want %d", headLayout(s).Lens[0], MinSlotLen)
 	}
 }
 
 func TestScheduleIdleClose(t *testing.T) {
 	cfg := testConfig(1) // IdleCloseRounds = 3
 	s := mustSchedule(t, cfg)
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 0, true)
 	s.Advance(buf)
 
 	for i := 0; i < 2; i++ {
-		res, err := s.Advance(make([]byte, s.Len()))
+		res, err := s.Advance(make([]byte, headLayout(s).Len))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +180,7 @@ func TestScheduleIdleClose(t *testing.T) {
 			t.Fatalf("slot closed after %d idle rounds, want 3", i+1)
 		}
 	}
-	res, err := s.Advance(make([]byte, s.Len()))
+	res, err := s.Advance(make([]byte, headLayout(s).Len))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,19 +191,19 @@ func TestScheduleIdleClose(t *testing.T) {
 
 func TestScheduleIdleResetOnActivity(t *testing.T) {
 	s := mustSchedule(t, testConfig(1))
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 0, true)
 	s.Advance(buf)
 
 	// Two idle rounds, then activity, then two more idle: must stay open.
-	s.Advance(make([]byte, s.Len()))
-	s.Advance(make([]byte, s.Len()))
-	buf = make([]byte, s.Len())
-	off, n := s.SlotRange(0)
+	s.Advance(make([]byte, headLayout(s).Len))
+	s.Advance(make([]byte, headLayout(s).Len))
+	buf = make([]byte, headLayout(s).Len)
+	off, n := headLayout(s).SlotRange(0)
 	EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 64}, nil)
 	s.Advance(buf)
-	s.Advance(make([]byte, s.Len()))
-	res, _ := s.Advance(make([]byte, s.Len()))
+	s.Advance(make([]byte, headLayout(s).Len))
+	res, _ := s.Advance(make([]byte, headLayout(s).Len))
 	if len(res.Closed) != 0 {
 		t.Error("idle counter not reset by activity")
 	}
@@ -205,8 +214,8 @@ func TestScheduleIdleResetOnActivity(t *testing.T) {
 // advance closed slot 0.
 func advanceSlot0(t *testing.T, s *Schedule, fill func(region []byte)) bool {
 	t.Helper()
-	buf := make([]byte, s.Len())
-	if off, n := s.SlotRange(0); n > 0 && fill != nil {
+	buf := make([]byte, headLayout(s).Len)
+	if off, n := headLayout(s).SlotRange(0); n > 0 && fill != nil {
 		fill(buf[off : off+n])
 	}
 	res, err := s.Advance(buf)
@@ -220,8 +229,8 @@ func advanceSlot0(t *testing.T, s *Schedule, fill func(region []byte)) bool {
 // lags 0–3: an open slot closes after exactly IdleCloseRounds·(λ+1)
 // applied idle deltas; a dSet (a payload) or a dHold (a garbled region)
 // in between restarts the count; and a replica restored mid-count
-// through AppendState → RestoreSchedule → SetLag closes the slot on the
-// same round as its donor, with an equal digest at every step.
+// through AppendState → RestoreSchedule closes the slot on the same
+// round as its donor, with an equal digest at every step.
 func TestSilentSlotCloseHorizon(t *testing.T) {
 	payload := func(region []byte) {
 		if err := EncodeSlot(region, SlotPayload{NextLen: len(region), Data: []byte("x")}, nil); err != nil {
@@ -238,21 +247,23 @@ func TestSilentSlotCloseHorizon(t *testing.T) {
 		}
 		t.Fatal("could not garble the region")
 	}
+	// flush applies every queued delta: Grow without new slots or a seed
+	// changes nothing else.
+	flush := func(s *Schedule) { s.Grow(0, nil) }
 	for lag := 0; lag <= 3; lag++ {
-		cfg := testConfig(2)
+		cfg := lagConfig(2, lag)
 		horizon := cfg.IdleCloseRounds * (lag + 1)
 		// opened returns a lag-λ schedule whose slot 0 is open in the
 		// applied layout, with an empty delta queue.
 		opened := func() *Schedule {
 			s := mustSchedule(t, cfg)
-			s.SetLag(lag)
-			buf := make([]byte, s.Len())
+			buf := make([]byte, headLayout(s).Len)
 			s.SetReqBit(buf, 0, true)
 			if _, err := s.Advance(buf); err != nil {
 				t.Fatal(err)
 			}
-			s.FlushPipeline()
-			if s.SlotLen(0) == 0 {
+			flush(s)
+			if headLayout(s).Lens[0] == 0 {
 				t.Fatalf("lag %d: the request bit did not open slot 0", lag)
 			}
 			return s
@@ -266,8 +277,8 @@ func TestSilentSlotCloseHorizon(t *testing.T) {
 			if fill != nil {
 				advanceSlot0(t, s, fill)
 			}
-			s.FlushPipeline()
-			return s.SlotLen(0) > 0
+			flush(s)
+			return headLayout(s).Lens[0] > 0
 		}
 
 		s := opened()
@@ -295,7 +306,6 @@ func TestSilentSlotCloseHorizon(t *testing.T) {
 				if r, err = RestoreSchedule(s.Config(), s.AppendState(nil)); err != nil {
 					t.Fatal(err)
 				}
-				r.SetLag(lag)
 			}
 			closed := advanceSlot0(t, s, nil)
 			if r != nil {
@@ -315,12 +325,12 @@ func TestSilentSlotCloseHorizon(t *testing.T) {
 
 func TestScheduleShuffleRequestDetected(t *testing.T) {
 	s := mustSchedule(t, testConfig(1))
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 0, true)
 	s.Advance(buf)
 
-	buf = make([]byte, s.Len())
-	off, n := s.SlotRange(0)
+	buf = make([]byte, headLayout(s).Len)
+	off, n := headLayout(s).SlotRange(0)
 	EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 64, ShuffleReq: 0xA7}, nil)
 	res, err := s.Advance(buf)
 	if err != nil {
@@ -333,7 +343,7 @@ func TestScheduleShuffleRequestDetected(t *testing.T) {
 
 func TestScheduleAdvanceWrongLength(t *testing.T) {
 	s := mustSchedule(t, testConfig(4))
-	if _, err := s.Advance(make([]byte, s.Len()+1)); err == nil {
+	if _, err := s.Advance(make([]byte, headLayout(s).Len+1)); err == nil {
 		t.Error("wrong-length cleartext accepted")
 	}
 }
@@ -343,23 +353,23 @@ func TestScheduleDeterministicReplicas(t *testing.T) {
 	// property that lets every node derive the layout independently.
 	a := mustSchedule(t, testConfig(3))
 	b := mustSchedule(t, testConfig(3))
-	buf := make([]byte, a.Len())
+	buf := make([]byte, headLayout(a).Len)
 	a.SetReqBit(buf, 1, true)
 	a.Advance(buf)
 	b.Advance(buf)
 	for r := 0; r < 5; r++ {
-		if a.Len() != b.Len() {
+		if headLayout(a).Len != headLayout(b).Len {
 			t.Fatal("replicas diverged in layout")
 		}
-		buf = make([]byte, a.Len())
-		off, n := a.SlotRange(1)
+		buf = make([]byte, headLayout(a).Len)
+		off, n := headLayout(a).SlotRange(1)
 		if n > 0 {
 			EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 64 + r}, nil)
 		}
 		a.Advance(buf)
 		b.Advance(buf)
 		for i := 0; i < 3; i++ {
-			if a.SlotLen(i) != b.SlotLen(i) {
+			if headLayout(a).Lens[i] != headLayout(b).Lens[i] {
 				t.Fatal("replicas diverged in slot lengths")
 			}
 		}
@@ -368,17 +378,17 @@ func TestScheduleDeterministicReplicas(t *testing.T) {
 
 func TestScheduleGarbledSlotHoldsLength(t *testing.T) {
 	s := mustSchedule(t, testConfig(1))
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 0, true)
 	s.Advance(buf)
-	want := s.SlotLen(0)
+	want := headLayout(s).Lens[0]
 
 	// Craft a garbled slot: nonzero seed, body decoding to an
 	// impossible data length. Random garbage usually decodes to *some*
 	// payload; to force the error path deterministically, encode a
 	// valid slot then corrupt the masked DataLen bytes to 0xFFFF.
-	buf = make([]byte, s.Len())
-	off, _ := s.SlotRange(0)
+	buf = make([]byte, headLayout(s).Len)
+	off, _ := headLayout(s).SlotRange(0)
 	EncodeSlot(buf[off:off+want], SlotPayload{}, nil)
 	// Flip DataLen (body bytes 5:7) to huge by XORing mask output: we
 	// don't know the mask, so instead overwrite with values that decode
@@ -405,8 +415,8 @@ func TestScheduleGarbledSlotHoldsLength(t *testing.T) {
 	if res.Payloads[0] != nil {
 		t.Error("garbled slot produced a payload")
 	}
-	if s.SlotLen(0) != want {
-		t.Errorf("garbled slot length changed: %d -> %d", want, s.SlotLen(0))
+	if headLayout(s).Lens[0] != want {
+		t.Errorf("garbled slot length changed: %d -> %d", want, headLayout(s).Lens[0])
 	}
 }
 
@@ -445,7 +455,7 @@ func TestPermFromSeedDeterministicAndValid(t *testing.T) {
 // openAll opens every slot and returns the post-open schedule.
 func openAll(t testing.TB, s *Schedule) {
 	t.Helper()
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	for i := 0; i < s.NumSlots(); i++ {
 		s.SetReqBit(buf, i, true)
 	}
@@ -465,20 +475,20 @@ func TestEpochRotationChangesLayout(t *testing.T) {
 	before := s.Permutation()
 	offBefore := make([]int, slots)
 	for i := range offBefore {
-		offBefore[i], _ = s.SlotRange(i)
+		offBefore[i], _ = headLayout(s).SlotRange(i)
 	}
 	for r := 0; r < 2; r++ {
-		if _, err := s.Advance(make([]byte, s.Len())); err != nil {
+		if _, err := s.Advance(make([]byte, headLayout(s).Len)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !slices.Equal(s.Permutation(), before) {
 		t.Fatal("an advance moved the permutation")
 	}
-	lens := s.Len()
+	lens := headLayout(s).Len
 	s.Grow(0, []byte{3})
-	if s.Len() != lens || s.NumSlots() != slots {
-		t.Fatalf("rotation resized the layout: %d bytes over %d slots, want %d over %d", s.Len(), s.NumSlots(), lens, slots)
+	if headLayout(s).Len != lens || s.NumSlots() != slots {
+		t.Fatalf("rotation resized the layout: %d bytes over %d slots, want %d over %d", headLayout(s).Len, s.NumSlots(), lens, slots)
 	}
 	after := s.Permutation()
 	changed := false
@@ -493,7 +503,7 @@ func TestEpochRotationChangesLayout(t *testing.T) {
 	// Total layout length is permutation-invariant; offsets move.
 	offChanged := false
 	for i := range offBefore {
-		if off, _ := s.SlotRange(i); off != offBefore[i] {
+		if off, _ := headLayout(s).SlotRange(i); off != offBefore[i] {
 			offChanged = true
 		}
 	}
@@ -522,8 +532,8 @@ func TestPermutedLayoutRoundTripsPayloads(t *testing.T) {
 
 	// Write a payload into slot 2's permuted range and advance: the
 	// decoded payload must come back attributed to slot 2.
-	buf := make([]byte, s.Len())
-	off, n := s.SlotRange(2)
+	buf := make([]byte, headLayout(s).Len)
+	off, n := headLayout(s).SlotRange(2)
 	payload := SlotPayload{Data: []byte("hello"), NextLen: n}
 	if err := EncodeSlot(buf[off:off+n], payload, nil); err != nil {
 		t.Fatal(err)
@@ -551,7 +561,7 @@ func TestGrowAppendsSlotsAndReseeds(t *testing.T) {
 	}
 	// New slots are closed at birth and carry request bits.
 	for i := 4; i < 6; i++ {
-		if s.SlotLen(i) != 0 {
+		if headLayout(s).Lens[i] != 0 {
 			t.Fatalf("new slot %d open at birth", i)
 		}
 	}
@@ -575,7 +585,7 @@ func TestGrowAppendsSlotsAndReseeds(t *testing.T) {
 		}
 	}
 	// A grown schedule still advances (new slots open via request bits).
-	buf := make([]byte, s.Len())
+	buf := make([]byte, headLayout(s).Len)
 	s.SetReqBit(buf, 5, true)
 	res, err := s.Advance(buf)
 	if err != nil {
@@ -595,12 +605,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Round() != s.Round() || r.Len() != s.Len() {
-		t.Fatalf("restored round/len %d/%d, want %d/%d", r.Round(), r.Len(), s.Round(), s.Len())
+	if r.Round() != s.Round() || headLayout(r).Len != headLayout(s).Len {
+		t.Fatalf("restored round/len %d/%d, want %d/%d", r.Round(), headLayout(r).Len, s.Round(), headLayout(s).Len)
 	}
 	for i := 0; i < s.NumSlots(); i++ {
-		so, sn := s.SlotRange(i)
-		ro, rn := r.SlotRange(i)
+		so, sn := headLayout(s).SlotRange(i)
+		ro, rn := headLayout(r).SlotRange(i)
 		if so != ro || sn != rn {
 			t.Fatalf("restored layout differs at slot %d", i)
 		}
@@ -610,9 +620,25 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal("shape mismatch accepted")
 	}
 	badPerm := bytes.Clone(state)
-	copy(badPerm[12+8:12+12], badPerm[12+slotStateLen+8:]) // slot 0's layout occupant := slot 1's
+	copy(badPerm[stateHeaderLen+8:stateHeaderLen+12], badPerm[stateHeaderLen+slotStateLen+8:]) // slot 0's layout occupant := slot 1's
 	if _, err := RestoreSchedule(s.Config(), badPerm); err == nil {
 		t.Fatal("invalid permutation accepted")
+	}
+}
+
+// TestRestoreScheduleRefusesPipelinePosition: a state whose queue is
+// longer than the restoring lag, or whose drain point lies past its
+// head, is refused rather than applied or clamped.
+func TestRestoreScheduleRefusesPipelinePosition(t *testing.T) {
+	s := queuedSchedule(t) // lag 2, two queued rows
+	state := s.AppendState(nil)
+	if _, err := RestoreSchedule(lagConfig(4, 1), state); err == nil {
+		t.Error("a queue longer than the lag accepted")
+	}
+	bad := bytes.Clone(state)
+	binary.BigEndian.PutUint64(bad[8:], s.Round()+1)
+	if _, err := RestoreSchedule(s.Config(), bad); err == nil {
+		t.Error("a drain point past the head accepted")
 	}
 }
 
@@ -620,27 +646,120 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // rotated permutation, and a queue holding a directive row and a failed
 // round's nil row.
 func queuedSchedule(t testing.TB) *Schedule {
-	s := mustSchedule(t, testConfig(4))
+	s := mustSchedule(t, lagConfig(4, 2))
 	openAll(t, s)
 	s.Grow(0, []byte("x"))
-	s.SetLag(2)
-	if _, err := s.Advance(make([]byte, s.Len())); err != nil {
+	if _, err := s.Advance(make([]byte, headLayout(s).Len)); err != nil {
 		t.Fatal(err)
 	}
 	s.AdvanceFailed()
 	return s
 }
 
-// TestAheadSlotRangesMatchPerSlot checks the bulk layout view against
-// the per-slot one at every horizon of a queued schedule.
-func TestAheadSlotRangesMatchPerSlot(t *testing.T) {
-	s := queuedSchedule(t)
-	for k := 0; k <= len(s.pending)+1; k++ {
-		offs, lens := s.AheadSlotRangesUpTo(k)
-		for i := 0; i < s.NumSlots(); i++ {
-			if off, n := s.AheadSlotRangeUpTo(i, k); offs[i] != off || lens[i] != n {
-				t.Errorf("horizon %d slot %d: bulk (%d, %d), per-slot (%d, %d)", k, i, offs[i], lens[i], off, n)
+// perSlotWalk is the layout computation Layout replaced, kept as its
+// reference: the applied lengths plus the oldest k queued rows, then each
+// slot's offset found by summing the regions laid out before it.
+func perSlotWalk(s *Schedule, k int) (total int, off, n []int) {
+	lens, idle := slices.Clone(s.lens), slices.Clone(s.idle)
+	for _, d := range s.pending[:min(k, len(s.pending))] {
+		s.applyDeltaTo(lens, idle, d, nil)
+	}
+	pos := make([]int, len(s.perm))
+	for p, slot := range s.perm {
+		pos[slot] = p
+	}
+	off, n = make([]int, len(lens)), make([]int, len(lens))
+	for i := range lens {
+		off[i] = s.reqBytes()
+		for p := 0; p < pos[i]; p++ {
+			off[i] += lens[s.perm[p]]
+		}
+		n[i] = lens[i]
+	}
+	total = s.reqBytes()
+	for _, l := range lens {
+		total += l
+	}
+	return total, off, n
+}
+
+// TestLayoutMatchesPerSlotWalk checks Layout against the per-slot walk
+// on permuted layouts whose queue holds rows that open, resize and close
+// slots and failed rounds' nil rows, at every round from the head to
+// past head+λ, before and after a drain point: each round's layout is
+// the walk at the horizon the reference arithmetic gives it.
+func TestLayoutMatchesPerSlotWalk(t *testing.T) {
+	const slots, lag = 12, 3
+	s := mustSchedule(t, lagConfig(slots, lag))
+	buf := make([]byte, headLayout(s).Len)
+	for i := 0; i < slots; i += 2 {
+		s.SetReqBit(buf, i, true)
+	}
+	if _, err := s.Advance(buf); err != nil {
+		t.Fatal(err)
+	}
+	s.Grow(0, []byte("permuted"))
+	check := func(step string) {
+		t.Helper()
+		for r := s.Round(); r <= s.Round()+lag+1; r++ {
+			k := s.horizon(r)
+			if ref := pendingAheadReference(len(s.pending), r, s.Round(), lag+1, s.drain); k != ref {
+				t.Fatalf("%s round %d: horizon %d, reference %d", step, r, k, ref)
 			}
+			l := s.Layout(r)
+			total, off, n := perSlotWalk(s, k)
+			if l.Len != total || !slices.Equal(l.Off, off) || !slices.Equal(l.Lens, n) {
+				t.Fatalf("%s round %d (horizon %d): Layout %+v, per-slot walk %d %v %v", step, r, k, l, total, off, n)
+			}
+		}
+	}
+	// Each step retires the head: request bits for the closed slots, a
+	// failed round, a payload resizing every open slot (slot 0 closes),
+	// another failed round, then silence.
+	steps := []func(l Layout) []byte{
+		func(l Layout) []byte {
+			b := make([]byte, l.Len)
+			for i := 1; i < slots; i += 2 {
+				s.SetReqBit(b, i, true)
+			}
+			return b
+		},
+		nil,
+		func(l Layout) []byte {
+			b := make([]byte, l.Len)
+			for i := range l.Lens {
+				if off, n := l.SlotRange(i); n > 0 {
+					next := 100 + i
+					if i == 0 {
+						next = 0
+					}
+					if err := EncodeSlot(b[off:off+n], SlotPayload{NextLen: next, Data: []byte("x")}, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return b
+		},
+		nil,
+		func(l Layout) []byte { return make([]byte, l.Len) },
+	}
+	check("initial")
+	for i, step := range steps {
+		if step == nil {
+			s.AdvanceFailed()
+		} else if _, err := s.Advance(step(headLayout(s))); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("step %d", i))
+		if len(s.pending) > 0 {
+			// As if the pipeline drained here: Layout only reads, so the
+			// old drain point goes back afterwards. The head's layout is
+			// built first, so a view Drained failed to drop would show.
+			drain := s.drain
+			s.Layout(s.Round())
+			s.Drained()
+			check(fmt.Sprintf("step %d drained", i))
+			s.drain, s.memo = drain, Layout{}
 		}
 	}
 }
@@ -666,7 +785,6 @@ func TestAppendStateIsDigestPreimage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetLag(2)
 	if !bytes.Equal(r.AppendState(nil), state) || r.Digest() != want {
 		t.Fatal("restored schedule re-encodes differently")
 	}
@@ -683,29 +801,37 @@ func TestAppendStateIsDigestPreimage(t *testing.T) {
 // FuzzRestoreSchedule feeds RestoreSchedule arbitrary state. What it
 // accepts must re-encode byte for byte (so snapshot and digest agree on
 // the restored replica too), and it must refuse a state whose declared
-// shape its length cannot back before allocating for it.
+// shape its length cannot back before allocating for it, a drain point
+// past the head, and a queue longer than the lag.
 func FuzzRestoreSchedule(f *testing.F) {
-	cfg := testConfig(1)
-	good := queuedSchedule(f).AppendState(nil)
+	donor := queuedSchedule(f)
+	cfg := donor.Config() // lag 2
+	good := donor.AppendState(nil)
 	n := 4
-	queue := 12 + n*slotStateLen
+	queue := stateHeaderLen + n*slotStateLen
+	perm := stateHeaderLen + 8 // slot 0's layout occupant
 	mutate := func(fn func(b []byte) []byte) { f.Add(fn(bytes.Clone(good))) }
 	f.Add(good)
 	f.Add(mustSchedule(f, testConfig(1)).AppendState(nil))
 	mutate(func(b []byte) []byte { return b[:len(b)-deltaStateLen] })                           // shape mismatch
-	mutate(func(b []byte) []byte { copy(b[12+8:12+12], b[12+slotStateLen+8:]); return b })      // duplicate permutation entry
-	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[12+8:], uint32(n)); return b }) // out-of-range entry
+	mutate(func(b []byte) []byte { copy(b[perm:perm+4], b[perm+slotStateLen:]); return b })     // duplicate permutation entry
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[perm:], uint32(n)); return b }) // out-of-range entry
 	mutate(func(b []byte) []byte { b[queue+4] = byte(dSet) + 1; return b })                     // op outside dNone…dSet
 	mutate(func(b []byte) []byte {
 		binary.BigEndian.PutUint32(b[queue+4+1:], uint32(cfg.MaxSlotLen)+1) // n > MaxSlotLen
 		return b
 	})
-	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[8:], 1<<31); return b })     // absurd slot count
-	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[queue:], 1<<31); return b }) // absurd row count
-	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[8:], 0); return b[:16] })    // no slots
-	mutate(func(b []byte) []byte { return b[:queue+2] })                                     // truncation
-	mutate(func(b []byte) []byte { return b[:7] })                                           // truncation inside the header
-	mutate(func(b []byte) []byte { return append(b, 0) })                                    // one trailing byte
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[16:], 1<<31); return b })                       // absurd slot count
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[queue:], 1<<31); return b })                    // absurd row count
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint32(b[16:], 0); return b[:stateHeaderLen+4] })        // no slots
+	mutate(func(b []byte) []byte { return b[:queue+2] })                                                        // truncation
+	mutate(func(b []byte) []byte { return b[:7] })                                                              // truncation inside the header
+	mutate(func(b []byte) []byte { return append(b, 0) })                                                       // one trailing byte
+	mutate(func(b []byte) []byte { binary.BigEndian.PutUint64(b[8:], binary.BigEndian.Uint64(b)+1); return b }) // drain point past the head
+	mutate(func(b []byte) []byte {                                                                              // a third queued row at lag 2
+		binary.BigEndian.PutUint32(b[queue:], 3)
+		return append(b, make([]byte, n*deltaStateLen)...)
+	})
 	f.Fuzz(func(t *testing.T, state []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -719,7 +845,7 @@ func FuzzRestoreSchedule(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if slots, rows := s.NumSlots(), len(s.pending); 16+slots*(slotStateLen+rows*deltaStateLen) != len(state) {
+		if slots, rows := s.NumSlots(), len(s.pending); stateHeaderLen+4+slots*(slotStateLen+rows*deltaStateLen) != len(state) {
 			t.Fatalf("accepted %d slots and %d rows from %d bytes", slots, rows, len(state))
 		}
 		if !bytes.Equal(s.AppendState(nil), state) {
@@ -734,9 +860,9 @@ func FuzzRestoreSchedule(f *testing.F) {
 }
 
 // pendingAheadReference is the arithmetic core.Server.pendingAhead and
-// core.Client.pendingAhead each carried before it moved into
-// Schedule.Horizon, kept here verbatim as the reference: p queued deltas,
-// head the oldest unretired round, depth = λ+1.
+// core.Client.pendingAhead each carried before it moved into the
+// schedule (Layout), kept here verbatim as the reference: p queued
+// deltas, head the oldest unretired round, depth = λ+1.
 func pendingAheadReference(p int, r, head uint64, depth int, drain uint64) int {
 	if p == 0 {
 		return 0
@@ -756,9 +882,10 @@ func pendingAheadReference(p int, r, head uint64, depth int, drain uint64) int {
 	return k
 }
 
-// TestHorizonTable pins Schedule.Horizon on hand-derived rows — steady
-// state, the ramp after a drain, a joiner's restored queue, and the
-// clamps — and on each against the arithmetic it replaced.
+// TestHorizonTable pins how many queued deltas Layout includes on
+// hand-derived rows — steady state, the ramp after a drain, a joiner's
+// restored queue, and the clamps — and on each against the arithmetic
+// it replaced.
 func TestHorizonTable(t *testing.T) {
 	rows := []struct {
 		name           string
@@ -785,16 +912,16 @@ func TestHorizonTable(t *testing.T) {
 		{"clamped below", 3, 2, 10, 20, 0, 0},
 	}
 	for _, row := range rows {
-		s := mustSchedule(t, testConfig(4))
-		s.SetLag(row.depth - 1)
+		s := mustSchedule(t, lagConfig(4, row.depth-1))
 		for i := 0; i < row.queued; i++ {
 			s.AdvanceFailed()
 		}
 		if len(s.pending) != row.queued {
 			t.Fatalf("%s: %d deltas queued, want %d", row.name, len(s.pending), row.queued)
 		}
-		if got := s.Horizon(row.r, row.head, row.drain); got != row.want {
-			t.Errorf("%s: Horizon(%d, %d, %d) = %d, want %d", row.name, row.r, row.head, row.drain, got, row.want)
+		s.round, s.drain = row.head, row.drain
+		if got := s.horizon(row.r); got != row.want {
+			t.Errorf("%s: horizon(%d) at head %d, drain %d = %d, want %d", row.name, row.r, row.head, row.drain, got, row.want)
 		}
 		if ref := pendingAheadReference(row.queued, row.r, row.head, row.depth, row.drain); ref != row.want {
 			t.Errorf("%s: reference arithmetic gives %d, want %d", row.name, ref, row.want)
@@ -804,10 +931,10 @@ func TestHorizonTable(t *testing.T) {
 
 // pipelineSim drives a Schedule the way the engines do: rounds open in
 // order with at most depth in flight, each pinning its vector length
-// from the Horizon-bounded ahead view; rounds retire in order through
-// SyncPipeline + Advance. Every retired round opens one more slot, so
-// the layout changes each round and a wrong horizon shows as a compose
-// length that differs from the decode length.
+// from Layout; rounds retire in order through Advance. Every retired
+// round opens one more slot, so the layout changes each round and a
+// wrong horizon shows as a compose length that differs from the decode
+// length.
 type pipelineSim struct {
 	t      *testing.T
 	s      *Schedule
@@ -826,39 +953,43 @@ func (p *pipelineSim) run(script string) {
 	for _, op := range script {
 		switch {
 		case op == 'o' && p.next-p.head < uint64(p.depth):
-			k := p.s.Horizon(p.next, p.head, p.drain)
+			k := p.s.horizon(p.next)
 			if want := pendingAheadReference(len(p.s.pending), p.next, p.head, p.depth, p.drain); k != want {
-				p.t.Fatalf("depth %d round %d (head %d, drain %d, %d queued): Horizon %d, reference %d",
+				p.t.Fatalf("depth %d round %d (head %d, drain %d, %d queued): horizon %d, reference %d",
 					p.depth, p.next, p.head, p.drain, len(p.s.pending), k, want)
 			}
-			if n, seen := p.pinned[p.next]; seen && n != p.s.AheadLenUpTo(k) {
+			n := p.s.Layout(p.next).Len
+			if pinned, seen := p.pinned[p.next]; seen && n != pinned {
 				p.t.Fatalf("depth %d round %d: replica composes at length %d, donor at %d",
-					p.depth, p.next, p.s.AheadLenUpTo(k), n)
+					p.depth, p.next, n, pinned)
 			}
-			p.pinned[p.next] = p.s.AheadLenUpTo(k)
+			p.pinned[p.next] = n
 			p.next++
 		case op == 'r' && p.head < p.next:
-			p.s.SyncPipeline(p.head, p.drain)
-			if p.s.Len() != p.pinned[p.head] {
+			if n := p.s.Layout(p.head).Len; n != p.pinned[p.head] {
 				p.t.Fatalf("depth %d round %d: composed at length %d, decoded at %d",
-					p.depth, p.head, p.pinned[p.head], p.s.Len())
+					p.depth, p.head, p.pinned[p.head], n)
 			}
-			buf := make([]byte, p.s.Len())
+			buf := make([]byte, p.pinned[p.head])
 			p.s.SetReqBit(buf, int(p.head)%p.s.NumSlots(), true)
 			if _, err := p.s.Advance(buf); err != nil {
 				p.t.Fatal(err)
 			}
 			p.head++
+			if p.s.Round() != p.head {
+				p.t.Fatalf("depth %d: schedule head %d after retiring round %d", p.depth, p.s.Round(), p.head-1)
+			}
 		case op == 'D':
 			if p.head != p.next {
 				p.t.Fatalf("drain point with rounds %d..%d in flight", p.head, p.next)
 			}
+			p.s.Drained()
 			p.drain = p.next
 		}
 	}
 }
 
-// TestHorizonThroughDrainRampAndWelcome runs Schedule.Horizon through
+// TestHorizonThroughDrainRampAndWelcome runs Schedule.Layout through
 // what the engines put it through, at depths 1 to 3: the pipeline
 // fills, runs full, runs with retirements outpacing window opens (the
 // case a whole-queue view composes wrongly), drains, and ramps back up
@@ -869,8 +1000,7 @@ func (p *pipelineSim) run(script string) {
 // already had in flight.
 func TestHorizonThroughDrainRampAndWelcome(t *testing.T) {
 	for depth := 1; depth <= 3; depth++ {
-		s := mustSchedule(t, testConfig(40))
-		s.SetLag(depth - 1)
+		s := mustSchedule(t, lagConfig(40, depth-1))
 		p := &pipelineSim{t: t, s: s, depth: depth, pinned: map[uint64]int{}}
 		p.run("ooo" + "rororo" + "rroo" + "rrroo" + "rrr" + "D" + "o" + "ro" + "oo" + "rroo" + "ro")
 		if p.drain == 0 || p.head == p.next && depth > 1 {
@@ -881,7 +1011,6 @@ func TestHorizonThroughDrainRampAndWelcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.SetLag(depth - 1)
 		// The joiner starts at the donor's head with nothing in flight, and
 		// composes the donor's in-flight rounds itself: run checks each
 		// against the length the donor pinned.
