@@ -211,9 +211,6 @@ func (s *Server) buildTraceBits(acc *accusation) *TraceBits {
 }
 
 func (s *Server) onTraceBits(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head(), err), nil
-	}
 	p, err := DecodeTraceBits(m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
@@ -288,7 +285,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 				ev.From != s.def.Clients[ci].ID {
 				return s.blameVerdict(now, s.def.Servers[si].ID, 2)
 			}
-			if err := s.verify(ev, false); err != nil {
+			if _, err := s.verify(ev, s.def.Clients[ci].PubKey); err != nil {
 				return s.blameVerdict(now, s.def.Servers[si].ID, 2)
 			}
 			sub, err := DecodeClientSubmit(ev.Body)
@@ -362,9 +359,6 @@ func (s *Server) onRebuttal(now time.Time, m *Message) (*Output, error) {
 	}
 	if b == nil || b.phase != bpRebuttal {
 		return &Output{}, nil
-	}
-	if err := s.verify(m, false); err != nil {
-		return s.violation(s.head(), err), nil
 	}
 	ci := s.def.ClientIndex(m.From)
 	if ci != b.flagged {

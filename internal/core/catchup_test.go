@@ -93,7 +93,6 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 	full := &JoinRequest{Version: v,
 		PubKey:  crypto.P256().Encode(joiner.kp.Public),
 		PseuKey: crypto.P256().Encode(joiner.kp.Public)}
-	stranger, _ := crypto.GenerateKeyPair(crypto.P256(), nil)
 
 	rows := []struct {
 		name      string
@@ -118,16 +117,6 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 		{name: "round behind retention, server", msg: inventory(head - retain - 2), violation: true},
 		{name: "lost welcome", msg: probe(joiner, full, 0), want: []catchUpReply{{MsgSnapshot, v - 1}}},
 		{name: "a repeat inside snapshotMinInterval", msg: probe(joiner, full, 0), repeat: true},
-		{name: "unsigned", msg: func() *Message {
-			m := probe(client, &JoinRequest{Version: v - 2}, head)()
-			m.Sig = nil
-			return m
-		}, violation: true},
-		{name: "unknown sender", msg: func() *Message {
-			m := clientSubmit(head - 2)()
-			m.From = group.IDFromKey(crypto.P256(), stranger.Public)
-			return m
-		}, violation: true},
 	}
 
 	now := f.h.Net.Now()

@@ -226,14 +226,31 @@ func (c *Client) Start(now time.Time) (*Output, error) {
 	return out, nil
 }
 
-// Handle processes one incoming message.
+// Handle checks an incoming message at ingress and processes it. A
+// message that fails ingress is one protocol violation, never an error.
 func (c *Client) Handle(now time.Time, m *Message) (*Output, error) {
+	if _, err := c.ingress(m, clientSenders); err != nil {
+		return c.violation(err), nil
+	}
 	out, err := c.dispatch(now, m)
 	if err != nil {
 		return out, err
 	}
 	c.applyInterdict(out)
 	return out, nil
+}
+
+// clientSenders is the client's sender-role table: a client takes
+// messages from servers only. A round output is authenticated by its
+// round certificate, not its envelope.
+var clientSenders = map[MsgType]sender{
+	MsgSchedule:        fromServer,
+	MsgOutput:          fromServer | certified,
+	MsgBlameStart:      fromServer,
+	MsgBlameDone:       fromServer,
+	MsgRebuttalRequest: fromServer,
+	MsgRosterUpdate:    fromServer,
+	MsgSnapshot:        fromServer,
 }
 
 func (c *Client) dispatch(now time.Time, m *Message) (*Output, error) {
@@ -253,7 +270,7 @@ func (c *Client) dispatch(now time.Time, m *Message) (*Output, error) {
 	case MsgSnapshot:
 		return c.onSnapshot(now, m)
 	default:
-		return nil, fmt.Errorf("core: client got unexpected %s", m.Type)
+		return nil, fmt.Errorf("core: no client handler for %s", m.Type)
 	}
 }
 
@@ -334,9 +351,6 @@ func (c *Client) awaitRoster(now time.Time, out *Output) {
 func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 	if c.ready {
 		return &Output{}, nil
-	}
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
 	}
 	p, err := DecodeSchedule(m.Body)
 	if err != nil {
@@ -719,9 +733,6 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 }
 
 func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
-	}
 	p, err := DecodeBlameStart(m.Body)
 	if err != nil {
 		return c.violation(err), nil
@@ -763,9 +774,6 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 }
 
 func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
-	}
 	p, err := DecodeBlameDone(m.Body)
 	if err != nil {
 		return c.violation(err), nil
@@ -813,9 +821,6 @@ func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
 }
 
 func (c *Client) onRebuttalRequest(now time.Time, m *Message) (*Output, error) {
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
-	}
 	p, err := DecodeRebuttalRequest(m.Body)
 	if err != nil {
 		return c.violation(err), nil

@@ -37,13 +37,10 @@ const (
 	EventBlameStarted
 	// EventBlameVerdict fires when tracing identifies a disruptor.
 	EventBlameVerdict
-	// EventProtocolViolation fires when a signed message fails
-	// verification or a shuffle proof is invalid.
+	// EventProtocolViolation fires when a message fails ingress (its
+	// type, sender role or signature) or a handler's checks, or a shuffle
+	// proof is invalid.
 	EventProtocolViolation
-	// EventWindowClosed fires at a server when it closes a round's
-	// submission window — the boundary between "client submission" and
-	// "server processing" time in the paper's Figures 7–8.
-	EventWindowClosed
 	// EventEpochRotated fires when a node applies an epoch boundary's
 	// certified roster update, which re-derives the slot permutation from
 	// the randomness beacon and the new roster digest. Round is the
@@ -72,8 +69,9 @@ const (
 	// EventMisbehavior fires when a server attributes a protocol
 	// violation to a specific roster member: Culprit names the peer
 	// and Detail is "<kind>: <cause>", where kind is a stable label
-	// (bad-signature, malformed, equivocation, bad-certificate,
-	// withholding, replay, flood, escalated). Repeated misbehavior
+	// (malformed, equivocation, bad-certificate, withholding, replay,
+	// flood, escalated). Only a sender whose signature ingress verified
+	// is ever named. Repeated misbehavior
 	// past the escalation threshold queues a client for certified
 	// removal at the next epoch boundary.
 	EventMisbehavior
@@ -95,8 +93,6 @@ func (k EventKind) String() string {
 		return "blame-verdict"
 	case EventProtocolViolation:
 		return "protocol-violation"
-	case EventWindowClosed:
-		return "window-closed"
 	case EventEpochRotated:
 		return "epoch-rotated"
 	case EventMemberJoined:
@@ -421,45 +417,89 @@ func (n *node) signDigest(m *Message, digest []byte) error {
 	return nil
 }
 
-// verify checks a message's signature against the sender's registered
-// key and confirms the sender holds the expected role.
-func (n *node) verify(m *Message, wantServer bool) error {
-	pub, err := n.senderKey(m, wantServer)
-	if err != nil {
-		return err
-	}
-	return n.verifyDigest(m, pub, m.digest(n.grpID))
-}
+// sender is a role a message may come from. An engine's sender-role
+// table (serverSenders, clientSenders) maps each message type it takes
+// to the roles allowed to send it.
+type sender uint8
 
-// senderKey returns the registered key of m's sender, which must hold
-// the expected role.
-func (n *node) senderKey(m *Message, wantServer bool) (crypto.Element, error) {
+const (
+	fromClient sender = 1 << iota
+	fromServer
+	// fromJoiner is a sender outside the roster: a prospective member's
+	// join request, verified under the identity key its body names.
+	fromJoiner
+	// certified marks a type whose body authenticates it (a round output
+	// carries the servers' certificate): ingress checks the sender's role
+	// and not the envelope.
+	certified
+)
+
+var senderNames = map[sender]string{fromClient: "client", fromServer: "server", fromJoiner: "unknown node"}
+
+// ingress is the one check every inbound message passes before any
+// handler or the stash sees it: the engine takes its type, the sender
+// holds a role the engine's sender-role table allows for that type, and
+// the envelope signature verifies under the sender's key. It returns the
+// digest the signature covers (nil for a certified type), so no handler
+// hashes the body again. A message that fails is charged to no one: the
+// member it names did not necessarily send it.
+func (n *node) ingress(m *Message, senders map[MsgType]sender) ([]byte, error) {
+	allowed, ok := senders[m.Type]
+	if !ok {
+		return nil, fmt.Errorf("core: %s from %s: not a message this engine takes", m.Type, m.From)
+	}
+	var pub crypto.Element
+	role := fromJoiner
 	if si := n.def.ServerIndex(m.From); si >= 0 {
-		if !wantServer {
-			return nil, fmt.Errorf("core: %s from server %s not allowed", m.Type, m.From)
-		}
-		return n.def.Servers[si].PubKey, nil
+		role, pub = fromServer, n.def.Servers[si].PubKey
+	} else if ci := n.def.ClientIndex(m.From); ci >= 0 {
+		role, pub = fromClient, n.def.Clients[ci].PubKey
 	}
-	if ci := n.def.ClientIndex(m.From); ci >= 0 {
-		if wantServer {
-			return nil, fmt.Errorf("core: %s from client %s not allowed", m.Type, m.From)
-		}
-		return n.def.Clients[ci].PubKey, nil
+	if allowed&role == 0 {
+		return nil, fmt.Errorf("core: %s from %s %s not allowed", m.Type, senderNames[role], m.From)
 	}
-	return nil, fmt.Errorf("core: message from unknown node %s", m.From)
+	if allowed&certified != 0 {
+		return nil, nil
+	}
+	if role == fromJoiner {
+		var err error
+		if pub, err = joinerKey(n.keyGrp, m); err != nil {
+			return nil, err
+		}
+	}
+	return n.verify(m, pub)
 }
 
-// verifyDigest checks m's signature under pub over digest, which the
-// caller computed with m.digest.
-func (n *node) verifyDigest(m *Message, pub crypto.Element, digest []byte) error {
+// joinerKey returns the identity key a non-member's join request names.
+// The request is self-certifying: its sender's NodeID must hash from
+// that key.
+func joinerKey(g crypto.Group, m *Message) (crypto.Element, error) {
+	p, err := DecodeJoinRequest(m.Body)
+	if err != nil {
+		return nil, err
+	}
+	pub, err := g.Decode(p.PubKey)
+	if err != nil {
+		return nil, fmt.Errorf("core: join request key: %w", err)
+	}
+	if group.IDFromKey(g, pub) != m.From {
+		return nil, fmt.Errorf("core: join request ID %s does not match its key", m.From)
+	}
+	return pub, nil
+}
+
+// verify checks m's envelope signature under pub and returns the digest
+// it covers.
+func (n *node) verify(m *Message, pub crypto.Element) ([]byte, error) {
 	sig, err := crypto.DecodeSignature(n.keyGrp, m.Sig)
 	if err != nil {
-		return fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
+		return nil, fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
+	digest := m.digest(n.grpID)
 	if err := crypto.Verify(n.keyGrp, pub, "dissent/msg", digest, sig); err != nil {
-		return fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
+		return nil, fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
-	return nil
+	return digest, nil
 }
 
 // pairSeed derives the DC-net pairwise seed between this node and peer.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"dissent/internal/crypto"
 	"dissent/internal/group"
 )
 
@@ -20,7 +21,7 @@ func TestEnvelopeSignatureCoversEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.verify(genuine, false); err != nil {
+	if _, err := srv.ingress(genuine, serverSenders); err != nil {
 		t.Fatalf("genuine message rejected: %v", err)
 	}
 
@@ -29,7 +30,7 @@ func TestEnvelopeSignatureCoversEveryField(t *testing.T) {
 		m := &Message{From: genuine.From, Type: genuine.Type, Round: genuine.Round,
 			Body: bytes.Clone(genuine.Body), Sig: genuine.Sig}
 		mutate(m)
-		if err := srv.verify(m, false); err == nil {
+		if _, err := srv.ingress(m, serverSenders); err == nil {
 			t.Errorf("%s: signature still verifies", name)
 		}
 	}
@@ -48,7 +49,7 @@ func TestEnvelopeSignatureCoversEveryField(t *testing.T) {
 	// differs in one bit refuses it.
 	foreign := srv.node
 	foreign.grpID[31] ^= 0x01
-	if err := foreign.verify(genuine, false); err == nil {
+	if _, err := foreign.ingress(genuine, serverSenders); err == nil {
 		t.Error("group ID: signature verifies under another group's ID")
 	}
 }
@@ -85,5 +86,153 @@ func TestSignedDigestsAreInjective(t *testing.T) {
 	m3 := &Message{From: id1, Type: MsgShare, Round: 1, Body: []byte("body"), Sig: []byte("anything")}
 	if !bytes.Equal(m1.digest(grp), m3.digest(grp)) {
 		t.Error("message digest depends on the signature field")
+	}
+}
+
+// forged returns a message claiming to come from from, with a 64-byte
+// zero signature nobody made.
+func forged(from group.NodeID, t MsgType, round uint64, body []byte) *Message {
+	return &Message{From: from, Type: t, Round: round, Body: body, Sig: make([]byte, 64)}
+}
+
+// TestForgedFramesChargeNoOne: frames whose signature fails are charged
+// to no one, whoever they name. Eight forged submissions for the open
+// round claiming an honest client, a forged future-round inventory
+// claiming a server (stashed, then replayed when its round opens, if the
+// stash took unverified frames) and enough forged future-round
+// submissions to overflow the stash must raise no misbehavior, must not
+// get the named client removed at the epoch boundary, and must not stop
+// rounds certifying.
+func TestForgedFramesChargeNoOne(t *testing.T) {
+	const epoch = 4
+	f := newFixture(t, 2, 3, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) { p.BeaconEpochRounds = epoch },
+	})
+	victim := f.clients[0]
+	srv := f.servers[f.def.UpstreamServer(victim.Index())]
+	f.h.StartAll()
+	var open *roundState
+	for i := 0; i < 1_000_000 && f.h.Net.Step(); i++ {
+		if rs := srv.rounds[srv.nextOpen-1]; srv.phase == phaseRunning && rs != nil && rs.r >= 1 && rs.phase == rpCollect {
+			open = rs
+			break
+		}
+	}
+	if open == nil || open.r >= epoch-1 {
+		t.Fatalf("no round open for collection before the boundary (head %d)", srv.head())
+	}
+	next := srv.nextOpen
+	submit := (&ClientSubmit{CT: make([]byte, open.vecLen)}).Encode()
+	var frames []*Message
+	for range 8 {
+		frames = append(frames, forged(victim.ID(), MsgClientSubmit, open.r, submit))
+	}
+	frames = append(frames, forged(f.servers[1-srv.Index()].ID(), MsgInventory, next, (&Inventory{}).Encode()))
+	for range 4200 {
+		frames = append(frames, forged(victim.ID(), MsgClientSubmit, next, submit))
+	}
+	now := f.h.Net.Now()
+	for _, m := range frames {
+		out, err := srv.Handle(now, m)
+		f.h.ProcessExternal(srv.ID(), now, out, err)
+	}
+	if n := len(srv.stash); n != 0 {
+		t.Errorf("%d forged frames stashed", n)
+	}
+
+	f.stepUntilRound(epoch+2, 3_000_000)
+	if evs := f.h.EventsOf(EventMisbehavior); len(evs) > 0 {
+		t.Errorf("%d misbehavior charges, the first by %s against %s in round %d: %s",
+			len(evs), evs[0].Node, evs[0].Culprit, evs[0].Round, evs[0].Detail)
+	}
+	for _, s := range f.servers {
+		if s.Round() <= epoch+2 {
+			t.Errorf("server %d stalled at round %d", s.Index(), s.Round())
+		}
+		if s.def.Version == 0 {
+			t.Errorf("server %d never applied the boundary's roster update", s.Index())
+		}
+		if s.Excluded(victim.Index()) || s.def.Clients[victim.Index()].Expelled {
+			t.Errorf("server %d removed the client the forged frames named", s.Index())
+		}
+	}
+	if n := len(f.h.EventsOf(EventMemberExpelled)); n != 0 {
+		t.Errorf("%d expulsions", n)
+	}
+}
+
+// TestIngressRejections: each engine's one ingress check turns an
+// unsigned message, one from a sender outside the roster, one from a
+// member whose role may not send its type, and a type the engine does
+// not take into exactly one protocol violation — no error, nothing
+// sent, and head, phase and stash as they were. The server's first two
+// rows carry a catch-up probe and a retired-round submission; the
+// member's signed copy of each is answered.
+func TestIngressRejections(t *testing.T) {
+	f := newFixture(t, 2, 2, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) { p.BeaconEpochRounds = 4 },
+	})
+	f.h.StartAll()
+	f.stepUntilRound(2, 1_000_000)
+	srv, peer, cl := f.servers[0], f.servers[1], f.clients[0]
+	kp, _ := crypto.GenerateKeyPair(crypto.P256(), nil)
+	stranger := &node{kp: kp, id: group.IDFromKey(crypto.P256(), kp.Public), grpID: f.def.GroupID(), keyGrp: crypto.P256()}
+	sign := func(n *node, typ MsgType, round uint64, body []byte) *Message {
+		m, err := n.sign(typ, round, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	unsigned := func(m *Message) *Message { m.Sig = nil; return m }
+	head := srv.head()
+	probe := (&JoinRequest{Version: 0}).Encode()
+	submit := (&ClientSubmit{CT: []byte{0}}).Encode()
+	blame := (&BlameStart{Session: 1}).Encode()
+
+	type state struct {
+		head, next    uint64
+		phase         serverPhase
+		stash         int
+		cHead, cRound uint64
+		inflight      int
+		awaitingBlame bool
+	}
+	snap := func() state {
+		return state{srv.head(), srv.nextOpen, srv.phase, len(srv.stash),
+			cl.head(), cl.round, len(cl.inflight), cl.awaitingBlame}
+	}
+	for _, tc := range []struct {
+		name    string
+		e       Engine
+		m       *Message
+		genuine *Message // the member's signed copy, which is answered
+	}{
+		{"server/unsigned", srv, unsigned(sign(&cl.node, MsgJoinRequest, head-1, probe)), sign(&cl.node, MsgJoinRequest, head-1, probe)},
+		{"server/unknown sender", srv, sign(stranger, MsgClientSubmit, head-1, submit), sign(&cl.node, MsgClientSubmit, head-1, submit)},
+		{"server/wrong role", srv, sign(&peer.node, MsgClientSubmit, head, submit), nil},
+		{"server/type not taken", srv, sign(&peer.node, MsgSchedule, head, nil), nil},
+		{"client/unsigned", cl, unsigned(sign(&srv.node, MsgBlameStart, head, blame)), nil},
+		{"client/unknown sender", cl, sign(stranger, MsgBlameStart, head, blame), nil},
+		{"client/wrong role", cl, sign(&f.clients[1].node, MsgBlameStart, head, blame), nil},
+		{"client/type not taken", cl, sign(&srv.node, MsgInventory, head, (&Inventory{}).Encode()), nil},
+	} {
+		before := snap()
+		out, err := tc.e.Handle(f.h.Net.Now(), tc.m)
+		if err != nil {
+			t.Errorf("%s: engine error: %v", tc.name, err)
+			continue
+		}
+		if len(out.Events) != 1 || out.Events[0].Kind != EventProtocolViolation || len(out.Send) != 0 {
+			t.Errorf("%s: want one violation and nothing sent, got events %+v and %d sends", tc.name, out.Events, len(out.Send))
+		}
+		if after := snap(); after != before {
+			t.Errorf("%s: state moved from %+v to %+v", tc.name, before, after)
+		}
+		if tc.genuine != nil {
+			if out, err := tc.e.Handle(f.h.Net.Now(), tc.genuine); err != nil || len(out.Send) == 0 {
+				t.Errorf("%s: the member's signed copy went unanswered (%v)", tc.name, err)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,6 +217,15 @@ func FuzzRoundDispatch(f *testing.F) {
 				}
 			} else {
 				canon[k] = d.Data
+			}
+		}
+
+		// Attribution: the group is honest, so nobody may be charged with
+		// anything but replay or flood — which count genuine frames the
+		// fuzzer re-delivers. A forged copy is charged to no one.
+		for _, e := range fx.h.EventsOf(EventMisbehavior) {
+			if kind, _, _ := strings.Cut(e.Detail, ":"); kind != "replay" && kind != "flood" {
+				t.Fatalf("honest member %x charged in round %d: %s", e.Culprit[:4], e.Round, e.Detail)
 			}
 		}
 	})

@@ -191,7 +191,7 @@ func TestHarnessAccounting(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	for k := EventScheduleReady; k <= EventWindowClosed; k++ {
+	for k := EventScheduleReady; k <= EventMisbehavior; k++ {
 		if s := k.String(); len(s) == 0 || s[0] == 'e' && s != "event(0)" && len(s) > 6 && s[:6] == "event(" {
 			t.Errorf("missing name for kind %d", k)
 		}

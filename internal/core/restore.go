@@ -373,12 +373,6 @@ func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si
 // exactly the retirement the crash interrupted, minus blame history
 // (adopted rounds cannot be traced — see the file comment).
 func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
-	if s.def.ServerIndex(m.From) < 0 {
-		return s.violation(m.Round, fmt.Errorf("MsgOutput from non-server %s", m.From)), nil
-	}
-	if err := s.verify(m, true); err != nil {
-		return s.violation(m.Round, err), nil
-	}
 	if s.phase != phaseRunning || m.Round < s.head() {
 		return &Output{}, nil // already retired, or not in the round loop
 	}

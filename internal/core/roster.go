@@ -459,18 +459,13 @@ func (s *Server) rosterDigestFor(v uint64) ([32]byte, bool) {
 // member's request states its position — roster version, post-apply
 // schedule digest, whether it still awaits its welcome — and is answered
 // by catchUp first; a rejoin intent is queued only once the member is
-// current (a retry re-asserts it after the catch-up).
+// current (a retry re-asserts it after the catch-up). A new member's
+// request was verified at ingress under the key its body names.
 func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 	if !s.churnEnabled() {
 		return s.violation(m.Round, errors.New("join request but churn is disabled by policy")), nil
 	}
-	if s.def.ServerIndex(m.From) >= 0 {
-		return s.violation(m.Round, fmt.Errorf("join request from server %s", m.From)), nil
-	}
 	if ci := s.def.ClientIndex(m.From); ci >= 0 {
-		if err := s.verify(m, false); err != nil {
-			return s.violation(m.Round, err), nil
-		}
 		p, err := DecodeJoinRequest(m.Body)
 		if err != nil {
 			return s.violation(m.Round, err), nil
@@ -482,22 +477,9 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		}
 		return out, s.catchUp(now, m.From, at, out)
 	}
-	// New-member path: the request is self-certifying — the sender signs
-	// with the key embedded in the body, and its NodeID must hash from
-	// that key.
 	p, err := DecodeJoinRequest(m.Body)
 	if err != nil {
 		return s.violation(m.Round, err), nil
-	}
-	pub, err := s.keyGrp.Decode(p.PubKey)
-	if err != nil {
-		return s.violation(m.Round, fmt.Errorf("join request key: %w", err)), nil
-	}
-	if group.IDFromKey(s.keyGrp, pub) != m.From {
-		return s.violation(m.Round, fmt.Errorf("join request ID %s does not match its key", m.From)), nil
-	}
-	if err := s.verifyDigest(m, pub, m.digest(s.grpID)); err != nil {
-		return s.violation(m.Round, fmt.Errorf("join request signature: %w", err)), nil
 	}
 	if _, err := s.keyGrp.Decode(p.PseuKey); err != nil {
 		return s.violation(m.Round, fmt.Errorf("join request pseudonym key: %w", err)), nil
@@ -615,9 +597,6 @@ func (s *Server) castRoster(now time.Time, t MsgType, body []byte, out *Output) 
 }
 
 func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head(), err), nil
-	}
 	p, err := DecodeRosterPropose(m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
@@ -726,9 +705,6 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 }
 
 func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head(), err), nil
-	}
 	p, err := DecodeRosterCert(m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
@@ -767,9 +743,6 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 // or cert frame was lost): the update carries every server's
 // signature, so it can be verified and applied directly.
 func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head(), err), nil
-	}
 	p, err := DecodeRosterUpdateMsg(m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
@@ -1023,9 +996,6 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		// redundant for it.
 		return &Output{}, nil
 	}
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
-	}
 	p, err := DecodeRosterUpdateMsg(m.Body)
 	if err != nil {
 		return c.violation(err), nil
@@ -1175,9 +1145,6 @@ var errStaleSnapshot = errors.New("core: snapshot behind the applied outputs")
 func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output, error) {
 	reject := func(why string) (*JoinWelcome, *Output, error) {
 		return nil, c.violation(errors.New("snapshot " + why)), nil
-	}
-	if err := c.verify(m, true); err != nil {
-		return nil, c.violation(err), nil
 	}
 	w, err := DecodeJoinWelcome(m.Body)
 	if err != nil {

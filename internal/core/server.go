@@ -450,10 +450,16 @@ func (s *Server) Start(now time.Time) (*Output, error) {
 	return &Output{Timer: s.setup.closeAt}, nil
 }
 
-// Handle processes one incoming message, then replays any stashed
-// early messages that the resulting state transitions unblocked.
+// Handle checks an incoming message at ingress, processes it, then
+// replays any stashed early messages that the resulting state
+// transitions unblocked. A message that fails ingress is one protocol
+// violation, never an error.
 func (s *Server) Handle(now time.Time, m *Message) (*Output, error) {
-	out, err := s.dispatch(now, m)
+	digest, err := s.ingress(m, serverSenders)
+	if err != nil {
+		return s.violation(m.Round, err), nil
+	}
+	out, err := s.dispatch(now, m, digest)
 	if err != nil {
 		return out, err
 	}
@@ -465,14 +471,15 @@ func (s *Server) Handle(now time.Time, m *Message) (*Output, error) {
 }
 
 // drainStash replays stashed early messages until no more progress is
-// made, merging their outputs into out.
+// made, merging their outputs into out. They passed ingress on arrival,
+// so replays skip it.
 func (s *Server) drainStash(now time.Time, out *Output) error {
 	for len(s.stash) > 0 {
 		pending := s.stash
 		s.stash = nil
 		s.stashBytes = 0
 		for _, pm := range pending {
-			o, err := s.dispatch(now, pm)
+			o, err := s.dispatch(now, pm, nil)
 			if err != nil {
 				return err
 			}
@@ -499,7 +506,34 @@ func (s *Server) stashMsg(m *Message) *Output {
 	return &Output{}
 }
 
-func (s *Server) dispatch(now time.Time, m *Message) (*Output, error) {
+// serverSenders is the server's sender-role table: every message type a
+// server takes and the roles that may send it.
+var serverSenders = map[MsgType]sender{
+	MsgPseudonymSubmit: fromClient,
+	MsgBlameSubmit:     fromClient,
+	MsgClientSubmit:    fromClient,
+	MsgRebuttal:        fromClient,
+	MsgJoinRequest:     fromClient | fromJoiner,
+	MsgPseudonymList:   fromServer,
+	MsgBlameList:       fromServer,
+	MsgShuffleStep:     fromServer,
+	MsgBlameStep:       fromServer,
+	MsgScheduleCert:    fromServer,
+	MsgInventory:       fromServer,
+	MsgCommit:          fromServer,
+	MsgShare:           fromServer,
+	MsgCertify:         fromServer,
+	MsgTraceBits:       fromServer,
+	MsgRosterPropose:   fromServer,
+	MsgRosterCert:      fromServer,
+	MsgRosterUpdate:    fromServer,
+	MsgOutput:          fromServer,
+}
+
+// dispatch hands a message that passed ingress to its handler. digest
+// is the one its signature was verified over; a stash replay passes nil,
+// which is sound because its one reader, onShare, never stashes.
+func (s *Server) dispatch(now time.Time, m *Message, digest []byte) (*Output, error) {
 	switch m.Type {
 	case MsgPseudonymSubmit, MsgBlameSubmit:
 		return s.onShuffleSubmit(now, m)
@@ -516,7 +550,7 @@ func (s *Server) dispatch(now time.Time, m *Message) (*Output, error) {
 	case MsgCommit:
 		return s.onCommit(now, m)
 	case MsgShare:
-		return s.onShare(now, m)
+		return s.onShare(now, m, digest)
 	case MsgCertify:
 		return s.onCertify(now, m)
 	case MsgTraceBits:
@@ -534,7 +568,7 @@ func (s *Server) dispatch(now time.Time, m *Message) (*Output, error) {
 	case MsgOutput:
 		return s.onPeerOutput(now, m)
 	default:
-		return nil, fmt.Errorf("core: server got unexpected %s", m.Type)
+		return nil, fmt.Errorf("core: no server handler for %s", m.Type)
 	}
 }
 
@@ -664,9 +698,6 @@ func (s *Server) encodedSlotKeys() [][]byte {
 }
 
 func (s *Server) onScheduleCert(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(0, err), nil
-	}
 	p, err := DecodeCertify(m.Body)
 	if err != nil {
 		return s.violation(0, err), nil
@@ -923,17 +954,11 @@ func (s *Server) onClientSubmit(now time.Time, m *Message) (*Output, error) {
 		// A submission for a retired round states where the client is: it
 		// missed that round's output (its links dropped, or its upstream
 		// crashed), and clients consume outputs strictly in round order.
-		if err := s.verify(m, false); err != nil {
-			return s.violation(m.Round, err), nil
-		}
 		out := &Output{}
 		return out, s.catchUp(now, m.From, position{round: m.Round, version: s.def.Version}, out)
 	}
 	if rs.phase > rpInventory {
 		return &Output{}, nil // too late for this round
-	}
-	if err := s.verify(m, false); err != nil {
-		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
 	}
 	ci := s.def.ClientIndex(m.From)
 	if s.excluded[ci] {
@@ -1105,8 +1130,7 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	}
 	s.log.Debug("window closed", "round", rs.r, "submissions", len(rs.subs),
 		"attempt", rs.attempt, "window", now.Sub(rs.start), "speculating", inv.Hash != nil)
-	out := &Output{Events: []Event{{Kind: EventWindowClosed, Round: rs.r,
-		Detail: fmt.Sprintf("%d submissions", len(rs.subs))}}}
+	out := &Output{}
 	if err := s.castServers(now, rs, MsgInventory, inv.Encode(), out); err != nil {
 		return nil, err
 	}
@@ -1129,14 +1153,8 @@ func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
 		// Retired round. A server still inventorying it missed the
 		// certification (it was down when the certs flew); it adopts the
 		// certified outputs catchUp sends instead of wedging.
-		if err := s.verify(m, true); err != nil {
-			return s.violation(m.Round, err), nil
-		}
 		out := &Output{}
 		return out, s.catchUp(now, m.From, position{round: m.Round, version: s.def.Version}, out)
-	}
-	if err := s.verify(m, true); err != nil {
-		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
 	}
 	p, err := DecodeInventory(m.Body)
 	if err != nil {
@@ -1409,9 +1427,6 @@ func (s *Server) onCommit(now time.Time, m *Message) (*Output, error) {
 	if rs == nil {
 		return &Output{}, nil
 	}
-	if err := s.verify(m, true); err != nil {
-		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
-	}
 	p, err := DecodeCommit(m.Body)
 	if err != nil {
 		return s.misbehave(rs.r, m.From, "malformed", err), nil
@@ -1465,20 +1480,13 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	return out, nil
 }
 
-func (s *Server) onShare(now time.Time, m *Message) (*Output, error) {
+// onShare takes a peer's revealed share. digest is the one ingress
+// verified the envelope over: one hash of the share serves twice, since
+// the sender's commitment is the same value.
+func (s *Server) onShare(now time.Time, m *Message, digest []byte) (*Output, error) {
 	rs := s.rounds[m.Round]
 	if rs == nil {
 		return &Output{}, nil
-	}
-	// One hash of the share serves twice: its envelope signature covers
-	// the digest, and the sender's commitment is the same value.
-	pub, err := s.senderKey(m, true)
-	if err != nil {
-		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
-	}
-	digest := m.digest(s.grpID)
-	if err := s.verifyDigest(m, pub, digest); err != nil {
-		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
 	}
 	p, err := DecodeShare(m.Body)
 	if err != nil {
@@ -1600,9 +1608,6 @@ func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
 	rs := s.rounds[m.Round]
 	if rs == nil {
 		return &Output{}, nil
-	}
-	if err := s.verify(m, true); err != nil {
-		return s.misbehave(rs.r, m.From, "bad-signature", err), nil
 	}
 	p, err := DecodeCertify(m.Body)
 	if err != nil {
@@ -1864,13 +1869,10 @@ func (s *Server) violation(round uint64, err error) *Output {
 // accumulating misbehaviorEscalateThreshold attributed violations is
 // queued for removal in the next certified roster update — the
 // guaranteed escalation path for disruption that never produces a
-// single blame-traceable incident. Unattributable senders (not in the
-// roster) fall back to a plain violation event; the ledger only ever
-// holds verified member identities, so its memory is roster-bounded.
+// single blame-traceable incident. from is always a roster member — a
+// sender whose signature ingress verified, or a server named by index —
+// so the ledger's memory is roster-bounded.
 func (s *Server) misbehave(round uint64, from group.NodeID, kind string, err error) *Output {
-	if s.def.ServerIndex(from) < 0 && s.def.ClientIndex(from) < 0 {
-		return s.violation(round, err)
-	}
 	rec := s.misbehavior[from]
 	if rec == nil {
 		rec = &peerRecord{kinds: make(map[string]int)}

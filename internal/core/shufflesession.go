@@ -121,9 +121,6 @@ func (s *Server) onShuffleSubmit(now time.Time, m *Message) (*Output, error) {
 	if ss == nil || ss.closed {
 		return &Output{}, nil
 	}
-	if err := s.verify(m, false); err != nil {
-		return s.violation(ss.round, err), nil
-	}
 	ci := s.def.ClientIndex(m.From)
 	if s.excluded[ci] {
 		return &Output{}, nil
@@ -188,9 +185,6 @@ func (ss *shuffleSession) close(now time.Time) (*Output, error) {
 }
 
 func (s *Server) onShuffleList(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head(), err), nil
-	}
 	p, err := DecodeShuffleList(m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
@@ -304,9 +298,6 @@ func (ss *shuffleSession) advance(now time.Time) (*Output, error) {
 }
 
 func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
-	if err := s.verify(m, true); err != nil {
-		return s.violation(s.head(), err), nil
-	}
 	p, err := DecodeShuffleStep(m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil

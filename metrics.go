@@ -80,9 +80,8 @@ type SessionMetrics struct {
 	// the count of rounds sacrificed to tracing).
 	BlameRounds uint64 `json:"blame_rounds"`
 	// Misbehavior counts attributed protocol offenses by kind (the
-	// EventMisbehavior detail prefix: bad-signature, malformed,
-	// equivocation, bad-certificate, withholding, replay, flood,
-	// escalated). Empty on sessions that never observed an offense.
+	// EventMisbehavior detail prefix: malformed, equivocation,
+	// bad-certificate, withholding, replay, flood, escalated). Empty on sessions that never observed an offense.
 	Misbehavior map[string]uint64 `json:"misbehavior_observed,omitempty"`
 }
 

@@ -100,12 +100,10 @@ const (
 	EventBlameStarted = core.EventBlameStarted
 	// EventBlameVerdict fires when tracing identifies a disruptor.
 	EventBlameVerdict = core.EventBlameVerdict
-	// EventProtocolViolation fires when a signed message or proof fails
-	// verification.
+	// EventProtocolViolation fires when a message fails ingress (its
+	// type, sender role or signature) or a handler's checks, or a proof
+	// fails verification.
 	EventProtocolViolation = core.EventProtocolViolation
-	// EventWindowClosed fires at a server when it closes a round's
-	// submission window.
-	EventWindowClosed = core.EventWindowClosed
 	// EventEpochRotated fires when a node re-derives the slot
 	// permutation from the randomness beacon at an epoch boundary, as it
 	// applies that boundary's certified roster update. Event.Round is the
@@ -131,12 +129,12 @@ const (
 	// too-far-behind schedule replica with a certified snapshot from a
 	// server.
 	EventReplicaResynced = core.EventReplicaResynced
-	// EventMisbehavior fires when ingress validation attributes a
-	// protocol offense to a verified sender; Event.Culprit carries the
+	// EventMisbehavior fires when a server attributes a protocol offense
+	// to a sender whose signature it verified; Event.Culprit carries the
 	// offender and Event.Detail is "<kind>: <cause>" with kind one of
-	// bad-signature, malformed, equivocation, bad-certificate,
-	// withholding, replay, flood, or escalated (the offender crossed
-	// the removal threshold).
+	// malformed, equivocation, bad-certificate, withholding, replay,
+	// flood, or escalated (the offender crossed the removal threshold).
+	// A message that fails signature verification is charged to no one.
 	EventMisbehavior = core.EventMisbehavior
 )
 
