@@ -11,6 +11,7 @@ import (
 	"dissent/internal/crypto"
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // These tests exercise each scripted byzantine behavior class through
@@ -431,13 +432,13 @@ func testRevealSwapIsEquivocation(t *testing.T, swap func(*Share)) {
 		if env.Msg.Type != MsgShare || env.Msg.Round != attackRound {
 			return []Envelope{env}
 		}
-		p, err := DecodeShare(env.Msg.Body)
+		p, err := decode[Share](env.Msg.Body)
 		if err != nil {
 			t.Errorf("honest engine produced an undecodable share: %v", err)
 			return []Envelope{env}
 		}
 		swap(p)
-		return []Envelope{{To: env.To, Msg: resign(&Message{Type: MsgShare, Round: env.Msg.Round, Body: p.Encode()})}}
+		return []Envelope{{To: env.To, Msg: resign(&Message{Type: MsgShare, Round: env.Msg.Round, Body: wire.Encode(p)})}}
 	}}
 	f := newFixture(t, 3, 3, fixtureOpts{
 		serverOpts: func(idx int, o *Options) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
 	"dissent/internal/shuffle"
+	"dissent/internal/wire"
 )
 
 // The accusation protocol (§3.9), server side. A disruption victim
@@ -24,12 +26,10 @@ const blameWindowFactor = 4
 
 // accusationBytes renders an accusation for embedding.
 func accusationBytes(round uint64, slot, bit int, sig []byte) []byte {
-	var e encBuf
-	e.U64(round)
-	e.U32(uint32(slot))
-	e.U32(uint32(bit))
-	e.B = append(e.B, sig...)
-	return e.B
+	b := binary.BigEndian.AppendUint64(make([]byte, 0, 16+len(sig)), round)
+	b = binary.BigEndian.AppendUint32(b, uint32(slot))
+	b = binary.BigEndian.AppendUint32(b, uint32(bit))
+	return append(b, sig...)
 }
 
 // accusationDigest is what the pseudonym key signs.
@@ -41,15 +41,11 @@ func accusationDigest(grpID [32]byte, round uint64, slot, bit int) []byte {
 // parseAccusation splits an accusation message; bit is still
 // slot-relative here.
 func parseAccusation(keyGrp crypto.Group, msg []byte) (round uint64, slot, bit int, sig []byte, ok bool) {
-	want := accusationLen(keyGrp)
-	if len(msg) != want {
+	if len(msg) != accusationLen(keyGrp) {
 		return 0, 0, 0, nil, false
 	}
-	d := decBuf{B: msg}
-	r, _ := d.U64()
-	sl, _ := d.U32()
-	b, _ := d.U32()
-	return r, int(sl), int(b), d.B, true
+	return binary.BigEndian.Uint64(msg), int(binary.BigEndian.Uint32(msg[8:])),
+		int(binary.BigEndian.Uint32(msg[12:])), msg[16:], true
 }
 
 // blameWidth is the ciphertext vector width of accusations in the
@@ -88,7 +84,7 @@ func (s *Server) startBlame(now time.Time) (*Output, error) {
 		Timer:  s.blame.shuf.closeAt,
 		Events: []Event{{Kind: EventBlameStarted, Round: s.head(), Detail: fmt.Sprintf("session %d", s.blameSession)}},
 	}
-	body := (&BlameStart{Session: s.blameSession}).Encode()
+	body := wire.Encode(&BlameStart{Session: s.blameSession})
 	if err := s.broadcastClients(MsgBlameStart, s.head(), body, out); err != nil {
 		return nil, err
 	}
@@ -148,7 +144,7 @@ func (s *Server) finishBlameShuffle(now time.Time, outputs []shuffle.Vec) (*Outp
 	b.phase = bpTrace
 	out := &Output{}
 	tb := s.buildTraceBits(b.acc)
-	if err := s.broadcastServers(MsgTraceBits, s.head(), tb.Encode(), out); err != nil {
+	if err := s.broadcastServers(MsgTraceBits, s.head(), wire.Encode(tb), out); err != nil {
 		return nil, err
 	}
 	b.traces[s.idx] = tb
@@ -211,7 +207,7 @@ func (s *Server) buildTraceBits(acc *accusation) *TraceBits {
 }
 
 func (s *Server) onTraceBits(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeTraceBits(m.Body)
+	p, err := decode[TraceBits](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
 	}
@@ -340,7 +336,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 					AccBit:     uint32(k),
 					ServerBits: bits,
 				}
-				if err := s.sendTo(s.def.Clients[ci].ID, MsgRebuttalRequest, s.head(), req.Encode(), out); err != nil {
+				if err := s.sendTo(s.def.Clients[ci].ID, MsgRebuttalRequest, s.head(), wire.Encode(req), out); err != nil {
 					return nil, err
 				}
 			}
@@ -364,7 +360,7 @@ func (s *Server) onRebuttal(now time.Time, m *Message) (*Output, error) {
 	if ci != b.flagged {
 		return &Output{}, nil
 	}
-	p, err := DecodeRebuttal(m.Body)
+	p, err := decode[Rebuttal](m.Body)
 	if err != nil || p.Session != b.session {
 		return &Output{}, nil
 	}
@@ -451,7 +447,7 @@ func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte)
 	out.Events = append(out.Events, Event{Kind: EventBlameVerdict, Round: s.head(),
 		Culprit: culprit, Detail: detail})
 	s.concludeBlame(b.start, now, detail, culprit)
-	body := (&BlameDone{Session: b.session, Verdict: verdict, Culprit: culprit}).Encode()
+	body := wire.Encode(&BlameDone{Session: b.session, Verdict: verdict, Culprit: culprit})
 	if err := s.broadcastClients(MsgBlameDone, s.head(), body, out); err != nil {
 		return nil, err
 	}

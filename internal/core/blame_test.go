@@ -11,6 +11,7 @@ import (
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
 	"dissent/internal/store"
+	"dissent/internal/wire"
 )
 
 // disruptorClient wraps an honest Client engine and flips bits inside
@@ -58,7 +59,7 @@ func (d *disruptorClient) mangle(out *Output) *Output {
 			target = off + n - 1
 		}
 		ct[target] ^= 0xFF
-		body := (&ClientSubmit{CT: ct}).Encode()
+		body := wire.Encode(&ClientSubmit{CT: ct})
 		msg, err := d.Client.sign(MsgClientSubmit, env.Msg.Round, body)
 		if err != nil {
 			continue
@@ -115,7 +116,7 @@ func TestVerdictPersistsExpulsion(t *testing.T) {
 			if !ok {
 				t.Fatalf("server %d: no stored snapshot at the verdict", si)
 			}
-			sn, err := DecodeServerSnapshot(raw)
+			sn, err := decode[ServerSnapshot](raw)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // Catch-up (ARCHITECTURE.md "Catch-up"). Rounds keep certifying while a
@@ -76,7 +77,7 @@ func (s *Server) catchUp(now time.Time, to group.NodeID, at position, out *Outpu
 			if d, ok := s.rosterDigestFor(u.Version); ok {
 				dig = d[:]
 			}
-			body := (&RosterUpdateMsg{Update: u.Encode(), SchedDigest: dig}).Encode()
+			body := wire.Encode(&RosterUpdateMsg{Update: wire.Encode(u), SchedDigest: dig})
 			if err := s.sendTo(to, MsgRosterUpdate, s.head(), body, out); err != nil {
 				return err
 			}
@@ -115,7 +116,7 @@ func (s *Server) sendSnapshot(now time.Time, to group.NodeID, welcome bool, out 
 	s.snapshotSent[to] = now
 	s.log.Info("session snapshot sent", "member", to.String(), "welcome", welcome,
 		"version", s.def.Version, "round", s.head())
-	return s.sendTo(to, MsgSnapshot, s.head(), s.buildSnapshot(anchor).Encode(), out)
+	return s.sendTo(to, MsgSnapshot, s.head(), wire.Encode(s.buildSnapshot(anchor)), out)
 }
 
 // sendTo signs one message to one member.

@@ -9,6 +9,7 @@ import (
 
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // catchUpReply is one message of a catch-up answer: its type and n — an
@@ -62,7 +63,7 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 	client := f.clients[1]
 	probe := func(c *Client, p *JoinRequest, round uint64) func() *Message {
 		return func() *Message {
-			m, err := c.sign(MsgJoinRequest, round, p.Encode())
+			m, err := c.sign(MsgJoinRequest, round, wire.Encode(p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,10 +80,10 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 		}
 	}
 	clientSubmit := func(round uint64) func() *Message {
-		return submit(&client.node, MsgClientSubmit, round, (&ClientSubmit{CT: []byte{0}}).Encode())
+		return submit(&client.node, MsgClientSubmit, round, wire.Encode(&ClientSubmit{CT: []byte{0}}))
 	}
 	inventory := func(round uint64) func() *Message {
-		return submit(&peer.node, MsgInventory, round, (&Inventory{}).Encode())
+		return submit(&peer.node, MsgInventory, round, wire.Encode(&Inventory{}))
 	}
 	outputs := func(from uint64) (want []catchUpReply) {
 		for r := from; r < min(head, from+uint64(depth)); r++ {
@@ -106,7 +107,7 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 			want: []catchUpReply{{MsgRosterUpdate, v - 1}, {MsgRosterUpdate, v}}},
 		{name: "chain truncated, client", msg: probe(client, &JoinRequest{Version: 0}, head),
 			want: []catchUpReply{{MsgSnapshot, v}}},
-		{name: "chain truncated, server", msg: submit(&peer.node, MsgRosterPropose, head, (&RosterPropose{Version: 1}).Encode()),
+		{name: "chain truncated, server", msg: submit(&peer.node, MsgRosterPropose, head, wire.Encode(&RosterPropose{Version: 1})),
 			violation: true},
 		{name: "diverged digest", msg: probe(client, &JoinRequest{Version: v, SchedDigest: bytes.Repeat([]byte{0xAA}, 32)}, head),
 			want: []catchUpReply{{MsgSnapshot, v}}},
@@ -137,7 +138,7 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 			r := catchUpReply{t: env.Msg.Type, n: env.Msg.Round}
 			switch env.Msg.Type {
 			case MsgRosterUpdate:
-				p, err := DecodeRosterUpdateMsg(env.Msg.Body)
+				p, err := decode[RosterUpdateMsg](env.Msg.Body)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +148,7 @@ func testCatchUpAnswers(t *testing.T, depth int) {
 				}
 				r.n = u.Version
 			case MsgSnapshot:
-				w, err := DecodeJoinWelcome(env.Msg.Body)
+				w, err := decode[JoinWelcome](env.Msg.Body)
 				if err != nil {
 					t.Fatal(err)
 				}

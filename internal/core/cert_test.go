@@ -9,6 +9,7 @@ import (
 
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // Round-certificate tests: what a verifier accepts (verifyRoundCert,
@@ -138,7 +139,7 @@ func TestClientRejectsUncollectiveOutput(t *testing.T) {
 		"M-1 collective":        {f.collectiveCert([]int{0, 2}, digest)},
 	}
 	for name, sigs := range forged {
-		body := (&RoundOutput{Cleartext: clear, Count: 3, Sigs: sigs}).Encode()
+		body := wire.Encode(&RoundOutput{Cleartext: clear, Count: 3, Sigs: sigs})
 		out, err := c.Handle(f.h.Net.Now(), &Message{From: f.def.Servers[0].ID, Type: MsgOutput, Round: next, Body: body})
 		if err != nil {
 			t.Fatalf("%s: hard error: %v", name, err)
@@ -151,8 +152,8 @@ func TestClientRejectsUncollectiveOutput(t *testing.T) {
 		}
 	}
 	// The genuine article, for contrast: all three servers, collectively.
-	body := (&RoundOutput{Cleartext: clear, Count: 3,
-		Sigs: [][]byte{f.collectiveCert([]int{0, 1, 2}, digest)}}).Encode()
+	body := wire.Encode(&RoundOutput{Cleartext: clear, Count: 3,
+		Sigs: [][]byte{f.collectiveCert([]int{0, 1, 2}, digest)}})
 	if _, err := c.Handle(f.h.Net.Now(), &Message{From: f.def.Servers[0].ID, Type: MsgOutput, Round: next, Body: body}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +252,12 @@ func recordCerts(f *fixture) *certTranscript {
 		switch {
 		case si < 0:
 		case m.Type == MsgShare:
-			if p, err := DecodeShare(m.Body); err == nil {
+			if p, err := decode[Share](m.Body); err == nil {
 				k := certKey{si, m.Round, p.Attempt}
 				tr.nonces[k] = addDistinct(tr.nonces[k], p.Nonce)
 			}
 		case m.Type == MsgCertify:
-			if p, err := DecodeCertify(m.Body); err == nil {
+			if p, err := decode[Certify](m.Body); err == nil {
 				k := certKey{si, m.Round, p.Attempt}
 				tr.responses[k] = addDistinct(tr.responses[k], p.Sig)
 			}
@@ -527,8 +528,8 @@ func TestCertNonceHygiene(t *testing.T) {
 					t.Errorf("server %d's snapshot contains a live secret nonce", si)
 				}
 			}
-			sn, err := DecodeServerSnapshot(raw)
-			if err != nil || !bytes.Equal(sn.Encode(), raw) {
+			sn, err := decode[ServerSnapshot](raw)
+			if err != nil || !bytes.Equal(wire.Encode(sn), raw) {
 				t.Errorf("server %d's snapshot holds bytes its codec does not account for (err %v)", si, err)
 			}
 		}

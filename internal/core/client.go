@@ -14,6 +14,7 @@ import (
 	"dissent/internal/group"
 	"dissent/internal/obs"
 	"dissent/internal/shuffle"
+	"dissent/internal/wire"
 )
 
 // witnessInfo records a detected disruption pending accusation: the
@@ -81,9 +82,12 @@ type Client struct {
 	// are round-independent, so round r+1's AES key schedules can be
 	// built the moment round r is submitted, leaving the submit path
 	// itself allocation-free. bufs recycles message vectors and
-	// ciphertext buffers.
+	// ciphertext buffers, and submit is the one ClientSubmit payload
+	// each round's ciphertext is encoded through (a payload handed to
+	// wire.Encode escapes, so a fresh one would cost an allocation).
 	nextStreams *dcnet.PadStreams
 	bufs        bufPool
+	submit      ClientSubmit
 
 	// Membership churn state (see roster.go).
 	expelled       bool   // expelled by verdict or certified removal; not submitting
@@ -216,7 +220,7 @@ func (c *Client) Start(now time.Time) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := (&ShuffleSubmit{CT: crypto.EncodeCiphertext(c.keyGrp, in[0])}).Encode()
+	body := wire.Encode(&ShuffleSubmit{CT: crypto.EncodeCiphertext(c.keyGrp, in[0])})
 	m, err := c.sign(MsgPseudonymSubmit, 0, body)
 	if err != nil {
 		return nil, err
@@ -344,7 +348,7 @@ func (c *Client) castCtl(now time.Time, t MsgType, round uint64, body []byte) {
 func (c *Client) awaitRoster(now time.Time, out *Output) {
 	c.awaitingRoster = true
 	c.castCtl(now, MsgJoinRequest, c.round,
-		(&JoinRequest{Version: c.def.Version, SchedDigest: c.applyDigest}).Encode())
+		wire.Encode(&JoinRequest{Version: c.def.Version, SchedDigest: c.applyDigest}))
 	out.merge(&Output{Timer: c.ctl.dueAt})
 }
 
@@ -352,7 +356,7 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 	if c.ready {
 		return &Output{}, nil
 	}
-	p, err := DecodeSchedule(m.Body)
+	p, err := decode[Schedule](m.Body)
 	if err != nil {
 		return c.violation(err), nil
 	}
@@ -547,7 +551,9 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 	}
 	cr.padDur = time.Since(t0)
 	cr.start = now
-	body := (&ClientSubmit{CT: ct}).Encode()
+	c.submit.CT = ct
+	body := wire.Encode(&c.submit)
+	c.submit.CT = nil
 	c.bufs.put(ct)
 	m, err := c.sign(MsgClientSubmit, cr.r, body)
 	if err != nil {
@@ -733,7 +739,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 }
 
 func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeBlameStart(m.Body)
+	p, err := decode[BlameStart](m.Body)
 	if err != nil {
 		return c.violation(err), nil
 	}
@@ -765,7 +771,7 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 	for _, ct := range vec {
 		ctBytes = append(ctBytes, crypto.EncodeCiphertext(c.msgGrp, ct)...)
 	}
-	body := (&ShuffleSubmit{Session: p.Session, CT: ctBytes}).Encode()
+	body := wire.Encode(&ShuffleSubmit{Session: p.Session, CT: ctBytes})
 	sm, err := c.sign(MsgBlameSubmit, m.Round, body)
 	if err != nil {
 		return nil, err
@@ -774,7 +780,7 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 }
 
 func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeBlameDone(m.Body)
+	p, err := decode[BlameDone](m.Body)
 	if err != nil {
 		return c.violation(err), nil
 	}
@@ -821,7 +827,7 @@ func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
 }
 
 func (c *Client) onRebuttalRequest(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeRebuttalRequest(m.Body)
+	p, err := decode[RebuttalRequest](m.Body)
 	if err != nil {
 		return c.violation(err), nil
 	}
@@ -854,13 +860,13 @@ func (c *Client) onRebuttalRequest(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := (&Rebuttal{
+	body := wire.Encode(&Rebuttal{
 		Session:   p.Session,
 		ServerIdx: int32(target),
 		Secret:    c.keyGrp.Encode(secret),
 		ProofC:    proof.C.Bytes(),
 		ProofZ:    proof.Z.Bytes(),
-	}).Encode()
+	})
 	rm, err := c.sign(MsgRebuttal, m.Round, body)
 	if err != nil {
 		return nil, err

@@ -474,7 +474,7 @@ func (n *node) ingress(m *Message, senders map[MsgType]sender) ([]byte, error) {
 // The request is self-certifying: its sender's NodeID must hash from
 // that key.
 func joinerKey(g crypto.Group, m *Message) (crypto.Element, error) {
-	p, err := DecodeJoinRequest(m.Body)
+	p, err := decode[JoinRequest](m.Body)
 	if err != nil {
 		return nil, err
 	}

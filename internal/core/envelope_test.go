@@ -6,6 +6,7 @@ import (
 
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // TestEnvelopeSignatureCoversEveryField: the envelope signature is over
@@ -122,12 +123,12 @@ func TestForgedFramesChargeNoOne(t *testing.T) {
 		t.Fatalf("no round open for collection before the boundary (head %d)", srv.head())
 	}
 	next := srv.nextOpen
-	submit := (&ClientSubmit{CT: make([]byte, open.vecLen)}).Encode()
+	submit := wire.Encode(&ClientSubmit{CT: make([]byte, open.vecLen)})
 	var frames []*Message
 	for range 8 {
 		frames = append(frames, forged(victim.ID(), MsgClientSubmit, open.r, submit))
 	}
-	frames = append(frames, forged(f.servers[1-srv.Index()].ID(), MsgInventory, next, (&Inventory{}).Encode()))
+	frames = append(frames, forged(f.servers[1-srv.Index()].ID(), MsgInventory, next, wire.Encode(&Inventory{})))
 	for range 4200 {
 		frames = append(frames, forged(victim.ID(), MsgClientSubmit, next, submit))
 	}
@@ -186,9 +187,9 @@ func TestIngressRejections(t *testing.T) {
 	}
 	unsigned := func(m *Message) *Message { m.Sig = nil; return m }
 	head := srv.head()
-	probe := (&JoinRequest{Version: 0}).Encode()
-	submit := (&ClientSubmit{CT: []byte{0}}).Encode()
-	blame := (&BlameStart{Session: 1}).Encode()
+	probe := wire.Encode(&JoinRequest{Version: 0})
+	submit := wire.Encode(&ClientSubmit{CT: []byte{0}})
+	blame := wire.Encode(&BlameStart{Session: 1})
 
 	type state struct {
 		head, next    uint64
@@ -215,7 +216,7 @@ func TestIngressRejections(t *testing.T) {
 		{"client/unsigned", cl, unsigned(sign(&srv.node, MsgBlameStart, head, blame)), nil},
 		{"client/unknown sender", cl, sign(stranger, MsgBlameStart, head, blame), nil},
 		{"client/wrong role", cl, sign(&f.clients[1].node, MsgBlameStart, head, blame), nil},
-		{"client/type not taken", cl, sign(&srv.node, MsgInventory, head, (&Inventory{}).Encode()), nil},
+		{"client/type not taken", cl, sign(&srv.node, MsgInventory, head, wire.Encode(&Inventory{})), nil},
 	} {
 		before := snap()
 		out, err := tc.e.Handle(f.h.Net.Now(), tc.m)

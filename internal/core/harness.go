@@ -178,7 +178,7 @@ func (h *Harness) transmit(now time.Time, from *harnessNode, env Envelope) {
 			from.id, env.Msg.Type, env.To))
 		return
 	}
-	size := env.Msg.WireSize()
+	size := env.Msg.EncodedLen()
 	h.BytesSent[from.id] += int64(size)
 	h.MsgCount[env.Msg.Type]++
 

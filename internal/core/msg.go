@@ -7,6 +7,7 @@ import (
 
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // MsgType enumerates the protocol's wire messages.
@@ -155,78 +156,57 @@ func (m *Message) digest(groupID [32]byte) []byte {
 	return crypto.Hash("dissent/msg", groupID[:], hdr[:], m.Body)
 }
 
-// WireSize returns the message's approximate on-the-wire size in
-// bytes, used by the network simulator for bandwidth accounting:
-// header (type, round, from, body length) + body + signature.
-func (m *Message) WireSize() int {
-	n := 1 + 8 + 8 + 4 + len(m.Body)
-	if m.Sig != nil {
-		n += len(m.Sig)
-	} else {
-		n += 64 // a hand-built unsigned message is accounted as if signed
-	}
-	return n
+// Fields lays out the envelope: the header the signature covers, then
+// the body and the signature.
+func (m *Message) Fields(c *wire.Codec) {
+	c.U8((*byte)(&m.Type))
+	c.U64(&m.Round)
+	c.Fixed(m.From[:])
+	c.Bytes(&m.Body)
+	c.Bytes(&m.Sig)
 }
 
 // EncodedLen is the exact length of m's encoding.
-func (m *Message) EncodedLen() int {
-	return msgHeaderLen + 4 + len(m.Body) + 4 + len(m.Sig)
-}
+func (m *Message) EncodedLen() int { return wire.Size(m) }
 
 // AppendMessage appends m's encoding to dst. With EncodedLen bytes of
 // spare capacity it does not allocate — how the transport writes a
 // frame's length word, session tag and message into one buffer.
-func AppendMessage(dst []byte, m *Message) []byte {
-	var hdr [msgHeaderLen]byte
-	m.putHeader(hdr[:])
-	e := encBuf{B: append(dst, hdr[:]...)}
-	e.Bytes(m.Body)
-	e.Bytes(m.Sig)
-	return e.B
-}
+func AppendMessage(dst []byte, m *Message) []byte { return wire.Append(dst, m) }
 
 // EncodeMessage serializes a complete message for transport framing or
 // for inclusion as evidence in tracing.
-func EncodeMessage(m *Message) []byte {
-	return AppendMessage(make([]byte, 0, m.EncodedLen()), m)
-}
+func EncodeMessage(m *Message) []byte { return wire.Encode(m) }
 
-// DecodeMessage parses a message serialized by EncodeMessage.
+// DecodeMessage parses a message serialized by EncodeMessage. An
+// absent signature decodes as nil.
 func DecodeMessage(data []byte) (*Message, error) {
-	d := decBuf{B: data}
-	t, err := d.U8()
-	if err != nil {
-		return nil, err
+	m, err := decode[Message](data)
+	if err == nil && len(m.Sig) == 0 {
+		m.Sig = nil
 	}
-	round, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	if len(d.B) < 8 {
-		return nil, errTruncated
-	}
-	var from group.NodeID
-	copy(from[:], d.B[:8])
-	d.B = d.B[8:]
-	body, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	sig, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	m := &Message{From: from, Type: MsgType(t), Round: round, Body: body}
-	if len(sig) > 0 {
-		m.Sig = sig
-	}
-	return m, nil
+	return m, err
 }
 
-// --- Payload codecs -------------------------------------------------
+// decode parses b into a new T by T's field list, then runs T's
+// decode-time check, if it has one.
+func decode[T any, P interface {
+	*T
+	wire.Payload
+}](b []byte) (*T, error) {
+	p := P(new(T))
+	if err := wire.Decode(b, p); err != nil {
+		return nil, err
+	}
+	if c, ok := any(p).(interface{ check() error }); ok {
+		if err := c.check(); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// --- Payloads: each states its wire layout once, in Fields ------------
 
 // ShuffleSubmit carries a client's onion-encrypted input to a shuffle
 // session: its pseudonym key for the scheduling shuffle, its accusation
@@ -237,29 +217,10 @@ type ShuffleSubmit struct {
 	CT      []byte // encoded ElGamal ciphertext vector, session width
 }
 
-// Encode serializes the payload.
-func (p *ShuffleSubmit) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.Bytes(p.CT)
-	return e.B
-}
-
-// DecodeShuffleSubmit parses a ShuffleSubmit payload.
-func DecodeShuffleSubmit(b []byte) (*ShuffleSubmit, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	ct, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &ShuffleSubmit{Session: int32(s), CT: ct}, nil
+// Fields lays out the payload.
+func (p *ShuffleSubmit) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
+	c.Bytes(&p.CT)
 }
 
 // ShuffleList carries the submissions a server collected for a shuffle
@@ -270,37 +231,19 @@ type ShuffleList struct {
 	CTs     [][]byte
 }
 
-// Encode serializes the payload.
-func (p *ShuffleList) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.Int32s(p.Clients)
-	e.ByteSlices(p.CTs)
-	return e.B
+// Fields lays out the payload.
+func (p *ShuffleList) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
+	c.Int32s(&p.Clients)
+	c.ByteSlices(&p.CTs)
 }
 
-// DecodeShuffleList parses a ShuffleList payload.
-func DecodeShuffleList(b []byte) (*ShuffleList, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
+// check holds the list to one ciphertext per client.
+func (p *ShuffleList) check() error {
+	if len(p.Clients) != len(p.CTs) {
+		return fmt.Errorf("core: shuffle list shape mismatch")
 	}
-	cs, err := d.Int32s()
-	if err != nil {
-		return nil, err
-	}
-	cts, err := d.ByteSlices()
-	if err != nil {
-		return nil, err
-	}
-	if len(cs) != len(cts) {
-		return nil, fmt.Errorf("core: shuffle list shape mismatch")
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &ShuffleList{Session: int32(s), Clients: cs, CTs: cts}, nil
+	return nil
 }
 
 // ShuffleStep carries one server's shuffle step for stage (its server
@@ -311,34 +254,11 @@ type ShuffleStep struct {
 	Data    []byte // encoded shuffle.StepOutput
 }
 
-// Encode serializes the payload.
-func (p *ShuffleStep) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.U32(uint32(p.Stage))
-	e.Bytes(p.Data)
-	return e.B
-}
-
-// DecodeShuffleStep parses a ShuffleStep payload.
-func DecodeShuffleStep(b []byte) (*ShuffleStep, error) {
-	d := decBuf{B: b}
-	session, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	stage, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	data, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &ShuffleStep{Session: int32(session), Stage: int32(stage), Data: data}, nil
+// Fields lays out the payload.
+func (p *ShuffleStep) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
+	c.I32(&p.Stage)
+	c.Bytes(&p.Data)
 }
 
 // Schedule carries the final slot schedule: pseudonym keys in slot
@@ -348,39 +268,23 @@ type Schedule struct {
 	Sigs [][]byte // per server index, Schnorr over scheduleSignedBytes
 }
 
-// Encode serializes the payload.
-func (p *Schedule) Encode() []byte {
-	var e encBuf
-	e.ByteSlices(p.Keys)
-	e.ByteSlices(p.Sigs)
-	return e.B
-}
-
-// DecodeSchedule parses a Schedule payload.
-func DecodeSchedule(b []byte) (*Schedule, error) {
-	d := decBuf{B: b}
-	keys, err := d.ByteSlices()
-	if err != nil {
-		return nil, err
-	}
-	sigs, err := d.ByteSlices()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &Schedule{Keys: keys, Sigs: sigs}, nil
+// Fields lays out the payload.
+func (p *Schedule) Fields(c *wire.Codec) {
+	c.ByteSlices(&p.Keys)
+	c.ByteSlices(&p.Sigs)
 }
 
 // scheduleSignedBytes is the byte string servers sign to certify a
 // schedule.
 func scheduleSignedBytes(groupID [32]byte, keys [][]byte) []byte {
-	var e encBuf
-	e.B = append(e.B, groupID[:]...)
-	e.ByteSlices(keys)
-	return crypto.Hash("dissent/schedule-cert", e.B)
+	return crypto.Hash("dissent/schedule-cert", wire.Append(groupID[:], (*byteList)(&keys)))
 }
+
+// byteList is a bare list of byte strings, the form in which a
+// schedule certificate's keys and signatures are hashed.
+type byteList [][]byte
+
+func (l *byteList) Fields(c *wire.Codec) { c.ByteSlices((*[][]byte)(l)) }
 
 // scheduleCertDigest condenses a complete schedule certificate — the
 // signed key list plus every server's signature in index order — into
@@ -388,11 +292,9 @@ func scheduleSignedBytes(groupID [32]byte, keys [][]byte) []byte {
 // self-certifying style: the digest authenticates one session's
 // certified schedule and nothing else).
 func scheduleCertDigest(groupID [32]byte, keys, sigs [][]byte) [32]byte {
-	var e encBuf
-	e.B = append(e.B, scheduleSignedBytes(groupID, keys)...)
-	e.ByteSlices(sigs)
 	var d [32]byte
-	copy(d[:], crypto.Hash("dissent/schedule-cert-digest", e.B))
+	copy(d[:], crypto.Hash("dissent/schedule-cert-digest",
+		wire.Append(scheduleSignedBytes(groupID, keys), (*byteList)(&sigs))))
 	return d
 }
 
@@ -428,26 +330,13 @@ type ClientSubmit struct {
 	CT []byte
 }
 
-// Encode serializes the payload.
-func (p *ClientSubmit) Encode() []byte {
-	var e encBuf
-	e.Grow(4 + len(p.CT))
-	e.Bytes(p.CT)
-	return e.B
+// Fields lays out the payload.
+func (p *ClientSubmit) Fields(c *wire.Codec) {
+	c.Bytes(&p.CT)
 }
 
 // DecodeClientSubmit parses a ClientSubmit payload.
-func DecodeClientSubmit(b []byte) (*ClientSubmit, error) {
-	d := decBuf{B: b}
-	ct, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &ClientSubmit{CT: ct}, nil
-}
+func DecodeClientSubmit(b []byte) (*ClientSubmit, error) { return decode[ClientSubmit](b) }
 
 // Inventory is a server's list of client indices heard this round, per
 // α-threshold attempt (§3.7: servers may re-open the window and retry).
@@ -467,46 +356,23 @@ type Inventory struct {
 // carry: each is a crypto.Hash output.
 const commitmentLen = sha256.Size
 
-// Encode serializes the payload.
-func (p *Inventory) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Attempt))
-	e.Int32s(p.Clients)
-	e.Bytes(p.Hash)
-	e.Bytes(p.BeaconCommit)
-	return e.B
+// Fields lays out the payload.
+func (p *Inventory) Fields(c *wire.Codec) {
+	c.I32(&p.Attempt)
+	c.Int32s(&p.Clients)
+	c.Bytes(&p.Hash)
+	c.Bytes(&p.BeaconCommit)
 }
 
-// DecodeInventory parses an Inventory payload. Each commitment field is
-// either absent (zero length) or exactly one digest, and a beacon
-// commitment never stands alone; the fields alias the input, so a
-// hostile length word cannot drive an allocation.
-func DecodeInventory(b []byte) (*Inventory, error) {
-	d := decBuf{B: b}
-	at, err := d.U32()
-	if err != nil {
-		return nil, err
+// check holds each commitment to either absent (zero length) or
+// exactly one digest, and a beacon commitment never alone.
+func (p *Inventory) check() error {
+	h, bc := len(p.Hash), len(p.BeaconCommit)
+	if (h != 0 && h != commitmentLen) || (bc != 0 && (bc != commitmentLen || h == 0)) {
+		return fmt.Errorf("core: inventory commitment lengths %d/%d, want 0 or %d each and no beacon commitment alone",
+			h, bc, commitmentLen)
 	}
-	cs, err := d.Int32s()
-	if err != nil {
-		return nil, err
-	}
-	h, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	bc, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	if (len(h) != 0 && len(h) != commitmentLen) || (len(bc) != 0 && (len(bc) != commitmentLen || len(h) == 0)) {
-		return nil, fmt.Errorf("core: inventory commitment lengths %d/%d, want 0 or %d each and no beacon commitment alone",
-			len(h), len(bc), commitmentLen)
-	}
-	return &Inventory{Attempt: int32(at), Clients: cs, Hash: h, BeaconCommit: bc}, nil
+	return nil
 }
 
 // Commit is a server's hash commitment to its ciphertext (Algorithm 2
@@ -523,34 +389,11 @@ type Commit struct {
 	BeaconCommit []byte // H(beacon share); empty when the beacon is off
 }
 
-// Encode serializes the payload.
-func (p *Commit) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Attempt))
-	e.Bytes(p.Hash)
-	e.Bytes(p.BeaconCommit)
-	return e.B
-}
-
-// DecodeCommit parses a Commit payload.
-func DecodeCommit(b []byte) (*Commit, error) {
-	d := decBuf{B: b}
-	at, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	h, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	bc, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &Commit{Attempt: int32(at), Hash: h, BeaconCommit: bc}, nil
+// Fields lays out the payload.
+func (p *Commit) Fields(c *wire.Codec) {
+	c.I32(&p.Attempt)
+	c.Bytes(&p.Hash)
+	c.Bytes(&p.BeaconCommit)
 }
 
 // Share is a server's ciphertext, revealed after all commits. It also
@@ -565,40 +408,12 @@ type Share struct {
 	Nonce       []byte // encoded group element
 }
 
-// Encode serializes the payload.
-func (p *Share) Encode() []byte {
-	var e encBuf
-	e.Grow(4 + 4 + len(p.CT) + 4 + len(p.BeaconShare) + 4 + len(p.Nonce))
-	e.U32(uint32(p.Attempt))
-	e.Bytes(p.CT)
-	e.Bytes(p.BeaconShare)
-	e.Bytes(p.Nonce)
-	return e.B
-}
-
-// DecodeShare parses a Share payload.
-func DecodeShare(b []byte) (*Share, error) {
-	d := decBuf{B: b}
-	at, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	ct, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	bs, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	nonce, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &Share{Attempt: int32(at), CT: ct, BeaconShare: bs, Nonce: nonce}, nil
+// Fields lays out the payload.
+func (p *Share) Fields(c *wire.Codec) {
+	c.I32(&p.Attempt)
+	c.Bytes(&p.CT)
+	c.Bytes(&p.BeaconShare)
+	c.Bytes(&p.Nonce)
 }
 
 // Certify is a server's contribution to the round certificate. Sig is
@@ -610,29 +425,10 @@ type Certify struct {
 	Sig     []byte
 }
 
-// Encode serializes the payload.
-func (p *Certify) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Attempt))
-	e.Bytes(p.Sig)
-	return e.B
-}
-
-// DecodeCertify parses a Certify payload.
-func DecodeCertify(b []byte) (*Certify, error) {
-	d := decBuf{B: b}
-	at, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	sig, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &Certify{Attempt: int32(at), Sig: sig}, nil
+// Fields lays out the payload.
+func (p *Certify) Fields(c *wire.Codec) {
+	c.I32(&p.Attempt)
+	c.Bytes(&p.Sig)
 }
 
 // cleartextSignedBytes is the digest the round certificate covers, its
@@ -666,59 +462,17 @@ type RoundOutput struct {
 	Beacon    [][]byte // per server index
 }
 
-// Encode serializes the payload.
-func (p *RoundOutput) Encode() []byte {
-	var e encBuf
-	e.Grow(4 + len(p.Cleartext) + byteSlicesLen(p.Sigs) + 4 + 1 + byteSlicesLen(p.Beacon))
-	e.Bytes(p.Cleartext)
-	e.ByteSlices(p.Sigs)
-	e.U32(uint32(p.Count))
-	if p.Failed {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.ByteSlices(p.Beacon)
-	return e.B
-}
-
-// byteSlicesLen is the encoded size of a ByteSlices field.
-func byteSlicesLen(v [][]byte) int {
-	n := 4
-	for _, b := range v {
-		n += 4 + len(b)
-	}
-	return n
+// Fields lays out the payload.
+func (p *RoundOutput) Fields(c *wire.Codec) {
+	c.Bytes(&p.Cleartext)
+	c.ByteSlices(&p.Sigs)
+	c.I32(&p.Count)
+	c.Bool(&p.Failed)
+	c.ByteSlices(&p.Beacon)
 }
 
 // DecodeRoundOutput parses a RoundOutput payload.
-func DecodeRoundOutput(b []byte) (*RoundOutput, error) {
-	d := decBuf{B: b}
-	ct, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	sigs, err := d.ByteSlices()
-	if err != nil {
-		return nil, err
-	}
-	count, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	failed, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	bc, err := d.ByteSlices()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &RoundOutput{Cleartext: ct, Sigs: sigs, Count: int32(count), Failed: failed != 0, Beacon: bc}, nil
-}
+func DecodeRoundOutput(b []byte) (*RoundOutput, error) { return decode[RoundOutput](b) }
 
 // verifyRoundCert checks a round output's certificate: exactly one
 // signature under aggKey (the aggregate of all of def's server keys),
@@ -753,24 +507,9 @@ type BlameStart struct {
 	Session int32
 }
 
-// Encode serializes the payload.
-func (p *BlameStart) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	return e.B
-}
-
-// DecodeBlameStart parses a BlameStart payload.
-func DecodeBlameStart(b []byte) (*BlameStart, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &BlameStart{Session: int32(s)}, nil
+// Fields lays out the payload.
+func (p *BlameStart) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
 }
 
 // TraceBits carries one server's contribution to disruptor tracing
@@ -790,49 +529,14 @@ type TraceBits struct {
 	Evidence [][]byte
 }
 
-// Encode serializes the payload.
-func (p *TraceBits) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.Bytes(p.ClientBits)
-	e.U8(p.ServerBit)
-	e.Int32s(p.Direct)
-	e.Bytes(p.DirectBits)
-	e.ByteSlices(p.Evidence)
-	return e.B
-}
-
-// DecodeTraceBits parses a TraceBits payload.
-func DecodeTraceBits(b []byte) (*TraceBits, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	cb, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	sb, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	direct, err := d.Int32s()
-	if err != nil {
-		return nil, err
-	}
-	db, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	ev, err := d.ByteSlices()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &TraceBits{Session: int32(s), ClientBits: cb, ServerBit: sb, Direct: direct, DirectBits: db, Evidence: ev}, nil
+// Fields lays out the payload.
+func (p *TraceBits) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
+	c.Bytes(&p.ClientBits)
+	c.U8(&p.ServerBit)
+	c.Int32s(&p.Direct)
+	c.Bytes(&p.DirectBits)
+	c.ByteSlices(&p.Evidence)
 }
 
 // RebuttalRequest asks a flagged client to explain a ciphertext-bit
@@ -848,39 +552,12 @@ type RebuttalRequest struct {
 	ServerBits []byte
 }
 
-// Encode serializes the payload.
-func (p *RebuttalRequest) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.U64(p.AccRound)
-	e.U32(p.AccBit)
-	e.Bytes(p.ServerBits)
-	return e.B
-}
-
-// DecodeRebuttalRequest parses a RebuttalRequest payload.
-func DecodeRebuttalRequest(b []byte) (*RebuttalRequest, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	round, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	bit, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	bits, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &RebuttalRequest{Session: int32(s), AccRound: round, AccBit: bit, ServerBits: bits}, nil
+// Fields lays out the payload.
+func (p *RebuttalRequest) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
+	c.U64(&p.AccRound)
+	c.U32(&p.AccBit)
+	c.Bytes(&p.ServerBits)
 }
 
 // Rebuttal reveals the pairwise DH point a client shares with the
@@ -894,44 +571,13 @@ type Rebuttal struct {
 	ProofZ    []byte
 }
 
-// Encode serializes the payload.
-func (p *Rebuttal) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.U32(uint32(p.ServerIdx))
-	e.Bytes(p.Secret)
-	e.Bytes(p.ProofC)
-	e.Bytes(p.ProofZ)
-	return e.B
-}
-
-// DecodeRebuttal parses a Rebuttal payload.
-func DecodeRebuttal(b []byte) (*Rebuttal, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	idx, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	secret, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	pc, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	pz, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &Rebuttal{Session: int32(s), ServerIdx: int32(idx), Secret: secret, ProofC: pc, ProofZ: pz}, nil
+// Fields lays out the payload.
+func (p *Rebuttal) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
+	c.I32(&p.ServerIdx)
+	c.Bytes(&p.Secret)
+	c.Bytes(&p.ProofC)
+	c.Bytes(&p.ProofZ)
 }
 
 // BlameDone reports an accusation session's outcome to clients. Round
@@ -944,30 +590,9 @@ type BlameDone struct {
 	Culprit group.NodeID
 }
 
-// Encode serializes the payload.
-func (p *BlameDone) Encode() []byte {
-	var e encBuf
-	e.U32(uint32(p.Session))
-	e.U8(p.Verdict)
-	e.B = append(e.B, p.Culprit[:]...)
-	return e.B
-}
-
-// DecodeBlameDone parses a BlameDone payload.
-func DecodeBlameDone(b []byte) (*BlameDone, error) {
-	d := decBuf{B: b}
-	s, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	v, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	if len(d.B) != 8 {
-		return nil, errTruncated
-	}
-	var c group.NodeID
-	copy(c[:], d.B)
-	return &BlameDone{Session: int32(s), Verdict: v, Culprit: c}, nil
+// Fields lays out the payload.
+func (p *BlameDone) Fields(c *wire.Codec) {
+	c.I32(&p.Session)
+	c.U8(&p.Verdict)
+	c.Fixed(p.Culprit[:])
 }

@@ -15,6 +15,7 @@ import (
 	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // flakyBeaconKV is a beacon KV whose failAt-th Put (1-based) fails
@@ -557,7 +558,7 @@ func (w *lockstepWorld) fork(step string) (queued uint32) {
 		if _, err := tw.InstallSchedule(w.now, len(w.f.clients), 0, w.pseu0); err != nil {
 			w.t.Fatal(err)
 		}
-		m, err := w.s0.sign(MsgSnapshot, w.s0.head(), w.s0.buildSnapshot(u).Encode())
+		m, err := w.s0.sign(MsgSnapshot, w.s0.head(), wire.Encode(w.s0.buildSnapshot(u)))
 		if err != nil {
 			w.t.Fatal(err)
 		}

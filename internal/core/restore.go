@@ -8,6 +8,7 @@ import (
 	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // Durable server state (see ARCHITECTURE.md "Durability & restart").
@@ -67,85 +68,21 @@ type ServerSnapshot struct {
 	Restarts     uint32
 }
 
-// Encode serializes the snapshot.
-func (p *ServerSnapshot) Encode() []byte {
-	var e encBuf
-	e.U64(p.Version)
-	e.U32(p.PrevCount)
-	e.U8(p.RosterDue)
-	e.U8(p.BlameDue)
-	e.U64(p.BlameHold)
-	e.ByteSlices(p.CertKeys)
-	e.ByteSlices(p.CertSigs)
-	e.ByteSlices(p.SlotKeys)
-	e.Bytes(p.Sched)
-	e.Int32s(p.ExpelIdx)
-	e.U32(uint32(len(p.ExpelAt)))
-	for _, r := range p.ExpelAt {
-		e.U64(r)
-	}
-	e.U32(uint32(p.BlameSession))
-	e.U32(p.Restarts)
-	return e.B
-}
-
-// DecodeServerSnapshot parses a ServerSnapshot.
-func DecodeServerSnapshot(b []byte) (*ServerSnapshot, error) {
-	d := decBuf{B: b}
-	p := &ServerSnapshot{}
-	var err error
-	if p.Version, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.PrevCount, err = d.U32(); err != nil {
-		return nil, err
-	}
-	if p.RosterDue, err = d.U8(); err != nil {
-		return nil, err
-	}
-	if p.BlameDue, err = d.U8(); err != nil {
-		return nil, err
-	}
-	if p.BlameHold, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.CertKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.CertSigs, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.SlotKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.Sched, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if p.ExpelIdx, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	n, err := d.Count(1 << 20)
-	if err != nil {
-		return nil, err
-	}
-	p.ExpelAt = make([]uint64, n)
-	for i := range p.ExpelAt {
-		if p.ExpelAt[i], err = d.U64(); err != nil {
-			return nil, err
-		}
-	}
-	session, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	p.BlameSession = int32(session)
-	if p.Restarts, err = d.U32(); err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return p, nil
+// Fields lays out the snapshot.
+func (p *ServerSnapshot) Fields(c *wire.Codec) {
+	c.U64(&p.Version)
+	c.U32(&p.PrevCount)
+	c.U8(&p.RosterDue)
+	c.U8(&p.BlameDue)
+	c.U64(&p.BlameHold)
+	c.ByteSlices(&p.CertKeys)
+	c.ByteSlices(&p.CertSigs)
+	c.ByteSlices(&p.SlotKeys)
+	c.Bytes(&p.Sched)
+	c.Int32s(&p.ExpelIdx)
+	wire.List(c, &p.ExpelAt, 1<<20, 8, (*wire.Codec).U64)
+	c.I32(&p.BlameSession)
+	c.U32(&p.Restarts)
 }
 
 // persistSnapshot writes the current session state to the durable
@@ -176,7 +113,7 @@ func (s *Server) persistSnapshot() {
 		sn.ExpelIdx = append(sn.ExpelIdx, int32(ci))
 		sn.ExpelAt = append(sn.ExpelAt, s.expelRound[ci])
 	}
-	if err := s.store.Put(bucketSnapshot, snapshotKey, sn.Encode()); err != nil {
+	if err := s.store.Put(bucketSnapshot, snapshotKey, wire.Encode(sn)); err != nil {
 		s.log.Error("session snapshot persist failed", "round", s.head(), "err", err)
 	}
 }
@@ -198,7 +135,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if s.sched != nil || s.phase != phaseSetup || s.head() != 0 {
 		return nil, false, errors.New("core: restore on an already-started engine")
 	}
-	sn, err := DecodeServerSnapshot(raw)
+	sn, err := decode[ServerSnapshot](raw)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: session snapshot: %w", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"dissent/internal/crypto"
 	"dissent/internal/group"
 	"dissent/internal/store"
+	"dissent/internal/wire"
 )
 
 // blackholeEngine swallows everything addressed to a killed node.
@@ -130,7 +131,7 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 		BlameSession: 5,
 		Restarts:     2,
 	}
-	got, err := DecodeServerSnapshot(sn.Encode())
+	got, err := decode[ServerSnapshot](wire.Encode(sn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ type dropVersionClient struct {
 
 func (d *dropVersionClient) Handle(now time.Time, m *Message) (*Output, error) {
 	if m.Type == MsgRosterUpdate && !d.sawLater {
-		if w, err := DecodeRosterUpdateMsg(m.Body); err == nil {
+		if w, err := decode[RosterUpdateMsg](m.Body); err == nil {
 			if u, err := group.DecodeRosterUpdate(w.Update); err == nil {
 				if u.Version == d.version {
 					*d.dropped++

@@ -11,6 +11,7 @@ import (
 	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // Membership churn: expulsions, re-admissions, and new joiners become a
@@ -38,7 +39,7 @@ import (
 // internal/group/roster.go) is shared; policy (who to admit or expel,
 // cooldowns) stays server-side.
 
-// --- Payload codecs ---------------------------------------------------
+// --- Payloads: each states its wire layout once, in Fields ------------
 
 // JoinRequest asks a server to propose the sender for admission at the
 // next epoch boundary. Expelled members seeking re-admission send it
@@ -66,54 +67,14 @@ type JoinRequest struct {
 	SchedDigest []byte
 }
 
-// Encode serializes the payload.
-func (p *JoinRequest) Encode() []byte {
-	var e encBuf
-	e.U64(p.Version)
-	if p.Rejoin {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.Bytes(p.PubKey)
-	e.Bytes(p.PseuKey)
-	e.Bytes([]byte(p.Addr))
-	e.Bytes(p.SchedDigest)
-	return e.B
-}
-
-// DecodeJoinRequest parses a JoinRequest payload.
-func DecodeJoinRequest(b []byte) (*JoinRequest, error) {
-	d := decBuf{B: b}
-	v, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	rejoin, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	pub, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	pseu, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	addr, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	dig, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &JoinRequest{Version: v, Rejoin: rejoin != 0, PubKey: pub, PseuKey: pseu,
-		Addr: string(addr), SchedDigest: dig}, nil
+// Fields lays out the payload.
+func (p *JoinRequest) Fields(c *wire.Codec) {
+	c.U64(&p.Version)
+	c.Bool(&p.Rejoin)
+	c.Bytes(&p.PubKey)
+	c.Bytes(&p.PseuKey)
+	c.String(&p.Addr)
+	c.Bytes(&p.SchedDigest)
 }
 
 // RosterPropose is one server's pending churn for the upcoming version.
@@ -123,34 +84,11 @@ type RosterPropose struct {
 	Remove  []group.NodeID
 }
 
-// Encode serializes the payload (list framing shared with the group
-// package's RosterUpdate codec).
-func (p *RosterPropose) Encode() []byte {
-	var e encBuf
-	e.U64(p.Version)
-	e.B = group.AppendRosterMembers(e.B, p.Admit)
-	e.B = group.AppendNodeIDs(e.B, p.Remove)
-	return e.B
-}
-
-// DecodeRosterPropose parses a RosterPropose payload.
-func DecodeRosterPropose(b []byte) (*RosterPropose, error) {
-	d := decBuf{B: b}
-	p := &RosterPropose{}
-	var err error
-	if p.Version, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.Admit, d.B, err = group.DecodeRosterMembers(d.B); err != nil {
-		return nil, err
-	}
-	if p.Remove, d.B, err = group.DecodeNodeIDs(d.B); err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return p, nil
+// Fields lays out the payload.
+func (p *RosterPropose) Fields(c *wire.Codec) {
+	c.U64(&p.Version)
+	group.RosterMembers(c, &p.Admit)
+	group.NodeIDs(c, &p.Remove)
 }
 
 // RosterCert is one server's signature certifying the canonical update.
@@ -159,29 +97,10 @@ type RosterCert struct {
 	Sig     []byte
 }
 
-// Encode serializes the payload.
-func (p *RosterCert) Encode() []byte {
-	var e encBuf
-	e.U64(p.Version)
-	e.Bytes(p.Sig)
-	return e.B
-}
-
-// DecodeRosterCert parses a RosterCert payload.
-func DecodeRosterCert(b []byte) (*RosterCert, error) {
-	d := decBuf{B: b}
-	v, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	sig, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &RosterCert{Version: v, Sig: sig}, nil
+// Fields lays out the payload.
+func (p *RosterCert) Fields(c *wire.Codec) {
+	c.U64(&p.Version)
+	c.Bytes(&p.Sig)
 }
 
 // RosterUpdateMsg is the MsgRosterUpdate transport body: the certified
@@ -199,29 +118,10 @@ type RosterUpdateMsg struct {
 	SchedDigest []byte
 }
 
-// Encode serializes the payload.
-func (p *RosterUpdateMsg) Encode() []byte {
-	var e encBuf
-	e.Bytes(p.Update)
-	e.Bytes(p.SchedDigest)
-	return e.B
-}
-
-// DecodeRosterUpdateMsg parses a RosterUpdateMsg payload.
-func DecodeRosterUpdateMsg(b []byte) (*RosterUpdateMsg, error) {
-	d := decBuf{B: b}
-	u, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	dig, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return &RosterUpdateMsg{Update: u, SchedDigest: dig}, nil
+// Fields lays out the payload.
+func (p *RosterUpdateMsg) Fields(c *wire.Codec) {
+	c.Bytes(&p.Update)
+	c.Bytes(&p.SchedDigest)
 }
 
 // JoinWelcome is the MsgSnapshot body: the replicated session state a
@@ -248,55 +148,16 @@ type JoinWelcome struct {
 	BeaconHead []byte   // 32-byte chain head the joiner's replica resumes from
 }
 
-// Encode serializes the payload.
-func (p *JoinWelcome) Encode() []byte {
-	var e encBuf
-	e.U64(p.Version)
-	e.B = append(e.B, p.Digest[:]...)
-	e.Bytes(p.Update)
-	e.ByteSlices(p.RosterKeys)
-	e.Bytes(p.Expelled)
-	e.ByteSlices(p.SlotKeys)
-	e.Bytes(p.Sched)
-	e.Bytes(p.BeaconHead)
-	return e.B
-}
-
-// DecodeJoinWelcome parses a JoinWelcome payload.
-func DecodeJoinWelcome(b []byte) (*JoinWelcome, error) {
-	d := decBuf{B: b}
-	p := &JoinWelcome{}
-	var err error
-	if p.Version, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if len(d.B) < 32 {
-		return nil, errTruncated
-	}
-	copy(p.Digest[:], d.B[:32])
-	d.B = d.B[32:]
-	if p.Update, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if p.RosterKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.Expelled, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if p.SlotKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.Sched, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if p.BeaconHead, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return p, nil
+// Fields lays out the payload.
+func (p *JoinWelcome) Fields(c *wire.Codec) {
+	c.U64(&p.Version)
+	c.Fixed(p.Digest[:])
+	c.Bytes(&p.Update)
+	c.ByteSlices(&p.RosterKeys)
+	c.Bytes(&p.Expelled)
+	c.ByteSlices(&p.SlotKeys)
+	c.Bytes(&p.Sched)
+	c.Bytes(&p.BeaconHead)
 }
 
 // --- Shared helpers ---------------------------------------------------
@@ -407,7 +268,7 @@ func (s *Server) persistRosterUpdate(u *group.RosterUpdate, dig [32]byte) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Put(bucketRoster, versionKey(u.Version), u.Encode()); err != nil {
+	if err := s.store.Put(bucketRoster, versionKey(u.Version), wire.Encode(u)); err != nil {
 		s.log.Error("roster update persist failed", "version", u.Version, "err", err)
 		return
 	}
@@ -466,7 +327,7 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		return s.violation(m.Round, errors.New("join request but churn is disabled by policy")), nil
 	}
 	if ci := s.def.ClientIndex(m.From); ci >= 0 {
-		p, err := DecodeJoinRequest(m.Body)
+		p, err := decode[JoinRequest](m.Body)
 		if err != nil {
 			return s.violation(m.Round, err), nil
 		}
@@ -477,7 +338,7 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		}
 		return out, s.catchUp(now, m.From, at, out)
 	}
-	p, err := DecodeJoinRequest(m.Body)
+	p, err := decode[JoinRequest](m.Body)
 	if err != nil {
 		return s.violation(m.Round, err), nil
 	}
@@ -561,7 +422,7 @@ func (s *Server) startRoster(now time.Time) (*Output, error) {
 	}
 	prop := s.buildProposal()
 	out := &Output{}
-	if err := s.castRoster(now, MsgRosterPropose, prop.Encode(), out); err != nil {
+	if err := s.castRoster(now, MsgRosterPropose, wire.Encode(prop), out); err != nil {
 		return nil, err
 	}
 	s.roster.props[s.idx] = prop
@@ -597,7 +458,7 @@ func (s *Server) castRoster(now time.Time, t MsgType, body []byte, out *Output) 
 }
 
 func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeRosterPropose(m.Body)
+	p, err := decode[RosterPropose](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
 	}
@@ -692,7 +553,7 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 	r.update = update
 	r.sigs[s.idx] = sigBytes
 	out := &Output{}
-	body := (&RosterCert{Version: r.version, Sig: sigBytes}).Encode()
+	body := wire.Encode(&RosterCert{Version: r.version, Sig: sigBytes})
 	if err := s.castRoster(now, MsgRosterCert, body, out); err != nil {
 		return nil, err
 	}
@@ -705,7 +566,7 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 }
 
 func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeRosterCert(m.Body)
+	p, err := decode[RosterCert](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
 	}
@@ -743,7 +604,7 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 // or cert frame was lost): the update carries every server's
 // signature, so it can be verified and applied directly.
 func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeRosterUpdateMsg(m.Body)
+	p, err := decode[RosterUpdateMsg](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
 	}
@@ -906,7 +767,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 	// Broadcast the certified update to attached clients (including the
 	// joiners just added to myClients — they ignore it and wait for
 	// their welcome, which follows on the same FIFO link).
-	body := (&RosterUpdateMsg{Update: u.Encode(), SchedDigest: dig[:]}).Encode()
+	body := wire.Encode(&RosterUpdateMsg{Update: wire.Encode(u), SchedDigest: dig[:]})
 	if err := s.broadcastClients(MsgRosterUpdate, s.head(), body, out); err != nil {
 		return err
 	}
@@ -931,7 +792,7 @@ func (s *Server) buildSnapshot(u *group.RosterUpdate) *JoinWelcome {
 		SlotKeys: s.encodedSlotKeys(),
 	}
 	if u != nil {
-		w.Update = u.Encode()
+		w.Update = wire.Encode(u)
 	}
 	// Under pipelining a snapshot can capture the schedule mid-stream;
 	// welcomes at admission always export an empty delta queue — Grow just
@@ -980,7 +841,7 @@ func (c *Client) RequestRejoin(now time.Time) (*Output, error) {
 	if !c.expelled {
 		return nil, errors.New("core: client is not expelled")
 	}
-	body := (&JoinRequest{Version: c.def.Version, Rejoin: true}).Encode()
+	body := wire.Encode(&JoinRequest{Version: c.def.Version, Rejoin: true})
 	m, err := c.sign(MsgJoinRequest, c.round, body)
 	if err != nil {
 		return nil, err
@@ -996,7 +857,7 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		// redundant for it.
 		return &Output{}, nil
 	}
-	p, err := DecodeRosterUpdateMsg(m.Body)
+	p, err := decode[RosterUpdateMsg](m.Body)
 	if err != nil {
 		return c.violation(err), nil
 	}
@@ -1146,7 +1007,7 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	reject := func(why string) (*JoinWelcome, *Output, error) {
 		return nil, c.violation(errors.New("snapshot " + why)), nil
 	}
-	w, err := DecodeJoinWelcome(m.Body)
+	w, err := decode[JoinWelcome](m.Body)
 	if err != nil {
 		return nil, c.violation(err), nil
 	}
@@ -1307,12 +1168,12 @@ func (c *Client) startJoin(now time.Time) (*Output, error) {
 	c.pseudonym = pseu
 	// Every retry (Tick) carries the same pseudonym key: the admitting
 	// slot must match the key generated here.
-	body := (&JoinRequest{
+	body := wire.Encode(&JoinRequest{
 		Version: c.def.Version,
 		PubKey:  c.keyGrp.Encode(c.kp.Public),
 		PseuKey: c.keyGrp.Encode(c.pseudonym.Public),
 		Addr:    c.joinAddr,
-	}).Encode()
+	})
 	c.castCtl(now, MsgJoinRequest, 0, body)
 	out := &Output{Timer: c.ctl.dueAt}
 	return out, c.sendUpstream(c.ctl.msgs, out)

@@ -10,6 +10,7 @@ import (
 	"dissent/internal/crypto"
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // stepUntilRound continues driving an already-started harness until
@@ -88,7 +89,7 @@ func (d *stoppableDisruptor) mangle(out *Output) *Output {
 			target = off + n - 1
 		}
 		ct[target] ^= 0xFF
-		msg, err := d.Client.sign(MsgClientSubmit, env.Msg.Round, (&ClientSubmit{CT: ct}).Encode())
+		msg, err := d.Client.sign(MsgClientSubmit, env.Msg.Round, wire.Encode(&ClientSubmit{CT: ct}))
 		if err != nil {
 			continue
 		}
@@ -478,7 +479,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		// chain replayed so it can recover.
 		before := srv.RosterVersion()
 		stale := &RosterPropose{Version: before} // must be current+1
-		out, err := srv.Handle(now, forge(peer, MsgRosterPropose, srv.Round(), stale.Encode()))
+		out, err := srv.Handle(now, forge(peer, MsgRosterPropose, srv.Round(), wire.Encode(stale)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +494,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 	t.Run("stale cert at server", func(t *testing.T) {
 		before := srv.RosterVersion()
 		stale := &RosterCert{Version: before - 1, Sig: []byte("sig")}
-		out, err := srv.Handle(now, forge(peer, MsgRosterCert, srv.Round(), stale.Encode()))
+		out, err := srv.Handle(now, forge(peer, MsgRosterCert, srv.Round(), wire.Encode(stale)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,7 +513,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 			t.Fatal("no logged update to replay")
 		}
 		out, err := srv.Handle(now, forge(peer, MsgRosterUpdate, srv.Round(),
-			(&RosterUpdateMsg{Update: staleUpdate.Encode()}).Encode()))
+			wire.Encode(&RosterUpdateMsg{Update: wire.Encode(staleUpdate)})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,7 +531,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		beforeVer := cl.RosterVersion()
 		stale := &group.RosterUpdate{Version: beforeVer}
 		_, err := cl.Handle(now, forge(upstream, MsgRosterUpdate, cl.Round(),
-			(&RosterUpdateMsg{Update: stale.Encode()}).Encode()))
+			wire.Encode(&RosterUpdateMsg{Update: wire.Encode(stale)})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +546,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		beforeVer := cl.RosterVersion()
 		gap := &group.RosterUpdate{Version: beforeVer + 3}
 		out, err := cl.Handle(now, forge(upstream, MsgRosterUpdate, cl.Round(),
-			(&RosterUpdateMsg{Update: gap.Encode()}).Encode()))
+			wire.Encode(&RosterUpdateMsg{Update: wire.Encode(gap)})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,14 +563,14 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		// version; besides the stale-version violation, the server must
 		// replay the missed certified updates so the member can unwedge.
 		stale := &JoinRequest{Version: srv.RosterVersion() - 2}
-		out, err := srv.Handle(now, forge(&f.clients[1].node, MsgJoinRequest, srv.Round(), stale.Encode()))
+		out, err := srv.Handle(now, forge(&f.clients[1].node, MsgJoinRequest, srv.Round(), wire.Encode(stale)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		replayed := 0
 		for _, env := range out.Send {
 			if env.Msg.Type == MsgRosterUpdate && env.To == f.clients[1].ID() {
-				wrap, err := DecodeRosterUpdateMsg(env.Msg.Body)
+				wrap, err := decode[RosterUpdateMsg](env.Msg.Body)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -596,7 +597,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		srv.excluded[ci] = true
 		defer delete(srv.excluded, ci)
 		stale := &JoinRequest{Version: srv.RosterVersion() - 1, Rejoin: true}
-		out, err := srv.Handle(now, forge(&f.clients[ci].node, MsgJoinRequest, srv.Round(), stale.Encode()))
+		out, err := srv.Handle(now, forge(&f.clients[ci].node, MsgJoinRequest, srv.Round(), wire.Encode(stale)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,7 +617,7 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 
 	t.Run("future-version join request at server", func(t *testing.T) {
 		future := &JoinRequest{Version: srv.RosterVersion() + 3, Rejoin: true}
-		out, err := srv.Handle(now, forge(&f.clients[1].node, MsgJoinRequest, srv.Round(), future.Encode()))
+		out, err := srv.Handle(now, forge(&f.clients[1].node, MsgJoinRequest, srv.Round(), wire.Encode(future)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -670,7 +671,7 @@ func mutateUpdate(t *testing.T, w *JoinWelcome, fn func(u *group.RosterUpdate)) 
 		t.Fatal(err)
 	}
 	fn(u)
-	w.Update = u.Encode()
+	w.Update = wire.Encode(u)
 }
 
 // TestSnapshotInstallRejects runs one table of malformed session
@@ -706,7 +707,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 			w.Expelled = slices.Delete(slices.Clone(w.Expelled), v.idx, v.idx+1)
 		}},
 		{name: "update does not admit us", joinerOnly: true, mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
-			w.Update = v.other.Encode()
+			w.Update = wire.Encode(v.other)
 		}},
 		{name: "slot does not carry our pseudonym", mutate: func(t *testing.T, w *JoinWelcome, v snapshotVictim) {
 			w.SlotKeys[v.slot] = w.SlotKeys[(v.slot+1)%len(w.SlotKeys)]
@@ -806,7 +807,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 		return slices.ContainsFunc(out.Events, func(e Event) bool { return e.Kind == kind })
 	}
 
-	genuineWelcome, err := DecodeJoinWelcome(welcome.Body)
+	genuineWelcome, err := decode[JoinWelcome](welcome.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -829,7 +830,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 	for _, mode := range modes {
 		deliver := func(t *testing.T, w *JoinWelcome) *Output {
 			t.Helper()
-			m, err := srv.sign(MsgSnapshot, schedHead(w.Sched), w.Encode())
+			m, err := srv.sign(MsgSnapshot, schedHead(w.Sched), wire.Encode(w))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -845,7 +846,7 @@ func TestSnapshotInstallRejects(t *testing.T) {
 				continue
 			}
 			t.Run(mode.name+"/"+row.name, func(t *testing.T) {
-				w, err := DecodeJoinWelcome(mode.genuine.Encode()) // private copy
+				w, err := decode[JoinWelcome](wire.Encode(mode.genuine)) // private copy
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -872,14 +873,14 @@ func TestSnapshotInstallRejects(t *testing.T) {
 		})
 	}
 	t.Run("snapshot-sync/empty update at our own version installs", func(t *testing.T) {
-		w, err := DecodeJoinWelcome(srv.buildSnapshot(nil).Encode())
+		w, err := decode[JoinWelcome](wire.Encode(srv.buildSnapshot(nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if w.Version != established.RosterVersion() {
 			t.Fatalf("server at version %d, client at %d", w.Version, established.RosterVersion())
 		}
-		m, err := srv.sign(MsgSnapshot, schedHead(w.Sched), w.Encode())
+		m, err := srv.sign(MsgSnapshot, schedHead(w.Sched), wire.Encode(w))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"dissent/internal/group"
 	"dissent/internal/obs"
 	"dissent/internal/shuffle"
+	"dissent/internal/wire"
 )
 
 // maxAttempts bounds α-threshold window reopenings per round so the
@@ -676,7 +677,7 @@ func (s *Server) finishScheduleShuffle(now time.Time, outputs []shuffle.Vec) (*O
 	}
 	sigBytes := crypto.EncodeSignature(s.keyGrp, sig)
 	out := &Output{}
-	body := (&Certify{Attempt: 0, Sig: sigBytes}).Encode()
+	body := wire.Encode(&Certify{Attempt: 0, Sig: sigBytes})
 	if err := s.broadcastServers(MsgScheduleCert, 0, body, out); err != nil {
 		return nil, err
 	}
@@ -698,7 +699,7 @@ func (s *Server) encodedSlotKeys() [][]byte {
 }
 
 func (s *Server) onScheduleCert(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeCertify(m.Body)
+	p, err := decode[Certify](m.Body)
 	if err != nil {
 		return s.violation(0, err), nil
 	}
@@ -746,7 +747,7 @@ func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
 	s.persistSnapshot()
 
 	out := &Output{Events: []Event{{Kind: EventScheduleReady, Detail: fmt.Sprintf("%d slots", len(s.slotKeys))}}}
-	body := (&Schedule{Keys: s.certKeys, Sigs: sigs}).Encode()
+	body := wire.Encode(&Schedule{Keys: s.certKeys, Sigs: sigs})
 	if err := s.broadcastClients(MsgSchedule, 0, body, out); err != nil {
 		return nil, err
 	}
@@ -1131,7 +1132,7 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	s.log.Debug("window closed", "round", rs.r, "submissions", len(rs.subs),
 		"attempt", rs.attempt, "window", now.Sub(rs.start), "speculating", inv.Hash != nil)
 	out := &Output{}
-	if err := s.castServers(now, rs, MsgInventory, inv.Encode(), out); err != nil {
+	if err := s.castServers(now, rs, MsgInventory, wire.Encode(inv), out); err != nil {
 		return nil, err
 	}
 	rs.invs[s.idx] = inv
@@ -1156,7 +1157,7 @@ func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
 		out := &Output{}
 		return out, s.catchUp(now, m.From, position{round: m.Round, version: s.def.Version}, out)
 	}
-	p, err := DecodeInventory(m.Body)
+	p, err := decode[Inventory](m.Body)
 	if err != nil {
 		return s.misbehave(rs.r, m.From, "malformed", err), nil
 	}
@@ -1379,13 +1380,13 @@ func (s *Server) commitShare(rs *roundState) (*Commit, error) {
 		}
 		rs.myBeaconShare = bshare
 	}
-	body := (&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
-		Nonce: s.keyGrp.Encode(rs.nonces[s.idx])}).Encode()
+	body := wire.Encode(&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
+		Nonce: s.keyGrp.Encode(rs.nonces[s.idx])})
 	if s.interdict != nil && s.interdict.Share != nil {
 		// A byzantine server's tampering lands on the encoded copy it
 		// commits to and reveals; rs.myShare stays the honest share that a
 		// missed speculation is adjusted from.
-		p, err := DecodeShare(body)
+		p, err := decode[Share](body)
 		if err != nil {
 			return nil, err
 		}
@@ -1410,7 +1411,7 @@ func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
 	}
 	rs.phase = rpCommit
 	out := &Output{}
-	if err := s.castServers(now, rs, MsgCommit, commit.Encode(), out); err != nil {
+	if err := s.castServers(now, rs, MsgCommit, wire.Encode(commit), out); err != nil {
 		return nil, err
 	}
 	rs.commits[s.idx] = commit.Hash
@@ -1427,7 +1428,7 @@ func (s *Server) onCommit(now time.Time, m *Message) (*Output, error) {
 	if rs == nil {
 		return &Output{}, nil
 	}
-	p, err := DecodeCommit(m.Body)
+	p, err := decode[Commit](m.Body)
 	if err != nil {
 		return s.misbehave(rs.r, m.From, "malformed", err), nil
 	}
@@ -1464,7 +1465,7 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	s.sendServers(rs.shareMsg, out)
 	// Combine what was revealed: our entry aliases our own message body,
 	// as the peers' entries alias theirs.
-	own, err := DecodeShare(rs.shareMsg.Body)
+	own, err := decode[Share](rs.shareMsg.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -1488,7 +1489,7 @@ func (s *Server) onShare(now time.Time, m *Message, digest []byte) (*Output, err
 	if rs == nil {
 		return &Output{}, nil
 	}
-	p, err := DecodeShare(m.Body)
+	p, err := decode[Share](m.Body)
 	if err != nil {
 		return s.misbehave(rs.r, m.From, "malformed", err), nil
 	}
@@ -1591,7 +1592,7 @@ func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
 		rs.dropNonce()
 	}
 	out := &Output{}
-	body := (&Certify{Attempt: rs.attempt, Sig: cert}).Encode()
+	body := wire.Encode(&Certify{Attempt: rs.attempt, Sig: cert})
 	if err := s.castServers(now, rs, MsgCertify, body, out); err != nil {
 		return nil, err
 	}
@@ -1609,7 +1610,7 @@ func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
 	if rs == nil {
 		return &Output{}, nil
 	}
-	p, err := DecodeCertify(m.Body)
+	p, err := decode[Certify](m.Body)
 	if err != nil {
 		return s.misbehave(rs.r, m.From, "malformed", err), nil
 	}
@@ -1733,7 +1734,7 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 			}
 		}
 	}
-	return s.finishRound(now, out, rs.r, ro, ro.Encode(), res, "")
+	return s.finishRound(now, out, rs.r, ro, wire.Encode(ro), res, "")
 }
 
 // finishRound is what follows a retirement at a server, however the

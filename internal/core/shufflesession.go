@@ -6,6 +6,7 @@ import (
 
 	"dissent/internal/crypto"
 	"dissent/internal/shuffle"
+	"dissent/internal/wire"
 )
 
 // The paper has one verifiable-shuffle protocol and uses it twice: the
@@ -126,7 +127,7 @@ func (s *Server) onShuffleSubmit(now time.Time, m *Message) (*Output, error) {
 		return &Output{}, nil
 	}
 	var vec shuffle.Vec
-	p, err := DecodeShuffleSubmit(m.Body)
+	p, err := decode[ShuffleSubmit](m.Body)
 	if err == nil {
 		if p.Session != ss.id {
 			return &Output{}, nil
@@ -172,7 +173,7 @@ func (ss *shuffleSession) close(now time.Time) (*Output, error) {
 		list.CTs = append(list.CTs, ss.subs[ci].raw)
 	}
 	out := &Output{}
-	if err := ss.s.broadcastServers(ss.listT, ss.round, list.Encode(), out); err != nil {
+	if err := ss.s.broadcastServers(ss.listT, ss.round, wire.Encode(list), out); err != nil {
 		return nil, err
 	}
 	ss.lists[ss.s.idx] = list
@@ -185,7 +186,7 @@ func (ss *shuffleSession) close(now time.Time) (*Output, error) {
 }
 
 func (s *Server) onShuffleList(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeShuffleList(m.Body)
+	p, err := decode[ShuffleList](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
 	}
@@ -277,7 +278,7 @@ func (ss *shuffleSession) advance(now time.Time) (*Output, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: shuffle session %d step: %w", ss.id, err)
 		}
-		body := (&ShuffleStep{Session: ss.id, Stage: int32(s.idx), Data: shuffle.EncodeStepOutput(ss.grp, step)}).Encode()
+		body := wire.Encode(&ShuffleStep{Session: ss.id, Stage: int32(s.idx), Data: shuffle.EncodeStepOutput(ss.grp, step)})
 		if err := s.broadcastServers(ss.stepT, ss.round, body, out); err != nil {
 			return nil, err
 		}
@@ -298,7 +299,7 @@ func (ss *shuffleSession) advance(now time.Time) (*Output, error) {
 }
 
 func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
-	p, err := DecodeShuffleStep(m.Body)
+	p, err := decode[ShuffleStep](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
 	}

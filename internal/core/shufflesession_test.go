@@ -10,6 +10,7 @@ import (
 	"dissent/internal/crypto"
 	"dissent/internal/group"
 	"dissent/internal/shuffle"
+	"dissent/internal/wire"
 )
 
 // shuffleRig drives the M server engines of a fixture by hand — no
@@ -115,7 +116,7 @@ func (r *shuffleRig) submit(ci int, grp crypto.Group, pubs []crypto.Element, pla
 	}
 	home := r.f.def.UpstreamServer(ci)
 	ss := r.session(home)
-	m, err := r.f.clients[ci].sign(ss.submitT, ss.round, (&ShuffleSubmit{Session: ss.id, CT: ct}).Encode())
+	m, err := r.f.clients[ci].sign(ss.submitT, ss.round, wire.Encode(&ShuffleSubmit{Session: ss.id, CT: ct}))
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -319,11 +320,11 @@ func TestShuffleSessionDeliveryOrder(t *testing.T) {
 
 			// A stage-0 step whose proof does not verify: a violation, and
 			// the stage does not move.
-			p, _ := DecodeShuffleStep(step0to2.Body)
+			p, _ := decode[ShuffleStep](step0to2.Body)
 			bad := append([]byte(nil), p.Data...)
 			bad[len(bad)-1] ^= 1
 			tampered, err := r.f.servers[0].sign(stepT, step0to2.Round,
-				(&ShuffleStep{Session: p.Session, Stage: p.Stage, Data: bad}).Encode())
+				wire.Encode(&ShuffleStep{Session: p.Session, Stage: p.Stage, Data: bad}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +362,7 @@ func TestShuffleSessionDeliveryOrder(t *testing.T) {
 				}
 				quiet("stale-session step", 2, r.deliver(2, step0to2), 0)
 				ahead, _ := r.f.servers[0].sign(stepT, step0to2.Round,
-					(&ShuffleStep{Session: 3, Stage: 0, Data: p.Data}).Encode())
+					wire.Encode(&ShuffleStep{Session: 3, Stage: 0, Data: p.Data}))
 				if out = r.deliver(2, ahead); stashed(2) != 1 || len(out.Events) != 0 {
 					t.Errorf("step of a session not open here yet: want stash, got stash %d events %v", stashed(2), out.Events)
 				}
@@ -382,7 +383,7 @@ func TestSetupSurvivesMalformedPseudonym(t *testing.T) {
 			return []Envelope{env}
 		}
 		mm := *env.Msg
-		mm.Body = (&ShuffleSubmit{CT: bytes.Repeat([]byte{0xFF}, 66)}).Encode()
+		mm.Body = wire.Encode(&ShuffleSubmit{CT: bytes.Repeat([]byte{0xFF}, 66)})
 		return []Envelope{{To: env.To, Msg: resign(&mm)}}
 	}}
 	f := newFixture(t, 3, 4, fixtureOpts{clientOpts: func(idx int, o *Options) {
@@ -470,14 +471,14 @@ func TestShuffleUnionDropsForwardedGarbage(t *testing.T) {
 		// entry of the wrong width added for a client nobody else lists.
 		orig := r.take(listT, 1, 0)
 		r.take(listT, 1, 2)
-		p, err := DecodeShuffleList(orig.Body)
+		p, err := decode[ShuffleList](orig.Body)
 		if err != nil || len(p.CTs) != 1 {
 			t.Fatalf("server 1 list: %v, %d entries", err, len(p.CTs))
 		}
 		p.CTs[0] = bytes.Repeat([]byte{0xFF}, len(p.CTs[0]))
 		p.Clients = append(p.Clients, 77)
 		p.CTs = append(p.CTs, []byte("short"))
-		forged, err := r.f.servers[1].sign(listT, orig.Round, p.Encode())
+		forged, err := r.f.servers[1].sign(listT, orig.Round, wire.Encode(p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // These tests pin the speculative commit (closeWindow / maybeCommit):
@@ -502,7 +503,7 @@ func TestSpeculationFallbackIsUnanimous(t *testing.T) {
 			if env.Msg.Type != MsgInventory || env.Msg.Round != lo {
 				return []Envelope{env}
 			}
-			p, err := DecodeInventory(env.Msg.Body)
+			p, err := decode[Inventory](env.Msg.Body)
 			if err != nil {
 				t.Errorf("honest engine produced an undecodable inventory: %v", err)
 				return []Envelope{env}
@@ -511,7 +512,7 @@ func TestSpeculationFallbackIsUnanimous(t *testing.T) {
 				t.Errorf("round %d inventory carries no commitment to tamper with", lo)
 			}
 			mutate(p)
-			return []Envelope{{To: env.To, Msg: resign(&Message{Type: MsgInventory, Round: env.Msg.Round, Body: p.Encode()})}}
+			return []Envelope{{To: env.To, Msg: resign(&Message{Type: MsgInventory, Round: env.Msg.Round, Body: wire.Encode(p)})}}
 		}}
 		f := newFixture(t, 3, 4, fixtureOpts{
 			// A shortened list must fall through to the commit exchange,

@@ -1,7 +1,6 @@
 package group
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -50,142 +49,46 @@ type RosterUpdate struct {
 // maxRosterList bounds decoded list lengths against hostile inputs.
 const maxRosterList = 1 << 20
 
-// AppendRosterMembers appends a count-prefixed member list in the wire
-// format shared by RosterUpdate and internal/core's RosterPropose —
-// one codec, so the proposal framing and the certified update framing
-// can never drift apart.
-func AppendRosterMembers(b []byte, ms []RosterMember) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(ms)))
-	for _, m := range ms {
-		b = appendBytes(b, m.PubKey)
-		b = appendBytes(b, m.PseuKey)
-		b = appendBytes(b, []byte(m.Addr))
-	}
-	return b
+// RosterMembers is the member-list field RosterUpdate shares with
+// internal/core's RosterPropose — one field list, so the proposal
+// framing and the certified update framing can never drift apart.
+func RosterMembers(c *wire.Codec, ms *[]RosterMember) {
+	wire.List(c, ms, maxRosterList, 3*4, func(c *wire.Codec, m *RosterMember) {
+		c.Bytes(&m.PubKey)
+		c.Bytes(&m.PseuKey)
+		c.String(&m.Addr)
+	})
 }
 
-// DecodeRosterMembers parses a list written by AppendRosterMembers and
-// returns the remaining bytes.
-func DecodeRosterMembers(data []byte) ([]RosterMember, []byte, error) {
-	d := rosterDec{B: data}
-	n, err := d.Count(maxRosterList)
-	if err != nil {
-		return nil, nil, err
-	}
-	var ms []RosterMember
-	for i := 0; i < n; i++ {
-		var m RosterMember
-		if m.PubKey, err = d.Bytes(); err != nil {
-			return nil, nil, err
-		}
-		if m.PseuKey, err = d.Bytes(); err != nil {
-			return nil, nil, err
-		}
-		addr, err := d.Bytes()
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Addr = string(addr)
-		ms = append(ms, m)
-	}
-	return ms, d.B, nil
+// NodeIDs is the node-ID list field the same two payloads share.
+func NodeIDs(c *wire.Codec, ids *[]NodeID) {
+	wire.List(c, ids, maxRosterList, len(NodeID{}), func(c *wire.Codec, id *NodeID) { c.Fixed(id[:]) })
 }
 
-// AppendNodeIDs appends a count-prefixed node-ID list.
-func AppendNodeIDs(b []byte, ids []NodeID) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(ids)))
-	for _, id := range ids {
-		b = append(b, id[:]...)
-	}
-	return b
+// bodyFields is everything the signatures cover.
+func (u *RosterUpdate) bodyFields(c *wire.Codec) {
+	c.U64(&u.Version)
+	c.Fixed(u.PrevDigest[:])
+	RosterMembers(c, &u.Admit)
+	NodeIDs(c, &u.Remove)
 }
 
-// DecodeNodeIDs parses a list written by AppendNodeIDs and returns the
-// remaining bytes.
-func DecodeNodeIDs(data []byte) ([]NodeID, []byte, error) {
-	d := rosterDec{B: data}
-	n, err := d.Count(maxRosterList)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(n)*8 > uint64(len(d.B)) {
-		return nil, nil, errRosterTruncated
-	}
-	var ids []NodeID
-	for i := 0; i < n; i++ {
-		var id NodeID
-		copy(id[:], d.B[:8])
-		d.B = d.B[8:]
-		ids = append(ids, id)
-	}
-	return ids, d.B, nil
+// Fields lays out the update, signatures included.
+func (u *RosterUpdate) Fields(c *wire.Codec) {
+	u.bodyFields(c)
+	c.ByteSlices(&u.Sigs)
 }
 
-// encodeBody serializes everything the signatures cover.
-func (u *RosterUpdate) encodeBody() []byte {
-	var b []byte
-	b = binary.BigEndian.AppendUint64(b, u.Version)
-	b = append(b, u.PrevDigest[:]...)
-	b = AppendRosterMembers(b, u.Admit)
-	b = AppendNodeIDs(b, u.Remove)
-	return b
-}
+// rosterBody is an update seen as its signed body alone.
+type rosterBody RosterUpdate
 
-// Encode serializes the update, signatures included.
-func (u *RosterUpdate) Encode() []byte {
-	b := u.encodeBody()
-	b = binary.BigEndian.AppendUint32(b, uint32(len(u.Sigs)))
-	for _, s := range u.Sigs {
-		b = appendBytes(b, s)
-	}
-	return b
-}
+func (b *rosterBody) Fields(c *wire.Codec) { (*RosterUpdate)(b).bodyFields(c) }
 
-func appendBytes(b, v []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
-	return append(b, v...)
-}
-
-// rosterDec is the shared bounds-checked wire reader (internal/wire),
-// the same codec internal/core's message payloads decode with.
-type rosterDec = wire.Reader
-
-// errRosterTruncated aliases the shared truncation error so existing
-// callers (and errors.Is checks) keep working.
-var errRosterTruncated = wire.ErrTruncated
-
-// DecodeRosterUpdate parses an update serialized by Encode.
+// DecodeRosterUpdate parses an encoded update.
 func DecodeRosterUpdate(data []byte) (*RosterUpdate, error) {
-	d := rosterDec{B: data}
-	u := &RosterUpdate{}
-	var err error
-	if u.Version, err = d.U64(); err != nil {
+	u := new(RosterUpdate)
+	if err := wire.Decode(data, u); err != nil {
 		return nil, err
-	}
-	if len(d.B) < 32 {
-		return nil, errRosterTruncated
-	}
-	copy(u.PrevDigest[:], d.B[:32])
-	d.B = d.B[32:]
-	if u.Admit, d.B, err = DecodeRosterMembers(d.B); err != nil {
-		return nil, err
-	}
-	if u.Remove, d.B, err = DecodeNodeIDs(d.B); err != nil {
-		return nil, err
-	}
-	nSigs, err := d.Count(maxRosterList)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nSigs; i++ {
-		s, err := d.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		u.Sigs = append(u.Sigs, s)
-	}
-	if len(d.B) != 0 {
-		return nil, fmt.Errorf("group: %d trailing bytes after roster update", len(d.B))
 	}
 	return u, nil
 }
@@ -193,7 +96,7 @@ func DecodeRosterUpdate(data []byte) (*RosterUpdate, error) {
 // SignedBytes is the byte string each server signs (and every replica
 // verifies) to certify the update for one group.
 func (u *RosterUpdate) SignedBytes(groupID [32]byte) []byte {
-	return crypto.Hash("dissent/roster-update", groupID[:], u.encodeBody())
+	return crypto.Hash("dissent/roster-update", groupID[:], wire.Encode((*rosterBody)(u)))
 }
 
 // Digest condenses the certified transition into the chain head the

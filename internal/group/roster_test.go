@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dissent/internal/crypto"
+	"dissent/internal/wire"
 )
 
 // buildRosterFixture builds a small definition plus the server
@@ -194,12 +195,12 @@ func TestRosterUpdateCodecRoundTrip(t *testing.T) {
 		Remove: []NodeID{def.Clients[0].ID},
 	}
 	certify(t, def, u, sKPs)
-	enc := u.Encode()
+	enc := wire.Encode(u)
 	dec, err := DecodeRosterUpdate(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dec.Encode(), enc) {
+	if !bytes.Equal(wire.Encode(dec), enc) {
 		t.Fatal("roundtrip changed the encoding")
 	}
 	if _, err := def.ApplyRosterUpdate(dec); err != nil {
@@ -220,7 +221,7 @@ func TestRosterUpdateCodecRoundTrip(t *testing.T) {
 func FuzzRosterUpdateDecode(f *testing.F) {
 	// Seed corpus: an empty update, a certified realistic one, and a few
 	// hostile shapes (huge counts, truncations).
-	empty := (&RosterUpdate{Version: 1}).Encode()
+	empty := wire.Encode(&RosterUpdate{Version: 1})
 	f.Add(empty)
 	f.Add(empty[:7])
 	def, sKPs, _, err := buildRosterFixture(2, 2)
@@ -240,7 +241,7 @@ func FuzzRosterUpdateDecode(f *testing.F) {
 		sig, _ := SignRosterUpdate(u, def.GroupID(), kp, nil)
 		u.Sigs = append(u.Sigs, sig)
 	}
-	full := u.Encode()
+	full := wire.Encode(u)
 	f.Add(full)
 	f.Add(full[:len(full)/2])
 	huge := append([]byte(nil), full...)
@@ -254,7 +255,7 @@ func FuzzRosterUpdateDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		reenc := u.Encode()
+		reenc := wire.Encode(u)
 		if !bytes.Equal(reenc, data) {
 			t.Fatalf("decode/encode not canonical: %x -> %x", data, reenc)
 		}

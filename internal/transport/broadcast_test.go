@@ -12,6 +12,7 @@ import (
 
 	"dissent/internal/core"
 	"dissent/internal/group"
+	"dissent/internal/wire"
 )
 
 // TestEncodeFrameGolden pins the frame bytes for a fixed message to the
@@ -49,7 +50,7 @@ func TestEncodeFrameGoldenMergedInventory(t *testing.T) {
 	copy(sid[:], "golden-session-golden-session-go")
 	inv := &core.Inventory{Attempt: 0, Clients: []int32{1, 3},
 		Hash: bytes.Repeat([]byte{0xAA}, 32), BeaconCommit: bytes.Repeat([]byte{0xBB}, 32)}
-	msg := &core.Message{From: from, Type: core.MsgInventory, Round: 9, Body: inv.Encode(), Sig: []byte("golden sig")}
+	msg := &core.Message{From: from, Type: core.MsgInventory, Round: 9, Body: wire.Encode(inv), Sig: []byte("golden sig")}
 	const want = "8000009b" + // tag bit | 32 + 123
 		"676f6c64656e2d73657373696f6e2d676f6c64656e2d73657373696f6e2d676f" + // session ID
 		"06" + "0000000000000009" + "6e6f646569643030" + // type, round, sender
@@ -61,7 +62,7 @@ func TestEncodeFrameGoldenMergedInventory(t *testing.T) {
 	if got := hex.EncodeToString(encodeFrame(sid, msg)); got != want {
 		t.Fatalf("frame bytes changed:\n got %s\nwant %s", got, want)
 	}
-	plain := (&core.Inventory{Attempt: 2, Clients: []int32{7}}).Encode()
+	plain := wire.Encode(&core.Inventory{Attempt: 2, Clients: []int32{7}})
 	if got, want := hex.EncodeToString(plain), "00000002"+"00000001"+"00000007"+"00000000"+"00000000"; got != want {
 		t.Fatalf("inventory without a commitment encodes as %s, want %s", got, want)
 	}

@@ -1,188 +1,315 @@
-// Package wire provides the shared bounds-checked binary codec
-// primitives used by every protocol payload: a length-prefixed,
-// big-endian format in which signatures cover a canonical byte string.
+// Package wire is the binary codec every protocol payload is written
+// in: big-endian integers, u32-length-prefixed byte strings and
+// u32-count-prefixed lists, so signatures cover a canonical byte string.
 //
-// The Reader folds together the two readers that previously lived on
-// opposite sides of the core→group import edge (internal/core's decBuf
-// and internal/group's rosterDec): one implementation, so the message
-// framing and the certified roster framing can never drift apart, and
-// every decode path gets the same hostile-input hardening (truncation
-// checks before any slice, list-length sanity bounds before any
-// allocation).
+// A payload states its layout once, as a Fields method that names its
+// fields in order on a Codec. The codec runs that one field list in
+// three modes — sizing, writing and reading — so a payload's encoder
+// and decoder cannot disagree on field order or framing, and Encode
+// allocates its output once, at the exact size a sizing pass measured.
+//
+// Reading is bounds-checked and sticky: the first truncated or
+// malformed field records an error and every later field is skipped,
+// so a field list needs no error handling of its own. A length or
+// count word is checked against the remaining input before anything
+// is sliced or allocated, byte fields alias the input with a clipped
+// capacity, and Decode rejects trailing bytes.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
+	"math"
+	"sync"
 )
 
 // ErrTruncated reports an input that ended before a declared field.
 var ErrTruncated = errors.New("wire: truncated input")
 
-// Reader is a bounds-checked sequential reader over one wire payload.
-// Methods consume from B; every read checks the remaining length first,
-// so hostile inputs can truncate anywhere without panicking a decoder.
-type Reader struct {
-	B []byte
+// errListLimit reports a list count beyond the list's limit. Neither
+// error is formatted per input, so rejecting a hostile count never
+// allocates.
+var errListLimit = errors.New("wire: list length out of range")
+
+// Payload is a value with a wire layout: Fields names its fields, in
+// order, on c.
+type Payload interface {
+	Fields(c *Codec)
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() (byte, error) {
-	if len(r.B) < 1 {
-		return 0, ErrTruncated
-	}
-	v := r.B[0]
-	r.B = r.B[1:]
-	return v, nil
+type mode uint8
+
+const (
+	sizing mode = iota
+	writing
+	reading
+)
+
+// Codec runs one payload's field list in one mode. Payloads only ever
+// see a Codec inside Fields; Size, Append, Encode and Decode own it.
+type Codec struct {
+	mode mode
+	n    int    // sizing: bytes counted so far
+	b    []byte // writing: the output; reading: the unread input
+	err  error  // reading: the first failure
 }
 
-// U32 reads a big-endian uint32.
-func (r *Reader) U32() (uint32, error) {
-	if len(r.B) < 4 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(r.B)
-	r.B = r.B[4:]
-	return v, nil
+// codecs recycles Codecs: one handed to an interface method escapes,
+// and allocating it per call would cost every encode and decode an
+// allocation of its own.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
+
+func run(m mode, b []byte, p Payload) *Codec {
+	c := codecs.Get().(*Codec)
+	c.mode, c.n, c.b, c.err = m, 0, b, nil
+	p.Fields(c)
+	return c
 }
 
-// U64 reads a big-endian uint64.
-func (r *Reader) U64() (uint64, error) {
-	if len(r.B) < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(r.B)
-	r.B = r.B[8:]
-	return v, nil
+func release(c *Codec) {
+	c.b, c.err = nil, nil
+	codecs.Put(c)
 }
 
-// Raw reads exactly n unprefixed bytes (fixed-width fields: node IDs,
-// digests). The returned slice aliases the input with a clipped
-// capacity, so appends by the caller cannot scribble past it.
-func (r *Reader) Raw(n int) ([]byte, error) {
-	if n < 0 || len(r.B) < n {
-		return nil, ErrTruncated
-	}
-	v := r.B[:n:n]
-	r.B = r.B[n:]
-	return v, nil
+// Size is the exact length of p's encoding.
+func Size(p Payload) int {
+	c := run(sizing, nil, p)
+	n := c.n
+	release(c)
+	return n
 }
 
-// Bytes reads a u32-length-prefixed byte string. The result aliases
-// the input with a clipped capacity.
-func (r *Reader) Bytes() ([]byte, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(r.B)) < n {
-		return nil, ErrTruncated
-	}
-	v := r.B[:n:n]
-	r.B = r.B[n:]
-	return v, nil
+// Append appends p's encoding to dst. With Size(p) bytes of spare
+// capacity it does not allocate.
+func Append(dst []byte, p Payload) []byte {
+	c := run(writing, dst, p)
+	b := c.b
+	release(c)
+	return b
 }
 
-// Count reads a u32 list length and rejects values beyond max or the
-// remaining input length — the guard that keeps a hostile length word
-// from driving a huge allocation before per-element reads fail.
-func (r *Reader) Count(max int) (int, error) {
-	n, err := r.U32()
-	if err != nil {
-		return 0, err
-	}
-	if uint64(n) > uint64(max) || uint64(n) > uint64(len(r.B)) {
-		return 0, fmt.Errorf("wire: list length %d out of range", n)
-	}
-	return int(n), nil
+// Encode returns p's encoding in one allocation of exactly its size.
+func Encode(p Payload) []byte {
+	c := run(sizing, nil, p)
+	c.mode, c.b = writing, make([]byte, 0, c.n)
+	p.Fields(c)
+	b := c.b
+	release(c)
+	return b
 }
 
-// ByteSlices reads a u32-count-prefixed list of length-prefixed byte
-// strings.
-func (r *Reader) ByteSlices() ([][]byte, error) {
-	n, err := r.Count(len(r.B))
-	if err != nil {
-		return nil, err
+// Decode reads b into p. It fails on the first malformed field and on
+// any bytes left over after the last.
+func Decode(b []byte, p Payload) error {
+	c := run(reading, b, p)
+	err := c.err
+	if err == nil && len(c.b) != 0 {
+		err = fmt.Errorf("wire: %d trailing bytes", len(c.b))
 	}
-	out := make([][]byte, n)
-	for i := range out {
-		if out[i], err = r.Bytes(); err != nil {
-			return nil, err
+	release(c)
+	return err
+}
+
+// take consumes the next n input bytes, returned aliasing the input
+// with a clipped capacity so a caller's append cannot scribble past
+// them. It reports false once the input has failed.
+func (c *Codec) take(n int) ([]byte, bool) {
+	if c.err != nil {
+		return nil, false
+	}
+	if n < 0 || len(c.b) < n {
+		c.err = ErrTruncated
+		return nil, false
+	}
+	v := c.b[:n:n]
+	c.b = c.b[n:]
+	return v, true
+}
+
+// U8 is one byte.
+func (c *Codec) U8(v *byte) {
+	switch c.mode {
+	case sizing:
+		c.n++
+	case writing:
+		c.b = append(c.b, *v)
+	default:
+		if b, ok := c.take(1); ok {
+			*v = b[0]
 		}
 	}
-	return out, nil
 }
 
-// Int32s reads a u32-count-prefixed list of big-endian int32s.
-func (r *Reader) Int32s() ([]int32, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
+// Bool is one byte, 0 or 1; any other byte is malformed, so every
+// accepted encoding is the canonical one.
+func (c *Codec) Bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
 	}
-	if uint64(n)*4 > uint64(len(r.B)) {
-		return nil, ErrTruncated
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v, err := r.U32()
-		if err != nil {
-			return nil, err
+	c.U8(&b)
+	if c.mode == reading && c.err == nil {
+		if b > 1 {
+			c.err = fmt.Errorf("wire: bool byte %d", b)
+			return
 		}
-		out[i] = int32(v)
-	}
-	return out, nil
-}
-
-// Done verifies the payload was fully consumed: trailing bytes mean a
-// malformed (or maliciously extended) message.
-func (r *Reader) Done() error {
-	if len(r.B) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes", len(r.B))
-	}
-	return nil
-}
-
-// Writer is the matching append-only encoder.
-type Writer struct {
-	B []byte
-}
-
-// Grow reserves room for n more bytes, so an encoder that knows its
-// output size allocates once, at exactly that size, instead of
-// append-and-regrow (which for a vector-sized field allocates and
-// copies the body more than once).
-func (w *Writer) Grow(n int) { w.B = slices.Grow(w.B, n) }
-
-// U8 appends one byte.
-func (w *Writer) U8(v byte) { w.B = append(w.B, v) }
-
-// U32 appends a big-endian uint32.
-func (w *Writer) U32(v uint32) { w.B = binary.BigEndian.AppendUint32(w.B, v) }
-
-// U64 appends a big-endian uint64.
-func (w *Writer) U64(v uint64) { w.B = binary.BigEndian.AppendUint64(w.B, v) }
-
-// Bytes appends a u32-length-prefixed byte string.
-func (w *Writer) Bytes(v []byte) {
-	w.U32(uint32(len(v)))
-	w.B = append(w.B, v...)
-}
-
-// ByteSlices appends a u32-count-prefixed list of length-prefixed byte
-// strings.
-func (w *Writer) ByteSlices(v [][]byte) {
-	w.U32(uint32(len(v)))
-	for _, s := range v {
-		w.Bytes(s)
+		*v = b == 1
 	}
 }
 
-// Int32s appends a u32-count-prefixed list of big-endian int32s.
-func (w *Writer) Int32s(v []int32) {
-	w.U32(uint32(len(v)))
-	for _, s := range v {
-		w.U32(uint32(s))
+// U32 is a big-endian uint32.
+func (c *Codec) U32(v *uint32) {
+	switch c.mode {
+	case sizing:
+		c.n += 4
+	case writing:
+		c.b = binary.BigEndian.AppendUint32(c.b, *v)
+	default:
+		if b, ok := c.take(4); ok {
+			*v = binary.BigEndian.Uint32(b)
+		}
+	}
+}
+
+// I32 is an int32 in two's complement, as a U32.
+func (c *Codec) I32(v *int32) {
+	u := uint32(*v)
+	c.U32(&u)
+	*v = int32(u)
+}
+
+// U64 is a big-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	switch c.mode {
+	case sizing:
+		c.n += 8
+	case writing:
+		c.b = binary.BigEndian.AppendUint64(c.b, *v)
+	default:
+		if b, ok := c.take(8); ok {
+			*v = binary.BigEndian.Uint64(b)
+		}
+	}
+}
+
+// Fixed is exactly len(v) unprefixed bytes (node IDs, digests), read
+// into v.
+func (c *Codec) Fixed(v []byte) {
+	switch c.mode {
+	case sizing:
+		c.n += len(v)
+	case writing:
+		c.b = append(c.b, v...)
+	default:
+		if b, ok := c.take(len(v)); ok {
+			copy(v, b)
+		}
+	}
+}
+
+// Bytes is a u32-length-prefixed byte string. A read aliases the input.
+func (c *Codec) Bytes(v *[]byte) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	switch c.mode {
+	case sizing:
+		c.n += len(*v)
+	case writing:
+		c.b = append(c.b, *v...)
+	default:
+		if b, ok := c.take(int(n)); ok {
+			*v = b
+		}
+	}
+}
+
+// String is a byte string read into a string.
+func (c *Codec) String(v *string) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	switch c.mode {
+	case sizing:
+		c.n += len(*v)
+	case writing:
+		c.b = append(c.b, *v...)
+	default:
+		if b, ok := c.take(int(n)); ok {
+			*v = string(b)
+		}
+	}
+}
+
+// count reads a list length and checks it against limit and against
+// the input left at elemMin bytes per element — the guard that keeps a
+// hostile count from driving an allocation before per-element reads
+// would fail.
+func (c *Codec) count(limit, elemMin int) int {
+	var n uint32
+	c.U32(&n)
+	if c.err != nil {
+		return 0
+	}
+	if uint64(n) > uint64(limit) {
+		c.err = errListLimit
+		return 0
+	}
+	if uint64(n)*uint64(elemMin) > uint64(len(c.b)) {
+		c.err = ErrTruncated
+		return 0
+	}
+	return int(n)
+}
+
+// List is a u32-count-prefixed list whose elements elem lays out. A
+// read accepts at most limit elements, each encoded in at least elemMin
+// bytes (at least one is assumed), and checks the count before
+// allocating the list.
+func List[T any](c *Codec, v *[]T, limit, elemMin int, elem func(*Codec, *T)) {
+	if c.mode != reading {
+		n := uint32(len(*v))
+		c.U32(&n)
+		for i := range *v {
+			elem(c, &(*v)[i])
+		}
+		return
+	}
+	n := c.count(limit, max(elemMin, 1))
+	if c.err != nil {
+		return
+	}
+	out := make([]T, n)
+	for i := range out {
+		elem(c, &out[i])
+	}
+	*v = out
+}
+
+// ByteSlices is a list of byte strings.
+func (c *Codec) ByteSlices(v *[][]byte) {
+	List(c, v, math.MaxInt32, 4, (*Codec).Bytes)
+}
+
+// Int32s is a list of int32s.
+func (c *Codec) Int32s(v *[]int32) {
+	switch c.mode {
+	case sizing:
+		c.n += 4 + 4*len(*v)
+	case writing:
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(len(*v)))
+		for _, x := range *v {
+			c.b = binary.BigEndian.AppendUint32(c.b, uint32(x))
+		}
+	default:
+		n := c.count(math.MaxInt32, 4)
+		if c.err != nil {
+			return
+		}
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(binary.BigEndian.Uint32(c.b[4*i:]))
+		}
+		c.b = c.b[4*n:]
+		*v = out
 	}
 }

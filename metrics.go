@@ -12,9 +12,9 @@ import (
 )
 
 // SessionMetrics is a point-in-time snapshot of one session's protocol
-// and traffic counters. Byte counts use the protocol's approximate
-// on-the-wire message size (header + body + signature); they track
-// real socket traffic closely but are not an exact octet count.
+// and traffic counters. Byte counts are each message's exact encoded
+// length (envelope header, body and signature), without the transport's
+// frame header.
 type SessionMetrics struct {
 	// Session is the session's identifier (the group ID).
 	Session SessionID `json:"session"`
@@ -27,7 +27,7 @@ type SessionMetrics struct {
 	// MessagesIn/MessagesOut count protocol messages handled/sent.
 	MessagesIn  uint64 `json:"messages_in"`
 	MessagesOut uint64 `json:"messages_out"`
-	// BytesIn/BytesOut count approximate wire bytes handled/sent.
+	// BytesIn/BytesOut count encoded message bytes handled/sent.
 	BytesIn  uint64 `json:"bytes_in"`
 	BytesOut uint64 `json:"bytes_out"`
 	// RoundsCompleted counts certified DC-net rounds observed;

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dissent/internal/core"
+	"dissent/internal/wire"
 )
 
 // Membership churn through the SDK. Expulsion and admission are
@@ -85,7 +86,7 @@ func (s *Session) RosterInfo() RosterInfo {
 	}
 	if s.server != nil {
 		if u := s.server.LatestRosterUpdate(); u != nil {
-			info.Update = hex.EncodeToString(u.Encode())
+			info.Update = hex.EncodeToString(wire.Encode(u))
 		}
 	}
 	return info

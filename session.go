@@ -440,7 +440,7 @@ func (s *Session) Subscribe(kinds ...EventKind) <-chan Event {
 // inject feeds one inbound transport message to the engine.
 func (s *Session) inject(m *Message) {
 	s.stats.msgsIn.Add(1)
-	s.stats.bytesIn.Add(uint64(m.WireSize()))
+	s.stats.bytesIn.Add(uint64(m.EncodedLen()))
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -502,7 +502,7 @@ func (s *Session) dispatch(out *core.Output) {
 					to = append(to, out.Send[i].To)
 				}
 				s.stats.msgsOut.Add(uint64(len(to)))
-				s.stats.bytesOut.Add(uint64(len(to) * m.WireSize()))
+				s.stats.bytesOut.Add(uint64(len(to) * m.EncodedLen()))
 				if err := l.Send(to, m); err != nil {
 					s.cfg.onError(err)
 				}
