@@ -64,9 +64,9 @@ func (s *Server) startBlame(now time.Time) (*Output, error) {
 		session: s.blameSession,
 		phase:   bpShuffle,
 		start:   now,
-		traces:  make(map[int]*TraceBits),
 		flagged: -1,
 	}
+	s.blame.trace.open(len(s.def.Servers))
 	s.blame.shuf = s.openShuffle(shuffleSession{
 		grp: s.msgGrp, kp: s.msgKP, pubs: s.def.ServerMsgPubKeys(), width: s.blameWidth(),
 		id:      s.blameSession,
@@ -147,13 +147,8 @@ func (s *Server) finishBlameShuffle(now time.Time, outputs []shuffle.Vec) (*Outp
 	if err := s.broadcastServers(MsgTraceBits, s.head(), wire.Encode(tb), out); err != nil {
 		return nil, err
 	}
-	b.traces[s.idx] = tb
-	more, err := s.maybeEvaluateTrace(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	b.trace.put(s.idx, tb, nil)
+	return out.then(s.maybeEvaluateTrace(now))
 }
 
 // validateAccusation checks signature and witness-bit plausibility and
@@ -206,26 +201,24 @@ func (s *Server) buildTraceBits(acc *accusation) *TraceBits {
 	return tb
 }
 
-func (s *Server) onTraceBits(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onTraceBits(now time.Time, m *Message, digest []byte) (*Output, error) {
 	p, err := decode[TraceBits](m.Body)
 	if err != nil {
-		return s.violation(s.head(), err), nil
+		return s.misbehave(s.head(), m.From, "malformed", err), nil
 	}
 	b := s.blame
 	if b == nil || b.phase < bpTrace || p.Session > b.session {
 		if p.Session >= s.blameSession {
-			return s.stashMsg(m), nil
+			return s.stashMsg(m, digest), nil
 		}
 		return &Output{}, nil
 	}
 	if b.phase != bpTrace || p.Session != b.session {
 		return &Output{}, nil
 	}
-	si := s.def.ServerIndex(m.From)
-	if _, dup := b.traces[si]; dup {
-		return &Output{}, nil
+	if out, ok := b.trace.collect(s, s.head(), m, digest, p); !ok {
+		return out, nil
 	}
-	b.traces[si] = p
 	return s.maybeEvaluateTrace(now)
 }
 
@@ -238,7 +231,7 @@ func (s *Server) onTraceBits(now time.Time, m *Message) (*Output, error) {
 //	    per-server bits — ask the client for a rebuttal.
 func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 	b := s.blame
-	if b.phase != bpTrace || len(b.traces) < len(s.def.Servers) {
+	if b.phase != bpTrace || !b.trace.full() {
 		return &Output{}, nil
 	}
 	hist := s.history[b.acc.round]
@@ -260,7 +253,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 
 	directBit := make(map[int]byte, n) // client index -> c_i[k]
 	for si := 0; si < len(s.def.Servers); si++ {
-		tb := b.traces[si]
+		tb := b.trace.get(si)
 		// (a) completeness.
 		if len(tb.ClientBits) != n ||
 			len(tb.Direct) != len(hist.directSets[si]) ||
@@ -308,7 +301,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 	for p, ci := range hist.included {
 		var x byte
 		for si := 0; si < len(s.def.Servers); si++ {
-			x ^= b.traces[si].ClientBits[p]
+			x ^= b.trace.get(si).ClientBits[p]
 		}
 		cb, ok := directBit[ci]
 		if !ok {
@@ -328,7 +321,7 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 			if s.def.UpstreamServer(ci) == s.idx {
 				bits := make([]byte, len(s.def.Servers))
 				for si := 0; si < len(s.def.Servers); si++ {
-					bits[si] = b.traces[si].ClientBits[p]
+					bits[si] = b.trace.get(si).ClientBits[p]
 				}
 				req := &RebuttalRequest{
 					Session:    b.session,
@@ -348,10 +341,10 @@ func (s *Server) maybeEvaluateTrace(now time.Time) (*Output, error) {
 	return s.blameVerdict(now, group.NodeID{}, 0)
 }
 
-func (s *Server) onRebuttal(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onRebuttal(now time.Time, m *Message, digest []byte) (*Output, error) {
 	b := s.blame
 	if b != nil && b.phase < bpRebuttal {
-		return s.stashMsg(m), nil
+		return s.stashMsg(m, digest), nil
 	}
 	if b == nil || b.phase != bpRebuttal {
 		return &Output{}, nil
@@ -367,19 +360,10 @@ func (s *Server) onRebuttal(now time.Time, m *Message) (*Output, error) {
 	out := &Output{}
 	// The upstream server relays the client's signed rebuttal to peers.
 	if s.def.UpstreamServer(ci) == s.idx {
-		for i, srv := range s.def.Servers {
-			if i != s.idx {
-				out.Send = append(out.Send, Envelope{To: srv.ID, Msg: m})
-			}
-		}
+		s.sendServers(m, out)
 	}
 
-	verdictOut, err := s.judgeRebuttal(now, ci, p)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(verdictOut)
-	return out, nil
+	return out.then(s.judgeRebuttal(now, ci, p))
 }
 
 // judgeRebuttal decides between the flagged client and the server it
@@ -416,7 +400,7 @@ func (s *Server) judgeRebuttal(now time.Time, ci int, p *Rebuttal) (*Output, err
 			break
 		}
 	}
-	if b.traces[si].ClientBits[posCI] != trueBit {
+	if b.trace.get(si).ClientBits[posCI] != trueBit {
 		// The server lied about the shared bit: server exposed.
 		return s.blameVerdict(now, s.def.Servers[si].ID, 2)
 	}

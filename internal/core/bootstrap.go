@@ -66,10 +66,5 @@ func (c *Client) InstallSchedule(now time.Time, numSlots, mySlot int, pseudonym 
 	c.applyDigest = dig[:]
 	out := &Output{Events: []Event{{Kind: EventScheduleReady,
 		Detail: fmt.Sprintf("slot %d of %d (trusted bootstrap)", mySlot, numSlots)}}}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(sub)
-	return out, nil
+	return out.then(c.submitRound(now))
 }

@@ -381,12 +381,7 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 	dig := c.sched.Digest()
 	c.applyDigest = dig[:]
 	out := &Output{Events: []Event{{Kind: EventScheduleReady, Detail: fmt.Sprintf("slot %d of %d", c.mySlot, len(p.Keys))}}}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(sub)
-	return out, nil
+	return out.then(c.submitRound(now))
 }
 
 // composeVector lays out one round's message vector (Algorithm 1
@@ -681,12 +676,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		if c.awaitingRoster {
 			return out, nil
 		}
-		sub, err := c.submitRound(now)
-		if err != nil {
-			return nil, err
-		}
-		out.merge(sub)
-		return out, nil
+		return out.then(c.submitRound(now))
 	}
 
 	// Disruption detection (§3.9): compare our slot region, at the layout
@@ -730,12 +720,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 	if c.awaitingBlame || c.awaitingRoster || c.expelled {
 		return out, nil
 	}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(sub)
-	return out, nil
+	return out.then(c.submitRound(now))
 }
 
 func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
@@ -818,12 +803,7 @@ func (c *Client) onBlameDone(now time.Time, m *Message) (*Output, error) {
 	if c.awaitingRoster || c.expelled {
 		return out, nil
 	}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(sub)
-	return out, nil
+	return out.then(c.submitRound(now))
 }
 
 func (c *Client) onRebuttalRequest(now time.Time, m *Message) (*Output, error) {

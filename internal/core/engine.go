@@ -173,12 +173,24 @@ func (o *Output) merge(other *Output) {
 	}
 }
 
+// then merges more into o unless the step that produced it failed: the
+// tail of a handler that continues into a next step, return
+// out.then(s.next(now)).
+func (o *Output) then(more *Output, err error) (*Output, error) {
+	if err != nil {
+		return nil, err
+	}
+	o.merge(more)
+	return o, nil
+}
+
 // StateStore is the durable key-value surface the engines persist
 // protocol state through — satisfied by *store.KV. Mutations must be
 // durable before they return. The engines use fixed buckets: "roster"
 // for certified roster updates keyed by version, "roster-digest" for
-// the post-apply schedule digests beside them, and "snapshot" for the
-// server's restart snapshot.
+// the post-apply schedule digests beside them, "snapshot" for the
+// server's restart snapshot and "roster-propose" for the proposal of a
+// roster phase in progress.
 type StateStore interface {
 	Put(bucket, key string, value []byte) error
 	Get(bucket, key string) ([]byte, bool)
@@ -191,9 +203,11 @@ const (
 	bucketRoster       = "roster"
 	bucketRosterDigest = "roster-digest"
 	bucketSnapshot     = "snapshot"
+	bucketProposal     = "roster-propose"
 )
 
-// snapshotKey names the single server restart snapshot record.
+// snapshotKey names the server's single record in a bucket that holds
+// one: the restart snapshot, and the roster proposal in progress.
 const snapshotKey = "server"
 
 // HasSnapshot reports whether st holds a server restart snapshot —

@@ -422,7 +422,7 @@ func (w *lockstepWorld) produce(failed bool) *Message {
 			if err != nil {
 				w.t.Fatal(err)
 			}
-			rs.certs[i] = crypto.EncodeSignature(g, sig)
+			rs.cert.put(i, crypto.EncodeSignature(g, sig), nil)
 		}
 	} else {
 		rs.cleartext = cleartext
@@ -442,7 +442,8 @@ func (w *lockstepWorld) produce(failed bool) *Message {
 		}
 		rs.certChal = s.cert.Challenge("dissent/cleartext", nonces, rs.certDigest)
 		for i, kp := range kps {
-			rs.certs[i] = crypto.EncodeScalar(g, s.cert.Respond(i, kp.Private, ks[i], rs.certChal))
+			rs.cert.put(i, crypto.EncodeScalar(g, s.cert.Respond(i, kp.Private, ks[i], rs.certChal)), nil)
+			rs.share.put(i, &Share{}, nil) // history keeps each server's share
 		}
 	}
 	rs.phase = rpCertify

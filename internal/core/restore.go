@@ -254,13 +254,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.attempt = attempt
 	rs.phase = rpCollect
-	rs.invs = make(map[int]*Inventory)
-	rs.commits = make(map[int][]byte)
-	rs.shares = make(map[int][]byte)
-	rs.shareDigests = make(map[int][]byte)
-	rs.certs = make(map[int][]byte)
-	rs.beaconCommits = make(map[int][]byte)
-	rs.beaconShares = make(map[int][]byte)
+	s.openExchanges(rs)
 	rs.myBeaconShare = nil
 	rs.beaconEntry = nil
 	s.bufs.put(rs.myShare)
@@ -277,11 +271,12 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 }
 
 // escalateAttempt abandons the attempt a round was wedged on and rejoins
-// the strictly-higher recovery attempt a restarted peer reopened it at.
-// Our window closes immediately — the clients we carry already submitted
+// the strictly-higher recovery attempt a restarted peer reopened it at,
+// with server si's inventory p, which ingress verified over digest, as
+// the first peer contribution. Our window closes immediately — the clients we carry already submitted
 // pre-crash, and the restarted peer's own window bounds how long its
 // direct clients had to reach it.
-func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si int) (*Output, error) {
+func (s *Server) escalateAttempt(now time.Time, rs *roundState, si int, p *Inventory, digest []byte) (*Output, error) {
 	s.log.Info("round attempt escalated for peer recovery", "round", rs.r,
 		"from", rs.attempt, "to", p.Attempt)
 	s.resetRoundAttempt(rs, p.Attempt)
@@ -289,17 +284,8 @@ func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si
 	if err != nil {
 		return nil, err
 	}
-	if si >= 0 {
-		if _, dup := rs.invs[si]; !dup {
-			rs.invs[si] = p
-			more, err := s.maybeCommit(now, rs)
-			if err != nil {
-				return nil, err
-			}
-			out.merge(more)
-		}
-	}
-	return out, nil
+	rs.inv.put(si, p, digest)
+	return out.then(s.maybeCommit(now, rs))
 }
 
 // onPeerOutput adopts a certified round output forwarded by a peer
@@ -309,12 +295,12 @@ func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si
 // certificate makes the output self-authenticating; adopting it replays
 // exactly the retirement the crash interrupted, minus blame history
 // (adopted rounds cannot be traced — see the file comment).
-func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onPeerOutput(now time.Time, m *Message, digest []byte) (*Output, error) {
 	if s.phase != phaseRunning || m.Round < s.head() {
 		return &Output{}, nil // already retired, or not in the round loop
 	}
 	if m.Round > s.head() {
-		return s.stashMsg(m), nil // adoption must run in round order
+		return s.stashMsg(m, digest), nil // adoption must run in round order
 	}
 	ro, entry, err := s.verifyOutput(m.Round, m.Body)
 	if err != nil {

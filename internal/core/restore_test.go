@@ -252,7 +252,7 @@ func TestServerDoubleCrashInOneRound(t *testing.T) {
 	caught := false
 	for i := 0; i < 200_000 && !caught && f.h.Net.Step(); i++ {
 		for _, rs := range peer.rounds {
-			if rs.attempt > maxAttempts && rs.commits[0] != nil {
+			if rs.attempt > maxAttempts && rs.commit.has(0) {
 				round, caught = rs.r, true
 			}
 		}
@@ -270,6 +270,83 @@ func TestServerDoubleCrashInOneRound(t *testing.T) {
 			t.Fatalf("server %d stuck at round %d after the second restart; violations: %v",
 				s.Index(), s.Round(), f.violations())
 		}
+	}
+}
+
+// TestRosterRestartReservesProposal: a server that restarts in the
+// middle of a roster phase — its proposal, carrying churn, already at a
+// peer, the peers' proposals not all in — re-sends the same proposal
+// from its store. Peers keep the first proposal they receive, so a
+// rebuilt one (pending churn is not persisted) would make the two sides
+// certify different updates and every roster certificate fail.
+func TestRosterRestartReservesProposal(t *testing.T) {
+	const epoch = 6
+	for _, churn := range []string{"expel", "join"} {
+		t.Run(churn, func(t *testing.T) {
+			d := newDurableFixture(t, epoch)
+			f := d.fixture
+			var joiner *Client
+			if churn == "join" {
+				kp, _ := crypto.GenerateKeyPair(crypto.P256(), nil)
+				var err error
+				if joiner, err = NewJoinerClient(f.def, kp, "", Options{MessageGroup: crypto.ModP512Test()}); err != nil {
+					t.Fatal(err)
+				}
+				f.h.AddNode(joiner.ID(), joiner, 0)
+				f.servers[0].Admit(crypto.P256().Encode(kp.Public))
+			}
+			s2 := d.def.Servers[2].ID
+			hold := true // server 2's proposal reaches no one until the restart
+			f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+				return 0, hold && from == s2 && m.Type == MsgRosterPropose
+			}
+			f.h.StartAll()
+			f.stepUntilRound(1, 2_000_000)
+			// Client 3 is not the last client server 0 serves: a server left
+			// with no client closes each window only at the hard timeout.
+			expelled := f.clients[3].ID()
+			if churn == "expel" {
+				if err := f.servers[0].Expel(expelled); err != nil {
+					t.Fatal(err)
+				}
+			}
+			peerHolds := func() bool { r := f.servers[1].roster; return r != nil && r.prop.has(0) }
+			for i := 0; i < 2_000_000 && !peerHolds(); i++ {
+				if !f.h.Net.Step() {
+					break
+				}
+			}
+			if !peerHolds() || f.servers[0].roster.prop.full() {
+				t.Fatal("never reached a roster phase with server 0's proposal at a peer and its own exchange open")
+			}
+			d.kill(0)
+			f.step(3000)
+			hold = false
+			d.restart(0)
+
+			f.stepUntilRound(epoch+2, 1_000_000)
+			for _, s := range f.servers {
+				if s.Round() <= epoch+2 || s.RosterVersion() != 1 {
+					v := f.violations()
+					t.Fatalf("server %d at round %d, roster version %d after the restart; %d violations, first: %v",
+						s.Index(), s.Round(), s.RosterVersion(), len(v), v[:min(len(v), 1)])
+				}
+				switch ci := s.def.ClientIndex(expelled); {
+				case churn == "expel" && !s.def.Clients[ci].Expelled:
+					t.Fatalf("server %d applied an update without the Expel", s.Index())
+				case churn == "join" && s.def.ClientIndex(joiner.ID()) < 0:
+					t.Fatalf("server %d applied an update without the joiner", s.Index())
+				}
+			}
+			if joiner != nil && !joiner.Ready() {
+				t.Fatal("the admitted joiner was never welcomed")
+			}
+			for _, ev := range f.h.EventsOf(EventMisbehavior) {
+				if f.def.ServerIndex(ev.Culprit) >= 0 {
+					t.Fatalf("honest server charged: %+v", ev)
+				}
+			}
+		})
 	}
 }
 

@@ -203,12 +203,14 @@ func (n *node) RosterDigest() [32]byte { return n.def.RosterDigest() }
 
 // --- Server: pending churn and the roster phase -----------------------
 
-// rosterState is one in-flight roster transition at a server.
+// rosterState is one in-flight roster transition at a server: every
+// server's proposal, then the canonical update they union into and every
+// server's signature over it.
 type rosterState struct {
 	version uint64
-	props   map[int]*RosterPropose
+	prop    exchange[*RosterPropose]
 	update  *group.RosterUpdate
-	sigs    map[int][]byte
+	cert    exchange[[]byte]
 	casts   castLog // our proposal and certificate, rebroadcast while stuck
 }
 
@@ -362,29 +364,35 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 func (s *Server) resumeRounds(now time.Time, out *Output) error {
 	if s.blameDue && s.nextOpen >= s.blameHold {
 		s.blameDue = false
-		more, err := s.startBlame(now)
-		if err != nil {
-			return err
-		}
-		out.merge(more)
-		return nil
+		_, err := out.then(s.startBlame(now))
+		return err
 	}
 	if s.rosterDue {
-		more, err := s.startRoster(now)
-		if err != nil {
-			return err
-		}
-		out.merge(more)
-		return nil
+		_, err := out.then(s.startRoster(now))
+		return err
 	}
 	s.maybeOpenRounds(now, out)
 	return nil
 }
 
-// buildProposal assembles this server's pending churn for the next
-// version, applying the re-admission cooldown policy.
-func (s *Server) buildProposal() *RosterPropose {
-	p := &RosterPropose{Version: s.def.Version + 1}
+// proposal returns this server's proposal for the open roster version
+// and its encoding: the one stored before a restart, else its pending
+// churn under the re-admission cooldown policy, stored before it is
+// cast. A restarted server must re-send the bytes its peers hold, or the
+// two sides certify different updates. One without churn is not stored:
+// the restore re-opens the roster phase before new churn can arrive, and
+// the churn that survives a restart (a blame exclusion) would have been
+// in it, so the rebuild is empty too.
+func (s *Server) proposal() (*RosterPropose, []byte) {
+	v := s.roster.version
+	if s.store != nil {
+		if raw, ok := s.store.Get(bucketProposal, snapshotKey); ok {
+			if p, err := decode[RosterPropose](raw); err == nil && p.Version == v {
+				return p, raw
+			}
+		}
+	}
+	p := &RosterPropose{Version: v}
 	for _, ci := range sortedKeys(s.pendingRemove) {
 		p.Remove = append(p.Remove, s.def.Clients[ci].ID)
 	}
@@ -408,35 +416,34 @@ func (s *Server) buildProposal() *RosterPropose {
 			Addr:    req.Addr,
 		})
 	}
-	return p
+	body := wire.Encode(p)
+	if s.store != nil && (len(p.Admit) > 0 || len(p.Remove) > 0) {
+		if err := s.store.Put(bucketProposal, snapshotKey, body); err != nil {
+			s.log.Error("roster proposal persist failed", "version", v, "err", err)
+		}
+	}
+	return p, body
 }
 
 // startRoster opens the roster phase for the upcoming epoch boundary.
 func (s *Server) startRoster(now time.Time) (*Output, error) {
 	s.rosterDue = false
 	s.phase = phaseRoster
-	s.roster = &rosterState{
-		version: s.def.Version + 1,
-		props:   make(map[int]*RosterPropose),
-		sigs:    make(map[int][]byte),
-	}
-	prop := s.buildProposal()
+	s.roster = &rosterState{version: s.def.Version + 1}
+	s.roster.prop.open(len(s.def.Servers))
+	s.roster.cert.open(len(s.def.Servers))
+	prop, body := s.proposal()
 	out := &Output{}
-	if err := s.castRoster(now, MsgRosterPropose, wire.Encode(prop), out); err != nil {
+	if err := s.castRoster(now, MsgRosterPropose, body, out); err != nil {
 		return nil, err
 	}
-	s.roster.props[s.idx] = prop
-	more, err := s.maybeBuildUpdate(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	s.roster.prop.put(s.idx, prop, nil)
+	return out.then(s.maybeBuildUpdate(now))
 }
 
 // rosterTick rebroadcasts this server's proposal (and certificate,
-// once built) while the roster phase is stuck waiting on peers: with
-// duplicate-dropping receivers this is idempotent, and it restores
+// once built) while the roster phase is stuck waiting on peers: the
+// receivers' exchanges drop a retransmit, so this is idempotent, and it restores
 // liveness after a lost propose/cert frame. Retries follow the unified
 // retransmission backoff, so a dead peer draws a decaying rebroadcast
 // stream rather than a fixed-period storm.
@@ -457,13 +464,13 @@ func (s *Server) castRoster(now time.Time, t MsgType, body []byte, out *Output) 
 	return s.broadcastServers(t, s.head(), body, out)
 }
 
-func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onRosterPropose(now time.Time, m *Message, digest []byte) (*Output, error) {
 	p, err := decode[RosterPropose](m.Body)
 	if err != nil {
-		return s.violation(s.head(), err), nil
+		return s.misbehave(s.head(), m.From, "malformed", err), nil
 	}
 	if p.Version == 0 {
-		return s.violation(s.head(), errors.New("roster proposal for version 0")), nil
+		return s.misbehave(s.head(), m.From, "malformed", errors.New("roster proposal for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
 		// The peer is rebroadcasting a transition we already completed — its
@@ -474,13 +481,11 @@ func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
 	if s.phase != phaseRoster || s.roster == nil || p.Version > s.roster.version {
 		// A peer reached the boundary before us; replay once we open our
 		// own roster phase.
-		return s.stashMsg(m), nil
+		return s.stashMsg(m, digest), nil
 	}
-	si := s.def.ServerIndex(m.From)
-	if _, dup := s.roster.props[si]; dup {
-		return &Output{}, nil
+	if out, ok := s.roster.prop.collect(s, s.head(), m, digest, p); !ok {
+		return out, nil
 	}
-	s.roster.props[si] = p
 	return s.maybeBuildUpdate(now)
 }
 
@@ -489,12 +494,12 @@ func (s *Server) onRosterPropose(now time.Time, m *Message) (*Output, error) {
 // broadcast the certification signature.
 func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 	r := s.roster
-	if r == nil || r.update != nil || len(r.props) < len(s.def.Servers) {
+	if r == nil || r.update != nil || !r.prop.full() {
 		return &Output{}, nil
 	}
 	removeSet := make(map[group.NodeID]bool)
 	for si := 0; si < len(s.def.Servers); si++ {
-		for _, id := range r.props[si].Remove {
+		for _, id := range r.prop.get(si).Remove {
 			ci := s.def.ClientIndex(id)
 			if ci < 0 || s.def.Clients[ci].Expelled {
 				continue // invalid or redundant; dropped identically everywhere
@@ -505,7 +510,7 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 	cooldown := uint64(s.def.Policy.ReadmitCooldownRounds)
 	admitByID := make(map[group.NodeID]group.RosterMember)
 	for si := 0; si < len(s.def.Servers); si++ {
-		for _, m := range r.props[si].Admit {
+		for _, m := range r.prop.get(si).Admit {
 			pub, err := s.keyGrp.Decode(m.PubKey)
 			if err != nil {
 				continue
@@ -551,27 +556,22 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 		return nil, err
 	}
 	r.update = update
-	r.sigs[s.idx] = sigBytes
+	r.cert.put(s.idx, sigBytes, nil)
 	out := &Output{}
 	body := wire.Encode(&RosterCert{Version: r.version, Sig: sigBytes})
 	if err := s.castRoster(now, MsgRosterCert, body, out); err != nil {
 		return nil, err
 	}
-	more, err := s.maybeApplyRoster(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	return out.then(s.maybeApplyRoster(now))
 }
 
-func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onRosterCert(now time.Time, m *Message, digest []byte) (*Output, error) {
 	p, err := decode[RosterCert](m.Body)
 	if err != nil {
-		return s.violation(s.head(), err), nil
+		return s.misbehave(s.head(), m.From, "malformed", err), nil
 	}
 	if p.Version == 0 {
-		return s.violation(s.head(), errors.New("roster certificate for version 0")), nil
+		return s.misbehave(s.head(), m.From, "malformed", errors.New("roster certificate for version 0")), nil
 	}
 	if p.Version <= s.def.Version {
 		// Stuck peer rebroadcasting a completed transition (see
@@ -581,21 +581,20 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 	}
 	r := s.roster
 	if s.phase != phaseRoster || r == nil || r.update == nil || p.Version > r.version {
-		return s.stashMsg(m), nil
+		return s.stashMsg(m, digest), nil
 	}
 	si := s.def.ServerIndex(m.From)
 	sig, err := crypto.DecodeSignature(s.keyGrp, p.Sig)
 	if err != nil {
-		return s.violation(s.head(), err), nil
+		return s.misbehave(s.head(), m.From, "malformed", err), nil
 	}
 	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, group.RosterSignContext,
 		r.update.SignedBytes(s.grpID), sig); err != nil {
-		return s.violation(s.head(), fmt.Errorf("server %d roster cert: %w", si, err)), nil
+		return s.misbehave(s.head(), m.From, "bad-certificate", fmt.Errorf("server %d roster cert: %w", si, err)), nil
 	}
-	if _, dup := r.sigs[si]; dup {
-		return &Output{}, nil
+	if out, ok := r.cert.collect(s, s.head(), m, digest, p.Sig); !ok {
+		return out, nil
 	}
-	r.sigs[si] = p.Sig
 	return s.maybeApplyRoster(now)
 }
 
@@ -603,7 +602,7 @@ func (s *Server) onRosterCert(now time.Time, m *Message) (*Output, error) {
 // that completed a transition we are stuck in (our copy of a propose
 // or cert frame was lost): the update carries every server's
 // signature, so it can be verified and applied directly.
-func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onServerRosterUpdate(now time.Time, m *Message, digest []byte) (*Output, error) {
 	p, err := decode[RosterUpdateMsg](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
@@ -616,7 +615,7 @@ func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error
 		return &Output{}, nil // already applied
 	}
 	if s.phase != phaseRoster || u.Version > s.def.Version+1 {
-		return s.stashMsg(m), nil
+		return s.stashMsg(m, digest), nil
 	}
 	out := &Output{}
 	if err := s.applyCertifiedRoster(now, u, out); err != nil {
@@ -631,14 +630,11 @@ func (s *Server) onServerRosterUpdate(now time.Time, m *Message) (*Output, error
 // rounds (or a pending blame session).
 func (s *Server) maybeApplyRoster(now time.Time) (*Output, error) {
 	r := s.roster
-	if r == nil || r.update == nil || len(r.sigs) < len(s.def.Servers) {
+	if r == nil || r.update == nil || !r.cert.full() {
 		return &Output{}, nil
 	}
 	update := r.update
-	update.Sigs = make([][]byte, len(s.def.Servers))
-	for i := range update.Sigs {
-		update.Sigs[i] = r.sigs[i]
-	}
+	update.Sigs = r.cert.values()
 	out := &Output{}
 	if err := s.applyCertifiedRoster(now, update, out); err != nil {
 		return nil, err
@@ -759,6 +755,12 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 	s.rosterDigests[u.Version] = dig
 	s.persistRosterUpdate(u, dig)
 	s.persistSnapshot()
+	if s.store != nil {
+		// The version applied: its proposal is served no more.
+		if err := s.store.Delete(bucketProposal, snapshotKey); err != nil {
+			s.log.Error("roster proposal discard failed", "version", u.Version, "err", err)
+		}
+	}
 	s.log.Info("roster update applied", "round", s.head(), "version", newDef.Version,
 		"admitted", len(u.Admit), "removed", len(u.Remove))
 	out.Events = append(out.Events, Event{Kind: EventRosterChanged, Round: s.head(),
@@ -940,12 +942,7 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if !c.ready || c.awaitingBlame || c.expelled {
 		return out, nil
 	}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(sub)
-	return out, nil
+	return out.then(c.submitRound(now))
 }
 
 // onSnapshot installs a session snapshot a server sent: the welcome
@@ -975,12 +972,7 @@ func (c *Client) onSnapshot(now time.Time, m *Message) (*Output, error) {
 	if c.awaitingBlame || c.expelled {
 		return out, nil
 	}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(sub)
-	return out, nil
+	return out.then(c.submitRound(now))
 }
 
 // errStaleSnapshot marks a re-sync snapshot whose head is behind the

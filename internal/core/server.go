@@ -123,10 +123,10 @@ type roundState struct {
 	// on peers. The whole sequence is re-sent — not just the newest
 	// message — because a peer cut off mid-round can be a full phase
 	// behind and need an earlier one (its commit, say) before the
-	// latest means anything to it. Receivers drop duplicates per
-	// (round, attempt, server), so the re-send is idempotent; it
-	// restores liveness after a partition heals without waiting out the
-	// hard timeout.
+	// latest means anything to it. A re-sent message carries the same
+	// body, hence the same digest, so receivers drop it as a retransmit
+	// (exchange.collect); it restores liveness after a partition heals
+	// without waiting out the hard timeout.
 	casts castLog
 
 	// dups counts identical duplicate submissions per client this
@@ -160,14 +160,16 @@ type roundState struct {
 	ctAcc  []byte       // pooled; recycled when the round retires
 	accSet map[int]bool // client indices folded into ctAcc
 
-	invs    map[int]*Inventory // server index -> inventory (current attempt)
-	commits map[int][]byte
-	shares  map[int][]byte
-	certs   map[int][]byte
-	// shareDigests holds each revealed MsgShare's message digest, hashed
-	// once on arrival: the envelope signature was verified over it and
-	// maybeCombine compares it with the sender's commitment.
-	shareDigests map[int][]byte
+	// The round's four all-servers exchanges for the current attempt
+	// (exchange.go). A Commit slot carries the beacon commitment beside
+	// the share commitment, and a Share slot the beacon share. A Share
+	// slot's digest was hashed once, at ingress: the envelope signature
+	// was verified over it and maybeCombine compares it with the sender's
+	// commitment.
+	inv    exchange[*Inventory]
+	commit exchange[Commit]
+	share  exchange[*Share]
+	cert   exchange[[]byte]
 
 	included   []int   // union l, sorted
 	directSets [][]int // l'_j per server after dedup
@@ -202,10 +204,8 @@ type roundState struct {
 	certDigest []byte
 	certChal   *big.Int
 
-	// Beacon commit–reveal state, riding the round's commit and share
-	// exchanges (nil maps stay empty when the beacon is off).
-	beaconCommits map[int][]byte // server index -> H(beacon share)
-	beaconShares  map[int][]byte // server index -> beacon share
+	// Beacon commit–reveal state; the commitments and shares ride the
+	// round's commit and share exchanges.
 	myBeaconShare []byte
 	beaconEntry   *beacon.Entry // verified entry, set at combine time
 }
@@ -248,10 +248,10 @@ type blameState struct {
 	phase   blamePhase
 	start   time.Time // when the shuffle opened, for the next round span
 
-	shuf    *shuffleSession    // the accusation shuffle (bpShuffle)
-	traces  map[int]*TraceBits // server index -> trace bits
-	acc     *accusation        // the accusation being traced
-	flagged int                // client index awaiting rebuttal, -1 none
+	shuf    *shuffleSession      // the accusation shuffle (bpShuffle)
+	trace   exchange[*TraceBits] // every server's trace bits (bpTrace)
+	acc     *accusation          // the accusation being traced
+	flagged int                  // client index awaiting rebuttal, -1 none
 	rebutAt time.Time
 }
 
@@ -284,9 +284,9 @@ type Server struct {
 	// Setup state: the scheduling shuffle (retired once it has run, or
 	// when the schedule comes from a trusted bootstrap or a restore), the
 	// slot keys it produced and the servers' certificates over them.
-	setup      *shuffleSession
-	slotKeys   []crypto.Element
-	schedCerts map[int][]byte
+	setup     *shuffleSession
+	slotKeys  []crypto.Element
+	schedCert exchange[[]byte]
 
 	// DC-net state. rounds holds every in-flight round keyed by round
 	// number; the keys are always the contiguous range [head, nextOpen).
@@ -351,10 +351,11 @@ type Server struct {
 	snapshotSent     map[group.NodeID]time.Time     // snapshot rate limiting (catchUp)
 
 	// stash buffers messages that arrived ahead of our local phase
-	// (e.g. a peer's inventory for round r+1 while we still certify r);
-	// they replay after each state transition. stashBytes tracks the
-	// buffered body bytes against stashMaxBytes.
-	stash      []*Message
+	// (e.g. a peer's inventory for round r+1 while we still certify r),
+	// each with the digest ingress verified it over; they replay after
+	// each state transition. stashBytes tracks the buffered body bytes
+	// against stashMaxBytes.
+	stash      []stashed
 	stashBytes int
 
 	// misbehavior is the per-member violation ledger (bounded by the
@@ -364,6 +365,12 @@ type Server struct {
 	// testTraceBit is a test hook, nil in production: it lets a test
 	// server lie during accusation tracing.
 	testTraceBit func(round uint64, clientIdx int, trueBit byte) byte
+}
+
+// stashed is one early message and its ingress digest.
+type stashed struct {
+	m      *Message
+	digest []byte
 }
 
 // NewServer builds a server engine. kp is the P-256 identity key
@@ -403,7 +410,7 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 			return nil, errors.New("core: no valid pseudonym submission at the setup deadline")
 		},
 	})
-	s.schedCerts = make(map[int][]byte)
+	s.schedCert.open(len(def.Servers))
 	s.pendingJoin = make(map[group.NodeID]*JoinRequest)
 	s.pendingRejoin = make(map[int]bool)
 	s.pendingRemove = make(map[int]bool)
@@ -473,18 +480,16 @@ func (s *Server) Handle(now time.Time, m *Message) (*Output, error) {
 
 // drainStash replays stashed early messages until no more progress is
 // made, merging their outputs into out. They passed ingress on arrival,
-// so replays skip it.
+// so replays skip it and carry the digest it returned.
 func (s *Server) drainStash(now time.Time, out *Output) error {
 	for len(s.stash) > 0 {
 		pending := s.stash
 		s.stash = nil
 		s.stashBytes = 0
-		for _, pm := range pending {
-			o, err := s.dispatch(now, pm, nil)
-			if err != nil {
+		for _, p := range pending {
+			if _, err := out.then(s.dispatch(now, p.m, p.digest)); err != nil {
 				return err
 			}
-			out.merge(o)
 		}
 		if len(s.stash) >= len(pending) {
 			break // no progress; keep waiting
@@ -493,16 +498,16 @@ func (s *Server) drainStash(now time.Time, out *Output) error {
 	return nil
 }
 
-// stashMsg buffers an early message for replay, bounding both message
-// count and total body bytes so a flooding peer cannot grow the stash
-// to arbitrary memory.
-func (s *Server) stashMsg(m *Message) *Output {
+// stashMsg buffers an early message and its ingress digest for replay,
+// bounding both message count and total body bytes so a flooding peer
+// cannot grow the stash to arbitrary memory.
+func (s *Server) stashMsg(m *Message, digest []byte) *Output {
 	const stashCap = 4096
 	if len(s.stash) >= stashCap || s.stashBytes+len(m.Body) > stashMaxBytes {
 		return s.misbehave(m.Round, m.From, "flood",
 			fmt.Errorf("stash overflow dropping %s from %s", m.Type, m.From))
 	}
-	s.stash = append(s.stash, m)
+	s.stash = append(s.stash, stashed{m: m, digest: digest})
 	s.stashBytes += len(m.Body)
 	return &Output{}
 }
@@ -531,43 +536,43 @@ var serverSenders = map[MsgType]sender{
 	MsgOutput:          fromServer,
 }
 
-// dispatch hands a message that passed ingress to its handler. digest
-// is the one its signature was verified over; a stash replay passes nil,
-// which is sound because its one reader, onShare, never stashes.
+// dispatch hands a message that passed ingress to its handler, with the
+// digest its signature was verified over: an exchange files it beside
+// the payload, and the stash keeps it for the replay.
 func (s *Server) dispatch(now time.Time, m *Message, digest []byte) (*Output, error) {
 	switch m.Type {
 	case MsgPseudonymSubmit, MsgBlameSubmit:
 		return s.onShuffleSubmit(now, m)
 	case MsgPseudonymList, MsgBlameList:
-		return s.onShuffleList(now, m)
+		return s.onShuffleList(now, m, digest)
 	case MsgShuffleStep, MsgBlameStep:
-		return s.onShuffleStep(now, m)
+		return s.onShuffleStep(now, m, digest)
 	case MsgScheduleCert:
-		return s.onScheduleCert(now, m)
+		return s.onScheduleCert(now, m, digest)
 	case MsgClientSubmit:
-		return s.onClientSubmit(now, m)
+		return s.onClientSubmit(now, m, digest)
 	case MsgInventory:
-		return s.onInventory(now, m)
+		return s.onInventory(now, m, digest)
 	case MsgCommit:
-		return s.onCommit(now, m)
+		return s.onCommit(now, m, digest)
 	case MsgShare:
 		return s.onShare(now, m, digest)
 	case MsgCertify:
-		return s.onCertify(now, m)
+		return s.onCertify(now, m, digest)
 	case MsgTraceBits:
-		return s.onTraceBits(now, m)
+		return s.onTraceBits(now, m, digest)
 	case MsgRebuttal:
-		return s.onRebuttal(now, m)
+		return s.onRebuttal(now, m, digest)
 	case MsgJoinRequest:
 		return s.onJoinRequest(now, m)
 	case MsgRosterPropose:
-		return s.onRosterPropose(now, m)
+		return s.onRosterPropose(now, m, digest)
 	case MsgRosterCert:
-		return s.onRosterCert(now, m)
+		return s.onRosterCert(now, m, digest)
 	case MsgRosterUpdate:
-		return s.onServerRosterUpdate(now, m)
+		return s.onServerRosterUpdate(now, m, digest)
 	case MsgOutput:
-		return s.onPeerOutput(now, m)
+		return s.onPeerOutput(now, m, digest)
 	default:
 		return nil, fmt.Errorf("core: no server handler for %s", m.Type)
 	}
@@ -681,13 +686,8 @@ func (s *Server) finishScheduleShuffle(now time.Time, outputs []shuffle.Vec) (*O
 	if err := s.broadcastServers(MsgScheduleCert, 0, body, out); err != nil {
 		return nil, err
 	}
-	s.schedCerts[s.idx] = sigBytes
-	more, err := s.maybeFinishSetup(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	s.schedCert.put(s.idx, sigBytes, nil)
+	return out.then(s.maybeFinishSetup(now))
 }
 
 func (s *Server) encodedSlotKeys() [][]byte {
@@ -698,43 +698,42 @@ func (s *Server) encodedSlotKeys() [][]byte {
 	return keys
 }
 
-func (s *Server) onScheduleCert(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onScheduleCert(now time.Time, m *Message, digest []byte) (*Output, error) {
 	p, err := decode[Certify](m.Body)
 	if err != nil {
-		return s.violation(0, err), nil
+		return s.misbehave(0, m.From, "malformed", err), nil
 	}
 	si := s.def.ServerIndex(m.From)
 	if s.slotKeys == nil {
 		// Certificates can only be validated once our own shuffle
 		// replica finishes; buffer until then.
-		return s.stashMsg(m), nil
+		return s.stashMsg(m, digest), nil
 	}
 	sig, err := crypto.DecodeSignature(s.keyGrp, p.Sig)
 	if err != nil {
-		return s.violation(0, err), nil
+		return s.misbehave(0, m.From, "malformed", err), nil
 	}
 	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, "dissent/schedule",
 		scheduleSignedBytes(s.grpID, s.encodedSlotKeys()), sig); err != nil {
-		return s.violation(0, fmt.Errorf("server %d schedule cert: %w", si, err)), nil
+		return s.misbehave(0, m.From, "bad-certificate", fmt.Errorf("server %d schedule cert: %w", si, err)), nil
 	}
-	s.schedCerts[si] = p.Sig
+	if out, ok := s.schedCert.collect(s, 0, m, digest, p.Sig); !ok {
+		return out, nil
+	}
 	return s.maybeFinishSetup(now)
 }
 
 // maybeFinishSetup distributes the schedule and starts round 0 once
 // every server has certified.
 func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
-	if s.phase != phaseSetup || len(s.schedCerts) < len(s.def.Servers) {
+	if s.phase != phaseSetup || !s.schedCert.full() {
 		return &Output{}, nil
 	}
 	// The replica — and with it the beacon chain's session binding — goes
 	// first: a rebind failure (e.g. a non-empty store smuggled past the
 	// SDK's archiving) must not leave the server half-running with the
 	// schedule never broadcast.
-	sigs := make([][]byte, len(s.def.Servers))
-	for i := range sigs {
-		sigs[i] = s.schedCerts[i]
-	}
+	sigs := s.schedCert.values()
 	if err := s.newSchedule(len(s.slotKeys), s.encodedSlotKeys(), sigs); err != nil {
 		return nil, err
 	}
@@ -811,25 +810,17 @@ func (s *Server) maybeOpenRounds(now time.Time, out *Output) {
 // layout this round's clients compose against.
 func (s *Server) openRound(now time.Time, out *Output) {
 	rs := &roundState{
-		r:       s.nextOpen,
-		phase:   rpCollect,
-		vecLen:  s.sched.Layout(s.nextOpen).Len,
-		start:   now,
-		hardAt:  now.Add(s.def.Policy.HardTimeout),
-		subs:    make(map[int]*Message),
-		cts:     make(map[int][]byte),
-		accSet:  make(map[int]bool),
-		invs:    make(map[int]*Inventory),
-		commits: make(map[int][]byte),
-		shares:  make(map[int][]byte),
-		certs:   make(map[int][]byte),
-		nonces:  make(map[int]crypto.Element),
-
-		shareDigests: make(map[int][]byte),
-
-		beaconCommits: make(map[int][]byte),
-		beaconShares:  make(map[int][]byte),
+		r:      s.nextOpen,
+		phase:  rpCollect,
+		vecLen: s.sched.Layout(s.nextOpen).Len,
+		start:  now,
+		hardAt: now.Add(s.def.Policy.HardTimeout),
+		subs:   make(map[int]*Message),
+		cts:    make(map[int][]byte),
+		accSet: make(map[int]bool),
+		nonces: make(map[int]crypto.Element),
 	}
+	s.openExchanges(rs)
 	if rs.r < s.recoverUntil {
 		// Crash recovery (restore.go): surviving peers may hold this round
 		// wedged at some pre-crash attempt we cannot know — one the
@@ -936,7 +927,7 @@ func (s *Server) takeServerPad(rs *roundState, length int) []byte {
 	return share
 }
 
-func (s *Server) onClientSubmit(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onClientSubmit(now time.Time, m *Message, digest []byte) (*Output, error) {
 	if s.phase != phaseRunning && s.phase != phaseBlame {
 		return &Output{}, nil
 	}
@@ -948,7 +939,7 @@ func (s *Server) onClientSubmit(now time.Time, m *Message) (*Output, error) {
 			// opens r+1. Stash within one pipeline horizon, drop a client
 			// claiming an impossible future.
 			if m.Round < s.nextOpen+uint64(s.depth) && s.phase == phaseRunning {
-				return s.stashMsg(m), nil
+				return s.stashMsg(m, digest), nil
 			}
 			return &Output{}, nil
 		}
@@ -1045,11 +1036,9 @@ func (s *Server) roundTick(now time.Time) (*Output, error) {
 		}
 		if rs.phase == rpCollect {
 			if (!rs.closeAt.IsZero() && !now.Before(rs.closeAt)) || !now.Before(rs.hardAt) {
-				o, err := s.closeWindow(now, rs)
-				if err != nil {
+				if _, err := out.then(s.closeWindow(now, rs)); err != nil {
 					return nil, err
 				}
-				out.merge(o)
 				continue
 			}
 			t := rs.hardAt
@@ -1135,21 +1124,19 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	if err := s.castServers(now, rs, MsgInventory, wire.Encode(inv), out); err != nil {
 		return nil, err
 	}
-	rs.invs[s.idx] = inv
-	more, err := s.maybeCommit(now, rs)
-	if err != nil {
+	rs.inv.put(s.idx, inv, nil)
+	if _, err := out.then(s.maybeCommit(now, rs)); err != nil {
 		return nil, err
 	}
-	out.merge(more)
 	s.maybeOpenRounds(now, out)
 	return out, nil
 }
 
-func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onInventory(now time.Time, m *Message, digest []byte) (*Output, error) {
 	rs := s.rounds[m.Round]
 	if rs == nil {
 		if m.Round >= s.nextOpen {
-			return s.stashMsg(m), nil // a round we haven't opened yet
+			return s.stashMsg(m, digest), nil // a round we haven't opened yet
 		}
 		// Retired round. A server still inventorying it missed the
 		// certification (it was down when the certs flew); it adopts the
@@ -1167,17 +1154,15 @@ func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
 			// (openRound); abandon the attempt we were wedged on and
 			// rejoin. Kept submissions ride the new attempt through our
 			// fresh inventory.
-			return s.escalateAttempt(now, rs, p, s.def.ServerIndex(m.From))
+			return s.escalateAttempt(now, rs, s.def.ServerIndex(m.From), p, digest)
 		}
 		// Inventories from a newer α-reopen attempt can arrive while we
 		// are still collecting for it; only same-attempt ones are used.
 		return &Output{}, nil
 	}
-	si := s.def.ServerIndex(m.From)
-	if _, dup := rs.invs[si]; dup {
-		return &Output{}, nil
+	if out, ok := rs.inv.collect(s, rs.r, m, digest, p); !ok {
+		return out, nil
 	}
-	rs.invs[si] = p
 	return s.maybeCommit(now, rs)
 }
 
@@ -1189,7 +1174,7 @@ func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
 // chain head, so those must run in round order. A younger round that
 // has every inventory simply waits; retiring the head re-invokes this.
 func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
-	if rs.phase != rpInventory || len(rs.invs) < len(s.def.Servers) {
+	if rs.phase != rpInventory || !rs.inv.full() {
 		return &Output{}, nil
 	}
 	if rs.r != s.head() {
@@ -1198,7 +1183,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 	// Union and dedup (lowest server index keeps a duplicate client).
 	claimed := make(map[int]int) // client -> owning server
 	for si := 0; si < len(s.def.Servers); si++ {
-		for _, ci := range rs.invs[si].Clients {
+		for _, ci := range rs.inv.get(si).Clients {
 			c := int(ci)
 			if s.excluded[c] {
 				continue
@@ -1215,15 +1200,13 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 		directSets[si] = append(directSets[si], ci)
 	}
 
-	if speculated := len(rs.invs[s.idx].Hash) > 0; speculated {
+	if speculated := len(rs.inv.get(s.idx).Hash) > 0; speculated {
 		if s.speculationHolds(rs, included, directSets) {
 			// Every server committed, at window close, to the share over
 			// exactly these sets: the M inventories are the commit phase.
-			for si, inv := range rs.invs {
-				rs.commits[si] = inv.Hash
-				if len(inv.BeaconCommit) > 0 {
-					rs.beaconCommits[si] = inv.BeaconCommit
-				}
+			for si := range s.def.Servers {
+				inv := rs.inv.get(si)
+				rs.commit.put(si, Commit{Attempt: inv.Attempt, Hash: inv.Hash, BeaconCommit: inv.BeaconCommit}, rs.inv.digest(si))
 			}
 			rs.phase = rpCommit
 			return s.maybeShare(now, rs)
@@ -1247,7 +1230,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 		if rs.closeAt.After(rs.hardAt) {
 			rs.closeAt = rs.hardAt
 		}
-		rs.invs = make(map[int]*Inventory)
+		rs.inv.open(len(s.def.Servers))
 		// The recorded casts are now a stale attempt; peers would drop
 		// them on the attempt check anyway.
 		rs.casts.clear()
@@ -1277,7 +1260,8 @@ func (s *Server) speculationHolds(rs *roundState, included []int, directSets [][
 	if !slices.Equal(included, rs.shareIncluded) {
 		return false
 	}
-	for si, inv := range rs.invs {
+	for si := range s.def.Servers {
+		inv := rs.inv.get(si)
 		if len(inv.Hash) == 0 || !slices.EqualFunc(inv.Clients, directSets[si],
 			func(listed int32, kept int) bool { return int(listed) == kept }) {
 			return false
@@ -1393,11 +1377,9 @@ func (s *Server) commitShare(rs *roundState) (*Commit, error) {
 		s.interdict.Share(rs.r, p.CT)
 	}
 	rs.shareMsg = &Message{From: s.id, Type: MsgShare, Round: rs.r, Body: body}
-	rs.shareDigests[s.idx] = rs.shareMsg.digest(s.grpID)
-	commit := &Commit{Attempt: rs.attempt, Hash: rs.shareDigests[s.idx]}
+	commit := &Commit{Attempt: rs.attempt, Hash: rs.shareMsg.digest(s.grpID)}
 	if rs.myBeaconShare != nil {
 		commit.BeaconCommit = beacon.CommitShare(rs.myBeaconShare)
-		rs.beaconCommits[s.idx] = commit.BeaconCommit
 	}
 	return commit, nil
 }
@@ -1414,16 +1396,11 @@ func (s *Server) sendCommit(now time.Time, rs *roundState) (*Output, error) {
 	if err := s.castServers(now, rs, MsgCommit, wire.Encode(commit), out); err != nil {
 		return nil, err
 	}
-	rs.commits[s.idx] = commit.Hash
-	more, err := s.maybeShare(now, rs)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	rs.commit.put(s.idx, *commit, nil)
+	return out.then(s.maybeShare(now, rs))
 }
 
-func (s *Server) onCommit(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onCommit(now time.Time, m *Message, digest []byte) (*Output, error) {
 	rs := s.rounds[m.Round]
 	if rs == nil {
 		return &Output{}, nil
@@ -1435,30 +1412,22 @@ func (s *Server) onCommit(now time.Time, m *Message) (*Output, error) {
 	if p.Attempt != rs.attempt {
 		return &Output{}, nil
 	}
-	si := s.def.ServerIndex(m.From)
-	if prev, dup := rs.commits[si]; dup {
-		if !bytes.Equal(prev, p.Hash) {
-			return s.misbehave(rs.r, m.From, "equivocation",
-				fmt.Errorf("server %d sent two distinct commitments for round %d", si, rs.r)), nil
-		}
-		return &Output{}, nil
-	}
-	rs.commits[si] = p.Hash
-	if len(p.BeaconCommit) > 0 {
-		rs.beaconCommits[si] = p.BeaconCommit
+	if out, ok := rs.commit.collect(s, rs.r, m, digest, *p); !ok {
+		return out, nil
 	}
 	return s.maybeShare(now, rs)
 }
 
 func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
-	if rs.phase != rpCommit || len(rs.commits) < len(s.def.Servers) {
+	if rs.phase != rpCommit || !rs.commit.full() {
 		return &Output{}, nil
 	}
 	rs.phase = rpShare
 	out := &Output{}
 	// Reveal the message commitShare committed to, signed over the digest
-	// computed there.
-	if err := s.signDigest(rs.shareMsg, rs.shareDigests[s.idx]); err != nil {
+	// computed there: our own commitment.
+	digest := rs.commit.get(s.idx).Hash
+	if err := s.signDigest(rs.shareMsg, digest); err != nil {
 		return nil, err
 	}
 	s.recordCast(now, &rs.casts, s.retrySeed^rs.r, MsgShare, rs.r, rs.shareMsg.Body, out)
@@ -1469,16 +1438,8 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs.shares[s.idx] = own.CT
-	if rs.myBeaconShare != nil {
-		rs.beaconShares[s.idx] = rs.myBeaconShare
-	}
-	more, err := s.maybeCombine(now, rs)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	rs.share.put(s.idx, own, digest)
+	return out.then(s.maybeCombine(now, rs))
 }
 
 // onShare takes a peer's revealed share. digest is the one ingress
@@ -1500,30 +1461,20 @@ func (s *Server) onShare(now time.Time, m *Message, digest []byte) (*Output, err
 	if err != nil {
 		return s.misbehave(rs.r, m.From, "malformed", fmt.Errorf("share nonce: %w", err)), nil
 	}
-	si := s.def.ServerIndex(m.From)
-	if prev, dup := rs.shareDigests[si]; dup {
-		if !bytes.Equal(prev, digest) {
-			return s.misbehave(rs.r, m.From, "equivocation",
-				fmt.Errorf("server %d sent two distinct shares for round %d", si, rs.r)), nil
-		}
-		return &Output{}, nil
+	if out, ok := rs.share.collect(s, rs.r, m, digest, p); !ok {
+		return out, nil
 	}
-	rs.shares[si] = p.CT
-	rs.shareDigests[si] = digest
-	rs.nonces[si] = nonce
-	if len(p.BeaconShare) > 0 {
-		rs.beaconShares[si] = p.BeaconShare
-	}
+	rs.nonces[s.def.ServerIndex(m.From)] = nonce
 	return s.maybeCombine(now, rs)
 }
 
 // maybeCombine verifies commitments and assembles the cleartext.
 func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
-	if rs.phase != rpShare || len(rs.shares) < len(s.def.Servers) {
+	if rs.phase != rpShare || !rs.share.full() {
 		return &Output{}, nil
 	}
 	for si := 0; si < len(s.def.Servers); si++ {
-		if !bytes.Equal(rs.commits[si], rs.shareDigests[si]) {
+		if !bytes.Equal(rs.commit.get(si).Hash, rs.share.digest(si)) {
 			// The share or nonce this server distributed is not the one
 			// it committed to: equivocation (every honest peer compares
 			// against the same broadcast commitment, so all reach this
@@ -1538,10 +1489,10 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 		// assembles the round's chain entry.
 		br := beacon.NewRound(s.keyGrp, s.def.ServerPubKeys(), rs.r, s.beaconChain.Head())
 		for si := 0; si < len(s.def.Servers); si++ {
-			if err := br.Commit(si, rs.beaconCommits[si]); err != nil {
+			if err := br.Commit(si, rs.commit.get(si).BeaconCommit); err != nil {
 				return s.violation(rs.r, err), nil
 			}
-			if err := br.Reveal(si, rs.beaconShares[si]); err != nil {
+			if err := br.Reveal(si, rs.share.get(si).BeaconShare); err != nil {
 				return s.violation(rs.r, err), nil
 			}
 		}
@@ -1554,7 +1505,7 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 	t0 := time.Now()
 	cleartext := s.bufs.get(rs.vecLen)
 	for si := 0; si < len(s.def.Servers); si++ {
-		crypto.XORBytes(cleartext, rs.shares[si])
+		crypto.XORBytes(cleartext, rs.share.get(si).CT)
 	}
 	rs.cleartext = cleartext
 	rs.combineDur += time.Since(t0)
@@ -1596,16 +1547,11 @@ func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
 	if err := s.castServers(now, rs, MsgCertify, body, out); err != nil {
 		return nil, err
 	}
-	rs.certs[s.idx] = cert
-	more, err := s.maybeOutput(now, rs)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	rs.cert.put(s.idx, cert, nil)
+	return out.then(s.maybeOutput(now, rs))
 }
 
-func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onCertify(now time.Time, m *Message, digest []byte) (*Output, error) {
 	rs := s.rounds[m.Round]
 	if rs == nil {
 		return &Output{}, nil
@@ -1621,7 +1567,7 @@ func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
 		// A peer can certify before our own combine completes (its
 		// copy of a slow share may arrive before ours under link
 		// serialization); verify once we have the cleartext.
-		return s.stashMsg(m), nil
+		return s.stashMsg(m, digest), nil
 	}
 	if p.Attempt != rs.attempt {
 		return &Output{}, nil
@@ -1631,10 +1577,9 @@ func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
 		return s.misbehave(rs.r, m.From, "bad-certificate",
 			fmt.Errorf("server %d certify: %w", si, err)), nil
 	}
-	if _, dup := rs.certs[si]; dup {
-		return &Output{}, nil
+	if out, ok := rs.cert.collect(s, rs.r, m, digest, p.Sig); !ok {
+		return out, nil
 	}
-	rs.certs[si] = p.Sig
 	return s.maybeOutput(now, rs)
 }
 
@@ -1662,16 +1607,13 @@ func (s *Server) checkCertify(rs *roundState, si int, cert []byte) error {
 // the replica, keep what accusation tracing needs, and finish as for any
 // retired round.
 func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
-	if rs.phase != rpCertify || len(rs.certs) < len(s.def.Servers) {
+	if rs.phase != rpCertify || !rs.cert.full() {
 		return &Output{}, nil
 	}
 	// Every server's contribution is in and individually verified: the
 	// partial responses sum to one signature under the aggregate key. A
 	// failed round carries the servers' own signatures as they are.
-	sigs := make([][]byte, len(s.def.Servers))
-	for i := range sigs {
-		sigs[i] = rs.certs[i]
-	}
+	sigs := rs.cert.values()
 	if !rs.failed {
 		partials := make([]*big.Int, len(sigs))
 		for i, z := range sigs {
@@ -1703,8 +1645,8 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 			layout:       s.sched.Layout(s.head()),
 			shares:       make([][]byte, len(s.def.Servers)),
 		}
-		for i := range hist.shares {
-			hist.shares[i] = rs.shares[i]
+		for si := range hist.shares {
+			hist.shares[si] = rs.share.get(si).CT
 		}
 	}
 	res, err := s.retire(rs.r, ro, rs.beaconEntry)
@@ -1820,11 +1762,9 @@ func (s *Server) retireResume(now time.Time, out *Output) error {
 	}
 	s.persistSnapshot()
 	if rs := s.rounds[s.head()]; rs != nil {
-		more, err := s.maybeCommit(now, rs)
-		if err != nil {
+		if _, err := out.then(s.maybeCommit(now, rs)); err != nil {
 			return err
 		}
-		out.merge(more)
 	}
 	s.maybeOpenRounds(now, out)
 	return nil
@@ -1898,28 +1838,40 @@ func (s *Server) misbehave(round uint64, from group.NodeID, kind string, err err
 	return out
 }
 
+// openExchanges empties a round's four exchanges for a fresh attempt.
+func (s *Server) openExchanges(rs *roundState) {
+	m := len(s.def.Servers)
+	rs.inv.open(m)
+	rs.commit.open(m)
+	rs.share.open(m)
+	rs.cert.open(m)
+}
+
+// waitingOn lists the servers whose contribution to the round's current
+// server-server phase is missing: the empty slots of its exchange.
+func (rs *roundState) waitingOn() []int {
+	switch rs.phase {
+	case rpInventory:
+		return rs.inv.missing()
+	case rpCommit:
+		return rs.commit.missing()
+	case rpShare:
+		return rs.share.missing()
+	case rpCertify:
+		return rs.cert.missing()
+	}
+	return nil
+}
+
 // suspectWithholding attributes a wedged server-server phase to the
 // peers whose contribution for the round's current phase is missing.
 func (s *Server) suspectWithholding(rs *roundState) *Output {
-	var has func(si int) bool
-	switch rs.phase {
-	case rpInventory:
-		has = func(si int) bool { _, ok := rs.invs[si]; return ok }
-	case rpCommit:
-		has = func(si int) bool { _, ok := rs.commits[si]; return ok }
-	case rpShare:
-		has = func(si int) bool { _, ok := rs.shares[si]; return ok }
-	case rpCertify:
-		has = func(si int) bool { _, ok := rs.certs[si]; return ok }
-	default:
-		return &Output{}
-	}
 	if rs.suspected == nil {
 		rs.suspected = make(map[int]bool)
 	}
 	out := &Output{}
-	for si := range s.def.Servers {
-		if si == s.idx || rs.suspected[si] || has(si) {
+	for _, si := range rs.waitingOn() {
+		if si == s.idx || rs.suspected[si] {
 			continue
 		}
 		rs.suspected[si] = true

@@ -51,12 +51,12 @@ type shuffleSession struct {
 	finished func(now time.Time, outputs []shuffle.Vec) (*Output, error)
 	empty    func(now time.Time) (*Output, error)
 
-	subs    map[int]shuffleInput // own clients' submissions, by client index
-	closed  bool                 // window closed, own list sent
-	lists   map[int]*ShuffleList // server index -> list
-	started bool                 // inputs fixed; stages running or done
-	cur     []shuffle.Vec        // the current stage's input list
-	stage   int                  // next stage (server index) to run
+	subs    map[int]shuffleInput   // own clients' submissions, by client index
+	closed  bool                   // window closed, own list sent
+	list    exchange[*ShuffleList] // every server's list
+	started bool                   // inputs fixed; stages running or done
+	cur     []shuffle.Vec          // the current stage's input list
+	stage   int                    // next stage (server index) to run
 }
 
 // shuffleInput is one accepted submission: the bytes as signed (what the
@@ -70,7 +70,7 @@ type shuffleInput struct {
 func (s *Server) openShuffle(ss shuffleSession) *shuffleSession {
 	ss.s = s
 	ss.subs = make(map[int]shuffleInput)
-	ss.lists = make(map[int]*ShuffleList)
+	ss.list.open(len(ss.pubs))
 	return &ss
 }
 
@@ -92,7 +92,7 @@ func (s *Server) shuffleFor(t MsgType) (*shuffleSession, int32) {
 // traffic for it is recognisably stale.
 func (ss *shuffleSession) retire() {
 	ss.closed, ss.started, ss.stage = true, true, len(ss.pubs)
-	ss.subs, ss.lists, ss.cur = nil, nil, nil
+	ss.subs, ss.list, ss.cur = nil, exchange[*ShuffleList]{}, nil
 }
 
 // decodeInput parses one submitted ciphertext vector of the session's
@@ -176,32 +176,28 @@ func (ss *shuffleSession) close(now time.Time) (*Output, error) {
 	if err := ss.s.broadcastServers(ss.listT, ss.round, wire.Encode(list), out); err != nil {
 		return nil, err
 	}
-	ss.lists[ss.s.idx] = list
-	more, err := ss.maybeStart(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	ss.list.put(ss.s.idx, list, nil)
+	return out.then(ss.maybeStart(now))
 }
 
-func (s *Server) onShuffleList(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onShuffleList(now time.Time, m *Message, digest []byte) (*Output, error) {
 	p, err := decode[ShuffleList](m.Body)
 	if err != nil {
-		return s.violation(s.head(), err), nil
+		return s.misbehave(s.head(), m.From, "malformed", err), nil
 	}
 	ss, newest := s.shuffleFor(m.Type)
 	if ss == nil || p.Session > ss.id {
 		if p.Session > newest {
-			return s.stashMsg(m), nil
+			return s.stashMsg(m, digest), nil
 		}
 		return &Output{}, nil
 	}
-	si := s.def.ServerIndex(m.From)
-	if _, dup := ss.lists[si]; dup || ss.started || p.Session != ss.id {
+	if ss.started || p.Session != ss.id {
 		return &Output{}, nil
 	}
-	ss.lists[si] = p
+	if out, ok := ss.list.collect(s, ss.round, m, digest, p); !ok {
+		return out, nil
+	}
 	if ss.followPeers && !ss.closed {
 		return ss.close(now)
 	}
@@ -215,7 +211,7 @@ func (s *Server) onShuffleList(now time.Time, m *Message) (*Output, error) {
 // keeping a client listed twice, entries that do not decode dropped.
 func (ss *shuffleSession) maybeStart(now time.Time) (*Output, error) {
 	s := ss.s
-	if len(ss.lists) < len(ss.pubs) || ss.started {
+	if !ss.list.full() || ss.started {
 		return &Output{}, nil
 	}
 	type entry struct {
@@ -224,7 +220,7 @@ func (ss *shuffleSession) maybeStart(now time.Time) (*Output, error) {
 	}
 	byClient := make(map[int]entry)
 	for si := range ss.pubs {
-		list := ss.lists[si]
+		list := ss.list.get(si)
 		for k, ci := range list.Clients {
 			if _, ok := byClient[int(ci)]; !ok {
 				byClient[int(ci)] = entry{from: si, raw: list.CTs[k]}
@@ -250,21 +246,11 @@ func (ss *shuffleSession) maybeStart(now time.Time) (*Output, error) {
 		inputs = append(inputs, v)
 	}
 	if len(inputs) == 0 {
-		more, err := ss.empty(now)
-		if err != nil {
-			return nil, err
-		}
-		out.merge(more)
-		return out, nil
+		return out.then(ss.empty(now))
 	}
 	ss.started, ss.cur, ss.stage = true, inputs, 0
-	ss.subs, ss.lists = nil, nil
-	more, err := ss.advance(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	ss.subs, ss.list = nil, exchange[*ShuffleList]{}
+	return out.then(ss.advance(now))
 }
 
 // advance runs this server's stage if it is up, and hands the output to
@@ -290,15 +276,10 @@ func (ss *shuffleSession) advance(now time.Time) (*Output, error) {
 	}
 	outputs := ss.cur
 	ss.retire()
-	more, err := ss.finished(now, outputs)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(more)
-	return out, nil
+	return out.then(ss.finished(now, outputs))
 }
 
-func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
+func (s *Server) onShuffleStep(now time.Time, m *Message, digest []byte) (*Output, error) {
 	p, err := decode[ShuffleStep](m.Body)
 	if err != nil {
 		return s.violation(s.head(), err), nil
@@ -308,7 +289,7 @@ func (s *Server) onShuffleStep(now time.Time, m *Message) (*Output, error) {
 		// Ahead of us: its session has not opened here, our lists are not
 		// all in, or an earlier stage is still on its way.
 		if p.Session >= newest {
-			return s.stashMsg(m), nil
+			return s.stashMsg(m, digest), nil
 		}
 		return &Output{}, nil
 	}
