@@ -395,12 +395,12 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 // empties: the draining round announces its own length again, and later
 // rounds with nothing to send leave the region all-zero — silent — until
 // the next record rides the next composed round without a request round
-// first. The schedule closes a slot after Policy.IdleCloseRounds silent
-// chains (IdleCloseRounds × PipelineDepth rounds), so only a record
-// arriving later than that after our last one pays the request round; a
-// slot grown past DefaultOpenLen for a backlog closes as soon as the
-// backlog drains. Either way the region we record for disruption
-// detection is exactly the one we sent.
+// first. The schedule keeps the eight most recently active silent slots
+// open and closes the one silent longest beyond them, so only a record
+// whose slot was closed that way pays the request round; a slot grown
+// past DefaultOpenLen for a backlog closes as soon as the backlog
+// drains. Either way the region we record for disruption detection is
+// exactly the one we sent.
 func (c *Client) composeVector(cr *clientRound) ([]byte, error) {
 	l := c.sched.Layout(cr.r)
 	vec := c.bufs.get(l.Len)

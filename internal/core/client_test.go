@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dissent/internal/dcnet"
@@ -19,8 +20,9 @@ type composedSlot struct {
 // TestClientKeepsSmallSlotOpen pins the client half of the silent-slot
 // rule at depths 1 and 2: a record that fits announces the slot's own
 // length, so the slot stays open; the rounds after it leave the region
-// all-zero; a record queued inside the horizon rides the very next
-// composed round with no request bit set in between; a backlog that grew
+// all-zero; with fewer silent slots than the schedule keeps open, a
+// record queued after 50 silent rounds rides the very next composed
+// round with no request bit set in between; a backlog that grew
 // the slot past DefaultOpenLen closes it once drained; and a witness keeps
 // the slot open and non-silent, to carry its shuffle request.
 func TestClientKeepsSmallSlotOpen(t *testing.T) {
@@ -45,7 +47,7 @@ func TestClientKeepsSmallSlotOpen(t *testing.T) {
 			})
 			c, srv := f.clients[0], f.servers[0]
 			open := f.def.Policy.DefaultOpenLen
-			horizon := f.def.Policy.IdleCloseRounds * depth
+			const silent = 50 // rounds the slot stays silent between records
 			nextRound := func() { f.stepUntilRound(srv.Round(), 400_000) }
 			// slotData returns what server 0 decoded from c's slot, by round.
 			slotData := func() map[uint64][]byte {
@@ -62,7 +64,7 @@ func TestClientKeepsSmallSlotOpen(t *testing.T) {
 			deliver := func(data []byte) uint64 {
 				t.Helper()
 				c.Send(data)
-				for range 4 * horizon {
+				for range 4 * silent {
 					for r, got := range slotData() {
 						if bytes.Equal(got, data) {
 							return r
@@ -91,14 +93,14 @@ func TestClientKeepsSmallSlotOpen(t *testing.T) {
 					r1, p.NextLen, len(sent[r1].region), open)
 			}
 
-			// Inside the horizon the slot stays open and silent; the next
-			// record rides the next composed round with no request round.
-			for range horizon / 2 {
+			// The slot stays open and silent; the next record rides the next
+			// composed round with no request round.
+			for range silent {
 				nextRound()
 			}
 			next := c.Round()
 			if r2 := deliver([]byte("the next record")); r2 != next {
-				t.Errorf("a record queued inside the horizon rode round %d, want the next composed round %d", r2, next)
+				t.Errorf("a record queued after %d silent rounds rode round %d, want the next composed round %d", silent, r2, next)
 			}
 			for r := r1; r <= next; r++ {
 				s, ok := sent[r]
@@ -119,7 +121,7 @@ func TestClientKeepsSmallSlotOpen(t *testing.T) {
 			backlog := bytes.Repeat([]byte("b"), 5*open)
 			before := slotData()
 			c.Send(backlog)
-			for range 4 * horizon {
+			for range 4 * silent {
 				nextRound()
 				if c.Pending() == 0 && headLayout(&c.node).Lens[c.Slot()] == 0 {
 					break
@@ -155,5 +157,63 @@ func TestClientKeepsSmallSlotOpen(t *testing.T) {
 					wr, p.NextLen, p.ShuffleReq, len(p.Data), open)
 			}
 		})
+	}
+}
+
+// TestSparseSendersSkipRequestRound counts, on the core fixture, what
+// keeping silent slots open saves a sparse workload: four senders, each
+// posting once every 200 rounds — seconds apart on a loopback group, far
+// longer than any record takes. A record whose slot is closed sets the
+// request bit and rides a round one chain later; with four senders, under
+// the schedule's bound of eight silent slots, only each sender's first
+// record pays that.
+func TestSparseSendersSkipRequestRound(t *testing.T) {
+	const senders, period, records = 4, 200, 3
+	reqs := make([]map[uint64]bool, senders) // the rounds each sender set its request bit in
+	f := newFixture(t, 2, senders, fixtureOpts{
+		clientOpts: func(idx int, o *Options) {
+			reqs[idx] = map[uint64]bool{}
+			o.Interdict = &Interdict{Vector: func(info VectorInfo, vec []byte) {
+				if vec[info.OwnSlot/8]&(1<<(info.OwnSlot%8)) != 0 {
+					reqs[idx][info.Round] = true
+				}
+			}}
+		},
+	})
+	f.h.StartAll()
+	for k := range records {
+		for i, c := range f.clients {
+			f.stepUntilRound(uint64(10+k*period+i*period/senders), 1_000_000)
+			c.Send(fmt.Appendf(nil, "sender %d record %d", i, k))
+		}
+	}
+	f.stepUntilRound(f.servers[0].Round()+10, 1_000_000)
+	// delivered[i][k] is the round server 0 decoded sender i's record k in.
+	delivered := make([][records]uint64, senders)
+	for _, d := range f.h.Deliveries {
+		var i, k int
+		if d.Node == f.servers[0].ID() {
+			if _, err := fmt.Sscanf(string(d.Data), "sender %d record %d", &i, &k); err == nil {
+				delivered[i][k] = d.Round
+			}
+		}
+	}
+	for i := range senders {
+		var before, after int
+		for r := range reqs[i] {
+			if r < delivered[i][0] {
+				before++
+			} else {
+				after++
+			}
+		}
+		t.Logf("sender %d: request bit in %d rounds before its first record, %d after", i, before, after)
+		if slices.Contains(delivered[i][:], 0) {
+			t.Fatalf("sender %d: records delivered in rounds %v; violations: %v", i, delivered[i], f.violations())
+		}
+		if before == 0 || after != 0 {
+			t.Errorf("sender %d set its request bit in %d rounds before its first record and %d after, want some and none",
+				i, before, after)
+		}
 	}
 }

@@ -29,14 +29,19 @@ type scriptSend struct {
 	payload []byte
 }
 
-// genPipelineScript draws a workload: bursty sends of varying sizes
-// (idle gaps close slots, large payloads fragment and grow them) plus
+// genPipelineScript draws a workload: every client sends in round 1, so
+// more slots fall silent than the schedule keeps open and the longest
+// silent close, then bursty sends of varying sizes (a closed slot reopens
+// through its request bit, large payloads fragment and grow slots) plus
 // scripted stragglers that reopen submission windows.
 func genPipelineScript(seed int64, clients int) *pipelineScript {
 	rng := rand.New(rand.NewSource(seed))
 	s := &pipelineScript{
 		sends:     make(map[uint64][]scriptSend),
 		straggler: make(map[uint64]int),
+	}
+	for ci := range clients {
+		s.sends[1] = append(s.sends[1], scriptSend{client: ci, payload: fmt.Appendf(nil, "s%d-c%d-hello|", seed, ci)})
 	}
 	for r := uint64(1); r < 18; r += uint64(1 + rng.Intn(3)) {
 		n := 1 + rng.Intn(3)
@@ -59,12 +64,21 @@ func genPipelineScript(seed int64, clients int) *pipelineScript {
 
 // runPipelineScript replays the script over a fresh group at the given
 // pipeline depth and returns each client's concatenated delivered byte
-// stream as observed by server 0, and how many certified rounds took the
-// speculative (commit rides the inventory) and the explicit commit path.
-func runPipelineScript(t *testing.T, script *pipelineScript, depth int) (streams map[int]string, speculated, explicit int) {
+// stream as observed by server 0, how many certified rounds took the
+// speculative (commit rides the inventory) and the explicit commit path,
+// and how many times a client found its silent slot closed.
+func runPipelineScript(t *testing.T, script *pipelineScript, depth int) (streams map[int]string, speculated, explicit, evictions int) {
 	t.Helper()
-	const clients = 4
-	f := newFixture(t, 2, clients, fixtureOpts{
+	// An owner announces NextLen 0 only for a slot grown past
+	// DefaultOpenLen, so a slot no longer than that which its owner
+	// composes closed in a later round was closed by the silent-slot
+	// bound.
+	type composed struct {
+		round uint64
+		n     int
+	}
+	last := map[int]composed{} // each client's latest composition
+	f := newFixture(t, 2, pipelineClients, fixtureOpts{
 		mutatePolicy: func(p *group.Policy) {
 			// Alpha 1.0: a straggler cannot be excluded, so its delayed
 			// submission reopens the window (attempt 2) instead of failing
@@ -72,13 +86,23 @@ func runPipelineScript(t *testing.T, script *pipelineScript, depth int) (streams
 			// certify identical include-sets every round.
 			p.Alpha = 1.0
 			p.BeaconEpochRounds = 5 // several epoch boundaries + rotations
-			p.IdleCloseRounds = 2
-			p.DefaultOpenLen = 32
+			p.DefaultOpenLen = pipelineOpenLen
 			p.MaxSlotLen = 256
 		},
 		mutateOpts: func(o *Options) { o.PipelineDepth = depth },
+		clientOpts: func(idx int, o *Options) {
+			o.Interdict = &Interdict{Vector: func(info VectorInfo, _ []byte) {
+				_, n := info.SlotRange(info.OwnSlot)
+				if l, ok := last[idx]; !ok || info.Round > l.round {
+					if ok && n == 0 && l.n > 0 && l.n <= pipelineOpenLen {
+						evictions++
+					}
+					last[idx] = composed{info.Round, n}
+				}
+			}}
+		},
 	})
-	clientIdx := make(map[group.NodeID]int, clients)
+	clientIdx := make(map[group.NodeID]int, pipelineClients)
 	for i, c := range f.clients {
 		clientIdx[c.ID()] = i
 	}
@@ -116,20 +140,27 @@ func runPipelineScript(t *testing.T, script *pipelineScript, depth int) (streams
 			speculated++
 		}
 	}
-	return f.senderStreams(), speculated, explicit
+	return f.senderStreams(), speculated, explicit, evictions
 }
+
+// pipelineClients is more senders than the schedule keeps silent slots
+// open for, so the script's idle gaps close slots.
+const (
+	pipelineClients = 10
+	pipelineOpenLen = 96 // the policy's DefaultOpenLen
+)
 
 // TestPipelineParityDifferential is the correctness proof for the round
 // pipeline: for randomized workloads — bursty variable size submissions,
-// idle slot closures and request-bit reopenings, straggler-induced
-// α-reopens, epoch rotations, rounds whose commit rode the inventory next
-// to rounds that ran the explicit exchange — the engine at depths 2, 3
-// and 4 must deliver byte-identical per-sender streams to the serial
-// engine.
+// silent slots closed by the eight-slot bound and reopened by request
+// bits, straggler-induced α-reopens, epoch rotations, rounds whose commit
+// rode the inventory next to rounds that ran the explicit exchange — the
+// engine at depths 2, 3 and 4 must deliver byte-identical per-sender
+// streams to the serial engine.
 func TestPipelineParityDifferential(t *testing.T) {
 	prop := func(seed int64) bool {
-		script := genPipelineScript(seed, 4)
-		serial, _, _ := runPipelineScript(t, script, 1)
+		script := genPipelineScript(seed, pipelineClients)
+		serial, _, _, evictions := runPipelineScript(t, script, 1)
 		ok := true
 		// The workload must actually exercise the data plane.
 		total := 0
@@ -140,8 +171,16 @@ func TestPipelineParityDifferential(t *testing.T) {
 			t.Errorf("seed %d: serial run delivered nothing", seed)
 			ok = false
 		}
+		if evictions == 0 {
+			t.Errorf("seed %d: the serial run closed no silent slot", seed)
+			ok = false
+		}
 		for depth := 2; depth <= 4; depth++ {
-			pipelined, speculated, explicit := runPipelineScript(t, script, depth)
+			pipelined, speculated, explicit, evictions := runPipelineScript(t, script, depth)
+			if evictions == 0 {
+				t.Errorf("seed %d: depth %d closed no silent slot", seed, depth)
+				ok = false
+			}
 			// Both commit paths must run inside the one pipelined script: the
 			// steady rounds speculate, the straggler reopens and epoch drains
 			// do not.

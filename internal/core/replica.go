@@ -28,11 +28,10 @@ var errLayout = errors.New("core: certified cleartext does not fit the replica's
 // numSlots slots (0 when restoring: the snapshot names the count).
 func (n *node) schedConfig(numSlots int) dcnet.Config {
 	return dcnet.Config{
-		NumSlots:        numSlots,
-		DefaultOpenLen:  n.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      n.def.Policy.MaxSlotLen,
-		IdleCloseRounds: n.def.Policy.IdleCloseRounds,
-		Lag:             n.depth - 1,
+		NumSlots:       numSlots,
+		DefaultOpenLen: n.def.Policy.DefaultOpenLen,
+		MaxSlotLen:     n.def.Policy.MaxSlotLen,
+		Lag:            n.depth - 1,
 	}
 }
 

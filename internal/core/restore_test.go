@@ -278,10 +278,13 @@ func TestServerDoubleCrashInOneRound(t *testing.T) {
 // peer, the peers' proposals not all in — re-sends the same proposal
 // from its store. Peers keep the first proposal they receive, so a
 // rebuilt one (pending churn is not persisted) would make the two sides
-// certify different updates and every roster certificate fail.
+// certify different updates and every roster certificate fail. Expelling
+// a server's only client leaves that server no submission to wait for:
+// it must close each later window as it opens, so the rounds after the
+// update keep the group's pace and no server is charged with withholding.
 func TestRosterRestartReservesProposal(t *testing.T) {
 	const epoch = 6
-	for _, churn := range []string{"expel", "join"} {
+	for _, churn := range []string{"expel", "expel-sole-client", "join"} {
 		t.Run(churn, func(t *testing.T) {
 			d := newDurableFixture(t, epoch)
 			f := d.fixture
@@ -302,10 +305,13 @@ func TestRosterRestartReservesProposal(t *testing.T) {
 			}
 			f.h.StartAll()
 			f.stepUntilRound(1, 2_000_000)
-			// Client 3 is not the last client server 0 serves: a server left
-			// with no client closes each window only at the hard timeout.
+			// Client 3 shares server 0 with client 0; client 1 is server 1's
+			// only client, which leaves server 1 with no one to wait for.
 			expelled := f.clients[3].ID()
-			if churn == "expel" {
+			if churn == "expel-sole-client" {
+				expelled = f.clients[1].ID()
+			}
+			if churn != "join" {
 				if err := f.servers[0].Expel(expelled); err != nil {
 					t.Fatal(err)
 				}
@@ -332,7 +338,7 @@ func TestRosterRestartReservesProposal(t *testing.T) {
 						s.Index(), s.Round(), s.RosterVersion(), len(v), v[:min(len(v), 1)])
 				}
 				switch ci := s.def.ClientIndex(expelled); {
-				case churn == "expel" && !s.def.Clients[ci].Expelled:
+				case churn != "join" && !s.def.Clients[ci].Expelled:
 					t.Fatalf("server %d applied an update without the Expel", s.Index())
 				case churn == "join" && s.def.ClientIndex(joiner.ID()) < 0:
 					t.Fatalf("server %d applied an update without the joiner", s.Index())
@@ -345,6 +351,20 @@ func TestRosterRestartReservesProposal(t *testing.T) {
 				if f.def.ServerIndex(ev.Culprit) >= 0 {
 					t.Fatalf("honest server charged: %+v", ev)
 				}
+			}
+			// The rounds after the update certify at the fixture's pace, not
+			// at the hard timeout of a server waiting on no one.
+			var first, last time.Time
+			for _, e := range f.h.EventsOf(EventRoundComplete) {
+				switch {
+				case e.Round == epoch && first.IsZero():
+					first = e.At
+				case e.Round == epoch+2 && e.At.After(last):
+					last = e.At
+				}
+			}
+			if took := last.Sub(first); first.IsZero() || took > time.Second {
+				t.Fatalf("rounds %d to %d certified over %v; a few milliseconds each is the fixture's pace", epoch, epoch+2, took)
 			}
 		})
 	}

@@ -832,6 +832,15 @@ func (s *Server) openRound(now time.Time, out *Output) {
 		rs.closeAt = now.Add(s.def.Policy.WindowMin)
 		out.merge(&Output{Timer: rs.closeAt})
 	}
+	if s.myExpected() == 0 && s.expectedClients() > 0 {
+		// Every client attached here is excluded, so no submission will
+		// arrive: close the window as it opens rather than at HardTimeout,
+		// which the peers would charge as withholding. (With no client in
+		// the whole group the round fails however early it closes; it
+		// keeps the hard timeout's pace.)
+		rs.closeAt = now
+		out.merge(&Output{Timer: rs.closeAt})
+	}
 	s.rounds[rs.r] = rs
 	s.nextOpen++
 	rs.depthAtStart = len(s.rounds)

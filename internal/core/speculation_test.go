@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -86,8 +87,8 @@ func (f *fixture) clientOfBusiestServer() int {
 // latencyFloorFixture is the paper's topology (10 ms server–server, 50 ms
 // client–server) with zero compute and unlimited uplinks, at the given
 // pipeline depth, with no epoch drain inside the measured stretch.
-func latencyFloorFixture(t *testing.T, depth int) *fixture {
-	f := newFixture(t, 3, 4, fixtureOpts{
+func latencyFloorFixture(t *testing.T, depth, clients int) *fixture {
+	f := newFixture(t, 3, clients, fixtureOpts{
 		mutatePolicy: func(p *group.Policy) {
 			p.Alpha = 0.5           // a withheld client does not reopen the window…
 			p.WindowThreshold = 0.5 // …and its server's window still closes
@@ -147,7 +148,7 @@ func TestRoundPeriodIsLatencyFloor(t *testing.T) {
 		last     = 30
 	)
 	for depth := 1; depth <= 4; depth++ {
-		f := latencyFloorFixture(t, depth)
+		f := latencyFloorFixture(t, depth, 4)
 		// One client goes missing for one client-side cycle (depth
 		// consecutive rounds), then returns.
 		victim := f.clients[f.clientOfBusiestServer()].ID()
@@ -225,102 +226,137 @@ func TestRoundPeriodIsLatencyFloor(t *testing.T) {
 // arrives, so the record is delivered exactly chain(q) + chain(q+d) after
 // the first composition. At depths 1–3 every chain here is 130 ms: one
 // chain on an open slot, two on a closed one (TestRoundPeriodIsLatencyFloor
-// explains depth 4's four-hop chains). The slot stays open for exactly
-// the policy's IdleCloseRounds·d silent rounds: a record one round inside
-// that edge pays one chain, a record at it two.
+// explains depth 4's four-hop chains). The schedule keeps eight silent
+// slots open: with four senders a record composed after 1,000 silent
+// rounds still pays one chain; with nine, the sender silent longest finds
+// its slot closed and pays two.
 func TestRecordLatencyOpenVsClosedSlot(t *testing.T) {
 	for depth := 1; depth <= 4; depth++ {
-		f := latencyFloorFixture(t, depth)
-		subject := f.clients[0]
-		composed := map[uint64]time.Time{} // the subject's first submission of each round
-		f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
-			if _, seen := composed[m.Round]; from == subject.ID() && m.Type == MsgClientSubmit && !seen {
-				composed[m.Round] = f.h.Net.Now()
-			}
-			return 0, false
-		}
-		tap := tapWire(f)
-		f.h.StartAll()
-		f.stepUntilRound(uint64(3*depth+6), 1_000_000)
+		t.Run(fmt.Sprintf("depth-%d", depth), func(t *testing.T) {
+			t.Parallel()
+			d := uint64(depth)
+			p := newLatencyProbe(t, depth, 4)
+			p.expect("closed slot", 2)
+			p.expect("open slot", 1)
+			p.queueAt(p.subject.Round() + d + 1000)
+			p.expect("after 1000 silent rounds", 1)
+			p.checkSpeculated()
 
-		// send queues a record and returns the round the subject composes
-		// next, and the round in whose output — and the time at which — the
-		// subject decodes the record. The record must fit one open slot.
-		send := func(data []byte) (next, round uint64, at time.Time) {
-			t.Helper()
-			next = subject.Round()
-			subject.Send(data)
-			for range 1_000_000 {
-				if !f.h.Net.Step() {
-					break
+			// Nine senders: the subject speaks first, then the other eight.
+			// When the last of them falls silent, the subject's slot has been
+			// silent longest and closes.
+			p = newLatencyProbe(t, depth, 9)
+			p.expect("first of nine", 2)
+			others := map[*Client][]byte{}
+			for i, c := range p.f.clients[1:] {
+				others[c] = fmt.Appendf(nil, "sender %d", i+1)
+			}
+			p.deliverAll(others)
+			p.queueAt(p.subject.Round() + 2*d)
+			p.expect("longest-silent of nine", 2)
+			p.checkSpeculated()
+		})
+	}
+}
+
+// latencyProbe drives a latency-floor fixture whose first client is the
+// subject, recording when the subject first composes each round.
+type latencyProbe struct {
+	t        *testing.T
+	f        *fixture
+	tap      *wireTap
+	subject  *Client
+	depth    uint64
+	composed map[uint64]time.Time
+	rounds   []uint64 // rounds the subject's records were composed into
+}
+
+func newLatencyProbe(t *testing.T, depth, clients int) *latencyProbe {
+	f := latencyFloorFixture(t, depth, clients)
+	p := &latencyProbe{t: t, f: f, subject: f.clients[0], depth: uint64(depth), composed: map[uint64]time.Time{}}
+	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+		if _, seen := p.composed[m.Round]; from == p.subject.ID() && m.Type == MsgClientSubmit && !seen {
+			p.composed[m.Round] = f.h.Net.Now()
+		}
+		return 0, false
+	}
+	p.tap = tapWire(f)
+	f.h.StartAll()
+	f.stepUntilRound(uint64(3*depth+6), 1_000_000)
+	return p
+}
+
+// deliverAll queues each client's record and steps until the subject has
+// decoded every one; it returns each record's delivery round and time.
+func (p *latencyProbe) deliverAll(records map[*Client][]byte) (rounds map[*Client]uint64, at map[*Client]time.Time) {
+	p.t.Helper()
+	rounds, at = map[*Client]uint64{}, map[*Client]time.Time{}
+	for c, data := range records {
+		c.Send(data)
+	}
+	seen := 0
+	for range 1_000_000 {
+		if len(rounds) == len(records) || !p.f.h.Net.Step() {
+			break
+		}
+		for _, dl := range p.f.h.Deliveries[seen:] {
+			for c, data := range records {
+				if dl.Node == p.subject.ID() && bytes.Equal(dl.Data, data) {
+					rounds[c], at[c] = dl.Round, dl.At
 				}
-				for _, d := range f.h.Deliveries {
-					if d.Node == subject.ID() && bytes.Equal(d.Data, data) {
-						return next, d.Round, d.At
-					}
-				}
-			}
-			t.Fatalf("depth %d: %q never delivered; violations: %v", depth, data, f.violations())
-			return
-		}
-		d := uint64(depth)
-
-		q, got, at := send([]byte("a record on a closed slot"))
-		if got != q+d {
-			t.Errorf("depth %d: request bit in round %d, record delivered in round %d, want %d", depth, q, got, q+d)
-		}
-		if lat, want := at.Sub(composed[q]), linkChain(tap.hops(q))+linkChain(tap.hops(q+d)); lat != want {
-			t.Errorf("depth %d: closed-slot record delivered %v after its first composition, want two chains = %v", depth, lat, want)
-		}
-
-		// Inside the silent-slot horizon the slot is still open.
-		f.stepUntilRound(f.servers[0].Round(), 1_000_000)
-		r, got, at := send([]byte("a record on an open slot"))
-		if got != r {
-			t.Errorf("depth %d: open-slot record composed into round %d, delivered in round %d", depth, r, got)
-		}
-		if lat, want := at.Sub(composed[r]), linkChain(tap.hops(r)); lat != want {
-			t.Errorf("depth %d: open-slot record delivered %v after its composition, want one chain = %v", depth, lat, want)
-		}
-
-		// The horizon's edge. Round k is composed against the directives of
-		// rounds ≤ k−d, so after a record in round r its layout has seen the
-		// silent rounds r+1 … k−d. With H = IdleCloseRounds·d, a record
-		// queued after H−1 of them still finds the slot open; one queued
-		// after H finds it closed and pays the request round.
-		horizon := uint64(f.def.Policy.IdleCloseRounds) * d
-		queueAt := func(k uint64) {
-			t.Helper()
-			for range 1_000_000 {
-				if subject.Round() >= k || !f.h.Net.Step() {
-					break
-				}
-			}
-			if subject.Round() != k {
-				t.Fatalf("depth %d: the subject never came to compose round %d", depth, k)
 			}
 		}
-		queueAt(r + d + horizon - 1)
-		e, got, at := send([]byte("a record inside the horizon"))
-		if got != e {
-			t.Errorf("depth %d: record after %d silent rounds composed into round %d, delivered in round %d", depth, horizon-1, e, got)
-		}
-		if lat, want := at.Sub(composed[e]), linkChain(tap.hops(e)); lat != want {
-			t.Errorf("depth %d: record after %d silent rounds delivered %v after its composition, want one chain = %v", depth, horizon-1, lat, want)
-		}
-		queueAt(e + d + horizon)
-		x, got, at := send([]byte("a record at the horizon"))
-		if got != x+d {
-			t.Errorf("depth %d: record after %d silent rounds: request bit in round %d, delivered in round %d, want %d", depth, horizon, x, got, x+d)
-		}
-		if lat, want := at.Sub(composed[x]), linkChain(tap.hops(x))+linkChain(tap.hops(x+d)); lat != want {
-			t.Errorf("depth %d: record after %d silent rounds delivered %v after its first composition, want two chains = %v", depth, horizon, lat, want)
-		}
+		seen = len(p.f.h.Deliveries)
+	}
+	if len(rounds) != len(records) {
+		p.t.Fatalf("depth %d: %d of %d records delivered (round %d); violations: %v", p.depth, len(rounds), len(records), p.subject.Round(), p.f.violations())
+	}
+	return rounds, at
+}
 
-		for _, round := range []uint64{q, q + d, r, e, x, x + d} {
-			if depth <= 3 && tap.explicit(round) {
-				t.Errorf("depth %d round %d: ran the explicit commit exchange", depth, round)
-			}
+// expect sends what as one record from the subject (it must fit one
+// slot's capacity) and checks that it arrives
+// one chain after its composition (an open slot: delivered in the round
+// the subject composes next) or two (a closed slot: the request bit in
+// that round, the record d rounds later).
+func (p *latencyProbe) expect(what string, chains int) {
+	p.t.Helper()
+	q := p.subject.Round()
+	rounds, at := p.deliverAll(map[*Client][]byte{p.subject: []byte(what)})
+	got, lat := rounds[p.subject], at[p.subject].Sub(p.composed[q])
+	want, wantLat := q, linkChain(p.tap.hops(q))
+	if chains == 2 {
+		want, wantLat = q+p.depth, wantLat+linkChain(p.tap.hops(q+p.depth))
+		p.rounds = append(p.rounds, q+p.depth)
+	}
+	p.rounds = append(p.rounds, q)
+	if got != want {
+		p.t.Errorf("depth %d: record %q first composed in round %d, delivered in round %d, want %d", p.depth, what, q, got, want)
+	}
+	if lat != wantLat {
+		p.t.Errorf("depth %d: record %q delivered %v after its first composition, want %d chain(s) = %v", p.depth, what, lat, chains, wantLat)
+	}
+}
+
+// queueAt steps until the subject is about to compose round k.
+func (p *latencyProbe) queueAt(k uint64) {
+	p.t.Helper()
+	for range 10_000_000 {
+		if p.subject.Round() >= k || !p.f.h.Net.Step() {
+			break
+		}
+	}
+	if p.subject.Round() != k {
+		p.t.Fatalf("depth %d: the subject never came to compose round %d", p.depth, k)
+	}
+}
+
+// checkSpeculated: at depths 1–3 every round the subject's records rode
+// took three server hops.
+func (p *latencyProbe) checkSpeculated() {
+	for _, r := range p.rounds {
+		if p.depth <= 3 && p.tap.explicit(r) {
+			p.t.Errorf("depth %d round %d: ran the explicit commit exchange", p.depth, r)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func testConfig(slots int) Config {
-	return Config{NumSlots: slots, DefaultOpenLen: 64, MaxSlotLen: 4096, IdleCloseRounds: 3}
+	return Config{NumSlots: slots, DefaultOpenLen: 64, MaxSlotLen: 4096}
 }
 
 // buildPairSeeds returns nClients x nServers pairwise seeds, as both

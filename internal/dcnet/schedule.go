@@ -13,9 +13,11 @@
 package dcnet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"dissent/internal/crypto"
@@ -33,13 +35,6 @@ type Config struct {
 	// damage a malicious owner (or a disrupted length field) can do to
 	// the round size.
 	MaxSlotLen int
-	// IdleCloseRounds is the silent-slot horizon in chains, a chain being
-	// one round's submit, server hops and output: an open slot whose
-	// region comes out all-zero — an owner keeping its slot open with
-	// nothing to send, or one gone offline — closes after IdleCloseRounds
-	// chains, which at pipeline lag λ are IdleCloseRounds × (λ+1)
-	// consecutive such rounds (idleHorizon). The group policy sets it.
-	IdleCloseRounds int
 	// Lag is the pipeline lag λ: the layout of round k excludes the
 	// directives of the λ rounds before it, which is what lets λ+1 rounds
 	// be in flight at once. The group policy's pipeline depth minus one;
@@ -56,8 +51,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dcnet: DefaultOpenLen %d below minimum %d", c.DefaultOpenLen, MinSlotLen)
 	case c.MaxSlotLen < c.DefaultOpenLen:
 		return errors.New("dcnet: MaxSlotLen below DefaultOpenLen")
-	case c.IdleCloseRounds <= 0:
-		return errors.New("dcnet: IdleCloseRounds must be positive")
 	case c.Lag < 0:
 		return errors.New("dcnet: Lag must not be negative")
 	}
@@ -82,7 +75,7 @@ type Schedule struct {
 	// longer ago than that hold equal state.
 	round, drain uint64
 	lens         []int // applied message-slot lengths, 0 = closed
-	idle         []int // consecutive all-zero rounds per open slot
+	idle         []int // consecutive all-zero rounds per open slot; orders evictSilent
 
 	perm []int // perm[position] = slot occupying that layout position
 
@@ -403,13 +396,31 @@ func (s *Schedule) popDelta(res *RoundResult) {
 	s.applyDeltaTo(s.lens, s.idle, d, res)
 }
 
+// silentSlots is how many open slots may be silent — idle ≥ 1, their
+// region all-zero since their last payload: an owner keeping its slot
+// open with nothing to send, or one gone offline — at once. A record
+// into an open slot rides the round it is composed into; one whose slot
+// is closed sets the request bit first and arrives a chain later
+// (ARCHITECTURE "Record latency"), so every silent slot kept open saves
+// its owner's next record that chain. Bounding their number instead of
+// their age caps what silence costs — at most silentSlots ×
+// DefaultOpenLen bytes per vector, as a silent slot longer than
+// DefaultOpenLen shrinks to it — whatever the group size, round rate or
+// pipeline depth.
+const silentSlots = 8
+
 // applyDeltaTo applies one round's directives to a lens/idle pair in
-// place. Guards make directives observational: a directive that no
-// longer matches the slot's state (opened or closed in the lag gap) is
-// dropped, identically on every replica. res may be nil (a layout view,
-// a flush, a failed round's pop); when non-nil, Opened/Closed
-// transitions are reported on it.
+// place, then closes the longest-silent slots beyond silentSlots
+// (evictSilent). Guards make directives observational: a directive that
+// no longer matches the slot's state (opened or closed in the lag gap)
+// is dropped, identically on every replica. A failed round's nil row
+// changes nothing. res may be nil (a layout view, a flush, a failed
+// round's pop); when non-nil, Opened/Closed transitions are reported on
+// it.
 func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundResult) {
+	if delta == nil {
+		return
+	}
 	for i, d := range delta {
 		switch d.op {
 		case dOpen:
@@ -425,14 +436,12 @@ func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundR
 			if lens[i] == 0 {
 				continue
 			}
-			idle[i]++
-			if idle[i] >= s.idleHorizon() {
-				lens[i] = 0
-				idle[i] = 0
-				if res != nil {
-					res.Closed = append(res.Closed, i)
-				}
+			// Saturate where AppendState's 32-bit field does, so a restored
+			// replica orders evictions as its donor does.
+			if idle[i] < math.MaxUint32 {
+				idle[i]++
 			}
+			lens[i] = min(lens[i], s.cfg.DefaultOpenLen)
 		case dHold:
 			if lens[i] == 0 {
 				continue
@@ -449,15 +458,36 @@ func (s *Schedule) applyDeltaTo(lens, idle []int, delta []slotDelta, res *RoundR
 			}
 		}
 	}
+	s.evictSilent(lens, idle, res)
 }
 
-// idleHorizon is how many consecutive silent rounds close an open slot:
-// IdleCloseRounds chains at the pipeline depth λ+1. A depth-d pipeline
-// certifies d rounds per chain, so the scaled count keeps the horizon's
-// wall time what it is at depth 1. Both factors are shared by every
-// replica (the lag is a group-wide setting), so the threshold needs no
-// state of its own.
-func (s *Schedule) idleHorizon() int { return s.cfg.IdleCloseRounds * (s.cfg.Lag + 1) }
+// evictSilent closes open slots while more than silentSlots are silent:
+// the one silent longest first, the lowest slot index among equals.
+func (s *Schedule) evictSilent(lens, idle []int, res *RoundResult) {
+	n := 0
+	for i, l := range lens {
+		if l > 0 && idle[i] > 0 {
+			n++
+		}
+	}
+	if n <= silentSlots {
+		return
+	}
+	silent := make([]int, 0, n)
+	for i, l := range lens {
+		if l > 0 && idle[i] > 0 {
+			silent = append(silent, i)
+		}
+	}
+	// Stable: equal idle counts keep ascending slot order.
+	slices.SortStableFunc(silent, func(a, b int) int { return cmp.Compare(idle[b], idle[a]) })
+	for _, i := range silent[:n-silentSlots] {
+		lens[i], idle[i] = 0, 0
+		if res != nil {
+			res.Closed = append(res.Closed, i)
+		}
+	}
+}
 
 // AppendState appends the schedule's full replicated state to buf: the
 // head and drain point, slot count, (length, idle count, layout position

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -37,11 +38,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	bad := []Config{
-		{NumSlots: 0, DefaultOpenLen: 64, MaxSlotLen: 128, IdleCloseRounds: 1},
-		{NumSlots: 4, DefaultOpenLen: 3, MaxSlotLen: 128, IdleCloseRounds: 1},
-		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 32, IdleCloseRounds: 1},
-		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 128, IdleCloseRounds: 0},
-		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 128, IdleCloseRounds: 1, Lag: -1},
+		{NumSlots: 0, DefaultOpenLen: 64, MaxSlotLen: 128},
+		{NumSlots: 4, DefaultOpenLen: 3, MaxSlotLen: 128},
+		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 32},
+		{NumSlots: 4, DefaultOpenLen: 64, MaxSlotLen: 128, Lag: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -51,7 +51,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestConfigValidateAcceptsMinimums(t *testing.T) {
-	c := Config{NumSlots: 1, DefaultOpenLen: MinSlotLen, MaxSlotLen: MinSlotLen, IdleCloseRounds: 1}
+	c := Config{NumSlots: 1, DefaultOpenLen: MinSlotLen, MaxSlotLen: MinSlotLen}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,162 +164,279 @@ func TestScheduleClampsNextLen(t *testing.T) {
 	}
 }
 
-func TestScheduleIdleClose(t *testing.T) {
-	cfg := testConfig(1) // IdleCloseRounds = 3
-	s := mustSchedule(t, cfg)
-	buf := make([]byte, headLayout(s).Len)
-	s.SetReqBit(buf, 0, true)
-	s.Advance(buf)
+// slotFill writes an open slot's region for one round; a slot without
+// one stays all-zero: a silent owner.
+type slotFill func(t *testing.T, region []byte)
 
-	for i := 0; i < 2; i++ {
-		res, err := s.Advance(make([]byte, headLayout(s).Len))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Closed) != 0 {
-			t.Fatalf("slot closed after %d idle rounds, want 3", i+1)
-		}
-	}
-	res, err := s.Advance(make([]byte, headLayout(s).Len))
-	if err != nil {
+// fillPayload is an owner sending: a payload announcing the slot's own
+// length.
+func fillPayload(t *testing.T, region []byte) {
+	if err := EncodeSlot(region, SlotPayload{NextLen: len(region), Data: []byte("x")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Closed) != 1 {
-		t.Error("slot not closed after IdleCloseRounds idle rounds")
-	}
 }
 
-func TestScheduleIdleResetOnActivity(t *testing.T) {
-	s := mustSchedule(t, testConfig(1))
-	buf := make([]byte, headLayout(s).Len)
-	s.SetReqBit(buf, 0, true)
-	s.Advance(buf)
-
-	// Two idle rounds, then activity, then two more idle: must stay open.
-	s.Advance(make([]byte, headLayout(s).Len))
-	s.Advance(make([]byte, headLayout(s).Len))
-	buf = make([]byte, headLayout(s).Len)
-	off, n := headLayout(s).SlotRange(0)
-	EncodeSlot(buf[off:off+n], SlotPayload{NextLen: 64}, nil)
-	s.Advance(buf)
-	s.Advance(make([]byte, headLayout(s).Len))
-	res, _ := s.Advance(make([]byte, headLayout(s).Len))
-	if len(res.Closed) != 0 {
-		t.Error("idle counter not reset by activity")
+// fillGarbled is a disrupted region: nonzero, yet no payload decodes.
+func fillGarbled(t *testing.T, region []byte) {
+	region[0] = 1 // a nonzero seed; the masked DataLen's top byte is searched
+	for v := 0; v < 256; v++ {
+		region[SeedLen+5] = byte(v)
+		if _, idle, err := DecodeSlot(region); err != nil && !idle {
+			return
+		}
 	}
+	t.Fatal("could not garble the region")
 }
 
-// advanceSlot0 advances s one round, writing slot 0's region with fill
-// (nil leaves it all-zero: a silent owner), and reports whether this
-// advance closed slot 0.
-func advanceSlot0(t *testing.T, s *Schedule, fill func(region []byte)) bool {
+// advanceFills advances s one round at its head layout: each open slot
+// in fills is written by its fill, every other open slot is silent, and
+// the closed slots in reqs set their request bits.
+func advanceFills(t *testing.T, s *Schedule, fills map[int]slotFill, reqs ...int) *RoundResult {
 	t.Helper()
-	buf := make([]byte, headLayout(s).Len)
-	if off, n := headLayout(s).SlotRange(0); n > 0 && fill != nil {
-		fill(buf[off : off+n])
+	l := headLayout(s)
+	buf := make([]byte, l.Len)
+	for i, fill := range fills {
+		if off, n := l.SlotRange(i); n > 0 {
+			fill(t, buf[off:off+n])
+		}
+	}
+	for _, i := range reqs {
+		s.SetReqBit(buf, i, true)
 	}
 	res, err := s.Advance(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return slices.Contains(res.Closed, 0)
+	return res
 }
 
-// TestSilentSlotCloseHorizon pins the silent-slot horizon at pipeline
-// lags 0–3: an open slot closes after exactly IdleCloseRounds·(λ+1)
-// applied idle deltas; a dSet (a payload) or a dHold (a garbled region)
-// in between restarts the count; and a replica restored mid-count
-// through AppendState → RestoreSchedule closes the slot on the same
-// round as its donor, with an equal digest at every step.
-func TestSilentSlotCloseHorizon(t *testing.T) {
-	payload := func(region []byte) {
-		if err := EncodeSlot(region, SlotPayload{NextLen: len(region), Data: []byte("x")}, nil); err != nil {
+// TestSilentSlotsLongestClosesFirst: up to silentSlots open slots stay
+// open however long they are silent; the next slot to fall silent closes
+// the one silent longest — by when it fell silent, not by its index.
+func TestSilentSlotsLongestClosesFirst(t *testing.T) {
+	const n = silentSlots + 1
+	s := mustSchedule(t, testConfig(n))
+	openAll(t, s)
+	active := map[int]slotFill{}
+	for i := range n {
+		active[i] = fillPayload
+	}
+	step := func(what string, want []int) {
+		t.Helper()
+		if res := advanceFills(t, s, active); !slices.Equal(res.Closed, want) {
+			t.Fatalf("%s: closed %v, want %v", what, res.Closed, want)
+		}
+	}
+	for _, i := range []int{3, 0, 6, 1, 7, 2, 5, 4} { // slots 0…7 fall silent in turn
+		delete(active, i)
+		step(fmt.Sprintf("slot %d falls silent", i), nil)
+	}
+	for range 1000 {
+		step("eight slots silent", nil)
+	}
+	delete(active, 8)
+	step("a ninth slot falls silent", []int{3})
+	for i, l := range headLayout(s).Lens {
+		if (l == 0) != (i == 3) {
+			t.Errorf("slot %d length %d after slot 3's close", i, l)
+		}
+	}
+}
+
+// TestSilentSlotsTieClosesLowestIndex: slots silent equally long close
+// lowest slot index first, whatever their layout positions.
+func TestSilentSlotsTieClosesLowestIndex(t *testing.T) {
+	const n = silentSlots + 3
+	s := mustSchedule(t, testConfig(n))
+	openAll(t, s)
+	s.Grow(0, []byte("a permuted layout"))
+	if res := advanceFills(t, s, nil); !slices.Equal(res.Closed, []int{0, 1, 2}) {
+		t.Fatalf("all %d slots fell silent at once: closed %v, want [0 1 2]", n, res.Closed)
+	}
+}
+
+// TestSilentSlotShrinks: a silent slot longer than DefaultOpenLen shrinks
+// to it and stays open, so silence never costs more than silentSlots ×
+// DefaultOpenLen bytes per vector.
+func TestSilentSlotShrinks(t *testing.T) {
+	cfg := testConfig(1)
+	s := mustSchedule(t, cfg)
+	openAll(t, s)
+	grow := func(t *testing.T, region []byte) {
+		if err := EncodeSlot(region, SlotPayload{NextLen: 4 * cfg.DefaultOpenLen, Data: []byte("x")}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	garble := func(region []byte) {
-		region[0] = 1 // a nonzero seed; the masked DataLen's top byte is searched
-		for v := 0; v < 256; v++ {
-			region[SeedLen+5] = byte(v)
-			if _, idle, err := DecodeSlot(region); err != nil && !idle {
-				return
-			}
-		}
-		t.Fatal("could not garble the region")
+	advanceFills(t, s, map[int]slotFill{0: grow})
+	if got := headLayout(s).Lens[0]; got != 4*cfg.DefaultOpenLen {
+		t.Fatalf("slot length %d, want %d", got, 4*cfg.DefaultOpenLen)
 	}
-	// flush applies every queued delta: Grow without new slots or a seed
-	// changes nothing else.
-	flush := func(s *Schedule) { s.Grow(0, nil) }
+	for k := range 1000 {
+		if res := advanceFills(t, s, nil); len(res.Closed) != 0 {
+			t.Fatalf("silent round %d closed %v", k+1, res.Closed)
+		}
+		if got := headLayout(s).Lens[0]; got != cfg.DefaultOpenLen {
+			t.Fatalf("silent round %d: slot length %d, want DefaultOpenLen %d", k+1, got, cfg.DefaultOpenLen)
+		}
+	}
+}
+
+// TestGarbledSlotCountsActive: a garbled region (dHold) is not silence —
+// a disruptor cannot get a slot closed by flipping bits in it — so it
+// neither counts toward silentSlots nor ages.
+func TestGarbledSlotCountsActive(t *testing.T) {
+	const n = silentSlots + 1
+	s := mustSchedule(t, testConfig(n))
+	openAll(t, s)
+	for k := range 100 {
+		if res := advanceFills(t, s, map[int]slotFill{0: fillGarbled}); len(res.Closed) != 0 {
+			t.Fatalf("round %d: slot 0 garbled, eight silent: closed %v", k+1, res.Closed)
+		}
+	}
+	// Slot 0 falls silent last: slot 1 has been silent longest.
+	if res := advanceFills(t, s, nil); !slices.Equal(res.Closed, []int{1}) {
+		t.Fatalf("slot 0 fell silent after 100 garbled rounds: closed %v, want [1]", res.Closed)
+	}
+}
+
+// TestFailedRoundEvictsNothing: a failed round's row changes no slot,
+// applied or in a layout view, even over more than silentSlots silent
+// slots (a restored state from before the bound held).
+func TestFailedRoundEvictsNothing(t *testing.T) {
+	const n = silentSlots + 1
 	for lag := 0; lag <= 3; lag++ {
-		cfg := lagConfig(2, lag)
-		horizon := cfg.IdleCloseRounds * (lag + 1)
-		// opened returns a lag-λ schedule whose slot 0 is open in the
-		// applied layout, with an empty delta queue.
-		opened := func() *Schedule {
-			s := mustSchedule(t, cfg)
-			buf := make([]byte, headLayout(s).Len)
-			s.SetReqBit(buf, 0, true)
-			if _, err := s.Advance(buf); err != nil {
-				t.Fatal(err)
-			}
-			flush(s)
-			if headLayout(s).Lens[0] == 0 {
-				t.Fatalf("lag %d: the request bit did not open slot 0", lag)
-			}
-			return s
+		s := mustSchedule(t, lagConfig(n, lag))
+		openAll(t, s)
+		s.Grow(0, nil)
+		state := s.AppendState(nil)
+		for i := range n {
+			binary.BigEndian.PutUint32(state[stateHeaderLen+i*slotStateLen+4:], 1) // idle 1
 		}
-		// silentThen feeds n silent rounds, then fill (if any), and applies
-		// every queued delta; it reports whether slot 0 is still open.
-		silentThen := func(s *Schedule, n int, fill func([]byte)) bool {
-			for i := 0; i < n; i++ {
-				advanceSlot0(t, s, nil)
-			}
-			if fill != nil {
-				advanceSlot0(t, s, fill)
-			}
-			flush(s)
-			return headLayout(s).Lens[0] > 0
+		r, err := RestoreSchedule(s.Config(), state)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for k := 0; k <= lag; k++ {
+			r.AdvanceFailed()
+			for j := 0; j <= lag; j++ {
+				if l := r.Layout(r.Round() + uint64(j)); slices.Contains(l.Lens, 0) {
+					t.Fatalf("lag %d: after %d failed rounds, round head+%d's layout closed a slot: %v", lag, k+1, j, l.Lens)
+				}
+			}
+		}
+		if slices.Contains(r.lens, 0) {
+			t.Fatalf("lag %d: failed rounds closed an applied slot: %v", lag, r.lens)
+		}
+		// The next applied row, all silent, restores the bound.
+		advanceFills(t, r, nil)
+		r.Grow(0, nil)
+		if l := headLayout(r).Lens; l[0] != 0 || slices.Contains(l[1:], 0) {
+			t.Fatalf("lag %d: an all-silent row over %d silent slots left %v, want slot 0 alone closed", lag, n, l)
+		}
+	}
+}
 
-		s := opened()
-		if !silentThen(s, horizon-1, nil) || silentThen(s, 1, nil) {
-			t.Errorf("lag %d: slot 0 did not close on exactly its %d-th idle delta", lag, horizon)
+// TestSilentEvictionLayoutViews drives a random workload that keeps
+// evicting — more open slots than silentSlots, most of them silent each
+// round, with payloads that grow slots, garbled regions, request bits
+// and failed rounds — at pipeline lags 0–3. Every layout view of a
+// round, from when it is first composable until it is decoded, equals
+// the applied state it becomes; every close Advance reports is a slot
+// open in the round's layout and closed in the next's; and a replica
+// restored mid-run closes the same slots with equal digests.
+func TestSilentEvictionLayoutViews(t *testing.T) {
+	const n = silentSlots + 4
+	grow := func(t *testing.T, region []byte) {
+		if err := EncodeSlot(region, SlotPayload{NextLen: 2 * len(region), Data: []byte("x")}, nil); err != nil {
+			t.Fatal(err)
 		}
-		for name, fill := range map[string]func([]byte){"dSet": payload, "dHold": garble} {
-			s := opened()
-			if !silentThen(s, horizon-1, fill) || !silentThen(s, horizon-1, nil) {
-				t.Errorf("lag %d: a %s did not restart the idle count", lag, name)
+	}
+	for lag := 0; lag <= 3; lag++ {
+		rng := rand.New(rand.NewSource(int64(lag) + 1))
+		s := mustSchedule(t, lagConfig(n, lag))
+		views := map[uint64][]int{}
+		var replica *Schedule
+		evictions := 0
+		for k := 0; k < 400; k++ {
+			head := s.Round()
+			for r := head; r <= head+uint64(lag); r++ {
+				l := s.Layout(r).Lens
+				if v, ok := views[r]; !ok {
+					views[r] = slices.Clone(l)
+				} else if !slices.Equal(v, l) {
+					t.Fatalf("lag %d: round %d's layout %v at head %d, %v when first composable", lag, r, l, head, v)
+				}
 			}
-			if silentThen(s, 1, nil) {
-				t.Errorf("lag %d: slot 0 still open %d idle deltas after a %s", lag, horizon, name)
+			if !slices.Equal(views[head], s.lens) {
+				t.Fatalf("lag %d: round %d decodes at %v, applied state %v", lag, head, views[head], s.lens)
 			}
-		}
-
-		// Without flushes: the k-th silent advance applies the (k−λ)-th idle
-		// delta, so the close shows on advance horizon+λ — on the donor and
-		// on a replica restored from the donor's state mid-count alike.
-		s = opened()
-		var r *Schedule
-		for k := 1; k <= horizon+lag; k++ {
-			if k == horizon/2+1 {
+			if k == 200 {
 				var err error
-				if r, err = RestoreSchedule(s.Config(), s.AppendState(nil)); err != nil {
+				if replica, err = RestoreSchedule(s.Config(), s.AppendState(nil)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			closed := advanceSlot0(t, s, nil)
-			if r != nil {
-				if got := advanceSlot0(t, r, nil); got != closed {
-					t.Fatalf("lag %d advance %d: restored replica closed = %v, donor %v", lag, k, got, closed)
+			if rng.Intn(20) == 0 {
+				s.AdvanceFailed()
+				if replica != nil {
+					replica.AdvanceFailed()
 				}
-				if r.Digest() != s.Digest() {
-					t.Fatalf("lag %d advance %d: restored replica's digest differs", lag, k)
+				continue
+			}
+			fills := map[int]slotFill{}
+			var reqs []int
+			for i, l := range views[head] {
+				switch p := rng.Intn(20); {
+				case l == 0 && p < 4:
+					reqs = append(reqs, i)
+				case l > 0 && p < 3:
+					fills[i] = fillPayload
+				case l > 0 && p < 4:
+					fills[i] = grow
+				case l > 0 && p < 5:
+					fills[i] = fillGarbled
 				}
 			}
-			if closed != (k == horizon+lag) {
-				t.Fatalf("lag %d: advance %d closed = %v, want the close on advance %d", lag, k, closed, horizon+lag)
+			res := advanceFills(t, s, fills, reqs...)
+			var closed []int
+			for i := range n {
+				if views[head][i] > 0 && s.lens[i] == 0 {
+					closed = append(closed, i)
+				}
+			}
+			if !slices.Equal(slices.Sorted(slices.Values(res.Closed)), closed) {
+				t.Fatalf("lag %d round %d: reported closed %v, layouts closed %v", lag, head, res.Closed, closed)
+			}
+			evictions += len(res.Closed)
+			if replica != nil {
+				if got := advanceFills(t, replica, fills, reqs...); !slices.Equal(got.Closed, res.Closed) || replica.Digest() != s.Digest() {
+					t.Fatalf("lag %d round %d: restored replica closed %v, donor %v (digests equal: %v)",
+						lag, head, got.Closed, res.Closed, replica.Digest() == s.Digest())
+				}
 			}
 		}
+		if evictions == 0 {
+			t.Errorf("lag %d: the workload never evicted a slot", lag)
+		}
+	}
+}
+
+func TestScheduleIdleResetOnActivity(t *testing.T) {
+	const n = silentSlots + 1
+	s := mustSchedule(t, testConfig(n))
+	openAll(t, s)
+	others := map[int]slotFill{}
+	for i := 1; i < n; i++ {
+		others[i] = fillPayload
+	}
+	// Slot 0 silent two rounds, then speaking while the others fall
+	// silent: its count restarts, so when it falls silent too the slot
+	// silent longest is slot 1, not slot 0.
+	advanceFills(t, s, others)
+	advanceFills(t, s, others)
+	advanceFills(t, s, map[int]slotFill{0: fillPayload})
+	if res := advanceFills(t, s, nil); !slices.Equal(res.Closed, []int{1}) {
+		t.Errorf("closed %v, want [1]: slot 0's idle count not reset by activity", res.Closed)
 	}
 }
 

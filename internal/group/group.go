@@ -64,18 +64,13 @@ type Policy struct {
 	// DefaultOpenLen and MaxSlotLen bound the DC-net slot lengths (see
 	// internal/dcnet): a request bit opens a slot at DefaultOpenLen, and a
 	// client keeps a slot no longer than that open while it has nothing to
-	// send.
+	// send. The schedule keeps the eight most recently active of those
+	// silent slots open and closes the rest, so a record from one of
+	// their owners rides the next round instead of paying a request round
+	// first, and silence costs a vector at most 8 × DefaultOpenLen bytes
+	// (ARCHITECTURE "Record latency").
 	DefaultOpenLen int
 	MaxSlotLen     int
-	// IdleCloseRounds is the silent-slot horizon in chains — one chain
-	// being a round's submit, server hops and output, the span in which a
-	// depth-d pipeline certifies d rounds. An open slot that comes out
-	// all-zero — its owner keeping it open with nothing to send, or gone
-	// offline — for IdleCloseRounds chains (IdleCloseRounds × PipelineDepth
-	// consecutive rounds) closes. A record arriving within the horizon of
-	// its sender's last one rides the next round instead of paying a
-	// request round first; ARCHITECTURE "Record latency" sizes the default.
-	IdleCloseRounds int
 	// RetainRounds bounds per-round state kept for accusation tracing.
 	RetainRounds int
 	// BeaconEpochRounds enables the anytrust randomness beacon
@@ -111,7 +106,6 @@ func DefaultPolicy() Policy {
 		HardTimeout:           120 * time.Second,
 		DefaultOpenLen:        1024,
 		MaxSlotLen:            256 << 10,
-		IdleCloseRounds:       12,
 		RetainRounds:          8,
 		BeaconEpochRounds:     16,
 		ReadmitCooldownRounds: 32,
@@ -140,7 +134,7 @@ func (p Policy) Validate() error {
 	}
 	// The slot parameters are checked by the schedule's own rule, here
 	// rather than when the schedule is built after the setup shuffle.
-	slots := dcnet.Config{NumSlots: 1, DefaultOpenLen: p.DefaultOpenLen, MaxSlotLen: p.MaxSlotLen, IdleCloseRounds: p.IdleCloseRounds}
+	slots := dcnet.Config{NumSlots: 1, DefaultOpenLen: p.DefaultOpenLen, MaxSlotLen: p.MaxSlotLen}
 	if err := slots.Validate(); err != nil {
 		return fmt.Errorf("group: %w", err)
 	}

@@ -106,7 +106,6 @@ func TestPolicyValidateSlotParameters(t *testing.T) {
 	}{
 		{"DefaultOpenLen below the slot minimum", func(p *Policy) { p.DefaultOpenLen = dcnet.MinSlotLen - 1 }},
 		{"MaxSlotLen below DefaultOpenLen", func(p *Policy) { p.MaxSlotLen = p.DefaultOpenLen - 1 }},
-		{"IdleCloseRounds zero", func(p *Policy) { p.IdleCloseRounds = 0 }},
 	} {
 		p := testPolicy()
 		tc.mut(&p)
