@@ -220,7 +220,14 @@ func (r *Round) Commit(i int, commit []byte) error {
 
 // Reveal records server i's share, checking it against the recorded
 // commitment and verifying the signature.
-func (r *Round) Reveal(i int, share []byte) error {
+func (r *Round) Reveal(i int, share []byte) error { return r.reveal(i, share, true) }
+
+// RevealOwn records the share the caller made itself, as server i: the
+// commitment is checked, the signature — the caller's own, just made —
+// is not.
+func (r *Round) RevealOwn(i int, share []byte) error { return r.reveal(i, share, false) }
+
+func (r *Round) reveal(i int, share []byte, verify bool) error {
 	if i < 0 || i >= len(r.pubs) {
 		return fmt.Errorf("beacon: reveal from out-of-range server %d", i)
 	}
@@ -230,8 +237,10 @@ func (r *Round) Reveal(i int, share []byte) error {
 	if !bytes.Equal(CommitShare(share), r.commits[i]) {
 		return fmt.Errorf("beacon: server %d share does not match its commitment", i)
 	}
-	if err := VerifyShare(r.g, r.pubs[i], r.round, r.prev, share); err != nil {
-		return err
+	if verify {
+		if err := VerifyShare(r.g, r.pubs[i], r.round, r.prev, share); err != nil {
+			return err
+		}
 	}
 	if r.shares[i] == nil {
 		r.shares[i] = append([]byte(nil), share...)

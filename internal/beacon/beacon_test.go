@@ -253,6 +253,18 @@ func TestCommitRevealBinding(t *testing.T) {
 	if err := r2.Reveal(1, stale); err == nil {
 		t.Fatal("share chained from wrong prev accepted")
 	}
+	// RevealOwn skips only the signature: the commitment still binds.
+	own, _ := MakeShare(kps[2], 7, prev, nil)
+	ownb, _ := MakeShare(kps[2], 7, prev, nil)
+	if err := r2.Commit(2, CommitShare(own)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.RevealOwn(2, ownb); err == nil {
+		t.Fatal("own share not matching its commitment accepted")
+	}
+	if err := r2.RevealOwn(2, own); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHTTPRoundTrip(t *testing.T) {

@@ -230,13 +230,24 @@ func (c *Client) Start(now time.Time) (*Output, error) {
 	return out, nil
 }
 
-// Handle checks an incoming message at ingress and processes it. A
-// message that fails ingress is one protocol violation, never an error.
+// Check runs the ingress check on m. It reads only the published
+// definition, so any goroutine may call it while the engine steps and
+// hand the result to HandleChecked.
+func (c *Client) Check(m *Message) Checked { return c.ingress(m, clientSenders) }
+
+// Handle checks an incoming message at ingress and processes it:
+// HandleChecked of Check(m).
 func (c *Client) Handle(now time.Time, m *Message) (*Output, error) {
-	if _, err := c.ingress(m, clientSenders); err != nil {
+	return c.HandleChecked(now, c.Check(m))
+}
+
+// HandleChecked processes a checked message. A message that failed its
+// check is one protocol violation, never an error.
+func (c *Client) HandleChecked(now time.Time, chk Checked) (*Output, error) {
+	if _, err := c.admit(chk, clientSenders); err != nil {
 		return c.violation(err), nil
 	}
-	out, err := c.dispatch(now, m)
+	out, err := c.dispatch(now, chk.Msg)
 	if err != nil {
 		return out, err
 	}
@@ -467,8 +478,9 @@ func (c *Client) encodeSlot(region []byte) error {
 		payload.NextLen = next
 	case c.witness != nil || slotLen <= c.def.Policy.DefaultOpenLen:
 		// Keep the slot open: to carry shuffle requests, or to stay
-		// silent until the next record.
-		payload.NextLen = slotLen
+		// silent until the next record — at DefaultOpenLen at least, so a
+		// tail fragment's short slot does not fragment the next record.
+		payload.NextLen = max(slotLen, c.def.Policy.DefaultOpenLen)
 	default:
 		payload.NextLen = 0
 	}

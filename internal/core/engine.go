@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sync/atomic"
 	"time"
 
 	"dissent/internal/beacon"
@@ -226,7 +227,12 @@ func versionKey(v uint64) string { return fmt.Sprintf("%020d", v) }
 
 // node is state common to client and server engines.
 type node struct {
-	def    *group.Definition
+	def *group.Definition
+	// published is def as other goroutines see it: setDef stores every
+	// replacement here, and ingress reads the definition from this pointer
+	// alone, so a message can be checked while the engine steps.
+	published *atomic.Pointer[group.Definition]
+
 	grpID  [32]byte
 	keyGrp crypto.Group // identity/pseudonym key group (P-256)
 	msgGrp crypto.Group // message shuffle group (Policy.MessageGroup)
@@ -296,21 +302,22 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry
 		logger = slog.New(slog.DiscardHandler)
 	}
 	n := node{
-		def:    def,
-		grpID:  def.GroupID(),
-		keyGrp: def.Group(),
-		msgGrp: msgGrp,
-		kp:     kp,
-		id:     group.IDFromKey(def.Group(), kp.Public),
-		rand:   opts.Rand,
-		store:  opts.StateStore,
-		log:    logger,
+		published: new(atomic.Pointer[group.Definition]),
+		grpID:     def.GroupID(),
+		keyGrp:    def.Group(),
+		msgGrp:    msgGrp,
+		kp:        kp,
+		id:        group.IDFromKey(def.Group(), kp.Public),
+		rand:      opts.Rand,
+		store:     opts.StateStore,
+		log:       logger,
 
 		interdict: opts.Interdict,
 		retry:     backoff(firstRetry),
 		pad:       dcnet.NewPad(crypto.NewAESPRNG),
 		depth:     max(opts.PipelineDepth, 1),
 	}
+	n.setDef(def)
 	n.retrySeed = binary.BigEndian.Uint64(n.id[:8])
 	pubs := def.ServerPubKeys()
 	n.cert = crypto.NewMultisig(n.keyGrp, pubs)
@@ -318,6 +325,13 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options, firstRetry
 		n.beaconChain = beacon.NewChain(n.keyGrp, pubs, beacon.GenesisValue(n.grpID), opts.BeaconStore)
 	}
 	return n, nil
+}
+
+// setDef replaces the engine's definition and publishes it to ingress.
+// A published definition is never mutated: an update derives a new one.
+func (n *node) setDef(def *group.Definition) {
+	n.def = def
+	n.published.Store(def)
 }
 
 // BeaconChain returns the node's beacon chain replica, or nil when the
@@ -442,46 +456,85 @@ const (
 	// fromJoiner is a sender outside the roster: a prospective member's
 	// join request, verified under the identity key its body names.
 	fromJoiner
+	// fromExpelled is a client the roster has expelled: it may still ask
+	// to rejoin or to catch up, and nothing else.
+	fromExpelled
 	// certified marks a type whose body authenticates it (a round output
 	// carries the servers' certificate): ingress checks the sender's role
 	// and not the envelope.
 	certified
 )
 
-var senderNames = map[sender]string{fromClient: "client", fromServer: "server", fromJoiner: "unknown node"}
+var senderNames = map[sender]string{fromClient: "client", fromServer: "server", fromJoiner: "unknown node", fromExpelled: "expelled client"}
+
+// Checked is an inbound message with the outcome of its ingress check:
+// the digest its envelope signature covers (nil for a certified type)
+// and the sender's role — or why the message failed. A Checked value
+// belongs to one delivery; the *Message it names may be shared by every
+// recipient and carries nothing of the check.
+type Checked struct {
+	Msg    *Message
+	digest []byte
+	role   sender
+	err    error
+}
+
+// roleOf returns the role id holds in def and, for a member, its key.
+func roleOf(def *group.Definition, id group.NodeID) (sender, crypto.Element) {
+	if si := def.ServerIndex(id); si >= 0 {
+		return fromServer, def.Servers[si].PubKey
+	}
+	if ci := def.ClientIndex(id); ci >= 0 {
+		if def.Clients[ci].Expelled {
+			return fromExpelled, def.Clients[ci].PubKey
+		}
+		return fromClient, def.Clients[ci].PubKey
+	}
+	return fromJoiner, nil
+}
 
 // ingress is the one check every inbound message passes before any
 // handler or the stash sees it: the engine takes its type, the sender
 // holds a role the engine's sender-role table allows for that type, and
-// the envelope signature verifies under the sender's key. It returns the
-// digest the signature covers (nil for a certified type), so no handler
-// hashes the body again. A message that fails is charged to no one: the
-// member it names did not necessarily send it.
-func (n *node) ingress(m *Message, senders map[MsgType]sender) ([]byte, error) {
-	allowed, ok := senders[m.Type]
-	if !ok {
-		return nil, fmt.Errorf("core: %s from %s: not a message this engine takes", m.Type, m.From)
-	}
+// the envelope signature verifies under the sender's key. It reads the
+// published definition and the engine's immutable fields (group ID, key
+// group) and nothing else, so any goroutine may run it while the engine
+// steps. A message that fails is charged to no one: the member it names
+// did not necessarily send it.
+func (n *node) ingress(m *Message, senders map[MsgType]sender) Checked {
+	c := Checked{Msg: m}
 	var pub crypto.Element
-	role := fromJoiner
-	if si := n.def.ServerIndex(m.From); si >= 0 {
-		role, pub = fromServer, n.def.Servers[si].PubKey
-	} else if ci := n.def.ClientIndex(m.From); ci >= 0 {
-		role, pub = fromClient, n.def.Clients[ci].PubKey
-	}
-	if allowed&role == 0 {
-		return nil, fmt.Errorf("core: %s from %s %s not allowed", m.Type, senderNames[role], m.From)
-	}
-	if allowed&certified != 0 {
-		return nil, nil
-	}
-	if role == fromJoiner {
-		var err error
-		if pub, err = joinerKey(n.keyGrp, m); err != nil {
-			return nil, err
+	c.role, pub = roleOf(n.published.Load(), m.From)
+	allowed, ok := senders[m.Type]
+	switch {
+	case !ok:
+		c.err = fmt.Errorf("core: %s from %s: not a message this engine takes", m.Type, m.From)
+	case allowed&c.role == 0:
+		c.err = fmt.Errorf("core: %s from %s %s not allowed", m.Type, senderNames[c.role], m.From)
+	case allowed&certified != 0:
+	case c.role == fromJoiner:
+		if pub, c.err = joinerKey(n.keyGrp, m); c.err == nil {
+			c.digest, c.err = n.verify(m, pub)
 		}
+	default:
+		c.digest, c.err = n.verify(m, pub)
 	}
-	return n.verify(m, pub)
+	return c
+}
+
+// admit takes a checked message into the engine, on the engine's
+// goroutine: it returns the digest ingress verified, or why the message
+// is refused. The check may have read a definition the engine has since
+// replaced. It still holds for the sender's key — a NodeID hashes its
+// key — but not necessarily for its role, so the role is looked up again
+// in the current definition; a sender whose role moved (an expelled
+// client, an admitted joiner) is checked afresh. The outcome is always
+// the one ingress gives under the current definition.
+func (n *node) admit(c Checked, senders map[MsgType]sender) ([]byte, error) {
+	if role, _ := roleOf(n.def, c.Msg.From); role != c.role {
+		c = n.ingress(c.Msg, senders)
+	}
+	return c.digest, c.err
 }
 
 // joinerKey returns the identity key a non-member's join request names.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"strings"
+	"sync"
 	"testing"
 
 	"dissent/internal/crypto"
@@ -22,7 +24,7 @@ func TestEnvelopeSignatureCoversEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.ingress(genuine, serverSenders); err != nil {
+	if err := srv.ingress(genuine, serverSenders).err; err != nil {
 		t.Fatalf("genuine message rejected: %v", err)
 	}
 
@@ -31,7 +33,7 @@ func TestEnvelopeSignatureCoversEveryField(t *testing.T) {
 		m := &Message{From: genuine.From, Type: genuine.Type, Round: genuine.Round,
 			Body: bytes.Clone(genuine.Body), Sig: genuine.Sig}
 		mutate(m)
-		if _, err := srv.ingress(m, serverSenders); err == nil {
+		if srv.ingress(m, serverSenders).err == nil {
 			t.Errorf("%s: signature still verifies", name)
 		}
 	}
@@ -50,7 +52,7 @@ func TestEnvelopeSignatureCoversEveryField(t *testing.T) {
 	// differs in one bit refuses it.
 	foreign := srv.node
 	foreign.grpID[31] ^= 0x01
-	if _, err := foreign.ingress(genuine, serverSenders); err == nil {
+	if foreign.ingress(genuine, serverSenders).err == nil {
 		t.Error("group ID: signature verifies under another group's ID")
 	}
 }
@@ -166,7 +168,8 @@ func TestForgedFramesChargeNoOne(t *testing.T) {
 // unsigned message, one from a sender outside the roster, one from a
 // member whose role may not send its type, and a type the engine does
 // not take into exactly one protocol violation — no error, nothing
-// sent, and head, phase and stash as they were. The server's first two
+// sent, and head, phase and stash as they were. So does a client given a
+// round output whose certificate fails. The server's first two
 // rows carry a catch-up probe and a retired-round submission; the
 // member's signed copy of each is answered.
 func TestIngressRejections(t *testing.T) {
@@ -190,6 +193,10 @@ func TestIngressRejections(t *testing.T) {
 	probe := wire.Encode(&JoinRequest{Version: 0})
 	submit := wire.Encode(&ClientSubmit{CT: []byte{0}})
 	blame := wire.Encode(&BlameStart{Session: 1})
+	// A client takes a round output on its certificate, not its envelope:
+	// this one's certificate signature nobody made.
+	badCert := &Message{From: srv.ID(), Type: MsgOutput, Round: cl.head(),
+		Body: wire.Encode(&RoundOutput{Count: 1, Cleartext: []byte{0}, Sigs: [][]byte{make([]byte, 64)}})}
 
 	type state struct {
 		head, next    uint64
@@ -214,6 +221,7 @@ func TestIngressRejections(t *testing.T) {
 		{"server/wrong role", srv, sign(&peer.node, MsgClientSubmit, head, submit), nil},
 		{"server/type not taken", srv, sign(&peer.node, MsgSchedule, head, nil), nil},
 		{"client/unsigned", cl, unsigned(sign(&srv.node, MsgBlameStart, head, blame)), nil},
+		{"client/output with a bad certificate", cl, badCert, nil},
 		{"client/unknown sender", cl, sign(stranger, MsgBlameStart, head, blame), nil},
 		{"client/wrong role", cl, sign(&f.clients[1].node, MsgBlameStart, head, blame), nil},
 		{"client/type not taken", cl, sign(&srv.node, MsgInventory, head, wire.Encode(&Inventory{})), nil},
@@ -235,5 +243,158 @@ func TestIngressRejections(t *testing.T) {
 				t.Errorf("%s: the member's signed copy went unanswered (%v)", tc.name, err)
 			}
 		}
+	}
+}
+
+// TestCheckThenExpel: a message checked against one roster version can
+// reach the engine under a later one. A client's submission checked at
+// version v passes; once v+1 has expelled the client, the engine refuses
+// the checked message — as it refuses the same message checked inline —
+// as one uncharged protocol violation, and sends nothing.
+func TestCheckThenExpel(t *testing.T) {
+	const epoch = 4
+	f := newFixture(t, 2, 3, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) { p.BeaconEpochRounds = epoch },
+	})
+	victim := f.clients[0]
+	srv := f.servers[f.def.UpstreamServer(victim.Index())]
+	f.h.StartAll()
+	f.stepUntilRound(1, 1_000_000)
+	v := srv.def.Version
+	m, err := victim.sign(MsgClientSubmit, srv.head(), wire.Encode(&ClientSubmit{CT: make([]byte, 8)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := srv.Check(m)
+	if chk.err != nil {
+		t.Fatalf("submission refused at roster version %d: %v", v, chk.err)
+	}
+	if err := srv.Expel(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	f.stepUntilRound(epoch+1, 3_000_000)
+	if srv.def.Version <= v || !srv.def.Clients[victim.Index()].Expelled {
+		t.Fatalf("roster at version %d, client expelled %v: the boundary did not expel it",
+			srv.def.Version, srv.def.Clients[victim.Index()].Expelled)
+	}
+	for name, handle := range map[string]func() (*Output, error){
+		"checked at v": func() (*Output, error) { return srv.HandleChecked(f.h.Net.Now(), chk) },
+		"inline":       func() (*Output, error) { return srv.Handle(f.h.Net.Now(), m) },
+	} {
+		out, err := handle()
+		if err != nil {
+			t.Fatalf("%s: engine error: %v", name, err)
+		}
+		if len(out.Events) != 1 || out.Events[0].Kind != EventProtocolViolation || len(out.Send) != 0 {
+			t.Fatalf("%s: want one violation and nothing sent, got events %+v and %d sends", name, out.Events, len(out.Send))
+		}
+		if e := out.Events[0]; e.Culprit != (group.NodeID{}) || !strings.Contains(e.Detail, "expelled client") {
+			t.Errorf("%s: violation %+v names a culprit or another cause", name, e)
+		}
+	}
+}
+
+// TestConcurrentCheckMatchesInline: ingress runs on many goroutines at
+// once — each checking its own messages, and all of them one shared
+// *Message as SimNet hands every recipient the same pointer — while the
+// engine steps through epoch boundaries that expel a client. Each result
+// the engine takes (admit, one per network step) equals the inline check
+// at the engine's current roster: same verdict, same digest, same error.
+// Run under -race.
+func TestConcurrentCheckMatchesInline(t *testing.T) {
+	const epoch, checkers = 2, 6
+	f := newFixture(t, 2, 4, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) { p.BeaconEpochRounds = epoch },
+	})
+	srv, peer, victim := f.servers[0], f.servers[1], f.clients[1]
+	kp, _ := crypto.GenerateKeyPair(crypto.P256(), nil)
+	stranger := &node{kp: kp, id: group.IDFromKey(crypto.P256(), kp.Public), grpID: f.def.GroupID(), keyGrp: crypto.P256()}
+	sign := func(n *node, typ MsgType, body []byte) *Message {
+		m, err := n.sign(typ, 1, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	submit := wire.Encode(&ClientSubmit{CT: []byte{0}})
+	shared := sign(&peer.node, MsgInventory, wire.Encode(&Inventory{}))
+	var own [][]*Message
+	victimSubmits := make(map[*Message]bool) // the victim's genuine submissions
+	for i := range checkers {
+		c := f.clients[i%len(f.clients)]
+		vs := sign(&victim.node, MsgClientSubmit, submit)
+		victimSubmits[vs] = true
+		own = append(own, []*Message{
+			sign(&c.node, MsgClientSubmit, submit),
+			vs,
+			sign(&victim.node, MsgJoinRequest, wire.Encode(&JoinRequest{Rejoin: true})),
+			sign(stranger, MsgJoinRequest, wire.Encode(&JoinRequest{PubKey: crypto.P256().Encode(kp.Public)})),
+			sign(&c.node, MsgInventory, wire.Encode(&Inventory{})),
+			forged(c.ID(), MsgClientSubmit, 1, submit),
+			shared,
+		})
+	}
+
+	results := make(chan Checked)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range checkers {
+		wg.Add(1)
+		go func(msgs []*Message) {
+			defer wg.Done()
+			for {
+				for _, m := range msgs {
+					select {
+					case <-stop:
+						return
+					case results <- srv.Check(m):
+					}
+				}
+			}
+		}(own[i])
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	take := func(c Checked) (accepted bool) {
+		digest, err := srv.admit(c, serverSenders)
+		want := srv.ingress(c.Msg, serverSenders)
+		if (err == nil) != (want.err == nil) || err != nil && err.Error() != want.err.Error() || !bytes.Equal(digest, want.digest) {
+			t.Fatalf("%s from %s: checked early gives (%x, %v), inline at version %d (%x, %v)",
+				c.Msg.Type, c.Msg.From, digest, err, srv.def.Version, want.digest, want.err)
+		}
+		return err == nil
+	}
+
+	f.h.StartAll()
+	var expelled bool
+	var took, victimAccepted, victimRefused int
+	for i := 0; i < 3_000_000 && srv.def.Version < 4 && f.h.Net.Step(); i++ {
+		if !expelled && srv.def.Version == 1 {
+			if err := srv.Expel(victim.ID()); err != nil {
+				t.Fatal(err)
+			}
+			expelled = true
+		}
+		select {
+		case c := <-results:
+			took++
+			if ok := take(c); victimSubmits[c.Msg] {
+				if ok {
+					victimAccepted++
+				} else {
+					victimRefused++
+				}
+			}
+		default:
+		}
+	}
+	if srv.def.Version < 4 || !srv.def.Clients[victim.Index()].Expelled {
+		t.Fatalf("roster at version %d, victim expelled %v", srv.def.Version, srv.def.Clients[victim.Index()].Expelled)
+	}
+	if victimAccepted == 0 || victimRefused == 0 {
+		t.Errorf("of %d checks the engine took, the victim's submission was accepted %d and refused %d times; want both",
+			took, victimAccepted, victimRefused)
 	}
 }

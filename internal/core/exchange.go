@@ -89,8 +89,7 @@ func (x *exchange[T]) collect(s *Server, round uint64, m *Message, digest []byte
 // over a statement every server computes alike (Schnorr signatures are
 // randomized, and a restarted server signs again), or a shuffle list,
 // which a restarted server re-collects for the same session. Every other
-// kind is one message per (position, attempt) from an honest server
-// (ARCHITECTURE.md names the exception: two restarts inside one round).
+// kind is one message per (position, attempt) from an honest server.
 func keepsFirst(t MsgType) bool {
 	switch t {
 	case MsgScheduleCert, MsgRosterCert, MsgPseudonymList, MsgBlameList:

@@ -45,6 +45,10 @@ type dispatchFuzzer struct {
 
 func (d *dispatchFuzzer) Start(now time.Time) (*Output, error) { return d.inner.Start(now) }
 func (d *dispatchFuzzer) Tick(now time.Time) (*Output, error)  { return d.inner.Tick(now) }
+func (d *dispatchFuzzer) Check(m *Message) Checked             { return Checked{Msg: m} }
+func (d *dispatchFuzzer) HandleChecked(now time.Time, c Checked) (*Output, error) {
+	return d.Handle(now, c.Msg)
+}
 
 func (d *dispatchFuzzer) Handle(now time.Time, m *Message) (*Output, error) {
 	out, err := d.inner.Handle(now, m)
@@ -138,6 +142,10 @@ type traceRecorder struct {
 
 func (r *traceRecorder) Start(now time.Time) (*Output, error) { return r.inner.Start(now) }
 func (r *traceRecorder) Tick(now time.Time) (*Output, error)  { return r.inner.Tick(now) }
+func (r *traceRecorder) Check(m *Message) Checked             { return Checked{Msg: m} }
+func (r *traceRecorder) HandleChecked(now time.Time, c Checked) (*Output, error) {
+	return r.Handle(now, c.Msg)
+}
 func (r *traceRecorder) Handle(now time.Time, m *Message) (*Output, error) {
 	*r.trace = append(*r.trace, byte(m.Type))
 	return r.inner.Handle(now, m)

@@ -10,9 +10,14 @@ import (
 )
 
 // Engine is the sans-I/O contract both Client and Server satisfy.
+// Handle(now, m) is HandleChecked(now, Check(m)): Check, the ingress
+// check, may run on any goroutine while the engine steps, so a transport
+// can check a message before the lock that serialises the engine.
 type Engine interface {
 	Start(now time.Time) (*Output, error)
 	Handle(now time.Time, m *Message) (*Output, error)
+	Check(m *Message) Checked
+	HandleChecked(now time.Time, c Checked) (*Output, error)
 	Tick(now time.Time) (*Output, error)
 }
 

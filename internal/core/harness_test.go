@@ -34,6 +34,12 @@ func (e *echoEngine) Handle(now time.Time, m *Message) (*Output, error) {
 	return &Output{}, nil
 }
 
+func (e *echoEngine) Check(m *Message) Checked { return Checked{Msg: m} }
+
+func (e *echoEngine) HandleChecked(now time.Time, c Checked) (*Output, error) {
+	return e.Handle(now, c.Msg)
+}
+
 func (e *echoEngine) Tick(now time.Time) (*Output, error) {
 	e.ticked++
 	return &Output{}, nil

@@ -133,6 +133,13 @@ func runPipelineScript(t *testing.T, script *pipelineScript, depth int) (streams
 	if v := f.violations(); len(v) > 0 {
 		t.Fatalf("depth %d: protocol violations: %v", depth, v)
 	}
+	// Every record has drained, so an open slot is a silent one: it stays
+	// open at DefaultOpenLen at least, not at a tail fragment's length.
+	for slot, n := range headLayout(&f.servers[0].node).Lens {
+		if n > 0 && n < pipelineOpenLen {
+			t.Errorf("depth %d: slot %d left open at %d B, below DefaultOpenLen %d", depth, slot, n, pipelineOpenLen)
+		}
+	}
 	for r := uint64(0); r < f.servers[0].Round(); r++ {
 		if tap.explicit(r) {
 			explicit++
@@ -156,7 +163,8 @@ const (
 // bits, straggler-induced α-reopens, epoch rotations, rounds whose commit
 // rode the inventory next to rounds that ran the explicit exchange — the
 // engine at depths 2, 3 and 4 must deliver byte-identical per-sender
-// streams to the serial engine.
+// streams to the serial engine, and leave no silent slot open below
+// DefaultOpenLen.
 func TestPipelineParityDifferential(t *testing.T) {
 	prop := func(seed int64) bool {
 		script := genPipelineScript(seed, pipelineClients)

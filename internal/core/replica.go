@@ -143,7 +143,7 @@ func (n *node) reportRetired(round uint64, res *dcnet.RoundResult, out *Output) 
 // update is a drain point, recorded before the digest covers it.
 func (n *node) applyRoster(u *group.RosterUpdate, newDef *group.Definition, out *Output) (dig [32]byte) {
 	grown := len(newDef.Clients) - len(n.def.Clients)
-	n.def = newDef
+	n.setDef(newDef)
 	if n.sched == nil {
 		return dig
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dissent/internal/beacon"
@@ -63,7 +64,9 @@ type ServerSnapshot struct {
 	ExpelIdx  []int32  // excluded client indices…
 	ExpelAt   []uint64 // …and the round each was excluded at
 	// BlameSession is the last blame session opened (peers match sessions
-	// by number); Restarts counts this server's restores (openRound).
+	// by number); Restarts counts this server's restores (openRound),
+	// raised to a peer's recovery attempt this server joined
+	// (escalateAttempt).
 	BlameSession int32
 	Restarts     uint32
 }
@@ -166,7 +169,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		if err != nil {
 			return nil, false, fmt.Errorf("core: stored roster update %d rejected: %w", v, err)
 		}
-		s.def = newDef
+		s.setDef(newDef)
 		s.lastRosterUpdate = u
 	}
 
@@ -276,9 +279,24 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 // the first peer contribution. Our window closes immediately — the clients we carry already submitted
 // pre-crash, and the restarted peer's own window bounds how long its
 // direct clients had to reach it.
+//
+// Before our inventory for that attempt goes out, the restart count is
+// raised to the attempt's and stored: were we to crash and restore, our
+// recovery attempt must lie strictly above every attempt we joined, or we
+// would reopen this one with a second inventory the peers never take.
+// An attempt so high that no restore could reopen above it (openRound's
+// maxAttempts + restarts would overflow) is ignored: no honest server
+// reaches it, and storing it would outlive the restart.
 func (s *Server) escalateAttempt(now time.Time, rs *roundState, si int, p *Inventory, digest []byte) (*Output, error) {
+	if p.Attempt == math.MaxInt32 {
+		return &Output{}, nil
+	}
 	s.log.Info("round attempt escalated for peer recovery", "round", rs.r,
 		"from", rs.attempt, "to", p.Attempt)
+	if floor := uint32(p.Attempt - maxAttempts); floor > s.restarts {
+		s.restarts = floor
+		s.persistSnapshot()
+	}
 	s.resetRoundAttempt(rs, p.Attempt)
 	out, err := s.closeWindow(now, rs)
 	if err != nil {

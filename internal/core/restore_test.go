@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,9 +18,11 @@ import (
 // blackholeEngine swallows everything addressed to a killed node.
 type blackholeEngine struct{}
 
-func (blackholeEngine) Start(time.Time) (*Output, error)            { return &Output{}, nil }
-func (blackholeEngine) Handle(time.Time, *Message) (*Output, error) { return &Output{}, nil }
-func (blackholeEngine) Tick(time.Time) (*Output, error)             { return &Output{}, nil }
+func (blackholeEngine) Start(time.Time) (*Output, error)                  { return &Output{}, nil }
+func (blackholeEngine) Handle(time.Time, *Message) (*Output, error)       { return &Output{}, nil }
+func (blackholeEngine) Check(m *Message) Checked                          { return Checked{Msg: m} }
+func (blackholeEngine) HandleChecked(time.Time, Checked) (*Output, error) { return &Output{}, nil }
+func (blackholeEngine) Tick(time.Time) (*Output, error)                   { return &Output{}, nil }
 
 // step drives the harness a bounded number of events regardless of
 // round progress (used while the session is intentionally wedged).
@@ -269,6 +272,99 @@ func TestServerDoubleCrashInOneRound(t *testing.T) {
 		if s.Round() <= round {
 			t.Fatalf("server %d stuck at round %d after the second restart; violations: %v",
 				s.Index(), s.Round(), f.violations())
+		}
+	}
+}
+
+// TestTwoServersRestartInOneRound: server 1 restarts and reopens its
+// in-flight round at a recovery attempt; server 0 escalates to that
+// attempt, casts its inventory for it, then itself crashes and restarts.
+// Its restore must reopen the round strictly above the attempt it had
+// joined — the attempt is recorded in its store before its inventory
+// goes out — or it casts a second inventory for the same attempt, the
+// peers keep the first, and every Certify fails. The round certifies
+// within 100,000 events and a second of virtual time of the second
+// restart, and no server is charged but for the silence of its crash.
+// A peer's inventory at attempt MaxInt32 then leaves server 0's attempt
+// and stored restart count as they were.
+func TestTwoServersRestartInOneRound(t *testing.T) {
+	const epoch = 12
+	d := newDurableFixture(t, epoch)
+	f := d.fixture
+	f.h.StartAll()
+	f.stepUntilRound(3, 2_000_000)
+	d.kill(1)
+	f.step(3000)
+	d.restart(1)
+
+	s0 := f.servers[0]
+	var round uint64
+	caught := false
+	for i := 0; i < 200_000 && !caught && f.h.Net.Step(); i++ {
+		for _, rs := range s0.rounds {
+			if rs.attempt > maxAttempts && rs.inv.has(s0.idx) {
+				round, caught = rs.r, true
+			}
+		}
+	}
+	if !caught {
+		t.Fatal("server 0 never cast an inventory for server 1's recovery attempt")
+	}
+	d.kill(0)
+	f.step(3000)
+	d.restart(0)
+
+	restarted := f.h.Net.Now()
+	f.stepUntilRound(round, 100_000)
+	for _, s := range f.servers {
+		if s.Round() <= round {
+			t.Fatalf("server %d stuck at round %d after both restarts; violations: %v",
+				s.Index(), s.Round(), f.violations())
+		}
+	}
+	if took := f.h.Net.Now().Sub(restarted); took > time.Second {
+		t.Errorf("round %d certified %v after server 0 restarted; want within 1s", round, took)
+	}
+
+	// A peer's inventory at an attempt no restore could reopen above
+	// (maxAttempts + restarts would overflow) is ignored, and nothing of
+	// it reaches the store: server 0 restores once more to the next
+	// restart count, and the group certifies on.
+	s0 = f.servers[0]
+	head, restarts := s0.head(), s0.restarts
+	rs := s0.rounds[head]
+	if rs == nil {
+		t.Fatalf("server 0 has no open round %d", head)
+	}
+	attempt := rs.attempt
+	huge, err := f.servers[1].sign(MsgInventory, head, wire.Encode(&Inventory{Attempt: math.MaxInt32}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s0.Handle(f.h.Net.Now(), huge); err != nil {
+		t.Fatal(err)
+	}
+	if s0.restarts != restarts || rs.attempt != attempt {
+		t.Fatalf("inventory at attempt MaxInt32: restarts %d -> %d, round %d attempt %d -> %d",
+			restarts, s0.restarts, head, attempt, rs.attempt)
+	}
+	d.kill(0)
+	f.step(3000)
+	if s0 = d.restart(0); s0.restarts != restarts+1 {
+		t.Fatalf("restored with restart count %d, want %d", s0.restarts, restarts+1)
+	}
+	f.stepUntilRound(head+1, 100_000)
+	for _, s := range f.servers {
+		if s.Round() <= head+1 {
+			t.Fatalf("server %d stuck at round %d after the third restart; violations: %v",
+				s.Index(), s.Round(), f.violations())
+		}
+	}
+	// Each server is charged for withholding while it is down; nothing
+	// else is charged.
+	for _, e := range f.h.EventsOf(EventMisbehavior) {
+		if !strings.HasPrefix(e.Detail, "withholding:") {
+			t.Errorf("%s charged %s in round %d: %s", e.Node, e.Culprit, e.Round, e.Detail)
 		}
 	}
 }

@@ -1103,7 +1103,7 @@ func (c *Client) installSnapshot(m *Message, joiner bool) (*JoinWelcome, *Output
 	c.awaitingRoster = false
 	c.nextStreams = nil
 	c.ctl.clear()
-	c.def = newDef
+	c.setDef(newDef)
 	c.idx = idx
 	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
 	c.serverSeeds = serverSeeds

@@ -307,8 +307,9 @@ type Server struct {
 	excluded  map[int]bool
 	// Crash-recovery state (see restore.go): rounds below recoverUntil
 	// reopen at attempt maxAttempts + restarts — restarts counts this
-	// server's restores, persisted, so each reopening is strictly higher
-	// than any attempt the surviving peers can be wedged on; outMsgs
+	// server's restores, and is raised to any recovery attempt it joined
+	// for a peer, persisted, so each reopening is strictly higher than
+	// any attempt the surviving peers can be wedged on; outMsgs
 	// retains recent certified round outputs for catchUp.
 	recoverUntil uint64
 	restarts     uint32
@@ -458,12 +459,25 @@ func (s *Server) Start(now time.Time) (*Output, error) {
 	return &Output{Timer: s.setup.closeAt}, nil
 }
 
-// Handle checks an incoming message at ingress, processes it, then
-// replays any stashed early messages that the resulting state
-// transitions unblocked. A message that fails ingress is one protocol
-// violation, never an error.
+// Check runs the ingress check on m. It reads only the published
+// definition, so any goroutine may call it while the engine steps — a
+// transport's reader ahead of the lock that serialises the engine — and
+// hand the result to HandleChecked.
+func (s *Server) Check(m *Message) Checked { return s.ingress(m, serverSenders) }
+
+// Handle checks an incoming message at ingress and processes it:
+// HandleChecked of Check(m).
 func (s *Server) Handle(now time.Time, m *Message) (*Output, error) {
-	digest, err := s.ingress(m, serverSenders)
+	return s.HandleChecked(now, s.Check(m))
+}
+
+// HandleChecked processes a checked message, then replays any stashed
+// early messages that the resulting state transitions unblocked. A
+// message that failed its check is one protocol violation, never an
+// error.
+func (s *Server) HandleChecked(now time.Time, c Checked) (*Output, error) {
+	m := c.Msg
+	digest, err := s.admit(c, serverSenders)
 	if err != nil {
 		return s.violation(m.Round, err), nil
 	}
@@ -519,7 +533,7 @@ var serverSenders = map[MsgType]sender{
 	MsgBlameSubmit:     fromClient,
 	MsgClientSubmit:    fromClient,
 	MsgRebuttal:        fromClient,
-	MsgJoinRequest:     fromClient | fromJoiner,
+	MsgJoinRequest:     fromClient | fromJoiner | fromExpelled,
 	MsgPseudonymList:   fromServer,
 	MsgBlameList:       fromServer,
 	MsgShuffleStep:     fromServer,
@@ -1494,14 +1508,19 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 	}
 	if s.beaconChain != nil {
 		// Replay the beacon commit–reveal through a beacon.Round, which
-		// checks every share against its commitment and signature and
-		// assembles the round's chain entry.
+		// checks every share against its commitment and every peer's
+		// signature (ours we made in commitShare), and assembles the
+		// round's chain entry.
 		br := beacon.NewRound(s.keyGrp, s.def.ServerPubKeys(), rs.r, s.beaconChain.Head())
 		for si := 0; si < len(s.def.Servers); si++ {
 			if err := br.Commit(si, rs.commit.get(si).BeaconCommit); err != nil {
 				return s.violation(rs.r, err), nil
 			}
-			if err := br.Reveal(si, rs.share.get(si).BeaconShare); err != nil {
+			reveal := br.Reveal
+			if si == s.idx {
+				reveal = br.RevealOwn
+			}
+			if err := reveal(si, rs.share.get(si).BeaconShare); err != nil {
 				return s.violation(rs.r, err), nil
 			}
 		}

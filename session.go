@@ -67,7 +67,7 @@ type Session struct {
 	// peer's message could advance the engine before Start initializes
 	// it (and Start would then clobber that progress).
 	startDone bool
-	preStart  []*Message
+	preStart  []core.Checked
 
 	subMu     sync.Mutex
 	subs      []*subscription
@@ -375,8 +375,8 @@ func (s *Session) open(dial func(*Session) (link, error)) error {
 	out.Events = nil
 	s.dispatch(out)
 	// Replay messages that raced ahead of Start, in arrival order.
-	for _, m := range buffered {
-		s.inject(m)
+	for _, c := range buffered {
+		s.handle(c)
 	}
 	return nil
 }
@@ -437,21 +437,30 @@ func (s *Session) Subscribe(kinds ...EventKind) <-chan Event {
 	return sub.ch
 }
 
-// inject feeds one inbound transport message to the engine.
+// inject feeds one inbound transport message to the engine. Its ingress
+// check — the envelope signature, most of a small message's cost — runs
+// here, on the transport's goroutine against the engine's published
+// definition, before the engine lock: connections check in parallel, and
+// under the lock the engine only takes the result.
 func (s *Session) inject(m *Message) {
 	s.stats.msgsIn.Add(1)
 	s.stats.bytesIn.Add(uint64(m.EncodedLen()))
+	s.handle(s.engine.Check(m))
+}
+
+// handle hands one checked message to the engine.
+func (s *Session) handle(c core.Checked) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	if !s.startDone {
-		s.preStart = append(s.preStart, m)
+		s.preStart = append(s.preStart, c)
 		s.mu.Unlock()
 		return
 	}
-	out, err := s.engine.Handle(time.Now(), m)
+	out, err := s.engine.HandleChecked(time.Now(), c)
 	s.recordSpans(out)
 	s.mu.Unlock()
 	if err != nil {
