@@ -34,8 +34,10 @@
 // restarted against the same -store file resumes its live session from
 // the snapshot: it re-announces itself to the group, reopens in-flight
 // rounds, and catches up on rounds certified without it, with no manual
-// rejoin. A store whose snapshot predates a different group or an
-// abandoned run is cleared at startup.
+// rejoin. A store without a snapshot (an abandoned run's) is cleared at
+// startup. A store holding another group's snapshot, or one written in
+// an older record layout, refuses the session open with an error that
+// names what it refused; delete that file to start afresh.
 //
 // With -beacon a session additionally serves its randomness-beacon
 // chain over HTTP (GET /beacon/latest, /beacon/{round},

@@ -33,6 +33,7 @@ import (
 	"io"
 
 	"dissent/internal/crypto"
+	"dissent/internal/wire"
 )
 
 // ValueLen is the byte length of beacon values (SHA-256 output).
@@ -121,6 +122,14 @@ type Entry struct {
 	Prev   Value
 	Value  Value
 	Shares [][]byte // one per server, in server-index order
+}
+
+// Fields lays out an entry as the chain's store records it.
+func (e *Entry) Fields(c *wire.Codec) {
+	c.U64(&e.Round)
+	c.Fixed(e.Prev[:])
+	c.Fixed(e.Value[:])
+	c.ByteSlices(&e.Shares)
 }
 
 // computeValue chains the round output from its inputs.

@@ -1,8 +1,9 @@
 package beacon
 
 import (
-	"encoding/json"
 	"fmt"
+
+	"dissent/internal/wire"
 )
 
 // KV is the embedded key-value surface the beacon chain persists
@@ -20,7 +21,7 @@ type KV interface {
 func roundKey(r uint64) string { return fmt.Sprintf("%020d", r) }
 
 // KVStore is one bucket of an embedded KV holding a chain's entries,
-// one JSON record per round. Pass it to NewChain: the chain writes each
+// one record per round (Entry.Fields behind the record format byte). Pass it to NewChain: the chain writes each
 // new entry here (one fsynced Put) before accepting it.
 type KVStore struct {
 	kv     KV
@@ -39,13 +40,9 @@ func NewKVStore(kv KV, bucket string) (*KVStore, error) {
 		if !ok {
 			continue
 		}
-		var j entryJSON
-		if err := json.Unmarshal(raw, &j); err != nil {
+		e := new(Entry)
+		if err := wire.DecodeRecord(raw, e); err != nil {
 			return nil, fmt.Errorf("beacon: kv entry %s: %w", k, err)
-		}
-		e, err := decodeEntry(j)
-		if err != nil {
-			return nil, err
 		}
 		if n := len(s.loaded); n > 0 && e.Round <= s.loaded[n-1].Round {
 			return nil, fmt.Errorf("beacon: kv entry %s: round %d after round %d", k, e.Round, s.loaded[n-1].Round)
@@ -57,11 +54,7 @@ func NewKVStore(kv KV, bucket string) (*KVStore, error) {
 
 // put durably stores one entry.
 func (s *KVStore) put(e *Entry) error {
-	data, err := json.Marshal(encodeEntry(e))
-	if err != nil {
-		return err
-	}
-	return s.kv.Put(s.bucket, roundKey(e.Round), data)
+	return s.kv.Put(s.bucket, roundKey(e.Round), wire.EncodeRecord(e))
 }
 
 // clear deletes every entry from the bucket.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/big"
 	"time"
@@ -24,28 +23,39 @@ import (
 // window and the rebuttal deadline.
 const blameWindowFactor = 4
 
-// accusationBytes renders an accusation for embedding.
-func accusationBytes(round uint64, slot, bit int, sig []byte) []byte {
-	b := binary.BigEndian.AppendUint64(make([]byte, 0, 16+len(sig)), round)
-	b = binary.BigEndian.AppendUint32(b, uint32(slot))
-	b = binary.BigEndian.AppendUint32(b, uint32(bit))
-	return append(b, sig...)
+// AccusationMsg is what a disruption victim carries through the
+// accusation shuffle: the disrupted round, its slot, the witness bit —
+// slot-relative; servers translate it — and the slot's pseudonym
+// signature over accusationDigest. The signature is unprefixed, at the
+// key group's fixed signature length.
+type AccusationMsg struct {
+	Round     uint64
+	Slot, Bit int
+	Sig       []byte
 }
+
+// Fields lays out the accusation; a read fills Sig at its length.
+func (p *AccusationMsg) Fields(c *wire.Codec) {
+	c.U64(&p.Round)
+	c.Int(&p.Slot)
+	c.Int(&p.Bit)
+	c.Fixed(p.Sig)
+}
+
+// newAccusationMsg is an accusation shaped for keyGrp: its signature
+// field sized to read one.
+func newAccusationMsg(keyGrp crypto.Group) *AccusationMsg {
+	return &AccusationMsg{Sig: make([]byte, crypto.SignatureLen(keyGrp))}
+}
+
+// accusationLen is the wire length of an accusation inside the blame
+// shuffle.
+func accusationLen(keyGrp crypto.Group) int { return wire.Size(newAccusationMsg(keyGrp)) }
 
 // accusationDigest is what the pseudonym key signs.
 func accusationDigest(grpID [32]byte, round uint64, slot, bit int) []byte {
 	return crypto.Hash("dissent/accusation", grpID[:],
 		crypto.HashUint64(round), crypto.HashUint64(uint64(slot)), crypto.HashUint64(uint64(bit)))
-}
-
-// parseAccusation splits an accusation message; bit is still
-// slot-relative here.
-func parseAccusation(keyGrp crypto.Group, msg []byte) (round uint64, slot, bit int, sig []byte, ok bool) {
-	if len(msg) != accusationLen(keyGrp) {
-		return 0, 0, 0, nil, false
-	}
-	return binary.BigEndian.Uint64(msg), int(binary.BigEndian.Uint32(msg[8:])),
-		int(binary.BigEndian.Uint32(msg[12:])), msg[16:], true
 }
 
 // blameWidth is the ciphertext vector width of accusations in the
@@ -123,11 +133,11 @@ func (s *Server) finishBlameShuffle(now time.Time, outputs []shuffle.Vec) (*Outp
 		if err != nil || len(msg) == 0 {
 			continue // null message or garbage
 		}
-		round, slot, bitInSlot, sigBytes, ok := parseAccusation(s.keyGrp, msg)
-		if !ok {
+		a := newAccusationMsg(s.keyGrp)
+		if wire.Decode(msg, a) != nil {
 			continue
 		}
-		acc := s.validateAccusation(round, slot, bitInSlot, sigBytes)
+		acc := s.validateAccusation(a)
 		if acc == nil {
 			continue
 		}
@@ -153,27 +163,24 @@ func (s *Server) finishBlameShuffle(now time.Time, outputs []shuffle.Vec) (*Outp
 
 // validateAccusation checks signature and witness-bit plausibility and
 // translates the slot-relative bit into a global bit index.
-func (s *Server) validateAccusation(round uint64, slot, bitInSlot int, sigBytes []byte) *accusation {
-	hist := s.history[round]
-	if hist == nil || slot < 0 || slot >= len(s.slotKeys) {
+func (s *Server) validateAccusation(a *AccusationMsg) *accusation {
+	hist := s.history[a.Round]
+	if hist == nil || a.Slot >= len(s.slotKeys) || a.Bit >= hist.layout.Lens[a.Slot]*8 {
 		return nil
 	}
-	if bitInSlot < 0 || bitInSlot >= hist.layout.Lens[slot]*8 {
-		return nil
-	}
-	sig, err := crypto.DecodeSignature(s.keyGrp, sigBytes)
+	sig, err := crypto.DecodeSignature(s.keyGrp, a.Sig)
 	if err != nil {
 		return nil
 	}
-	if err := crypto.Verify(s.keyGrp, s.slotKeys[slot], "dissent/accusation",
-		accusationDigest(s.grpID, round, slot, bitInSlot), sig); err != nil {
+	if err := crypto.Verify(s.keyGrp, s.slotKeys[a.Slot], "dissent/accusation",
+		accusationDigest(s.grpID, a.Round, a.Slot, a.Bit), sig); err != nil {
 		return nil
 	}
-	globalBit := hist.layout.Off[slot]*8 + bitInSlot
+	globalBit := hist.layout.Off[a.Slot]*8 + a.Bit
 	if dcnet.Bit(hist.cleartext, globalBit) != 1 {
 		return nil // the claimed witness bit was not 1
 	}
-	return &accusation{round: round, slot: slot, bit: globalBit}
+	return &accusation{round: a.Round, slot: a.Slot, bit: globalBit}
 }
 
 // buildTraceBits assembles this server's published bits for tracing.
@@ -421,7 +428,6 @@ func (s *Server) blameVerdict(now time.Time, culprit group.NodeID, verdict byte)
 		// removal is additionally recorded in the next epoch boundary's
 		// certified roster update (and the expulsion round starts the
 		// re-admission cooldown).
-		s.excluded[ci] = true
 		s.pendingRemove[ci] = true
 		if _, ok := s.expelRound[ci]; !ok {
 			s.expelRound[ci] = s.head()

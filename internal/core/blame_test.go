@@ -116,12 +116,12 @@ func TestVerdictPersistsExpulsion(t *testing.T) {
 			if !ok {
 				t.Fatalf("server %d: no stored snapshot at the verdict", si)
 			}
-			sn, err := decode[ServerSnapshot](raw)
-			if err != nil {
+			var sn ServerSnapshot
+			if err := wire.DecodeRecord(raw, &sn); err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Contains(sn.ExpelIdx, int32(ci)) {
-				t.Errorf("server %d: snapshot at the verdict excludes %v, want culprit %d", si, sn.ExpelIdx, ci)
+			if !slices.ContainsFunc(sn.Expelled, func(e Expulsion) bool { return e.Client == ci }) {
+				t.Errorf("server %d: snapshot at the verdict excludes %v, want culprit %d", si, sn.Expelled, ci)
 			}
 		}
 	}

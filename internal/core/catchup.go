@@ -51,16 +51,16 @@ func (s *Server) catchUp(now time.Time, to group.NodeID, at position, out *Outpu
 			to, at.version, s.def.Version)))
 		return nil
 	}
-	var chain []*group.RosterUpdate
+	var chain [][]byte // MsgRosterUpdate bodies, in version order
 	for v := at.version + 1; v <= s.def.Version; v++ {
-		if u := s.lookupRosterUpdate(v); u != nil {
-			chain = append(chain, u)
+		if u, dig := s.rosterRecord(v); u != nil {
+			chain = append(chain, wire.Encode(&RosterUpdateMsg{Update: wire.Encode(u), SchedDigest: dig}))
 		}
 	}
 	diverged := false
 	if len(at.digest) == 32 {
-		dig, ok := s.rosterDigestFor(at.version)
-		diverged = ok && !bytes.Equal(at.digest, dig[:])
+		_, dig := s.rosterRecord(at.version)
+		diverged = dig != nil && !bytes.Equal(at.digest, dig)
 	}
 	_, retained := s.outMsgs[at.round]
 	switch {
@@ -72,12 +72,7 @@ func (s *Server) catchUp(now time.Time, to group.NodeID, at position, out *Outpu
 		}
 		return s.sendSnapshot(now, to, at.welcome, out)
 	case at.version < s.def.Version:
-		for _, u := range chain {
-			var dig []byte // empty when unrecorded; receivers skip the self-check
-			if d, ok := s.rosterDigestFor(u.Version); ok {
-				dig = d[:]
-			}
-			body := wire.Encode(&RosterUpdateMsg{Update: wire.Encode(u), SchedDigest: dig})
+		for _, body := range chain { // an unrecorded digest rides empty; receivers skip the self-check
 			if err := s.sendTo(to, MsgRosterUpdate, s.head(), body, out); err != nil {
 				return err
 			}
@@ -106,7 +101,7 @@ func (s *Server) sendSnapshot(now time.Time, to group.NodeID, welcome bool, out 
 	if welcome {
 		anchor = nil
 		if v, ok := s.joinedAt[to]; ok {
-			anchor = s.lookupRosterUpdate(v)
+			anchor, _ = s.rosterRecord(v)
 		}
 		if anchor == nil {
 			out.merge(s.violation(s.head(), fmt.Errorf("cannot welcome %s: no admitting update in the roster log", to)))

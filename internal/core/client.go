@@ -751,8 +751,8 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		msg = accusationBytes(c.witness.round, c.mySlot, c.witness.bit,
-			crypto.EncodeSignature(c.keyGrp, sig))
+		msg = wire.Encode(&AccusationMsg{Round: c.witness.round, Slot: c.mySlot, Bit: c.witness.bit,
+			Sig: crypto.EncodeSignature(c.keyGrp, sig)})
 		c.accusedInSession = p.Session
 	}
 	width := shuffle.VecWidth(c.msgGrp, accusationLen(c.keyGrp))

@@ -188,10 +188,12 @@ func (o *Output) then(more *Output, err error) (*Output, error) {
 // StateStore is the durable key-value surface the engines persist
 // protocol state through — satisfied by *store.KV. Mutations must be
 // durable before they return. The engines use fixed buckets: "roster"
-// for certified roster updates keyed by version, "roster-digest" for
-// the post-apply schedule digests beside them, "snapshot" for the
-// server's restart snapshot and "roster-propose" for the proposal of a
-// roster phase in progress.
+// for certified roster updates and their post-apply schedule digests
+// (RosterUpdateMsg) keyed by version, "snapshot" for the server's
+// restart snapshot (ServerSnapshot) and "roster-propose" for the
+// proposal of a roster phase in progress (RosterPropose). Every record
+// is written by wire.EncodeRecord and read by wire.DecodeRecord, so it
+// starts with the record format byte.
 type StateStore interface {
 	Put(bucket, key string, value []byte) error
 	Get(bucket, key string) ([]byte, bool)
@@ -201,10 +203,9 @@ type StateStore interface {
 
 // StateStore bucket names.
 const (
-	bucketRoster       = "roster"
-	bucketRosterDigest = "roster-digest"
-	bucketSnapshot     = "snapshot"
-	bucketProposal     = "roster-propose"
+	bucketRoster   = "roster"
+	bucketSnapshot = "snapshot"
+	bucketProposal = "roster-propose"
 )
 
 // snapshotKey names the server's single record in a bucket that holds

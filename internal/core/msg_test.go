@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dissent/internal/beacon"
+	"dissent/internal/dcnet"
 	"dissent/internal/group"
 	"dissent/internal/wire"
 )
@@ -330,10 +332,59 @@ func vectorRow[T any, P interface {
 	}}
 }
 
-// payloadVectors holds a known answer for every wire payload and the
-// message envelope: a change to any field's order, width or length
-// prefix fails its named row. Row order is also the fuzz target's type
-// byte.
+// stored is a payload as the state store holds it: the record format
+// byte, then the payload (wire.EncodeRecord).
+type stored struct{ wire.Payload }
+
+func (s stored) Fields(c *wire.Codec) {
+	f := wire.RecordFormat
+	c.U8(&f)
+	s.Payload.Fields(c)
+}
+
+// recordRow is a vectorRow for a record the state store holds, read
+// back by wire.DecodeRecord.
+func recordRow[T any, P interface {
+	*T
+	wire.Payload
+}](name string, p P, hex string, count int) payloadRow {
+	return payloadRow{name, stored{p}, hex, count, func(b []byte) (wire.Payload, error) {
+		q := P(new(T))
+		if err := wire.DecodeRecord(b, q); err != nil {
+			return nil, err
+		}
+		return stored{q}, nil
+	}}
+}
+
+// vectorScheduleConfig and vectorSchedule are the schedule-state
+// vector: three slots at lag 1, the layout rotated by a seed, slots 0
+// and 2 opened and slot 1's request queued.
+var vectorScheduleConfig = dcnet.Config{NumSlots: 3, DefaultOpenLen: 32, MaxSlotLen: 256, Lag: 1}
+
+func vectorSchedule() *dcnet.Schedule {
+	s, err := dcnet.NewSchedule(vectorScheduleConfig)
+	if err != nil {
+		panic(err)
+	}
+	s.Grow(0, []byte("vector"))
+	for _, slots := range [][]int{{0, 2}, {1}} {
+		ct := make([]byte, s.Layout(s.Round()).Len)
+		for _, i := range slots {
+			s.SetReqBit(ct, i, true)
+		}
+		if _, err := s.Advance(ct); err != nil {
+			panic(err)
+		}
+	}
+	return s
+}
+
+// payloadVectors holds a known answer for every wire payload, the
+// message envelope, every record the state store holds and the other
+// byte formats members must agree on: a change to any field's order,
+// width or length prefix fails its named row. Row order is also the
+// fuzz target's type byte.
 func payloadVectors() []payloadRow {
 	admit := []group.RosterMember{{PubKey: []byte("pub1"), PseuKey: []byte("pseu1"), Addr: "10.0.0.1:7500"}, {PubKey: []byte("pub2")}}
 	remove := []group.NodeID{{9, 8, 7, 6, 5, 4, 3, 2}}
@@ -389,12 +440,14 @@ func payloadVectors() []payloadRow {
 			"000000000000000ddd01000000000000000000000000000000000000000000000000000000000000"+
 				"00000001750000000200000002723100000002723200000002000100000001000000027"+
 				"36b0000000573636865640000000468656164", 45),
-		vectorRow("ServerSnapshot", &ServerSnapshot{Version: 14, PrevCount: 5, RosterDue: 1, BlameDue: 1, BlameHold: 40,
-			CertKeys: [][]byte{[]byte("ck")}, CertSigs: [][]byte{[]byte("cs")}, SlotKeys: [][]byte{[]byte("sk1"), []byte("sk2")},
-			Sched: []byte("st"), ExpelIdx: []int32{3}, ExpelAt: []uint64{77}, BlameSession: 2, Restarts: 1},
-			"000000000000000e00000005010100000000000000280000000100000002636b00000001000000026373"+
-				"0000000200000003736b3100000003736b32000000027374000000010000000300000001000000000000004d"+
-				"0000000200000001", 22),
+		recordRow("ServerSnapshot", &ServerSnapshot{Group: [32]byte{0xAB, 3}, Version: 14, PrevCount: 5, RosterDue: 1,
+			BlameDue: 1, BlameHold: 40, CertKeys: [][]byte{[]byte("ck")}, CertSigs: [][]byte{[]byte("cs")},
+			SlotKeys: [][]byte{[]byte("sk1"), []byte("sk2")}, Sched: []byte("st"), Expelled: []Expulsion{{Client: 3, Round: 77}},
+			BlameSession: 2, Restarts: 1},
+			"01ab03000000000000000000000000000000000000000000000000000000000000"+
+				"000000000000000e00000005010100000000000000280000000100000002636b00000001000000026373"+
+				"0000000200000003736b3100000003736b32"+
+				"0000000273740000000100000003000000000000004d0000000200000001", 55),
 		vectorRow("RosterUpdate", &group.RosterUpdate{Version: 15, PrevDigest: [32]byte{0xEE, 2}, Admit: admit, Remove: remove,
 			Sigs: [][]byte{[]byte("g1"), []byte("g2")}},
 			"000000000000000fee02000000000000000000000000000000000000000000000000000000000000"+
@@ -403,6 +456,28 @@ func payloadVectors() []payloadRow {
 		vectorRow("Message", &Message{From: group.NodeID{'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}, Type: MsgShare,
 			Round: 42, Body: []byte("body"), Sig: []byte("sig")},
 			"08000000000000002a616263646566676800000004626f647900000003736967", 17),
+		recordRow("RosterRecord", &RosterUpdateMsg{Update: []byte("upd"), SchedDigest: []byte("sd")},
+			"0100000003757064000000027364", 1),
+		recordRow("RosterProposeRecord", &RosterPropose{Version: 11, Remove: remove},
+			"01000000000000000b00000000000000010908070605040302", 9),
+		recordRow("BeaconEntry", &beacon.Entry{Round: 16, Prev: beacon.Value{0xC1, 2}, Value: beacon.Value{0xC2, 3},
+			Shares: [][]byte{[]byte("s0"), []byte("s1")}},
+			"010000000000000010c102000000000000000000000000000000000000000000000000000000000000"+
+				"c20300000000000000000000000000000000000000000000000000000000000000000002000000027330000000027331", 73),
+		// The accusation's signature is fixed-length, sized by the
+		// reader; this row's is 8 bytes.
+		{"AccusationMsg", &AccusationMsg{Round: 1<<33 + 3, Slot: 2, Bit: 99, Sig: []byte("signatur")},
+			"000000020000000300000002000000637369676e61747572", -1, func(b []byte) (wire.Payload, error) {
+				a := &AccusationMsg{Sig: make([]byte, 8)}
+				return a, wire.Decode(b, a)
+			}},
+		// RestoreSchedule names the schedule in its error, which costs an
+		// allocation; FuzzRestoreSchedule bounds what an absurd count
+		// makes it allocate.
+		{"ScheduleState", vectorSchedule(),
+			"000000000000000200000000000000010000000300000020000000000000000100000000000000000000000200000020" +
+				"000000000000000000000001000000000001000000000000000000", -1,
+			func(b []byte) (wire.Payload, error) { return dcnet.RestoreSchedule(vectorScheduleConfig, b) }},
 	}
 }
 

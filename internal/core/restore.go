@@ -8,7 +8,6 @@ import (
 
 	"dissent/internal/beacon"
 	"dissent/internal/crypto"
-	"dissent/internal/group"
 	"dissent/internal/wire"
 )
 
@@ -44,25 +43,27 @@ import (
 // ServerSnapshot is the durable image of a server's session state at a
 // round boundary — everything needed to resume that is not already
 // derivable from the group definition, the stored roster-update chain,
-// or the beacon chain's own store. Sched is the replica image
-// (node.snapshot) — the schedule with its output head, the resume point,
-// and its drain point; the rest is what a server adds to it: the roster
-// version to replay the update log to, the slot keys, the α baseline, the
-// roster-phase and accusation-shuffle gates, the schedule certificate,
-// the exclusions, and the two counters a restart must continue rather
-// than reset: the blame session number and the restart count.
+// or the beacon chain's own store. Group names the group it was taken
+// in, so a store opened by another group's server is refused. Sched is
+// the replica image (node.snapshot) — the schedule with its output head,
+// the resume point, and its drain point; the rest is what a server adds
+// to it: the roster version to replay the update log to, the slot keys,
+// the α baseline, the roster-phase and accusation-shuffle gates, the
+// schedule certificate, the exclusions, and the two counters a restart
+// must continue rather than reset: the blame session number and the
+// restart count.
 type ServerSnapshot struct {
-	Version   uint64 // roster version the snapshot was taken at
-	PrevCount uint32 // previous round's participation (α baseline)
-	RosterDue byte   // boundary crossed; roster phase pending
-	BlameDue  byte   // shuffle requested; accusation shuffle pending…
-	BlameHold uint64 // …and the first round it holds back
+	Group     [32]byte // the group ID (group.Definition.GroupID)
+	Version   uint64   // roster version the snapshot was taken at
+	PrevCount uint32   // previous round's participation (α baseline)
+	RosterDue byte     // boundary crossed; roster phase pending
+	BlameDue  byte     // shuffle requested; accusation shuffle pending…
+	BlameHold uint64   // …and the first round it holds back
 	CertKeys  [][]byte
 	CertSigs  [][]byte // certified schedule; empty under trusted bootstrap
 	SlotKeys  [][]byte // current slot pseudonym keys, slot order
-	Sched     []byte   // schedule state (dcnet.Schedule.AppendState)
-	ExpelIdx  []int32  // excluded client indices…
-	ExpelAt   []uint64 // …and the round each was excluded at
+	Sched     []byte   // schedule state (dcnet.Schedule.Fields)
+	Expelled  []Expulsion
 	// BlameSession is the last blame session opened (peers match sessions
 	// by number); Restarts counts this server's restores (openRound),
 	// raised to a peer's recovery attempt this server joined
@@ -71,8 +72,16 @@ type ServerSnapshot struct {
 	Restarts     uint32
 }
 
+// Expulsion is one excluded client in a snapshot: its index and the
+// round it was excluded at.
+type Expulsion struct {
+	Client int
+	Round  uint64
+}
+
 // Fields lays out the snapshot.
 func (p *ServerSnapshot) Fields(c *wire.Codec) {
+	c.Fixed(p.Group[:])
 	c.U64(&p.Version)
 	c.U32(&p.PrevCount)
 	c.U8(&p.RosterDue)
@@ -82,8 +91,10 @@ func (p *ServerSnapshot) Fields(c *wire.Codec) {
 	c.ByteSlices(&p.CertSigs)
 	c.ByteSlices(&p.SlotKeys)
 	c.Bytes(&p.Sched)
-	c.Int32s(&p.ExpelIdx)
-	wire.List(c, &p.ExpelAt, 1<<20, 8, (*wire.Codec).U64)
+	wire.List(c, &p.Expelled, 1<<20, 12, func(c *wire.Codec, e *Expulsion) {
+		c.Int(&e.Client)
+		c.U64(&e.Round)
+	})
 	c.I32(&p.BlameSession)
 	c.U32(&p.Restarts)
 }
@@ -97,6 +108,7 @@ func (s *Server) persistSnapshot() {
 		return
 	}
 	sn := &ServerSnapshot{
+		Group:        s.grpID,
 		Version:      s.def.Version,
 		PrevCount:    uint32(s.prevCount),
 		CertKeys:     s.certKeys,
@@ -113,10 +125,9 @@ func (s *Server) persistSnapshot() {
 		sn.BlameDue, sn.BlameHold = 1, s.blameHold
 	}
 	for _, ci := range sortedKeys(s.expelRound) {
-		sn.ExpelIdx = append(sn.ExpelIdx, int32(ci))
-		sn.ExpelAt = append(sn.ExpelAt, s.expelRound[ci])
+		sn.Expelled = append(sn.Expelled, Expulsion{Client: ci, Round: s.expelRound[ci]})
 	}
-	if err := s.store.Put(bucketSnapshot, snapshotKey, wire.Encode(sn)); err != nil {
+	if err := s.store.Put(bucketSnapshot, snapshotKey, wire.EncodeRecord(sn)); err != nil {
 		s.log.Error("session snapshot persist failed", "round", s.head(), "err", err)
 	}
 }
@@ -138,9 +149,12 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if s.sched != nil || s.phase != phaseSetup || s.head() != 0 {
 		return nil, false, errors.New("core: restore on an already-started engine")
 	}
-	sn, err := decode[ServerSnapshot](raw)
-	if err != nil {
+	sn := new(ServerSnapshot)
+	if err := wire.DecodeRecord(raw, sn); err != nil {
 		return nil, false, fmt.Errorf("core: session snapshot: %w", err)
+	}
+	if sn.Group != s.grpID {
+		return nil, false, fmt.Errorf("core: session snapshot of group %x, this server runs group %x", sn.Group, s.grpID)
 	}
 	if sn.Version < s.def.Version {
 		return nil, false, fmt.Errorf("core: snapshot version %d below definition version %d", sn.Version, s.def.Version)
@@ -156,7 +170,7 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		if !have {
 			return nil, false, fmt.Errorf("core: roster log truncated: missing version %d below snapshot version %d", v, sn.Version)
 		}
-		u, err := group.DecodeRosterUpdate(ub)
+		u, _, err := decodeRosterRecord(ub)
 		if err != nil {
 			return nil, false, fmt.Errorf("core: stored roster update %d: %w", v, err)
 		}
@@ -173,9 +187,6 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		s.lastRosterUpdate = u
 	}
 
-	if len(sn.ExpelIdx) != len(sn.ExpelAt) {
-		return nil, false, errors.New("core: session snapshot shape mismatch")
-	}
 	slotKeys := make([]crypto.Element, len(sn.SlotKeys))
 	for i, kb := range sn.SlotKeys {
 		k, err := s.keyGrp.Decode(kb)
@@ -203,18 +214,16 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		return nil, false, errors.New("core: session snapshot shape mismatch")
 	}
 
-	for i, ci := range sn.ExpelIdx {
-		idx := int(ci)
-		if idx < 0 || idx >= len(s.def.Clients) {
-			return nil, false, fmt.Errorf("core: snapshot expelled index %d out of range", idx)
+	for _, e := range sn.Expelled {
+		if e.Client >= len(s.def.Clients) {
+			return nil, false, fmt.Errorf("core: snapshot expelled index %d out of range", e.Client)
 		}
-		s.excluded[idx] = true
-		s.expelRound[idx] = sn.ExpelAt[i]
+		s.expelRound[e.Client] = e.Round
 		// An exclusion not yet formalized in the definition was pending
 		// removal at the next boundary; re-queue it so the restart does
 		// not strand the client excluded-but-never-removed.
-		if !s.def.Clients[idx].Expelled {
-			s.pendingRemove[idx] = true
+		if !s.def.Clients[e.Client].Expelled {
+			s.pendingRemove[e.Client] = true
 		}
 	}
 

@@ -119,6 +119,7 @@ func (d *durableFixture) restart(idx int) *Server {
 // TestServerSnapshotRoundTrip pins the snapshot codec.
 func TestServerSnapshotRoundTrip(t *testing.T) {
 	sn := &ServerSnapshot{
+		Group:     [32]byte{0xAB, 1},
 		Version:   7,
 		PrevCount: 9,
 		RosterDue: 1,
@@ -128,18 +129,117 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 		CertSigs:  [][]byte{{4}, {5, 6}},
 		SlotKeys:  [][]byte{{7}, {8}, {9}},
 		Sched:     []byte{0, 0, 0, 0, 0, 0, 0, 122, 0, 0, 0, 0},
-		ExpelIdx:  []int32{4},
-		ExpelAt:   []uint64{100},
+		Expelled:  []Expulsion{{Client: 4, Round: 100}},
 
 		BlameSession: 5,
 		Restarts:     2,
 	}
-	got, err := decode[ServerSnapshot](wire.Encode(sn))
-	if err != nil {
+	got := new(ServerSnapshot)
+	if err := wire.DecodeRecord(wire.EncodeRecord(sn), got); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", sn) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, sn)
+	}
+}
+
+// TestRestoreRefusesOtherGroupsSnapshot opens group A's store in a
+// server of group B: the restore must refuse it, naming both groups,
+// rather than resume A's schedule, slot keys and beacon chain.
+func TestRestoreRefusesOtherGroupsSnapshot(t *testing.T) {
+	d := newDurableFixture(t, 4)
+	d.h.StartAll()
+	d.stepUntilRound(3, 2_000_000)
+	d.kill(0)
+	kv := d.openKV(0)
+	defer kv.Close()
+
+	b := newFixture(t, 3, 4, fixtureOpts{})
+	opts := Options{MessageGroup: crypto.ModP512Test(), StateStore: kv}
+	bs, err := beacon.NewKVStore(kv, "beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.BeaconStore = bs
+	srv, err := NewServer(b.def, b.kpByID[b.def.Servers[0].ID], b.msgKPByIdx[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ok, err := srv.RestoreFromStore(b.h.Net.Now())
+	if err == nil || ok {
+		t.Fatalf("group B restored group A's snapshot (ok=%v, head %d)", ok, srv.Round())
+	}
+	a, g := d.def.GroupID(), b.def.GroupID()
+	for _, want := range []string{fmt.Sprintf("%x", a), fmt.Sprintf("%x", g)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name group %s", err, want)
+		}
+	}
+}
+
+// parentSnapshot is the snapshot layout stores were written in before
+// records carried a format byte and a group ID: no leading byte, and the
+// exclusions as parallel index and round lists.
+type parentSnapshot struct {
+	ServerSnapshot
+	expelIdx []int32
+	expelAt  []uint64
+}
+
+func (p *parentSnapshot) Fields(c *wire.Codec) {
+	c.U64(&p.Version)
+	c.U32(&p.PrevCount)
+	c.U8(&p.RosterDue)
+	c.U8(&p.BlameDue)
+	c.U64(&p.BlameHold)
+	c.ByteSlices(&p.CertKeys)
+	c.ByteSlices(&p.CertSigs)
+	c.ByteSlices(&p.SlotKeys)
+	c.Bytes(&p.Sched)
+	c.Int32s(&p.expelIdx)
+	wire.List(c, &p.expelAt, 1<<20, 8, (*wire.Codec).U64)
+	c.I32(&p.BlameSession)
+	c.U32(&p.Restarts)
+}
+
+// TestRestoreRefusesOlderRecordLayout: a snapshot in the layout written
+// before the record format byte (its first byte is the roster version's
+// top byte, 0x00) is refused by name, not misparsed.
+func TestRestoreRefusesOlderRecordLayout(t *testing.T) {
+	d := newDurableFixture(t, 4)
+	d.h.StartAll()
+	d.stepUntilRound(3, 2_000_000)
+	d.kill(0)
+	kv := d.openKV(0)
+	raw, ok := kv.Get(bucketSnapshot, snapshotKey)
+	if !ok {
+		t.Fatal("no snapshot in server 0's store")
+	}
+	var old parentSnapshot
+	if err := wire.DecodeRecord(raw, &old.ServerSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put(bucketSnapshot, snapshotKey, wire.Encode(&old)); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv = d.openKV(0)
+	defer kv.Close()
+	opts := Options{MessageGroup: crypto.ModP512Test(), StateStore: kv}
+	srv, err := NewServer(d.def, d.kpByID[d.def.Servers[0].ID], d.msgKPByIdx[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ok, err = srv.RestoreFromStore(d.h.Net.Now())
+	if err == nil || ok {
+		t.Fatalf("a snapshot in the older layout restored (ok=%v, head %d)", ok, srv.Round())
+	}
+	for _, want := range []string{"format 0x00", "format 0x01"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %s", err, want)
+		}
 	}
 }
 

@@ -262,60 +262,61 @@ const snapshotMinInterval = time.Second
 // certified snapshot re-sync instead of wedging.
 const rosterLogCap = 64
 
-// persistRosterUpdate records a certified update and its post-apply
-// schedule digest in the durable store. Persistence failures are
+// persistRosterUpdate records a certified update in the durable store:
+// one record, the MsgRosterUpdate body catch-up sends for it — the
+// update and its post-apply schedule digest. Persistence failures are
 // logged, not fatal: the in-memory mirror still serves the hot path,
 // and durability degrades rather than halting rounds.
 func (s *Server) persistRosterUpdate(u *group.RosterUpdate, dig [32]byte) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Put(bucketRoster, versionKey(u.Version), wire.Encode(u)); err != nil {
+	rec := wire.EncodeRecord(&RosterUpdateMsg{Update: wire.Encode(u), SchedDigest: dig[:]})
+	if err := s.store.Put(bucketRoster, versionKey(u.Version), rec); err != nil {
 		s.log.Error("roster update persist failed", "version", u.Version, "err", err)
-		return
-	}
-	if err := s.store.Put(bucketRosterDigest, versionKey(u.Version), dig[:]); err != nil {
-		s.log.Error("roster digest persist failed", "version", u.Version, "err", err)
 	}
 }
 
-// lookupRosterUpdate returns the certified update for one version from
-// the in-memory mirror, falling back to the durable store — the fix
-// for the rosterLogCap catch-up wedge: eviction from the mirror no
-// longer strands version-behind members.
-func (s *Server) lookupRosterUpdate(v uint64) *group.RosterUpdate {
-	if u := s.rosterLog[v]; u != nil {
-		return u
+// decodeRosterRecord reads one stored roster record: the certified
+// update and its post-apply schedule digest.
+func decodeRosterRecord(raw []byte) (*group.RosterUpdate, []byte, error) {
+	var rec RosterUpdateMsg
+	if err := wire.DecodeRecord(raw, &rec); err != nil {
+		return nil, nil, err
 	}
-	if s.store == nil {
-		return nil
+	u, err := group.DecodeRosterUpdate(rec.Update)
+	if err != nil {
+		return nil, nil, err
+	}
+	return u, rec.SchedDigest, nil
+}
+
+// rosterRecord returns the certified update for one roster version and
+// its post-apply schedule digest (nil when unrecorded): from the
+// in-memory mirror, else from the version's one durable record — so
+// eviction from the mirror (rosterLogCap) never strands a member that
+// is versions behind.
+func (s *Server) rosterRecord(v uint64) (*group.RosterUpdate, []byte) {
+	var dig []byte
+	if d, ok := s.rosterDigests[v]; ok {
+		dig = d[:]
+	}
+	if u := s.rosterLog[v]; u != nil || s.store == nil {
+		return u, dig
 	}
 	raw, ok := s.store.Get(bucketRoster, versionKey(v))
 	if !ok {
-		return nil
+		return nil, dig
 	}
-	u, err := group.DecodeRosterUpdate(raw)
+	u, stored, err := decodeRosterRecord(raw)
 	if err != nil {
 		s.log.Error("stored roster update corrupt", "version", v, "err", err)
-		return nil
+		return nil, dig
 	}
-	return u
-}
-
-// rosterDigestFor returns the recorded post-apply schedule digest for
-// one roster version (in-memory mirror first, then the durable store).
-func (s *Server) rosterDigestFor(v uint64) ([32]byte, bool) {
-	if dig, ok := s.rosterDigests[v]; ok {
-		return dig, true
+	if dig == nil {
+		dig = stored
 	}
-	if s.store != nil {
-		if raw, ok := s.store.Get(bucketRosterDigest, versionKey(v)); ok && len(raw) == 32 {
-			var dig [32]byte
-			copy(dig[:], raw)
-			return dig, true
-		}
-	}
-	return [32]byte{}, false
+	return u, dig
 }
 
 // onJoinRequest validates and queues a join/rejoin request. A known
@@ -335,7 +336,7 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		}
 		out := &Output{}
 		at := position{round: m.Round, version: p.Version, digest: p.SchedDigest, welcome: len(p.PubKey) > 0}
-		if p.Rejoin && p.Version == s.def.Version && (s.excluded[ci] || s.def.Clients[ci].Expelled) {
+		if p.Rejoin && p.Version == s.def.Version && (s.Excluded(ci) || s.def.Clients[ci].Expelled) {
 			s.pendingRejoin[ci] = true
 		}
 		return out, s.catchUp(now, m.From, at, out)
@@ -387,8 +388,9 @@ func (s *Server) proposal() (*RosterPropose, []byte) {
 	v := s.roster.version
 	if s.store != nil {
 		if raw, ok := s.store.Get(bucketProposal, snapshotKey); ok {
-			if p, err := decode[RosterPropose](raw); err == nil && p.Version == v {
-				return p, raw
+			var p RosterPropose
+			if err := wire.DecodeRecord(raw, &p); err == nil && p.Version == v {
+				return &p, raw[1:]
 			}
 		}
 	}
@@ -418,7 +420,7 @@ func (s *Server) proposal() (*RosterPropose, []byte) {
 	}
 	body := wire.Encode(p)
 	if s.store != nil && (len(p.Admit) > 0 || len(p.Remove) > 0) {
-		if err := s.store.Put(bucketProposal, snapshotKey, body); err != nil {
+		if err := s.store.Put(bucketProposal, snapshotKey, wire.EncodeRecord(p)); err != nil {
 			s.log.Error("roster proposal persist failed", "version", v, "err", err)
 		}
 	}
@@ -520,7 +522,7 @@ func (s *Server) maybeBuildUpdate(now time.Time) (*Output, error) {
 				continue
 			}
 			if ci := s.def.ClientIndex(id); ci >= 0 {
-				if !s.def.Clients[ci].Expelled && !s.excluded[ci] {
+				if !s.def.Clients[ci].Expelled && !s.Excluded(ci) {
 					continue // already active
 				}
 				// The re-admission cooldown is group policy over
@@ -697,7 +699,6 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 
 	for _, id := range u.Remove {
 		ci := newDef.ClientIndex(id)
-		s.excluded[ci] = true
 		if _, ok := s.expelRound[ci]; !ok {
 			s.expelRound[ci] = s.head()
 		}
@@ -718,7 +719,6 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 		ci := newDef.ClientIndex(id)
 		if ci < oldN {
 			// Re-admission: original seeds and slot survive.
-			delete(s.excluded, ci)
 			delete(s.expelRound, ci)
 			delete(s.pendingRejoin, ci)
 		} else {

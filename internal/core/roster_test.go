@@ -594,8 +594,8 @@ func TestStaleRosterVersionMessagesRejected(t *testing.T) {
 		// old version number: the intent is rejected (not queued) and the
 		// member is replayed the missed chain so a retry can land current.
 		ci := 2
-		srv.excluded[ci] = true
-		defer delete(srv.excluded, ci)
+		srv.expelRound[ci] = srv.Round()
+		defer delete(srv.expelRound, ci)
 		stale := &JoinRequest{Version: srv.RosterVersion() - 1, Rejoin: true}
 		out, err := srv.Handle(now, forge(&f.clients[ci].node, MsgJoinRequest, srv.Round(), wire.Encode(stale)))
 		if err != nil {

@@ -262,12 +262,6 @@ type accusation struct {
 	bit   int // global bit index in the round's cleartext vector
 }
 
-// accusationLen is the wire length of an accusation message inside the
-// blame shuffle: round(8) + slot(4) + bitInSlot(4) + Schnorr signature.
-func accusationLen(keyGrp crypto.Group) int {
-	return 16 + crypto.SignatureLen(keyGrp)
-}
-
 // Server is the Dissent server engine (Algorithm 2 plus scheduling and
 // accusation sub-protocols). It is sans-I/O: callers feed it messages
 // and ticks with timestamps and transmit the envelopes it returns.
@@ -304,7 +298,6 @@ type Server struct {
 	prevCount int
 	rounds    map[uint64]*roundState
 	history   map[uint64]*roundHistory
-	excluded  map[int]bool
 	// Crash-recovery state (see restore.go): rounds below recoverUntil
 	// reopen at attempt maxAttempts + restarts — restarts counts this
 	// server's restores, and is raised to any recovery attempt it joined
@@ -342,7 +335,7 @@ type Server struct {
 	pendingJoin      map[group.NodeID]*JoinRequest  // new-member requests
 	pendingRejoin    map[int]bool                   // client index → wants re-admission
 	pendingRemove    map[int]bool                   // client index → remove at boundary
-	expelRound       map[int]uint64                 // client index → round excluded
+	expelRound       map[int]uint64                 // excluded client index → round excluded at
 	rosterDue        bool                           // boundary crossed; roster phase pending
 	roster           *rosterState                   // in-flight transition
 	lastRosterUpdate *group.RosterUpdate            // latest applied certified update
@@ -402,7 +395,6 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	s.rounds = make(map[uint64]*roundState)
 	s.history = make(map[uint64]*roundHistory)
 	s.outMsgs = make(map[uint64][]byte)
-	s.excluded = make(map[int]bool)
 	s.setup = s.openShuffle(shuffleSession{
 		grp: s.keyGrp, kp: s.kp, pubs: def.ServerPubKeys(), width: 1,
 		submitT: MsgPseudonymSubmit, listT: MsgPseudonymList, stepT: MsgShuffleStep,
@@ -446,7 +438,10 @@ func (s *Server) Round() uint64 { return s.head() }
 func (s *Server) Participation() int { return s.prevCount }
 
 // Excluded reports whether a client index has been expelled.
-func (s *Server) Excluded(clientIdx int) bool { return s.excluded[clientIdx] }
+func (s *Server) Excluded(clientIdx int) bool {
+	_, ok := s.expelRound[clientIdx]
+	return ok
+}
 
 // RoundsInFlight returns the pipeline occupancy: rounds between window
 // open and retirement. At PipelineDepth 1 it is 0 or 1.
@@ -772,11 +767,7 @@ func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
 
 // expectedClients counts clients not yet expelled.
 func (s *Server) expectedClients() int {
-	n := len(s.def.Clients)
-	for range s.excluded {
-		n--
-	}
-	return n
+	return len(s.def.Clients) - len(s.expelRound)
 }
 
 // myExpected counts this server's attached, non-expelled clients — the
@@ -785,7 +776,7 @@ func (s *Server) expectedClients() int {
 func (s *Server) myExpected() int {
 	n := 0
 	for _, ci := range s.myClients {
-		if !s.excluded[ci] {
+		if !s.Excluded(ci) {
 			n++
 		}
 	}
@@ -880,7 +871,7 @@ func (s *Server) launchPadPrefetch(rs *roundState) {
 	clients := make([]int, 0, len(s.def.Clients))
 	seeds := make([][]byte, 0, len(s.def.Clients))
 	for ci := range s.def.Clients {
-		if s.excluded[ci] || s.def.Clients[ci].Expelled {
+		if s.Excluded(ci) || s.def.Clients[ci].Expelled {
 			continue
 		}
 		clients = append(clients, ci)
@@ -976,7 +967,7 @@ func (s *Server) onClientSubmit(now time.Time, m *Message, digest []byte) (*Outp
 		return &Output{}, nil // too late for this round
 	}
 	ci := s.def.ClientIndex(m.From)
-	if s.excluded[ci] {
+	if s.Excluded(ci) {
 		return &Output{}, nil
 	}
 	p, err := DecodeClientSubmit(m.Body)
@@ -1208,7 +1199,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 	for si := 0; si < len(s.def.Servers); si++ {
 		for _, ci := range rs.inv.get(si).Clients {
 			c := int(ci)
-			if s.excluded[c] {
+			if s.Excluded(c) {
 				continue
 			}
 			if _, ok := claimed[c]; !ok {
@@ -1854,7 +1845,7 @@ func (s *Server) misbehave(round uint64, from group.NodeID, kind string, err err
 	out := &Output{Events: []Event{{Kind: EventMisbehavior, Round: round, Culprit: from,
 		Detail: kind + ": " + err.Error()}}}
 	if rec.total >= misbehaviorEscalateThreshold && !rec.escalated {
-		if ci := s.def.ClientIndex(from); ci >= 0 && s.churnEnabled() && !s.excluded[ci] {
+		if ci := s.def.ClientIndex(from); ci >= 0 && s.churnEnabled() && !s.Excluded(ci) {
 			rec.escalated = true
 			s.pendingRemove[ci] = true
 			s.log.Warn("misbehavior threshold crossed; client queued for certified removal",

@@ -123,7 +123,7 @@ func (s *Server) onShuffleSubmit(now time.Time, m *Message) (*Output, error) {
 		return &Output{}, nil
 	}
 	ci := s.def.ClientIndex(m.From)
-	if s.excluded[ci] {
+	if s.Excluded(ci) {
 		return &Output{}, nil
 	}
 	var vec shuffle.Vec
@@ -143,7 +143,7 @@ func (s *Server) onShuffleSubmit(now time.Time, m *Message) (*Output, error) {
 	ss.subs[ci] = shuffleInput{raw: p.CT, vec: vec}
 	// Early close: every attached, non-excluded client has submitted.
 	for _, mine := range s.myClients {
-		if _, ok := ss.subs[mine]; !ok && !s.excluded[mine] {
+		if _, ok := ss.subs[mine]; !ok && !s.Excluded(mine) {
 			return &Output{Timer: ss.closeAt}, nil
 		}
 	}

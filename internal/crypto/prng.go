@@ -25,6 +25,21 @@ type PRNG interface {
 	XORKeyStream(dst, src []byte)
 }
 
+// Uintn draws a uniform integer in [0, bound) from p: big-endian
+// 32-bit words, rejecting those at or above the largest multiple of
+// bound, so every value is equally likely. Identical streams give
+// identical draws. bound must be positive.
+func Uintn(p PRNG, bound uint32) uint32 {
+	limit := ^uint32(0) - ^uint32(0)%bound
+	var buf [4]byte
+	for {
+		p.Read(buf[:])
+		if v := binary.BigEndian.Uint32(buf[:]); v < limit {
+			return v % bound
+		}
+	}
+}
+
 // PRNGMaker constructs a stream from a 32-byte seed. It parameterizes
 // the DC-net engines so benchmarks can swap in FastPRNG.
 type PRNGMaker func(seed []byte) PRNG

@@ -14,13 +14,13 @@ package dcnet
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"dissent/internal/crypto"
+	"dissent/internal/wire"
 )
 
 // Config fixes the schedule parameters agreed at group creation.
@@ -156,20 +156,9 @@ func identityPerm(n int) []int {
 func PermFromSeed(seed []byte, n int) []int {
 	perm := identityPerm(n)
 	stream := crypto.NewAESPRNG(crypto.Hash("dissent/epoch-perm", seed))
-	var buf [4]byte
 	for i := n - 1; i > 0; i-- {
-		// Uniform j in [0, i] by rejection on the top of the range.
-		bound := uint32(i + 1)
-		limit := ^uint32(0) - ^uint32(0)%bound
-		for {
-			stream.Read(buf[:])
-			v := binary.BigEndian.Uint32(buf[:])
-			if v < limit {
-				j := int(v % bound)
-				perm[i], perm[j] = perm[j], perm[i]
-				break
-			}
-		}
+		j := int(crypto.Uintn(stream, uint32(i+1)))
+		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return perm
 }
@@ -489,119 +478,112 @@ func (s *Schedule) evictSilent(lens, idle []int, res *RoundResult) {
 	}
 }
 
-// AppendState appends the schedule's full replicated state to buf: the
-// head and drain point, slot count, (length, idle count, layout position
+// Fields lays out the schedule's full replicated state: the head and
+// drain point, slot count, (length, idle count, layout position
 // occupant) per slot, then the queued pipeline deltas oldest first as
 // (op, length) per slot. A queued failed round (nil delta) is written as
 // an all-none row, which applies as the same no-op. These bytes are both
-// the schedule part of every session snapshot (RestoreSchedule is the
-// inverse) and the preimage of Digest, so a snapshot and a digest can
-// never describe different schedules.
-func (s *Schedule) AppendState(buf []byte) []byte {
-	buf = slices.Grow(buf, stateHeaderLen+4+len(s.lens)*(slotStateLen+deltaStateLen*len(s.pending)))
-	buf = binary.BigEndian.AppendUint64(buf, s.round)
-	buf = binary.BigEndian.AppendUint64(buf, s.drain)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.lens)))
-	for i := range s.lens {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(s.lens[i]))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(s.idle[i]))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(s.perm[i]))
+// the schedule part of every session snapshot and the preimage of
+// Digest, so a snapshot and a digest can never describe different
+// schedules. RestoreSchedule is the checked reader.
+func (s *Schedule) Fields(c *wire.Codec) {
+	c.U64(&s.round)
+	c.U64(&s.drain)
+	n := c.Len(len(s.lens), math.MaxInt32, 12)
+	if len(s.lens) != n { // reading: the columns are allocated here
+		s.lens, s.idle, s.perm = make([]int, n), make([]int, n), make([]int, n)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.pending)))
+	for i := range n {
+		c.Int(&s.lens[i])
+		c.Int(&s.idle[i])
+		c.Int(&s.perm[i])
+	}
+	rows := c.Len(len(s.pending), math.MaxInt32, 5*n)
+	for n > 0 && len(s.pending) < rows { // reading
+		s.pending = append(s.pending, make([]slotDelta, n))
+	}
 	for _, row := range s.pending {
-		for i := range s.lens {
-			var d slotDelta
+		for i := range n {
+			d := &slotDelta{}
 			if row != nil {
-				d = row[i]
+				d = &row[i]
 			}
-			buf = append(buf, byte(d.op))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(d.n))
+			c.U8((*byte)(&d.op))
+			c.Int(&d.n)
 		}
 	}
-	return buf
 }
 
-// Encoded sizes of AppendState's parts.
-const (
-	stateHeaderLen = 20 // head, drain point, slot count
-	slotStateLen   = 12 // length, idle count, layout occupant
-	deltaStateLen  = 5  // op, length
-)
+// AppendState appends the schedule's replicated state (Fields) to buf.
+func (s *Schedule) AppendState(buf []byte) []byte {
+	return wire.Append(slices.Grow(buf, wire.Size(s)), s)
+}
 
-// Digest hashes the schedule's full replicated state (AppendState).
+// Digest hashes the schedule's full replicated state (Fields).
 // Replicas that processed the same certified outputs hold identical
 // schedules and therefore equal digests; a client whose digest differs
 // from its server's at the same replication point has silently diverged
 // and must re-sync from a certified snapshot.
 func (s *Schedule) Digest() [32]byte {
 	var d [32]byte
-	copy(d[:], crypto.Hash("dissent/sched-digest", s.AppendState(nil)))
+	copy(d[:], crypto.Hash("dissent/sched-digest", wire.Encode(s)))
 	return d
 }
 
-// RestoreSchedule rebuilds a schedule from AppendState's bytes — the
+// RestoreSchedule rebuilds a schedule from its state (Fields) — the
 // joiner- and restart-side inverse — under cfg's lag; the slot count
 // comes from the state, not cfg. The state arrives from a peer or from
-// disk: its shape is checked against its own length before anything is
-// allocated, and every slot length, permutation entry and queued
-// directive is validated. A drain point past the head, or a queue longer
-// than cfg.Lag (more rounds withheld than the group's pipeline holds),
-// is refused.
+// disk: the codec checks every count against the input left before it
+// allocates, and check validates the rest. A drain point past the head,
+// or a queue longer than cfg.Lag (more rounds withheld than the group's
+// pipeline holds), is refused.
 func RestoreSchedule(cfg Config, state []byte) (*Schedule, error) {
-	if len(state) < stateHeaderLen+4 {
-		return nil, errors.New("dcnet: schedule state truncated")
+	s := &Schedule{cfg: cfg}
+	if err := wire.Decode(state, s); err != nil {
+		return nil, fmt.Errorf("dcnet: schedule state: %w", err)
 	}
-	round := binary.BigEndian.Uint64(state)
-	drain := binary.BigEndian.Uint64(state[8:])
-	n := uint64(binary.BigEndian.Uint32(state[16:]))
-	body := uint64(len(state) - stateHeaderLen - 4)
-	if n == 0 || n*slotStateLen > body {
-		return nil, fmt.Errorf("dcnet: schedule state names %d slots in %d bytes", n, len(state))
-	}
-	queue := state[stateHeaderLen+n*slotStateLen:]
-	rows := uint64(binary.BigEndian.Uint32(queue))
-	if rows*n*deltaStateLen != uint64(len(queue)-4) {
-		return nil, fmt.Errorf("dcnet: schedule state queues %d rows of %d slots in %d bytes", rows, n, len(queue)-4)
-	}
-	cfg.NumSlots = int(n)
-	if err := cfg.Validate(); err != nil {
+	if err := s.check(); err != nil {
 		return nil, err
 	}
-	if drain > round {
-		return nil, fmt.Errorf("dcnet: schedule state drain point %d past its head %d", drain, round)
+	return s, nil
+}
+
+// check validates a decoded state against the configuration it is
+// restored under: the slot count it names, every slot length,
+// permutation entry and queued directive, a drain point no later than
+// the head, and a queue no longer than the lag.
+func (s *Schedule) check() error {
+	n := len(s.lens)
+	s.cfg.NumSlots = n
+	if err := s.cfg.Validate(); err != nil {
+		return err
 	}
-	s := &Schedule{cfg: cfg, round: round, drain: drain,
-		lens: make([]int, n), idle: make([]int, n), perm: make([]int, n)}
+	if s.drain > s.round {
+		return fmt.Errorf("dcnet: schedule state drain point %d past its head %d", s.drain, s.round)
+	}
 	seen := make([]bool, n)
-	for i, b := 0, state[stateHeaderLen:]; i < int(n); i, b = i+1, b[slotStateLen:] {
-		s.lens[i] = int(binary.BigEndian.Uint32(b))
-		s.idle[i] = int(binary.BigEndian.Uint32(b[4:]))
-		slot := binary.BigEndian.Uint32(b[8:])
-		if s.lens[i] > cfg.MaxSlotLen {
-			return nil, fmt.Errorf("dcnet: schedule state slot length %d invalid", s.lens[i])
+	for i, l := range s.lens {
+		if l > s.cfg.MaxSlotLen {
+			return fmt.Errorf("dcnet: schedule state slot length %d invalid", l)
 		}
-		if uint64(slot) >= n || seen[slot] {
-			return nil, errors.New("dcnet: schedule state permutation invalid")
+		slot := s.perm[i]
+		if slot < 0 || slot >= n || seen[slot] {
+			return errors.New("dcnet: schedule state permutation invalid")
 		}
 		seen[slot] = true
-		s.perm[i] = int(slot)
 	}
-	for b := queue[4:]; len(b) > 0; {
-		row := make([]slotDelta, n)
-		for i := range row {
-			op, dn := deltaOp(b[0]), int(binary.BigEndian.Uint32(b[1:]))
-			if op > dSet {
-				return nil, fmt.Errorf("dcnet: schedule state op %d invalid", op)
+	for _, row := range s.pending {
+		for _, d := range row {
+			if d.op > dSet {
+				return fmt.Errorf("dcnet: schedule state op %d invalid", d.op)
 			}
-			if dn > cfg.MaxSlotLen {
-				return nil, fmt.Errorf("dcnet: schedule state directive length %d invalid", dn)
+			if d.n > s.cfg.MaxSlotLen {
+				return fmt.Errorf("dcnet: schedule state directive length %d invalid", d.n)
 			}
-			row[i], b = slotDelta{op: op, n: dn}, b[deltaStateLen:]
 		}
-		s.pending = append(s.pending, row)
 	}
-	if rows > uint64(cfg.Lag) {
-		return nil, fmt.Errorf("dcnet: schedule state queues %d rows at lag %d", rows, cfg.Lag)
+	if len(s.pending) > s.cfg.Lag {
+		return fmt.Errorf("dcnet: schedule state queues %d rows at lag %d", len(s.pending), s.cfg.Lag)
 	}
-	return s, nil
+	return nil
 }

@@ -743,6 +743,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// Encoded sizes of the schedule state's parts, as Schedule.Fields lays
+// them out: the test-side offsets for corrupting one field.
+const (
+	stateHeaderLen = 20 // head, drain point, slot count
+	slotStateLen   = 12 // length, idle count, layout occupant
+	deltaStateLen  = 5  // op, length
+)
+
 // TestRestoreScheduleRefusesPipelinePosition: a state whose queue is
 // longer than the restoring lag, or whose drain point lies past its
 // head, is refused rather than applied or clamped.

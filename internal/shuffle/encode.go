@@ -2,23 +2,32 @@ package shuffle
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"sync"
 
 	"dissent/internal/crypto"
+	"dissent/internal/wire"
 )
 
 // Wire encoding for StepOutput, used when shuffle steps travel between
-// servers (internal/core MsgShuffleStep / MsgBlameStep): the two counts
-// n and w, then every group element and then every scalar at its fixed
-// width, in the order slots lists them. The size is a function of
+// servers (internal/core MsgShuffleStep / MsgBlameStep): the header's two
+// counts n and w, then every group element and then every scalar at its
+// fixed width, in the order slots lists them. The size is a function of
 // (group, n, w) alone, and the receiver knows all three from the list it
 // holds, so any other length is rejected before anything is parsed.
 
 var errStepEncoding = errors.New("shuffle: malformed step encoding")
+
+// stepHeader opens a step encoding: its shape.
+type stepHeader struct{ n, w uint32 }
+
+// Fields lays out the header.
+func (h *stepHeader) Fields(c *wire.Codec) {
+	c.U32(&h.n)
+	c.U32(&h.w)
+}
 
 // newStepOutput allocates every slice of an n x w step.
 func newStepOutput(n, w int) *StepOutput {
@@ -89,11 +98,10 @@ func stepCounts(n, w int) (elems, scalars int) {
 
 // EncodeStepOutput serializes a StepOutput produced by Step.
 func EncodeStepOutput(g crypto.Group, s *StepOutput) []byte {
-	n, w := len(s.Shuffled), len(s.Shuffled[0])
+	h := &stepHeader{n: uint32(len(s.Shuffled)), w: uint32(len(s.Shuffled[0]))}
 	elems, scalars := s.slots()
-	buf := make([]byte, 0, 8+len(elems)*g.ElementLen()+len(scalars)*crypto.ScalarLen(g))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(w))
+	buf := make([]byte, 0, wire.Size(h)+len(elems)*g.ElementLen()+len(scalars)*crypto.ScalarLen(g))
+	buf = wire.Append(buf, h)
 	for _, e := range elems {
 		buf = append(buf, g.Encode(*e)...)
 	}
@@ -116,16 +124,19 @@ func DecodeStepOutput(g crypto.Group, data []byte, n, w int) (*StepOutput, error
 	}
 	nElems, nScalars := stepCounts(n, w)
 	eLen, sLen := g.ElementLen(), crypto.ScalarLen(g)
-	if len(data) < 8 {
+	want := stepHeader{n: uint32(n), w: uint32(w)}
+	var got stepHeader
+	hdr := wire.Size(&got)
+	if len(data) < hdr || wire.Decode(data[:hdr], &got) != nil {
 		return nil, errStepEncoding
 	}
-	if gotN, gotW := binary.BigEndian.Uint32(data), binary.BigEndian.Uint32(data[4:]); uint64(gotN) != uint64(n) || uint64(gotW) != uint64(w) {
-		return nil, fmt.Errorf("%w: shape %dx%d, want %dx%d", errStepEncoding, gotN, gotW, n, w)
+	if got != want {
+		return nil, fmt.Errorf("%w: shape %dx%d, want %dx%d", errStepEncoding, got.n, got.w, n, w)
 	}
-	if len(data) != 8+nElems*eLen+nScalars*sLen {
-		return nil, fmt.Errorf("%w: %d bytes, want %d", errStepEncoding, len(data), 8+nElems*eLen+nScalars*sLen)
+	if len(data) != hdr+nElems*eLen+nScalars*sLen {
+		return nil, fmt.Errorf("%w: %d bytes, want %d", errStepEncoding, len(data), hdr+nElems*eLen+nScalars*sLen)
 	}
-	elemData, scalarData := data[8:8+nElems*eLen], data[8+nElems*eLen:]
+	elemData, scalarData := data[hdr:hdr+nElems*eLen], data[hdr+nElems*eLen:]
 	order := crypto.EncodeScalar(g, g.Order())
 	for i := 0; i < nScalars; i++ {
 		if bytes.Compare(scalarData[i*sLen:(i+1)*sLen], order) >= 0 {

@@ -99,6 +99,34 @@ func Encode(p Payload) []byte {
 	return b
 }
 
+// RecordFormat is the first byte of every record a member stores: it
+// names the layout the rest of the record is in, so a record written in
+// another layout is refused by name instead of misparsed.
+const RecordFormat byte = 1
+
+// EncodeRecord returns p's encoding behind the record format byte, in
+// one allocation of exactly its size.
+func EncodeRecord(p Payload) []byte {
+	c := run(sizing, nil, p)
+	c.mode, c.b = writing, append(make([]byte, 0, 1+c.n), RecordFormat)
+	p.Fields(c)
+	b := c.b
+	release(c)
+	return b
+}
+
+// DecodeRecord checks that b starts with the record format byte and
+// decodes the rest into p, as Decode does.
+func DecodeRecord(b []byte, p Payload) error {
+	if len(b) == 0 {
+		return ErrTruncated
+	}
+	if b[0] != RecordFormat {
+		return fmt.Errorf("wire: stored record format %#02x, want format %#02x", b[0], RecordFormat)
+	}
+	return Decode(b[1:], p)
+}
+
 // Decode reads b into p. It fails on the first malformed field and on
 // any bytes left over after the last.
 func Decode(b []byte, p Payload) error {
@@ -266,15 +294,13 @@ func (c *Codec) count(limit, elemMin int) int {
 // bytes (at least one is assumed), and checks the count before
 // allocating the list.
 func List[T any](c *Codec, v *[]T, limit, elemMin int, elem func(*Codec, *T)) {
+	n := c.Len(len(*v), limit, elemMin)
 	if c.mode != reading {
-		n := uint32(len(*v))
-		c.U32(&n)
 		for i := range *v {
 			elem(c, &(*v)[i])
 		}
 		return
 	}
-	n := c.count(limit, max(elemMin, 1))
 	if c.err != nil {
 		return
 	}
@@ -288,6 +314,30 @@ func List[T any](c *Codec, v *[]T, limit, elemMin int, elem func(*Codec, *T)) {
 // ByteSlices is a list of byte strings.
 func (c *Codec) ByteSlices(v *[][]byte) {
 	List(c, v, math.MaxInt32, 4, (*Codec).Bytes)
+}
+
+// Int is an int as a U32: the low 32 bits are written, and a read
+// yields a value in [0, 2^32).
+func (c *Codec) Int(v *int) {
+	u := uint32(*v)
+	c.U32(&u)
+	if c.mode == reading && c.err == nil {
+		*v = int(u)
+	}
+}
+
+// Len is the count word of a list whose elements the caller lays out
+// itself: parallel slices, or rows whose width an earlier field fixes.
+// Sizing and writing write n and return it; a read returns the count
+// it read, checked as List checks its count (at most limit, at least
+// elemMin bytes each), or 0 once the input has failed.
+func (c *Codec) Len(n, limit, elemMin int) int {
+	if c.mode != reading {
+		u := uint32(n)
+		c.U32(&u)
+		return n
+	}
+	return c.count(limit, max(elemMin, 1))
 }
 
 // Int32s is a list of int32s.

@@ -28,6 +28,10 @@ type StateStore = store.KV
 //   - When shadowed log records outnumber the live set the log is
 //     compacted down to the live set before use, bounding file growth
 //     across repeated restarts.
+//
+// A file that does hold a snapshot is kept whatever else it holds;
+// opening a session over it refuses another group's snapshot, and any
+// record written in another record format, naming both.
 func OpenStateStore(path string) (*StateStore, error) {
 	kv, err := store.Open(path)
 	if err != nil {

@@ -224,3 +224,50 @@ func TestOpenSessionRefusesDamagedBeaconBucket(t *testing.T) {
 		t.Fatalf("open error %q does not name the beacon bucket", err)
 	}
 }
+
+// TestOpenSessionRefusesOlderRecordLayout: a state store holding records
+// in the layout written before records carried a format byte — a beacon
+// entry as JSON, a snapshot whose first byte is 0x00 — refuses the
+// session open with an error naming both formats, instead of loading a
+// misparsed record.
+func TestOpenSessionRefusesOlderRecordLayout(t *testing.T) {
+	policy := testPolicy(func(p *dissent.Policy) { p.BeaconEpochRounds = 4 })
+	sKeys, _, grp := buildGroup(t, 3, 4, policy)
+	hexVal := strings.Repeat("ab", 32)
+	for _, c := range []struct {
+		name, bucket, key string
+		record            []byte
+		want              []string
+	}{
+		{"beacon entry", "beacon", "00000000000000000003",
+			[]byte(`{"round":3,"prev":"` + hexVal + `","value":"` + hexVal + `","shares":["0102"]}`),
+			[]string{"beacon bucket", "format 0x7b", "format 0x01"}},
+		{"snapshot", "snapshot", "server", make([]byte, 64),
+			[]string{"snapshot", "format 0x00", "format 0x01"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			kv, err := dissent.OpenStateStore(filepath.Join(t.TempDir(), "srv0.kv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			if err := kv.Put(c.bucket, c.key, c.record); err != nil {
+				t.Fatal(err)
+			}
+			net := dissent.NewSimNet()
+			defer net.Close()
+			host := newHost(t, dissent.WithHostSimNet(net))
+			defer host.Close()
+			sess, err := host.OpenSession(grp, sKeys[0], dissent.WithStateStore(kv))
+			if err == nil {
+				sess.Close()
+				t.Fatal("session opened over a store in the older record layout")
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("open error %q does not name %s", err, w)
+				}
+			}
+		})
+	}
+}
