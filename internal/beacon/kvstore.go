@@ -3,18 +3,13 @@ package beacon
 import (
 	"fmt"
 
+	"dissent/internal/store"
 	"dissent/internal/wire"
 )
 
-// KV is the embedded key-value surface the beacon chain persists
-// through — satisfied by *store.KV. Mutations must be durable before
-// they return (the KV fsyncs each Put/Delete).
-type KV interface {
-	Put(bucket, key string, value []byte) error
-	Get(bucket, key string) ([]byte, bool)
-	List(bucket string) []string
-	Delete(bucket, key string) error
-}
+// KV is the durable key-value surface the beacon chain persists
+// through.
+type KV = store.Durable
 
 // roundKey renders a round number as a fixed-width key so the KV's
 // sorted key listing is numeric round order.

@@ -49,30 +49,23 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// castMsg is one message recorded for retransmission: what to sign and
-// send again.
-type castMsg struct {
-	t     MsgType
-	round uint64
-	body  []byte
-}
-
-// castLog is the one retransmission record: the messages a node has
-// sent for some unit of work that peers have not answered yet (a round
-// attempt's phase messages, a roster transition's proposal and
+// castLog is the one retransmission record: the signed messages a node
+// has sent for some unit of work that peers have not answered yet (a
+// round attempt's phase messages, a roster transition's proposal and
 // certificate, a client's round submission, a join request, a roster
 // probe), when they are next due and how many times they have been
 // re-sent. The owner clears it when the work completes or is abandoned.
 type castLog struct {
-	msgs  []castMsg
+	msgs  []*Message
 	dueAt time.Time
 	n     int // retransmissions so far (drives the backoff)
 }
 
 // cast records one more message of the unit of work and restarts the
-// backoff: the whole log is next due after first.
-func (l *castLog) cast(now time.Time, first time.Duration, t MsgType, round uint64, body []byte) {
-	l.msgs = append(l.msgs, castMsg{t: t, round: round, body: body})
+// backoff: the whole log is next due after first. A retransmission
+// re-sends m itself, so it carries the first send's signature.
+func (l *castLog) cast(now time.Time, first time.Duration, m *Message) {
+	l.msgs = append(l.msgs, m)
 	l.n = 0
 	l.dueAt = now.Add(first)
 }
@@ -80,7 +73,7 @@ func (l *castLog) cast(now time.Time, first time.Duration, t MsgType, round uint
 // recast returns the messages to send again if the log is due — the
 // whole sequence, oldest first — and when it is due next (zero for an
 // empty log). Each retransmission backs off per b.
-func (l *castLog) recast(now time.Time, b backoff, seed uint64) (due []castMsg, next time.Time) {
+func (l *castLog) recast(now time.Time, b backoff, seed uint64) (due []*Message, next time.Time) {
 	if len(l.msgs) == 0 {
 		return nil, time.Time{}
 	}

@@ -52,9 +52,14 @@ func newAccusationMsg(keyGrp crypto.Group) *AccusationMsg {
 // shuffle.
 func accusationLen(keyGrp crypto.Group) int { return wire.Size(newAccusationMsg(keyGrp)) }
 
+// rebuttalContext binds client ci's rebuttal proof against server si.
+func rebuttalContext(grpID [32]byte, ci, si int) []byte {
+	return crypto.Hash("dissent/rebuttal", grpID[:], crypto.HashUint64(uint64(ci)), crypto.HashUint64(uint64(si)))
+}
+
 // accusationDigest is what the pseudonym key signs.
 func accusationDigest(grpID [32]byte, round uint64, slot, bit int) []byte {
-	return crypto.Hash("dissent/accusation", grpID[:],
+	return crypto.Hash(accusationContext, grpID[:],
 		crypto.HashUint64(round), crypto.HashUint64(uint64(slot)), crypto.HashUint64(uint64(bit)))
 }
 
@@ -172,7 +177,7 @@ func (s *Server) validateAccusation(a *AccusationMsg) *accusation {
 	if err != nil {
 		return nil
 	}
-	if err := crypto.Verify(s.keyGrp, s.slotKeys[a.Slot], "dissent/accusation",
+	if err := crypto.Verify(s.keyGrp, s.slotKeys[a.Slot], accusationContext,
 		accusationDigest(s.grpID, a.Round, a.Slot, a.Bit), sig); err != nil {
 		return nil
 	}
@@ -388,7 +393,7 @@ func (s *Server) judgeRebuttal(now time.Time, ci int, p *Rebuttal) (*Output, err
 	proof := crypto.DLEQProof{C: new(big.Int).SetBytes(p.ProofC), Z: new(big.Int).SetBytes(p.ProofZ)}
 	clientPub := s.def.Clients[ci].PubKey
 	serverPub := s.def.Servers[si].PubKey
-	ctx := crypto.Hash("dissent/rebuttal", s.grpID[:], crypto.HashUint64(uint64(ci)), crypto.HashUint64(uint64(si)))
+	ctx := rebuttalContext(s.grpID, ci, si)
 	// Statement: log_G(clientPub) == log_serverPub(secret), i.e. the
 	// revealed point is the true DH secret between the two keys.
 	if err := crypto.VerifyDLEQ(s.keyGrp, serverPub, clientPub, secret, proof, ctx); err != nil {

@@ -332,23 +332,25 @@ func (c *Client) Tick(now time.Time) (*Output, error) {
 	return out, nil
 }
 
-// sendUpstream signs recorded messages and addresses them to the
-// upstream server.
-func (c *Client) sendUpstream(msgs []castMsg, out *Output) error {
-	for _, cm := range msgs {
-		m, err := c.sign(cm.t, cm.round, cm.body)
-		if err != nil {
-			return err
+// sendUpstream addresses recorded messages to the upstream server,
+// signing a control message the first time it is sent.
+func (c *Client) sendUpstream(msgs []*Message, out *Output) error {
+	for _, m := range msgs {
+		if m.Sig == nil {
+			if err := c.signDigest(m, m.digest(c.grpID)); err != nil {
+				return err
+			}
 		}
 		out.Send = append(out.Send, Envelope{To: c.upstream, Msg: m})
 	}
 	return nil
 }
 
-// castCtl makes one message the client's repeating control message.
+// castCtl makes one message the client's repeating control message,
+// signed when it is first sent: a roster probe usually never is.
 func (c *Client) castCtl(now time.Time, t MsgType, round uint64, body []byte) {
 	c.ctl.clear()
-	c.ctl.cast(now, joinProbeDelay, t, round, body)
+	c.ctl.cast(now, joinProbeDelay, &Message{From: c.id, Type: t, Round: round, Body: body})
 }
 
 // awaitRoster holds submission at an epoch boundary until the certified
@@ -567,7 +569,7 @@ func (c *Client) submitVector(now time.Time, cr *clientRound, vec []byte) (*Outp
 		return nil, err
 	}
 	cr.casts.clear()
-	cr.casts.cast(now, c.retry.delay(0, c.retrySeed^cr.r), MsgClientSubmit, cr.r, body)
+	cr.casts.cast(now, c.retry.delay(0, c.retrySeed^cr.r), m)
 	// Idle-window prefetch: build the next round's streams while the
 	// network is the bottleneck.
 	c.nextStreams = c.pad.Prepare(c.serverSeeds, cr.r+1)
@@ -746,7 +748,7 @@ func (c *Client) onBlameStart(now time.Time, m *Message) (*Output, error) {
 	var msg []byte
 	if c.witness != nil {
 		// The witness bit travels slot-relative; servers translate.
-		sig, err := c.pseudonym.Sign("dissent/accusation",
+		sig, err := c.pseudonym.Sign(accusationContext,
 			accusationDigest(c.grpID, c.witness.round, c.mySlot, c.witness.bit), c.rand)
 		if err != nil {
 			return nil, err
@@ -846,8 +848,7 @@ func (c *Client) onRebuttalRequest(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := crypto.Hash("dissent/rebuttal", c.grpID[:],
-		crypto.HashUint64(uint64(c.idx)), crypto.HashUint64(uint64(target)))
+	ctx := rebuttalContext(c.grpID, c.idx, target)
 	proof, err := crypto.ProveDLEQ(c.keyGrp, c.kp.Private, serverPub, c.kp.Public, secret, ctx, c.rand)
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"dissent/internal/dcnet"
 	"dissent/internal/group"
 	"dissent/internal/obs"
+	"dissent/internal/store"
 )
 
 // Envelope is one outbound message with its destination.
@@ -186,20 +187,14 @@ func (o *Output) then(more *Output, err error) (*Output, error) {
 }
 
 // StateStore is the durable key-value surface the engines persist
-// protocol state through — satisfied by *store.KV. Mutations must be
-// durable before they return. The engines use fixed buckets: "roster"
-// for certified roster updates and their post-apply schedule digests
+// protocol state through. The engines use fixed buckets: "roster" for
+// certified roster updates and their post-apply schedule digests
 // (RosterUpdateMsg) keyed by version, "snapshot" for the server's
 // restart snapshot (ServerSnapshot) and "roster-propose" for the
 // proposal of a roster phase in progress (RosterPropose). Every record
 // is written by wire.EncodeRecord and read by wire.DecodeRecord, so it
 // starts with the record format byte.
-type StateStore interface {
-	Put(bucket, key string, value []byte) error
-	Get(bucket, key string) ([]byte, bool)
-	List(bucket string) []string
-	Delete(bucket, key string) error
-}
+type StateStore = store.Durable
 
 // StateStore bucket names.
 const (
@@ -438,7 +433,7 @@ func (n *node) sign(t MsgType, round uint64, body []byte) (*Message, error) {
 
 // signDigest signs m, whose digest the caller already holds.
 func (n *node) signDigest(m *Message, digest []byte) error {
-	sig, err := n.kp.Sign("dissent/msg", digest, n.rand)
+	sig, err := n.kp.Sign(msgContext, digest, n.rand)
 	if err != nil {
 		return err
 	}
@@ -564,7 +559,7 @@ func (n *node) verify(m *Message, pub crypto.Element) ([]byte, error) {
 		return nil, fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
 	digest := m.digest(n.grpID)
-	if err := crypto.Verify(n.keyGrp, pub, "dissent/msg", digest, sig); err != nil {
+	if err := crypto.Verify(n.keyGrp, pub, msgContext, digest, sig); err != nil {
 		return nil, fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
 	return digest, nil

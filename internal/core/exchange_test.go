@@ -251,3 +251,35 @@ func mustDecode[T any, P interface {
 	}
 	return p
 }
+
+// TestRetransmitResendsSignedMessage: a server whose Share frames are
+// dropped re-sends the message it first sent, byte for byte and
+// signature included, rather than signing its body again.
+func TestRetransmitResendsSignedMessage(t *testing.T) {
+	f := newFixture(t, 3, 6, fixtureOpts{})
+	s1ID := f.servers[1].ID()
+	var round uint64
+	var sent [][]byte
+	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+		if from != s1ID || m.Type != MsgShare || len(sent) > 0 && m.Round != round {
+			return 0, false
+		}
+		round = m.Round
+		sent = append(sent, EncodeMessage(m))
+		return 0, len(sent) <= 2 // the first send, to both peers
+	}
+	f.h.StartAll()
+	for i := 0; i < 2_000_000 && len(sent) < 3; i++ {
+		if !f.h.Net.Step() {
+			break
+		}
+	}
+	if len(sent) < 3 {
+		t.Fatalf("server 1 sent its round-%d Share %d times, want a retransmission; violations: %v", round, len(sent), f.violations())
+	}
+	for i, b := range sent[1:] {
+		if !bytes.Equal(b, sent[0]) {
+			t.Fatalf("send %d of server 1's round-%d Share differs from the first send", i+2, round)
+		}
+	}
+}

@@ -134,6 +134,15 @@ type Message struct {
 	Sig   []byte
 }
 
+// Signature contexts. The signer and every verifier of each use the one
+// constant; two also name their digest's hash domain.
+const (
+	msgContext        = "dissent/msg"        // an envelope, and its digest
+	scheduleContext   = "dissent/schedule"   // the schedule certificate
+	cleartextContext  = "dissent/cleartext"  // a round certificate
+	accusationContext = "dissent/accusation" // an accusation, and its digest
+)
+
 // msgHeaderLen is the fixed envelope header: type, round, sender.
 const msgHeaderLen = 1 + 8 + len(group.NodeID{})
 
@@ -153,7 +162,7 @@ func (m *Message) putHeader(b []byte) {
 func (m *Message) digest(groupID [32]byte) []byte {
 	var hdr [msgHeaderLen]byte
 	m.putHeader(hdr[:])
-	return crypto.Hash("dissent/msg", groupID[:], hdr[:], m.Body)
+	return crypto.Hash(msgContext, groupID[:], hdr[:], m.Body)
 }
 
 // Fields lays out the envelope: the header the signature covers, then
@@ -318,7 +327,7 @@ func VerifyScheduleCert(def *group.Definition, keys, sigs [][]byte) ([32]byte, e
 		if err != nil {
 			return [32]byte{}, fmt.Errorf("core: schedule cert %d: %w", j, err)
 		}
-		if err := crypto.Verify(keyGrp, srv.PubKey, "dissent/schedule", signed, sig); err != nil {
+		if err := crypto.Verify(keyGrp, srv.PubKey, scheduleContext, signed, sig); err != nil {
 			return [32]byte{}, fmt.Errorf("core: schedule cert %d: %w", j, err)
 		}
 	}
@@ -495,7 +504,7 @@ func verifyRoundCert(def *group.Definition, aggKey crypto.Element, groupID [32]b
 		if err != nil {
 			return fmt.Errorf("core: round %d cert %d: %w", round, j, err)
 		}
-		if err := crypto.Verify(g, key, "dissent/cleartext", signed, sig); err != nil {
+		if err := crypto.Verify(g, key, cleartextContext, signed, sig); err != nil {
 			return fmt.Errorf("core: round %d cert %d: %w", round, j, err)
 		}
 	}

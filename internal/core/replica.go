@@ -148,7 +148,7 @@ func (n *node) applyRoster(u *group.RosterUpdate, newDef *group.Definition, out 
 		return dig
 	}
 	n.sched.Drained()
-	n.sched.Grow(grown, n.rosterPermSeed(newDef))
+	n.sched.Grow(grown, n.rosterPermSeed(newDef.RosterDigest()))
 	out.Events = append(out.Events, Event{Kind: EventEpochRotated, Round: n.head(),
 		Detail: fmt.Sprintf("roster version %d", u.Version)})
 	return n.sched.Digest()

@@ -178,8 +178,7 @@ func (n *node) epochBoundary(round uint64) bool {
 // identical on every replica. The chain *head* — not Latest(), which
 // is nil on a mid-session joiner whose rebound chain has no entries
 // yet — agrees across established replicas and joiners alike.
-func (n *node) rosterPermSeed(def *group.Definition) []byte {
-	dig := def.RosterDigest()
+func (n *node) rosterPermSeed(dig [32]byte) []byte {
 	var beaconVal []byte
 	if n.beaconChain != nil {
 		h := n.beaconChain.Head()
@@ -455,15 +454,19 @@ func (s *Server) rosterTick(now time.Time) (*Output, error) {
 		return &Output{}, nil
 	}
 	out := &Output{}
-	_, err := s.recastServers(now, &r.casts, s.retrySeed^r.version, out)
-	return out, err
+	s.recastServers(now, &r.casts, s.retrySeed^r.version, out)
+	return out, nil
 }
 
 // castRoster broadcasts a roster-phase message to the peer servers and
 // records it for rosterTick.
 func (s *Server) castRoster(now time.Time, t MsgType, body []byte, out *Output) error {
-	s.recordCast(now, &s.roster.casts, s.retrySeed^s.roster.version, t, s.head(), body, out)
-	return s.broadcastServers(t, s.head(), body, out)
+	m, err := s.sign(t, s.head(), body)
+	if err != nil {
+		return err
+	}
+	s.sendCast(now, &s.roster.casts, s.retrySeed^s.roster.version, m, out)
+	return nil
 }
 
 func (s *Server) onRosterPropose(now time.Time, m *Message, digest []byte) (*Output, error) {

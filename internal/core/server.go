@@ -640,29 +640,33 @@ func (s *Server) sendServers(m *Message, out *Output) {
 // records it for retransmission (roundTick) while the round waits on
 // them.
 func (s *Server) castServers(now time.Time, rs *roundState, t MsgType, body []byte, out *Output) error {
-	s.recordCast(now, &rs.casts, s.retrySeed^rs.r, t, rs.r, body, out)
-	return s.broadcastServers(t, rs.r, body, out)
+	m, err := s.sign(t, rs.r, body)
+	if err != nil {
+		return err
+	}
+	s.sendCast(now, &rs.casts, s.retrySeed^rs.r, m, out)
+	return nil
 }
 
-// recordCast notes a message in a cast log for retransmission, restarts
-// the log's backoff and arms its timer.
-func (s *Server) recordCast(now time.Time, l *castLog, seed uint64, t MsgType, round uint64, body []byte, out *Output) {
-	l.cast(now, s.retry.delay(0, seed), t, round, body)
+// sendCast notes a signed message in a cast log for retransmission,
+// restarts the log's backoff, arms its timer and sends the message to
+// the peer servers.
+func (s *Server) sendCast(now time.Time, l *castLog, seed uint64, m *Message, out *Output) {
+	l.cast(now, s.retry.delay(0, seed), m)
 	out.merge(&Output{Timer: l.dueAt})
+	s.sendServers(m, out)
 }
 
-// recastServers re-broadcasts a cast log to the peer servers once it is
-// due, each message signed afresh, and merges the log's timer into out.
-// It reports whether anything was re-sent.
-func (s *Server) recastServers(now time.Time, l *castLog, seed uint64, out *Output) (bool, error) {
+// recastServers re-sends a cast log to the peer servers once it is due
+// and merges the log's timer into out. It reports whether anything was
+// re-sent.
+func (s *Server) recastServers(now time.Time, l *castLog, seed uint64, out *Output) bool {
 	due, next := l.recast(now, s.retry, seed)
 	out.merge(&Output{Timer: next})
-	for _, c := range due {
-		if err := s.broadcastServers(c.t, c.round, c.body, out); err != nil {
-			return false, err
-		}
+	for _, m := range due {
+		s.sendServers(m, out)
 	}
-	return len(due) > 0, nil
+	return len(due) > 0
 }
 
 // broadcastClients sends a signed message to every attached client.
@@ -685,7 +689,7 @@ func (s *Server) finishScheduleShuffle(now time.Time, outputs []shuffle.Vec) (*O
 	for i, v := range outputs {
 		s.slotKeys[i] = v[0].C2
 	}
-	sig, err := s.kp.Sign("dissent/schedule", scheduleSignedBytes(s.grpID, s.encodedSlotKeys()), s.rand)
+	sig, err := s.kp.Sign(scheduleContext, scheduleSignedBytes(s.grpID, s.encodedSlotKeys()), s.rand)
 	if err != nil {
 		return nil, err
 	}
@@ -722,7 +726,7 @@ func (s *Server) onScheduleCert(now time.Time, m *Message, digest []byte) (*Outp
 	if err != nil {
 		return s.misbehave(0, m.From, "malformed", err), nil
 	}
-	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, "dissent/schedule",
+	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, scheduleContext,
 		scheduleSignedBytes(s.grpID, s.encodedSlotKeys()), sig); err != nil {
 		return s.misbehave(0, m.From, "bad-certificate", fmt.Errorf("server %d schedule cert: %w", si, err)), nil
 	}
@@ -1070,10 +1074,7 @@ func (s *Server) roundTick(now time.Time) (*Output, error) {
 		// out, not just the newest message: a peer can be a full phase
 		// behind and needs the earlier ones first.
 		if rs.phase > rpCollect && rs.phase < rpDone {
-			resent, err := s.recastServers(now, &rs.casts, s.retrySeed^rs.r, out)
-			if err != nil {
-				return nil, err
-			}
+			resent := s.recastServers(now, &rs.casts, s.retrySeed^rs.r, out)
 			// A round still wedged after several retries is being
 			// withheld from: attribute the silence to the peers whose
 			// phase contribution is missing (once per peer per round).
@@ -1444,8 +1445,7 @@ func (s *Server) maybeShare(now time.Time, rs *roundState) (*Output, error) {
 	if err := s.signDigest(rs.shareMsg, digest); err != nil {
 		return nil, err
 	}
-	s.recordCast(now, &rs.casts, s.retrySeed^rs.r, MsgShare, rs.r, rs.shareMsg.Body, out)
-	s.sendServers(rs.shareMsg, out)
+	s.sendCast(now, &rs.casts, s.retrySeed^rs.r, rs.shareMsg, out)
 	// Combine what was revealed: our entry aliases our own message body,
 	// as the peers' entries alias theirs.
 	own, err := decode[Share](rs.shareMsg.Body)
@@ -1547,7 +1547,7 @@ func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
 	rs.certDigest = cleartextSignedBytes(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry))
 	var cert []byte
 	if rs.failed {
-		sig, err := s.kp.Sign("dissent/cleartext", rs.certDigest, s.rand)
+		sig, err := s.kp.Sign(cleartextContext, rs.certDigest, s.rand)
 		if err != nil {
 			return nil, err
 		}
@@ -1557,7 +1557,7 @@ func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
 		for i := range nonces {
 			nonces[i] = rs.nonces[i]
 		}
-		rs.certChal = s.cert.Challenge("dissent/cleartext", nonces, rs.certDigest)
+		rs.certChal = s.cert.Challenge(cleartextContext, nonces, rs.certDigest)
 		cert = crypto.EncodeScalar(s.keyGrp, s.cert.Respond(s.idx, s.kp.Private, rs.nonce, rs.certChal))
 		rs.dropNonce()
 	}
@@ -1612,7 +1612,7 @@ func (s *Server) checkCertify(rs *roundState, si int, cert []byte) error {
 		if err != nil {
 			return err
 		}
-		return crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, "dissent/cleartext", rs.certDigest, sig)
+		return crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, cleartextContext, rs.certDigest, sig)
 	}
 	z, err := crypto.DecodeScalar(s.keyGrp, cert)
 	if err != nil {

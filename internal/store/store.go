@@ -2,45 +2,99 @@
 // shared by the beacon chain, the certified roster-update log, and
 // server restart snapshots.
 //
-// The design is deliberately minimal: a single append-only file of
-// JSON lines (one record per mutation), fsynced before the in-memory
-// index accepts the mutation. A torn final line is the artifact of a
-// crash mid-append and is truncated away; garbage anywhere else is
-// content damage and refuses to open. Reads are served from the
-// in-memory index, so the file is only touched on writes and at open.
+// The design is deliberately minimal: one append-only log file, fsynced
+// after each mutation before the in-memory index accepts it, so reads
+// never touch the file. The file starts with fileHeader, naming the
+// format. Each record after it is a frame of two u32 words — the body's
+// length and its CRC-32C (Castagnoli) — and the body, wire.EncodeRecord
+// of {delete flag, bucket, key, value}. Only the last record can be
+// torn by a crash: its frame or body is incomplete, or its checksum
+// fails and no byte follows it. Open truncates it away. Any other
+// record that fails its checksum or does not decode is content damage
+// (ErrCorrupt), and a file with another header — an earlier build's
+// JSON-lines log starts with '{' — is refused naming both formats; in
+// neither case is the file changed.
 //
-// Records are namespaced by bucket so one file can back several
-// subsystems (the beacon chain, the roster log, the restart snapshot)
-// without their key spaces colliding. The log grows with every
-// overwrite and delete; Compact rewrites it down to the live set
-// through a temp-file rename, preserving crash safety.
+// Buckets namespace the keys, so one file backs the beacon chain, the
+// roster log and the restart snapshot. Compact rewrites the log down
+// to the live set through a temp-file rename.
 package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+
+	"dissent/internal/wire"
 )
 
-// ErrCorrupt marks mid-file garbage in a store file — content damage,
-// as opposed to I/O or permission errors opening it. Callers archive
-// corrupt files and start fresh but abort on anything else.
+// Durable is the key-value surface the engines and the beacon chain
+// persist through — satisfied by *KV. Mutations must be durable before
+// they return.
+type Durable interface {
+	Put(bucket, key string, value []byte) error
+	Get(bucket, key string) ([]byte, bool)
+	List(bucket string) []string
+	Delete(bucket, key string) error
+}
+
+// ErrCorrupt marks content damage in a store file, as opposed to I/O or
+// permission errors opening it. Open fails with it; nothing repairs or
+// replaces the file.
 var ErrCorrupt = errors.New("store: corrupt store file")
 
+var errClosed = errors.New("store: closed")
+
+// fileHeader is the first line of every store file: the log format's
+// name.
+const fileHeader = "dissent-store binary log v1\n"
+
+// frameLen is the length of a record's frame: the body length and its
+// CRC-32C, as two u32 words.
+const frameLen = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frame precedes each record body.
+type frame struct {
+	n, sum uint32
+}
+
+func (f *frame) Fields(c *wire.Codec) {
+	c.U32(&f.n)
+	c.U32(&f.sum)
+}
+
 // record is one logged mutation. A put carries the value; a delete
-// sets D and carries none. Replaying the log in order rebuilds the
+// sets del and carries none. Replaying the log in order rebuilds the
 // index: last writer wins.
 type record struct {
-	B string `json:"b"`           // bucket
-	K string `json:"k"`           // key
-	V []byte `json:"v,omitempty"` // value (base64 in JSON); nil for deletes
-	D bool   `json:"d,omitempty"` // delete marker
+	del         bool
+	bucket, key string
+	value       []byte
+}
+
+func (r *record) Fields(c *wire.Codec) {
+	c.Bool(&r.del)
+	c.String(&r.bucket)
+	c.String(&r.key)
+	c.Bytes(&r.value)
+}
+
+// appendRecord appends r's frame and body to dst: the one writer of
+// records, for appends and compaction alike.
+func appendRecord(dst []byte, r *record) []byte {
+	body := wire.EncodeRecord(r)
+	dst = wire.Append(dst, &frame{n: uint32(len(body)), sum: crc32.Checksum(body, castagnoli)})
+	return append(dst, body...)
 }
 
 // KV is a crash-safe embedded key-value store over one append-only
@@ -55,97 +109,116 @@ type KV struct {
 }
 
 // Open opens (creating if needed) the store file at path and replays
-// its log into the in-memory index. A torn final line — the artifact
-// of a crash mid-append — is truncated away and loading continues;
-// garbage anywhere else returns an error wrapping ErrCorrupt. A valid
-// final line that lost its newline to a crash is completed so the next
-// append lands on its own line.
+// its log into the in-memory index, one record at a time. A torn last
+// record is truncated away and loading continues; content damage
+// anywhere else returns an error wrapping ErrCorrupt.
 func Open(path string) (*KV, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
 	if err != nil {
 		return nil, err
 	}
 	kv := &KV{file: f, path: path, idx: make(map[string]map[string][]byte)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	line := 0
-	goodEnd := int64(0) // byte offset just past the last valid line
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		var r record
-		lineErr := json.Unmarshal(raw, &r)
-		if lineErr == nil && r.K == "" {
-			lineErr = errors.New("record missing key")
-		}
-		if lineErr != nil {
-			if !sc.Scan() && sc.Err() == nil {
-				// Final line: a torn write from a crash mid-append.
-				// Drop it and keep the valid prefix.
-				if err := f.Truncate(goodEnd); err != nil {
-					f.Close()
-					return nil, err
-				}
-				if _, err := f.Seek(goodEnd, io.SeekStart); err != nil {
-					f.Close()
-					return nil, err
-				}
-				return kv, nil
-			}
-			f.Close()
-			return nil, fmt.Errorf("%w: %s line %d: %v", ErrCorrupt, path, line, lineErr)
-		}
-		kv.apply(r)
-		kv.recs++
-		goodEnd += int64(len(raw)) + 1
-	}
-	if err := sc.Err(); err != nil {
+	if err := kv.load(); err != nil {
 		f.Close()
 		return nil, err
-	}
-	// A valid final line may have lost its newline to a crash between
-	// the JSON bytes and the '\n'. Complete it, or the next append
-	// would concatenate onto it and turn a good record into "garbage"
-	// a later reopen truncates away.
-	if info, err := f.Stat(); err == nil && info.Size() > 0 {
-		last := make([]byte, 1)
-		if _, err := f.ReadAt(last, info.Size()-1); err == nil && last[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
 	}
 	return kv, nil
 }
 
-// apply folds one record into the index.
-func (kv *KV) apply(r record) {
-	if r.D {
-		if b := kv.idx[r.B]; b != nil {
-			delete(b, r.K)
-			if len(b) == 0 {
-				delete(kv.idx, r.B)
-			}
+// load checks the file header and replays the records after it. An
+// empty file, or one holding only part of the header (a crash while
+// creating it), gets a fresh header.
+func (kv *KV) load() error {
+	info, err := kv.file.Stat()
+	if err != nil {
+		return err
+	}
+	size := info.Size()
+	r := bufio.NewReader(io.NewSectionReader(kv.file, 0, size))
+	head := make([]byte, min(size, int64(len(fileHeader))))
+	if _, err := io.ReadFull(r, head); err != nil {
+		return err
+	}
+	if len(head) < len(fileHeader) && strings.HasPrefix(fileHeader, string(head)) {
+		return kv.truncate(0, fileHeader)
+	}
+	if string(head) != fileHeader {
+		format := fmt.Sprintf("%q", head)
+		if head[0] == '{' {
+			format = "JSON lines (an earlier build's log)"
 		}
+		return fmt.Errorf("store: %s: file format %s, want %q; delete the file", kv.path, format, strings.TrimSpace(fileHeader))
+	}
+	off := int64(len(fileHeader)) // just past the last good record
+	var fr frame
+	var hdr [frameLen]byte
+	var body []byte
+	for off < size {
+		end := off + frameLen
+		if end <= size {
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				return err
+			}
+			_ = wire.Decode(hdr[:], &fr) // eight bytes always decode
+			end += int64(fr.n)
+		}
+		if end > size {
+			return kv.truncate(off, "") // torn frame or body
+		}
+		body = slices.Grow(body[:0], int(fr.n))[:fr.n]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return err
+		}
+		if crc32.Checksum(body, castagnoli) != fr.sum {
+			if end == size {
+				return kv.truncate(off, "") // torn last record
+			}
+			return fmt.Errorf("%w: %s: record at byte %d fails its checksum", ErrCorrupt, kv.path, off)
+		}
+		var rec record
+		if err := wire.DecodeRecord(body, &rec); err != nil {
+			return fmt.Errorf("%w: %s: record at byte %d: %v", ErrCorrupt, kv.path, off, err)
+		}
+		kv.apply(&rec)
+		kv.recs++
+		off = end
+	}
+	return nil
+}
+
+// truncate cuts the file to size, appends tail and fsyncs.
+func (kv *KV) truncate(size int64, tail string) error {
+	if err := kv.file.Truncate(size); err != nil {
+		return err
+	}
+	if _, err := kv.file.WriteString(tail); err != nil {
+		return err
+	}
+	return kv.file.Sync()
+}
+
+// apply folds one record into the index, copying the value: it may
+// alias a read buffer or the caller's slice.
+func (kv *KV) apply(r *record) {
+	b := kv.idx[r.bucket]
+	if r.del {
+		delete(b, r.key)
 		return
 	}
-	b := kv.idx[r.B]
 	if b == nil {
 		b = make(map[string][]byte)
-		kv.idx[r.B] = b
+		kv.idx[r.bucket] = b
 	}
-	b[r.K] = append([]byte(nil), r.V...)
+	b[r.key] = append([]byte(nil), r.value...)
 }
 
 // append writes one record and fsyncs it before the index accepts it,
 // so an acknowledged mutation survives a crash.
-func (kv *KV) append(r record) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return err
+func (kv *KV) append(r *record) error {
+	if kv.file == nil {
+		return errClosed
 	}
-	if _, err := kv.file.Write(append(data, '\n')); err != nil {
+	if _, err := kv.file.Write(appendRecord(nil, r)); err != nil {
 		return err
 	}
 	if err := kv.file.Sync(); err != nil {
@@ -164,10 +237,7 @@ func (kv *KV) Put(bucket, key string, value []byte) error {
 	}
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	if kv.file == nil {
-		return errors.New("store: closed")
-	}
-	return kv.append(record{B: bucket, K: key, V: append([]byte(nil), value...)})
+	return kv.append(&record{bucket: bucket, key: key, value: value})
 }
 
 // Get returns the value under (bucket, key). The returned slice is a
@@ -187,13 +257,10 @@ func (kv *KV) Get(bucket, key string) ([]byte, bool) {
 func (kv *KV) Delete(bucket, key string) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	if kv.file == nil {
-		return errors.New("store: closed")
-	}
 	if _, ok := kv.idx[bucket][key]; !ok {
 		return nil
 	}
-	return kv.append(record{B: bucket, K: key, D: true})
+	return kv.append(&record{del: true, bucket: bucket, key: key})
 }
 
 // List returns the keys of bucket in sorted order. Fixed-width numeric
@@ -201,13 +268,7 @@ func (kv *KV) Delete(bucket, key string) error {
 func (kv *KV) List(bucket string) []string {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	b := kv.idx[bucket]
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return slices.Sorted(maps.Keys(kv.idx[bucket]))
 }
 
 // Len returns the number of live keys across all buckets.
@@ -232,52 +293,33 @@ func (kv *KV) Compact() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	if kv.file == nil {
-		return errors.New("store: closed")
+		return errClosed
 	}
 	tmpPath := kv.path + ".compact"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}
+	// A bufio.Writer's error is sticky: Flush reports the first failure.
 	w := bufio.NewWriter(tmp)
+	w.WriteString(fileHeader)
+	var buf []byte
 	live := 0
-	buckets := make([]string, 0, len(kv.idx))
-	for b := range kv.idx {
-		buckets = append(buckets, b)
-	}
-	sort.Strings(buckets)
-	for _, b := range buckets {
-		keys := make([]string, 0, len(kv.idx[b]))
-		for k := range kv.idx[b] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			data, err := json.Marshal(record{B: b, K: k, V: kv.idx[b][k]})
-			if err != nil {
-				tmp.Close()
-				os.Remove(tmpPath)
-				return err
-			}
-			if _, err := w.Write(append(data, '\n')); err != nil {
-				tmp.Close()
-				os.Remove(tmpPath)
-				return err
-			}
+	for _, b := range slices.Sorted(maps.Keys(kv.idx)) {
+		for _, k := range slices.Sorted(maps.Keys(kv.idx[b])) {
+			buf = appendRecord(buf[:0], &record{bucket: b, key: k, value: kv.idx[b][k]})
+			w.Write(buf)
 			live++
 		}
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
+	err = w.Flush()
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmpPath)
 		return err
 	}
@@ -290,12 +332,11 @@ func (kv *KV) Compact() error {
 		dir.Sync()
 		dir.Close()
 	}
-	old := kv.file
 	f, err := os.OpenFile(kv.path, os.O_RDWR|os.O_APPEND, 0o600)
 	if err != nil {
 		return err
 	}
-	old.Close()
+	kv.file.Close()
 	kv.file = f
 	kv.recs = live
 	return nil
@@ -313,22 +354,16 @@ func (kv *KV) Garbage() int {
 	return n
 }
 
-// Reset durably drops every record — the new-session path when a
-// store file is reused across protocol sessions whose round numbers
-// restart.
+// Reset durably drops every record, keeping the file header — the
+// new-session path when a store file is reused across protocol sessions
+// whose round numbers restart.
 func (kv *KV) Reset() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	if kv.file == nil {
-		return errors.New("store: closed")
+		return errClosed
 	}
-	if err := kv.file.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := kv.file.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if err := kv.file.Sync(); err != nil {
+	if err := kv.truncate(int64(len(fileHeader)), ""); err != nil {
 		return err
 	}
 	kv.idx = make(map[string]map[string][]byte)

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -62,9 +64,9 @@ func TestPutGetDeleteAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestHealsTornFinalLine: a crash mid-append leaves a torn final line;
-// reopening truncates it away, keeps the valid prefix, and the store
-// accepts new writes that a further reopen sees intact.
+// TestHealsTornFinalLine: a crash mid-append leaves a torn final
+// record; reopening truncates it away, keeps the valid prefix, and the
+// store accepts new writes that a further reopen sees intact.
 func TestHealsTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.kv")
 	kv, err := Open(path)
@@ -76,12 +78,13 @@ func TestHealsTornFinalLine(t *testing.T) {
 	}
 	kv.Close()
 
-	// Simulate a crash mid-append: a partial JSON line at the end.
+	// Simulate a crash mid-append: the first half of a record.
+	rec := appendRecord(nil, &record{bucket: "b", key: "003", value: []byte("v3")})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"b":"b","k":"003","v":"YW`); err != nil {
+	if _, err := f.Write(rec[:len(rec)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -109,51 +112,108 @@ func TestHealsTornFinalLine(t *testing.T) {
 	wantGet(t, kv, "b", "003", "v3")
 }
 
-// TestHealsMissingFinalNewline: a crash between the JSON bytes and the
-// trailing '\n' leaves a valid line without its newline. Reopening
-// keeps the record and completes the newline so the next append lands
-// on its own line.
-func TestHealsMissingFinalNewline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.kv")
+// TestTruncatedFinalRecordAtEveryOffset: cutting the file at every
+// offset inside its final record — frame or body — reopens with exactly
+// the earlier records, and a Put after that reopen reads back after
+// another reopen.
+func TestTruncatedFinalRecordAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.kv")
 	kv, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, kv, "b", "001", "v1")
 	mustPut(t, kv, "b", "002", "v2")
+	prefix, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, kv, "b", "003", "the quick brown fox jumps")
+	kv.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := int(prefix.Size()); cut < len(data); cut++ {
+		p := filepath.Join(dir, fmt.Sprintf("cut-%d.kv", cut))
+		if err := os.WriteFile(p, data[:cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		kv, err := Open(p)
+		if err != nil {
+			t.Fatalf("cut at %d: reopen: %v", cut, err)
+		}
+		if got := kv.List("b"); !reflect.DeepEqual(got, []string{"001", "002"}) {
+			t.Fatalf("cut at %d: keys %v, want [001 002]", cut, got)
+		}
+		mustPut(t, kv, "b", "004", "v4")
+		kv.Close()
+		if kv, err = Open(p); err != nil {
+			t.Fatalf("cut at %d: second reopen: %v", cut, err)
+		}
+		wantGet(t, kv, "b", "002", "v2")
+		wantGet(t, kv, "b", "004", "v4")
+		kv.Close()
+	}
+}
+
+// TestChangedValueByteRefusesToOpen: a record's checksum covers its
+// value, so one changed byte inside a mid-file record is content damage.
+func TestChangedValueByteRefusesToOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.kv")
+	kv, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, kv, "b", "001", "v1")
+	mustPut(t, kv, "b", "002", "the quick brown fox jumps")
+	mustPut(t, kv, "b", "003", "v3")
 	kv.Close()
 
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[len(data)-1] != '\n' {
-		t.Fatal("fixture: expected trailing newline")
+	i := bytes.Index(data, []byte("the quick"))
+	if i < 0 {
+		t.Fatal("fixture: value not found in the file")
 	}
-	if err := os.WriteFile(path, data[:len(data)-1], 0o600); err != nil {
+	data[i] = 'x'
+	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-
-	kv, err = Open(path)
-	if err != nil {
-		t.Fatalf("reopen after chopped newline: %v", err)
+	if kv, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			v, _ := kv.Get("b", "002")
+			t.Fatalf("open with a changed value byte succeeded; Get = %q", v)
+		}
+		t.Fatalf("open with a changed value byte: err = %v, want ErrCorrupt", err)
 	}
-	if n := len(kv.List("b")); n != 2 {
-		t.Fatalf("after reopen: %d keys, want 2", n)
-	}
-	mustPut(t, kv, "b", "003", "v3")
-	kv.Close()
+}
 
-	kv, err = Open(path)
-	if err != nil {
+// TestRefusesJSONLinesLog: a file in the JSON-lines layout an earlier
+// build wrote is refused with an error naming both formats, and left
+// byte-identical.
+func TestRefusesJSONLinesLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.kv")
+	old := []byte(`{"b":"roster","k":"001","v":"dXBkYXRlLTE="}` + "\n" +
+		`{"b":"beacon","k":"001","v":"ZW50cnktMQ=="}` + "\n")
+	if err := os.WriteFile(path, old, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	defer kv.Close()
-	if n := len(kv.List("b")); n != 3 {
-		t.Fatalf("after reopen: %d keys, want 3", n)
+	_, err := Open(path)
+	if err == nil {
+		t.Fatal("JSON-lines log opened")
 	}
-	wantGet(t, kv, "b", "002", "v2")
-	wantGet(t, kv, "b", "003", "v3")
+	for _, w := range []string{"JSON lines", strings.TrimSpace(fileHeader)} {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("open error %q does not name %q", err, w)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, old) {
+		t.Fatalf("refused file changed:\n%q\nwant\n%q", after, old)
+	}
 }
 
 func TestMidFileGarbageRefusesToOpen(t *testing.T) {
@@ -166,11 +226,15 @@ func TestMidFileGarbageRefusesToOpen(t *testing.T) {
 	mustPut(t, kv, "b", "002", "v2")
 	kv.Close()
 
+	// A well-framed record whose checksum fails, with records after it.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append([]byte("{garbage}\n"), data...), 0o600); err != nil {
+	garbage := appendRecord(nil, &record{bucket: "b", key: "000", value: []byte("v0")})
+	garbage[len(garbage)-1] ^= 0xff
+	data = append(append([]byte(fileHeader), garbage...), data[len(fileHeader):]...)
+	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {

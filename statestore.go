@@ -17,8 +17,9 @@ type StateStore = store.KV
 // path and prepares it for a session:
 //
 //   - A torn final record — the artifact of a crash mid-append — is
-//     healed by truncation. Mid-file garbage is content damage and
-//     refuses to open.
+//     healed by truncation. A record that fails its checksum anywhere
+//     else is content damage and refuses to open, as does a file in
+//     another log format (an earlier build's JSON lines).
 //   - Prior content is NOT archived away: the whole point of the
 //     store is that a restarted server resumes the session recorded
 //     in it. A file with no session snapshot holds nothing a fresh
