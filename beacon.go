@@ -24,7 +24,8 @@ type BeaconSync struct {
 }
 
 // SyncBeacon fetches a server's randomness-beacon chain over HTTP
-// (from a node running WithBeaconHTTP) and verifies every share and
+// (from a node running WithBeaconHTTP) and verifies every entry — one
+// round certificate under the aggregate of the servers' keys — and
 // chain link with the group's public keys alone. When the server
 // publishes its schedule certificate, the certificate's signatures are
 // verified and the chain is anchored at the session genesis they
@@ -54,8 +55,8 @@ func SyncBeacon(url string, def *Group) (*BeaconSync, error) {
 		return nil, err
 	}
 	res.Chain = beacon.NewChain(def.Group(), def.ServerPubKeys(), genesis, nil)
-	// Sync verifies every fetched entry (share signatures and chain
-	// links) as it appends; a completed sync IS a verified chain.
+	// Sync verifies every fetched entry (its certificate and chain
+	// link) as it appends; a completed sync IS a verified chain.
 	if res.Added, err = res.Chain.Sync(src); err != nil {
 		return nil, err
 	}

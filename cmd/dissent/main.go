@@ -13,10 +13,11 @@
 // public network (§4.1).
 //
 // The beacon subcommand fetches a server's randomness-beacon chain,
-// verifies every share and chain link with the group's public keys —
+// verifies every entry — one round certificate under the servers'
+// aggregate key — and every chain link with the group's public keys,
 // anchored, when the server publishes its schedule certificate, at the
 // session-bound genesis so an archived previous-session chain is
-// rejected — and prints the requested entry:
+// rejected, and prints the requested entry:
 //
 //	dissent beacon -url http://server0:7080 -group group.json [-round N]
 //
@@ -103,10 +104,12 @@ func beaconCmd(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "warning: no schedule certificate served; verified against the "+
 			"pre-session genesis (an archived chain would verify identically)\n")
 	}
-	fmt.Fprintf(w, "round  %d\n", entry.Round)
-	fmt.Fprintf(w, "prev   %x\n", entry.Prev)
-	fmt.Fprintf(w, "value  %x\n", entry.Value)
-	fmt.Fprintf(w, "shares %d (all signatures valid)\n", len(entry.Shares))
+	fmt.Fprintf(w, "round      %d\n", entry.Round)
+	fmt.Fprintf(w, "count      %d\n", entry.Count)
+	fmt.Fprintf(w, "cleartext  %x\n", entry.Cleartext)
+	fmt.Fprintf(w, "prev       %x\n", entry.Prev)
+	fmt.Fprintf(w, "value      %x\n", entry.Value)
+	fmt.Fprintf(w, "signature  %x (the round certificate, valid under the servers' aggregate key)\n", entry.Sig)
 	return nil
 }
 

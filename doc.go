@@ -52,7 +52,10 @@
 // Randomness-beacon access hangs off the Session: BeaconChain returns the
 // verified replica, WithBeaconHTTP serves it (plus the schedule
 // certificate anchoring the chain's session-bound genesis), and
-// SyncBeacon is the external verifier's fetch-and-verify path.
+// SyncBeacon is the external verifier's fetch-and-verify path. Each
+// entry is a certified round's certificate — one collective signature
+// under the servers' aggregate key, chained over the previous value —
+// so a verifier checks one signature per entry.
 //
 // Group material lives in the sibling package dissentcfg (key files,
 // group definitions, rosters, generation); the protocol itself — the

@@ -1,34 +1,29 @@
-// Package beacon implements an anytrust randomness beacon for Dissent:
+// Package beacon implements the anytrust randomness beacon for Dissent:
 // a publicly verifiable, unbiasable source of per-round randomness
 // driving slot-schedule rotation, shuffle challenges, and epoch churn.
 //
-// Each beacon round, every one of the m anytrust servers produces a
-// share: a Schnorr signature over the previous beacon value and the
-// round number. Shares are exchanged commit-then-reveal — a server
-// first broadcasts H(share) and reveals the share only after seeing
-// every commitment — so no server can choose its share as a function
-// of the others'. The round's output chains drand-style:
+// The beacon runs no exchange of its own. A certified DC-net round ends
+// in one collective Schnorr signature σ_r under the servers' aggregate
+// key X̃, over CertDigest: the round, its participation count,
+// H(cleartext) and prev, the value of the last entry before round r
+// (the genesis for the first). That round certificate is the round's
+// entry, and the output chains drand-style:
 //
-//	value_r = H(prev_value || r || share_0 || ... || share_{m-1})
+//	value_r = H(prev || r || σ_r)
 //
-// Because a Schnorr signature is unforgeable, a share cannot be
-// computed without the server's private key, and because of the
-// commit–reveal exchange, the combined value is unpredictable and
-// unbiasable as long as at least one server is honest — the same
-// anytrust assumption the rest of Dissent already makes (§3.1 of the
-// paper). Anyone holding the group definition can verify a chain from
-// its genesis value with public keys alone.
+// The value is fixed once every server has committed to its nonce and
+// unpredictable until the last honest partial response, so it is
+// unbiasable while one server is honest — the anytrust assumption of
+// §3.1 of the paper — up to the one bit a server gets by withholding
+// its response, which forces a retry. Anyone holding the group
+// definition checks an entry with one signature verification.
 //
-// The package is transport-agnostic: Round drives one commit–reveal
-// exchange, Chain stores and verifies the resulting entries (in
-// memory, optionally written through a KVStore bucket), Sync catches a
-// node up over any Source, and httpapi.go provides the HTTP surface
-// cmd/dissentd mounts.
+// Chain stores and verifies entries (optionally through a KVStore
+// bucket), Sync catches a node up over any Source, and httpapi.go is
+// the HTTP surface the dissent SDK mounts.
 package beacon
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"io"
 
@@ -42,24 +37,25 @@ const ValueLen = 32
 // Value is one beacon output.
 type Value = [ValueLen]byte
 
+// CertContext is the signature context of a round certificate.
+const CertContext = "dissent/cleartext"
+
 // Domain strings for the beacon's hash and signature contexts.
 const (
-	shareDomain   = "dissent/beacon-share"
-	commitDomain  = "dissent/beacon-share-commit"
-	valueDomain   = "dissent/beacon-value"
-	genesisDomain = "dissent/beacon-genesis"
+	certDomain      = "dissent/cleartext-cert"
+	cleartextDomain = "dissent/cleartext-hash"
+	shareDomain     = "dissent/beacon-share"
+	valueDomain     = "dissent/beacon-value"
+	genesisDomain   = "dissent/beacon-genesis"
 )
 
 // GenesisValue derives a group's beacon genesis from its
-// self-certifying group ID, so independent nodes agree on round-0
-// input without communication — external verifiers need nothing
-// beyond group.json.
-//
-// This group-wide genesis is only the chain's *pre-session* anchor:
-// once a session's slot schedule certifies, nodes rebind their (still
-// empty) chains to SessionGenesis, which folds the schedule
-// certificate digest into the genesis. Trusted-bootstrap harnesses,
-// which certify no schedule, keep this value.
+// self-certifying group ID, so nodes agree on it from group.json alone.
+// It is the chain's pre-session anchor: once a session's slot schedule
+// certifies, nodes rebind their (still empty) chains to SessionGenesis.
+// Trusted-bootstrap harnesses, which certify no schedule, keep it, and a
+// group without the beacon certifies every round against it
+// (CertDigest's prev), so every certificate binds its group.
 func GenesisValue(groupID [32]byte) Value {
 	var v Value
 	copy(v[:], crypto.Hash(genesisDomain, groupID[:]))
@@ -67,17 +63,31 @@ func GenesisValue(groupID [32]byte) Value {
 }
 
 // SessionGenesis binds a chain's genesis to one protocol session: the
-// group ID plus the digest of the session's schedule certificate (the
-// shuffled slot-key list and every server's signature over it). DC-net
-// round numbers restart with each session, so without this binding an
-// archived previous-session chain would verify identically to the live
-// one; with it, a verifier that authenticates the schedule certificate
-// (its signatures check against group.json alone) rejects any chain
-// grown under a different session's certificate.
+// group ID plus the digest of its schedule certificate (the shuffled
+// slot keys and every server's signature over them). Round numbers
+// restart with each session; with this binding, a verifier that checks
+// the certificate against group.json rejects an archived chain of
+// another session replayed as live.
 func SessionGenesis(groupID [32]byte, certDigest [32]byte) Value {
 	var v Value
 	copy(v[:], crypto.Hash(genesisDomain, groupID[:], certDigest[:]))
 	return v
+}
+
+// CleartextHash is H(cleartext), the one input of a round certificate
+// an entry carries in place of the cleartext itself.
+func CleartextHash(cleartext []byte) Value {
+	var v Value
+	copy(v[:], crypto.Hash(cleartextDomain, cleartext))
+	return v
+}
+
+// CertDigest is the digest a round certificate signs under CertContext:
+// round, its participation count, H(cleartext) and prev, the beacon
+// head the round chains on. Every genesis hashes the group ID, so the
+// digest binds the group and, past setup, the session.
+func CertDigest(round uint64, count uint32, cleartext, prev Value) []byte {
+	return crypto.Hash(certDomain, crypto.HashUint64(round), crypto.HashUint64(uint64(count)), cleartext[:], prev[:])
 }
 
 // shareMessage is the byte string a share signs: the previous beacon
@@ -86,8 +96,9 @@ func shareMessage(prev Value, round uint64) []byte {
 	return crypto.Hash("dissent/beacon-share-msg", prev[:], crypto.HashUint64(round))
 }
 
-// MakeShare produces this server's share for a beacon round: a Schnorr
-// signature, under its identity key, over the previous value and round.
+// MakeShare signs one server's share of a per-server beacon round over
+// the previous value and round. No round runs it — the round
+// certificate is the entry — but benchmark/probes.go times it.
 func MakeShare(kp *crypto.KeyPair, round uint64, prev Value, rand io.Reader) ([]byte, error) {
 	sig, err := kp.Sign(shareDomain, shareMessage(prev, round), rand)
 	if err != nil {
@@ -96,14 +107,8 @@ func MakeShare(kp *crypto.KeyPair, round uint64, prev Value, rand io.Reader) ([]
 	return crypto.EncodeSignature(kp.Group, sig), nil
 }
 
-// CommitShare returns the binding commitment a server broadcasts
-// before revealing its share.
-func CommitShare(share []byte) []byte {
-	return crypto.Hash(commitDomain, share)
-}
-
-// VerifyShare checks that share is a valid signature by pub over the
-// chained (prev, round) message.
+// VerifyShare checks a MakeShare share by pub over the chained (prev,
+// round) message.
 func VerifyShare(g crypto.Group, pub crypto.Element, round uint64, prev Value, share []byte) error {
 	sig, err := crypto.DecodeSignature(g, share)
 	if err != nil {
@@ -115,156 +120,39 @@ func VerifyShare(g crypto.Group, pub crypto.Element, round uint64, prev Value, s
 	return nil
 }
 
-// Entry is one link of the beacon chain: the round number, the
-// previous entry's value, every server's share, and the chained output.
+// Entry is one link of the beacon chain: a certified round's
+// certificate with the digest inputs a verifier lacks, the value it
+// chains from and the value it yields.
 type Entry struct {
-	Round  uint64
-	Prev   Value
-	Value  Value
-	Shares [][]byte // one per server, in server-index order
+	Round     uint64
+	Count     uint32 // the round's participation count
+	Cleartext Value  // CleartextHash of the round's cleartext
+	Sig       []byte // σ, the round certificate under the aggregate key
+	Prev      Value
+	Value     Value
 }
 
 // Fields lays out an entry as the chain's store records it.
 func (e *Entry) Fields(c *wire.Codec) {
 	c.U64(&e.Round)
+	c.U32(&e.Count)
+	c.Fixed(e.Cleartext[:])
+	c.Bytes(&e.Sig)
 	c.Fixed(e.Prev[:])
 	c.Fixed(e.Value[:])
-	c.ByteSlices(&e.Shares)
 }
 
 // computeValue chains the round output from its inputs.
-func computeValue(prev Value, round uint64, shares [][]byte) Value {
-	parts := make([][]byte, 0, len(shares)+2)
-	parts = append(parts, prev[:], crypto.HashUint64(round))
-	parts = append(parts, shares...)
+func computeValue(prev Value, round uint64, sig []byte) Value {
 	var v Value
-	copy(v[:], crypto.Hash(valueDomain, parts...))
+	copy(v[:], crypto.Hash(valueDomain, prev[:], crypto.HashUint64(round), sig))
 	return v
 }
 
-// NewEntry assembles a chain entry from a complete share set. It does
-// not verify the shares; see VerifyEntry.
-func NewEntry(round uint64, prev Value, shares [][]byte) *Entry {
-	cp := make([][]byte, len(shares))
-	for i, s := range shares {
-		cp[i] = append([]byte(nil), s...)
-	}
-	return &Entry{Round: round, Prev: prev, Value: computeValue(prev, round, cp), Shares: cp}
-}
-
-// VerifyEntry fully verifies one entry against the chain value it
-// claims to extend: exactly one share per server, every share a valid
-// signature over (prev, round), the declared Prev matching the actual
-// predecessor, and the output value correctly chained. Tampering with
-// any share, the round, Prev, or Value fails this check.
-func VerifyEntry(g crypto.Group, serverPubs []crypto.Element, prev Value, e *Entry) error {
-	if e == nil {
-		return errors.New("beacon: nil entry")
-	}
-	if e.Prev != prev {
-		return fmt.Errorf("beacon: entry %d chains from %x, want %x", e.Round, e.Prev[:8], prev[:8])
-	}
-	if len(e.Shares) != len(serverPubs) {
-		return fmt.Errorf("beacon: entry %d has %d shares, want %d", e.Round, len(e.Shares), len(serverPubs))
-	}
-	for i, pub := range serverPubs {
-		if err := VerifyShare(g, pub, e.Round, prev, e.Shares[i]); err != nil {
-			return fmt.Errorf("beacon: entry %d server %d: %w", e.Round, i, err)
-		}
-	}
-	if want := computeValue(prev, e.Round, e.Shares); want != e.Value {
-		return fmt.Errorf("beacon: entry %d value mismatch", e.Round)
-	}
-	return nil
-}
-
-// Round drives one commit–reveal beacon exchange at a participant.
-// Commits must all be recorded before any reveal is accepted from this
-// participant's perspective of honesty; Reveal checks each share
-// against its commitment and signature.
-type Round struct {
-	g     crypto.Group
-	pubs  []crypto.Element
-	round uint64
-	prev  Value
-
-	commits [][]byte
-	shares  [][]byte
-	nShares int
-}
-
-// NewRound starts a beacon round chaining from prev.
-func NewRound(g crypto.Group, serverPubs []crypto.Element, round uint64, prev Value) *Round {
-	return &Round{
-		g:       g,
-		pubs:    serverPubs,
-		round:   round,
-		prev:    prev,
-		commits: make([][]byte, len(serverPubs)),
-		shares:  make([][]byte, len(serverPubs)),
-	}
-}
-
-// Prev returns the chain value this round extends.
-func (r *Round) Prev() Value { return r.prev }
-
-// Commit records server i's share commitment. A conflicting duplicate
-// is an error; an identical duplicate is idempotent.
-func (r *Round) Commit(i int, commit []byte) error {
-	if i < 0 || i >= len(r.pubs) {
-		return fmt.Errorf("beacon: commit from out-of-range server %d", i)
-	}
-	if len(commit) == 0 {
-		return fmt.Errorf("beacon: empty commitment from server %d", i)
-	}
-	if r.commits[i] != nil {
-		if !bytes.Equal(r.commits[i], commit) {
-			return fmt.Errorf("beacon: server %d equivocated its commitment", i)
-		}
-		return nil
-	}
-	r.commits[i] = append([]byte(nil), commit...)
-	return nil
-}
-
-// Reveal records server i's share, checking it against the recorded
-// commitment and verifying the signature.
-func (r *Round) Reveal(i int, share []byte) error { return r.reveal(i, share, true) }
-
-// RevealOwn records the share the caller made itself, as server i: the
-// commitment is checked, the signature — the caller's own, just made —
-// is not.
-func (r *Round) RevealOwn(i int, share []byte) error { return r.reveal(i, share, false) }
-
-func (r *Round) reveal(i int, share []byte, verify bool) error {
-	if i < 0 || i >= len(r.pubs) {
-		return fmt.Errorf("beacon: reveal from out-of-range server %d", i)
-	}
-	if r.commits[i] == nil {
-		return fmt.Errorf("beacon: server %d revealed before committing", i)
-	}
-	if !bytes.Equal(CommitShare(share), r.commits[i]) {
-		return fmt.Errorf("beacon: server %d share does not match its commitment", i)
-	}
-	if verify {
-		if err := VerifyShare(r.g, r.pubs[i], r.round, r.prev, share); err != nil {
-			return err
-		}
-	}
-	if r.shares[i] == nil {
-		r.shares[i] = append([]byte(nil), share...)
-		r.nShares++
-	}
-	return nil
-}
-
-// Complete reports whether every server has revealed a valid share.
-func (r *Round) Complete() bool { return r.nShares == len(r.pubs) }
-
-// Entry assembles the verified chain entry once the round is complete.
-func (r *Round) Entry() (*Entry, error) {
-	if !r.Complete() {
-		return nil, fmt.Errorf("beacon: round %d has %d/%d shares", r.round, r.nShares, len(r.pubs))
-	}
-	return NewEntry(r.round, r.prev, r.shares), nil
+// NewEntry assembles the entry of a round certified with sig, chained on
+// prev. It copies sig and does not verify it; see Chain.VerifyEntry.
+func NewEntry(round uint64, count uint32, cleartext Value, sig []byte, prev Value) *Entry {
+	sig = append([]byte(nil), sig...)
+	return &Entry{Round: round, Count: count, Cleartext: cleartext, Sig: sig, Prev: prev,
+		Value: computeValue(prev, round, sig)}
 }

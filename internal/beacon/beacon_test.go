@@ -1,7 +1,10 @@
 package beacon
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -27,39 +30,43 @@ func testServers(t *testing.T, m int) ([]*crypto.KeyPair, []crypto.Element) {
 	return kps, pubs
 }
 
-// runRound executes one full commit–reveal exchange and appends the
-// resulting entry to every chain in chains.
+// runRound certifies round as the servers do — every server's nonce,
+// one challenge over the certificate digest chained on the first
+// chain's head, the partial responses combined into one signature under
+// the aggregate key — and appends the resulting entry to every chain in
+// chains.
 func runRound(t *testing.T, kps []*crypto.KeyPair, pubs []crypto.Element, round uint64, chains ...*Chain) *Entry {
 	t.Helper()
-	g := crypto.P256()
-	prev := chains[0].Head()
-	shares := make([][]byte, len(kps))
-	r := NewRound(g, pubs, round, prev)
-	for i, kp := range kps {
-		share, err := MakeShare(kp, round, prev, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shares[i] = share
-		if err := r.Commit(i, CommitShare(share)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, share := range shares {
-		if err := r.Reveal(i, share); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := r.Entry()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := certify(t, kps, pubs, round, chains[0].Head())
 	for _, c := range chains {
 		if err := c.Append(e); err != nil {
 			t.Fatalf("append round %d: %v", round, err)
 		}
 	}
 	return e
+}
+
+// certify returns round's entry chained on prev, over a cleartext and
+// participation count derived from the round number.
+func certify(t *testing.T, kps []*crypto.KeyPair, pubs []crypto.Element, round uint64, prev Value) *Entry {
+	t.Helper()
+	g := crypto.P256()
+	ms := crypto.NewMultisig(g, pubs)
+	ks, nonces := make([]*big.Int, len(kps)), make([]crypto.Element, len(kps))
+	for i := range kps {
+		k, err := g.RandomScalar(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks[i], nonces[i] = k, g.BaseMult(k)
+	}
+	count, clear := uint32(round%7+1), CleartextHash([]byte(fmt.Sprintf("cleartext of round %d", round)))
+	c := ms.Challenge(CertContext, nonces, CertDigest(round, count, clear, prev))
+	partials := make([]*big.Int, len(kps))
+	for i, kp := range kps {
+		partials[i] = ms.Respond(i, kp.Private, ks[i], c)
+	}
+	return NewEntry(round, count, clear, crypto.EncodeSignature(g, ms.Combine(c, partials)), prev)
 }
 
 func TestThreeServerChainVerifies(t *testing.T) {
@@ -157,13 +164,6 @@ func TestCatchupSkipsFailedRounds(t *testing.T) {
 // chainSource adapts a local chain as a Source for sync tests.
 type chainSource struct{ c *Chain }
 
-func (s chainSource) Latest() (*Entry, error) {
-	if e := s.c.Latest(); e != nil {
-		return e, nil
-	}
-	return nil, ErrNotFound
-}
-
 func (s chainSource) Range(from uint64, max int) ([]*Entry, error) {
 	return s.c.RangeFrom(from, max), nil
 }
@@ -181,16 +181,25 @@ func TestTamperingDetected(t *testing.T) {
 		return chain
 	}
 
+	// A fork grown from another genesis holds validly certified
+	// entries that chain from the wrong values.
+	var otherGID [32]byte
+	copy(otherGID[:], "beacon-tamper-fork--------------")
+	fork := NewChain(crypto.P256(), pubs, GenesisValue(otherGID), nil)
+	for r := uint64(0); r < 5; r++ {
+		runRound(t, kps, pubs, r, fork)
+	}
 	cases := []struct {
 		name   string
 		tamper func(c *Chain)
 	}{
-		{"share bit flip", func(c *Chain) { c.Get(2).Shares[1][3] ^= 0x40 }},
-		{"share swap across rounds", func(c *Chain) {
-			c.Get(2).Shares[0], c.Get(3).Shares[0] = c.Get(3).Shares[0], c.Get(2).Shares[0]
-		}},
+		{"sig bit flip", func(c *Chain) { c.Get(2).Sig[3] ^= 0x40 }},
+		{"sig swap across rounds", func(c *Chain) { c.Get(2).Sig, c.Get(3).Sig = c.Get(3).Sig, c.Get(2).Sig }},
+		{"count bit flip", func(c *Chain) { c.Get(2).Count ^= 1 }},
+		{"cleartext hash bit flip", func(c *Chain) { c.Get(2).Cleartext[7] ^= 0x02 }},
 		{"value rewrite", func(c *Chain) { c.Get(4).Value[0] ^= 1 }},
 		{"chain link rewrite", func(c *Chain) { c.Get(3).Prev[5] ^= 0x80 }},
+		{"forked entry", func(c *Chain) { *c.Get(3) = *fork.Get(3) }},
 		{"round renumber", func(c *Chain) { c.Get(1).Round = 100 }},
 	}
 	for _, tc := range cases {
@@ -207,63 +216,41 @@ func TestTamperingDetected(t *testing.T) {
 	}
 }
 
-func TestCommitRevealBinding(t *testing.T) {
+// TestVerifyEntryChecksEveryCertifiedInput: an entry verifies from its
+// certificate alone — the chain's keys and the value it extends — and
+// flipping any one bit of the signature, the count or the cleartext
+// hash fails the check.
+func TestVerifyEntryChecksEveryCertifiedInput(t *testing.T) {
 	kps, pubs := testServers(t, 3)
-	g := crypto.P256()
-	var prev Value
-	copy(prev[:], crypto.Hash("test-prev"))
-
-	share0, _ := MakeShare(kps[0], 7, prev, nil)
-	share0b, _ := MakeShare(kps[0], 7, prev, nil) // same message, fresh nonce
-
-	r := NewRound(g, pubs, 7, prev)
-	if err := r.Reveal(0, share0); err == nil {
-		t.Fatal("reveal before commit accepted")
+	var gid [32]byte
+	copy(gid[:], "beacon-verify-entry-group-------")
+	verifier := NewChain(crypto.P256(), pubs, GenesisValue(gid), nil)
+	prev := GenesisValue(gid)
+	e := certify(t, kps, pubs, 4, prev)
+	if err := verifier.VerifyEntry(prev, e); err != nil {
+		t.Fatalf("pristine entry: %v", err)
 	}
-	if err := r.Commit(0, CommitShare(share0)); err != nil {
-		t.Fatal(err)
+	flips := 0
+	check := func(field string, bit int, flip func(*Entry)) {
+		bad := *e
+		bad.Sig = append([]byte(nil), e.Sig...)
+		flip(&bad)
+		if err := verifier.VerifyEntry(prev, &bad); err == nil {
+			t.Errorf("%s with bit %d flipped verified", field, bit)
+		}
+		flips++
 	}
-	// Conflicting re-commit is equivocation.
-	if err := r.Commit(0, CommitShare(share0b)); err == nil {
-		t.Fatal("conflicting commitment accepted")
+	for bit := 0; bit < 8*len(e.Sig); bit++ {
+		check("sig", bit, func(b *Entry) { b.Sig[bit/8] ^= 1 << (bit % 8) })
 	}
-	// Revealing a different (even validly signed) share breaks binding.
-	if err := r.Reveal(0, share0b); err == nil {
-		t.Fatal("share not matching commitment accepted")
+	for bit := 0; bit < 32; bit++ {
+		check("count", bit, func(b *Entry) { b.Count ^= 1 << bit })
 	}
-	if err := r.Reveal(0, share0); err != nil {
-		t.Fatal(err)
+	for bit := 0; bit < 8*ValueLen; bit++ {
+		check("cleartext hash", bit, func(b *Entry) { b.Cleartext[bit/8] ^= 1 << (bit % 8) })
 	}
-	// A share signed by the wrong server fails verification.
-	wrong, _ := MakeShare(kps[2], 7, prev, nil)
-	if err := r.Commit(1, CommitShare(wrong)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Reveal(1, wrong); err == nil {
-		t.Fatal("share signed by wrong server accepted")
-	}
-	// A share over the wrong prev value fails too.
-	var otherPrev Value
-	copy(otherPrev[:], crypto.Hash("other-prev"))
-	stale, _ := MakeShare(kps[1], 7, otherPrev, nil)
-	r2 := NewRound(g, pubs, 7, prev)
-	if err := r2.Commit(1, CommitShare(stale)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Reveal(1, stale); err == nil {
-		t.Fatal("share chained from wrong prev accepted")
-	}
-	// RevealOwn skips only the signature: the commitment still binds.
-	own, _ := MakeShare(kps[2], 7, prev, nil)
-	ownb, _ := MakeShare(kps[2], 7, prev, nil)
-	if err := r2.Commit(2, CommitShare(own)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.RevealOwn(2, ownb); err == nil {
-		t.Fatal("own share not matching its commitment accepted")
-	}
-	if err := r2.RevealOwn(2, own); err != nil {
-		t.Fatal(err)
+	if flips != 8*64+32+8*ValueLen {
+		t.Fatalf("checked %d flips", flips)
 	}
 }
 
@@ -287,18 +274,19 @@ func TestHTTPRoundTrip(t *testing.T) {
 	defer ts.Close()
 	src := &HTTPSource{URL: ts.URL, Client: ts.Client()}
 
-	latest, err := src.Latest()
-	if err != nil {
-		t.Fatal(err)
+	var latest Entry
+	if status := getStatus(t, ts, "/beacon/latest", &latest); status != http.StatusOK {
+		t.Fatalf("GET /beacon/latest: status %d", status)
 	}
 	if latest.Round != 5 || latest.Value != serving.Head() {
 		t.Fatalf("latest = round %d, want 5", latest.Round)
 	}
-	var e3 entryJSON
+	var e3 Entry
 	if status := getStatus(t, ts, "/beacon/3", &e3); status != http.StatusOK {
 		t.Fatalf("GET /beacon/3: status %d", status)
 	}
-	if want := encodeEntry(serving.Get(3)); e3.Round != 3 || e3.Value != want.Value {
+	if want := serving.Get(3); e3.Round != 3 || e3.Value != want.Value || !bytes.Equal(e3.Sig, want.Sig) ||
+		e3.Count != want.Count || e3.Cleartext != want.Cleartext || e3.Prev != want.Prev {
 		t.Fatal("exact-round fetch mismatch")
 	}
 	if status := getStatus(t, ts, "/beacon/99", nil); status != http.StatusNotFound {
@@ -327,7 +315,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batch catchup: 6 entries must not cost 6 round trips (one
-	// /beacon/latest plus one /beacon/range page suffices).
+	// /beacon/range page and the empty one after it suffice).
 	if n := requests.Load(); n > 3 {
 		t.Fatalf("sync of 6 entries used %d HTTP requests", n)
 	}

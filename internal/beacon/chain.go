@@ -19,21 +19,22 @@ var ErrNotFound = errors.New("beacon: entry not found")
 // All methods are safe for concurrent use, so an HTTP serving goroutine
 // can read while the protocol engine appends.
 type Chain struct {
-	g    crypto.Group
-	pubs []crypto.Element
-	st   *KVStore // nil = memory only
+	g   crypto.Group
+	key crypto.Element // X̃, the servers' aggregate key
+	st  *KVStore       // nil = memory only
 
 	mu      sync.RWMutex
 	genesis Value
 	entries []*Entry
 }
 
-// NewChain creates a chain replica. st, when non-nil, persists every
-// appended entry; the entries it loaded from disk become the chain's
-// initial contents, trusted as-is (call Verify to re-check them). A
-// KVStore backs one chain.
+// NewChain creates a chain replica verifying entries under the
+// aggregate of serverPubs, in server-index order. st, when non-nil,
+// backs this one chain: it persists every appended entry, and the
+// entries it loaded are the initial contents, trusted as-is (Verify
+// re-checks them).
 func NewChain(g crypto.Group, serverPubs []crypto.Element, genesis Value, st *KVStore) *Chain {
-	c := &Chain{g: g, pubs: serverPubs, genesis: genesis, st: st}
+	c := &Chain{g: g, key: crypto.NewMultisig(g, serverPubs).Key(), genesis: genesis, st: st}
 	if st != nil {
 		c.entries = st.loaded
 		st.loaded = nil
@@ -48,12 +49,10 @@ func (c *Chain) Genesis() Value {
 	return c.genesis
 }
 
-// Rebind replaces the chain's genesis value. It is legal only while
-// the chain is empty: nodes create their chain replica at construction
-// under the group-wide GenesisValue and rebind it to the
-// SessionGenesis the moment the slot schedule certifies, before any
-// entry exists. Rebinding a non-empty chain would orphan its entries,
-// so it is refused.
+// Rebind replaces the genesis value of an empty chain: nodes create
+// their replica under the group-wide GenesisValue and rebind it to the
+// SessionGenesis when the slot schedule certifies, before any entry
+// exists. A non-empty chain's entries would be orphaned, so it refuses.
 func (c *Chain) Rebind(genesis Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -64,12 +63,9 @@ func (c *Chain) Rebind(genesis Value) error {
 	return nil
 }
 
-// RebindTrusted replaces the genesis value even when entries exist.
-// It exists for the restart path: a server reopening its durable
-// store holds entries it verified before persisting them, and the
-// resumed session's genesis is recomputed from the restored snapshot's
-// certified schedule digest. Trusting one's own disk here matches
-// NewChain's contract ("entries loaded from disk are trusted as-is");
+// RebindTrusted replaces the genesis value even when entries exist —
+// the restart path: a server reloading entries it verified before
+// persisting them recomputes the session genesis from its snapshot.
 // Verify still re-checks lineage from the new genesis.
 func (c *Chain) RebindTrusted(genesis Value) {
 	c.mu.Lock()
@@ -78,10 +74,8 @@ func (c *Chain) RebindTrusted(genesis Value) {
 }
 
 // ResetTrusted drops every entry, from the store too, and rebinds the
-// chain to a new genesis — the established-replica re-sync path: a
-// client adopting a certified session snapshot discards its (possibly
-// diverged) chain replica and resumes appending from the snapshot's
-// head value.
+// chain to genesis: a client adopting a certified session snapshot
+// resumes appending from the snapshot's head value.
 func (c *Chain) ResetTrusted(genesis Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -155,60 +149,61 @@ func (c *Chain) Len() int {
 	return len(c.entries)
 }
 
-// Append verifies e against the current head and stores it. The entry
-// must chain from the head value and carry a round beyond the latest.
-func (c *Chain) Append(e *Entry) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.afterHeadLocked(e); err != nil {
+// VerifyEntry checks e against the chain value prev it extends: Prev is
+// prev, the value is chained from it, and the certificate is one valid
+// signature under the aggregate key over the entry's digest. Tampering
+// with any field fails it.
+func (c *Chain) VerifyEntry(prev Value, e *Entry) error {
+	if err := link(prev, e); err != nil {
 		return err
 	}
-	if err := VerifyEntry(c.g, c.pubs, c.headLocked(), e); err != nil {
-		return err
+	sig, err := crypto.DecodeSignature(c.g, e.Sig)
+	if err == nil {
+		err = crypto.Verify(c.g, c.key, CertContext, CertDigest(e.Round, e.Count, e.Cleartext, prev), sig)
 	}
-	return c.storeLocked(e)
+	if err != nil {
+		return fmt.Errorf("beacon: entry %d certificate: %w", e.Round, err)
+	}
+	return nil
 }
 
-// AppendTrusted stores an entry whose share authenticity the caller
-// has already established through a stronger channel — in
-// internal/core, all m servers' certification signatures cover the
-// entry's chained value, and one of the m is honest by assumption.
-// Only the chain linkage (round order, prev link, value recompute) is
-// checked; the m per-share Schnorr verifications of Append are
-// skipped, halving per-round client signature work.
-func (c *Chain) AppendTrusted(e *Entry) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.afterHeadLocked(e); err != nil {
-		return err
+// link checks that e declares prev as its predecessor and chains its
+// value from it.
+func link(prev Value, e *Entry) error {
+	if e.Prev != prev {
+		return fmt.Errorf("beacon: entry %d chains from %x, want %x", e.Round, e.Prev[:8], prev[:8])
 	}
-	if head := c.headLocked(); e.Prev != head {
-		return fmt.Errorf("beacon: entry %d chains from %x, want %x", e.Round, e.Prev[:8], head[:8])
-	}
-	if len(e.Shares) != len(c.pubs) {
-		return fmt.Errorf("beacon: entry %d has %d shares, want %d", e.Round, len(e.Shares), len(c.pubs))
-	}
-	if e.Value != computeValue(e.Prev, e.Round, e.Shares) {
+	if e.Value != computeValue(prev, e.Round, e.Sig) {
 		return fmt.Errorf("beacon: entry %d value mismatch", e.Round)
 	}
-	return c.storeLocked(e)
+	return nil
 }
 
-// afterHeadLocked refuses a nil entry or one whose round is not past
-// the latest entry's.
-func (c *Chain) afterHeadLocked(e *Entry) error {
+// Append verifies e against the current head and stores it. The entry
+// must chain from the head value and carry a round beyond the latest.
+func (c *Chain) Append(e *Entry) error { return c.append(e, c.VerifyEntry) }
+
+// AppendTrusted stores the entry of a round whose certificate the
+// caller has already verified — in internal/core, the round output's
+// own check. Only the chain linkage (round order, prev link, value
+// recompute) is checked, so the certificate is verified once per round.
+func (c *Chain) AppendTrusted(e *Entry) error { return c.append(e, link) }
+
+// append stores e past the latest entry once check accepts it against
+// the head: durably first when the chain has a store, so the chain
+// never holds an entry its disk lacks.
+func (c *Chain) append(e *Entry, check func(prev Value, e *Entry) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e == nil {
 		return errors.New("beacon: nil entry")
 	}
 	if latest := c.latestLocked(); latest != nil && e.Round <= latest.Round {
 		return fmt.Errorf("beacon: append round %d at or before head round %d", e.Round, latest.Round)
 	}
-	return nil
-}
-
-// storeLocked accepts a checked entry: durably first when the chain
-// has a store, so the chain never holds an entry its disk lacks.
-func (c *Chain) storeLocked(e *Entry) error {
+	if err := check(c.headLocked(), e); err != nil {
+		return err
+	}
 	if c.st != nil {
 		if err := c.st.put(e); err != nil {
 			return err
@@ -219,13 +214,14 @@ func (c *Chain) storeLocked(e *Entry) error {
 }
 
 // Verify re-checks the entire chain from genesis: every link, every
-// share. It detects any after-the-fact tampering with stored entries.
+// certificate. It detects any after-the-fact tampering with stored
+// entries.
 func (c *Chain) Verify() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	prev := c.genesis
 	for _, e := range c.entries {
-		if err := VerifyEntry(c.g, c.pubs, prev, e); err != nil {
+		if err := c.VerifyEntry(prev, e); err != nil {
 			return err
 		}
 		prev = e.Value
@@ -236,11 +232,9 @@ func (c *Chain) Verify() error {
 // Source supplies remote chain entries for catchup. The HTTP client in
 // httpapi.go implements it against the beacon endpoints Handler serves.
 type Source interface {
-	// Latest returns the source's newest entry, or ErrNotFound when
-	// the source chain is empty.
-	Latest() (*Entry, error)
 	// Range returns up to max entries with Round >= from, in
-	// increasing round order. An empty slice means no entries remain.
+	// increasing round order. An empty slice, or ErrNotFound, means no
+	// entries remain.
 	Range(from uint64, max int) ([]*Entry, error)
 }
 
@@ -257,29 +251,21 @@ func (c *Chain) RangeFrom(round uint64, max int) []*Entry {
 }
 
 // Sync catches this chain up to src: entries past the local head are
-// fetched a page at a time, verified, and appended. It returns the
-// number of entries added. A node that missed any number of rounds
-// converges to the source's head as long as the source is honest; a
-// tampered source entry fails verification and aborts the sync.
+// fetched a page at a time, verified, and appended, until src has no
+// more. It returns the number added; a tampered source entry fails
+// verification and aborts the sync.
 func (c *Chain) Sync(src Source) (int, error) {
-	remote, err := src.Latest()
-	if errors.Is(err, ErrNotFound) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
 	added := 0
 	for {
 		next := uint64(0)
 		if latest := c.Latest(); latest != nil {
-			if latest.Round >= remote.Round {
-				return added, nil
-			}
 			next = latest.Round + 1
 		}
 		page, err := src.Range(next, syncPageSize)
-		if err != nil && !errors.Is(err, ErrNotFound) {
+		if errors.Is(err, ErrNotFound) {
+			return added, nil
+		}
+		if err != nil {
 			return added, err
 		}
 		if len(page) == 0 {

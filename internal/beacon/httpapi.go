@@ -21,9 +21,52 @@ type ScheduleCert struct {
 	Sigs [][]byte // per server index, over the schedule-cert bytes
 }
 
+// hexBytes is a byte string as the HTTP API writes it: in hex.
+type hexBytes []byte
+
+func (b hexBytes) MarshalText() ([]byte, error) { return []byte(hex.EncodeToString(b)), nil }
+
+func (b *hexBytes) UnmarshalText(t []byte) (err error) {
+	*b, err = hex.DecodeString(string(t))
+	return err
+}
+
 type scheduleCertJSON struct {
-	Keys []string `json:"keys"`
-	Sigs []string `json:"sigs"`
+	Keys []hexBytes `json:"keys"`
+	Sigs []hexBytes `json:"sigs"`
+}
+
+// entryJSON is an Entry as the HTTP API serves it.
+type entryJSON struct {
+	Round     uint64   `json:"round"`
+	Count     uint32   `json:"count"`
+	Cleartext hexBytes `json:"cleartext_hash"`
+	Sig       hexBytes `json:"sig"`
+	Prev      hexBytes `json:"prev"`
+	Value     hexBytes `json:"value"`
+}
+
+// MarshalJSON renders the entry as the HTTP API serves it, its byte
+// fields in hex.
+func (e *Entry) MarshalJSON() ([]byte, error) {
+	return json.Marshal(entryJSON{e.Round, e.Count, e.Cleartext[:], e.Sig, e.Prev[:], e.Value[:]})
+}
+
+// UnmarshalJSON reads an entry in the form MarshalJSON writes.
+func (e *Entry) UnmarshalJSON(b []byte) error {
+	var j entryJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	if len(j.Cleartext) != ValueLen || len(j.Prev) != ValueLen || len(j.Value) != ValueLen {
+		return fmt.Errorf("beacon: entry %d: hash fields of %d, %d and %d bytes, want %d",
+			j.Round, len(j.Cleartext), len(j.Prev), len(j.Value), ValueLen)
+	}
+	*e = Entry{Round: j.Round, Count: j.Count, Sig: j.Sig}
+	copy(e.Cleartext[:], j.Cleartext)
+	copy(e.Prev[:], j.Prev)
+	copy(e.Value[:], j.Value)
+	return nil
 }
 
 // Handler serves a chain over HTTP. Routes (all GET, JSON responses):
@@ -52,22 +95,30 @@ func Handler(c *Chain, cert func() *ScheduleCert) http.Handler {
 			http.Error(w, "no such beacon entry", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, encodeEntry(e))
+		writeJSON(w, e)
+	}
+	// entryAt serves the entry pick returns for the path's round.
+	entryAt := func(pick func(uint64) *Entry) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			round, err := strconv.ParseUint(r.PathValue("round"), 10, 64)
+			if err != nil {
+				http.Error(w, "bad round", http.StatusBadRequest)
+				return
+			}
+			writeEntry(w, pick(round))
+		}
 	}
 	mux.HandleFunc("GET /beacon/latest", func(w http.ResponseWriter, r *http.Request) {
 		writeEntry(w, c.Latest())
 	})
 	mux.HandleFunc("GET /beacon/info", func(w http.ResponseWriter, r *http.Request) {
+		genesis, head := c.Genesis(), c.Head()
 		info := struct {
-			Entries   int    `json:"entries"`
-			HeadRound uint64 `json:"head_round"`
-			HeadValue string `json:"head_value"`
-			Genesis   string `json:"genesis"`
-		}{Entries: c.Len()}
-		genesis := c.Genesis()
-		info.Genesis = hex.EncodeToString(genesis[:])
-		head := c.Head()
-		info.HeadValue = hex.EncodeToString(head[:])
+			Entries   int      `json:"entries"`
+			HeadRound uint64   `json:"head_round"`
+			HeadValue hexBytes `json:"head_value"`
+			Genesis   hexBytes `json:"genesis"`
+		}{Entries: c.Len(), HeadValue: head[:], Genesis: genesis[:]}
 		if latest := c.Latest(); latest != nil {
 			info.HeadRound = latest.Round
 		}
@@ -80,52 +131,30 @@ func Handler(c *Chain, cert func() *ScheduleCert) http.Handler {
 			return
 		}
 		max := 256
-		if q := r.URL.Query().Get("max"); q != "" {
-			if v, err := strconv.Atoi(q); err == nil && v > 0 {
-				max = v
-			}
+		if v, err := strconv.Atoi(r.URL.Query().Get("max")); err == nil && v > 0 {
+			max = min(v, 1024)
 		}
-		if max > 1024 {
-			max = 1024
-		}
-		page := c.RangeFrom(from, max)
-		out := make([]entryJSON, len(page)) // empty page encodes as [], not null
-		for i, e := range page {
-			out[i] = encodeEntry(e)
-		}
-		writeJSON(w, out)
+		writeJSON(w, append([]*Entry{}, c.RangeFrom(from, max)...)) // an empty page encodes as [], not null
 	})
-	mux.HandleFunc("GET /beacon/from/{round}", func(w http.ResponseWriter, r *http.Request) {
-		round, err := strconv.ParseUint(r.PathValue("round"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad round", http.StatusBadRequest)
-			return
-		}
-		writeEntry(w, c.From(round))
-	})
-	mux.HandleFunc("GET /beacon/{round}", func(w http.ResponseWriter, r *http.Request) {
-		round, err := strconv.ParseUint(r.PathValue("round"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad round", http.StatusBadRequest)
-			return
-		}
-		writeEntry(w, c.Get(round))
-	})
+	mux.HandleFunc("GET /beacon/from/{round}", entryAt(c.From))
+	mux.HandleFunc("GET /beacon/{round}", entryAt(c.Get))
 	mux.HandleFunc("GET /beacon/schedule", func(w http.ResponseWriter, r *http.Request) {
 		sc := cert()
 		if sc == nil {
 			http.Error(w, "schedule not yet certified", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, scheduleCertJSON{Keys: hexSlice(sc.Keys), Sigs: hexSlice(sc.Sigs)})
+		writeJSON(w, scheduleCertJSON{Keys: hexList[hexBytes](sc.Keys), Sigs: hexList[hexBytes](sc.Sigs)})
 	})
 	return mux
 }
 
-func hexSlice(bs [][]byte) []string {
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = hex.EncodeToString(b)
+// hexList converts a list of byte strings between [][]byte and
+// []hexBytes.
+func hexList[U, T ~[]byte](in []T) []U {
+	out := make([]U, len(in))
+	for i, b := range in {
+		out[i] = U(b)
 	}
 	return out
 }
@@ -176,30 +205,11 @@ func (s *HTTPSource) getJSON(path string, v any) error {
 	return nil
 }
 
-// Latest implements Source.
-func (s *HTTPSource) Latest() (*Entry, error) {
-	var j entryJSON
-	if err := s.getJSON("/beacon/latest", &j); err != nil {
-		return nil, err
-	}
-	return decodeEntry(j)
-}
-
 // Range implements Source: one request fetches a page of entries.
 func (s *HTTPSource) Range(from uint64, max int) ([]*Entry, error) {
-	var js []entryJSON
-	if err := s.getJSON(fmt.Sprintf("/beacon/range/%d?max=%d", from, max), &js); err != nil {
-		return nil, err
-	}
-	entries := make([]*Entry, len(js))
-	for i, j := range js {
-		e, err := decodeEntry(j)
-		if err != nil {
-			return nil, err
-		}
-		entries[i] = e
-	}
-	return entries, nil
+	var page []*Entry
+	err := s.getJSON(fmt.Sprintf("/beacon/range/%d?max=%d", from, max), &page)
+	return page, err
 }
 
 // Schedule fetches the session's schedule certificate, or ErrNotFound
@@ -211,67 +221,5 @@ func (s *HTTPSource) Schedule() (*ScheduleCert, error) {
 	if err := s.getJSON("/beacon/schedule", &j); err != nil {
 		return nil, err
 	}
-	keys, err := unhexSlice(j.Keys)
-	if err != nil {
-		return nil, fmt.Errorf("beacon: schedule keys: %w", err)
-	}
-	sigs, err := unhexSlice(j.Sigs)
-	if err != nil {
-		return nil, fmt.Errorf("beacon: schedule sigs: %w", err)
-	}
-	return &ScheduleCert{Keys: keys, Sigs: sigs}, nil
-}
-
-func unhexSlice(ss []string) ([][]byte, error) {
-	out := make([][]byte, len(ss))
-	for i, s := range ss {
-		b, err := hex.DecodeString(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-// entryJSON is an Entry as the HTTP API serves it.
-type entryJSON struct {
-	Round  uint64   `json:"round"`
-	Prev   string   `json:"prev"`
-	Value  string   `json:"value"`
-	Shares []string `json:"shares"`
-}
-
-func encodeEntry(e *Entry) entryJSON {
-	j := entryJSON{
-		Round: e.Round,
-		Prev:  hex.EncodeToString(e.Prev[:]),
-		Value: hex.EncodeToString(e.Value[:]),
-	}
-	for _, s := range e.Shares {
-		j.Shares = append(j.Shares, hex.EncodeToString(s))
-	}
-	return j
-}
-
-func decodeEntry(j entryJSON) (*Entry, error) {
-	e := &Entry{Round: j.Round}
-	prev, err := hex.DecodeString(j.Prev)
-	if err != nil || len(prev) != ValueLen {
-		return nil, fmt.Errorf("beacon: bad prev in entry %d", j.Round)
-	}
-	value, err := hex.DecodeString(j.Value)
-	if err != nil || len(value) != ValueLen {
-		return nil, fmt.Errorf("beacon: bad value in entry %d", j.Round)
-	}
-	copy(e.Prev[:], prev)
-	copy(e.Value[:], value)
-	for i, s := range j.Shares {
-		raw, err := hex.DecodeString(s)
-		if err != nil {
-			return nil, fmt.Errorf("beacon: bad share %d in entry %d", i, j.Round)
-		}
-		e.Shares = append(e.Shares, raw)
-	}
-	return e, nil
+	return &ScheduleCert{Keys: hexList[[]byte](j.Keys), Sigs: hexList[[]byte](j.Sigs)}, nil
 }

@@ -42,12 +42,12 @@ func TestHashDomainVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	value := computeValue(session, 5, [][]byte{share, []byte("second share")})
+	value, clear := computeValue(session, 5, []byte("round certificate")), CleartextHash([]byte("kat cleartext"))
 	checkDomainVectors(t, map[string][]byte{
-		"dissent/beacon-genesis":      append(genesis[:], session[:]...),
-		"dissent/beacon-share-msg":    shareMessage(genesis, 5),
-		"dissent/beacon-share":        share,
-		"dissent/beacon-share-commit": CommitShare(share),
-		"dissent/beacon-value":        value[:],
+		"dissent/beacon-genesis":   append(genesis[:], session[:]...),
+		"dissent/beacon-share-msg": shareMessage(genesis, 5),
+		"dissent/beacon-share":     share,
+		"dissent/beacon-value":     value[:],
+		"dissent/cleartext-hash":   clear[:],
 	})
 }

@@ -7,19 +7,16 @@ import (
 	"dissent/internal/wire"
 )
 
-// KV is the durable key-value surface the beacon chain persists
-// through.
-type KV = store.Durable
-
 // roundKey renders a round number as a fixed-width key so the KV's
 // sorted key listing is numeric round order.
 func roundKey(r uint64) string { return fmt.Sprintf("%020d", r) }
 
-// KVStore is one bucket of an embedded KV holding a chain's entries,
-// one record per round (Entry.Fields behind the record format byte). Pass it to NewChain: the chain writes each
-// new entry here (one fsynced Put) before accepting it.
+// KVStore is one bucket of a durable store holding a chain's entries,
+// one record per round (Entry.Fields behind the record format byte).
+// Pass it to NewChain: the chain writes each new entry here (one fsynced
+// Put) before accepting it.
 type KVStore struct {
-	kv     KV
+	kv     store.Durable
 	bucket string
 	loaded []*Entry // the bucket's entries at open, until NewChain adopts them
 }
@@ -28,7 +25,7 @@ type KVStore struct {
 // An entry that does not decode or breaks round order refuses the
 // open: the bucket is input from disk. Loaded entries are otherwise
 // trusted; wrap the store in a Chain and call Verify to re-check them.
-func NewKVStore(kv KV, bucket string) (*KVStore, error) {
+func NewKVStore(kv store.Durable, bucket string) (*KVStore, error) {
 	s := &KVStore{kv: kv, bucket: bucket}
 	for _, k := range kv.List(bucket) {
 		raw, ok := kv.Get(bucket, k)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
 	"dissent/internal/wire"
@@ -28,7 +29,7 @@ func (f *fixture) collectiveCert(signers []int, digest []byte) []byte {
 		ks[i], _ = g.RandomScalar(nil)
 		nonces[i] = g.BaseMult(ks[i])
 	}
-	c := ms.Challenge("dissent/cleartext", nonces, digest)
+	c := ms.Challenge(beacon.CertContext, nonces, digest)
 	partials := make([]*big.Int, len(signers))
 	for i, si := range signers {
 		partials[i] = ms.Respond(si, f.kpByID[f.def.Servers[si].ID].Private, ks[i], c)
@@ -41,7 +42,7 @@ func (f *fixture) collectiveCert(signers []int, digest []byte) []byte {
 func (f *fixture) perServerCerts(signers []int, digest []byte) [][]byte {
 	var sigs [][]byte
 	for _, si := range signers {
-		sig, err := f.kpByID[f.def.Servers[si].ID].Sign("dissent/cleartext", digest, nil)
+		sig, err := f.kpByID[f.def.Servers[si].ID].Sign(beacon.CertContext, digest, nil)
 		if err != nil {
 			f.t.Fatal(err)
 		}
@@ -52,64 +53,66 @@ func (f *fixture) perServerCerts(signers []int, digest []byte) [][]byte {
 
 func TestVerifyRoundCert(t *testing.T) {
 	f := newFixture(t, 3, 2, fixtureOpts{})
-	grpID := f.def.GroupID()
 	aggKey := crypto.NewMultisig(f.def.Group(), f.def.ServerPubKeys()).Key()
 	const round = 9
 	clear := []byte("the round's cleartext vector")
-	bval := []byte("beacon value")
+	var prev, forged beacon.Value
+	copy(prev[:], "beacon head")
+	copy(forged[:], "forged")
 	all := []int{0, 1, 2}
 
-	normal := cleartextSignedBytes(grpID, round, 2, clear, bval)
-	failed := cleartextSignedBytes(grpID, round, 1, nil, nil)
+	normal := beacon.CertDigest(round, 2, beacon.CleartextHash(clear), prev)
+	failed := beacon.CertDigest(round, 1, beacon.CleartextHash(nil), prev)
 	good := f.collectiveCert(all, normal)
 
 	cases := []struct {
-		name   string
-		ro     RoundOutput
-		round  uint64
-		beacon []byte
-		ok     bool
+		name  string
+		ro    RoundOutput
+		round uint64
+		prev  beacon.Value
+		ok    bool
 	}{
 		{"collective signature of all servers",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good}}, round, bval, true},
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good}}, round, prev, true},
 		{"collective signature of M-1 servers",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{f.collectiveCert([]int{0, 1}, normal)}}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{f.collectiveCert([]int{0, 1}, normal)}}, round, prev, false},
 		{"one server's own signature",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: f.perServerCerts([]int{1}, normal)}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: f.perServerCerts([]int{1}, normal)}, round, prev, false},
 		{"a signature per server on a normal round",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: f.perServerCerts(all, normal)}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: f.perServerCerts(all, normal)}, round, prev, false},
 		{"collective signature twice",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good, good}}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good, good}}, round, prev, false},
 		{"no signature",
-			RoundOutput{Cleartext: clear, Count: 2}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 2}, round, prev, false},
 		{"malformed signature",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good[1:]}}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good[1:]}}, round, prev, false},
 		{"other cleartext",
-			RoundOutput{Cleartext: []byte("another cleartext"), Count: 2, Sigs: [][]byte{good}}, round, bval, false},
+			RoundOutput{Cleartext: []byte("another cleartext"), Count: 2, Sigs: [][]byte{good}}, round, prev, false},
 		{"other participation count",
-			RoundOutput{Cleartext: clear, Count: 3, Sigs: [][]byte{good}}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 3, Sigs: [][]byte{good}}, round, prev, false},
 		{"other round",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good}}, round + 1, bval, false},
-		{"other beacon value",
-			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good}}, round, []byte("forged"), false},
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good}}, round + 1, prev, false},
+		{"other beacon head",
+			RoundOutput{Cleartext: clear, Count: 2, Sigs: [][]byte{good}}, round, forged, false},
 		{"collective signature relabelled failed",
-			RoundOutput{Cleartext: clear, Count: 2, Failed: true, Sigs: [][]byte{good}}, round, bval, false},
+			RoundOutput{Cleartext: clear, Count: 2, Failed: true, Sigs: [][]byte{good}}, round, prev, false},
 
 		{"failed round, a signature per server",
-			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts(all, failed)}, round, nil, true},
+			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts(all, failed)}, round, prev, true},
 		{"failed round, M-1 signatures",
-			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts([]int{0, 1}, failed)}, round, nil, false},
+			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts([]int{0, 1}, failed)}, round, prev, false},
 		{"failed round, signatures out of server order",
-			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts([]int{1, 0, 2}, failed)}, round, nil, false},
+			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts([]int{1, 0, 2}, failed)}, round, prev, false},
 		{"failed round, one server signing thrice",
-			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts([]int{0, 0, 0}, failed)}, round, nil, false},
+			RoundOutput{Count: 1, Failed: true, Sigs: f.perServerCerts([]int{0, 0, 0}, failed)}, round, prev, false},
 		{"failed round, collective signature",
-			RoundOutput{Count: 1, Failed: true, Sigs: [][]byte{f.collectiveCert(all, failed)}}, round, nil, false},
+			RoundOutput{Count: 1, Failed: true, Sigs: [][]byte{f.collectiveCert(all, failed)}}, round, prev, false},
 		{"failed-round signatures relabelled normal",
-			RoundOutput{Count: 1, Sigs: f.perServerCerts(all, failed)}, round, nil, false},
+			RoundOutput{Count: 1, Sigs: f.perServerCerts(all, failed)}, round, prev, false},
 	}
 	for _, c := range cases {
-		err := verifyRoundCert(f.def, aggKey, grpID, c.round, &c.ro, c.beacon)
+		signed := beacon.CertDigest(c.round, uint32(c.ro.Count), beacon.CleartextHash(c.ro.Cleartext), c.prev)
+		err := verifyRoundCert(f.def, aggKey, c.round, &c.ro, signed)
 		if c.ok && err != nil {
 			t.Errorf("%s: rejected: %v", c.name, err)
 		}
@@ -132,7 +135,7 @@ func TestClientRejectsUncollectiveOutput(t *testing.T) {
 	next := c.head()
 	vecLen := f.servers[0].sched.Layout(next).Len
 	clear := make([]byte, vecLen)
-	digest := cleartextSignedBytes(f.def.GroupID(), next, 3, clear, nil)
+	digest := c.certDigest(next, 3, beacon.CleartextHash(clear))
 
 	forged := map[string][][]byte{
 		"per-server signatures": f.perServerCerts([]int{0, 1, 2}, digest),

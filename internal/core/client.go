@@ -619,7 +619,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 	if !c.ready || m.Round != c.head() {
 		return &Output{}, nil
 	}
-	p, bEntry, err := c.verifyOutput(m.Round, m.Body)
+	p, cleartext, err := c.verifyOutput(m.Round, m.Body)
 	if err != nil {
 		return c.violation(err), nil
 	}
@@ -629,7 +629,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 	// the request-bit state concerns rounds we have yet to compose.
 	off, n := c.sched.Layout(m.Round).SlotRange(c.mySlot)
 	wasClosed := c.slotClosedAhead()
-	res, err := c.retire(m.Round, p, bEntry)
+	res, err := c.retire(m.Round, p, cleartext)
 	if errors.Is(err, errLayout) {
 		return nil, err
 	}

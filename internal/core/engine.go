@@ -242,9 +242,9 @@ type node struct {
 	cert *crypto.Multisig
 
 	// beaconChain is this node's replica of the anytrust randomness
-	// beacon (nil when Policy.BeaconEpochRounds is 0). Servers extend
-	// it through the round protocol's commit–reveal; clients extend it
-	// from certified round outputs.
+	// beacon (nil when Policy.BeaconEpochRounds is 0). Every member
+	// extends it in retire, with the certified round's certificate as the
+	// entry.
 	beaconChain *beacon.Chain
 
 	// store is the durable state store (nil = memory-only operation;
@@ -369,13 +369,16 @@ func verdictDetail(verdict byte) string {
 	}
 }
 
-// beaconValueBytes renders an entry's value for certification (nil
-// entry -> nil, for failed rounds and beacon-off groups).
-func beaconValueBytes(e *beacon.Entry) []byte {
-	if e == nil {
-		return nil
+// certDigest is what round's certificate signs (beacon.CertDigest),
+// chained on the beacon head. Rounds certify in round order, so the head
+// is the value of the last entry before round at every member. A group
+// without the beacon chains every round on its group-wide genesis.
+func (n *node) certDigest(round uint64, count int, cleartext beacon.Value) []byte {
+	prev := beacon.GenesisValue(n.grpID)
+	if n.beaconChain != nil {
+		prev = n.beaconChain.Head()
 	}
-	return e.Value[:]
+	return beacon.CertDigest(round, uint32(count), cleartext, prev)
 }
 
 // Options tunes engine construction.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
 	"dissent/internal/wire"
@@ -65,14 +66,15 @@ func TestSignedDigestsAreInjective(t *testing.T) {
 	var grp [32]byte
 	copy(grp[:], "an arbitrary group identifier...")
 
-	// Cleartext and beacon value are adjacent variable-length fields.
-	a := cleartextSignedBytes(grp, 5, 3, []byte("cleartext|bea"), []byte("con"))
-	b := cleartextSignedBytes(grp, 5, 3, []byte("cleartext|"), []byte("beacon"))
-	if bytes.Equal(a, b) {
-		t.Error("round certificate digest ignores the cleartext/beacon boundary")
+	// The round certificate's fields are fixed-width and each in its own
+	// place: swapping two of equal width changes the digest.
+	clear, prev := beacon.CleartextHash([]byte("cleartext")), beacon.GenesisValue(grp)
+	a := beacon.CertDigest(5, 3, clear, prev)
+	if bytes.Equal(a, beacon.CertDigest(3, 5, clear, prev)) {
+		t.Error("round certificate digest ignores the round/count order")
 	}
-	if bytes.Equal(a, cleartextSignedBytes(grp, 5, 3, []byte("cleartext|beacon"), nil)) {
-		t.Error("round certificate digest ignores an empty beacon value")
+	if bytes.Equal(a, beacon.CertDigest(5, 3, prev, clear)) {
+		t.Error("round certificate digest ignores the cleartext/head order")
 	}
 
 	// An envelope's last header byte is not its first body byte.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
 )
@@ -48,14 +49,16 @@ func TestHashDomainVectors(t *testing.T) {
 	copy(rosterDigest[:], "kat roster digest")
 	m := &Message{From: group.NodeID{1, 2, 3, 4, 5, 6, 7, 8}, Type: MsgShare, Round: 7, Body: []byte("kat body")}
 	msgDigest := m.digest(gid)
-	cleartext := cleartextSignedBytes(gid, 9, 2, []byte("kat cleartext"), []byte("kat beacon value"))
+	var head beacon.Value
+	copy(head[:], "kat beacon value")
+	cleartext := beacon.CertDigest(9, 2, beacon.CleartextHash([]byte("kat cleartext")), head)
 	keys, sigs := [][]byte{[]byte("slot key 0"), []byte("slot key 1")}, [][]byte{[]byte("sig 0"), []byte("sig 1")}
 	certDigest := scheduleCertDigest(gid, keys, sigs)
 	accusation := accusationDigest(gid, 5, 2, 17)
 	checkDomainVectors(t, map[string][]byte{
 		"dissent/msg":                  append(msgDigest, sign(msgContext, msgDigest)...),
 		"dissent/cleartext-cert":       cleartext,
-		"dissent/cleartext":            sign(cleartextContext, cleartext),
+		"dissent/cleartext":            sign(beacon.CertContext, cleartext),
 		"dissent/schedule-cert":        scheduleSignedBytes(gid, keys),
 		"dissent/schedule-cert-digest": certDigest[:],
 		"dissent/schedule":             sign(scheduleContext, scheduleSignedBytes(gid, keys)),

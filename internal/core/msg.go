@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"dissent/internal/beacon"
 	"dissent/internal/crypto"
 	"dissent/internal/group"
 	"dissent/internal/wire"
@@ -135,11 +136,12 @@ type Message struct {
 }
 
 // Signature contexts. The signer and every verifier of each use the one
-// constant; two also name their digest's hash domain.
+// constant; two also name their digest's hash domain. The round
+// certificate's is beacon.CertContext: the certificate is the beacon
+// entry, which external verifiers check too.
 const (
 	msgContext        = "dissent/msg"        // an envelope, and its digest
 	scheduleContext   = "dissent/schedule"   // the schedule certificate
-	cleartextContext  = "dissent/cleartext"  // a round certificate
 	accusationContext = "dissent/accusation" // an accusation, and its digest
 )
 
@@ -349,20 +351,19 @@ func DecodeClientSubmit(b []byte) (*ClientSubmit, error) { return decode[ClientS
 
 // Inventory is a server's list of client indices heard this round, per
 // α-threshold attempt (§3.7: servers may re-open the window and retry).
-// Hash and BeaconCommit, when present, are the fields of the Commit the
-// server would send one hop later, computed at window close on the
-// prediction that the round's included set repeats the previous
-// certified round's (server.go: closeWindow, speculationHolds); an
-// inventory without them simply announces the explicit commit exchange.
+// Hash, when present, is the commitment of the Commit the server would
+// send one hop later, computed at window close on the prediction that
+// the round's included set repeats the previous certified round's
+// (server.go: closeWindow, speculationHolds); an inventory without it
+// simply announces the explicit commit exchange.
 type Inventory struct {
-	Attempt      int32
-	Clients      []int32
-	Hash         []byte // speculative commitment; empty when not speculating
-	BeaconCommit []byte // H(beacon share); only beside Hash, and only with the beacon on
+	Attempt int32
+	Clients []int32
+	Hash    []byte // speculative commitment; empty when not speculating
 }
 
-// commitmentLen is the length of both commitments an Inventory may
-// carry: each is a crypto.Hash output.
+// commitmentLen is the length of the commitment an Inventory may carry:
+// a crypto.Hash output.
 const commitmentLen = sha256.Size
 
 // Fields lays out the payload.
@@ -370,16 +371,13 @@ func (p *Inventory) Fields(c *wire.Codec) {
 	c.I32(&p.Attempt)
 	c.Int32s(&p.Clients)
 	c.Bytes(&p.Hash)
-	c.Bytes(&p.BeaconCommit)
 }
 
-// check holds each commitment to either absent (zero length) or
-// exactly one digest, and a beacon commitment never alone.
+// check holds the commitment to either absent (zero length) or exactly
+// one digest.
 func (p *Inventory) check() error {
-	h, bc := len(p.Hash), len(p.BeaconCommit)
-	if (h != 0 && h != commitmentLen) || (bc != 0 && (bc != commitmentLen || h == 0)) {
-		return fmt.Errorf("core: inventory commitment lengths %d/%d, want 0 or %d each and no beacon commitment alone",
-			h, bc, commitmentLen)
+	if h := len(p.Hash); h != 0 && h != commitmentLen {
+		return fmt.Errorf("core: inventory commitment length %d, want 0 or %d", h, commitmentLen)
 	}
 	return nil
 }
@@ -389,39 +387,31 @@ func (p *Inventory) check() error {
 // others'. Hash is the message digest (Message.digest) of the exact
 // MsgShare the server will reveal, so it also covers the server's
 // round-certificate nonce Rᵢ and neither can be chosen after seeing a
-// peer's. When the randomness beacon is enabled, the same message
-// carries the server's binding commitment to its beacon share, so the
-// beacon's commit phase rides the round's existing commit exchange.
+// peer's. That nonce commitment is also what makes the round's beacon
+// entry — its certificate — unbiasable (internal/beacon).
 type Commit struct {
-	Attempt      int32
-	Hash         []byte
-	BeaconCommit []byte // H(beacon share); empty when the beacon is off
+	Attempt int32
+	Hash    []byte
 }
 
 // Fields lays out the payload.
 func (p *Commit) Fields(c *wire.Codec) {
 	c.I32(&p.Attempt)
 	c.Bytes(&p.Hash)
-	c.Bytes(&p.BeaconCommit)
 }
 
-// Share is a server's ciphertext, revealed after all commits. It also
-// reveals the server's beacon share (a Schnorr signature over the
-// previous beacon value and round; see internal/beacon), completing
-// the beacon's commit–reveal exchange. Nonce reveals the committed
-// round-certificate nonce Rᵢ.
+// Share is a server's ciphertext, revealed after all commits. Nonce
+// reveals the committed round-certificate nonce Rᵢ.
 type Share struct {
-	Attempt     int32
-	CT          []byte
-	BeaconShare []byte // empty when the beacon is off
-	Nonce       []byte // encoded group element
+	Attempt int32
+	CT      []byte
+	Nonce   []byte // encoded group element
 }
 
 // Fields lays out the payload.
 func (p *Share) Fields(c *wire.Codec) {
 	c.I32(&p.Attempt)
 	c.Bytes(&p.CT)
-	c.Bytes(&p.BeaconShare)
 	c.Bytes(&p.Nonce)
 }
 
@@ -440,35 +430,20 @@ func (p *Certify) Fields(c *wire.Codec) {
 	c.Bytes(&p.Sig)
 }
 
-// cleartextSignedBytes is the digest the round certificate covers, its
-// parts streamed into the hash (no copy of the cleartext is made).
-// beaconValue is the round's chained beacon output (nil for failed
-// rounds or when the beacon is off), so certification also pins the
-// beacon chain: a server cannot certify the round yet equivocate about
-// its randomness.
-func cleartextSignedBytes(groupID [32]byte, round uint64, count int, cleartext, beaconValue []byte) []byte {
-	var hdr [8 + 4]byte
-	binary.BigEndian.PutUint64(hdr[:8], round)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(count))
-	return crypto.Hash("dissent/cleartext-cert", groupID[:], hdr[:], cleartext, beaconValue)
-}
-
 // RoundOutput carries the certified round result to clients. Sigs is
 // the round certificate: one collective signature under the servers'
-// aggregate key, which exists only if every server responded. Failed
-// indicates a hard-timeout round whose ciphertexts were discarded; its
-// Count resets the participation baseline (§3.7). Such a round skips
-// the commit and share exchanges the collective signature rides, so
-// its Sigs hold one signature per server index instead. Beacon holds
-// every server's beacon share for this round (in server-index order)
-// so clients extend and verify their beacon chain replica; it is empty
-// for failed rounds and when the beacon is off.
+// aggregate key over beacon.CertDigest, which exists only if every
+// server responded; with the beacon on it is also the round's beacon
+// entry, which every member rebuilds from it. Failed indicates a
+// hard-timeout round whose ciphertexts were discarded; its Count resets
+// the participation baseline (§3.7). Such a round skips the commit and
+// share exchanges the collective signature rides, so its Sigs hold one
+// signature per server index instead, and it has no beacon entry.
 type RoundOutput struct {
 	Cleartext []byte
 	Sigs      [][]byte
 	Count     int32
 	Failed    bool
-	Beacon    [][]byte // per server index
 }
 
 // Fields lays out the payload.
@@ -477,18 +452,16 @@ func (p *RoundOutput) Fields(c *wire.Codec) {
 	c.ByteSlices(&p.Sigs)
 	c.I32(&p.Count)
 	c.Bool(&p.Failed)
-	c.ByteSlices(&p.Beacon)
 }
 
 // DecodeRoundOutput parses a RoundOutput payload.
 func DecodeRoundOutput(b []byte) (*RoundOutput, error) { return decode[RoundOutput](b) }
 
-// verifyRoundCert checks a round output's certificate: exactly one
-// signature under aggKey (the aggregate of all of def's server keys),
-// or for a failed round exactly one signature per server. beaconValue
-// is the round's chained beacon output as the verifier reconstructs it
-// (nil for failed rounds and when the beacon is off).
-func verifyRoundCert(def *group.Definition, aggKey crypto.Element, groupID [32]byte, round uint64, ro *RoundOutput, beaconValue []byte) error {
+// verifyRoundCert checks a round output's certificate over signed, the
+// round's certificate digest: exactly one signature under aggKey (the
+// aggregate of all of def's server keys), or for a failed round exactly
+// one signature per server.
+func verifyRoundCert(def *group.Definition, aggKey crypto.Element, round uint64, ro *RoundOutput, signed []byte) error {
 	keys := []crypto.Element{aggKey}
 	if ro.Failed {
 		keys = def.ServerPubKeys()
@@ -498,13 +471,12 @@ func verifyRoundCert(def *group.Definition, aggKey crypto.Element, groupID [32]b
 			round, len(ro.Sigs), len(keys))
 	}
 	g := def.Group()
-	signed := cleartextSignedBytes(groupID, round, int(ro.Count), ro.Cleartext, beaconValue)
 	for j, key := range keys {
 		sig, err := crypto.DecodeSignature(g, ro.Sigs[j])
 		if err != nil {
 			return fmt.Errorf("core: round %d cert %d: %w", round, j, err)
 		}
-		if err := crypto.Verify(g, key, cleartextContext, signed, sig); err != nil {
+		if err := crypto.Verify(g, key, beacon.CertContext, signed, sig); err != nil {
 			return fmt.Errorf("core: round %d cert %d: %w", round, j, err)
 		}
 	}

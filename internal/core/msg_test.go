@@ -170,47 +170,45 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		{"Inventory", func() []byte { return wire.Encode(&Inventory{Attempt: 3, Clients: []int32{0, 2}}) },
 			func(b []byte) error {
 				p, err := decode[Inventory](b)
-				if err == nil && (p.Attempt != 3 || len(p.Hash) != 0 || len(p.BeaconCommit) != 0) {
+				if err == nil && (p.Attempt != 3 || len(p.Hash) != 0) {
 					t.Error("fields mismatch")
 				}
 				return err
 			}},
 		{"Inventory+commitment", func() []byte {
-			return wire.Encode(&Inventory{Clients: []int32{1}, Hash: bytes.Repeat([]byte{7}, commitmentLen),
-				BeaconCommit: bytes.Repeat([]byte{8}, commitmentLen)})
+			return wire.Encode(&Inventory{Clients: []int32{1}, Hash: bytes.Repeat([]byte{7}, commitmentLen)})
 		}, func(b []byte) error {
 			p, err := decode[Inventory](b)
-			if err == nil && (len(p.Hash) != commitmentLen || p.Hash[0] != 7 || len(p.BeaconCommit) != commitmentLen || p.BeaconCommit[0] != 8) {
+			if err == nil && (len(p.Hash) != commitmentLen || p.Hash[0] != 7) {
 				t.Error("commitment mismatch")
 			}
 			return err
 		}},
 		{"Commit", func() []byte {
-			return wire.Encode(&Commit{Attempt: 1, Hash: []byte("h"), BeaconCommit: []byte("bc")})
+			return wire.Encode(&Commit{Attempt: 1, Hash: []byte("h")})
 		}, func(b []byte) error {
 			p, err := decode[Commit](b)
-			if err == nil && string(p.BeaconCommit) != "bc" {
-				t.Error("beacon commit mismatch")
+			if err == nil && string(p.Hash) != "h" {
+				t.Error("commitment mismatch")
 			}
 			return err
 		}},
 		{"Share", func() []byte {
-			return wire.Encode(&Share{Attempt: 1, CT: []byte("share"), BeaconShare: []byte("bs"), Nonce: []byte("R")})
+			return wire.Encode(&Share{Attempt: 1, CT: []byte("share"), Nonce: []byte("R")})
 		}, func(b []byte) error {
 			p, err := decode[Share](b)
-			if err == nil && (string(p.BeaconShare) != "bs" || string(p.Nonce) != "R") {
-				t.Error("beacon share or nonce mismatch")
+			if err == nil && (string(p.CT) != "share" || string(p.Nonce) != "R") {
+				t.Error("share or nonce mismatch")
 			}
 			return err
 		}},
 		{"Certify", func() []byte { return wire.Encode(&Certify{Attempt: 0, Sig: []byte("sig")}) },
 			func(b []byte) error { _, err := decode[Certify](b); return err }},
 		{"RoundOutput", func() []byte {
-			return wire.Encode(&RoundOutput{Cleartext: []byte("clear"), Sigs: [][]byte{[]byte("s")}, Count: 9, Failed: true,
-				Beacon: [][]byte{[]byte("b0"), []byte("b1")}})
+			return wire.Encode(&RoundOutput{Cleartext: []byte("clear"), Sigs: [][]byte{[]byte("s")}, Count: 9, Failed: true})
 		}, func(b []byte) error {
 			p, err := DecodeRoundOutput(b)
-			if err == nil && (!p.Failed || p.Count != 9 || len(p.Beacon) != 2 || string(p.Beacon[1]) != "b1") {
+			if err == nil && (!p.Failed || p.Count != 9 || len(p.Sigs) != 1 || string(p.Sigs[0]) != "s") {
 				t.Error("fields mismatch")
 			}
 			return err
@@ -268,20 +266,17 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 }
 
 func TestInventoryCodecProperty(t *testing.T) {
-	f := func(attempt int32, clients []int32, commit, beacon bool, fill byte) bool {
+	f := func(attempt int32, clients []int32, commit bool, fill byte) bool {
 		p := &Inventory{Attempt: attempt, Clients: clients}
 		if commit {
 			p.Hash = bytes.Repeat([]byte{fill}, commitmentLen)
-			if beacon {
-				p.BeaconCommit = bytes.Repeat([]byte{^fill}, commitmentLen)
-			}
 		}
 		got, err := decode[Inventory](wire.Encode(p))
 		if err != nil {
 			return false
 		}
 		if got.Attempt != attempt || len(got.Clients) != len(clients) ||
-			!bytes.Equal(got.Hash, p.Hash) || !bytes.Equal(got.BeaconCommit, p.BeaconCommit) {
+			!bytes.Equal(got.Hash, p.Hash) {
 			return false
 		}
 		for i := range clients {
@@ -399,20 +394,17 @@ func payloadVectors() []payloadRow {
 			"00000002000000026b31000000026b3200000001000000027331", 0),
 		vectorRow("ClientSubmit", &ClientSubmit{CT: []byte("ciphertext")},
 			"0000000a63697068657274657874", 0),
-		vectorRow("Inventory", &Inventory{Attempt: 1, Clients: []int32{0, 4},
-			Hash: bytes.Repeat([]byte{0xA1}, 32), BeaconCommit: bytes.Repeat([]byte{0xB2}, 32)},
+		vectorRow("Inventory", &Inventory{Attempt: 1, Clients: []int32{0, 4}, Hash: bytes.Repeat([]byte{0xA1}, 32)},
 			"00000001000000020000000000000004"+
-				"00000020a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1"+
-				"00000020b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2b2", 4),
-		vectorRow("Commit", &Commit{Attempt: 2, Hash: []byte("hash"), BeaconCommit: []byte("bc")},
-			"000000020000000468617368000000026263", 4),
-		vectorRow("Share", &Share{Attempt: 3, CT: []byte("share"), BeaconShare: []byte("bs"), Nonce: []byte{2, 9}},
-			"00000003000000057368617265000000026273000000020209", 4),
+				"00000020a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1", 4),
+		vectorRow("Commit", &Commit{Attempt: 2, Hash: []byte("hash")},
+			"000000020000000468617368", 4),
+		vectorRow("Share", &Share{Attempt: 3, CT: []byte("share"), Nonce: []byte{2, 9}},
+			"00000003000000057368617265000000020209", 4),
 		vectorRow("Certify", &Certify{Attempt: 4, Sig: []byte("z")},
 			"00000004000000017a", 4),
-		vectorRow("RoundOutput", &RoundOutput{Cleartext: []byte("clear"), Sigs: [][]byte{[]byte("sig")}, Count: 9,
-			Failed: true, Beacon: [][]byte{[]byte("b0"), []byte("b1")}},
-			"00000005636c6561720000000100000003736967000000090100000002000000026230000000026231", 9),
+		vectorRow("RoundOutput", &RoundOutput{Cleartext: []byte("clear"), Sigs: [][]byte{[]byte("sig")}, Count: 9, Failed: true},
+			"00000005636c656172000000010000000373696700000009"+"01", 9),
 		vectorRow("BlameStart", &BlameStart{Session: 5},
 			"00000005", -1),
 		vectorRow("TraceBits", &TraceBits{Session: 6, ClientBits: []byte{1, 0, 1}, ServerBit: 1, Direct: []int32{2},
@@ -444,7 +436,7 @@ func payloadVectors() []payloadRow {
 			BlameDue: 1, BlameHold: 40, CertKeys: [][]byte{[]byte("ck")}, CertSigs: [][]byte{[]byte("cs")},
 			SlotKeys: [][]byte{[]byte("sk1"), []byte("sk2")}, Sched: []byte("st"), Expelled: []Expulsion{{Client: 3, Round: 77}},
 			BlameSession: 2, Restarts: 1},
-			"01ab03000000000000000000000000000000000000000000000000000000000000"+
+			"02ab03000000000000000000000000000000000000000000000000000000000000"+
 				"000000000000000e00000005010100000000000000280000000100000002636b00000001000000026373"+
 				"0000000200000003736b3100000003736b32"+
 				"0000000273740000000100000003000000000000004d0000000200000001", 55),
@@ -457,13 +449,15 @@ func payloadVectors() []payloadRow {
 			Round: 42, Body: []byte("body"), Sig: []byte("sig")},
 			"08000000000000002a616263646566676800000004626f647900000003736967", 17),
 		recordRow("RosterRecord", &RosterUpdateMsg{Update: []byte("upd"), SchedDigest: []byte("sd")},
-			"0100000003757064000000027364", 1),
+			"0200000003757064000000027364", 1),
 		recordRow("RosterProposeRecord", &RosterPropose{Version: 11, Remove: remove},
-			"01000000000000000b00000000000000010908070605040302", 9),
-		recordRow("BeaconEntry", &beacon.Entry{Round: 16, Prev: beacon.Value{0xC1, 2}, Value: beacon.Value{0xC2, 3},
-			Shares: [][]byte{[]byte("s0"), []byte("s1")}},
-			"010000000000000010c102000000000000000000000000000000000000000000000000000000000000"+
-				"c20300000000000000000000000000000000000000000000000000000000000000000002000000027330000000027331", 73),
+			"02000000000000000b00000000000000010908070605040302", 9),
+		recordRow("BeaconEntry", &beacon.Entry{Round: 16, Count: 5, Cleartext: beacon.Value{0xC0, 1}, Sig: []byte("sig"),
+			Prev: beacon.Value{0xC1, 2}, Value: beacon.Value{0xC2, 3}},
+			"020000000000000010"+"00000005"+
+				"c001000000000000000000000000000000000000000000000000000000000000"+"00000003736967"+
+				"c102000000000000000000000000000000000000000000000000000000000000"+
+				"c203000000000000000000000000000000000000000000000000000000000000", 45),
 		// The accusation's signature is fixed-length, sized by the
 		// reader; this row's is 8 bytes.
 		{"AccusationMsg", &AccusationMsg{Round: 1<<33 + 3, Slot: 2, Bit: 99, Sig: []byte("signatur")},
@@ -529,11 +523,10 @@ func TestPayloadVectors(t *testing.T) {
 // shareSeeds are Share encodings whose nonce field peers feed straight
 // into a group-element decoder.
 func shareSeeds() [][]byte {
-	full := wire.Encode(&Share{Attempt: 2, CT: []byte("ciphertext share"), BeaconShare: []byte("beacon share"),
-		Nonce: bytes.Repeat([]byte{2}, 33)})
+	full := wire.Encode(&Share{Attempt: 2, CT: []byte("ciphertext share"), Nonce: bytes.Repeat([]byte{2}, 33)})
 	return [][]byte{
 		full,
-		wire.Encode(&Share{CT: []byte("ct"), Nonce: []byte{3}}), // beacon off, short nonce
+		wire.Encode(&Share{CT: []byte("ct"), Nonce: []byte{3}}), // short nonce
 		wire.Encode(&Share{}),                   // every field empty
 		full[:len(full)-33-4],                   // the nonce field missing altogether
 		full[:len(full)-1],                      // truncated nonce
@@ -544,16 +537,19 @@ func shareSeeds() [][]byte {
 
 // inventorySeeds are Inventory encodings around its commitment bound.
 func inventorySeeds() [][]byte {
-	h, bc := bytes.Repeat([]byte{0xA1}, commitmentLen), bytes.Repeat([]byte{0xB2}, commitmentLen)
-	full := wire.Encode(&Inventory{Attempt: 0, Clients: []int32{0, 2, 5}, Hash: h, BeaconCommit: bc})
+	h := bytes.Repeat([]byte{0xA1}, commitmentLen)
+	full := wire.Encode(&Inventory{Attempt: 0, Clients: []int32{0, 2, 5}, Hash: h})
+	// The layout before the round certificate became the beacon entry
+	// carried a second, beacon commitment after the first.
+	twoCommits := append(append([]byte(nil), full...), append([]byte{0, 0, 0, 32}, h...)...)
 	return [][]byte{
 		full,
-		wire.Encode(&Inventory{Attempt: 1, Clients: []int32{4}}),        // explicit path: no commitment
-		wire.Encode(&Inventory{Clients: []int32{4}, Hash: h}),           // beacon off
-		wire.Encode(&Inventory{Hash: h[:commitmentLen-1]}),              // short commitment
-		wire.Encode(&Inventory{Hash: append(h, 0)}),                     // long commitment
-		wire.Encode(&Inventory{BeaconCommit: bc}),                       // beacon commitment alone
-		wire.Encode(&Inventory{Hash: h, BeaconCommit: bc[:1]}),          // short beacon commitment
+		wire.Encode(&Inventory{Attempt: 1, Clients: []int32{4}}),  // explicit path: no commitment
+		wire.Encode(&Inventory{Clients: []int32{4}, Hash: h[:1]}), // one-byte commitment
+		wire.Encode(&Inventory{Hash: h[:commitmentLen-1]}),        // short commitment
+		wire.Encode(&Inventory{Hash: append(h, 0)}),               // long commitment
+		twoCommits, // a beacon commitment after the share's
+		append(append([]byte(nil), full...), 0, 0, 0, 0),                // an empty beacon commitment after it
 		full[:len(full)-commitmentLen-4],                                // pre-merge body: fields missing
 		append(append([]byte(nil), full...), 0),                         // trailing byte
 		{0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},                // absurd commitment length
@@ -583,9 +579,8 @@ func shuffleListSeeds() [][]byte {
 // checkPayloadDecode is the property every payload fuzz target holds:
 // decoding never panics, an accepted encoding is canonical (it
 // re-encodes to the same bytes), and the decode-time checks hold: an
-// Inventory commitment only at exactly digest length and a beacon
-// commitment only beside one, a ShuffleList with one ciphertext per
-// client.
+// Inventory commitment only at exactly digest length, a ShuffleList
+// with one ciphertext per client.
 func checkPayloadDecode(t *testing.T, r payloadRow, data []byte) {
 	p, err := r.decode(data)
 	if err != nil {
@@ -596,9 +591,8 @@ func checkPayloadDecode(t *testing.T, r payloadRow, data []byte) {
 	}
 	switch p := p.(type) {
 	case *Inventory:
-		if (len(p.Hash) != 0 && len(p.Hash) != commitmentLen) ||
-			(len(p.BeaconCommit) != 0 && (len(p.BeaconCommit) != commitmentLen || len(p.Hash) == 0)) {
-			t.Fatalf("accepted commitment lengths %d/%d", len(p.Hash), len(p.BeaconCommit))
+		if len(p.Hash) != 0 && len(p.Hash) != commitmentLen {
+			t.Fatalf("accepted commitment length %d", len(p.Hash))
 		}
 	case *ShuffleList:
 		if len(p.Clients) != len(p.CTs) {
@@ -657,7 +651,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	// A bool byte other than 0 or 1 would decode as true and re-encode
 	// as 1: both must be rejected.
 	ro := wire.Encode(&RoundOutput{Cleartext: []byte("x"), Count: 1})
-	ro[len(ro)-5] = 2 // the Failed byte, before the empty beacon list
+	ro[len(ro)-1] = 2 // the Failed byte, the last
 	add("RoundOutput", ro)
 	jr := wire.Encode(&JoinRequest{Version: 1})
 	jr[8] = 2 // the Rejoin byte, after the version
@@ -675,9 +669,8 @@ func FuzzDecodePayloads(f *testing.F) {
 // allocates once, for its output, and a decode allocates the payload
 // and its list slices and nothing for the codec itself.
 func TestPayloadCodecAllocs(t *testing.T) {
-	share := &Share{Attempt: 1, CT: make([]byte, 1024), BeaconShare: make([]byte, 64), Nonce: make([]byte, 33)}
-	ro := &RoundOutput{Cleartext: make([]byte, 1024), Sigs: [][]byte{make([]byte, 64)}, Count: 3,
-		Beacon: [][]byte{make([]byte, 64), make([]byte, 64)}}
+	share := &Share{Attempt: 1, CT: make([]byte, 1024), Nonce: make([]byte, 33)}
+	ro := &RoundOutput{Cleartext: make([]byte, 1024), Sigs: [][]byte{make([]byte, 64)}, Count: 3}
 	inv := &Inventory{Clients: []int32{0, 1, 2, 3}, Hash: make([]byte, commitmentLen)}
 	for _, c := range []struct {
 		name     string
@@ -686,7 +679,7 @@ func TestPayloadCodecAllocs(t *testing.T) {
 		decAlloc float64
 	}{
 		{"Share", share, func(b []byte) error { _, err := decode[Share](b); return err }, 1},
-		{"RoundOutput", ro, func(b []byte) error { _, err := DecodeRoundOutput(b); return err }, 3},
+		{"RoundOutput", ro, func(b []byte) error { _, err := DecodeRoundOutput(b); return err }, 2},
 		{"Inventory", inv, func(b []byte) error { _, err := decode[Inventory](b); return err }, 2},
 	} {
 		if n := testing.AllocsPerRun(100, func() { _ = wire.Encode(c.p) }); n != 1 {

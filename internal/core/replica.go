@@ -58,24 +58,18 @@ func (n *node) newSchedule(numSlots int, certKeys, certSigs [][]byte) error {
 }
 
 // verifyOutput decodes a round output and checks its round certificate
-// against the replica. The round's beacon entry is rebuilt from the
-// carried shares on top of our chain head; the certificate covers its
-// chained value, so a bogus share set fails here before it can touch the
-// chain. The entry (nil for a failed round or a beacon-off group) is what
-// retire appends.
-func (n *node) verifyOutput(round uint64, body []byte) (*RoundOutput, *beacon.Entry, error) {
+// against the replica, chained on our beacon head. It returns the output
+// and H(cleartext), the certificate input retire's beacon entry carries.
+func (n *node) verifyOutput(round uint64, body []byte) (*RoundOutput, beacon.Value, error) {
 	ro, err := DecodeRoundOutput(body)
 	if err != nil {
-		return nil, nil, err
+		return nil, beacon.Value{}, err
 	}
-	var entry *beacon.Entry
-	if !ro.Failed && n.beaconChain != nil {
-		entry = beacon.NewEntry(round, n.beaconChain.Head(), ro.Beacon)
+	cleartext := beacon.CleartextHash(ro.Cleartext)
+	if err := verifyRoundCert(n.def, n.cert.Key(), round, ro, n.certDigest(round, int(ro.Count), cleartext)); err != nil {
+		return nil, beacon.Value{}, err
 	}
-	if err := verifyRoundCert(n.def, n.cert.Key(), n.grpID, round, ro, beaconValueBytes(entry)); err != nil {
-		return nil, nil, err
-	}
-	return ro, entry, nil
+	return ro, cleartext, nil
 }
 
 // head is the output head: the oldest round whose output, certified or
@@ -89,14 +83,14 @@ func (n *node) head() uint64 {
 }
 
 // retire applies round's certified output — the head round's, whose
-// certificate the caller has checked — and moves the head past it. A
-// certified round extends the beacon chain with entry (every share was
-// verified at combine time, or is covered by the certificate) before the
+// certificate over cleartext, H(ro.Cleartext), the caller has checked —
+// and moves the head past it. With the beacon on, a certified round
+// extends the chain with its certificate as the entry before the
 // schedule advances; it returns what the schedule decoded. A failed
-// round contributes no directives but still takes its place in the delta
-// queue, and returns nil. The cleartext is sized and the beacon store
-// written before the schedule moves: on error nothing has.
-func (n *node) retire(round uint64, ro *RoundOutput, entry *beacon.Entry) (*dcnet.RoundResult, error) {
+// round contributes no directives and no entry but still takes its place
+// in the delta queue, and returns nil. The cleartext is sized and the
+// beacon store written before the schedule moves: on error nothing has.
+func (n *node) retire(round uint64, ro *RoundOutput, cleartext beacon.Value) (*dcnet.RoundResult, error) {
 	if head := n.head(); round != head {
 		return nil, fmt.Errorf("core: retiring round %d at head %d", round, head)
 	}
@@ -107,7 +101,8 @@ func (n *node) retire(round uint64, ro *RoundOutput, entry *beacon.Entry) (*dcne
 	if want := n.sched.Layout(round).Len; len(ro.Cleartext) != want {
 		return nil, fmt.Errorf("%w: round %d carries %d bytes, want %d", errLayout, round, len(ro.Cleartext), want)
 	}
-	if entry != nil {
+	if n.beaconChain != nil {
+		entry := beacon.NewEntry(round, uint32(ro.Count), cleartext, ro.Sigs[0], n.beaconChain.Head())
 		if err := n.beaconChain.AppendTrusted(entry); err != nil {
 			return nil, fmt.Errorf("core: round %d beacon append: %w", round, err)
 		}

@@ -415,32 +415,26 @@ func (w *lockstepWorld) produce(failed bool) *Message {
 	for i, srv := range w.f.def.Servers {
 		kps[i] = w.f.kpByID[srv.ID]
 	}
+	if !failed {
+		rs.cleartext = cleartext
+	}
+	rs.certClear = beacon.CleartextHash(rs.cleartext)
+	rs.certDigest = s.certDigest(rs.r, len(included), rs.certClear)
 	if failed {
-		rs.certDigest = cleartextSignedBytes(s.grpID, rs.r, len(included), nil, nil)
 		for i, kp := range kps {
-			sig, err := kp.Sign("dissent/cleartext", rs.certDigest, nil)
+			sig, err := kp.Sign(beacon.CertContext, rs.certDigest, nil)
 			if err != nil {
 				w.t.Fatal(err)
 			}
 			rs.cert.put(i, crypto.EncodeSignature(g, sig), nil)
 		}
 	} else {
-		rs.cleartext = cleartext
-		shares := make([][]byte, len(kps))
-		for i, kp := range kps {
-			var err error
-			if shares[i], err = beacon.MakeShare(kp, rs.r, s.beaconChain.Head(), nil); err != nil {
-				w.t.Fatal(err)
-			}
-		}
-		rs.beaconEntry = beacon.NewEntry(rs.r, s.beaconChain.Head(), shares)
-		rs.certDigest = cleartextSignedBytes(s.grpID, rs.r, len(included), cleartext, rs.beaconEntry.Value[:])
 		ks, nonces := make([]*big.Int, len(kps)), make([]crypto.Element, len(kps))
 		for i := range kps {
 			ks[i], _ = g.RandomScalar(nil)
 			nonces[i] = g.BaseMult(ks[i])
 		}
-		rs.certChal = s.cert.Challenge("dissent/cleartext", nonces, rs.certDigest)
+		rs.certChal = s.cert.Challenge(beacon.CertContext, nonces, rs.certDigest)
 		for i, kp := range kps {
 			rs.cert.put(i, crypto.EncodeScalar(g, s.cert.Respond(i, kp.Private, ks[i], rs.certChal)), nil)
 			rs.share.put(i, &Share{}, nil) // history keeps each server's share

@@ -267,8 +267,6 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.attempt = attempt
 	rs.phase = rpCollect
 	s.openExchanges(rs)
-	rs.myBeaconShare = nil
-	rs.beaconEntry = nil
 	s.bufs.put(rs.myShare)
 	rs.myShare, rs.shareIncluded, rs.shareDirect = nil, nil, nil
 	rs.shareMsg = nil
@@ -329,11 +327,11 @@ func (s *Server) onPeerOutput(now time.Time, m *Message, digest []byte) (*Output
 	if m.Round > s.head() {
 		return s.stashMsg(m, digest), nil // adoption must run in round order
 	}
-	ro, entry, err := s.verifyOutput(m.Round, m.Body)
+	ro, cleartext, err := s.verifyOutput(m.Round, m.Body)
 	if err != nil {
 		return s.violation(m.Round, fmt.Errorf("adopted output: %w", err)), nil
 	}
-	res, err := s.retire(m.Round, ro, entry)
+	res, err := s.retire(m.Round, ro, cleartext)
 	if err != nil {
 		return nil, err
 	}

@@ -236,7 +236,7 @@ func TestRestoreRefusesOlderRecordLayout(t *testing.T) {
 	if err == nil || ok {
 		t.Fatalf("a snapshot in the older layout restored (ok=%v, head %d)", ok, srv.Round())
 	}
-	for _, want := range []string{"format 0x00", "format 0x01"} {
+	for _, want := range []string{"format 0x00", fmt.Sprintf("format %#02x", wire.RecordFormat)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal %q does not name %s", err, want)
 		}

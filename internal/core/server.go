@@ -161,11 +161,9 @@ type roundState struct {
 	accSet map[int]bool // client indices folded into ctAcc
 
 	// The round's four all-servers exchanges for the current attempt
-	// (exchange.go). A Commit slot carries the beacon commitment beside
-	// the share commitment, and a Share slot the beacon share. A Share
-	// slot's digest was hashed once, at ingress: the envelope signature
-	// was verified over it and maybeCombine compares it with the sender's
-	// commitment.
+	// (exchange.go). A Share slot's digest was hashed once, at ingress:
+	// the envelope signature was verified over it and maybeCombine
+	// compares it with the sender's commitment.
 	inv    exchange[*Inventory]
 	commit exchange[Commit]
 	share  exchange[*Share]
@@ -196,18 +194,15 @@ type roundState struct {
 	// by an attempt reset, never persisted.
 	// nonces holds the public Rᵢ = kᵢ·G by server index: our own from
 	// commit time, each peer's once revealed. certDigest is what the
-	// certificate signs, hashed once per attempt; certChal is the
-	// challenge our response answered and peers' are checked against
-	// (a failed round checks peers' own signatures over certDigest).
+	// certificate signs, hashed once per attempt over H(cleartext), which
+	// certClear keeps for the beacon entry; certChal is the challenge our
+	// response answered and peers' are checked against (a failed round
+	// checks peers' own signatures over certDigest).
 	nonce      *big.Int
 	nonces     map[int]crypto.Element
 	certDigest []byte
+	certClear  beacon.Value
 	certChal   *big.Int
-
-	// Beacon commit–reveal state; the commitments and shares ride the
-	// round's commit and share exchanges.
-	myBeaconShare []byte
-	beaconEntry   *beacon.Entry // verified entry, set at combine time
 }
 
 // dropNonce destroys the round's secret certificate nonce.
@@ -1105,10 +1100,9 @@ func sortedRounds(m map[uint64]*roundState) []uint64 {
 // round's included set — so the commitment rides along and the round
 // costs three server hops instead of four. The server speculates when
 // this is the round's first attempt, the round is the pipeline head (so
-// the previous round has certified here and the beacon share signs a
-// settled chain head) and its own submissions match that prediction;
-// maybeCommit decides, from all M inventories, whether the speculation
-// holds. α-reopens, recovery attempts, rounds that were not yet the
+// the previous round has certified here) and its own submissions match
+// that prediction; maybeCommit decides, from all M inventories, whether
+// the speculation holds. α-reopens, recovery attempts, rounds that were not yet the
 // head at window close and rounds whose predecessor left no history
 // here (round 0; after a failed or adopted round, or a restore) run the
 // explicit MsgCommit exchange.
@@ -1131,7 +1125,7 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		inv.Hash, inv.BeaconCommit = commit.Hash, commit.BeaconCommit
+		inv.Hash = commit.Hash
 	}
 	s.log.Debug("window closed", "round", rs.r, "submissions", len(rs.subs),
 		"attempt", rs.attempt, "window", now.Sub(rs.start), "speculating", inv.Hash != nil)
@@ -1185,9 +1179,10 @@ func (s *Server) onInventory(now time.Time, m *Message, digest []byte) (*Output,
 // the speculative commitments they carry if the speculation holds, else
 // apply the α-policy, then compute and commit this server's ciphertext.
 // Gate B: only the head round (the oldest in flight) proceeds — its
-// commit/share/certify sequence consumes the schedule and the beacon
-// chain head, so those must run in round order. A younger round that
-// has every inventory simply waits; retiring the head re-invokes this.
+// commit/share/certify sequence consumes the schedule, and its
+// certificate chains on the beacon head, so those must run in round
+// order. A younger round that has every inventory simply waits; retiring
+// the head re-invokes this.
 func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 	if rs.phase != rpInventory || !rs.inv.full() {
 		return &Output{}, nil
@@ -1221,7 +1216,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 			// exactly these sets: the M inventories are the commit phase.
 			for si := range s.def.Servers {
 				inv := rs.inv.get(si)
-				rs.commit.put(si, Commit{Attempt: inv.Attempt, Hash: inv.Hash, BeaconCommit: inv.BeaconCommit}, rs.inv.digest(si))
+				rs.commit.put(si, Commit{Attempt: inv.Attempt, Hash: inv.Hash}, rs.inv.digest(si))
 			}
 			rs.phase = rpCommit
 			return s.maybeShare(now, rs)
@@ -1351,8 +1346,8 @@ func symmetricDiff(a, b []int) []int {
 }
 
 // commitShare commits this server to the exact MsgShare it will reveal —
-// attempt, share, beacon share and a fresh certificate nonce, all fixed
-// here — and returns the commitment: that message's digest. The share is
+// attempt, share and a fresh certificate nonce, all fixed here — and
+// returns the commitment: that message's digest. The share is
 // pseudorandom (it carries this server's pads), so the digest hides it;
 // and it is the value the share's envelope signature covers, so sender
 // and receivers each hash the share once for both purposes. Every
@@ -1368,19 +1363,7 @@ func (s *Server) commitShare(rs *roundState) (*Commit, error) {
 	rs.dropNonce()
 	rs.nonce = k
 	rs.nonces[s.idx] = s.keyGrp.BaseMult(k)
-
-	if s.beaconChain != nil && rs.myBeaconShare == nil {
-		// Beacon commit phase rides the round's commit: the share signs
-		// the chain head, and its hash commits us before we see any
-		// peer's reveal (unbiasable with one honest server).
-		bshare, err := beacon.MakeShare(s.kp, rs.r, s.beaconChain.Head(), s.rand)
-		if err != nil {
-			return nil, err
-		}
-		rs.myBeaconShare = bshare
-	}
-	body := wire.Encode(&Share{Attempt: rs.attempt, CT: rs.myShare, BeaconShare: rs.myBeaconShare,
-		Nonce: s.keyGrp.Encode(rs.nonces[s.idx])})
+	body := wire.Encode(&Share{Attempt: rs.attempt, CT: rs.myShare, Nonce: s.keyGrp.Encode(rs.nonces[s.idx])})
 	if s.interdict != nil && s.interdict.Share != nil {
 		// A byzantine server's tampering lands on the encoded copy it
 		// commits to and reveals; rs.myShare stays the honest share that a
@@ -1392,11 +1375,7 @@ func (s *Server) commitShare(rs *roundState) (*Commit, error) {
 		s.interdict.Share(rs.r, p.CT)
 	}
 	rs.shareMsg = &Message{From: s.id, Type: MsgShare, Round: rs.r, Body: body}
-	commit := &Commit{Attempt: rs.attempt, Hash: rs.shareMsg.digest(s.grpID)}
-	if rs.myBeaconShare != nil {
-		commit.BeaconCommit = beacon.CommitShare(rs.myBeaconShare)
-	}
-	return commit, nil
+	return &Commit{Attempt: rs.attempt, Hash: rs.shareMsg.digest(s.grpID)}, nil
 }
 
 // sendCommit opens the explicit commit phase: commitShare's commitment
@@ -1497,30 +1476,6 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 				fmt.Errorf("server %d share or nonce does not match its commitment", si)), nil
 		}
 	}
-	if s.beaconChain != nil {
-		// Replay the beacon commit–reveal through a beacon.Round, which
-		// checks every share against its commitment and every peer's
-		// signature (ours we made in commitShare), and assembles the
-		// round's chain entry.
-		br := beacon.NewRound(s.keyGrp, s.def.ServerPubKeys(), rs.r, s.beaconChain.Head())
-		for si := 0; si < len(s.def.Servers); si++ {
-			if err := br.Commit(si, rs.commit.get(si).BeaconCommit); err != nil {
-				return s.violation(rs.r, err), nil
-			}
-			reveal := br.Reveal
-			if si == s.idx {
-				reveal = br.RevealOwn
-			}
-			if err := reveal(si, rs.share.get(si).BeaconShare); err != nil {
-				return s.violation(rs.r, err), nil
-			}
-		}
-		entry, err := br.Entry()
-		if err != nil {
-			return s.violation(rs.r, err), nil
-		}
-		rs.beaconEntry = entry
-	}
 	t0 := time.Now()
 	cleartext := s.bufs.get(rs.vecLen)
 	for si := 0; si < len(s.def.Servers); si++ {
@@ -1544,10 +1499,11 @@ func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
 	}
 	rs.phase = rpCertify
 	rs.certifySent = now
-	rs.certDigest = cleartextSignedBytes(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry))
+	rs.certClear = beacon.CleartextHash(rs.cleartext)
+	rs.certDigest = s.certDigest(rs.r, len(rs.included), rs.certClear)
 	var cert []byte
 	if rs.failed {
-		sig, err := s.kp.Sign(cleartextContext, rs.certDigest, s.rand)
+		sig, err := s.kp.Sign(beacon.CertContext, rs.certDigest, s.rand)
 		if err != nil {
 			return nil, err
 		}
@@ -1557,7 +1513,7 @@ func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
 		for i := range nonces {
 			nonces[i] = rs.nonces[i]
 		}
-		rs.certChal = s.cert.Challenge(cleartextContext, nonces, rs.certDigest)
+		rs.certChal = s.cert.Challenge(beacon.CertContext, nonces, rs.certDigest)
 		cert = crypto.EncodeScalar(s.keyGrp, s.cert.Respond(s.idx, s.kp.Private, rs.nonce, rs.certChal))
 		rs.dropNonce()
 	}
@@ -1612,7 +1568,7 @@ func (s *Server) checkCertify(rs *roundState, si int, cert []byte) error {
 		if err != nil {
 			return err
 		}
-		return crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, cleartextContext, rs.certDigest, sig)
+		return crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, beacon.CertContext, rs.certDigest, sig)
 	}
 	z, err := crypto.DecodeScalar(s.keyGrp, cert)
 	if err != nil {
@@ -1646,9 +1602,6 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 		Count:     int32(len(rs.included)),
 		Failed:    rs.failed,
 	}
-	if rs.beaconEntry != nil && !rs.failed {
-		ro.Beacon = rs.beaconEntry.Shares
-	}
 	// History for accusation tracing records the round's layout, which
 	// retirement moves past. The assembled cleartext is a pooled buffer;
 	// the history entry owns it until eviction (blame tracing may read it
@@ -1668,7 +1621,7 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 			hist.shares[si] = rs.share.get(si).CT
 		}
 	}
-	res, err := s.retire(rs.r, ro, rs.beaconEntry)
+	res, err := s.retire(rs.r, ro, rs.certClear)
 	if err != nil {
 		return nil, err
 	}

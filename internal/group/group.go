@@ -74,8 +74,8 @@ type Policy struct {
 	// RetainRounds bounds per-round state kept for accusation tracing.
 	RetainRounds int
 	// BeaconEpochRounds enables the anytrust randomness beacon
-	// (internal/beacon): servers contribute commit–reveal shares every
-	// round and the slot schedule's layout permutation is re-derived
+	// (internal/beacon): every certified round's certificate is a beacon
+	// entry, and the slot schedule's layout permutation is re-derived
 	// from the beacon output every BeaconEpochRounds rounds. 0 disables
 	// the beacon entirely (internal/bench's figure runs: the paper's
 	// measured protocol has no beacon).
@@ -236,8 +236,8 @@ func (d *Definition) GroupID() [32]byte {
 }
 
 // ServerPubKeys returns the servers' identity public keys in server
-// index order (the verification key set for schedule certificates,
-// round certificates, and beacon shares).
+// index order (the verification key set for schedule certificates and,
+// aggregated, for round certificates and beacon entries).
 func (d *Definition) ServerPubKeys() []crypto.Element {
 	pubs := make([]crypto.Element, len(d.Servers))
 	for i, m := range d.Servers {

@@ -8,12 +8,13 @@
 // format. Each record after it is a frame of two u32 words — the body's
 // length and its CRC-32C (Castagnoli) — and the body, wire.EncodeRecord
 // of {delete flag, bucket, key, value}. Only the last record can be
-// torn by a crash: its frame or body is incomplete, or its checksum
-// fails and no byte follows it. Open truncates it away. Any other
-// record that fails its checksum or does not decode is content damage
-// (ErrCorrupt), and a file with another header — an earlier build's
-// JSON-lines log starts with '{' — is refused naming both formats; in
-// neither case is the file changed.
+// torn by a crash: its frame or body is incomplete and no intact record
+// follows it, or its checksum fails and no byte follows it. Open
+// truncates it away. Any other record that fails its checksum, overruns
+// the file ahead of an intact record (a damaged length word), or does
+// not decode is content damage (ErrCorrupt), and a file with another
+// header — an earlier build's JSON-lines log starts with '{' — is
+// refused naming both formats; in neither case is the file changed.
 //
 // Buckets namespace the keys, so one file backs the beacon chain, the
 // roster log and the restart snapshot. Compact rewrites the log down
@@ -163,6 +164,13 @@ func (kv *KV) load() error {
 			end += int64(fr.n)
 		}
 		if end > size {
+			intact, err := kv.intactAfter(off, size)
+			if err != nil {
+				return err
+			}
+			if intact {
+				return fmt.Errorf("%w: %s: record at byte %d overruns the file ahead of an intact record", ErrCorrupt, kv.path, off)
+			}
 			return kv.truncate(off, "") // torn frame or body
 		}
 		body = slices.Grow(body[:0], int(fr.n))[:fr.n]
@@ -184,6 +192,31 @@ func (kv *KV) load() error {
 		off = end
 	}
 	return nil
+}
+
+// intactAfter reports whether an intact record starts anywhere after
+// the record at off, which overruns the file: a frame whose body fits,
+// passes its checksum and decodes. A crash tears only the last record,
+// so such a record means the overrun is a damaged length word, not a
+// torn tail.
+func (kv *KV) intactAfter(off, size int64) (bool, error) {
+	tail := make([]byte, size-off-1)
+	if _, err := kv.file.ReadAt(tail, off+1); err != nil {
+		return false, err
+	}
+	var fr frame
+	for p := 0; p+frameLen < len(tail); p++ {
+		_ = wire.Decode(tail[p:p+frameLen], &fr) // eight bytes always decode
+		body := tail[p+frameLen:]
+		if fr.n == 0 || uint64(fr.n) > uint64(len(body)) {
+			continue
+		}
+		body = body[:fr.n]
+		if crc32.Checksum(body, castagnoli) == fr.sum && wire.DecodeRecord(body, new(record)) == nil {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // truncate cuts the file to size, appends tail and fsyncs.
@@ -288,7 +321,9 @@ func (kv *KV) Path() string { return kv.path }
 // Compact rewrites the log down to the live record set through a
 // temp-file rename, reclaiming the space held by shadowed overwrites
 // and deletes. The rename is atomic on POSIX filesystems, so a crash
-// mid-compaction leaves either the old or the new file intact.
+// mid-compaction leaves either the old or the new file intact. The temp
+// file's handle becomes the live file, so from the rename on every
+// mutation lands in the file a reopen reads.
 func (kv *KV) Compact() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -296,7 +331,7 @@ func (kv *KV) Compact() error {
 		return errClosed
 	}
 	tmpPath := kv.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_APPEND|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}
@@ -316,30 +351,27 @@ func (kv *KV) Compact() error {
 	if err == nil {
 		err = tmp.Sync()
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = os.Rename(tmpPath, kv.path)
 	}
 	if err != nil {
+		tmp.Close()
 		os.Remove(tmpPath)
-		return err
-	}
-	if err := os.Rename(tmpPath, kv.path); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	// Fsync the directory so the rename itself is durable.
-	if dir, err := os.Open(filepath.Dir(kv.path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	f, err := os.OpenFile(kv.path, os.O_RDWR|os.O_APPEND, 0o600)
-	if err != nil {
 		return err
 	}
 	kv.file.Close()
-	kv.file = f
+	kv.file = tmp
 	kv.recs = live
-	return nil
+	// Fsync the directory so the rename itself is durable.
+	dir, err := os.Open(filepath.Dir(kv.path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Garbage returns the number of shadowed log records (total minus

@@ -192,6 +192,40 @@ func TestChangedValueByteRefusesToOpen(t *testing.T) {
 	}
 }
 
+// TestDamagedLengthWordRefusesToOpen: a length word whose damage makes
+// the first of three records overrun the file is content damage, not a
+// torn tail — intact records follow it — so the open fails and the file
+// is left as it was, every record still in it.
+func TestDamagedLengthWordRefusesToOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.kv")
+	kv, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, kv, "b", "001", "v1")
+	mustPut(t, kv, "b", "002", "v2")
+	mustPut(t, kv, "b", "003", "v3")
+	kv.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(fileHeader)] ^= 0x80 // the high byte of the first record's length
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if kv, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			t.Fatalf("open with a damaged length word succeeded; keys %v", kv.List("b"))
+		}
+		t.Fatalf("open with a damaged length word: err = %v, want ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+		t.Fatalf("refused file changed: %d bytes, want %d", len(after), len(data))
+	}
+}
+
 // TestRefusesJSONLinesLog: a file in the JSON-lines layout an earlier
 // build wrote is refused with an error naming both formats, and left
 // byte-identical.
@@ -268,6 +302,17 @@ func TestCompactDropsShadowedRecords(t *testing.T) {
 	}
 	if g := kv.Garbage(); g != 0 {
 		t.Fatalf("Garbage after compact = %d", g)
+	}
+	// The store writes through the compacted file, now at path.
+	live, err := kv.file.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(live, after) {
+		t.Fatal("the store's live file is not the compacted file at its path")
+	}
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
 	}
 	// The compacted store keeps working and survives reopen.
 	mustPut(t, kv, "b", "new", "v")

@@ -40,30 +40,29 @@ func TestEncodeFrameGolden(t *testing.T) {
 
 // TestEncodeFrameGoldenMergedInventory pins the wire form of the one
 // message whose body this protocol version extended: an inventory that
-// carries the speculative commitment — attempt, client list, then two
-// length-prefixed digests (share commitment, beacon commitment), each of
-// which is written with length zero when absent.
+// carries the speculative commitment — attempt, client list, then the
+// length-prefixed share commitment, written with length zero when
+// absent.
 func TestEncodeFrameGoldenMergedInventory(t *testing.T) {
 	var from group.NodeID
 	copy(from[:], "nodeid00")
 	var sid SessionID
 	copy(sid[:], "golden-session-golden-session-go")
 	inv := &core.Inventory{Attempt: 0, Clients: []int32{1, 3},
-		Hash: bytes.Repeat([]byte{0xAA}, 32), BeaconCommit: bytes.Repeat([]byte{0xBB}, 32)}
+		Hash: bytes.Repeat([]byte{0xAA}, 32)}
 	msg := &core.Message{From: from, Type: core.MsgInventory, Round: 9, Body: wire.Encode(inv), Sig: []byte("golden sig")}
-	const want = "8000009b" + // tag bit | 32 + 123
+	const want = "80000077" + // tag bit | 32 + 87
 		"676f6c64656e2d73657373696f6e2d676f6c64656e2d73657373696f6e2d676f" + // session ID
 		"06" + "0000000000000009" + "6e6f646569643030" + // type, round, sender
-		"00000058" + // body: 88 bytes
+		"00000034" + // body: 52 bytes
 		"00000000" + "00000002" + "00000001" + "00000003" + // attempt, two clients
 		"00000020" + "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa" + // share commitment
-		"00000020" + "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb" + // beacon commitment
 		"0000000a" + "676f6c64656e20736967" // signature
 	if got := hex.EncodeToString(encodeFrame(sid, msg)); got != want {
 		t.Fatalf("frame bytes changed:\n got %s\nwant %s", got, want)
 	}
 	plain := wire.Encode(&core.Inventory{Attempt: 2, Clients: []int32{7}})
-	if got, want := hex.EncodeToString(plain), "00000002"+"00000001"+"00000007"+"00000000"+"00000000"; got != want {
+	if got, want := hex.EncodeToString(plain), "00000002"+"00000001"+"00000007"+"00000000"; got != want {
 		t.Fatalf("inventory without a commitment encodes as %s, want %s", got, want)
 	}
 }

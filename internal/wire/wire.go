@@ -101,8 +101,10 @@ func Encode(p Payload) []byte {
 
 // RecordFormat is the first byte of every record a member stores: it
 // names the layout the rest of the record is in, so a record written in
-// another layout is refused by name instead of misparsed.
-const RecordFormat byte = 1
+// another layout is refused by name instead of misparsed. Format 2 is the
+// first whose beacon entry is the round certificate; format 1 stored the
+// per-server beacon shares.
+const RecordFormat byte = 2
 
 // EncodeRecord returns p's encoding behind the record format byte, in
 // one allocation of exactly its size.

@@ -163,7 +163,7 @@ func newMemberSession(joiner bool, def *Group, keys Keys, opts []Option) (*Sessi
 		// The beacon chain rides the same store file. A damaged beacon
 		// bucket refuses the open, as mid-file damage does in
 		// OpenStateStore: a restored server running an empty chain
-		// would sign its beacon shares over the wrong head.
+		// would certify its rounds over the wrong beacon head.
 		bs, err := beacon.NewKVStore(cfg.stateStore, "beacon")
 		if err != nil {
 			return nil, fmt.Errorf("dissent: state store beacon bucket: %w", err)

@@ -117,17 +117,20 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 			}
 		}()
 	}
-	srv0b, err := host0b.OpenSession(grp, sKeys[0], dissent.WithStateStore(kv2))
+	beaconAddr := reservePort(t)
+	srv0b, err := host0b.OpenSession(grp, sKeys[0], dissent.WithStateStore(kv2), dissent.WithBeaconHTTP(beaconAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := srv0b.Subscribe(dissent.EventStateRestored)
+	var restoredAt uint64
 	select {
 	case e, ok := <-restored:
 		if !ok {
 			t.Fatal("restore subscription closed early")
 		}
 		t.Logf("restored: round %d, %s", e.Round, e.Detail)
+		restoredAt = e.Round
 	case <-time.After(20 * time.Second):
 		t.Fatal("restarted server never fired EventStateRestored")
 	}
@@ -155,6 +158,23 @@ func TestSDKServerRestartResumesFromStateStore(t *testing.T) {
 		case <-deadline:
 			t.Fatal("post-restart payload never surfaced at the restarted server")
 		}
+	}
+
+	// An external verifier syncs the restarted server's chain over HTTP:
+	// entries certified before the crash, reloaded from the store, and
+	// after it, across an epoch boundary, verify from their certificates.
+	res, err := dissent.SyncBeacon("http://"+beaconAddr, grp)
+	if err != nil {
+		t.Fatalf("SyncBeacon against the restarted server: %v", err)
+	}
+	entries := res.Chain.RangeFrom(0, 1<<20)
+	if len(entries) == 0 {
+		t.Fatal("synced chain is empty")
+	}
+	first, last := entries[0].Round, entries[len(entries)-1].Round
+	if !res.SessionBound || first >= min(restoredAt, 4) || last < max(restoredAt, 4) {
+		t.Fatalf("synced chain (session-bound %v) holds rounds %d..%d, want both sides of the restore at round %d and of the epoch boundary at 4",
+			res.SessionBound, first, last, restoredAt)
 	}
 
 	// Events reach a subscription synchronously, so by now every
@@ -198,8 +218,8 @@ func TestOpenStateStoreClearsStaleContent(t *testing.T) {
 // TestOpenSessionRefusesDamagedBeaconBucket: a state store whose beacon
 // bucket holds a record that does not decode refuses the session open.
 // Falling back to an in-memory chain would leave a restored server with
-// an empty chain whose head is the session genesis, so its next beacon
-// share would sign over the wrong head and no round could combine.
+// an empty chain whose head is the session genesis, so it would certify
+// its next round over the wrong head and no round could certify.
 func TestOpenSessionRefusesDamagedBeaconBucket(t *testing.T) {
 	policy := testPolicy(func(p *dissent.Policy) { p.BeaconEpochRounds = 4 })
 	sKeys, _, grp := buildGroup(t, 3, 4, policy)
@@ -226,10 +246,11 @@ func TestOpenSessionRefusesDamagedBeaconBucket(t *testing.T) {
 }
 
 // TestOpenSessionRefusesOlderRecordLayout: a state store holding records
-// in the layout written before records carried a format byte — a beacon
-// entry as JSON, a snapshot whose first byte is 0x00 — refuses the
-// session open with an error naming both formats, instead of loading a
-// misparsed record.
+// in an older layout — a beacon entry as JSON, from before records
+// carried a format byte; a beacon entry of per-server shares in record
+// format 1, from before the round certificate became the entry; a
+// snapshot whose first byte is 0x00 — refuses the session open with an
+// error naming both formats, instead of loading a misparsed record.
 func TestOpenSessionRefusesOlderRecordLayout(t *testing.T) {
 	policy := testPolicy(func(p *dissent.Policy) { p.BeaconEpochRounds = 4 })
 	sKeys, _, grp := buildGroup(t, 3, 4, policy)
@@ -241,9 +262,13 @@ func TestOpenSessionRefusesOlderRecordLayout(t *testing.T) {
 	}{
 		{"beacon entry", "beacon", "00000000000000000003",
 			[]byte(`{"round":3,"prev":"` + hexVal + `","value":"` + hexVal + `","shares":["0102"]}`),
-			[]string{"beacon bucket", "format 0x7b", "format 0x01"}},
+			[]string{"beacon bucket", "format 0x7b", "format 0x02"}},
+		// Format 1: round, prev, value, then the list of shares.
+		{"beacon entry of shares", "beacon", "00000000000000000003",
+			append(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 3}, make([]byte, 64)...), 0, 0, 0, 1, 0, 0, 0, 2, 1, 2),
+			[]string{"beacon bucket", "format 0x01", "format 0x02"}},
 		{"snapshot", "snapshot", "server", make([]byte, 64),
-			[]string{"snapshot", "format 0x00", "format 0x01"}},
+			[]string{"snapshot", "format 0x00", "format 0x02"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			kv, err := dissent.OpenStateStore(filepath.Join(t.TempDir(), "srv0.kv"))

@@ -43,7 +43,9 @@ type (
 	RoundOutput = core.Delivery
 	// BeaconChain is a replica of the group's randomness beacon chain.
 	BeaconChain = beacon.Chain
-	// BeaconEntry is one verified link of the beacon chain.
+	// BeaconEntry is one verified link of the beacon chain: a certified
+	// round's certificate, the digest inputs a verifier lacks, and the
+	// value it chains.
 	BeaconEntry = beacon.Entry
 	// RosterUpdate is one certified membership transition: admissions
 	// and removals hash-chained to the previous roster version and
